@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race chaos chaos-updates torture smoke shard-smoke bench-baseline perf-check plan-check plan-golden mvcc-sweep verify
+.PHONY: build test vet race chaos chaos-updates torture smoke shard-smoke bench-baseline perf-check bench-e2e bench-compare plan-check plan-golden mvcc-sweep verify
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,18 @@ bench-baseline:
 # not read as a regression.
 perf-check:
 	$(GO) run ./cmd/xbench perf --cell=all --short --check
+
+# The repo's benchmark (BENCHMARK.json, benchmarks/README.md): all four
+# workloads, untraced for the end-to-end metrics and traced for the
+# per-layer ones, into benchmarks/results/local.json.
+bench-e2e:
+	bash benchmarks/run.sh --label local
+
+# Compare two sets of results files metric by metric against the bounds
+# BENCHMARK.json fixes: make bench-compare A=parent.json B=change.json
+# (comma-separate several runs per side).
+bench-compare:
+	bash benchmarks/run.sh --compare $(A) $(B)
 
 # MVCC snapshot-read smoke: read p99 must stay within 2x the read-only
 # p99 at 30% updates when snapshots pin readers off the engine write

@@ -36,6 +36,21 @@ func TestUpdatesGridAllEngines(t *testing.T) {
 		if c.PageIO <= 0 {
 			t.Errorf("%s %s: no attributed page I/O", c.Engine, c.Op)
 		}
+		// The breakdown says what the update did to storage: a replace or a
+		// delete tombstones records where they lie and deletes their index
+		// entries, and a replace puts the new records into the extents that
+		// freed.
+		if c.Op != workload.U1.String() {
+			if c.Counters["pager.heap.tombstone"] == 0 {
+				t.Errorf("%s %s: no pager.heap.tombstone in the breakdown %v", c.Engine, c.Op, c.Counters)
+			}
+			if c.Counters["btree.delete"] == 0 {
+				t.Errorf("%s %s: no btree.delete in the breakdown %v", c.Engine, c.Op, c.Counters)
+			}
+		}
+		if c.Op == workload.U2.String() && c.Counters["pager.heap.reuse"] == 0 {
+			t.Errorf("%s %s: no pager.heap.reuse in the breakdown %v", c.Engine, c.Op, c.Counters)
+		}
 		if seen[c.Engine] == nil {
 			seen[c.Engine] = map[string]bool{}
 		}

@@ -4,11 +4,14 @@
 // paper Table 3 and the primary/foreign-key indexes the relational engines
 // create during bulk loading.
 //
-// The benchmark workload is load-then-query, so the tree supports Insert
-// and lookups but not deletion, matching XBench 1.0's query-only scope.
+// The paper's workload is load-then-query; the U1-U3 update workload adds
+// Delete of one exact (key, value) pair. Deletion never merges or
+// rebalances: a leaf may shrink to empty and stays in the chain, which
+// suits document-granular churn where the next insert refills it.
 //
 // Concurrency: Search and Range take a shared latch, so any number of
-// readers traverse in parallel; Insert and Sync take it exclusive. The
+// readers traverse in parallel; Insert, Delete and Sync take it
+// exclusive. The
 // root pointer, entry count and height only change under the exclusive
 // latch. Node pages themselves are protected by the pager's own latch.
 package btree
@@ -16,6 +19,7 @@ package btree
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -30,7 +34,7 @@ import (
 const MaxKey = 512
 
 // Tree is a B+tree handle. Concurrent Search/Range calls are safe;
-// Insert and Sync exclude them.
+// Insert, Delete and Sync exclude them.
 type Tree struct {
 	mu     sync.RWMutex
 	p      *pager.Pager
@@ -40,9 +44,11 @@ type Tree struct {
 	height int
 
 	// Counters from the pager's metrics registry (nil-safe): node visits,
-	// node splits, and the tree height as a high-water gauge.
+	// node splits, entries deleted, and the tree height as a high-water
+	// gauge.
 	cVisit  *metrics.Counter
 	cSplit  *metrics.Counter
+	cDelete *metrics.Counter
 	cHeight *metrics.Counter
 }
 
@@ -80,6 +86,7 @@ func (t *Tree) bindMetrics() {
 	reg := t.p.Metrics()
 	t.cVisit = reg.Counter("btree.visit")
 	t.cSplit = reg.Counter("btree.split")
+	t.cDelete = reg.Counter("btree.delete")
 	t.cHeight = reg.Counter("btree.height")
 }
 
@@ -260,6 +267,53 @@ func (t *Tree) finishInsert(pageNo uint32, nd *node) (string, uint32, bool, erro
 	return sep, rightNo, true, nil
 }
 
+// ErrNotFound is returned by Delete when the tree does not hold the
+// exact (key, val) pair.
+var ErrNotFound = errors.New("btree: entry not found")
+
+// Delete removes one entry equal to (key, val), the key truncated to
+// MaxKey as Insert truncated it. It walks the leaf chain across the
+// key's duplicates to find the value and rewrites only that leaf; the
+// separators above it stay (they still bound the subtrees correctly).
+// Inside a pager mutation bracket the leaf's pre-image is captured, so a
+// TreeView pinned at an older epoch keeps seeing the entry.
+func (t *Tree) Delete(key string, val uint64) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	key = trunc(key)
+	ctx := context.Background()
+	pageNo, err := findLeaf(ctx, t.readNode, t.root, key)
+	if err != nil {
+		return err
+	}
+	for pageNo != 0 {
+		nd, err := t.readNode(ctx, pageNo)
+		if err != nil {
+			return err
+		}
+		for i, k := range nd.keys {
+			if k < key {
+				continue
+			}
+			if k > key {
+				return ErrNotFound
+			}
+			if nd.vals[i] == val {
+				nd.keys = append(nd.keys[:i], nd.keys[i+1:]...)
+				nd.vals = append(nd.vals[:i], nd.vals[i+1:]...)
+				if err := t.writeNode(pageNo, nd); err != nil {
+					return err
+				}
+				t.n--
+				t.cDelete.Inc()
+				return nil
+			}
+		}
+		pageNo = nd.next
+	}
+	return ErrNotFound
+}
+
 // Search returns all values stored under key, in insertion order.
 // Concurrent searches run in parallel; cancellation via ctx is honored
 // at page-fetch granularity.
@@ -282,6 +336,26 @@ func (t *Tree) Range(ctx context.Context, lo, hi string, fn func(key string, val
 	return rangeScan(ctx, t.readNode, t.root, lo, hi, fn)
 }
 
+// findLeaf descends from root to the leftmost leaf that can contain key.
+// Duplicates of a promoted separator may remain in the left sibling, so
+// on an equal separator it goes left and callers walk the leaf chain
+// forward.
+func findLeaf(ctx context.Context, read func(context.Context, uint32) (*node, error),
+	root uint32, key string) (uint32, error) {
+	pageNo := root
+	for {
+		nd, err := read(ctx, pageNo)
+		if err != nil {
+			return 0, err
+		}
+		if nd.leaf {
+			return pageNo, nil
+		}
+		ci := sort.Search(len(nd.keys), func(i int) bool { return nd.keys[i] >= key })
+		pageNo = nd.kids[ci]
+	}
+}
+
 // rangeScan is the shared range traversal: descend from root to the
 // leftmost leaf that can contain lo, then walk the leaf chain. read
 // abstracts the page fetch so the live Tree (pool reads under its shared
@@ -290,20 +364,9 @@ func (t *Tree) Range(ctx context.Context, lo, hi string, fn func(key string, val
 func rangeScan(ctx context.Context, read func(context.Context, uint32) (*node, error),
 	root uint32, lo, hi string, fn func(key string, val uint64) bool) error {
 	lo, hi = trunc(lo), trunc(hi)
-	pageNo := root
-	for {
-		nd, err := read(ctx, pageNo)
-		if err != nil {
-			return err
-		}
-		if nd.leaf {
-			break
-		}
-		// Descend to the leftmost leaf that can contain lo. Duplicates of a
-		// promoted separator may remain in the left sibling, so on an equal
-		// separator we go left and rely on the leaf chain to walk forward.
-		ci := sort.Search(len(nd.keys), func(i int) bool { return nd.keys[i] >= lo })
-		pageNo = nd.kids[ci]
+	pageNo, err := findLeaf(ctx, read, root, lo)
+	if err != nil {
+		return err
 	}
 	for pageNo != 0 {
 		nd, err := read(ctx, pageNo)

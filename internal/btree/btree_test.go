@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"xbench/internal/pager"
 	"xbench/internal/stats"
@@ -174,37 +173,155 @@ func TestEmptyKey(t *testing.T) {
 	}
 }
 
+// TestPropertyMatchesMap drives a seeded stream of interleaved inserts
+// and deletes and holds the tree to a map model after every operation.
+// The key pool is built to hit what Delete has to get right: hot keys
+// whose duplicates span several leaves (the value to delete may sit
+// leaves away from where the descent lands), keys longer than MaxKey
+// that collide once truncated, and deletes of pairs that are not there,
+// which must change nothing. The model then has to survive Sync, a cold
+// pool and Open.
 func TestPropertyMatchesMap(t *testing.T) {
-	tr := newTree(t)
-	model := map[string][]uint64{}
-	i := uint64(0)
-	f := func(key string) bool {
-		if len(key) > MaxKey {
-			key = key[:MaxKey]
-		}
-		i++
-		if err := tr.Insert(key, i); err != nil {
-			return false
-		}
-		model[key] = append(model[key], i)
-		got, err := tr.Search(context.Background(), key)
-		if err != nil || len(got) != len(model[key]) {
-			return false
-		}
-		gotSet := map[uint64]bool{}
-		for _, v := range got {
-			gotSet[v] = true
-		}
-		for _, v := range model[key] {
-			if !gotSet[v] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	p := pager.New(64)
+	tr, err := New(p, "idx")
+	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
+	r := stats.NewRNG(11)
+	long := strings.Repeat("L", MaxKey)
+	pool := []string{"hot-a", "hot-b", "", long + "tail-one", long + "tail-two"}
+	for i := 0; i < 400; i++ {
+		pool = append(pool, fmt.Sprintf("k%04d", r.Intn(5000)))
+	}
+	pick := func() string {
+		switch x := r.Float64(); {
+		case x < 0.45:
+			return pool[r.Intn(3)] // the duplicate-heavy keys
+		case x < 0.5:
+			return pool[3+r.Intn(2)] // the keys that collide once truncated
+		}
+		return pool[5+r.Intn(len(pool)-5)]
+	}
+
+	model := map[string][]uint64{} // truncated key -> values, insertion order
+	total := 0
+	check := func(key string) {
+		t.Helper()
+		got, err := tr.Search(ctx, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := model[trunc(key)]
+		if len(got) != len(want) {
+			t.Fatalf("Search(%.20q): %d values, model has %d", key, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Search(%.20q)[%d] = %d, model has %d", key, i, got[i], want[i])
+			}
+		}
+		if tr.Len() != total {
+			t.Fatalf("Len = %d, model has %d entries", tr.Len(), total)
+		}
+	}
+	checkAll := func(tr *Tree) {
+		t.Helper()
+		seen := 0
+		prev := ""
+		err := tr.Range(ctx, "", strings.Repeat("\xff", MaxKey), func(k string, v uint64) bool {
+			if k < prev {
+				t.Fatalf("Range out of order: %.20q after %.20q", k, prev)
+			}
+			prev = k
+			found := false
+			for _, mv := range model[k] {
+				found = found || mv == v
+			}
+			if !found {
+				t.Fatalf("Range yields (%.20q, %d), not in the model", k, v)
+			}
+			seen++
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen != total || tr.Len() != total {
+			t.Fatalf("Range saw %d entries, Len = %d, model has %d", seen, tr.Len(), total)
+		}
+	}
+
+	next := uint64(0)
+	// Start the hot keys three leaves wide, so that from the first delete
+	// on the wanted value is usually not in the leaf the descent reaches.
+	for i := 0; i < 3000; i++ {
+		key := pool[i%2]
+		next++
+		if err := tr.Insert(key, next); err != nil {
+			t.Fatal(err)
+		}
+		model[key] = append(model[key], next)
+		total++
+	}
+	for op := 0; op < 6000; op++ {
+		key := pick()
+		tk := trunc(key)
+		// At most six MaxKey-sized entries live at once: nodes split by entry
+		// count, so a leaf crowded with them can leave one half over a page
+		// (a limit the id-sized keys the engines index never come near).
+		x := r.Float64()
+		if len(tk) == MaxKey && len(model[tk]) >= 6 && x < 0.55 {
+			x = 0.6
+		}
+		switch {
+		case x < 0.55 || len(model[tk]) == 0 && x < 0.9:
+			next++
+			if err := tr.Insert(key, next); err != nil {
+				t.Fatal(err)
+			}
+			model[tk] = append(model[tk], next)
+			total++
+		case x < 0.9:
+			vals := model[tk]
+			i := r.Intn(len(vals))
+			if err := tr.Delete(key, vals[i]); err != nil {
+				t.Fatalf("Delete(%.20q, %d): %v", key, vals[i], err)
+			}
+			model[tk] = append(vals[:i:i], vals[i+1:]...)
+			total--
+		default:
+			// A value no insert ever used, under a key that may well exist.
+			if err := tr.Delete(key, next+1000); err != ErrNotFound {
+				t.Fatalf("Delete of a missing pair = %v, want ErrNotFound", err)
+			}
+		}
+		check(key)
+	}
+	if len(model["hot-a"]) < 600 {
+		t.Fatalf("hot key holds %d duplicates: too few to span leaves", len(model["hot-a"]))
+	}
+	checkAll(tr)
+
+	if err := tr.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	p.ColdReset()
+	re, err := Open(p, tr.FileID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAll(re)
+	// Drain one hot key through the reopened tree: its leaves empty out
+	// and stay in the chain, and the neighbours must still be reachable.
+	for _, v := range model["hot-a"] {
+		if err := re.Delete("hot-a", v); err != nil {
+			t.Fatal(err)
+		}
+		total--
+	}
+	delete(model, "hot-a")
+	checkAll(re)
 }
 
 func TestColdLookupSurvivesReset(t *testing.T) {
@@ -292,5 +409,69 @@ func TestOpenRejectsUnsyncedFile(t *testing.T) {
 	}
 	if _, err := Open(p, tr.FileID()); err == nil {
 		t.Fatal("Open of a never-synced tree succeeded")
+	}
+}
+
+// TestViewKeepsDeletedEntries pins a TreeView at a commit epoch and then
+// deletes (and re-inserts) through the live tree inside later mutation
+// brackets: the view must keep answering from the pre-images, entry for
+// entry, while the live tree answers the new state.
+func TestViewKeepsDeletedEntries(t *testing.T) {
+	ctx := context.Background()
+	p := pager.New(64)
+	tr, err := New(p, "idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000 // several leaves
+	key := func(i int) string { return fmt.Sprintf("k%05d", i) }
+	p.BeginMutation()
+	for i := 0; i < n; i++ {
+		if err := tr.Insert(key(i), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch := p.EndMutation()
+	snap := p.PinSnapshot()
+	defer snap.Release()
+	view := tr.ViewAt(epoch)
+
+	p.BeginMutation()
+	for i := 0; i < n; i += 2 {
+		if err := tr.Delete(key(i), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.EndMutation()
+	p.BeginMutation()
+	for i := 0; i < n; i += 4 {
+		if err := tr.Insert(key(i), uint64(i+n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.EndMutation()
+
+	if view.Len() != n || tr.Len() != n/2+n/4 {
+		t.Fatalf("view Len = %d (want %d), live Len = %d (want %d)", view.Len(), n, tr.Len(), n/2+n/4)
+	}
+	for i := 0; i < n; i++ {
+		old, err := view.Search(ctx, key(i))
+		if err != nil || len(old) != 1 || old[0] != uint64(i) {
+			t.Fatalf("view Search(%s) = %v, %v; want [%d]", key(i), old, err, i)
+		}
+		live, err := tr.Search(ctx, key(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []uint64{uint64(i)}
+		switch {
+		case i%4 == 0:
+			want = []uint64{uint64(i + n)}
+		case i%2 == 0:
+			want = nil
+		}
+		if fmt.Sprint(live) != fmt.Sprint(want) {
+			t.Fatalf("live Search(%s) = %v, want %v", key(i), live, want)
+		}
 	}
 }

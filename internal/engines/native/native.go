@@ -86,6 +86,11 @@ type Engine struct {
 	opts    Options
 	docs    *pager.Heap // serialized documents/segments
 	catalog *pager.Heap // catalog records in load order
+	// names maps a document name to the RID of its catalog record, so an
+	// update reaches its document without walking the catalog. Volatile,
+	// like xcolumn's names and the shredders' docIDs: Load fills it and
+	// updates (replayed ones included) maintain it.
+	names   map[string]pager.RID
 	indexes map[string]*btree.Tree
 	journal *updatelog.Log    // logical redo journal for U1-U3
 	snap    engsnap.Published // MVCC snapshot state for lock-free reads
@@ -185,6 +190,7 @@ func NewWithOptions(poolPages int, opts Options) (*Engine, error) {
 		opts:    opts,
 		docs:    pager.NewHeap(p, "documents"),
 		catalog: pager.NewHeap(p, "catalog"),
+		names:   map[string]pager.RID{},
 		indexes: map[string]*btree.Tree{},
 		journal: updatelog.New(p, "updates"),
 	}
@@ -263,6 +269,7 @@ func (e *Engine) Metrics() *metrics.Registry { return e.p.Metrics() }
 func (e *Engine) reset() error {
 	e.snap.Publish(e.p.SnapshotEpoch(), nil)
 	e.indexes = map[string]*btree.Tree{}
+	e.names = map[string]pager.RID{}
 	e.loaded = false
 	if err := e.docs.Reset(); err != nil {
 		return err
@@ -323,11 +330,7 @@ func (e *Engine) loadDocs(ctx context.Context, db *core.Database) (core.LoadStat
 			return st, fmt.Errorf("native: %s: %w", d.Name, err)
 		}
 		st.Nodes += doc.CountNodes()
-		en, err := e.storeDocument(d.Name, doc, d.Data)
-		if err != nil {
-			return st, err
-		}
-		if _, err := e.catalog.Insert(encodeCatalogEntry(en)); err != nil {
+		if _, _, err := e.storeDocument(d.Name, doc, d.Data); err != nil {
 			return st, err
 		}
 		// Each document arrives as a separate file and is persisted
@@ -350,39 +353,46 @@ func (e *Engine) loadDocs(ctx context.Context, db *core.Database) (core.LoadStat
 	return st, nil
 }
 
-// storeDocument writes one document according to the storage options.
-func (e *Engine) storeDocument(name string, doc *xmldom.Node, raw []byte) (docEntry, error) {
+// storeDocument writes one document according to the storage options and
+// catalogs it under name. It returns the catalog record's RID and the
+// stored parts: parts[i] is the tree whose encoding sits in record i of
+// the entry (the whole document, or the header and then each top-level
+// subtree), which is what the value indexes are keyed on.
+func (e *Engine) storeDocument(name string, doc *xmldom.Node, raw []byte) (pager.RID, []*xmldom.Node, error) {
 	en := docEntry{name: name}
+	var parts []*xmldom.Node
 	root := doc.Root()
 	if e.opts.Segmented && root != nil && len(root.Elements()) >= e.opts.SegmentThreshold {
 		// Header: the root element stripped of children.
 		header := &xmldom.Node{Kind: xmldom.ElementKind, Name: root.Name}
 		header.Attrs = append([]xmldom.Attr(nil), root.Attrs...)
-		rid, err := e.docs.Insert(xmldom.EncodeBinary(header))
-		if err != nil {
-			return en, err
-		}
 		en.segmented = true
-		en.rids = append(en.rids, rid)
-		for _, c := range root.Children {
-			rid, err := e.docs.Insert(xmldom.EncodeBinary(c))
+		parts = append(append(parts, header), root.Children...)
+		for _, part := range parts {
+			rid, err := e.docs.Insert(xmldom.EncodeBinary(part))
 			if err != nil {
-				return en, err
+				return 0, nil, err
 			}
 			en.rids = append(en.rids, rid)
 		}
-		return en, nil
+	} else {
+		data := raw
+		if e.opts.Format == FormatDOM {
+			data = xmldom.EncodeBinary(doc)
+		}
+		rid, err := e.docs.Insert(data)
+		if err != nil {
+			return 0, nil, err
+		}
+		en.rids = []pager.RID{rid}
+		parts = []*xmldom.Node{doc}
 	}
-	data := raw
-	if e.opts.Format == FormatDOM {
-		data = xmldom.EncodeBinary(doc)
-	}
-	rid, err := e.docs.Insert(data)
+	cat, err := e.catalog.Insert(encodeCatalogEntry(en))
 	if err != nil {
-		return en, err
+		return 0, nil, err
 	}
-	en.rids = []pager.RID{rid}
-	return en, nil
+	e.names[name] = cat
+	return cat, parts, nil
 }
 
 // decodeRecord rebuilds a node tree from one stored record of v.
@@ -446,16 +456,48 @@ func (e *Engine) assembleDoc(ctx context.Context, v *view, en docEntry, segs []i
 	return doc, nil
 }
 
-// Index locators pack (document position, segment) into the B+tree's
-// uint64 value: seg 0 means "whole document".
+// Index locators pack (catalog RID, segment) into the B+tree's uint64
+// value: seg 0 means "whole document". Keying on the catalog record's RID
+// rather than its position lets a document be deleted or replaced
+// without renumbering the locators of every document behind it.
 const locatorSegBits = 20
 
-func makeLocator(docPos, seg int) uint64 {
-	return uint64(docPos)<<locatorSegBits | uint64(seg)
+func makeLocator(cat pager.RID, seg int) uint64 {
+	return uint64(cat)<<locatorSegBits | uint64(seg)
 }
 
-func splitLocator(loc uint64) (docPos, seg int) {
-	return int(loc >> locatorSegBits), int(loc & (1<<locatorSegBits - 1))
+func splitLocator(loc uint64) (cat pager.RID, seg int) {
+	return pager.RID(loc >> locatorSegBits), int(loc & (1<<locatorSegBits - 1))
+}
+
+// indexEntries calls fn with every (value, locator) pair the stored
+// parts of the document cataloged at cat contribute to the value index
+// on target. For a segmented document part i is segment i, and a header
+// hit (segment 0) forces a whole-document load.
+func indexEntries(target string, cat pager.RID, parts []*xmldom.Node, fn func(val string, loc uint64) error) error {
+	elem, attr := splitTarget(target)
+	for seg, part := range parts {
+		for _, v := range extractValues(part, elem, attr) {
+			if err := fn(v, makeLocator(cat, seg)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// loadParts decodes the stored records of one catalog entry: the inverse
+// of what storeDocument returned when it wrote them.
+func (e *Engine) loadParts(ctx context.Context, v *view, en docEntry) ([]*xmldom.Node, error) {
+	parts := make([]*xmldom.Node, len(en.rids))
+	for i, rid := range en.rids {
+		part, err := e.decodeRecord(ctx, v, rid)
+		if err != nil {
+			return nil, err
+		}
+		parts[i] = part
+	}
+	return parts, nil
 }
 
 // BuildIndexes implements core.Engine: value indexes mapping the target
@@ -474,33 +516,12 @@ func (e *Engine) BuildIndexes(specs []core.IndexSpec) error {
 		if err != nil {
 			return err
 		}
-		elem, attr := splitTarget(spec.Target)
-		err = e.scanCatalog(ctx, v, func(docPos int, en docEntry) (bool, error) {
-			if !en.segmented {
-				doc, err := e.decodeRecord(ctx, v, en.rids[0])
-				if err != nil {
-					return false, err
-				}
-				for _, v := range extractValues(doc, elem, attr) {
-					if err := ix.Insert(v, makeLocator(docPos, 0)); err != nil {
-						return false, err
-					}
-				}
-				return true, nil
+		err = e.scanCatalog(ctx, v, func(cat pager.RID, en docEntry) (bool, error) {
+			parts, err := e.loadParts(ctx, v, en)
+			if err != nil {
+				return false, err
 			}
-			for seg := 0; seg < len(en.rids); seg++ {
-				node, err := e.decodeRecord(ctx, v, en.rids[seg])
-				if err != nil {
-					return false, err
-				}
-				for _, v := range extractValues(node, elem, attr) {
-					// Header hits (seg 0) force a whole-document load.
-					if err := ix.Insert(v, makeLocator(docPos, seg)); err != nil {
-						return false, err
-					}
-				}
-			}
-			return true, nil
+			return true, indexEntries(spec.Target, cat, parts, ix.Insert)
 		})
 		if err != nil {
 			return err
@@ -541,18 +562,17 @@ func extractValues(doc *xmldom.Node, elem, attr string) []string {
 	return vals
 }
 
-// scanCatalog walks v's on-disk catalog in load order.
-func (e *Engine) scanCatalog(ctx context.Context, v *view, fn func(docPos int, en docEntry) (bool, error)) error {
+// scanCatalog walks v's on-disk catalog in address order (load order
+// until an update reuses a deleted entry's space).
+func (e *Engine) scanCatalog(ctx context.Context, v *view, fn func(cat pager.RID, en docEntry) (bool, error)) error {
 	var inner error
-	pos := 0
-	err := v.catalog.Scan(ctx, func(_ pager.RID, rec []byte) bool {
+	err := v.catalog.Scan(ctx, func(cat pager.RID, rec []byte) bool {
 		en, err := decodeCatalogEntry(rec)
 		if err != nil {
 			inner = err
 			return false
 		}
-		cont, err := fn(pos, en)
-		pos++
+		cont, err := fn(cat, en)
 		if err != nil {
 			inner = err
 			return false
@@ -681,7 +701,7 @@ func (e *Engine) buildCollection(ctx context.Context, v *view, ph *plan.Physical
 	if docName := p.Get("DOC"); docName != "" && ph.Access == plan.AccessDoc {
 		found := false
 		scanSpan := reg.StartSpan(metrics.PhaseScan)
-		err := e.scanCatalog(ctx, v, func(_ int, en docEntry) (bool, error) {
+		err := e.scanCatalog(ctx, v, func(_ pager.RID, en docEntry) (bool, error) {
 			if en.name == docName {
 				found = true
 				return false, addDoc(en, nil)
@@ -721,14 +741,14 @@ func (e *Engine) buildCollection(ctx context.Context, v *view, ph *plan.Physical
 		}
 		// Group locators per document; a seg-0 locator demands the whole
 		// document.
-		wantSegs := map[int][]int{}
-		wantAll := map[int]bool{}
+		wantSegs := map[pager.RID][]int{}
+		wantAll := map[pager.RID]bool{}
 		for _, l := range locs {
-			docPos, seg := splitLocator(l)
+			cat, seg := splitLocator(l)
 			if seg == 0 {
-				wantAll[docPos] = true
+				wantAll[cat] = true
 			} else {
-				wantSegs[docPos] = append(wantSegs[docPos], seg)
+				wantSegs[cat] = append(wantSegs[cat], seg)
 			}
 		}
 		if ph.LoParam != "" {
@@ -742,12 +762,12 @@ func (e *Engine) buildCollection(ctx context.Context, v *view, ph *plan.Physical
 		// the flat customers document); always include the flat documents
 		// of multi-document DC databases.
 		scanSpan := reg.StartSpan(metrics.PhaseScan)
-		err = e.scanCatalog(ctx, v, func(docPos int, en docEntry) (bool, error) {
+		err = e.scanCatalog(ctx, v, func(cat pager.RID, en docEntry) (bool, error) {
 			switch {
-			case wantAll[docPos]:
+			case wantAll[cat]:
 				return true, addDoc(en, nil)
-			case len(wantSegs[docPos]) > 0:
-				return true, addDoc(en, wantSegs[docPos])
+			case len(wantSegs[cat]) > 0:
+				return true, addDoc(en, wantSegs[cat])
 			case v.class == core.DCMD && !strings.HasPrefix(en.name, "order"):
 				return true, addDoc(en, nil)
 			}
@@ -759,7 +779,7 @@ func (e *Engine) buildCollection(ctx context.Context, v *view, ph *plan.Physical
 
 	// Sequential scan: materialize everything.
 	scanSpan := reg.StartSpan(metrics.PhaseScan)
-	err := e.scanCatalog(ctx, v, func(_ int, en docEntry) (bool, error) {
+	err := e.scanCatalog(ctx, v, func(_ pager.RID, en docEntry) (bool, error) {
 		return true, addDoc(en, nil)
 	})
 	scanSpan.End()
@@ -787,6 +807,7 @@ func (e *Engine) Close() error {
 	e.snap.Publish(e.p.SnapshotEpoch(), nil)
 	e.loaded = false
 	e.indexes = map[string]*btree.Tree{}
+	e.names = nil
 	return e.p.Close()
 }
 
@@ -798,13 +819,15 @@ var _ core.Engine = (*Engine)(nil)
 // The update operations below implement the U1-U3 update workload the
 // paper lists as future work. Every mutation follows the journal-first
 // protocol: validate, append one logical redo record to the update
-// journal and sync it (the commit point), then apply the multi-page
-// catalog rewrite. After a crash, RecoverUpdates reloads the database
-// and re-applies the committed journal, so the store recovers to exactly
-// the pre- or post-update state, never a torn catalog.
+// journal and sync it (the commit point), then apply. Applying touches
+// the document's own records only: its catalog entry and stored records
+// are tombstoned in their heaps, its entries leave and enter each value
+// index, and the new content is stored (reusing dead space when it
+// fits). After a crash, RecoverUpdates reloads the database and
+// re-applies the committed journal, so the store recovers to exactly the
+// pre- or post-update state.
 
 // InsertDocument adds a new document (U1). It fails if the name exists.
-// Value indexes become stale and are dropped; rebuild with BuildIndexes.
 func (e *Engine) InsertDocument(ctx context.Context, name string, data []byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -815,37 +838,21 @@ func (e *Engine) InsertDocument(ctx context.Context, name string, data []byte) e
 	if err != nil {
 		return fmt.Errorf("native: insert %s: %w", name, err)
 	}
-	exists, err := e.hasDocument(ctx, name)
-	if err != nil {
-		return err
-	}
-	if exists {
+	if _, exists := e.names[name]; exists {
 		return fmt.Errorf("native: insert %s: document already exists", name)
 	}
 	e.p.BeginMutation()
 	if err := e.journal.Append(updatelog.Record{Kind: updatelog.KindInsert, Name: name, Data: data}); err != nil {
 		return err
 	}
-	en, err := e.storeDocument(name, parsed, data)
-	if err != nil {
+	if err := e.applyInsert(name, parsed, data); err != nil {
 		return err
 	}
-	if err := e.docs.Sync(); err != nil {
-		return err
-	}
-	if _, err := e.catalog.Insert(encodeCatalogEntry(en)); err != nil {
-		return err
-	}
-	if err := e.catalog.Sync(); err != nil {
-		return err
-	}
-	e.indexes = map[string]*btree.Tree{}
 	return e.publishLocked(e.p.EndMutation())
 }
 
 // ReplaceDocument replaces the named document with new content, or adds
-// it when absent (U2). Value indexes become stale and are dropped;
-// rebuild them with BuildIndexes.
+// it when absent (U2).
 func (e *Engine) ReplaceDocument(ctx context.Context, name string, data []byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -860,7 +867,12 @@ func (e *Engine) ReplaceDocument(ctx context.Context, name string, data []byte) 
 	if err := e.journal.Append(updatelog.Record{Kind: updatelog.KindReplace, Name: name, Data: data}); err != nil {
 		return err
 	}
-	if err := e.rewriteCatalog(ctx, name, parsed, data, true); err != nil {
+	if _, exists := e.names[name]; exists {
+		if err := e.applyDelete(ctx, name); err != nil {
+			return err
+		}
+	}
+	if err := e.applyInsert(name, parsed, data); err != nil {
 		return err
 	}
 	return e.publishLocked(e.p.EndMutation())
@@ -874,91 +886,92 @@ func (e *Engine) DeleteDocument(ctx context.Context, name string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	exists, err := e.hasDocument(ctx, name)
-	if err != nil {
-		return err
-	}
-	if !exists {
+	if _, exists := e.names[name]; !exists {
 		return fmt.Errorf("native: document %q not found", name)
 	}
 	e.p.BeginMutation()
 	if err := e.journal.Append(updatelog.Record{Kind: updatelog.KindDelete, Name: name}); err != nil {
 		return err
 	}
-	if err := e.rewriteCatalog(ctx, name, nil, nil, false); err != nil {
+	if err := e.applyDelete(ctx, name); err != nil {
+		return err
+	}
+	if err := e.syncStore(); err != nil {
 		return err
 	}
 	return e.publishLocked(e.p.EndMutation())
 }
 
 // RecoverUpdates restores the document store after a crash. Call pager
-// Recover first; RecoverUpdates then reloads db (wiping any torn catalog
-// rewrite) and re-applies the committed update journal in order. Value
+// Recover first; RecoverUpdates then reloads db (wiping any half-applied
+// update) and re-applies the committed update journal in order. Value
 // indexes are dropped by the reload; rebuild with BuildIndexes.
 func (e *Engine) RecoverUpdates(ctx context.Context, db *core.Database) error {
 	return updatelog.Replay(ctx, e, e.journal, db)
 }
 
-// hasDocument reports whether a catalog entry with the name exists.
-// Caller holds the write lock.
-func (e *Engine) hasDocument(ctx context.Context, name string) (bool, error) {
-	found := false
-	err := e.scanCatalog(ctx, e.liveView(), func(_ int, en docEntry) (bool, error) {
-		if en.name == name {
-			found = true
-			return false, nil
-		}
-		return true, nil
-	})
-	return found, err
-}
-
-// rewriteCatalog rebuilds the catalog heap without (or with a replacement
-// for) the named document. Document bytes already stored stay in the
-// documents heap (space is reclaimed only by a full reload, like a
-// vacuum-less store); the catalog is the source of truth.
-func (e *Engine) rewriteCatalog(ctx context.Context, name string, parsed *xmldom.Node, raw []byte, upsert bool) error {
-	var entries []docEntry
-	found := false
-	err := e.scanCatalog(ctx, e.liveView(), func(_ int, en docEntry) (bool, error) {
-		if en.name == name {
-			found = true
-			return true, nil // drop the old entry
-		}
-		entries = append(entries, en)
-		return true, nil
-	})
+// applyInsert stores and catalogs the document, adds its values to every
+// index and syncs. Caller holds the write lock and has journaled the
+// update.
+func (e *Engine) applyInsert(name string, parsed *xmldom.Node, raw []byte) error {
+	cat, parts, err := e.storeDocument(name, parsed, raw)
 	if err != nil {
 		return err
 	}
-	if !found && !upsert {
-		return fmt.Errorf("native: document %q not found", name)
+	for target, ix := range e.indexes {
+		if err := indexEntries(target, cat, parts, ix.Insert); err != nil {
+			return err
+		}
 	}
-	if upsert {
-		en, err := e.storeDocument(name, parsed, raw)
+	return e.syncStore()
+}
+
+// applyDelete removes the named document where it lies: its values leave
+// every index, its stored records and its catalog entry are tombstoned.
+// Caller holds the write lock, has journaled the update and syncs after.
+func (e *Engine) applyDelete(ctx context.Context, name string) error {
+	cat := e.names[name]
+	rec, err := e.catalog.Get(ctx, cat)
+	if err != nil {
+		return err
+	}
+	en, err := decodeCatalogEntry(rec)
+	if err != nil {
+		return err
+	}
+	if len(e.indexes) > 0 {
+		parts, err := e.loadParts(ctx, e.liveView(), en)
 		if err != nil {
 			return err
 		}
-		if err := e.docs.Sync(); err != nil {
-			return err
-		}
-		entries = append(entries, en)
-	}
-	if err := e.catalog.Reset(); err != nil {
-		return err
-	}
-	for _, en := range entries {
-		if _, err := e.catalog.Insert(encodeCatalogEntry(en)); err != nil {
-			return err
+		for target, ix := range e.indexes {
+			if err := indexEntries(target, cat, parts, ix.Delete); err != nil {
+				return fmt.Errorf("native: index %s: %w", target, err)
+			}
 		}
 	}
-	if err := e.catalog.Sync(); err != nil {
+	for _, rid := range en.rids {
+		if err := e.docs.Delete(ctx, rid); err != nil {
+			return err
+		}
+	}
+	if err := e.catalog.Delete(ctx, cat); err != nil {
 		return err
 	}
-	// Indexes may now point at removed documents; drop them so queries
-	// fall back to scans until BuildIndexes is called again.
-	e.indexes = map[string]*btree.Tree{}
+	delete(e.names, name)
 	return nil
+}
+
+// syncStore flushes both heaps and forces the update's dirty pages (index
+// leaves included) to disk, inside the mutation bracket.
+func (e *Engine) syncStore() error {
+	if err := e.docs.Flush(); err != nil {
+		return err
+	}
+	if err := e.catalog.Flush(); err != nil {
+		return err
+	}
+	return e.p.SyncAll()
 }
 
 // DropIndexes discards all value indexes (their pages are abandoned; a

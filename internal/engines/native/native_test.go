@@ -9,6 +9,7 @@ import (
 
 	"xbench/internal/core"
 	"xbench/internal/gen"
+	"xbench/internal/plan"
 	"xbench/internal/queries"
 	"xbench/internal/textgen"
 )
@@ -176,11 +177,36 @@ func TestReplaceAndDeleteDocument(t *testing.T) {
 	if len(res.Items) != 0 {
 		t.Fatalf("deleted order still queryable: %v", res.Items)
 	}
-	if err := e.DeleteDocument(context.Background(), "order1.xml"); err == nil {
-		t.Fatal("double delete succeeded")
+	// The refusals, none of which may change the store.
+	for _, tc := range []struct {
+		name string
+		op   func() error
+		want string
+	}{
+		{"U3 of a name just deleted", func() error {
+			return e.DeleteDocument(context.Background(), "order1.xml")
+		}, `document "order1.xml" not found`},
+		{"U3 of a name never stored", func() error {
+			return e.DeleteDocument(context.Background(), "no-such.xml")
+		}, `document "no-such.xml" not found`},
+		{"U1 of an existing name", func() error {
+			return e.InsertDocument(context.Background(), "order2.xml", newDoc)
+		}, "insert order2.xml: document already exists"},
+		{"U2 of malformed XML", func() error {
+			return e.ReplaceDocument(context.Background(), "bad.xml", []byte("<a><b></a>"))
+		}, "replace bad.xml"},
+	} {
+		err := tc.op()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error = %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if e.DocumentCount() != before-1 {
+			t.Errorf("%s: document count moved to %d", tc.name, e.DocumentCount())
+		}
 	}
-	if err := e.ReplaceDocument(context.Background(), "bad.xml", []byte("<a><b></a>")); err == nil {
-		t.Fatal("replace accepted malformed XML")
+	// A deleted name is free again.
+	if err := e.InsertDocument(context.Background(), "order1.xml", newDoc); err != nil {
+		t.Fatalf("U1 of a deleted name: %v", err)
 	}
 }
 
@@ -202,25 +228,85 @@ func TestReplaceUpsertsNewDocument(t *testing.T) {
 	}
 }
 
+// TestIndexesRebuildAfterUpdate: the value indexes are kept up to date
+// by every update rather than dropped by it. After a delete, a replace
+// and an insert, Q1 and Q5 still plan as index probes and execute as
+// them (the index is visited, one document is materialized), they answer
+// exactly what a scan of the same store answers, and building the
+// indexes again changes nothing.
 func TestIndexesRebuildAfterUpdate(t *testing.T) {
+	ctx := context.Background()
 	e, _ := loadTiny(t, core.DCMD)
 	if err := e.BuildIndexes(queries.Indexes(core.DCMD)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.DeleteDocument(context.Background(), "order2.xml"); err != nil {
+	order := func(id, total string) []byte {
+		return []byte(`<order id="` + id + `"><customer_id>C1</customer_id>
+		<order_date>2000-01-01</order_date><total>` + total + `</total>
+		<order_status>NEW</order_status><cc_xacts><cc_type>VISA</cc_type></cc_xacts>
+		<order_lines><order_line><item_id>I7</item_id><qty>1</qty></order_line>
+		</order_lines></order>`)
+	}
+	if err := e.DeleteDocument(ctx, "order2.xml"); err != nil {
 		t.Fatal(err)
 	}
-	// Indexes were dropped; scan still answers, then rebuild works.
-	res, err := e.Execute(context.Background(), core.Q1, core.Params{"X": "O3"})
-	if err != nil || len(res.Items) != 1 {
-		t.Fatalf("post-update scan: %v %v", res.Items, err)
+	if err := e.ReplaceDocument(ctx, "order3.xml", order("O3", "33.33")); err != nil {
+		t.Fatal(err)
 	}
+	if err := e.InsertDocument(ctx, "order-new.xml", order("O9001", "90.01")); err != nil {
+		t.Fatal(err)
+	}
+
+	type key struct {
+		q  core.QueryID
+		id string
+	}
+	indexed := map[key][]string{}
+	visits := e.Metrics().Counter("btree.visit")
+	for _, q := range []core.QueryID{core.Q1, core.Q5} {
+		ph, err := plan.Plan(queries.Lookup(core.DCMD, q), e.statValues(e.liveView()))
+		if err != nil || ph.Access != plan.AccessIndex {
+			t.Fatalf("%s after updates plans as %v (%v), want an index probe", q, ph.Access, err)
+		}
+		for _, id := range []string{"O1", "O2", "O3", "O4", "O9001"} {
+			before := visits.Value()
+			res, err := e.Execute(ctx, q, core.Params{"X": id})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if visits.Value() == before {
+				t.Fatalf("%s for %s executed without visiting the index", q, id)
+			}
+			indexed[key{q, id}] = res.Items
+		}
+	}
+	if got := indexed[key{core.Q1, "O2"}]; len(got) != 0 {
+		t.Fatalf("deleted order still answers through the index: %v", got)
+	}
+	if got := indexed[key{core.Q1, "O3"}]; len(got) != 1 || !strings.Contains(got[0], "33.33") {
+		t.Fatalf("replaced order through the index = %v", got)
+	}
+	if got := indexed[key{core.Q1, "O9001"}]; len(got) != 1 || !strings.Contains(got[0], "90.01") {
+		t.Fatalf("inserted order through the index = %v", got)
+	}
+
+	// Building again is a no-op; dropping the indexes turns the same
+	// queries into scans, which must agree with what the probes said.
 	if err := e.BuildIndexes(queries.Indexes(core.DCMD)); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := e.Execute(context.Background(), core.Q1, core.Params{"X": "O3"})
-	if err != nil || len(res2.Items) != 1 || res2.Items[0] != res.Items[0] {
-		t.Fatalf("post-rebuild answer differs: %v %v", res2.Items, err)
+	for k, want := range indexed {
+		res, err := e.Execute(ctx, k.q, core.Params{"X": k.id})
+		if err != nil || fmt.Sprint(res.Items) != fmt.Sprint(want) {
+			t.Fatalf("%s %s after a second BuildIndexes = %v, %v; want %v", k.q, k.id, res.Items, err, want)
+		}
+	}
+	e.DropIndexes()
+	for k, want := range indexed {
+		res, err := e.Execute(ctx, k.q, core.Params{"X": k.id})
+		if err != nil || fmt.Sprint(res.Items) != fmt.Sprint(want) {
+			t.Fatalf("%s %s by scan = %v, %v; the index probe answered %v", k.q, k.id, res.Items, err, want)
+		}
 	}
 }
 
@@ -299,24 +385,36 @@ func TestSegmentedMatchesDocumentGranular(t *testing.T) {
 			core.TCSD: {"W": textgenHeadword(3), "W2": "system", "Y": "x",
 				"L": "London", "LO": "1997-01-01", "PHRASE": "of the"},
 		}[class]
-		for q := core.Q1; q <= core.Q20; q++ {
-			a, errA := seg.Execute(context.Background(), q, params)
-			b, errB := whole.Execute(context.Background(), q, params)
-			if (errA == nil) != (errB == nil) {
-				t.Fatalf("%s/%s: error mismatch %v vs %v", class, q, errA, errB)
-			}
-			if errA != nil {
-				continue
-			}
-			if len(a.Items) != len(b.Items) {
-				t.Fatalf("%s/%s: %d vs %d items", class, q, len(a.Items), len(b.Items))
-			}
-			for i := range a.Items {
-				if a.Items[i] != b.Items[i] {
-					t.Fatalf("%s/%s: item %d differs", class, q, i)
+		compare := func(stage string) {
+			for q := core.Q1; q <= core.Q20; q++ {
+				a, errA := seg.Execute(context.Background(), q, params)
+				b, errB := whole.Execute(context.Background(), q, params)
+				if (errA == nil) != (errB == nil) {
+					t.Fatalf("%s/%s %s: error mismatch %v vs %v", class, q, stage, errA, errB)
+				}
+				if errA != nil {
+					continue
+				}
+				if len(a.Items) != len(b.Items) {
+					t.Fatalf("%s/%s %s: %d vs %d items", class, q, stage, len(a.Items), len(b.Items))
+				}
+				for i := range a.Items {
+					if a.Items[i] != b.Items[i] {
+						t.Fatalf("%s/%s %s: item %d differs", class, q, stage, i)
+					}
 				}
 			}
 		}
+		compare("as loaded")
+		// Replace the document with itself on both stores: the segmented
+		// one has to move every (document, segment) locator to the new
+		// catalog entry and keep each pointing at the right subtree.
+		for _, e := range []*Engine{seg, whole} {
+			if err := e.ReplaceDocument(context.Background(), db.Docs[0].Name, db.Docs[0].Data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		compare("after a replace")
 	}
 }
 

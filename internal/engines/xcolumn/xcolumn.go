@@ -666,7 +666,9 @@ func (e *Engine) execTCMD(ctx context.Context, v *view, a access, q core.QueryID
 		if err != nil || doc == "" {
 			return nil, err
 		}
-		// sec_side has no doc index; filtering it is a growing scan.
+		// The DAD gives sec_side no doc index, so filtering it is a growing
+		// scan (the index the update path builds on first delete is not
+		// part of the modeled system and the query does not use it).
 		type secRow struct {
 			seq     int
 			heading string
@@ -823,10 +825,9 @@ func (e *Engine) Close() error {
 // The update workload (U1-U3) below follows the journal-first protocol:
 // validate, journal + sync (the commit point), then apply. Applying a
 // replace or delete regenerates the side tables for the document — the
-// dxx_seqno columns are renumbered from the new content — and the old
-// CLOB bytes are abandoned until the next full load, like a vacuum-less
-// store. After a crash, RecoverUpdates reloads and re-applies the
-// committed journal.
+// dxx_seqno columns are renumbered from the new content — and tombstones
+// the old CLOB, whose space the next CLOB that fits reuses. After a
+// crash, RecoverUpdates reloads and re-applies the committed journal.
 
 // InsertDocument implements core.Engine (U1: CLOB row + side-table rows).
 func (e *Engine) InsertDocument(ctx context.Context, name string, data []byte) error {
@@ -906,6 +907,9 @@ func (e *Engine) DeleteDocument(ctx context.Context, name string) error {
 	if err := e.applyDelete(ctx, name); err != nil {
 		return err
 	}
+	if err := e.syncStore(); err != nil {
+		return err
+	}
 	return e.publishLocked(e.p.EndMutation())
 }
 
@@ -928,6 +932,12 @@ func (e *Engine) applyInsert(name string, data []byte, parsed *xmldom.Node) erro
 	if _, err := e.populateSideTables(strconv.FormatUint(uint64(rid), 10), parsed); err != nil {
 		return err
 	}
+	return e.syncStore()
+}
+
+// syncStore flushes the CLOB and side-table heaps and forces the
+// update's dirty pages to disk, inside the mutation bracket.
+func (e *Engine) syncStore() error {
 	if err := e.clobs.Sync(); err != nil {
 		return err
 	}
@@ -940,15 +950,26 @@ func (e *Engine) applyInsert(name string, data []byte, parsed *xmldom.Node) erro
 }
 
 // applyDelete removes the document's side-table rows (every side table
-// carries a doc reference column) and forgets its CLOB. Caller holds the
-// write lock and has journaled the update.
+// carries a doc reference column) and tombstones its CLOB. Load writes no
+// index on doc — the DAD declares none, and the stored size and the cold
+// query paths stay what the paper's system had — so the first delete
+// builds one per side table, and every later delete probes it instead of
+// scanning the table. Caller holds the write lock, has journaled the
+// update and syncs after.
 func (e *Engine) applyDelete(ctx context.Context, name string) error {
 	rid := e.names[name]
 	ref := strconv.FormatUint(uint64(rid), 10)
 	for _, tn := range e.db.TableNames() {
-		if _, err := e.db.Table(tn).DeleteWhere(ctx, "doc", ref); err != nil {
+		t := e.db.Table(tn)
+		if err := t.CreateIndex("doc"); err != nil {
 			return err
 		}
+		if _, err := t.DeleteWhere(ctx, "doc", ref); err != nil {
+			return err
+		}
+	}
+	if err := e.clobs.Delete(ctx, rid); err != nil {
+		return err
 	}
 	delete(e.names, name)
 	// Copy-on-write: the previous slice may still back a published
@@ -960,7 +981,7 @@ func (e *Engine) applyDelete(ctx context.Context, name string) error {
 		}
 	}
 	e.rids = rids
-	return e.p.SyncAll()
+	return nil
 }
 
 var _ core.Engine = (*Engine)(nil)

@@ -3,6 +3,7 @@ package pager
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -10,26 +11,53 @@ import (
 // prefix begins.
 type RID uint64
 
-// Heap is an append-only record file over a paged file. Records are
-// length-prefixed and may span pages, so whole XML documents and shredded
-// rows use the same storage primitive. Inserts are buffered one page at a
-// time and flushed as pages fill, modeling bulk-load I/O; call Flush to
-// persist a partial tail page.
+// deadBit marks a deleted record: the high bit of the 4-byte length
+// prefix. The low 31 bits keep the extent's data length, so a scan steps
+// over a dead record exactly as it steps over a live one and deleting
+// changes no sizes on disk.
+const deadBit = 1 << 31
+
+// ErrDeleted is returned by Get (and Delete) for the RID of a record
+// that has been deleted.
+var ErrDeleted = errors.New("pager: record deleted")
+
+// extent is a dead record available for reuse: n data bytes behind the
+// 4-byte prefix at off.
+type extent struct {
+	off uint64
+	n   uint32
+}
+
+// Heap is a record file over a paged file. Records are length-prefixed
+// and may span pages, so whole XML documents and shredded rows use the
+// same storage primitive. Inserts are buffered one page at a time and
+// flushed as pages fill, modeling bulk-load I/O; call Flush to persist a
+// partial tail page.
+//
+// Delete tombstones a record where it lies (deadBit in its prefix), and
+// later inserts reuse dead extents first fit, leaving any remainder as a
+// smaller dead record, so a heap under delete/insert churn of like-sized
+// records does not grow. Adjacent dead records are not merged. The free
+// list lives in memory only: it is rebuilt the way every other volatile
+// structure is, by reload plus journal replay, which repeats the same
+// deletes.
 //
 // Get and Scan are safe to call from many goroutines once loading has
-// finished (after Flush/Sync); Insert/Flush/Reset require external
-// exclusion from readers — the engines provide it with their write lock.
+// finished (after Flush/Sync); Insert/Delete/Flush/Reset require
+// external exclusion from readers — the engines provide it with their
+// write lock, and snapshot readers go through a HeapView instead.
 type Heap struct {
 	p   *Pager
 	fid FileID
 
-	end       uint64 // next insert offset
+	end       uint64 // next append offset
 	flushed   uint64 // offsets below this are on disk
 	tail      []byte // in-memory image of the tail page
 	tailNo    uint32
 	hasTail   bool
 	tailDirty bool // tail differs from its on-disk image
 	count     int
+	free      []extent // dead records, in the order they were deleted
 }
 
 // NewHeap creates an empty heap in a fresh file.
@@ -37,10 +65,11 @@ func NewHeap(p *Pager, name string) *Heap {
 	return &Heap{p: p, fid: p.Create(name)}
 }
 
-// Count returns the number of records inserted.
+// Count returns the number of live records.
 func (h *Heap) Count() int { return h.count }
 
-// Bytes returns the total size of record data including prefixes.
+// Bytes returns the total size of record data including prefixes, dead
+// records included.
 func (h *Heap) Bytes() uint64 { return h.end }
 
 // Pages returns the number of pages the heap's records occupy — the
@@ -52,8 +81,15 @@ func (h *Heap) Pages() int64 {
 	return int64((h.end + PageSize - 1) / PageSize)
 }
 
-// Insert appends a record and returns its RID.
+// Insert stores a record and returns its RID: in the first dead extent
+// that fits, else appended at the end.
 func (h *Heap) Insert(rec []byte) (RID, error) {
+	if uint64(len(rec)) >= deadBit {
+		return 0, fmt.Errorf("pager: record of %d bytes exceeds the heap's record limit", len(rec))
+	}
+	if rid, ok, err := h.reuse(rec); ok || err != nil {
+		return rid, err
+	}
 	rid := RID(h.end)
 	var pfx [4]byte
 	binary.BigEndian.PutUint32(pfx[:], uint32(len(rec)))
@@ -65,6 +101,57 @@ func (h *Heap) Insert(rec []byte) (RID, error) {
 	}
 	h.count++
 	return rid, nil
+}
+
+// reuse stores rec in the first dead extent it fits: exactly, or with at
+// least the 4 bytes a dead prefix for the remainder needs.
+func (h *Heap) reuse(rec []byte) (RID, bool, error) {
+	need := uint32(len(rec))
+	for i, ex := range h.free {
+		if ex.n != need && ex.n < need+4 {
+			continue
+		}
+		buf := make([]byte, 4, 8+len(rec))
+		binary.BigEndian.PutUint32(buf, need)
+		buf = append(buf, rec...)
+		if ex.n == need {
+			h.free = append(h.free[:i], h.free[i+1:]...)
+		} else {
+			rest := extent{off: ex.off + 4 + uint64(need), n: ex.n - need - 4}
+			buf = binary.BigEndian.AppendUint32(buf, deadBit|rest.n)
+			h.free[i] = rest
+		}
+		if err := h.overwrite(buf, ex.off); err != nil {
+			return 0, false, err
+		}
+		h.count++
+		_, reused := h.p.heapCounters()
+		reused.Inc()
+		return RID(ex.off), true, nil
+	}
+	return 0, false, nil
+}
+
+// Delete tombstones the record at rid; its bytes stay where they are
+// until an insert reuses the extent.
+func (h *Heap) Delete(ctx context.Context, rid RID) error {
+	n, dead, err := h.live().prefix(ctx, uint64(rid))
+	if err != nil {
+		return err
+	}
+	if dead {
+		return fmt.Errorf("pager: rid %d: %w", rid, ErrDeleted)
+	}
+	var pfx [4]byte
+	binary.BigEndian.PutUint32(pfx[:], deadBit|n)
+	if err := h.overwrite(pfx[:], uint64(rid)); err != nil {
+		return err
+	}
+	h.free = append(h.free, extent{off: uint64(rid), n: n})
+	h.count--
+	tombstoned, _ := h.p.heapCounters()
+	tombstoned.Inc()
+	return nil
 }
 
 // write appends raw bytes across page boundaries.
@@ -89,6 +176,37 @@ func (h *Heap) write(b []byte) error {
 				return err
 			}
 		}
+	}
+	return nil
+}
+
+// overwrite replaces bytes below the heap's end, page by page. A page in
+// the pool is copied, patched and written back through Pager.Write, so
+// inside a mutation bracket its pre-image is captured for pinned
+// snapshots; the buffered tail page is patched in memory and left dirty
+// for the next Flush.
+func (h *Heap) overwrite(b []byte, off uint64) error {
+	for len(b) > 0 {
+		pageNo := uint32(off / PageSize)
+		pageOff := int(off % PageSize)
+		var n int
+		if h.hasTail && pageNo == h.tailNo {
+			n = copy(h.tail[pageOff:], b)
+			h.tailDirty = true
+		} else {
+			pg, err := h.p.Read(h.fid, pageNo)
+			if err != nil {
+				return err
+			}
+			patched := make([]byte, PageSize)
+			copy(patched, pg)
+			n = copy(patched[pageOff:], b)
+			if err := h.p.Write(h.fid, pageNo, patched); err != nil {
+				return err
+			}
+		}
+		b = b[n:]
+		off += uint64(n)
 	}
 	return nil
 }
@@ -128,81 +246,34 @@ func (h *Heap) Sync() error {
 	return h.p.Sync(h.fid)
 }
 
-// readAt fills buf from the heap starting at offset, going through the
-// buffer pool (and the in-memory tail when needed). The context is
-// checked before each page fetch — this is the page-fetch granularity at
-// which query cancellation is honored.
-func (h *Heap) readAt(ctx context.Context, buf []byte, off uint64) error {
-	for len(buf) > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		pageNo := uint32(off / PageSize)
-		pageOff := int(off % PageSize)
-		var src []byte
-		if h.hasTail && pageNo == h.tailNo && h.tailDirty {
-			// Unflushed data is only available in memory; once flushed,
-			// reads go through the buffer pool like any other page so
-			// cold-run I/O is fully accounted.
-			src = h.tail
-		} else {
-			pg, err := h.p.Read(h.fid, pageNo)
-			if err != nil {
-				return err
-			}
-			src = pg
-		}
-		n := copy(buf, src[pageOff:])
-		if n == 0 {
-			return fmt.Errorf("pager: heap read stalled at offset %d", off)
-		}
-		buf = buf[n:]
-		off += uint64(n)
+// live is the heap's own read surface: a view of its whole extent with
+// live (unversioned) page reads that also sees the unflushed tail page,
+// which is only in memory. Get, Scan and Delete read through it, so the
+// heap and its published views share one record reader.
+func (h *Heap) live() HeapView {
+	v := HeapView{p: h.p, fid: h.fid, end: h.end, count: h.count, epoch: LiveEpoch}
+	if h.hasTail && h.tailDirty {
+		// Once flushed, reads go through the buffer pool like any other
+		// page so cold-run I/O is fully accounted.
+		v.tail, v.tailNo = h.tail, h.tailNo
 	}
-	return nil
+	return v
 }
 
 // Get returns the record stored at rid. The result is a fresh copy.
 // Cancellation via ctx is honored at page-fetch granularity.
 func (h *Heap) Get(ctx context.Context, rid RID) ([]byte, error) {
-	off := uint64(rid)
-	if off+4 > h.end {
-		return nil, fmt.Errorf("pager: rid %d beyond heap end %d", rid, h.end)
-	}
-	var pfx [4]byte
-	if err := h.readAt(ctx, pfx[:], off); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(pfx[:])
-	if off+4+uint64(n) > h.end {
-		return nil, fmt.Errorf("pager: rid %d has corrupt length %d", rid, n)
-	}
-	rec := make([]byte, n)
-	if err := h.readAt(ctx, rec, off+4); err != nil {
-		return nil, err
-	}
-	return rec, nil
+	return h.live().Get(ctx, rid)
 }
 
-// Scan visits every record in insertion order. Returning false stops the
-// scan early. Cancellation via ctx is honored at page-fetch granularity.
+// Scan visits every live record in address order (insertion order until
+// a delete's extent is reused). Returning false stops the scan early.
+// Cancellation via ctx is honored at page-fetch granularity.
 func (h *Heap) Scan(ctx context.Context, fn func(rid RID, rec []byte) bool) error {
-	off := uint64(0)
-	for off < h.end {
-		rec, err := h.Get(ctx, RID(off))
-		if err != nil {
-			return err
-		}
-		if !fn(RID(off), rec) {
-			return nil
-		}
-		off += 4 + uint64(len(rec))
-	}
-	return nil
+	return h.live().Scan(ctx, fn)
 }
 
-// Reset truncates the heap to empty so it can be rebuilt (used when a
-// catalog is rewritten after document updates).
+// Reset truncates the heap to empty so a load can rebuild it.
 func (h *Heap) Reset() error {
 	if err := h.p.Truncate(h.fid); err != nil {
 		return err
@@ -213,5 +284,6 @@ func (h *Heap) Reset() error {
 	h.hasTail = false
 	h.tailDirty = false
 	h.count = 0
+	h.free = nil
 	return nil
 }

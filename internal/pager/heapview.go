@@ -10,9 +10,10 @@ import (
 // at view time, with every page read served as of a commit epoch
 // (pager.ReadAt). A view never consults the heap's in-memory tail or
 // mutable cursors, so it is safe to use from any goroutine while the
-// owning engine's writer keeps inserting, truncating or rewriting the
-// live heap — as long as the reader holds a Snap pinned at the view's
-// epoch (otherwise GC may reclaim the page versions the view depends on).
+// owning engine's writer keeps inserting into, deleting from or
+// truncating the live heap — as long as the reader holds a Snap pinned
+// at the view's epoch (otherwise GC may reclaim the page versions the
+// view depends on).
 //
 // Views are built by the writer at state-publish time (engines publish
 // one per heap inside their snapshot state) and by tests.
@@ -22,6 +23,11 @@ type HeapView struct {
 	end   uint64
 	count int
 	epoch uint64
+	// tail is the owning heap's unflushed tail page (page tailNo), carried
+	// only by the view the live heap reads itself through (Heap.live);
+	// View flushes first, so a published view never has one.
+	tail   []byte
+	tailNo uint32
 }
 
 // View freezes the heap's current extent as of the given commit epoch.
@@ -60,20 +66,25 @@ func (v HeapView) Pages() int64 {
 }
 
 // readAt fills buf starting at offset, reading pages as of the view's
-// epoch. Cancellation is honored at page-fetch granularity, like
-// Heap.readAt.
+// epoch (and the unflushed tail from memory, for the live heap's own
+// view). The context is checked before each page fetch — this is the
+// page-fetch granularity at which query cancellation is honored.
 func (v HeapView) readAt(ctx context.Context, buf []byte, off uint64) error {
 	for len(buf) > 0 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		pg, err := v.p.ReadAt(v.fid, uint32(off/PageSize), v.epoch)
-		if err != nil {
-			return err
+		pageNo := uint32(off / PageSize)
+		pg := v.tail
+		if pg == nil || pageNo != v.tailNo {
+			var err error
+			if pg, err = v.p.ReadAt(v.fid, pageNo, v.epoch); err != nil {
+				return err
+			}
 		}
 		n := copy(buf, pg[off%PageSize:])
 		if n == 0 {
-			return fmt.Errorf("pager: heap view read stalled at offset %d", off)
+			return fmt.Errorf("pager: heap read stalled at offset %d", off)
 		}
 		buf = buf[n:]
 		off += uint64(n)
@@ -81,40 +92,60 @@ func (v HeapView) readAt(ctx context.Context, buf []byte, off uint64) error {
 	return nil
 }
 
-// Get returns a fresh copy of the record stored at rid, as of the view.
-func (v HeapView) Get(ctx context.Context, rid RID) ([]byte, error) {
-	off := uint64(rid)
+// prefix decodes the length prefix at off into the record's data length
+// and its dead flag, checking both against the view's extent.
+func (v HeapView) prefix(ctx context.Context, off uint64) (n uint32, dead bool, err error) {
 	if off+4 > v.end {
-		return nil, fmt.Errorf("pager: rid %d beyond heap view end %d", rid, v.end)
+		return 0, false, fmt.Errorf("pager: rid %d beyond heap end %d", off, v.end)
 	}
 	var pfx [4]byte
 	if err := v.readAt(ctx, pfx[:], off); err != nil {
+		return 0, false, err
+	}
+	word := binary.BigEndian.Uint32(pfx[:])
+	n, dead = word&^deadBit, word&deadBit != 0
+	if off+4+uint64(n) > v.end {
+		return 0, false, fmt.Errorf("pager: rid %d has corrupt length %d", off, n)
+	}
+	return n, dead, nil
+}
+
+// Get returns a fresh copy of the record stored at rid, as of the view;
+// a record deleted at or before the view's epoch is ErrDeleted.
+func (v HeapView) Get(ctx context.Context, rid RID) ([]byte, error) {
+	n, dead, err := v.prefix(ctx, uint64(rid))
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(pfx[:])
-	if off+4+uint64(n) > v.end {
-		return nil, fmt.Errorf("pager: rid %d has corrupt length %d in view", rid, n)
+	if dead {
+		return nil, fmt.Errorf("pager: rid %d: %w", rid, ErrDeleted)
 	}
 	rec := make([]byte, n)
-	if err := v.readAt(ctx, rec, off+4); err != nil {
+	if err := v.readAt(ctx, rec, uint64(rid)+4); err != nil {
 		return nil, err
 	}
 	return rec, nil
 }
 
-// Scan visits every record of the view in insertion order; returning
-// false stops early.
+// Scan visits every record live at the view's epoch in address order,
+// stepping over dead ones without reading their bytes; returning false
+// stops early.
 func (v HeapView) Scan(ctx context.Context, fn func(rid RID, rec []byte) bool) error {
-	off := uint64(0)
-	for off < v.end {
-		rec, err := v.Get(ctx, RID(off))
+	for off := uint64(0); off < v.end; {
+		n, dead, err := v.prefix(ctx, off)
 		if err != nil {
 			return err
 		}
-		if !fn(RID(off), rec) {
-			return nil
+		if !dead {
+			rec := make([]byte, n)
+			if err := v.readAt(ctx, rec, off+4); err != nil {
+				return err
+			}
+			if !fn(RID(off), rec) {
+				return nil
+			}
 		}
-		off += 4 + uint64(len(rec))
+		off += 4 + uint64(n)
 	}
 	return nil
 }

@@ -93,62 +93,70 @@ func TestOpenBracketVersionsSurviveZeroPinPrune(t *testing.T) {
 }
 
 // TestSnapshotReadDuringTruncateRewrite stresses the ReadAt recheck: a
-// writer repeatedly truncates and rewrites a file inside mutation
-// brackets (the heap DeleteWhere pattern) while readers pin snapshots
-// and demand a page image consistent with their epoch. Without the
-// post-read version recheck, a reader racing the truncate observes the
-// half-rebuilt live page.
+// writer repeatedly replaces a page inside mutation brackets while
+// readers pin snapshots and demand a page image consistent with their
+// epoch. Without the post-read version recheck, a reader racing the
+// writer observes the half-replaced live page. Two writers: the in-place
+// overwrite every update now is (a heap tombstone or reuse, a B+tree
+// leaf rewrite), and truncate-and-rebuild, which no engine does inside a
+// bracket any more but which Truncate still versions.
 func TestSnapshotReadDuringTruncateRewrite(t *testing.T) {
-	p := New(8)
-	fid := p.Create("t")
-	if _, err := p.Append(fid); err != nil {
-		t.Fatal(err)
-	}
-	fillPage(t, p, fid, 0, 'a')
-
-	// epochByte records the page content committed at each epoch.
-	var mu sync.Mutex
-	epochByte := map[uint64]byte{p.SnapshotEpoch(): 'a'}
-
-	var stop atomic.Bool
-	var torn atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				snap := p.PinSnapshot()
-				mu.Lock()
-				want := epochByte[snap.Epoch()]
-				mu.Unlock()
-				got, err := p.ReadAt(fid, 0, snap.Epoch())
-				if err != nil || got[0] != want || got[PageSize-1] != want {
-					torn.Add(1)
-				}
-				snap.Release()
+	for _, truncate := range []bool{false, true} {
+		t.Run(fmt.Sprintf("truncate=%v", truncate), func(t *testing.T) {
+			p := New(8)
+			fid := p.Create("t")
+			if _, err := p.Append(fid); err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
+			fillPage(t, p, fid, 0, 'a')
 
-	for i := 0; i < 200; i++ {
-		b := byte('a' + (i+1)%26)
-		p.BeginMutation()
-		if err := p.Truncate(fid); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Append(fid); err != nil {
-			t.Fatal(err)
-		}
-		fillPage(t, p, fid, 0, b)
-		mu.Lock()
-		epochByte[p.EndMutation()] = b
-		mu.Unlock()
-	}
-	stop.Store(true)
-	wg.Wait()
-	if n := torn.Load(); n > 0 {
-		t.Fatalf("%d torn snapshot reads during truncate/rewrite", n)
+			// epochByte records the page content committed at each epoch.
+			var mu sync.Mutex
+			epochByte := map[uint64]byte{p.SnapshotEpoch(): 'a'}
+
+			var stop atomic.Bool
+			var torn atomic.Int64
+			var wg sync.WaitGroup
+			for i := 0; i < 4; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for !stop.Load() {
+						snap := p.PinSnapshot()
+						mu.Lock()
+						want := epochByte[snap.Epoch()]
+						mu.Unlock()
+						got, err := p.ReadAt(fid, 0, snap.Epoch())
+						if err != nil || got[0] != want || got[PageSize-1] != want {
+							torn.Add(1)
+						}
+						snap.Release()
+					}
+				}()
+			}
+
+			for i := 0; i < 200; i++ {
+				b := byte('a' + (i+1)%26)
+				p.BeginMutation()
+				if truncate {
+					if err := p.Truncate(fid); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := p.Append(fid); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fillPage(t, p, fid, 0, b)
+				mu.Lock()
+				epochByte[p.EndMutation()] = b
+				mu.Unlock()
+			}
+			stop.Store(true)
+			wg.Wait()
+			if n := torn.Load(); n > 0 {
+				t.Fatalf("%d torn snapshot reads during rewrite", n)
+			}
+		})
 	}
 }
 
@@ -208,24 +216,33 @@ func TestColdResetWaitsForPinnedSnapshots(t *testing.T) {
 
 // TestHeapViewFrozenDuringRewrite exercises the layer engines actually
 // read through: a HeapView built at a commit epoch must keep serving the
-// records frozen at that epoch while the live heap is reset and
-// rebuilt (the relational DeleteWhere rewrite) in later brackets.
+// records frozen at that epoch while later brackets tombstone every one
+// of them and write new records into the very same extents (what a
+// replace of same-sized documents does to a table heap). The reader at
+// the old epoch reads the old bytes at the old RIDs; the live heap, which
+// has not grown, reads the new ones there.
 func TestHeapViewFrozenDuringRewrite(t *testing.T) {
 	ctx := context.Background()
 	p := New(16)
 	h := NewHeap(p, "heap")
 
-	write := func(gen, n int) []string {
+	var rids []RID
+	rewrite := func(gen, n int) []string {
 		recs := make([]string, n)
 		p.BeginMutation()
-		if err := h.Reset(); err != nil {
-			t.Fatal(err)
-		}
-		for i := range recs {
-			recs[i] = fmt.Sprintf("gen%d-rec%d-%s", gen, i, bytes.Repeat([]byte{'x'}, 100))
-			if _, err := h.Insert([]byte(recs[i])); err != nil {
+		for _, rid := range rids {
+			if err := h.Delete(ctx, rid); err != nil {
 				t.Fatal(err)
 			}
+		}
+		rids = rids[:0]
+		for i := range recs {
+			recs[i] = fmt.Sprintf("gen%d-rec%02d-%s", gen, i, bytes.Repeat([]byte{'x'}, 100))
+			rid, err := h.Insert([]byte(recs[i]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids = append(rids, rid)
 		}
 		if err := h.Flush(); err != nil {
 			t.Fatal(err)
@@ -234,7 +251,9 @@ func TestHeapViewFrozenDuringRewrite(t *testing.T) {
 		return recs
 	}
 
-	gen0 := write(0, 50)
+	gen0 := rewrite(0, 50)
+	rids0 := append([]RID(nil), rids...)
+	size := h.Bytes()
 	snap := p.PinSnapshot()
 	defer snap.Release()
 	v, err := h.View(snap.Epoch())
@@ -242,23 +261,38 @@ func TestHeapViewFrozenDuringRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewrite the heap twice more; the view must not notice.
-	write(1, 37)
-	write(2, 61)
-
-	var got []string
-	if err := v.Scan(ctx, func(_ RID, rec []byte) bool {
-		got = append(got, string(rec))
-		return true
-	}); err != nil {
-		t.Fatal(err)
+	// Rewrite the heap twice more, with fewer and then as many records;
+	// the view must not notice, and the heap must not grow.
+	rewrite(1, 37)
+	gen2 := rewrite(2, 50)
+	if h.Bytes() != size {
+		t.Fatalf("heap grew from %d to %d bytes: dead extents were not reused", size, h.Bytes())
 	}
-	if len(got) != len(gen0) {
-		t.Fatalf("snapshot scan saw %d records, want %d", len(got), len(gen0))
+
+	_, got := scanAll(t, v)
+	if len(got) != len(gen0) || v.Count() != len(gen0) {
+		t.Fatalf("snapshot scan saw %d records (Count %d), want %d", len(got), v.Count(), len(gen0))
 	}
 	for i := range got {
 		if got[i] != gen0[i] {
 			t.Fatalf("record %d: snapshot saw %q, want %q", i, got[i][:20], gen0[i][:20])
+		}
+		old, err := v.Get(ctx, rids0[i])
+		if err != nil || string(old) != gen0[i] {
+			t.Fatalf("view Get(%d) = %.20q, %v; want %.20q", rids0[i], old, err, gen0[i])
+		}
+	}
+	_, live := scanAll(t, h)
+	if len(live) != len(gen2) {
+		t.Fatalf("live scan saw %d records, want %d", len(live), len(gen2))
+	}
+	seen := map[string]bool{}
+	for _, rec := range live {
+		seen[rec] = true
+	}
+	for _, rec := range gen2 {
+		if !seen[rec] {
+			t.Fatalf("live heap lost %.20q", rec)
 		}
 	}
 }

@@ -142,6 +142,8 @@ type Pager struct {
 	cReadFault  *metrics.Counter // pager.read.fault: injected transient faults
 	cReadRetry  *metrics.Counter // pager.read.retry: retry attempts
 	cTornWrite  *metrics.Counter // pager.write.torn: torn in-place writes
+	cHeapDead   *metrics.Counter // pager.heap.tombstone: heap records deleted in place
+	cHeapReuse  *metrics.Counter // pager.heap.reuse: inserts placed in a dead extent
 
 	// mvcc is the snapshot layer (mvcc.go): commit epochs, pinned
 	// snapshots, copy-on-write page versions and their GC.
@@ -264,7 +266,19 @@ func (p *Pager) SetMetrics(reg *metrics.Registry) {
 	p.cReadFault = reg.Counter("pager.read.fault")
 	p.cReadRetry = reg.Counter("pager.read.retry")
 	p.cTornWrite = reg.Counter("pager.write.torn")
+	p.cHeapDead = reg.Counter("pager.heap.tombstone")
+	p.cHeapReuse = reg.Counter("pager.heap.reuse")
 	p.setSnapMetrics(reg)
+}
+
+// heapCounters returns the counters a Heap bumps on Delete and on an
+// Insert that reuses a dead extent. Heaps outlive SetMetrics calls (the
+// facade's WithMetrics rebinds after the engine built its heaps), so
+// they ask the pager each time instead of caching.
+func (p *Pager) heapCounters() (tombstone, reuse *metrics.Counter) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.cHeapDead, p.cHeapReuse
 }
 
 // Metrics returns the attached registry (nil, and safe to use, when
@@ -325,6 +339,18 @@ func (p *Pager) OpenFiles() int {
 	return len(p.files)
 }
 
+// FileName returns the name a file was created with ("" for an unknown
+// id). With OpenFiles and NumPages it lets a test walk every file of an
+// engine and hold each to a size bound by what it stores.
+func (p *Pager) FileName(fid FileID) string {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if f, ok := p.files[fid]; ok {
+		return f.name
+	}
+	return ""
+}
+
 // Truncate discards all pages of a file, including cached ones. While
 // crashed it fails: a dead machine cannot clean up after itself.
 func (p *Pager) Truncate(fid FileID) error {
@@ -342,7 +368,9 @@ func (p *Pager) Truncate(fid FileID) error {
 		return err
 	}
 	// Inside a mutation bracket, every discarded page is a pre-image a
-	// pinned snapshot may still need (heap rewrites Truncate + reinsert).
+	// pinned snapshot may still need. (Deletes are in place now, so the
+	// engines truncate only at Load, outside any bracket; a caller that
+	// does truncate inside one still gets snapshot-safe behaviour.)
 	if p.mutationActive() {
 		for no := uint32(0); no < uint32(len(f.pages)); no++ {
 			key := pageKey{fid, no}

@@ -7,7 +7,7 @@
 //
 // Concurrency: the read operators (Scan, Get, LookupEq, LookupRange) are
 // safe from many goroutines once loading is done; each table guards its
-// index map and row directory with a reader/writer latch so Insert and
+// index map with a reader/writer latch so Insert, DeleteWhere and
 // CreateIndex exclude readers. Schema definition (Create) is not
 // concurrent — tables are created before any load or query runs.
 package relational
@@ -57,12 +57,12 @@ type Table struct {
 	colIdx map[string]int
 	heap   *pager.Heap
 
-	// mu guards indexes and rids: writers (Insert, CreateIndex, Truncate)
-	// take it exclusive, readers take it shared just long enough to fetch
-	// the index pointer — the btree has its own latch for the traversal.
+	// mu guards indexes: writers (Insert, DeleteWhere, CreateIndex,
+	// Truncate) take it exclusive, readers take it shared just long enough
+	// to fetch the index pointer — the btree has its own latch for the
+	// traversal.
 	mu      sync.RWMutex
 	indexes map[string]*btree.Tree
-	rids    []pager.RID // insertion order, for stable scans
 
 	// snap, when non-nil, marks this table as an immutable epoch-pinned
 	// snapshot (snapshot.go): reads serve the frozen heap view and index
@@ -94,10 +94,10 @@ func (db *DB) Create(name string, cols ...string) *Table {
 // Table returns a table by name, or nil.
 func (db *DB) Table(name string) *Table { return db.tables[name] }
 
-// Truncate empties every table: heap pages, the row directory and all
-// indexes are discarded (index pager files are abandoned; CreateIndex
-// builds fresh ones). The schema survives, so a failed bulk load leaves
-// an empty but loadable database.
+// Truncate empties every table: heap pages and all indexes are discarded
+// (index pager files are abandoned; CreateIndex builds fresh ones). The
+// schema survives, so a failed bulk load leaves an empty but loadable
+// database.
 func (db *DB) Truncate() error {
 	for _, name := range db.TableNames() {
 		t := db.tables[name]
@@ -105,7 +105,6 @@ func (db *DB) Truncate() error {
 			return err
 		}
 		t.mu.Lock()
-		t.rids = nil
 		t.indexes = map[string]*btree.Tree{}
 		t.mu.Unlock()
 	}
@@ -154,7 +153,6 @@ func (t *Table) Insert(row Row) error {
 	if err != nil {
 		return err
 	}
-	t.rids = append(t.rids, rid)
 	for col, ix := range t.indexes {
 		v := row[t.Col(col)]
 		if IsNull(v) {
@@ -171,63 +169,77 @@ func (t *Table) Insert(row Row) error {
 func (t *Table) Flush() error { return t.heap.Flush() }
 
 // DeleteWhere removes every row whose col equals val, returning the
-// number removed. The heap is append-only, so deletion rewrites the
-// table: surviving rows are re-inserted and any indexes are rebuilt over
-// them (the old index files are abandoned, as in Truncate). That is
-// acceptable for the update workload, which deletes one document's few
-// rows out of a table it mostly keeps; crash-atomicity of the rewrite is
-// the caller's concern (the engines journal the update before applying
-// it and replay from scratch after a crash).
+// number removed. Rows are deleted where they lie: the victims are found
+// by an index probe when col is indexed and by a filter scan otherwise,
+// each victim's heap record is tombstoned and its entry is deleted from
+// every index of the table. Rows that stay are not touched, so the cost
+// follows the victims (plus the scan, on an unindexed column), not the
+// table. Like Insert it leaves the tail page buffered: the caller flushes
+// at its commit point. Crash-atomicity is the caller's concern too (the
+// engines journal the update before applying it and replay from scratch
+// after a crash).
 func (t *Table) DeleteWhere(ctx context.Context, col, val string) (int, error) {
 	if t.snap != nil {
 		return 0, ErrSnapshotWrite
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ci := t.Col(col)
-	var keep []Row
-	deleted := 0
-	err := t.heap.Scan(ctx, func(_ pager.RID, rec []byte) bool {
-		row := decodeRow(rec)
-		if row[ci] == val {
-			deleted++
-		} else {
-			keep = append(keep, row)
-		}
-		return true
-	})
-	if err != nil {
+	rids, rows, err := t.victimsLocked(ctx, col, val)
+	if err != nil || len(rids) == 0 {
 		return 0, err
 	}
-	if deleted == 0 {
-		return 0, nil
+	for i, rid := range rids {
+		if err := t.heap.Delete(ctx, rid); err != nil {
+			return i, err
+		}
+		for c, ix := range t.indexes {
+			v := rows[i][t.Col(c)]
+			if IsNull(v) {
+				continue // NULLs are not indexed
+			}
+			if err := ix.Delete(v, uint64(rid)); err != nil {
+				return i, fmt.Errorf("relational: %s.%s index: %w", t.Name, c, err)
+			}
+		}
 	}
-	indexed := make([]string, 0, len(t.indexes))
-	for c := range t.indexes {
-		indexed = append(indexed, c)
+	return len(rids), nil
+}
+
+// victimsLocked returns the rows with col == val and their RIDs. The
+// filter scan compares the one column in place and decodes only the rows
+// that match.
+func (t *Table) victimsLocked(ctx context.Context, col, val string) ([]pager.RID, []Row, error) {
+	ci := t.Col(col)
+	var rids []pager.RID
+	var rows []Row
+	ix, ok := t.indexes[col]
+	if !ok {
+		err := t.heap.Scan(ctx, func(rid pager.RID, rec []byte) bool {
+			if string(recordCol(rec, ci)) == val {
+				rids = append(rids, rid)
+				rows = append(rows, decodeRow(rec))
+			}
+			return true
+		})
+		return rids, rows, err
 	}
-	sort.Strings(indexed)
-	if err := t.heap.Reset(); err != nil {
-		return deleted, err
+	hits, err := ix.Search(ctx, val)
+	if err != nil {
+		return nil, nil, err
 	}
-	t.rids = nil
-	t.indexes = map[string]*btree.Tree{}
-	for _, row := range keep {
-		rid, err := t.heap.Insert(encodeRow(row))
+	for _, h := range hits {
+		rec, err := t.heap.Get(ctx, pager.RID(h))
 		if err != nil {
-			return deleted, err
+			return nil, nil, err
 		}
-		t.rids = append(t.rids, rid)
-	}
-	if err := t.heap.Flush(); err != nil {
-		return deleted, err
-	}
-	for _, c := range indexed {
-		if err := t.createIndexLocked(c); err != nil {
-			return deleted, err
+		// Index keys are truncated to btree.MaxKey, so a probe can return
+		// rows that only share the prefix.
+		if row := decodeRow(rec); row[ci] == val {
+			rids = append(rids, pager.RID(h))
+			rows = append(rows, row)
 		}
 	}
-	return deleted, nil
+	return rids, rows, nil
 }
 
 // CreateIndex builds a B+tree on col over existing rows. Creating the same
@@ -483,6 +495,17 @@ func encodeRow(row Row) []byte {
 		buf = append(buf, v...)
 	}
 	return buf
+}
+
+// recordCol returns the bytes of column ci of an encoded row without
+// decoding the others.
+func recordCol(rec []byte, ci int) []byte {
+	off := 2
+	for ; ci > 0; ci-- {
+		off += 4 + int(binary.BigEndian.Uint32(rec[off:off+4]))
+	}
+	l := int(binary.BigEndian.Uint32(rec[off : off+4]))
+	return rec[off+4 : off+4+l]
 }
 
 func decodeRow(rec []byte) Row {
