@@ -14,6 +14,12 @@
 // exclusive. The
 // root pointer, entry count and height only change under the exclusive
 // latch. Node pages themselves are protected by the pager's own latch.
+//
+// Nodes are never decoded: search, range, insert and delete walk the
+// cells of the page slice the pager returns and compare keys in place. A
+// write builds the successor page in one fresh buffer and hands it to
+// the pager (pager.WriteOwned); the page that was read is never modified,
+// because the pool, the simulated disk and MVCC pre-images all alias it.
 package btree
 
 import (
@@ -21,7 +27,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"xbench/internal/metrics"
@@ -52,14 +57,6 @@ type Tree struct {
 	cHeight *metrics.Counter
 }
 
-type node struct {
-	leaf bool
-	next uint32 // leaf chain; 0 = none (page 0 is a reserved header page)
-	keys []string
-	vals []uint64 // leaf only, parallel to keys
-	kids []uint32 // internal only, len(keys)+1
-}
-
 // New creates an empty tree in a fresh pager file. Page 0 is reserved as a
 // header page so that page number 0 can serve as the nil sentinel in the
 // leaf chain.
@@ -74,7 +71,7 @@ func New(p *pager.Pager, name string) (*Tree, error) {
 		return nil, err
 	}
 	t.root = no
-	if err := t.writeNode(no, &node{leaf: true}); err != nil {
+	if err := t.putNode(no, typeLeaf, 0, 0, nil); err != nil {
 		return nil, err
 	}
 	t.cHeight.SetMax(int64(t.height))
@@ -139,14 +136,14 @@ func Open(p *pager.Pager, fid pager.FileID) (*Tree, error) {
 	// Recover the height by descending the leftmost spine.
 	t.height = 1
 	for no := t.root; ; t.height++ {
-		nd, err := t.readNode(context.Background(), no)
+		pg, err := t.readPage(context.Background(), no)
 		if err != nil {
 			return nil, err
 		}
-		if nd.leaf {
+		if isLeaf(pg) {
 			break
 		}
-		no = nd.kids[0]
+		no = binary.BigEndian.Uint32(pg[nodeHdr:])
 	}
 	t.cHeight.SetMax(int64(t.height))
 	return t, nil
@@ -166,6 +163,95 @@ func trunc(key string) string {
 	return key
 }
 
+// Node pages:
+//
+//	[1]type [4]next [2]nkeys
+//	leaf:     nkeys * ([2]klen [klen]key [8]val)
+//	internal: [4]kid0 then nkeys * ([2]klen [klen]key [4]kid)
+//
+// A cell is a key followed by its pointer: the value in a leaf, the
+// child right of the key in an internal node, whose leftmost child kid0
+// precedes the first cell. So in an internal node the child left of the
+// cell at offset off is always the four bytes before off. Cells are
+// packed from the header on and the rest of the page is zero; next links
+// the leaf chain (0 = none) and is 0 in internal nodes.
+const (
+	typeLeaf     = 0
+	typeInternal = 1
+
+	nodeHdr  = 1 + 4 + 2
+	leafPtr  = 8 // width of a leaf cell's value
+	innerPtr = 4 // width of a child page number
+)
+
+func isLeaf(pg []byte) bool     { return pg[0] == typeLeaf }
+func nodeNext(pg []byte) uint32 { return binary.BigEndian.Uint32(pg[1:5]) }
+func nodeKeys(pg []byte) int    { return int(binary.BigEndian.Uint16(pg[5:7])) }
+
+// cellLayout returns the offset of a node's first cell and the width of
+// its cells' pointers.
+func cellLayout(pg []byte) (first, ptr int) {
+	if isLeaf(pg) {
+		return nodeHdr, leafPtr
+	}
+	return nodeHdr + innerPtr, innerPtr
+}
+
+// cellKey returns the key of the cell at off, aliasing the page, and the
+// offset of the pointer behind it.
+func cellKey(pg []byte, off int) (key []byte, ptrOff int) {
+	kl := int(binary.BigEndian.Uint16(pg[off:]))
+	return pg[off+2 : off+2+kl], off + 2 + kl
+}
+
+// seek walks a node's cells to the first whose key is greater than key —
+// or, with orEqual, not less than it — and returns that cell's offset and
+// index: the end of the cells and nkeys when there is none. Keys are
+// compared where they lie (string(k) in a comparison does not allocate).
+func seek(pg []byte, key string, orEqual bool) (off, i int) {
+	off, ptr := cellLayout(pg)
+	for n := nodeKeys(pg); i < n; i++ {
+		k, p := cellKey(pg, off)
+		if orEqual && string(k) >= key || !orEqual && string(k) > key {
+			break
+		}
+		off = p + ptr
+	}
+	return off, i
+}
+
+// skipCells returns the offset n cells on from the cell at off.
+func skipCells(pg []byte, off, n, ptr int) int {
+	for ; n > 0; n-- {
+		off += 2 + int(binary.BigEndian.Uint16(pg[off:])) + ptr
+	}
+	return off
+}
+
+// putNode builds a node page from its header fields and an already
+// encoded cell area (for an internal node, kid0 and the cells) and hands
+// it to the pager.
+func (t *Tree) putNode(pageNo uint32, typ byte, next uint32, nkeys int, cells []byte) error {
+	if size := nodeHdr + len(cells); size > pager.PageSize {
+		return fmt.Errorf("btree: node overflow: %d bytes", size)
+	}
+	pg := make([]byte, pager.PageSize)
+	pg[0] = typ
+	binary.BigEndian.PutUint32(pg[1:5], next)
+	binary.BigEndian.PutUint16(pg[5:7], uint16(nkeys))
+	copy(pg[nodeHdr:], cells)
+	return t.p.WriteOwned(t.fid, pageNo, pg)
+}
+
+// readPage fetches a node page of the live tree.
+func (t *Tree) readPage(ctx context.Context, pageNo uint32) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	t.cVisit.Inc()
+	return t.p.Read(t.fid, pageNo)
+}
+
 // Insert adds (key, val). Duplicate keys are allowed. Insert takes the
 // exclusive latch: concurrent searches wait for the tree to be
 // structurally consistent again.
@@ -183,8 +269,12 @@ func (t *Tree) Insert(key string, val uint64) error {
 		if err != nil {
 			return err
 		}
-		root := &node{keys: []string{sepKey}, kids: []uint32{t.root, newChild}}
-		if err := t.writeNode(no, root); err != nil {
+		cells := make([]byte, 0, innerPtr+2+len(sepKey)+innerPtr)
+		cells = binary.BigEndian.AppendUint32(cells, t.root)
+		cells = binary.BigEndian.AppendUint16(cells, uint16(len(sepKey)))
+		cells = append(cells, sepKey...)
+		cells = binary.BigEndian.AppendUint32(cells, newChild)
+		if err := t.putNode(no, typeInternal, 0, 1, cells); err != nil {
 			return err
 		}
 		t.root = no
@@ -196,75 +286,79 @@ func (t *Tree) Insert(key string, val uint64) error {
 }
 
 func (t *Tree) insert(pageNo uint32, key string, val uint64) (string, uint32, bool, error) {
-	nd, err := t.readNode(context.Background(), pageNo)
+	pg, err := t.readPage(context.Background(), pageNo)
 	if err != nil {
 		return "", 0, false, err
 	}
-	if nd.leaf {
-		// Insert after the last equal key (stable for duplicates).
-		i := sort.Search(len(nd.keys), func(i int) bool { return nd.keys[i] > key })
-		nd.keys = append(nd.keys, "")
-		copy(nd.keys[i+1:], nd.keys[i:])
-		nd.keys[i] = key
-		nd.vals = append(nd.vals, 0)
-		copy(nd.vals[i+1:], nd.vals[i:])
-		nd.vals[i] = val
-		return t.finishInsert(pageNo, nd)
+	// Past the last equal key: duplicates in a leaf keep insertion order,
+	// and the descent goes right of an equal separator.
+	off, i := seek(pg, key, false)
+	if isLeaf(pg) {
+		return t.addCell(pageNo, pg, off, i, key, val)
 	}
-	ci := sort.Search(len(nd.keys), func(i int) bool { return nd.keys[i] > key })
-	sep, newChild, split, err := t.insert(nd.kids[ci], key, val)
-	if err != nil {
+	sep, newChild, split, err := t.insert(binary.BigEndian.Uint32(pg[off-innerPtr:]), key, val)
+	if err != nil || !split {
 		return "", 0, false, err
 	}
-	if !split {
-		return "", 0, false, nil
-	}
-	nd.keys = append(nd.keys, "")
-	copy(nd.keys[ci+1:], nd.keys[ci:])
-	nd.keys[ci] = sep
-	nd.kids = append(nd.kids, 0)
-	copy(nd.kids[ci+2:], nd.kids[ci+1:])
-	nd.kids[ci+1] = newChild
-	return t.finishInsert(pageNo, nd)
+	return t.addCell(pageNo, pg, off, i, sep, uint64(newChild))
 }
 
-// finishInsert writes nd back, splitting it first if it no longer fits.
-func (t *Tree) finishInsert(pageNo uint32, nd *node) (string, uint32, bool, error) {
-	if nd.size() <= pager.PageSize {
-		return "", 0, false, t.writeNode(pageNo, nd)
-	}
-	t.cSplit.Inc()
-	mid := len(nd.keys) / 2
-	right := &node{leaf: nd.leaf}
-	var sep string
-	if nd.leaf {
-		right.keys = append(right.keys, nd.keys[mid:]...)
-		right.vals = append(right.vals, nd.vals[mid:]...)
-		nd.keys = nd.keys[:mid]
-		nd.vals = nd.vals[:mid]
-		sep = right.keys[0]
-		right.next = nd.next
+// addCell writes the node pg back with the cell (key, ptr) inserted at
+// offset off, cell index i: prefix, cell and suffix go into one fresh
+// buffer, which becomes the page if it fits and is split if it does not.
+func (t *Tree) addCell(pageNo uint32, pg []byte, off, i int, key string, ptr uint64) (string, uint32, bool, error) {
+	_, ptrSize := cellLayout(pg)
+	n := nodeKeys(pg)
+	end := skipCells(pg, off, n-i, ptrSize)
+	cell := 2 + len(key) + ptrSize
+	nd := make([]byte, max(end+cell, pager.PageSize))
+	copy(nd, pg[:off])
+	binary.BigEndian.PutUint16(nd[off:], uint16(len(key)))
+	copy(nd[off+2:], key)
+	if ptrSize == leafPtr {
+		binary.BigEndian.PutUint64(nd[off+2+len(key):], ptr)
 	} else {
-		sep = nd.keys[mid]
-		right.keys = append(right.keys, nd.keys[mid+1:]...)
-		right.kids = append(right.kids, nd.kids[mid+1:]...)
-		nd.keys = nd.keys[:mid]
-		nd.kids = nd.kids[:mid+1]
+		binary.BigEndian.PutUint32(nd[off+2+len(key):], uint32(ptr))
 	}
+	copy(nd[off+cell:], pg[off:end])
+	binary.BigEndian.PutUint16(nd[5:7], uint16(n+1))
+	if len(nd) == pager.PageSize {
+		return "", 0, false, t.p.WriteOwned(t.fid, pageNo, nd)
+	}
+	return t.split(pageNo, nd)
+}
+
+// split divides nd, a node image that outgrew its page, at its middle
+// cell. A leaf keeps the cells before it and chains to a new right
+// sibling that starts with it; its key is copied up as the separator. An
+// internal node moves the middle key up instead: the child behind it
+// becomes the right sibling's leftmost.
+func (t *Tree) split(pageNo uint32, nd []byte) (string, uint32, bool, error) {
+	t.cSplit.Inc()
+	first, ptrSize := cellLayout(nd)
+	n := nodeKeys(nd)
+	mid := n / 2
+	midOff := skipCells(nd, first, mid, ptrSize)
+	sep, sepPtr := cellKey(nd, midOff)
 	rightNo, err := t.p.Append(t.fid)
 	if err != nil {
 		return "", 0, false, err
 	}
-	if nd.leaf {
-		nd.next = rightNo
+	if isLeaf(nd) {
+		err = t.putNode(rightNo, typeLeaf, nodeNext(nd), n-mid, nd[midOff:])
+		if err == nil {
+			err = t.putNode(pageNo, typeLeaf, rightNo, mid, nd[nodeHdr:midOff])
+		}
+	} else {
+		err = t.putNode(rightNo, typeInternal, 0, n-mid-1, nd[sepPtr:])
+		if err == nil {
+			err = t.putNode(pageNo, typeInternal, 0, mid, nd[nodeHdr:midOff])
+		}
 	}
-	if err := t.writeNode(rightNo, right); err != nil {
+	if err != nil {
 		return "", 0, false, err
 	}
-	if err := t.writeNode(pageNo, nd); err != nil {
-		return "", 0, false, err
-	}
-	return sep, rightNo, true, nil
+	return string(sep), rightNo, true, nil
 }
 
 // ErrNotFound is returned by Delete when the tree does not hold the
@@ -282,34 +376,38 @@ func (t *Tree) Delete(key string, val uint64) error {
 	defer t.mu.Unlock()
 	key = trunc(key)
 	ctx := context.Background()
-	pageNo, err := findLeaf(ctx, t.readNode, t.root, key)
+	pageNo, err := findLeaf(ctx, t.readPage, t.root, key)
 	if err != nil {
 		return err
 	}
 	for pageNo != 0 {
-		nd, err := t.readNode(ctx, pageNo)
+		pg, err := t.readPage(ctx, pageNo)
 		if err != nil {
 			return err
 		}
-		for i, k := range nd.keys {
-			if k < key {
-				continue
-			}
-			if k > key {
+		n := nodeKeys(pg)
+		for off, i := seek(pg, key, true); i < n; i++ {
+			k, p := cellKey(pg, off)
+			if string(k) != key {
 				return ErrNotFound
 			}
-			if nd.vals[i] == val {
-				nd.keys = append(nd.keys[:i], nd.keys[i+1:]...)
-				nd.vals = append(nd.vals[:i], nd.vals[i+1:]...)
-				if err := t.writeNode(pageNo, nd); err != nil {
+			next := p + leafPtr
+			if binary.BigEndian.Uint64(pg[p:]) == val {
+				end := skipCells(pg, next, n-i-1, leafPtr)
+				nd := make([]byte, pager.PageSize)
+				copy(nd, pg[:off])
+				copy(nd[off:], pg[next:end])
+				binary.BigEndian.PutUint16(nd[5:7], uint16(n-1))
+				if err := t.p.WriteOwned(t.fid, pageNo, nd); err != nil {
 					return err
 				}
 				t.n--
 				t.cDelete.Inc()
 				return nil
 			}
+			off = next
 		}
-		pageNo = nd.next
+		pageNo = nodeNext(pg)
 	}
 	return ErrNotFound
 }
@@ -318,13 +416,9 @@ func (t *Tree) Delete(key string, val uint64) error {
 // Concurrent searches run in parallel; cancellation via ctx is honored
 // at page-fetch granularity.
 func (t *Tree) Search(ctx context.Context, key string) ([]uint64, error) {
-	key = trunc(key)
-	var out []uint64
-	err := t.Range(ctx, key, key, func(_ string, v uint64) bool {
-		out = append(out, v)
-		return true
-	})
-	return out, err
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return search(ctx, t.readPage, t.root, key)
 }
 
 // Range visits entries with lo <= key <= hi in key order. Returning false
@@ -333,152 +427,77 @@ func (t *Tree) Search(ctx context.Context, key string) ([]uint64, error) {
 func (t *Tree) Range(ctx context.Context, lo, hi string, fn func(key string, val uint64) bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return rangeScan(ctx, t.readNode, t.root, lo, hi, fn)
+	return rangeScan(ctx, t.readPage, t.root, lo, hi, stringKeys(fn))
+}
+
+// pageReader abstracts the page fetch so the live Tree (pool reads under
+// its shared latch) and a TreeView (epoch-pinned versioned reads, no
+// latch) share one traversal. It checks ctx and counts the visit.
+type pageReader func(ctx context.Context, pageNo uint32) ([]byte, error)
+
+// stringKeys adapts a Range callback to rangeScan: only here does a
+// scanned key become a string.
+func stringKeys(fn func(key string, val uint64) bool) func([]byte, uint64) bool {
+	return func(k []byte, v uint64) bool { return fn(string(k), v) }
+}
+
+// search collects the values under key; the keys it passes over are
+// never copied out of their pages.
+func search(ctx context.Context, read pageReader, root uint32, key string) ([]uint64, error) {
+	var out []uint64
+	err := rangeScan(ctx, read, root, key, key, func(_ []byte, v uint64) bool {
+		out = append(out, v)
+		return true
+	})
+	return out, err
 }
 
 // findLeaf descends from root to the leftmost leaf that can contain key.
 // Duplicates of a promoted separator may remain in the left sibling, so
 // on an equal separator it goes left and callers walk the leaf chain
 // forward.
-func findLeaf(ctx context.Context, read func(context.Context, uint32) (*node, error),
-	root uint32, key string) (uint32, error) {
+func findLeaf(ctx context.Context, read pageReader, root uint32, key string) (uint32, error) {
 	pageNo := root
 	for {
-		nd, err := read(ctx, pageNo)
+		pg, err := read(ctx, pageNo)
 		if err != nil {
 			return 0, err
 		}
-		if nd.leaf {
+		if isLeaf(pg) {
 			return pageNo, nil
 		}
-		ci := sort.Search(len(nd.keys), func(i int) bool { return nd.keys[i] >= key })
-		pageNo = nd.kids[ci]
+		off, _ := seek(pg, key, true)
+		pageNo = binary.BigEndian.Uint32(pg[off-innerPtr:])
 	}
 }
 
 // rangeScan is the shared range traversal: descend from root to the
-// leftmost leaf that can contain lo, then walk the leaf chain. read
-// abstracts the page fetch so the live Tree (pool reads under its shared
-// latch) and a TreeView (epoch-pinned versioned reads, no latch) use the
-// same logic.
-func rangeScan(ctx context.Context, read func(context.Context, uint32) (*node, error),
-	root uint32, lo, hi string, fn func(key string, val uint64) bool) error {
+// leftmost leaf that can contain lo, then walk the leaf chain. The key
+// handed to fn aliases the page and is only valid during the call.
+func rangeScan(ctx context.Context, read pageReader, root uint32, lo, hi string,
+	fn func(key []byte, val uint64) bool) error {
 	lo, hi = trunc(lo), trunc(hi)
 	pageNo, err := findLeaf(ctx, read, root, lo)
 	if err != nil {
 		return err
 	}
 	for pageNo != 0 {
-		nd, err := read(ctx, pageNo)
+		pg, err := read(ctx, pageNo)
 		if err != nil {
 			return err
 		}
-		for i, k := range nd.keys {
-			if k < lo {
-				continue
-			}
-			if k > hi {
+		n := nodeKeys(pg)
+		for off, i := seek(pg, lo, true); i < n; i++ {
+			k, p := cellKey(pg, off)
+			if string(k) > hi {
 				return nil
 			}
-			if !fn(k, nd.vals[i]) {
+			if !fn(k, binary.BigEndian.Uint64(pg[p:])) {
 				return nil
 			}
+			off = p + leafPtr
 		}
-		pageNo = nd.next
+		pageNo = nodeNext(pg)
 	}
 	return nil
-}
-
-// node serialization:
-//
-//	[1]type [4]next [2]nkeys
-//	leaf:     nkeys * ([2]klen [klen]key [8]val)
-//	internal: [4]kid0 then nkeys * ([2]klen [klen]key [4]kid)
-func (n *node) size() int {
-	s := 1 + 4 + 2
-	if n.leaf {
-		for _, k := range n.keys {
-			s += 2 + len(k) + 8
-		}
-	} else {
-		s += 4
-		for _, k := range n.keys {
-			s += 2 + len(k) + 4
-		}
-	}
-	return s
-}
-
-func (t *Tree) writeNode(pageNo uint32, n *node) error {
-	buf := make([]byte, 0, n.size())
-	if n.leaf {
-		buf = append(buf, 0)
-	} else {
-		buf = append(buf, 1)
-	}
-	buf = binary.BigEndian.AppendUint32(buf, n.next)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(n.keys)))
-	if n.leaf {
-		for i, k := range n.keys {
-			buf = binary.BigEndian.AppendUint16(buf, uint16(len(k)))
-			buf = append(buf, k...)
-			buf = binary.BigEndian.AppendUint64(buf, n.vals[i])
-		}
-	} else {
-		buf = binary.BigEndian.AppendUint32(buf, n.kids[0])
-		for i, k := range n.keys {
-			buf = binary.BigEndian.AppendUint16(buf, uint16(len(k)))
-			buf = append(buf, k...)
-			buf = binary.BigEndian.AppendUint32(buf, n.kids[i+1])
-		}
-	}
-	if len(buf) > pager.PageSize {
-		return fmt.Errorf("btree: node overflow: %d bytes", len(buf))
-	}
-	return t.p.Write(t.fid, pageNo, buf)
-}
-
-func (t *Tree) readNode(ctx context.Context, pageNo uint32) (*node, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t.cVisit.Inc()
-	pg, err := t.p.Read(t.fid, pageNo)
-	if err != nil {
-		return nil, err
-	}
-	return decodeNode(pg), nil
-}
-
-func decodeNode(pg []byte) *node {
-	n := &node{leaf: pg[0] == 0}
-	n.next = binary.BigEndian.Uint32(pg[1:5])
-	nk := int(binary.BigEndian.Uint16(pg[5:7]))
-	off := 7
-	if n.leaf {
-		n.keys = make([]string, nk)
-		n.vals = make([]uint64, nk)
-		for i := 0; i < nk; i++ {
-			kl := int(binary.BigEndian.Uint16(pg[off : off+2]))
-			off += 2
-			n.keys[i] = string(pg[off : off+kl])
-			off += kl
-			n.vals[i] = binary.BigEndian.Uint64(pg[off : off+8])
-			off += 8
-		}
-		return n
-	}
-	n.kids = make([]uint32, 1, nk+1)
-	n.kids[0] = binary.BigEndian.Uint32(pg[off : off+4])
-	off += 4
-	n.keys = make([]string, nk)
-	for i := 0; i < nk; i++ {
-		kl := int(binary.BigEndian.Uint16(pg[off : off+2]))
-		off += 2
-		n.keys[i] = string(pg[off : off+kl])
-		off += kl
-		n.kids = append(n.kids, binary.BigEndian.Uint32(pg[off:off+4]))
-		off += 4
-	}
-	return n
 }

@@ -1,7 +1,11 @@
 package btree
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
@@ -473,5 +477,226 @@ func TestViewKeepsDeletedEntries(t *testing.T) {
 		if fmt.Sprint(live) != fmt.Sprint(want) {
 			t.Fatalf("live Search(%s) = %v, want %v", key(i), live, want)
 		}
+	}
+}
+
+// refNode and refEncode are the node codec the tree had before it worked
+// on page bytes (PR 14's writeNode, kept here verbatim as the format
+// reference): the on-disk cell format is pinned to what it emits.
+type refNode struct {
+	leaf bool
+	next uint32
+	keys []string
+	vals []uint64 // leaf only, parallel to keys
+	kids []uint32 // internal only, len(keys)+1
+}
+
+func refEncode(n *refNode) []byte {
+	buf := make([]byte, 0, pager.PageSize)
+	if n.leaf {
+		buf = append(buf, 0)
+	} else {
+		buf = append(buf, 1)
+	}
+	buf = binary.BigEndian.AppendUint32(buf, n.next)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(n.keys)))
+	if n.leaf {
+		for i, k := range n.keys {
+			buf = binary.BigEndian.AppendUint16(buf, uint16(len(k)))
+			buf = append(buf, k...)
+			buf = binary.BigEndian.AppendUint64(buf, n.vals[i])
+		}
+	} else {
+		buf = binary.BigEndian.AppendUint32(buf, n.kids[0])
+		for i, k := range n.keys {
+			buf = binary.BigEndian.AppendUint16(buf, uint16(len(k)))
+			buf = append(buf, k...)
+			buf = binary.BigEndian.AppendUint32(buf, n.kids[i+1])
+		}
+	}
+	return buf[:pager.PageSize] // Pager.Write zero-pads
+}
+
+// refDecode reads a page's content — which entries, children and chain
+// pointer it holds — so that refEncode can say how that content must be
+// laid out.
+func refDecode(pg []byte) *refNode {
+	n := &refNode{leaf: pg[0] == 0, next: binary.BigEndian.Uint32(pg[1:5])}
+	nk := int(binary.BigEndian.Uint16(pg[5:7]))
+	off := 7
+	if !n.leaf {
+		n.kids = append(n.kids, binary.BigEndian.Uint32(pg[off:]))
+		off += 4
+	}
+	for i := 0; i < nk; i++ {
+		kl := int(binary.BigEndian.Uint16(pg[off:]))
+		n.keys = append(n.keys, string(pg[off+2:off+2+kl]))
+		off += 2 + kl
+		if n.leaf {
+			n.vals = append(n.vals, binary.BigEndian.Uint64(pg[off:]))
+			off += 8
+		} else {
+			n.kids = append(n.kids, binary.BigEndian.Uint32(pg[off:]))
+			off += 4
+		}
+	}
+	return n
+}
+
+// formatGolden is the SHA-256 over node pages 1..N of the tree
+// TestFormatPinned builds, as produced by the decode/re-encode
+// implementation this one replaced (PR 14) on the same seeded sequence:
+// same bytes means same cell format, same split points, same page
+// numbering and same leaf chain.
+const formatGolden = "c116b6f2d0923426dcf182de17433dfd68c033912cae3e965af00201133a71e6"
+
+// TestFormatPinned drives a seeded insert/delete sequence — duplicates
+// that span leaves, MaxKey-truncated keys that collide, enough ~200-byte
+// keys to grow the root twice — and holds every page of the file to the
+// reference: each page must be exactly what refEncode emits for its
+// content (cells packed from the header, zero to the end of the page),
+// and the file as a whole must hash to what the previous implementation
+// wrote.
+func TestFormatPinned(t *testing.T) {
+	p := pager.New(1024)
+	tr, err := New(p, "idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := stats.NewRNG(15)
+	pad := strings.Repeat("p", 190)
+	long := strings.Repeat("L", MaxKey)
+	type pair struct {
+		key string
+		val uint64
+	}
+	var live []pair
+	next := uint64(0)
+	for op := 0; op < 9000; op++ {
+		if x := r.Float64(); x < 0.25 && len(live) > 0 {
+			i := r.Intn(len(live))
+			if err := tr.Delete(live[i].key, live[i].val); err != nil {
+				t.Fatalf("op %d: Delete: %v", op, err)
+			}
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			continue
+		}
+		var key string
+		switch x := r.Float64(); {
+		case x < 0.2:
+			key = "hot-" + pad // duplicates across many leaves
+		case x < 0.21:
+			key = long + fmt.Sprintf("tail-%d", r.Intn(3)) // collide once truncated
+		default:
+			key = fmt.Sprintf("k%05d-%s", r.Intn(4000), pad)
+		}
+		next++
+		if err := tr.Insert(key, next); err != nil {
+			t.Fatalf("op %d: Insert: %v", op, err)
+		}
+		live = append(live, pair{key, next})
+	}
+	if tr.Height() != 3 {
+		t.Fatalf("height = %d, want 3: the sequence must grow the root twice", tr.Height())
+	}
+	sum := sha256.New()
+	for no := uint32(1); no < p.NumPages(tr.FileID()); no++ {
+		pg, err := p.Read(tr.FileID(), no)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refEncode(refDecode(pg)); !bytes.Equal(pg, want) {
+			t.Fatalf("page %d is not what the reference encoder emits for its content", no)
+		}
+		sum.Write(pg)
+	}
+	if got := hex.EncodeToString(sum.Sum(nil)); got != formatGolden {
+		t.Fatalf("file digest = %s, want %s: the on-disk format or the split rule moved", got, formatGolden)
+	}
+}
+
+// TestAllocationPins holds the tree to working on the page bytes. A
+// Search allocates for its result only — never per node visited or per
+// key passed over, so the count is the same at fan-out ~200 as at ~40 —
+// and an Insert or Delete that does not split allocates exactly the one
+// page it hands to the pager.
+func TestAllocationPins(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		pad  int // key padding: sets the fan-out
+		n    int // entries: enough for height 3
+	}{
+		{"wide", 20, 40000},
+		{"narrow", 190, 8000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := pager.New(4096) // the whole tree stays in the pool
+			tr, err := New(p, "idx")
+			if err != nil {
+				t.Fatal(err)
+			}
+			pad := strings.Repeat("p", tc.pad)
+			key := func(i int) string { return fmt.Sprintf("k%07d%s", i, pad) }
+			for i := 0; i < tc.n; i++ {
+				if err := tr.Insert(key(i), uint64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tr.Height() != 3 {
+				t.Fatalf("height = %d, want 3", tr.Height())
+			}
+			var view Reader = tr.ViewAt(pager.LiveEpoch)
+			probe := key(tc.n / 3)
+			for name, rd := range map[string]Reader{"tree": tr, "view": view} {
+				// One match: the result slice and the variable the scan
+				// callback appends to.
+				if a := testing.AllocsPerRun(100, func() {
+					if got, err := rd.Search(ctx, probe); err != nil || len(got) != 1 {
+						t.Fatalf("Search = %v, %v", got, err)
+					}
+				}); a > 2 {
+					t.Errorf("%s: Search of one match allocates %v times, want <= 2", name, a)
+				}
+				if a := testing.AllocsPerRun(100, func() {
+					if got, _ := rd.Search(ctx, "absent"); len(got) != 0 {
+						t.Fatal("Search miss returned values")
+					}
+				}); a > 1 {
+					t.Errorf("%s: Search miss allocates %v times, want <= 1", name, a)
+				}
+			}
+
+			// Make room in one leaf, so that the inserts below cannot split it.
+			mid := tc.n / 2
+			for i := mid; i < mid+20; i++ {
+				if err := tr.Delete(key(i), uint64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pages := p.NumPages(tr.FileID())
+			dup := key(mid + 10)
+			v := uint64(tc.n)
+			if a := testing.AllocsPerRun(8, func() {
+				v++
+				if err := tr.Insert(dup, v); err != nil {
+					t.Fatal(err)
+				}
+			}); a != 1 {
+				t.Errorf("non-splitting Insert allocates %v times, want exactly 1 (the page)", a)
+			}
+			if got := p.NumPages(tr.FileID()); got != pages {
+				t.Fatalf("file grew %d -> %d pages: an insert split", pages, got)
+			}
+			if a := testing.AllocsPerRun(8, func() {
+				if err := tr.Delete(dup, v); err != nil {
+					t.Fatal(err)
+				}
+				v--
+			}); a != 1 {
+				t.Errorf("Delete allocates %v times, want exactly 1 (the page)", a)
+			}
+		})
 	}
 }

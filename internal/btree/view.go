@@ -57,31 +57,22 @@ func (v *TreeView) Len() int { return v.n }
 // Height returns the tree height of the view.
 func (v *TreeView) Height() int { return v.height }
 
-func (v *TreeView) readNode(ctx context.Context, pageNo uint32) (*node, error) {
+// readPage fetches a node page as of the view's epoch.
+func (v *TreeView) readPage(ctx context.Context, pageNo uint32) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	v.t.cVisit.Inc()
-	pg, err := v.p.ReadAt(v.fid, pageNo, v.epoch)
-	if err != nil {
-		return nil, err
-	}
-	return decodeNode(pg), nil
+	return v.p.ReadAt(v.fid, pageNo, v.epoch)
 }
 
 // Search returns all values stored under key as of the view's epoch.
 func (v *TreeView) Search(ctx context.Context, key string) ([]uint64, error) {
-	key = trunc(key)
-	var out []uint64
-	err := v.Range(ctx, key, key, func(_ string, val uint64) bool {
-		out = append(out, val)
-		return true
-	})
-	return out, err
+	return search(ctx, v.readPage, v.root, key)
 }
 
 // Range visits entries with lo <= key <= hi in key order as of the
 // view's epoch. Returning false stops the scan.
 func (v *TreeView) Range(ctx context.Context, lo, hi string, fn func(key string, val uint64) bool) error {
-	return rangeScan(ctx, v.readNode, v.root, lo, hi, fn)
+	return rangeScan(ctx, v.readPage, v.root, lo, hi, stringKeys(fn))
 }

@@ -181,7 +181,7 @@ func (h *Heap) write(b []byte) error {
 }
 
 // overwrite replaces bytes below the heap's end, page by page. A page in
-// the pool is copied, patched and written back through Pager.Write, so
+// the pool is copied, patched and the copy handed to Pager.WriteOwned, so
 // inside a mutation bracket its pre-image is captured for pinned
 // snapshots; the buffered tail page is patched in memory and left dirty
 // for the next Flush.
@@ -201,7 +201,7 @@ func (h *Heap) overwrite(b []byte, off uint64) error {
 			patched := make([]byte, PageSize)
 			copy(patched, pg)
 			n = copy(patched[pageOff:], b)
-			if err := h.p.Write(h.fid, pageNo, patched); err != nil {
+			if err := h.p.WriteOwned(h.fid, pageNo, patched); err != nil {
 				return err
 			}
 		}

@@ -425,15 +425,19 @@ func (p *Pager) Append(fid FileID) (uint32, error) {
 
 // Read returns the content of a page. By default the returned slice
 // aliases the buffer-pool copy; callers must treat it as read-only and
-// use Write to mutate pages — mutating the returned slice corrupts the
-// pool (and, after a write-back, the simulated disk itself, since clean
-// frames alias their on-disk image). SetCopyReads(true) removes the
-// hazard by returning defensive copies; fault injection forces it on
-// because WAL checksums depend on unmutated frames.
+// use Write or WriteOwned to mutate pages — mutating the returned slice
+// corrupts the pool (and, after a write-back, the simulated disk itself,
+// since clean frames alias their on-disk image, and any MVCC pre-image
+// captured from the frame). SetCopyReads(true) removes the hazard by
+// returning defensive copies; fault injection forces it on because WAL
+// checksums depend on unmutated frames.
 //
 // Concurrent readers of a returned slice are safe even across eviction:
 // page buffers are replaced wholesale, never mutated in place, so a
 // reader holds a consistent (possibly superseded) version of the page.
+// The B+tree relies on exactly that: it walks the cells of the returned
+// slice without decoding them, keeps it across the writes of a split
+// further down, and builds each successor page in a fresh buffer.
 //
 // Transient read faults are retried internally with exponential backoff,
 // up to MaxReadAttempts attempts; the retries are counted in Stats. A
@@ -549,10 +553,27 @@ func (p *Pager) outPage(data []byte) []byte {
 
 // Write replaces the content of an existing page in the pool, marking it
 // dirty (write-back: no disk write is counted yet). data longer than
-// PageSize is an error; shorter data is zero-padded.
+// PageSize is an error; shorter data is zero-padded. data is copied, so
+// the caller keeps its buffer.
 func (p *Pager) Write(fid FileID, no uint32, data []byte) error {
 	if len(data) > PageSize {
 		return fmt.Errorf("pager: write of %d bytes exceeds page size", len(data))
+	}
+	pg := make([]byte, PageSize)
+	copy(pg, data)
+	return p.WriteOwned(fid, no, pg)
+}
+
+// WriteOwned is Write without the copy: pg, exactly PageSize bytes,
+// becomes the page's pool buffer. Ownership transfers with the call — the
+// buffer is from then on what Read aliases, what a write-back stores as
+// the disk image and what a later write captures as the MVCC pre-image,
+// so the caller must not touch it again. It is for writers that already
+// build the successor page in a fresh buffer (B+tree nodes, a patched
+// heap page) and would otherwise have it copied a second time.
+func (p *Pager) WriteOwned(fid FileID, no uint32, pg []byte) error {
+	if len(pg) != PageSize {
+		return fmt.Errorf("pager: owned write of %d bytes is not a whole page", len(pg))
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -570,8 +591,6 @@ func (p *Pager) Write(fid FileID, no uint32, data []byte) error {
 	if p.mutationActive() {
 		p.capture(key, p.preImage(f, key))
 	}
-	pg := make([]byte, PageSize)
-	copy(pg, data)
 	return p.install(key, pg, true)
 }
 

@@ -263,16 +263,18 @@ func (t *Table) createIndexLocked(col string) error {
 	if err != nil {
 		return err
 	}
+	var inner error // an Insert failure; Scan itself returns nil on an early stop
 	err = t.heap.Scan(context.Background(), func(rid pager.RID, rec []byte) bool {
-		row := decodeRow(rec)
-		if !IsNull(row[ci]) {
-			if e := ix.Insert(row[ci], uint64(rid)); e != nil {
-				err = e
-				return false
-			}
+		// Only the indexed column leaves the record: decoding the row would
+		// allocate every column of every row once per index.
+		if v := string(recordCol(rec, ci)); !IsNull(v) {
+			inner = ix.Insert(v, uint64(rid))
 		}
-		return true
+		return inner == nil
 	})
+	if inner != nil {
+		return inner
+	}
 	if err != nil {
 		return err
 	}

@@ -132,6 +132,19 @@ func startServer(t *testing.T, eng core.Engine, cfg server.Config) (*server.Serv
 	return srv, c
 }
 
+// waitIdle waits for the admission counter to reach zero. A request's
+// slot is released after its response is written (by design: the slot
+// covers the write), so the counter can still read 1 for an instant after
+// the client has its answer; asserting zero right then is a race.
+func waitIdle(t *testing.T, srv *server.Server, when string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); srv.Inflight() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("inflight = %d %s", srv.Inflight(), when)
+		}
+	}
+}
+
 // TestRemoteEngineEndToEnd drives every core.Engine method through the
 // wire and checks the results match what the engine answers in-process.
 func TestRemoteEngineEndToEnd(t *testing.T) {
@@ -197,9 +210,7 @@ func TestRemoteEngineEndToEnd(t *testing.T) {
 	if got := srv.Metrics().Counter("server.conn.accepted").Value(); got != 1 {
 		t.Fatalf("server accepted %d connections for one sequential client, want 1", got)
 	}
-	if srv.Inflight() != 0 {
-		t.Fatalf("inflight = %d after quiesce", srv.Inflight())
-	}
+	waitIdle(t, srv, "after quiesce")
 }
 
 // TestPerRequestTimeout: a client deadline rides the wire and cancels the
@@ -275,9 +286,7 @@ func TestOverloadSheds(t *testing.T) {
 	if overloaded < 1 {
 		t.Fatal("no request observed ErrOverloaded")
 	}
-	if srv.Inflight() != 0 {
-		t.Fatalf("inflight = %d after overload storm", srv.Inflight())
-	}
+	waitIdle(t, srv, "after overload storm")
 	if srv.Metrics().Counter("server.req.rejected").Value() != int64(overloaded) {
 		t.Fatalf("rejected counter %d, want %d",
 			srv.Metrics().Counter("server.req.rejected").Value(), overloaded)
@@ -421,9 +430,7 @@ func TestDriverThroughOverloadAndDrain(t *testing.T) {
 	if err == nil || !errors.Is(err, wire.ErrOverloaded) {
 		t.Fatalf("driver error %v, want to observe ErrOverloaded", err)
 	}
-	if srv.Inflight() != 0 {
-		t.Fatalf("inflight = %d after the storm", srv.Inflight())
-	}
+	waitIdle(t, srv, "after the storm")
 
 	dctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()

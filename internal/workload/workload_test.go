@@ -122,6 +122,53 @@ func TestCrossEngineEquivalence(t *testing.T) {
 	}
 }
 
+// TestTCMDQ17WordBoundaryDivergence pins the TC/MD Normal database of
+// seed 101, where the column-wise word search of the shredding engines
+// matches one article more than the string-value search of the native
+// engine (269 against 268): the same word-boundary divergence ModeFor
+// classes Lossy for TC/SD. The cell must be classed so that it checks
+// (`xbench verify --class=tcmd --size=normal --seed=101` exits 0), and
+// Xcolumn, which stores the articles intact, must still agree exactly.
+func TestTCMDQ17WordBoundaryDivergence(t *testing.T) {
+	ctx := context.Background()
+	db, err := gen.Config{Seed: 101}.Generate(core.TCMD, core.Normal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := allEngines()
+	if _, _, err := LoadAndIndex(ctx, engines[0], db); err != nil {
+		t.Fatal(err)
+	}
+	want := RunCold(ctx, engines[0], core.TCMD, core.Q17)
+	if want.Err != nil {
+		t.Fatal(want.Err)
+	}
+	diverged := false
+	for _, e := range engines[1:] {
+		if _, _, err := LoadAndIndex(ctx, e, db); err != nil {
+			t.Fatalf("%s load: %v", e.Name(), err)
+		}
+		got := RunCold(ctx, e, core.TCMD, core.Q17)
+		if got.Err != nil {
+			t.Fatalf("%s: %v", e.Name(), got.Err)
+		}
+		mode := ModeFor(core.TCMD, core.Q17, e.Name())
+		if err := Check(mode, want.Result, got.Result); err != nil {
+			t.Errorf("%s TC/MD Q17 (%v): %v", e.Name(), mode, err)
+		}
+		if e.Name() == "Xcolumn" {
+			if mode != Exact {
+				t.Errorf("Xcolumn TC/MD Q17 is checked %v, want exact", mode)
+			}
+			continue
+		}
+		diverged = diverged || got.Result.Count() != want.Result.Count()
+	}
+	if !diverged {
+		t.Error("no shredding engine diverges from native on seed 101: the pin no longer covers the Lossy class")
+	}
+}
+
 func TestNativeRunsFullWorkload(t *testing.T) {
 	for _, class := range core.Classes {
 		db := tinyDB(t, class)
