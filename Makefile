@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race chaos chaos-updates torture smoke shard-smoke bench-baseline perf-check bench-e2e bench-compare plan-check plan-golden mvcc-sweep verify
+.PHONY: build test vet race fuzz chaos chaos-updates torture smoke shard-smoke bench-baseline perf-check bench-e2e bench-compare plan-check plan-golden mvcc-sweep verify
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,11 @@ vet:
 # (engines, pager, btree, driver) all run in short mode.
 race:
 	$(GO) test -race -short ./...
+
+# Differential fuzz of the binary-DOM cursor (xmldom.OpenRecord and Ref)
+# against DecodeBinary, the reference decoder, for 20 s.
+fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzCursor -fuzztime=20s ./internal/xmldom/
 
 # Crash/recovery fault-injection grid over every engine x class.
 chaos: build

@@ -2,17 +2,18 @@
 // documents are persisted over the pager as binary DOM pages, a document
 // catalog maps names to records, optional value indexes (paper Table 3)
 // map element/attribute values to documents, and queries are XQuery
-// evaluated directly on the DOM — no shredding, perfect structure and
-// order preservation.
+// evaluated directly on the stored DOM bytes through xmldom's record
+// cursor — no shredding, no tree rebuilt per touched document, perfect
+// structure and order preservation.
 //
 // The architecture reproduces X-Hive's measured behavior:
 //
 //   - No mapping work during load, so bulk loading is much faster than the
 //     relational engines (paper Table 4).
 //   - Document reconstruction and ordered access are exact (Tables 5/6).
-//   - Queries without a usable index materialize every document; on a
+//   - Queries without a usable index fetch and walk every document; on a
 //     large single document (TC/SD, DC/SD Large) even indexed lookups must
-//     materialize the one huge document, reproducing X-Hive's poor
+//     fetch and walk the one huge document, reproducing X-Hive's poor
 //     large-SD numbers.
 //   - The document catalog itself lives on disk, so databases with very
 //     many documents (DC/MD Large) pay a catalog scan per cold query —
@@ -29,10 +30,11 @@
 package native
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -95,7 +97,10 @@ type Engine struct {
 	journal *updatelog.Log    // logical redo journal for U1-U3
 	snap    engsnap.Published // MVCC snapshot state for lock-free reads
 	planFB  plan.Feedback     // observed range selectivities for the cost model
-	loaded  bool
+	// compiled memoizes xquery.Parse per catalog query
+	// (*queries.Def -> *xquery.Query): at most 20 queries x 4 classes.
+	compiled sync.Map
+	loaded   bool
 }
 
 // heapReader is the read surface shared by the live *pager.Heap and a
@@ -230,28 +235,40 @@ func encodeCatalogEntry(en docEntry) []byte {
 	return append(buf, en.name...)
 }
 
-func decodeCatalogEntry(rec []byte) (docEntry, error) {
-	var en docEntry
+// splitCatalogEntry checks a catalog record and returns its pieces where
+// they lie: the rid count, the rid varints and the document name. The
+// catalog scan compares names this way without decoding the entry.
+func splitCatalogEntry(rec []byte) (n int, rids, name []byte, err error) {
 	if len(rec) < 2 {
-		return en, fmt.Errorf("native: catalog record too short")
+		return 0, nil, nil, fmt.Errorf("native: catalog record too short")
 	}
-	en.segmented = rec[0] == 1
-	pos := 1
-	n, sz := binary.Uvarint(rec[pos:])
-	if sz <= 0 || n == 0 || n > uint64(len(rec)) {
-		return en, fmt.Errorf("native: corrupt catalog record")
+	cnt, sz := binary.Uvarint(rec[1:])
+	if sz <= 0 || cnt == 0 || cnt > uint64(len(rec)) {
+		return 0, nil, nil, fmt.Errorf("native: corrupt catalog record")
 	}
-	pos += sz
-	en.rids = make([]pager.RID, n)
-	for i := range en.rids {
-		v, sz := binary.Uvarint(rec[pos:])
+	start := 1 + sz
+	pos := start
+	for i := uint64(0); i < cnt; i++ {
+		_, sz := binary.Uvarint(rec[pos:])
 		if sz <= 0 {
-			return en, fmt.Errorf("native: corrupt catalog rid")
+			return 0, nil, nil, fmt.Errorf("native: corrupt catalog rid")
 		}
-		en.rids[i] = pager.RID(v)
 		pos += sz
 	}
-	en.name = string(rec[pos:])
+	return int(cnt), rec[start:pos], rec[pos:], nil
+}
+
+func decodeCatalogEntry(rec []byte) (docEntry, error) {
+	n, rids, name, err := splitCatalogEntry(rec)
+	if err != nil {
+		return docEntry{}, err
+	}
+	en := docEntry{name: string(name), segmented: rec[0] == 1, rids: make([]pager.RID, n)}
+	for i := range en.rids {
+		v, sz := binary.Uvarint(rids)
+		en.rids[i] = pager.RID(v)
+		rids = rids[sz:]
+	}
 	return en, nil
 }
 
@@ -355,23 +372,21 @@ func (e *Engine) loadDocs(ctx context.Context, db *core.Database) (core.LoadStat
 
 // storeDocument writes one document according to the storage options and
 // catalogs it under name. It returns the catalog record's RID and the
-// stored parts: parts[i] is the tree whose encoding sits in record i of
-// the entry (the whole document, or the header and then each top-level
-// subtree), which is what the value indexes are keyed on.
-func (e *Engine) storeDocument(name string, doc *xmldom.Node, raw []byte) (pager.RID, []*xmldom.Node, error) {
+// entry it wrote: record i of the entry holds the whole document, or the
+// header and then each top-level subtree, which is what the value indexes
+// are keyed on.
+func (e *Engine) storeDocument(name string, doc *xmldom.Node, raw []byte) (pager.RID, docEntry, error) {
 	en := docEntry{name: name}
-	var parts []*xmldom.Node
 	root := doc.Root()
 	if e.opts.Segmented && root != nil && len(root.Elements()) >= e.opts.SegmentThreshold {
 		// Header: the root element stripped of children.
 		header := &xmldom.Node{Kind: xmldom.ElementKind, Name: root.Name}
 		header.Attrs = append([]xmldom.Attr(nil), root.Attrs...)
 		en.segmented = true
-		parts = append(append(parts, header), root.Children...)
-		for _, part := range parts {
+		for _, part := range append([]*xmldom.Node{header}, root.Children...) {
 			rid, err := e.docs.Insert(xmldom.EncodeBinary(part))
 			if err != nil {
-				return 0, nil, err
+				return 0, en, err
 			}
 			en.rids = append(en.rids, rid)
 		}
@@ -382,78 +397,88 @@ func (e *Engine) storeDocument(name string, doc *xmldom.Node, raw []byte) (pager
 		}
 		rid, err := e.docs.Insert(data)
 		if err != nil {
-			return 0, nil, err
+			return 0, en, err
 		}
 		en.rids = []pager.RID{rid}
-		parts = []*xmldom.Node{doc}
 	}
 	cat, err := e.catalog.Insert(encodeCatalogEntry(en))
 	if err != nil {
-		return 0, nil, err
+		return 0, en, err
 	}
 	e.names[name] = cat
-	return cat, parts, nil
+	return cat, en, nil
 }
 
-// decodeRecord rebuilds a node tree from one stored record of v.
-func (e *Engine) decodeRecord(ctx context.Context, v *view, rid pager.RID) (*xmldom.Node, error) {
-	data, err := v.docs.Get(ctx, rid)
+// openRecord fetches one stored record from docs (the live document heap
+// or a frozen view of it) and opens it for the cursor. A persistent-DOM
+// record is walked where Get put it; raw XML (the storage-format
+// ablation) is parsed and re-encoded first.
+func (e *Engine) openRecord(ctx context.Context, docs heapReader, rid pager.RID) (*xmldom.Record, error) {
+	data, err := docs.Get(ctx, rid)
 	if err != nil {
 		return nil, err
 	}
 	if e.opts.Format == FormatDOM {
-		return xmldom.DecodeBinary(data)
+		return xmldom.OpenRecord(data)
 	}
-	return xmldom.Parse(data)
+	doc, err := xmldom.Parse(data)
+	if err != nil {
+		return nil, err
+	}
+	return xmldom.RecordOf(doc)
 }
 
-// assembleDoc materializes a document, optionally restricted to a set of
-// segments (1-based segment numbers; nil means all). Partial assembly is
-// only valid for queries that select top-level subtrees by value — which
-// is what the index locators guarantee.
-func (e *Engine) assembleDoc(ctx context.Context, v *view, en docEntry, segs []int) (*xmldom.Node, error) {
+// openDoc opens a document for the evaluator, optionally restricted to a
+// set of segments (1-based segment numbers; nil means all). Partial
+// assembly is only valid for queries that select top-level subtrees by
+// value — which is what the index locators guarantee. An unsegmented
+// document is its one record; a segmented one is put together as a tree
+// from its header and segments and encoded again.
+func (e *Engine) openDoc(ctx context.Context, docs heapReader, en docEntry, segs []int) (*xmldom.Record, error) {
 	if !en.segmented {
-		node, err := e.decodeRecord(ctx, v, en.rids[0])
+		rec, err := e.openRecord(ctx, docs, en.rids[0])
 		if err != nil {
 			return nil, err
 		}
-		if node.Kind == xmldom.DocumentKind {
-			return node, nil
+		if rec.Root().Kind() != xmldom.DocumentKind {
+			return nil, fmt.Errorf("native: %s: stored record is not a document", en.name)
 		}
-		doc := xmldom.NewDocument()
-		doc.Append(node)
-		doc.Renumber()
-		return doc, nil
+		return rec, nil
 	}
-	header, err := e.decodeRecord(ctx, v, en.rids[0])
+	if segs == nil {
+		for i := 1; i < len(en.rids); i++ {
+			segs = append(segs, i)
+		}
+	} else {
+		// One locator arrives per matching value: a subtree holding two
+		// matches must still be loaded once.
+		slices.Sort(segs)
+		segs = slices.Compact(segs)
+		if segs[0] < 1 || segs[len(segs)-1] >= len(en.rids) {
+			return nil, fmt.Errorf("native: %s: segment out of range", en.name)
+		}
+	}
+	tree := func(rid pager.RID) (*xmldom.Node, error) {
+		data, err := docs.Get(ctx, rid)
+		if err != nil {
+			return nil, err
+		}
+		return xmldom.DecodeBinary(data)
+	}
+	header, err := tree(en.rids[0])
 	if err != nil {
 		return nil, err
 	}
 	doc := xmldom.NewDocument()
 	root := doc.Append(header)
-	if segs == nil {
-		for i := 1; i < len(en.rids); i++ {
-			child, err := e.decodeRecord(ctx, v, en.rids[i])
-			if err != nil {
-				return nil, err
-			}
-			root.Append(child)
+	for _, s := range segs {
+		child, err := tree(en.rids[s])
+		if err != nil {
+			return nil, err
 		}
-	} else {
-		sort.Ints(segs)
-		for _, s := range segs {
-			if s < 1 || s >= len(en.rids) {
-				return nil, fmt.Errorf("native: segment %d out of range", s)
-			}
-			child, err := e.decodeRecord(ctx, v, en.rids[s])
-			if err != nil {
-				return nil, err
-			}
-			root.Append(child)
-		}
+		root.Append(child)
 	}
-	doc.Renumber()
-	return doc, nil
+	return xmldom.RecordOf(doc)
 }
 
 // Index locators pack (catalog RID, segment) into the B+tree's uint64
@@ -472,13 +497,28 @@ func splitLocator(loc uint64) (cat pager.RID, seg int) {
 
 // indexEntries calls fn with every (value, locator) pair the stored
 // parts of the document cataloged at cat contribute to the value index
-// on target. For a segmented document part i is segment i, and a header
-// hit (segment 0) forces a whole-document load.
-func indexEntries(target string, cat pager.RID, parts []*xmldom.Node, fn func(val string, loc uint64) error) error {
-	elem, attr := splitTarget(target)
+// on target (Table 3 notation: "hw", "article/@id"), walking each part's
+// record in document order. For a segmented document part i is segment i,
+// and a header hit (segment 0) forces a whole-document load.
+func indexEntries(target string, cat pager.RID, parts []*xmldom.Record, fn func(val string, loc uint64) error) error {
+	elem, attr, byAttr := strings.Cut(target, "/@")
 	for seg, part := range parts {
-		for _, v := range extractValues(part, elem, attr) {
-			if err := fn(v, makeLocator(cat, seg)); err != nil {
+		if !part.HasName(elem) {
+			continue
+		}
+		for o := int32(0); o < int32(part.Len()); o++ {
+			x := part.At(o)
+			if x.Kind() != xmldom.ElementKind || string(x.Name()) != elem {
+				continue
+			}
+			val, ok := x.Text(), true
+			if byAttr {
+				val, ok = x.Attr(attr)
+			}
+			if !ok {
+				continue
+			}
+			if err := fn(string(val), makeLocator(cat, seg)); err != nil {
 				return err
 			}
 		}
@@ -486,12 +526,11 @@ func indexEntries(target string, cat pager.RID, parts []*xmldom.Node, fn func(va
 	return nil
 }
 
-// loadParts decodes the stored records of one catalog entry: the inverse
-// of what storeDocument returned when it wrote them.
-func (e *Engine) loadParts(ctx context.Context, v *view, en docEntry) ([]*xmldom.Node, error) {
-	parts := make([]*xmldom.Node, len(en.rids))
+// loadParts opens the stored records of one catalog entry.
+func (e *Engine) loadParts(ctx context.Context, docs heapReader, en docEntry) ([]*xmldom.Record, error) {
+	parts := make([]*xmldom.Record, len(en.rids))
 	for i, rid := range en.rids {
-		part, err := e.decodeRecord(ctx, v, rid)
+		part, err := e.openRecord(ctx, docs, rid)
 		if err != nil {
 			return nil, err
 		}
@@ -516,8 +555,12 @@ func (e *Engine) BuildIndexes(specs []core.IndexSpec) error {
 		if err != nil {
 			return err
 		}
-		err = e.scanCatalog(ctx, v, func(cat pager.RID, en docEntry) (bool, error) {
-			parts, err := e.loadParts(ctx, v, en)
+		err = e.scanCatalog(ctx, v, func(cat pager.RID, _, rec []byte) (bool, error) {
+			en, err := decodeCatalogEntry(rec)
+			if err != nil {
+				return false, err
+			}
+			parts, err := e.loadParts(ctx, v.docs, en)
 			if err != nil {
 				return false, err
 			}
@@ -538,41 +581,19 @@ func (e *Engine) BuildIndexes(specs []core.IndexSpec) error {
 	return e.publishLocked(e.p.EndMutation())
 }
 
-// splitTarget parses Table 3 notation: "hw", "article/@id".
-func splitTarget(target string) (elem, attr string) {
-	if i := strings.Index(target, "/@"); i >= 0 {
-		return target[:i], target[i+2:]
-	}
-	return target, ""
-}
-
-// extractValues pulls the indexable values of one subtree.
-func extractValues(doc *xmldom.Node, elem, attr string) []string {
-	var vals []string
-	doc.Walk(func(n *xmldom.Node) bool {
-		if n.Kind == xmldom.ElementKind && n.Name == elem {
-			if attr == "" {
-				vals = append(vals, n.Text())
-			} else if v, ok := n.Attr(attr); ok {
-				vals = append(vals, v)
-			}
-		}
-		return true
-	})
-	return vals
-}
-
 // scanCatalog walks v's on-disk catalog in address order (load order
-// until an update reuses a deleted entry's space).
-func (e *Engine) scanCatalog(ctx context.Context, v *view, fn func(cat pager.RID, en docEntry) (bool, error)) error {
+// until an update reuses a deleted entry's space), handing fn each
+// record with the document name found in it. Nothing is decoded: fn
+// compares the name in place and decodes the entries it selects.
+func (e *Engine) scanCatalog(ctx context.Context, v *view, fn func(cat pager.RID, name, rec []byte) (bool, error)) error {
 	var inner error
 	err := v.catalog.Scan(ctx, func(cat pager.RID, rec []byte) bool {
-		en, err := decodeCatalogEntry(rec)
+		_, _, name, err := splitCatalogEntry(rec)
 		if err != nil {
 			inner = err
 			return false
 		}
-		cont, err := fn(cat, en)
+		cont, err := fn(cat, name, rec)
 		if err != nil {
 			inner = err
 			return false
@@ -586,10 +607,10 @@ func (e *Engine) scanCatalog(ctx context.Context, v *view, fn func(cat pager.RID
 }
 
 // Execute implements core.Engine: evaluate the class's XQuery
-// instantiation, using a value index to restrict the materialized
-// document set when the query has a usable hint. It is safe to call from
-// many goroutines; cancellation via ctx is honored at page-fetch
-// granularity while documents are materialized.
+// instantiation, using a value index to restrict the document set handed
+// to the evaluator when the query has a usable hint. It is safe to call
+// from many goroutines; cancellation via ctx is honored at page-fetch
+// granularity while documents are fetched.
 // With snapshots on (the default), a query pins a commit epoch and runs
 // against frozen heap and index views without touching the engine write
 // lock, so U1-U3 updates never stall it.
@@ -612,7 +633,9 @@ func (e *Engine) run(ctx context.Context, v *view, q core.QueryID, p core.Params
 	}
 	reg := e.Metrics()
 	before := e.p.Stats()
+	planSpan := reg.StartSpan(metrics.PhasePlan)
 	ph, err := plan.Plan(def, e.statValues(v))
+	planSpan.End()
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -621,12 +644,12 @@ func (e *Engine) run(ctx context.Context, v *view, q core.QueryID, p core.Params
 		return core.Result{}, err
 	}
 	parseSpan := reg.StartSpan(metrics.PhaseParse)
-	compiled, err := xquery.Parse(def.XQuery)
+	compiled, err := e.compile(def)
 	parseSpan.End()
 	if err != nil {
 		return core.Result{}, fmt.Errorf("native: %s/%s: %w", v.class, q, err)
 	}
-	vars := map[string]xquery.Seq{}
+	vars := make(map[string]xquery.Seq, len(p))
 	for k, v := range p {
 		vars[k] = xquery.Seq{v}
 	}
@@ -636,11 +659,29 @@ func (e *Engine) run(ctx context.Context, v *view, q core.QueryID, p core.Params
 	if err != nil {
 		return core.Result{}, fmt.Errorf("native: %s/%s: %w", v.class, q, err)
 	}
+	// Serializing the answer is the one place a returned subtree is
+	// materialized, as XML text straight from its record.
+	matSpan := reg.StartSpan(metrics.PhaseMaterialize)
+	items := xquery.SerializeSeq(seq)
+	matSpan.End()
 	return core.Result{
-		Items:           xquery.SerializeSeq(seq),
+		Items:           items,
 		OrderGuaranteed: true,
 		PageIO:          e.p.Stats().IO() - before.IO(),
 	}, nil
+}
+
+// compile returns def's query compiled, parsing it on first use.
+func (e *Engine) compile(def *queries.Def) (*xquery.Query, error) {
+	if c, ok := e.compiled.Load(def); ok {
+		return c.(*xquery.Query), nil
+	}
+	c, err := xquery.Parse(def.XQuery)
+	if err != nil {
+		return nil, err
+	}
+	e.compiled.Store(def, c)
+	return c, nil
 }
 
 // statValues derives planner statistics from v: document heap pages,
@@ -677,18 +718,23 @@ func (e *Engine) Explain(_ context.Context, q core.QueryID, _ core.Params) (*cor
 
 var _ core.Explainer = (*Engine)(nil)
 
-// buildCollection materializes the documents the physical plan's access
-// path selects: an index-probed subset (equality or range), a single
-// named document for doc()-based queries, or the whole database for
-// scans. The catalog is always read from disk (cold-run cost
-// proportional to document count).
+// buildCollection opens the documents the physical plan's access path
+// selects: an index-probed subset (equality or range), a single named
+// document for doc()-based queries, or the whole database for scans. The
+// catalog is always read from disk (cold-run cost proportional to
+// document count); an entry is decoded, and its records fetched, only
+// for a selected document.
 func (e *Engine) buildCollection(ctx context.Context, v *view, ph *plan.Physical, p core.Params) (*xquery.Collection, error) {
 	reg := e.Metrics()
 	coll := xquery.NewCollection()
-	addDoc := func(en docEntry, segs []int) error {
+	addDoc := func(rec []byte, segs []int) error {
 		sp := reg.StartSpan(metrics.PhaseMaterialize)
-		doc, err := e.assembleDoc(ctx, v, en, segs)
-		sp.End()
+		defer sp.End()
+		en, err := decodeCatalogEntry(rec)
+		if err != nil {
+			return err
+		}
+		doc, err := e.openDoc(ctx, v.docs, en, segs)
 		if err != nil {
 			return err
 		}
@@ -701,10 +747,10 @@ func (e *Engine) buildCollection(ctx context.Context, v *view, ph *plan.Physical
 	if docName := p.Get("DOC"); docName != "" && ph.Access == plan.AccessDoc {
 		found := false
 		scanSpan := reg.StartSpan(metrics.PhaseScan)
-		err := e.scanCatalog(ctx, v, func(_ pager.RID, en docEntry) (bool, error) {
-			if en.name == docName {
+		err := e.scanCatalog(ctx, v, func(_ pager.RID, name, rec []byte) (bool, error) {
+			if string(name) == docName {
 				found = true
-				return false, addDoc(en, nil)
+				return false, addDoc(rec, nil)
 			}
 			return true, nil
 		})
@@ -762,14 +808,14 @@ func (e *Engine) buildCollection(ctx context.Context, v *view, ph *plan.Physical
 		// the flat customers document); always include the flat documents
 		// of multi-document DC databases.
 		scanSpan := reg.StartSpan(metrics.PhaseScan)
-		err = e.scanCatalog(ctx, v, func(cat pager.RID, en docEntry) (bool, error) {
+		err = e.scanCatalog(ctx, v, func(cat pager.RID, name, rec []byte) (bool, error) {
 			switch {
 			case wantAll[cat]:
-				return true, addDoc(en, nil)
+				return true, addDoc(rec, nil)
 			case len(wantSegs[cat]) > 0:
-				return true, addDoc(en, wantSegs[cat])
-			case v.class == core.DCMD && !strings.HasPrefix(en.name, "order"):
-				return true, addDoc(en, nil)
+				return true, addDoc(rec, wantSegs[cat])
+			case v.class == core.DCMD && !bytes.HasPrefix(name, []byte("order")):
+				return true, addDoc(rec, nil)
 			}
 			return true, nil
 		})
@@ -777,10 +823,10 @@ func (e *Engine) buildCollection(ctx context.Context, v *view, ph *plan.Physical
 		return coll, err
 	}
 
-	// Sequential scan: materialize everything.
+	// Sequential scan: hand over everything.
 	scanSpan := reg.StartSpan(metrics.PhaseScan)
-	err := e.scanCatalog(ctx, v, func(_ pager.RID, en docEntry) (bool, error) {
-		return true, addDoc(en, nil)
+	err := e.scanCatalog(ctx, v, func(_ pager.RID, _, rec []byte) (bool, error) {
+		return true, addDoc(rec, nil)
 	})
 	scanSpan.End()
 	return coll, err
@@ -845,7 +891,7 @@ func (e *Engine) InsertDocument(ctx context.Context, name string, data []byte) e
 	if err := e.journal.Append(updatelog.Record{Kind: updatelog.KindInsert, Name: name, Data: data}); err != nil {
 		return err
 	}
-	if err := e.applyInsert(name, parsed, data); err != nil {
+	if err := e.applyInsert(ctx, name, parsed, data); err != nil {
 		return err
 	}
 	return e.publishLocked(e.p.EndMutation())
@@ -872,7 +918,7 @@ func (e *Engine) ReplaceDocument(ctx context.Context, name string, data []byte) 
 			return err
 		}
 	}
-	if err := e.applyInsert(name, parsed, data); err != nil {
+	if err := e.applyInsert(ctx, name, parsed, data); err != nil {
 		return err
 	}
 	return e.publishLocked(e.p.EndMutation())
@@ -911,19 +957,37 @@ func (e *Engine) RecoverUpdates(ctx context.Context, db *core.Database) error {
 }
 
 // applyInsert stores and catalogs the document, adds its values to every
-// index and syncs. Caller holds the write lock and has journaled the
+// index (read back from the records just written, as a delete reads
+// them) and syncs. Caller holds the write lock and has journaled the
 // update.
-func (e *Engine) applyInsert(name string, parsed *xmldom.Node, raw []byte) error {
-	cat, parts, err := e.storeDocument(name, parsed, raw)
+func (e *Engine) applyInsert(ctx context.Context, name string, parsed *xmldom.Node, raw []byte) error {
+	cat, en, err := e.storeDocument(name, parsed, raw)
+	if err != nil {
+		return err
+	}
+	if err := e.eachIndexEntry(ctx, cat, en, (*btree.Tree).Insert); err != nil {
+		return err
+	}
+	return e.syncStore()
+}
+
+// eachIndexEntry applies op (Insert or Delete) to every value index for
+// every (value, locator) pair of the document cataloged at cat.
+func (e *Engine) eachIndexEntry(ctx context.Context, cat pager.RID, en docEntry, op func(*btree.Tree, string, uint64) error) error {
+	if len(e.indexes) == 0 {
+		return nil
+	}
+	parts, err := e.loadParts(ctx, e.docs, en)
 	if err != nil {
 		return err
 	}
 	for target, ix := range e.indexes {
-		if err := indexEntries(target, cat, parts, ix.Insert); err != nil {
-			return err
+		err := indexEntries(target, cat, parts, func(val string, loc uint64) error { return op(ix, val, loc) })
+		if err != nil {
+			return fmt.Errorf("native: index %s: %w", target, err)
 		}
 	}
-	return e.syncStore()
+	return nil
 }
 
 // applyDelete removes the named document where it lies: its values leave
@@ -939,16 +1003,8 @@ func (e *Engine) applyDelete(ctx context.Context, name string) error {
 	if err != nil {
 		return err
 	}
-	if len(e.indexes) > 0 {
-		parts, err := e.loadParts(ctx, e.liveView(), en)
-		if err != nil {
-			return err
-		}
-		for target, ix := range e.indexes {
-			if err := indexEntries(target, cat, parts, ix.Delete); err != nil {
-				return fmt.Errorf("native: index %s: %w", target, err)
-			}
-		}
+	if err := e.eachIndexEntry(ctx, cat, en, (*btree.Tree).Delete); err != nil {
+		return err
 	}
 	for _, rid := range en.rids {
 		if err := e.docs.Delete(ctx, rid); err != nil {

@@ -452,3 +452,116 @@ func TestSegmentedRequiresDOMFormat(t *testing.T) {
 }
 
 func textgenHeadword(i int) string { return textgen.Headword(i) }
+
+// TestSegmentedTwoHitsInOneSegment: the index emits one locator per
+// matching value, so a top-level subtree holding two matches arrives as
+// the same segment twice. It must be loaded, and answer, once — for an
+// equality probe (two hw in one entry) and a range probe (two in-range
+// dates in one item).
+func TestSegmentedTwoHitsInOneSegment(t *testing.T) {
+	ctx := context.Background()
+	// Filler subtrees make the document several heap pages long, so the
+	// cost model prefers the probe to a scan.
+	pad := strings.Repeat("padding ", 30)
+	var entries, items strings.Builder
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&entries, `<entry id="f%d"><hw>filler%d</hw><sense><def>%s</def></sense></entry>`, i, i, pad)
+		fmt.Fprintf(&items, `<item id="F%d"><date_of_release>1980-01-01</date_of_release><description>%s</description></item>`, i, pad)
+	}
+	cases := []struct {
+		class  core.Class
+		doc    string
+		q      core.QueryID
+		params core.Params
+	}{
+		{core.TCSD,
+			`<dictionary><entry id="e1"><hw>twin</hw><hw>twin</hw><sense><def>d</def></sense></entry>` +
+				entries.String() + `</dictionary>`,
+			core.Q1, core.Params{"W": "twin"}},
+		{core.DCSD,
+			`<catalog><item id="I1"><date_of_release>1999-01-01</date_of_release>` +
+				`<date_of_release>1999-06-01</date_of_release><publisher><name>P</name></publisher></item>` +
+				items.String() + `</catalog>`,
+			core.Q14, core.Params{"LO": "1997-01-01", "HI": "2001-12-30"}},
+	}
+	for _, c := range cases {
+		db := &core.Database{Class: c.class, Size: core.Small,
+			Docs: []core.Doc{{Name: "doc.xml", Data: []byte(c.doc)}}}
+		var answers [2][]string
+		for i, opts := range []Options{{}, {Segmented: true, SegmentThreshold: 2}} {
+			e, err := NewWithOptions(0, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Load(ctx, db); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.BuildIndexes(queries.Indexes(c.class)); err != nil {
+				t.Fatal(err)
+			}
+			if node, err := e.Explain(ctx, c.q, c.params); err != nil || !strings.Contains(fmt.Sprint(*node), "index-probe") {
+				t.Fatalf("%s/%s: expected an index plan, got %+v (%v)", c.class, c.q, node, err)
+			}
+			res, err := e.Execute(ctx, c.q, c.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers[i] = res.Items
+		}
+		if len(answers[0]) != 1 {
+			t.Fatalf("%s/%s: whole-document store returned %d items, want 1", c.class, c.q, len(answers[0]))
+		}
+		if fmt.Sprint(answers[1]) != fmt.Sprint(answers[0]) {
+			t.Fatalf("%s/%s: segmented store returned %q, whole-document store %q", c.class, c.q, answers[1], answers[0])
+		}
+	}
+}
+
+// TestAllocationPins: an indexed DC/MD point query allocates a few
+// objects per record it opens — not per node — so its count stays under
+// 300 and does not move when the flat documents it drags in grow.
+func TestAllocationPins(t *testing.T) {
+	ctx := context.Background()
+	q1Allocs := func(orders int) (allocs float64, flatBytes int) {
+		db, err := gen.Config{Seed: 7, Orders: orders}.Generate(core.DCMD, core.Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range db.Docs {
+			if !strings.HasPrefix(d.Name, "order") {
+				flatBytes += len(d.Data)
+			}
+		}
+		// Keep the catalog the same length: only the flat documents differ.
+		kept := db.Docs[:0:0]
+		for _, d := range db.Docs {
+			if !strings.HasPrefix(d.Name, "order") || len(kept) < 300 {
+				kept = append(kept, d)
+			}
+		}
+		db.Docs = kept
+		e := New(0)
+		defer e.Close()
+		if _, err := e.Load(ctx, db); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.BuildIndexes(queries.Indexes(core.DCMD)); err != nil {
+			t.Fatal(err)
+		}
+		p := core.Params{"X": "O1"}
+		return testing.AllocsPerRun(20, func() {
+			if res, err := e.Execute(ctx, core.Q1, p); err != nil || len(res.Items) != 1 {
+				t.Fatalf("Q1 = %v, %v", res.Items, err)
+			}
+		}), flatBytes
+	}
+	small, smallFlat := q1Allocs(gen.DefaultOrders)
+	large, largeFlat := q1Allocs(4 * gen.DefaultOrders)
+	if largeFlat < 2*smallFlat {
+		t.Fatalf("flat documents did not grow: %d -> %d bytes", smallFlat, largeFlat)
+	}
+	if small > 300 || large != small {
+		t.Fatalf("DC/MD Q1 allocates %.0f objects with %d KB of flat documents, %.0f with %d KB; want <= 300 and equal",
+			small, smallFlat>>10, large, largeFlat>>10)
+	}
+}

@@ -267,7 +267,8 @@ func (h *Heap) Get(ctx context.Context, rid RID) ([]byte, error) {
 }
 
 // Scan visits every live record in address order (insertion order until
-// a delete's extent is reused). Returning false stops the scan early.
+// a delete's extent is reused). Returning false stops the scan early; rec
+// is valid only until fn returns (see HeapView.Scan).
 // Cancellation via ctx is honored at page-fetch granularity.
 func (h *Heap) Scan(ctx context.Context, fn func(rid RID, rec []byte) bool) error {
 	return h.live().Scan(ctx, fn)

@@ -129,15 +129,20 @@ func (v HeapView) Get(ctx context.Context, rid RID) ([]byte, error) {
 
 // Scan visits every record live at the view's epoch in address order,
 // stepping over dead ones without reading their bytes; returning false
-// stops early.
+// stops early. rec is one buffer reused from record to record: fn must
+// copy what it keeps past its return.
 func (v HeapView) Scan(ctx context.Context, fn func(rid RID, rec []byte) bool) error {
+	var buf []byte
 	for off := uint64(0); off < v.end; {
 		n, dead, err := v.prefix(ctx, off)
 		if err != nil {
 			return err
 		}
 		if !dead {
-			rec := make([]byte, n)
+			if uint32(cap(buf)) < n {
+				buf = make([]byte, n)
+			}
+			rec := buf[:n]
 			if err := v.readAt(ctx, rec, off+4); err != nil {
 				return err
 			}

@@ -1,0 +1,473 @@
+package xmldom
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
+)
+
+// A Record is a binary DOM document (see EncodeBinary for the layout)
+// opened for navigation in place: no node of it is ever decoded into a
+// *Node unless Ref.Node asks for that subtree.
+//
+// OpenRecord makes one pass over the bytes that applies every check
+// DecodeBinary makes (magic, varints, string overruns, name-index range,
+// counts against the input size, nesting depth, trailing bytes) and notes,
+// per node in document order, where it starts, where its subtree ends and
+// which node is its parent. After that pass the bytes are trusted: the
+// accessors below re-read varints without checking them again, and every
+// name, attribute and text they return is a sub-slice of the bytes handed
+// to OpenRecord, which the caller must leave unmodified while the Record
+// or any Ref of it is in use.
+type Record struct {
+	data  []byte
+	names []int32   // where each entry of the name dictionary starts
+	nodes []recNode // indexed by ord
+}
+
+// recNode locates one node: off is the position of its kind byte, end the
+// ord one past the last node of its subtree (so its descendants are the
+// ords in (ord, end), and end is its next sibling when its parent's
+// subtree reaches further), parent the ord of its parent or -1.
+type recNode struct {
+	off, end, parent int32
+}
+
+// Ref is one node of an opened record: the record and the node's position
+// in document order. It is a comparable value; two Refs are the same node
+// exactly when they are equal.
+type Ref struct {
+	rec *Record
+	ord int32
+}
+
+// OpenRecord validates data as a binary DOM document and returns it ready
+// for navigation. It accepts exactly the inputs DecodeBinary accepts and
+// allocates a fixed number of objects however many nodes the record has.
+func OpenRecord(data []byte) (*Record, error) {
+	if len(data) < len(binMagic) || string(data[:len(binMagic)]) != string(binMagic) {
+		return nil, openErr(0, "not a binary DOM document")
+	}
+	if len(data) > math.MaxInt32 {
+		return nil, openErr(0, "record too large")
+	}
+	pos := len(binMagic)
+	nameCount, pos := uvarintAt(data, pos)
+	if pos < 0 {
+		return nil, openErr(len(binMagic), "bad varint")
+	}
+	if nameCount > uint64(len(data)) { // each name costs at least one byte
+		return nil, openErr(pos, "name count exceeds input size")
+	}
+	rec := &Record{data: data, names: make([]int32, nameCount)}
+	for i := range rec.names {
+		rec.names[i] = int32(pos)
+		if pos = skipString(data, pos); pos < 0 {
+			return nil, openErr(int(rec.names[i]), "bad name")
+		}
+	}
+	// A node takes at least two bytes and in the benchmark's documents
+	// seven or more; append grows the table in the rare record denser
+	// than the guess, at most twice.
+	rec.nodes = make([]recNode, 0, len(data)/6+1)
+
+	// open holds the containers whose children are still being read.
+	type frame struct {
+		ord  int32
+		left uint64 // children not yet read
+	}
+	var openBuf [32]frame
+	open := openBuf[:0]
+	parent := int32(-1)
+	for {
+		if len(open) > maxBinaryDepth {
+			return nil, openErr(pos, "nesting too deep")
+		}
+		if pos >= len(data) {
+			return nil, openErr(pos, "truncated node")
+		}
+		start := pos
+		ord := int32(len(rec.nodes))
+		rec.nodes = append(rec.nodes, recNode{off: int32(pos), end: ord + 1, parent: parent})
+		kind := Kind(data[pos])
+		pos++
+		var children, v uint64
+		switch kind {
+		case ElementKind:
+			if v, pos = uvarintAt(data, pos); pos < 0 || v >= nameCount {
+				return nil, openErr(start, "bad element name index")
+			}
+			if v, pos = uvarintAt(data, pos); pos < 0 || v > uint64(len(data)) { // each attribute costs >= 2 bytes
+				return nil, openErr(start, "bad attribute count")
+			}
+			for i := uint64(0); i < 2*v; i++ {
+				if pos = skipString(data, pos); pos < 0 {
+					return nil, openErr(start, "bad attribute")
+				}
+			}
+			if children, pos = uvarintAt(data, pos); pos < 0 || children > uint64(len(data)) { // a child costs at least one byte
+				return nil, openErr(start, "bad child count")
+			}
+		case TextKind, CommentKind:
+			if pos = skipString(data, pos); pos < 0 {
+				return nil, openErr(start, "bad character data")
+			}
+		case PIKind:
+			if v, pos = uvarintAt(data, pos); pos < 0 || v >= nameCount {
+				return nil, openErr(start, "bad PI name index")
+			}
+			if pos = skipString(data, pos); pos < 0 {
+				return nil, openErr(start, "bad PI data")
+			}
+		case DocumentKind:
+			if children, pos = uvarintAt(data, pos); pos < 0 || children > uint64(len(data)) {
+				return nil, openErr(start, "bad child count")
+			}
+		default:
+			return nil, openErr(start, "unknown node kind")
+		}
+		if children > 0 {
+			open = append(open, frame{ord: ord, left: children})
+			parent = ord
+			continue
+		}
+		// The node is complete; so is every container it was the last
+		// child of.
+		for len(open) > 0 {
+			top := &open[len(open)-1]
+			if top.left--; top.left > 0 {
+				break
+			}
+			rec.nodes[top.ord].end = int32(len(rec.nodes))
+			open = open[:len(open)-1]
+		}
+		if len(open) == 0 {
+			break
+		}
+		parent = open[len(open)-1].ord
+	}
+	if pos != len(data) {
+		return nil, openErr(pos, "trailing bytes")
+	}
+	return rec, nil
+}
+
+func openErr(pos int, msg string) error {
+	return fmt.Errorf("xmldom: binary open at %d: %s", pos, msg)
+}
+
+// uvarintAt reads a varint at pos and returns it with the position after
+// it, or a negative position when the varint is cut short or overlong.
+func uvarintAt(data []byte, pos int) (uint64, int) {
+	// One byte holds every name index and nearly every length and count.
+	if pos < len(data) && data[pos] < 0x80 {
+		return uint64(data[pos]), pos + 1
+	}
+	v, n := binary.Uvarint(data[pos:])
+	if n <= 0 {
+		return 0, -1
+	}
+	return v, pos + n
+}
+
+// skipString steps over a length-prefixed string at pos; the result is
+// negative when it overruns the input.
+func skipString(data []byte, pos int) int {
+	l, pos := uvarintAt(data, pos)
+	// Compare in uint64 space: a hostile length can overflow int.
+	if pos < 0 || l > uint64(len(data)-pos) {
+		return -1
+	}
+	return pos + int(l)
+}
+
+// RecordOf encodes the subtree rooted at n and opens the encoding: the
+// way a parsed or hand-built tree becomes navigable by Ref.
+func RecordOf(n *Node) (*Record, error) {
+	return OpenRecord(EncodeBinary(n))
+}
+
+// Len returns the number of nodes in the record.
+func (r *Record) Len() int { return len(r.nodes) }
+
+// Root returns the record's root node (ord 0).
+func (r *Record) Root() Ref { return Ref{r, 0} }
+
+// At returns the node at position ord of document order,
+// 0 <= ord < Len().
+func (r *Record) At(ord int32) Ref { return Ref{r, ord} }
+
+// name returns entry i of the name dictionary.
+func (r *Record) name(i int) []byte {
+	t := trusted{r.data, int(r.names[i])}
+	return t.bytes()
+}
+
+// HasName reports whether any element or PI of the record can bear the
+// name: false answers a name test against the whole record without
+// visiting a node.
+func (r *Record) HasName(name string) bool {
+	for i := range r.names {
+		if string(r.name(i)) == name {
+			return true
+		}
+	}
+	return false
+}
+
+// trusted is a reader over bytes OpenRecord has validated.
+type trusted struct {
+	data []byte
+	pos  int
+}
+
+func (t *trusted) uvarint() int {
+	// One-byte varints (every name index and nearly every length and
+	// count) stay inline; the general decoder is a call.
+	if b := t.data[t.pos]; b < 0x80 {
+		t.pos++
+		return int(b)
+	}
+	return t.uvarintLong()
+}
+
+func (t *trusted) uvarintLong() int {
+	v, n := binary.Uvarint(t.data[t.pos:])
+	t.pos += n
+	return int(v)
+}
+
+func (t *trusted) bytes() []byte {
+	l := t.uvarint()
+	b := t.data[t.pos : t.pos+l : t.pos+l]
+	t.pos += l
+	return b
+}
+
+// body returns a reader positioned just past x's kind byte.
+func (x Ref) body() trusted {
+	return trusted{x.rec.data, int(x.rec.nodes[x.ord].off) + 1}
+}
+
+// Record returns the record x is a node of.
+func (x Ref) Record() *Record { return x.rec }
+
+// Ord returns x's position in the record's document order (0 = root).
+func (x Ref) Ord() int32 { return x.ord }
+
+// End returns the ord one past x's subtree: x's descendants are exactly
+// the nodes At(Ord()+1) .. At(End()-1), in document order.
+func (x Ref) End() int32 { return x.rec.nodes[x.ord].end }
+
+// Kind returns the node's kind.
+func (x Ref) Kind() Kind { return Kind(x.rec.data[x.rec.nodes[x.ord].off]) }
+
+// Name returns the element name or PI target; nil for other kinds.
+// Names are compared as bytes, never by dictionary index: a hostile
+// record may list one name twice.
+func (x Ref) Name() []byte {
+	if k := x.Kind(); k != ElementKind && k != PIKind {
+		return nil
+	}
+	t := x.body()
+	return x.rec.name(t.uvarint())
+}
+
+// Data returns the content of a text, comment or PI node; nil for other
+// kinds.
+func (x Ref) Data() []byte {
+	t := x.body()
+	switch x.Kind() {
+	case PIKind:
+		t.uvarint()
+		fallthrough
+	case TextKind, CommentKind:
+		return t.bytes()
+	}
+	return nil
+}
+
+// Parent returns x's parent; ok is false at the record's root.
+func (x Ref) Parent() (p Ref, ok bool) {
+	if po := x.rec.nodes[x.ord].parent; po >= 0 {
+		return Ref{x.rec, po}, true
+	}
+	return Ref{}, false
+}
+
+// FirstChild returns x's first child node of any kind.
+func (x Ref) FirstChild() (c Ref, ok bool) {
+	if x.rec.nodes[x.ord].end > x.ord+1 {
+		return Ref{x.rec, x.ord + 1}, true
+	}
+	return Ref{}, false
+}
+
+// NextSibling returns the node after x among its parent's children.
+func (x Ref) NextSibling() (s Ref, ok bool) {
+	n := x.rec.nodes[x.ord]
+	if n.parent >= 0 && n.end < x.rec.nodes[n.parent].end {
+		return Ref{x.rec, n.end}, true
+	}
+	return Ref{}, false
+}
+
+// AttrIter walks an element's attributes in stored order.
+type AttrIter struct {
+	t    trusted
+	left int
+}
+
+// Attrs returns an iterator over x's attributes (empty unless x is an
+// element).
+func (x Ref) Attrs() AttrIter {
+	if x.Kind() != ElementKind {
+		return AttrIter{}
+	}
+	t := x.body()
+	t.uvarint() // name
+	return AttrIter{left: t.uvarint(), t: t}
+}
+
+// Next returns the next attribute; ok is false when none is left.
+func (it *AttrIter) Next() (name, value []byte, ok bool) {
+	if it.left == 0 {
+		return nil, nil, false
+	}
+	it.left--
+	return it.t.bytes(), it.t.bytes(), true
+}
+
+// Attr returns the value of the named attribute and whether it exists.
+func (x Ref) Attr(name string) ([]byte, bool) {
+	for it := x.Attrs(); ; {
+		n, v, ok := it.Next()
+		if !ok {
+			return nil, false
+		}
+		if string(n) == name {
+			return v, true
+		}
+	}
+}
+
+// AppendText appends x's string value — the character data of every text
+// node in its subtree, in document order — to dst.
+func (x Ref) AppendText(dst []byte) []byte {
+	for o, end := x.ord, x.End(); o < end; o++ {
+		if d := (Ref{x.rec, o}); d.Kind() == TextKind {
+			dst = append(dst, d.Data()...)
+		}
+	}
+	return dst
+}
+
+// Text returns x's string value. When the subtree holds a single text
+// node — the leaf elements queries compare and return — the result is
+// that node's bytes inside the record, not a copy.
+func (x Ref) Text() []byte {
+	var one []byte
+	for o, end := x.ord, x.End(); o < end; o++ {
+		d := Ref{x.rec, o}
+		if d.Kind() != TextKind {
+			continue
+		}
+		if one != nil {
+			return x.AppendText(make([]byte, 0, 4*len(one)))
+		}
+		one = d.Data()
+	}
+	return one
+}
+
+// AppendXML serializes the subtree rooted at x into buf, byte for byte
+// what Node.AppendXML writes for the decoded subtree.
+func (x Ref) AppendXML(buf *bytes.Buffer) {
+	switch x.Kind() {
+	case DocumentKind:
+		x.appendChildrenXML(buf)
+	case TextKind:
+		escapeText(buf, x.Data())
+	case CommentKind:
+		buf.WriteString("<!--")
+		buf.Write(x.Data())
+		buf.WriteString("-->")
+	case PIKind:
+		buf.WriteString("<?")
+		buf.Write(x.Name())
+		if d := x.Data(); len(d) > 0 {
+			buf.WriteByte(' ')
+			buf.Write(d)
+		}
+		buf.WriteString("?>")
+	case ElementKind:
+		name := x.Name()
+		buf.WriteByte('<')
+		buf.Write(name)
+		for it := x.Attrs(); ; {
+			an, av, ok := it.Next()
+			if !ok {
+				break
+			}
+			buf.WriteByte(' ')
+			buf.Write(an)
+			buf.WriteString(`="`)
+			escapeAttr(buf, av)
+			buf.WriteByte('"')
+		}
+		if _, ok := x.FirstChild(); !ok {
+			buf.WriteString("/>")
+			return
+		}
+		buf.WriteByte('>')
+		x.appendChildrenXML(buf)
+		buf.WriteString("</")
+		buf.Write(name)
+		buf.WriteByte('>')
+	}
+}
+
+func (x Ref) appendChildrenXML(buf *bytes.Buffer) {
+	for c, ok := x.FirstChild(); ok; c, ok = c.NextSibling() {
+		c.AppendXML(buf)
+	}
+}
+
+// XML returns the serialized form of the subtree rooted at x.
+func (x Ref) XML() string {
+	var buf bytes.Buffer
+	x.AppendXML(&buf)
+	return buf.String()
+}
+
+// Node decodes the subtree rooted at x into a detached tree (Parent nil
+// at the top, Ord as in the record): the only way a *Node comes out of a
+// record, for a subtree that is copied somewhere else.
+func (x Ref) Node() *Node {
+	n := &Node{Kind: x.Kind(), Ord: x.ord}
+	switch n.Kind {
+	case ElementKind:
+		n.Name = string(x.Name())
+		it := x.Attrs()
+		if it.left > 0 {
+			n.Attrs = make([]Attr, 0, it.left)
+		}
+		for {
+			an, av, ok := it.Next()
+			if !ok {
+				break
+			}
+			n.Attrs = append(n.Attrs, Attr{string(an), string(av)})
+		}
+	case PIKind:
+		n.Name = string(x.Name())
+		n.Data = string(x.Data())
+	case TextKind, CommentKind:
+		n.Data = string(x.Data())
+	}
+	for c, ok := x.FirstChild(); ok; c, ok = c.NextSibling() {
+		n.Append(c.Node())
+	}
+	return n
+}

@@ -8,7 +8,7 @@ import (
 )
 
 // escapeText writes s with &, < and > escaped (character-data context).
-func escapeText(w *bytes.Buffer, s string) {
+func escapeText[S string | []byte](w *bytes.Buffer, s S) {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '&':
@@ -24,7 +24,7 @@ func escapeText(w *bytes.Buffer, s string) {
 }
 
 // escapeAttr writes s escaped for a double-quoted attribute value.
-func escapeAttr(w *bytes.Buffer, s string) {
+func escapeAttr[S string | []byte](w *bytes.Buffer, s S) {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '&':

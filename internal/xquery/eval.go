@@ -1,6 +1,7 @@
 package xquery
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
@@ -9,46 +10,77 @@ import (
 	"xbench/internal/xmldom"
 )
 
-// Item is one value in a sequence: *xmldom.Node, string, float64 or bool.
+// Item is one value in a sequence: Node, string, float64 or bool.
 type Item any
 
 // Seq is an ordered sequence of items (the XQuery data model).
 type Seq []Item
 
+// Node is the node item: a position in an opened binary-DOM record. It is
+// a comparable value — two Nodes are the same node exactly when they are
+// equal — and (doc, ord) is its place in document order across the
+// collection. Nothing of the record is decoded to reach it; names,
+// attribute values and text are read from the record's bytes when an
+// expression asks for them.
+type Node struct {
+	rec *xmldom.Record
+	ord int32 // position in the record's document order
+	doc int32 // collection position; constructed elements follow the collection
+}
+
+func (n Node) ref() xmldom.Ref { return n.rec.At(n.ord) }
+
+// at returns the node of n's record that x refers to.
+func (n Node) at(x xmldom.Ref) Node { return Node{n.rec, x.Ord(), n.doc} }
+
 // Collection is the document set a query runs against.
 type Collection struct {
 	names  []string
-	docs   []*xmldom.Node // document nodes, parallel to names
-	byName map[string]*xmldom.Node
-	order  map[*xmldom.Node]int // document node -> collection position
+	docs   []*xmldom.Record // parallel to names
+	byName map[string]int
 }
 
 // NewCollection returns an empty collection.
 func NewCollection() *Collection {
-	return &Collection{
-		byName: map[string]*xmldom.Node{},
-		order:  map[*xmldom.Node]int{},
-	}
+	return &Collection{byName: map[string]int{}}
 }
 
-// Add registers a parsed document under a name (e.g. its file name).
-func (c *Collection) Add(name string, doc *xmldom.Node) {
+// Add registers an opened record, whose root is a document node, under a
+// name (e.g. its file name). A parsed tree joins through xmldom.RecordOf.
+func (c *Collection) Add(name string, doc *xmldom.Record) {
+	c.byName[name] = len(c.docs)
 	c.names = append(c.names, name)
 	c.docs = append(c.docs, doc)
-	c.byName[name] = doc
-	c.order[doc] = len(c.docs) - 1
 }
 
 // Len returns the number of documents.
 func (c *Collection) Len() int { return len(c.docs) }
 
 // Doc returns a document by name, or nil.
-func (c *Collection) Doc(name string) *xmldom.Node { return c.byName[name] }
+func (c *Collection) Doc(name string) *xmldom.Record {
+	if i, ok := c.byName[name]; ok {
+		return c.docs[i]
+	}
+	return nil
+}
 
 // Names returns document names in collection order.
 func (c *Collection) Names() []string { return append([]string(nil), c.names...) }
 
-// Query is a compiled XQuery expression.
+// root returns the root node of document i.
+func (c *Collection) root(i int) Node { return Node{rec: c.docs[i], doc: int32(i)} }
+
+// roots returns the root node of every document, in collection order.
+func (c *Collection) roots() Seq {
+	out := make(Seq, len(c.docs))
+	for i := range c.docs {
+		out[i] = c.root(i)
+	}
+	return out
+}
+
+// Query is a compiled XQuery expression. It is immutable: one Query may be
+// evaluated from many goroutines at once.
 type Query struct {
 	Source string
 	root   expr
@@ -62,27 +94,43 @@ func (q *Query) Eval(coll *Collection) (Seq, error) {
 // EvalWithVars runs the query with externally bound variables (the
 // workload binds query parameters like $X this way).
 func (q *Query) EvalWithVars(coll *Collection, vars map[string]Seq) (Seq, error) {
-	ctx := &evalCtx{coll: coll, vars: map[string]Seq{}}
+	built := int32(coll.Len())
+	ctx := &evalCtx{coll: coll, built: &built}
 	for k, v := range vars {
-		ctx.vars[k] = v
+		ctx.vars = ctx.vars.bind(k, v)
 	}
 	return evalExpr(ctx, q.root)
 }
 
-type evalCtx struct {
-	coll *Collection
-	vars map[string]Seq
-	item Item // context item ('.')
-	pos  int  // 1-based position()
-	size int  // last()
+// scope is a chain of variable bindings, innermost first. Binding a
+// variable allocates one link; entering a predicate or a quantifier body
+// allocates nothing, since the inner context shares the chain.
+type scope struct {
+	name   string
+	val    Seq
+	parent *scope
 }
 
-func (c *evalCtx) clone() *evalCtx {
-	vars := make(map[string]Seq, len(c.vars))
-	for k, v := range c.vars {
-		vars[k] = v
+func (s *scope) bind(name string, val Seq) *scope {
+	return &scope{name: name, val: val, parent: s}
+}
+
+func (s *scope) lookup(name string) (Seq, bool) {
+	for ; s != nil; s = s.parent {
+		if s.name == name {
+			return s.val, true
+		}
 	}
-	return &evalCtx{coll: c.coll, vars: vars, item: c.item, pos: c.pos, size: c.size}
+	return nil, false
+}
+
+type evalCtx struct {
+	coll  *Collection
+	built *int32 // doc number the next constructed element takes
+	vars  *scope
+	item  Item // context item ('.')
+	pos   int  // 1-based position()
+	size  int  // last()
 }
 
 func evalExpr(ctx *evalCtx, e expr) (Seq, error) {
@@ -93,7 +141,7 @@ func evalExpr(ctx *evalCtx, e expr) (Seq, error) {
 		}
 		return Seq{t.str}, nil
 	case varRef:
-		v, ok := ctx.vars[t.name]
+		v, ok := ctx.vars.lookup(t.name)
 		if !ok {
 			return nil, &Error{Msg: fmt.Sprintf("undefined variable $%s", t.name)}
 		}
@@ -194,7 +242,7 @@ func evalBinary(ctx *evalCtx, b binary) (Seq, error) {
 	}
 	switch b.op {
 	case "|":
-		return unionSeqs(ctx, l, r), nil
+		return unionSeqs(l, r), nil
 	case "+", "-", "*", "div", "idiv", "mod":
 		ln, err := seqNumber(l)
 		if err != nil {
@@ -255,71 +303,78 @@ func evalBinary(ctx *evalCtx, b binary) (Seq, error) {
 // unionSeqs merges two sequences: nodes are deduplicated and the merged
 // node set is returned in document order; atomic items keep encounter
 // order after the nodes (ad-hoc but total).
-func unionSeqs(ctx *evalCtx, l, r Seq) Seq {
-	seen := map[*xmldom.Node]bool{}
-	var out Seq
-	allNodes := true
-	for _, s := range []Seq{l, r} {
-		for _, item := range s {
-			if n, ok := item.(*xmldom.Node); ok {
-				if seen[n] {
-					continue
-				}
-				seen[n] = true
-			} else {
-				allNodes = false
-			}
-			out = append(out, item)
-		}
-	}
-	if allNodes && len(out) > 1 {
-		sortDocOrder(ctx, out)
-	}
-	return out
+func unionSeqs(l, r Seq) Seq {
+	return docOrder(append(append(make(Seq, 0, len(l)+len(r)), l...), r...))
 }
 
 // compareItems applies op to two atomized items. If both atomize to
 // numbers the comparison is numeric, otherwise lexicographic — which is
 // correct for the benchmark's ISO dates.
 func compareItems(a, b Item, op string) bool {
-	as, bs := atomize(a), atomize(b)
-	af, aok := toNumber(a)
-	bf, bok := toNumber(b)
-	if aok && bok {
-		switch op {
-		case "=":
-			return af == bf
-		case "!=":
-			return af != bf
-		case "<":
-			return af < bf
-		case "<=":
-			return af <= bf
-		case ">":
-			return af > bf
-		case ">=":
-			return af >= bf
+	if af, ok := toNumber(a); ok {
+		if bf, ok := toNumber(b); ok {
+			switch op {
+			case "=":
+				return af == bf
+			case "!=":
+				return af != bf
+			case "<":
+				return af < bf
+			case "<=":
+				return af <= bf
+			case ">":
+				return af > bf
+			case ">=":
+				return af >= bf
+			}
 		}
 	}
+	c := compareAtoms(a, b)
 	switch op {
 	case "=":
-		return as == bs
+		return c == 0
 	case "!=":
-		return as != bs
+		return c != 0
 	case "<":
-		return as < bs
+		return c < 0
 	case "<=":
-		return as <= bs
+		return c <= 0
 	case ">":
-		return as > bs
+		return c > 0
 	case ">=":
-		return as >= bs
+		return c >= 0
 	}
 	return false
 }
 
+// compareAtoms orders the string values of two items. A node's value is
+// compared where it lies in its record; no string is made for it.
+func compareAtoms(a, b Item) int {
+	an, aNode := a.(Node)
+	bn, bNode := b.(Node)
+	switch {
+	case aNode && bNode:
+		return bytes.Compare(an.ref().Text(), bn.ref().Text())
+	case aNode:
+		return compareText(an.ref().Text(), atomize(b))
+	case bNode:
+		return -compareText(bn.ref().Text(), atomize(a))
+	}
+	return strings.Compare(atomize(a), atomize(b))
+}
+
+func compareText(b []byte, s string) int {
+	switch {
+	case string(b) < s:
+		return -1
+	case string(b) > s:
+		return 1
+	}
+	return 0
+}
+
 func evalFLWOR(ctx *evalCtx, f flwor) (Seq, error) {
-	tuples := []*evalCtx{ctx.clone()}
+	tuples := []*evalCtx{ctx}
 	for _, cl := range f.clauses {
 		var next []*evalCtx
 		for _, tu := range tuples {
@@ -328,18 +383,18 @@ func evalFLWOR(ctx *evalCtx, f flwor) (Seq, error) {
 				return nil, err
 			}
 			if cl.isLet {
-				nt := tu.clone()
-				nt.vars[cl.varName] = src
-				next = append(next, nt)
+				nt := *tu
+				nt.vars = tu.vars.bind(cl.varName, src)
+				next = append(next, &nt)
 				continue
 			}
 			for i, item := range src {
-				nt := tu.clone()
-				nt.vars[cl.varName] = Seq{item}
+				nt := *tu
+				nt.vars = tu.vars.bind(cl.varName, Seq{item})
 				if cl.posVar != "" {
-					nt.vars[cl.posVar] = Seq{float64(i + 1)}
+					nt.vars = nt.vars.bind(cl.posVar, Seq{float64(i + 1)})
 				}
-				next = append(next, nt)
+				next = append(next, &nt)
 			}
 		}
 		tuples = next
@@ -431,15 +486,7 @@ func compareKeys(a, b Item) int {
 			return 0
 		}
 	}
-	as, bs := atomize(a), atomize(b)
-	switch {
-	case as < bs:
-		return -1
-	case as > bs:
-		return 1
-	default:
-		return 0
-	}
+	return compareAtoms(a, b)
 }
 
 func evalQuantified(ctx *evalCtx, q quantified) (Seq, error) {
@@ -447,10 +494,10 @@ func evalQuantified(ctx *evalCtx, q quantified) (Seq, error) {
 	if err != nil {
 		return nil, err
 	}
+	nt := *ctx
 	for _, item := range src {
-		nt := ctx.clone()
-		nt.vars[q.varName] = Seq{item}
-		c, err := evalExpr(nt, q.cond)
+		nt.vars = ctx.vars.bind(q.varName, Seq{item})
+		c, err := evalExpr(&nt, q.cond)
 		if err != nil {
 			return nil, err
 		}
@@ -465,7 +512,26 @@ func evalQuantified(ctx *evalCtx, q quantified) (Seq, error) {
 	return Seq{q.every}, nil
 }
 
-func evalCtor(ctx *evalCtx, c elemCtor) (*xmldom.Node, error) {
+// evalCtor builds the constructed element as a tree — the one place the
+// evaluator materializes nodes: the subtrees the constructor copies — and
+// opens its encoding, so the result is a Node like any other. It takes
+// the next document number after the collection, which keeps constructed
+// elements in construction order behind every stored document.
+func evalCtor(ctx *evalCtx, c elemCtor) (Node, error) {
+	el, err := buildCtor(ctx, c)
+	if err != nil {
+		return Node{}, err
+	}
+	rec, err := xmldom.RecordOf(el)
+	if err != nil {
+		return Node{}, &Error{Msg: fmt.Sprintf("element constructor <%s>: %v", c.name, err)}
+	}
+	n := Node{rec: rec, doc: *ctx.built}
+	*ctx.built++
+	return n, nil
+}
+
+func buildCtor(ctx *evalCtx, c elemCtor) (*xmldom.Node, error) {
 	el := xmldom.NewElement(c.name)
 	for _, a := range c.attrs {
 		var b strings.Builder
@@ -492,6 +558,13 @@ func evalCtor(ctx *evalCtx, c elemCtor) (*xmldom.Node, error) {
 		switch pt := part.(type) {
 		case string:
 			el.AddText(pt)
+		case elemCtor:
+			// A nested constructor joins as a tree, not through a record.
+			child, err := buildCtor(ctx, pt)
+			if err != nil {
+				return nil, err
+			}
+			el.Append(child)
 		case expr:
 			s, err := evalExpr(ctx, pt)
 			if err != nil {
@@ -499,8 +572,8 @@ func evalCtor(ctx *evalCtx, c elemCtor) (*xmldom.Node, error) {
 			}
 			prevAtomic := false
 			for _, item := range s {
-				if n, ok := item.(*xmldom.Node); ok {
-					el.Append(n.Clone())
+				if n, ok := item.(Node); ok {
+					el.Append(n.ref().Node())
 					prevAtomic = false
 					continue
 				}
@@ -520,7 +593,7 @@ func ebv(s Seq) bool {
 	if len(s) == 0 {
 		return false
 	}
-	if _, isNode := s[0].(*xmldom.Node); isNode {
+	if _, isNode := s[0].(Node); isNode {
 		return true
 	}
 	if len(s) > 1 {
@@ -542,8 +615,8 @@ func atomize(it Item) string {
 	switch v := it.(type) {
 	case nil:
 		return ""
-	case *xmldom.Node:
-		return v.Text()
+	case Node:
+		return string(v.ref().Text())
 	case string:
 		return v
 	case float64:
@@ -577,14 +650,42 @@ func toNumber(it Item) (float64, bool) {
 			return 1, true
 		}
 		return 0, true
+	case Node:
+		b := bytes.TrimSpace(v.ref().Text())
+		if !numberStart(b) {
+			return 0, false
+		}
+		// The conversion does not escape ParseFloat, so a short value is
+		// parsed from a stack copy.
+		f, err := strconv.ParseFloat(string(b), 64)
+		return f, err == nil
 	default:
 		s := strings.TrimSpace(atomize(it))
-		if s == "" {
+		if !numberStart(s) {
 			return 0, false
 		}
 		f, err := strconv.ParseFloat(s, 64)
 		return f, err == nil
 	}
+}
+
+// numberStart reports whether s begins the way a string ParseFloat
+// accepts must (a digit, sign or point, "in" of infinity, "na" of nan,
+// in either case). Comparing identifiers and words would otherwise build
+// and drop a ParseFloat error per value.
+func numberStart[S string | []byte](s S) bool {
+	if len(s) == 0 {
+		return false
+	}
+	switch c := s[0]; {
+	case c >= '0' && c <= '9', c == '+', c == '-', c == '.':
+		return true
+	case c|0x20 == 'i':
+		return len(s) > 1 && s[1]|0x20 == 'n'
+	case c|0x20 == 'n':
+		return len(s) > 1 && s[1]|0x20 == 'a'
+	}
+	return false
 }
 
 func seqNumber(s Seq) (float64, error) {
@@ -599,13 +700,13 @@ func seqNumber(s Seq) (float64, error) {
 }
 
 // SerializeSeq renders a result sequence as strings, one per item: nodes
-// as XML, atomics as their string value. This is what engines put into
-// core.Result.Items.
+// as XML written straight from their record, atomics as their string
+// value. This is what engines put into core.Result.Items.
 func SerializeSeq(s Seq) []string {
 	out := make([]string, len(s))
 	for i, item := range s {
-		if n, ok := item.(*xmldom.Node); ok {
-			out[i] = n.XML()
+		if n, ok := item.(Node); ok {
+			out[i] = n.ref().XML()
 		} else {
 			out[i] = atomize(item)
 		}

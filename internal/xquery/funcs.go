@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"xbench/internal/xmldom"
 )
 
 func evalCall(ctx *evalCtx, c call) (Seq, error) {
@@ -29,11 +27,7 @@ func evalCall(ctx *evalCtx, c call) (Seq, error) {
 		}
 		return Seq{float64(ctx.size)}, nil
 	case "collection":
-		var out Seq
-		for _, d := range ctx.coll.docs {
-			out = append(out, d)
-		}
-		return out, nil
+		return ctx.coll.roots(), nil
 	case "doc", "document":
 		if err := argc(1); err != nil {
 			return nil, err
@@ -43,11 +37,11 @@ func evalCall(ctx *evalCtx, c call) (Seq, error) {
 			return nil, err
 		}
 		name := seqString(a)
-		d := ctx.coll.Doc(name)
-		if d == nil {
+		i, ok := ctx.coll.byName[name]
+		if !ok {
 			return nil, &Error{Msg: fmt.Sprintf("doc(%q): no such document", name)}
 		}
-		return Seq{d}, nil
+		return Seq{ctx.coll.root(i)}, nil
 	case "count":
 		if err := argc(1); err != nil {
 			return nil, err
@@ -148,8 +142,8 @@ func evalCall(ctx *evalCtx, c call) (Seq, error) {
 		if len(a) == 0 {
 			return Seq{""}, nil
 		}
-		if n, ok := a[0].(*xmldom.Node); ok {
-			return Seq{n.Name}, nil
+		if n, ok := a[0].(Node); ok {
+			return Seq{string(n.ref().Name())}, nil
 		}
 		return Seq{""}, nil
 	case "distinct-values":

@@ -10,9 +10,7 @@ func evalPath(ctx *evalCtx, pe pathExpr) (Seq, error) {
 	var cur Seq
 	switch {
 	case pe.fromRoot:
-		for _, d := range ctx.coll.docs {
-			cur = append(cur, d)
-		}
+		cur = ctx.coll.roots()
 	case pe.input != nil:
 		s, err := evalExpr(ctx, pe.input)
 		if err != nil {
@@ -47,157 +45,135 @@ func evalPath(ctx *evalCtx, pe pathExpr) (Seq, error) {
 // removed.
 func applyStep(ctx *evalCtx, input Seq, st step) (Seq, error) {
 	var merged Seq
-	seen := map[*xmldom.Node]bool{}
-	allNodes := true
 	for _, item := range input {
-		n, ok := item.(*xmldom.Node)
+		n, ok := item.(Node)
 		if !ok {
 			continue // axis steps apply to nodes only
 		}
-		cands := candidates(n, st)
-		filtered, err := applyPredicates(ctx, cands, st.preds)
+		if len(st.preds) == 0 {
+			merged = appendCandidates(merged, n, st)
+			continue
+		}
+		filtered, err := applyPredicates(ctx, appendCandidates(nil, n, st), st.preds)
 		if err != nil {
 			return nil, err
 		}
-		for _, f := range filtered {
-			if fn, ok := f.(*xmldom.Node); ok {
-				if seen[fn] {
-					continue
-				}
-				seen[fn] = true
-			} else {
-				allNodes = false
-			}
-			merged = append(merged, f)
-		}
+		merged = append(merged, filtered...)
 	}
-	if allNodes && len(merged) > 1 {
-		sortDocOrder(ctx, merged)
-	}
-	return merged, nil
+	return docOrder(merged), nil
 }
 
-// candidates returns the raw axis results for one context node.
-func candidates(n *xmldom.Node, st step) Seq {
-	var out Seq
+// nameTest reports whether element x passes the step's name test.
+func nameTest(x xmldom.Ref, name string) bool {
+	return x.Kind() == xmldom.ElementKind && (name == "*" || string(x.Name()) == name)
+}
+
+// appendCandidates appends the raw axis results for one context node.
+func appendCandidates(out Seq, n Node, st step) Seq {
+	x := n.ref()
 	switch st.axis {
 	case axisChild:
-		switch st.name {
-		case "text()":
-			for _, c := range n.Children {
-				if c.Kind == xmldom.TextKind {
-					out = append(out, c.Data)
+		for c, ok := x.FirstChild(); ok; c, ok = c.NextSibling() {
+			switch {
+			case c.Kind() == xmldom.TextKind:
+				if st.name == "text()" || st.name == "node()" {
+					out = append(out, string(c.Data()))
 				}
-			}
-		case "node()":
-			for _, c := range n.Children {
-				if c.Kind == xmldom.TextKind {
-					out = append(out, c.Data)
-				} else {
-					out = append(out, c)
-				}
-			}
-		default:
-			for _, c := range n.Children {
-				if c.Kind == xmldom.ElementKind && (st.name == "*" || c.Name == st.name) {
-					out = append(out, c)
-				}
+			case st.name == "node()":
+				out = append(out, n.at(c))
+			case nameTest(c, st.name):
+				out = append(out, n.at(c))
 			}
 		}
 	case axisDescendant:
-		// descendant (not -or-self), element name test.
-		for _, c := range n.Children {
-			c.Walk(func(d *xmldom.Node) bool {
-				if d.Kind == xmldom.ElementKind && (st.name == "*" || d.Name == st.name) {
-					out = append(out, d)
-				}
-				return true
-			})
+		// descendant (not -or-self), element name test. The subtree is a
+		// run of ords, and a record whose dictionary lacks the name has no
+		// match anywhere.
+		if st.name != "*" && !n.rec.HasName(st.name) {
+			return out
+		}
+		for o, end := n.ord+1, x.End(); o < end; o++ {
+			if nameTest(n.rec.At(o), st.name) {
+				out = append(out, Node{n.rec, o, n.doc})
+			}
 		}
 	case axisAttribute:
 		if st.deep {
 			// //@name: attributes of descendant-or-self elements.
-			n.Walk(func(d *xmldom.Node) bool {
-				out = append(out, attrValues(d, st.name)...)
-				return true
-			})
+			for o, end := n.ord, x.End(); o < end; o++ {
+				out = appendAttrValues(out, n.rec.At(o), st.name)
+			}
 		} else {
-			out = attrValues(n, st.name)
+			out = appendAttrValues(out, x, st.name)
 		}
 	case axisSelf:
-		if n.Kind == xmldom.ElementKind && (st.name == "*" || n.Name == st.name) {
+		if nameTest(x, st.name) {
 			out = append(out, n)
 		}
 	case axisParent:
-		if p := n.Parent; p != nil && p.Kind == xmldom.ElementKind &&
-			(st.name == "*" || p.Name == st.name) {
-			out = append(out, p)
+		if p, ok := x.Parent(); ok && nameTest(p, st.name) {
+			out = append(out, n.at(p))
 		}
-	case axisFollowingSibling, axisPrecedingSibling:
-		p := n.Parent
-		if p == nil {
-			return nil
-		}
-		idx := -1
-		for i, c := range p.Children {
-			if c == n {
-				idx = i
-				break
+	case axisFollowingSibling:
+		for s, ok := x.NextSibling(); ok; s, ok = s.NextSibling() {
+			if nameTest(s, st.name) {
+				out = append(out, n.at(s))
 			}
 		}
-		if idx < 0 {
-			return nil
+	case axisPrecedingSibling:
+		p, ok := x.Parent()
+		if !ok {
+			return out
 		}
-		if st.axis == axisFollowingSibling {
-			for _, c := range p.Children[idx+1:] {
-				if c.Kind == xmldom.ElementKind && (st.name == "*" || c.Name == st.name) {
-					out = append(out, c)
-				}
+		first := len(out)
+		for s, ok := p.FirstChild(); ok && s != x; s, ok = s.NextSibling() {
+			if nameTest(s, st.name) {
+				out = append(out, n.at(s))
 			}
-		} else {
-			// preceding-sibling in reverse document order (XPath semantics:
-			// positions count backwards from the context node).
-			for i := idx - 1; i >= 0; i-- {
-				c := p.Children[i]
-				if c.Kind == xmldom.ElementKind && (st.name == "*" || c.Name == st.name) {
-					out = append(out, c)
-				}
-			}
+		}
+		// preceding-sibling in reverse document order (XPath semantics:
+		// positions count backwards from the context node).
+		for i, j := first, len(out)-1; i < j; i, j = i+1, j-1 {
+			out[i], out[j] = out[j], out[i]
 		}
 	}
 	return out
 }
 
-func attrValues(n *xmldom.Node, name string) Seq {
-	if n.Kind != xmldom.ElementKind {
-		return nil
-	}
-	var out Seq
-	if name == "*" {
-		for _, a := range n.Attrs {
-			out = append(out, a.Value)
+// appendAttrValues appends the values of x's attributes that pass the
+// name test ("*" for all; otherwise the first of that name).
+func appendAttrValues(out Seq, x xmldom.Ref, name string) Seq {
+	if name != "*" {
+		if v, ok := x.Attr(name); ok {
+			out = append(out, string(v))
 		}
 		return out
 	}
-	if v, ok := n.Attr(name); ok {
-		out = append(out, v)
+	for it := x.Attrs(); ; {
+		_, v, ok := it.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, string(v))
 	}
-	return out
 }
 
 // applyPredicates filters a candidate list, giving each predicate
 // expression access to the context item, position() and last().
 func applyPredicates(ctx *evalCtx, items Seq, preds []expr) (Seq, error) {
+	if len(preds) == 0 || len(items) == 0 {
+		return items, nil
+	}
+	// One inner context serves every candidate: only the focus changes.
+	sub := *ctx
 	cur := items
 	for _, pred := range preds {
 		var kept Seq
-		size := len(cur)
+		sub.size = len(cur)
 		for i, item := range cur {
-			sub := ctx.clone()
 			sub.item = item
 			sub.pos = i + 1
-			sub.size = size
-			v, err := evalExpr(sub, pred)
+			v, err := evalExpr(&sub, pred)
 			if err != nil {
 				return nil, err
 			}
@@ -219,37 +195,56 @@ func applyPredicates(ctx *evalCtx, items Seq, preds []expr) (Seq, error) {
 	return cur, nil
 }
 
-// sortDocOrder sorts nodes by (collection position of their document,
-// node order within the document). Constructed nodes (no document) keep
-// their relative order after all document nodes.
-func sortDocOrder(ctx *evalCtx, items Seq) {
-	type ranked struct {
-		item Item
-		doc  int
-		ord  int32
+// docOrder removes duplicate nodes from a sequence it owns and, when it
+// holds nothing but nodes, puts it into document order in place: by
+// position in the collection, then within the record; constructed
+// elements, numbered as they are built, follow every stored document. A
+// sequence holding an atomic item keeps encounter order.
+func docOrder(items Seq) Seq {
+	if len(items) < 2 {
+		return items
 	}
-	rs := make([]ranked, len(items))
-	for i, it := range items {
-		rs[i] = ranked{item: it, doc: 1 << 30, ord: int32(i)}
-		if n, ok := it.(*xmldom.Node); ok {
-			root := n
-			for root.Parent != nil {
-				root = root.Parent
+	less := func(a, b Node) bool { return a.doc < b.doc || a.doc == b.doc && a.ord < b.ord }
+	// The usual cases — attribute or text values only; one context node, or
+	// context nodes in order with disjoint results — need no work.
+	nodes, sorted := 0, true
+	var prev Node
+	for _, it := range items {
+		n, ok := it.(Node)
+		if !ok {
+			continue
+		}
+		if nodes > 0 && !less(prev, n) {
+			sorted = false
+		}
+		prev = n
+		nodes++
+	}
+	switch {
+	case nodes < 2 || nodes == len(items) && sorted:
+		return items
+	case nodes < len(items):
+		seen := make(map[Node]bool, nodes)
+		w := 0
+		for _, it := range items {
+			if n, ok := it.(Node); ok {
+				if seen[n] {
+					continue
+				}
+				seen[n] = true
 			}
-			if d, ok := ctx.coll.order[root]; ok {
-				rs[i].doc = d
-				rs[i].ord = n.Ord
-			}
+			items[w] = it
+			w++
+		}
+		return items[:w]
+	}
+	sort.SliceStable(items, func(i, j int) bool { return less(items[i].(Node), items[j].(Node)) })
+	w := 1
+	for _, it := range items[1:] {
+		if it != items[w-1] {
+			items[w] = it
+			w++
 		}
 	}
-	// Stable sort keeps constructed nodes in encounter order.
-	sort.SliceStable(rs, func(i, j int) bool {
-		if rs[i].doc != rs[j].doc {
-			return rs[i].doc < rs[j].doc
-		}
-		return rs[i].ord < rs[j].ord
-	})
-	for i := range rs {
-		items[i] = rs[i].item
-	}
+	return items[:w]
 }

@@ -2,17 +2,28 @@ package xquery
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"xbench/internal/xmldom"
 )
 
+// mustRecord opens a parsed tree the way every tree reaches the
+// evaluator: through its binary encoding.
+func mustRecord(doc *xmldom.Node) *xmldom.Record {
+	rec, err := xmldom.RecordOf(doc)
+	if err != nil {
+		panic(err)
+	}
+	return rec
+}
+
 // testColl builds a small two-document collection shaped like the
 // benchmark data.
 func testColl() *Collection {
 	c := NewCollection()
-	c.Add("catalog.xml", xmldom.MustParse(`<catalog>
+	c.Add("catalog.xml", mustRecord(xmldom.MustParse(`<catalog>
 		<item id="I1"><title>Go Databases</title><price>30</price>
 			<authors>
 				<author><name>Ada</name><country>Canada</country></author>
@@ -32,13 +43,13 @@ func testColl() *Collection {
 			</authors>
 			<publisher><name>P Three</name></publisher>
 		</item>
-	</catalog>`))
-	c.Add("article1.xml", xmldom.MustParse(`<article id="a1">
+	</catalog>`)))
+	c.Add("article1.xml", mustRecord(xmldom.MustParse(`<article id="a1">
 		<title>On Systems</title>
 		<sec id="s1"><heading>Introduction</heading><p>first words here</p></sec>
 		<sec id="s2"><heading>Methods</heading><p>more data about systems</p></sec>
 		<sec id="s3"><heading>Results</heading><p>empty</p></sec>
-	</article>`))
+	</article>`)))
 	return c
 }
 
@@ -263,7 +274,7 @@ func TestIfExpr(t *testing.T) {
 	}
 	// 'if' as an element name still parses as a path step.
 	c := NewCollection()
-	c.Add("d.xml", xmldom.MustParse(`<r><if>x</if></r>`))
+	c.Add("d.xml", mustRecord(xmldom.MustParse(`<r><if>x</if></r>`)))
 	q := MustParse(`//if`)
 	s, err := q.Eval(c)
 	if err != nil || len(s) != 1 {
@@ -577,7 +588,7 @@ func TestOrderByMultipleKeys(t *testing.T) {
 
 func TestOrderByEmptyKeyFirst(t *testing.T) {
 	c := NewCollection()
-	c.Add("d.xml", xmldom.MustParse(`<r><e><k>b</k></e><e/><e><k>a</k></e></r>`))
+	c.Add("d.xml", mustRecord(xmldom.MustParse(`<r><e><k>b</k></e><e/><e><k>a</k></e></r>`)))
 	q := MustParse(`for $e in //e order by $e/k return count($e/k)`)
 	s, err := q.Eval(c)
 	if err != nil {
@@ -604,5 +615,24 @@ func TestSelfAxis(t *testing.T) {
 	got = strs(run(t, `count(//item/self::other)`))
 	if !reflect.DeepEqual(got, []string{"0"}) {
 		t.Fatalf("self axis name test = %v", got)
+	}
+}
+
+// numberStart only spares ParseFloat the values it would reject anyway:
+// whatever ParseFloat accepts must pass it.
+func TestNumberStartNeverRejectsANumber(t *testing.T) {
+	for _, s := range []string{
+		"0", "12", "-1", "+7", ".5", "-.5e3", "1e3", "0x1p-2", "1_000", "inf", "Inf", "+INF", "-infinity",
+		"nan", "NaN", "I1", "O12", "item", "north", "in", "n", "", "-", "e5", "x1",
+	} {
+		_, err := strconv.ParseFloat(s, 64)
+		if err == nil && !numberStart(s) {
+			t.Errorf("numberStart(%q) = false, but ParseFloat accepts it", s)
+		}
+		got, ok := toNumber(s)
+		want, werr := strconv.ParseFloat(s, 64)
+		if ok != (werr == nil) || ok && got != want && !(got != got && want != want) {
+			t.Errorf("toNumber(%q) = %v, %v; ParseFloat gives %v, %v", s, got, ok, want, werr)
+		}
 	}
 }

@@ -397,7 +397,11 @@ func EvalXQuery(query string, docs []Doc, vars Params) ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		coll.Add(d.Name, parsed)
+		rec, err := xmldom.RecordOf(parsed)
+		if err != nil {
+			return nil, err
+		}
+		coll.Add(d.Name, rec)
 	}
 	q, err := xquery.Parse(query)
 	if err != nil {
