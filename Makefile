@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz chaos chaos-updates torture smoke shard-smoke bench-baseline perf-check bench-e2e bench-compare plan-check plan-golden mvcc-sweep verify
+.PHONY: build test vet race fuzz chaos chaos-updates torture smoke shard-smoke bench-e2e bench-compare plan-check plan-golden mvcc-sweep loc verify
 
 build:
 	$(GO) build ./...
@@ -56,20 +56,6 @@ smoke:
 shard-smoke:
 	bash scripts/shard_smoke.sh
 
-# Regenerate the archived hot-path perf baselines (full-size cells; see
-# EXPERIMENTS.md "performance regression protocol"). Commit the updated
-# results/BENCH_pr7_*.json alongside any change that moves them.
-bench-baseline:
-	$(GO) run ./cmd/xbench perf --cell=all --out='results/BENCH_pr7_<cell>.json'
-
-# Regression gate: re-measure every cell at CI scale and fail if an
-# improvement RATIO fell more than 20% below its committed baseline.
-# Ratios (hit rate, updates/fsync, pipelined-vs-pooled speedup) are
-# compared rather than absolute throughput, so a slower CI machine does
-# not read as a regression.
-perf-check:
-	$(GO) run ./cmd/xbench perf --cell=all --short --check
-
 # The repo's benchmark (BENCHMARK.json, benchmarks/README.md): all four
 # workloads, untraced for the end-to-end metrics and traced for the
 # per-layer ones, into benchmarks/results/local.json.
@@ -83,13 +69,17 @@ bench-compare:
 	bash benchmarks/run.sh --compare $(A) $(B)
 
 # MVCC snapshot-read smoke: read p99 must stay within 2x the read-only
-# p99 at 30% updates when snapshots pin readers off the engine write
+# p99 at 30% updates, because snapshots pin readers off the engine write
 # lock (DESIGN.md §15). Large per-point samples so the p99 is a real
-# quantile, not the single worst scheduler hiccup; no baseline sweep —
-# the gate pins the snapshot curve only, CI time stays bounded.
+# quantile, not the single worst scheduler hiccup.
 mvcc-sweep: build
 	$(GO) run ./cmd/xbench mvcc-sweep --clients=2 --ops=400 \
-		--fractions=0,0.3 --baseline=false --check
+		--fractions=0,0.3 --check
+
+# Non-test Go lines outside benchmarks/: total and per top-level
+# directory of internal/. What "net non-test lines down" is measured with.
+loc:
+	@bash scripts/loc.sh
 
 # Plan regression gate: the costed EXPLAIN tree of every (class, query)
 # cell, planned over fixture statistics, must match the checked-in corpus

@@ -315,7 +315,7 @@ func BenchmarkUpdateWorkload(b *testing.B) {
 		}
 		b.Run(op.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if m := workload.RunUpdate(e, core.DCMD, op, i); m.Err != nil {
+				if m := workload.RunUpdateOp(context.Background(), e, core.DCMD, op, i); m.Err != nil {
 					b.Fatal(m.Err)
 				}
 			}

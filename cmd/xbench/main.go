@@ -21,10 +21,9 @@
 //	xbench workload  --engine=x-hive --class=dcmd --size=small
 //	xbench updates   [--class=dcmd|tcmd] [--size=S] [--engine=NAME] [--remote=ADDR] [--repeat=N] [--format=table|json|csv] [--gen-seed=N] [--scale=N]
 //	xbench throughput --engine=x-hive --class=dcmd --size=small [--remote=ADDR | --shards=LIST] [--skip-load] [--clients=1,2,4,8] [--ops=N|--duration=D] [--think=D] [--seed=N] [--update-fraction=F] [--update-seq-base=N] [--read-pref=primary|replica] [--partial=failfast|degraded] [--fanout=N] [--vnodes=N] [--format=table|json|csv] [--gen-seed=N] [--scale=N]
-//	xbench mvcc-sweep [--class=dcmd] [--size=S] [--engine=NAME] [--fractions=0,0.1,...] [--clients=N] [--ops=N] [--seed=N] [--baseline] [--check] [--out=FILE] [--gen-seed=N]
+//	xbench mvcc-sweep [--class=dcmd] [--size=S] [--engine=NAME] [--fractions=0,0.1,...] [--clients=N] [--ops=N] [--seed=N] [--check] [--out=FILE] [--gen-seed=N]
 //	xbench serve     --engine=x-hive --class=dcmd --size=small [--addr=HOST:PORT] [--shard=I/N] [--vnodes=N] [--replica-of=ADDR] [--poll=D] [--journal=FILE] [--max-inflight=N] [--queue-wait=D] [--request-timeout=D] [--drain-timeout=D] [--no-load] [--gen-seed=N] [--scale=N]
 //	xbench route     --shards=P1[+R1],P2,... [--class=dcmd] [--size=S] [--addr=HOST:PORT] [--read-pref=primary|replica] [--partial=failfast|degraded] [--fanout=N] [--vnodes=N] [--max-inflight=N] [--queue-wait=D] [--request-timeout=D] [--drain-timeout=D] [--no-load] [--gen-seed=N] [--scale=N]
-//	xbench perf      [--cell=pager|wire|journal|all] [--short] [--check] [--tolerance=F] [--out=FILE] [--baseline-dir=DIR] [--label=S]
 package main
 
 import (
@@ -77,10 +76,9 @@ var commands = []command{
 	{"workload", "run every defined query of a class on one engine", cmdWorkload},
 	{"updates", "update workload (U1-U3): per-op p50/p95/p99 with I/O breakdown", cmdUpdates},
 	{"throughput", "closed-loop multi-client driver: qps + per-query percentiles", cmdThroughput},
-	{"mvcc-sweep", "read p99 vs update fraction, MVCC snapshots vs write-lock baseline", cmdMVCCSweep},
+	{"mvcc-sweep", "snapshot-read latency and qps vs update fraction", cmdMVCCSweep},
 	{"serve", "serve one engine over TCP for remote throughput/updates runs", cmdServe},
 	{"route", "front a shard cluster: hash-partitioned scatter-gather router over TCP", cmdRoute},
-	{"perf", "hot-path before/after perf cells with archived baselines", cmdPerf},
 }
 
 func main() {

@@ -17,11 +17,10 @@ import (
 
 // cmdMVCCSweep measures what the update workload does to read latency as
 // the update fraction grows (DESIGN.md §15, EXPERIMENTS.md): one
-// FractionSweep with MVCC snapshot reads on, and optionally the same
-// sweep with snapshots off — the pre-MVCC baseline where every query
-// queues behind the engine write lock. With snapshots the read p99
-// should stay roughly flat from 0% to 50% updates; the baseline curve
-// degrades. --check turns the flat-curve claim into an exit code for CI.
+// FractionSweep on a freshly loaded engine. Queries read pinned
+// snapshots and never queue behind the engine write lock, so the read
+// p99 should stay roughly flat from 0% to 50% updates; --check turns the
+// flat-curve claim into an exit code for CI.
 func cmdMVCCSweep(args []string) error {
 	ctx := context.Background()
 	fs := flag.NewFlagSet("mvcc-sweep", flag.ExitOnError)
@@ -31,7 +30,6 @@ func cmdMVCCSweep(args []string) error {
 	clients := fs.Int("clients", 4, "concurrent clients per step")
 	ops := fs.Int("ops", 30, "ops per client per step")
 	seed := fs.Uint64("seed", 1, "op-mix seed")
-	baseline := fs.Bool("baseline", true, "also sweep with snapshots off (the write-lock baseline)")
 	check := fs.Bool("check", false, "fail unless snapshot read p99 at >=30% updates stays within 2x the read-only p99")
 	out := fs.String("out", "", "also write the table to this file")
 	genSeed := fs.Uint64("gen-seed", 0, "generation seed")
@@ -49,29 +47,18 @@ func cmdMVCCSweep(args []string) error {
 		return err
 	}
 
-	cfg := driver.Config{Clients: *clients, OpsPerClient: *ops, Seed: *seed, Think: -1}
-	sweep := func(snapshots bool) ([]driver.FractionPoint, error) {
-		e, err := engineByFlag(*engineStr)
-		if err != nil {
-			return nil, err
-		}
-		defer e.Close()
-		e.(interface{ SetSnapshots(bool) }).SetSnapshots(snapshots)
-		if _, _, err := workload.LoadAndIndex(ctx, e, db); err != nil {
-			return nil, err
-		}
-		return driver.FractionSweep(ctx, e, class, fractions, cfg)
-	}
-
-	snapPts, err := sweep(true)
+	e, err := engineByFlag(*engineStr)
 	if err != nil {
 		return err
 	}
-	var basePts []driver.FractionPoint
-	if *baseline {
-		if basePts, err = sweep(false); err != nil {
-			return err
-		}
+	defer e.Close()
+	if _, _, err := workload.LoadAndIndex(ctx, e, db); err != nil {
+		return err
+	}
+	cfg := driver.Config{Clients: *clients, OpsPerClient: *ops, Seed: *seed, Think: -1}
+	pts, err := driver.FractionSweep(ctx, e, class, fractions, cfg)
+	if err != nil {
+		return err
 	}
 
 	var w io.Writer = os.Stdout
@@ -83,10 +70,10 @@ func cmdMVCCSweep(args []string) error {
 		defer f.Close()
 		w = io.MultiWriter(os.Stdout, f)
 	}
-	writeMVCCSweep(w, *engineStr, class, size, snapPts, basePts)
+	writeMVCCSweep(w, *engineStr, class, size, pts)
 
 	if *check {
-		return checkFlatReads(snapPts)
+		return checkFlatReads(pts)
 	}
 	return nil
 }
@@ -107,39 +94,28 @@ func parseFractions(s string) ([]float64, error) {
 	return out, nil
 }
 
-// writeMVCCSweep prints the sweep as one row per fraction: the snapshot
-// run's read latency and throughput, and the baseline's beside it when
-// it ran.
-func writeMVCCSweep(w io.Writer, engine string, class core.Class, size core.Size, snap, base []driver.FractionPoint) {
+// writeMVCCSweep prints the sweep as one row per fraction: read latency
+// and throughput.
+func writeMVCCSweep(w io.Writer, engine string, class core.Class, size core.Size, pts []driver.FractionPoint) {
 	fmt.Fprintf(w, "mvcc-sweep engine=%s class=%s size=%s (read latency vs update fraction)\n", engine, class, size)
-	if len(base) > 0 {
-		fmt.Fprintf(w, "%-8s %12s %12s %10s | %12s %12s %10s\n",
-			"updates", "snap p50", "snap p99", "snap qps", "base p50", "base p99", "base qps")
-	} else {
-		fmt.Fprintf(w, "%-8s %12s %12s %10s\n", "updates", "snap p50", "snap p99", "snap qps")
-	}
-	for i, pt := range snap {
+	fmt.Fprintf(w, "%-8s %12s %12s %10s\n", "updates", "read p50", "read p99", "qps")
+	for _, pt := range pts {
 		r := pt.Report
-		fmt.Fprintf(w, "%-8s %12s %12s %10.1f", fmt.Sprintf("%.0f%%", pt.Fraction*100),
+		fmt.Fprintf(w, "%-8s %12s %12s %10.1f\n", fmt.Sprintf("%.0f%%", pt.Fraction*100),
 			r.ReadP50, r.ReadP99, r.Throughput)
-		if len(base) > i {
-			b := base[i].Report
-			fmt.Fprintf(w, " | %12s %12s %10.1f", b.ReadP50, b.ReadP99, b.Throughput)
-		}
-		fmt.Fprintln(w)
 	}
 }
 
-// checkFlatReads is the CI smoke gate: the snapshot-mode point nearest
-// 30% updates must keep its aggregate read p99 within 2x of the sweep's
-// read-only (fraction 0) p99. Higher fractions stay informational —
+// checkFlatReads is the CI smoke gate: the point nearest 30% updates
+// must keep its aggregate read p99 within 2x of the sweep's read-only
+// (fraction 0) p99. Higher fractions stay informational —
 // on a small host the far tail is dominated by CPU time-sharing with
 // the update rewrites, which MVCC cannot (and does not claim to)
 // remove; the gate pins the lock-wait claim, not the scheduler.
-func checkFlatReads(snap []driver.FractionPoint) error {
+func checkFlatReads(pts []driver.FractionPoint) error {
 	var readOnly, gate *driver.FractionPoint
-	for i := range snap {
-		pt := &snap[i]
+	for i := range pts {
+		pt := &pts[i]
 		if pt.Fraction == 0 {
 			readOnly = pt
 		}

@@ -16,7 +16,8 @@ func TestExplainFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []Engine{NewNativeEngine(0), NewXcollectionEngine(0, 0), NewSQLServerEngine(0)} {
+	for _, name := range []string{"native", "xcollection", "sqlserver"} {
+		e := mustNew(t, name)
 		if _, err := LoadAndIndex(ctx, e, db); err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -39,12 +40,15 @@ func TestExplainFacade(t *testing.T) {
 	}
 }
 
-// TestExplainV1Fallback: legacy EngineV1 wrappers never implement
-// Explainer; Explain degrades to the ErrNoExplain sentinel instead of
-// failing opaquely.
+// fakeV1 is a foreign Engine that does not implement Explainer.
+type fakeV1 struct{ Engine }
+
+func (fakeV1) Name() string { return "v1" }
+
+// TestExplainV1Fallback: an Engine that does not implement Explainer
+// degrades to the ErrNoExplain sentinel instead of failing opaquely.
 func TestExplainV1Fallback(t *testing.T) {
-	e := AdaptV1(fakeV1{})
-	_, err := Explain(context.Background(), e, Q1, nil)
+	_, err := Explain(context.Background(), fakeV1{}, Q1, nil)
 	if !errors.Is(err, ErrNoExplain) {
 		t.Fatalf("err = %v, want ErrNoExplain", err)
 	}

@@ -14,7 +14,6 @@ import (
 
 	"xbench/internal/core"
 	"xbench/internal/engines/native"
-	"xbench/internal/engines/sqlserver"
 	"xbench/internal/engines/xcollection"
 	"xbench/internal/engines/xcolumn"
 	"xbench/internal/gen"
@@ -30,9 +29,9 @@ func NewEngine(name string) core.Engine {
 	case "Xcolumn":
 		return xcolumn.New(0)
 	case "Xcollection":
-		return xcollection.New(0, 0)
+		return xcollection.New(xcollection.DB2, 0, 0)
 	case "SQL Server":
-		return sqlserver.New(0)
+		return xcollection.New(xcollection.SQLServer, 0, 0)
 	case "X-Hive":
 		return native.New(0)
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -12,9 +13,7 @@ import (
 )
 
 // stubEngine lets the degrade tests inject failures at each stage of the
-// grid: Supports, Load, and Execute. It implements the legacy EngineV1
-// shape and is lifted with core.AdaptV1, which doubles as coverage for
-// the adapter.
+// grid: Supports, Load, and Execute. It declines updates.
 type stubEngine struct {
 	name       string
 	supportErr error
@@ -28,15 +27,19 @@ func (s *stubEngine) BuildIndexes([]core.IndexSpec) error  { return nil }
 func (s *stubEngine) ColdReset()                           {}
 func (s *stubEngine) PageIO() int64                        { return 0 }
 func (s *stubEngine) Close() error                         { return nil }
-func (s *stubEngine) Load(*core.Database) (core.LoadStats, error) {
+func (s *stubEngine) Load(context.Context, *core.Database) (core.LoadStats, error) {
 	return core.LoadStats{}, s.loadErr
 }
-func (s *stubEngine) Execute(core.QueryID, core.Params) (core.Result, error) {
-	if s.execErr != nil {
-		return core.Result{}, s.execErr
-	}
-	return core.Result{}, nil
+func (s *stubEngine) Execute(context.Context, core.QueryID, core.Params) (core.Result, error) {
+	return core.Result{}, s.execErr
 }
+func (s *stubEngine) InsertDocument(context.Context, string, []byte) error {
+	return core.ErrReadOnly
+}
+func (s *stubEngine) ReplaceDocument(context.Context, string, []byte) error {
+	return core.ErrReadOnly
+}
+func (s *stubEngine) DeleteDocument(context.Context, string) error { return core.ErrReadOnly }
 
 // TestGridDegradesGracefully: an engine that declines a class (wrapped
 // ErrUnsupported), one whose load fails fatally, and one whose queries
@@ -54,7 +57,7 @@ func TestGridDegradesGracefully(t *testing.T) {
 	cfg := gen.Config{DictEntries: 20, Articles: 4, Items: 10, Orders: 20}
 	r := NewRunner(cfg, []core.Size{core.Small}, &out)
 	r.EngineList = []string{"declines", "loadfail", "execfail", "healthy"}
-	r.NewEngineFn = func(name string) core.Engine { return core.AdaptV1(stubs[name]) }
+	r.NewEngineFn = func(name string) core.Engine { return stubs[name] }
 
 	if err := r.Table4(); err != nil {
 		t.Fatalf("Table4 aborted: %v", err)
@@ -124,7 +127,7 @@ func TestMeasureSurfacesLoadError(t *testing.T) {
 		[]core.Size{core.Small}, &out)
 	r.EngineList = []string{"loadfail"}
 	r.NewEngineFn = func(string) core.Engine {
-		return core.AdaptV1(&stubEngine{name: "loadfail", loadErr: errors.New("stub: no disk")})
+		return &stubEngine{name: "loadfail", loadErr: errors.New("stub: no disk")}
 	}
 	if _, err := r.Measure("loadfail", core.DCSD, core.Small, core.Q5); err == nil {
 		t.Fatal("Measure returned nil error for a failed load")

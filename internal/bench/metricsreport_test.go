@@ -162,7 +162,7 @@ func TestQueryCellErrorsSurface(t *testing.T) {
 	r := tinyRunner(&buf)
 	r.EngineList = []string{"stub"}
 	r.NewEngineFn = func(name string) core.Engine {
-		return core.AdaptV1(&stubEngine{name: name, execErr: errors.New("synthetic query failure")})
+		return &stubEngine{name: name, execErr: errors.New("synthetic query failure")}
 	}
 	if err := r.QueryTable(5); err != nil {
 		t.Fatal(err)

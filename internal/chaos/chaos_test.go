@@ -6,7 +6,6 @@ import (
 
 	"xbench/internal/core"
 	"xbench/internal/engines/native"
-	"xbench/internal/engines/sqlserver"
 	"xbench/internal/engines/xcollection"
 	"xbench/internal/engines/xcolumn"
 	"xbench/internal/gen"
@@ -18,8 +17,8 @@ func factories() map[string]func() core.Engine {
 	return map[string]func() core.Engine{
 		"X-Hive":      func() core.Engine { return native.New(64) },
 		"Xcolumn":     func() core.Engine { return xcolumn.New(64) },
-		"Xcollection": func() core.Engine { return xcollection.New(64, 0) },
-		"SQL Server":  func() core.Engine { return sqlserver.New(64) },
+		"Xcollection": func() core.Engine { return xcollection.New(xcollection.DB2, 64, 0) },
+		"SQL Server":  func() core.Engine { return xcollection.New(xcollection.SQLServer, 64, 0) },
 	}
 }
 

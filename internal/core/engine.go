@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 )
 
 // ErrUnsupported is returned by engines that cannot host a class/size
@@ -16,9 +15,9 @@ var ErrUnsupported = errors.New("core: class/size combination not supported by t
 // engine's class (each class instantiates only a subset of Q1..Q20).
 var ErrNoQuery = errors.New("core: query not defined for this class")
 
-// ErrReadOnly is returned by engines (or adapters) that cannot apply
-// document updates — notably legacy EngineV1 implementations wrapped
-// with AdaptV1, which predate the update workload.
+// ErrReadOnly is returned by engines that decline document updates (and
+// Load and BuildIndexes): a read replica serves queries only and is fed
+// through its primary's journal (server.Config.ReadOnly).
 var ErrReadOnly = errors.New("core: engine does not support document updates")
 
 // IsNotAnswered reports whether err means an engine legitimately declines
@@ -28,10 +27,10 @@ func IsNotAnswered(err error) bool {
 	return errors.Is(err, ErrNoQuery) || errors.Is(err, ErrUnsupported)
 }
 
-// Engine is a system under test. The four implementations model the four
-// storage strategies of the paper: native (X-Hive), xcolumn (DB2 XML
-// Extender XML column), xcollection (DB2 XML Extender XML collection), and
-// sqlserver (SQL Server 2000 + SQLXML bulk load).
+// Engine is a system under test. The implementations model the four
+// systems of the paper: native (X-Hive), xcolumn (DB2 XML Extender XML
+// column), and xcollection, the shredding engine, under its two policies
+// (DB2 XML Extender XML collection; SQL Server 2000 + SQLXML bulk load).
 //
 // Concurrency contract: Execute is safe to call from many goroutines
 // against a loaded database. Load, BuildIndexes and ColdReset are
@@ -92,65 +91,3 @@ type Engine interface {
 	// pool, WAL state). Double-Close is safe; operations after Close fail.
 	Close() error
 }
-
-// EngineV1 is the pre-context engine interface, kept so integrations
-// written against it keep compiling for one release. Wrap a V1
-// implementation with AdaptV1 to use it where an Engine is expected.
-//
-// Deprecated: implement Engine (context-aware Load/Execute) instead.
-type EngineV1 interface {
-	Name() string
-	Supports(c Class, s Size) error
-	Load(db *Database) (LoadStats, error)
-	BuildIndexes(specs []IndexSpec) error
-	Execute(q QueryID, p Params) (Result, error)
-	ColdReset()
-	PageIO() int64
-	Close() error
-}
-
-// AdaptV1 wraps a legacy EngineV1 into the context-aware Engine
-// interface. The context is checked on entry to Load and Execute but is
-// not observed while the wrapped call runs — V1 engines cannot be
-// canceled mid-operation.
-func AdaptV1(e EngineV1) Engine { return v1Engine{e} }
-
-type v1Engine struct{ v1 EngineV1 }
-
-func (a v1Engine) Name() string                         { return a.v1.Name() }
-func (a v1Engine) Supports(c Class, s Size) error       { return a.v1.Supports(c, s) }
-func (a v1Engine) BuildIndexes(specs []IndexSpec) error { return a.v1.BuildIndexes(specs) }
-func (a v1Engine) ColdReset()                           { a.v1.ColdReset() }
-func (a v1Engine) PageIO() int64                        { return a.v1.PageIO() }
-func (a v1Engine) Close() error                         { return a.v1.Close() }
-
-func (a v1Engine) Load(ctx context.Context, db *Database) (LoadStats, error) {
-	if err := ctx.Err(); err != nil {
-		return LoadStats{}, err
-	}
-	return a.v1.Load(db)
-}
-
-func (a v1Engine) Execute(ctx context.Context, q QueryID, p Params) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	return a.v1.Execute(q, p)
-}
-
-// V1 engines predate the update workload; the adapter declines U1-U3.
-
-func (a v1Engine) InsertDocument(context.Context, string, []byte) error {
-	return fmt.Errorf("core: %s is a v1 engine: %w", a.v1.Name(), ErrReadOnly)
-}
-
-func (a v1Engine) ReplaceDocument(context.Context, string, []byte) error {
-	return fmt.Errorf("core: %s is a v1 engine: %w", a.v1.Name(), ErrReadOnly)
-}
-
-func (a v1Engine) DeleteDocument(context.Context, string) error {
-	return fmt.Errorf("core: %s is a v1 engine: %w", a.v1.Name(), ErrReadOnly)
-}
-
-// V1 returns the wrapped legacy engine.
-func (a v1Engine) V1() EngineV1 { return a.v1 }

@@ -68,9 +68,9 @@ func (n *PlanNode) format(b *strings.Builder, depth int) {
 // String implements fmt.Stringer.
 func (n *PlanNode) String() string { return strings.TrimRight(n.Format(), "\n") }
 
-// ErrNoExplain reports that an engine cannot produce a plan — legacy
-// EngineV1 wrappers, and servers predating the OpExplain opcode. Match
-// with errors.Is.
+// ErrNoExplain reports that an engine cannot produce a plan — an Engine
+// that does not implement Explainer, or a server predating the OpExplain
+// opcode. Match with errors.Is.
 var ErrNoExplain = errors.New("engine does not support explain")
 
 // Explainer is the optional extension to Engine: engines that plan
@@ -82,9 +82,8 @@ type Explainer interface {
 }
 
 // Explain returns e's plan for (q, p) if the engine supports planning,
-// and a wrapped ErrNoExplain otherwise. This is the graceful-degrade
-// path for AdaptV1 wrappers: they never implement Explainer, so legacy
-// engines answer with a typed error instead of panicking.
+// and a wrapped ErrNoExplain otherwise, so an engine that cannot explain
+// answers with a typed error instead of panicking.
 func Explain(ctx context.Context, e Engine, q QueryID, p Params) (*PlanNode, error) {
 	if ex, ok := e.(Explainer); ok {
 		return ex.Explain(ctx, q, p)

@@ -22,9 +22,8 @@ func (e explainEngine) Explain(context.Context, QueryID, Params) (*PlanNode, err
 	return e.node, nil
 }
 
-// TestExplainFallback: engines without Explainer — the EngineV1 adapter
-// path — degrade to an error wrapping ErrNoExplain, not a panic or a
-// bare failure.
+// TestExplainFallback: engines without Explainer degrade to an error
+// wrapping ErrNoExplain, not a panic or a bare failure.
 func TestExplainFallback(t *testing.T) {
 	_, err := Explain(context.Background(), planOnlyEngine{}, Q1, nil)
 	if !errors.Is(err, ErrNoExplain) {

@@ -1,0 +1,247 @@
+package engbase_test
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"testing"
+
+	"xbench/internal/core"
+	"xbench/internal/engines/native"
+	"xbench/internal/engines/xcollection"
+	"xbench/internal/engines/xcolumn"
+	"xbench/internal/gen"
+	"xbench/internal/pager"
+	"xbench/internal/workload"
+)
+
+// engine is what every engine built on engbase.Base offers.
+type engine interface {
+	core.Engine
+	core.Explainer
+	Pager() *pager.Pager
+	JournalRecords() (int, error)
+}
+
+var engines = []struct {
+	name string
+	mk   func() engine
+}{
+	{"X-Hive", func() engine { return native.New(64) }},
+	{"Xcolumn", func() engine { return xcolumn.New(64) }},
+	{"Xcollection", func() engine { return xcollection.New(xcollection.DB2, 64, 0) }},
+	{"SQL Server", func() engine { return xcollection.New(xcollection.SQLServer, 64, 0) }},
+}
+
+func tinyDB(t *testing.T) *core.Database {
+	t.Helper()
+	db, err := gen.Config{Orders: 20}.Generate(core.DCMD, core.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// broken is db with a malformed document in the middle.
+func broken(db *core.Database) *core.Database {
+	b := *db
+	b.Docs = append([]core.Doc(nil), db.Docs...)
+	b.Docs[len(b.Docs)/2] = core.Doc{Name: "bad.xml", Data: []byte("<open>no close")}
+	return &b
+}
+
+// footprint is what a refused operation must leave alone.
+type footprint struct {
+	journal int
+	writes  int64
+}
+
+func footprintOf(t *testing.T, e engine) footprint {
+	t.Helper()
+	n, err := e.JournalRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return footprint{journal: n, writes: e.Pager().Stats().Writes}
+}
+
+// wantEmpty fails unless every file of e's pager is empty.
+func wantEmpty(t *testing.T, e engine) {
+	t.Helper()
+	p := e.Pager()
+	for fid := pager.FileID(0); p.FileName(fid) != ""; fid++ {
+		if n := p.NumPages(fid); n != 0 {
+			t.Errorf("file %q still holds %d pages", p.FileName(fid), n)
+		}
+	}
+}
+
+// TestEngineContract is the lifecycle every engine gets from
+// engbase.Base, checked on each of them: the not-loaded rule, load
+// atomicity, refused updates that leave no trace, one journal record per
+// applied update, idempotent Close, snapshot reads by default.
+func TestEngineContract(t *testing.T) {
+	ctx := context.Background()
+	db := tinyDB(t)
+	_, unit := workload.UpdateDoc(core.DCMD, 1, 0)
+	for _, tc := range engines {
+		t.Run(tc.name, func(t *testing.T) {
+			// Nothing runs against, and nothing is written to, a store that
+			// is not loaded — whichever way it came to be so.
+			for _, state := range []struct {
+				name string
+				make func(t *testing.T) engine
+			}{
+				{"never loaded", func(*testing.T) engine { return tc.mk() }},
+				{"after a failed Load", func(t *testing.T) engine {
+					e := tc.mk()
+					if _, err := e.Load(ctx, broken(db)); err == nil {
+						t.Fatal("load of a malformed database succeeded")
+					}
+					return e
+				}},
+				{"after Close", func(t *testing.T) engine {
+					e := tc.mk()
+					if _, err := e.Load(ctx, db); err != nil {
+						t.Fatal(err)
+					}
+					if err := e.Close(); err != nil {
+						t.Fatal(err)
+					}
+					return e
+				}},
+			} {
+				t.Run(state.name, func(t *testing.T) {
+					e := state.make(t)
+					defer e.Close()
+					before := footprintOf(t, e)
+					for _, op := range []struct {
+						name string
+						run  func() error
+					}{
+						{"Execute", func() error { _, err := e.Execute(ctx, core.Q1, core.Params{"X": "O1"}); return err }},
+						{"Explain", func() error { _, err := e.Explain(ctx, core.Q1, nil); return err }},
+						{"BuildIndexes", func() error { return e.BuildIndexes(workload.Indexes(core.DCMD)) }},
+						{"insert", func() error { return e.InsertDocument(ctx, "new.xml", unit) }},
+						{"replace", func() error { return e.ReplaceDocument(ctx, "new.xml", unit) }},
+						{"delete", func() error { return e.DeleteDocument(ctx, "new.xml") }},
+					} {
+						err := op.run()
+						if err == nil {
+							t.Errorf("%s succeeded", op.name)
+						} else if msg := err.Error(); !strings.Contains(msg, tc.name) || !strings.Contains(msg, op.name) {
+							t.Errorf("%s: error %q does not name the engine and the operation", op.name, msg)
+						}
+					}
+					if after := footprintOf(t, e); after != before {
+						t.Errorf("refused operations left a trace: %+v -> %+v", before, after)
+					}
+				})
+			}
+
+			t.Run("failed Load leaves an empty, loadable engine", func(t *testing.T) {
+				e := tc.mk()
+				defer e.Close()
+				if _, err := e.Load(ctx, broken(db)); err == nil {
+					t.Fatal("load of a malformed database succeeded")
+				}
+				wantEmpty(t, e)
+				st, err := e.Load(ctx, db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Documents != len(db.Docs) {
+					t.Fatalf("reload stored %d/%d documents", st.Documents, len(db.Docs))
+				}
+				if res, err := e.Execute(ctx, core.Q1, core.Params{"X": "O1"}); err != nil || len(res.Items) != 1 {
+					t.Fatalf("Q1 after the reload = %v, %v", res.Items, err)
+				}
+			})
+
+			t.Run("updates", func(t *testing.T) {
+				e := tc.mk()
+				defer e.Close()
+				if _, err := e.Load(ctx, db); err != nil {
+					t.Fatal(err)
+				}
+				// Refused before the journal: U1 of a stored name, U3 of a
+				// missing one.
+				before := footprintOf(t, e)
+				if err := e.InsertDocument(ctx, "order1.xml", unit); err == nil || !strings.Contains(err.Error(), "already exists") {
+					t.Errorf("U1 of an existing name: %v", err)
+				}
+				if err := e.DeleteDocument(ctx, "no-such.xml"); err == nil || !strings.Contains(err.Error(), "not found") {
+					t.Errorf("U3 of a missing name: %v", err)
+				}
+				if after := footprintOf(t, e); after != before {
+					t.Errorf("refused updates left a trace: %+v -> %+v", before, after)
+				}
+				// Applied: one journal record each.
+				for i, apply := range []func() error{
+					func() error { return e.InsertDocument(ctx, "new.xml", unit) },
+					func() error { return e.ReplaceDocument(ctx, "new.xml", unit) },
+					func() error { return e.DeleteDocument(ctx, "new.xml") },
+				} {
+					if err := apply(); err != nil {
+						t.Fatalf("U%d: %v", i+1, err)
+					}
+					if n, _ := e.JournalRecords(); n != before.journal+i+1 {
+						t.Fatalf("journal holds %d records after U%d, want %d", n, i+1, before.journal+i+1)
+					}
+				}
+			})
+
+			t.Run("double Close", func(t *testing.T) {
+				e := tc.mk()
+				if _, err := e.Load(ctx, db); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 2; i++ {
+					if err := e.Close(); err != nil {
+						t.Fatalf("Close #%d: %v", i+1, err)
+					}
+				}
+			})
+
+			t.Run("reads pin snapshots by default", func(t *testing.T) {
+				e := tc.mk()
+				defer e.Close()
+				if _, err := e.Load(ctx, db); err != nil {
+					t.Fatal(err)
+				}
+				pins := e.Pager().Metrics().Counter("pager.snap.pin")
+				start := pins.Value()
+				if _, err := e.Execute(ctx, core.Q1, core.Params{"X": "O1"}); err != nil {
+					t.Fatal(err)
+				}
+				if pins.Value() == start {
+					t.Error("Execute on a fresh engine pinned no snapshot")
+				}
+				if n := e.Pager().PinnedSnapshots(); n != 0 {
+					t.Errorf("%d snapshots left pinned", n)
+				}
+			})
+		})
+	}
+
+	// Xcollection's decomposition row limit fires after the offending
+	// document's rows were already inserted; the abort must truncate them
+	// and leave the engine loadable.
+	t.Run("Xcollection/row-limit abort truncates", func(t *testing.T) {
+		e := xcollection.New(xcollection.DB2, 64, 1) // every generated document decomposes into >1 row
+		defer e.Close()
+		if _, err := e.Load(ctx, db); !errors.Is(err, core.ErrUnsupported) {
+			t.Fatalf("load under a 1-row limit: %v", err)
+		}
+		wantEmpty(t, e)
+		fits := &core.Database{Class: core.DCMD, Size: core.Small, Docs: []core.Doc{
+			{Name: "order1.xml", Data: []byte(`<order id="O1"><total>1.00</total><cc_xacts/><order_lines/></order>`)},
+		}}
+		if _, err := e.Load(ctx, fits); err != nil {
+			t.Fatalf("load of a one-row document after the abort: %v", err)
+		}
+		if res, err := e.Execute(ctx, core.Q1, core.Params{"X": "O1"}); err != nil || len(res.Items) != 1 {
+			t.Fatalf("Q1 after the reload = %v, %v", res.Items, err)
+		}
+	})
+}

@@ -40,12 +40,11 @@ import (
 
 	"xbench/internal/btree"
 	"xbench/internal/core"
-	"xbench/internal/engines/engsnap"
+	"xbench/internal/engines/engbase"
 	"xbench/internal/metrics"
 	"xbench/internal/pager"
 	"xbench/internal/plan"
 	"xbench/internal/queries"
-	"xbench/internal/updatelog"
 	"xbench/internal/xmldom"
 	"xbench/internal/xquery"
 )
@@ -77,12 +76,17 @@ type Options struct {
 
 const defaultSegmentThreshold = 32
 
-// Engine is a native XML database instance. Execute is safe from many
-// goroutines against a loaded database; Load, BuildIndexes, document
-// updates and ColdReset take the write lock, excluding (and quiescing)
-// queries.
+// Engine is a native XML database instance: the shared engine lifecycle
+// (engbase.Base: load, snapshot reads, journaled updates, close) over
+// the native store.
 type Engine struct {
-	mu      sync.RWMutex
+	*engbase.Base[*view]
+	s *store
+}
+
+// store is the native layout and query path; it implements
+// engbase.Store, which states the locking each method runs under.
+type store struct {
 	p       *pager.Pager
 	class   core.Class
 	opts    Options
@@ -90,17 +94,14 @@ type Engine struct {
 	catalog *pager.Heap // catalog records in load order
 	// names maps a document name to the RID of its catalog record, so an
 	// update reaches its document without walking the catalog. Volatile,
-	// like xcolumn's names and the shredders' docIDs: Load fills it and
-	// updates (replayed ones included) maintain it.
+	// like xcolumn's names and the shredding engine's docIDs: a load
+	// fills it and updates (replayed ones included) maintain it.
 	names   map[string]pager.RID
 	indexes map[string]*btree.Tree
-	journal *updatelog.Log    // logical redo journal for U1-U3
-	snap    engsnap.Published // MVCC snapshot state for lock-free reads
-	planFB  plan.Feedback     // observed range selectivities for the cost model
+	planFB  plan.Feedback // observed range selectivities for the cost model
 	// compiled memoizes xquery.Parse per catalog query
 	// (*queries.Def -> *xquery.Query): at most 20 queries x 4 classes.
 	compiled sync.Map
-	loaded   bool
 }
 
 // heapReader is the read surface shared by the live *pager.Heap and a
@@ -122,49 +123,31 @@ type view struct {
 	indexes map[string]btree.Reader
 }
 
-// liveView wraps the live store. Caller holds at least the read latch.
-func (e *Engine) liveView() *view {
-	ixs := make(map[string]btree.Reader, len(e.indexes))
-	for t, ix := range e.indexes {
+// Live implements engbase.Store: the live heaps and trees.
+func (s *store) Live() *view {
+	ixs := make(map[string]btree.Reader, len(s.indexes))
+	for t, ix := range s.indexes {
 		ixs[t] = ix
 	}
-	return &view{class: e.class, docs: e.docs, catalog: e.catalog, indexes: ixs}
+	return &view{class: s.class, docs: s.docs, catalog: s.catalog, indexes: ixs}
 }
 
-// publishLocked freezes the store at epoch and publishes it for
-// snapshot readers. The caller holds the write lock and has synced the
-// heaps, so the views freeze without flushing anything.
-func (e *Engine) publishLocked(epoch uint64) error {
-	if !e.loaded {
-		e.snap.Publish(epoch, nil)
-		return nil
-	}
-	docs, err := e.docs.View(epoch)
+// Freeze implements engbase.Store: heap and index views at epoch.
+func (s *store) Freeze(epoch uint64) (*view, error) {
+	docs, err := s.docs.View(epoch)
 	if err != nil {
-		e.snap.Publish(epoch, nil)
-		return err
+		return nil, err
 	}
-	catalog, err := e.catalog.View(epoch)
+	catalog, err := s.catalog.View(epoch)
 	if err != nil {
-		e.snap.Publish(epoch, nil)
-		return err
+		return nil, err
 	}
-	ixs := make(map[string]btree.Reader, len(e.indexes))
-	for t, ix := range e.indexes {
+	ixs := make(map[string]btree.Reader, len(s.indexes))
+	for t, ix := range s.indexes {
 		ixs[t] = ix.ViewAt(epoch)
 	}
-	e.snap.Publish(epoch, &view{class: e.class, docs: docs, catalog: catalog, indexes: ixs})
-	return nil
+	return &view{class: s.class, docs: docs, catalog: catalog, indexes: ixs}, nil
 }
-
-// SetSnapshots toggles MVCC snapshot reads (default on). Disabled,
-// Execute falls back to the engine read latch and quiesces behind
-// writers — the pre-MVCC baseline the update-fraction sweep compares
-// against.
-func (e *Engine) SetSnapshots(on bool) { e.snap.SetEnabled(on) }
-
-// SnapshotsEnabled reports whether snapshot reads are on.
-func (e *Engine) SnapshotsEnabled() bool { return e.snap.Enabled() }
 
 // New returns an empty native engine with the given buffer pool size in
 // pages (<= 0 selects the default), storing persistent DOM pages at
@@ -188,28 +171,24 @@ func NewWithOptions(poolPages int, opts Options) (*Engine, error) {
 	if opts.SegmentThreshold <= 0 {
 		opts.SegmentThreshold = defaultSegmentThreshold
 	}
-	p := pager.New(poolPages)
-	p.SetMetrics(metrics.NewRegistry())
-	e := &Engine{
+	p := engbase.NewPager(poolPages)
+	s := &store{
 		p:       p,
 		opts:    opts,
 		docs:    pager.NewHeap(p, "documents"),
 		catalog: pager.NewHeap(p, "catalog"),
 		names:   map[string]pager.RID{},
 		indexes: map[string]*btree.Tree{},
-		journal: updatelog.New(p, "updates"),
 	}
-	e.snap.SetEnabled(true)
-	p.StartGC(engsnap.GCInterval)
-	return e, nil
+	return &Engine{Base: engbase.New[*view](p, s), s: s}, nil
 }
 
 // Name implements core.Engine.
-func (e *Engine) Name() string { return "X-Hive" }
+func (s *store) Name() string { return "X-Hive" }
 
 // Supports implements core.Engine: a native XML store hosts every class
 // and size.
-func (e *Engine) Supports(core.Class, core.Size) error { return nil }
+func (s *store) Supports(core.Class, core.Size) error { return nil }
 
 // docEntry is one catalog record: a document name plus the record(s)
 // holding its content. Unsegmented documents have exactly one rid;
@@ -272,72 +251,21 @@ func decodeCatalogEntry(rec []byte) (docEntry, error) {
 	return en, nil
 }
 
-// Pager exposes the engine's pager for fault injection and recovery.
-func (e *Engine) Pager() *pager.Pager { return e.p }
-
-// Metrics returns the engine's metrics registry, shared by its pager,
-// B+tree indexes and query path.
-func (e *Engine) Metrics() *metrics.Registry { return e.p.Metrics() }
-
-// reset empties the store so Load is idempotent: a repeated or resumed
-// load never sees leftovers from an earlier attempt. The published
-// snapshot is withdrawn first so readers fall back to the locked path
-// rather than chase views into truncated files.
-func (e *Engine) reset() error {
-	e.snap.Publish(e.p.SnapshotEpoch(), nil)
-	e.indexes = map[string]*btree.Tree{}
-	e.names = map[string]pager.RID{}
-	e.loaded = false
-	if err := e.docs.Reset(); err != nil {
+// Reset implements engbase.Store.
+func (s *store) Reset() error {
+	s.indexes = map[string]*btree.Tree{}
+	s.names = map[string]pager.RID{}
+	if err := s.docs.Reset(); err != nil {
 		return err
 	}
-	if err := e.journal.Reset(); err != nil {
-		return err
-	}
-	return e.catalog.Reset()
+	return s.catalog.Reset()
 }
 
-// abortLoad handles a mid-load failure: after a crash the machine is down
-// and cleanup is impossible (pager recovery is the only path forward);
-// any other failure truncates the store so the database stays empty and
-// loadable.
-func (e *Engine) abortLoad(err error) error {
-	if pager.IsCrash(err) {
-		return err
-	}
-	_ = e.reset() // best-effort; the original error wins
-	return err
-}
-
-// Load implements core.Engine: parse (well-formedness check, as the paper
-// does with validation off) and persist each document. A failed load
-// leaves an empty, loadable database (see abortLoad).
-// Load drains pinned snapshots before truncating: a reader holding a
-// pre-load snapshot would otherwise race the wholesale truncate, whose
-// pre-images are deliberately not versioned.
-func (e *Engine) Load(ctx context.Context, db *core.Database) (core.LoadStats, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.p.BlockPins()
-	defer e.p.UnblockPins()
-	if err := e.reset(); err != nil {
-		return core.LoadStats{}, err
-	}
-	st, err := e.loadDocs(ctx, db)
-	if err != nil {
-		return st, e.abortLoad(err)
-	}
-	e.loaded = true
-	if err := e.publishLocked(e.p.AdvanceEpoch()); err != nil {
-		return st, e.abortLoad(err)
-	}
-	return st, nil
-}
-
-func (e *Engine) loadDocs(ctx context.Context, db *core.Database) (core.LoadStats, error) {
+// LoadDocs implements engbase.Store: parse (well-formedness check, as
+// the paper does with validation off) and persist each document.
+func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats, error) {
 	var st core.LoadStats
-	e.class = db.Class
-	start := e.p.Stats()
+	s.class = db.Class
 	for _, d := range db.Docs {
 		if err := ctx.Err(); err != nil {
 			return st, err
@@ -347,27 +275,23 @@ func (e *Engine) loadDocs(ctx context.Context, db *core.Database) (core.LoadStat
 			return st, fmt.Errorf("native: %s: %w", d.Name, err)
 		}
 		st.Nodes += doc.CountNodes()
-		if _, _, err := e.storeDocument(d.Name, doc, d.Data); err != nil {
+		if _, _, err := s.storeDocument(d.Name, doc, d.Data); err != nil {
 			return st, err
 		}
 		// Each document arrives as a separate file and is persisted
 		// (synced) individually; the per-document I/O is what makes DC/MD
 		// (very many files) the slowest class to load for every system in
 		// Table 4.
-		if err := e.docs.Sync(); err != nil {
+		if err := s.docs.Sync(); err != nil {
 			return st, err
 		}
 		st.Documents++
 		st.Bytes += len(d.Data)
 	}
-	if err := e.docs.Sync(); err != nil {
+	if err := s.docs.Sync(); err != nil {
 		return st, err
 	}
-	if err := e.catalog.Sync(); err != nil {
-		return st, err
-	}
-	st.PageIO = e.p.Stats().IO() - start.IO()
-	return st, nil
+	return st, s.catalog.Sync()
 }
 
 // storeDocument writes one document according to the storage options and
@@ -375,16 +299,16 @@ func (e *Engine) loadDocs(ctx context.Context, db *core.Database) (core.LoadStat
 // entry it wrote: record i of the entry holds the whole document, or the
 // header and then each top-level subtree, which is what the value indexes
 // are keyed on.
-func (e *Engine) storeDocument(name string, doc *xmldom.Node, raw []byte) (pager.RID, docEntry, error) {
+func (s *store) storeDocument(name string, doc *xmldom.Node, raw []byte) (pager.RID, docEntry, error) {
 	en := docEntry{name: name}
 	root := doc.Root()
-	if e.opts.Segmented && root != nil && len(root.Elements()) >= e.opts.SegmentThreshold {
+	if s.opts.Segmented && root != nil && len(root.Elements()) >= s.opts.SegmentThreshold {
 		// Header: the root element stripped of children.
 		header := &xmldom.Node{Kind: xmldom.ElementKind, Name: root.Name}
 		header.Attrs = append([]xmldom.Attr(nil), root.Attrs...)
 		en.segmented = true
 		for _, part := range append([]*xmldom.Node{header}, root.Children...) {
-			rid, err := e.docs.Insert(xmldom.EncodeBinary(part))
+			rid, err := s.docs.Insert(xmldom.EncodeBinary(part))
 			if err != nil {
 				return 0, en, err
 			}
@@ -392,20 +316,20 @@ func (e *Engine) storeDocument(name string, doc *xmldom.Node, raw []byte) (pager
 		}
 	} else {
 		data := raw
-		if e.opts.Format == FormatDOM {
+		if s.opts.Format == FormatDOM {
 			data = xmldom.EncodeBinary(doc)
 		}
-		rid, err := e.docs.Insert(data)
+		rid, err := s.docs.Insert(data)
 		if err != nil {
 			return 0, en, err
 		}
 		en.rids = []pager.RID{rid}
 	}
-	cat, err := e.catalog.Insert(encodeCatalogEntry(en))
+	cat, err := s.catalog.Insert(encodeCatalogEntry(en))
 	if err != nil {
 		return 0, en, err
 	}
-	e.names[name] = cat
+	s.names[name] = cat
 	return cat, en, nil
 }
 
@@ -413,12 +337,12 @@ func (e *Engine) storeDocument(name string, doc *xmldom.Node, raw []byte) (pager
 // or a frozen view of it) and opens it for the cursor. A persistent-DOM
 // record is walked where Get put it; raw XML (the storage-format
 // ablation) is parsed and re-encoded first.
-func (e *Engine) openRecord(ctx context.Context, docs heapReader, rid pager.RID) (*xmldom.Record, error) {
+func (s *store) openRecord(ctx context.Context, docs heapReader, rid pager.RID) (*xmldom.Record, error) {
 	data, err := docs.Get(ctx, rid)
 	if err != nil {
 		return nil, err
 	}
-	if e.opts.Format == FormatDOM {
+	if s.opts.Format == FormatDOM {
 		return xmldom.OpenRecord(data)
 	}
 	doc, err := xmldom.Parse(data)
@@ -434,9 +358,9 @@ func (e *Engine) openRecord(ctx context.Context, docs heapReader, rid pager.RID)
 // value — which is what the index locators guarantee. An unsegmented
 // document is its one record; a segmented one is put together as a tree
 // from its header and segments and encoded again.
-func (e *Engine) openDoc(ctx context.Context, docs heapReader, en docEntry, segs []int) (*xmldom.Record, error) {
+func (s *store) openDoc(ctx context.Context, docs heapReader, en docEntry, segs []int) (*xmldom.Record, error) {
 	if !en.segmented {
-		rec, err := e.openRecord(ctx, docs, en.rids[0])
+		rec, err := s.openRecord(ctx, docs, en.rids[0])
 		if err != nil {
 			return nil, err
 		}
@@ -471,8 +395,8 @@ func (e *Engine) openDoc(ctx context.Context, docs heapReader, en docEntry, segs
 	}
 	doc := xmldom.NewDocument()
 	root := doc.Append(header)
-	for _, s := range segs {
-		child, err := tree(en.rids[s])
+	for _, seg := range segs {
+		child, err := tree(en.rids[seg])
 		if err != nil {
 			return nil, err
 		}
@@ -527,10 +451,10 @@ func indexEntries(target string, cat pager.RID, parts []*xmldom.Record, fn func(
 }
 
 // loadParts opens the stored records of one catalog entry.
-func (e *Engine) loadParts(ctx context.Context, docs heapReader, en docEntry) ([]*xmldom.Record, error) {
+func (s *store) loadParts(ctx context.Context, docs heapReader, en docEntry) ([]*xmldom.Record, error) {
 	parts := make([]*xmldom.Record, len(en.rids))
 	for i, rid := range en.rids {
-		part, err := e.openRecord(ctx, docs, rid)
+		part, err := s.openRecord(ctx, docs, rid)
 		if err != nil {
 			return nil, err
 		}
@@ -539,28 +463,25 @@ func (e *Engine) loadParts(ctx context.Context, docs heapReader, en docEntry) ([
 	return parts, nil
 }
 
-// BuildIndexes implements core.Engine: value indexes mapping the target
-// element/attribute value to a (document, segment) locator.
-func (e *Engine) BuildIndexes(specs []core.IndexSpec) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// BuildIndexes implements engbase.Store: value indexes mapping the
+// target element/attribute value to a (document, segment) locator.
+func (s *store) BuildIndexes(specs []core.IndexSpec) error {
 	ctx := context.Background()
-	v := e.liveView()
-	e.p.BeginMutation()
+	v := s.Live()
 	for _, spec := range specs {
-		if _, dup := e.indexes[spec.Target]; dup {
+		if _, dup := s.indexes[spec.Target]; dup {
 			continue
 		}
-		ix, err := btree.New(e.p, "idx:"+spec.Target)
+		ix, err := btree.New(s.p, "idx:"+spec.Target)
 		if err != nil {
 			return err
 		}
-		err = e.scanCatalog(ctx, v, func(cat pager.RID, _, rec []byte) (bool, error) {
+		err = s.scanCatalog(ctx, v, func(cat pager.RID, _, rec []byte) (bool, error) {
 			en, err := decodeCatalogEntry(rec)
 			if err != nil {
 				return false, err
 			}
-			parts, err := e.loadParts(ctx, v.docs, en)
+			parts, err := s.loadParts(ctx, v.docs, en)
 			if err != nil {
 				return false, err
 			}
@@ -573,19 +494,16 @@ func (e *Engine) BuildIndexes(specs []core.IndexSpec) error {
 		if err := ix.Sync(); err != nil {
 			return err
 		}
-		e.indexes[spec.Target] = ix
+		s.indexes[spec.Target] = ix
 	}
-	if err := e.p.SyncAll(); err != nil {
-		return err
-	}
-	return e.publishLocked(e.p.EndMutation())
+	return nil
 }
 
 // scanCatalog walks v's on-disk catalog in address order (load order
 // until an update reuses a deleted entry's space), handing fn each
 // record with the document name found in it. Nothing is decoded: fn
 // compares the name in place and decodes the entries it selects.
-func (e *Engine) scanCatalog(ctx context.Context, v *view, fn func(cat pager.RID, name, rec []byte) (bool, error)) error {
+func (s *store) scanCatalog(ctx context.Context, v *view, fn func(cat pager.RID, name, rec []byte) (bool, error)) error {
 	var inner error
 	err := v.catalog.Scan(ctx, func(cat pager.RID, rec []byte) bool {
 		_, _, name, err := splitCatalogEntry(rec)
@@ -606,45 +524,28 @@ func (e *Engine) scanCatalog(ctx context.Context, v *view, fn func(cat pager.RID
 	return err
 }
 
-// Execute implements core.Engine: evaluate the class's XQuery
+// Run implements engbase.Store: evaluate the class's XQuery
 // instantiation, using a value index to restrict the document set handed
-// to the evaluator when the query has a usable hint. It is safe to call
-// from many goroutines; cancellation via ctx is honored at page-fetch
-// granularity while documents are fetched.
-// With snapshots on (the default), a query pins a commit epoch and runs
-// against frozen heap and index views without touching the engine write
-// lock, so U1-U3 updates never stall it.
-func (e *Engine) Execute(ctx context.Context, q core.QueryID, p core.Params) (core.Result, error) {
-	if snap, val, ok := e.snap.Pin(e.p); ok {
-		defer snap.Release()
-		return e.run(ctx, val.(*view), q, p)
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.run(ctx, e.liveView(), q, p)
-}
-
-// run executes q against v, which is either the live store (caller
-// holds the read latch) or a pinned snapshot view (lock-free).
-func (e *Engine) run(ctx context.Context, v *view, q core.QueryID, p core.Params) (core.Result, error) {
+// to the evaluator when the query has a usable hint. Cancellation via
+// ctx is honored at page-fetch granularity while documents are fetched.
+func (s *store) Run(ctx context.Context, v *view, q core.QueryID, p core.Params) (core.Result, error) {
 	def := queries.Lookup(v.class, q)
 	if def == nil {
 		return core.Result{}, core.ErrNoQuery
 	}
-	reg := e.Metrics()
-	before := e.p.Stats()
+	reg := s.p.Metrics()
 	planSpan := reg.StartSpan(metrics.PhasePlan)
-	ph, err := plan.Plan(def, e.statValues(v))
+	ph, err := plan.Plan(def, s.statValues(v))
 	planSpan.End()
 	if err != nil {
 		return core.Result{}, err
 	}
-	coll, err := e.buildCollection(ctx, v, ph, p)
+	coll, err := s.buildCollection(ctx, v, ph, p)
 	if err != nil {
 		return core.Result{}, err
 	}
 	parseSpan := reg.StartSpan(metrics.PhaseParse)
-	compiled, err := e.compile(def)
+	compiled, err := s.compile(def)
 	parseSpan.End()
 	if err != nil {
 		return core.Result{}, fmt.Errorf("native: %s/%s: %w", v.class, q, err)
@@ -664,30 +565,26 @@ func (e *Engine) run(ctx context.Context, v *view, q core.QueryID, p core.Params
 	matSpan := reg.StartSpan(metrics.PhaseMaterialize)
 	items := xquery.SerializeSeq(seq)
 	matSpan.End()
-	return core.Result{
-		Items:           items,
-		OrderGuaranteed: true,
-		PageIO:          e.p.Stats().IO() - before.IO(),
-	}, nil
+	return core.Result{Items: items, OrderGuaranteed: true}, nil
 }
 
 // compile returns def's query compiled, parsing it on first use.
-func (e *Engine) compile(def *queries.Def) (*xquery.Query, error) {
-	if c, ok := e.compiled.Load(def); ok {
+func (s *store) compile(def *queries.Def) (*xquery.Query, error) {
+	if c, ok := s.compiled.Load(def); ok {
 		return c.(*xquery.Query), nil
 	}
 	c, err := xquery.Parse(def.XQuery)
 	if err != nil {
 		return nil, err
 	}
-	e.compiled.Store(def, c)
+	s.compiled.Store(def, c)
 	return c, nil
 }
 
 // statValues derives planner statistics from v: document heap pages,
 // catalog entry count, the heights of the value indexes, and the range
 // selectivities execution has observed so far.
-func (e *Engine) statValues(v *view) plan.StatValues {
+func (s *store) statValues(v *view) plan.StatValues {
 	st := plan.StatValues{
 		DataPages: v.docs.Pages(),
 		DataRows:  int64(v.catalog.Count()),
@@ -696,20 +593,17 @@ func (e *Engine) statValues(v *view) plan.StatValues {
 	for target, ix := range v.indexes {
 		st.Indexes[target] = ix.Height()
 	}
-	st.RangeSelectivity = e.planFB.Selectivity()
+	st.RangeSelectivity = s.planFB.Selectivity()
 	return st
 }
 
-// Explain implements core.Explainer: the costed physical plan Execute
-// would run, over the store's live statistics.
-func (e *Engine) Explain(_ context.Context, q core.QueryID, _ core.Params) (*core.PlanNode, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	def := queries.Lookup(e.class, q)
+// Explain implements engbase.Store.
+func (s *store) Explain(q core.QueryID) (*core.PlanNode, error) {
+	def := queries.Lookup(s.class, q)
 	if def == nil {
 		return nil, core.ErrNoQuery
 	}
-	ph, err := plan.Plan(def, e.statValues(e.liveView()))
+	ph, err := plan.Plan(def, s.statValues(s.Live()))
 	if err != nil {
 		return nil, err
 	}
@@ -724,8 +618,8 @@ var _ core.Explainer = (*Engine)(nil)
 // catalog is always read from disk (cold-run cost proportional to
 // document count); an entry is decoded, and its records fetched, only
 // for a selected document.
-func (e *Engine) buildCollection(ctx context.Context, v *view, ph *plan.Physical, p core.Params) (*xquery.Collection, error) {
-	reg := e.Metrics()
+func (s *store) buildCollection(ctx context.Context, v *view, ph *plan.Physical, p core.Params) (*xquery.Collection, error) {
+	reg := s.p.Metrics()
 	coll := xquery.NewCollection()
 	addDoc := func(rec []byte, segs []int) error {
 		sp := reg.StartSpan(metrics.PhaseMaterialize)
@@ -734,7 +628,7 @@ func (e *Engine) buildCollection(ctx context.Context, v *view, ph *plan.Physical
 		if err != nil {
 			return err
 		}
-		doc, err := e.openDoc(ctx, v.docs, en, segs)
+		doc, err := s.openDoc(ctx, v.docs, en, segs)
 		if err != nil {
 			return err
 		}
@@ -747,7 +641,7 @@ func (e *Engine) buildCollection(ctx context.Context, v *view, ph *plan.Physical
 	if docName := p.Get("DOC"); docName != "" && ph.Access == plan.AccessDoc {
 		found := false
 		scanSpan := reg.StartSpan(metrics.PhaseScan)
-		err := e.scanCatalog(ctx, v, func(_ pager.RID, name, rec []byte) (bool, error) {
+		err := s.scanCatalog(ctx, v, func(_ pager.RID, name, rec []byte) (bool, error) {
 			if string(name) == docName {
 				found = true
 				return false, addDoc(rec, nil)
@@ -801,14 +695,14 @@ func (e *Engine) buildCollection(ctx context.Context, v *view, ph *plan.Physical
 			// Range probe: feed the observed selectivity (documents the
 			// window kept / documents in the catalog) back to the cost
 			// model for the next Plan call.
-			e.planFB.Observe(ph.FeedbackTarget,
+			s.planFB.Observe(ph.FeedbackTarget,
 				int64(len(wantAll)+len(wantSegs)), int64(v.catalog.Count()))
 		}
 		// Some queries join against other documents (Q19 joins orders with
 		// the flat customers document); always include the flat documents
 		// of multi-document DC databases.
 		scanSpan := reg.StartSpan(metrics.PhaseScan)
-		err = e.scanCatalog(ctx, v, func(cat pager.RID, name, rec []byte) (bool, error) {
+		err = s.scanCatalog(ctx, v, func(cat pager.RID, name, rec []byte) (bool, error) {
 			switch {
 			case wantAll[cat]:
 				return true, addDoc(rec, nil)
@@ -825,163 +719,60 @@ func (e *Engine) buildCollection(ctx context.Context, v *view, ph *plan.Physical
 
 	// Sequential scan: hand over everything.
 	scanSpan := reg.StartSpan(metrics.PhaseScan)
-	err := e.scanCatalog(ctx, v, func(_ pager.RID, _, rec []byte) (bool, error) {
+	err := s.scanCatalog(ctx, v, func(_ pager.RID, _, rec []byte) (bool, error) {
 		return true, addDoc(rec, nil)
 	})
 	scanSpan.End()
 	return coll, err
 }
 
-// ColdReset implements core.Engine. It quiesces: in-flight queries
-// finish before the pool is dropped, and queries submitted during the
-// reset wait for it.
-func (e *Engine) ColdReset() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.p.ColdReset()
-}
-
-// PageIO implements core.Engine. Lock-free: safe concurrently with
-// Execute.
-func (e *Engine) PageIO() int64 { return e.p.Stats().IO() }
-
-// Close implements core.Engine: dirty pages are flushed best-effort and
-// the pager's file handles and pool are released. Double-Close is safe.
-func (e *Engine) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.snap.Publish(e.p.SnapshotEpoch(), nil)
-	e.loaded = false
-	e.indexes = map[string]*btree.Tree{}
-	e.names = nil
-	return e.p.Close()
-}
-
 // DocumentCount returns the number of stored documents.
-func (e *Engine) DocumentCount() int { return e.catalog.Count() }
+func (e *Engine) DocumentCount() int { return e.s.catalog.Count() }
 
 var _ core.Engine = (*Engine)(nil)
 
-// The update operations below implement the U1-U3 update workload the
-// paper lists as future work. Every mutation follows the journal-first
-// protocol: validate, append one logical redo record to the update
-// journal and sync it (the commit point), then apply. Applying touches
-// the document's own records only: its catalog entry and stored records
-// are tombstoned in their heaps, its entries leave and enter each value
-// index, and the new content is stored (reusing dead space when it
-// fits). After a crash, RecoverUpdates reloads the database and
-// re-applies the committed journal, so the store recovers to exactly the
-// pre- or post-update state.
+// The update hooks below apply U1-U3, the update workload the paper
+// lists as future work, inside the journal-first bracket engbase.Base
+// runs. Applying touches the document's own records only: its catalog
+// entry and stored records are tombstoned in their heaps, its entries
+// leave and enter each value index, and the new content is stored
+// (reusing dead space when it fits).
 
-// InsertDocument adds a new document (U1). It fails if the name exists.
-func (e *Engine) InsertDocument(ctx context.Context, name string, data []byte) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	parsed, err := xmldom.Parse(data)
-	if err != nil {
-		return fmt.Errorf("native: insert %s: %w", name, err)
-	}
-	if _, exists := e.names[name]; exists {
-		return fmt.Errorf("native: insert %s: document already exists", name)
-	}
-	e.p.BeginMutation()
-	if err := e.journal.Append(updatelog.Record{Kind: updatelog.KindInsert, Name: name, Data: data}); err != nil {
-		return err
-	}
-	if err := e.applyInsert(ctx, name, parsed, data); err != nil {
-		return err
-	}
-	return e.publishLocked(e.p.EndMutation())
+// Validate implements engbase.Store: any well-formed document is
+// storable.
+func (s *store) Validate(*xmldom.Node) error { return nil }
+
+// Exists implements engbase.Store.
+func (s *store) Exists(name string) bool {
+	_, ok := s.names[name]
+	return ok
 }
 
-// ReplaceDocument replaces the named document with new content, or adds
-// it when absent (U2).
-func (e *Engine) ReplaceDocument(ctx context.Context, name string, data []byte) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	parsed, err := xmldom.Parse(data)
-	if err != nil {
-		return fmt.Errorf("native: replace %s: %w", name, err)
-	}
-	e.p.BeginMutation()
-	if err := e.journal.Append(updatelog.Record{Kind: updatelog.KindReplace, Name: name, Data: data}); err != nil {
-		return err
-	}
-	if _, exists := e.names[name]; exists {
-		if err := e.applyDelete(ctx, name); err != nil {
-			return err
-		}
-	}
-	if err := e.applyInsert(ctx, name, parsed, data); err != nil {
-		return err
-	}
-	return e.publishLocked(e.p.EndMutation())
-}
-
-// DeleteDocument removes the named document (U3). It returns an error
-// when the document does not exist.
-func (e *Engine) DeleteDocument(ctx context.Context, name string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if _, exists := e.names[name]; !exists {
-		return fmt.Errorf("native: document %q not found", name)
-	}
-	e.p.BeginMutation()
-	if err := e.journal.Append(updatelog.Record{Kind: updatelog.KindDelete, Name: name}); err != nil {
-		return err
-	}
-	if err := e.applyDelete(ctx, name); err != nil {
-		return err
-	}
-	if err := e.syncStore(); err != nil {
-		return err
-	}
-	return e.publishLocked(e.p.EndMutation())
-}
-
-// RecoverUpdates restores the document store after a crash. Call pager
-// Recover first; RecoverUpdates then reloads db (wiping any half-applied
-// update) and re-applies the committed update journal in order. Value
-// indexes are dropped by the reload; rebuild with BuildIndexes.
-func (e *Engine) RecoverUpdates(ctx context.Context, db *core.Database) error {
-	return updatelog.Replay(ctx, e, e.journal, db)
-}
-
-// applyInsert stores and catalogs the document, adds its values to every
-// index (read back from the records just written, as a delete reads
-// them) and syncs. Caller holds the write lock and has journaled the
-// update.
-func (e *Engine) applyInsert(ctx context.Context, name string, parsed *xmldom.Node, raw []byte) error {
-	cat, en, err := e.storeDocument(name, parsed, raw)
+// ApplyInsert implements engbase.Store: it stores and catalogs the
+// document, adds its values to every index (read back from the records
+// just written, as a delete reads them) and syncs.
+func (s *store) ApplyInsert(ctx context.Context, name string, raw []byte, parsed *xmldom.Node) error {
+	cat, en, err := s.storeDocument(name, parsed, raw)
 	if err != nil {
 		return err
 	}
-	if err := e.eachIndexEntry(ctx, cat, en, (*btree.Tree).Insert); err != nil {
+	if err := s.eachIndexEntry(ctx, cat, en, (*btree.Tree).Insert); err != nil {
 		return err
 	}
-	return e.syncStore()
+	return s.syncStore()
 }
 
 // eachIndexEntry applies op (Insert or Delete) to every value index for
 // every (value, locator) pair of the document cataloged at cat.
-func (e *Engine) eachIndexEntry(ctx context.Context, cat pager.RID, en docEntry, op func(*btree.Tree, string, uint64) error) error {
-	if len(e.indexes) == 0 {
+func (s *store) eachIndexEntry(ctx context.Context, cat pager.RID, en docEntry, op func(*btree.Tree, string, uint64) error) error {
+	if len(s.indexes) == 0 {
 		return nil
 	}
-	parts, err := e.loadParts(ctx, e.docs, en)
+	parts, err := s.loadParts(ctx, s.docs, en)
 	if err != nil {
 		return err
 	}
-	for target, ix := range e.indexes {
+	for target, ix := range s.indexes {
 		err := indexEntries(target, cat, parts, func(val string, loc uint64) error { return op(ix, val, loc) })
 		if err != nil {
 			return fmt.Errorf("native: index %s: %w", target, err)
@@ -990,12 +781,13 @@ func (e *Engine) eachIndexEntry(ctx context.Context, cat pager.RID, en docEntry,
 	return nil
 }
 
-// applyDelete removes the named document where it lies: its values leave
-// every index, its stored records and its catalog entry are tombstoned.
-// Caller holds the write lock, has journaled the update and syncs after.
-func (e *Engine) applyDelete(ctx context.Context, name string) error {
-	cat := e.names[name]
-	rec, err := e.catalog.Get(ctx, cat)
+// ApplyDelete implements engbase.Store: it removes the named document
+// where it lies — its values leave every index, its stored records and
+// its catalog entry are tombstoned — and syncs, unless the successor's
+// ApplyInsert is about to.
+func (s *store) ApplyDelete(ctx context.Context, name string, replacing bool) error {
+	cat := s.names[name]
+	rec, err := s.catalog.Get(ctx, cat)
 	if err != nil {
 		return err
 	}
@@ -1003,40 +795,32 @@ func (e *Engine) applyDelete(ctx context.Context, name string) error {
 	if err != nil {
 		return err
 	}
-	if err := e.eachIndexEntry(ctx, cat, en, (*btree.Tree).Delete); err != nil {
+	if err := s.eachIndexEntry(ctx, cat, en, (*btree.Tree).Delete); err != nil {
 		return err
 	}
 	for _, rid := range en.rids {
-		if err := e.docs.Delete(ctx, rid); err != nil {
+		if err := s.docs.Delete(ctx, rid); err != nil {
 			return err
 		}
 	}
-	if err := e.catalog.Delete(ctx, cat); err != nil {
+	if err := s.catalog.Delete(ctx, cat); err != nil {
 		return err
 	}
-	delete(e.names, name)
-	return nil
+	delete(s.names, name)
+	if replacing {
+		return nil
+	}
+	return s.syncStore()
 }
 
 // syncStore flushes both heaps and forces the update's dirty pages (index
-// leaves included) to disk, inside the mutation bracket.
-func (e *Engine) syncStore() error {
-	if err := e.docs.Flush(); err != nil {
+// leaves included) to disk, inside the update's mutation.
+func (s *store) syncStore() error {
+	if err := s.docs.Flush(); err != nil {
 		return err
 	}
-	if err := e.catalog.Flush(); err != nil {
+	if err := s.catalog.Flush(); err != nil {
 		return err
 	}
-	return e.p.SyncAll()
-}
-
-// DropIndexes discards all value indexes (their pages are abandoned; a
-// fresh BuildIndexes recreates them).
-func (e *Engine) DropIndexes() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.indexes = map[string]*btree.Tree{}
-	// Republish at the unchanged epoch so snapshot readers also stop
-	// probing the dropped indexes; no pages moved, so views stay valid.
-	_ = e.publishLocked(e.p.SnapshotEpoch())
+	return s.p.SyncAll()
 }

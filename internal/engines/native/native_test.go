@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"xbench/internal/btree"
 	"xbench/internal/core"
 	"xbench/internal/gen"
 	"xbench/internal/plan"
@@ -264,7 +265,7 @@ func TestIndexesRebuildAfterUpdate(t *testing.T) {
 	indexed := map[key][]string{}
 	visits := e.Metrics().Counter("btree.visit")
 	for _, q := range []core.QueryID{core.Q1, core.Q5} {
-		ph, err := plan.Plan(queries.Lookup(core.DCMD, q), e.statValues(e.liveView()))
+		ph, err := plan.Plan(queries.Lookup(core.DCMD, q), e.s.statValues(e.s.Live()))
 		if err != nil || ph.Access != plan.AccessIndex {
 			t.Fatalf("%s after updates plans as %v (%v), want an index probe", q, ph.Access, err)
 		}
@@ -301,7 +302,12 @@ func TestIndexesRebuildAfterUpdate(t *testing.T) {
 			t.Fatalf("%s %s after a second BuildIndexes = %v, %v; want %v", k.q, k.id, res.Items, err, want)
 		}
 	}
-	e.DropIndexes()
+	// No query is running, so the test may reach in: forget the indexes
+	// and publish the store again.
+	e.s.indexes = map[string]*btree.Tree{}
+	if err := e.BuildIndexes(nil); err != nil {
+		t.Fatal(err)
+	}
 	for k, want := range indexed {
 		res, err := e.Execute(ctx, k.q, core.Params{"X": k.id})
 		if err != nil || fmt.Sprint(res.Items) != fmt.Sprint(want) {

@@ -1,177 +1,142 @@
-// Package xcollection implements the DB2 XML Extender "XML collection"
-// analog: documents are shredded into relational tables according to a
-// DAD-style mapping, primary/foreign-key indexes are created automatically
-// during bulk loading, and queries run as hand-translated relational plans.
+// Package xcollection implements the shredding engine: an "XML
+// collection" in the DB2 XML Extender's term, a document decomposed into
+// a collection of relational tables. The two shredding systems of the
+// paper — DB2 Xcollection and Microsoft SQL Server 2000 + SQLXML 3.0 bulk
+// load — are this one engine: both decompose documents according to a
+// DAD-style / annotated-schema mapping (internal/shredder), create
+// primary/foreign-key indexes automatically during bulk loading, commit
+// document-at-a-time, and run queries as hand-translated relational
+// plans (shredplan). Neither keeps document-order columns, so ordered
+// access and reconstruction are only accidentally correct (§3.2.2).
 //
-// Modeled limitations from the paper:
+// What the paper lists as different between them (§3.1.3) is a Policy:
 //
-//   - No document-order columns: ordered access and reconstruction are
-//     only accidentally correct (§3.2.2).
-//   - The 1024-row decomposition limit per document (§3.1.3 item 5),
-//     scaled to this reproduction's database sizes, rejects Normal and
-//     Large single-document databases; only SD/Small loads.
+//   - DB2 has the 1024-row decomposition limit per document (item 5),
+//     scaled to this reproduction's database sizes: single-document
+//     classes load only at Small. Mixed-content elements keep their
+//     flattened text.
+//   - SQLServer has no such limit — its rows are present in all cells of
+//     Tables 4-9 — but cannot map mixed-content elements at all and drops
+//     their text (item 3: "We have to ignore these elements with mixed
+//     contents, such as the element qt in dictionary.xml").
 package xcollection
 
 import (
 	"context"
 	"fmt"
-	"sync"
+	"strings"
 
 	"xbench/internal/core"
-	"xbench/internal/engines/engsnap"
+	"xbench/internal/engines/engbase"
 	"xbench/internal/engines/shredplan"
 	"xbench/internal/metrics"
 	"xbench/internal/pager"
 	"xbench/internal/relational"
 	"xbench/internal/shredder"
-	"xbench/internal/updatelog"
 	"xbench/internal/xmldom"
 )
 
-// DefaultRowLimit is the decomposition row limit per document, modeling
-// DB2's 1024-row limit (§3.1.3 item 5). The class/size support matrix the
-// paper observed — single-document databases load only at Small — is
-// enforced directly by Supports; this mechanism backs it up and is
-// configurable for tests, with a default high enough that the paper-valid
-// combinations (including the DC/MD flat documents at Large) still load.
+// DefaultRowLimit is DB2's decomposition row limit per document,
+// modeling DB2's 1024-row limit (§3.1.3 item 5). The class/size support
+// matrix the paper observed — single-document databases load only at
+// Small — is enforced directly by Supports; this mechanism backs it up
+// and is configurable for tests, with a default high enough that the
+// paper-valid combinations (including the DC/MD flat documents at Large)
+// still load.
 const DefaultRowLimit = 1 << 17
 
-// Engine is an Xcollection instance. Execute is safe from many
-// goroutines against a loaded store; Load, BuildIndexes and ColdReset
-// take the write lock, excluding (and quiescing) queries.
+// Policy is one of the two modeled systems: DB2 or SQLServer.
+type Policy struct {
+	name string // row label in the paper's tables, and error prefix
+	// rowLimit is the per-document decomposition row limit; 0 means the
+	// system has none. A system with one hosts single-document classes
+	// only at Small (paper Tables 4-9 leave those cells blank).
+	rowLimit  int
+	dropMixed bool // mixed-content text is unmappable and dropped
+}
+
+// The two shredding systems the paper evaluates.
+var (
+	DB2       = Policy{name: "Xcollection", rowLimit: DefaultRowLimit}
+	SQLServer = Policy{name: "SQL Server", dropMixed: true}
+)
+
+// Engine is a shredding engine instance: the shared engine lifecycle
+// (engbase.Base: load, snapshot reads, journaled updates, close) over a
+// shredded store. Its read surface is the *shredder.Store itself — live,
+// or a snapshot clone of its tables at one commit epoch.
 type Engine struct {
-	mu       sync.RWMutex
-	p        *pager.Pager
-	store    *shredder.Store
-	rowLimit int
-	docIDs   map[string]string // document name -> unit-document root id
-	journal  *updatelog.Log    // logical redo journal for U1-U3
-	snap     engsnap.Published // MVCC snapshot state for lock-free reads
+	*engbase.Base[*shredder.Store]
+	s *store
 }
 
-// New returns an empty engine. rowLimit <= 0 selects DefaultRowLimit.
-func New(poolPages, rowLimit int) *Engine {
-	if rowLimit <= 0 {
-		rowLimit = DefaultRowLimit
-	}
-	p := pager.New(poolPages)
-	p.SetMetrics(metrics.NewRegistry())
-	e := &Engine{p: p, rowLimit: rowLimit, journal: updatelog.New(p, "updates")}
-	e.snap.SetEnabled(true)
-	p.StartGC(engsnap.GCInterval)
-	return e
+// store is the shredded layout and query path; it implements
+// engbase.Store, which states the locking each method runs under.
+type store struct {
+	pol    Policy
+	p      *pager.Pager
+	shred  *shredder.Store   // nil until loaded
+	docIDs map[string]string // document name -> unit-document root id
 }
 
-// SetSnapshots toggles MVCC snapshot reads (default on). Disabled,
-// Execute falls back to the engine read latch and quiesces behind
-// writers — the pre-MVCC baseline the update-fraction sweep compares
-// against.
-func (e *Engine) SetSnapshots(on bool) { e.snap.SetEnabled(on) }
-
-// SnapshotsEnabled reports whether snapshot reads are on.
-func (e *Engine) SnapshotsEnabled() bool { return e.snap.Enabled() }
-
-// publishLocked snapshots the store at epoch and publishes it for
-// snapshot readers. The caller holds the write lock and has synced the
-// store, so the snapshot's views freeze without flushing anything.
-func (e *Engine) publishLocked(epoch uint64) error {
-	if e.store == nil {
-		e.snap.Publish(epoch, nil)
-		return nil
+// New returns an empty engine of the given system. rowLimit > 0
+// overrides the decomposition row limit of a system that has one.
+func New(pol Policy, poolPages, rowLimit int) *Engine {
+	if pol.rowLimit > 0 && rowLimit > 0 {
+		pol.rowLimit = rowLimit
 	}
-	s, err := e.store.Snapshot(epoch)
-	if err != nil {
-		e.snap.Publish(epoch, nil)
-		return err
-	}
-	e.snap.Publish(epoch, s)
-	return nil
+	p := engbase.NewPager(poolPages)
+	s := &store{pol: pol, p: p}
+	return &Engine{Base: engbase.New[*shredder.Store](p, s), s: s}
 }
+
+// Store exposes the shredded store for tests.
+func (e *Engine) Store() *shredder.Store { return e.s.shred }
+
+var (
+	_ core.Engine    = (*Engine)(nil)
+	_ core.Explainer = (*Engine)(nil)
+)
 
 // Name implements core.Engine.
-func (e *Engine) Name() string { return "Xcollection" }
+func (s *store) Name() string { return s.pol.name }
 
-// Supports implements core.Engine: single-document classes only fit at
-// Small due to the decomposition row limit (paper Tables 4-9 leave those
-// cells blank).
-func (e *Engine) Supports(c core.Class, s core.Size) error {
-	if c.SingleDocument() && s != core.Small {
-		return fmt.Errorf("xcollection: %s %s: document decomposition exceeds the row limit: %w",
-			c, s, core.ErrUnsupported)
+// Supports implements core.Engine: under a decomposition row limit
+// single-document classes only fit at Small.
+func (s *store) Supports(c core.Class, sz core.Size) error {
+	if s.pol.rowLimit > 0 && c.SingleDocument() && sz != core.Small {
+		return fmt.Errorf("%s: %s %s: document decomposition exceeds the row limit: %w",
+			s.pol.name, c, sz, core.ErrUnsupported)
 	}
 	return nil
 }
 
-// Pager exposes the engine's pager for fault injection and recovery.
-func (e *Engine) Pager() *pager.Pager { return e.p }
+// Live implements engbase.Store.
+func (s *store) Live() *shredder.Store { return s.shred }
 
-// Metrics returns the engine's metrics registry, shared by its pager,
-// shredded-table indexes and query path.
-func (e *Engine) Metrics() *metrics.Registry { return e.p.Metrics() }
+// Freeze implements engbase.Store.
+func (s *store) Freeze(epoch uint64) (*shredder.Store, error) { return s.shred.Snapshot(epoch) }
 
-// reset empties the store so Load is idempotent. The published snapshot
-// is withdrawn first so readers fall back to the locked path rather
-// than chase views into truncated files.
-func (e *Engine) reset() error {
-	e.snap.Publish(e.p.SnapshotEpoch(), nil)
-	e.docIDs = nil
-	if err := e.journal.Reset(); err != nil {
-		return err
-	}
-	if e.store != nil {
-		if err := e.store.Truncate(); err != nil {
+// Reset implements engbase.Store.
+func (s *store) Reset() error {
+	s.docIDs = nil
+	if s.shred != nil {
+		if err := s.shred.Truncate(); err != nil {
 			return err
 		}
-		e.store = nil
+		s.shred = nil
 	}
 	return nil
 }
 
-// abortLoad truncates the store after a non-crash mid-load failure so the
-// database stays empty and loadable; crash errors pass through (pager
-// recovery is the only path forward).
-func (e *Engine) abortLoad(err error) error {
-	if pager.IsCrash(err) {
-		return err
-	}
-	_ = e.reset()
-	return err
-}
-
-// Load implements core.Engine. A failed load leaves an empty, loadable
-// database. Load drains pinned snapshots before truncating: a reader
-// holding a pre-load snapshot would otherwise race the wholesale
-// truncate, whose pre-images are deliberately not versioned.
-func (e *Engine) Load(ctx context.Context, db *core.Database) (core.LoadStats, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// LoadDocs implements engbase.Store: shred each document as its own
+// transaction, then build the key indexes.
+func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats, error) {
 	var st core.LoadStats
-	if err := e.Supports(db.Class, db.Size); err != nil {
-		return st, err
-	}
-	e.p.BlockPins()
-	defer e.p.UnblockPins()
-	if err := e.reset(); err != nil {
-		return st, err
-	}
-	st, err := e.loadDocs(ctx, db)
-	if err != nil {
-		return st, e.abortLoad(err)
-	}
-	if err := e.publishLocked(e.p.AdvanceEpoch()); err != nil {
-		return st, e.abortLoad(err)
-	}
-	return st, nil
-}
-
-func (e *Engine) loadDocs(ctx context.Context, db *core.Database) (core.LoadStats, error) {
-	var st core.LoadStats
-	start := e.p.Stats()
-	e.docIDs = make(map[string]string, len(db.Docs))
-	rdb := relational.NewDB(e.p)
-	e.store = shredder.NewStore(db.Class, rdb, shredder.Options{
-		RowLimitPerDoc:   e.rowLimit,
-		FlushPerDocument: true,
+	s.docIDs = make(map[string]string, len(db.Docs))
+	s.shred = shredder.NewStore(db.Class, relational.NewDB(s.p), shredder.Options{
+		RowLimitPerDoc: s.pol.rowLimit,
+		DropMixed:      s.pol.dropMixed,
 	})
 	for _, d := range db.Docs {
 		if err := ctx.Err(); err != nil {
@@ -179,34 +144,30 @@ func (e *Engine) loadDocs(ctx context.Context, db *core.Database) (core.LoadStat
 		}
 		doc, err := xmldom.Parse(d.Data)
 		if err != nil {
-			return st, fmt.Errorf("xcollection: %s: %w", d.Name, err)
+			return st, fmt.Errorf("%s: %s: %w", s.pol.name, d.Name, err)
 		}
-		rows, err := e.store.ShredDocument(d.Name, doc)
+		rows, err := s.shred.ShredDocument(d.Name, doc)
 		if err != nil {
 			return st, err
 		}
 		if id, ok := shredder.UnitDocID(db.Class, doc); ok {
-			e.docIDs[d.Name] = id
+			s.docIDs[d.Name] = id
 		}
 		st.Documents++
 		st.Rows += rows
 		st.Bytes += len(d.Data)
 	}
-	if err := e.store.Sync(); err != nil {
+	if err := s.shred.Sync(); err != nil {
 		return st, err
 	}
 	// Primary/foreign-key indexes are created automatically during bulk
 	// loading (paper §2.2 experimental setup), so their cost lands in the
 	// load time, as it did for DB2 and SQL Server in Table 4.
-	if err := autoKeyIndexes(e.store); err != nil {
+	if err := autoKeyIndexes(s.shred); err != nil {
 		return st, err
 	}
-	if err := e.p.SyncAll(); err != nil {
-		return st, err
-	}
-	st.SkippedMixed = e.store.SkippedMixed
-	st.PageIO = e.p.Stats().IO() - start.IO()
-	return st, nil
+	st.SkippedMixed = s.shred.SkippedMixed
+	return st, s.p.SyncAll()
 }
 
 // autoKeyIndexes builds the PK/FK indexes a relational DBMS creates during
@@ -215,7 +176,7 @@ func autoKeyIndexes(s *shredder.Store) error {
 	for _, name := range s.DB.TableNames() {
 		t := s.DB.Table(name)
 		for _, col := range t.Cols {
-			if col == "id" || hasSuffix(col, "_id") {
+			if col == "id" || strings.HasSuffix(col, "_id") {
 				if err := t.CreateIndex(col); err != nil {
 					return err
 				}
@@ -225,244 +186,75 @@ func autoKeyIndexes(s *shredder.Store) error {
 	return nil
 }
 
-func hasSuffix(s, suf string) bool {
-	return len(s) >= len(suf) && s[len(s)-len(suf):] == suf
-}
-
-// BuildIndexes implements core.Engine: map Table 3 targets onto shredded
-// table columns.
-func (e *Engine) BuildIndexes(specs []core.IndexSpec) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.store == nil {
-		return fmt.Errorf("xcollection: BuildIndexes before Load")
-	}
-	e.p.BeginMutation()
+// BuildIndexes implements engbase.Store: map Table 3 targets onto
+// shredded table columns.
+func (s *store) BuildIndexes(specs []core.IndexSpec) error {
 	for _, spec := range specs {
-		table, col, ok := TargetColumn(e.store.Class, spec.Target)
+		table, col, ok := shredder.TargetColumn(s.shred.Class, spec.Target)
 		if !ok {
 			continue
 		}
-		if err := e.store.DB.Table(table).CreateIndex(col); err != nil {
+		if err := s.shred.DB.Table(table).CreateIndex(col); err != nil {
 			return err
 		}
 	}
-	if err := e.p.SyncAll(); err != nil {
-		return err
-	}
-	return e.publishLocked(e.p.EndMutation())
+	return nil
 }
 
-// TargetColumn maps a Table 3 index target to the shredded (table, column)
-// it lands on. Shared with the SQL Server engine.
-//
-// Deprecated: the mapping moved to shredder.TargetColumn so the planner
-// layer can reach it; this alias stays for callers of the old API.
-func TargetColumn(class core.Class, target string) (table, col string, ok bool) {
-	return shredder.TargetColumn(class, target)
+// Run implements engbase.Store: the hand-translated relational plan for
+// q. Cancellation via ctx is honored at page-fetch granularity.
+func (s *store) Run(ctx context.Context, st *shredder.Store, q core.QueryID, p core.Params) (core.Result, error) {
+	defer s.p.Metrics().StartSpan(metrics.PhasePlan).End()
+	return shredplan.Execute(ctx, st, q, p)
 }
 
-// Execute implements core.Engine. It is safe to call from many
-// goroutines; cancellation via ctx is honored at page-fetch granularity.
-// With snapshots on (the default), a query pins a commit epoch and runs
-// against the published snapshot store without touching the engine write
-// lock, so U1-U3 updates never stall it; otherwise it quiesces under
-// the read latch as before.
-func (e *Engine) Execute(ctx context.Context, q core.QueryID, p core.Params) (core.Result, error) {
-	if snap, st, ok := e.snap.Pin(e.p); ok {
-		defer snap.Release()
-		return e.run(ctx, st.(*shredder.Store), q, p)
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.store == nil {
-		return core.Result{}, fmt.Errorf("xcollection: Execute before Load")
-	}
-	return e.run(ctx, e.store, q, p)
-}
-
-// run executes q against st, which is either the live store (caller
-// holds the read latch) or a pinned snapshot store (lock-free).
-func (e *Engine) run(ctx context.Context, st *shredder.Store, q core.QueryID, p core.Params) (core.Result, error) {
-	before := e.p.Stats()
-	planSpan := e.Metrics().StartSpan(metrics.PhasePlan)
-	res, err := shredplan.Execute(ctx, st, q, p)
-	planSpan.End()
-	if err != nil {
-		return core.Result{}, err
-	}
-	res.PageIO = e.p.Stats().IO() - before.IO()
-	return res, nil
-}
-
-// Explain implements core.Explainer: the costed physical plan for q
-// over the shredded store's live statistics.
-func (e *Engine) Explain(_ context.Context, q core.QueryID, _ core.Params) (*core.PlanNode, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.store == nil {
-		return nil, fmt.Errorf("xcollection: Explain before Load")
-	}
-	ph, err := shredplan.Physical(e.store, q)
+// Explain implements engbase.Store.
+func (s *store) Explain(q core.QueryID) (*core.PlanNode, error) {
+	ph, err := shredplan.Physical(s.shred, q)
 	if err != nil {
 		return nil, err
 	}
 	return ph.Root, nil
 }
 
-var _ core.Explainer = (*Engine)(nil)
+// The update hooks below apply U1-U3 inside the journal-first bracket
+// engbase.Base runs. Only unit documents — whole <order> (DC/MD) /
+// <article> (TC/MD) files — can be updated: those shred into rows keyed
+// by their root id, so document-granularity delete is a clean relational
+// cascade (shredder.DeleteDocumentRows).
 
-// ColdReset implements core.Engine. It quiesces: in-flight queries
-// finish before the pool is dropped, and queries submitted during the
-// reset wait for it.
-func (e *Engine) ColdReset() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.p.ColdReset()
-}
-
-// PageIO implements core.Engine. Lock-free: safe concurrently with
-// Execute.
-func (e *Engine) PageIO() int64 { return e.p.Stats().IO() }
-
-// Close implements core.Engine: dirty pages are flushed best-effort and
-// the pager's file handles and pool are released. Double-Close is safe.
-func (e *Engine) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.snap.Publish(e.p.SnapshotEpoch(), nil)
-	e.store = nil
-	e.docIDs = nil
-	return e.p.Close()
-}
-
-// The update workload (U1-U3) below follows the journal-first protocol:
-// validate, journal + sync (the commit point), then apply the shred-table
-// cascade. Only unit documents — whole <order> (DC/MD) / <article>
-// (TC/MD) files — can be updated: those shred into rows keyed by their
-// root id, so document-granularity delete is a clean relational cascade
-// (shredder.DeleteDocumentRows). After a crash, RecoverUpdates reloads
-// and re-applies the committed journal.
-//
-// Each update also runs inside a pager mutation bracket: every page it
-// overwrites is versioned with its pre-image at the next commit epoch,
-// so pinned snapshot readers keep the pre-update state, and EndMutation
-// followed by publishLocked makes the update visible to new readers.
-
-// InsertDocument implements core.Engine (U1: shred-table insert).
-func (e *Engine) InsertDocument(ctx context.Context, name string, data []byte) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
+// Validate implements engbase.Store: the document must be a unit
+// document of the loaded class.
+func (s *store) Validate(doc *xmldom.Node) error {
+	if _, ok := shredder.UnitDocID(s.shred.Class, doc); !ok {
+		return fmt.Errorf("not a unit document of %s: %w", s.shred.Class, core.ErrUnsupported)
 	}
-	doc, id, err := e.updateTarget(name, data)
-	if err != nil {
-		return err
-	}
-	if _, exists := e.docIDs[name]; exists {
-		return fmt.Errorf("xcollection: insert %s: document already exists", name)
-	}
-	e.p.BeginMutation()
-	if err := e.journal.Append(updatelog.Record{Kind: updatelog.KindInsert, Name: name, Data: data}); err != nil {
-		return err
-	}
-	if err := e.applyInsert(name, id, doc); err != nil {
-		return err
-	}
-	return e.publishLocked(e.p.EndMutation())
-}
-
-// ReplaceDocument implements core.Engine (U2: upsert — delete the old
-// document's rows, then shred the new content).
-func (e *Engine) ReplaceDocument(ctx context.Context, name string, data []byte) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	doc, id, err := e.updateTarget(name, data)
-	if err != nil {
-		return err
-	}
-	e.p.BeginMutation()
-	if err := e.journal.Append(updatelog.Record{Kind: updatelog.KindReplace, Name: name, Data: data}); err != nil {
-		return err
-	}
-	if old, exists := e.docIDs[name]; exists {
-		if _, err := e.store.DeleteDocumentRows(ctx, old); err != nil {
-			return err
-		}
-		delete(e.docIDs, name)
-	}
-	if err := e.applyInsert(name, id, doc); err != nil {
-		return err
-	}
-	return e.publishLocked(e.p.EndMutation())
-}
-
-// DeleteDocument implements core.Engine (U3: shred-table delete cascade
-// keyed by the document's root id).
-func (e *Engine) DeleteDocument(ctx context.Context, name string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if e.store == nil {
-		return fmt.Errorf("xcollection: DeleteDocument before Load")
-	}
-	id, exists := e.docIDs[name]
-	if !exists {
-		return fmt.Errorf("xcollection: document %q not found", name)
-	}
-	e.p.BeginMutation()
-	if err := e.journal.Append(updatelog.Record{Kind: updatelog.KindDelete, Name: name}); err != nil {
-		return err
-	}
-	if _, err := e.store.DeleteDocumentRows(ctx, id); err != nil {
-		return err
-	}
-	delete(e.docIDs, name)
-	return e.publishLocked(e.p.EndMutation())
-}
-
-// RecoverUpdates restores the store after a crash. Call pager Recover
-// first; RecoverUpdates then reloads db and re-applies the committed
-// update journal in order. Rebuild Table 3 indexes with BuildIndexes.
-func (e *Engine) RecoverUpdates(ctx context.Context, db *core.Database) error {
-	return updatelog.Replay(ctx, e, e.journal, db)
-}
-
-// updateTarget validates an update payload: the store must be loaded and
-// the document must be a unit document of the loaded class.
-func (e *Engine) updateTarget(name string, data []byte) (*xmldom.Node, string, error) {
-	if e.store == nil {
-		return nil, "", fmt.Errorf("xcollection: update before Load")
-	}
-	doc, err := xmldom.Parse(data)
-	if err != nil {
-		return nil, "", fmt.Errorf("xcollection: update %s: %w", name, err)
-	}
-	id, ok := shredder.UnitDocID(e.store.Class, doc)
-	if !ok {
-		return nil, "", fmt.Errorf("xcollection: update %s: not a unit document of %s: %w",
-			name, e.store.Class, core.ErrUnsupported)
-	}
-	return doc, id, nil
-}
-
-// applyInsert shreds the document (which syncs per document) and records
-// its root id. Caller holds the write lock and has journaled the update.
-func (e *Engine) applyInsert(name, id string, doc *xmldom.Node) error {
-	if _, err := e.store.ShredDocument(name, doc); err != nil {
-		return err
-	}
-	e.docIDs[name] = id
 	return nil
 }
 
-// Store exposes the shredded store for tests.
-func (e *Engine) Store() *shredder.Store { return e.store }
+// Exists implements engbase.Store.
+func (s *store) Exists(name string) bool {
+	_, ok := s.docIDs[name]
+	return ok
+}
 
-var _ core.Engine = (*Engine)(nil)
+// ApplyInsert implements engbase.Store: it shreds the document, which
+// commits it, and records its root id.
+func (s *store) ApplyInsert(_ context.Context, name string, _ []byte, doc *xmldom.Node) error {
+	if _, err := s.shred.ShredDocument(name, doc); err != nil {
+		return err
+	}
+	s.docIDs[name], _ = shredder.UnitDocID(s.shred.Class, doc)
+	return nil
+}
+
+// ApplyDelete implements engbase.Store: the delete cascade keyed by the
+// document's root id, which is a transaction of its own whether or not a
+// replacement follows.
+func (s *store) ApplyDelete(ctx context.Context, name string, _ bool) error {
+	if _, err := s.shred.DeleteDocumentRows(ctx, s.docIDs[name]); err != nil {
+		return err
+	}
+	delete(s.docIDs, name)
+	return nil
+}

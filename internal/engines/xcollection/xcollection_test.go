@@ -9,16 +9,17 @@ import (
 	"xbench/internal/core"
 	"xbench/internal/gen"
 	"xbench/internal/queries"
+	"xbench/internal/shredder"
 )
 
-func loadTiny(t *testing.T, class core.Class) *Engine {
+func loadTiny(t *testing.T, pol Policy, class core.Class) *Engine {
 	t.Helper()
 	cfg := gen.Config{DictEntries: 30, Articles: 5, Items: 20, Orders: 30}
 	db, err := cfg.Generate(class, core.Small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(0, 0)
+	e := New(pol, 0, 0)
 	if _, err := e.Load(context.Background(), db); err != nil {
 		t.Fatal(err)
 	}
@@ -29,12 +30,23 @@ func loadTiny(t *testing.T, class core.Class) *Engine {
 }
 
 func TestSupportMatrix(t *testing.T) {
-	e := New(0, 0)
+	e := New(DB2, 0, 0)
 	if err := e.Supports(core.TCSD, core.Normal); !errors.Is(err, core.ErrUnsupported) {
 		t.Fatal("TC/SD Normal should exceed the decomposition row limit")
 	}
 	if err := e.Supports(core.DCMD, core.Large); err != nil {
 		t.Fatalf("DC/MD Large should load: %v", err)
+	}
+}
+
+func TestSupportsEverything(t *testing.T) {
+	e := New(SQLServer, 0, 0)
+	for _, class := range core.Classes {
+		for _, size := range core.Sizes {
+			if err := e.Supports(class, size); err != nil {
+				t.Errorf("SQL Server should support %s %s: %v", class, size, err)
+			}
+		}
 	}
 }
 
@@ -44,14 +56,14 @@ func TestLoadRejectsUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(0, 0)
+	e := New(DB2, 0, 0)
 	if _, err := e.Load(context.Background(), db); !errors.Is(err, core.ErrUnsupported) {
 		t.Fatalf("Load accepted unsupported combination: %v", err)
 	}
 }
 
 func TestAutoKeyIndexesBuilt(t *testing.T) {
-	e := loadTiny(t, core.DCMD)
+	e := loadTiny(t, DB2, core.DCMD)
 	for _, tc := range []struct{ table, col string }{
 		{"order_tab", "id"},
 		{"order_line_tab", "order_id"},
@@ -60,16 +72,6 @@ func TestAutoKeyIndexesBuilt(t *testing.T) {
 		if !e.Store().DB.Table(tc.table).HasIndex(tc.col) {
 			t.Errorf("%s.%s not auto-indexed during bulk load", tc.table, tc.col)
 		}
-	}
-}
-
-func TestExecuteBeforeLoadFails(t *testing.T) {
-	e := New(0, 0)
-	if _, err := e.Execute(context.Background(), core.Q5, nil); err == nil {
-		t.Fatal("Execute before Load succeeded")
-	}
-	if err := e.BuildIndexes(nil); err == nil {
-		t.Fatal("BuildIndexes before Load succeeded")
 	}
 }
 
@@ -88,7 +90,7 @@ func TestTargetColumnMapping(t *testing.T) {
 		{core.DCMD, "bogus", "", false},
 	}
 	for _, c := range cases {
-		table, _, ok := TargetColumn(c.class, c.target)
+		table, _, ok := shredder.TargetColumn(c.class, c.target)
 		if ok != c.ok || table != c.table {
 			t.Errorf("TargetColumn(%s, %s) = %s, %v", c.class, c.target, table, ok)
 		}
@@ -96,7 +98,7 @@ func TestTargetColumnMapping(t *testing.T) {
 }
 
 func TestQ5FlagsOrder(t *testing.T) {
-	e := loadTiny(t, core.DCMD)
+	e := loadTiny(t, DB2, core.DCMD)
 	res, err := e.Execute(context.Background(), core.Q5, core.Params{"X": "O1"})
 	if err != nil {
 		t.Fatal(err)
@@ -106,5 +108,47 @@ func TestQ5FlagsOrder(t *testing.T) {
 	}
 	if res.OrderGuaranteed {
 		t.Fatal("shredded Q5 must not guarantee order")
+	}
+}
+
+func TestMixedContentDroppedDuringLoad(t *testing.T) {
+	cfg := gen.Config{DictEntries: 30}
+	db, err := cfg.Generate(core.TCSD, core.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(SQLServer, 0, 0)
+	st, err := e.Load(context.Background(), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SkippedMixed == 0 {
+		t.Fatal("no mixed content counted as dropped")
+	}
+	if st.Rows == 0 {
+		t.Fatal("no rows produced")
+	}
+}
+
+func TestQ8DropsQtText(t *testing.T) {
+	e := loadTiny(t, SQLServer, core.TCSD)
+	// Pick the first headword directly from the store.
+	et := e.Store().DB.Table("entry_tab")
+	rows, err := et.LookupRange(context.Background(), "hw", "", "\xff")
+	if err != nil || len(rows) == 0 {
+		t.Fatal("no entries", err)
+	}
+	hw := rows[0][et.Col("hw")]
+	res, err := e.Execute(context.Background(), core.Q8, core.Params{"W": hw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.MixedContentLost {
+		t.Fatal("Q8 should flag mixed content loss")
+	}
+	for _, it := range res.Items {
+		if strings.Contains(it, "<qt>") && it != "<qt/>" {
+			t.Fatalf("qt text survived the unmappable-content drop: %s", it)
+		}
 	}
 }

@@ -20,44 +20,42 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
 
 	"xbench/internal/core"
-	"xbench/internal/engines/engsnap"
+	"xbench/internal/engines/engbase"
 	"xbench/internal/metrics"
 	"xbench/internal/pager"
 	"xbench/internal/plan"
 	"xbench/internal/queries"
 	"xbench/internal/relational"
-	"xbench/internal/updatelog"
 	"xbench/internal/xmldom"
 	"xbench/internal/xquery"
 )
 
-// Engine is an Xcolumn instance. Execute is safe from many goroutines
-// against a loaded database; Load, BuildIndexes and ColdReset take the
-// write lock, excluding (and quiescing) queries.
+// Engine is an Xcolumn instance: the shared engine lifecycle
+// (engbase.Base: load, snapshot reads, journaled updates, close) over
+// the CLOB-plus-side-tables store.
 type Engine struct {
-	mu      sync.RWMutex
-	p       *pager.Pager
-	class   core.Class
-	clobs   *pager.Heap
-	rids    []pager.RID          // CLOB rids in load order
-	names   map[string]pager.RID // document name -> CLOB rid
-	db      *relational.DB
-	journal *updatelog.Log    // logical redo journal for U1-U3
-	snap    engsnap.Published // MVCC snapshot state for lock-free reads
-	planFB  plan.Feedback     // observed range selectivities for the cost model
+	*engbase.Base[*view]
+}
+
+// store is the Xcolumn layout and query path; it implements
+// engbase.Store, which states the locking each method runs under.
+type store struct {
+	p      *pager.Pager
+	class  core.Class
+	clobs  *pager.Heap
+	rids   []pager.RID          // CLOB rids in load order
+	names  map[string]pager.RID // document name -> CLOB rid
+	db     *relational.DB
+	planFB plan.Feedback // observed range selectivities for the cost model
 }
 
 // New returns an empty engine.
 func New(poolPages int) *Engine {
-	p := pager.New(poolPages)
-	p.SetMetrics(metrics.NewRegistry())
-	e := &Engine{p: p, clobs: pager.NewHeap(p, "clobs"), journal: updatelog.New(p, "updates")}
-	e.snap.SetEnabled(true)
-	p.StartGC(engsnap.GCInterval)
-	return e
+	p := engbase.NewPager(poolPages)
+	s := &store{p: p, clobs: pager.NewHeap(p, "clobs")}
+	return &Engine{engbase.New[*view](p, s)}
 }
 
 // clobReader is the read surface shared by the live CLOB heap and a
@@ -78,49 +76,32 @@ type view struct {
 	db    *relational.DB
 }
 
-// liveView wraps the live store. Caller holds at least the read latch.
-func (e *Engine) liveView() *view {
-	return &view{class: e.class, clobs: e.clobs, rids: e.rids, db: e.db}
+// Live implements engbase.Store: the live heap, rid list and tables.
+func (s *store) Live() *view {
+	return &view{class: s.class, clobs: s.clobs, rids: s.rids, db: s.db}
 }
 
-// publishLocked freezes the store at epoch and publishes it for
-// snapshot readers. The caller holds the write lock and has synced the
-// heaps, so the views freeze without flushing anything.
-func (e *Engine) publishLocked(epoch uint64) error {
-	if e.db == nil {
-		e.snap.Publish(epoch, nil)
-		return nil
-	}
-	cv, err := e.clobs.View(epoch)
+// Freeze implements engbase.Store: a CLOB heap view, a copy of the rid
+// list and a snapshot clone of the side tables at epoch.
+func (s *store) Freeze(epoch uint64) (*view, error) {
+	cv, err := s.clobs.View(epoch)
 	if err != nil {
-		e.snap.Publish(epoch, nil)
-		return err
+		return nil, err
 	}
-	dbSnap, err := e.db.Snapshot(epoch)
+	dbSnap, err := s.db.Snapshot(epoch)
 	if err != nil {
-		e.snap.Publish(epoch, nil)
-		return err
+		return nil, err
 	}
-	rids := append([]pager.RID(nil), e.rids...)
-	e.snap.Publish(epoch, &view{class: e.class, clobs: cv, rids: rids, db: dbSnap})
-	return nil
+	rids := append([]pager.RID(nil), s.rids...)
+	return &view{class: s.class, clobs: cv, rids: rids, db: dbSnap}, nil
 }
-
-// SetSnapshots toggles MVCC snapshot reads (default on). Disabled,
-// Execute falls back to the engine read latch and quiesces behind
-// writers — the pre-MVCC baseline the update-fraction sweep compares
-// against.
-func (e *Engine) SetSnapshots(on bool) { e.snap.SetEnabled(on) }
-
-// SnapshotsEnabled reports whether snapshot reads are on.
-func (e *Engine) SnapshotsEnabled() bool { return e.snap.Enabled() }
 
 // Name implements core.Engine.
-func (e *Engine) Name() string { return "Xcolumn" }
+func (s *store) Name() string { return "Xcolumn" }
 
 // Supports implements core.Engine: single-document classes exceed the
 // CLOB size limit (blank cells in the paper's tables).
-func (e *Engine) Supports(c core.Class, _ core.Size) error {
+func (s *store) Supports(c core.Class, _ core.Size) error {
 	if c.SingleDocument() {
 		return fmt.Errorf("xcolumn: %s: single large document exceeds the XML CLOB limit: %w",
 			c, core.ErrUnsupported)
@@ -128,90 +109,39 @@ func (e *Engine) Supports(c core.Class, _ core.Size) error {
 	return nil
 }
 
-// Pager exposes the engine's pager for fault injection and recovery.
-func (e *Engine) Pager() *pager.Pager { return e.p }
-
-// Metrics returns the engine's metrics registry, shared by its pager,
-// side-table indexes and query path.
-func (e *Engine) Metrics() *metrics.Registry { return e.p.Metrics() }
-
-// reset empties the store so Load is idempotent. The published snapshot
-// is withdrawn first so readers fall back to the locked path rather
-// than chase views into truncated files.
-func (e *Engine) reset() error {
-	e.snap.Publish(e.p.SnapshotEpoch(), nil)
-	e.rids = nil
-	e.names = nil
-	if err := e.clobs.Reset(); err != nil {
+// Reset implements engbase.Store.
+func (s *store) Reset() error {
+	s.rids = nil
+	s.names = nil
+	if err := s.clobs.Reset(); err != nil {
 		return err
 	}
-	if err := e.journal.Reset(); err != nil {
-		return err
-	}
-	if e.db != nil {
-		if err := e.db.Truncate(); err != nil {
+	if s.db != nil {
+		if err := s.db.Truncate(); err != nil {
 			return err
 		}
-		e.db = nil
+		s.db = nil
 	}
 	return nil
 }
 
-// abortLoad truncates the store after a non-crash mid-load failure so the
-// database stays empty and loadable; after a crash the error passes
-// through untouched (pager recovery is the only path forward).
-func (e *Engine) abortLoad(err error) error {
-	if pager.IsCrash(err) {
-		return err
-	}
-	_ = e.reset()
-	return err
-}
-
-// Load implements core.Engine: store each document as a CLOB and populate
-// the side tables for the searchable elements. A failed load leaves an
-// empty, loadable database.
-// Load drains pinned snapshots before truncating: a reader holding a
-// pre-load snapshot would otherwise race the wholesale truncate, whose
-// pre-images are deliberately not versioned.
-func (e *Engine) Load(ctx context.Context, db *core.Database) (core.LoadStats, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// LoadDocs implements engbase.Store: store each document as a CLOB and
+// populate the side tables for the searchable elements.
+func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats, error) {
 	var st core.LoadStats
-	if err := e.Supports(db.Class, db.Size); err != nil {
-		return st, err
-	}
-	e.p.BlockPins()
-	defer e.p.UnblockPins()
-	if err := e.reset(); err != nil {
-		return st, err
-	}
-	st, err := e.loadDocs(ctx, db)
-	if err != nil {
-		return st, e.abortLoad(err)
-	}
-	if err := e.publishLocked(e.p.AdvanceEpoch()); err != nil {
-		return st, e.abortLoad(err)
-	}
-	return st, nil
-}
-
-func (e *Engine) loadDocs(ctx context.Context, db *core.Database) (core.LoadStats, error) {
-	var st core.LoadStats
-	start := e.p.Stats()
-	e.class = db.Class
-	e.names = make(map[string]pager.RID, len(db.Docs))
-	e.db = relational.NewDB(e.p)
+	s.class = db.Class
+	s.names = make(map[string]pager.RID, len(db.Docs))
+	s.db = relational.NewDB(s.p)
 	switch db.Class {
 	case core.DCMD:
-		e.db.Create("order_side", "doc", "id", "order_date", "ship_type",
+		s.db.Create("order_side", "doc", "id", "order_date", "ship_type",
 			"order_status", "ship_country")
-		e.db.Create("line_side", "doc", "dxx_seqno", "item_id", "comment")
-		e.db.Create("customer_side", "doc", "dxx_seqno", "id", "c_fname",
+		s.db.Create("line_side", "doc", "dxx_seqno", "item_id", "comment")
+		s.db.Create("customer_side", "doc", "dxx_seqno", "id", "c_fname",
 			"c_lname", "c_phone")
 	case core.TCMD:
-		e.db.Create("article_side", "doc", "id", "title", "genre", "date")
-		e.db.Create("sec_side", "doc", "dxx_seqno", "heading", "top")
+		s.db.Create("article_side", "doc", "id", "title", "genre", "date")
+		s.db.Create("sec_side", "doc", "dxx_seqno", "heading", "top")
 	}
 	for _, d := range db.Docs {
 		if err := ctx.Err(); err != nil {
@@ -221,45 +151,41 @@ func (e *Engine) loadDocs(ctx context.Context, db *core.Database) (core.LoadStat
 		if err != nil {
 			return st, fmt.Errorf("xcolumn: %s: %w", d.Name, err)
 		}
-		rid, err := e.clobs.Insert(d.Data)
+		rid, err := s.clobs.Insert(d.Data)
 		if err != nil {
 			return st, err
 		}
-		e.rids = append(e.rids, rid)
-		e.names[d.Name] = rid
-		rows, err := e.populateSideTables(strconv.FormatUint(uint64(rid), 10), doc)
+		s.rids = append(s.rids, rid)
+		s.names[d.Name] = rid
+		rows, err := s.populateSideTables(strconv.FormatUint(uint64(rid), 10), doc)
 		if err != nil {
 			return st, err
 		}
 		// One CLOB sync per incoming file: per-document I/O dominates
 		// DC/MD loading (paper §3.2.1).
-		if err := e.clobs.Sync(); err != nil {
+		if err := s.clobs.Sync(); err != nil {
 			return st, err
 		}
 		st.Documents++
 		st.Rows += rows
 		st.Bytes += len(d.Data)
 	}
-	if err := e.clobs.Sync(); err != nil {
+	if err := s.clobs.Sync(); err != nil {
 		return st, err
 	}
-	for _, name := range e.db.TableNames() {
-		if err := e.db.Table(name).Flush(); err != nil {
+	for _, name := range s.db.TableNames() {
+		if err := s.db.Table(name).Flush(); err != nil {
 			return st, err
 		}
 	}
-	if err := e.p.SyncAll(); err != nil {
-		return st, err
-	}
-	st.PageIO = e.p.Stats().IO() - start.IO()
-	return st, nil
+	return st, s.p.SyncAll()
 }
 
-func (e *Engine) populateSideTables(doc string, parsed *xmldom.Node) (int, error) {
+func (s *store) populateSideTables(doc string, parsed *xmldom.Node) (int, error) {
 	rows := 0
 	ins := func(table string, row relational.Row) error {
 		rows++
-		return e.db.Table(table).Insert(row)
+		return s.db.Table(table).Insert(row)
 	}
 	root := parsed.Root()
 	null := relational.Null
@@ -269,7 +195,7 @@ func (e *Engine) populateSideTables(doc string, parsed *xmldom.Node) (int, error
 		}
 		return null
 	}
-	switch e.class {
+	switch s.class {
 	case core.DCMD:
 		switch root.Name {
 		case "order":
@@ -346,40 +272,31 @@ func (e *Engine) populateSideTables(doc string, parsed *xmldom.Node) (int, error
 	return rows, nil
 }
 
-// BuildIndexes implements core.Engine: Table 3 indexes land on the side
-// tables.
-func (e *Engine) BuildIndexes(specs []core.IndexSpec) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.db == nil {
-		return fmt.Errorf("xcolumn: BuildIndexes before Load")
-	}
-	e.p.BeginMutation()
+// BuildIndexes implements engbase.Store: Table 3 indexes land on the
+// side tables.
+func (s *store) BuildIndexes(specs []core.IndexSpec) error {
 	for _, spec := range specs {
 		switch {
-		case e.class == core.DCMD && spec.Target == "order/@id":
-			if err := e.db.Table("order_side").CreateIndex("id"); err != nil {
+		case s.class == core.DCMD && spec.Target == "order/@id":
+			if err := s.db.Table("order_side").CreateIndex("id"); err != nil {
 				return err
 			}
-		case e.class == core.TCMD && spec.Target == "article/@id":
-			if err := e.db.Table("article_side").CreateIndex("id"); err != nil {
+		case s.class == core.TCMD && spec.Target == "article/@id":
+			if err := s.db.Table("article_side").CreateIndex("id"); err != nil {
 				return err
 			}
 		}
 	}
-	if err := e.p.SyncAll(); err != nil {
-		return err
-	}
-	return e.publishLocked(e.p.EndMutation())
+	return nil
 }
 
 // fetchDoc reads and parses the CLOB referenced by a side-table doc value.
-func (e *Engine) fetchDoc(ctx context.Context, v *view, doc string) (*xmldom.Node, error) {
+func (s *store) fetchDoc(ctx context.Context, v *view, doc string) (*xmldom.Node, error) {
 	rid, err := strconv.ParseUint(doc, 10, 64)
 	if err != nil {
 		return nil, fmt.Errorf("xcolumn: bad doc reference %q", doc)
 	}
-	sp := e.Metrics().StartSpan(metrics.PhaseMaterialize)
+	sp := s.p.Metrics().StartSpan(metrics.PhaseMaterialize)
 	defer sp.End()
 	data, err := v.clobs.Get(ctx, pager.RID(rid))
 	if err != nil {
@@ -388,43 +305,24 @@ func (e *Engine) fetchDoc(ctx context.Context, v *view, doc string) (*xmldom.Nod
 	return xmldom.Parse(data)
 }
 
-// Execute implements core.Engine. It is safe to call from many
-// goroutines; cancellation via ctx is honored at page-fetch granularity.
-// With snapshots on (the default), a query pins a commit epoch and runs
-// against frozen heap, rid-list and side-table views without touching
-// the engine write lock, so U1-U3 updates never stall it.
-func (e *Engine) Execute(ctx context.Context, q core.QueryID, p core.Params) (core.Result, error) {
-	if snap, val, ok := e.snap.Pin(e.p); ok {
-		defer snap.Release()
-		return e.run(ctx, val.(*view), q, p)
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.db == nil {
-		return core.Result{}, fmt.Errorf("xcolumn: Execute before Load")
-	}
-	return e.run(ctx, e.liveView(), q, p)
-}
-
-// run executes q against v, which is either the live store (caller
-// holds the read latch) or a pinned snapshot view (lock-free).
-func (e *Engine) run(ctx context.Context, v *view, q core.QueryID, p core.Params) (core.Result, error) {
+// Run implements engbase.Store. Cancellation via ctx is honored at
+// page-fetch granularity.
+func (s *store) Run(ctx context.Context, v *view, q core.QueryID, p core.Params) (core.Result, error) {
 	def := queries.Lookup(v.class, q)
 	if def == nil {
 		return core.Result{}, core.ErrNoQuery
 	}
-	ph, err := plan.Plan(def, e.statValues(v))
+	ph, err := plan.Plan(def, s.statValues(v))
 	if err != nil {
 		return core.Result{}, err
 	}
-	a := access{ph: ph, fb: &e.planFB}
-	before := e.p.Stats()
+	a := access{ph: ph, fb: &s.planFB}
 	var items []string
 	switch v.class {
 	case core.DCMD:
-		items, err = e.execDCMD(ctx, v, a, q, p)
+		items, err = s.execDCMD(ctx, v, a, q, p)
 	case core.TCMD:
-		items, err = e.execTCMD(ctx, v, a, q, p)
+		items, err = s.execTCMD(ctx, v, a, q, p)
 	}
 	if err != nil {
 		return core.Result{}, err
@@ -435,14 +333,13 @@ func (e *Engine) run(ctx context.Context, v *view, q core.QueryID, p core.Params
 		// "DB2/Xcolumn can keep track of ordering information by using
 		// dxx_seqno").
 		OrderGuaranteed: true,
-		PageIO:          e.p.Stats().IO() - before.IO(),
 	}, nil
 }
 
 // statValues derives planner statistics from v: the CLOB heap drives
 // scan cost (every unindexed query rereads the documents), and the
 // side-table key indexes are the only probe paths.
-func (e *Engine) statValues(v *view) plan.StatValues {
+func (s *store) statValues(v *view) plan.StatValues {
 	st := plan.StatValues{
 		DataPages: v.clobs.Pages(),
 		DataRows:  int64(len(v.rids)),
@@ -462,23 +359,17 @@ func (e *Engine) statValues(v *view) plan.StatValues {
 			st.Indexes[spec.Target] = h
 		}
 	}
-	st.RangeSelectivity = e.planFB.Selectivity()
+	st.RangeSelectivity = s.planFB.Selectivity()
 	return st
 }
 
-// Explain implements core.Explainer: the costed physical plan for q
-// over the loaded database's live statistics.
-func (e *Engine) Explain(_ context.Context, q core.QueryID, _ core.Params) (*core.PlanNode, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.db == nil {
-		return nil, fmt.Errorf("xcolumn: Explain before Load")
-	}
-	def := queries.Lookup(e.class, q)
+// Explain implements engbase.Store.
+func (s *store) Explain(q core.QueryID) (*core.PlanNode, error) {
+	def := queries.Lookup(s.class, q)
 	if def == nil {
 		return nil, core.ErrNoQuery
 	}
-	ph, err := plan.Plan(def, e.statValues(e.liveView()))
+	ph, err := plan.Plan(def, s.statValues(s.Live()))
 	if err != nil {
 		return nil, err
 	}
@@ -525,7 +416,7 @@ func (a access) rng(ctx context.Context, t *relational.Table, col, lo, hi string
 // docOf finds the CLOB reference for a key via the side table (indexed
 // when Table 3 covers it, a forced scan when the plan rejects the
 // probe).
-func (e *Engine) docOf(ctx context.Context, v *view, a access, table, col, key string) (string, relational.Row, error) {
+func (s *store) docOf(ctx context.Context, v *view, a access, table, col, key string) (string, relational.Row, error) {
 	t := v.db.Table(table)
 	rows, err := a.eq(ctx, t, col, key)
 	if err != nil || len(rows) == 0 {
@@ -534,15 +425,15 @@ func (e *Engine) docOf(ctx context.Context, v *view, a access, table, col, key s
 	return rows[0][t.Col("doc")], rows[0], nil
 }
 
-func (e *Engine) execDCMD(ctx context.Context, v *view, a access, q core.QueryID, p core.Params) ([]string, error) {
+func (s *store) execDCMD(ctx context.Context, v *view, a access, q core.QueryID, p core.Params) ([]string, error) {
 	orderSide := v.db.Table("order_side")
 	switch q {
 	case core.Q1, core.Q5, core.Q8, core.Q9, core.Q12, core.Q16:
-		doc, _, err := e.docOf(ctx, v, a, "order_side", "id", p.Get("X"))
+		doc, _, err := s.docOf(ctx, v, a, "order_side", "id", p.Get("X"))
 		if err != nil || doc == "" {
 			return nil, err
 		}
-		parsed, err := e.fetchDoc(ctx, v, doc)
+		parsed, err := s.fetchDoc(ctx, v, doc)
 		if err != nil {
 			return nil, err
 		}
@@ -599,7 +490,7 @@ func (e *Engine) execDCMD(ctx context.Context, v *view, a access, q core.QueryID
 		return out, nil
 	case core.Q17:
 		// No full-text side table: scan every CLOB (the Table 7 blow-up).
-		return e.clobWordSearch(ctx, v, p.Get("W2"), func(root *xmldom.Node) (string, bool) {
+		return s.clobWordSearch(ctx, v, p.Get("W2"), func(root *xmldom.Node) (string, bool) {
 			if root.Name != "order" {
 				return "", false
 			}
@@ -612,11 +503,11 @@ func (e *Engine) execDCMD(ctx context.Context, v *view, a access, q core.QueryID
 			return "", false
 		})
 	case core.Q19:
-		doc, orow, err := e.docOf(ctx, v, a, "order_side", "id", p.Get("X"))
+		doc, orow, err := s.docOf(ctx, v, a, "order_side", "id", p.Get("X"))
 		if err != nil || doc == "" {
 			return nil, err
 		}
-		parsed, err := e.fetchDoc(ctx, v, doc)
+		parsed, err := s.fetchDoc(ctx, v, doc)
 		if err != nil {
 			return nil, err
 		}
@@ -645,7 +536,7 @@ func (e *Engine) execDCMD(ctx context.Context, v *view, a access, q core.QueryID
 	return nil, core.ErrNoQuery
 }
 
-func (e *Engine) execTCMD(ctx context.Context, v *view, a access, q core.QueryID, p core.Params) ([]string, error) {
+func (s *store) execTCMD(ctx context.Context, v *view, a access, q core.QueryID, p core.Params) ([]string, error) {
 	artSide := v.db.Table("article_side")
 	secSide := v.db.Table("sec_side")
 	switch q {
@@ -662,7 +553,7 @@ func (e *Engine) execTCMD(ctx context.Context, v *view, a access, q core.QueryID
 		}
 		return out, nil
 	case core.Q5, core.Q8:
-		doc, _, err := e.docOf(ctx, v, a, "article_side", "id", p.Get("X"))
+		doc, _, err := s.docOf(ctx, v, a, "article_side", "id", p.Get("X"))
 		if err != nil || doc == "" {
 			return nil, err
 		}
@@ -689,34 +580,34 @@ func (e *Engine) execTCMD(ctx context.Context, v *view, a access, q core.QueryID
 			return nil, err
 		}
 		var out []string
-		for _, s := range secs {
-			if !s.top {
+		for _, sec := range secs {
+			if !sec.top {
 				continue
 			}
 			if q == core.Q5 {
 				// First top-level section only; no result if it lacks a
 				// heading (matching sec[1]/heading semantics).
-				if relational.IsNull(s.heading) {
+				if relational.IsNull(sec.heading) {
 					return nil, nil
 				}
 				n := xmldom.NewElement("heading")
-				n.AddText(s.heading)
+				n.AddText(sec.heading)
 				return []string{n.XML()}, nil
 			}
-			if relational.IsNull(s.heading) {
+			if relational.IsNull(sec.heading) {
 				continue
 			}
 			n := xmldom.NewElement("heading")
-			n.AddText(s.heading)
+			n.AddText(sec.heading)
 			out = append(out, n.XML())
 		}
 		return out, nil
 	case core.Q12:
-		doc, _, err := e.docOf(ctx, v, a, "article_side", "id", p.Get("X"))
+		doc, _, err := s.docOf(ctx, v, a, "article_side", "id", p.Get("X"))
 		if err != nil || doc == "" {
 			return nil, err
 		}
-		parsed, err := e.fetchDoc(ctx, v, doc)
+		parsed, err := s.fetchDoc(ctx, v, doc)
 		if err != nil {
 			return nil, err
 		}
@@ -740,7 +631,7 @@ func (e *Engine) execTCMD(ctx context.Context, v *view, a access, q core.QueryID
 		}
 		return out, nil
 	case core.Q17:
-		return e.clobWordSearch(ctx, v, p.Get("W2"), func(root *xmldom.Node) (string, bool) {
+		return s.clobWordSearch(ctx, v, p.Get("W2"), func(root *xmldom.Node) (string, bool) {
 			if root.Name != "article" {
 				return "", false
 			}
@@ -772,8 +663,8 @@ func idSuffix(id string) int {
 
 // clobWordSearch scans every stored CLOB: a cheap raw-byte prefilter, then
 // a full parse of candidate documents to extract the result.
-func (e *Engine) clobWordSearch(ctx context.Context, v *view, word string, extract func(root *xmldom.Node) (string, bool)) ([]string, error) {
-	reg := e.Metrics()
+func (s *store) clobWordSearch(ctx context.Context, v *view, word string, extract func(root *xmldom.Node) (string, bool)) ([]string, error) {
+	reg := s.p.Metrics()
 	defer reg.StartSpan(metrics.PhaseScan).End()
 	var out []string
 	for _, rid := range v.rids {
@@ -797,170 +688,63 @@ func (e *Engine) clobWordSearch(ctx context.Context, v *view, word string, extra
 	return out, nil
 }
 
-// ColdReset implements core.Engine. It quiesces: in-flight queries
-// finish before the pool is dropped, and queries submitted during the
-// reset wait for it.
-func (e *Engine) ColdReset() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.p.ColdReset()
+// The update hooks below apply U1-U3 inside the journal-first bracket
+// engbase.Base runs. Applying a replace or delete regenerates the side
+// tables for the document — the dxx_seqno columns are renumbered from
+// the new content — and tombstones the old CLOB, whose space the next
+// CLOB that fits reuses.
+
+// Validate implements engbase.Store: any well-formed document can be a
+// CLOB; one with an unknown root gets no side-table rows.
+func (s *store) Validate(*xmldom.Node) error { return nil }
+
+// Exists implements engbase.Store.
+func (s *store) Exists(name string) bool {
+	_, ok := s.names[name]
+	return ok
 }
 
-// PageIO implements core.Engine. Lock-free: safe concurrently with
-// Execute.
-func (e *Engine) PageIO() int64 { return e.p.Stats().IO() }
-
-// Close implements core.Engine: dirty pages are flushed best-effort and
-// the pager's file handles and pool are released. Double-Close is safe.
-func (e *Engine) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.snap.Publish(e.p.SnapshotEpoch(), nil)
-	e.db = nil
-	e.names = nil
-	e.rids = nil
-	return e.p.Close()
-}
-
-// The update workload (U1-U3) below follows the journal-first protocol:
-// validate, journal + sync (the commit point), then apply. Applying a
-// replace or delete regenerates the side tables for the document — the
-// dxx_seqno columns are renumbered from the new content — and tombstones
-// the old CLOB, whose space the next CLOB that fits reuses. After a
-// crash, RecoverUpdates reloads and re-applies the committed journal.
-
-// InsertDocument implements core.Engine (U1: CLOB row + side-table rows).
-func (e *Engine) InsertDocument(ctx context.Context, name string, data []byte) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if e.db == nil {
-		return fmt.Errorf("xcolumn: InsertDocument before Load")
-	}
-	parsed, err := xmldom.Parse(data)
-	if err != nil {
-		return fmt.Errorf("xcolumn: insert %s: %w", name, err)
-	}
-	if _, exists := e.names[name]; exists {
-		return fmt.Errorf("xcolumn: insert %s: document already exists", name)
-	}
-	e.p.BeginMutation()
-	if err := e.journal.Append(updatelog.Record{Kind: updatelog.KindInsert, Name: name, Data: data}); err != nil {
-		return err
-	}
-	if err := e.applyInsert(name, data, parsed); err != nil {
-		return err
-	}
-	return e.publishLocked(e.p.EndMutation())
-}
-
-// ReplaceDocument implements core.Engine (U2: upsert; side-table rows are
-// regenerated, renumbering dxx_seqno from the new content).
-func (e *Engine) ReplaceDocument(ctx context.Context, name string, data []byte) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if e.db == nil {
-		return fmt.Errorf("xcolumn: ReplaceDocument before Load")
-	}
-	parsed, err := xmldom.Parse(data)
-	if err != nil {
-		return fmt.Errorf("xcolumn: replace %s: %w", name, err)
-	}
-	e.p.BeginMutation()
-	if err := e.journal.Append(updatelog.Record{Kind: updatelog.KindReplace, Name: name, Data: data}); err != nil {
-		return err
-	}
-	if _, exists := e.names[name]; exists {
-		if err := e.applyDelete(ctx, name); err != nil {
-			return err
-		}
-	}
-	if err := e.applyInsert(name, data, parsed); err != nil {
-		return err
-	}
-	return e.publishLocked(e.p.EndMutation())
-}
-
-// DeleteDocument implements core.Engine (U3: drop the CLOB reference and
-// cascade to every side table).
-func (e *Engine) DeleteDocument(ctx context.Context, name string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if e.db == nil {
-		return fmt.Errorf("xcolumn: DeleteDocument before Load")
-	}
-	if _, exists := e.names[name]; !exists {
-		return fmt.Errorf("xcolumn: document %q not found", name)
-	}
-	e.p.BeginMutation()
-	if err := e.journal.Append(updatelog.Record{Kind: updatelog.KindDelete, Name: name}); err != nil {
-		return err
-	}
-	if err := e.applyDelete(ctx, name); err != nil {
-		return err
-	}
-	if err := e.syncStore(); err != nil {
-		return err
-	}
-	return e.publishLocked(e.p.EndMutation())
-}
-
-// RecoverUpdates restores the store after a crash. Call pager Recover
-// first; RecoverUpdates then reloads db and re-applies the committed
-// update journal in order. Rebuild side-table indexes with BuildIndexes.
-func (e *Engine) RecoverUpdates(ctx context.Context, db *core.Database) error {
-	return updatelog.Replay(ctx, e, e.journal, db)
-}
-
-// applyInsert stores the CLOB and regenerates side-table rows. Caller
-// holds the write lock and has journaled the update.
-func (e *Engine) applyInsert(name string, data []byte, parsed *xmldom.Node) error {
-	rid, err := e.clobs.Insert(data)
+// ApplyInsert implements engbase.Store: it stores the CLOB, generates
+// the side-table rows and syncs.
+func (s *store) ApplyInsert(_ context.Context, name string, data []byte, parsed *xmldom.Node) error {
+	rid, err := s.clobs.Insert(data)
 	if err != nil {
 		return err
 	}
-	e.rids = append(e.rids, rid)
-	e.names[name] = rid
-	if _, err := e.populateSideTables(strconv.FormatUint(uint64(rid), 10), parsed); err != nil {
+	s.rids = append(s.rids, rid)
+	s.names[name] = rid
+	if _, err := s.populateSideTables(strconv.FormatUint(uint64(rid), 10), parsed); err != nil {
 		return err
 	}
-	return e.syncStore()
+	return s.syncStore()
 }
 
 // syncStore flushes the CLOB and side-table heaps and forces the
-// update's dirty pages to disk, inside the mutation bracket.
-func (e *Engine) syncStore() error {
-	if err := e.clobs.Sync(); err != nil {
+// update's dirty pages to disk, inside the update's mutation.
+func (s *store) syncStore() error {
+	if err := s.clobs.Sync(); err != nil {
 		return err
 	}
-	for _, tn := range e.db.TableNames() {
-		if err := e.db.Table(tn).Flush(); err != nil {
+	for _, tn := range s.db.TableNames() {
+		if err := s.db.Table(tn).Flush(); err != nil {
 			return err
 		}
 	}
-	return e.p.SyncAll()
+	return s.p.SyncAll()
 }
 
-// applyDelete removes the document's side-table rows (every side table
-// carries a doc reference column) and tombstones its CLOB. Load writes no
-// index on doc — the DAD declares none, and the stored size and the cold
-// query paths stay what the paper's system had — so the first delete
-// builds one per side table, and every later delete probes it instead of
-// scanning the table. Caller holds the write lock, has journaled the
-// update and syncs after.
-func (e *Engine) applyDelete(ctx context.Context, name string) error {
-	rid := e.names[name]
+// ApplyDelete implements engbase.Store: it removes the document's
+// side-table rows (every side table carries a doc reference column),
+// tombstones its CLOB and syncs, unless the successor's ApplyInsert is
+// about to. Load writes no index on doc — the DAD declares none, and the
+// stored size and the cold query paths stay what the paper's system had —
+// so the first delete builds one per side table, and every later delete
+// probes it instead of scanning the table.
+func (s *store) ApplyDelete(ctx context.Context, name string, replacing bool) error {
+	rid := s.names[name]
 	ref := strconv.FormatUint(uint64(rid), 10)
-	for _, tn := range e.db.TableNames() {
-		t := e.db.Table(tn)
+	for _, tn := range s.db.TableNames() {
+		t := s.db.Table(tn)
 		if err := t.CreateIndex("doc"); err != nil {
 			return err
 		}
@@ -968,20 +752,23 @@ func (e *Engine) applyDelete(ctx context.Context, name string) error {
 			return err
 		}
 	}
-	if err := e.clobs.Delete(ctx, rid); err != nil {
+	if err := s.clobs.Delete(ctx, rid); err != nil {
 		return err
 	}
-	delete(e.names, name)
+	delete(s.names, name)
 	// Copy-on-write: the previous slice may still back a published
 	// snapshot view, so never shift it in place.
-	rids := make([]pager.RID, 0, len(e.rids))
-	for _, r := range e.rids {
+	rids := make([]pager.RID, 0, len(s.rids))
+	for _, r := range s.rids {
 		if r != rid {
 			rids = append(rids, r)
 		}
 	}
-	e.rids = rids
-	return nil
+	s.rids = rids
+	if replacing {
+		return nil
+	}
+	return s.syncStore()
 }
 
 var _ core.Engine = (*Engine)(nil)

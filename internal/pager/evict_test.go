@@ -72,38 +72,6 @@ func TestScanResistance(t *testing.T) {
 	}
 }
 
-// TestPlainClockThrashesOnScan pins the counterfactual: with scan
-// protection off (the pre-PR-7 policy) the same scan wipes the hot set.
-// If this starts passing, the legacy mode is no longer legacy.
-func TestPlainClockThrashesOnScan(t *testing.T) {
-	const (
-		pool = 64
-		hotN = 16
-	)
-	p := New(pool)
-	p.SetScanProtection(false)
-	hot := buildFile(t, p, "hot", hotN)
-	big := buildFile(t, p, "big", 4*pool)
-	p.ColdReset()
-
-	for round := 0; round < 3; round++ {
-		for i := 0; i < hotN; i++ {
-			p.Read(hot, uint32(i))
-		}
-	}
-	for i := 0; i < 4*pool; i++ {
-		p.Read(big, uint32(i))
-	}
-
-	p.ResetStats()
-	for i := 0; i < hotN; i++ {
-		p.Read(hot, uint32(i))
-	}
-	if s := p.Stats(); s.Reads == 0 {
-		t.Fatalf("plain CLOCK unexpectedly scan-resistant: hits=%d", s.Hits)
-	}
-}
-
 // TestReadaheadTurnsScanMissesIntoHits checks that a detected sequential
 // stream prefetches ahead of the demand reads: most of the scan's reads
 // are served by prefetched frames, and the stats/metrics agree.
@@ -158,27 +126,6 @@ func TestReadaheadDisabledForTinyPools(t *testing.T) {
 	}
 	if s := p.Stats(); s.Prefetched != 0 {
 		t.Fatalf("tiny pool prefetched %d pages", s.Prefetched)
-	}
-}
-
-// TestScanProtectionToggle: turning protection off and back on must not
-// corrupt cached data or the frame table.
-func TestScanProtectionToggle(t *testing.T) {
-	p := New(32)
-	f := buildFile(t, p, "t", 16)
-	for i := 0; i < 16; i++ {
-		p.Read(f, uint32(i))
-	}
-	p.SetScanProtection(false)
-	p.SetScanProtection(true)
-	for i := 0; i < 16; i++ {
-		got, err := p.Read(f, uint32(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := binary.LittleEndian.Uint64(got[:8]); n != uint64(i) {
-			t.Fatalf("page %d holds %d after toggle", i, n)
-		}
 	}
 }
 

@@ -33,9 +33,7 @@
 // a file larger than the pool evicts its own previous pages and leaves
 // the hot working set alone — and each detected stream prefetches the
 // next ReadaheadWindow pages in one batch, so the scan's demand reads
-// become pool hits. SetScanProtection(false) restores the plain CLOCK
-// of earlier revisions (maxRef 1, no streams, no readahead); the perf
-// baseline cells measure exactly that before/after pair.
+// become pool hits.
 package pager
 
 import (
@@ -109,11 +107,8 @@ type Pager struct {
 	table    map[pageKey]int // pageKey -> frame index
 	hand     int
 
-	// scan resistance + readahead (see the package comment). maxRef is 1
-	// when protection is off, which degenerates GCLOCK to plain CLOCK.
-	scanProtect bool
-	maxRef      uint32
-	streams     map[FileID]*seqStream
+	// scan resistance + readahead (see the package comment)
+	streams map[FileID]*seqStream
 
 	// fault injection + write-ahead log (fault.go, wal.go); nil when the
 	// disk is perfect.
@@ -158,7 +153,7 @@ type pageKey struct {
 type frame struct {
 	key  pageKey
 	data []byte
-	// ref is the GCLOCK reference count, capped at the pager's maxRef.
+	// ref is the GCLOCK reference count, capped at maxRef.
 	// It and prefetched are the two frame fields touched under the shared
 	// latch (atomically, by concurrent pool hits); the exclusive latch
 	// covers every other access.
@@ -207,43 +202,22 @@ func New(poolPages int) *Pager {
 		poolPages = DefaultPoolPages
 	}
 	return &Pager{
-		files:       make(map[FileID]*file),
-		capacity:    poolPages,
-		frames:      make([]frame, poolPages),
-		table:       make(map[pageKey]int, poolPages),
-		scanProtect: true,
-		maxRef:      protectedMaxRef,
-		streams:     make(map[FileID]*seqStream),
+		files:    make(map[FileID]*file),
+		capacity: poolPages,
+		frames:   make([]frame, poolPages),
+		table:    make(map[pageKey]int, poolPages),
+		streams:  make(map[FileID]*seqStream),
 	}
 }
 
-// protectedMaxRef is the GCLOCK reference-count cap with scan protection
-// on: a page must be missed by the hand this many times before it is
-// evictable, so the hot working set survives several full sweeps.
-const protectedMaxRef = 3
+// maxRef is the GCLOCK reference-count cap: a page must be missed by the
+// hand this many times before it is evictable, so the hot working set
+// survives several full sweeps.
+const maxRef = 3
 
 // seqThreshold is the number of consecutive +1-page read misses that
 // promotes a file's access pattern to a detected sequential stream.
 const seqThreshold = 3
-
-// SetScanProtection toggles the scan-resistant GCLOCK policy and
-// sequential readahead (both on by default). Off restores the plain
-// CLOCK of earlier revisions: reference counts cap at 1, and sequential
-// streams are neither detected nor prefetched — the before/after perf
-// baseline measures exactly this pair. Cached pages stay cached across
-// the toggle; reference counts above a lowered cap decay as the hand
-// passes them.
-func (p *Pager) SetScanProtection(on bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.scanProtect = on
-	if on {
-		p.maxRef = protectedMaxRef
-	} else {
-		p.maxRef = 1
-	}
-	p.streams = make(map[FileID]*seqStream)
-}
 
 // SetMetrics attaches a metrics registry: every subsequent disk read,
 // write, pool hit, eviction, WAL append and fault retry is counted under
@@ -517,16 +491,15 @@ func (p *Pager) readOnce(fid FileID, no uint32) ([]byte, error) {
 	return p.outPage(data), nil
 }
 
-// bumpRef increments a frame's GCLOCK reference count (capped at the
-// pager's maxRef) and consumes its prefetched flag, counting a readahead
-// hit the first time a demand read lands on a prefetched page. Callers
-// hold at least the shared latch, so the frame fields are touched
-// atomically (concurrent hits race on them) while maxRef — only written
-// under the exclusive latch — is read plainly.
+// bumpRef increments a frame's GCLOCK reference count (capped at
+// maxRef) and consumes its prefetched flag, counting a readahead hit the
+// first time a demand read lands on a prefetched page. Callers hold at
+// least the shared latch, so the frame fields are touched atomically
+// (concurrent hits race on them).
 func (p *Pager) bumpRef(fr *frame) {
 	for {
 		r := atomic.LoadUint32(&fr.ref)
-		if r >= p.maxRef {
+		if r >= maxRef {
 			break
 		}
 		if atomic.CompareAndSwapUint32(&fr.ref, r, r+1) {
@@ -670,7 +643,7 @@ func (p *Pager) readaheadWindow() int {
 // releases the ring back to normal replacement. Callers hold the
 // exclusive latch.
 func (p *Pager) noteMiss(fid FileID, no uint32) *seqStream {
-	if !p.scanProtect || p.readaheadWindow() == 0 {
+	if p.readaheadWindow() == 0 {
 		return nil
 	}
 	st := p.streams[fid]

@@ -36,11 +36,6 @@ type Options struct {
 	// RowLimitPerDoc rejects any document that decomposes into more rows
 	// (DB2 Xcollection's 1024-row limit, §3.1.3 item 5). 0 disables.
 	RowLimitPerDoc int
-	// FlushPerDocument flushes and syncs every table after each document
-	// (per-document transaction commits: both DB2's decomposition and the
-	// SQLXML bulk loader work document-at-a-time), instead of once at the
-	// end of the load.
-	FlushPerDocument bool
 }
 
 // Store holds the shredded representation of one database.
@@ -155,8 +150,12 @@ func (s *Store) mixedText(n *xmldom.Node) (string, bool) {
 	return n.Text(), false
 }
 
-// ShredDocument decomposes one parsed document into rows. It returns the
-// number of rows produced, enforcing Options.RowLimitPerDoc.
+// ShredDocument decomposes one parsed document into rows and commits
+// them: every table is flushed and synced per document, because both
+// DB2's decomposition and the SQLXML bulk loader work document-at-a-time
+// (the per-document I/O is what makes DC/MD the slowest class to load in
+// Table 4). It returns the number of rows produced, enforcing
+// Options.RowLimitPerDoc.
 func (s *Store) ShredDocument(name string, doc *xmldom.Node) (int, error) {
 	before := s.Rows
 	root := doc.Root()
@@ -184,12 +183,7 @@ func (s *Store) ShredDocument(name string, doc *xmldom.Node) (int, error) {
 		return produced, fmt.Errorf("shredder: document %s decomposed into %d rows, exceeding the %d-row limit: %w",
 			name, produced, s.Opts.RowLimitPerDoc, core.ErrUnsupported)
 	}
-	if s.Opts.FlushPerDocument {
-		if err := s.Sync(); err != nil {
-			return produced, err
-		}
-	}
-	return produced, nil
+	return produced, s.Sync()
 }
 
 func (s *Store) insert(table string, row relational.Row) error {
@@ -227,11 +221,6 @@ func (s *Store) Truncate() error {
 	return s.DB.Truncate()
 }
 
-// UnitDocID returns the root id of a document the update workload can
-// target: a whole <order> (DC/MD) or <article> (TC/MD). Those are the
-// unit documents of the multi-document classes — one document per
-// logical entity, so document-granularity insert/replace/delete maps to
-// a clean relational cascade keyed by that id. Other roots (the shared
 // TargetColumn maps a Table 3 index target ("hw", "item/@id") to the
 // shredded (table, column) it lands on. The shredding engines build
 // their indexes through it, and the planner uses it to route costed
@@ -261,6 +250,11 @@ func TargetColumn(class core.Class, target string) (table, col string, ok bool) 
 	return "", "", false
 }
 
+// UnitDocID returns the root id of a document the update workload can
+// target: a whole <order> (DC/MD) or <article> (TC/MD). Those are the
+// unit documents of the multi-document classes — one document per
+// logical entity, so document-granularity insert/replace/delete maps to
+// a clean relational cascade keyed by that id. Other roots (the shared
 // customers/items/... documents of DC/MD) return ok=false: they shred
 // into rows for many entities and have no single delete key.
 func UnitDocID(class core.Class, doc *xmldom.Node) (string, bool) {

@@ -159,24 +159,25 @@ func TestRowLimit(t *testing.T) {
 	}
 }
 
+// TestFlushPerDocument: a document is committed by the time
+// ShredDocument returns — its pages are on disk and nothing is left
+// dirty for a later sync to write.
 func TestFlushPerDocument(t *testing.T) {
 	p := pager.New(128)
-	s := NewStore(core.DCMD, relational.NewDB(p), Options{FlushPerDocument: true})
+	s := NewStore(core.DCMD, relational.NewDB(p), Options{})
 	before := p.Stats().Writes
 	if _, err := s.ShredDocument("order1.xml", xmldom.MustParse(orderDoc)); err != nil {
 		t.Fatal(err)
 	}
 	perDoc := p.Stats().Writes - before
-
-	p2 := pager.New(128)
-	s2 := NewStore(core.DCMD, relational.NewDB(p2), Options{})
-	before2 := p2.Stats().Writes
-	if _, err := s2.ShredDocument("order1.xml", xmldom.MustParse(orderDoc)); err != nil {
+	if perDoc == 0 {
+		t.Fatal("ShredDocument wrote no page")
+	}
+	if err := p.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
-	perBatch := p2.Stats().Writes - before2
-	if perDoc <= perBatch {
-		t.Fatalf("per-document flushing should cost more writes: %d vs %d", perDoc, perBatch)
+	if extra := p.Stats().Writes - before - perDoc; extra != 0 {
+		t.Fatalf("ShredDocument left %d dirty pages behind", extra)
 	}
 }
 

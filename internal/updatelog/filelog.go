@@ -27,7 +27,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Batch is a handle to one group-commit unit: every record enqueued into
@@ -52,8 +51,6 @@ type FileLog struct {
 	cur      *Batch // forming batch, nil when none
 	flushing bool   // a flushLoop goroutine is draining batches
 	flushWg  sync.WaitGroup
-	group    bool          // group commit enabled (default); false = sync per record
-	window   time.Duration // optional extra wait before sealing a batch
 	syncs    atomic.Int64
 	syncHook func(*os.File) error // test seam; nil means (*os.File).Sync
 }
@@ -95,7 +92,7 @@ func OpenFile(path string) (*FileLog, []Record, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("updatelog: seek %s: %w", path, err)
 	}
-	return &FileLog{f: f, path: path, recs: len(recs), group: true}, recs, nil
+	return &FileLog{f: f, path: path, recs: len(recs)}, recs, nil
 }
 
 // Path returns the journal's file path.
@@ -113,25 +110,6 @@ func (l *FileLog) Records() int {
 // commit and concurrent writers it grows slower than Records() — the
 // updates-per-fsync ratio is the whole point.
 func (l *FileLog) Syncs() int64 { return l.syncs.Load() }
-
-// SetGroupCommit toggles group commit. Off restores the legacy
-// one-write-one-sync-per-record Append (the "before" cell of the perf
-// baseline). Only safe to flip while no append is in flight.
-func (l *FileLog) SetGroupCommit(on bool) {
-	l.mu.Lock()
-	l.group = on
-	l.mu.Unlock()
-}
-
-// SetGroupWindow adds a fixed wait before each batch is sealed, trading
-// commit latency for deeper batches. Zero (the default) keeps batching
-// purely natural: everything enqueued during the previous sync goes out
-// together.
-func (l *FileLog) SetGroupWindow(d time.Duration) {
-	l.mu.Lock()
-	l.window = d
-	l.mu.Unlock()
-}
 
 func (l *FileLog) doSync(f *os.File) error {
 	l.syncs.Add(1)
@@ -171,23 +149,6 @@ func (l *FileLog) Enqueue(r Record) (*Batch, error) {
 		// committed prefix on recovery. Refuse instead.
 		return nil, fmt.Errorf("updatelog: journal poisoned by earlier failure: %w", l.broken)
 	}
-	if !l.group {
-		// Legacy mode: write + sync per record, under the lock.
-		b := &Batch{n: 1, done: make(chan struct{})}
-		defer close(b.done)
-		if _, err := l.f.Write(encodeRecord(r)); err != nil {
-			l.broken = err
-			b.err = fmt.Errorf("updatelog: append %s: %w", l.path, err)
-			return b, nil
-		}
-		if err := l.doSync(l.f); err != nil {
-			l.broken = err
-			b.err = fmt.Errorf("updatelog: commit sync %s: %w", l.path, err)
-			return b, nil
-		}
-		l.recs++
-		return b, nil
-	}
 	if l.cur == nil {
 		l.cur = &Batch{done: make(chan struct{})}
 	}
@@ -216,9 +177,6 @@ func (l *FileLog) WaitDurable(b *Batch) error {
 func (l *FileLog) flushLoop() {
 	defer l.flushWg.Done()
 	for {
-		if w := l.windowOf(); w > 0 {
-			time.Sleep(w)
-		}
 		l.mu.Lock()
 		b := l.cur
 		l.cur = nil
@@ -249,12 +207,6 @@ func (l *FileLog) flushLoop() {
 		b.err = err
 		close(b.done)
 	}
-}
-
-func (l *FileLog) windowOf() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.window
 }
 
 // Close flushes any forming batch, then releases the file handle.

@@ -75,30 +75,6 @@ func TestGroupCommitSharesSyncs(t *testing.T) {
 	}
 }
 
-// TestGroupCommitLegacyModeSyncsPerRecord: SetGroupCommit(false) restores
-// the one-fsync-per-Append contract (the perf baseline's "before" cell).
-func TestGroupCommitLegacyModeSyncsPerRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal")
-	l, _, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	l.SetGroupCommit(false)
-	const n = 8
-	for i := 0; i < n; i++ {
-		if err := l.Append(Record{Kind: KindInsert, Name: fmt.Sprintf("d%d", i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := l.Syncs(); got != n {
-		t.Fatalf("legacy mode issued %d syncs for %d appends", got, n)
-	}
-	if got := l.Records(); got != n {
-		t.Fatalf("Records() = %d, want %d", got, n)
-	}
-}
-
 // TestGroupCommitEnqueueOrderIsJournalOrder: records land in the file in
 // Enqueue order even when their WaitDurable calls complete out of order.
 func TestGroupCommitEnqueueOrderIsJournalOrder(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"xbench/internal/core"
-	"xbench/internal/engines/native"
 	"xbench/internal/metrics"
 	"xbench/internal/xmldom"
 )
@@ -127,15 +126,6 @@ func RunUpdateOp(ctx context.Context, e core.Engine, class core.Class, op Update
 		}
 	}
 	return m
-}
-
-// RunUpdate executes one update operation against a native engine.
-//
-// Deprecated: use RunUpdateOp, which targets any core.Engine, honors
-// context cancellation and splits update from verification time. Kept
-// for one release, like core.AdaptV1.
-func RunUpdate(e *native.Engine, class core.Class, op UpdateOp, seq int) UpdateMeasurement {
-	return RunUpdateOp(context.Background(), e, class, op, seq)
 }
 
 // UpdateTargetID returns the root id of the update workload's target

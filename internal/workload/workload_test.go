@@ -8,7 +8,6 @@ import (
 
 	"xbench/internal/core"
 	"xbench/internal/engines/native"
-	"xbench/internal/engines/sqlserver"
 	"xbench/internal/engines/xcollection"
 	"xbench/internal/engines/xcolumn"
 	"xbench/internal/gen"
@@ -31,8 +30,8 @@ func allEngines() []core.Engine {
 	return []core.Engine{
 		native.New(0),
 		xcolumn.New(0),
-		xcollection.New(0, 0),
-		sqlserver.New(0),
+		xcollection.New(xcollection.DB2, 0, 0),
+		xcollection.New(xcollection.SQLServer, 0, 0),
 	}
 }
 
@@ -47,11 +46,11 @@ func TestCapabilityMatrix(t *testing.T) {
 		{xcolumn.New(0), core.TCSD, core.Small, true},  // SD unsupported
 		{xcolumn.New(0), core.DCSD, core.Small, true},  // SD unsupported
 		{xcolumn.New(0), core.DCMD, core.Large, false}, // MD fine
-		{xcollection.New(0, 0), core.TCSD, core.Small, false},
-		{xcollection.New(0, 0), core.TCSD, core.Normal, true}, // row limit
-		{xcollection.New(0, 0), core.DCSD, core.Large, true},
-		{xcollection.New(0, 0), core.DCMD, core.Large, false},
-		{sqlserver.New(0), core.TCSD, core.Large, false},
+		{xcollection.New(xcollection.DB2, 0, 0), core.TCSD, core.Small, false},
+		{xcollection.New(xcollection.DB2, 0, 0), core.TCSD, core.Normal, true}, // row limit
+		{xcollection.New(xcollection.DB2, 0, 0), core.DCSD, core.Large, true},
+		{xcollection.New(xcollection.DB2, 0, 0), core.DCMD, core.Large, false},
+		{xcollection.New(xcollection.SQLServer, 0, 0), core.TCSD, core.Large, false},
 	}
 	for _, c := range cases {
 		err := c.engine.Supports(c.class, c.size)
@@ -265,7 +264,7 @@ func TestParamsCoverQueryNeeds(t *testing.T) {
 
 func TestShreddedFlagsOrderSensitivity(t *testing.T) {
 	db := tinyDB(t, core.DCMD)
-	e := xcollection.New(0, 0)
+	e := xcollection.New(xcollection.DB2, 0, 0)
 	if _, _, err := LoadAndIndex(context.Background(), e, db); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +291,7 @@ func TestShreddedFlagsOrderSensitivity(t *testing.T) {
 
 func TestSQLServerDropsMixedContent(t *testing.T) {
 	db := tinyDB(t, core.TCSD)
-	ss := sqlserver.New(0)
+	ss := xcollection.New(xcollection.SQLServer, 0, 0)
 	st, _, err := LoadAndIndex(context.Background(), ss, db)
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +312,7 @@ func TestSQLServerDropsMixedContent(t *testing.T) {
 		}
 	}
 	// Xcollection keeps the flattened text.
-	xc := xcollection.New(0, 0)
+	xc := xcollection.New(xcollection.DB2, 0, 0)
 	if _, _, err := LoadAndIndex(context.Background(), xc, db); err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +335,7 @@ func TestXcollectionRowLimitTrips(t *testing.T) {
 	// A tiny row limit must reject even a Small single-document database
 	// during load, mirroring DB2's 1024-row decomposition limit.
 	db := tinyDB(t, core.TCSD)
-	e := xcollection.New(0, 10)
+	e := xcollection.New(xcollection.DB2, 0, 10)
 	_, err := e.Load(context.Background(), db)
 	if !errors.Is(err, core.ErrUnsupported) {
 		t.Fatalf("row limit did not trip: %v", err)
@@ -474,7 +473,7 @@ func TestUpdateWorkload(t *testing.T) {
 		}
 		before := e.DocumentCount()
 		for seq, op := range []UpdateOp{U1, U2, U3} {
-			m := RunUpdate(e, class, op, seq)
+			m := RunUpdateOp(context.Background(), e, class, op, seq)
 			if m.Err != nil {
 				t.Fatalf("%s %s: %v", class, op, m.Err)
 			}
@@ -496,7 +495,7 @@ func TestUpdateWorkloadRejectsSingleDocumentClasses(t *testing.T) {
 	if _, _, err := LoadAndIndex(context.Background(), e, db); err != nil {
 		t.Fatal(err)
 	}
-	if m := RunUpdate(e, core.TCSD, U1, 0); m.Err == nil {
+	if m := RunUpdateOp(context.Background(), e, core.TCSD, U1, 0); m.Err == nil {
 		t.Fatal("update workload accepted a single-document class")
 	}
 }

@@ -59,69 +59,14 @@ func TestNewOptions(t *testing.T) {
 	}
 }
 
-// TestWithSnapshots: snapshot reads default on for every engine; the
-// option turns them off (the write-lock baseline) and back on.
-func TestWithSnapshots(t *testing.T) {
-	type snapper interface{ SnapshotsEnabled() bool }
-	for _, name := range []string{"native", "xcolumn", "xcollection", "sqlserver"} {
-		e, err := New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !e.(snapper).SnapshotsEnabled() {
-			t.Errorf("%s: snapshots not on by default", name)
-		}
-		off, err := New(name, WithSnapshots(false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if off.(snapper).SnapshotsEnabled() {
-			t.Errorf("%s: WithSnapshots(false) left snapshots on", name)
-		}
-	}
-}
-
-// TestDeprecatedConstructorsStillWork pins the compatibility satellite:
-// the old constructors and the options API coexist.
-func TestDeprecatedConstructorsStillWork(t *testing.T) {
-	old := NewNativeEngine(0)
-	neu, err := New("native")
+// mustNew is New for tests that construct a known engine.
+func mustNew(t *testing.T, name string, opts ...Option) Engine {
+	t.Helper()
+	e, err := New(name, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old.Name() != neu.Name() {
-		t.Fatalf("old %q vs new %q", old.Name(), neu.Name())
-	}
-}
-
-// fakeV1 is a minimal legacy engine for the adapter re-export test.
-type fakeV1 struct{}
-
-func (fakeV1) Name() string                      { return "v1" }
-func (fakeV1) Supports(Class, Size) error        { return nil }
-func (fakeV1) Load(*Database) (LoadStats, error) { return LoadStats{}, nil }
-func (fakeV1) BuildIndexes([]IndexSpec) error    { return nil }
-func (fakeV1) Execute(QueryID, Params) (Result, error) {
-	return Result{Items: []string{"ok"}}, nil
-}
-func (fakeV1) ColdReset()    {}
-func (fakeV1) PageIO() int64 { return 0 }
-func (fakeV1) Close() error  { return nil }
-
-// TestAdaptV1 lifts a legacy engine through the facade and checks both
-// delegation and context rejection.
-func TestAdaptV1(t *testing.T) {
-	var v1 EngineV1 = fakeV1{}
-	e := AdaptV1(v1)
-	res, err := e.Execute(context.Background(), Q1, nil)
-	if err != nil || len(res.Items) != 1 {
-		t.Fatalf("adapted Execute: %v %v", res, err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.Execute(ctx, Q1, nil); err == nil {
-		t.Fatal("adapter ignored canceled context")
-	}
+	return e
 }
 
 // TestThroughputFacade: the facade Throughput runs the driver end to end

@@ -89,6 +89,13 @@ replayed=$(sed -n 's/^recovered .*: \([0-9]*\) journaled updates replayed.*/\1/p
 [ "$replayed" -gt 0 ] || { echo "shard 0 journal replayed 0 updates after a mixed sweep"; exit 1; }
 echo "shard 0 restarted with $replayed journaled updates replayed"
 
+# The router's breaker for the killed primary stays open for its cooldown
+# (500 ms), and until a probe closes it shard 0's reads go to the replica,
+# which trails the primary by up to --poll: the mixed sweep's
+# read-your-write probe would race the journal pull. Wait the cooldown out
+# so reads are back on the primary.
+sleep 1
+
 # --update-seq-base: the first sweep consumed the low update-document
 # sequences and a mid-cycle step can leave documents behind, so the
 # re-run starts its U1 names past anything already placed.

@@ -13,9 +13,9 @@
 //     indexes and deterministic parameter bindings.
 //   - Four storage engines reproducing the architectures the paper
 //     evaluates: a native XML store (X-Hive analog), CLOB-plus-side-tables
-//     (DB2 Xcolumn analog) and two shredding engines (DB2 Xcollection and
-//     SQL Server analogs), all running over a simulated pager with a
-//     buffer pool so cold-run costs are observable.
+//     (DB2 Xcolumn analog) and a shredding engine under two policies (DB2
+//     Xcollection and SQL Server analogs), all running over a simulated
+//     pager with a buffer pool so cold-run costs are observable.
 //   - An XQuery subset engine that the native store executes directly.
 //   - A benchmark harness that regenerates the paper's Tables 1-9 and the
 //     schema diagrams of Figures 1-4.
@@ -36,7 +36,6 @@ import (
 	"xbench/internal/core"
 	"xbench/internal/driver"
 	"xbench/internal/engines/native"
-	"xbench/internal/engines/sqlserver"
 	"xbench/internal/engines/xcollection"
 	"xbench/internal/engines/xcolumn"
 	"xbench/internal/gen"
@@ -82,9 +81,6 @@ type (
 	GenConfig = gen.Config
 	// Measurement is one cold query measurement.
 	Measurement = workload.Measurement
-	// EngineV1 is the pre-context engine contract; AdaptV1 lifts one to
-	// the current Engine interface.
-	EngineV1 = core.EngineV1
 	// FaultPolicy configures the fault-injecting disk (see WithFaultPolicy).
 	FaultPolicy = pager.FaultPolicy
 	// MetricsRegistry collects counters, spans and histograms
@@ -203,7 +199,6 @@ type engineOptions struct {
 	rowLimit  int
 	fault     *pager.FaultPolicy
 	metrics   *metrics.Registry
-	snapshots *bool
 }
 
 // WithPoolPages sizes the engine's buffer pool in pages; <= 0 selects the
@@ -226,16 +221,6 @@ func WithMetrics(reg *MetricsRegistry) Option {
 	return func(o *engineOptions) { o.metrics = reg }
 }
 
-// WithSnapshots toggles MVCC snapshot reads (DESIGN.md §15). They are on
-// by default: a query pins a commit epoch and runs against an immutable
-// published state without taking the engine write lock, so U1-U3 updates
-// never stall readers. WithSnapshots(false) reverts to the pre-MVCC
-// behavior — queries serialize against updates under the engine latch —
-// which is the baseline the update-fraction sweep compares against.
-func WithSnapshots(on bool) Option {
-	return func(o *engineOptions) { o.snapshots = &on }
-}
-
 // New constructs an engine by name with functional options. Recognized
 // names (case-insensitive): "native" or "x-hive", "xcolumn", "xcollection",
 // "sqlserver" or "sql server".
@@ -253,9 +238,9 @@ func New(name string, opts ...Option) (Engine, error) {
 	case "xcolumn":
 		e = xcolumn.New(o.poolPages)
 	case "xcollection":
-		e = xcollection.New(o.poolPages, o.rowLimit)
+		e = xcollection.New(xcollection.DB2, o.poolPages, o.rowLimit)
 	case "sqlserver":
-		e = sqlserver.New(o.poolPages)
+		e = xcollection.New(xcollection.SQLServer, o.poolPages, 0)
 	default:
 		return nil, fmt.Errorf("xbench: unknown engine %q (want native, xcolumn, xcollection or sqlserver)", name)
 	}
@@ -268,42 +253,8 @@ func New(name string, opts ...Option) (Engine, error) {
 			p.SetMetrics(o.metrics)
 		}
 	}
-	if o.snapshots != nil {
-		e.(interface{ SetSnapshots(bool) }).SetSnapshots(*o.snapshots)
-	}
 	return e, nil
 }
-
-// AdaptV1 wraps a pre-context EngineV1 as an Engine.
-func AdaptV1(e EngineV1) Engine { return core.AdaptV1(e) }
-
-// NewNativeEngine returns the native XML store (X-Hive analog).
-// poolPages sizes the buffer pool; <= 0 selects the default.
-//
-// Deprecated: use New("native", WithPoolPages(poolPages)).
-func NewNativeEngine(poolPages int) Engine { return native.New(poolPages) }
-
-// NewXcolumnEngine returns the DB2 XML Extender Xcolumn analog
-// (intact CLOBs + side tables; multi-document classes only).
-//
-// Deprecated: use New("xcolumn", WithPoolPages(poolPages)).
-func NewXcolumnEngine(poolPages int) Engine { return xcolumn.New(poolPages) }
-
-// NewXcollectionEngine returns the DB2 XML Extender Xcollection analog
-// (shredding with a per-document decomposition row limit; rowLimit <= 0
-// selects the default).
-//
-// Deprecated: use New("xcollection", WithPoolPages(poolPages),
-// WithRowLimit(rowLimit)).
-func NewXcollectionEngine(poolPages, rowLimit int) Engine {
-	return xcollection.New(poolPages, rowLimit)
-}
-
-// NewSQLServerEngine returns the SQL Server 2000 + SQLXML analog
-// (shredding; mixed-content text is dropped).
-//
-// Deprecated: use New("sqlserver", WithPoolPages(poolPages)).
-func NewSQLServerEngine(poolPages int) Engine { return sqlserver.New(poolPages) }
 
 // Engines returns one fresh instance of each of the four systems, in the
 // paper's row order (Xcolumn, Xcollection, SQL Server, X-Hive).
@@ -327,7 +278,7 @@ func QueryParams(class Class) Params { return workload.Params(class) }
 
 // Explain returns the costed physical plan the engine would execute for
 // q, as a printable tree (PlanNode.Format). Engines that cannot explain
-// — including EngineV1 adapters and remote servers predating OpExplain —
+// — a foreign Engine implementation, a remote server predating OpExplain —
 // return an error wrapping ErrNoExplain.
 func Explain(ctx context.Context, e Engine, q QueryID, p Params) (*PlanNode, error) {
 	return core.Explain(ctx, e, q, p)

@@ -18,7 +18,7 @@ func TestPublicAPIFlow(t *testing.T) {
 	if db.Instance() != "DCSDS" || db.Bytes() == 0 {
 		t.Fatalf("bad database: %s %d", db.Instance(), db.Bytes())
 	}
-	e := NewNativeEngine(0)
+	e := mustNew(t, "native")
 	st, err := LoadAndIndex(context.Background(), e, db)
 	if err != nil {
 		t.Fatal(err)
@@ -49,9 +49,9 @@ func TestPublicEngineConstructors(t *testing.T) {
 			t.Errorf("missing engine %s", want)
 		}
 	}
-	if NewXcolumnEngine(0).Name() != "Xcolumn" ||
-		NewXcollectionEngine(0, 0).Name() != "Xcollection" ||
-		NewSQLServerEngine(0).Name() != "SQL Server" {
+	if mustNew(t, "xcolumn").Name() != "Xcolumn" ||
+		mustNew(t, "xcollection").Name() != "Xcollection" ||
+		mustNew(t, "sqlserver").Name() != "SQL Server" {
 		t.Fatal("constructor names wrong")
 	}
 }
@@ -122,12 +122,12 @@ func TestPublicBenchRunner(t *testing.T) {
 }
 
 func TestPublicErrors(t *testing.T) {
-	e := NewXcolumnEngine(0)
+	e := mustNew(t, "xcolumn")
 	if err := e.Supports(TCSD, Small); !errors.Is(err, ErrUnsupported) {
 		t.Fatal("ErrUnsupported not surfaced through the facade")
 	}
 	db, _ := Generate(DCSD, Small)
-	n := NewNativeEngine(0)
+	n := mustNew(t, "native")
 	if _, err := LoadAndIndex(context.Background(), n, db); err != nil {
 		t.Fatal(err)
 	}
