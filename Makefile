@@ -78,8 +78,12 @@ mvcc-sweep: build
 
 # Non-test Go lines outside benchmarks/: total and per top-level
 # directory of internal/. What "net non-test lines down" is measured with.
+# The counts are committed in results/loc.txt and the target fails when
+# the tree differs from them, so a line-count change is a reviewed diff.
 loc:
-	@bash scripts/loc.sh
+	@bash scripts/loc.sh | diff -u results/loc.txt - || \
+		{ echo "line counts differ from results/loc.txt; if intended: bash scripts/loc.sh > results/loc.txt"; exit 1; }
+	@cat results/loc.txt
 
 # Plan regression gate: the costed EXPLAIN tree of every (class, query)
 # cell, planned over fixture statistics, must match the checked-in corpus
@@ -93,4 +97,4 @@ plan-golden:
 	$(GO) test -run TestGoldenPlans -update-plans ./internal/plan/
 
 # The PR gate: everything that must be green before a change lands.
-verify: build vet test race chaos-updates torture smoke shard-smoke plan-check
+verify: build vet test race chaos-updates torture smoke shard-smoke plan-check loc

@@ -333,12 +333,6 @@ func (r *Runner) Measure(engineName string, class core.Class, size core.Size, q 
 	return m, m.Err
 }
 
-// LoadMeasurement returns the Table 4 cell for an engine/class/size.
-func (r *Runner) LoadMeasurement(engineName string, class core.Class, size core.Size) (time.Duration, core.LoadStats, error) {
-	_, cell := r.Engine(engineName, class, size)
-	return cell.dur, cell.stats, cell.err
-}
-
 // AllTables prints Tables 1-9 (1-3 are static, 4-9 measured). In CSV
 // mode only the measured tables are emitted.
 func (r *Runner) AllTables() error {

@@ -435,7 +435,7 @@ func TestViewKeepsDeletedEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	epoch := p.EndMutation()
+	epoch := p.EndMutation(nil)
 	snap := p.PinSnapshot()
 	defer snap.Release()
 	view := tr.ViewAt(epoch)
@@ -446,14 +446,14 @@ func TestViewKeepsDeletedEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.EndMutation()
+	p.EndMutation(nil)
 	p.BeginMutation()
 	for i := 0; i < n; i += 4 {
 		if err := tr.Insert(key(i), uint64(i+n)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	p.EndMutation()
+	p.EndMutation(nil)
 
 	if view.Len() != n || tr.Len() != n/2+n/4 {
 		t.Fatalf("view Len = %d (want %d), live Len = %d (want %d)", view.Len(), n, tr.Len(), n/2+n/4)
@@ -647,9 +647,11 @@ func TestAllocationPins(t *testing.T) {
 			if tr.Height() != 3 {
 				t.Fatalf("height = %d, want 3", tr.Height())
 			}
-			var view Reader = tr.ViewAt(pager.LiveEpoch)
+			type searcher interface {
+				Search(ctx context.Context, key string) ([]uint64, error)
+			}
 			probe := key(tc.n / 3)
-			for name, rd := range map[string]Reader{"tree": tr, "view": view} {
+			for name, rd := range map[string]searcher{"tree": tr, "view": tr.ViewAt(pager.LiveEpoch)} {
 				// One match: the result slice and the variable the scan
 				// callback appends to.
 				if a := testing.AllocsPerRun(100, func() {

@@ -6,21 +6,6 @@ import (
 	"xbench/internal/pager"
 )
 
-// Reader is the read surface shared by a live Tree and an epoch-pinned
-// TreeView: the engines' query paths depend on this interface so the
-// same plan execution code runs against either.
-type Reader interface {
-	Search(ctx context.Context, key string) ([]uint64, error)
-	Range(ctx context.Context, lo, hi string, fn func(key string, val uint64) bool) error
-	Height() int
-	Len() int
-}
-
-var (
-	_ Reader = (*Tree)(nil)
-	_ Reader = (*TreeView)(nil)
-)
-
 // TreeView is an immutable snapshot of a Tree as of a commit epoch: the
 // root pointer, entry count and height frozen at view time, with node
 // pages read through pager.ReadAt. A view takes no latch at all — a
@@ -47,9 +32,6 @@ func (t *Tree) ViewAt(epoch uint64) *TreeView {
 	defer t.mu.RUnlock()
 	return &TreeView{p: t.p, fid: t.fid, root: t.root, n: t.n, height: t.height, epoch: epoch, t: t}
 }
-
-// Epoch returns the view's commit epoch.
-func (v *TreeView) Epoch() uint64 { return v.epoch }
 
 // Len returns the entry count of the view.
 func (v *TreeView) Len() int { return v.n }

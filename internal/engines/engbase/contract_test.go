@@ -5,12 +5,14 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"xbench/internal/core"
 	"xbench/internal/engines/native"
 	"xbench/internal/engines/xcollection"
 	"xbench/internal/engines/xcolumn"
 	"xbench/internal/gen"
+	"xbench/internal/metrics"
 	"xbench/internal/pager"
 	"xbench/internal/workload"
 )
@@ -79,7 +81,9 @@ func wantEmpty(t *testing.T, e engine) {
 // TestEngineContract is the lifecycle every engine gets from
 // engbase.Base, checked on each of them: the not-loaded rule, load
 // atomicity, refused updates that leave no trace, one journal record per
-// applied update, idempotent Close, snapshot reads by default.
+// applied update, idempotent Close, snapshot reads by default — and, on
+// a fake store whose hooks can fail and park, that a failed Freeze stops
+// the engine and that nothing on the read path waits for a writer.
 func TestEngineContract(t *testing.T) {
 	ctx := context.Background()
 	db := tinyDB(t)
@@ -135,6 +139,9 @@ func TestEngineContract(t *testing.T) {
 					}
 					if after := footprintOf(t, e); after != before {
 						t.Errorf("refused operations left a trace: %+v -> %+v", before, after)
+					}
+					if n := e.Pager().PinnedSnapshots(); n != 0 {
+						t.Errorf("%d snapshots left pinned by the refused reads", n)
 					}
 				})
 			}
@@ -224,6 +231,79 @@ func TestEngineContract(t *testing.T) {
 		})
 	}
 
+	// Nothing published means nothing to read — never the live store. A
+	// Freeze that fails after the apply commits the epoch with no view:
+	// reads, plans and further updates all get the not-loaded error until
+	// a Load publishes again.
+	t.Run("fake store/a failed Freeze leaves the not-loaded error, not the live store", func(t *testing.T) {
+		b, c := newCell(t)
+		mustLoad(t, b, 3)
+		c.freezeErr = errors.New("freeze failed")
+		if err := b.InsertDocument(ctx, "x.xml", []byte("<d/>")); !errors.Is(err, c.freezeErr) {
+			t.Fatalf("U1 with a failing Freeze: %v", err)
+		}
+		c.freezeErr = nil
+		for name, run := range map[string]func() error{
+			"Execute": func() error { _, err := b.Execute(ctx, core.Q1, nil); return err },
+			"Explain": func() error { _, err := b.Explain(ctx, core.Q1, nil); return err },
+			"insert":  func() error { return b.InsertDocument(ctx, "y.xml", []byte("<d/>")) },
+		} {
+			if err := run(); err == nil || !strings.Contains(err.Error(), "cell: "+name+" before Load") {
+				t.Errorf("%s after the failed Freeze: %v", name, err)
+			}
+		}
+		if n := b.Pager().PinnedSnapshots(); n != 0 {
+			t.Errorf("%d snapshots left pinned", n)
+		}
+		mustLoad(t, b, 5)
+		if res, err := b.Execute(ctx, core.Q1, nil); err != nil || res.Items[0] != "5" {
+			t.Fatalf("Execute after the reload = %v, %v", res.Items, err)
+		}
+	})
+
+	// No latch anywhere on the read path: with a writer stopped inside
+	// ApplyInsert — latch held, page already rewritten — Execute and
+	// Explain still answer, from the view published before it began.
+	t.Run("fake store/reads answer from the last published view while a writer is parked", func(t *testing.T) {
+		b, c := newCell(t)
+		mustLoad(t, b, 3)
+		c.parked, c.resume = make(chan struct{}), make(chan struct{})
+		written := make(chan error, 1)
+		go func() { written <- b.InsertDocument(ctx, "x.xml", []byte("<d/>")) }()
+		<-c.parked
+
+		type answer struct {
+			items []string
+			plan  *core.PlanNode
+			err   error
+		}
+		read := make(chan answer, 1)
+		go func() {
+			res, err := b.Execute(ctx, core.Q1, nil)
+			if err != nil {
+				read <- answer{err: err}
+				return
+			}
+			node, err := b.Explain(ctx, core.Q1, nil)
+			read <- answer{res.Items, node, err}
+		}()
+		select {
+		case a := <-read:
+			if a.err != nil || a.items[0] != "3" || a.plan == nil {
+				t.Errorf("reads beside the parked writer = %v, %v, %v; want the 3 documents published before it", a.items, a.plan, a.err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Error("Execute/Explain waited for the parked writer")
+		}
+		close(c.resume)
+		if err := <-written; err != nil {
+			t.Fatal(err)
+		}
+		if res, err := b.Execute(ctx, core.Q1, nil); err != nil || res.Items[0] != "4" {
+			t.Fatalf("Execute after the commit = %v, %v", res.Items, err)
+		}
+	})
+
 	// Xcollection's decomposition row limit fires after the offending
 	// document's rows were already inserted; the abort must truncate them
 	// and leave the engine loadable.
@@ -244,4 +324,44 @@ func TestEngineContract(t *testing.T) {
 			t.Fatalf("Q1 after the reload = %v, %v", res.Items, err)
 		}
 	})
+}
+
+// TestPhasesPartitionExecute: the phases one query records are disjoint
+// stretches of its Execute, on every engine — their times sum to no more
+// than the call took, for a point query and for a scan — and planning is
+// one of them everywhere, because Base does it.
+func TestPhasesPartitionExecute(t *testing.T) {
+	ctx := context.Background()
+	db := tinyDB(t)
+	for _, tc := range engines {
+		t.Run(tc.name, func(t *testing.T) {
+			e := tc.mk()
+			defer e.Close()
+			if _, _, err := workload.LoadAndIndex(ctx, e, db); err != nil {
+				t.Fatal(err)
+			}
+			reg := e.Pager().Metrics()
+			params := core.Params{"X": "O1", "W2": "the"} // Q17's word is in 4 of the 20 orders
+			for _, q := range []core.QueryID{core.Q1, core.Q17} {
+				before := reg.Snapshot()
+				start := time.Now()
+				res, err := e.Execute(ctx, q, params)
+				wall := time.Since(start)
+				if err != nil || len(res.Items) == 0 {
+					t.Fatalf("%s = %v, %v", q, res.Items, err)
+				}
+				phases := reg.Snapshot().Delta(before).Phases
+				var sum time.Duration
+				for _, d := range phases {
+					sum += d
+				}
+				if sum > wall {
+					t.Errorf("%s: phases sum to %v of a %v Execute, so some of them nest: %v", q, sum, wall, phases)
+				}
+				if phases[metrics.PhasePlan] == 0 {
+					t.Errorf("%s: no plan phase recorded: %v", q, phases)
+				}
+			}
+		})
+	}
 }

@@ -1,35 +1,34 @@
 // Package engbase is the lifecycle all four engines share. An engine
 // embeds *Base and supplies a Store — its on-disk layout and its query
 // path — and Base owns everything that is the same for every storage
-// strategy: the engine latch, the pager, the logical update journal, the
-// published snapshot and version GC, and the protocols built on them
-// (DESIGN.md §9 load, §10 updates, §15 snapshot reads). They are written
-// once, here, so a rule such as "nothing runs against a store that was
-// never loaded" or "the journal append comes before the apply" cannot
+// strategy: the writers' latch, the pager, the logical update journal,
+// version GC, the planner's feedback, and the protocols built on them
+// (DESIGN.md §9 load and query, §10 updates, §15 snapshot reads). They
+// are written once, here, so a rule such as "nothing runs against a
+// store that was never loaded", "the journal append comes before the
+// apply" or "a query is planned over the view it runs against" cannot
 // drift between engines.
 //
-// Snapshot publication is a seqlock over two atomics: the pager's
-// committed epoch (observed by PinSnapshot) and the published view
-// pointer. A writer publishes an immutable view per commit epoch; a
-// reader pins first, then loads the view, and if the view's epoch is not
-// the pinned epoch the writer is mid-publish (the window between
-// EndMutation and the pointer store is a few instructions), so the reader
-// releases and retries. A bounded number of retries falls back to the
-// read latch and the live store, so a writer stalled inside that window
-// can never wedge readers.
+// What is committed has one owner, the pager: the call that commits an
+// epoch (EndMutation, AdvanceEpoch) takes the store's frozen view of that
+// epoch, and PinSnapshot hands a reader the view with the pin, both under
+// the one mutex they already took. Base keeps no copy of it, so there is
+// nothing to reconcile per read and no latch anywhere on the read path:
+// every query and every Explain runs against the view it pinned, and an
+// engine with nothing published answers the not-loaded error.
 package engbase
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"xbench/internal/core"
 	"xbench/internal/metrics"
 	"xbench/internal/pager"
+	"xbench/internal/plan"
+	"xbench/internal/queries"
 	"xbench/internal/updatelog"
 	"xbench/internal/xmldom"
 )
@@ -39,20 +38,17 @@ import (
 // only mops up after bursts that end with a pin still outstanding.
 const gcInterval = 2 * time.Second
 
-// maxPinRetries bounds the seqlock retry loop. The mismatch window is
-// publish-side and tiny; if it persists this long something is wrong and
-// the latched read of the live store is the safe answer.
-const maxPinRetries = 1000
-
 // Store is the part of an engine that is its own: how documents are laid
-// out over the pager and how a query runs against them. V is the read
-// surface a query runs against — the live store, or a frozen view of it
-// at one commit epoch.
+// out over the pager and how a planned query runs against them. V is the
+// read surface a query runs against: a frozen view of the store at one
+// commit epoch.
 //
-// Base calls every method except Name, Supports and Run with the engine
-// latch held exclusively (Live and Explain: at least shared), and only
-// Name, Supports, Reset and LoadDocs on a store that is not loaded, so a
-// Store does no locking and no "is it loaded" checks of its own.
+// Base calls every method except Name, Supports, Stats and Exec with the
+// engine latch held exclusively, and only Name, Supports, Reset and
+// LoadDocs on a store that is not loaded, so a Store does no locking and
+// no "is it loaded" checks of its own. Stats and Exec are called
+// concurrently, without the latch, on a view the caller has pinned; they
+// read nothing of the store that a writer changes.
 type Store[V any] interface {
 	// Name and Supports are core.Engine's.
 	Name() string
@@ -64,18 +60,17 @@ type Store[V any] interface {
 	// every dirty page on disk. Base fills in LoadStats.PageIO.
 	LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats, error)
 
-	// Live returns the read surface over the live store.
-	Live() V
-	// Freeze returns the store's immutable read surface at a commit
-	// epoch. The store is synced when Base calls it, so freezing flushes
-	// nothing.
+	// Freeze returns the store's immutable read surface at the commit
+	// epoch the open mutation (or the load) is about to commit. The
+	// store is synced when Base calls it, so freezing flushes nothing.
 	Freeze(epoch uint64) (V, error)
-	// Run executes q against v. It is called concurrently, and without
-	// the latch when v is a frozen view. Base fills in Result.PageIO.
-	Run(ctx context.Context, v V, q core.QueryID, p core.Params) (core.Result, error)
-	// Explain returns the costed physical plan Run would execute for q
-	// over the live store's statistics.
-	Explain(q core.QueryID) (*core.PlanNode, error)
+	// Stats returns what the planner needs to know about v: the class
+	// whose query catalog applies and the statistics the cost model
+	// reads. Base adds the feedback.
+	Stats(v V) (core.Class, plan.StatValues)
+	// Exec runs the planned query ph against v. Base fills in
+	// Result.PageIO.
+	Exec(ctx context.Context, v V, ph *plan.Physical, p core.Params) (core.Result, error)
 	// BuildIndexes creates the Table 3 value indexes among specs that
 	// apply to the loaded class. Base syncs the pager afterwards.
 	BuildIndexes(specs []core.IndexSpec) error
@@ -94,29 +89,21 @@ type Store[V any] interface {
 	ApplyDelete(ctx context.Context, name string, replacing bool) error
 }
 
-// published pairs a frozen view with the commit epoch it describes.
-type published[V any] struct {
-	epoch uint64
-	view  V
-}
-
 // Base is the embedded half of an engine; see the package comment.
 // Execute, Explain, PageIO, Pager and Metrics are safe from many
-// goroutines; every other method takes the latch exclusively, excluding
-// (and quiescing) latched readers, while snapshot readers keep running
-// against the epoch they pinned.
+// goroutines and never take the latch; every other method takes it,
+// serializing writers, while readers keep running against the epoch
+// they pinned.
 type Base[V any] struct {
-	mu      sync.RWMutex
+	mu      sync.Mutex
 	p       *pager.Pager
 	s       Store[V]
 	journal *updatelog.Log // logical redo journal for U1-U3
-	// state is the published view; nil when nothing is loaded, which
-	// sends readers to the latch and the not-loaded error.
-	state atomic.Pointer[published[V]]
-	// loaded is set by a successful Load and cleared by reset and Close.
-	// Guarded by mu.
-	loaded     bool
-	pinRetries int
+	fb      plan.Feedback  // observed range selectivities, for every Plan call
+	// loaded is set by a successful Load and cleared by reset, a failed
+	// Freeze and Close: it gates the writers the way the published view
+	// gates the readers. Guarded by mu.
+	loaded bool
 }
 
 // NewPager returns the pager an engine is built on, with a metrics
@@ -131,7 +118,7 @@ func NewPager(poolPages int) *pager.Pager {
 // New returns the base of an empty engine over s, whose files live on p.
 // It adds the update journal file and starts version GC.
 func New[V any](p *pager.Pager, s Store[V]) *Base[V] {
-	b := &Base[V]{p: p, s: s, journal: updatelog.New(p, "updates"), pinRetries: maxPinRetries}
+	b := &Base[V]{p: p, s: s, journal: updatelog.New(p, "updates")}
 	p.StartGC(gcInterval)
 	return b
 }
@@ -160,48 +147,29 @@ func (b *Base[V]) notLoaded(op string) error {
 	return fmt.Errorf("%s: %s before Load", b.s.Name(), op)
 }
 
-// publish freezes the store at epoch and publishes it for snapshot
-// readers. The caller holds the write lock and has synced the store.
-func (b *Base[V]) publish(epoch uint64) error {
+// publish freezes the store at epoch and commits the epoch with the
+// view, through commit: EndMutation inside a bracket, AdvanceEpoch after a
+// load. Freezing before the commit is what lets the two change together.
+// If Freeze fails the epoch is committed with nothing to read and the
+// engine stops: the store holds the update but cannot be read at it, so
+// every operation answers the not-loaded error until the next Load. The
+// caller holds the latch and has synced the store.
+func (b *Base[V]) publish(epoch uint64, commit func(view any) uint64) error {
 	v, err := b.s.Freeze(epoch)
 	if err != nil {
-		b.state.Store(nil)
+		b.loaded = false
+		commit(nil)
 		return err
 	}
-	b.state.Store(&published[V]{epoch: epoch, view: v})
+	commit(v)
 	return nil
 }
 
-// pin pins the pager's current snapshot and returns the published view
-// matching the pinned epoch. ok is false — and nothing stays pinned —
-// when no view is published or the retry budget runs out; the caller
-// then reads under the latch. On ok the caller owns the Snap and must
-// Release it when done with the view.
-func (b *Base[V]) pin() (*pager.Snap, V, bool) {
-	var none V
-	for i := 0; i < b.pinRetries; i++ {
-		snap := b.p.PinSnapshot()
-		st := b.state.Load()
-		if st == nil {
-			snap.Release()
-			return nil, none, false
-		}
-		if st.epoch == snap.Epoch() {
-			return snap, st.view, true
-		}
-		// Writer is between EndMutation and publish; yield and retry.
-		snap.Release()
-		runtime.Gosched()
-	}
-	return nil, none, false
-}
-
 // reset empties the engine so Load is idempotent: a repeated or resumed
-// load never sees leftovers from an earlier attempt. The published view
-// is withdrawn first so readers fall back to the latch rather than chase
-// views into truncated files.
+// load never sees leftovers from an earlier attempt. The publication is
+// withdrawn first, so no reader is handed a view into truncated files.
 func (b *Base[V]) reset() error {
-	b.state.Store(nil)
+	b.p.AdvanceEpoch(nil)
 	b.loaded = false
 	if err := b.journal.Reset(); err != nil {
 		return err
@@ -244,7 +212,7 @@ func (b *Base[V]) Load(ctx context.Context, db *core.Database) (core.LoadStats, 
 	}
 	st.PageIO = b.p.Stats().IO() - before
 	b.loaded = true
-	if err := b.publish(b.p.AdvanceEpoch()); err != nil {
+	if err := b.publish(b.p.SnapshotEpoch()+1, b.p.AdvanceEpoch); err != nil {
 		return st, b.abortLoad(err)
 	}
 	return st, nil
@@ -258,38 +226,54 @@ func (b *Base[V]) BuildIndexes(specs []core.IndexSpec) error {
 	if !b.loaded {
 		return b.notLoaded("BuildIndexes")
 	}
-	b.p.BeginMutation()
+	epoch := b.p.BeginMutation()
 	if err := b.s.BuildIndexes(specs); err != nil {
 		return err
 	}
 	if err := b.p.SyncAll(); err != nil {
 		return err
 	}
-	return b.publish(b.p.EndMutation())
+	return b.publish(epoch, b.p.EndMutation)
+}
+
+// planned is the read protocol up to the plan, for the operation named
+// op: pin the committed epoch, which hands back the view published with
+// it (nothing published is the not-loaded error), and plan q over that
+// view. It is the one planning site, and the plan phase is exactly its
+// second half: look q up in the catalog of the view's class and cost it
+// over the view's statistics and the engine's observed selectivities.
+// The caller owns the Snap either way and must Release it when done with
+// the view and the plan.
+func (b *Base[V]) planned(op string, q core.QueryID) (*pager.Snap, V, *plan.Physical, error) {
+	snap := b.p.PinSnapshot()
+	v, ok := snap.View().(V)
+	if !ok {
+		return snap, v, nil, b.notLoaded(op)
+	}
+	defer b.p.Metrics().StartSpan(metrics.PhasePlan).End()
+	class, st := b.s.Stats(v)
+	def := queries.Lookup(class, q)
+	if def == nil {
+		return snap, v, nil, core.ErrNoQuery
+	}
+	st.Feedback = &b.fb
+	ph, err := plan.Plan(def, st)
+	return snap, v, ph, err
 }
 
 // Execute implements core.Engine. It is safe to call from many
 // goroutines; cancellation via ctx is honored at page-fetch granularity.
-// A query pins a commit epoch and runs against the view published for it
-// without touching the latch, so U1-U3 updates never stall it. The
-// latched read of the live store is the fallback for an exhausted
-// seqlock, and where a never-loaded engine gets its error.
+// A query pins a commit epoch, plans over the view published with it and
+// runs against that view without touching the latch, so U1-U3 updates
+// never stall it.
 func (b *Base[V]) Execute(ctx context.Context, q core.QueryID, p core.Params) (core.Result, error) {
-	if snap, v, ok := b.pin(); ok {
-		defer snap.Release()
-		return b.run(ctx, v, q, p)
+	snap, v, ph, err := b.planned("Execute", q)
+	defer snap.Release()
+	if err != nil {
+		return core.Result{}, err
 	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if !b.loaded {
-		return core.Result{}, b.notLoaded("Execute")
-	}
-	return b.run(ctx, b.s.Live(), q, p)
-}
-
-func (b *Base[V]) run(ctx context.Context, v V, q core.QueryID, p core.Params) (core.Result, error) {
 	before := b.p.Stats().IO()
-	res, err := b.s.Run(ctx, v, q, p)
+	res, err := b.s.Exec(ctx, v, ph, p)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -297,20 +281,20 @@ func (b *Base[V]) run(ctx context.Context, v V, q core.QueryID, p core.Params) (
 	return res, nil
 }
 
-// Explain implements core.Explainer under the read latch: plans are
-// costed over the live store's statistics.
+// Explain implements core.Explainer: the plan Execute would run for q
+// now, costed over the same pinned view.
 func (b *Base[V]) Explain(_ context.Context, q core.QueryID, _ core.Params) (*core.PlanNode, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if !b.loaded {
-		return nil, b.notLoaded("Explain")
+	snap, _, ph, err := b.planned("Explain", q)
+	defer snap.Release()
+	if err != nil {
+		return nil, err
 	}
-	return b.s.Explain(q)
+	return ph.Root, nil
 }
 
-// ColdReset implements core.Engine. It quiesces: in-flight queries
-// finish before the pool is dropped, and queries submitted during the
-// reset wait for it.
+// ColdReset implements core.Engine. It quiesces (pager.BlockPins):
+// in-flight queries finish before the pool is dropped, and queries
+// submitted during the reset wait for it.
 func (b *Base[V]) ColdReset() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -322,7 +306,7 @@ func (b *Base[V]) ColdReset() {
 func (b *Base[V]) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.state.Store(nil)
+	b.p.AdvanceEpoch(nil)
 	b.loaded = false
 	return b.p.Close()
 }
@@ -336,13 +320,14 @@ func (b *Base[V]) Close() error {
 //
 // Each update also runs inside a pager mutation bracket: every page it
 // overwrites is versioned with its pre-image at the next commit epoch,
-// so pinned snapshot readers keep the pre-update state, and EndMutation
-// followed by publish makes the update visible to new readers. A refused
-// update (not loaded, malformed, name taken, name missing) returns
-// before the bracket opens and the journal is touched. An apply that
-// fails after the append returns with the bracket open and the engine
-// still serving its last published view; making that fail-stop is
-// ROADMAP item 3, and this function is the one place to do it.
+// so pinned snapshot readers keep the pre-update state, and publish
+// commits the epoch together with the store's view of it, which is what
+// makes the update visible to new readers. A refused update (not loaded,
+// malformed, name taken, name missing) returns before the bracket opens
+// and the journal is touched. An apply that fails after the append
+// returns with the bracket open and the engine still serving its last
+// published view; making that fail-stop is ROADMAP item 3, and this
+// function is the one place to do it (publish shows how: commit nil).
 func (b *Base[V]) update(ctx context.Context, kind updatelog.Kind, name string, data []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -369,7 +354,7 @@ func (b *Base[V]) update(ctx context.Context, kind updatelog.Kind, name string, 
 	case kind == updatelog.KindDelete && !exists:
 		return fmt.Errorf("%s: document %q not found", b.s.Name(), name)
 	}
-	b.p.BeginMutation()
+	epoch := b.p.BeginMutation()
 	if err := b.journal.Append(updatelog.Record{Kind: kind, Name: name, Data: data}); err != nil {
 		return err
 	}
@@ -383,7 +368,7 @@ func (b *Base[V]) update(ctx context.Context, kind updatelog.Kind, name string, 
 			return err
 		}
 	}
-	return b.publish(b.p.EndMutation())
+	return b.publish(epoch, b.p.EndMutation)
 }
 
 // InsertDocument implements core.Engine (U1). It fails if the name

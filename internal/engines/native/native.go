@@ -37,6 +37,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"time"
 
 	"xbench/internal/btree"
 	"xbench/internal/core"
@@ -98,38 +99,18 @@ type store struct {
 	// fills it and updates (replayed ones included) maintain it.
 	names   map[string]pager.RID
 	indexes map[string]*btree.Tree
-	planFB  plan.Feedback // observed range selectivities for the cost model
 	// compiled memoizes xquery.Parse per catalog query
 	// (*queries.Def -> *xquery.Query): at most 20 queries x 4 classes.
 	compiled sync.Map
 }
 
-// heapReader is the read surface shared by the live *pager.Heap and a
-// frozen pager.HeapView, letting one query path serve both.
-type heapReader interface {
-	Get(ctx context.Context, rid pager.RID) ([]byte, error)
-	Scan(ctx context.Context, fn func(rid pager.RID, rec []byte) bool) error
-	Pages() int64
-	Count() int
-}
-
-// view is the read surface of the store at one moment: either the live
-// heaps and trees (caller holds the read latch) or frozen snapshot
-// views pinned at a commit epoch (lock-free).
+// view is the read surface of the store at one commit epoch: frozen
+// heap and index views a query reads lock-free under its pin.
 type view struct {
 	class   core.Class
-	docs    heapReader
-	catalog heapReader
-	indexes map[string]btree.Reader
-}
-
-// Live implements engbase.Store: the live heaps and trees.
-func (s *store) Live() *view {
-	ixs := make(map[string]btree.Reader, len(s.indexes))
-	for t, ix := range s.indexes {
-		ixs[t] = ix
-	}
-	return &view{class: s.class, docs: s.docs, catalog: s.catalog, indexes: ixs}
+	docs    pager.HeapView
+	catalog pager.HeapView
+	indexes map[string]*btree.TreeView
 }
 
 // Freeze implements engbase.Store: heap and index views at epoch.
@@ -142,7 +123,7 @@ func (s *store) Freeze(epoch uint64) (*view, error) {
 	if err != nil {
 		return nil, err
 	}
-	ixs := make(map[string]btree.Reader, len(s.indexes))
+	ixs := make(map[string]*btree.TreeView, len(s.indexes))
 	for t, ix := range s.indexes {
 		ixs[t] = ix.ViewAt(epoch)
 	}
@@ -333,11 +314,11 @@ func (s *store) storeDocument(name string, doc *xmldom.Node, raw []byte) (pager.
 	return cat, en, nil
 }
 
-// openRecord fetches one stored record from docs (the live document heap
-// or a frozen view of it) and opens it for the cursor. A persistent-DOM
+// openRecord fetches one stored record from docs (a frozen view of the
+// document heap, or the writer's live one) and opens it for the cursor. A persistent-DOM
 // record is walked where Get put it; raw XML (the storage-format
 // ablation) is parsed and re-encoded first.
-func (s *store) openRecord(ctx context.Context, docs heapReader, rid pager.RID) (*xmldom.Record, error) {
+func (s *store) openRecord(ctx context.Context, docs pager.HeapView, rid pager.RID) (*xmldom.Record, error) {
 	data, err := docs.Get(ctx, rid)
 	if err != nil {
 		return nil, err
@@ -358,7 +339,7 @@ func (s *store) openRecord(ctx context.Context, docs heapReader, rid pager.RID) 
 // value — which is what the index locators guarantee. An unsegmented
 // document is its one record; a segmented one is put together as a tree
 // from its header and segments and encoded again.
-func (s *store) openDoc(ctx context.Context, docs heapReader, en docEntry, segs []int) (*xmldom.Record, error) {
+func (s *store) openDoc(ctx context.Context, docs pager.HeapView, en docEntry, segs []int) (*xmldom.Record, error) {
 	if !en.segmented {
 		rec, err := s.openRecord(ctx, docs, en.rids[0])
 		if err != nil {
@@ -451,7 +432,7 @@ func indexEntries(target string, cat pager.RID, parts []*xmldom.Record, fn func(
 }
 
 // loadParts opens the stored records of one catalog entry.
-func (s *store) loadParts(ctx context.Context, docs heapReader, en docEntry) ([]*xmldom.Record, error) {
+func (s *store) loadParts(ctx context.Context, docs pager.HeapView, en docEntry) ([]*xmldom.Record, error) {
 	parts := make([]*xmldom.Record, len(en.rids))
 	for i, rid := range en.rids {
 		part, err := s.openRecord(ctx, docs, rid)
@@ -464,10 +445,11 @@ func (s *store) loadParts(ctx context.Context, docs heapReader, en docEntry) ([]
 }
 
 // BuildIndexes implements engbase.Store: value indexes mapping the
-// target element/attribute value to a (document, segment) locator.
+// target element/attribute value to a (document, segment) locator. It
+// is the writer, so it reads its own heaps as they are now.
 func (s *store) BuildIndexes(specs []core.IndexSpec) error {
 	ctx := context.Background()
-	v := s.Live()
+	v := &view{class: s.class, docs: s.docs.Live(), catalog: s.catalog.Live()}
 	for _, spec := range specs {
 		if _, dup := s.indexes[spec.Target]; dup {
 			continue
@@ -524,22 +506,12 @@ func (s *store) scanCatalog(ctx context.Context, v *view, fn func(cat pager.RID,
 	return err
 }
 
-// Run implements engbase.Store: evaluate the class's XQuery
+// Exec implements engbase.Store: evaluate the class's XQuery
 // instantiation, using a value index to restrict the document set handed
-// to the evaluator when the query has a usable hint. Cancellation via
-// ctx is honored at page-fetch granularity while documents are fetched.
-func (s *store) Run(ctx context.Context, v *view, q core.QueryID, p core.Params) (core.Result, error) {
-	def := queries.Lookup(v.class, q)
-	if def == nil {
-		return core.Result{}, core.ErrNoQuery
-	}
-	reg := s.p.Metrics()
-	planSpan := reg.StartSpan(metrics.PhasePlan)
-	ph, err := plan.Plan(def, s.statValues(v))
-	planSpan.End()
-	if err != nil {
-		return core.Result{}, err
-	}
+// to the evaluator when the plan chose one. Cancellation via ctx is
+// honored at page-fetch granularity while documents are fetched.
+func (s *store) Exec(ctx context.Context, v *view, ph *plan.Physical, p core.Params) (core.Result, error) {
+	def, reg := ph.Def, s.p.Metrics()
 	coll, err := s.buildCollection(ctx, v, ph, p)
 	if err != nil {
 		return core.Result{}, err
@@ -548,7 +520,7 @@ func (s *store) Run(ctx context.Context, v *view, q core.QueryID, p core.Params)
 	compiled, err := s.compile(def)
 	parseSpan.End()
 	if err != nil {
-		return core.Result{}, fmt.Errorf("native: %s/%s: %w", v.class, q, err)
+		return core.Result{}, fmt.Errorf("native: %s/%s: %w", v.class, def.ID, err)
 	}
 	vars := make(map[string]xquery.Seq, len(p))
 	for k, v := range p {
@@ -558,7 +530,7 @@ func (s *store) Run(ctx context.Context, v *view, q core.QueryID, p core.Params)
 	seq, err := compiled.EvalWithVars(coll, vars)
 	evalSpan.End()
 	if err != nil {
-		return core.Result{}, fmt.Errorf("native: %s/%s: %w", v.class, q, err)
+		return core.Result{}, fmt.Errorf("native: %s/%s: %w", v.class, def.ID, err)
 	}
 	// Serializing the answer is the one place a returned subtree is
 	// materialized, as XML text straight from its record.
@@ -581,10 +553,9 @@ func (s *store) compile(def *queries.Def) (*xquery.Query, error) {
 	return c, nil
 }
 
-// statValues derives planner statistics from v: document heap pages,
-// catalog entry count, the heights of the value indexes, and the range
-// selectivities execution has observed so far.
-func (s *store) statValues(v *view) plan.StatValues {
+// Stats implements engbase.Store: document heap pages, catalog entry
+// count and the heights of the value indexes.
+func (s *store) Stats(v *view) (core.Class, plan.StatValues) {
 	st := plan.StatValues{
 		DataPages: v.docs.Pages(),
 		DataRows:  int64(v.catalog.Count()),
@@ -593,21 +564,7 @@ func (s *store) statValues(v *view) plan.StatValues {
 	for target, ix := range v.indexes {
 		st.Indexes[target] = ix.Height()
 	}
-	st.RangeSelectivity = s.planFB.Selectivity()
-	return st
-}
-
-// Explain implements engbase.Store.
-func (s *store) Explain(q core.QueryID) (*core.PlanNode, error) {
-	def := queries.Lookup(s.class, q)
-	if def == nil {
-		return nil, core.ErrNoQuery
-	}
-	ph, err := plan.Plan(def, s.statValues(s.Live()))
-	if err != nil {
-		return nil, err
-	}
-	return ph.Root, nil
+	return v.class, st
 }
 
 var _ core.Explainer = (*Engine)(nil)
@@ -621,9 +578,21 @@ var _ core.Explainer = (*Engine)(nil)
 func (s *store) buildCollection(ctx context.Context, v *view, ph *plan.Physical, p core.Params) (*xquery.Collection, error) {
 	reg := s.p.Metrics()
 	coll := xquery.NewCollection()
+	// A catalog walk is two phases: scan is the walk itself, materialize
+	// the documents it opens on the way. addDoc times itself and the walk
+	// records each phase once, scan as what is left, so the two partition
+	// the walk's time instead of nesting.
+	var opening time.Duration
+	scan := func(fn func(cat pager.RID, name, rec []byte) (bool, error)) error {
+		start := time.Now()
+		err := s.scanCatalog(ctx, v, fn)
+		reg.AddPhase(metrics.PhaseScan, time.Since(start)-opening)
+		reg.AddPhase(metrics.PhaseMaterialize, opening)
+		return err
+	}
 	addDoc := func(rec []byte, segs []int) error {
-		sp := reg.StartSpan(metrics.PhaseMaterialize)
-		defer sp.End()
+		start := time.Now()
+		defer func() { opening += time.Since(start) }()
 		en, err := decodeCatalogEntry(rec)
 		if err != nil {
 			return err
@@ -640,15 +609,13 @@ func (s *store) buildCollection(ctx context.Context, v *view, ph *plan.Physical,
 	// still walks the on-disk catalog.
 	if docName := p.Get("DOC"); docName != "" && ph.Access == plan.AccessDoc {
 		found := false
-		scanSpan := reg.StartSpan(metrics.PhaseScan)
-		err := s.scanCatalog(ctx, v, func(_ pager.RID, name, rec []byte) (bool, error) {
+		err := scan(func(_ pager.RID, name, rec []byte) (bool, error) {
 			if string(name) == docName {
 				found = true
 				return false, addDoc(rec, nil)
 			}
 			return true, nil
 		})
-		scanSpan.End()
 		if err != nil {
 			return nil, err
 		}
@@ -695,14 +662,12 @@ func (s *store) buildCollection(ctx context.Context, v *view, ph *plan.Physical,
 			// Range probe: feed the observed selectivity (documents the
 			// window kept / documents in the catalog) back to the cost
 			// model for the next Plan call.
-			s.planFB.Observe(ph.FeedbackTarget,
-				int64(len(wantAll)+len(wantSegs)), int64(v.catalog.Count()))
+			ph.Observe(len(wantAll)+len(wantSegs), v.catalog.Count())
 		}
 		// Some queries join against other documents (Q19 joins orders with
 		// the flat customers document); always include the flat documents
 		// of multi-document DC databases.
-		scanSpan := reg.StartSpan(metrics.PhaseScan)
-		err = s.scanCatalog(ctx, v, func(cat pager.RID, name, rec []byte) (bool, error) {
+		return coll, scan(func(cat pager.RID, name, rec []byte) (bool, error) {
 			switch {
 			case wantAll[cat]:
 				return true, addDoc(rec, nil)
@@ -713,17 +678,12 @@ func (s *store) buildCollection(ctx context.Context, v *view, ph *plan.Physical,
 			}
 			return true, nil
 		})
-		scanSpan.End()
-		return coll, err
 	}
 
 	// Sequential scan: hand over everything.
-	scanSpan := reg.StartSpan(metrics.PhaseScan)
-	err := s.scanCatalog(ctx, v, func(_ pager.RID, _, rec []byte) (bool, error) {
+	return coll, scan(func(_ pager.RID, _, rec []byte) (bool, error) {
 		return true, addDoc(rec, nil)
 	})
-	scanSpan.End()
-	return coll, err
 }
 
 // DocumentCount returns the number of stored documents.
@@ -768,7 +728,7 @@ func (s *store) eachIndexEntry(ctx context.Context, cat pager.RID, en docEntry, 
 	if len(s.indexes) == 0 {
 		return nil
 	}
-	parts, err := s.loadParts(ctx, s.docs, en)
+	parts, err := s.loadParts(ctx, s.docs.Live(), en)
 	if err != nil {
 		return err
 	}

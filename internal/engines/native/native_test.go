@@ -10,7 +10,6 @@ import (
 	"xbench/internal/btree"
 	"xbench/internal/core"
 	"xbench/internal/gen"
-	"xbench/internal/plan"
 	"xbench/internal/queries"
 	"xbench/internal/textgen"
 )
@@ -265,9 +264,12 @@ func TestIndexesRebuildAfterUpdate(t *testing.T) {
 	indexed := map[key][]string{}
 	visits := e.Metrics().Counter("btree.visit")
 	for _, q := range []core.QueryID{core.Q1, core.Q5} {
-		ph, err := plan.Plan(queries.Lookup(core.DCMD, q), e.s.statValues(e.s.Live()))
-		if err != nil || ph.Access != plan.AccessIndex {
-			t.Fatalf("%s after updates plans as %v (%v), want an index probe", q, ph.Access, err)
+		node, err := e.Explain(ctx, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(node.Format(), "index-probe order/@id") {
+			t.Fatalf("%s after updates plans as\n%swant an index probe", q, node.Format())
 		}
 		for _, id := range []string{"O1", "O2", "O3", "O4", "O9001"} {
 			before := visits.Value()

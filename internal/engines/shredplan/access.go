@@ -11,10 +11,9 @@ import (
 )
 
 // This file connects the hand-translated relational plans to the
-// cost-based planner: Execute plans each query over the store's live
-// statistics, and the primary-table lookups below honor the planner's
-// index-vs-scan choice and pushed-down limit instead of hard-coding
-// LookupEq calls.
+// cost-based planner: StoreStats is what the planner costs a query over,
+// and the primary-table lookups of Access honor its index-vs-scan choice
+// and pushed-down limit instead of hard-coding LookupEq calls.
 
 // primaryTable names the table whose size drives the scan cost of a
 // class's queries: the table the root element shreds into.
@@ -57,48 +56,23 @@ func StoreStats(s *shredder.Store) plan.StatValues {
 			st.Indexes["customer/@id"] = h
 		}
 	}
-	st.RangeSelectivity = s.Feedback.Selectivity()
 	return st
 }
 
-// Physical returns the costed physical plan for (class, q) over the
-// store's live statistics — the tree the shredding engines serve
-// through core.Explainer.
-func Physical(s *shredder.Store, q core.QueryID) (*plan.Physical, error) {
-	def := queries.Lookup(s.Class, q)
-	if def == nil {
-		return nil, core.ErrNoQuery
-	}
-	return plan.Plan(def, StoreStats(s))
-}
-
-// access carries the physical plan's decisions into the per-query
-// relational plans. A zero access (nil plan) behaves like the old
-// hard-coded paths.
-type access struct {
-	ph *plan.Physical
-	// fb receives observed range selectivities (rows kept / rows in
-	// the probed table) so the next Plan call costs the range with
-	// what execution saw instead of the fixed prior.
-	fb *plan.Feedback
+// Access carries the physical plan's decisions into hand-translated
+// relational plans: the per-query plans of this package, and Xcolumn's
+// side-table lookups.
+type Access struct {
+	Plan *plan.Physical
 }
 
 // forceScan reports that the cost model rejected the index.
-func (a access) forceScan() bool {
-	return a.ph != nil && a.ph.Access == plan.AccessScan
-}
+func (a Access) forceScan() bool { return a.Plan.Access == plan.AccessScan }
 
-func (a access) limit() int {
-	if a.ph == nil {
-		return 0
-	}
-	return a.ph.Limit
-}
-
-// eq fetches the rows where col == val along the planned access path:
+// Eq fetches the rows where col == val along the planned access path:
 // an index probe normally, a forced sequential filter when the plan
 // chose the scan.
-func (a access) eq(ctx context.Context, t *relational.Table, col, val string) ([]relational.Row, error) {
+func (a Access) Eq(ctx context.Context, t *relational.Table, col, val string) ([]relational.Row, error) {
 	if a.forceScan() {
 		return t.ScanEq(ctx, col, val)
 	}
@@ -108,15 +82,15 @@ func (a access) eq(ctx context.Context, t *relational.Table, col, val string) ([
 // first fetches the first row where col == val. When the plan pushed a
 // [1] positional down (Limit == 1), only one row is read from the
 // index; otherwise it falls back to fetch-all-take-first.
-func (a access) first(ctx context.Context, t *relational.Table, col, val string) (relational.Row, error) {
+func (a Access) first(ctx context.Context, t *relational.Table, col, val string) (relational.Row, error) {
 	var (
 		rows []relational.Row
 		err  error
 	)
-	if a.limit() == 1 && !a.forceScan() {
+	if a.Plan.Limit == 1 && !a.forceScan() {
 		rows, err = t.LookupEqN(ctx, col, val, 1)
 	} else {
-		rows, err = a.eq(ctx, t, col, val)
+		rows, err = a.Eq(ctx, t, col, val)
 	}
 	if err != nil || len(rows) == 0 {
 		return nil, err
@@ -124,12 +98,12 @@ func (a access) first(ctx context.Context, t *relational.Table, col, val string)
 	return rows[0], nil
 }
 
-// rng fetches the rows with lo <= col <= hi along the planned access
-// path, then feeds the observed selectivity back to the planner. The
-// feedback fires on both branches — a range the cost model demoted to
-// a scan keeps reporting, so it can be re-promoted when the data
-// shifts back under it.
-func (a access) rng(ctx context.Context, t *relational.Table, col, lo, hi string) ([]relational.Row, error) {
+// Rng fetches the rows with lo <= col <= hi along the planned access
+// path, then feeds the observed selectivity (rows kept / rows in the
+// probed table) back to the planner. The feedback fires on both
+// branches — a range the cost model demoted to a scan keeps reporting,
+// so it can be re-promoted when the data shifts back under it.
+func (a Access) Rng(ctx context.Context, t *relational.Table, col, lo, hi string) ([]relational.Row, error) {
 	var (
 		rows []relational.Row
 		err  error
@@ -139,8 +113,8 @@ func (a access) rng(ctx context.Context, t *relational.Table, col, lo, hi string
 	} else {
 		rows, err = t.LookupRange(ctx, col, lo, hi)
 	}
-	if err == nil && a.ph != nil {
-		a.fb.Observe(a.ph.FeedbackTarget, int64(len(rows)), int64(t.Count()))
+	if err == nil {
+		a.Plan.Observe(len(rows), t.Count())
 	}
 	return rows, err
 }

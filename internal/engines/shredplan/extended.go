@@ -21,25 +21,31 @@ import (
 
 // ------------------------------------------------------------------ DC/SD
 
-func execDCSDExtended(ctx context.Context, s *shredder.Store, a access, q core.QueryID, p core.Params) ([]string, error) {
+func execDCSDExtended(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, p core.Params) ([]string, error) {
 	items, authors := s.DB.Table("item_tab"), s.DB.Table("item_author_tab")
 	switch q {
 	case core.Q1:
 		// The whole item, reconstructed by joining the item, author and
 		// publisher tables. DC/SD has no mixed content, so unlike the
 		// dictionary entry this reconstruction is exact.
-		rows, err := a.eq(ctx, items, "id", p.Get("X"))
+		rows, err := a.Eq(ctx, items, "id", p.Get("X"))
 		if err != nil || len(rows) == 0 {
 			return nil, err
 		}
-		item, err := reconstructItem(ctx, s, items, rows[0])
+		pubs := s.DB.Table("item_publisher_tab")
+		arows, err := authors.LookupEq(ctx, "item_id", p.Get("X"))
 		if err != nil {
 			return nil, err
 		}
-		return []string{xml(item)}, nil
+		prows, err := pubs.LookupEq(ctx, "item_id", p.Get("X"))
+		if err != nil {
+			return nil, err
+		}
+		defer materializing(s).End()
+		return []string{xml(reconstructItem(items, authors, pubs, rows[0], arows, prows))}, nil
 	case core.Q2:
 		// Titles of items with an author of the given last name.
-		rows, err := a.eq(ctx, authors, "last_name", p.Get("Y"))
+		rows, err := a.Eq(ctx, authors, "last_name", p.Get("Y"))
 		if err != nil {
 			return nil, err
 		}
@@ -116,10 +122,9 @@ func execDCSDExtended(ctx context.Context, s *shredder.Store, a access, q core.Q
 
 // reconstructItem rebuilds a full <item> subtree from the three DC/SD
 // tables in the emission order of the generator's mapping.
-func reconstructItem(ctx context.Context, s *shredder.Store, items *relational.Table, r relational.Row) (*xmldom.Node, error) {
-	id := r[items.Col("id")]
+func reconstructItem(items, authorsTab, pubs *relational.Table, r relational.Row, arows, prows []relational.Row) *xmldom.Node {
 	item := xmldom.NewElement("item")
-	item.SetAttr("id", id)
+	item.SetAttr("id", r[items.Col("id")])
 	leaf(item, "title", r[items.Col("title")])
 	leaf(item, "date_of_release", r[items.Col("date_of_release")])
 	leaf(item, "subject", r[items.Col("subject")])
@@ -135,19 +140,9 @@ func reconstructItem(ctx context.Context, s *shredder.Store, items *relational.T
 	leaf(dims, "length", r[items.Col("length")])
 	leaf(dims, "width", r[items.Col("width")])
 	leaf(dims, "height", r[items.Col("height")])
-	authorsTab := s.DB.Table("item_author_tab")
-	arows, err := authorsTab.LookupEq(ctx, "item_id", id)
-	if err != nil {
-		return nil, err
-	}
 	authorsEl := item.AddElement("authors")
 	for _, ar := range arows {
 		authorsEl.Append(reconstructAuthor(authorsTab, ar))
-	}
-	pubs := s.DB.Table("item_publisher_tab")
-	prows, err := pubs.LookupEq(ctx, "item_id", id)
-	if err != nil {
-		return nil, err
 	}
 	for _, pr := range prows {
 		pub := item.AddElement("publisher")
@@ -156,7 +151,7 @@ func reconstructItem(ctx context.Context, s *shredder.Store, items *relational.T
 		leaf(pub, "phone_number", pr[pubs.Col("phone_number")])
 		leaf(pub, "email_address", pr[pubs.Col("email_address")])
 	}
-	return item, nil
+	return item
 }
 
 func titlesOfItems(ctx context.Context, items *relational.Table, want map[string]bool) ([]string, error) {
@@ -177,7 +172,7 @@ func titlesOfItems(ctx context.Context, items *relational.Table, want map[string
 
 // ------------------------------------------------------------------ DC/MD
 
-func execDCMDExtended(ctx context.Context, s *shredder.Store, a access, q core.QueryID, p core.Params) ([]string, error) {
+func execDCMDExtended(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, p core.Params) ([]string, error) {
 	orders, lines := s.DB.Table("order_tab"), s.DB.Table("order_line_tab")
 	switch q {
 	case core.Q2:
@@ -258,14 +253,14 @@ func orderIDs(ctx context.Context, orders *relational.Table, want map[string]boo
 
 // ------------------------------------------------------------------ TC/SD
 
-func execTCSDExtended(ctx context.Context, s *shredder.Store, a access, q core.QueryID, p core.Params) ([]string, error) {
+func execTCSDExtended(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, p core.Params) ([]string, error) {
 	entries, senses := s.DB.Table("entry_tab"), s.DB.Table("sense_tab")
 	quotes, crs := s.DB.Table("quote_tab"), s.DB.Table("cr_tab")
 	switch q {
 	case core.Q1:
 		// The whole entry, reconstructed: the expensive multi-table join
 		// the paper describes. qp groupings and inline markup are gone.
-		erows, err := a.eq(ctx, entries, "hw", p.Get("W"))
+		erows, err := a.Eq(ctx, entries, "hw", p.Get("W"))
 		if err != nil || len(erows) == 0 {
 			return nil, err
 		}
@@ -291,6 +286,7 @@ func execTCSDExtended(ctx context.Context, s *shredder.Store, a access, q core.Q
 		if err != nil {
 			return nil, err
 		}
+		defer materializing(s).End()
 		for _, sr := range srows {
 			sense := entry.AddElement("sense")
 			leaf(sense, "def", sr[senses.Col("def")])
@@ -327,7 +323,7 @@ func execTCSDExtended(ctx context.Context, s *shredder.Store, a access, q core.Q
 		return headwordsOf(ctx, entries, want)
 	case core.Q11:
 		// Quotation authors and dates of word W, sorted by date.
-		erows, err := a.eq(ctx, entries, "hw", p.Get("W"))
+		erows, err := a.Eq(ctx, entries, "hw", p.Get("W"))
 		if err != nil || len(erows) == 0 {
 			return nil, err
 		}
@@ -390,7 +386,7 @@ func headwordsOf(ctx context.Context, entries *relational.Table, want map[string
 
 // ------------------------------------------------------------------ TC/MD
 
-func execTCMDExtended(ctx context.Context, s *shredder.Store, a access, q core.QueryID, p core.Params) ([]string, error) {
+func execTCMDExtended(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, p core.Params) ([]string, error) {
 	arts, artAuthors := s.DB.Table("article_tab"), s.DB.Table("art_author_tab")
 	switch q {
 	case core.Q2:
@@ -434,7 +430,7 @@ func execTCMDExtended(ctx context.Context, s *shredder.Store, a access, q core.Q
 	case core.Q13:
 		// Summary construction, with the abstract rebuilt from its
 		// shredded paragraphs.
-		rows, err := a.eq(ctx, arts, "id", p.Get("X"))
+		rows, err := a.Eq(ctx, arts, "id", p.Get("X"))
 		if err != nil || len(rows) == 0 {
 			return nil, err
 		}
@@ -450,11 +446,12 @@ func execTCMDExtended(ctx context.Context, s *shredder.Store, a access, q core.Q
 		leafAlways(sum, "first-author", firstAuthor)
 		leafAlways(sum, "date", nullToEmpty(r[arts.Col("date")]))
 		if !relational.IsNull(r[arts.Col("has_abstract")]) {
-			ab, err := reconstructAbstract(ctx, s, p.Get("X"))
+			paras := s.DB.Table("abs_para_tab")
+			prows, err := paras.LookupEq(ctx, "article_id", p.Get("X"))
 			if err != nil {
 				return nil, err
 			}
-			sum.Append(ab)
+			sum.Append(reconstructAbstract(paras, prows))
 		}
 		return []string{sum.XML()}, nil
 	case core.Q15:

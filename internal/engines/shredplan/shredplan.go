@@ -13,34 +13,26 @@ package shredplan
 
 import (
 	"context"
-
-	"sort"
 	"strconv"
 
 	"xbench/internal/core"
+	"xbench/internal/metrics"
 	"xbench/internal/plan"
-	"xbench/internal/queries"
 	"xbench/internal/relational"
 	"xbench/internal/shredder"
 	"xbench/internal/xmldom"
 	"xbench/internal/xquery"
 )
 
-// Execute runs the plan for (class, q) over the shredded store. Each
-// query is first planned cost-based over the store's live statistics;
-// the relational plans below route their primary-table lookups through
-// the resulting access decisions.
-func Execute(ctx context.Context, s *shredder.Store, q core.QueryID, p core.Params) (core.Result, error) {
-	def := queries.Lookup(s.Class, q)
-	if def == nil {
-		return core.Result{}, core.ErrNoQuery
-	}
-	ph, err := plan.Plan(def, StoreStats(s))
-	if err != nil {
-		return core.Result{}, err
-	}
-	a := access{ph: ph, fb: s.Feedback}
-	var items []string
+// Exec runs the hand-translated plan of ph's query over the shredded
+// store, routing its primary-table lookups through ph's access
+// decisions.
+func Exec(ctx context.Context, s *shredder.Store, ph *plan.Physical, p core.Params) (core.Result, error) {
+	def, q, a := ph.Def, ph.Def.ID, Access{Plan: ph}
+	var (
+		items []string
+		err   error
+	)
 	switch s.Class {
 	case core.DCSD:
 		items, err = execDCSD(ctx, s, a, q, p)
@@ -63,6 +55,14 @@ func Execute(ctx context.Context, s *shredder.Store, q core.QueryID, p core.Para
 	}, nil
 }
 
+// materializing opens the materialize phase of a shredded query: the
+// row→XML reconstruction of a fragment. A plan opens it once every row
+// the fragment needs has been fetched, so the phase never encloses a
+// probe or a scan.
+func materializing(s *shredder.Store) metrics.Span {
+	return s.DB.Pager.Metrics().StartSpan(metrics.PhaseMaterialize)
+}
+
 // leaf appends <name>val</name> unless val is NULL.
 func leaf(parent *xmldom.Node, name, val string) {
 	if relational.IsNull(val) {
@@ -75,7 +75,7 @@ func xml(n *xmldom.Node) string { return n.XML() }
 
 // ------------------------------------------------------------------ DC/SD
 
-func execDCSD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, p core.Params) ([]string, error) {
+func execDCSD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, p core.Params) ([]string, error) {
 	items := s.DB.Table("item_tab")
 	authors := s.DB.Table("item_author_tab")
 	pubs := s.DB.Table("item_publisher_tab")
@@ -88,9 +88,10 @@ func execDCSD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		if err != nil || row == nil {
 			return nil, err
 		}
+		defer materializing(s).End()
 		return []string{xml(reconstructAuthor(authors, row))}, nil
 	case core.Q8:
-		rows, err := a.eq(ctx, items, "id", p.Get("X"))
+		rows, err := a.Eq(ctx, items, "id", p.Get("X"))
 		if err != nil {
 			return nil, err
 		}
@@ -106,12 +107,13 @@ func execDCSD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		if err != nil || row == nil {
 			return nil, err
 		}
+		defer materializing(s).End()
 		return []string{xml(reconstructMailingAddress(authors, row))}, nil
 	case core.Q14:
 		// Date range via the date_of_release index (Table 3); the missing
 		// FAX_number check requires scanning the publisher rows of the
 		// qualifying items (no index on the missing element, per §3.2.3).
-		inRange, err := a.rng(ctx, items, "date_of_release", p.Get("LO"), p.Get("HI"))
+		inRange, err := a.Rng(ctx, items, "date_of_release", p.Get("LO"), p.Get("HI"))
 		if err != nil {
 			return nil, err
 		}
@@ -139,13 +141,13 @@ func execDCSD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		return out, nil
 	case core.Q10:
 		// Sorting on a string column over a date range.
-		rows, err := a.rng(ctx, items, "date_of_release", p.Get("LO"), p.Get("HI"))
+		rows, err := a.Rng(ctx, items, "date_of_release", p.Get("LO"), p.Get("HI"))
 		if err != nil {
 			return nil, err
 		}
 		// Index range scans return date order; re-establish document order
 		// as the tie-breaker before the subject sort (ORDER BY subject, id).
-		sortByIDSuffix(rows, items.Col("id"))
+		relational.SortByIDSuffix(rows, items.Col("id"))
 		relational.SortRows(rows, items.Col("subject"), false, true)
 		var out []string
 		for _, r := range rows {
@@ -233,13 +235,13 @@ func numGreater(a, b string) bool {
 
 // ------------------------------------------------------------------ DC/MD
 
-func execDCMD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, p core.Params) ([]string, error) {
+func execDCMD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, p core.Params) ([]string, error) {
 	orders := s.DB.Table("order_tab")
 	lines := s.DB.Table("order_line_tab")
 	custs := s.DB.Table("customer_tab")
 	switch q {
 	case core.Q1:
-		rows, err := a.eq(ctx, orders, "id", p.Get("X"))
+		rows, err := a.Eq(ctx, orders, "id", p.Get("X"))
 		if err != nil {
 			return nil, err
 		}
@@ -255,9 +257,10 @@ func execDCMD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		if err != nil || row == nil {
 			return nil, err
 		}
+		defer materializing(s).End()
 		return []string{xml(reconstructOrderLine(lines, row))}, nil
 	case core.Q8:
-		rows, err := a.eq(ctx, lines, "order_id", p.Get("X"))
+		rows, err := a.Eq(ctx, lines, "order_id", p.Get("X"))
 		if err != nil {
 			return nil, err
 		}
@@ -269,7 +272,7 @@ func execDCMD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		}
 		return out, nil
 	case core.Q9:
-		rows, err := a.eq(ctx, orders, "id", p.Get("X"))
+		rows, err := a.Eq(ctx, orders, "id", p.Get("X"))
 		if err != nil {
 			return nil, err
 		}
@@ -284,11 +287,11 @@ func execDCMD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		}
 		return out, nil
 	case core.Q10:
-		rows, err := a.rng(ctx, orders, "order_date", p.Get("LO"), p.Get("HI"))
+		rows, err := a.Rng(ctx, orders, "order_date", p.Get("LO"), p.Get("HI"))
 		if err != nil {
 			return nil, err
 		}
-		sortByIDSuffix(rows, orders.Col("id"))
+		relational.SortByIDSuffix(rows, orders.Col("id"))
 		relational.SortRows(rows, orders.Col("ship_type"), false, true)
 		var out []string
 		for _, r := range rows {
@@ -300,13 +303,14 @@ func execDCMD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		}
 		return out, nil
 	case core.Q12:
-		rows, err := a.eq(ctx, orders, "id", p.Get("X"))
+		rows, err := a.Eq(ctx, orders, "id", p.Get("X"))
 		if err != nil || len(rows) == 0 {
 			return nil, err
 		}
+		defer materializing(s).End()
 		return []string{xml(reconstructCCXacts(orders, rows[0]))}, nil
 	case core.Q14:
-		rows, err := a.rng(ctx, orders, "order_date", p.Get("LO"), p.Get("HI"))
+		rows, err := a.Rng(ctx, orders, "order_date", p.Get("LO"), p.Get("HI"))
 		if err != nil {
 			return nil, err
 		}
@@ -320,7 +324,7 @@ func execDCMD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 	case core.Q16:
 		// Retrieval of the whole order document: the expensive multi-join
 		// reconstruction the paper describes.
-		rows, err := a.eq(ctx, orders, "id", p.Get("X"))
+		rows, err := a.Eq(ctx, orders, "id", p.Get("X"))
 		if err != nil || len(rows) == 0 {
 			return nil, err
 		}
@@ -328,6 +332,7 @@ func execDCMD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		if err != nil {
 			return nil, err
 		}
+		defer materializing(s).End()
 		return []string{xml(reconstructOrder(orders, lines, rows[0], lrows))}, nil
 	case core.Q17:
 		word := p.Get("W2")
@@ -347,7 +352,7 @@ func execDCMD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 	case core.Q19:
 		// Join-reordered by the planner: the probeable order side is the
 		// outer loop, each match probing customers (index nested loop).
-		orows, err := a.eq(ctx, orders, "id", p.Get("X"))
+		orows, err := a.Eq(ctx, orders, "id", p.Get("X"))
 		if err != nil {
 			return nil, err
 		}
@@ -421,7 +426,7 @@ func reconstructOrder(orders, lines *relational.Table, o relational.Row, lrows [
 
 // ------------------------------------------------------------------ TC/SD
 
-func execTCSD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, p core.Params) ([]string, error) {
+func execTCSD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, p core.Params) ([]string, error) {
 	entries := s.DB.Table("entry_tab")
 	senses := s.DB.Table("sense_tab")
 	quotes := s.DB.Table("quote_tab")
@@ -444,9 +449,6 @@ func execTCSD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		if err != nil || len(srows) == 0 {
 			return nil, err
 		}
-		first := srows[0]
-		sense := xmldom.NewElement("sense")
-		leaf(sense, "def", first[senses.Col("def")])
 		// Quotes of sense 1 are reattached flat: the qp grouping did not
 		// survive the mapping, so the reconstructed structure differs from
 		// the original (§3.2.2).
@@ -454,6 +456,10 @@ func execTCSD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		if err != nil {
 			return nil, err
 		}
+		defer materializing(s).End()
+		first := srows[0]
+		sense := xmldom.NewElement("sense")
+		leaf(sense, "def", first[senses.Col("def")])
 		qp := sense.AddElement("qp")
 		for _, qr := range qrows {
 			if qr[quotes.Col("sense_no")] != first[senses.Col("sense_no")] {
@@ -493,6 +499,7 @@ func execTCSD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		if err != nil {
 			return nil, err
 		}
+		defer materializing(s).End()
 		qp := xmldom.NewElement("qp")
 		for _, qr := range qrows {
 			if qr[quotes.Col("sense_no")] == "1" {
@@ -581,12 +588,12 @@ func reconstructQuote(t *relational.Table, r relational.Row) *xmldom.Node {
 
 // ------------------------------------------------------------------ TC/MD
 
-func execTCMD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, p core.Params) ([]string, error) {
+func execTCMD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, p core.Params) ([]string, error) {
 	arts := s.DB.Table("article_tab")
 	secs := s.DB.Table("sec_tab")
 	switch q {
 	case core.Q1:
-		rows, err := a.eq(ctx, arts, "id", p.Get("X"))
+		rows, err := a.Eq(ctx, arts, "id", p.Get("X"))
 		if err != nil {
 			return nil, err
 		}
@@ -598,7 +605,7 @@ func execTCMD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		}
 		return out, nil
 	case core.Q5:
-		rows, err := a.eq(ctx, secs, "article_id", p.Get("X"))
+		rows, err := a.Eq(ctx, secs, "article_id", p.Get("X"))
 		if err != nil {
 			return nil, err
 		}
@@ -615,7 +622,7 @@ func execTCMD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		}
 		return nil, nil
 	case core.Q8:
-		rows, err := a.eq(ctx, secs, "article_id", p.Get("X"))
+		rows, err := a.Eq(ctx, secs, "article_id", p.Get("X"))
 		if err != nil {
 			return nil, err
 		}
@@ -629,7 +636,7 @@ func execTCMD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		}
 		return out, nil
 	case core.Q12:
-		rows, err := a.eq(ctx, arts, "id", p.Get("X"))
+		rows, err := a.Eq(ctx, arts, "id", p.Get("X"))
 		if err != nil || len(rows) == 0 {
 			return nil, err
 		}
@@ -638,13 +645,15 @@ func execTCMD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		}
 		// Reconstruction join: the abstract's paragraphs were shredded into
 		// their own table, so the fragment rebuilds exactly.
-		ab, err := reconstructAbstract(ctx, s, p.Get("X"))
+		paras := s.DB.Table("abs_para_tab")
+		prows, err := paras.LookupEq(ctx, "article_id", p.Get("X"))
 		if err != nil {
 			return nil, err
 		}
-		return []string{xml(ab)}, nil
+		defer materializing(s).End()
+		return []string{xml(reconstructAbstract(paras, prows))}, nil
 	case core.Q14:
-		rows, err := a.rng(ctx, arts, "date", p.Get("LO"), p.Get("HI"))
+		rows, err := a.Rng(ctx, arts, "date", p.Get("LO"), p.Get("HI"))
 		if err != nil {
 			return nil, err
 		}
@@ -731,36 +740,14 @@ func execTCMD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 	return execTCMDExtended(ctx, s, a, q, p)
 }
 
-// sortByIDSuffix stably orders rows by the numeric suffix of an id column
-// ("I25" -> 25), which equals document order for generated ids.
-func sortByIDSuffix(rows []relational.Row, col int) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		return idSuffix(rows[i][col]) < idSuffix(rows[j][col])
-	})
-}
-
-func idSuffix(id string) int {
-	i := 0
-	for i < len(id) && (id[i] < '0' || id[i] > '9') {
-		i++
-	}
-	n, _ := strconv.Atoi(id[i:])
-	return n
-}
-
 // reconstructAbstract joins the abstract paragraphs back into their
 // original structure.
-func reconstructAbstract(ctx context.Context, s *shredder.Store, articleID string) (*xmldom.Node, error) {
-	paras := s.DB.Table("abs_para_tab")
-	rows, err := paras.LookupEq(ctx, "article_id", articleID)
-	if err != nil {
-		return nil, err
-	}
+func reconstructAbstract(paras *relational.Table, rows []relational.Row) *xmldom.Node {
 	ab := xmldom.NewElement("abstract")
 	for _, r := range rows {
 		ab.AddLeaf("p", r[paras.Col("text")])
 	}
-	return ab, nil
+	return ab
 }
 
 func parseFloat(s string) (float64, bool) {

@@ -10,6 +10,7 @@ import (
 	"xbench/internal/gen"
 	"xbench/internal/pager"
 	"xbench/internal/plan"
+	"xbench/internal/queries"
 	"xbench/internal/relational"
 	"xbench/internal/shredder"
 	"xbench/internal/xmldom"
@@ -39,21 +40,38 @@ func loadStore(t *testing.T, class core.Class, opts shredder.Options) *shredder.
 	return s
 }
 
+// physical plans q over s the way engbase.Base does for the engines: fb
+// is the feedback Base holds per engine.
+func physical(s *shredder.Store, fb *plan.Feedback, q core.QueryID) (*plan.Physical, error) {
+	st := StoreStats(s)
+	st.Feedback = fb
+	return plan.Plan(queries.Lookup(s.Class, q), st)
+}
+
+// execute plans and runs q with nothing observed so far.
+func execute(ctx context.Context, s *shredder.Store, q core.QueryID, p core.Params) (core.Result, error) {
+	ph, err := physical(s, nil, q)
+	if err != nil {
+		return core.Result{}, err
+	}
+	return Exec(ctx, s, ph, p)
+}
+
 func TestUndefinedQueries(t *testing.T) {
 	s := loadStore(t, core.DCSD, shredder.Options{})
 	// Q4 is not defined for DC/SD at all.
-	if _, err := Execute(context.Background(), s, core.Q4, nil); !errors.Is(err, core.ErrNoQuery) {
+	if _, err := execute(context.Background(), s, core.Q4, nil); !errors.Is(err, core.ErrNoQuery) {
 		t.Fatalf("Q4 DCSD: %v", err)
 	}
 	// Q16 is defined for DC/MD only among the shredded plans.
-	if _, err := Execute(context.Background(), s, core.Q16, nil); !errors.Is(err, core.ErrNoQuery) {
+	if _, err := execute(context.Background(), s, core.Q16, nil); !errors.Is(err, core.ErrNoQuery) {
 		t.Fatalf("Q16 DCSD: %v", err)
 	}
 }
 
 func TestQ5MissingKeyReturnsEmpty(t *testing.T) {
 	s := loadStore(t, core.DCMD, shredder.Options{})
-	res, err := Execute(context.Background(), s, core.Q5, core.Params{"X": "O999999"})
+	res, err := execute(context.Background(), s, core.Q5, core.Params{"X": "O999999"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +89,7 @@ func TestQ1ReconstructsWholeEntry(t *testing.T) {
 		hw = r[et.Col("hw")]
 		return false
 	})
-	res, err := Execute(context.Background(), s, core.Q1, core.Params{"W": hw})
+	res, err := execute(context.Background(), s, core.Q1, core.Params{"W": hw})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +110,7 @@ func TestQ1ReconstructsWholeEntry(t *testing.T) {
 
 func TestResultFlags(t *testing.T) {
 	drop := loadStore(t, core.TCSD, shredder.Options{DropMixed: true})
-	res, err := Execute(context.Background(), drop, core.Q8, core.Params{"W": firstHeadword(t, drop)})
+	res, err := execute(context.Background(), drop, core.Q8, core.Params{"W": firstHeadword(t, drop)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +118,14 @@ func TestResultFlags(t *testing.T) {
 		t.Fatal("DropMixed store did not flag mixed loss on Q8")
 	}
 	keep := loadStore(t, core.TCSD, shredder.Options{})
-	res, err = Execute(context.Background(), keep, core.Q8, core.Params{"W": firstHeadword(t, keep)})
+	res, err = execute(context.Background(), keep, core.Q8, core.Params{"W": firstHeadword(t, keep)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.MixedContentLost {
 		t.Fatal("flattening store flagged mixed loss")
 	}
-	res, err = Execute(context.Background(), keep, core.Q5, core.Params{"W": firstHeadword(t, keep)})
+	res, err = execute(context.Background(), keep, core.Q5, core.Params{"W": firstHeadword(t, keep)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +150,7 @@ func firstHeadword(t *testing.T, s *shredder.Store) string {
 
 func TestQ3Aggregates(t *testing.T) {
 	s := loadStore(t, core.DCSD, shredder.Options{})
-	res, err := Execute(context.Background(), s, core.Q3, nil)
+	res, err := execute(context.Background(), s, core.Q3, nil)
 	if err != nil || len(res.Items) != 1 {
 		t.Fatalf("Q3 = %v, %v", res.Items, err)
 	}
@@ -142,7 +160,7 @@ func TestQ3Aggregates(t *testing.T) {
 	}
 
 	md := loadStore(t, core.DCMD, shredder.Options{})
-	res, err = Execute(context.Background(), md, core.Q3, core.Params{"LO": "1995-01-01", "HI": "2003-12-30"})
+	res, err = execute(context.Background(), md, core.Q3, core.Params{"LO": "1995-01-01", "HI": "2003-12-30"})
 	if err != nil || len(res.Items) != 1 {
 		t.Fatalf("DCMD Q3 = %v, %v", res.Items, err)
 	}
@@ -187,7 +205,20 @@ func TestRangeFeedbackRecostsPlan(t *testing.T) {
 	if err := s.DB.Table("item_tab").CreateIndex("date_of_release"); err != nil {
 		t.Fatal(err)
 	}
-	ph, err := Physical(s, core.Q10)
+	var fb plan.Feedback
+	run := func(p core.Params) core.Result {
+		t.Helper()
+		ph, err := physical(s, &fb, core.Q10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Exec(ctx, s, ph, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	ph, err := physical(s, &fb, core.Q10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,20 +229,16 @@ func TestRangeFeedbackRecostsPlan(t *testing.T) {
 
 	// A window covering every generated date: observed selectivity ~1.
 	all := core.Params{"LO": "0000-01-01", "HI": "9999-12-31"}
-	res, err := Execute(ctx, s, core.Q10, all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Items) == 0 {
+	if res := run(all); len(res.Items) == 0 {
 		t.Fatal("full-window Q10 returned nothing")
 	}
-	if n := s.Feedback.Observations("date_of_release"); n == 0 {
+	if n := fb.Observations("date_of_release"); n == 0 {
 		t.Fatal("range execution recorded no selectivity feedback")
 	}
-	if sel := s.Feedback.Selectivity()["date_of_release"]; sel < 0.9 {
+	if sel, _ := fb.Selectivity("date_of_release"); sel < 0.9 {
 		t.Fatalf("full-window selectivity observed as %v, want ~1", sel)
 	}
-	ph, err = Physical(s, core.Q10)
+	ph, err = physical(s, &fb, core.Q10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,23 +250,21 @@ func TestRangeFeedbackRecostsPlan(t *testing.T) {
 	// estimate back below the flip point and re-promote the probe.
 	empty := core.Params{"LO": "0001-01-01", "HI": "0001-01-02"}
 	for i := 0; i < 10; i++ {
-		if _, err := Execute(ctx, s, core.Q10, empty); err != nil {
-			t.Fatal(err)
-		}
+		run(empty)
 	}
-	ph, err = Physical(s, core.Q10)
+	ph, err = physical(s, &fb, core.Q10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ph.Access != plan.AccessIndex {
-		t.Fatalf("narrow windows did not re-promote the probe: %v (selectivity %v)",
-			ph.Access, s.Feedback.Selectivity()["date_of_release"])
+		sel, _ := fb.Selectivity("date_of_release")
+		t.Fatalf("narrow windows did not re-promote the probe: %v (selectivity %v)", ph.Access, sel)
 	}
 }
 
 func TestTCMDGroupingSorted(t *testing.T) {
 	s := loadStore(t, core.TCMD, shredder.Options{})
-	res, err := Execute(context.Background(), s, core.Q3, nil)
+	res, err := execute(context.Background(), s, core.Q3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,8 @@ import (
 	"xbench/internal/core"
 	"xbench/internal/engines/engbase"
 	"xbench/internal/engines/shredplan"
-	"xbench/internal/metrics"
 	"xbench/internal/pager"
+	"xbench/internal/plan"
 	"xbench/internal/relational"
 	"xbench/internal/shredder"
 	"xbench/internal/xmldom"
@@ -63,8 +63,8 @@ var (
 
 // Engine is a shredding engine instance: the shared engine lifecycle
 // (engbase.Base: load, snapshot reads, journaled updates, close) over a
-// shredded store. Its read surface is the *shredder.Store itself — live,
-// or a snapshot clone of its tables at one commit epoch.
+// shredded store. Its read surface is a snapshot clone of the
+// *shredder.Store: its tables at one commit epoch.
 type Engine struct {
 	*engbase.Base[*shredder.Store]
 	s *store
@@ -110,9 +110,6 @@ func (s *store) Supports(c core.Class, sz core.Size) error {
 	}
 	return nil
 }
-
-// Live implements engbase.Store.
-func (s *store) Live() *shredder.Store { return s.shred }
 
 // Freeze implements engbase.Store.
 func (s *store) Freeze(epoch uint64) (*shredder.Store, error) { return s.shred.Snapshot(epoch) }
@@ -201,20 +198,15 @@ func (s *store) BuildIndexes(specs []core.IndexSpec) error {
 	return nil
 }
 
-// Run implements engbase.Store: the hand-translated relational plan for
-// q. Cancellation via ctx is honored at page-fetch granularity.
-func (s *store) Run(ctx context.Context, st *shredder.Store, q core.QueryID, p core.Params) (core.Result, error) {
-	defer s.p.Metrics().StartSpan(metrics.PhasePlan).End()
-	return shredplan.Execute(ctx, st, q, p)
+// Stats implements engbase.Store.
+func (s *store) Stats(st *shredder.Store) (core.Class, plan.StatValues) {
+	return st.Class, shredplan.StoreStats(st)
 }
 
-// Explain implements engbase.Store.
-func (s *store) Explain(q core.QueryID) (*core.PlanNode, error) {
-	ph, err := shredplan.Physical(s.shred, q)
-	if err != nil {
-		return nil, err
-	}
-	return ph.Root, nil
+// Exec implements engbase.Store: the hand-translated relational plan for
+// ph's query. Cancellation via ctx is honored at page-fetch granularity.
+func (s *store) Exec(ctx context.Context, st *shredder.Store, ph *plan.Physical, p core.Params) (core.Result, error) {
+	return shredplan.Exec(ctx, st, ph, p)
 }
 
 // The update hooks below apply U1-U3 inside the journal-first bracket

@@ -18,11 +18,12 @@ package xcolumn
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
+	"time"
 
 	"xbench/internal/core"
 	"xbench/internal/engines/engbase"
+	"xbench/internal/engines/shredplan"
 	"xbench/internal/metrics"
 	"xbench/internal/pager"
 	"xbench/internal/plan"
@@ -42,13 +43,12 @@ type Engine struct {
 // store is the Xcolumn layout and query path; it implements
 // engbase.Store, which states the locking each method runs under.
 type store struct {
-	p      *pager.Pager
-	class  core.Class
-	clobs  *pager.Heap
-	rids   []pager.RID          // CLOB rids in load order
-	names  map[string]pager.RID // document name -> CLOB rid
-	db     *relational.DB
-	planFB plan.Feedback // observed range selectivities for the cost model
+	p     *pager.Pager
+	class core.Class
+	clobs *pager.Heap
+	rids  []pager.RID          // CLOB rids in load order
+	names map[string]pager.RID // document name -> CLOB rid
+	db    *relational.DB
 }
 
 // New returns an empty engine.
@@ -58,27 +58,14 @@ func New(poolPages int) *Engine {
 	return &Engine{engbase.New[*view](p, s)}
 }
 
-// clobReader is the read surface shared by the live CLOB heap and a
-// frozen pager.HeapView.
-type clobReader interface {
-	Get(ctx context.Context, rid pager.RID) ([]byte, error)
-	Pages() int64
-}
-
-// view is the read surface of the store at one moment: either the live
-// heap, rid list and tables (caller holds the read latch) or frozen
-// snapshot views pinned at a commit epoch (lock-free — the rid slice is
-// copied at publish time and the DB is a snapshot clone).
+// view is the read surface of the store at one commit epoch, read
+// lock-free under a pin: the CLOB heap frozen, the rid slice copied at
+// publish time, the DB a snapshot clone.
 type view struct {
 	class core.Class
-	clobs clobReader
+	clobs pager.HeapView
 	rids  []pager.RID
 	db    *relational.DB
-}
-
-// Live implements engbase.Store: the live heap, rid list and tables.
-func (s *store) Live() *view {
-	return &view{class: s.class, clobs: s.clobs, rids: s.rids, db: s.db}
 }
 
 // Freeze implements engbase.Store: a CLOB heap view, a copy of the rid
@@ -305,19 +292,14 @@ func (s *store) fetchDoc(ctx context.Context, v *view, doc string) (*xmldom.Node
 	return xmldom.Parse(data)
 }
 
-// Run implements engbase.Store. Cancellation via ctx is honored at
+// Exec implements engbase.Store. Cancellation via ctx is honored at
 // page-fetch granularity.
-func (s *store) Run(ctx context.Context, v *view, q core.QueryID, p core.Params) (core.Result, error) {
-	def := queries.Lookup(v.class, q)
-	if def == nil {
-		return core.Result{}, core.ErrNoQuery
-	}
-	ph, err := plan.Plan(def, s.statValues(v))
-	if err != nil {
-		return core.Result{}, err
-	}
-	a := access{ph: ph, fb: &s.planFB}
-	var items []string
+func (s *store) Exec(ctx context.Context, v *view, ph *plan.Physical, p core.Params) (core.Result, error) {
+	q, a := ph.Def.ID, shredplan.Access{Plan: ph}
+	var (
+		items []string
+		err   error
+	)
 	switch v.class {
 	case core.DCMD:
 		items, err = s.execDCMD(ctx, v, a, q, p)
@@ -336,10 +318,10 @@ func (s *store) Run(ctx context.Context, v *view, q core.QueryID, p core.Params)
 	}, nil
 }
 
-// statValues derives planner statistics from v: the CLOB heap drives
-// scan cost (every unindexed query rereads the documents), and the
-// side-table key indexes are the only probe paths.
-func (s *store) statValues(v *view) plan.StatValues {
+// Stats implements engbase.Store: the CLOB heap drives scan cost (every
+// unindexed query rereads the documents), and the side-table key indexes
+// are the only probe paths.
+func (s *store) Stats(v *view) (core.Class, plan.StatValues) {
 	st := plan.StatValues{
 		DataPages: v.clobs.Pages(),
 		DataRows:  int64(len(v.rids)),
@@ -359,73 +341,24 @@ func (s *store) statValues(v *view) plan.StatValues {
 			st.Indexes[spec.Target] = h
 		}
 	}
-	st.RangeSelectivity = s.planFB.Selectivity()
-	return st
-}
-
-// Explain implements engbase.Store.
-func (s *store) Explain(q core.QueryID) (*core.PlanNode, error) {
-	def := queries.Lookup(s.class, q)
-	if def == nil {
-		return nil, core.ErrNoQuery
-	}
-	ph, err := plan.Plan(def, s.statValues(s.Live()))
-	if err != nil {
-		return nil, err
-	}
-	return ph.Root, nil
+	return v.class, st
 }
 
 var _ core.Explainer = (*Engine)(nil)
 
-// access carries the physical plan's index-vs-scan decision into the
-// side-table fetches below.
-type access struct {
-	ph *plan.Physical
-	// fb receives observed range selectivities for the cost model.
-	fb *plan.Feedback
-}
-
-func (a access) forceScan() bool {
-	return a.ph != nil && a.ph.Access == plan.AccessScan
-}
-
-func (a access) eq(ctx context.Context, t *relational.Table, col, val string) ([]relational.Row, error) {
-	if a.forceScan() {
-		return t.ScanEq(ctx, col, val)
-	}
-	return t.LookupEq(ctx, col, val)
-}
-
-func (a access) rng(ctx context.Context, t *relational.Table, col, lo, hi string) ([]relational.Row, error) {
-	var (
-		rows []relational.Row
-		err  error
-	)
-	if a.forceScan() {
-		rows, err = t.ScanRange(ctx, col, lo, hi)
-	} else {
-		rows, err = t.LookupRange(ctx, col, lo, hi)
-	}
-	if err == nil && a.ph != nil && a.fb != nil {
-		a.fb.Observe(a.ph.FeedbackTarget, int64(len(rows)), int64(t.Count()))
-	}
-	return rows, err
-}
-
 // docOf finds the CLOB reference for a key via the side table (indexed
 // when Table 3 covers it, a forced scan when the plan rejects the
 // probe).
-func (s *store) docOf(ctx context.Context, v *view, a access, table, col, key string) (string, relational.Row, error) {
+func (s *store) docOf(ctx context.Context, v *view, a shredplan.Access, table, col, key string) (string, relational.Row, error) {
 	t := v.db.Table(table)
-	rows, err := a.eq(ctx, t, col, key)
+	rows, err := a.Eq(ctx, t, col, key)
 	if err != nil || len(rows) == 0 {
 		return "", nil, err
 	}
 	return rows[0][t.Col("doc")], rows[0], nil
 }
 
-func (s *store) execDCMD(ctx context.Context, v *view, a access, q core.QueryID, p core.Params) ([]string, error) {
+func (s *store) execDCMD(ctx context.Context, v *view, a shredplan.Access, q core.QueryID, p core.Params) ([]string, error) {
 	orderSide := v.db.Table("order_side")
 	switch q {
 	case core.Q1, core.Q5, core.Q8, core.Q9, core.Q12, core.Q16:
@@ -461,11 +394,11 @@ func (s *store) execDCMD(ctx context.Context, v *view, a access, q core.QueryID,
 			return []string{root.XML()}, nil
 		}
 	case core.Q10:
-		rows, err := a.rng(ctx, orderSide, "order_date", p.Get("LO"), p.Get("HI"))
+		rows, err := a.Rng(ctx, orderSide, "order_date", p.Get("LO"), p.Get("HI"))
 		if err != nil {
 			return nil, err
 		}
-		sortByIDSuffix(rows, orderSide.Col("id"))
+		relational.SortByIDSuffix(rows, orderSide.Col("id"))
 		relational.SortRows(rows, orderSide.Col("ship_type"), false, true)
 		var out []string
 		for _, r := range rows {
@@ -477,7 +410,7 @@ func (s *store) execDCMD(ctx context.Context, v *view, a access, q core.QueryID,
 		}
 		return out, nil
 	case core.Q14:
-		rows, err := a.rng(ctx, orderSide, "order_date", p.Get("LO"), p.Get("HI"))
+		rows, err := a.Rng(ctx, orderSide, "order_date", p.Get("LO"), p.Get("HI"))
 		if err != nil {
 			return nil, err
 		}
@@ -536,12 +469,12 @@ func (s *store) execDCMD(ctx context.Context, v *view, a access, q core.QueryID,
 	return nil, core.ErrNoQuery
 }
 
-func (s *store) execTCMD(ctx context.Context, v *view, a access, q core.QueryID, p core.Params) ([]string, error) {
+func (s *store) execTCMD(ctx context.Context, v *view, a shredplan.Access, q core.QueryID, p core.Params) ([]string, error) {
 	artSide := v.db.Table("article_side")
 	secSide := v.db.Table("sec_side")
 	switch q {
 	case core.Q1:
-		rows, err := a.eq(ctx, artSide, "id", p.Get("X"))
+		rows, err := a.Eq(ctx, artSide, "id", p.Get("X"))
 		if err != nil {
 			return nil, err
 		}
@@ -617,7 +550,7 @@ func (s *store) execTCMD(ctx context.Context, v *view, a access, q core.QueryID,
 		}
 		return []string{ab.XML()}, nil
 	case core.Q14:
-		rows, err := a.rng(ctx, artSide, "date", p.Get("LO"), p.Get("HI"))
+		rows, err := a.Rng(ctx, artSide, "date", p.Get("LO"), p.Get("HI"))
 		if err != nil {
 			return nil, err
 		}
@@ -644,28 +577,16 @@ func (s *store) execTCMD(ctx context.Context, v *view, a access, q core.QueryID,
 	return nil, core.ErrNoQuery
 }
 
-// sortByIDSuffix stably orders rows by the numeric suffix of an id column
-// ("O25" -> 25), the document order of generated ids.
-func sortByIDSuffix(rows []relational.Row, col int) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		return idSuffix(rows[i][col]) < idSuffix(rows[j][col])
-	})
-}
-
-func idSuffix(id string) int {
-	i := 0
-	for i < len(id) && (id[i] < '0' || id[i] > '9') {
-		i++
-	}
-	n, _ := strconv.Atoi(id[i:])
-	return n
-}
-
 // clobWordSearch scans every stored CLOB: a cheap raw-byte prefilter, then
 // a full parse of candidate documents to extract the result.
 func (s *store) clobWordSearch(ctx context.Context, v *view, word string, extract func(root *xmldom.Node) (string, bool)) ([]string, error) {
-	reg := s.p.Metrics()
-	defer reg.StartSpan(metrics.PhaseScan).End()
+	// Two phases: parse is the candidates' parses, scan what is left of
+	// the pass, so they partition its time instead of nesting.
+	start, parsing := time.Now(), time.Duration(0)
+	defer func() {
+		s.p.Metrics().AddPhase(metrics.PhaseScan, time.Since(start)-parsing)
+		s.p.Metrics().AddPhase(metrics.PhaseParse, parsing)
+	}()
 	var out []string
 	for _, rid := range v.rids {
 		data, err := v.clobs.Get(ctx, rid)
@@ -675,9 +596,9 @@ func (s *store) clobWordSearch(ctx context.Context, v *view, word string, extrac
 		if !xquery.ContainsWord(string(data), word) {
 			continue
 		}
-		parseSpan := reg.StartSpan(metrics.PhaseParse)
+		t := time.Now()
 		parsed, err := xmldom.Parse(data)
-		parseSpan.End()
+		parsing += time.Since(t)
 		if err != nil {
 			return nil, err
 		}

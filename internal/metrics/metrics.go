@@ -146,9 +146,10 @@ func (r *Registry) Snapshot() Snapshot {
 type Breakdown struct {
 	// Counters holds the non-phase counter deltas, e.g. "pager.read".
 	Counters map[string]int64
-	// Phases holds wall-clock time attributed to each named phase.
-	// Phases can nest (a materialize span inside a scan span), so the
-	// phase times are attributions, not a partition of the total.
+	// Phases holds wall-clock time attributed to each named phase. The
+	// phases of one query do not nest (an engine whose scan interleaves
+	// with another phase records each once, see Registry.AddPhase), so
+	// they sum to at most its Execute.
 	Phases map[string]time.Duration
 }
 
@@ -200,16 +201,6 @@ func (b Breakdown) CacheHitRate() (float64, bool) {
 func (b Breakdown) CounterNames() []string {
 	names := make([]string, 0, len(b.Counters))
 	for n := range b.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// PhaseNames returns the breakdown's phase names, sorted.
-func (b Breakdown) PhaseNames() []string {
-	names := make([]string, 0, len(b.Phases))
-	for n := range b.Phases {
 		names = append(names, n)
 	}
 	sort.Strings(names)

@@ -35,19 +35,16 @@ func (r *Registry) StartSpan(name string) Span {
 
 // End stops the span and records its duration. Calling End on the zero
 // Span is a no-op; calling it twice records the phase twice (don't).
-func (s Span) End() {
-	if s.reg == nil {
+func (s Span) End() { s.reg.AddPhase(s.name, time.Since(s.start)) }
+
+// AddPhase attributes d to a named phase directly: for a caller that
+// times the stretches of two interleaved phases itself and records each
+// once, so that they partition its time instead of nesting. Safe on a
+// nil registry.
+func (r *Registry) AddPhase(name string, d time.Duration) {
+	if r == nil {
 		return
 	}
-	d := time.Since(s.start)
-	s.reg.Counter(phasePrefix + s.name + phaseSuffix).Add(int64(d))
-	s.reg.Histogram(phasePrefix + s.name).Observe(d)
-}
-
-// Time runs fn inside a span — the closure-friendly form for callers
-// that time a whole block.
-func (r *Registry) Time(name string, fn func() error) error {
-	sp := r.StartSpan(name)
-	defer sp.End()
-	return fn()
+	r.Counter(phasePrefix + name + phaseSuffix).Add(int64(d))
+	r.Histogram(phasePrefix + name).Observe(d)
 }

@@ -135,7 +135,7 @@ func (h *Heap) reuse(rec []byte) (RID, bool, error) {
 // Delete tombstones the record at rid; its bytes stay where they are
 // until an insert reuses the extent.
 func (h *Heap) Delete(ctx context.Context, rid RID) error {
-	n, dead, err := h.live().prefix(ctx, uint64(rid))
+	n, dead, err := h.Live().prefix(ctx, uint64(rid))
 	if err != nil {
 		return err
 	}
@@ -246,11 +246,13 @@ func (h *Heap) Sync() error {
 	return h.p.Sync(h.fid)
 }
 
-// live is the heap's own read surface: a view of its whole extent with
+// Live is the heap's own read surface: a view of its whole extent with
 // live (unversioned) page reads that also sees the unflushed tail page,
 // which is only in memory. Get, Scan and Delete read through it, so the
-// heap and its published views share one record reader.
-func (h *Heap) live() HeapView {
+// heap and its published views share one record reader. It is the
+// writer's: valid under the exclusion Insert and Delete need, and only
+// until the next of them.
+func (h *Heap) Live() HeapView {
 	v := HeapView{p: h.p, fid: h.fid, end: h.end, count: h.count, epoch: LiveEpoch}
 	if h.hasTail && h.tailDirty {
 		// Once flushed, reads go through the buffer pool like any other
@@ -263,7 +265,7 @@ func (h *Heap) live() HeapView {
 // Get returns the record stored at rid. The result is a fresh copy.
 // Cancellation via ctx is honored at page-fetch granularity.
 func (h *Heap) Get(ctx context.Context, rid RID) ([]byte, error) {
-	return h.live().Get(ctx, rid)
+	return h.Live().Get(ctx, rid)
 }
 
 // Scan visits every live record in address order (insertion order until
@@ -271,7 +273,7 @@ func (h *Heap) Get(ctx context.Context, rid RID) ([]byte, error) {
 // is valid only until fn returns (see HeapView.Scan).
 // Cancellation via ctx is honored at page-fetch granularity.
 func (h *Heap) Scan(ctx context.Context, fn func(rid RID, rec []byte) bool) error {
-	return h.live().Scan(ctx, fn)
+	return h.Live().Scan(ctx, fn)
 }
 
 // Reset truncates the heap to empty so a load can rebuild it.

@@ -24,7 +24,7 @@ type HeapView struct {
 	count int
 	epoch uint64
 	// tail is the owning heap's unflushed tail page (page tailNo), carried
-	// only by the view the live heap reads itself through (Heap.live);
+	// only by the view the live heap reads itself through (Heap.Live);
 	// View flushes first, so a published view never has one.
 	tail   []byte
 	tailNo uint32
@@ -43,18 +43,8 @@ func (h *Heap) View(epoch uint64) (HeapView, error) {
 	return HeapView{p: h.p, fid: h.fid, end: h.end, count: h.count, epoch: epoch}, nil
 }
 
-// LiveView freezes the heap's extent with live (unversioned) page reads —
-// the degenerate view used when snapshots are disabled.
-func (h *Heap) LiveView() (HeapView, error) { return h.View(LiveEpoch) }
-
-// Epoch returns the view's commit epoch (LiveEpoch for a live view).
-func (v HeapView) Epoch() uint64 { return v.epoch }
-
 // Count returns the number of records in the view.
 func (v HeapView) Count() int { return v.count }
-
-// Bytes returns the record extent of the view.
-func (v HeapView) Bytes() uint64 { return v.end }
 
 // Pages returns the page count of the view's extent — the scan cost the
 // planner sees for this snapshot.

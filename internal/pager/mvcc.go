@@ -7,12 +7,18 @@
 // protocol (updates already serialize on the engine mutex; queries do
 // not). Time is divided into commit epochs:
 //
-//   - The pager holds a current committed epoch E. A reader pins E
-//     (PinSnapshot) and reads every page "as of E" with ReadAt.
+//   - The pager holds a current committed epoch E and the view its
+//     committer published with it. A reader pins E (PinSnapshot), is
+//     handed that view with the pin, and reads every page "as of E" with
+//     ReadAt.
 //   - A writer brackets one update in BeginMutation/EndMutation. The
 //     mutation targets epoch E+1: the first in-place Write (or Truncate)
 //     of each page captures the page's pre-image as a version superseded
-//     at E+1. EndMutation publishes E+1 as the new committed epoch.
+//     at E+1. EndMutation publishes E+1 as the new committed epoch,
+//     together with the view of the database at E+1 the writer built
+//     inside the bracket. Epoch and view change in one critical section,
+//     so "what is committed" has a single owner and a reader can never
+//     hold the view of one epoch under the pin of another.
 //   - ReadAt(fid, no, S) returns the oldest version with supersededAt > S,
 //     or the live page when no version covers S. Because the journal-first
 //     update protocol makes the journal append the commit point and the
@@ -63,7 +69,11 @@ type mvccState struct {
 	mu   sync.Mutex
 	cond *sync.Cond // signals pin-count drops and unblocks
 
-	epoch     uint64 // current committed epoch
+	epoch uint64 // current committed epoch
+	// view is what the committer of epoch published with it (the
+	// engine's frozen read surface; nil when there is nothing to read).
+	// The pager only stores it and hands it out with each pin.
+	view      any
 	mutTarget uint64 // epoch the active mutation commits as; 0 = none
 	mutActive bool
 
@@ -101,11 +111,16 @@ func (m *mvccState) init() {
 type Snap struct {
 	p        *Pager
 	epoch    uint64
+	view     any
 	released bool
 }
 
 // Epoch returns the pinned commit epoch.
 func (s *Snap) Epoch() uint64 { return s.epoch }
+
+// View returns what the pinned epoch's committer published with it: nil
+// when that was nothing.
+func (s *Snap) View() any { return s.view }
 
 // Release unpins the snapshot, making its versions reclaimable.
 func (s *Snap) Release() {
@@ -130,9 +145,10 @@ func (s *Snap) Release() {
 }
 
 // PinSnapshot pins the current committed epoch and returns the snapshot
-// handle. While BlockPins is in force (Load, ColdReset) it waits for
-// UnblockPins, so readers pin either the state before the exclusive
-// operation or the state after it, never a half-built one.
+// handle, which carries the view published with that epoch. While
+// BlockPins is in force (Load, ColdReset) it waits for UnblockPins, so
+// readers pin either the state before the exclusive operation or the
+// state after it, never a half-built one.
 func (p *Pager) PinSnapshot() *Snap {
 	m := &p.mvcc
 	m.mu.Lock()
@@ -140,11 +156,11 @@ func (p *Pager) PinSnapshot() *Snap {
 	for m.blocked {
 		m.cond.Wait()
 	}
-	e := m.epoch
-	m.pins[e]++
+	s := &Snap{p: p, epoch: m.epoch, view: m.view}
+	m.pins[s.epoch]++
 	m.cPin.Inc()
 	m.mu.Unlock()
-	return &Snap{p: p, epoch: e}
+	return s
 }
 
 // SnapshotEpoch returns the current committed epoch.
@@ -229,31 +245,34 @@ func (p *Pager) BeginMutation() uint64 {
 }
 
 // EndMutation commits the bracket: the target epoch becomes the current
-// committed epoch, visible to subsequent PinSnapshot calls. It returns
-// the committed epoch.
-func (p *Pager) EndMutation() uint64 {
+// committed epoch and view what subsequent PinSnapshot calls hand out
+// with it (nil withdraws the publication: there is nothing to read). It
+// returns the committed epoch.
+func (p *Pager) EndMutation(view any) uint64 {
 	m := &p.mvcc
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.mutActive {
 		return m.epoch
 	}
-	m.epoch = m.mutTarget
+	m.epoch, m.view = m.mutTarget, view
 	m.mutActive = false
 	m.newPages = nil
 	m.pruneLocked()
 	return m.epoch
 }
 
-// AdvanceEpoch bumps the committed epoch outside a mutation bracket.
-// Load uses it after rebuilding the database under BlockPins, so stale
-// snapshot handles (epoch < current) are distinguishable from fresh ones.
-func (p *Pager) AdvanceEpoch() uint64 {
+// AdvanceEpoch bumps the committed epoch outside a mutation bracket and
+// publishes view with it, as EndMutation does. Load uses it after
+// rebuilding the database under BlockPins, so stale snapshot handles
+// (epoch < current) are distinguishable from fresh ones.
+func (p *Pager) AdvanceEpoch(view any) uint64 {
 	m := &p.mvcc
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.init()
 	m.epoch++
+	m.view = view
 	m.mutActive = false
 	return m.epoch
 }

@@ -31,7 +31,7 @@ func TestSnapshotReadSeesPreImage(t *testing.T) {
 
 	p.BeginMutation()
 	fillPage(t, p, fid, 0, 'B')
-	e := p.EndMutation()
+	e := p.EndMutation(nil)
 
 	got, err := p.ReadAt(fid, 0, snap.Epoch())
 	if err != nil {
@@ -51,6 +51,33 @@ func TestSnapshotReadSeesPreImage(t *testing.T) {
 	}
 	if got[0] != 'B' {
 		t.Fatalf("post-commit read saw %q, want 'B'", got[0])
+	}
+}
+
+// TestPinCarriesTheEpochsView: what a commit publishes with an epoch is
+// what every pin of that epoch carries — a pin taken inside the next
+// bracket still gets the committed one — and committing nil withdraws it.
+func TestPinCarriesTheEpochsView(t *testing.T) {
+	p := New(8)
+	if s := p.PinSnapshot(); s.View() != nil {
+		t.Fatalf("fresh pager handed out a view: %v", s.View())
+	}
+	e1 := p.AdvanceEpoch("one")
+	p.BeginMutation()
+	mid := p.PinSnapshot()
+	e2 := p.EndMutation("two")
+	after := p.PinSnapshot()
+	if mid.Epoch() != e1 || mid.View() != "one" {
+		t.Fatalf("pin inside the bracket = epoch %d view %v, want %d \"one\"", mid.Epoch(), mid.View(), e1)
+	}
+	if after.Epoch() != e2 || after.View() != "two" {
+		t.Fatalf("pin after the commit = epoch %d view %v, want %d \"two\"", after.Epoch(), after.View(), e2)
+	}
+	mid.Release()
+	after.Release()
+	p.AdvanceEpoch(nil)
+	if s := p.PinSnapshot(); s.View() != nil {
+		t.Fatalf("withdrawn publication still handed out: %v", s.View())
 	}
 }
 
@@ -84,7 +111,7 @@ func TestOpenBracketVersionsSurviveZeroPinPrune(t *testing.T) {
 		t.Fatalf("mid-bracket snapshot read saw %q, want pre-image 'A'", got[0])
 	}
 	snap.Release()
-	p.EndMutation()
+	p.EndMutation(nil)
 
 	// With the bracket committed and no pins, everything is reclaimable.
 	if n := p.GC(); n != 0 {
@@ -148,7 +175,7 @@ func TestSnapshotReadDuringTruncateRewrite(t *testing.T) {
 				}
 				fillPage(t, p, fid, 0, b)
 				mu.Lock()
-				epochByte[p.EndMutation()] = b
+				epochByte[p.EndMutation(nil)] = b
 				mu.Unlock()
 			}
 			stop.Store(true)
@@ -247,7 +274,7 @@ func TestHeapViewFrozenDuringRewrite(t *testing.T) {
 		if err := h.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		p.EndMutation()
+		p.EndMutation(nil)
 		return recs
 	}
 

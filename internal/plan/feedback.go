@@ -6,10 +6,11 @@ import "sync"
 // target, closing the loop between execution and the cost model.
 // DefaultRangeSelectivity is only a prior; a workload whose date
 // windows keep far more (or fewer) rows than 25% should have its range
-// probes re-costed with the fraction they actually keep. Engines call
-// Observe after running a planned range access with the row counts it
-// saw, and feed Selectivity into StatValues.RangeSelectivity on the
-// next Plan call.
+// probes re-costed with the fraction they actually keep. The engine
+// base holds one per engine and hands it to every Plan call in
+// StatValues; a query path that runs a planned range access reports the
+// row counts it saw through Physical.Observe, and the next Plan call
+// costs that target with them.
 //
 // The estimate is an exponentially weighted moving average (alpha
 // 0.5): U1 inserts grow the primary table and U2 deletes shrink it, so
@@ -17,7 +18,7 @@ import "sync"
 // must decay instead of pinning the estimate at the first window seen.
 //
 // Safe for concurrent use; a nil *Feedback ignores Observe and reports
-// nothing, so cold paths need no guards.
+// nothing, so fixture statistics need no guards.
 type Feedback struct {
 	mu  sync.Mutex
 	sel map[string]float64
@@ -51,23 +52,17 @@ func (f *Feedback) Observe(target string, rows, total int64) {
 	f.n[target]++
 }
 
-// Selectivity returns a copy of the current per-target estimates,
-// shaped for StatValues.RangeSelectivity. Nil when nothing has been
-// observed, so a fresh store plans on the default prior.
-func (f *Feedback) Selectivity() map[string]float64 {
+// Selectivity returns the current estimate for target, and false when
+// nothing has been observed for it, so a fresh store plans on the
+// default prior.
+func (f *Feedback) Selectivity(target string) (float64, bool) {
 	if f == nil {
-		return nil
+		return 0, false
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.sel) == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(f.sel))
-	for k, v := range f.sel {
-		out[k] = v
-	}
-	return out
+	s, ok := f.sel[target]
+	return s, ok
 }
 
 // Observations reports how many times target has been observed.

@@ -9,13 +9,12 @@ import (
 
 func TestFeedbackEWMA(t *testing.T) {
 	var f Feedback
-	if f.Selectivity() != nil {
-		t.Fatal("fresh feedback reported estimates")
+	if _, ok := f.Selectivity("d"); ok {
+		t.Fatal("fresh feedback reported an estimate")
 	}
 	f.Observe("d", 1024, 4096) // 0.25
 	f.Observe("d", 4096, 4096) // EWMA -> 0.625
-	got := f.Selectivity()["d"]
-	if got < 0.62 || got > 0.63 {
+	if got, _ := f.Selectivity("d"); got < 0.62 || got > 0.63 {
 		t.Fatalf("EWMA after 0.25, 1.0 = %v, want 0.625", got)
 	}
 	if n := f.Observations("d"); n != 2 {
@@ -29,21 +28,15 @@ func TestFeedbackEWMA(t *testing.T) {
 	}
 	// Out-of-range counts clamp instead of poisoning the estimate.
 	f.Observe("c", 10, 4)
-	if got := f.Selectivity()["c"]; got != 1 {
+	if got, _ := f.Selectivity("c"); got != 1 {
 		t.Fatalf("rows > total gave selectivity %v, want clamp to 1", got)
-	}
-	// The returned map is a copy.
-	m := f.Selectivity()
-	m["d"] = 0
-	if f.Selectivity()["d"] == 0 {
-		t.Fatal("caller mutation leaked into the feedback state")
 	}
 }
 
 func TestFeedbackNilReceiver(t *testing.T) {
 	var f *Feedback
 	f.Observe("d", 1, 2) // must not panic
-	if f.Selectivity() != nil || f.Observations("d") != 0 {
+	if _, ok := f.Selectivity("d"); ok || f.Observations("d") != 0 {
 		t.Fatal("nil feedback reported state")
 	}
 }
@@ -73,7 +66,8 @@ func TestObservedSelectivityCostFlip(t *testing.T) {
 	priorCost := ph.EstCost
 
 	wide := base
-	wide.RangeSelectivity = map[string]float64{"date_of_release": 0.999}
+	wide.Feedback = &Feedback{}
+	wide.Feedback.Observe("date_of_release", 999, 1000)
 	ph, err = Plan(def, wide)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +82,8 @@ func TestObservedSelectivityCostFlip(t *testing.T) {
 	}
 
 	narrow := base
-	narrow.RangeSelectivity = map[string]float64{"date_of_release": 0.01}
+	narrow.Feedback = &Feedback{}
+	narrow.Feedback.Observe("date_of_release", 1, 100)
 	ph, err = Plan(def, narrow)
 	if err != nil {
 		t.Fatal(err)

@@ -3,13 +3,14 @@
 // plan, runs a small rewrite pass (predicate pushdown into index
 // probes, limit pushdown for positional [1] access, join reordering for
 // the shredded engines' reconstructions), and costs the access-path
-// alternatives with the engine's page counts to pick index-vs-scan —
-// replacing the hard-coded queries.Def.IndexTarget hints, which survive
-// only as assertions the planner must reproduce (see TestHintDrift).
+// alternatives with the engine's page counts to pick index-vs-scan. It
+// is the only source of access paths: the catalog (internal/queries)
+// says what a query computes, never how.
 //
 // All four engines execute through the resulting Physical and expose
 // its Root tree via core.Explainer, so access-path regressions are
-// diffable golden files instead of silent perf cliffs.
+// diffable golden files (results/plans, TestGoldenPlans) instead of
+// silent perf cliffs.
 package plan
 
 import (
@@ -59,15 +60,16 @@ type StatValues struct {
 	// Indexes maps available value-index targets (Table 3 notation:
 	// "hw", "item/@id", "date_of_release") to their btree height.
 	Indexes map[string]int
-	// RangeSelectivity holds observed per-target range selectivities
-	// fed back from execution (see Feedback). Targets without an entry
-	// are costed with DefaultRangeSelectivity.
-	RangeSelectivity map[string]float64
+	// Feedback holds the range selectivities execution has observed per
+	// index target, and receives the plan's own observation through
+	// Physical.Observe. Targets it has not seen (and all of them when it
+	// is nil) are costed with DefaultRangeSelectivity.
+	Feedback *Feedback
 }
 
-// FixtureStats returns the canonical statistics used for golden plans
-// and drift tests: a collection big enough that every hinted index
-// wins, with exactly the class's Table 3 indexes at height 2.
+// FixtureStats returns the canonical statistics used for golden plans:
+// a collection big enough that every Table 3 index wins, with exactly
+// the class's indexes at height 2.
 func FixtureStats(class core.Class) StatValues {
 	st := StatValues{DataPages: 512, DataRows: 4096, Indexes: map[string]int{}}
 	for _, spec := range queries.Indexes(class) {
@@ -113,6 +115,15 @@ type Physical struct {
 
 	// Root is the plan tree returned by Explain.
 	Root *core.PlanNode
+
+	fb *Feedback // StatValues.Feedback, for Observe
+}
+
+// Observe reports what running the plan's range access kept — rows of
+// total — to the feedback the plan was costed with, whichever path the
+// cost model chose for it.
+func (ph *Physical) Observe(rows, total int) {
+	ph.fb.Observe(ph.FeedbackTarget, int64(rows), int64(total))
 }
 
 // shapeCache memoizes xquery.Analyze per query text: shapes depend only
@@ -139,7 +150,7 @@ func Plan(def *queries.Def, st StatValues) (*Physical, error) {
 		return nil, core.ErrNoQuery
 	}
 	sh := shapeOf(def)
-	ph := &Physical{Def: def, Shape: sh, Access: AccessScan}
+	ph := &Physical{Def: def, Shape: sh, Access: AccessScan, fb: st.Feedback}
 	ph.Sources = append([]xquery.Source(nil), sh.Sources...)
 	reorderJoin(ph)
 
@@ -269,16 +280,16 @@ func paramName(p string) string { return strings.TrimPrefix(p, "$") }
 // predicate keeps when execution has not yet observed the real
 // fraction. The benchmark's date ranges select narrow windows; 0.25 is
 // deliberately pessimistic so range probes only win against real
-// scans. It is a prior, not a constant: engines feed observed
-// selectivities back through Feedback into
-// StatValues.RangeSelectivity, and rangeSel prefers those.
+// scans. It is a prior, not a constant: execution feeds observed
+// selectivities back through StatValues.Feedback, and rangeSel prefers
+// those.
 const DefaultRangeSelectivity = 0.25
 
 // rangeSel is the selectivity used to cost a range probe on target:
 // the observed estimate when execution has fed one back, the
 // pessimistic default prior otherwise.
 func (st StatValues) rangeSel(target string) float64 {
-	if s, ok := st.RangeSelectivity[target]; ok {
+	if s, ok := st.Feedback.Selectivity(target); ok {
 		return s
 	}
 	return DefaultRangeSelectivity

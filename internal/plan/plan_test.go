@@ -8,9 +8,9 @@ import (
 	"xbench/internal/queries"
 )
 
-// TestCostFlip: the index-vs-scan choice must follow the cost model, not
-// the Def hints. On a tiny table the sequential scan undercuts the probe
-// (scanCost = DataPages < height+1); on a big one the index wins.
+// TestCostFlip: the index-vs-scan choice follows the cost model. On a
+// tiny table the sequential scan undercuts the probe (scanCost =
+// DataPages < height+1); on a big one the index wins.
 func TestCostFlip(t *testing.T) {
 	def := queries.Lookup(core.DCMD, core.Q1)
 	if def == nil {
@@ -60,13 +60,10 @@ func TestLimitPushdown(t *testing.T) {
 	}
 }
 
-// TestRangePushdown: DCSD Q10 has no Def hint at all, yet the planner
-// must push its date range into an index probe.
+// TestRangePushdown: the planner must push DCSD Q10's date range into
+// an index probe.
 func TestRangePushdown(t *testing.T) {
 	def := queries.Lookup(core.DCSD, core.Q10)
-	if def.IndexTarget != "" {
-		t.Fatal("test premise broken: Q10 grew a hint")
-	}
 	ph, err := Plan(def, FixtureStats(core.DCSD))
 	if err != nil {
 		t.Fatal(err)
@@ -92,34 +89,6 @@ func TestJoinReorder(t *testing.T) {
 	}
 	if out := ph.Root.Format(); !strings.Contains(out, "join order x customer") {
 		t.Errorf("plan missing join node:\n%s", out)
-	}
-}
-
-// TestHintDrift: the deprecated Def hints survive as assertions — under
-// fixture statistics (big table, all Table 3 indexes built) the planner
-// must reproduce every hinted access path exactly.
-func TestHintDrift(t *testing.T) {
-	for _, class := range core.Classes {
-		st := FixtureStats(class)
-		for q := core.Q1; q <= core.Q20; q++ {
-			def := queries.Lookup(class, q)
-			if def == nil || def.IndexTarget == "" {
-				continue
-			}
-			ph, err := Plan(def, st)
-			if err != nil {
-				t.Fatalf("%s %s: %v", class, q, err)
-			}
-			if ph.Access != AccessIndex {
-				t.Errorf("%s %s: hint %q not reproduced: access %v",
-					class, q, def.IndexTarget, ph.Access)
-				continue
-			}
-			if ph.IndexTarget != def.IndexTarget || ph.IndexParam != def.IndexParam {
-				t.Errorf("%s %s: planner chose %s/$%s, hint says %s/$%s",
-					class, q, ph.IndexTarget, ph.IndexParam, def.IndexTarget, def.IndexParam)
-			}
-		}
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package queries holds the XBench workload catalog: the XQuery
 // instantiation of each abstract query type (Q1..Q20) for each database
-// class, plus the index hints that let the native engine use the value
-// indexes of paper Table 3.
+// class, plus the value indexes of paper Table 3. It says what a query
+// computes; which index answers it is the planner's decision
+// (internal/plan).
 //
 // The paper specifies the 20 query types abstractly and maps each to a
 // concrete query per applicable class; not every class instantiates every
@@ -21,18 +22,6 @@ type Def struct {
 	XQuery string
 	// Params lists the external variable names the query requires.
 	Params []string
-	// IndexTarget optionally names a Table 3 index (e.g. "order/@id")
-	// whose key equals the named parameter.
-	//
-	// Deprecated: engines no longer read these hints — the cost-based
-	// planner (internal/plan) derives the access path from the XQuery
-	// text and live statistics. The hints survive only as assertions the
-	// planner must reproduce (see internal/plan TestHintDrift).
-	IndexTarget string
-	// IndexParam names the parameter probed against IndexTarget.
-	//
-	// Deprecated: see IndexTarget.
-	IndexParam string
 	// OrderSensitive marks queries whose correctness depends on document
 	// order (the paper's Q5/Q12 caveat for shredded engines).
 	OrderSensitive bool
@@ -86,7 +75,7 @@ var catalog = []Def{
 	// ---------------------------------------------------------------- TC/SD
 	{ID: core.Q1, Class: core.TCSD,
 		XQuery: `//entry[hw = $W]`,
-		Params: []string{"W"}, IndexTarget: "hw", IndexParam: "W"},
+		Params: []string{"W"}},
 	{ID: core.Q2, Class: core.TCSD,
 		XQuery: `//entry[sense/qp/q/a = $Y]/hw`,
 		Params: []string{"Y"}},
@@ -95,8 +84,7 @@ var catalog = []Def{
 		         return <group><loc>{$l}</loc><cnt>{count(//entry[.//loc = $l])}</cnt></group>`},
 	{ID: core.Q5, Class: core.TCSD,
 		XQuery: `//entry[hw = $W]/sense[1]`,
-		Params: []string{"W"}, IndexTarget: "hw", IndexParam: "W",
-		OrderSensitive: true},
+		Params: []string{"W"}, OrderSensitive: true},
 	{ID: core.Q6, Class: core.TCSD,
 		XQuery: `//entry[some $q in .//q satisfies ($q/a = $Y and $q/loc = $L)]/hw`,
 		Params: []string{"Y", "L"}},
@@ -105,24 +93,21 @@ var catalog = []Def{
 		Params: []string{"LO"}},
 	{ID: core.Q8, Class: core.TCSD,
 		XQuery: `//entry[hw = $W]/*/qp/q/qt`,
-		Params: []string{"W"}, IndexTarget: "hw", IndexParam: "W",
-		TouchesMixed: true},
+		Params: []string{"W"}, TouchesMixed: true},
 	{ID: core.Q9, Class: core.TCSD,
 		XQuery: `//entry[hw = $W]//qt`,
-		Params: []string{"W"}, IndexTarget: "hw", IndexParam: "W",
-		TouchesMixed: true},
+		Params: []string{"W"}, TouchesMixed: true},
 	{ID: core.Q11, Class: core.TCSD,
 		XQuery: `for $q in //entry[hw = $W]//q order by $q/qd
 		         return <r>{$q/a}{$q/qd}</r>`,
-		Params: []string{"W"}, IndexTarget: "hw", IndexParam: "W"},
+		Params: []string{"W"}},
 	{ID: core.Q12, Class: core.TCSD,
 		XQuery: `//entry[hw = $W]/sense[1]/qp[1]`,
-		Params: []string{"W"}, IndexTarget: "hw", IndexParam: "W",
-		OrderSensitive: true, TouchesMixed: true},
+		Params: []string{"W"}, OrderSensitive: true, TouchesMixed: true},
 	{ID: core.Q13, Class: core.TCSD,
 		XQuery: `for $e in //entry[hw = $W]
 		         return <word><head>{string($e/hw)}</head><sounds>{string($e/pr)}</sounds><first-def>{string($e/sense[1]/def)}</first-def></word>`,
-		Params: []string{"W"}, IndexTarget: "hw", IndexParam: "W"},
+		Params: []string{"W"}},
 	{ID: core.Q14, Class: core.TCSD,
 		XQuery: `//entry[empty(etym)]/hw`},
 	{ID: core.Q17, Class: core.TCSD,
@@ -135,7 +120,7 @@ var catalog = []Def{
 	// ---------------------------------------------------------------- TC/MD
 	{ID: core.Q1, Class: core.TCMD,
 		XQuery: `//article[@id = $X]/prolog/title`,
-		Params: []string{"X"}, IndexTarget: "article/@id", IndexParam: "X"},
+		Params: []string{"X"}},
 	{ID: core.Q2, Class: core.TCMD,
 		XQuery: `//article[prolog/authors/author/name = $Y]/prolog/title`,
 		Params: []string{"Y"}},
@@ -147,8 +132,7 @@ var catalog = []Def{
 		Params: []string{"Y"}, OrderSensitive: true},
 	{ID: core.Q5, Class: core.TCMD,
 		XQuery: `//article[@id = $X]/body/sec[1]/heading`,
-		Params: []string{"X"}, IndexTarget: "article/@id", IndexParam: "X",
-		OrderSensitive: true},
+		Params: []string{"X"}, OrderSensitive: true},
 	{ID: core.Q6, Class: core.TCMD,
 		XQuery: `//article[some $p in .//p satisfies (contains-word(string($p), $K1) and contains-word(string($p), $K2))]/prolog/title`,
 		Params: []string{"K1", "K2"}},
@@ -156,18 +140,17 @@ var catalog = []Def{
 		XQuery: `//article[every $a in prolog/authors/author satisfies exists($a/contact)]/prolog/title`},
 	{ID: core.Q8, Class: core.TCMD,
 		XQuery: `//article[@id = $X]/*/sec/heading`,
-		Params: []string{"X"}, IndexTarget: "article/@id", IndexParam: "X"},
+		Params: []string{"X"}},
 	{ID: core.Q9, Class: core.TCMD,
 		XQuery: `//article[@id = $X]//heading`,
-		Params: []string{"X"}, IndexTarget: "article/@id", IndexParam: "X"},
+		Params: []string{"X"}},
 	{ID: core.Q12, Class: core.TCMD,
 		XQuery: `//article[@id = $X]/prolog/abstract`,
-		Params: []string{"X"}, IndexTarget: "article/@id", IndexParam: "X",
-		OrderSensitive: true},
+		Params: []string{"X"}, OrderSensitive: true},
 	{ID: core.Q13, Class: core.TCMD,
 		XQuery: `for $a in //article[@id = $X]
 		         return <summary><title>{string($a/prolog/title)}</title><first-author>{string($a/prolog/authors/author[1]/name)}</first-author><date>{string($a/prolog/dateline/date)}</date>{$a/prolog/abstract}</summary>`,
-		Params: []string{"X"}, IndexTarget: "article/@id", IndexParam: "X"},
+		Params: []string{"X"}},
 	{ID: core.Q14, Class: core.TCMD,
 		XQuery: `//article[prolog/dateline/date >= $LO and prolog/dateline/date <= $HI][empty(prolog/genre)]/prolog/title`,
 		Params: []string{"LO", "HI"}},
@@ -188,7 +171,7 @@ var catalog = []Def{
 	// ---------------------------------------------------------------- DC/SD
 	{ID: core.Q1, Class: core.DCSD,
 		XQuery: `//item[@id = $X]`,
-		Params: []string{"X"}, IndexTarget: "item/@id", IndexParam: "X"},
+		Params: []string{"X"}},
 	{ID: core.Q2, Class: core.DCSD,
 		XQuery: `//item[authors/author/name/last_name = $Y]/title`,
 		Params: []string{"Y"}},
@@ -196,8 +179,7 @@ var catalog = []Def{
 		XQuery: `avg(//item/attributes/number_of_pages)`},
 	{ID: core.Q5, Class: core.DCSD,
 		XQuery: `//item[@id = $X]/authors/author[1]`,
-		Params: []string{"X"}, IndexTarget: "item/@id", IndexParam: "X",
-		OrderSensitive: true},
+		Params: []string{"X"}, OrderSensitive: true},
 	{ID: core.Q6, Class: core.DCSD,
 		XQuery: `//item[some $a in authors/author satisfies $a/contact_information/mailing_address/name_of_country = $Z]/@id`,
 		Params: []string{"Z"}},
@@ -206,10 +188,10 @@ var catalog = []Def{
 		Params: []string{"Z"}},
 	{ID: core.Q8, Class: core.DCSD,
 		XQuery: `//item[@id = $X]/*/isbn`,
-		Params: []string{"X"}, IndexTarget: "item/@id", IndexParam: "X"},
+		Params: []string{"X"}},
 	{ID: core.Q9, Class: core.DCSD,
 		XQuery: `//item[@id = $X]//name_of_country`,
-		Params: []string{"X"}, IndexTarget: "item/@id", IndexParam: "X"},
+		Params: []string{"X"}},
 	{ID: core.Q10, Class: core.DCSD,
 		XQuery: `for $i in //item[date_of_release >= $LO and date_of_release <= $HI]
 		         order by $i/subject
@@ -222,12 +204,11 @@ var catalog = []Def{
 		Params: []string{"LO", "HI"}},
 	{ID: core.Q12, Class: core.DCSD,
 		XQuery: `//item[@id = $X]/authors/author[1]/contact_information/mailing_address`,
-		Params: []string{"X"}, IndexTarget: "item/@id", IndexParam: "X",
-		OrderSensitive: true},
+		Params: []string{"X"}, OrderSensitive: true},
 	{ID: core.Q13, Class: core.DCSD,
 		XQuery: `for $i in //item[@id = $X]
 		         return <item-summary id="{$i/@id}"><name>{string($i/title)}</name><released>{string($i/date_of_release)}</released><publisher>{string($i/publisher/name)}</publisher></item-summary>`,
-		Params: []string{"X"}, IndexTarget: "item/@id", IndexParam: "X"},
+		Params: []string{"X"}},
 	{ID: core.Q14, Class: core.DCSD,
 		XQuery: `//item[date_of_release >= $LO and date_of_release <= $HI][empty(publisher/FAX_number)]/publisher/name`,
 		Params: []string{"LO", "HI"}},
@@ -241,7 +222,7 @@ var catalog = []Def{
 	// ---------------------------------------------------------------- DC/MD
 	{ID: core.Q1, Class: core.DCMD,
 		XQuery: `//order[@id = $X]/total`,
-		Params: []string{"X"}, IndexTarget: "order/@id", IndexParam: "X"},
+		Params: []string{"X"}},
 	{ID: core.Q2, Class: core.DCMD,
 		XQuery: `//order[order_lines/order_line/item_id = $I]/@id`,
 		Params: []string{"I"}},
@@ -250,16 +231,15 @@ var catalog = []Def{
 		Params: []string{"LO", "HI"}},
 	{ID: core.Q5, Class: core.DCMD,
 		XQuery: `//order[@id = $X]/order_lines/order_line[1]`,
-		Params: []string{"X"}, IndexTarget: "order/@id", IndexParam: "X",
-		OrderSensitive: true},
+		Params: []string{"X"}, OrderSensitive: true},
 	{ID: core.Q6, Class: core.DCMD,
 		XQuery: `//order[some $l in order_lines/order_line satisfies number($l/qty) >= 5]/@id`},
 	{ID: core.Q8, Class: core.DCMD,
 		XQuery: `//order[@id = $X]/*/order_line/item_id`,
-		Params: []string{"X"}, IndexTarget: "order/@id", IndexParam: "X"},
+		Params: []string{"X"}},
 	{ID: core.Q9, Class: core.DCMD,
 		XQuery: `//order[@id = $X]//order_status`,
-		Params: []string{"X"}, IndexTarget: "order/@id", IndexParam: "X"},
+		Params: []string{"X"}},
 	{ID: core.Q10, Class: core.DCMD,
 		XQuery: `for $o in //order[order_date >= $LO and order_date <= $HI]
 		         order by $o/ship_type
@@ -267,8 +247,7 @@ var catalog = []Def{
 		Params: []string{"LO", "HI"}},
 	{ID: core.Q12, Class: core.DCMD,
 		XQuery: `//order[@id = $X]/cc_xacts`,
-		Params: []string{"X"}, IndexTarget: "order/@id", IndexParam: "X",
-		OrderSensitive: true},
+		Params: []string{"X"}, OrderSensitive: true},
 	{ID: core.Q14, Class: core.DCMD,
 		XQuery: `//order[order_date >= $LO and order_date <= $HI][empty(cc_xacts/ship_country)]/@id`,
 		Params: []string{"LO", "HI"}},
@@ -283,5 +262,5 @@ var catalog = []Def{
 	{ID: core.Q19, Class: core.DCMD,
 		XQuery: `for $o in //order[@id = $X], $c in //customer[@id = string($o/customer_id)]
 		         return <r><name>{string($c/c_fname)} {string($c/c_lname)}</name><phone>{string($c/c_phone)}</phone><status>{string($o/order_status)}</status></r>`,
-		Params: []string{"X"}, IndexTarget: "order/@id", IndexParam: "X"},
+		Params: []string{"X"}},
 }

@@ -46,35 +46,11 @@ func TestParamsDeclared(t *testing.T) {
 					t.Errorf("%s/%s declares unused parameter $%s", class, d.ID, p)
 				}
 			}
-			if d.IndexParam != "" {
-				found := false
-				for _, p := range d.Params {
-					if p == d.IndexParam {
-						found = true
-					}
-				}
-				if !found {
-					t.Errorf("%s/%s index param $%s not in Params", class, d.ID, d.IndexParam)
-				}
-			}
 		}
 	}
 }
 
 func TestIndexHintsMatchTable3(t *testing.T) {
-	for _, class := range core.Classes {
-		specs := Indexes(class)
-		targets := map[string]bool{}
-		for _, s := range specs {
-			targets[s.Target] = true
-		}
-		for _, d := range ForClass(class) {
-			if d.IndexTarget != "" && !targets[d.IndexTarget] {
-				t.Errorf("%s/%s hints at index %q which Table 3 does not define",
-					class, d.ID, d.IndexTarget)
-			}
-		}
-	}
 	// Table 3 exact contents.
 	if len(Indexes(core.DCSD)) != 2 {
 		t.Fatal("DC/SD should have two indexes (item/@id, date_of_release)")

@@ -292,10 +292,18 @@ func (t *Table) HasIndex(col string) bool {
 	return ok
 }
 
+// indexReader is what the read operators need of an index, whichever
+// mode the table is in.
+type indexReader interface {
+	Search(ctx context.Context, key string) ([]uint64, error)
+	Range(ctx context.Context, lo, hi string, fn func(key string, val uint64) bool) error
+	Height() int
+}
+
 // index fetches an index reader: the live tree under the shared latch,
 // or the epoch-pinned view of a snapshot table (no latch — the snap map
 // is immutable).
-func (t *Table) index(col string) (btree.Reader, bool) {
+func (t *Table) index(col string) (indexReader, bool) {
 	if t.snap != nil {
 		ix, ok := t.snap.indexes[col]
 		return ix, ok
@@ -548,29 +556,19 @@ func SortRows(rows []Row, col int, numeric, asc bool) {
 	})
 }
 
-// HashJoin joins left and right on equality of the given column indexes,
-// returning concatenated rows (left columns then right columns). NULL keys
-// never match, per SQL semantics.
-func HashJoin(left, right []Row, lcol, rcol int) []Row {
-	idx := make(map[string][]Row, len(right))
-	for _, r := range right {
-		k := r[rcol]
-		if IsNull(k) {
-			continue
-		}
-		idx[k] = append(idx[k], r)
+// SortByIDSuffix stably orders rows by the numeric suffix of an id
+// column ("O25" -> 25), which equals document order for generated ids.
+func SortByIDSuffix(rows []Row, col int) {
+	sort.SliceStable(rows, func(i, j int) bool {
+		return idSuffix(rows[i][col]) < idSuffix(rows[j][col])
+	})
+}
+
+func idSuffix(id string) int {
+	i := 0
+	for i < len(id) && (id[i] < '0' || id[i] > '9') {
+		i++
 	}
-	var out []Row
-	for _, l := range left {
-		if IsNull(l[lcol]) {
-			continue
-		}
-		for _, r := range idx[l[lcol]] {
-			joined := make(Row, 0, len(l)+len(r))
-			joined = append(joined, l...)
-			joined = append(joined, r...)
-			out = append(out, joined)
-		}
-	}
-	return out
+	n, _ := strconv.Atoi(id[i:])
+	return n
 }

@@ -166,20 +166,6 @@ func TestSortRows(t *testing.T) {
 	}
 }
 
-func TestHashJoin(t *testing.T) {
-	orders := []Row{{"O1", "C1"}, {"O2", "C2"}, {"O3", "C1"}, {"O4", Null}}
-	custs := []Row{{"C1", "Ada"}, {"C2", "Bob"}, {"C3", "Eve"}, {Null, "Ghost"}}
-	joined := HashJoin(orders, custs, 1, 0)
-	if len(joined) != 3 {
-		t.Fatalf("join produced %d rows", len(joined))
-	}
-	for _, r := range joined {
-		if len(r) != 4 || r[1] != r[2] {
-			t.Fatalf("bad joined row %v", r)
-		}
-	}
-}
-
 func TestGetAndRoundTripSpecialValues(t *testing.T) {
 	db := newDB()
 	tb := db.Create("t", "v")

@@ -66,18 +66,6 @@ func (t *Table) snapshot(db *DB, epoch uint64) (*Table, error) {
 	}, nil
 }
 
-// IsSnapshot reports whether the table is an epoch-pinned snapshot.
-func (t *Table) IsSnapshot() bool { return t.snap != nil }
-
-// Epoch returns the snapshot's commit epoch (pager.LiveEpoch for a live
-// table).
-func (t *Table) Epoch() uint64 {
-	if t.snap == nil {
-		return pager.LiveEpoch
-	}
-	return t.snap.heap.Epoch()
-}
-
 // scanRecords abstracts the heap scan over live vs snapshot mode.
 func (t *Table) scanRecords(ctx context.Context, fn func(rid pager.RID, rec []byte) bool) error {
 	if t.snap != nil {

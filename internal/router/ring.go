@@ -7,10 +7,10 @@
 // Placement is a consistent-hash ring (this file): every shard projects
 // Vnodes virtual points onto a 64-bit circle and a document belongs to
 // the shard owning the first point at or clockwise from the document
-// name's hash. Adding a shard therefore steals only the key ranges its
-// own points carve out of existing arcs — no document ever moves between
-// two old shards, which is what keeps rebalancing proportional to 1/N
-// instead of reshuffling everything (router.go, AddShard).
+// name's hash. A ring one shard larger steals only the key ranges the
+// new shard's points carve out of existing arcs — no name moves between
+// two old shards (TestRingGrowMovesOnlyToNewShard) — so a future
+// resharding moves 1/N of the documents, not all of them.
 //
 // The same ring function runs on both sides of the wire: the router uses
 // it to route, and `xbench serve --shard=i/n` uses Partition to load only
@@ -40,11 +40,7 @@ type point struct {
 }
 
 // Ring is an immutable consistent-hash ring over shard indices 0..N-1.
-// Build a new one to change the topology; Router swaps rings atomically
-// under its topology lock.
 type Ring struct {
-	shards int
-	vnodes int
 	points []point // sorted by hash
 }
 
@@ -59,7 +55,7 @@ func NewRing(shards, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVnodes
 	}
-	r := &Ring{shards: shards, vnodes: vnodes, points: make([]point, 0, shards*vnodes)}
+	r := &Ring{points: make([]point, 0, shards*vnodes)}
 	for s := 0; s < shards; s++ {
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, point{hash: hashName(fmt.Sprintf("shard-%d/vnode-%d", s, v)), shard: s})
@@ -74,32 +70,16 @@ func NewRing(shards, vnodes int) *Ring {
 	return r
 }
 
-// Shards returns the shard count the ring was built for.
-func (r *Ring) Shards() int { return r.shards }
-
-// Vnodes returns the virtual-node count per shard.
-func (r *Ring) Vnodes() int { return r.vnodes }
-
-// Owner returns the shard index owning a document name.
-func (r *Ring) Owner(name string) int {
-	return r.points[r.slot(hashName(name))].shard
-}
-
-// RangeOf returns the index of the virtual-node arc a name falls in —
-// names sharing an arc form one migration range. The index is only
-// meaningful relative to this ring.
-func (r *Ring) RangeOf(name string) int {
-	return r.slot(hashName(name))
-}
-
-// slot locates the first point at or clockwise from h (wrapping at the
+// Owner returns the shard index owning a document name: the shard of
+// the first point at or clockwise from the name's hash (wrapping at the
 // top of the circle).
-func (r *Ring) slot(h uint64) int {
+func (r *Ring) Owner(name string) int {
+	h := hashName(name)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
-		return 0
+		i = 0
 	}
-	return i
+	return r.points[i].shard
 }
 
 // hashName hashes a document name onto the circle: FNV-64a (stable across

@@ -9,14 +9,10 @@
 // preference, so they survive a dead primary by falling over to its
 // journal-fed replicas (replica.go).
 //
-// Consistency of topology changes: a topology RWMutex covers every
-// engine call for its whole duration. Rebalancing (AddShard) flips the
-// ring first — brand-new documents immediately land on the new shard —
-// then migrates each moved vnode arc under short exclusive sections:
-// copy to the target, flip the catalog, delete from the source. Readers
-// hold the read lock across route + execute, so at every observable
-// instant a document lives on exactly one shard; no scatter can see a
-// document twice or lose it mid-move.
+// Placement is the ring's alone (ring.go): the router keeps no
+// per-document state, so its memory is O(shards), a restarted or second
+// router over the same shards routes every name identically, and there
+// is nothing to persist or reconcile.
 //
 // Partial failure: fail-fast (default) cancels the scatter on the first
 // shard error and returns it. Degraded mode returns the union of the
@@ -28,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -133,15 +128,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// catEntry is one document's placement. Data is the document's bytes —
-// the router is the placement authority, and holding the bytes is what
-// makes rebalancing self-contained: migration replays the document onto
-// its new owner without needing a document-fetch op on the shards.
-type catEntry struct {
-	shard int
-	data  []byte
-}
-
 // shardConn is one shard's connections and counters.
 type shardConn struct {
 	spec  Shard
@@ -169,18 +155,12 @@ type Router struct {
 	gath *metrics.Histogram // router.gather: scatter wall time
 	name string
 
-	// mu is the topology lock: every engine call holds it shared for its
-	// whole duration; AddShard's migration sections hold it exclusive.
-	mu     sync.RWMutex
-	ring   *Ring
-	shards []*shardConn
+	ring *Ring // the only placement authority; immutable
 
-	// catalog maps every document placed through this router to its
-	// current shard (authoritative over the ring, which only places names
-	// the catalog has never seen). Guarded by catMu, always acquired
-	// under mu — never the other way around.
-	catMu   sync.RWMutex
-	catalog map[string]catEntry
+	// mu guards shards against Close: every engine call holds it shared
+	// for its whole duration, Close takes it exclusive.
+	mu     sync.RWMutex
+	shards []*shardConn
 }
 
 // Dial connects to every shard and builds the router. All shards must be
@@ -192,11 +172,10 @@ func Dial(shards []Shard, cfg Config) (*Router, error) {
 	}
 	cfg = cfg.withDefaults()
 	r := &Router{
-		cfg:     cfg,
-		reg:     cfg.Metrics,
-		gath:    cfg.Metrics.Histogram("router.gather"),
-		ring:    NewRing(len(shards), cfg.Vnodes),
-		catalog: map[string]catEntry{},
+		cfg:  cfg,
+		reg:  cfg.Metrics,
+		gath: cfg.Metrics.Histogram("router.gather"),
+		ring: NewRing(len(shards), cfg.Vnodes),
 	}
 	for i, spec := range shards {
 		sc, err := r.dialShard(i, spec)
@@ -257,36 +236,11 @@ func (r *Router) Metrics() *metrics.Registry {
 	return r.reg
 }
 
-// Shards returns the current shard count.
+// Shards returns the shard count.
 func (r *Router) Shards() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.shards)
-}
-
-// ownerLocked resolves a document's shard: the catalog is authoritative
-// for every name placed through this router; the ring places names the
-// catalog has never seen. Caller holds mu (shared or exclusive).
-func (r *Router) ownerLocked(name string) int {
-	r.catMu.RLock()
-	ent, ok := r.catalog[name]
-	r.catMu.RUnlock()
-	if ok {
-		return ent.shard
-	}
-	return r.ring.Owner(name)
-}
-
-func (r *Router) setCat(name string, shard int, data []byte) {
-	r.catMu.Lock()
-	r.catalog[name] = catEntry{shard: shard, data: data}
-	r.catMu.Unlock()
-}
-
-func (r *Router) delCat(name string) {
-	r.catMu.Lock()
-	delete(r.catalog, name)
-	r.catMu.Unlock()
 }
 
 // --- core.Engine ---
@@ -303,8 +257,7 @@ func (r *Router) Supports(c core.Class, s core.Size) error {
 }
 
 // Load partitions the database by the ring and bulk-loads every shard's
-// slice concurrently. The catalog is rebuilt to cover exactly db's
-// documents.
+// slice concurrently.
 func (r *Router) Load(ctx context.Context, db *core.Database) (core.LoadStats, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -329,14 +282,6 @@ func (r *Router) Load(ctx context.Context, db *core.Database) (core.LoadStats, e
 	if err := errors.Join(errs...); err != nil {
 		return core.LoadStats{}, err
 	}
-	r.catMu.Lock()
-	r.catalog = make(map[string]catEntry, len(db.Docs))
-	for i := range parts {
-		for _, d := range parts[i].Docs {
-			r.catalog[d.Name] = catEntry{shard: i, data: d.Data}
-		}
-	}
-	r.catMu.Unlock()
 	var total core.LoadStats
 	for _, st := range stats {
 		total.Documents += st.Documents
@@ -373,7 +318,7 @@ func (r *Router) Execute(ctx context.Context, q core.QueryID, p core.Params) (co
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if name, ok := r.cfg.RouteKey(q, p); ok {
-		sc := r.shards[r.ownerLocked(name)]
+		sc := r.shards[r.ring.Owner(name)]
 		sc.routed.Inc()
 		res, err := sc.read.Execute(ctx, q, p)
 		if err != nil {
@@ -381,12 +326,12 @@ func (r *Router) Execute(ctx context.Context, q core.QueryID, p core.Params) (co
 		}
 		return res, err
 	}
-	return r.scatterLocked(ctx, q, p)
+	return r.scatter(ctx, q, p)
 }
 
-// scatterLocked fans one query out to every shard (bounded by Fanout)
-// and merges the answers. Caller holds mu shared.
-func (r *Router) scatterLocked(ctx context.Context, q core.QueryID, p core.Params) (core.Result, error) {
+// scatter fans one query out to every shard (bounded by Fanout) and
+// merges the answers. Caller holds mu shared.
+func (r *Router) scatter(ctx context.Context, q core.QueryID, p core.Params) (core.Result, error) {
 	start := time.Now()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -498,52 +443,36 @@ func (r *Router) PageIO() int64 {
 	return total
 }
 
+// update routes one single-document update to the primary of the shard
+// the ring assigns name to.
+func (r *Router) update(name string, do func(primary *client.Client) error) error {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	sc := r.shards[r.ring.Owner(name)]
+	sc.routed.Inc()
+	err := do(sc.write)
+	if err != nil {
+		sc.errs.Inc()
+	}
+	return err
+}
+
 // InsertDocument routes U1 to the owning shard's primary. The context's
 // idempotency key (wire.WithIdemKey, attached by a front-end server) — or
 // the shard client's own key when there is none — makes the hop
 // exactly-once.
 func (r *Router) InsertDocument(ctx context.Context, name string, data []byte) error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	owner := r.ownerLocked(name)
-	sc := r.shards[owner]
-	sc.routed.Inc()
-	if err := sc.write.InsertDocument(ctx, name, data); err != nil {
-		sc.errs.Inc()
-		return err
-	}
-	r.setCat(name, owner, data)
-	return nil
+	return r.update(name, func(c *client.Client) error { return c.InsertDocument(ctx, name, data) })
 }
 
 // ReplaceDocument routes U2 to the owning shard's primary.
 func (r *Router) ReplaceDocument(ctx context.Context, name string, data []byte) error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	owner := r.ownerLocked(name)
-	sc := r.shards[owner]
-	sc.routed.Inc()
-	if err := sc.write.ReplaceDocument(ctx, name, data); err != nil {
-		sc.errs.Inc()
-		return err
-	}
-	r.setCat(name, owner, data)
-	return nil
+	return r.update(name, func(c *client.Client) error { return c.ReplaceDocument(ctx, name, data) })
 }
 
 // DeleteDocument routes U3 to the owning shard's primary.
 func (r *Router) DeleteDocument(ctx context.Context, name string) error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	owner := r.ownerLocked(name)
-	sc := r.shards[owner]
-	sc.routed.Inc()
-	if err := sc.write.DeleteDocument(ctx, name); err != nil {
-		sc.errs.Inc()
-		return err
-	}
-	r.delCat(name)
-	return nil
+	return r.update(name, func(c *client.Client) error { return c.DeleteDocument(ctx, name) })
 }
 
 // Close releases every shard connection. The shard servers keep running —
@@ -560,106 +489,3 @@ func (r *Router) Close() error {
 }
 
 var _ core.Engine = (*Router)(nil)
-
-// Rebalance reports one AddShard migration.
-type Rebalance struct {
-	Shard  int // index the new shard joined as
-	Moved  int // documents migrated onto it
-	Ranges int // vnode arcs they were migrated in
-}
-
-// AddShard joins a new shard and rebalances: the ring is regrown first —
-// consistent hashing guarantees the new ring takes ranges only FROM
-// existing shards TO the new one — and every catalog document whose
-// ownership moved is migrated arc by arc. Each arc migrates under the
-// exclusive topology lock (copy to target, flip catalog, delete from
-// source), so concurrent queries and updates — which hold the shared
-// lock for their whole call — observe every document on exactly one
-// shard at every instant; they interleave with the migration only
-// between arcs.
-//
-// A migration error aborts the remaining arcs and is returned with the
-// partial report; re-invoking rebalancing is safe because the catalog
-// already reflects everything that moved.
-func (r *Router) AddShard(ctx context.Context, spec Shard) (Rebalance, error) {
-	r.mu.Lock()
-	if len(r.shards) == 0 {
-		r.mu.Unlock()
-		return Rebalance{}, errors.New("router: closed")
-	}
-	newIdx := len(r.shards)
-	r.mu.Unlock()
-
-	// Dial outside the lock: a slow or dead new shard must not stall
-	// serving.
-	sc, err := r.dialShard(newIdx, spec)
-	if err != nil {
-		return Rebalance{}, fmt.Errorf("router: add shard %d: %w", newIdx, err)
-	}
-
-	r.mu.Lock()
-	if len(r.shards) != newIdx {
-		r.mu.Unlock()
-		sc.close()
-		return Rebalance{}, errors.New("router: concurrent AddShard")
-	}
-	newRing := NewRing(newIdx+1, r.cfg.Vnodes)
-	r.shards = append(r.shards, sc)
-	r.ring = newRing // new document names place onto the new topology now
-	r.name = fmt.Sprintf("router(%d×%s)", len(r.shards), r.shards[0].write.Name())
-
-	// Snapshot the moved set: catalog documents whose new-ring owner
-	// differs from their current placement. Consistent hashing makes
-	// every one of them move TO the new shard (ring_test pins this).
-	type moved struct {
-		name string
-		arc  int
-	}
-	var movedDocs []moved
-	r.catMu.RLock()
-	for name, ent := range r.catalog {
-		if newRing.Owner(name) != ent.shard {
-			movedDocs = append(movedDocs, moved{name: name, arc: newRing.RangeOf(name)})
-		}
-	}
-	r.catMu.RUnlock()
-	r.mu.Unlock()
-
-	sort.Slice(movedDocs, func(i, j int) bool {
-		if movedDocs[i].arc != movedDocs[j].arc {
-			return movedDocs[i].arc < movedDocs[j].arc
-		}
-		return movedDocs[i].name < movedDocs[j].name
-	})
-
-	rep := Rebalance{Shard: newIdx}
-	for lo := 0; lo < len(movedDocs); {
-		hi := lo
-		for hi < len(movedDocs) && movedDocs[hi].arc == movedDocs[lo].arc {
-			hi++
-		}
-		r.mu.Lock()
-		for _, m := range movedDocs[lo:hi] {
-			r.catMu.RLock()
-			ent, ok := r.catalog[m.name]
-			r.catMu.RUnlock()
-			if !ok || ent.shard == newIdx {
-				continue // deleted or re-placed by a concurrent update
-			}
-			if err := sc.write.ReplaceDocument(ctx, m.name, ent.data); err != nil {
-				r.mu.Unlock()
-				return rep, fmt.Errorf("router: migrate %s to shard %d: %w", m.name, newIdx, err)
-			}
-			r.setCat(m.name, newIdx, ent.data)
-			if err := r.shards[ent.shard].write.DeleteDocument(ctx, m.name); err != nil {
-				r.mu.Unlock()
-				return rep, fmt.Errorf("router: migrate %s off shard %d: %w", m.name, ent.shard, err)
-			}
-			rep.Moved++
-		}
-		r.mu.Unlock()
-		rep.Ranges++
-		lo = hi
-	}
-	return rep, nil
-}

@@ -268,6 +268,58 @@ func TestRouterRoutesDocQueries(t *testing.T) {
 	}
 }
 
+// TestRouterIsStateless pins that placement is the ring's alone: a
+// document inserted through one Router is replaced, read back by Q16 and
+// deleted through a freshly dialled Router that never loaded or routed
+// anything, so no per-document state in the first one can have mattered.
+func TestRouterIsStateless(t *testing.T) {
+	first, srvs := startCluster(t, 3, testDB(12), router.Config{})
+	ctx := context.Background()
+	shards := make([]router.Shard, len(srvs))
+	for i, srv := range srvs {
+		shards[i] = router.Shard{Primary: srv.Addr().String()}
+	}
+
+	// Enough names that every shard owns at least one.
+	ring, owners := router.NewRing(3, 0), map[int]bool{}
+	for i := 0; i < 24; i++ {
+		name := fmt.Sprintf("order-update-%d.xml", i)
+		owners[ring.Owner(name)] = true
+		if err := first.InsertDocument(ctx, name, []byte("<v1/>")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(owners) != 3 {
+		t.Fatalf("test names landed on %d of 3 shards; enlarge the sample", len(owners))
+	}
+
+	second, err := router.Dial(shards, router.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { second.Close() })
+	for i := 0; i < 24; i++ {
+		name := fmt.Sprintf("order-update-%d.xml", i)
+		if err := second.ReplaceDocument(ctx, name, []byte("<v2/>")); err != nil {
+			t.Fatalf("replace %s: %v", name, err)
+		}
+		res, err := second.Execute(ctx, core.Q16, core.Params{"DOC": name})
+		if err != nil || len(res.Items) != 1 || res.Items[0] != "<v2/>" {
+			t.Fatalf("Q16 %s through the second router = %v, %v", name, res.Items, err)
+		}
+		if err := second.DeleteDocument(ctx, name); err != nil {
+			t.Fatalf("delete %s: %v", name, err)
+		}
+	}
+	// Replaced in place and deleted where they lay: the corpus is the
+	// loaded one again, seen identically through either router.
+	for _, r := range []*router.Router{first, second} {
+		if items := scatterNames(t, r); len(items) != 12 {
+			t.Fatalf("scatter union has %d documents, want the 12 loaded ones: %v", len(items), items)
+		}
+	}
+}
+
 // TestScatterPartialFailure kills one shard and checks both policies:
 // fail-fast surfaces the error, degraded returns the surviving union with
 // the shard-error count.

@@ -78,11 +78,3 @@ func (d *dedupTable) record(key wire.IdemKey, f wire.Frame) {
 		d.size--
 	}
 }
-
-// entries returns the total number of recorded outcomes (for tests and
-// metrics).
-func (d *dedupTable) entries() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.size
-}

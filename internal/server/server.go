@@ -125,17 +125,6 @@ type Server struct {
 	updMu    sync.Mutex
 	inflight map[wire.IdemKey]*pendingUpdate
 
-	// Journal shipping (OpJournal): jtail mirrors the journal file's
-	// records in commit order (seeded from the replay in Reopen, appended
-	// at enqueue time under updMu), and jdurable is the count of leading
-	// records whose group commit has fsynced. Replicas may only be shown
-	// durable records — a record that is applied but not yet synced could
-	// still be lost with the primary, and a replica must never get ahead
-	// of what a primary restart would recover.
-	jmu      sync.Mutex
-	jtail    []updatelog.Record
-	jdurable uint64
-
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	connWg sync.WaitGroup
@@ -203,8 +192,6 @@ func Reopen(e core.Engine, db *core.Database, specs []core.IndexSpec, journalPat
 	}
 	s := New(e, cfg)
 	s.journal = jl
-	s.jtail = append(s.jtail, recs...)
-	s.jdurable = uint64(len(recs)) // OpenFile returns only committed records
 	for _, r := range recs {
 		if r.Keyed() {
 			s.dedup.record(wire.IdemKey{Client: r.Client, Seq: r.Seq}, okFrame(nil))
@@ -504,12 +491,13 @@ func (s *Server) execute(op wire.Op, payload []byte, scratch *[]byte) wire.Frame
 	}
 }
 
-// executeJournalPull answers one OpJournal window from the in-memory
-// mirror of the durable journal. Only committed (fsynced) records are
-// shown: a replica must never apply a record a primary crash could still
-// take back. Servers running without a journal have nothing to ship and
-// answer StatusBadRequest, which clients surface as wire.ErrBadRequest —
-// the same "feature absent" signal old servers give for the whole op.
+// executeJournalPull answers one OpJournal window by reading it back from
+// the journal file, which shows committed (fsynced) records only: a
+// replica must never apply a record a primary crash could still take
+// back, or get ahead of what a primary restart would recover. Servers
+// running without a journal have nothing to ship and answer
+// StatusBadRequest, which clients surface as wire.ErrBadRequest — the
+// same "feature absent" signal old servers give for the whole op.
 func (s *Server) executeJournalPull(req wire.JournalPullRequest) wire.Frame {
 	if s.journal == nil {
 		return badRequest(errors.New("server: no journal attached (start with --journal to ship one)"))
@@ -518,17 +506,11 @@ func (s *Server) executeJournalPull(req wire.JournalPullRequest) wire.Frame {
 	if max == 0 || max > wire.MaxJournalBatch {
 		max = wire.MaxJournalBatch
 	}
-	s.jmu.Lock()
-	durable := s.jdurable
-	lo := req.Since
-	if lo > durable {
-		lo = durable
+	recs, next, err := s.journal.Read(req.Since, max)
+	if err != nil {
+		return errFrame(err)
 	}
-	hi := min(durable, lo+max)
-	recs := make([]updatelog.Record, hi-lo)
-	copy(recs, s.jtail[lo:hi])
-	s.jmu.Unlock()
-	return okFrame(wire.EncodeJournalPullResponse(wire.JournalPullResponse{Next: hi, Records: recs}))
+	return okFrame(wire.EncodeJournalPullResponse(wire.JournalPullResponse{Next: next, Records: recs}))
 }
 
 // pendingUpdate is a keyed update that applied but whose acknowledgment
@@ -611,24 +593,16 @@ func (s *Server) executeUpdate(op wire.Op, req wire.UpdateRequest) wire.Frame {
 		err = s.eng.DeleteDocument(ctx, req.Name)
 	}
 	var batch *updatelog.Batch
-	var jidx uint64 // this record's journal index, valid when batch != nil
 	if err == nil && s.journal != nil {
-		rec := updatelog.Record{
+		var jerr error
+		batch, jerr = s.journal.Enqueue(updatelog.Record{
 			Kind: kind, Name: req.Name, Data: req.Data,
 			Client: req.Key.Client, Seq: req.Key.Seq,
-		}
-		var jerr error
-		batch, jerr = s.journal.Enqueue(rec)
+		})
 		if jerr != nil {
 			s.updMu.Unlock()
 			return errFrame(fmt.Errorf("update applied but journal append failed (outcome not durable): %w", jerr))
 		}
-		// Mirror the record into the shipping tail. Still under updMu, so
-		// tail order is enqueue order is journal-file order.
-		s.jmu.Lock()
-		jidx = uint64(len(s.jtail))
-		s.jtail = append(s.jtail, rec)
-		s.jmu.Unlock()
 	}
 	var p *pendingUpdate
 	if err == nil && req.Key.Valid() {
@@ -640,15 +614,6 @@ func (s *Server) executeUpdate(op wire.Op, req wire.UpdateRequest) wire.Frame {
 	if batch != nil {
 		if jerr := s.journal.WaitDurable(batch); jerr != nil {
 			err = fmt.Errorf("update applied but journal append failed (outcome not durable): %w", jerr)
-		} else {
-			// Group commits complete in enqueue order, so this record being
-			// durable means every record before it is too: the shipping
-			// watermark advances monotonically past it.
-			s.jmu.Lock()
-			if jidx+1 > s.jdurable {
-				s.jdurable = jidx + 1
-			}
-			s.jmu.Unlock()
 		}
 	}
 	f := errFrame(err)
@@ -738,20 +703,6 @@ func (s *Server) shutdown(ctx context.Context) error {
 // requests get a brief chance to finish, then everything is severed.
 func (s *Server) Close() error {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	return s.Shutdown(ctx)
-}
-
-// ListenAndServe is the blocking convenience used by `xbench serve`: it
-// starts the server, then waits for stop to fire and drains gracefully
-// (bounded by drainTimeout). It returns the drain result.
-func ListenAndServe(e core.Engine, cfg Config, stop <-chan struct{}, drainTimeout time.Duration) error {
-	s := New(e, cfg)
-	if err := s.Start(); err != nil {
-		return err
-	}
-	<-stop
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	return s.Shutdown(ctx)
 }

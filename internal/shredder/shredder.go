@@ -22,7 +22,6 @@ import (
 	"fmt"
 
 	"xbench/internal/core"
-	"xbench/internal/plan"
 	"xbench/internal/relational"
 	"xbench/internal/xmldom"
 )
@@ -47,11 +46,6 @@ type Store struct {
 	Rows int
 	// SkippedMixed counts mixed-content elements whose text was dropped.
 	SkippedMixed int
-	// Feedback accumulates observed range-probe selectivities for the
-	// cost model. Shared (by pointer) with every Snapshot clone, so
-	// queries running against pinned snapshot views still teach the
-	// live planner.
-	Feedback *plan.Feedback
 }
 
 // Snapshot clones the store as an immutable view of its tables at the
@@ -64,13 +58,12 @@ func (s *Store) Snapshot(epoch uint64) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{Class: s.Class, DB: db, Opts: s.Opts, Rows: s.Rows,
-		SkippedMixed: s.SkippedMixed, Feedback: s.Feedback}, nil
+	return &Store{Class: s.Class, DB: db, Opts: s.Opts, Rows: s.Rows, SkippedMixed: s.SkippedMixed}, nil
 }
 
 // NewStore creates the per-class table schema in db.
 func NewStore(class core.Class, db *relational.DB, opts Options) *Store {
-	s := &Store{Class: class, DB: db, Opts: opts, Feedback: &plan.Feedback{}}
+	s := &Store{Class: class, DB: db, Opts: opts}
 	switch class {
 	case core.DCSD:
 		db.Create("item_tab", "id", "title", "date_of_release", "subject",

@@ -18,6 +18,11 @@
 // durability contract is unchanged from fsync-per-record: WaitDurable
 // returning nil still means the record survives a process kill, because
 // no caller is released before its batch's fsync completed.
+//
+// The file is also the only copy of the shipped journal: the log keeps
+// one file offset per committed record and Read serves a window of them by
+// reading the file back, so journal shipping (server OpJournal) costs the
+// primary 8 bytes of memory per acknowledged update, not the update.
 package updatelog
 
 import (
@@ -33,7 +38,7 @@ import (
 // it becomes durable (or fails) together, with one write and one sync.
 type Batch struct {
 	buf  []byte
-	n    int           // records in this batch
+	ends []int         // ends[i]: offset in buf just past record i
 	done chan struct{} // closed after the batch's write+sync finished
 	err  error         // set before done is closed
 }
@@ -43,10 +48,15 @@ type Batch struct {
 // server's update path) serializes apply+Enqueue so journal order matches
 // apply order, then waits for durability outside that critical section.
 type FileLog struct {
-	mu       sync.Mutex
-	f        *os.File
-	path     string
-	recs     int    // records committed (recovered + flushed this run)
+	mu   sync.Mutex
+	f    *os.File
+	path string
+	// ends[i] is the file offset just past committed record i-1, so
+	// record i lies in [ends[i], ends[i+1]) and ends[0] is 0. A record
+	// (recovered, or flushed this run) is entered only once its batch's
+	// sync returned, so the count is the durable watermark journal
+	// shipping may show a replica.
+	ends     []int64
 	broken   error  // first write/sync failure; poisons later appends
 	cur      *Batch // forming batch, nil when none
 	flushing bool   // a flushLoop goroutine is draining batches
@@ -71,6 +81,7 @@ func OpenFile(path string) (*FileLog, []Record, error) {
 		return nil, nil, fmt.Errorf("updatelog: read %s: %w", path, err)
 	}
 	var recs []Record
+	ends := []int64{0}
 	committed := 0
 	rest := buf
 	for len(rest) > 0 {
@@ -80,6 +91,7 @@ func OpenFile(path string) (*FileLog, []Record, error) {
 		}
 		recs = append(recs, r)
 		committed += sz
+		ends = append(ends, int64(committed))
 		rest = rest[sz:]
 	}
 	if committed < len(buf) {
@@ -92,18 +104,49 @@ func OpenFile(path string) (*FileLog, []Record, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("updatelog: seek %s: %w", path, err)
 	}
-	return &FileLog{f: f, path: path, recs: len(recs)}, recs, nil
+	return &FileLog{f: f, path: path, ends: ends}, recs, nil
 }
-
-// Path returns the journal's file path.
-func (l *FileLog) Path() string { return l.path }
 
 // Records returns the number of records committed so far (recovered plus
 // appended this run).
 func (l *FileLog) Records() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.recs
+	return len(l.ends) - 1
+}
+
+// Read returns up to max committed records starting at record index
+// since (clamped to the committed count), read back from the file, and
+// the index after the last one returned. Only records whose commit sync
+// returned are ever shown: one that is written but not yet synced could
+// still be lost with the process.
+func (l *FileLog) Read(since, max uint64) ([]Record, uint64, error) {
+	l.mu.Lock()
+	f, n := l.f, uint64(len(l.ends)-1)
+	lo := min(since, n)
+	hi := min(n, lo+max)
+	start, end := l.ends[lo], l.ends[hi]
+	l.mu.Unlock()
+	if lo == hi {
+		return nil, hi, nil
+	}
+	if f == nil {
+		return nil, lo, errors.New("updatelog: read on closed file log")
+	}
+	buf := make([]byte, end-start)
+	if _, err := f.ReadAt(buf, start); err != nil {
+		return nil, lo, fmt.Errorf("updatelog: read %s: %w", l.path, err)
+	}
+	recs := make([]Record, 0, hi-lo)
+	for len(buf) > 0 {
+		r, sz, ok := decodeRecord(buf)
+		if !ok {
+			return nil, lo, fmt.Errorf("updatelog: %s: committed record %d does not decode", l.path, lo+uint64(len(recs)))
+		}
+		recs = append(recs, r)
+		buf = buf[sz:]
+	}
+	return recs, hi, nil
 }
 
 // Syncs returns the number of disk syncs issued so far. Under group
@@ -153,7 +196,7 @@ func (l *FileLog) Enqueue(r Record) (*Batch, error) {
 		l.cur = &Batch{done: make(chan struct{})}
 	}
 	l.cur.buf = append(l.cur.buf, encodeRecord(r)...)
-	l.cur.n++
+	l.cur.ends = append(l.cur.ends, len(l.cur.buf))
 	b := l.cur
 	if !l.flushing {
 		l.flushing = true
@@ -199,7 +242,10 @@ func (l *FileLog) flushLoop() {
 		}
 		l.mu.Lock()
 		if err == nil {
-			l.recs += b.n
+			base := l.ends[len(l.ends)-1]
+			for _, end := range b.ends {
+				l.ends = append(l.ends, base+int64(end))
+			}
 		} else if l.broken == nil {
 			l.broken = err
 		}

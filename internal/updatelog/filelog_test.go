@@ -1,9 +1,12 @@
 package updatelog
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -128,5 +131,71 @@ func TestFileLogCorruptMiddleEndsPrefix(t *testing.T) {
 	defer l2.Close()
 	if len(recs) != 1 || recs[0].Seq != 1 {
 		t.Fatalf("prefix after mid-corruption = %+v, want only seq 1", recs)
+	}
+}
+
+// TestFileLogReadServesCommittedWindows: Read returns windows of the
+// committed records straight from the file — recovered ones and ones
+// appended in groups this run alike — clamps a window to the committed
+// count, and never shows a record whose sync has not returned.
+func TestFileLogReadServesCommittedWindows(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	rec := func(i int) Record {
+		return Record{Kind: KindInsert, Name: fmt.Sprintf("d%d.xml", i), Data: []byte(strings.Repeat("x", i+1)), Client: 3, Seq: uint64(i + 1)}
+	}
+	l, _, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := l.Append(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	if l, _, err = OpenFile(path); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+
+	// Three more behind a sync that has not returned yet.
+	syncing, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	l.syncHook = func(f *os.File) error {
+		once.Do(func() { close(syncing) })
+		<-release
+		return f.Sync()
+	}
+	var batch *Batch
+	for i := 3; i < 6; i++ {
+		if batch, err = l.Enqueue(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-syncing
+	if got, next, err := l.Read(0, 100); err != nil || next != 3 || len(got) != 3 {
+		t.Fatalf("Read during the sync = %d records, next %d, %v; want the 3 recovered ones", len(got), next, err)
+	}
+	close(release)
+	if err := l.WaitDurable(batch); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, w := range []struct{ since, max, next uint64 }{
+		{0, 100, 6}, {0, 2, 2}, {2, 3, 5}, {5, 1, 6}, {6, 4, 6}, {9, 4, 6},
+	} {
+		got, next, err := l.Read(w.since, w.max)
+		if err != nil || next != w.next {
+			t.Fatalf("Read(%d, %d) = next %d, %v; want %d", w.since, w.max, next, err, w.next)
+		}
+		lo := min(w.since, 6)
+		if uint64(len(got)) != next-lo {
+			t.Fatalf("Read(%d, %d) returned %d records for [%d, %d)", w.since, w.max, len(got), lo, next)
+		}
+		for i, r := range got {
+			if want := rec(int(lo) + i); !reflect.DeepEqual(r, want) {
+				t.Fatalf("Read(%d, %d)[%d] = %+v, want %+v", w.since, w.max, i, r, want)
+			}
+		}
 	}
 }

@@ -4,52 +4,19 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"reflect"
 	"testing"
 	"time"
 )
 
-// v1Frame hand-builds a protocol-version-1 frame around payload, byte for
-// byte what a pre-idempotency-key peer would put on the wire.
-func v1Frame(kind byte, id uint64, payload []byte) []byte {
-	buf := make([]byte, headerSize+len(payload))
-	binary.BigEndian.PutUint16(buf[0:2], Magic)
-	buf[2] = 1 // protocol version 1
-	buf[3] = kind
-	binary.BigEndian.PutUint64(buf[4:12], id)
-	binary.BigEndian.PutUint32(buf[12:16], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[16:20], crc32.ChecksumIEEE(payload))
-	copy(buf[headerSize:], payload)
-	return buf
-}
-
-// TestVersion1FramesStillDecode: the v2 reader accepts v1 frames, and a
-// v1 update payload (no key tail) decodes with the zero key — the version
-// gate for the idempotency-key rollout.
-func TestVersion1FramesStillDecode(t *testing.T) {
-	payload := EncodeUpdateRequest(UpdateRequest{Name: "a.xml", Data: []byte("<a/>"), Timeout: time.Second})
-	f, err := ReadFrame(bytes.NewReader(v1Frame(byte(OpInsert), 9, payload)))
-	if err != nil {
-		t.Fatalf("v1 frame rejected: %v", err)
-	}
-	req, err := DecodeUpdateRequest(f.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Key.Valid() {
-		t.Fatalf("v1 payload decoded a key: %v", req.Key)
-	}
-	if req.Name != "a.xml" || string(req.Data) != "<a/>" || req.Timeout != time.Second {
-		t.Fatalf("v1 payload fields: %+v", req)
-	}
-}
-
 // TestFrameCapRejectedBeforeAllocation: a header declaring a payload over
 // MaxPayload fails ErrTooLarge without the reader attempting to read (or
 // allocate) the declared 64 MiB + 1.
 func TestFrameCapRejectedBeforeAllocation(t *testing.T) {
-	hdr := v1Frame(byte(OpQuery), 1, nil)[:headerSize]
+	hdr, err := AppendFrame(nil, Frame{Kind: byte(OpQuery), ID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	binary.BigEndian.PutUint32(hdr[12:16], MaxPayload+1)
 	if _, err := ReadFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized declared payload: %v, want ErrTooLarge", err)

@@ -43,16 +43,14 @@ import (
 const Magic uint16 = 0x5842
 
 // Version is the protocol version this package writes. Version 2 added
-// the optional idempotency-key tail to update payloads; the frame layout
-// itself is unchanged, so readers accept every version from MinVersion to
-// Version and the payload codecs treat the key as a self-delimiting
-// optional suffix — old frames still decode (with a zero key), and old
-// readers never see a version they do not speak from this package.
+// the optional idempotency-key tail to update payloads: the payload
+// codecs treat the key as a self-delimiting optional suffix, which
+// unkeyed updates simply leave out.
 const Version byte = 2
 
-// MinVersion is the oldest protocol version a reader accepts. Version 1
-// frames differ only in lacking the idempotency-key tail on updates.
-const MinVersion byte = 1
+// MinVersion is the oldest protocol version a reader accepts: the
+// current one. Every peer is built from this tree.
+const MinVersion = Version
 
 // MaxPayload bounds a frame payload (64 MiB). A length field above it
 // fails with ErrTooLarge before any allocation, so a corrupt or hostile

@@ -78,9 +78,11 @@ func TestFrameRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	raw[2] = 99 // version
-	if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("future version read: %v, want ErrBadVersion", err)
+	for _, v := range []byte{99, Version - 1} { // a future version, and the retired one
+		raw[2] = v
+		if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("version %d read: %v, want ErrBadVersion", v, err)
+		}
 	}
 	if err := WriteFrame(io.Discard, Frame{Payload: make([]byte, MaxPayload+1)}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized write: %v, want ErrTooLarge", err)

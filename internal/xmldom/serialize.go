@@ -3,7 +3,6 @@ package xmldom
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -211,15 +210,6 @@ func (e *Encoder) Empty(name string, attrs ...string) *Encoder {
 	return e
 }
 
-// Raw appends pre-escaped markup verbatim. Use only with trusted content.
-func (e *Encoder) Raw(s string) *Encoder {
-	e.buf.WriteString(s)
-	return e
-}
-
-// Len returns the number of bytes emitted so far.
-func (e *Encoder) Len() int { return e.buf.Len() }
-
 func (e *Encoder) fail(msg string) {
 	if e.err == nil {
 		e.err = fmt.Errorf("xmldom: encoder: %s", msg)
@@ -237,14 +227,4 @@ func (e *Encoder) Bytes() ([]byte, error) {
 			len(e.stack), strings.Join(e.stack, ", "))
 	}
 	return e.buf.Bytes(), nil
-}
-
-// WriteTo writes the finished document to w.
-func (e *Encoder) WriteTo(w io.Writer) (int64, error) {
-	b, err := e.Bytes()
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(b)
-	return int64(n), err
 }
