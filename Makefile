@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz chaos chaos-updates torture smoke shard-smoke bench-e2e bench-compare plan-check plan-golden mvcc-sweep loc verify
+.PHONY: build test vet race fuzz chaos chaos-updates torture smoke shard-smoke bench-e2e bench-compare bench-point plan-check plan-golden mvcc-sweep loc verify
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,13 @@ bench-e2e:
 # (comma-separate several runs per side).
 bench-compare:
 	bash benchmarks/run.sh --compare $(A) $(B)
+
+# The point read in-process and through a loopback server on every
+# engine (root bench_test.go, BenchmarkPointRead): ns/op, p50_us and
+# allocations per operation. Add -cpuprofile to see where a served
+# request spends its time.
+bench-point:
+	$(GO) test -run '^$$' -bench PointRead -benchmem .
 
 # MVCC snapshot-read smoke: read p99 must stay within 2x the read-only
 # p99 at 30% updates, because snapshots pin readers off the engine write

@@ -25,14 +25,18 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"xbench/internal/bench"
+	"xbench/internal/client"
 	"xbench/internal/core"
 	"xbench/internal/engines/native"
 	"xbench/internal/gen"
+	"xbench/internal/server"
 	"xbench/internal/workload"
 )
 
@@ -362,5 +366,94 @@ func BenchmarkAblationSegmentedStorage(b *testing.B) {
 			}
 			b.ReportMetric(float64(io)/float64(b.N), "pageIO/op")
 		})
+	}
+}
+
+// pointMix is the benchmark's served_read mix (benchmarks/e2e probeMix):
+// the four DC/MD point queries that cost a few microseconds in-process on
+// the relational engines, so what a request costs is what surrounds them.
+var pointMix = []core.QueryID{core.Q1, core.Q5, core.Q8, core.Q16}
+
+// BenchmarkPointRead is the point read in-process and through a loopback
+// server with the pipelined client, on every engine: DC/MD Small at seed
+// 7, two closed-loop clients over pointMix, as the served_read workload
+// and its inproc and wire rungs run it. ns/op is wall time over
+// operations with both clients running; p50_us is the median of the
+// per-operation latencies. It is the profiling handle for that path:
+//
+//	go test -run '^$' -bench PointRead/served/sqlserver -cpuprofile cpu.out .
+func BenchmarkPointRead(b *testing.B) {
+	ctx := context.Background()
+	db, err := gen.Config{Seed: 7}.Generate(core.DCMD, core.Small)
+	if err != nil {
+		b.Fatal(err)
+	}
+	params := workload.Params(core.DCMD)
+	const clients = 2
+	for _, mode := range []string{"inproc", "served"} {
+		for _, key := range []string{"native", "xcolumn", "xcollection", "sqlserver"} {
+			b.Run(mode+"/"+key, func(b *testing.B) {
+				e, err := New(key)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := LoadAndIndex(ctx, e, db); err != nil {
+					e.Close()
+					b.Fatal(err)
+				}
+				front := e
+				if mode == "served" {
+					srv := server.New(e, server.Config{}) // owns e from here on
+					defer srv.Close()
+					if err := srv.Start(); err != nil {
+						b.Fatal(err)
+					}
+					c, err := client.Dial(srv.Addr().String(), client.Config{Pipeline: true})
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer c.Close()
+					front = c
+				} else {
+					defer e.Close()
+				}
+				for _, q := range pointMix { // warm the pool and every lazy path
+					if _, err := front.Execute(ctx, q, params); err != nil {
+						b.Fatal(err)
+					}
+				}
+				lat := make([][]time.Duration, clients)
+				for c := range lat {
+					lat[c] = make([]time.Duration, 0, b.N/clients+1)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for c := 0; c < clients; c++ {
+					wg.Add(1)
+					go func(c int) {
+						defer wg.Done()
+						for i := c; i < b.N; i += clients {
+							t0 := time.Now()
+							if _, err := front.Execute(ctx, pointMix[i/clients%len(pointMix)], params); err != nil {
+								b.Error(err)
+								return
+							}
+							lat[c] = append(lat[c], time.Since(t0))
+						}
+					}(c)
+				}
+				wg.Wait()
+				b.StopTimer()
+				var all []time.Duration
+				for _, l := range lat {
+					all = append(all, l...)
+				}
+				sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+				if len(all) > 0 {
+					b.ReportMetric(float64(all[len(all)/2])/1e3, "p50_us")
+				}
+			})
+		}
 	}
 }

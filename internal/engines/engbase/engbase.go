@@ -10,18 +10,21 @@
 // drift between engines.
 //
 // What is committed has one owner, the pager: the call that commits an
-// epoch (EndMutation, AdvanceEpoch) takes the store's frozen view of that
-// epoch, and PinSnapshot hands a reader the view with the pin, both under
-// the one mutex they already took. Base keeps no copy of it, so there is
-// nothing to reconcile per read and no latch anywhere on the read path:
-// every query and every Explain runs against the view it pinned, and an
-// engine with nothing published answers the not-loaded error.
+// epoch (EndMutation, AdvanceEpoch) takes the publication of that epoch —
+// the store's frozen view and what every read of it shares, see
+// publication — and PinSnapshot hands a reader the publication with the
+// pin, both under the one mutex they already took. Base keeps no copy of
+// it, so there is nothing to reconcile per read and no latch anywhere on
+// the read path: every query and every Explain runs against the view it
+// pinned, and an engine with nothing published answers the not-loaded
+// error.
 package engbase
 
 import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xbench/internal/core"
@@ -43,12 +46,12 @@ const gcInterval = 2 * time.Second
 // read surface a query runs against: a frozen view of the store at one
 // commit epoch.
 //
-// Base calls every method except Name, Supports, Stats and Exec with the
-// engine latch held exclusively, and only Name, Supports, Reset and
-// LoadDocs on a store that is not loaded, so a Store does no locking and
-// no "is it loaded" checks of its own. Stats and Exec are called
-// concurrently, without the latch, on a view the caller has pinned; they
-// read nothing of the store that a writer changes.
+// Base calls every method except Name, Supports and Exec with the engine
+// latch held exclusively, and only Name, Supports, Reset and LoadDocs on
+// a store that is not loaded, so a Store does no locking and no "is it
+// loaded" checks of its own. Exec is called concurrently, without the
+// latch, on a view the caller has pinned; it reads nothing of the store
+// that a writer changes.
 type Store[V any] interface {
 	// Name and Supports are core.Engine's.
 	Name() string
@@ -66,7 +69,8 @@ type Store[V any] interface {
 	Freeze(epoch uint64) (V, error)
 	// Stats returns what the planner needs to know about v: the class
 	// whose query catalog applies and the statistics the cost model
-	// reads. Base adds the feedback.
+	// reads. Base calls it once, on the view Freeze just returned, and
+	// adds the feedback.
 	Stats(v V) (core.Class, plan.StatValues)
 	// Exec runs the planned query ph against v. Base fills in
 	// Result.PageIO.
@@ -104,6 +108,43 @@ type Base[V any] struct {
 	// Freeze and Close: it gates the writers the way the published view
 	// gates the readers. Guarded by mu.
 	loaded bool
+}
+
+// publication is what one commit publishes, as the pager's view of the
+// epoch: the store's frozen read surface and what every read of it would
+// otherwise work out again — the class whose query catalog applies, the
+// planner's statistics, and the plans already made over them. Only the
+// plan cells change after the commit, each once, from empty to a plan.
+type publication[V any] struct {
+	view  V
+	class core.Class
+	stats plan.StatValues // Feedback is the engine's
+	// plans memoizes, by QueryID, the plans whose costing read nothing
+	// but stats. Such a plan is a function of (query, view), so the memo
+	// needs no invalidation: the next commit publishes empty cells.
+	plans [core.Q20 + 1]atomic.Pointer[plan.Physical]
+}
+
+// plan returns the physical plan of q over the published view: from q's
+// cell, or planned now. A plan that consulted the feedback — the query
+// has a range candidate, so its costing moves with the selectivities
+// execution observes — is planned on every call and never stored.
+func (pub *publication[V]) plan(q core.QueryID) (*plan.Physical, error) {
+	if q < 0 || int(q) >= len(pub.plans) {
+		return nil, core.ErrNoQuery
+	}
+	if ph := pub.plans[q].Load(); ph != nil {
+		return ph, nil
+	}
+	def := queries.Lookup(pub.class, q)
+	if def == nil {
+		return nil, core.ErrNoQuery
+	}
+	ph, err := plan.Plan(def, pub.stats)
+	if err == nil && ph.FeedbackTarget == "" {
+		pub.plans[q].Store(ph) // racing planners store equal plans
+	}
+	return ph, err
 }
 
 // NewPager returns the pager an engine is built on, with a metrics
@@ -148,12 +189,13 @@ func (b *Base[V]) notLoaded(op string) error {
 }
 
 // publish freezes the store at epoch and commits the epoch with the
-// view, through commit: EndMutation inside a bracket, AdvanceEpoch after a
-// load. Freezing before the commit is what lets the two change together.
-// If Freeze fails the epoch is committed with nothing to read and the
-// engine stops: the store holds the update but cannot be read at it, so
-// every operation answers the not-loaded error until the next Load. The
-// caller holds the latch and has synced the store.
+// publication of that view, through commit: EndMutation inside a bracket,
+// AdvanceEpoch after a load. Freezing before the commit is what lets the
+// two change together. If Freeze fails the epoch is committed with
+// nothing to read and the engine stops: the store holds the update but
+// cannot be read at it, so every operation answers the not-loaded error
+// until the next Load. The caller holds the latch and has synced the
+// store.
 func (b *Base[V]) publish(epoch uint64, commit func(view any) uint64) error {
 	v, err := b.s.Freeze(epoch)
 	if err != nil {
@@ -161,7 +203,10 @@ func (b *Base[V]) publish(epoch uint64, commit func(view any) uint64) error {
 		commit(nil)
 		return err
 	}
-	commit(v)
+	pub := &publication[V]{view: v}
+	pub.class, pub.stats = b.s.Stats(v)
+	pub.stats.Feedback = &b.fb
+	commit(pub)
 	return nil
 }
 
@@ -237,28 +282,24 @@ func (b *Base[V]) BuildIndexes(specs []core.IndexSpec) error {
 }
 
 // planned is the read protocol up to the plan, for the operation named
-// op: pin the committed epoch, which hands back the view published with
-// it (nothing published is the not-loaded error), and plan q over that
-// view. It is the one planning site, and the plan phase is exactly its
-// second half: look q up in the catalog of the view's class and cost it
-// over the view's statistics and the engine's observed selectivities.
-// The caller owns the Snap either way and must Release it when done with
-// the view and the plan.
+// op: pin the committed epoch, which hands back what was published with
+// it (nothing published is the not-loaded error), and take q's plan over
+// that view. It is the one planning site, and the plan phase is exactly
+// its second half, publication.plan: q's cell, or the catalog lookup and
+// the costing over the view's statistics and the engine's observed
+// selectivities. The plan may be shared with every other reader of the
+// view and is read-only. The caller owns the Snap either way and must
+// Release it when done with the view and the plan.
 func (b *Base[V]) planned(op string, q core.QueryID) (*pager.Snap, V, *plan.Physical, error) {
 	snap := b.p.PinSnapshot()
-	v, ok := snap.View().(V)
+	pub, ok := snap.View().(*publication[V])
 	if !ok {
-		return snap, v, nil, b.notLoaded(op)
+		var none V
+		return snap, none, nil, b.notLoaded(op)
 	}
 	defer b.p.Metrics().StartSpan(metrics.PhasePlan).End()
-	class, st := b.s.Stats(v)
-	def := queries.Lookup(class, q)
-	if def == nil {
-		return snap, v, nil, core.ErrNoQuery
-	}
-	st.Feedback = &b.fb
-	ph, err := plan.Plan(def, st)
-	return snap, v, ph, err
+	ph, err := pub.plan(q)
+	return snap, pub.view, ph, err
 }
 
 // Execute implements core.Engine. It is safe to call from many
@@ -282,7 +323,8 @@ func (b *Base[V]) Execute(ctx context.Context, q core.QueryID, p core.Params) (c
 }
 
 // Explain implements core.Explainer: the plan Execute would run for q
-// now, costed over the same pinned view.
+// now, costed over the same pinned view. The tree may be the one every
+// other caller on that view is handed; it is read-only.
 func (b *Base[V]) Explain(_ context.Context, q core.QueryID, _ core.Params) (*core.PlanNode, error) {
 	snap, _, ph, err := b.planned("Explain", q)
 	defer snap.Release()

@@ -1,8 +1,33 @@
 package engbase
 
+import (
+	"xbench/internal/core"
+	"xbench/internal/plan"
+	"xbench/internal/queries"
+)
+
 // JournalRecords returns the number of committed records in the update
 // journal, for the contract test's "a refused update appends nothing".
 func (b *Base[V]) JournalRecords() (int, error) {
 	recs, err := b.journal.Committed()
 	return len(recs), err
+}
+
+// Plans returns q's plan over the committed view twice: served, as
+// Execute and Explain get it (from q's cell once it is there), and fresh,
+// as plan.Plan builds it from the store's statistics of that view.
+func (b *Base[V]) Plans(q core.QueryID) (served, fresh *plan.Physical, err error) {
+	snap := b.p.PinSnapshot()
+	defer snap.Release()
+	pub, ok := snap.View().(*publication[V])
+	if !ok {
+		return nil, nil, b.notLoaded("Plans")
+	}
+	if served, err = pub.plan(q); err != nil {
+		return nil, nil, err
+	}
+	class, st := b.s.Stats(pub.view)
+	st.Feedback = &b.fb
+	fresh, err = plan.Plan(queries.Lookup(class, q), st)
+	return served, fresh, err
 }

@@ -1,0 +1,162 @@
+package engbase_test
+
+import (
+	"context"
+	"reflect"
+	"testing"
+
+	"xbench/internal/core"
+	"xbench/internal/engines/xcollection"
+	"xbench/internal/gen"
+	"xbench/internal/plan"
+	"xbench/internal/queries"
+	"xbench/internal/workload"
+)
+
+// explain is Explain or a test failure.
+func explain(t *testing.T, e core.Explainer, q core.QueryID) *core.PlanNode {
+	t.Helper()
+	n, err := e.Explain(context.Background(), q, nil)
+	if err != nil {
+		t.Fatalf("Explain %s: %v", q, err)
+	}
+	return n
+}
+
+// access is the access-path operator at the bottom of a plan tree.
+func access(n *core.PlanNode) string {
+	for len(n.Children) > 0 {
+		n = n.Children[0]
+	}
+	return n.Op
+}
+
+// TestPlanMemoLivesWithTheView: on one published view a query is planned
+// once — every Explain hands out the same tree — and every commit
+// publishes an empty memo: after BuildIndexes the plan is the one over
+// the new indexes (on the two engines whose order/@id index is a Table 3
+// index, not a key index that exists from the load, the scan turns into
+// a probe), and after a U1 it is a new plan again.
+func TestPlanMemoLivesWithTheView(t *testing.T) {
+	ctx := context.Background()
+	// Enough orders that a probe beats the scan.
+	db, err := gen.Config{Orders: 300}.Generate(core.DCMD, core.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name, doc := workload.UpdateDoc(core.DCMD, 1, 0)
+	for _, tc := range engines {
+		t.Run(tc.name, func(t *testing.T) {
+			e := tc.mk()
+			defer e.Close()
+			if _, err := e.Load(ctx, db); err != nil {
+				t.Fatal(err)
+			}
+			loaded := explain(t, e, core.Q5)
+			if again := explain(t, e, core.Q5); again != loaded {
+				t.Fatal("two Explains on one view returned different trees: the plan was rebuilt")
+			}
+
+			if err := e.BuildIndexes(workload.Indexes(core.DCMD)); err != nil {
+				t.Fatal(err)
+			}
+			indexed := explain(t, e, core.Q5)
+			if indexed == loaded || access(indexed) != "index-probe" {
+				t.Fatalf("Q5 after the index build is the plan of the view before it:\n%s", indexed.Format())
+			}
+			if wantScan := tc.name == "X-Hive" || tc.name == "Xcolumn"; wantScan != (access(loaded) == "scan") {
+				t.Fatalf("Q5 before the index build:\n%s", loaded.Format())
+			}
+
+			if err := e.InsertDocument(ctx, name, doc); err != nil {
+				t.Fatal(err)
+			}
+			after := explain(t, e, core.Q5)
+			if after == indexed {
+				t.Fatal("the plan outlived the view it was made over")
+			}
+			if after.Format() != indexed.Format() {
+				t.Fatalf("one inserted order changed Q5's plan:\n%s\nwas\n%s", after.Format(), indexed.Format())
+			}
+			if res, err := e.Execute(ctx, core.Q5, core.Params{"X": workload.UpdateTargetID(core.DCMD, 1)}); err != nil || len(res.Items) != 1 {
+				t.Fatalf("Q5 for the inserted order = %v, %v", res.Items, err)
+			}
+		})
+	}
+}
+
+// TestMemoizedPlansAreThePlannersPlans: for every query of DC/MD and
+// TC/MD, on every engine, what a read is served — on the first call and
+// from the cell on the second — is what plan.Plan builds from the store's
+// statistics of the same view, field for field.
+func TestMemoizedPlansAreThePlannersPlans(t *testing.T) {
+	ctx := context.Background()
+	for _, class := range []core.Class{core.DCMD, core.TCMD} {
+		db, err := gen.Config{Orders: 20, Articles: 4}.Generate(class, core.Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range engines {
+			t.Run(class.Code()+"/"+tc.name, func(t *testing.T) {
+				e := tc.mk()
+				defer e.Close()
+				if _, _, err := workload.LoadAndIndex(ctx, e, db); err != nil {
+					t.Fatal(err)
+				}
+				planner := e.(interface {
+					Plans(core.QueryID) (served, fresh *plan.Physical, err error)
+				})
+				for _, def := range queries.ForClass(class) {
+					first, fresh, err := planner.Plans(def.ID)
+					if err != nil {
+						t.Fatalf("%s: %v", def.ID, err)
+					}
+					second, _, _ := planner.Plans(def.ID)
+					if second != first {
+						t.Errorf("%s: planned twice on one view", def.ID)
+					}
+					if !reflect.DeepEqual(second, fresh) {
+						t.Errorf("%s: served plan\n%+v\nplanner's\n%+v", def.ID, second, fresh)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRangePlanFollowsFeedbackThroughTheEngine: a query with a range
+// candidate is never served from the memo. Through Execute and Explain
+// alone, on one unchanged view: windows that keep every row flip its
+// plan from the probe to the scan, and narrow windows afterwards flip it
+// back — which a stored plan could not do.
+func TestRangePlanFollowsFeedbackThroughTheEngine(t *testing.T) {
+	ctx := context.Background()
+	// Enough items that the probe beats the scan under the default prior
+	// (as shredplan's TestRangeFeedbackRecostsPlan, below the engine).
+	db, err := gen.Config{DictEntries: 30, Articles: 6, Items: 120, Orders: 30}.Generate(core.DCSD, core.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := xcollection.New(xcollection.DB2, 256, 0)
+	defer e.Close()
+	if _, _, err := workload.LoadAndIndex(ctx, e, db); err != nil {
+		t.Fatal(err)
+	}
+	if n := explain(t, e, core.Q10); access(n) != "index-probe" {
+		t.Fatalf("premise broken: the default prior plans Q10 as\n%s", n.Format())
+	}
+	if res, err := e.Execute(ctx, core.Q10, core.Params{"LO": "0000-01-01", "HI": "9999-12-31"}); err != nil || len(res.Items) == 0 {
+		t.Fatalf("full-window Q10 = %d items, %v", len(res.Items), err)
+	}
+	if n := explain(t, e, core.Q10); access(n) != "scan" {
+		t.Fatalf("after a window that kept every row Q10 is still planned as\n%s", n.Format())
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := e.Execute(ctx, core.Q10, core.Params{"LO": "0001-01-01", "HI": "0001-01-02"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := explain(t, e, core.Q10); access(n) != "index-probe" {
+		t.Fatalf("narrow windows did not bring the probe back:\n%s", n.Format())
+	}
+}

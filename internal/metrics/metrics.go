@@ -78,6 +78,8 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	hists    map[string]*Histogram
+	// phases caches the cells of the canonical phases (span.go).
+	phases [len(phaseNames)]atomic.Pointer[phaseCell]
 }
 
 // NewRegistry returns an empty registry.

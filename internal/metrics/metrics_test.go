@@ -174,3 +174,32 @@ func TestPhaseNameParsing(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanEndDoesNotAllocate: once a registry has seen a phase, a span of
+// it and a direct AddPhase allocate nothing, for every canonical name,
+// and the time lands under the documented names.
+func TestSpanEndDoesNotAllocate(t *testing.T) {
+	r := NewRegistry()
+	for _, name := range phaseNames {
+		r.StartSpan(name).End() // first span resolves the cell
+		if n := testing.AllocsPerRun(100, func() {
+			r.StartSpan(name).End()
+			r.AddPhase(name, time.Microsecond)
+		}); n != 0 {
+			t.Errorf("phase %q: %v allocations per span + AddPhase, want 0", name, n)
+		}
+		if got := r.Histogram("phase." + name).Count(); got != 203 {
+			t.Errorf("phase %q: histogram holds %d observations, want 203", name, got)
+		}
+		if r.Counter("phase."+name+".ns").Value() < int64(101*time.Microsecond) {
+			t.Errorf("phase %q: counter missed the AddPhase time", name)
+		}
+	}
+	var nilReg *Registry
+	if n := testing.AllocsPerRun(100, func() {
+		nilReg.StartSpan(PhasePlan).End()
+		nilReg.AddPhase(PhasePlan, time.Microsecond)
+	}); n != 0 {
+		t.Errorf("nil registry: %v allocations per span, want 0", n)
+	}
+}

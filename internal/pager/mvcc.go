@@ -45,6 +45,7 @@ package pager
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xbench/internal/metrics"
@@ -81,6 +82,10 @@ type mvccState struct {
 	blocked bool           // BlockPins in force: new pins wait
 
 	versions map[pageKey][]pageVersion // ascending supersededAt
+	// retained is the number of page versions in versions, kept beside
+	// the map so ReadAt can see "no version of any page exists" without
+	// mu. Written under mu.
+	retained atomic.Int64
 	// newPages tracks pages appended inside the active mutation: they did
 	// not exist at any pinned epoch, so their writes need no pre-image.
 	newPages map[pageKey]struct{}
@@ -286,6 +291,7 @@ func (p *Pager) mvccReset() {
 	defer m.mu.Unlock()
 	m.init()
 	m.versions = make(map[pageKey][]pageVersion)
+	m.retained.Store(0)
 	m.mutActive = false
 	m.mutTarget = 0
 }
@@ -314,6 +320,7 @@ func (p *Pager) capture(key pageKey, data []byte) {
 		return
 	}
 	m.versions[key] = append(vs, pageVersion{supersededAt: m.mutTarget, data: data})
+	m.retained.Add(1)
 	m.cCapture.Inc()
 	m.mu.Unlock()
 }
@@ -376,25 +383,35 @@ func (p *Pager) versionAt(key pageKey, epoch uint64) ([]byte, bool) {
 // have reclaimed the versions it needs). Like Read, the returned slice
 // is read-only and may alias shared buffers. ReadAt(fid, no, LiveEpoch)
 // degenerates to Read.
+//
+// A version is looked for before the live read and again after it. The
+// second look is what makes the answer right: the first races the
+// writer, which between it and Read may capture this page's pre-image
+// and overwrite (or truncate) the page. The writer always captures
+// before it mutates, both under the pool latch, so if the live read
+// observed mutated state the capture is visible afterwards: prefer it.
+// When the second look finds nothing the live read was the epoch's page.
+//
+// Either look is skipped while no version of any page is retained. That
+// loses nothing: a capture the read raced has supersededAt above the
+// committed epoch, hence above the caller's pinned one, and pruning
+// keeps every such version until the pin is released — so a count of
+// zero after the live read proves no capture preceded it.
 func (p *Pager) ReadAt(fid FileID, no uint32, epoch uint64) ([]byte, error) {
 	if epoch == LiveEpoch {
 		return p.Read(fid, no)
 	}
 	key := pageKey{fid, no}
-	if data, ok := p.versionAt(key, epoch); ok {
-		return data, nil
+	if p.mvcc.retained.Load() != 0 {
+		if data, ok := p.versionAt(key, epoch); ok {
+			return data, nil
+		}
 	}
-	// No version covered the epoch, so the live page looked like the
-	// answer — but that check races the writer: between versionAt and
-	// Read the mutation may capture this page's pre-image and overwrite
-	// (or truncate) it. The writer always captures before it mutates,
-	// both under the pool latch, so if our live read observed mutated
-	// state the capture is visible now: recheck and prefer the version.
-	// When the recheck finds nothing the live read was genuinely
-	// pre-mutation (or the page is unmutated) and both paths agree.
 	data, err := p.Read(fid, no)
-	if vdata, ok := p.versionAt(key, epoch); ok {
-		return vdata, nil
+	if p.mvcc.retained.Load() != 0 {
+		if vdata, ok := p.versionAt(key, epoch); ok {
+			return vdata, nil
+		}
 	}
 	return data, err
 }
@@ -432,6 +449,7 @@ func (m *mvccState) pruneLocked() {
 		}
 	}
 	if reclaimed > 0 {
+		m.retained.Add(-reclaimed)
 		m.cGC.Add(reclaimed)
 	}
 }
@@ -444,11 +462,7 @@ func (p *Pager) GC() int {
 	defer m.mu.Unlock()
 	m.init()
 	m.pruneLocked()
-	n := 0
-	for _, vs := range m.versions {
-		n += len(vs)
-	}
-	return n
+	return int(m.retained.Load())
 }
 
 // StartGC starts the background version reclaimer, pruning every

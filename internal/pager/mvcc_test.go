@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -321,5 +323,122 @@ func TestHeapViewFrozenDuringRewrite(t *testing.T) {
 		if !seen[rec] {
 			t.Fatalf("live heap lost %.20q", rec)
 		}
+	}
+}
+
+// TestPinnedReadersAcrossRewrite is the fast path's gate: readers that
+// pinned epoch E while no version of any page was retained — so their
+// reads skip the version lookups — keep reading one page while a writer
+// brackets, rewrites and commits it, twice. Every read must return E's
+// bytes: the capture that precedes the first overwrite has to turn the
+// lookups back on for a read already in flight.
+func TestPinnedReadersAcrossRewrite(t *testing.T) {
+	p := New(8)
+	fid := p.Create("t")
+	if _, err := p.Append(fid); err != nil {
+		t.Fatal(err)
+	}
+	rounds := 200
+	if testing.Short() {
+		rounds = 50
+	}
+	for round := 0; round < rounds; round++ {
+		want := byte('a' + round%26)
+		fillPage(t, p, fid, 0, want) // outside a bracket: no version
+		if n := p.mvcc.retained.Load(); n != 0 {
+			t.Fatalf("round %d starts with %d retained versions, want 0", round, n)
+		}
+		var wg, pinned sync.WaitGroup
+		var committed atomic.Bool
+		var wrong atomic.Int64
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			pinned.Add(1)
+			go func() {
+				defer wg.Done()
+				snap := p.PinSnapshot()
+				defer snap.Release()
+				pinned.Done()
+				for after := 0; after < 20; {
+					if committed.Load() {
+						after++
+					}
+					got, err := p.ReadAt(fid, 0, snap.Epoch())
+					if err != nil || got[0] != want || got[PageSize-1] != want {
+						wrong.Add(1)
+					}
+					runtime.Gosched() // four spinners on few cores would starve the writer for a timeslice a round
+				}
+			}()
+		}
+		pinned.Wait()
+		for _, b := range []byte{'X', 'Y'} {
+			p.BeginMutation()
+			fillPage(t, p, fid, 0, b)
+			p.EndMutation(nil)
+		}
+		committed.Store(true)
+		wg.Wait()
+		if n := wrong.Load(); n > 0 {
+			t.Fatalf("round %d: %d reads under a pin of the pre-rewrite epoch saw other bytes", round, n)
+		}
+	}
+}
+
+// TestRetainedCountMatchesVersions: the count ReadAt trusts to skip its
+// lookups equals the number of versions in the map after every step of a
+// random capture / commit / pin / release / GC / reset sequence.
+func TestRetainedCountMatchesVersions(t *testing.T) {
+	p := New(8)
+	fid := p.Create("t")
+	const pages = 4
+	for i := 0; i < pages; i++ {
+		if _, err := p.Append(fid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	var snaps []*Snap
+	open := false
+	for step := 0; step < 5000; step++ {
+		switch op := rng.Intn(20); {
+		case op < 8: // a write: a capture when inside a bracket
+			fillPage(t, p, fid, uint32(rng.Intn(pages)), byte(step))
+		case op < 11:
+			if !open {
+				p.BeginMutation()
+				open = true
+			}
+		case op < 14:
+			if open {
+				p.EndMutation(nil)
+				open = false
+			}
+		case op < 16:
+			snaps = append(snaps, p.PinSnapshot())
+		case op < 18:
+			if len(snaps) > 0 {
+				i := rng.Intn(len(snaps))
+				snaps[i].Release()
+				snaps = append(snaps[:i], snaps[i+1:]...)
+			}
+		case op < 19:
+			p.GC()
+		default:
+			p.mvccReset()
+			open = false
+		}
+		if got, want := p.mvcc.retained.Load(), int64(p.LiveVersions()); got != want {
+			t.Fatalf("step %d: retained count %d, versions in the map %d", step, got, want)
+		}
+	}
+	for _, s := range snaps {
+		s.Release()
+	}
+	if open {
+		p.EndMutation(nil)
+	}
+	if got := p.mvcc.retained.Load(); got != 0 || p.LiveVersions() != 0 {
+		t.Fatalf("after the last release: retained count %d, versions %d, want 0", got, p.LiveVersions())
 	}
 }

@@ -4,22 +4,25 @@
 // admission control, per-request timeouts — instead of stopping at
 // library calls.
 //
-// Architecture: one accept loop, one read goroutine per connection, one
-// bounded goroutine per in-flight request. A connection's requests
-// execute concurrently and its responses — matched to requests by frame
-// ID, so they may return in any order — are coalesced by a per-connection
+// Architecture: one accept loop, one read goroutine per connection, and
+// per connection a bounded set of worker goroutines its reader hands
+// frames to (connWorker): a worker outlives its request and serves the
+// connection's next one, so the stack an engine call needs is grown once
+// per worker, not once per request. A connection's requests execute
+// concurrently and its responses — matched to requests by frame ID, so
+// they may return in any order — are coalesced by a per-connection
 // batched writer (connwriter.go) into one syscall per flush. That is what
 // makes the pipelined client transport (internal/client Config.Pipeline)
 // pay off: a mux connection carrying many in-flight requests is served by
 // many engine goroutines, not a serial loop. One-request-at-a-time
-// clients (the pooled transport, raw test connections) see the old
-// behavior: one frame in, one frame out. Every engine-touching request
-// passes the admission controller: a semaphore of MaxInflight slots with
-// a bounded queue wait. A request that cannot get a slot within QueueWait
-// is rejected with StatusOverloaded — load shedding, never queue
-// collapse. A per-connection pipeline cap (connPipeline) additionally
-// stops any single connection from parking unbounded goroutines in the
-// admission queue: past the cap the server simply stops reading and TCP
+// clients (the pooled transport, raw test connections) see one frame in,
+// one frame out, on one worker. Every engine-touching request passes the
+// admission controller: a semaphore of MaxInflight slots with a bounded
+// queue wait. A request that cannot get a slot within QueueWait is
+// rejected with StatusOverloaded — load shedding, never queue collapse.
+// The per-connection worker cap (connPipeline) additionally stops any
+// single connection from parking unbounded goroutines in the admission
+// queue: with every worker busy the server simply stops reading and TCP
 // backpressure does the rest.
 //
 // Graceful drain (Shutdown): stop accepting connections, reject new
@@ -103,7 +106,10 @@ type Server struct {
 	sem  chan struct{} // admission semaphore, cap MaxInflight
 	done chan struct{} // closed when drain begins
 
-	reg        *metrics.Registry
+	reg *metrics.Registry
+	// hOp holds the "wire.<op>" service-time histogram of every op, by
+	// op code.
+	hOp        [wire.NumOps]*metrics.Histogram
 	cAccepted  *metrics.Counter // server.conn.accepted
 	cActive    *metrics.Counter // server.conn.active (level)
 	rAdmitted  *metrics.Counter // server.req.admitted
@@ -155,6 +161,9 @@ func New(e core.Engine, cfg Config) *Server {
 	s.rRejected = s.reg.Counter("server.req.rejected")
 	s.rInflight = s.reg.Counter("server.req.inflight")
 	s.rDeduped = s.reg.Counter("server.req.deduped")
+	for op := wire.OpPing; op < wire.NumOps; op++ {
+		s.hOp[op] = s.reg.Histogram("wire." + op.String())
+	}
 	return s
 }
 
@@ -262,27 +271,37 @@ func (s *Server) dropConn(conn net.Conn) {
 }
 
 // connPipeline caps how many of one connection's requests may be in
-// flight at once. Past the cap serveConn stops reading frames, letting
-// TCP backpressure pace the client; the server-wide admission semaphore
-// still governs how many of those requests execute.
+// flight at once: it is the most workers serveConn starts. With all of
+// them busy serveConn stops reading frames, letting TCP backpressure pace
+// the client; the server-wide admission semaphore still governs how many
+// of those requests execute.
 const connPipeline = 128
 
 // serveConn reads one connection's requests until the peer hangs up, a
 // framing error poisons the stream, or drain closes the socket underneath
-// a blocked read. Each request executes in its own goroutine (bounded by
-// connPipeline) and responds through the connection's batched writer, so
-// a pipelined client's requests run concurrently and responses return in
-// completion order, routed by frame ID.
+// a blocked read. It hands each frame to one of the connection's workers
+// (connWorker): to one parked waiting for work when there is one, to a
+// new one while fewer than connPipeline exist, and otherwise to the first
+// that finishes. A pipelined client's requests therefore run concurrently
+// and their responses return in completion order, routed by frame ID,
+// through the connection's batched writer. Workers live as long as the
+// connection — a burst leaves its workers parked, each holding the stack
+// its last request grew (the runtime halves an idle one per GC cycle) —
+// and all have exited when serveConn returns.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.connWg.Done()
 	defer s.dropConn(conn)
 	w := newConnWriter(conn)
-	slots := make(chan struct{}, connPipeline)
+	// Unbuffered: a send completes only into a worker that is receiving,
+	// so a frame is never queued behind a busy one.
+	work := make(chan wire.Frame)
 	var wg sync.WaitGroup
-	defer wg.Wait() // request goroutines must not outlive engine shutdown
+	defer wg.Wait() // workers must not outlive engine shutdown
+	defer close(work)
 	// Buffered reads: a pipelined client flushes requests in batches, so
 	// one kernel read pulls many frames instead of two syscalls per frame.
 	br := bufio.NewReader(conn)
+	workers := 0
 	for {
 		req, err := wire.ReadFrame(br)
 		if err != nil {
@@ -292,38 +311,54 @@ func (s *Server) serveConn(conn net.Conn) {
 			// is dropped and the client's read fails typed.
 			return
 		}
-		slots <- struct{}{}
-		wg.Add(1)
-		go func(req wire.Frame) {
-			defer wg.Done()
-			defer func() { <-slots }()
-			// scratch backs pooled response payloads (query results); it is
-			// reusable once write has copied the frame into the batch. The
-			// REQUEST payload is deliberately never pooled: decoded requests
-			// alias it (wire dec.bytes) and updates may outlive this frame.
-			scratch := wire.GetBuf()
-			resp, done := s.handle(wire.Op(req.Kind), req.Payload, scratch)
-			resp.ID = req.ID
-			err := w.write(resp)
-			wire.PutBuf(scratch)
-			// The admission slot is released only after the batch holding
-			// this response was written, so the drain barrier in Shutdown
-			// proves every admitted request's response reached the kernel
-			// before connections are severed.
-			done()
-			if err != nil {
-				// The response could not be sent (dead peer or an
-				// unencodable frame): sever the connection so the read
-				// loop exits and the client's pending reads fail typed.
-				conn.Close()
-			}
-		}(req)
+		select {
+		case work <- req:
+			continue
+		default:
+		}
+		if workers < connPipeline {
+			workers++
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.connWorker(conn, w, work)
+			}()
+		}
+		work <- req
+	}
+}
+
+// connWorker serves one connection's requests, one at a time, until
+// serveConn closes work.
+func (s *Server) connWorker(conn net.Conn, w *connWriter, work <-chan wire.Frame) {
+	for req := range work {
+		// scratch backs pooled response payloads (query results); it is
+		// reusable once write has copied the frame into the batch. The
+		// REQUEST payload is deliberately never pooled: decoded requests
+		// alias it (wire dec.bytes) and updates may outlive this frame.
+		scratch := wire.GetBuf()
+		resp, done := s.handle(wire.Op(req.Kind), req.Payload, scratch)
+		resp.ID = req.ID
+		err := w.write(resp)
+		wire.PutBuf(scratch)
+		// The admission slot is released only after the batch holding
+		// this response was written, so the drain barrier in Shutdown
+		// proves every admitted request's response reached the kernel
+		// before connections are severed.
+		done()
+		if err != nil {
+			// The response could not be sent (dead peer or an
+			// unencodable frame): sever the connection so the read
+			// loop exits and the client's pending reads fail typed.
+			conn.Close()
+		}
 	}
 }
 
 // admit acquires an admission slot, waiting at most QueueWait. It fails
 // with ErrShutdown once drain began and ErrOverloaded when the wait
-// deadline expires first.
+// deadline expires first. The wait, and its timer, exist only when every
+// slot is taken.
 func (s *Server) admit() error {
 	select {
 	case <-s.done:
@@ -331,20 +366,24 @@ func (s *Server) admit() error {
 		return wire.ErrShutdown
 	default:
 	}
-	t := time.NewTimer(s.cfg.QueueWait)
-	defer t.Stop()
 	select {
 	case s.sem <- struct{}{}:
-		s.rAdmitted.Inc()
-		s.rInflight.Add(1)
-		return nil
-	case <-s.done:
-		s.rRejected.Inc()
-		return wire.ErrShutdown
-	case <-t.C:
-		s.rRejected.Inc()
-		return wire.ErrOverloaded
+	default:
+		t := time.NewTimer(s.cfg.QueueWait)
+		defer t.Stop()
+		select {
+		case s.sem <- struct{}{}:
+		case <-s.done:
+			s.rRejected.Inc()
+			return wire.ErrShutdown
+		case <-t.C:
+			s.rRejected.Inc()
+			return wire.ErrOverloaded
+		}
 	}
+	s.rAdmitted.Inc()
+	s.rInflight.Add(1)
+	return nil
 }
 
 // release returns an admission slot.
@@ -396,7 +435,9 @@ func (s *Server) handle(op wire.Op, payload []byte, scratch *[]byte) (wire.Frame
 	}
 	start := time.Now()
 	f := s.execute(op, payload, scratch)
-	s.reg.Histogram("wire." + op.String()).Observe(time.Since(start))
+	if op < wire.NumOps { // an unknown op was answered StatusBadRequest; it has no histogram
+		s.hOp[op].Observe(time.Since(start))
+	}
 	return f, s.release
 }
 
@@ -664,9 +705,10 @@ func (s *Server) shutdown(ctx context.Context) error {
 	}
 
 	// Drain barrier: acquiring every semaphore slot proves no request is
-	// in flight — and, because a request's response is written before its
-	// handler loops back to read the next frame, that responses for
-	// everything admitted have been handed to the kernel.
+	// in flight — and, because a worker releases its slot (done) only
+	// after connWriter.write returned for the batch holding its response,
+	// that responses for everything admitted have been handed to the
+	// kernel.
 	drained := true
 	for i := 0; i < s.cfg.MaxInflight; i++ {
 		select {

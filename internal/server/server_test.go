@@ -28,6 +28,9 @@ type stubEngine struct {
 	loads  int
 	resets int
 	closed atomic.Bool
+
+	entered    atomic.Int64 // Execute calls begun
+	afterClose atomic.Bool  // an Execute was still running when Close came
 }
 
 func newStub() *stubEngine { return &stubEngine{docs: map[string][]byte{}} }
@@ -56,6 +59,12 @@ func (s *stubEngine) Load(_ context.Context, db *core.Database) (core.LoadStats,
 }
 
 func (s *stubEngine) Execute(ctx context.Context, q core.QueryID, p core.Params) (core.Result, error) {
+	s.entered.Add(1)
+	defer func() {
+		if s.closed.Load() {
+			s.afterClose.Store(true)
+		}
+	}()
 	if s.gate != nil {
 		select {
 		case <-s.gate:

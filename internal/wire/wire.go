@@ -10,7 +10,7 @@
 //
 //	offset size field
 //	0      2    magic 0x5842 ("XB")
-//	2      1    protocol version (currently 2; readers accept 1 and 2)
+//	2      1    protocol version (2; readers accept nothing else, see MinVersion)
 //	3      1    request: op kind / response: status code
 //	4      8    request id (echoed verbatim in the response)
 //	12     4    payload length
@@ -97,6 +97,10 @@ const (
 	// advance. Servers without a journal — and servers predating the op —
 	// answer StatusBadRequest.
 	OpJournal
+
+	// NumOps bounds the op codes: every op is below it, so a table indexed
+	// by op has this many entries (entry 0 unused).
+	NumOps
 )
 
 // String returns the metric-friendly lowercase op name.
