@@ -132,15 +132,15 @@ func benchQueryTable(b *testing.B, tableNo int) {
 				}
 				_ = probe
 				b.Run(cellName(engine, class, size), func(b *testing.B) {
-					var io int64
+					var io float64
 					for i := 0; i < b.N; i++ {
 						m, err := r.Measure(engine, class, size, q)
 						if err != nil {
 							b.Fatal(err)
 						}
-						io += m.Result.PageIO
+						io += m.PageIO
 					}
-					b.ReportMetric(float64(io)/float64(b.N), "pageIO/op")
+					b.ReportMetric(io/float64(b.N), "pageIO/op")
 				})
 			}
 		}

@@ -2,11 +2,10 @@
 // sharded serving tier (each an `xbench serve --shard=i/n` process, plus
 // optional `--replica-of` replicas), wraps them in the hash-partitioned
 // scatter-gather router, and serves the router itself over TCP — so any
-// wire client (`throughput --remote`, `updates --remote`) drives the
-// whole cluster through one address. The server attaches each request's
-// idempotency key to its context and the router's shard clients reuse it,
-// so an update retried against the front end stays exactly-once on the
-// owning shard.
+// wire client (--remote on the driving commands) drives the whole cluster
+// through one address. The server attaches each request's idempotency key
+// to its context and the router's shard clients reuse it, so an update
+// retried against the front end stays exactly-once on the owning shard.
 package main
 
 import (
@@ -15,21 +14,16 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"xbench/internal/client"
-	"xbench/internal/gen"
 	"xbench/internal/metrics"
 	"xbench/internal/router"
 	"xbench/internal/server"
-	"xbench/internal/workload"
 )
 
-// routerOpts are the flags shared by every command that fronts a shard
-// cluster (`route`, `throughput --shards`).
+// routerOpts are the flags shared by every command that coordinates a
+// shard cluster (`route`, and --shards on the driving commands).
 type routerOpts struct {
 	shards   *string
 	readPref *string
@@ -38,13 +32,17 @@ type routerOpts struct {
 	vnodes   *int
 }
 
+func vnodesFlag(fs *flag.FlagSet) *int {
+	return fs.Int("vnodes", 0, "virtual nodes per shard on the hash ring; routers and the shards they front must agree (0 = default)")
+}
+
 func routerFlagSet(fs *flag.FlagSet) *routerOpts {
 	return &routerOpts{
 		shards:   fs.String("shards", "", "comma-separated shard list, each PRIMARY[+REPLICA[+REPLICA...]] (e.g. :9411+:9421,:9412)"),
 		readPref: fs.String("read-pref", "primary", "read preference: primary (always fresh) or replica (offloaded, may lag by the journal-shipping interval)"),
 		partial:  fs.String("partial", "failfast", "scatter partial-failure policy: failfast or degraded (answered shards' union + shard-error count)"),
 		fanout:   fs.Int("fanout", 0, "concurrent shard legs per scatter (0 = default)"),
-		vnodes:   fs.Int("vnodes", 0, "virtual nodes per shard on the hash ring; must match the shards' --vnodes (0 = default)"),
+		vnodes:   vnodesFlag(fs),
 	}
 }
 
@@ -64,9 +62,6 @@ func parseShards(s string) ([]router.Shard, error) {
 			sh.Replicas = append(sh.Replicas, rep)
 		}
 		shards = append(shards, sh)
-	}
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("--shards needs at least one shard address")
 	}
 	return shards, nil
 }
@@ -121,85 +116,45 @@ func printShardMetrics(w io.Writer, reg *metrics.Registry) {
 	}
 }
 
-type routeOpts struct {
-	class, size, addr                       *string
-	maxInflight, scale                      *int
-	queueWait, requestTimeout, drainTimeout *time.Duration
-	noLoad                                  *bool
-	genSeed                                 *uint64
-	router                                  *routerOpts
-}
-
-func routeFlags(fs *flag.FlagSet) *routeOpts {
-	return &routeOpts{
-		class:          classFlag(fs),
-		size:           sizeFlag(fs),
-		addr:           fs.String("addr", "127.0.0.1:9410", "listen address (port 0 picks a free port, printed on stdout)"),
-		maxInflight:    fs.Int("max-inflight", 0, "admission-control slots; above this requests queue, then shed (0 = default)"),
-		queueWait:      fs.Duration("queue-wait", 0, "longest a request waits for a slot before the overload rejection (0 = default)"),
-		requestTimeout: fs.Duration("request-timeout", 0, "server-side cap on one request's context deadline (0 = default)"),
-		drainTimeout:   fs.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on SIGTERM"),
-		noLoad:         fs.Bool("no-load", false, "skip the partitioned bulk load; the shards are already loaded (e.g. by `serve --shard`)"),
-		genSeed:        fs.Uint64("gen-seed", 0, "generation seed"),
-		scale:          fs.Int("scale", 1, "extra size multiplier"),
-		router:         routerFlagSet(fs),
-	}
-}
-
-func cmdRoute(args []string) error {
-	fs := flag.NewFlagSet("route", flag.ExitOnError)
-	o := routeFlags(fs)
-	fs.Parse(args)
-	class, size, err := parseClassSize(*o.class, *o.size)
-	if err != nil {
-		return err
-	}
-	if *o.router.shards == "" {
-		return fmt.Errorf("route: --shards is required (start them with `xbench serve --shard=i/n`)")
-	}
-	r, err := o.router.dial()
-	if err != nil {
-		return err
-	}
-	if !*o.noLoad {
-		db, err := gen.Config{Seed: *o.genSeed, SizeMultiplier: *o.scale}.Generate(class, size)
+func setupRoute(fs *flag.FlagSet) func() error {
+	d := databaseFlags(fs)
+	noLoad := noLoadFlag(fs)
+	listen := listenFlags(fs)
+	ro := routerFlagSet(fs)
+	return func() error {
+		class, _, err := d.parse()
 		if err != nil {
-			r.Close()
 			return err
 		}
-		st, dur, err := workload.LoadAndIndex(context.Background(), r, db)
+		if *ro.shards == "" {
+			return fmt.Errorf("--shards is required (start them with `xbench serve --shard=i/n`)")
+		}
+		r, err := ro.dial()
 		if err != nil {
-			r.Close()
 			return err
 		}
-		fmt.Printf("loaded %s across %d shard(s) (%d docs, %d bytes) in %v\n",
-			db.Instance(), r.Shards(), st.Documents, st.Bytes, dur)
+		if !*noLoad {
+			// The partitioned bulk load: the router sends each document to
+			// the shard that owns it.
+			db, err := d.generate()
+			if err == nil {
+				err = load(context.Background(), r, db)
+			}
+			if err != nil {
+				r.Close()
+				return err
+			}
+		}
+		// Metrics syncs the failover counters, so take it while the shards
+		// are still dialed: Shutdown closes the router with the server.
+		var reg *metrics.Registry
+		srv := server.New(r, listen.config())
+		err = listen.serveUntilSignal(srv, "routing", r.Name(), class, func() { reg = r.Metrics() })
+		if err != nil {
+			return err
+		}
+		printShardMetrics(os.Stdout, reg)
+		fmt.Println("drained; bye")
+		return nil
 	}
-	srv := server.New(r, server.Config{
-		Addr:           *o.addr,
-		MaxInflight:    *o.maxInflight,
-		QueueWait:      *o.queueWait,
-		RequestTimeout: *o.requestTimeout,
-	})
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	fmt.Printf("routing %s on %s (drive with: xbench throughput --remote=%s --skip-load --class=%s)\n",
-		r.Name(), srv.Addr(), srv.Addr(), class.Code())
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	sig := <-sigc
-	signal.Stop(sigc) // a second signal kills the process the default way
-	fmt.Printf("%s: draining (up to %v) ...\n", sig, *o.drainTimeout)
-
-	reg := r.Metrics() // sync failover counters while the shards are still dialed
-	ctx, cancel := context.WithTimeout(context.Background(), *o.drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil { // closes the router with it
-		return err
-	}
-	printShardMetrics(os.Stdout, reg)
-	fmt.Println("drained; bye")
-	return nil
 }

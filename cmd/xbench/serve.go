@@ -1,6 +1,7 @@
 // The serving side of the network layer: `xbench serve` loads one engine
-// and exposes it over TCP; `throughput --remote` / `updates --remote`
-// (main.go) drive it from another process through internal/client.
+// and exposes it over TCP, `xbench route` (route.go) fronts a cluster of
+// them; --remote/--shards on the driving commands (main.go) reach them
+// from another process through internal/client.
 package main
 
 import (
@@ -12,72 +13,64 @@ import (
 	"syscall"
 	"time"
 
+	"xbench/internal/bench"
 	"xbench/internal/client"
 	"xbench/internal/core"
-	"xbench/internal/gen"
 	"xbench/internal/router"
 	"xbench/internal/server"
 	"xbench/internal/workload"
 )
 
-// dialRemote connects to an `xbench serve` instance with the CLI's
-// default client tuning: the pipelined transport, so a multi-worker
-// driver shares a few multiplexed connections instead of one socket
-// per in-flight request.
-func dialRemote(addr string) (*client.Client, error) {
-	return client.Dial(addr, client.Config{Pipeline: true})
+// listenOpts are the flags of a command that serves the wire protocol.
+type listenOpts struct {
+	addr                                    *string
+	maxInflight                             *int
+	queueWait, requestTimeout, drainTimeout *time.Duration
 }
 
-// unreachableEngine stands in for a remote row whose re-dial failed; it
-// declines every class so the grid skips it instead of panicking.
-type unreachableEngine struct {
-	name string
-	err  error
-}
-
-func (u unreachableEngine) Name() string                         { return u.name }
-func (u unreachableEngine) Supports(core.Class, core.Size) error { return u.err }
-func (u unreachableEngine) BuildIndexes([]core.IndexSpec) error  { return u.err }
-func (u unreachableEngine) ColdReset()                           {}
-func (u unreachableEngine) PageIO() int64                        { return 0 }
-func (u unreachableEngine) Close() error                         { return nil }
-func (u unreachableEngine) Load(context.Context, *core.Database) (core.LoadStats, error) {
-	return core.LoadStats{}, u.err
-}
-func (u unreachableEngine) Execute(context.Context, core.QueryID, core.Params) (core.Result, error) {
-	return core.Result{}, u.err
-}
-func (u unreachableEngine) InsertDocument(context.Context, string, []byte) error  { return u.err }
-func (u unreachableEngine) ReplaceDocument(context.Context, string, []byte) error { return u.err }
-func (u unreachableEngine) DeleteDocument(context.Context, string) error          { return u.err }
-
-type serveOpts struct {
-	class, size, engine, addr, journal, shard, replicaOf *string
-	maxInflight, scale, vnodes                           *int
-	queueWait, requestTimeout, drainTimeout, poll        *time.Duration
-	noLoad                                               *bool
-	genSeed                                              *uint64
-}
-
-func serveFlags(fs *flag.FlagSet) *serveOpts {
-	return &serveOpts{
-		class:          classFlag(fs),
-		size:           sizeFlag(fs),
-		engine:         fs.String("engine", "x-hive", "engine to serve"),
+func listenFlags(fs *flag.FlagSet) *listenOpts {
+	return &listenOpts{
 		addr:           fs.String("addr", "127.0.0.1:9410", "listen address (port 0 picks a free port, printed on stdout)"),
 		maxInflight:    fs.Int("max-inflight", 0, "admission-control slots; above this requests queue, then shed (0 = default)"),
 		queueWait:      fs.Duration("queue-wait", 0, "longest a request waits for a slot before the overload rejection (0 = default)"),
 		requestTimeout: fs.Duration("request-timeout", 0, "server-side cap on one request's context deadline (0 = default)"),
 		drainTimeout:   fs.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on SIGTERM"),
-		noLoad:         fs.Bool("no-load", false, "serve the engine empty; a remote client loads it over the wire"),
-		journal:        fs.String("journal", "", "durable update journal path; recovered before serving, so acknowledged updates survive a process kill"),
-		shard:          fs.String("shard", "", "serve one partition of the generated database, as I/N (e.g. 0/3); ownership follows the router's hash ring"),
-		vnodes:         fs.Int("vnodes", 0, "virtual nodes per shard on the hash ring; must match the router's --vnodes (0 = default)"),
-		replicaOf:      fs.String("replica-of", "", "run as a read-only replica of the primary at this address, continuously replaying its shipped journal"),
-		poll:           fs.Duration("poll", 0, "replica journal poll interval (0 = default)"),
-		genSeed:        fs.Uint64("gen-seed", 0, "generation seed"),
-		scale:          fs.Int("scale", 1, "extra size multiplier"),
 	}
+}
+
+func (o *listenOpts) config() server.Config {
+	return server.Config{
+		Addr:           *o.addr,
+		MaxInflight:    *o.maxInflight,
+		QueueWait:      *o.queueWait,
+		RequestTimeout: *o.requestTimeout,
+	}
+}
+
+// awaitSignal blocks until SIGINT or SIGTERM and returns it; a second
+// signal then kills the process the default way.
+func awaitSignal() os.Signal {
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	sig := <-sigc
+	signal.Stop(sigc)
+	return sig
+}
+
+// serveUntilSignal starts srv, prints its banner (verb, name, then how to
+// drive it), and on SIGINT/SIGTERM runs onSignal, then drains srv within
+// --drain-timeout.
+func (o *listenOpts) serveUntilSignal(srv *server.Server, verb, name string, class core.Class, onSignal func()) error {
+	if err := srv.Start(); err != nil {
+		return err
+	}
+	fmt.Printf("%s %s on %s (drive with: xbench throughput --remote=%s --no-load --class=%s)\n",
+		verb, name, srv.Addr(), srv.Addr(), class.Code())
+	fmt.Printf("%s: draining (up to %v) ...\n", awaitSignal(), *o.drainTimeout)
+	onSignal()
+	ctx, cancel := context.WithTimeout(context.Background(), *o.drainTimeout)
+	defer cancel()
+	return srv.Shutdown(ctx)
 }
 
 // parseShardSpec parses a --shard=I/N partition coordinate.
@@ -92,143 +85,96 @@ func parseShardSpec(s string) (int, int, error) {
 	return idx, n, nil
 }
 
-func cmdServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	o := serveFlags(fs)
-	fs.Parse(args)
-	class, size, err := parseClassSize(*o.class, *o.size)
-	if err != nil {
-		return err
-	}
-	e, err := engineByFlag(*o.engine)
-	if err != nil {
-		return err
-	}
-	cfg := server.Config{
-		Addr:           *o.addr,
-		MaxInflight:    *o.maxInflight,
-		QueueWait:      *o.queueWait,
-		RequestTimeout: *o.requestTimeout,
-	}
-
-	shardIdx, shardN := 0, 0
-	if *o.shard != "" {
-		if *o.noLoad {
-			return fmt.Errorf("serve: --shard partitions the generated base database (drop --no-load)")
-		}
-		if shardIdx, shardN, err = parseShardSpec(*o.shard); err != nil {
-			return err
-		}
-	}
-	// genBase regenerates the deterministic base database — sliced down to
-	// this process's ring partition under --shard, so a shard (or its
-	// replica) reconstructs what it owns without asking the router.
-	genBase := func() (*core.Database, error) {
-		db, err := gen.Config{Seed: *o.genSeed, SizeMultiplier: *o.scale}.Generate(class, size)
-		if err != nil {
-			return nil, err
-		}
-		if shardN > 0 {
-			full := len(db.Docs)
-			db = router.NewRing(shardN, *o.vnodes).Partition(db, shardIdx)
-			fmt.Printf("shard %d/%d owns %d of %d documents\n", shardIdx, shardN, len(db.Docs), full)
-		}
-		return db, nil
-	}
-
-	if *o.replicaOf != "" {
-		return serveReplica(o, e, cfg, genBase)
-	}
-
-	var srv *server.Server
-	if *o.journal != "" {
-		// Crash-safe path: regenerate the base database deterministically,
-		// then Reopen loads it, replays the journal's acknowledged updates
-		// and rebuilds the idempotency dedup table before the listener
-		// opens — a killed-and-restarted server answers a client's retry
-		// with the original outcome instead of re-applying it.
-		if *o.noLoad {
-			return fmt.Errorf("serve: --journal needs the base database (drop --no-load)")
-		}
-		db, err := genBase()
+func setupServe(fs *flag.FlagSet) func() error {
+	d := databaseFlags(fs)
+	engine := engineFlag(fs)
+	noLoad := noLoadFlag(fs)
+	listen := listenFlags(fs)
+	journal := fs.String("journal", "", "durable update journal path; recovered before serving, so acknowledged updates survive a process kill")
+	shard := fs.String("shard", "", "serve one partition of the generated database, as I/N (e.g. 0/3); ownership follows the router's hash ring")
+	vnodes := vnodesFlag(fs)
+	replicaOf := fs.String("replica-of", "", "run as a read-only replica of the primary at this address, continuously replaying its shipped journal")
+	poll := fs.Duration("poll", 0, "replica journal poll interval (0 = default)")
+	return func() error {
+		class, _, err := d.parse()
 		if err != nil {
 			return err
 		}
-		var replayed int
-		srv, replayed, err = server.Reopen(e, db, workload.Indexes(db.Class), *o.journal, cfg)
+		e, err := bench.EngineByName(*engine, 0, 0)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("recovered %s into %s: %d journaled updates replayed from %s\n",
-			db.Instance(), e.Name(), replayed, *o.journal)
-	} else {
-		if !*o.noLoad {
-			db, err := genBase()
+		if *noLoad && (*shard != "" || *journal != "" || *replicaOf != "") {
+			return fmt.Errorf("--shard, --journal and --replica-of need the generated base database (drop --no-load)")
+		}
+		if *replicaOf != "" && *journal != "" {
+			return fmt.Errorf("a replica replays its primary's journal; drop --journal")
+		}
+		var db *core.Database
+		if !*noLoad {
+			// The deterministic base database — sliced down to this process's
+			// ring partition under --shard, so a shard (or its replica)
+			// reconstructs what it owns without asking the router.
+			if db, err = d.generate(); err != nil {
+				return err
+			}
+			if *shard != "" {
+				idx, n, err := parseShardSpec(*shard)
+				if err != nil {
+					return err
+				}
+				full := len(db.Docs)
+				db = router.NewRing(n, *vnodes).Partition(db, idx)
+				fmt.Printf("shard %d/%d owns %d of %d documents\n", idx, n, len(db.Docs), full)
+			}
+		}
+
+		if *replicaOf != "" {
+			// Load the same base partition the primary serves, then ship the
+			// primary's durable journal into it forever, answering reads (and
+			// rejecting writes) on --addr.
+			rep, err := router.StartReplica(context.Background(), e, db, workload.Indexes(db.Class), *replicaOf, router.ReplicaConfig{
+				Server: listen.config(),
+				Client: client.Config{Pipeline: true},
+				Poll:   *poll,
+			})
 			if err != nil {
 				return err
 			}
-			st, dur, err := workload.LoadAndIndex(context.Background(), e, db)
-			if err != nil {
+			fmt.Printf("replica of %s: serving %s read-only on %s\n", *replicaOf, e.Name(), rep.Addr())
+			fmt.Printf("%s: replica stopping after %d applied journal records\n", awaitSignal(), rep.Applied())
+			if aerr := rep.Err(); aerr != nil {
+				rep.Close()
+				return aerr
+			}
+			return rep.Close()
+		}
+
+		var srv *server.Server
+		if *journal != "" {
+			// Crash-safe path: Reopen loads the regenerated base database,
+			// replays the journal's acknowledged updates and rebuilds the
+			// idempotency dedup table before the listener opens — a
+			// killed-and-restarted server answers a client's retry with the
+			// original outcome instead of re-applying it.
+			var replayed int
+			if srv, replayed, err = server.Reopen(e, db, workload.Indexes(db.Class), *journal, listen.config()); err != nil {
 				return err
 			}
-			fmt.Printf("loaded %s into %s (%d docs, %d bytes) in %v\n",
-				db.Instance(), e.Name(), st.Documents, st.Bytes, dur)
+			fmt.Printf("recovered %s into %s: %d journaled updates replayed from %s\n",
+				db.Instance(), e.Name(), replayed, *journal)
+		} else {
+			if db != nil {
+				if err := load(context.Background(), e, db); err != nil {
+					return err
+				}
+			}
+			srv = server.New(e, listen.config())
 		}
-		srv = server.New(e, cfg)
+		if err := listen.serveUntilSignal(srv, "serving", e.Name(), class, func() {}); err != nil {
+			return err
+		}
+		fmt.Println("drained; bye")
+		return nil
 	}
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	fmt.Printf("serving %s on %s (drive with: xbench throughput --remote=%s --skip-load --class=%s)\n",
-		e.Name(), srv.Addr(), srv.Addr(), class.Code())
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	sig := <-sigc
-	signal.Stop(sigc) // a second signal kills the process the default way
-	fmt.Printf("%s: draining (up to %v) ...\n", sig, *o.drainTimeout)
-
-	ctx, cancel := context.WithTimeout(context.Background(), *o.drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		return err
-	}
-	fmt.Println("drained; bye")
-	return nil
-}
-
-// serveReplica is `xbench serve --replica-of=ADDR`: load the same base
-// partition the primary serves, then ship the primary's durable journal
-// into it forever, answering reads (and rejecting writes) on --addr.
-func serveReplica(o *serveOpts, e core.Engine, cfg server.Config, genBase func() (*core.Database, error)) error {
-	if *o.journal != "" {
-		return fmt.Errorf("serve: a replica replays its primary's journal; drop --journal")
-	}
-	if *o.noLoad {
-		return fmt.Errorf("serve: --replica-of needs the base database (drop --no-load)")
-	}
-	db, err := genBase()
-	if err != nil {
-		return err
-	}
-	rep, err := router.StartReplica(context.Background(), e, db, workload.Indexes(db.Class), *o.replicaOf, router.ReplicaConfig{
-		Server: cfg,
-		Client: client.Config{Pipeline: true},
-		Poll:   *o.poll,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("replica of %s: serving %s read-only on %s\n", *o.replicaOf, e.Name(), rep.Addr())
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	sig := <-sigc
-	signal.Stop(sigc)
-	fmt.Printf("%s: replica stopping after %d applied journal records\n", sig, rep.Applied())
-	if aerr := rep.Err(); aerr != nil {
-		rep.Close()
-		return aerr
-	}
-	return rep.Close()
 }

@@ -1,89 +1,40 @@
 package bench
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"xbench/internal/core"
-	"xbench/internal/workload"
 )
 
 // IndexAblation reproduces the paper's unreported baseline: "We measure
 // two times for each query: with no indexes (i.e., sequential scan) to
 // form a baseline, and with indexes. We only report ... times with
 // indexes." This table reports both, per engine and class, for one query
-// at one size. The no-index engines still carry the automatically created
-// primary/foreign-key indexes of the relational mappings, exactly as in
-// the paper's setup — only the "arbitrary" Table 3 indexes are ablated.
-func (r *Runner) IndexAblation(q core.QueryID, size core.Size) error {
-	fmt.Fprintf(r.Out, "\nIndex ablation for %s at %s (ms: indexed / sequential scan)\n", q, size)
-	fmt.Fprintf(r.Out, "%-12s", "")
-	for _, c := range columnClasses {
-		fmt.Fprintf(r.Out, " %-21s", c.String())
+// at each of the runner's sizes. The no-index engines still carry the
+// automatically created primary/foreign-key indexes of the relational
+// mappings, exactly as in the paper's setup — only the "arbitrary" Table 3
+// indexes are ablated.
+func (r *Runner) IndexAblation(q core.QueryID) error {
+	if _, err := r.format("ablation", "table"); err != nil {
+		return err
 	}
-	fmt.Fprintln(r.Out)
-	for _, name := range EngineNames {
-		fmt.Fprintf(r.Out, "%-12s", name)
-		for _, class := range columnClasses {
-			indexed := r.queryCell(name, class, size, q)
-			scan := r.noIndexCell(name, class, size, q)
-			fmt.Fprintf(r.Out, " %-10s/%-10s", indexed, scan)
+	indexed, scan := lookup(r.queryCells(q, true)), lookup(r.queryCells(q, false))
+	for _, size := range r.Sizes {
+		fmt.Fprintf(r.Out, "\nIndex ablation for %s at %s (ms: indexed / sequential scan)\n", q, size)
+		fmt.Fprintf(r.Out, "%-12s", "")
+		for _, c := range columnClasses {
+			fmt.Fprintf(r.Out, " %-21s", c.String())
 		}
 		fmt.Fprintln(r.Out)
-	}
-	return nil
-}
-
-// noIndexEngine loads (or returns the cached) engine without the Table 3
-// indexes.
-func (r *Runner) noIndexEngine(name string, class core.Class, size core.Size) (core.Engine, error) {
-	k := key("noindex", name, class.Code(), size.String())
-	if e, ok := r.engines[k]; ok {
-		return e, r.loads[k].err
-	}
-	e := NewEngine(name)
-	cell := loadCell{}
-	if err := e.Supports(class, size); err != nil {
-		cell.err = err
-		r.engines[k], r.loads[k] = nil, cell
-		return nil, err
-	}
-	db, err := r.Database(class, size)
-	if err != nil {
-		cell.err = err
-		r.engines[k], r.loads[k] = nil, cell
-		return nil, err
-	}
-	start := time.Now()
-	st, err := e.Load(context.Background(), db)
-	cell.stats, cell.dur, cell.err = st, time.Since(start), err
-	if err != nil {
-		r.engines[k] = nil
-		r.loads[k] = cell
-		return nil, err
-	}
-	r.engines[k], r.loads[k] = e, cell
-	return e, nil
-}
-
-func (r *Runner) noIndexCell(engineName string, class core.Class, size core.Size, q core.QueryID) string {
-	e, err := r.noIndexEngine(engineName, class, size)
-	if err != nil || e == nil {
-		return "-"
-	}
-	var total time.Duration
-	n := max(r.Repeat, 1)
-	for i := 0; i < n; i++ {
-		m := workload.RunCold(context.Background(), e, class, q)
-		if m.Err != nil {
-			return "err"
+		for _, name := range r.engineNames() {
+			fmt.Fprintf(r.Out, "%-12s", name)
+			for _, class := range columnClasses {
+				fmt.Fprintf(r.Out, " %-10s/%-10s",
+					cellText(indexed(name, class, size)), cellText(scan(name, class, size)))
+			}
+			fmt.Fprintln(r.Out)
 		}
-		total += m.Elapsed + time.Duration(m.Result.PageIO)*r.IOCost
 	}
-	ms := float64((total / time.Duration(n)).Microseconds()) / 1000
-	if ms >= 10 {
-		return fmt.Sprintf("%.0f", ms)
-	}
-	return fmt.Sprintf("%.2f", ms)
+	r.FlushErrors()
+	return nil
 }

@@ -34,7 +34,7 @@ func TestStaticTables(t *testing.T) {
 func TestTable4Layout(t *testing.T) {
 	var buf bytes.Buffer
 	r := tinyRunner(&buf)
-	if err := r.Table4(); err != nil {
+	if err := r.Table(4); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -55,7 +55,7 @@ func TestQueryTablesRun(t *testing.T) {
 	var buf bytes.Buffer
 	r := tinyRunner(&buf)
 	for tn := 5; tn <= 9; tn++ {
-		if err := r.QueryTable(tn); err != nil {
+		if err := r.Table(tn); err != nil {
 			t.Fatalf("table %d: %v", tn, err)
 		}
 	}
@@ -72,16 +72,16 @@ func TestQueryTablesRun(t *testing.T) {
 
 func TestQueryTableUnknown(t *testing.T) {
 	r := tinyRunner(&bytes.Buffer{})
-	if err := r.QueryTable(99); err == nil {
+	if err := r.Table(99); err == nil {
 		t.Fatal("unknown table number accepted")
 	}
 }
 
 func TestEngineCaching(t *testing.T) {
 	r := tinyRunner(&bytes.Buffer{})
-	e1, c1 := r.Engine("X-Hive", core.DCMD, core.Small)
-	e2, c2 := r.Engine("X-Hive", core.DCMD, core.Small)
-	if e1 != e2 {
+	c1 := r.engine("X-Hive", core.DCMD, core.Small, true)
+	c2 := r.engine("X-Hive", core.DCMD, core.Small, true)
+	if c1.e != c2.e {
 		t.Fatal("engine not cached")
 	}
 	if c1.dur != c2.dur {
@@ -94,11 +94,15 @@ func TestEngineCaching(t *testing.T) {
 
 func TestUnsupportedCellsPropagate(t *testing.T) {
 	r := tinyRunner(&bytes.Buffer{})
-	e, cell := r.Engine("Xcolumn", core.TCSD, core.Small)
-	if e != nil || cell.err == nil {
+	lc := r.engine("Xcolumn", core.TCSD, core.Small, true)
+	if lc.e != nil || lc.err == nil {
 		t.Fatal("Xcolumn TC/SD should be unsupported")
 	}
-	if got := r.queryCell("Xcolumn", core.TCSD, core.Small, core.Q5); got != "-" {
+	var shown *CellReport
+	if c, ok := r.cell("Xcolumn", core.TCSD, core.Small, core.Q5, true); ok {
+		shown = &c
+	}
+	if got := cellText(shown); got != "-" {
 		t.Fatalf("unsupported cell = %q", got)
 	}
 }
@@ -109,10 +113,10 @@ func TestMeasure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Result.Items) == 0 {
-		t.Fatal("Q8 returned nothing")
+	if m.Runs != 1 || m.PageIO <= 0 {
+		t.Fatalf("Q8 cold run read nothing: %+v", m)
 	}
-	if m.Elapsed <= 0 {
+	if m.ColdMeanMs <= 0 {
 		t.Fatal("no elapsed time measured")
 	}
 }
@@ -129,7 +133,7 @@ func TestNewEnginePanicsOnUnknown(t *testing.T) {
 func TestIndexAblation(t *testing.T) {
 	var buf bytes.Buffer
 	r := tinyRunner(&buf)
-	if err := r.IndexAblation(core.Q5, core.Small); err != nil {
+	if err := r.IndexAblation(core.Q5); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -36,7 +36,7 @@ func TestSweepLeavesNoOpenFiles(t *testing.T) {
 			if before == 0 {
 				t.Fatal("no open files after load")
 			}
-			_, err := driver.Sweep(ctx, e, core.DCMD, []int{1, 2, 4}, driver.Config{
+			_, err := driver.Sweep(ctx, e, core.DCMD, []int{1, 2, 4}, nil, driver.Config{
 				OpsPerClient: 10, Queries: []core.QueryID{core.Q1, core.Q5},
 				Think: -1, UpdateFraction: 0.5,
 			})

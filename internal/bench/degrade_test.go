@@ -59,10 +59,10 @@ func TestGridDegradesGracefully(t *testing.T) {
 	r.EngineList = []string{"declines", "loadfail", "execfail", "healthy"}
 	r.NewEngineFn = func(name string) core.Engine { return stubs[name] }
 
-	if err := r.Table4(); err != nil {
+	if err := r.Table(4); err != nil {
 		t.Fatalf("Table4 aborted: %v", err)
 	}
-	if err := r.QueryTable(5); err != nil {
+	if err := r.Table(5); err != nil {
 		t.Fatalf("QueryTable aborted: %v", err)
 	}
 

@@ -1,22 +1,17 @@
-// Metrics report: the `xbench report` subcommand. Where the paper tables
-// (bench.go) print one averaged number per cell, the metrics report runs
-// each query cell N times cold and M times warm, feeds the effective
-// times through the metrics histograms, and prints p50/p95/p99 together
-// with the per-phase and per-layer breakdown the instrumented engines
-// attribute to the run: pager I/O, buffer-pool hit rate, B+tree node
-// visits and span phase times. Output is a grouped text table, JSON or
-// CSV (both suitable for checking into results/).
+// Metrics report: the report view of `xbench bench`. Where the paper
+// tables print one averaged number per cell, the metrics report runs each
+// query cell N times cold and M times warm and prints p50/p95/p99
+// together with the per-phase and per-layer breakdown the instrumented
+// engines attribute to the run: pager I/O, buffer-pool hit rate, B+tree
+// node visits and span phase times. Output is a grouped text table, JSON
+// or CSV (both suitable for checking into results/).
 package bench
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"time"
 
 	"xbench/internal/core"
 	"xbench/internal/metrics"
-	"xbench/internal/workload"
 )
 
 // ReportPhases fixes the phase column order of the report (and the CSV
@@ -34,58 +29,6 @@ var ReportPhases = []string{
 // queries the paper tables measure (Tables 5-9).
 var ReportQueries = []core.QueryID{core.Q5, core.Q12, core.Q17, core.Q8, core.Q14}
 
-// ReportOptions configures MetricsReport.
-type ReportOptions struct {
-	// Queries to measure; empty selects ReportQueries.
-	Queries []core.QueryID
-	// Repeat is the number of cold runs per cell (>= 1).
-	Repeat int
-	// Warm is the number of warm runs per cell after the cold runs (the
-	// buffer pool keeps what the cold runs loaded); 0 disables.
-	Warm int
-	// Format is "table" (default), "json" or "csv".
-	Format string
-}
-
-// CellReport aggregates the cold and warm runs of one query cell. All
-// millisecond figures are effective times: wall-clock plus PageIO x
-// IOCost, the same model the paper tables use.
-type CellReport struct {
-	Engine string `json:"engine"`
-	Class  string `json:"class"`
-	Size   string `json:"size"`
-	Query  string `json:"query"`
-	Runs   int    `json:"runs"`
-	Warm   int    `json:"warm_runs"`
-
-	ColdP50Ms  float64 `json:"cold_p50_ms"`
-	ColdP95Ms  float64 `json:"cold_p95_ms"`
-	ColdP99Ms  float64 `json:"cold_p99_ms"`
-	ColdMeanMs float64 `json:"cold_mean_ms"`
-	WarmP50Ms  float64 `json:"warm_p50_ms"`
-	WarmMeanMs float64 `json:"warm_mean_ms"`
-
-	// PageIO is the mean per-run page I/O reported by the engine result;
-	// AttributedIO is the mean per-run I/O the pager counters attributed.
-	// AttributionPct is their ratio — the acceptance gate asks >= 90%.
-	PageIO         float64 `json:"page_io"`
-	AttributedIO   float64 `json:"attributed_io"`
-	AttributionPct float64 `json:"attribution_pct"`
-
-	// CacheHitPct is the buffer-pool hit rate across the cold runs.
-	CacheHitPct float64 `json:"cache_hit_pct"`
-	// BtreeVisits is the mean per-run B+tree node visit count.
-	BtreeVisits float64 `json:"btree_visits"`
-
-	// PhasesMs holds the mean per-run time attributed to each span phase.
-	PhasesMs map[string]float64 `json:"phases_ms,omitempty"`
-	// Counters holds the remaining summed counter deltas across cold runs
-	// (pager.hit, pager.evict, relational.scan.row, ...).
-	Counters map[string]int64 `json:"counters,omitempty"`
-
-	Err string `json:"error,omitempty"`
-}
-
 // Report is the full metrics report: the measurement configuration plus
 // one CellReport per measured cell.
 type Report struct {
@@ -95,142 +38,36 @@ type Report struct {
 	Cells    []CellReport `json:"cells"`
 }
 
-func msOf(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-
-// effective converts a measurement to the effective time the tables
-// report: wall-clock plus simulated disk time.
-func (r *Runner) effective(m workload.Measurement) time.Duration {
-	return m.Elapsed + time.Duration(m.Result.PageIO)*r.IOCost
-}
-
-// measureCell runs one query cell Repeat times cold and Warm times warm,
-// aggregating measurements into a CellReport. The second return is false
-// for unsupported combinations (the paper's blank cells).
-func (r *Runner) measureCell(opts ReportOptions, name string, class core.Class, size core.Size, q core.QueryID) (CellReport, bool) {
-	if !workload.Defined(class, q) {
-		return CellReport{}, false
-	}
-	e, lc := r.Engine(name, class, size)
-	if lc.err != nil || e == nil {
-		return CellReport{}, false
-	}
-	cr := CellReport{
-		Engine: name,
-		Class:  class.Code(),
-		Size:   size.String(),
-		Query:  q.String(),
-		Runs:   opts.Repeat,
-		Warm:   opts.Warm,
-	}
-	coldHist := metrics.NewHistogram()
-	warmHist := metrics.NewHistogram()
-	counters := map[string]int64{}
-	phases := map[string]time.Duration{}
-	var pageIO, attributed int64
-	for i := 0; i < opts.Repeat; i++ {
-		m := workload.RunCold(context.Background(), e, class, q)
-		if m.Err != nil {
-			cr.Err = m.Err.Error()
-			r.noteErr(name, class, size, q, m.Err)
-			return cr, true
-		}
-		coldHist.Observe(r.effective(m))
-		pageIO += m.Result.PageIO
-		attributed += m.Breakdown.PagerIO()
-		for _, cn := range m.Breakdown.CounterNames() {
-			if metrics.IsGauge(cn) {
-				if v := m.Breakdown.Get(cn); v > counters[cn] {
-					counters[cn] = v
-				}
-				continue
-			}
-			counters[cn] += m.Breakdown.Get(cn)
-		}
-		for ph, d := range m.Breakdown.Phases {
-			phases[ph] += d
-		}
-	}
-	for i := 0; i < opts.Warm; i++ {
-		m := workload.RunWarm(context.Background(), e, class, q)
-		if m.Err != nil {
-			cr.Err = m.Err.Error()
-			r.noteErr(name, class, size, q, m.Err)
-			return cr, true
-		}
-		warmHist.Observe(r.effective(m))
-	}
-	n := float64(opts.Repeat)
-	cr.ColdP50Ms = msOf(coldHist.P50())
-	cr.ColdP95Ms = msOf(coldHist.P95())
-	cr.ColdP99Ms = msOf(coldHist.P99())
-	cr.ColdMeanMs = msOf(coldHist.Mean())
-	cr.WarmP50Ms = msOf(warmHist.P50())
-	cr.WarmMeanMs = msOf(warmHist.Mean())
-	cr.PageIO = float64(pageIO) / n
-	cr.AttributedIO = float64(attributed) / n
-	if pageIO > 0 {
-		cr.AttributionPct = 100 * float64(attributed) / float64(pageIO)
-	} else if attributed == 0 {
-		cr.AttributionPct = 100
-	}
-	hits, reads := counters["pager.hit"], counters["pager.read"]
-	if hits+reads > 0 {
-		cr.CacheHitPct = 100 * float64(hits) / float64(hits+reads)
-	}
-	cr.BtreeVisits = float64(counters["btree.visit"]) / n
-	cr.PhasesMs = map[string]float64{}
-	for ph, d := range phases {
-		cr.PhasesMs[ph] = msOf(d) / n
-	}
-	cr.Counters = counters
-	return cr, true
-}
-
 // BuildReport measures every cell of the grid (engine x class x size for
-// each requested query) and returns the aggregate report.
-func (r *Runner) BuildReport(opts ReportOptions) Report {
-	if opts.Repeat < 1 {
-		opts.Repeat = r.Repeat
+// each requested query; none selects ReportQueries) and returns the
+// aggregate report.
+func (r *Runner) BuildReport(queries []core.QueryID) Report {
+	if len(queries) == 0 {
+		queries = ReportQueries
 	}
-	if opts.Repeat < 1 {
-		opts.Repeat = 1
-	}
-	if len(opts.Queries) == 0 {
-		opts.Queries = ReportQueries
-	}
-	rep := Report{Repeat: opts.Repeat, Warm: opts.Warm, IOCostUs: r.IOCost.Microseconds()}
-	for _, q := range opts.Queries {
-		for _, name := range r.engineNames() {
-			for _, class := range columnClasses {
-				for _, size := range r.Sizes {
-					if cell, ok := r.measureCell(opts, name, class, size, q); ok {
-						rep.Cells = append(rep.Cells, cell)
-					}
-				}
-			}
-		}
+	rep := Report{Repeat: max(r.Repeat, 1), Warm: r.Warm, IOCostUs: r.IOCost.Microseconds()}
+	for _, q := range queries {
+		rep.Cells = append(rep.Cells, r.queryCells(q, true)...)
 	}
 	return rep
 }
 
-// MetricsReport builds and prints the report in the requested format.
-func (r *Runner) MetricsReport(opts ReportOptions) error {
-	rep := r.BuildReport(opts)
-	switch opts.Format {
-	case "", "table":
-		r.printReportTable(rep)
+// MetricsReport builds and prints the report in the runner's Format.
+func (r *Runner) MetricsReport(queries []core.QueryID) error {
+	form, err := r.format("report", "table", "json", "csv")
+	if err != nil {
+		return err
+	}
+	rep := r.BuildReport(queries)
+	r.errs = nil // cell errors are embedded in the report rows
+	switch form {
 	case "json":
-		enc := json.NewEncoder(r.Out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
+		return r.printJSON(rep)
 	case "csv":
 		printReportCSV(r, rep)
 	default:
-		return fmt.Errorf("bench: unknown report format %q (want table, json or csv)", opts.Format)
+		r.printReportTable(rep)
 	}
-	r.errs = nil // cell errors are embedded in the report rows
 	return nil
 }
 

@@ -13,7 +13,8 @@ import (
 func TestMetricsReportTable(t *testing.T) {
 	var buf bytes.Buffer
 	r := tinyRunner(&buf)
-	err := r.MetricsReport(ReportOptions{Queries: []core.QueryID{core.Q5}, Repeat: 2, Warm: 1})
+	r.Repeat, r.Warm = 2, 1
+	err := r.MetricsReport([]core.QueryID{core.Q5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,8 @@ func TestMetricsReportTable(t *testing.T) {
 // at the same points Stats does, so in practice it is 100%).
 func TestIOAttribution(t *testing.T) {
 	r := tinyRunner(&bytes.Buffer{})
-	rep := r.BuildReport(ReportOptions{Queries: []core.QueryID{core.Q5, core.Q8}, Repeat: 2})
+	r.Repeat = 2
+	rep := r.BuildReport([]core.QueryID{core.Q5, core.Q8})
 	if len(rep.Cells) == 0 {
 		t.Fatal("report has no cells")
 	}
@@ -55,7 +57,7 @@ func TestIOAttribution(t *testing.T) {
 
 func TestMetricsReportBreakdownPopulated(t *testing.T) {
 	r := tinyRunner(&bytes.Buffer{})
-	rep := r.BuildReport(ReportOptions{Queries: []core.QueryID{core.Q5}, Repeat: 1})
+	rep := r.BuildReport([]core.QueryID{core.Q5})
 	var hive *CellReport
 	for i := range rep.Cells {
 		if rep.Cells[i].Engine == "X-Hive" && rep.Cells[i].Class == "dcsd" {
@@ -79,7 +81,8 @@ func TestMetricsReportBreakdownPopulated(t *testing.T) {
 func TestMetricsReportJSON(t *testing.T) {
 	var buf bytes.Buffer
 	r := tinyRunner(&buf)
-	err := r.MetricsReport(ReportOptions{Queries: []core.QueryID{core.Q8}, Repeat: 1, Format: "json"})
+	r.Format = "json"
+	err := r.MetricsReport([]core.QueryID{core.Q8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +97,8 @@ func TestMetricsReportJSON(t *testing.T) {
 
 func TestMetricsReportUnknownFormat(t *testing.T) {
 	r := tinyRunner(&bytes.Buffer{})
-	if err := r.MetricsReport(ReportOptions{Format: "xml"}); err == nil {
+	r.Format = "xml"
+	if err := r.MetricsReport(nil); err == nil {
 		t.Fatal("unknown format accepted")
 	}
 }
@@ -105,7 +109,8 @@ func TestMetricsReportUnknownFormat(t *testing.T) {
 func TestReportCSVShape(t *testing.T) {
 	var buf bytes.Buffer
 	r := tinyRunner(&buf)
-	err := r.MetricsReport(ReportOptions{Queries: []core.QueryID{core.Q5}, Repeat: 1, Warm: 1, Format: "csv"})
+	r.Warm, r.Format = 1, "csv"
+	err := r.MetricsReport([]core.QueryID{core.Q5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +137,11 @@ func TestReportCSVShape(t *testing.T) {
 func TestBenchCSVShape(t *testing.T) {
 	var buf bytes.Buffer
 	r := tinyRunner(&buf)
-	r.CSV = true
-	if err := r.Table4(); err != nil {
+	r.Format = "csv"
+	if err := r.Table(4); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.QueryTable(5); err != nil {
+	if err := r.Table(5); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -164,7 +169,7 @@ func TestQueryCellErrorsSurface(t *testing.T) {
 	r.NewEngineFn = func(name string) core.Engine {
 		return &stubEngine{name: name, execErr: errors.New("synthetic query failure")}
 	}
-	if err := r.QueryTable(5); err != nil {
+	if err := r.Table(5); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -66,20 +66,15 @@ var paperTables = map[int][]paperRow{
 	},
 }
 
-// columnIndex maps (class, size) to the paper's 12-column layout.
+// columnIndex maps (class, size) to the paper's 12-column layout: the
+// classes in columnClasses order, three sizes each.
 func columnIndex(class core.Class, size core.Size) int {
-	var c int
-	switch class {
-	case core.DCSD:
-		c = 0
-	case core.DCMD:
-		c = 1
-	case core.TCSD:
-		c = 2
-	case core.TCMD:
-		c = 3
+	for c, cc := range columnClasses {
+		if cc == class {
+			return c*3 + int(size)
+		}
 	}
-	return c*3 + int(size)
+	panic("bench: class outside the paper's tables")
 }
 
 // PaperValue returns the published number for a cell, or Blank when the

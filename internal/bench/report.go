@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"xbench/internal/core"
-	"xbench/internal/workload"
 )
 
 // ShapeReport mechanically compares this reproduction's measurements with
@@ -20,6 +17,9 @@ import (
 // It prints one line per check with agree/disagree, plus a summary. This
 // is the machine-checkable core of EXPERIMENTS.md.
 func (r *Runner) ShapeReport() error {
+	if _, err := r.format("shape", "table"); err != nil {
+		return err
+	}
 	if len(r.Sizes) < 2 {
 		return fmt.Errorf("bench: shape report needs at least two sizes")
 	}
@@ -35,7 +35,22 @@ func (r *Runner) ShapeReport() error {
 		fmt.Fprintf(r.Out, "  %s %s\n", mark, fmt.Sprintf(format, args...))
 	}
 
+	lo, hi := r.Sizes[0], r.Sizes[len(r.Sizes)-1]
 	for table := 4; table <= 9; table++ {
+		cells, err := r.tableCells(table)
+		if err != nil {
+			return err
+		}
+		at := lookup(cells)
+		// measured is a cell's effective milliseconds; have is false for a
+		// blank or failed cell.
+		measured := func(engine string, class core.Class, size core.Size) (ms float64, have bool) {
+			c := at(engine, class, size)
+			if c == nil || c.Err != "" {
+				return 0, false
+			}
+			return c.ColdMeanMs, true
+		}
 		fmt.Fprintf(r.Out, "\nTable %d shape checks:\n", table)
 		// Winner per (class, size) column. The paper prints times at 5-10 ms
 		// granularity, so engines within 30% of the column minimum count as
@@ -44,12 +59,12 @@ func (r *Runner) ShapeReport() error {
 			for _, size := range r.Sizes {
 				paperVals := map[string]float64{}
 				measuredVals := map[string]float64{}
-				for _, engine := range EngineNames {
+				for _, engine := range r.engineNames() {
 					pv, ok := PaperValue(PaperCell{table, engine, class, size})
 					if !ok || pv == Blank {
 						continue
 					}
-					mv, have := r.measuredCell(table, engine, class, size)
+					mv, have := measured(engine, class, size)
 					if !have {
 						continue
 					}
@@ -75,16 +90,16 @@ func (r *Runner) ShapeReport() error {
 		// engine scale roughly linearly (factor near the 10x data growth)
 		// or super-linearly (well beyond it)? Agreement means both the
 		// paper and the measurement fall in the same regime.
-		span := float64((r.Sizes[len(r.Sizes)-1].Factor()) / r.Sizes[0].Factor())
-		for _, engine := range EngineNames {
+		span := float64(hi.Factor() / lo.Factor())
+		for _, engine := range r.engineNames() {
 			for _, class := range columnClasses {
-				pLo, ok1 := PaperValue(PaperCell{table, engine, class, r.Sizes[0]})
-				pHi, ok2 := PaperValue(PaperCell{table, engine, class, r.Sizes[len(r.Sizes)-1]})
+				pLo, ok1 := PaperValue(PaperCell{table, engine, class, lo})
+				pHi, ok2 := PaperValue(PaperCell{table, engine, class, hi})
 				if !ok1 || !ok2 || pLo <= 0 || pHi <= 0 {
 					continue
 				}
-				mLo, have1 := r.measuredCell(table, engine, class, r.Sizes[0])
-				mHi, have2 := r.measuredCell(table, engine, class, r.Sizes[len(r.Sizes)-1])
+				mLo, have1 := measured(engine, class, lo)
+				mHi, have2 := measured(engine, class, hi)
 				if !have1 || !have2 || mLo <= 0 {
 					continue
 				}
@@ -98,6 +113,7 @@ func (r *Runner) ShapeReport() error {
 	}
 	fmt.Fprintf(r.Out, "\nshape checks: %d agree, %d diverge (see EXPERIMENTS.md for the analysis of divergences)\n",
 		agree, disagree)
+	r.FlushErrors()
 	return nil
 }
 
@@ -131,29 +147,4 @@ func setString(set map[string]bool) string {
 		}
 	}
 	return s
-}
-
-// measuredCell returns the effective milliseconds for a cell, running the
-// measurement if needed. have is false for unsupported combinations.
-func (r *Runner) measuredCell(table int, engine string, class core.Class, size core.Size) (ms float64, have bool) {
-	e, cell := r.Engine(engine, class, size)
-	if cell.err != nil || e == nil {
-		return 0, false
-	}
-	if table == 4 {
-		eff := cell.dur + time.Duration(cell.stats.PageIO)*r.IOCost
-		return float64(eff.Microseconds()) / 1000, true
-	}
-	q := TableQueries[table]
-	n := max(r.Repeat, 1)
-	var total time.Duration
-	for i := 0; i < n; i++ {
-		m := workload.RunCold(context.Background(), e, class, q)
-		if m.Err != nil {
-			return 0, false
-		}
-		total += m.Elapsed + time.Duration(m.Result.PageIO)*r.IOCost
-	}
-	avg := total / time.Duration(n)
-	return float64(avg.Microseconds()) / 1000, true
 }

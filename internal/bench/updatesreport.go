@@ -1,4 +1,4 @@
-// Updates report: the `xbench updates` subcommand. Runs the document
+// Updates report: the updates view of `xbench bench`. Runs the document
 // update workload (U1 insert, U2 replace, U3 delete) Repeat times per op
 // against every engine on a multi-document class and reports per-op
 // p50/p95/p99 update latency, the verification-query latency (separately
@@ -9,7 +9,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -18,18 +17,6 @@ import (
 	"xbench/internal/metrics"
 	"xbench/internal/workload"
 )
-
-// UpdatesOptions configures UpdatesReport.
-type UpdatesOptions struct {
-	// Class is the multi-document class to update (DC/MD or TC/MD).
-	Class core.Class
-	// Repeat is the number of measured runs per update op (>= 1).
-	Repeat int
-	// Format is "table" (default), "json" or "csv".
-	Format string
-	// Engines overrides the engine rows (defaults to the runner's grid).
-	Engines []string
-}
 
 // UpdateCellReport aggregates the runs of one engine x op cell.
 type UpdateCellReport struct {
@@ -58,33 +45,27 @@ type UpdateCellReport struct {
 	Err string `json:"error,omitempty"`
 }
 
-// UpdatesGrid measures every engine x update-op cell at the runner's
-// first (smallest) size and returns the cells in grid order. Engines that
-// do not support the class, or whose update path declines the documents,
-// are skipped.
-func (r *Runner) UpdatesGrid(opts UpdatesOptions) ([]UpdateCellReport, error) {
+// UpdatesGrid measures every engine x update-op cell of a multi-document
+// class (DC/MD or TC/MD) at the runner's first (smallest) size, Repeat
+// runs per op, and returns the cells in grid order. Engines that do not
+// support the class, or whose update path declines the documents, are
+// skipped.
+func (r *Runner) UpdatesGrid(class core.Class) ([]UpdateCellReport, error) {
 	ctx := context.Background()
-	if opts.Repeat < 1 {
-		opts.Repeat = max(r.Repeat, 1)
-	}
-	if opts.Class.SingleDocument() {
-		return nil, fmt.Errorf("bench: update workload is defined for multi-document classes, not %s", opts.Class)
+	if class.SingleDocument() {
+		return nil, fmt.Errorf("bench: update workload is defined for multi-document classes, not %s", class)
 	}
 	size := r.Sizes[0]
-	db, err := r.Database(opts.Class, size)
+	db, err := r.Database(class, size)
 	if err != nil {
 		return nil, err
 	}
-	engines := opts.Engines
-	if len(engines) == 0 {
-		engines = r.engineNames()
-	}
 	var cells []UpdateCellReport
-	for _, name := range engines {
+	for _, name := range r.engineNames() {
 		// Fresh engine per row: updates mutate the store, so the runner's
 		// shared engine cache must not be poisoned for later query tables.
 		e := r.newEngine(name)
-		if e.Supports(opts.Class, size) != nil {
+		if e.Supports(class, size) != nil {
 			continue
 		}
 		if _, _, err := workload.LoadAndIndex(ctx, e, db); err != nil {
@@ -92,7 +73,7 @@ func (r *Runner) UpdatesGrid(opts UpdatesOptions) ([]UpdateCellReport, error) {
 		}
 		seq := 0
 		for _, op := range workload.UpdateOps {
-			cell, ok := r.measureUpdateCell(ctx, e, name, opts, db.Class, size, op, &seq)
+			cell, ok := r.measureUpdateCell(ctx, e, name, class, size, op, &seq)
 			if ok {
 				cells = append(cells, cell)
 			}
@@ -105,19 +86,20 @@ func (r *Runner) UpdatesGrid(opts UpdatesOptions) ([]UpdateCellReport, error) {
 }
 
 func (r *Runner) measureUpdateCell(ctx context.Context, e core.Engine, name string,
-	opts UpdatesOptions, class core.Class, size core.Size, op workload.UpdateOp, seq *int) (UpdateCellReport, bool) {
+	class core.Class, size core.Size, op workload.UpdateOp, seq *int) (UpdateCellReport, bool) {
+	runs := max(r.Repeat, 1)
 	cell := UpdateCellReport{
 		Engine: name,
 		Class:  class.Code(),
 		Size:   size.String(),
 		Op:     op.String(),
-		Runs:   opts.Repeat,
+		Runs:   runs,
 	}
 	hist := metrics.NewHistogram()
 	verify := metrics.NewHistogram()
 	counters := map[string]int64{}
 	var pageIO, writes int64
-	for i := 0; i < opts.Repeat; i++ {
+	for i := 0; i < runs; i++ {
 		m := workload.RunUpdateOp(ctx, e, class, op, *seq)
 		*seq++
 		if m.Err != nil {
@@ -131,17 +113,9 @@ func (r *Runner) measureUpdateCell(ctx context.Context, e core.Engine, name stri
 		verify.Observe(m.VerifyElapsed)
 		pageIO += m.Breakdown.PagerIO()
 		writes += m.Breakdown.Get("pager.write")
-		for _, cn := range m.Breakdown.CounterNames() {
-			if metrics.IsGauge(cn) {
-				if v := m.Breakdown.Get(cn); v > counters[cn] {
-					counters[cn] = v
-				}
-				continue
-			}
-			counters[cn] += m.Breakdown.Get(cn)
-		}
+		addCounters(counters, m.Breakdown)
 	}
-	n := float64(opts.Repeat)
+	n := float64(runs)
 	cell.P50Ms = msOf(hist.P50())
 	cell.P95Ms = msOf(hist.P95())
 	cell.P99Ms = msOf(hist.P99())
@@ -154,26 +128,26 @@ func (r *Runner) measureUpdateCell(ctx context.Context, e core.Engine, name stri
 	return cell, true
 }
 
-// UpdatesReport measures the update grid and prints it in the requested
-// format. It returns an error if any cell failed, so CI can gate on it.
-func (r *Runner) UpdatesReport(opts UpdatesOptions) error {
-	cells, err := r.UpdatesGrid(opts)
+// UpdatesReport measures the update grid and prints it in the runner's
+// Format. It returns an error if any cell failed, so CI can gate on it.
+func (r *Runner) UpdatesReport(class core.Class) error {
+	form, err := r.format("updates", "table", "json", "csv")
 	if err != nil {
 		return err
 	}
-	switch opts.Format {
-	case "", "table":
-		r.printUpdatesTable(opts, cells)
+	cells, err := r.UpdatesGrid(class)
+	if err != nil {
+		return err
+	}
+	switch form {
 	case "json":
-		enc := json.NewEncoder(r.Out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(cells); err != nil {
+		if err := r.printJSON(cells); err != nil {
 			return err
 		}
 	case "csv":
 		printUpdatesCSV(r, cells)
 	default:
-		return fmt.Errorf("bench: unknown updates format %q (want table, json or csv)", opts.Format)
+		r.printUpdatesTable(cells)
 	}
 	var failed int
 	for _, c := range cells {
@@ -187,7 +161,7 @@ func (r *Runner) UpdatesReport(opts UpdatesOptions) error {
 	return nil
 }
 
-func (r *Runner) printUpdatesTable(opts UpdatesOptions, cells []UpdateCellReport) {
+func (r *Runner) printUpdatesTable(cells []UpdateCellReport) {
 	if len(cells) == 0 {
 		fmt.Fprintln(r.Out, "no update cells measured")
 		return

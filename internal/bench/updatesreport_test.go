@@ -16,7 +16,8 @@ import (
 func TestUpdatesGridAllEngines(t *testing.T) {
 	var buf bytes.Buffer
 	r := tinyRunner(&buf)
-	cells, err := r.UpdatesGrid(UpdatesOptions{Class: core.DCMD, Repeat: 2})
+	r.Repeat = 2
+	cells, err := r.UpdatesGrid(core.DCMD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +71,8 @@ func TestUpdatesReportFormats(t *testing.T) {
 		var buf bytes.Buffer
 		r := tinyRunner(&buf)
 		// A single engine keeps the format test quick.
-		if err := r.UpdatesReport(UpdatesOptions{
-			Class: core.TCMD, Repeat: 1, Format: format, Engines: []string{"X-Hive"},
-		}); err != nil {
+		r.Format, r.EngineList = format, []string{"X-Hive"}
+		if err := r.UpdatesReport(core.TCMD); err != nil {
 			t.Fatalf("%s: %v", format, err)
 		}
 		out := buf.String()
@@ -87,7 +87,7 @@ func TestUpdatesReportFormats(t *testing.T) {
 func TestUpdatesReportRejectsSingleDocumentClass(t *testing.T) {
 	var buf bytes.Buffer
 	r := tinyRunner(&buf)
-	if err := r.UpdatesReport(UpdatesOptions{Class: core.TCSD}); err == nil {
+	if err := r.UpdatesReport(core.TCSD); err == nil {
 		t.Fatal("single-document class accepted")
 	}
 }

@@ -103,21 +103,13 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// CellStats is the latency summary of one query type in one run.
+// CellStats is the latency summary of one op type in one run: a query
+// (Report.Cells) or, in a mixed run, an update op (Report.UpdateCells).
+// Update latencies cover the update operation only — the follow-up
+// verification query is not included (see workload.UpdateMeasurement).
+// Errs excludes context cancellations, like Report.Errs.
 type CellStats struct {
-	Query core.QueryID
-	Count int64
-	Mean  time.Duration
-	P50   time.Duration
-	P95   time.Duration
-	P99   time.Duration
-}
-
-// UpdateCellStats is the latency summary of one update op in a mixed run.
-// Latencies cover the update operation only — the follow-up verification
-// query is not included (see workload.UpdateMeasurement).
-type UpdateCellStats struct {
-	Op    workload.UpdateOp
+	MixedOp
 	Count int64
 	Errs  int64
 	Mean  time.Duration
@@ -131,6 +123,8 @@ type Report struct {
 	Engine  string
 	Class   core.Class
 	Clients int
+	// UpdateFraction is the run's configured per-op update probability.
+	UpdateFraction float64
 	// Mix is the query types the clients drew from, in query order.
 	Mix []core.QueryID
 	// Elapsed is the measured wall-clock window.
@@ -167,7 +161,7 @@ type Report struct {
 	UpdateErrs int64
 	// UpdateCells summarizes update latency per op, in op order; empty
 	// when the run issued no updates.
-	UpdateCells []UpdateCellStats
+	UpdateCells []CellStats
 	// NextUpdateSeq is the first unconsumed update sequence number; feed
 	// it into the next run's Config.UpdateSeqBase when reusing the engine.
 	NextUpdateSeq int
@@ -278,7 +272,7 @@ func warmup(ctx context.Context, e core.Engine, class core.Class, candidates []c
 // stays warm across a Sweep.
 func Run(ctx context.Context, e core.Engine, class core.Class, cfg Config) (Report, error) {
 	cfg = cfg.WithDefaults()
-	rep := Report{Engine: e.Name(), Class: class, Clients: cfg.Clients}
+	rep := Report{Engine: e.Name(), Class: class, Clients: cfg.Clients, UpdateFraction: cfg.UpdateFraction}
 	if cfg.UpdateFraction < 0 || cfg.UpdateFraction >= 1 {
 		return rep, fmt.Errorf("driver: update fraction %v outside [0, 1)", cfg.UpdateFraction)
 	}
@@ -302,17 +296,25 @@ func Run(ctx context.Context, e core.Engine, class core.Class, cfg Config) (Repo
 	}
 	rep.Mix = mix
 
-	hists := make(map[core.QueryID]*metrics.Histogram, len(mix))
+	// One accumulator per op type the clients can draw, built before they
+	// start so the map is only ever read concurrently.
+	type opAcc struct {
+		hist *metrics.Histogram
+		errs atomic.Int64
+	}
+	accs := make(map[MixedOp]*opAcc, len(mix)+len(cfg.UpdateOps))
 	for _, q := range mix {
-		hists[q] = metrics.NewHistogram()
+		accs[MixedOp{Query: q}] = &opAcc{hist: metrics.NewHistogram()}
+	}
+	for _, u := range cfg.UpdateOps {
+		accs[MixedOp{Update: u}] = &opAcc{hist: metrics.NewHistogram()}
+	}
+	cellOf := func(op MixedOp) CellStats {
+		a := accs[op]
+		return CellStats{MixedOp: op, Count: a.hist.Count(), Errs: a.errs.Load(),
+			Mean: a.hist.Mean(), P50: a.hist.P50(), P95: a.hist.P95(), P99: a.hist.P99()}
 	}
 	readHist := metrics.NewHistogram()
-	uhists := make(map[workload.UpdateOp]*metrics.Histogram, len(cfg.UpdateOps))
-	uerrs := make(map[workload.UpdateOp]*atomic.Int64, len(cfg.UpdateOps))
-	for _, u := range cfg.UpdateOps {
-		uhists[u] = metrics.NewHistogram()
-		uerrs[u] = new(atomic.Int64)
-	}
 	params := workload.Params(class)
 
 	var ops, errs, canceled, updates, updateErrs atomic.Int64
@@ -350,18 +352,19 @@ func Run(ctx context.Context, e core.Engine, class core.Class, cfg Config) (Repo
 					return
 				}
 				op := nextMixedOp(rng, mix, cfg.UpdateFraction, cfg.UpdateOps)
+				acc := accs[op]
 				var err error
 				if op.Update != 0 {
 					seq := int(updateSeq.Add(1)) - 1
 					m := workload.RunUpdateOp(ctx, e, class, op.Update, seq)
-					uhists[op.Update].Observe(m.Elapsed)
+					acc.hist.Observe(m.Elapsed)
 					updates.Add(1)
 					err = m.Err
 				} else {
 					t0 := time.Now()
 					_, err = e.Execute(ctx, op.Query, params)
 					d := time.Since(t0)
-					hists[op.Query].Observe(d)
+					acc.hist.Observe(d)
 					readHist.Observe(d)
 				}
 				ops.Add(1)
@@ -374,9 +377,9 @@ func Run(ctx context.Context, e core.Engine, class core.Class, cfg Config) (Repo
 					canceled.Add(1)
 				default:
 					errs.Add(1)
+					acc.errs.Add(1)
 					if op.Update != 0 {
 						updateErrs.Add(1)
-						uerrs[op.Update].Add(1)
 					}
 					errMu.Lock()
 					if firstErr == nil {
@@ -410,28 +413,11 @@ func Run(ctx context.Context, e core.Engine, class core.Class, cfg Config) (Repo
 	qs := append([]core.QueryID(nil), mix...)
 	sort.Slice(qs, func(i, j int) bool { return qs[i] < qs[j] })
 	for _, q := range qs {
-		h := hists[q]
-		rep.Cells = append(rep.Cells, CellStats{
-			Query: q,
-			Count: h.Count(),
-			Mean:  h.Mean(),
-			P50:   h.P50(),
-			P95:   h.P95(),
-			P99:   h.P99(),
-		})
+		rep.Cells = append(rep.Cells, cellOf(MixedOp{Query: q}))
 	}
 	if rep.Updates > 0 {
 		for _, u := range cfg.UpdateOps {
-			h := uhists[u]
-			rep.UpdateCells = append(rep.UpdateCells, UpdateCellStats{
-				Op:    u,
-				Count: h.Count(),
-				Errs:  uerrs[u].Load(),
-				Mean:  h.Mean(),
-				P50:   h.P50(),
-				P95:   h.P95(),
-				P99:   h.P99(),
-			})
+			rep.UpdateCells = append(rep.UpdateCells, cellOf(MixedOp{Update: u}))
 		}
 	}
 	if firstErr != nil {
@@ -440,58 +426,39 @@ func Run(ctx context.Context, e core.Engine, class core.Class, cfg Config) (Repo
 	return rep, nil
 }
 
-// FractionPoint is one step of an update-fraction sweep: the driver run
-// at one update fraction.
-type FractionPoint struct {
-	Fraction float64
-	Report   Report
-}
-
-// FractionSweep runs the driver once per update fraction over the same
-// loaded engine, holding everything else (clients, ops, seed, think)
-// fixed. It is the measurement behind `xbench mvcc-sweep`: with MVCC
-// snapshots on, Report.ReadP99 should stay roughly flat as the update
-// fraction grows, because readers never wait for the engine write lock;
-// with snapshots off, reads queue behind U1-U3 and the same curve
-// degrades. The warm mix and the update document sequence are threaded
-// across steps exactly like Sweep does for client counts.
-func FractionSweep(ctx context.Context, e core.Engine, class core.Class, fractions []float64, cfg Config) ([]FractionPoint, error) {
-	var out []FractionPoint
-	for _, f := range fractions {
-		c := cfg
-		c.UpdateFraction = f
-		rep, err := Run(ctx, e, class, c)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, FractionPoint{Fraction: f, Report: rep})
-		cfg.NoWarmup = true
-		cfg.Queries = rep.Mix
-		cfg.UpdateSeqBase = rep.NextUpdateSeq
+// Sweep runs the driver once per step over the same loaded engine: every
+// client count at every update fraction, fraction-major, with everything
+// else in cfg held fixed. An empty list keeps cfg's own value, so a nil
+// fractions list is the scaling table of `xbench throughput` and a nil
+// clientCounts list its update-fraction sweep — snapshot reads never wait
+// for the engine write lock, so Report.ReadP99 should stay roughly flat
+// as the fraction grows. The pool stays warm across steps.
+func Sweep(ctx context.Context, e core.Engine, class core.Class, clientCounts []int, fractions []float64, cfg Config) ([]Report, error) {
+	if len(clientCounts) == 0 {
+		clientCounts = []int{cfg.Clients}
 	}
-	return out, nil
-}
-
-// Sweep runs the driver once per client count over the same loaded engine
-// (the pool stays warm across steps, so steps differ only in concurrency).
-// It is how the scaling table of `xbench throughput` is produced.
-func Sweep(ctx context.Context, e core.Engine, class core.Class, clientCounts []int, cfg Config) ([]Report, error) {
+	if len(fractions) == 0 {
+		fractions = []float64{cfg.UpdateFraction}
+	}
 	var out []Report
-	for _, n := range clientCounts {
-		c := cfg
-		c.Clients = n
-		rep, err := Run(ctx, e, class, c)
-		if err != nil {
-			return out, err
+	for _, f := range fractions {
+		for _, n := range clientCounts {
+			c := cfg
+			c.Clients, c.UpdateFraction = n, f
+			rep, err := Run(ctx, e, class, c)
+			if err != nil {
+				return out, err
+			}
+			out = append(out, rep)
+			// The first run warmed the pool and filtered the mix down to
+			// the queries the engine answers; later steps must reuse that
+			// filtered mix, not the raw candidate list. Mixed runs also
+			// thread the update sequence forward so U1 never reuses a
+			// document name.
+			cfg.NoWarmup = true
+			cfg.Queries = rep.Mix
+			cfg.UpdateSeqBase = rep.NextUpdateSeq
 		}
-		out = append(out, rep)
-		// The first run warmed the pool and filtered the mix down to the
-		// queries the engine answers; later steps must reuse that filtered
-		// mix, not the raw candidate list. Mixed runs also thread the
-		// update sequence forward so U1 never reuses a document name.
-		cfg.NoWarmup = true
-		cfg.Queries = rep.Mix
-		cfg.UpdateSeqBase = rep.NextUpdateSeq
 	}
 	return out, nil
 }

@@ -332,7 +332,7 @@ func TestRunDurationMode(t *testing.T) {
 
 func TestSweepReusesWarmEngine(t *testing.T) {
 	e := &stubEngine{}
-	reports, err := Sweep(context.Background(), e, core.DCMD, []int{1, 2}, Config{
+	reports, err := Sweep(context.Background(), e, core.DCMD, []int{1, 2}, nil, Config{
 		OpsPerClient: 5, Queries: testMix, Think: -1,
 	})
 	if err != nil {
@@ -348,7 +348,7 @@ func TestSweepReusesWarmEngine(t *testing.T) {
 // the later, warmup-free steps — otherwise they hit ErrNoQuery at runtime.
 func TestSweepCarriesFilteredMix(t *testing.T) {
 	e := &stubEngine{noQuery: map[core.QueryID]bool{core.Q5: true}}
-	reports, err := Sweep(context.Background(), e, core.DCMD, []int{1, 2, 4}, Config{
+	reports, err := Sweep(context.Background(), e, core.DCMD, []int{1, 2, 4}, nil, Config{
 		OpsPerClient: 20, Queries: testMix, Think: -1,
 	})
 	if err != nil {
@@ -368,7 +368,7 @@ func TestSweepCarriesFilteredMix(t *testing.T) {
 
 func TestFormatters(t *testing.T) {
 	e := &stubEngine{}
-	reports, err := Sweep(context.Background(), e, core.DCMD, []int{1, 2}, Config{
+	reports, err := Sweep(context.Background(), e, core.DCMD, []int{1, 2}, nil, Config{
 		OpsPerClient: 5, Queries: testMix, Think: -1,
 	})
 	if err != nil {

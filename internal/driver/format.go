@@ -16,17 +16,22 @@ func ms(d time.Duration) string {
 }
 
 // WriteTable renders reports as the human-readable scaling table: one
-// summary row per client count, then per-query latency cells of the last
-// (highest-concurrency) step.
+// summary row per step, then per-query latency cells of the last
+// (highest-concurrency) step. A sweep over update fractions also gets the
+// aggregate read latency per step — what the updates do to reads as a
+// population.
 func WriteTable(w io.Writer, reports []Report) {
 	if len(reports) == 0 {
 		return
 	}
 	r0 := reports[0]
-	mixed := false
+	mixed, fractionSweep := false, false
 	for _, r := range reports {
 		if r.Updates > 0 {
 			mixed = true
+		}
+		if r.UpdateFraction != r0.UpdateFraction {
+			fractionSweep = true
 		}
 	}
 	fmt.Fprintf(w, "Throughput: %s on %s (closed loop, %d query types in mix)\n",
@@ -44,6 +49,14 @@ func WriteTable(w io.Writer, reports []Report) {
 				r.Clients, r.Throughput, r.Ops, r.Errs, r.Canceled, r.Elapsed.Round(time.Millisecond))
 		}
 	}
+	if fractionSweep {
+		fmt.Fprintf(w, "\nRead latency vs update fraction:\n")
+		fmt.Fprintf(w, "%-8s %-8s %12s %12s %10s\n", "updates", "clients", "read p50", "read p99", "qps")
+		for _, r := range reports {
+			fmt.Fprintf(w, "%-8s %-8d %12s %12s %10.1f\n", fmt.Sprintf("%.0f%%", r.UpdateFraction*100),
+				r.Clients, r.ReadP50, r.ReadP99, r.Throughput)
+		}
+	}
 	last := reports[len(reports)-1]
 	fmt.Fprintf(w, "\nPer-query latency at %d clients (ms):\n", last.Clients)
 	fmt.Fprintf(w, "%-6s %-8s %-10s %-10s %-10s %-10s\n", "query", "count", "mean", "p50", "p95", "p99")
@@ -56,7 +69,7 @@ func WriteTable(w io.Writer, reports []Report) {
 		fmt.Fprintf(w, "%-6s %-8s %-6s %-10s %-10s %-10s %-10s\n", "op", "count", "errs", "mean", "p50", "p95", "p99")
 		for _, c := range last.UpdateCells {
 			fmt.Fprintf(w, "%-6s %-8d %-6d %-10s %-10s %-10s %-10s\n",
-				c.Op, c.Count, c.Errs, ms(c.Mean), ms(c.P50), ms(c.P95), ms(c.P99))
+				c.Update, c.Count, c.Errs, ms(c.Mean), ms(c.P50), ms(c.P95), ms(c.P99))
 		}
 	}
 }
@@ -81,26 +94,22 @@ func WriteCSV(w io.Writer, reports []Report) error {
 		if err := cw.Write(row); err != nil {
 			return err
 		}
-		for _, c := range r.Cells {
-			row := []string{
-				r.Engine, r.Class.String(), strconv.Itoa(r.Clients), c.Query.String(),
-				strconv.FormatInt(c.Count, 10), "", "", "",
-				ms(c.Mean), ms(c.P50), ms(c.P95), ms(c.P99),
-			}
-			if err := cw.Write(row); err != nil {
-				return err
-			}
-		}
 		// Update cells ride in the same schema, keyed by op name (U1..U3)
-		// in the query column.
-		for _, c := range r.UpdateCells {
-			row := []string{
-				r.Engine, r.Class.String(), strconv.Itoa(r.Clients), c.Op.String(),
-				strconv.FormatInt(c.Count, 10), strconv.FormatInt(c.Errs, 10), "", "",
-				ms(c.Mean), ms(c.P50), ms(c.P95), ms(c.P99),
-			}
-			if err := cw.Write(row); err != nil {
-				return err
+		// in the query column; only they fill the errs column.
+		for _, cells := range [][]CellStats{r.Cells, r.UpdateCells} {
+			for _, c := range cells {
+				errs := ""
+				if c.Update != 0 {
+					errs = strconv.FormatInt(c.Errs, 10)
+				}
+				row := []string{
+					r.Engine, r.Class.String(), strconv.Itoa(r.Clients), c.String(),
+					strconv.FormatInt(c.Count, 10), errs, "", "",
+					ms(c.Mean), ms(c.P50), ms(c.P95), ms(c.P99),
+				}
+				if err := cw.Write(row); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -112,21 +121,19 @@ func WriteCSV(w io.Writer, reports []Report) error {
 // (class, query ids) render as their names and durations as fractional
 // milliseconds, so consumers need no knowledge of the Go constants.
 type jsonReport struct {
-	Engine     string     `json:"engine"`
-	Class      string     `json:"class"`
-	Clients    int        `json:"clients"`
-	Mix        []string   `json:"mix"`
-	ElapsedMS  float64    `json:"elapsed_ms"`
-	Ops        int64      `json:"ops"`
-	Errs       int64      `json:"errs"`
-	Canceled   int64      `json:"canceled"`
-	Throughput float64    `json:"qps"`
-	Cells      []jsonCell `json:"cells"`
-	ClientOps  []int      `json:"client_ops"`
-	Updates    int64      `json:"updates,omitempty"`
-	UpdateErrs int64      `json:"update_errs,omitempty"`
-	// UpdateCells reuses the query-cell shape with the op name (U1..U3)
-	// in the query field.
+	Engine      string     `json:"engine"`
+	Class       string     `json:"class"`
+	Clients     int        `json:"clients"`
+	Mix         []string   `json:"mix"`
+	ElapsedMS   float64    `json:"elapsed_ms"`
+	Ops         int64      `json:"ops"`
+	Errs        int64      `json:"errs"`
+	Canceled    int64      `json:"canceled"`
+	Throughput  float64    `json:"qps"`
+	Cells       []jsonCell `json:"cells"`
+	ClientOps   []int      `json:"client_ops"`
+	Updates     int64      `json:"updates,omitempty"`
+	UpdateErrs  int64      `json:"update_errs,omitempty"`
 	UpdateCells []jsonCell `json:"update_cells,omitempty"`
 }
 
@@ -142,6 +149,18 @@ type jsonCell struct {
 
 func msf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
+func jsonCells(cells []CellStats) []jsonCell {
+	out := make([]jsonCell, 0, len(cells))
+	for _, c := range cells {
+		out = append(out, jsonCell{
+			Query: c.String(), Count: c.Count, Errs: c.Errs,
+			MeanMS: msf(c.Mean), P50MS: msf(c.P50),
+			P95MS: msf(c.P95), P99MS: msf(c.P99),
+		})
+	}
+	return out
+}
+
 // WriteJSON renders the reports as an indented JSON array.
 func WriteJSON(w io.Writer, reports []Report) error {
 	out := make([]jsonReport, 0, len(reports))
@@ -156,27 +175,16 @@ func WriteJSON(w io.Writer, reports []Report) error {
 			Errs:       r.Errs,
 			Canceled:   r.Canceled,
 			Throughput: r.Throughput,
-			Cells:      make([]jsonCell, 0, len(r.Cells)),
+			Cells:      jsonCells(r.Cells),
 			ClientOps:  r.ClientOps,
+			Updates:    r.Updates,
+			UpdateErrs: r.UpdateErrs,
+			// Update cells reuse the query-cell shape with the op name
+			// (U1..U3) in the query field.
+			UpdateCells: jsonCells(r.UpdateCells),
 		}
 		for _, q := range r.Mix {
 			jr.Mix = append(jr.Mix, q.String())
-		}
-		for _, c := range r.Cells {
-			jr.Cells = append(jr.Cells, jsonCell{
-				Query: c.Query.String(), Count: c.Count,
-				MeanMS: msf(c.Mean), P50MS: msf(c.P50),
-				P95MS: msf(c.P95), P99MS: msf(c.P99),
-			})
-		}
-		jr.Updates = r.Updates
-		jr.UpdateErrs = r.UpdateErrs
-		for _, c := range r.UpdateCells {
-			jr.UpdateCells = append(jr.UpdateCells, jsonCell{
-				Query: c.Op.String(), Count: c.Count, Errs: c.Errs,
-				MeanMS: msf(c.Mean), P50MS: msf(c.P50),
-				P95MS: msf(c.P95), P99MS: msf(c.P99),
-			})
 		}
 		out = append(out, jr)
 	}

@@ -78,8 +78,8 @@ func TestRunMixedAccounting(t *testing.T) {
 	var ucells int64
 	for _, c := range rep.UpdateCells {
 		ucells += c.Count
-		if c.Op < workload.U1 || c.Op > workload.U3 {
-			t.Fatalf("unexpected update cell op %v", c.Op)
+		if c.Update < workload.U1 || c.Update > workload.U3 {
+			t.Fatalf("unexpected update cell op %v", c.Update)
 		}
 	}
 	if queries+ucells != rep.Ops {
@@ -122,7 +122,7 @@ func TestRunRejectsBadUpdateFraction(t *testing.T) {
 // fail the strict insert.
 func TestSweepThreadsUpdateSeq(t *testing.T) {
 	e := &stubEngine{}
-	reports, err := Sweep(context.Background(), e, core.DCMD, []int{1, 2, 4}, Config{
+	reports, err := Sweep(context.Background(), e, core.DCMD, []int{1, 2, 4}, nil, Config{
 		OpsPerClient: 30, Queries: testMix, Think: -1, UpdateFraction: 0.5,
 	})
 	if err != nil {
@@ -147,7 +147,7 @@ func TestSweepThreadsUpdateSeq(t *testing.T) {
 func TestFractionSweep(t *testing.T) {
 	e := &stubEngine{}
 	fractions := []float64{0, 0.3, 0.5}
-	points, err := FractionSweep(context.Background(), e, core.DCMD, fractions, Config{
+	points, err := Sweep(context.Background(), e, core.DCMD, nil, fractions, Config{
 		Clients: 2, OpsPerClient: 40, Queries: testMix, Think: -1,
 	})
 	if err != nil {
@@ -156,32 +156,39 @@ func TestFractionSweep(t *testing.T) {
 	if len(points) != len(fractions) {
 		t.Fatalf("%d points, want %d", len(points), len(fractions))
 	}
+	var table bytes.Buffer
+	WriteTable(&table, points)
+	for _, want := range []string{"Read latency vs update fraction", "read p99", "30%"} {
+		if !strings.Contains(table.String(), want) {
+			t.Errorf("fraction sweep table missing %q:\n%s", want, table.String())
+		}
+	}
 	prevSeq := 0
-	for i, pt := range points {
-		rep := pt.Report
-		if pt.Fraction != fractions[i] {
-			t.Fatalf("point %d fraction %v, want %v", i, pt.Fraction, fractions[i])
+	for i, rep := range points {
+		frac := rep.UpdateFraction
+		if rep.Clients != 2 || frac != fractions[i] {
+			t.Fatalf("point %d: %d clients at fraction %v, want 2 at %v", i, rep.Clients, frac, fractions[i])
 		}
 		if rep.Errs != 0 {
-			t.Fatalf("fraction %v: %d errors (update seq not threaded?)", pt.Fraction, rep.Errs)
+			t.Fatalf("fraction %v: %d errors (update seq not threaded?)", frac, rep.Errs)
 		}
 		if rep.ReadCount == 0 || rep.ReadP99 <= 0 {
 			t.Fatalf("fraction %v: no aggregate read latency (count %d, p99 %v)",
-				pt.Fraction, rep.ReadCount, rep.ReadP99)
+				frac, rep.ReadCount, rep.ReadP99)
 		}
 		if rep.ReadCount+rep.Updates != rep.Ops {
 			t.Fatalf("fraction %v: reads %d + updates %d != ops %d",
-				pt.Fraction, rep.ReadCount, rep.Updates, rep.Ops)
+				frac, rep.ReadCount, rep.Updates, rep.Ops)
 		}
-		if pt.Fraction == 0 && rep.Updates != 0 {
+		if frac == 0 && rep.Updates != 0 {
 			t.Fatalf("read-only point issued %d updates", rep.Updates)
 		}
-		if pt.Fraction > 0 && rep.Updates == 0 {
-			t.Fatalf("fraction %v issued no updates", pt.Fraction)
+		if frac > 0 && rep.Updates == 0 {
+			t.Fatalf("fraction %v issued no updates", frac)
 		}
 		if rep.NextUpdateSeq != prevSeq+int(rep.Updates) {
 			t.Fatalf("fraction %v: NextUpdateSeq %d, want base %d + %d",
-				pt.Fraction, rep.NextUpdateSeq, prevSeq, rep.Updates)
+				frac, rep.NextUpdateSeq, prevSeq, rep.Updates)
 		}
 		prevSeq = rep.NextUpdateSeq
 	}
@@ -189,7 +196,7 @@ func TestFractionSweep(t *testing.T) {
 
 func TestMixedFormatters(t *testing.T) {
 	e := &stubEngine{}
-	reports, err := Sweep(context.Background(), e, core.DCMD, []int{1, 2}, Config{
+	reports, err := Sweep(context.Background(), e, core.DCMD, []int{1, 2}, nil, Config{
 		OpsPerClient: 30, Queries: testMix, Think: -1, UpdateFraction: 0.5,
 	})
 	if err != nil {

@@ -41,11 +41,26 @@ type Row []string
 type DB struct {
 	Pager  *pager.Pager
 	tables map[string]*Table
+
+	// The pager's registry and the operator counters, resolved once here
+	// rather than by name under the registry mutex per probe and per
+	// scanned row. A DB is built at load time, after the engine's
+	// registry is attached, like the B+trees that bind the same way.
+	reg                     *metrics.Registry
+	cScan, cScanRow, cProbe *metrics.Counter
 }
 
 // NewDB returns an empty database over p.
 func NewDB(p *pager.Pager) *DB {
-	return &DB{Pager: p, tables: map[string]*Table{}}
+	reg := p.Metrics()
+	return &DB{
+		Pager:    p,
+		tables:   map[string]*Table{},
+		reg:      reg,
+		cScan:    reg.Counter("relational.scan"),
+		cScanRow: reg.Counter("relational.scan.row"),
+		cProbe:   reg.Counter("relational.probe"),
+	}
 }
 
 // Table is a heap table with optional B+tree indexes.
@@ -314,18 +329,14 @@ func (t *Table) index(col string) (indexReader, bool) {
 	return ix, ok
 }
 
-// reg returns the metrics registry shared through the table's pager.
-func (t *Table) reg() *metrics.Registry { return t.db.Pager.Metrics() }
-
 // Scan visits all rows in insertion order (a full table scan: every heap
 // page is read). Returning false stops early. Cancellation via ctx is
 // honored at page-fetch granularity.
 func (t *Table) Scan(ctx context.Context, fn func(Row) bool) error {
-	reg := t.reg()
-	reg.Counter("relational.scan").Inc()
-	defer reg.StartSpan(metrics.PhaseScan).End()
+	t.db.cScan.Inc()
+	defer t.db.reg.StartSpan(metrics.PhaseScan).End()
 	return t.scanRecords(ctx, func(_ pager.RID, rec []byte) bool {
-		reg.Counter("relational.scan.row").Inc()
+		t.db.cScanRow.Inc()
 		return fn(decodeRow(rec))
 	})
 }
@@ -342,67 +353,32 @@ func (t *Table) Get(ctx context.Context, rid pager.RID) (Row, error) {
 // LookupEq returns rows where col == val, using an index when available
 // and falling back to a sequential scan otherwise.
 func (t *Table) LookupEq(ctx context.Context, col, val string) ([]Row, error) {
-	if ix, ok := t.index(col); ok {
-		reg := t.reg()
-		reg.Counter("relational.probe").Inc()
-		sp := reg.StartSpan(metrics.PhaseIndexProbe)
-		rids, err := ix.Search(ctx, val)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		rows := make([]Row, 0, len(rids))
-		for _, r := range rids {
-			row, err := t.Get(ctx, pager.RID(r))
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-		}
-		return rows, nil
-	}
-	ci := t.Col(col)
-	var rows []Row
-	err := t.Scan(ctx, func(r Row) bool {
-		if r[ci] == val {
-			rows = append(rows, r)
-		}
-		return true
-	})
-	return rows, err
+	return t.LookupEqN(ctx, col, val, 0)
 }
 
 // LookupRange returns rows with lo <= col <= hi (string comparison, which
 // matches ISO dates), via index when available.
 func (t *Table) LookupRange(ctx context.Context, col, lo, hi string) ([]Row, error) {
-	if ix, ok := t.index(col); ok {
-		reg := t.reg()
-		reg.Counter("relational.probe").Inc()
-		defer reg.StartSpan(metrics.PhaseIndexProbe).End()
-		var rows []Row
-		var inner error
-		err := ix.Range(ctx, lo, hi, func(_ string, v uint64) bool {
-			row, e := t.Get(ctx, pager.RID(v))
-			if e != nil {
-				inner = e
-				return false
-			}
-			rows = append(rows, row)
-			return true
-		})
-		if inner != nil {
-			return nil, inner
-		}
-		return rows, err
+	ix, ok := t.index(col)
+	if !ok {
+		return t.ScanRange(ctx, col, lo, hi)
 	}
-	ci := t.Col(col)
+	t.db.cProbe.Inc()
+	defer t.db.reg.StartSpan(metrics.PhaseIndexProbe).End()
 	var rows []Row
-	err := t.Scan(ctx, func(r Row) bool {
-		if !IsNull(r[ci]) && r[ci] >= lo && r[ci] <= hi {
-			rows = append(rows, r)
+	var inner error
+	err := ix.Range(ctx, lo, hi, func(_ string, v uint64) bool {
+		row, e := t.Get(ctx, pager.RID(v))
+		if e != nil {
+			inner = e
+			return false
 		}
+		rows = append(rows, row)
 		return true
 	})
+	if inner != nil {
+		return nil, inner
+	}
 	return rows, err
 }
 
@@ -410,52 +386,47 @@ func (t *Table) LookupRange(ctx context.Context, col, lo, hi string) ([]Row, err
 // (positional [1] access) fetches only the first n matches instead of
 // materializing every row and discarding the rest. n <= 0 means no cap.
 func (t *Table) LookupEqN(ctx context.Context, col, val string, n int) ([]Row, error) {
-	if n <= 0 {
-		return t.LookupEq(ctx, col, val)
+	ix, ok := t.index(col)
+	if !ok {
+		return t.scanEq(ctx, col, val, n)
 	}
-	if ix, ok := t.index(col); ok {
-		reg := t.reg()
-		reg.Counter("relational.probe").Inc()
-		sp := reg.StartSpan(metrics.PhaseIndexProbe)
-		rids, err := ix.Search(ctx, val)
-		sp.End()
+	t.db.cProbe.Inc()
+	sp := t.db.reg.StartSpan(metrics.PhaseIndexProbe)
+	rids, err := ix.Search(ctx, val)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	if n > 0 && len(rids) > n {
+		rids = rids[:n]
+	}
+	rows := make([]Row, 0, len(rids))
+	for _, r := range rids {
+		row, err := t.Get(ctx, pager.RID(r))
 		if err != nil {
 			return nil, err
 		}
-		if len(rids) > n {
-			rids = rids[:n]
-		}
-		rows := make([]Row, 0, len(rids))
-		for _, r := range rids {
-			row, err := t.Get(ctx, pager.RID(r))
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-		}
-		return rows, nil
+		rows = append(rows, row)
 	}
-	ci := t.Col(col)
-	var rows []Row
-	err := t.Scan(ctx, func(r Row) bool {
-		if r[ci] == val {
-			rows = append(rows, r)
-		}
-		return len(rows) < n
-	})
-	return rows, err
+	return rows, nil
 }
 
 // ScanEq filters sequentially for col == val even when an index exists:
 // the executor's path for plans whose cost model chose the scan.
 func (t *Table) ScanEq(ctx context.Context, col, val string) ([]Row, error) {
+	return t.scanEq(ctx, col, val, 0)
+}
+
+// scanEq is the sequential filter for col == val, stopping after n
+// matches when n > 0.
+func (t *Table) scanEq(ctx context.Context, col, val string, n int) ([]Row, error) {
 	ci := t.Col(col)
 	var rows []Row
 	err := t.Scan(ctx, func(r Row) bool {
 		if r[ci] == val {
 			rows = append(rows, r)
 		}
-		return true
+		return n <= 0 || len(rows) < n
 	})
 	return rows, err
 }

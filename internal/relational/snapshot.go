@@ -33,15 +33,16 @@ var ErrSnapshotWrite = fmt.Errorf("relational: write to snapshot table")
 // syncs). Readers of the snapshot must hold a pager.Snap pinned at the
 // epoch for as long as they use it.
 func (db *DB) Snapshot(epoch uint64) (*DB, error) {
-	s := &DB{Pager: db.Pager, tables: make(map[string]*Table, len(db.tables))}
+	s := *db // the pager and the bound counters; the tables become views
+	s.tables = make(map[string]*Table, len(db.tables))
 	for name, t := range db.tables {
-		st, err := t.snapshot(s, epoch)
+		st, err := t.snapshot(&s, epoch)
 		if err != nil {
 			return nil, err
 		}
 		s.tables[name] = st
 	}
-	return s, nil
+	return &s, nil
 }
 
 // snapshot clones one table in frozen mode.

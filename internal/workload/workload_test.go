@@ -126,7 +126,7 @@ func TestCrossEngineEquivalence(t *testing.T) {
 // matches one article more than the string-value search of the native
 // engine (269 against 268): the same word-boundary divergence ModeFor
 // classes Lossy for TC/SD. The cell must be classed so that it checks
-// (`xbench verify --class=tcmd --size=normal --seed=101` exits 0), and
+// (`xbench verify --class=tcmd --size=normal --gen-seed=101` exits 0), and
 // Xcolumn, which stores the articles intact, must still agree exactly.
 func TestTCMDQ17WordBoundaryDivergence(t *testing.T) {
 	ctx := context.Background()

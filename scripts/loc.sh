@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Non-test Go lines outside benchmarks/ and .bench_build/: the total, and
-# one row per top-level directory of internal/.
+# one row per top-level directory of internal/. Then the CLI's surface:
+# the subcommand rows of cmd/xbench's command table and its
+# flag-registration sites (a flag several commands share is registered
+# once, in a helper).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 count() { find "$@" -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l; }
@@ -8,3 +11,6 @@ printf '%7d  total\n' "$(count .)"
 for d in internal/*/; do
   printf '%7d  %s\n' "$(count "$d")" "${d%/}"
 done
+cli() { find cmd/xbench -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat; }
+printf '%7d  cmd/xbench subcommands\n' "$(cli | grep -cE '^	\{"[a-z-]+", ".*", setup[A-Za-z]+\},$')"
+printf '%7d  cmd/xbench flag registrations\n' "$(cli | grep -oE 'fs\.(String|Int|Bool|Duration|Uint64|Float64)\(' | wc -l)"

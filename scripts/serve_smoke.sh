@@ -32,11 +32,11 @@ done
 [ -n "$addr" ] || { echo "server never printed its address:"; cat "$log"; exit 1; }
 echo "serving on $addr"
 
-"$bin" throughput --remote="$addr" --skip-load --class=dcmd \
+"$bin" throughput --remote="$addr" --no-load --class=dcmd \
     --clients=1,2 --ops=20 --format=json | grep -q '"qps"' \
     || { echo "remote sweep produced no report"; exit 1; }
 
-"$bin" updates --remote="$addr" --class=dcmd --repeat=2 | grep -q 'U3' \
+"$bin" bench --view=updates --remote="$addr" --class=dcmd --sizes=small --repeat=2 | grep -q 'U3' \
     || { echo "remote update report produced no U3 row"; exit 1; }
 
 # The crash leg: SIGKILL (no defers, no flushes), then restart on the SAME
@@ -61,7 +61,7 @@ replayed=$(sed -n 's/^recovered .*: \([0-9]*\) journaled updates replayed.*/\1/p
 [ "$replayed" -gt 0 ] || { echo "journal recovery replayed 0 updates after an update run"; exit 1; }
 echo "restarted on $addr with $replayed journaled updates replayed"
 
-"$bin" throughput --remote="$addr" --skip-load --class=dcmd \
+"$bin" throughput --remote="$addr" --no-load --class=dcmd \
     --clients=1,2 --ops=20 --format=json | grep -q '"qps"' \
     || { echo "post-recovery remote sweep produced no report"; exit 1; }
 

@@ -65,7 +65,7 @@ front=$(await_banner "$tmp/route.log" "$router_pid" 's/^routing .* on \([0-9.:]*
 echo "router on $front"
 
 # 1. Mixed read/write sweep against the healthy cluster.
-"$bin" throughput --remote="$front" --skip-load --class=dcmd \
+"$bin" throughput --remote="$front" --no-load --class=dcmd \
     --clients=1,2 --ops=20 --update-fraction=0.2 --format=json | grep -q '"qps"' \
     || { echo "healthy mixed sweep produced no report"; exit 1; }
 echo "healthy mixed sweep OK"
@@ -74,7 +74,7 @@ echo "healthy mixed sweep OK"
 # keep answering through the replica failover + degraded scatters.
 kill -9 "${shard_pid[0]}"
 wait "${shard_pid[0]}" 2>/dev/null || true
-"$bin" throughput --remote="$front" --skip-load --class=dcmd \
+"$bin" throughput --remote="$front" --no-load --class=dcmd \
     --clients=2 --ops=15 --format=json | grep -q '"qps"' \
     || { echo "read sweep with a dead shard produced no report"; exit 1; }
 echo "dead-shard read sweep OK"
@@ -99,7 +99,7 @@ sleep 1
 # --update-seq-base: the first sweep consumed the low update-document
 # sequences and a mid-cycle step can leave documents behind, so the
 # re-run starts its U1 names past anything already placed.
-"$bin" throughput --remote="$front" --skip-load --class=dcmd \
+"$bin" throughput --remote="$front" --no-load --class=dcmd \
     --clients=1,2 --ops=20 --update-fraction=0.2 --update-seq-base=500000 \
     --format=json | grep -q '"qps"' \
     || { echo "post-recovery mixed sweep produced no report"; exit 1; }

@@ -29,15 +29,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strings"
 
 	"xbench/internal/bench"
 	"xbench/internal/client"
 	"xbench/internal/core"
 	"xbench/internal/driver"
-	"xbench/internal/engines/native"
-	"xbench/internal/engines/xcollection"
-	"xbench/internal/engines/xcolumn"
 	"xbench/internal/gen"
 	"xbench/internal/metrics"
 	"xbench/internal/pager"
@@ -222,8 +218,9 @@ func WithMetrics(reg *MetricsRegistry) Option {
 }
 
 // New constructs an engine by name with functional options. Recognized
-// names (case-insensitive): "native" or "x-hive", "xcolumn", "xcollection",
-// "sqlserver" or "sql server".
+// names (case, spaces, '-' and '_' ignored): "native" or "x-hive",
+// "xcolumn", "xcollection", "sqlserver" or "sql server" — the same table
+// the CLI's --engine flag reads.
 //
 //	e, err := xbench.New("native", xbench.WithPoolPages(256))
 func New(name string, opts ...Option) (Engine, error) {
@@ -231,18 +228,9 @@ func New(name string, opts ...Option) (Engine, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	var e Engine
-	switch strings.ToLower(strings.ReplaceAll(name, " ", "")) {
-	case "native", "x-hive", "xhive":
-		e = native.New(o.poolPages)
-	case "xcolumn":
-		e = xcolumn.New(o.poolPages)
-	case "xcollection":
-		e = xcollection.New(xcollection.DB2, o.poolPages, o.rowLimit)
-	case "sqlserver":
-		e = xcollection.New(xcollection.SQLServer, o.poolPages, 0)
-	default:
-		return nil, fmt.Errorf("xbench: unknown engine %q (want native, xcolumn, xcollection or sqlserver)", name)
+	e, err := bench.EngineByName(name, o.poolPages, o.rowLimit)
+	if err != nil {
+		return nil, fmt.Errorf("xbench: %w", err)
 	}
 	if o.fault != nil || o.metrics != nil {
 		p := e.(interface{ Pager() *pager.Pager }).Pager()

@@ -113,7 +113,7 @@ func TestPublicBenchRunner(t *testing.T) {
 	var buf bytes.Buffer
 	r := NewBenchRunner(GenConfig{DictEntries: 30, Articles: 5, Items: 20, Orders: 30},
 		[]Size{Small}, &buf)
-	if err := r.Table4(); err != nil {
+	if err := r.Table(4); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "X-Hive") {
