@@ -85,7 +85,8 @@ func TestConcurrentReadersDuringUpdates(t *testing.T) {
 // engine: snapshot readers pinning commit epochs, the journal-backed
 // update path committing through mutation brackets, and version GC
 // forced at the highest possible rate — a goroutine hammering
-// Pager().GC() instead of waiting for the background tick. Under -race
+// Pager().GC() beside the inline pruning of every release and commit
+// (there is no background collector to wait for). Under -race
 // (the CI race job) it pins the pin/capture/prune synchronization;
 // under plain `go test` it still checks that readers never fail
 // mid-update and that GC reclaims every version once the pins drain.

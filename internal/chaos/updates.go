@@ -240,15 +240,14 @@ func runUpdateCrashPoint(newEngine func() core.Engine, db *core.Database, op wor
 
 // checkRecoveredEpoch requires recovery to land on a consistent latest
 // commit epoch (DESIGN.md §15): replay must leave no mutation bracket
-// open — so with pins drained, GC reclaims every page version — and
-// the commit path must still work, with a fresh update advancing the
-// epoch without disturbing the recovered answer.
+// open — so with pins drained, inline pruning has reclaimed every page
+// version — and the commit path must still work, with a fresh update
+// advancing the epoch without disturbing the recovered answer.
 func checkRecoveredEpoch(ctx context.Context, e core.Engine, p *pager.Pager,
 	db *core.Database, seq int, id string, recovered []string) error {
 	if n := p.PinnedSnapshots(); n != 0 {
 		return fmt.Errorf("epoch check: %d snapshots pinned after recovery", n)
 	}
-	p.GC()
 	if n := p.LiveVersions(); n != 0 {
 		return fmt.Errorf("epoch check: %d page versions survive recovery with no pins (bracket left open?)", n)
 	}

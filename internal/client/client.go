@@ -108,11 +108,6 @@ type Config struct {
 	// MuxConns is the number of multiplexed connections per address when
 	// Pipeline is on; <= 0 selects 2.
 	MuxConns int
-	// BatchWindow is how long the pipelined writer waits after a flush
-	// signal for more requests to coalesce; <= 0 flushes immediately and
-	// relies on natural batching (requests arriving during the previous
-	// flush syscall share the next one). Ignored unless Pipeline is on.
-	BatchWindow time.Duration
 }
 
 func (c Config) withDefaults() Config {

@@ -37,7 +37,6 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"time"
 
 	"xbench/internal/wire"
 )
@@ -45,10 +44,9 @@ import (
 // muxConn is one multiplexed connection. It dies on first error — muxes
 // are replaced, never repaired.
 type muxConn struct {
-	conn   net.Conn
-	window time.Duration
-	kick   chan struct{} // buffered(1): batch has frames to flush
-	done   chan struct{} // closed by fail
+	conn net.Conn
+	kick chan struct{} // buffered(1): batch has frames to flush
+	done chan struct{} // closed by fail
 
 	// wmu guards the forming batch.
 	wmu   sync.Mutex
@@ -64,10 +62,9 @@ type muxConn struct {
 // (it should never surface; a real error always precedes it).
 var errMuxFailed = errors.New("client: pipelined connection failed")
 
-func newMuxConn(conn net.Conn, window time.Duration) *muxConn {
+func newMuxConn(conn net.Conn) *muxConn {
 	m := &muxConn{
 		conn:    conn,
-		window:  window,
 		kick:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 		batch:   wire.GetBuf(),
@@ -172,25 +169,17 @@ func (m *muxConn) deregister(id uint64) {
 
 // writeLoop flushes the forming batch whenever kicked: it swaps in a
 // fresh pooled buffer under wmu (so enqueues never wait on the network)
-// and writes the sealed batch with one syscall. With BatchWindow set it
-// sleeps briefly first, trading that latency for deeper batches; without
-// it, batching is purely natural — everything enqueued during the
-// previous flush goes out together.
+// and writes the sealed batch with one syscall. Batching is purely
+// natural — everything enqueued during the previous flush goes out
+// together; the writer never waits for a deeper batch (the batching
+// variants measured inside noise: ROADMAP, "Measured and deliberately
+// not built").
 func (m *muxConn) writeLoop() {
 	for {
 		select {
 		case <-m.done:
 			return
 		case <-m.kick:
-		}
-		if m.window > 0 {
-			timer := time.NewTimer(m.window)
-			select {
-			case <-m.done:
-				timer.Stop()
-				return
-			case <-timer.C:
-			}
 		}
 		for {
 			m.wmu.Lock()
@@ -276,7 +265,7 @@ func (c *Client) getMux(ep *endpoint) (*muxConn, error) {
 	if err != nil {
 		return nil, &dialError{err}
 	}
-	nm := newMuxConn(conn, c.cfg.BatchWindow)
+	nm := newMuxConn(conn)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()

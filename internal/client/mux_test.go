@@ -265,15 +265,15 @@ func TestMuxPooledBufferHammer(t *testing.T) {
 	}
 }
 
-// TestMuxBatchWindowCoalesces: with a batch window, requests issued
-// together leave in fewer (batched) writes. Observed indirectly: all
-// succeed and share one connection; the window must not deadlock or
-// starve the flush.
-func TestMuxBatchWindowCoalesces(t *testing.T) {
+// TestMuxWriterCoalesces: requests issued together leave in batched
+// writes — whatever queued while the previous flush was on the wire.
+// Observed indirectly: all succeed and share one connection; the
+// coalescing writer must not deadlock or starve the flush.
+func TestMuxWriterCoalesces(t *testing.T) {
 	fs := newFakeServer(t, func(n int, f wire.Frame) (wire.Frame, bool) {
 		return okFrame(nil), false
 	})
-	c := fs.client(Config{Pipeline: true, MuxConns: 1, BatchWindow: 2 * time.Millisecond, Retries: -1})
+	c := fs.client(Config{Pipeline: true, MuxConns: 1, Retries: -1})
 	defer c.Close()
 	var wg sync.WaitGroup
 	var failed atomic.Int32
@@ -288,10 +288,10 @@ func TestMuxBatchWindowCoalesces(t *testing.T) {
 	}
 	wg.Wait()
 	if n := failed.Load(); n != 0 {
-		t.Fatalf("%d requests failed under batch window", n)
+		t.Fatalf("%d requests failed under the coalescing writer", n)
 	}
 	if _, conns := fs.stats(); conns != 1 {
-		t.Fatalf("batch window used %d connections", conns)
+		t.Fatalf("coalesced requests used %d connections", conns)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"xbench/internal/core"
+	"xbench/internal/engines/engbase"
 	"xbench/internal/engines/native"
 	"xbench/internal/engines/xcollection"
 	"xbench/internal/engines/xcolumn"
@@ -82,8 +83,10 @@ func wantEmpty(t *testing.T, e engine) {
 // engbase.Base, checked on each of them: the not-loaded rule, load
 // atomicity, refused updates that leave no trace, one journal record per
 // applied update, idempotent Close, snapshot reads by default — and, on
-// a fake store whose hooks can fail and park, that a failed Freeze stops
-// the engine and that nothing on the read path waits for a writer.
+// a fake store whose hooks can fail and park, the one failure rule
+// (whatever fails between the journal append and the commit stops the
+// engine until the next Load; a cancellation that late does not fail
+// anything) and that nothing on the read path waits for a writer.
 func TestEngineContract(t *testing.T) {
 	ctx := context.Background()
 	db := tinyDB(t)
@@ -261,6 +264,101 @@ func TestEngineContract(t *testing.T) {
 		}
 	})
 
+	// One failure rule: an update that fails anywhere between the bracket
+	// opening and the commit — the journal append, either apply hook, the
+	// sync — closes the bracket with nothing published and stops the
+	// engine, like the failed Freeze above.
+	boom := errors.New("apply failed")
+	for _, row := range []struct {
+		name   string
+		arm    func(c *cell)
+		update func(b *engbase.Base[*cellView]) error
+	}{
+		{"ApplyDelete", func(c *cell) { c.deleteErr = boom },
+			func(b *engbase.Base[*cellView]) error { return b.ReplaceDocument(ctx, "d0.xml", []byte("<d/>")) }},
+		{"ApplyInsert", func(c *cell) { c.inInsert = func(context.Context) error { return boom } },
+			func(b *engbase.Base[*cellView]) error { return b.InsertDocument(ctx, "x.xml", []byte("<d/>")) }},
+	} {
+		t.Run("fake store/a failed "+row.name+" stops the engine", func(t *testing.T) {
+			b, c := newCell(t)
+			mustLoad(t, b, 3)
+			row.arm(c)
+			if err := row.update(b); !errors.Is(err, boom) {
+				t.Fatalf("update with a failing %s: %v", row.name, err)
+			}
+			c.inInsert, c.deleteErr = nil, nil
+			wantStopped(t, b)
+			mustLoad(t, b, 5)
+			if res, err := b.Execute(ctx, core.Q1, nil); err != nil || res.Items[0] != "5" {
+				t.Fatalf("Execute after the reload = %v, %v", res.Items, err)
+			}
+		})
+	}
+
+	// The journal append and the sync fail when the disk does: crash the
+	// update at every disk operation it makes. The fake's hooks touch the
+	// pool only, so a crash that tore the journal record is a failed
+	// append and one that left it whole is a failed sync; both must occur,
+	// and both stop the engine until recovery reloads it.
+	t.Run("fake store/a failed journal append or sync stops the engine", func(t *testing.T) {
+		failed := map[int]int{} // journal records after recovery -> crashes
+		for k := int64(0); ; k++ {
+			b, _ := newCell(t)
+			p := b.Pager()
+			p.SetFaultPolicy(pager.FaultPolicy{}) // count disk ops, keep a WAL to recover from
+			mustLoad(t, b, 3)
+			p.SetFaultPolicy(pager.FaultPolicy{CrashAfterOps: p.OpCount() + k})
+			err := b.InsertDocument(ctx, "x.xml", []byte("<d/>"))
+			if err == nil {
+				break // the update outran the crash point: every op is covered
+			}
+			if !pager.IsCrash(err) {
+				t.Fatalf("crash at op +%d: %v", k, err)
+			}
+			wantStopped(t, b)
+			if _, err := p.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			p.SetFaultPolicy(pager.FaultPolicy{})
+			n, err := b.JournalRecords()
+			if err != nil {
+				t.Fatal(err)
+			}
+			failed[n]++
+			mustLoad(t, b, 5)
+			if res, err := b.Execute(ctx, core.Q1, nil); err != nil || res.Items[0] != "5" {
+				t.Fatalf("crash at op +%d: Execute after the reload = %v, %v", k, res.Items, err)
+			}
+		}
+		if failed[0] == 0 || failed[1] == 0 {
+			t.Errorf("crashes by journal records left behind = %v; want some in the append (0) and some in the sync (1)", failed)
+		}
+	})
+
+	// Past the journal append the update is committed, so a deadline that
+	// expires there must not stop the apply: the hook's ctx is not the
+	// caller's, and the update commits. Before the append a cancelled ctx
+	// refuses the update without a trace.
+	t.Run("fake store/a ctx cancelled after the journal append commits", func(t *testing.T) {
+		b, c := newCell(t)
+		mustLoad(t, b, 3)
+		cctx, cancel := context.WithCancel(ctx)
+		c.inInsert = func(hook context.Context) error { cancel(); return hook.Err() }
+		if err := b.InsertDocument(cctx, "x.xml", []byte("<d/>")); err != nil {
+			t.Fatalf("U1 cancelled inside ApplyInsert: %v", err)
+		}
+		if res, err := b.Execute(ctx, core.Q1, nil); err != nil || res.Items[0] != "4" {
+			t.Fatalf("Execute after the commit = %v, %v", res.Items, err)
+		}
+		c.inInsert = nil
+		if err := b.InsertDocument(cctx, "y.xml", []byte("<d/>")); !errors.Is(err, context.Canceled) {
+			t.Fatalf("U1 under an already cancelled ctx: %v", err)
+		}
+		if n, _ := b.JournalRecords(); n != 1 {
+			t.Fatalf("journal holds %d records, want the one committed update", n)
+		}
+	})
+
 	// No latch anywhere on the read path: with a writer stopped inside
 	// ApplyInsert — latch held, page already rewritten — Execute and
 	// Explain still answer, from the view published before it began.
@@ -324,6 +422,31 @@ func TestEngineContract(t *testing.T) {
 			t.Fatalf("Q1 after the reload = %v, %v", res.Items, err)
 		}
 	})
+}
+
+// wantStopped fails unless b is a stopped engine: every operation answers
+// the not-loaded error, no snapshot is pinned, no page version retained.
+func wantStopped(t *testing.T, b *engbase.Base[*cellView]) {
+	t.Helper()
+	ctx := context.Background()
+	for name, run := range map[string]func() error{
+		"Execute":      func() error { _, err := b.Execute(ctx, core.Q1, nil); return err },
+		"Explain":      func() error { _, err := b.Explain(ctx, core.Q1, nil); return err },
+		"BuildIndexes": func() error { return b.BuildIndexes(nil) },
+		"insert":       func() error { return b.InsertDocument(ctx, "y.xml", []byte("<d/>")) },
+		"replace":      func() error { return b.ReplaceDocument(ctx, "y.xml", []byte("<d/>")) },
+		"delete":       func() error { return b.DeleteDocument(ctx, "d0.xml") },
+	} {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "cell: "+name+" before Load") {
+			t.Errorf("%s on the stopped engine: %v", name, err)
+		}
+	}
+	if n := b.Pager().PinnedSnapshots(); n != 0 {
+		t.Errorf("%d snapshots left pinned", n)
+	}
+	if n := b.Pager().LiveVersions(); n != 0 {
+		t.Errorf("%d page versions retained with the bracket closed and no pin held", n)
+	}
 }
 
 // TestPhasesPartitionExecute: the phases one query records are disjoint

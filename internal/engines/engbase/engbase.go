@@ -2,12 +2,14 @@
 // embeds *Base and supplies a Store — its on-disk layout and its query
 // path — and Base owns everything that is the same for every storage
 // strategy: the writers' latch, the pager, the logical update journal,
-// version GC, the planner's feedback, and the protocols built on them
-// (DESIGN.md §9 load and query, §10 updates, §15 snapshot reads). They
-// are written once, here, so a rule such as "nothing runs against a
-// store that was never loaded", "the journal append comes before the
-// apply" or "a query is planned over the view it runs against" cannot
-// drift between engines.
+// the planner's feedback, and the protocols built on them (DESIGN.md §9
+// load and query, §10 updates, §15 snapshot reads). They are written
+// once, here, so a rule such as "nothing runs against a store that was
+// never loaded", "the journal append comes before the apply" or "a query
+// is planned over the view it runs against" cannot drift between
+// engines. The commit is one of them: a Store's hooks only mutate, and
+// publish is the one place a mutation — a load, an index build, an
+// update — is frozen, synced and made visible, or the engine stops.
 //
 // What is committed has one owner, the pager: the call that commits an
 // epoch (EndMutation, AdvanceEpoch) takes the publication of that epoch —
@@ -25,7 +27,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"xbench/internal/core"
 	"xbench/internal/metrics"
@@ -35,11 +36,6 @@ import (
 	"xbench/internal/updatelog"
 	"xbench/internal/xmldom"
 )
-
-// gcInterval is the background version-GC cadence. Inline pruning on
-// snapshot release and commit already reclaims most versions; the ticker
-// only mops up after bursts that end with a pin still outstanding.
-const gcInterval = 2 * time.Second
 
 // Store is the part of an engine that is its own: how documents are laid
 // out over the pager and how a planned query runs against them. V is the
@@ -59,13 +55,16 @@ type Store[V any] interface {
 
 	// Reset empties the store: files truncated, volatile maps dropped.
 	Reset() error
-	// LoadDocs bulk-loads db into the freshly reset store and leaves
-	// every dirty page on disk. Base fills in LoadStats.PageIO.
+	// LoadDocs bulk-loads db into the freshly reset store. The syncs in
+	// it are the load's own — the per-document commits the paper's Table 4
+	// prices — and leave nothing dirty, so Base fills in LoadStats.PageIO
+	// when it returns and the commit that follows writes nothing more.
 	LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats, error)
 
 	// Freeze returns the store's immutable read surface at the commit
-	// epoch the open mutation (or the load) is about to commit. The
-	// store is synced when Base calls it, so freezing flushes nothing.
+	// epoch the open mutation (or the load) is about to commit. It
+	// flushes the heap tails the mutation dirtied into the pool, and only
+	// those; Base syncs the pager after it.
 	Freeze(epoch uint64) (V, error)
 	// Stats returns what the planner needs to know about v: the class
 	// whose query catalog applies and the statistics the cost model
@@ -76,7 +75,7 @@ type Store[V any] interface {
 	// Result.PageIO.
 	Exec(ctx context.Context, v V, ph *plan.Physical, p core.Params) (core.Result, error)
 	// BuildIndexes creates the Table 3 value indexes among specs that
-	// apply to the loaded class. Base syncs the pager afterwards.
+	// apply to the loaded class.
 	BuildIndexes(specs []core.IndexSpec) error
 
 	// Validate reports whether the store can hold doc; it runs before the
@@ -84,13 +83,13 @@ type Store[V any] interface {
 	Validate(doc *xmldom.Node) error
 	// Exists reports whether a document is stored under name.
 	Exists(name string) bool
-	// ApplyInsert stores a validated document and syncs the store.
+	// ApplyInsert stores a validated document and ApplyDelete removes a
+	// stored one. Like BuildIndexes they only mutate: no hook syncs, and
+	// an error from any of them stops the engine (see publish). Their ctx
+	// is never cancelled — the journal append before them committed the
+	// update.
 	ApplyInsert(ctx context.Context, name string, data []byte, doc *xmldom.Node) error
-	// ApplyDelete removes a stored document and syncs the store.
-	// replacing says the ApplyInsert of its successor follows inside the
-	// same update, so a store whose ApplyInsert syncs everything dirty
-	// may leave the sync to it.
-	ApplyDelete(ctx context.Context, name string, replacing bool) error
+	ApplyDelete(ctx context.Context, name string) error
 }
 
 // Base is the embedded half of an engine; see the package comment.
@@ -105,8 +104,8 @@ type Base[V any] struct {
 	journal *updatelog.Log // logical redo journal for U1-U3
 	fb      plan.Feedback  // observed range selectivities, for every Plan call
 	// loaded is set by a successful Load and cleared by reset, a failed
-	// Freeze and Close: it gates the writers the way the published view
-	// gates the readers. Guarded by mu.
+	// mutation (publish) and Close: it gates the writers the way the
+	// published view gates the readers. Guarded by mu.
 	loaded bool
 }
 
@@ -147,21 +146,12 @@ func (pub *publication[V]) plan(q core.QueryID) (*plan.Physical, error) {
 	return ph, err
 }
 
-// NewPager returns the pager an engine is built on, with a metrics
-// registry of its own: an engine creates its Store's files on it first
-// and then hands both to New.
-func NewPager(poolPages int) *pager.Pager {
-	p := pager.New(poolPages)
-	p.SetMetrics(metrics.NewRegistry())
-	return p
-}
-
-// New returns the base of an empty engine over s, whose files live on p.
-// It adds the update journal file and starts version GC.
+// New returns the base of an empty engine over s, whose files live on p:
+// an engine creates its Store's files on a pager.New first and then hands
+// both over. New adds the update journal file, and starts nothing — an
+// engine has no goroutine of its own.
 func New[V any](p *pager.Pager, s Store[V]) *Base[V] {
-	b := &Base[V]{p: p, s: s, journal: updatelog.New(p, "updates")}
-	p.StartGC(gcInterval)
-	return b
+	return &Base[V]{p: p, s: s, journal: updatelog.New(p, "updates")}
 }
 
 // Name implements core.Engine.
@@ -188,16 +178,27 @@ func (b *Base[V]) notLoaded(op string) error {
 	return fmt.Errorf("%s: %s before Load", b.s.Name(), op)
 }
 
-// publish freezes the store at epoch and commits the epoch with the
-// publication of that view, through commit: EndMutation inside a bracket,
-// AdvanceEpoch after a load. Freezing before the commit is what lets the
-// two change together. If Freeze fails the epoch is committed with
-// nothing to read and the engine stops: the store holds the update but
-// cannot be read at it, so every operation answers the not-loaded error
-// until the next Load. The caller holds the latch and has synced the
-// store.
-func (b *Base[V]) publish(epoch uint64, commit func(view any) uint64) error {
-	v, err := b.s.Freeze(epoch)
+// publish ends every mutation of the store — a load, an index build, an
+// update — and is the only place one becomes durable and visible: freeze
+// the store at epoch (which flushes the heap tails the mutation dirtied),
+// sync the pager, and commit the epoch with the publication of that view
+// through commit — EndMutation inside a bracket, AdvanceEpoch after a
+// load. Freezing before the commit is what lets epoch and view change
+// together. err is what the mutation's own hooks returned, and there is
+// one failure rule: if they, Freeze or the sync failed, the epoch is
+// committed with nothing to read and the engine stops — the store may
+// hold half the mutation and its volatile maps may disagree with its
+// pages, so every operation answers the not-loaded error until the next
+// Load (RecoverUpdates, after a crash) rebuilds both. The caller holds
+// the latch.
+func (b *Base[V]) publish(epoch uint64, commit func(view any) uint64, err error) error {
+	var v V
+	if err == nil {
+		v, err = b.s.Freeze(epoch)
+	}
+	if err == nil {
+		err = b.p.SyncAll()
+	}
 	if err != nil {
 		b.loaded = false
 		commit(nil)
@@ -257,7 +258,7 @@ func (b *Base[V]) Load(ctx context.Context, db *core.Database) (core.LoadStats, 
 	}
 	st.PageIO = b.p.Stats().IO() - before
 	b.loaded = true
-	if err := b.publish(b.p.SnapshotEpoch()+1, b.p.AdvanceEpoch); err != nil {
+	if err := b.publish(b.p.SnapshotEpoch()+1, b.p.AdvanceEpoch, nil); err != nil {
 		return st, b.abortLoad(err)
 	}
 	return st, nil
@@ -272,13 +273,7 @@ func (b *Base[V]) BuildIndexes(specs []core.IndexSpec) error {
 		return b.notLoaded("BuildIndexes")
 	}
 	epoch := b.p.BeginMutation()
-	if err := b.s.BuildIndexes(specs); err != nil {
-		return err
-	}
-	if err := b.p.SyncAll(); err != nil {
-		return err
-	}
-	return b.publish(epoch, b.p.EndMutation)
+	return b.publish(epoch, b.p.EndMutation, b.s.BuildIndexes(specs))
 }
 
 // planned is the read protocol up to the plan, for the operation named
@@ -364,12 +359,12 @@ func (b *Base[V]) Close() error {
 // overwrites is versioned with its pre-image at the next commit epoch,
 // so pinned snapshot readers keep the pre-update state, and publish
 // commits the epoch together with the store's view of it, which is what
-// makes the update visible to new readers. A refused update (not loaded,
-// malformed, name taken, name missing) returns before the bracket opens
-// and the journal is touched. An apply that fails after the append
-// returns with the bracket open and the engine still serving its last
-// published view; making that fail-stop is ROADMAP item 3, and this
-// function is the one place to do it (publish shows how: commit nil).
+// makes the update visible to new readers. A refused update (cancelled,
+// not loaded, malformed, name taken, name missing) returns before the
+// bracket opens and the journal is touched. Past the append the update is
+// committed, so the apply cannot be cancelled — a client deadline that
+// expires then would leave a journaled update half applied — and an
+// append or an apply that fails stops the engine (publish).
 func (b *Base[V]) update(ctx context.Context, kind updatelog.Kind, name string, data []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -396,21 +391,16 @@ func (b *Base[V]) update(ctx context.Context, kind updatelog.Kind, name string, 
 	case kind == updatelog.KindDelete && !exists:
 		return fmt.Errorf("%s: document %q not found", b.s.Name(), name)
 	}
+	ctx = context.WithoutCancel(ctx)
 	epoch := b.p.BeginMutation()
-	if err := b.journal.Append(updatelog.Record{Kind: kind, Name: name, Data: data}); err != nil {
-		return err
+	err := b.journal.Append(updatelog.Record{Kind: kind, Name: name, Data: data})
+	if err == nil && exists {
+		err = b.s.ApplyDelete(ctx, name)
 	}
-	if exists {
-		if err := b.s.ApplyDelete(ctx, name, kind == updatelog.KindReplace); err != nil {
-			return err
-		}
+	if err == nil && kind != updatelog.KindDelete {
+		err = b.s.ApplyInsert(ctx, name, data, doc)
 	}
-	if kind != updatelog.KindDelete {
-		if err := b.s.ApplyInsert(ctx, name, data, doc); err != nil {
-			return err
-		}
-	}
-	return b.publish(epoch, b.p.EndMutation)
+	return b.publish(epoch, b.p.EndMutation, err)
 }
 
 // InsertDocument implements core.Engine (U1). It fails if the name

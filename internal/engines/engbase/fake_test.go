@@ -18,14 +18,20 @@ import (
 // documents stored. A view remembers the count it was frozen with, and
 // Exec reads the page as of the view's epoch and compares — so a reader
 // handed a view of one epoch under a pin of another (whose page version
-// GC is free to reclaim) fails instead of answering. Its hooks can be
-// made to fail or to park, which no real store can be.
+// GC is free to reclaim) fails instead of answering. Like a real store's,
+// its hooks only mutate — Base syncs — but they can be made to fail or to
+// park, which no real store can be.
 type cell struct {
 	p     *pager.Pager
 	fid   pager.FileID
 	names map[string]bool
 
-	freezeErr error // what Freeze returns, when set
+	// What Freeze and ApplyDelete return, when set; ApplyDelete fails
+	// after rewriting the page, as a real half-applied update would.
+	freezeErr, deleteErr error
+	// inInsert, when set, runs inside ApplyInsert after the page is
+	// rewritten, with the hook's ctx; its error is the hook's.
+	inInsert func(ctx context.Context) error
 	// ApplyInsert, when parked is set, signals on it after rewriting the
 	// page and then waits for resume: a writer stopped mid-apply with the
 	// latch held.
@@ -39,7 +45,7 @@ type cellView struct {
 
 func newCell(t *testing.T) (*engbase.Base[*cellView], *cell) {
 	t.Helper()
-	p := engbase.NewPager(16)
+	p := pager.New(16)
 	c := &cell{p: p, fid: p.Create("cell")}
 	b := engbase.New[*cellView](p, c)
 	t.Cleanup(func() { b.Close() })
@@ -57,10 +63,7 @@ func docs(n int) *core.Database {
 func (c *cell) write() error {
 	buf := make([]byte, 8)
 	binary.LittleEndian.PutUint64(buf, uint64(len(c.names)))
-	if err := c.p.Write(c.fid, 0, buf); err != nil {
-		return err
-	}
-	return c.p.SyncAll()
+	return c.p.Write(c.fid, 0, buf)
 }
 
 func (c *cell) Name() string                         { return "cell" }
@@ -100,10 +103,15 @@ func (c *cell) Exec(_ context.Context, v *cellView, _ *plan.Physical, _ core.Par
 func (c *cell) BuildIndexes([]core.IndexSpec) error { return nil }
 func (c *cell) Validate(*xmldom.Node) error         { return nil }
 func (c *cell) Exists(name string) bool             { return c.names[name] }
-func (c *cell) ApplyInsert(_ context.Context, name string, _ []byte, _ *xmldom.Node) error {
+func (c *cell) ApplyInsert(ctx context.Context, name string, _ []byte, _ *xmldom.Node) error {
 	c.names[name] = true
 	if err := c.write(); err != nil {
 		return err
+	}
+	if c.inInsert != nil {
+		if err := c.inInsert(ctx); err != nil {
+			return err
+		}
 	}
 	if c.parked != nil {
 		c.parked <- struct{}{}
@@ -111,9 +119,12 @@ func (c *cell) ApplyInsert(_ context.Context, name string, _ []byte, _ *xmldom.N
 	}
 	return nil
 }
-func (c *cell) ApplyDelete(_ context.Context, name string, _ bool) error {
+func (c *cell) ApplyDelete(_ context.Context, name string) error {
 	delete(c.names, name)
-	return c.write()
+	if err := c.write(); err != nil {
+		return err
+	}
+	return c.deleteErr
 }
 
 func mustLoad(t *testing.T, b *engbase.Base[*cellView], n int) {

@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"xbench/internal/btree"
@@ -45,7 +44,6 @@ import (
 	"xbench/internal/metrics"
 	"xbench/internal/pager"
 	"xbench/internal/plan"
-	"xbench/internal/queries"
 	"xbench/internal/xmldom"
 	"xbench/internal/xquery"
 )
@@ -99,9 +97,6 @@ type store struct {
 	// fills it and updates (replayed ones included) maintain it.
 	names   map[string]pager.RID
 	indexes map[string]*btree.Tree
-	// compiled memoizes xquery.Parse per catalog query
-	// (*queries.Def -> *xquery.Query): at most 20 queries x 4 classes.
-	compiled sync.Map
 }
 
 // view is the read surface of the store at one commit epoch: frozen
@@ -113,7 +108,8 @@ type view struct {
 	indexes map[string]*btree.TreeView
 }
 
-// Freeze implements engbase.Store: heap and index views at epoch.
+// Freeze implements engbase.Store: heap and index views at epoch. The
+// views flush the tail page of a heap the mutation appended to or patched.
 func (s *store) Freeze(epoch uint64) (*view, error) {
 	docs, err := s.docs.View(epoch)
 	if err != nil {
@@ -152,7 +148,7 @@ func NewWithOptions(poolPages int, opts Options) (*Engine, error) {
 	if opts.SegmentThreshold <= 0 {
 		opts.SegmentThreshold = defaultSegmentThreshold
 	}
-	p := engbase.NewPager(poolPages)
+	p := pager.New(poolPages)
 	s := &store{
 		p:       p,
 		opts:    opts,
@@ -516,8 +512,9 @@ func (s *store) Exec(ctx context.Context, v *view, ph *plan.Physical, p core.Par
 	if err != nil {
 		return core.Result{}, err
 	}
+	// The planner parsed the text to cost it; this is that parse.
 	parseSpan := reg.StartSpan(metrics.PhaseParse)
-	compiled, err := s.compile(def)
+	compiled, err := ph.Query, ph.ParseErr
 	parseSpan.End()
 	if err != nil {
 		return core.Result{}, fmt.Errorf("native: %s/%s: %w", v.class, def.ID, err)
@@ -538,19 +535,6 @@ func (s *store) Exec(ctx context.Context, v *view, ph *plan.Physical, p core.Par
 	items := xquery.SerializeSeq(seq)
 	matSpan.End()
 	return core.Result{Items: items, OrderGuaranteed: true}, nil
-}
-
-// compile returns def's query compiled, parsing it on first use.
-func (s *store) compile(def *queries.Def) (*xquery.Query, error) {
-	if c, ok := s.compiled.Load(def); ok {
-		return c.(*xquery.Query), nil
-	}
-	c, err := xquery.Parse(def.XQuery)
-	if err != nil {
-		return nil, err
-	}
-	s.compiled.Store(def, c)
-	return c, nil
 }
 
 // Stats implements engbase.Store: document heap pages, catalog entry
@@ -709,17 +693,14 @@ func (s *store) Exists(name string) bool {
 }
 
 // ApplyInsert implements engbase.Store: it stores and catalogs the
-// document, adds its values to every index (read back from the records
-// just written, as a delete reads them) and syncs.
+// document and adds its values to every index (read back from the records
+// just written, as a delete reads them).
 func (s *store) ApplyInsert(ctx context.Context, name string, raw []byte, parsed *xmldom.Node) error {
 	cat, en, err := s.storeDocument(name, parsed, raw)
 	if err != nil {
 		return err
 	}
-	if err := s.eachIndexEntry(ctx, cat, en, (*btree.Tree).Insert); err != nil {
-		return err
-	}
-	return s.syncStore()
+	return s.eachIndexEntry(ctx, cat, en, (*btree.Tree).Insert)
 }
 
 // eachIndexEntry applies op (Insert or Delete) to every value index for
@@ -743,9 +724,8 @@ func (s *store) eachIndexEntry(ctx context.Context, cat pager.RID, en docEntry, 
 
 // ApplyDelete implements engbase.Store: it removes the named document
 // where it lies — its values leave every index, its stored records and
-// its catalog entry are tombstoned — and syncs, unless the successor's
-// ApplyInsert is about to.
-func (s *store) ApplyDelete(ctx context.Context, name string, replacing bool) error {
+// its catalog entry are tombstoned.
+func (s *store) ApplyDelete(ctx context.Context, name string) error {
 	cat := s.names[name]
 	rec, err := s.catalog.Get(ctx, cat)
 	if err != nil {
@@ -767,20 +747,5 @@ func (s *store) ApplyDelete(ctx context.Context, name string, replacing bool) er
 		return err
 	}
 	delete(s.names, name)
-	if replacing {
-		return nil
-	}
-	return s.syncStore()
-}
-
-// syncStore flushes both heaps and forces the update's dirty pages (index
-// leaves included) to disk, inside the update's mutation.
-func (s *store) syncStore() error {
-	if err := s.docs.Flush(); err != nil {
-		return err
-	}
-	if err := s.catalog.Flush(); err != nil {
-		return err
-	}
-	return s.p.SyncAll()
+	return nil
 }

@@ -34,7 +34,7 @@ func loadStore(t *testing.T, class core.Class, opts shredder.Options) *shredder.
 			t.Fatal(err)
 		}
 	}
-	if err := s.Flush(); err != nil {
+	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -199,7 +199,7 @@ func TestRangeFeedbackRecostsPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Flush(); err != nil {
+	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.DB.Table("item_tab").CreateIndex("date_of_release"); err != nil {

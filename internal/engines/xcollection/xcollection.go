@@ -85,7 +85,7 @@ func New(pol Policy, poolPages, rowLimit int) *Engine {
 	if pol.rowLimit > 0 && rowLimit > 0 {
 		pol.rowLimit = rowLimit
 	}
-	p := engbase.NewPager(poolPages)
+	p := pager.New(poolPages)
 	s := &store{pol: pol, p: p}
 	return &Engine{Base: engbase.New[*shredder.Store](p, s), s: s}
 }
@@ -127,7 +127,10 @@ func (s *store) Reset() error {
 }
 
 // LoadDocs implements engbase.Store: shred each document as its own
-// transaction, then build the key indexes.
+// transaction — every table flushed and synced per document, because both
+// DB2's decomposition and the SQLXML bulk loader work document-at-a-time
+// (the per-document I/O is what makes DC/MD the slowest class to load in
+// Table 4) — then build the key indexes.
 func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats, error) {
 	var st core.LoadStats
 	s.docIDs = make(map[string]string, len(db.Docs))
@@ -144,6 +147,9 @@ func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats
 			return st, fmt.Errorf("%s: %s: %w", s.pol.name, d.Name, err)
 		}
 		rows, err := s.shred.ShredDocument(d.Name, doc)
+		if err == nil {
+			err = s.shred.Sync()
+		}
 		if err != nil {
 			return st, err
 		}
@@ -230,8 +236,8 @@ func (s *store) Exists(name string) bool {
 	return ok
 }
 
-// ApplyInsert implements engbase.Store: it shreds the document, which
-// commits it, and records its root id.
+// ApplyInsert implements engbase.Store: it shreds the document and
+// records its root id.
 func (s *store) ApplyInsert(_ context.Context, name string, _ []byte, doc *xmldom.Node) error {
 	if _, err := s.shred.ShredDocument(name, doc); err != nil {
 		return err
@@ -241,9 +247,8 @@ func (s *store) ApplyInsert(_ context.Context, name string, _ []byte, doc *xmldo
 }
 
 // ApplyDelete implements engbase.Store: the delete cascade keyed by the
-// document's root id, which is a transaction of its own whether or not a
-// replacement follows.
-func (s *store) ApplyDelete(ctx context.Context, name string, _ bool) error {
+// document's root id.
+func (s *store) ApplyDelete(ctx context.Context, name string) error {
 	if _, err := s.shred.DeleteDocumentRows(ctx, s.docIDs[name]); err != nil {
 		return err
 	}

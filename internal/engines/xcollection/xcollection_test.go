@@ -152,3 +152,52 @@ func TestQ8DropsQtText(t *testing.T) {
 		}
 	}
 }
+
+// stopAfter is a context whose Err turns Canceled after n calls. LoadDocs
+// asks once per document, so the load stops with exactly n shredded.
+type stopAfter struct {
+	context.Context
+	n int
+}
+
+func (c *stopAfter) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestLoadCommitsEachDocument: each document of a load is committed
+// before the next is shredded — both modeled loaders work
+// document-at-a-time, and that per-document I/O is what Table 4 prices.
+// A load stopped after n documents has written pages for each of them
+// and left nothing dirty for a later sync to write. (The shredder only
+// inserts; the commit is this package's load loop.)
+func TestLoadCommitsEachDocument(t *testing.T) {
+	db, err := gen.Config{Orders: 8}.Generate(core.DCMD, core.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last int64
+	for n := 1; n <= 4; n++ {
+		e := New(SQLServer, 128, 0)
+		st, err := e.s.LoadDocs(&stopAfter{context.Background(), n}, db)
+		if !errors.Is(err, context.Canceled) || st.Documents != n {
+			t.Fatalf("load stopped after %d documents: %d loaded, %v", n, st.Documents, err)
+		}
+		p := e.Pager()
+		writes := p.Stats().Writes
+		if writes <= last {
+			t.Fatalf("document %d was shredded without a page written: %d writes, %d after the one before", n, writes, last)
+		}
+		last = writes
+		if err := p.SyncAll(); err != nil {
+			t.Fatal(err)
+		}
+		if extra := p.Stats().Writes - writes; extra != 0 {
+			t.Fatalf("%d documents loaded, %d dirty pages left behind", n, extra)
+		}
+		e.Close()
+	}
+}

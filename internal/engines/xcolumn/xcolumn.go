@@ -53,7 +53,7 @@ type store struct {
 
 // New returns an empty engine.
 func New(poolPages int) *Engine {
-	p := engbase.NewPager(poolPages)
+	p := pager.New(poolPages)
 	s := &store{p: p, clobs: pager.NewHeap(p, "clobs")}
 	return &Engine{engbase.New[*view](p, s)}
 }
@@ -69,7 +69,8 @@ type view struct {
 }
 
 // Freeze implements engbase.Store: a CLOB heap view, a copy of the rid
-// list and a snapshot clone of the side tables at epoch.
+// list and a snapshot clone of the side tables at epoch. The views flush
+// the tail page of each heap the mutation appended to or patched.
 func (s *store) Freeze(epoch uint64) (*view, error) {
 	cv, err := s.clobs.View(epoch)
 	if err != nil {
@@ -625,8 +626,8 @@ func (s *store) Exists(name string) bool {
 	return ok
 }
 
-// ApplyInsert implements engbase.Store: it stores the CLOB, generates
-// the side-table rows and syncs.
+// ApplyInsert implements engbase.Store: it stores the CLOB and generates
+// the side-table rows.
 func (s *store) ApplyInsert(_ context.Context, name string, data []byte, parsed *xmldom.Node) error {
 	rid, err := s.clobs.Insert(data)
 	if err != nil {
@@ -634,34 +635,17 @@ func (s *store) ApplyInsert(_ context.Context, name string, data []byte, parsed 
 	}
 	s.rids = append(s.rids, rid)
 	s.names[name] = rid
-	if _, err := s.populateSideTables(strconv.FormatUint(uint64(rid), 10), parsed); err != nil {
-		return err
-	}
-	return s.syncStore()
-}
-
-// syncStore flushes the CLOB and side-table heaps and forces the
-// update's dirty pages to disk, inside the update's mutation.
-func (s *store) syncStore() error {
-	if err := s.clobs.Sync(); err != nil {
-		return err
-	}
-	for _, tn := range s.db.TableNames() {
-		if err := s.db.Table(tn).Flush(); err != nil {
-			return err
-		}
-	}
-	return s.p.SyncAll()
+	_, err = s.populateSideTables(strconv.FormatUint(uint64(rid), 10), parsed)
+	return err
 }
 
 // ApplyDelete implements engbase.Store: it removes the document's
-// side-table rows (every side table carries a doc reference column),
-// tombstones its CLOB and syncs, unless the successor's ApplyInsert is
-// about to. Load writes no index on doc — the DAD declares none, and the
-// stored size and the cold query paths stay what the paper's system had —
-// so the first delete builds one per side table, and every later delete
-// probes it instead of scanning the table.
-func (s *store) ApplyDelete(ctx context.Context, name string, replacing bool) error {
+// side-table rows (every side table carries a doc reference column) and
+// tombstones its CLOB. Load writes no index on doc — the DAD declares
+// none, and the stored size and the cold query paths stay what the
+// paper's system had — so the first delete builds one per side table, and
+// every later delete probes it instead of scanning the table.
+func (s *store) ApplyDelete(ctx context.Context, name string) error {
 	rid := s.names[name]
 	ref := strconv.FormatUint(uint64(rid), 10)
 	for _, tn := range s.db.TableNames() {
@@ -686,10 +670,7 @@ func (s *store) ApplyDelete(ctx context.Context, name string, replacing bool) er
 		}
 	}
 	s.rids = rids
-	if replacing {
-		return nil
-	}
-	return s.syncStore()
+	return nil
 }
 
 var _ core.Engine = (*Engine)(nil)

@@ -176,7 +176,6 @@ func (p *Pager) diskOp(kind opKind) error {
 	}
 	fs.ops++
 	if kind == opRead && fs.policy.ReadErrorRate > 0 && fs.rand01() < fs.policy.ReadErrorRate {
-		p.stats.readFaults.Add(1)
 		p.cReadFault.Inc()
 		return fmt.Errorf("%w (op %d)", ErrTransientRead, fs.ops)
 	}
@@ -203,7 +202,6 @@ func (p *Pager) tornWrite() (int, bool) {
 // settle time) and counts the retry. Exponential: attempt 1 waits one
 // unit, attempt 2 two, attempt 3 four.
 func (p *Pager) retryBackoff(attempt int) {
-	p.stats.readRetries.Add(1)
 	p.mu.RLock()
 	c := p.cReadRetry
 	p.mu.RUnlock()

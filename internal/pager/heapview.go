@@ -32,8 +32,10 @@ type HeapView struct {
 
 // View freezes the heap's current extent as of the given commit epoch.
 // A buffered-but-unflushed tail page would be invisible to the pager, so
-// View flushes it first; engines call View after their per-update syncs,
-// making this a no-op in practice.
+// View flushes it first — a dirty one only. That is the commit's flush:
+// the engines freeze their stores once per mutation and sync after it
+// (engbase.Base.publish), so a heap the mutation never touched writes
+// nothing.
 func (h *Heap) View(epoch uint64) (HeapView, error) {
 	if h.tailDirty {
 		if err := h.Flush(); err != nil {

@@ -28,9 +28,11 @@
 //   - GC reclaims versions whose supersededAt is <= the lowest pinned
 //     epoch, clamped to the committed epoch so an open bracket's
 //     pre-images survive until their commit even with no pins held. It
-//     runs inline on unpin and commit, and optionally in the background
-//     (StartGC) so long-pinned snapshots don't defer all reclamation to
-//     the releasing reader.
+//     runs inline, and only inline: the reclaimable set is a function of
+//     (lowest pin, committed epoch), those change only in Release,
+//     EndMutation, AdvanceEpoch and BlockPins, and each of them prunes
+//     before it returns — so between two such events nothing is left for
+//     a timer to find (TestInlinePruneLeavesNothingToCollect).
 //
 // Version buffers alias the buffers they supersede: the pool replaces
 // page buffers wholesale and never mutates them in place (the documented
@@ -46,7 +48,6 @@ package pager
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"xbench/internal/metrics"
 )
@@ -62,10 +63,10 @@ type pageVersion struct {
 	data         []byte // immutable; aliases a replaced pool/disk buffer
 }
 
-// mvccState carries the snapshot machinery. It has its own mutex so pin
-// and version bookkeeping never contend with the buffer-pool latch; lock
-// order is p.mu before mvcc.mu (ReadAt takes them strictly in sequence,
-// never nested the other way).
+// mvccState carries the snapshot machinery; New builds it whole. It has
+// its own mutex so pin and version bookkeeping never contend with the
+// buffer-pool latch; lock order is p.mu before mvcc.mu (ReadAt takes them
+// strictly in sequence, never nested the other way).
 type mvccState struct {
 	mu   sync.Mutex
 	cond *sync.Cond // signals pin-count drops and unblocks
@@ -90,26 +91,11 @@ type mvccState struct {
 	// not exist at any pinned epoch, so their writes need no pre-image.
 	newPages map[pageKey]struct{}
 
-	gcStop chan struct{}
-	gcDone chan struct{}
-
 	// cached metrics (nil-safe); bound by SetMetrics.
 	cPin     *metrics.Counter // pager.snap.pin: snapshots pinned
 	cCapture *metrics.Counter // pager.snap.capture: page versions captured
 	cVRead   *metrics.Counter // pager.snap.read.version: reads served from a version
 	cGC      *metrics.Counter // pager.snap.gc: versions reclaimed
-}
-
-func (m *mvccState) init() {
-	if m.cond == nil {
-		m.cond = sync.NewCond(&m.mu)
-	}
-	if m.pins == nil {
-		m.pins = make(map[uint64]int)
-	}
-	if m.versions == nil {
-		m.versions = make(map[pageKey][]pageVersion)
-	}
 }
 
 // Snap is one pinned snapshot. Release is idempotent.
@@ -157,7 +143,6 @@ func (s *Snap) Release() {
 func (p *Pager) PinSnapshot() *Snap {
 	m := &p.mvcc
 	m.mu.Lock()
-	m.init()
 	for m.blocked {
 		m.cond.Wait()
 	}
@@ -190,16 +175,7 @@ func (p *Pager) PinnedSnapshots() int {
 }
 
 // LiveVersions returns the number of retained page versions.
-func (p *Pager) LiveVersions() int {
-	m := &p.mvcc
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, vs := range m.versions {
-		n += len(vs)
-	}
-	return n
-}
+func (p *Pager) LiveVersions() int { return int(p.mvcc.retained.Load()) }
 
 // BlockPins waits for every outstanding snapshot pin to be released and
 // then holds new PinSnapshot calls until UnblockPins. It is the quiesce
@@ -208,7 +184,6 @@ func (p *Pager) LiveVersions() int {
 func (p *Pager) BlockPins() {
 	m := &p.mvcc
 	m.mu.Lock()
-	m.init()
 	for m.blocked { // serialize concurrent blockers
 		m.cond.Wait()
 	}
@@ -233,16 +208,13 @@ func (p *Pager) UnblockPins() {
 
 // BeginMutation starts the single writer's copy-on-write bracket: page
 // writes until EndMutation capture pre-images superseded at the returned
-// target epoch. Mutations do not nest; the engines serialize writers on
-// their own mutex.
+// target epoch. Mutations do not nest, and every bracket is closed: the
+// engines serialize writers on their own mutex and end a failed mutation
+// with EndMutation(nil).
 func (p *Pager) BeginMutation() uint64 {
 	m := &p.mvcc
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.init()
-	// A mutation abandoned by a failed apply (the caller surfaces the
-	// error; recovery is the journal's job) leaves mutActive set; the next
-	// bracket reuses the same target so its pre-images stay first-wins.
 	m.mutActive = true
 	m.mutTarget = m.epoch + 1
 	m.newPages = make(map[pageKey]struct{})
@@ -268,17 +240,20 @@ func (p *Pager) EndMutation(view any) uint64 {
 }
 
 // AdvanceEpoch bumps the committed epoch outside a mutation bracket and
-// publishes view with it, as EndMutation does. Load uses it after
-// rebuilding the database under BlockPins, so stale snapshot handles
-// (epoch < current) are distinguishable from fresh ones.
+// publishes view with it, as EndMutation does — pruning included: a
+// bracket its caller abandoned is closed here, and its pre-images fall
+// at or below the new epoch. Load uses it after rebuilding the database
+// under BlockPins, so stale snapshot handles (epoch < current) are
+// distinguishable from fresh ones.
 func (p *Pager) AdvanceEpoch(view any) uint64 {
 	m := &p.mvcc
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.init()
 	m.epoch++
 	m.view = view
 	m.mutActive = false
+	m.newPages = nil
+	m.pruneLocked()
 	return m.epoch
 }
 
@@ -289,7 +264,6 @@ func (p *Pager) mvccReset() {
 	m := &p.mvcc
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.init()
 	m.versions = make(map[pageKey][]pageVersion)
 	m.retained.Store(0)
 	m.mutActive = false
@@ -455,59 +429,14 @@ func (m *mvccState) pruneLocked() {
 }
 
 // GC runs one reclamation pass and returns the number of versions still
-// retained.
+// retained. Every event that makes a version reclaimable already prunes
+// inline, so it finds nothing; it is the instrument that says so.
 func (p *Pager) GC() int {
 	m := &p.mvcc
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.init()
 	m.pruneLocked()
 	return int(m.retained.Load())
-}
-
-// StartGC starts the background version reclaimer, pruning every
-// interval. It complements the inline pruning on unpin/commit: with a
-// long-pinned snapshot, versions that fall below a later, shorter pin
-// are reclaimed without waiting for the long reader. StopGC (or Close)
-// stops it. Starting twice restarts the ticker.
-func (p *Pager) StartGC(interval time.Duration) {
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
-	p.StopGC()
-	m := &p.mvcc
-	m.mu.Lock()
-	m.init()
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	m.gcStop, m.gcDone = stop, done
-	m.mu.Unlock()
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				p.GC()
-			}
-		}
-	}()
-}
-
-// StopGC stops the background reclaimer, if running.
-func (p *Pager) StopGC() {
-	m := &p.mvcc
-	m.mu.Lock()
-	stop, done := m.gcStop, m.gcDone
-	m.gcStop, m.gcDone = nil, nil
-	m.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
 }
 
 // setSnapMetrics binds the snapshot counters; called from SetMetrics

@@ -442,3 +442,93 @@ func TestRetainedCountMatchesVersions(t *testing.T) {
 		t.Fatalf("after the last release: retained count %d, versions %d, want 0", got, p.LiveVersions())
 	}
 }
+
+// TestInlinePruneLeavesNothingToCollect is why there is no background
+// collector: over seeded random walks of every event that touches the
+// version store — pin, release, begin, write, commit, AdvanceEpoch (also
+// over a bracket its writer abandoned), BlockPins — an explicit GC after
+// each event reclaims nothing, because the events that can make a version
+// reclaimable prune before they return. It also holds the retained count,
+// which is all LiveVersions reads, to the number of versions actually in
+// the map.
+func TestInlinePruneLeavesNothingToCollect(t *testing.T) {
+	seeds, events := 200, 400
+	if testing.Short() {
+		seeds = 40
+	}
+	const pages = 4
+	for seed := 0; seed < seeds; seed++ {
+		p := New(8)
+		fid := p.Create("t")
+		for i := 0; i < pages; i++ {
+			if _, err := p.Append(fid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reclaimed := p.Metrics().Counter("pager.snap.gc")
+		rng := rand.New(rand.NewSource(int64(seed)))
+		var snaps []*Snap
+		open := false
+		for ev := 0; ev < events; ev++ {
+			var name string
+			switch op := rng.Intn(20); {
+			case op < 6:
+				name = "write"
+				fillPage(t, p, fid, uint32(rng.Intn(pages)), byte(ev))
+			case op < 9:
+				name = "begin"
+				if !open {
+					p.BeginMutation()
+					open = true
+				}
+			case op < 12:
+				name = "end"
+				if open {
+					p.EndMutation(nil)
+					open = false
+				}
+			case op < 15:
+				name = "pin"
+				snaps = append(snaps, p.PinSnapshot())
+			case op < 18:
+				name = "release"
+				if len(snaps) > 0 {
+					i := rng.Intn(len(snaps))
+					snaps[i].Release()
+					snaps = append(snaps[:i], snaps[i+1:]...)
+				}
+			case op < 19:
+				name = "advance" // closes an open bracket, as a Load after a failed update does
+				p.AdvanceEpoch(nil)
+				open = false
+			default:
+				name = "block"
+				if len(snaps) == 0 && !open {
+					p.BlockPins()
+					p.UnblockPins()
+				}
+			}
+			before := reclaimed.Value()
+			p.GC()
+			if n := reclaimed.Value() - before; n != 0 {
+				t.Fatalf("seed %d event %d (%s): GC reclaimed %d versions the event left behind", seed, ev, name, n)
+			}
+			inMap := 0
+			p.mvcc.mu.Lock()
+			for _, vs := range p.mvcc.versions {
+				inMap += len(vs)
+			}
+			p.mvcc.mu.Unlock()
+			if got := p.LiveVersions(); got != inMap {
+				t.Fatalf("seed %d event %d (%s): retained count %d, versions in the map %d", seed, ev, name, got, inMap)
+			}
+		}
+		for _, s := range snaps {
+			s.Release()
+		}
+		p.AdvanceEpoch(nil)
+		if n := p.LiveVersions(); n != 0 {
+			t.Fatalf("seed %d: %d versions retained with no pin and no bracket", seed, n)
+		}
+	}
+}

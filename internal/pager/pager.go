@@ -17,9 +17,10 @@
 // Latching: the pool is guarded by one reader/writer latch. Pool hits —
 // the overwhelmingly common case for warm multi-client workloads — take
 // the latch shared, so concurrent readers proceed in parallel; misses,
-// writes, syncs and ColdReset take it exclusive. I/O statistics are
-// atomic counters, so Stats (and the engines' PageIO) never block behind
-// a query. The GCLOCK reference count is bumped with an atomic CAS under
+// writes, syncs and ColdReset take it exclusive. I/O events are counted
+// once, in the counters of the pager's metrics registry: Stats (and the
+// engines' PageIO) is a read of nine of them, and a pool hit costs one
+// atomic add. The GCLOCK reference count is bumped with an atomic CAS under
 // the shared latch; all other frame state changes happen under the
 // exclusive latch.
 //
@@ -77,21 +78,6 @@ type Stats struct {
 // IO returns total disk operations (reads + writes).
 func (s Stats) IO() int64 { return s.Reads + s.Writes }
 
-// statCells is the live, concurrently-updated form of Stats. Hits are
-// counted outside any latch; the rest under the exclusive latch — atomics
-// keep Stats() coherent either way.
-type statCells struct {
-	reads        atomic.Int64
-	writes       atomic.Int64
-	hits         atomic.Int64
-	readFaults   atomic.Int64
-	readRetries  atomic.Int64
-	tornWrites   atomic.Int64
-	walAppends   atomic.Int64
-	prefetched   atomic.Int64
-	prefetchHits atomic.Int64
-}
-
 // Pager owns a set of simulated files and a shared buffer pool.
 // It is safe for concurrent use: reads that hit the pool share the
 // latch; everything that changes pool structure is exclusive.
@@ -99,7 +85,6 @@ type Pager struct {
 	mu    sync.RWMutex
 	files map[FileID]*file
 	next  FileID
-	stats statCells
 
 	// buffer pool (GCLOCK replacement, write-back)
 	capacity int
@@ -120,9 +105,10 @@ type Pager struct {
 	// injection, optional otherwise — see the Read aliasing contract).
 	copyReads bool
 
-	// reg receives per-event counters alongside stats; the cached
-	// counters keep the hot paths at one atomic add per event. All are
-	// nil (and inert) until SetMetrics is called.
+	// reg holds the pager's event counters, each event counted exactly
+	// once: Stats reads the nine it reports from here. The cached pointers
+	// keep the hot paths at one atomic add per event. New binds a registry
+	// of the pager's own; SetMetrics rebinds to the caller's.
 	reg         *metrics.Registry
 	cRead       *metrics.Counter // pager.read: demand disk reads (pool misses)
 	cWrite      *metrics.Counter // pager.write: disk writes (write-backs)
@@ -201,13 +187,20 @@ func New(poolPages int) *Pager {
 	if poolPages <= 0 {
 		poolPages = DefaultPoolPages
 	}
-	return &Pager{
+	p := &Pager{
 		files:    make(map[FileID]*file),
 		capacity: poolPages,
 		frames:   make([]frame, poolPages),
 		table:    make(map[pageKey]int, poolPages),
 		streams:  make(map[FileID]*seqStream),
+		mvcc: mvccState{
+			pins:     make(map[uint64]int),
+			versions: make(map[pageKey][]pageVersion),
+		},
 	}
+	p.mvcc.cond = sync.NewCond(&p.mvcc.mu)
+	p.SetMetrics(metrics.NewRegistry())
+	return p
 }
 
 // maxRef is the GCLOCK reference-count cap: a page must be missed by the
@@ -219,10 +212,13 @@ const maxRef = 3
 // promotes a file's access pattern to a detected sequential stream.
 const seqThreshold = 3
 
-// SetMetrics attaches a metrics registry: every subsequent disk read,
+// SetMetrics replaces the registry New bound: every subsequent disk read,
 // write, pool hit, eviction, WAL append and fault retry is counted under
-// "pager.*" names in addition to Stats. Layers above the pager (btree,
-// relational, the engines) share the same registry via Metrics.
+// "pager.*" names in reg, and Stats reads them there — call it before
+// the pager does I/O, or Stats restarts from reg's values. Pagers that
+// share one registry share those counters, so each one's Stats is the
+// total. Layers above the pager (btree, relational, the engines) reach
+// the same registry via Metrics.
 func (p *Pager) SetMetrics(reg *metrics.Registry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -255,8 +251,7 @@ func (p *Pager) heapCounters() (tombstone, reuse *metrics.Counter) {
 	return p.cHeapDead, p.cHeapReuse
 }
 
-// Metrics returns the attached registry (nil, and safe to use, when
-// SetMetrics was never called).
+// Metrics returns the registry the pager counts into.
 func (p *Pager) Metrics() *metrics.Registry {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -285,7 +280,6 @@ func (p *Pager) Create(name string) FileID {
 // crashed pager simply drops them). Double-Close is safe; any file
 // operation after Close fails with ErrClosed.
 func (p *Pager) Close() error {
-	p.StopGC()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -451,7 +445,6 @@ func (p *Pager) readOnce(fid FileID, no uint32) ([]byte, error) {
 		data := p.outPage(p.frames[i].data)
 		cHit := p.cHit
 		p.mu.RUnlock()
-		p.stats.hits.Add(1)
 		cHit.Inc()
 		return data, nil
 	}
@@ -465,7 +458,6 @@ func (p *Pager) readOnce(fid FileID, no uint32) ([]byte, error) {
 	// Another reader may have faulted the page in while we waited.
 	if i, ok := p.table[key]; ok {
 		p.bumpRef(&p.frames[i])
-		p.stats.hits.Add(1)
 		p.cHit.Inc()
 		return p.outPage(p.frames[i].data), nil
 	}
@@ -476,7 +468,6 @@ func (p *Pager) readOnce(fid FileID, no uint32) ([]byte, error) {
 	if err := p.diskOp(opRead); err != nil {
 		return nil, err
 	}
-	p.stats.reads.Add(1)
 	p.cRead.Inc()
 	data := make([]byte, PageSize)
 	copy(data, f.pages[no])
@@ -507,7 +498,6 @@ func (p *Pager) bumpRef(fr *frame) {
 		}
 	}
 	if atomic.SwapUint32(&fr.prefetched, 0) == 1 {
-		p.stats.prefetchHits.Add(1)
 		p.cRAHit.Inc()
 	}
 }
@@ -745,9 +735,7 @@ func (p *Pager) readahead(f *file, fid FileID, st *seqStream, no uint32) {
 		if err := p.diskOp(opRead); err != nil {
 			break
 		}
-		p.stats.reads.Add(1)
 		p.cRead.Inc()
-		p.stats.prefetched.Add(1)
 		p.cRAIssued.Inc()
 		data := make([]byte, PageSize)
 		copy(data, f.pages[next])
@@ -780,10 +768,8 @@ func (p *Pager) writeBack(fr *frame) error {
 	if err := p.diskOp(opWrite); err != nil {
 		return err
 	}
-	p.stats.writes.Add(1)
 	p.cWrite.Inc()
 	if n, torn := p.tornWrite(); torn {
-		p.stats.tornWrites.Add(1)
 		p.cTornWrite.Inc()
 		pg := make([]byte, PageSize)
 		copy(pg[:n], fr.data[:n])
@@ -859,32 +845,33 @@ func (p *Pager) ColdReset() {
 	p.streams = make(map[FileID]*seqStream)
 }
 
-// Stats returns the accumulated I/O counters. It is lock-free and safe
-// to call concurrently with queries; the fields are read individually,
-// so a snapshot taken mid-operation may be skewed by the op in flight.
+// Stats returns the accumulated I/O counters. It takes the latch shared
+// only to see which counters are bound, and is safe to call concurrently
+// with queries; the fields are read individually, so a snapshot taken
+// mid-operation may be skewed by the op in flight.
 func (p *Pager) Stats() Stats {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	return Stats{
-		Reads:        p.stats.reads.Load(),
-		Writes:       p.stats.writes.Load(),
-		Hits:         p.stats.hits.Load(),
-		ReadFaults:   p.stats.readFaults.Load(),
-		ReadRetries:  p.stats.readRetries.Load(),
-		TornWrites:   p.stats.tornWrites.Load(),
-		WALAppends:   p.stats.walAppends.Load(),
-		Prefetched:   p.stats.prefetched.Load(),
-		PrefetchHits: p.stats.prefetchHits.Load(),
+		Reads:        p.cRead.Value(),
+		Writes:       p.cWrite.Value(),
+		Hits:         p.cHit.Value(),
+		ReadFaults:   p.cReadFault.Value(),
+		ReadRetries:  p.cReadRetry.Value(),
+		TornWrites:   p.cTornWrite.Value(),
+		WALAppends:   p.cWALAppend.Value(),
+		Prefetched:   p.cRAIssued.Value(),
+		PrefetchHits: p.cRAHit.Value(),
 	}
 }
 
-// ResetStats zeroes the I/O counters (e.g. between benchmark phases).
+// ResetStats zeroes the counters Stats reports (e.g. between benchmark
+// phases).
 func (p *Pager) ResetStats() {
-	p.stats.reads.Store(0)
-	p.stats.writes.Store(0)
-	p.stats.hits.Store(0)
-	p.stats.readFaults.Store(0)
-	p.stats.readRetries.Store(0)
-	p.stats.tornWrites.Store(0)
-	p.stats.walAppends.Store(0)
-	p.stats.prefetched.Store(0)
-	p.stats.prefetchHits.Store(0)
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	for _, c := range []*metrics.Counter{p.cRead, p.cWrite, p.cHit, p.cReadFault, p.cReadRetry,
+		p.cTornWrite, p.cWALAppend, p.cRAIssued, p.cRAHit} {
+		c.Set(0)
+	}
 }

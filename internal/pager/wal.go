@@ -98,7 +98,6 @@ func (p *Pager) walAppend(kind byte, key pageKey, data []byte) error {
 		}
 		return err
 	}
-	p.stats.walAppends.Add(1)
 	p.cWALAppend.Inc()
 	fs.wal = append(fs.wal, rec...)
 	switch kind {

@@ -1,5 +1,5 @@
 // Package plan is the cost-based query planner. It compiles the parsed
-// XQuery shape of a catalog query (via xquery.Analyze) into a logical
+// XQuery shape of a catalog query (xquery.Query.Shape) into a logical
 // plan, runs a small rewrite pass (predicate pushdown into index
 // probes, limit pushdown for positional [1] access, join reordering for
 // the shredded engines' reconstructions), and costs the access-path
@@ -82,8 +82,10 @@ func FixtureStats(class core.Class) StatValues {
 // execute (access path, probe parameters, pushed-down limit) plus the
 // printable tree served through the Explain API.
 type Physical struct {
-	Def   *queries.Def
-	Shape *xquery.Shape
+	Def *queries.Def
+	// Compiled is Def's text parsed: the Shape costed here and the Query
+	// the native engine evaluates, shared by every plan of the text.
+	*Compiled
 	// Sources is the shape's source list after join reordering: the
 	// primary (outer) access comes first. It is a copy — the memoized
 	// Shape is shared and never mutated.
@@ -126,22 +128,30 @@ func (ph *Physical) Observe(rows, total int) {
 	ph.fb.Observe(ph.FeedbackTarget, int64(rows), int64(total))
 }
 
-// shapeCache memoizes xquery.Analyze per query text: shapes depend only
-// on the XQuery source, and Plan runs on every Execute.
-var shapeCache sync.Map // string -> *xquery.Shape
+// Compiled is what the one parse of a catalog query's text yields, and
+// read-only. A text that does not parse — none of the catalog's — keeps
+// the error for whoever evaluates it and a Shape with no facts, which
+// plans as a full scan.
+type Compiled struct {
+	Shape    *xquery.Shape
+	Query    *xquery.Query
+	ParseErr error
+}
 
-func shapeOf(def *queries.Def) *xquery.Shape {
-	if v, ok := shapeCache.Load(def.XQuery); ok {
-		return v.(*xquery.Shape)
+// compiledCache memoizes compile per query text: all of it depends only
+// on the XQuery source, and Plan runs on every uncached Execute.
+var compiledCache sync.Map // string -> *Compiled
+
+func compile(def *queries.Def) *Compiled {
+	if v, ok := compiledCache.Load(def.XQuery); ok {
+		return v.(*Compiled)
 	}
-	sh, err := xquery.Analyze(def.XQuery)
-	if err != nil {
-		// Unparseable queries cannot come from the catalog; degrade to
-		// a shape with no facts, which plans as a full scan.
-		sh = &xquery.Shape{}
+	c := &Compiled{Shape: &xquery.Shape{}}
+	if c.Query, c.ParseErr = xquery.Parse(def.XQuery); c.ParseErr == nil {
+		c.Shape = c.Query.Shape()
 	}
-	shapeCache.Store(def.XQuery, sh)
-	return sh
+	compiledCache.Store(def.XQuery, c)
+	return c
 }
 
 // Plan builds the costed physical plan for def under st.
@@ -149,13 +159,12 @@ func Plan(def *queries.Def, st StatValues) (*Physical, error) {
 	if def == nil {
 		return nil, core.ErrNoQuery
 	}
-	sh := shapeOf(def)
-	ph := &Physical{Def: def, Shape: sh, Access: AccessScan, fb: st.Feedback}
-	ph.Sources = append([]xquery.Source(nil), sh.Sources...)
+	ph := &Physical{Def: def, Compiled: compile(def), Access: AccessScan, fb: st.Feedback}
+	ph.Sources = append([]xquery.Source(nil), ph.Shape.Sources...)
 	reorderJoin(ph)
 
 	switch {
-	case sh.UsesDoc:
+	case ph.Shape.UsesDoc:
 		ph.Access = AccessDoc
 		ph.EstCost, ph.EstRows = 1, 1
 	case len(ph.Sources) > 0:

@@ -121,3 +121,35 @@ func hasRule(ph *Physical, rule string) bool {
 	}
 	return false
 }
+
+// TestOneParsePerQueryText: a query text is parsed once, for the planner's
+// shape and the evaluator's query alike — every plan of the text hands
+// out the same compiled query — and a text that does not parse still
+// plans, as a full scan, with the parse error kept for whoever evaluates
+// it.
+func TestOneParsePerQueryText(t *testing.T) {
+	def := queries.Lookup(core.DCMD, core.Q1)
+	a, err := Plan(def, FixtureStats(core.DCMD))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Plan(def, StatValues{DataPages: 2, DataRows: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.ParseErr != nil || a.Query == nil || a.Query != b.Query {
+		t.Fatalf("two plans of one text compiled it to %p (%v) and %p", a.Query, a.ParseErr, b.Query)
+	}
+
+	bad := &queries.Def{ID: core.Q1, Class: core.DCMD, XQuery: `//order[@id = `}
+	ph, err := Plan(bad, FixtureStats(core.DCMD))
+	if err != nil {
+		t.Fatalf("an unparseable text must still plan: %v", err)
+	}
+	if ph.Access != AccessScan || len(ph.Sources) != 0 {
+		t.Errorf("unparseable text planned as %v over %d sources, want a full scan", ph.Access, len(ph.Sources))
+	}
+	if ph.ParseErr == nil || ph.Query != nil {
+		t.Errorf("unparseable text compiled to %v, %v", ph.Query, ph.ParseErr)
+	}
+}

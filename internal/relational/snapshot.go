@@ -28,10 +28,10 @@ var ErrSnapshotWrite = fmt.Errorf("relational: write to snapshot table")
 // Snapshot clones the database as an immutable view at the given commit
 // epoch. It must be called from the writer (or under its exclusion) at a
 // commit boundary — the live tables' in-memory extents then exactly
-// describe the pages ReadAt serves at that epoch. Buffered heap tails
-// are flushed as a side effect (a no-op after the engines' per-update
-// syncs). Readers of the snapshot must hold a pager.Snap pinned at the
-// epoch for as long as they use it.
+// describe the pages ReadAt serves at that epoch. The dirty heap tails
+// are flushed on the way (pager.Heap.View): this is the flush of the
+// engines' commit, which syncs after it. Readers of the snapshot must
+// hold a pager.Snap pinned at the epoch for as long as they use it.
 func (db *DB) Snapshot(epoch uint64) (*DB, error) {
 	s := *db // the pager and the bound counters; the tables become views
 	s.tables = make(map[string]*Table, len(db.tables))

@@ -1,7 +1,7 @@
 // The Router: a core.Engine whose "storage" is N remote shards.
 //
 // Routing: single-document operations — the U1-U3 updates and any query
-// the RouteKey function can pin to one document — go to the owning shard
+// DefaultRouteKey can pin to one document — go to the owning shard
 // alone; every other query scatters to all shards and gathers the union
 // (documents are partitioned, so a cross-document query's result is
 // exactly the concatenation of its per-shard results). Updates ride the
@@ -54,12 +54,9 @@ type Shard struct {
 	Replicas []string
 }
 
-// RouteKeyFunc maps a query instance to the single document that fully
-// answers it. Returning ok=false scatters the query to every shard.
-type RouteKeyFunc func(q core.QueryID, p core.Params) (doc string, ok bool)
-
-// DefaultRouteKey recognizes the two query shapes a single document fully
-// answers. Q16 is doc($DOC) — retrieval of one named document — so it
+// DefaultRouteKey maps a query instance to the single document that fully
+// answers it; ok=false scatters the query to every shard. It recognizes
+// two shapes. Q16 is doc($DOC) — retrieval of one named document — so it
 // routes to the DOC param's owner; scattered to a partitioned corpus it
 // would fail on every shard but the owner with "document not found". Q1
 // probing an update target id ("OU<seq>"/"aU<seq>") is answered entirely
@@ -100,9 +97,6 @@ type Config struct {
 	// ReadPref selects primary-preferred (fresh) or replica-preferred
 	// (offloaded, possibly stale) reads.
 	ReadPref ReadPref
-	// RouteKey pins queries to single documents; nil selects
-	// DefaultRouteKey.
-	RouteKey RouteKeyFunc
 	// Metrics receives the router's per-shard counters and gather
 	// histogram; nil creates a private registry (readable via Metrics()).
 	Metrics *metrics.Registry
@@ -118,9 +112,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Fanout <= 0 {
 		c.Fanout = 8
-	}
-	if c.RouteKey == nil {
-		c.RouteKey = DefaultRouteKey
 	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
@@ -311,13 +302,13 @@ func (r *Router) BuildIndexes(specs []core.IndexSpec) error {
 	return errors.Join(errs...)
 }
 
-// Execute routes or scatters one query. A query the RouteKey pins to a
+// Execute routes or scatters one query. A query DefaultRouteKey pins to a
 // document runs on that document's owner alone; everything else runs on
 // every shard and returns the union.
 func (r *Router) Execute(ctx context.Context, q core.QueryID, p core.Params) (core.Result, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if name, ok := r.cfg.RouteKey(q, p); ok {
+	if name, ok := DefaultRouteKey(q, p); ok {
 		sc := r.shards[r.ring.Owner(name)]
 		sc.routed.Inc()
 		res, err := sc.read.Execute(ctx, q, p)

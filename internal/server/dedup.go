@@ -11,7 +11,7 @@
 // recent update (updates are serial per logical op), so the table keeps a
 // bounded window of the highest seqs per client and drops the oldest
 // beyond it. A retry can therefore only miss the table if the client
-// issued DedupPerClient newer updates in between — which the serial
+// issued dedupPerClient newer updates in between — which the serial
 // client protocol makes impossible.
 package server
 
@@ -31,16 +31,15 @@ type clientWindow struct {
 // produced. Safe for concurrent use.
 type dedupTable struct {
 	mu      sync.Mutex
-	perCap  int
 	clients map[uint64]*clientWindow
 	size    int
 }
 
-func newDedupTable(perClientCap int) *dedupTable {
-	if perClientCap <= 0 {
-		perClientCap = 4096
-	}
-	return &dedupTable{perCap: perClientCap, clients: map[uint64]*clientWindow{}}
+// dedupPerClient bounds the window kept per client (see the GC note).
+const dedupPerClient = 4096
+
+func newDedupTable() *dedupTable {
+	return &dedupTable{clients: map[uint64]*clientWindow{}}
 }
 
 // lookup returns the recorded response for key, if any.
@@ -71,7 +70,7 @@ func (d *dedupTable) record(key wire.IdemKey, f wire.Frame) {
 	cw.frames[key.Seq] = f
 	cw.order = append(cw.order, key.Seq)
 	d.size++
-	for len(cw.order) > d.perCap {
+	for len(cw.order) > dedupPerClient {
 		old := cw.order[0]
 		cw.order = cw.order[1:]
 		delete(cw.frames, old)

@@ -67,9 +67,6 @@ type Config struct {
 	// Metrics receives the server's counters and wire-latency histograms;
 	// nil creates a private registry (readable via Metrics()).
 	Metrics *metrics.Registry
-	// DedupPerClient bounds the idempotency dedup window kept per client
-	// (see dedup.go); <= 0 selects 4096.
-	DedupPerClient int
 	// ReadOnly rejects every mutating op (updates, load, index builds)
 	// with core.ErrReadOnly. It is how a read replica serves: queries
 	// answer normally, while writes are turned away at the wire so the
@@ -151,7 +148,7 @@ func New(e core.Engine, cfg Config) *Server {
 		done:  make(chan struct{}),
 		reg:   cfg.Metrics,
 		conns: map[net.Conn]struct{}{},
-		dedup: newDedupTable(cfg.DedupPerClient),
+		dedup: newDedupTable(),
 
 		inflight: map[wire.IdemKey]*pendingUpdate{},
 	}

@@ -15,6 +15,11 @@
 //   - A decomposition row limit per document (DB2's 1024-row limit,
 //     scaled to this reproduction's database sizes) rejects large
 //     single-document databases.
+//
+// ShredDocument and DeleteDocumentRows only insert and delete rows.
+// Committing them is the caller's: the engine's load loop syncs the store
+// after every document (Sync — the document-at-a-time commit Table 4
+// prices), and an update is committed once, by engbase.Base.publish.
 package shredder
 
 import (
@@ -143,12 +148,10 @@ func (s *Store) mixedText(n *xmldom.Node) (string, bool) {
 	return n.Text(), false
 }
 
-// ShredDocument decomposes one parsed document into rows and commits
-// them: every table is flushed and synced per document, because both
-// DB2's decomposition and the SQLXML bulk loader work document-at-a-time
-// (the per-document I/O is what makes DC/MD the slowest class to load in
-// Table 4). It returns the number of rows produced, enforcing
-// Options.RowLimitPerDoc.
+// ShredDocument decomposes one parsed document into rows. It only
+// inserts: the caller commits — a load syncs the store after every
+// document, an update's commit is the engine's. It returns the number of
+// rows produced, enforcing Options.RowLimitPerDoc.
 func (s *Store) ShredDocument(name string, doc *xmldom.Node) (int, error) {
 	before := s.Rows
 	root := doc.Root()
@@ -176,7 +179,7 @@ func (s *Store) ShredDocument(name string, doc *xmldom.Node) (int, error) {
 		return produced, fmt.Errorf("shredder: document %s decomposed into %d rows, exceeding the %d-row limit: %w",
 			name, produced, s.Opts.RowLimitPerDoc, core.ErrUnsupported)
 	}
-	return produced, s.Sync()
+	return produced, nil
 }
 
 func (s *Store) insert(table string, row relational.Row) error {
@@ -187,21 +190,13 @@ func (s *Store) insert(table string, row relational.Row) error {
 	return nil
 }
 
-// Flush persists all table heaps.
-func (s *Store) Flush() error {
+// Sync flushes all tables and forces dirty pages to disk: the end of a
+// load's per-document transaction.
+func (s *Store) Sync() error {
 	for _, name := range s.DB.TableNames() {
 		if err := s.DB.Table(name).Flush(); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// Sync flushes all tables and forces dirty pages to disk (the end of a
-// per-document transaction).
-func (s *Store) Sync() error {
-	if err := s.Flush(); err != nil {
-		return err
 	}
 	return s.DB.Pager.SyncAll()
 }
@@ -269,8 +264,8 @@ func UnitDocID(class core.Class, doc *xmldom.Node) (string, bool) {
 // DeleteDocumentRows removes every row the unit document with the given
 // root id shredded into, returning the number of rows deleted. The
 // cascade is the inverse of shredDCMD/shredArticle: each per-document
-// table is filtered on its document-id column. The store is synced after
-// the rewrite, like a per-document load transaction.
+// table is filtered on its document-id column. Like ShredDocument it
+// leaves the commit to its caller.
 func (s *Store) DeleteDocumentRows(ctx context.Context, id string) (int, error) {
 	var cascade [][2]string
 	switch s.Class {
@@ -301,7 +296,7 @@ func (s *Store) DeleteDocumentRows(ctx context.Context, id string) (int, error) 
 		deleted += n
 	}
 	s.Rows -= deleted
-	return deleted, s.Sync()
+	return deleted, nil
 }
 
 func (s *Store) shredCatalog(root *xmldom.Node) error {

@@ -159,28 +159,6 @@ func TestRowLimit(t *testing.T) {
 	}
 }
 
-// TestFlushPerDocument: a document is committed by the time
-// ShredDocument returns — its pages are on disk and nothing is left
-// dirty for a later sync to write.
-func TestFlushPerDocument(t *testing.T) {
-	p := pager.New(128)
-	s := NewStore(core.DCMD, relational.NewDB(p), Options{})
-	before := p.Stats().Writes
-	if _, err := s.ShredDocument("order1.xml", xmldom.MustParse(orderDoc)); err != nil {
-		t.Fatal(err)
-	}
-	perDoc := p.Stats().Writes - before
-	if perDoc == 0 {
-		t.Fatal("ShredDocument wrote no page")
-	}
-	if err := p.SyncAll(); err != nil {
-		t.Fatal(err)
-	}
-	if extra := p.Stats().Writes - before - perDoc; extra != 0 {
-		t.Fatalf("ShredDocument left %d dirty pages behind", extra)
-	}
-}
-
 func TestUnknownRootRejected(t *testing.T) {
 	s := newStore(core.DCMD, Options{})
 	if _, err := s.ShredDocument("x.xml", xmldom.MustParse(`<bogus/>`)); err == nil {

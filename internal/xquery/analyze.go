@@ -1,13 +1,12 @@
 package xquery
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 )
 
 // This file is the planner's view into the AST. The AST itself stays
-// unexported; Analyze distills the structural facts the cost-based
+// unexported; Query.Shape distills the structural facts the cost-based
 // planner in internal/plan needs: which collections the query reads,
 // which predicates gate the primary access, whether a positional [1]
 // caps the result, and which evaluation features (order by, aggregates,
@@ -77,18 +76,13 @@ func (s *Shape) Primary() *Source {
 	return &s.Sources[0]
 }
 
-// Analyze parses src and summarizes its structure. It never fails on a
-// parseable query: shapes it does not recognize simply come back with
-// fewer facts (no sources, no preds), which the planner treats as a
-// full scan.
-func Analyze(src string) (*Shape, error) {
-	q, err := Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("xquery: analyze: %w", err)
-	}
+// Shape summarizes the structure of a parsed query. Constructs it does
+// not recognize simply come back with fewer facts (no sources, no preds),
+// which the planner treats as a full scan.
+func (q *Query) Shape() *Shape {
 	sh := &Shape{}
 	(&analyzer{sh: sh}).walk(q.root, "")
-	return sh, nil
+	return sh
 }
 
 type analyzer struct {

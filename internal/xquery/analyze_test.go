@@ -2,10 +2,19 @@ package xquery
 
 import "testing"
 
+// analyze is Parse and Shape, what internal/plan does once per query text.
+func analyze(src string) (*Shape, error) {
+	q, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return q.Shape(), nil
+}
+
 // TestAnalyzeSimplePredicate: a root path with an equality predicate
 // yields one source with the predicate extracted for pushdown.
 func TestAnalyzeSimplePredicate(t *testing.T) {
-	sh, err := Analyze(`//entry[hw = $W]/sense[1]`)
+	sh, err := analyze(`//entry[hw = $W]/sense[1]`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +33,7 @@ func TestAnalyzeSimplePredicate(t *testing.T) {
 // TestAnalyzeRange: paired inequality predicates survive as two preds on
 // the same path, the planner's raw material for a range probe.
 func TestAnalyzeRange(t *testing.T) {
-	sh, err := Analyze(`//item[date_of_release >= $LO and date_of_release <= $HI]/title`)
+	sh, err := analyze(`//item[date_of_release >= $LO and date_of_release <= $HI]/title`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +56,7 @@ func TestAnalyzeRange(t *testing.T) {
 // TestAnalyzeJoin: a two-variable FLWOR yields two bound sources — the
 // shape the join reorderer keys on.
 func TestAnalyzeJoin(t *testing.T) {
-	sh, err := Analyze(`for $o in //order[@id = $X], $c in //customer[@id = string($o/customer_id)]
+	sh, err := analyze(`for $o in //order[@id = $X], $c in //customer[@id = string($o/customer_id)]
 		return <r>{$c/c_phone}</r>`)
 	if err != nil {
 		t.Fatal(err)
@@ -68,14 +77,14 @@ func TestAnalyzeJoin(t *testing.T) {
 // TestAnalyzeDocAndAggregate: doc() access and aggregate calls are
 // flagged so the planner can special-case them.
 func TestAnalyzeDocAndAggregate(t *testing.T) {
-	sh, err := Analyze(`doc($DOC)//account_information`)
+	sh, err := analyze(`doc($DOC)//account_information`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sh.UsesDoc {
 		t.Error("doc() not detected")
 	}
-	sh, err = Analyze(`count(//item[@id = $X])`)
+	sh, err = analyze(`count(//item[@id = $X])`)
 	if err != nil {
 		t.Fatal(err)
 	}
