@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz chaos chaos-updates torture smoke shard-smoke bench-e2e bench-compare bench-point plan-check plan-golden mvcc-sweep loc verify
+.PHONY: build test vet race fuzz chaos chaos-updates torture smoke shard-smoke bench-e2e bench-compare bench-point bench-scan plan-check plan-golden mvcc-sweep loc verify
 
 build:
 	$(GO) build ./...
@@ -17,10 +17,13 @@ vet:
 race:
 	$(GO) test -race -short ./...
 
-# Differential fuzz of the binary-DOM cursor (xmldom.OpenRecord and Ref)
-# against DecodeBinary, the reference decoder, for 20 s.
+# Differential fuzz, 20 s each: the binary-DOM cursor (xmldom.OpenRecord
+# and Ref) against DecodeBinary, the reference decoder; and the in-place
+# ASCII fold of xquery.ContainsWord, on a string and on bytes, against its
+# definition over lower-cased copies.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCursor -fuzztime=20s ./internal/xmldom/
+	$(GO) test -run='^$$' -fuzz=FuzzContainsWord -fuzztime=20s ./internal/xquery/
 
 # Crash/recovery fault-injection grid over every engine x class.
 chaos: build
@@ -74,6 +77,15 @@ bench-compare:
 # request spends its time.
 bench-point:
 	$(GO) test -run '^$$' -bench PointRead -benchmem .
+
+# The scan path on every engine (root bench_test.go, BenchmarkScan): the
+# DC/MD scan mix warm at Small, and every DC/MD and TC/MD query cold at
+# Normal in a 64-page pool as paper_cold runs them; one op is one pass
+# over the mix: ns/op, p50_us of a query, allocs/op, pageIO/op. Every
+# answer's item count is checked, so BENCHTIME=1x is a smoke (CI's).
+BENCHTIME ?= 20x
+bench-scan:
+	$(GO) test -run '^$$' -bench Scan -benchtime $(BENCHTIME) -benchmem .
 
 # MVCC snapshot-read smoke: read p99 must stay within 2x the read-only
 # p99 at 30% updates, because snapshots pin readers off the engine write

@@ -369,6 +369,10 @@ func BenchmarkAblationSegmentedStorage(b *testing.B) {
 	}
 }
 
+// benchEngines are the engine keys BenchmarkPointRead and BenchmarkScan
+// run over, in the benchmark's leg order.
+var benchEngines = []string{"native", "xcolumn", "xcollection", "sqlserver"}
+
 // pointMix is the benchmark's served_read mix (benchmarks/e2e probeMix):
 // the four DC/MD point queries that cost a few microseconds in-process on
 // the relational engines, so what a request costs is what surrounds them.
@@ -391,7 +395,7 @@ func BenchmarkPointRead(b *testing.B) {
 	params := workload.Params(core.DCMD)
 	const clients = 2
 	for _, mode := range []string{"inproc", "served"} {
-		for _, key := range []string{"native", "xcolumn", "xcollection", "sqlserver"} {
+		for _, key := range benchEngines {
 			b.Run(mode+"/"+key, func(b *testing.B) {
 				e, err := New(key)
 				if err != nil {
@@ -453,6 +457,92 @@ func BenchmarkPointRead(b *testing.B) {
 				if len(all) > 0 {
 					b.ReportMetric(float64(all[len(all)/2])/1e3, "p50_us")
 				}
+			})
+		}
+	}
+}
+
+// scanMix is the scan half of the DC/MD read mix: the seven queries that
+// are not key lookups, each a sequential pass over one or two heaps on
+// the relational engines and over every document on the native one.
+var scanMix = []core.QueryID{core.Q2, core.Q3, core.Q6, core.Q10, core.Q14, core.Q15, core.Q17}
+
+// BenchmarkScan is the heap-scan path on every engine; one operation is
+// one pass over a query mix. "warm" runs scanMix over DC/MD Small at seed
+// 7 in a default pool — the reads that decide engine_mixed and
+// routed_mixed. "cold/<class>" runs every query the engine defines for
+// DC/MD and TC/MD at Normal in a 64-page pool, caches dropped (untimed)
+// before each, as the paper_cold workload runs them. ns/op and allocs/op
+// are per pass, p50_us is the median query, pageIO/op the pass's page
+// I/O; an untimed first pass finds the queries the engine defines and
+// every later answer must have its item count. It is the profiling
+// handle for that path:
+//
+//	go test -run '^$' -bench Scan/warm/sqlserver -cpuprofile cpu.out .
+func BenchmarkScan(b *testing.B) {
+	ctx := context.Background()
+	for _, cell := range []struct {
+		name  string
+		class core.Class
+		size  core.Size
+		pool  int // pages; 0 is the default pool and a warm run
+		mix   []core.QueryID
+	}{
+		{"warm", core.DCMD, core.Small, 0, scanMix},
+		{"cold/dcmd", core.DCMD, core.Normal, 64, workload.QueryIDs(core.DCMD)},
+		{"cold/tcmd", core.TCMD, core.Normal, 64, workload.QueryIDs(core.TCMD)},
+	} {
+		db, err := gen.Config{Seed: 7}.Generate(cell.class, cell.size)
+		if err != nil {
+			b.Fatal(err)
+		}
+		params := workload.Params(cell.class)
+		for _, key := range benchEngines {
+			b.Run(cell.name+"/"+key, func(b *testing.B) {
+				e, err := New(key, WithPoolPages(cell.pool))
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer e.Close()
+				if _, err := LoadAndIndex(ctx, e, db); err != nil {
+					b.Fatal(err)
+				}
+				var mix []core.QueryID
+				items := map[core.QueryID]int{}
+				for _, q := range cell.mix {
+					res, err := e.Execute(ctx, q, params)
+					if errors.Is(err, core.ErrNoQuery) {
+						continue
+					}
+					if err != nil {
+						b.Fatalf("%s: %v", q, err)
+					}
+					mix, items[q] = append(mix, q), len(res.Items)
+				}
+				lat := make([]time.Duration, 0, b.N*len(mix))
+				var io int64
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, q := range mix {
+						if cell.pool != 0 {
+							b.StopTimer()
+							e.ColdReset()
+							b.StartTimer()
+						}
+						io0, t0 := e.PageIO(), time.Now()
+						res, err := e.Execute(ctx, q, params)
+						lat = append(lat, time.Since(t0))
+						io += e.PageIO() - io0
+						if err != nil || len(res.Items) != items[q] {
+							b.Fatalf("%s: %d items, %v; the first pass answered %d", q, len(res.Items), err, items[q])
+						}
+					}
+				}
+				b.StopTimer()
+				sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+				b.ReportMetric(float64(lat[len(lat)/2])/1e3, "p50_us")
+				b.ReportMetric(float64(io)/float64(b.N), "pageIO/op")
 			})
 		}
 	}

@@ -311,9 +311,11 @@ func (s *store) storeDocument(name string, doc *xmldom.Node, raw []byte) (pager.
 }
 
 // openRecord fetches one stored record from docs (a frozen view of the
-// document heap, or the writer's live one) and opens it for the cursor. A persistent-DOM
-// record is walked where Get put it; raw XML (the storage-format
-// ablation) is parsed and re-encoded first.
+// document heap, or the writer's live one) and opens it for the cursor.
+// A persistent-DOM record is walked where Get found it — in the page
+// image itself when it lies inside one page, which the cursor only
+// reads; raw XML (the storage-format ablation) is parsed and re-encoded
+// first.
 func (s *store) openRecord(ctx context.Context, docs pager.HeapView, rid pager.RID) (*xmldom.Record, error) {
 	data, err := docs.Get(ctx, rid)
 	if err != nil {

@@ -3,6 +3,7 @@ package native
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -527,7 +528,10 @@ func TestSegmentedTwoHitsInOneSegment(t *testing.T) {
 
 // TestAllocationPins: an indexed DC/MD point query allocates a few
 // objects per record it opens — not per node — so its count stays under
-// 300 and does not move when the flat documents it drags in grow.
+// 300 and does not move when the flat documents it drags in grow, except
+// by the one assembly buffer that each of the six records it opens costs
+// when it straddles a page boundary and not when it lies inside a page
+// (HeapView.Get; countries.xml, 1.2 KB, does one and then the other).
 func TestAllocationPins(t *testing.T) {
 	ctx := context.Background()
 	q1Allocs := func(orders int) (allocs float64, flatBytes int) {
@@ -568,8 +572,8 @@ func TestAllocationPins(t *testing.T) {
 	if largeFlat < 2*smallFlat {
 		t.Fatalf("flat documents did not grow: %d -> %d bytes", smallFlat, largeFlat)
 	}
-	if small > 300 || large != small {
-		t.Fatalf("DC/MD Q1 allocates %.0f objects with %d KB of flat documents, %.0f with %d KB; want <= 300 and equal",
+	if small > 300 || math.Abs(large-small) > 6 {
+		t.Fatalf("DC/MD Q1 allocates %.0f objects with %d KB of flat documents, %.0f with %d KB; want <= 300 and within 6",
 			small, smallFlat>>10, large, largeFlat>>10)
 	}
 }

@@ -1,11 +1,10 @@
 package shredplan
 
 import (
+	"bytes"
 	"context"
-
 	"sort"
 	"strconv"
-	"strings"
 
 	"xbench/internal/core"
 	"xbench/internal/relational"
@@ -58,8 +57,8 @@ func execDCSDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 		// avg(number_of_pages) over all items.
 		sum, n := 0.0, 0
 		pageCol := items.Col("number_of_pages")
-		if err := items.Scan(ctx, func(r relational.Row) bool {
-			if f, ok := parseFloat(r[pageCol]); ok {
+		if err := items.Scan(ctx, func(r relational.Rec) bool {
+			if f, ok := parseFloat(string(r.Col(pageCol))); ok {
 				sum += f
 				n++
 			}
@@ -76,8 +75,9 @@ func execDCSDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 		// countries: GROUP BY item over the author table.
 		perItem := map[string][]string{}
 		idCol, coCol := authors.Col("item_id"), authors.Col("country")
-		if err := authors.Scan(ctx, func(r relational.Row) bool {
-			perItem[r[idCol]] = append(perItem[r[idCol]], r[coCol])
+		if err := authors.Scan(ctx, func(r relational.Rec) bool {
+			id := string(r.Col(idCol))
+			perItem[id] = append(perItem[id], string(r.Col(coCol)))
 			return true
 		}); err != nil {
 			return nil, err
@@ -105,9 +105,9 @@ func execDCSDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 			// Q6 returns item ids.
 			var out []string
 			idc := items.Col("id")
-			if err := items.Scan(ctx, func(r relational.Row) bool {
-				if want[r[idc]] {
-					out = append(out, r[idc])
+			if err := items.Scan(ctx, func(r relational.Rec) bool {
+				if want[string(r.Col(idc))] {
+					out = append(out, string(r.Col(idc)))
 				}
 				return true
 			}); err != nil {
@@ -157,10 +157,10 @@ func reconstructItem(items, authorsTab, pubs *relational.Table, r relational.Row
 func titlesOfItems(ctx context.Context, items *relational.Table, want map[string]bool) ([]string, error) {
 	var out []string
 	idCol, titleCol := items.Col("id"), items.Col("title")
-	if err := items.Scan(ctx, func(r relational.Row) bool {
-		if want[r[idCol]] {
+	if err := items.Scan(ctx, func(r relational.Rec) bool {
+		if want[string(r.Col(idCol))] {
 			n := xmldom.NewElement("title")
-			n.AddText(r[titleCol])
+			n.AddText(string(r.Col(titleCol)))
 			out = append(out, n.XML())
 		}
 		return true
@@ -179,9 +179,10 @@ func execDCMDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 		// Ids of orders containing item I.
 		rows := map[string]bool{}
 		oCol, iCol := lines.Col("order_id"), lines.Col("item_id")
-		if err := lines.Scan(ctx, func(r relational.Row) bool {
-			if r[iCol] == p.Get("I") {
-				rows[r[oCol]] = true
+		item := p.Get("I")
+		if err := lines.Scan(ctx, func(r relational.Rec) bool {
+			if string(r.Col(iCol)) == item {
+				mark(rows, r.Col(oCol))
 			}
 			return true
 		}); err != nil {
@@ -196,9 +197,9 @@ func execDCMDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 		sum := 0.0
 		dCol, tCol := orders.Col("order_date"), orders.Col("total")
 		lo, hi := p.Get("LO"), p.Get("HI")
-		if err := orders.Scan(ctx, func(r relational.Row) bool {
-			if d := r[dCol]; !relational.IsNull(d) && d >= lo && d <= hi {
-				if f, ok := parseFloat(r[tCol]); ok {
+		if err := orders.Scan(ctx, func(r relational.Rec) bool {
+			if r.Between(dCol, lo, hi) {
+				if f, ok := parseFloat(string(r.Col(tCol))); ok {
 					sum += f
 				}
 			}
@@ -211,9 +212,9 @@ func execDCMDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 		// Orders with some line of qty >= 5.
 		want := map[string]bool{}
 		oCol, qCol := lines.Col("order_id"), lines.Col("qty")
-		if err := lines.Scan(ctx, func(r relational.Row) bool {
-			if f, ok := parseFloat(r[qCol]); ok && f >= 5 {
-				want[r[oCol]] = true
+		if err := lines.Scan(ctx, func(r relational.Rec) bool {
+			if f, ok := parseFloat(string(r.Col(qCol))); ok && f >= 5 {
+				mark(want, r.Col(oCol))
 			}
 			return true
 		}); err != nil {
@@ -224,9 +225,9 @@ func execDCMDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 		// Orders whose status element is present but empty.
 		var out []string
 		sCol, idCol := orders.Col("order_status"), orders.Col("id")
-		if err := orders.Scan(ctx, func(r relational.Row) bool {
-			if r[sCol] == "" {
-				out = append(out, r[idCol])
+		if err := orders.Scan(ctx, func(r relational.Rec) bool {
+			if len(r.Col(sCol)) == 0 {
+				out = append(out, string(r.Col(idCol)))
 			}
 			return true
 		}); err != nil {
@@ -240,9 +241,9 @@ func execDCMDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 func orderIDs(ctx context.Context, orders *relational.Table, want map[string]bool) ([]string, error) {
 	var out []string
 	idCol := orders.Col("id")
-	if err := orders.Scan(ctx, func(r relational.Row) bool {
-		if want[r[idCol]] {
-			out = append(out, r[idCol])
+	if err := orders.Scan(ctx, func(r relational.Rec) bool {
+		if want[string(r.Col(idCol))] {
+			out = append(out, string(r.Col(idCol)))
 		}
 		return true
 	}); err != nil {
@@ -312,9 +313,10 @@ func execTCSDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 		// Headwords of entries quoting author Y.
 		want := map[string]bool{}
 		aCol, eCol := quotes.Col("a"), quotes.Col("entry_id")
-		if err := quotes.Scan(ctx, func(r relational.Row) bool {
-			if r[aCol] == p.Get("Y") {
-				want[r[eCol]] = true
+		author := p.Get("Y")
+		if err := quotes.Scan(ctx, func(r relational.Rec) bool {
+			if string(r.Col(aCol)) == author {
+				mark(want, r.Col(eCol))
 			}
 			return true
 		}); err != nil {
@@ -345,23 +347,21 @@ func execTCSDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 	case core.Q18:
 		// Phrase search over the shredded text columns; like Q17 this
 		// diverges from string-value semantics and is checked as Lossy.
-		phrase := p.Get("PHRASE")
+		phrase := []byte(p.Get("PHRASE"))
 		want := map[string]bool{}
-		if err := senses.Scan(ctx, func(r relational.Row) bool {
-			if contains(r[senses.Col("def")], phrase) {
-				want[r[senses.Col("entry_id")]] = true
+		for _, tc := range []struct {
+			tab *relational.Table
+			col string
+		}{{senses, "def"}, {quotes, "qt"}} {
+			textCol, entryCol := tc.tab.Col(tc.col), tc.tab.Col("entry_id")
+			if err := tc.tab.Scan(ctx, func(r relational.Rec) bool {
+				if !r.Null(textCol) && bytes.Contains(r.Col(textCol), phrase) {
+					mark(want, r.Col(entryCol))
+				}
+				return true
+			}); err != nil {
+				return nil, err
 			}
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		if err := quotes.Scan(ctx, func(r relational.Row) bool {
-			if contains(r[quotes.Col("qt")], phrase) {
-				want[r[quotes.Col("entry_id")]] = true
-			}
-			return true
-		}); err != nil {
-			return nil, err
 		}
 		return headwordsOf(ctx, entries, want)
 	}
@@ -371,10 +371,10 @@ func execTCSDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 func headwordsOf(ctx context.Context, entries *relational.Table, want map[string]bool) ([]string, error) {
 	var out []string
 	idCol, hwCol := entries.Col("id"), entries.Col("hw")
-	if err := entries.Scan(ctx, func(r relational.Row) bool {
-		if want[r[idCol]] {
+	if err := entries.Scan(ctx, func(r relational.Rec) bool {
+		if want[string(r.Col(idCol))] {
 			n := xmldom.NewElement("hw")
-			n.AddText(r[hwCol])
+			n.AddText(string(r.Col(hwCol)))
 			out = append(out, n.XML())
 		}
 		return true
@@ -393,9 +393,10 @@ func execTCMDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 		// Titles of articles authored by Y.
 		want := map[string]bool{}
 		nCol, aCol := artAuthors.Col("name"), artAuthors.Col("article_id")
-		if err := artAuthors.Scan(ctx, func(r relational.Row) bool {
-			if r[nCol] == p.Get("Y") {
-				want[r[aCol]] = true
+		author := p.Get("Y")
+		if err := artAuthors.Scan(ctx, func(r relational.Rec) bool {
+			if string(r.Col(nCol)) == author {
+				mark(want, r.Col(aCol))
 			}
 			return true
 		}); err != nil {
@@ -404,11 +405,16 @@ func execTCMDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 		return titlesOfArticles(ctx, arts, want)
 	case core.Q3:
 		// Group articles by genre with counts, genre-sorted.
-		counts := map[string]int{}
+		counts := map[string]*int{} // by pointer: a seen genre costs no key string
 		gCol := arts.Col("genre")
-		if err := arts.Scan(ctx, func(r relational.Row) bool {
-			if g := r[gCol]; !relational.IsNull(g) {
-				counts[g]++
+		if err := arts.Scan(ctx, func(r relational.Rec) bool {
+			if !r.Null(gCol) {
+				c := counts[string(r.Col(gCol))]
+				if c == nil {
+					c = new(int)
+					counts[string(r.Col(gCol))] = c
+				}
+				*c++
 			}
 			return true
 		}); err != nil {
@@ -423,7 +429,7 @@ func execTCMDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 		for _, g := range genres {
 			grp := xmldom.NewElement("group")
 			grp.AddLeaf("genre", g)
-			grp.AddLeaf("cnt", strconv.Itoa(counts[g]))
+			grp.AddLeaf("cnt", strconv.Itoa(*counts[g]))
 			out = append(out, grp.XML())
 		}
 		return out, nil
@@ -456,12 +462,12 @@ func execTCMDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 		return []string{sum.XML()}, nil
 	case core.Q15:
 		// Authors with empty contact in articles within the date window.
-		inWindow := map[string]bool{}
+		dated := map[string]bool{}
 		dCol, idCol := arts.Col("date"), arts.Col("id")
 		lo, hi := p.Get("LO"), p.Get("HI")
-		if err := arts.Scan(ctx, func(r relational.Row) bool {
-			if d := r[dCol]; !relational.IsNull(d) && d >= lo && d <= hi {
-				inWindow[r[idCol]] = true
+		if err := arts.Scan(ctx, func(r relational.Rec) bool {
+			if r.Between(dCol, lo, hi) {
+				mark(dated, r.Col(idCol))
 			}
 			return true
 		}); err != nil {
@@ -469,10 +475,10 @@ func execTCMDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 		}
 		var out []string
 		cCol, nCol, aCol := artAuthors.Col("contact"), artAuthors.Col("name"), artAuthors.Col("article_id")
-		if err := artAuthors.Scan(ctx, func(r relational.Row) bool {
-			if inWindow[r[aCol]] && r[cCol] == "" {
+		if err := artAuthors.Scan(ctx, func(r relational.Rec) bool {
+			if dated[string(r.Col(aCol))] && len(r.Col(cCol)) == 0 {
 				n := xmldom.NewElement("name")
-				n.AddText(r[nCol])
+				n.AddText(string(r.Col(nCol)))
 				out = append(out, n.XML())
 			}
 			return true
@@ -487,10 +493,10 @@ func execTCMDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 func titlesOfArticles(ctx context.Context, arts *relational.Table, want map[string]bool) ([]string, error) {
 	var out []string
 	idCol, tCol := arts.Col("id"), arts.Col("title")
-	if err := arts.Scan(ctx, func(r relational.Row) bool {
-		if want[r[idCol]] {
+	if err := arts.Scan(ctx, func(r relational.Rec) bool {
+		if want[string(r.Col(idCol))] {
 			n := xmldom.NewElement("title")
-			n.AddText(r[tCol])
+			n.AddText(string(r.Col(tCol)))
 			out = append(out, n.XML())
 		}
 		return true
@@ -516,8 +522,4 @@ func nullToEmpty(v string) string {
 		return ""
 	}
 	return v
-}
-
-func contains(v, sub string) bool {
-	return !relational.IsNull(v) && strings.Contains(v, sub)
 }

@@ -73,6 +73,14 @@ func leaf(parent *xmldom.Node, name, val string) {
 
 func xml(n *xmldom.Node) string { return n.XML() }
 
+// mark adds the stored value k to a set, allocating its string only the
+// first time the set sees it.
+func mark(set map[string]bool, k []byte) {
+	if !set[string(k)] {
+		set[string(k)] = true
+	}
+}
+
 // ------------------------------------------------------------------ DC/SD
 
 func execDCSD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, p core.Params) ([]string, error) {
@@ -128,10 +136,10 @@ func execDCSD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 		}
 		var out []string
 		idCol, faxCol, nameCol := pubs.Col("item_id"), pubs.Col("fax_number"), pubs.Col("name")
-		if err := pubs.Scan(ctx, func(r relational.Row) bool {
-			if want[r[idCol]] && relational.IsNull(r[faxCol]) {
+		if err := pubs.Scan(ctx, func(r relational.Rec) bool {
+			if want[string(r.Col(idCol))] && r.Null(faxCol) {
 				n := xmldom.NewElement("name")
-				n.AddText(r[nameCol])
+				n.AddText(string(r.Col(nameCol)))
 				out = append(out, xml(n))
 			}
 			return true
@@ -161,10 +169,10 @@ func execDCSD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 		word := p.Get("W2")
 		descCol, titleCol := items.Col("description"), items.Col("title")
 		var out []string
-		if err := items.Scan(ctx, func(r relational.Row) bool {
-			if !relational.IsNull(r[descCol]) && xquery.ContainsWord(r[descCol], word) {
+		if err := items.Scan(ctx, func(r relational.Rec) bool {
+			if !r.Null(descCol) && xquery.ContainsWord(r.Col(descCol), word) {
 				n := xmldom.NewElement("title")
-				n.AddText(r[titleCol])
+				n.AddText(string(r.Col(titleCol)))
 				out = append(out, xml(n))
 			}
 			return true
@@ -177,19 +185,15 @@ func execDCSD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 		limit := p.Get("N")
 		var out []string
 		pageCol, titleCol := items.Col("number_of_pages"), items.Col("title")
-		rows := []relational.Row{}
-		if err := items.Scan(ctx, func(r relational.Row) bool {
-			rows = append(rows, append(relational.Row(nil), r...))
+		if err := items.Scan(ctx, func(r relational.Rec) bool {
+			if numGreater(string(r.Col(pageCol)), limit) {
+				n := xmldom.NewElement("title")
+				n.AddText(string(r.Col(titleCol)))
+				out = append(out, xml(n))
+			}
 			return true
 		}); err != nil {
 			return nil, err
-		}
-		for _, r := range rows {
-			if numGreater(r[pageCol], limit) {
-				n := xmldom.NewElement("title")
-				n.AddText(r[titleCol])
-				out = append(out, xml(n))
-			}
 		}
 		return out, nil
 	}
@@ -339,10 +343,11 @@ func execDCMD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 		cCol, oCol := lines.Col("comment"), lines.Col("order_id")
 		seen := map[string]bool{}
 		var out []string
-		if err := lines.Scan(ctx, func(r relational.Row) bool {
-			if !relational.IsNull(r[cCol]) && xquery.ContainsWord(r[cCol], word) && !seen[r[oCol]] {
-				seen[r[oCol]] = true
-				out = append(out, r[oCol])
+		if err := lines.Scan(ctx, func(r relational.Rec) bool {
+			if !r.Null(cCol) && xquery.ContainsWord(r.Col(cCol), word) && !seen[string(r.Col(oCol))] {
+				id := string(r.Col(oCol))
+				seen[id] = true
+				out = append(out, id)
 			}
 			return true
 		}); err != nil {
@@ -513,10 +518,10 @@ func execTCSD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 	case core.Q14:
 		var out []string
 		etymCol, hwCol := entries.Col("etym"), entries.Col("hw")
-		if err := entries.Scan(ctx, func(r relational.Row) bool {
-			if relational.IsNull(r[etymCol]) {
+		if err := entries.Scan(ctx, func(r relational.Rec) bool {
+			if r.Null(etymCol) {
 				n := xmldom.NewElement("hw")
-				n.AddText(r[hwCol])
+				n.AddText(string(r.Col(hwCol)))
 				out = append(out, xml(n))
 			}
 			return true
@@ -528,34 +533,34 @@ func execTCSD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 		// Text search must scan every table holding entry text.
 		word := p.Get("W2")
 		match := map[string]bool{}
-		hwCol, etymCol := entries.Col("hw"), entries.Col("etym")
+		idCol, hwCol, etymCol := entries.Col("id"), entries.Col("hw"), entries.Col("etym")
 		type entryRow struct{ id, hw string }
 		var order []entryRow
-		if err := entries.Scan(ctx, func(r relational.Row) bool {
-			id := r[entries.Col("id")]
-			order = append(order, entryRow{id, r[hwCol]})
-			if xquery.ContainsWord(r[hwCol], word) ||
-				(!relational.IsNull(r[etymCol]) && xquery.ContainsWord(r[etymCol], word)) {
+		if err := entries.Scan(ctx, func(r relational.Rec) bool {
+			id := string(r.Col(idCol))
+			order = append(order, entryRow{id, string(r.Col(hwCol))})
+			if xquery.ContainsWord(r.Col(hwCol), word) ||
+				(!r.Null(etymCol) && xquery.ContainsWord(r.Col(etymCol), word)) {
 				match[id] = true
 			}
 			return true
 		}); err != nil {
 			return nil, err
 		}
-		if err := senses.Scan(ctx, func(r relational.Row) bool {
-			if xquery.ContainsWord(r[senses.Col("def")], word) {
-				match[r[senses.Col("entry_id")]] = true
+		defCol, sEntryCol := senses.Col("def"), senses.Col("entry_id")
+		if err := senses.Scan(ctx, func(r relational.Rec) bool {
+			if xquery.ContainsWord(r.Col(defCol), word) {
+				mark(match, r.Col(sEntryCol))
 			}
 			return true
 		}); err != nil {
 			return nil, err
 		}
-		qtCol, aCol, locCol := quotes.Col("qt"), quotes.Col("a"), quotes.Col("loc")
-		if err := quotes.Scan(ctx, func(r relational.Row) bool {
-			qt := r[qtCol]
-			if (!relational.IsNull(qt) && xquery.ContainsWord(qt, word)) ||
-				xquery.ContainsWord(r[aCol], word) || xquery.ContainsWord(r[locCol], word) {
-				match[r[quotes.Col("entry_id")]] = true
+		qtCol, aCol, locCol, qEntryCol := quotes.Col("qt"), quotes.Col("a"), quotes.Col("loc"), quotes.Col("entry_id")
+		if err := quotes.Scan(ctx, func(r relational.Rec) bool {
+			if (!r.Null(qtCol) && xquery.ContainsWord(r.Col(qtCol), word)) ||
+				xquery.ContainsWord(r.Col(aCol), word) || xquery.ContainsWord(r.Col(locCol), word) {
+				mark(match, r.Col(qEntryCol))
 			}
 			return true
 		}); err != nil {
@@ -668,64 +673,42 @@ func execTCMD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 		return out, nil
 	case core.Q17:
 		word := p.Get("W2")
-		paras := s.DB.Table("para_tab")
 		match := map[string]bool{}
 		type artRow struct{ id, title string }
 		var order []artRow
-		if err := arts.Scan(ctx, func(r relational.Row) bool {
-			id := r[arts.Col("id")]
-			order = append(order, artRow{id, r[arts.Col("title")]})
-			if xquery.ContainsWord(r[arts.Col("title")], word) {
+		idCol, titleCol := arts.Col("id"), arts.Col("title")
+		if err := arts.Scan(ctx, func(r relational.Rec) bool {
+			id := string(r.Col(idCol))
+			order = append(order, artRow{id, string(r.Col(titleCol))})
+			if xquery.ContainsWord(r.Col(titleCol), word) {
 				match[id] = true
 			}
 			return true
 		}); err != nil {
 			return nil, err
 		}
-		absParas := s.DB.Table("abs_para_tab")
-		if err := absParas.Scan(ctx, func(r relational.Row) bool {
-			if xquery.ContainsWord(r[absParas.Col("text")], word) {
-				match[r[absParas.Col("article_id")]] = true
+		// Every other table holding article text (table, then its text
+		// columns) marks the articles whose non-NULL text has the word.
+		for _, tc := range [][]string{
+			{"abs_para_tab", "text"}, {"para_tab", "text"},
+			{"art_author_tab", "name", "affiliation", "bio"},
+			{"kw_tab", "kw"}, {"sec_tab", "heading"},
+		} {
+			tab := s.DB.Table(tc[0])
+			artCol, cols := tab.Col("article_id"), make([]int, 0, 3)
+			for _, c := range tc[1:] {
+				cols = append(cols, tab.Col(c))
 			}
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		if err := paras.Scan(ctx, func(r relational.Row) bool {
-			if xquery.ContainsWord(r[paras.Col("text")], word) {
-				match[r[paras.Col("article_id")]] = true
-			}
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		authors := s.DB.Table("art_author_tab")
-		if err := authors.Scan(ctx, func(r relational.Row) bool {
-			for _, col := range []string{"name", "affiliation", "bio"} {
-				if v := r[authors.Col(col)]; !relational.IsNull(v) && xquery.ContainsWord(v, word) {
-					match[r[authors.Col("article_id")]] = true
+			if err := tab.Scan(ctx, func(r relational.Rec) bool {
+				for _, c := range cols {
+					if !r.Null(c) && xquery.ContainsWord(r.Col(c), word) {
+						mark(match, r.Col(artCol))
+					}
 				}
+				return true
+			}); err != nil {
+				return nil, err
 			}
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		kws := s.DB.Table("kw_tab")
-		if err := kws.Scan(ctx, func(r relational.Row) bool {
-			if xquery.ContainsWord(r[kws.Col("kw")], word) {
-				match[r[kws.Col("article_id")]] = true
-			}
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		if err := secs.Scan(ctx, func(r relational.Row) bool {
-			if h := r[secs.Col("heading")]; !relational.IsNull(h) && xquery.ContainsWord(h, word) {
-				match[r[secs.Col("article_id")]] = true
-			}
-			return true
-		}); err != nil {
-			return nil, err
 		}
 		var out []string
 		for _, a := range order {

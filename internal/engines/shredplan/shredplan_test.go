@@ -85,8 +85,8 @@ func TestQ1ReconstructsWholeEntry(t *testing.T) {
 	// Find any headword directly from the table.
 	et := s.DB.Table("entry_tab")
 	var hw string
-	et.Scan(context.Background(), func(r relational.Row) bool {
-		hw = r[et.Col("hw")]
+	et.Scan(context.Background(), func(r relational.Rec) bool {
+		hw = string(r.Col(et.Col("hw")))
 		return false
 	})
 	res, err := execute(context.Background(), s, core.Q1, core.Params{"W": hw})
@@ -138,8 +138,8 @@ func firstHeadword(t *testing.T, s *shredder.Store) string {
 	t.Helper()
 	et := s.DB.Table("entry_tab")
 	var hw string
-	et.Scan(context.Background(), func(r relational.Row) bool {
-		hw = r[et.Col("hw")]
+	et.Scan(context.Background(), func(r relational.Rec) bool {
+		hw = string(r.Col(et.Col("hw")))
 		return false
 	})
 	if hw == "" {
@@ -168,7 +168,7 @@ func TestQ3Aggregates(t *testing.T) {
 	// direct scan.
 	ot := md.DB.Table("order_tab")
 	n := 0
-	ot.Scan(context.Background(), func(relational.Row) bool { n++; return true })
+	ot.Scan(context.Background(), func(relational.Rec) bool { n++; return true })
 	if n == 0 {
 		t.Fatal("no orders")
 	}

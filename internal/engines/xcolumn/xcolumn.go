@@ -448,8 +448,10 @@ func (s *store) execDCMD(ctx context.Context, v *view, a shredplan.Access, q cor
 		custID := parsed.Root().FirstChild("customer_id").Text()
 		custSide := v.db.Table("customer_side")
 		var out []string
-		if err := custSide.Scan(ctx, func(r relational.Row) bool {
-			if r[custSide.Col("id")] == custID {
+		idCol := custSide.Col("id")
+		if err := custSide.Scan(ctx, func(rec relational.Rec) bool {
+			if string(rec.Col(idCol)) == custID {
+				r := rec.Row()
 				n := xmldom.NewElement("r")
 				n.AddLeaf("name", r[custSide.Col("c_fname")]+" "+r[custSide.Col("c_lname")])
 				n.AddLeaf("phone", r[custSide.Col("c_phone")])
@@ -500,13 +502,14 @@ func (s *store) execTCMD(ctx context.Context, v *view, a shredplan.Access, q cor
 			top     bool
 		}
 		var secs []secRow
-		if err := secSide.Scan(ctx, func(r relational.Row) bool {
-			if r[secSide.Col("doc")] == doc {
-				seq, _ := strconv.Atoi(r[secSide.Col("dxx_seqno")])
+		docCol, seqCol, headCol, topCol := secSide.Col("doc"), secSide.Col("dxx_seqno"), secSide.Col("heading"), secSide.Col("top")
+		if err := secSide.Scan(ctx, func(r relational.Rec) bool {
+			if string(r.Col(docCol)) == doc {
+				seq, _ := strconv.Atoi(string(r.Col(seqCol)))
 				secs = append(secs, secRow{
 					seq:     seq,
-					heading: r[secSide.Col("heading")],
-					top:     r[secSide.Col("top")] == "1",
+					heading: string(r.Col(headCol)),
+					top:     string(r.Col(topCol)) == "1",
 				})
 			}
 			return true
@@ -578,8 +581,9 @@ func (s *store) execTCMD(ctx context.Context, v *view, a shredplan.Access, q cor
 	return nil, core.ErrNoQuery
 }
 
-// clobWordSearch scans every stored CLOB: a cheap raw-byte prefilter, then
-// a full parse of candidate documents to extract the result.
+// clobWordSearch scans every stored CLOB: a cheap prefilter over the raw
+// bytes where the heap holds them, then a full parse of candidate
+// documents to extract the result.
 func (s *store) clobWordSearch(ctx context.Context, v *view, word string, extract func(root *xmldom.Node) (string, bool)) ([]string, error) {
 	// Two phases: parse is the candidates' parses, scan what is left of
 	// the pass, so they partition its time instead of nesting.
@@ -594,7 +598,7 @@ func (s *store) clobWordSearch(ctx context.Context, v *view, word string, extrac
 		if err != nil {
 			return nil, err
 		}
-		if !xquery.ContainsWord(string(data), word) {
+		if !xquery.ContainsWord(data, word) {
 			continue
 		}
 		t := time.Now()

@@ -135,7 +135,8 @@ func (h *Heap) reuse(rec []byte) (RID, bool, error) {
 // Delete tombstones the record at rid; its bytes stay where they are
 // until an insert reuses the extent.
 func (h *Heap) Delete(ctx context.Context, rid RID) error {
-	n, dead, err := h.Live().prefix(ctx, uint64(rid))
+	r := heapReader{v: h.Live()}
+	n, dead, err := r.prefix(ctx, uint64(rid))
 	if err != nil {
 		return err
 	}
@@ -211,15 +212,17 @@ func (h *Heap) overwrite(b []byte, off uint64) error {
 	return nil
 }
 
+// flushTail persists the filled tail page and drops it: the next write
+// starts a fresh one, so the pool takes this buffer as it is.
 func (h *Heap) flushTail() error {
 	if !h.hasTail {
 		return nil
 	}
-	if err := h.p.Write(h.fid, h.tailNo, h.tail); err != nil {
+	if err := h.p.WriteOwned(h.fid, h.tailNo, h.tail); err != nil {
 		return err
 	}
 	h.flushed = (uint64(h.tailNo) + 1) * PageSize
-	h.hasTail = false
+	h.tail, h.hasTail = nil, false
 	return nil
 }
 
@@ -262,7 +265,8 @@ func (h *Heap) Live() HeapView {
 	return v
 }
 
-// Get returns the record stored at rid. The result is a fresh copy.
+// Get returns the record stored at rid, read-only and valid until the
+// heap's next Insert or Delete (see HeapView.Get).
 // Cancellation via ctx is honored at page-fetch granularity.
 func (h *Heap) Get(ctx context.Context, rid RID) ([]byte, error) {
 	return h.Live().Get(ctx, rid)

@@ -57,85 +57,124 @@ func (v HeapView) Pages() int64 {
 	return int64((v.end + PageSize - 1) / PageSize)
 }
 
-// readAt fills buf starting at offset, reading pages as of the view's
-// epoch (and the unflushed tail from memory, for the live heap's own
-// view). The context is checked before each page fetch — this is the
-// page-fetch granularity at which query cancellation is honored.
-func (v HeapView) readAt(ctx context.Context, buf []byte, off uint64) error {
-	for len(buf) > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		pageNo := uint32(off / PageSize)
-		pg := v.tail
-		if pg == nil || pageNo != v.tailNo {
-			var err error
-			if pg, err = v.p.ReadAt(v.fid, pageNo, v.epoch); err != nil {
-				return err
-			}
-		}
-		n := copy(buf, pg[off%PageSize:])
-		if n == 0 {
-			return fmt.Errorf("pager: heap read stalled at offset %d", off)
-		}
-		buf = buf[n:]
-		off += uint64(n)
+// heapReader reads a view's bytes keeping the page it fetched last, so
+// the prefix and the body of a record, and every record of a page, cost
+// one fetch. The context is checked before each page fetch — the
+// granularity at which query cancellation is honored.
+type heapReader struct {
+	v   HeapView
+	pg  []byte // page no of the view, when non-nil
+	no  uint32
+	buf []byte // where a page-straddling span is assembled
+}
+
+// page returns page no as of the view's epoch (the unflushed tail from
+// memory, for the live heap's own view).
+func (r *heapReader) page(ctx context.Context, no uint32) ([]byte, error) {
+	if r.pg != nil && r.no == no {
+		return r.pg, nil
 	}
-	return nil
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	pg := r.v.tail
+	if pg == nil || no != r.v.tailNo {
+		var err error
+		if pg, err = r.v.p.ReadAt(r.v.fid, no, r.v.epoch); err != nil {
+			return nil, err
+		}
+	}
+	r.pg, r.no = pg, no
+	return pg, nil
+}
+
+// span returns the n bytes at off: a capacity-capped sub-slice of the
+// page image when they lie inside one page, else a copy assembled in
+// r.buf, which the next straddling span overwrites.
+func (r *heapReader) span(ctx context.Context, off uint64, n int) ([]byte, error) {
+	if n == 0 {
+		return []byte{}, nil // no page to fetch: the record may end the extent
+	}
+	if po := int(off % PageSize); po+n <= PageSize {
+		pg, err := r.page(ctx, uint32(off/PageSize))
+		if err != nil {
+			return nil, err
+		}
+		if len(pg) < po+n {
+			return nil, fmt.Errorf("pager: heap read stalled at offset %d", off)
+		}
+		return pg[po : po+n : po+n], nil
+	}
+	if cap(r.buf) < n {
+		r.buf = make([]byte, n)
+	}
+	out := r.buf[:n]
+	for rest := out; len(rest) > 0; {
+		pg, err := r.page(ctx, uint32(off/PageSize))
+		if err != nil {
+			return nil, err
+		}
+		c := copy(rest, pg[off%PageSize:])
+		if c == 0 {
+			return nil, fmt.Errorf("pager: heap read stalled at offset %d", off)
+		}
+		rest = rest[c:]
+		off += uint64(c)
+	}
+	return out, nil
 }
 
 // prefix decodes the length prefix at off into the record's data length
 // and its dead flag, checking both against the view's extent.
-func (v HeapView) prefix(ctx context.Context, off uint64) (n uint32, dead bool, err error) {
-	if off+4 > v.end {
-		return 0, false, fmt.Errorf("pager: rid %d beyond heap end %d", off, v.end)
+func (r *heapReader) prefix(ctx context.Context, off uint64) (n uint32, dead bool, err error) {
+	if off+4 > r.v.end {
+		return 0, false, fmt.Errorf("pager: rid %d beyond heap end %d", off, r.v.end)
 	}
-	var pfx [4]byte
-	if err := v.readAt(ctx, pfx[:], off); err != nil {
+	pfx, err := r.span(ctx, off, 4)
+	if err != nil {
 		return 0, false, err
 	}
-	word := binary.BigEndian.Uint32(pfx[:])
+	word := binary.BigEndian.Uint32(pfx)
 	n, dead = word&^deadBit, word&deadBit != 0
-	if off+4+uint64(n) > v.end {
+	if off+4+uint64(n) > r.v.end {
 		return 0, false, fmt.Errorf("pager: rid %d has corrupt length %d", off, n)
 	}
 	return n, dead, nil
 }
 
-// Get returns a fresh copy of the record stored at rid, as of the view;
-// a record deleted at or before the view's epoch is ErrDeleted.
+// Get returns the record stored at rid, as of the view; a record deleted
+// at or before the view's epoch is ErrDeleted. A record that lies inside
+// one page is returned where it lies — a sub-slice of the page image,
+// read-only like everything Pager.Read hands out — and only a
+// page-straddling one is a fresh copy.
 func (v HeapView) Get(ctx context.Context, rid RID) ([]byte, error) {
-	n, dead, err := v.prefix(ctx, uint64(rid))
+	r := heapReader{v: v}
+	n, dead, err := r.prefix(ctx, uint64(rid))
 	if err != nil {
 		return nil, err
 	}
 	if dead {
 		return nil, fmt.Errorf("pager: rid %d: %w", rid, ErrDeleted)
 	}
-	rec := make([]byte, n)
-	if err := v.readAt(ctx, rec, uint64(rid)+4); err != nil {
-		return nil, err
-	}
-	return rec, nil
+	return r.span(ctx, uint64(rid)+4, int(n))
 }
 
 // Scan visits every record live at the view's epoch in address order,
 // stepping over dead ones without reading their bytes; returning false
-// stops early. rec is one buffer reused from record to record: fn must
-// copy what it keeps past its return.
+// stops early. Each page is fetched once. rec is read-only and valid
+// only until fn returns: it is the record where it lies in the page
+// image, or, for a page-straddling record, one buffer reused from
+// record to record — fn must copy what it keeps.
 func (v HeapView) Scan(ctx context.Context, fn func(rid RID, rec []byte) bool) error {
-	var buf []byte
+	r := heapReader{v: v}
 	for off := uint64(0); off < v.end; {
-		n, dead, err := v.prefix(ctx, off)
+		n, dead, err := r.prefix(ctx, off)
 		if err != nil {
 			return err
 		}
 		if !dead {
-			if uint32(cap(buf)) < n {
-				buf = make([]byte, n)
-			}
-			rec := buf[:n]
-			if err := v.readAt(ctx, rec, off+4); err != nil {
+			rec, err := r.span(ctx, off+4, int(n))
+			if err != nil {
 				return err
 			}
 			if !fn(RID(off), rec) {

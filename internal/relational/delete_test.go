@@ -45,8 +45,8 @@ func multiset(rows []Row) string {
 func scanRows(t *testing.T, tb *Table) []Row {
 	t.Helper()
 	var rows []Row
-	if err := tb.Scan(context.Background(), func(r Row) bool {
-		rows = append(rows, r)
+	if err := tb.Scan(context.Background(), func(r Rec) bool {
+		rows = append(rows, r.Row())
 		return true
 	}); err != nil {
 		t.Fatal(err)

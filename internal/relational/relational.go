@@ -5,7 +5,7 @@
 // and the small set of physical operators the hand-translated workload
 // queries need.
 //
-// Concurrency: the read operators (Scan, Get, LookupEq, LookupRange) are
+// Concurrency: the read operators (Scan, LookupEq, LookupRange) are
 // safe from many goroutines once loading is done; each table guards its
 // index map with a reader/writer latch so Insert, DeleteWhere and
 // CreateIndex exclude readers. Schema definition (Create) is not
@@ -36,6 +36,48 @@ func IsNull(v string) bool { return v == Null }
 // Row is one tuple; values are strings (XML's native value type), with
 // Null marking SQL NULL.
 type Row []string
+
+// Rec is one stored row where it lies: the encoded record the heap handed
+// out, read-only and valid only until the scan callback that received it
+// returns (pager.HeapView.Scan). A scan compares columns in place —
+// string(r.Col(i)) == x and m[string(r.Col(i))] do not allocate — and
+// decodes, with Row, only the rows it keeps.
+type Rec []byte
+
+// Col returns the bytes of column i without decoding the others.
+func (r Rec) Col(i int) []byte {
+	off := 2
+	for ; i > 0; i-- {
+		off += 4 + int(binary.BigEndian.Uint32(r[off:off+4]))
+	}
+	l := int(binary.BigEndian.Uint32(r[off : off+4]))
+	return r[off+4 : off+4+l]
+}
+
+// Null reports whether column i holds the NULL sentinel.
+func (r Rec) Null(i int) bool { return string(r.Col(i)) == Null }
+
+// Between reports lo <= column i <= hi (string comparison, which matches
+// ISO dates) on the stored bytes; NULL is in no range.
+func (r Rec) Between(i int, lo, hi string) bool {
+	v := r.Col(i)
+	return string(v) != Null && string(v) >= lo && string(v) <= hi
+}
+
+// Row decodes the record: one string holding its bytes, the values
+// sub-strings of it, and the slice — two allocations whatever the width.
+func (r Rec) Row() Row {
+	s := string(r)
+	row := make(Row, binary.BigEndian.Uint16(r[:2]))
+	off := 2
+	for i := range row {
+		l := int(binary.BigEndian.Uint32(r[off : off+4]))
+		off += 4
+		row[i] = s[off : off+l]
+		off += l
+	}
+	return row
+}
 
 // DB is a collection of tables sharing one pager.
 type DB struct {
@@ -220,22 +262,24 @@ func (t *Table) DeleteWhere(ctx context.Context, col, val string) (int, error) {
 	return len(rids), nil
 }
 
-// victimsLocked returns the rows with col == val and their RIDs. The
-// filter scan compares the one column in place and decodes only the rows
-// that match.
+// victimsLocked returns the rows with col == val and their RIDs, found
+// by an index probe or a filter scan. Either way the one column is
+// compared in place (a probe also returns rows that only share the
+// truncated key, see LookupRange) and only the victims are decoded.
 func (t *Table) victimsLocked(ctx context.Context, col, val string) ([]pager.RID, []Row, error) {
 	ci := t.Col(col)
 	var rids []pager.RID
 	var rows []Row
+	keep := func(rid pager.RID, rec []byte) bool {
+		if string(Rec(rec).Col(ci)) == val {
+			rids = append(rids, rid)
+			rows = append(rows, Rec(rec).Row())
+		}
+		return true
+	}
 	ix, ok := t.indexes[col]
 	if !ok {
-		err := t.heap.Scan(ctx, func(rid pager.RID, rec []byte) bool {
-			if string(recordCol(rec, ci)) == val {
-				rids = append(rids, rid)
-				rows = append(rows, decodeRow(rec))
-			}
-			return true
-		})
+		err := t.heap.Scan(ctx, keep)
 		return rids, rows, err
 	}
 	hits, err := ix.Search(ctx, val)
@@ -247,12 +291,7 @@ func (t *Table) victimsLocked(ctx context.Context, col, val string) ([]pager.RID
 		if err != nil {
 			return nil, nil, err
 		}
-		// Index keys are truncated to btree.MaxKey, so a probe can return
-		// rows that only share the prefix.
-		if row := decodeRow(rec); row[ci] == val {
-			rids = append(rids, pager.RID(h))
-			rows = append(rows, row)
-		}
+		keep(pager.RID(h), rec)
 	}
 	return rids, rows, nil
 }
@@ -282,8 +321,8 @@ func (t *Table) createIndexLocked(col string) error {
 	err = t.heap.Scan(context.Background(), func(rid pager.RID, rec []byte) bool {
 		// Only the indexed column leaves the record: decoding the row would
 		// allocate every column of every row once per index.
-		if v := string(recordCol(rec, ci)); !IsNull(v) {
-			inner = ix.Insert(v, uint64(rid))
+		if r := Rec(rec); !r.Null(ci) {
+			inner = ix.Insert(string(r.Col(ci)), uint64(rid))
 		}
 		return inner == nil
 	})
@@ -329,25 +368,19 @@ func (t *Table) index(col string) (indexReader, bool) {
 	return ix, ok
 }
 
-// Scan visits all rows in insertion order (a full table scan: every heap
-// page is read). Returning false stops early. Cancellation via ctx is
-// honored at page-fetch granularity.
-func (t *Table) Scan(ctx context.Context, fn func(Row) bool) error {
+// Scan visits all rows in address order (a full table scan: every heap
+// page is read), handing fn each record where it lies. Returning false
+// stops early. Cancellation via ctx is honored at page-fetch granularity.
+func (t *Table) Scan(ctx context.Context, fn func(Rec) bool) error {
 	t.db.cScan.Inc()
 	defer t.db.reg.StartSpan(metrics.PhaseScan).End()
-	return t.scanRecords(ctx, func(_ pager.RID, rec []byte) bool {
-		t.db.cScanRow.Inc()
-		return fn(decodeRow(rec))
+	var visited int64
+	err := t.scanRecords(ctx, func(_ pager.RID, rec []byte) bool {
+		visited++
+		return fn(rec)
 	})
-}
-
-// Get fetches one row by RID.
-func (t *Table) Get(ctx context.Context, rid pager.RID) (Row, error) {
-	rec, err := t.getRecord(ctx, rid)
-	if err != nil {
-		return nil, err
-	}
-	return decodeRow(rec), nil
+	t.db.cScanRow.Add(visited)
+	return err
 }
 
 // LookupEq returns rows where col == val, using an index when available
@@ -356,8 +389,10 @@ func (t *Table) LookupEq(ctx context.Context, col, val string) ([]Row, error) {
 	return t.LookupEqN(ctx, col, val, 0)
 }
 
-// LookupRange returns rows with lo <= col <= hi (string comparison, which
-// matches ISO dates), via index when available.
+// LookupRange returns rows with lo <= col <= hi (Rec.Between), via index
+// when available. Index keys are truncated to btree.MaxKey, so a probe
+// also returns rows that only share a key's prefix: every lookup
+// re-checks the column on the stored bytes before it decodes the row.
 func (t *Table) LookupRange(ctx context.Context, col, lo, hi string) ([]Row, error) {
 	ix, ok := t.index(col)
 	if !ok {
@@ -365,15 +400,18 @@ func (t *Table) LookupRange(ctx context.Context, col, lo, hi string) ([]Row, err
 	}
 	t.db.cProbe.Inc()
 	defer t.db.reg.StartSpan(metrics.PhaseIndexProbe).End()
+	ci := t.Col(col)
 	var rows []Row
 	var inner error
 	err := ix.Range(ctx, lo, hi, func(_ string, v uint64) bool {
-		row, e := t.Get(ctx, pager.RID(v))
+		rec, e := t.getRecord(ctx, pager.RID(v))
 		if e != nil {
 			inner = e
 			return false
 		}
-		rows = append(rows, row)
+		if Rec(rec).Between(ci, lo, hi) {
+			rows = append(rows, Rec(rec).Row())
+		}
 		return true
 	})
 	if inner != nil {
@@ -397,16 +435,23 @@ func (t *Table) LookupEqN(ctx context.Context, col, val string, n int) ([]Row, e
 	if err != nil {
 		return nil, err
 	}
-	if n > 0 && len(rids) > n {
-		rids = rids[:n]
+	want := len(rids)
+	if n > 0 && n < want {
+		want = n
 	}
-	rows := make([]Row, 0, len(rids))
+	ci := t.Col(col)
+	rows := make([]Row, 0, want)
 	for _, r := range rids {
-		row, err := t.Get(ctx, pager.RID(r))
+		if len(rows) == want {
+			break
+		}
+		rec, err := t.getRecord(ctx, pager.RID(r))
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, row)
+		if string(Rec(rec).Col(ci)) == val {
+			rows = append(rows, Rec(rec).Row())
+		}
 	}
 	return rows, nil
 }
@@ -422,9 +467,9 @@ func (t *Table) ScanEq(ctx context.Context, col, val string) ([]Row, error) {
 func (t *Table) scanEq(ctx context.Context, col, val string, n int) ([]Row, error) {
 	ci := t.Col(col)
 	var rows []Row
-	err := t.Scan(ctx, func(r Row) bool {
-		if r[ci] == val {
-			rows = append(rows, r)
+	err := t.Scan(ctx, func(r Rec) bool {
+		if string(r.Col(ci)) == val {
+			rows = append(rows, r.Row())
 		}
 		return n <= 0 || len(rows) < n
 	})
@@ -436,9 +481,9 @@ func (t *Table) scanEq(ctx context.Context, col, val string, n int) ([]Row, erro
 func (t *Table) ScanRange(ctx context.Context, col, lo, hi string) ([]Row, error) {
 	ci := t.Col(col)
 	var rows []Row
-	err := t.Scan(ctx, func(r Row) bool {
-		if !IsNull(r[ci]) && r[ci] >= lo && r[ci] <= hi {
-			rows = append(rows, r)
+	err := t.Scan(ctx, func(r Rec) bool {
+		if r.Between(ci, lo, hi) {
+			rows = append(rows, r.Row())
 		}
 		return true
 	})
@@ -476,30 +521,6 @@ func encodeRow(row Row) []byte {
 		buf = append(buf, v...)
 	}
 	return buf
-}
-
-// recordCol returns the bytes of column ci of an encoded row without
-// decoding the others.
-func recordCol(rec []byte, ci int) []byte {
-	off := 2
-	for ; ci > 0; ci-- {
-		off += 4 + int(binary.BigEndian.Uint32(rec[off:off+4]))
-	}
-	l := int(binary.BigEndian.Uint32(rec[off : off+4]))
-	return rec[off+4 : off+4+l]
-}
-
-func decodeRow(rec []byte) Row {
-	n := int(binary.BigEndian.Uint16(rec[:2]))
-	row := make(Row, n)
-	off := 2
-	for i := 0; i < n; i++ {
-		l := int(binary.BigEndian.Uint32(rec[off : off+4]))
-		off += 4
-		row[i] = string(rec[off : off+l])
-		off += l
-	}
-	return row
 }
 
 // SortRows orders rows by the given column index. When numeric is true the

@@ -3,8 +3,10 @@ package relational
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
+	"xbench/internal/btree"
 	"xbench/internal/pager"
 )
 
@@ -22,8 +24,8 @@ func TestCreateInsertScan(t *testing.T) {
 		t.Fatalf("Count = %d", tb.Count())
 	}
 	var ids []string
-	tb.Scan(context.Background(), func(r Row) bool {
-		ids = append(ids, r[tb.Col("id")])
+	tb.Scan(context.Background(), func(r Rec) bool {
+		ids = append(ids, string(r.Col(tb.Col("id"))))
 		return true
 	})
 	if len(ids) != 10 || ids[0] != "I0" || ids[9] != "I9" {
@@ -134,9 +136,9 @@ func TestNullHandling(t *testing.T) {
 	}
 	// A scan-side NULL check still finds the missing-fax publisher.
 	var missing []string
-	tb.Scan(context.Background(), func(r Row) bool {
-		if IsNull(r[tb.Col("fax")]) {
-			missing = append(missing, r[0])
+	tb.Scan(context.Background(), func(r Rec) bool {
+		if r.Null(tb.Col("fax")) {
+			missing = append(missing, string(r.Col(0)))
 		}
 		return true
 	})
@@ -174,9 +176,9 @@ func TestGetAndRoundTripSpecialValues(t *testing.T) {
 		tb.Insert(Row{v})
 	}
 	i := 0
-	tb.Scan(context.Background(), func(r Row) bool {
-		if r[0] != vals[i] {
-			t.Fatalf("value %d mangled: %q vs %q", i, r[0], vals[i])
+	tb.Scan(context.Background(), func(r Rec) bool {
+		if got := r.Row()[0]; got != vals[i] || string(r.Col(0)) != vals[i] {
+			t.Fatalf("value %d mangled: %q vs %q", i, got, vals[i])
 		}
 		i++
 		return true
@@ -212,11 +214,102 @@ func TestFlushThenColdScan(t *testing.T) {
 	p.ColdReset()
 	p.ResetStats()
 	n := 0
-	tb.Scan(context.Background(), func(Row) bool { n++; return true })
+	tb.Scan(context.Background(), func(Rec) bool { n++; return true })
 	if n != 1000 {
 		t.Fatalf("cold scan saw %d rows", n)
 	}
 	if s := p.Stats(); s.Reads == 0 {
 		t.Fatal("cold scan did no disk reads")
+	}
+}
+
+// TestLookupRechecksTruncatedKeys: B+tree keys stop at btree.MaxKey bytes,
+// so values that share their first 512 share an index key and one probe
+// returns them all. A lookup answers with the rows that hold what was
+// asked for — equality exactly, a range on the full value — on the live
+// table and on a snapshot of it.
+func TestLookupRechecksTruncatedKeys(t *testing.T) {
+	ctx := context.Background()
+	db := newDB()
+	tb := db.Create("t", "k", "v")
+	prefix := strings.Repeat("p", btree.MaxKey)
+	a, b := prefix+strings.Repeat("a", 88), prefix+strings.Repeat("b", 88)
+	for _, r := range []Row{{a, "A"}, {b, "B"}, {prefix, "P"}, {"q", "Q"}} {
+		if err := tb.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tb.CreateIndex("k"); err != nil {
+		t.Fatal(err)
+	}
+	pin := db.Pager.PinSnapshot()
+	defer pin.Release()
+	snap, err := db.Snapshot(pin.Epoch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := func(rows []Row, err error) string {
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, r := range rows {
+			out = append(out, r[1])
+		}
+		return strings.Join(out, "")
+	}
+	for name, tab := range map[string]*Table{"live": tb, "snapshot": snap.Table("t")} {
+		for _, c := range []struct{ what, got, want string }{
+			{"LookupEq(a)", vals(tab.LookupEq(ctx, "k", a)), "A"},
+			{"LookupEq(b)", vals(tab.LookupEq(ctx, "k", b)), "B"},
+			{"LookupEq(prefix)", vals(tab.LookupEq(ctx, "k", prefix)), "P"},
+			{"LookupEqN(b, 1)", vals(tab.LookupEqN(ctx, "k", b, 1)), "B"},
+			{"LookupEq(a+x)", vals(tab.LookupEq(ctx, "k", a+"x")), ""},
+			{"LookupRange(a, a)", vals(tab.LookupRange(ctx, "k", a, a)), "A"},
+			{"LookupRange(b, q)", vals(tab.LookupRange(ctx, "k", b, "q")), "BQ"},
+			{"LookupRange(prefix, a)", vals(tab.LookupRange(ctx, "k", prefix, a)), "AP"},
+		} {
+			if c.got != c.want {
+				t.Errorf("%s table: %s answered rows %q, want %q", name, c.what, c.got, c.want)
+			}
+		}
+	}
+}
+
+// TestFilterScanAllocatesPerKeptRow: a filter scan compares the column
+// where the record lies and decodes the rows it keeps, so its allocations
+// are a constant (the result slice's growth included) plus two per kept
+// row — not a function of the rows scanned or of their width.
+func TestFilterScanAllocatesPerKeptRow(t *testing.T) {
+	ctx := context.Background()
+	for _, k := range []int{0, 8, 64} {
+		tb := newDB().Create("t", "id", "g", "c2", "c3", "c4", "c5")
+		for i := 0; i < 2000; i++ {
+			g := "miss"
+			if i%(2000/64) == 0 && i/(2000/64) < k {
+				g = "hit"
+			}
+			if err := tb.Insert(Row{fmt.Sprint("r", i), g, "some", "more", "columns", "here"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tb.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for name, scan := range map[string]func() ([]Row, error){
+			"ScanEq":    func() ([]Row, error) { return tb.ScanEq(ctx, "g", "hit") },
+			"ScanRange": func() ([]Row, error) { return tb.ScanRange(ctx, "g", "ha", "hz") },
+		} {
+			allocs := testing.AllocsPerRun(10, func() {
+				if rows, err := scan(); err != nil || len(rows) != k {
+					t.Fatalf("%s kept %d rows, %v; want %d", name, len(rows), err, k)
+				}
+			})
+			if allocs > float64(12+2*k) {
+				t.Errorf("%s over 2000 rows keeping %d allocates %.0f objects, want <= 12 + 2*%d", name, k, allocs, k)
+			} else {
+				t.Logf("%s over 2000 rows keeping %d: %.0f allocations", name, k, allocs)
+			}
+		}
 	}
 }

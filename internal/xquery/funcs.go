@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode/utf8"
 )
 
 func evalCall(ctx *evalCtx, c call) (Seq, error) {
@@ -500,8 +501,56 @@ func aggregate(name string, s Seq) (Seq, error) {
 
 // ContainsWord reports whether text contains word as a whole word,
 // case-insensitively. Exported so relational engines run the exact same
-// text-search semantics as the native engine's contains-word().
-func ContainsWord(text, word string) bool {
+// text-search semantics as the native engine's contains-word(), on a
+// string or on stored bytes alike. ASCII is folded in place, byte by
+// byte, with no copy of the text; the first non-ASCII byte met before the
+// answer is known hands the whole question to containsWordFold, because
+// Unicode lower-casing may change lengths and turn a letter into an ASCII
+// one (the Kelvin sign), so only that code can say what it answers.
+func ContainsWord[T string | []byte](text T, word string) bool {
+	for i := 0; i < len(word); i++ {
+		if word[i] >= utf8.RuneSelf {
+			return containsWordFold(string(text), word)
+		}
+	}
+	if word == "" {
+		return false
+	}
+	first := lowerASCII(word[0])
+	for i := 0; i < len(text); i++ {
+		if text[i] >= utf8.RuneSelf {
+			return containsWordFold(string(text), word)
+		}
+		if lowerASCII(text[i]) != first || i > 0 && isWordChar(text[i-1]) {
+			continue
+		}
+		j := i + 1
+		for j-i < len(word) && j < len(text) && lowerASCII(text[j]) == lowerASCII(word[j-i]) {
+			j++
+		}
+		if j-i < len(word) {
+			continue
+		}
+		if j < len(text) && text[j] >= utf8.RuneSelf {
+			return containsWordFold(string(text), word)
+		}
+		if j == len(text) || !isWordChar(text[j]) {
+			return true
+		}
+	}
+	return false
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		c += 'a' - 'A'
+	}
+	return c
+}
+
+// containsWordFold is ContainsWord over lower-cased copies of both
+// arguments: the definition, and the path of any non-ASCII input.
+func containsWordFold(text, word string) bool {
 	if word == "" {
 		return false
 	}

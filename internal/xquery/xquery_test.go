@@ -429,27 +429,94 @@ func TestEvalErrors(t *testing.T) {
 	}
 }
 
+// containsWordCases: ASCII in every case mix, the word at both ends of
+// the text, '_' and digits as word characters, and non-ASCII input whose
+// Unicode lower-casing changes lengths or yields an ASCII letter (the
+// Kelvin sign and dotted capital I lower-case to k and i).
+var containsWordCases = []struct {
+	text, word string
+	want       bool
+}{
+	{"the quick fox", "fox", true},
+	{"the quick fox", "FOX", true},
+	{"The Quick FoX", "fOx", true},
+	{"foxes", "fox", false},
+	{"end fox", "fox", true},
+	{"fox start", "fox", true},
+	{"fox", "fox", true},
+	{"a-fox-b", "fox", true},
+	{"", "fox", false},
+	{"fox", "", false},
+	{"", "", false},
+	{"prefix foxfox", "fox", false},
+	{"foxfox fox", "fox", true},
+	{"punct fox.", "fox", true},
+	{"fo", "fox", false},
+	{"a fo", "fox", false},
+	{"fox_", "fox", false},
+	{"_fox", "fox", false},
+	{"fox1", "fox", false},
+	{"1fox", "fox", false},
+	{"1 fox 2", "fox", true},
+	{"x_1 is here", "X_1", true},
+	{"a.b", ".", false},
+	{"- . -", ".", true},
+	{"naïve fox", "fox", true},
+	{"naïve", "naïve", true},
+	{"NAÏVE", "naïve", true},
+	{"foxé", "fox", true},
+	{"foxK", "fox", false},         // Kelvin sign: foxk
+	{"Kfox", "fox", false},         // kfox
+	{"a Kelvin b", "kelvin", true}, // Kelvin sign inside the word
+	{"İstanbul", "istanbul", true},
+	{"Ⱥ fox", "fox", true}, // lower-cases to a longer encoding
+	{"fox ÿþ", "fox", true},
+	{"ÿfox", "fox", true},
+	{"café fox", "CAFÉ", true},
+}
+
+// TestContainsWord: the in-place ASCII fold, on a string and on bytes,
+// answers what the lower-cased-copy definition answers, and allocates
+// nothing on ASCII input.
 func TestContainsWord(t *testing.T) {
-	cases := []struct {
-		text, word string
-		want       bool
-	}{
-		{"the quick fox", "fox", true},
-		{"the quick fox", "FOX", true},
-		{"foxes", "fox", false},
-		{"end fox", "fox", true},
-		{"fox start", "fox", true},
-		{"a-fox-b", "fox", true},
-		{"", "fox", false},
-		{"fox", "", false},
-		{"prefix foxfox", "fox", false},
-		{"punct fox.", "fox", true},
-	}
-	for _, c := range cases {
+	for _, c := range containsWordCases {
+		if got := containsWordFold(c.text, c.word); got != c.want {
+			t.Errorf("containsWordFold(%q, %q) = %v", c.text, c.word, got)
+		}
 		if got := ContainsWord(c.text, c.word); got != c.want {
 			t.Errorf("ContainsWord(%q, %q) = %v", c.text, c.word, got)
 		}
+		if got := ContainsWord([]byte(c.text), c.word); got != c.want {
+			t.Errorf("ContainsWord([]byte(%q), %q) = %v", c.text, c.word, got)
+		}
 	}
+	text := strings.Repeat("Systems of record, systemic risk; ", 200) + "the SYSTEM"
+	raw := []byte(text)
+	allocs := testing.AllocsPerRun(20, func() {
+		if !ContainsWord(text, "system") || !ContainsWord(raw, "System") || ContainsWord(raw, "absent") {
+			t.Fatal("wrong answer on the long ASCII text")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ContainsWord on ASCII input allocates %.0f objects, want 0", allocs)
+	}
+}
+
+// FuzzContainsWord holds both instantiations of ContainsWord to the
+// definition on arbitrary bytes, valid UTF-8 or not (make fuzz).
+func FuzzContainsWord(f *testing.F) {
+	for _, c := range containsWordCases {
+		f.Add(c.text, c.word)
+	}
+	f.Fuzz(func(t *testing.T, text, word string) {
+		want := containsWordFold(text, word)
+		if got := ContainsWord(text, word); got != want {
+			t.Fatalf("ContainsWord(%q, %q) = %v, the definition says %v", text, word, got, want)
+		}
+		if got := ContainsWord([]byte(text), word); got != want {
+			t.Fatalf("ContainsWord([]byte(%q), %q) = %v, the definition says %v", text, word, got, want)
+		}
+	})
 }
 
 func TestCollectionAccessors(t *testing.T) {
