@@ -405,16 +405,11 @@ func execTCMDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 		return titlesOfArticles(ctx, arts, want)
 	case core.Q3:
 		// Group articles by genre with counts, genre-sorted.
-		counts := map[string]*int{} // by pointer: a seen genre costs no key string
+		counts := map[string]int{}
 		gCol := arts.Col("genre")
 		if err := arts.Scan(ctx, func(r relational.Rec) bool {
 			if !r.Null(gCol) {
-				c := counts[string(r.Col(gCol))]
-				if c == nil {
-					c = new(int)
-					counts[string(r.Col(gCol))] = c
-				}
-				*c++
+				counts[string(r.Col(gCol))]++
 			}
 			return true
 		}); err != nil {
@@ -429,7 +424,7 @@ func execTCMDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 		for _, g := range genres {
 			grp := xmldom.NewElement("group")
 			grp.AddLeaf("genre", g)
-			grp.AddLeaf("cnt", strconv.Itoa(*counts[g]))
+			grp.AddLeaf("cnt", strconv.Itoa(counts[g]))
 			out = append(out, grp.XML())
 		}
 		return out, nil

@@ -81,6 +81,13 @@ func mark(set map[string]bool, k []byte) {
 	}
 }
 
+// hasWord reports whether column c of the stored row holds text with
+// the word in it. A NULL column holds no text: the sentinel's own
+// letters do not answer a search for "null".
+func hasWord(r relational.Rec, c int, word string) bool {
+	return !r.Null(c) && xquery.ContainsWord(r.Col(c), word)
+}
+
 // ------------------------------------------------------------------ DC/SD
 
 func execDCSD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, p core.Params) ([]string, error) {
@@ -170,7 +177,7 @@ func execDCSD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 		descCol, titleCol := items.Col("description"), items.Col("title")
 		var out []string
 		if err := items.Scan(ctx, func(r relational.Rec) bool {
-			if !r.Null(descCol) && xquery.ContainsWord(r.Col(descCol), word) {
+			if hasWord(r, descCol, word) {
 				n := xmldom.NewElement("title")
 				n.AddText(string(r.Col(titleCol)))
 				out = append(out, xml(n))
@@ -344,7 +351,7 @@ func execDCMD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 		seen := map[string]bool{}
 		var out []string
 		if err := lines.Scan(ctx, func(r relational.Rec) bool {
-			if !r.Null(cCol) && xquery.ContainsWord(r.Col(cCol), word) && !seen[string(r.Col(oCol))] {
+			if hasWord(r, cCol, word) && !seen[string(r.Col(oCol))] {
 				id := string(r.Col(oCol))
 				seen[id] = true
 				out = append(out, id)
@@ -539,8 +546,7 @@ func execTCSD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 		if err := entries.Scan(ctx, func(r relational.Rec) bool {
 			id := string(r.Col(idCol))
 			order = append(order, entryRow{id, string(r.Col(hwCol))})
-			if xquery.ContainsWord(r.Col(hwCol), word) ||
-				(!r.Null(etymCol) && xquery.ContainsWord(r.Col(etymCol), word)) {
+			if hasWord(r, hwCol, word) || hasWord(r, etymCol, word) {
 				match[id] = true
 			}
 			return true
@@ -549,7 +555,7 @@ func execTCSD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 		}
 		defCol, sEntryCol := senses.Col("def"), senses.Col("entry_id")
 		if err := senses.Scan(ctx, func(r relational.Rec) bool {
-			if xquery.ContainsWord(r.Col(defCol), word) {
+			if hasWord(r, defCol, word) {
 				mark(match, r.Col(sEntryCol))
 			}
 			return true
@@ -558,8 +564,7 @@ func execTCSD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 		}
 		qtCol, aCol, locCol, qEntryCol := quotes.Col("qt"), quotes.Col("a"), quotes.Col("loc"), quotes.Col("entry_id")
 		if err := quotes.Scan(ctx, func(r relational.Rec) bool {
-			if (!r.Null(qtCol) && xquery.ContainsWord(r.Col(qtCol), word)) ||
-				xquery.ContainsWord(r.Col(aCol), word) || xquery.ContainsWord(r.Col(locCol), word) {
+			if hasWord(r, qtCol, word) || hasWord(r, aCol, word) || hasWord(r, locCol, word) {
 				mark(match, r.Col(qEntryCol))
 			}
 			return true
@@ -680,7 +685,7 @@ func execTCMD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 		if err := arts.Scan(ctx, func(r relational.Rec) bool {
 			id := string(r.Col(idCol))
 			order = append(order, artRow{id, string(r.Col(titleCol))})
-			if xquery.ContainsWord(r.Col(titleCol), word) {
+			if hasWord(r, titleCol, word) {
 				match[id] = true
 			}
 			return true
@@ -701,7 +706,7 @@ func execTCMD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 			}
 			if err := tab.Scan(ctx, func(r relational.Rec) bool {
 				for _, c := range cols {
-					if !r.Null(c) && xquery.ContainsWord(r.Col(c), word) {
+					if hasWord(r, c, word) {
 						mark(match, r.Col(artCol))
 					}
 				}

@@ -278,3 +278,49 @@ func TestTCMDGroupingSorted(t *testing.T) {
 		prev = g
 	}
 }
+
+// TestQ17NullHoldsNoText: a column that is NULL because its element is
+// absent holds no text, so the sentinel's letters do not answer a text
+// search for the word "null" — in any class, on any searched column.
+func TestQ17NullHoldsNoText(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		class     core.Class
+		name, xml string
+		word      string // a word the document does hold
+		want      string
+	}{
+		// No etym, def, a or loc: four searched columns are NULL.
+		{core.TCSD, "dictionary.xml",
+			`<dictionary><entry id="E1"><hw>alpha</hw><sense><qp><q><qt>beta gamma</qt></q></qp></sense></entry></dictionary>`,
+			"beta", "<hw>alpha</hw>"},
+		// No affiliation or bio, and a section with no heading.
+		{core.TCMD, "article1.xml",
+			`<article id="A1"><prolog><title>alpha</title><authors><author><name>beta gamma</name></author></authors></prolog>` +
+				`<body><sec id="S1"><p>delta</p></sec></body></article>`,
+			"gamma", "<title>alpha</title>"},
+		// An order line with no comment.
+		{core.DCMD, "order1.xml",
+			`<order id="O1"><cc_xacts/><order_lines><order_line><item_id>I1</item_id></order_line>` +
+				`<order_line><item_id>I2</item_id><comment>beta gamma</comment></order_line></order_lines></order>`,
+			"beta", "O1"},
+	} {
+		s := shredder.NewStore(c.class, relational.NewDB(pager.New(64)), shredder.Options{})
+		doc, err := xmldom.Parse([]byte(c.xml))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.ShredDocument(c.name, doc); err != nil {
+			t.Fatal(err)
+		}
+		for word, want := range map[string][]string{c.word: {c.want}, "null": nil, "NULL": nil} {
+			res, err := execute(ctx, s, core.Q17, core.Params{"W2": word})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Join(res.Items, "|") != strings.Join(want, "|") {
+				t.Errorf("%v Q17 %q = %q, want %q", c.class, word, res.Items, want)
+			}
+		}
+	}
+}
