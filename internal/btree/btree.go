@@ -9,11 +9,12 @@
 // rebalances: a leaf may shrink to empty and stays in the chain, which
 // suits document-granular churn where the next insert refills it.
 //
-// Concurrency: Search and Range take a shared latch, so any number of
-// readers traverse in parallel; Insert, Delete and Sync take it
-// exclusive. The
-// root pointer, entry count and height only change under the exclusive
-// latch. Node pages themselves are protected by the pager's own latch.
+// Concurrency: a Tree only mutates — Insert, Delete and Sync take its
+// latch exclusive, and the root pointer, entry count and height only
+// change under it. Every read goes through a TreeView (view.go), an
+// immutable value that takes no latch: frozen at a commit epoch for
+// readers, at pager.LiveEpoch for the writer's own look-ups (Live).
+// Node pages themselves are protected by the pager's own latch.
 //
 // Nodes are never decoded: search, range, insert and delete walk the
 // cells of the page slice the pager returns and compare keys in place. A
@@ -38,20 +39,16 @@ import (
 // why long text columns cannot be indexed).
 const MaxKey = 512
 
-// Tree is a B+tree handle. Concurrent Search/Range calls are safe;
-// Insert, Delete and Sync exclude them.
+// Tree is a B+tree handle, the writer's: Insert, Delete and Sync exclude
+// each other and move its state; it is read through the views it hands
+// out (ViewAt, Live).
 type Tree struct {
-	mu     sync.RWMutex
-	p      *pager.Pager
-	fid    pager.FileID
-	root   uint32
-	n      int
-	height int
+	mu sync.RWMutex
+	state
 
-	// Counters from the pager's metrics registry (nil-safe): node visits,
-	// node splits, entries deleted, and the tree height as a high-water
-	// gauge.
-	cVisit  *metrics.Counter
+	// Counters from the pager's metrics registry (nil-safe), beside the
+	// state's node visits: node splits, entries deleted, and the tree
+	// height as a high-water gauge.
 	cSplit  *metrics.Counter
 	cDelete *metrics.Counter
 	cHeight *metrics.Counter
@@ -61,7 +58,7 @@ type Tree struct {
 // header page so that page number 0 can serve as the nil sentinel in the
 // leaf chain.
 func New(p *pager.Pager, name string) (*Tree, error) {
-	t := &Tree{p: p, fid: p.Create(name), height: 1}
+	t := &Tree{state: state{p: p, fid: p.Create(name), height: 1}}
 	t.bindMetrics()
 	if _, err := p.Append(t.fid); err != nil { // reserved page 0
 		return nil, err
@@ -85,13 +82,6 @@ func (t *Tree) bindMetrics() {
 	t.cSplit = reg.Counter("btree.split")
 	t.cDelete = reg.Counter("btree.delete")
 	t.cHeight = reg.Counter("btree.height")
-}
-
-// Len returns the number of stored entries.
-func (t *Tree) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.n
 }
 
 // FileID returns the pager file backing the tree.
@@ -119,7 +109,7 @@ func (t *Tree) Sync() error {
 // Open re-attaches to a tree previously persisted with Sync in the given
 // pager file (e.g. after crash recovery replayed the WAL).
 func Open(p *pager.Pager, fid pager.FileID) (*Tree, error) {
-	t := &Tree{p: p, fid: fid}
+	t := &Tree{state: state{p: p, fid: fid}}
 	pg, err := p.Read(fid, 0)
 	if err != nil {
 		return nil, err
@@ -135,8 +125,9 @@ func Open(p *pager.Pager, fid pager.FileID) (*Tree, error) {
 	t.bindMetrics()
 	// Recover the height by descending the leftmost spine.
 	t.height = 1
+	v := t.live()
 	for no := t.root; ; t.height++ {
-		pg, err := t.readPage(context.Background(), no)
+		pg, err := v.readPage(context.Background(), no)
 		if err != nil {
 			return nil, err
 		}
@@ -147,13 +138,6 @@ func Open(p *pager.Pager, fid pager.FileID) (*Tree, error) {
 	}
 	t.cHeight.SetMax(int64(t.height))
 	return t, nil
-}
-
-// Height returns the tree height in levels (1 = a lone leaf root).
-func (t *Tree) Height() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.height
 }
 
 func trunc(key string) string {
@@ -243,15 +227,6 @@ func (t *Tree) putNode(pageNo uint32, typ byte, next uint32, nkeys int, cells []
 	return t.p.WriteOwned(t.fid, pageNo, pg)
 }
 
-// readPage fetches a node page of the live tree.
-func (t *Tree) readPage(ctx context.Context, pageNo uint32) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t.cVisit.Inc()
-	return t.p.Read(t.fid, pageNo)
-}
-
 // Insert adds (key, val). Duplicate keys are allowed. Insert takes the
 // exclusive latch: concurrent searches wait for the tree to be
 // structurally consistent again.
@@ -259,7 +234,8 @@ func (t *Tree) Insert(key string, val uint64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	key = trunc(key)
-	sepKey, newChild, split, err := t.insert(t.root, key, val)
+	v := t.live()
+	sepKey, newChild, split, err := t.insert(&v, t.root, key, val)
 	if err != nil {
 		return err
 	}
@@ -285,8 +261,9 @@ func (t *Tree) Insert(key string, val uint64) error {
 	return nil
 }
 
-func (t *Tree) insert(pageNo uint32, key string, val uint64) (string, uint32, bool, error) {
-	pg, err := t.readPage(context.Background(), pageNo)
+// insert descends from pageNo, reading through v: the tree before Insert.
+func (t *Tree) insert(v *TreeView, pageNo uint32, key string, val uint64) (string, uint32, bool, error) {
+	pg, err := v.readPage(context.Background(), pageNo)
 	if err != nil {
 		return "", 0, false, err
 	}
@@ -296,7 +273,7 @@ func (t *Tree) insert(pageNo uint32, key string, val uint64) (string, uint32, bo
 	if isLeaf(pg) {
 		return t.addCell(pageNo, pg, off, i, key, val)
 	}
-	sep, newChild, split, err := t.insert(binary.BigEndian.Uint32(pg[off-innerPtr:]), key, val)
+	sep, newChild, split, err := t.insert(v, binary.BigEndian.Uint32(pg[off-innerPtr:]), key, val)
 	if err != nil || !split {
 		return "", 0, false, err
 	}
@@ -376,12 +353,13 @@ func (t *Tree) Delete(key string, val uint64) error {
 	defer t.mu.Unlock()
 	key = trunc(key)
 	ctx := context.Background()
-	pageNo, err := findLeaf(ctx, t.readPage, t.root, key)
+	v := t.live()
+	pageNo, err := v.findLeaf(ctx, key)
 	if err != nil {
 		return err
 	}
 	for pageNo != 0 {
-		pg, err := t.readPage(ctx, pageNo)
+		pg, err := v.readPage(ctx, pageNo)
 		if err != nil {
 			return err
 		}
@@ -410,94 +388,4 @@ func (t *Tree) Delete(key string, val uint64) error {
 		pageNo = nodeNext(pg)
 	}
 	return ErrNotFound
-}
-
-// Search returns all values stored under key, in insertion order.
-// Concurrent searches run in parallel; cancellation via ctx is honored
-// at page-fetch granularity.
-func (t *Tree) Search(ctx context.Context, key string) ([]uint64, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return search(ctx, t.readPage, t.root, key)
-}
-
-// Range visits entries with lo <= key <= hi in key order. Returning false
-// stops the scan. Concurrent ranges run in parallel under a shared
-// latch; cancellation via ctx is honored at page-fetch granularity.
-func (t *Tree) Range(ctx context.Context, lo, hi string, fn func(key string, val uint64) bool) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return rangeScan(ctx, t.readPage, t.root, lo, hi, stringKeys(fn))
-}
-
-// pageReader abstracts the page fetch so the live Tree (pool reads under
-// its shared latch) and a TreeView (epoch-pinned versioned reads, no
-// latch) share one traversal. It checks ctx and counts the visit.
-type pageReader func(ctx context.Context, pageNo uint32) ([]byte, error)
-
-// stringKeys adapts a Range callback to rangeScan: only here does a
-// scanned key become a string.
-func stringKeys(fn func(key string, val uint64) bool) func([]byte, uint64) bool {
-	return func(k []byte, v uint64) bool { return fn(string(k), v) }
-}
-
-// search collects the values under key; the keys it passes over are
-// never copied out of their pages.
-func search(ctx context.Context, read pageReader, root uint32, key string) ([]uint64, error) {
-	var out []uint64
-	err := rangeScan(ctx, read, root, key, key, func(_ []byte, v uint64) bool {
-		out = append(out, v)
-		return true
-	})
-	return out, err
-}
-
-// findLeaf descends from root to the leftmost leaf that can contain key.
-// Duplicates of a promoted separator may remain in the left sibling, so
-// on an equal separator it goes left and callers walk the leaf chain
-// forward.
-func findLeaf(ctx context.Context, read pageReader, root uint32, key string) (uint32, error) {
-	pageNo := root
-	for {
-		pg, err := read(ctx, pageNo)
-		if err != nil {
-			return 0, err
-		}
-		if isLeaf(pg) {
-			return pageNo, nil
-		}
-		off, _ := seek(pg, key, true)
-		pageNo = binary.BigEndian.Uint32(pg[off-innerPtr:])
-	}
-}
-
-// rangeScan is the shared range traversal: descend from root to the
-// leftmost leaf that can contain lo, then walk the leaf chain. The key
-// handed to fn aliases the page and is only valid during the call.
-func rangeScan(ctx context.Context, read pageReader, root uint32, lo, hi string,
-	fn func(key []byte, val uint64) bool) error {
-	lo, hi = trunc(lo), trunc(hi)
-	pageNo, err := findLeaf(ctx, read, root, lo)
-	if err != nil {
-		return err
-	}
-	for pageNo != 0 {
-		pg, err := read(ctx, pageNo)
-		if err != nil {
-			return err
-		}
-		n := nodeKeys(pg)
-		for off, i := seek(pg, lo, true); i < n; i++ {
-			k, p := cellKey(pg, off)
-			if string(k) > hi {
-				return nil
-			}
-			if !fn(k, binary.BigEndian.Uint64(pg[p:])) {
-				return nil
-			}
-			off = p + leafPtr
-		}
-		pageNo = nodeNext(pg)
-	}
-	return nil
 }

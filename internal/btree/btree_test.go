@@ -33,16 +33,16 @@ func TestInsertSearchSmall(t *testing.T) {
 		}
 	}
 	for k, v := range pairs {
-		got, err := tr.Search(context.Background(), k)
+		got, err := tr.Live().Search(context.Background(), k)
 		if err != nil || len(got) != 1 || got[0] != v {
 			t.Fatalf("Search(%q) = %v, %v", k, got, err)
 		}
 	}
-	if got, _ := tr.Search(context.Background(), "zzz"); len(got) != 0 {
+	if got, _ := tr.Live().Search(context.Background(), "zzz"); len(got) != 0 {
 		t.Fatal("Search miss returned values")
 	}
-	if tr.Len() != 3 {
-		t.Fatalf("Len = %d", tr.Len())
+	if tr.Live().Len() != 3 {
+		t.Fatalf("Len = %d", tr.Live().Len())
 	}
 }
 
@@ -55,7 +55,7 @@ func TestManyKeysForceSplits(t *testing.T) {
 		}
 	}
 	for _, i := range []int{0, 1, 777, n / 2, n - 1} {
-		got, err := tr.Search(context.Background(), fmt.Sprintf("key%08d", i))
+		got, err := tr.Live().Search(context.Background(), fmt.Sprintf("key%08d", i))
 		if err != nil || len(got) != 1 || got[0] != uint64(i) {
 			t.Fatalf("Search key%08d = %v, %v", i, got, err)
 		}
@@ -73,7 +73,7 @@ func TestRandomOrderInsert(t *testing.T) {
 	}
 	// Full range scan must return every key in sorted order.
 	var keys []string
-	err := tr.Range(context.Background(), "", "\xff", func(k string, v uint64) bool {
+	err := tr.Live().Range(context.Background(), "", "\xff", func(k string, v uint64) bool {
 		keys = append(keys, k)
 		return true
 	})
@@ -98,7 +98,7 @@ func TestDuplicateKeys(t *testing.T) {
 		}
 	}
 	for d := 0; d < 7; d++ {
-		got, err := tr.Search(context.Background(), fmt.Sprintf("dup%d", d))
+		got, err := tr.Live().Search(context.Background(), fmt.Sprintf("dup%d", d))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestRangeBounds(t *testing.T) {
 		tr.Insert(fmt.Sprintf("%03d", i), uint64(i))
 	}
 	var got []uint64
-	tr.Range(context.Background(), "010", "020", func(_ string, v uint64) bool {
+	tr.Live().Range(context.Background(), "010", "020", func(_ string, v uint64) bool {
 		got = append(got, v)
 		return true
 	})
@@ -134,7 +134,7 @@ func TestRangeBounds(t *testing.T) {
 	}
 	// Early stop.
 	count := 0
-	tr.Range(context.Background(), "000", "099", func(string, uint64) bool {
+	tr.Live().Range(context.Background(), "000", "099", func(string, uint64) bool {
 		count++
 		return count < 5
 	})
@@ -143,7 +143,7 @@ func TestRangeBounds(t *testing.T) {
 	}
 	// Empty range.
 	n := 0
-	tr.Range(context.Background(), "500", "600", func(string, uint64) bool { n++; return true })
+	tr.Live().Range(context.Background(), "500", "600", func(string, uint64) bool { n++; return true })
 	if n != 0 {
 		t.Fatal("empty range returned entries")
 	}
@@ -155,13 +155,13 @@ func TestLongKeysTruncated(t *testing.T) {
 	if err := tr.Insert(long, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tr.Search(context.Background(), long)
+	got, err := tr.Live().Search(context.Background(), long)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("truncated key lookup failed: %v, %v", got, err)
 	}
 	// A different key sharing the first MaxKey bytes collides by design.
 	other := long + "different"
-	got, _ = tr.Search(context.Background(), other)
+	got, _ = tr.Live().Search(context.Background(), other)
 	if len(got) != 1 {
 		t.Fatal("prefix-identical key should hit the truncated entry")
 	}
@@ -171,7 +171,7 @@ func TestEmptyKey(t *testing.T) {
 	tr := newTree(t)
 	tr.Insert("", 42)
 	tr.Insert("a", 1)
-	got, err := tr.Search(context.Background(), "")
+	got, err := tr.Live().Search(context.Background(), "")
 	if err != nil || len(got) != 1 || got[0] != 42 {
 		t.Fatalf("empty key lookup = %v, %v", got, err)
 	}
@@ -212,7 +212,7 @@ func TestPropertyMatchesMap(t *testing.T) {
 	total := 0
 	check := func(key string) {
 		t.Helper()
-		got, err := tr.Search(ctx, key)
+		got, err := tr.Live().Search(ctx, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,15 +225,15 @@ func TestPropertyMatchesMap(t *testing.T) {
 				t.Fatalf("Search(%.20q)[%d] = %d, model has %d", key, i, got[i], want[i])
 			}
 		}
-		if tr.Len() != total {
-			t.Fatalf("Len = %d, model has %d entries", tr.Len(), total)
+		if tr.Live().Len() != total {
+			t.Fatalf("Len = %d, model has %d entries", tr.Live().Len(), total)
 		}
 	}
 	checkAll := func(tr *Tree) {
 		t.Helper()
 		seen := 0
 		prev := ""
-		err := tr.Range(ctx, "", strings.Repeat("\xff", MaxKey), func(k string, v uint64) bool {
+		err := tr.Live().Range(ctx, "", strings.Repeat("\xff", MaxKey), func(k string, v uint64) bool {
 			if k < prev {
 				t.Fatalf("Range out of order: %.20q after %.20q", k, prev)
 			}
@@ -251,8 +251,8 @@ func TestPropertyMatchesMap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seen != total || tr.Len() != total {
-			t.Fatalf("Range saw %d entries, Len = %d, model has %d", seen, tr.Len(), total)
+		if seen != total || tr.Live().Len() != total {
+			t.Fatalf("Range saw %d entries, Len = %d, model has %d", seen, tr.Live().Len(), total)
 		}
 	}
 
@@ -336,7 +336,7 @@ func TestColdLookupSurvivesReset(t *testing.T) {
 	}
 	p.ColdReset()
 	p.ResetStats()
-	got, err := tr.Search(context.Background(), "k01234")
+	got, err := tr.Live().Search(context.Background(), "k01234")
 	if err != nil || len(got) != 1 || got[0] != 1234 {
 		t.Fatalf("cold search = %v, %v", got, err)
 	}
@@ -364,10 +364,10 @@ func TestSyncOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.Len() != tr.Len() {
-		t.Fatalf("reopened Len = %d, want %d", re.Len(), tr.Len())
+	if re.Live().Len() != tr.Live().Len() {
+		t.Fatalf("reopened Len = %d, want %d", re.Live().Len(), tr.Live().Len())
 	}
-	got, err := re.Search(context.Background(), "k02718")
+	got, err := re.Live().Search(context.Background(), "k02718")
 	if err != nil || len(got) != 1 || got[0] != 2718 {
 		t.Fatalf("search after reopen = %v, %v", got, err)
 	}
@@ -397,7 +397,7 @@ func TestSyncSurvivesCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var n int
-	if err := re.Range(context.Background(), "", "\xff", func(string, uint64) bool { n++; return true }); err != nil {
+	if err := re.Live().Range(context.Background(), "", "\xff", func(string, uint64) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 1000 {
@@ -455,15 +455,15 @@ func TestViewKeepsDeletedEntries(t *testing.T) {
 	}
 	p.EndMutation(nil)
 
-	if view.Len() != n || tr.Len() != n/2+n/4 {
-		t.Fatalf("view Len = %d (want %d), live Len = %d (want %d)", view.Len(), n, tr.Len(), n/2+n/4)
+	if view.Len() != n || tr.Live().Len() != n/2+n/4 {
+		t.Fatalf("view Len = %d (want %d), live Len = %d (want %d)", view.Len(), n, tr.Live().Len(), n/2+n/4)
 	}
 	for i := 0; i < n; i++ {
 		old, err := view.Search(ctx, key(i))
 		if err != nil || len(old) != 1 || old[0] != uint64(i) {
 			t.Fatalf("view Search(%s) = %v, %v; want [%d]", key(i), old, err, i)
 		}
-		live, err := tr.Search(ctx, key(i))
+		live, err := tr.Live().Search(ctx, key(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -597,8 +597,8 @@ func TestFormatPinned(t *testing.T) {
 		}
 		live = append(live, pair{key, next})
 	}
-	if tr.Height() != 3 {
-		t.Fatalf("height = %d, want 3: the sequence must grow the root twice", tr.Height())
+	if tr.Live().Height() != 3 {
+		t.Fatalf("height = %d, want 3: the sequence must grow the root twice", tr.Live().Height())
 	}
 	sum := sha256.New()
 	for no := uint32(1); no < p.NumPages(tr.FileID()); no++ {
@@ -644,14 +644,11 @@ func TestAllocationPins(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if tr.Height() != 3 {
-				t.Fatalf("height = %d, want 3", tr.Height())
-			}
-			type searcher interface {
-				Search(ctx context.Context, key string) ([]uint64, error)
+			if tr.Live().Height() != 3 {
+				t.Fatalf("height = %d, want 3", tr.Live().Height())
 			}
 			probe := key(tc.n / 3)
-			for name, rd := range map[string]searcher{"tree": tr, "view": tr.ViewAt(pager.LiveEpoch)} {
+			for name, rd := range map[string]*TreeView{"live": tr.Live(), "frozen": tr.ViewAt(p.SnapshotEpoch())} {
 				// One match: the result slice and the variable the scan
 				// callback appends to.
 				if a := testing.AllocsPerRun(100, func() {

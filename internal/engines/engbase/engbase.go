@@ -1,8 +1,9 @@
 // Package engbase is the lifecycle all four engines share. An engine
-// embeds *Base and supplies a Store — its on-disk layout and its query
-// path — and Base owns everything that is the same for every storage
-// strategy: the writers' latch, the pager, the logical update journal,
-// the planner's feedback, and the protocols built on them (DESIGN.md §9
+// embeds *Base and supplies a Store — its on-disk layout, which only
+// mutates, and through the View it freezes its query path — and Base
+// owns everything that is the same for every storage strategy: the
+// writers' latch, the pager, the logical update journal, the planner's
+// feedback, and the protocols built on them (DESIGN.md §9
 // load and query, §10 updates, §15 snapshot reads). They are written
 // once, here, so a rule such as "nothing runs against a store that was
 // never loaded", "the journal append comes before the apply" or "a query
@@ -37,18 +38,27 @@ import (
 	"xbench/internal/xmldom"
 )
 
+// View is the read surface of a Store: the store frozen at one commit
+// epoch, immutable, and how a planned query runs against it. Readers that
+// pinned its epoch call it concurrently, without the latch; it holds no
+// reference to its store, so a read reaches nothing a writer changes.
+type View interface {
+	// Class is the class whose query catalog applies, Stats what the cost
+	// model reads: Base takes them once per commit and adds the feedback.
+	Class() core.Class
+	Stats() plan.StatValues
+	// Exec runs the planned query ph. Base fills in Result.PageIO.
+	Exec(ctx context.Context, ph *plan.Physical, p core.Params) (core.Result, error)
+}
+
 // Store is the part of an engine that is its own: how documents are laid
-// out over the pager and how a planned query runs against them. V is the
-// read surface a query runs against: a frozen view of the store at one
-// commit epoch.
+// out over the pager. It only mutates; V is what reads it.
 //
-// Base calls every method except Name, Supports and Exec with the engine
-// latch held exclusively, and only Name, Supports, Reset and LoadDocs on
-// a store that is not loaded, so a Store does no locking and no "is it
-// loaded" checks of its own. Exec is called concurrently, without the
-// latch, on a view the caller has pinned; it reads nothing of the store
-// that a writer changes.
-type Store[V any] interface {
+// Base calls every method except Name and Supports with the engine latch
+// held exclusively, and only Name, Supports, Reset and LoadDocs on a
+// store that is not loaded, so a Store does no locking and no "is it
+// loaded" checks of its own.
+type Store[V View] interface {
 	// Name and Supports are core.Engine's.
 	Name() string
 	Supports(c core.Class, s core.Size) error
@@ -66,14 +76,6 @@ type Store[V any] interface {
 	// flushes the heap tails the mutation dirtied into the pool, and only
 	// those; Base syncs the pager after it.
 	Freeze(epoch uint64) (V, error)
-	// Stats returns what the planner needs to know about v: the class
-	// whose query catalog applies and the statistics the cost model
-	// reads. Base calls it once, on the view Freeze just returned, and
-	// adds the feedback.
-	Stats(v V) (core.Class, plan.StatValues)
-	// Exec runs the planned query ph against v. Base fills in
-	// Result.PageIO.
-	Exec(ctx context.Context, v V, ph *plan.Physical, p core.Params) (core.Result, error)
 	// BuildIndexes creates the Table 3 value indexes among specs that
 	// apply to the loaded class.
 	BuildIndexes(specs []core.IndexSpec) error
@@ -97,7 +99,7 @@ type Store[V any] interface {
 // goroutines and never take the latch; every other method takes it,
 // serializing writers, while readers keep running against the epoch
 // they pinned.
-type Base[V any] struct {
+type Base[V View] struct {
 	mu      sync.Mutex
 	p       *pager.Pager
 	s       Store[V]
@@ -111,12 +113,11 @@ type Base[V any] struct {
 
 // publication is what one commit publishes, as the pager's view of the
 // epoch: the store's frozen read surface and what every read of it would
-// otherwise work out again — the class whose query catalog applies, the
-// planner's statistics, and the plans already made over them. Only the
+// otherwise work out again — the planner's statistics and the plans
+// already made over them. Only the
 // plan cells change after the commit, each once, from empty to a plan.
-type publication[V any] struct {
+type publication[V View] struct {
 	view  V
-	class core.Class
 	stats plan.StatValues // Feedback is the engine's
 	// plans memoizes, by QueryID, the plans whose costing read nothing
 	// but stats. Such a plan is a function of (query, view), so the memo
@@ -135,7 +136,7 @@ func (pub *publication[V]) plan(q core.QueryID) (*plan.Physical, error) {
 	if ph := pub.plans[q].Load(); ph != nil {
 		return ph, nil
 	}
-	def := queries.Lookup(pub.class, q)
+	def := queries.Lookup(pub.view.Class(), q)
 	if def == nil {
 		return nil, core.ErrNoQuery
 	}
@@ -150,7 +151,7 @@ func (pub *publication[V]) plan(q core.QueryID) (*plan.Physical, error) {
 // an engine creates its Store's files on a pager.New first and then hands
 // both over. New adds the update journal file, and starts nothing — an
 // engine has no goroutine of its own.
-func New[V any](p *pager.Pager, s Store[V]) *Base[V] {
+func New[V View](p *pager.Pager, s Store[V]) *Base[V] {
 	return &Base[V]{p: p, s: s, journal: updatelog.New(p, "updates")}
 }
 
@@ -204,8 +205,7 @@ func (b *Base[V]) publish(epoch uint64, commit func(view any) uint64, err error)
 		commit(nil)
 		return err
 	}
-	pub := &publication[V]{view: v}
-	pub.class, pub.stats = b.s.Stats(v)
+	pub := &publication[V]{view: v, stats: v.Stats()}
 	pub.stats.Feedback = &b.fb
 	commit(pub)
 	return nil
@@ -276,21 +276,43 @@ func (b *Base[V]) BuildIndexes(specs []core.IndexSpec) error {
 	return b.publish(epoch, b.p.EndMutation, b.s.BuildIndexes(specs))
 }
 
-// planned is the read protocol up to the plan, for the operation named
+// pinned is the first half of the read protocol, for the operation named
 // op: pin the committed epoch, which hands back what was published with
-// it (nothing published is the not-loaded error), and take q's plan over
-// that view. It is the one planning site, and the plan phase is exactly
-// its second half, publication.plan: q's cell, or the catalog lookup and
-// the costing over the view's statistics and the engine's observed
-// selectivities. The plan may be shared with every other reader of the
-// view and is read-only. The caller owns the Snap either way and must
-// Release it when done with the view and the plan.
-func (b *Base[V]) planned(op string, q core.QueryID) (*pager.Snap, V, *plan.Physical, error) {
+// it (nothing published is the not-loaded error). The caller owns the
+// Snap either way and must Release it when done with the publication.
+func (b *Base[V]) pinned(op string) (*pager.Snap, *publication[V], error) {
 	snap := b.p.PinSnapshot()
 	pub, ok := snap.View().(*publication[V])
 	if !ok {
+		return snap, nil, b.notLoaded(op)
+	}
+	return snap, pub, nil
+}
+
+// View pins the committed epoch and returns the view published with it —
+// what a query submitted now would read — and the release of the pin,
+// which the caller owes once done with the view.
+func (b *Base[V]) View() (v V, release func(), err error) {
+	snap, pub, err := b.pinned("View")
+	if err != nil {
+		snap.Release()
+		return v, nil, err
+	}
+	return pub.view, snap.Release, nil
+}
+
+// planned is the read protocol up to the plan: pin, and take q's plan
+// over the pinned view. It is the one planning site, and the plan phase
+// is exactly its second half, publication.plan: q's cell, or the catalog
+// lookup and the costing over the view's statistics and the engine's
+// observed selectivities. The plan may be shared with every other reader
+// of the view and is read-only. The caller owns the Snap either way and
+// must Release it when done with the view and the plan.
+func (b *Base[V]) planned(op string, q core.QueryID) (*pager.Snap, V, *plan.Physical, error) {
+	snap, pub, err := b.pinned(op)
+	if err != nil {
 		var none V
-		return snap, none, nil, b.notLoaded(op)
+		return snap, none, nil, err
 	}
 	defer b.p.Metrics().StartSpan(metrics.PhasePlan).End()
 	ph, err := pub.plan(q)
@@ -309,7 +331,7 @@ func (b *Base[V]) Execute(ctx context.Context, q core.QueryID, p core.Params) (c
 		return core.Result{}, err
 	}
 	before := b.p.Stats().IO()
-	res, err := b.s.Exec(ctx, v, ph, p)
+	res, err := v.Exec(ctx, ph, p)
 	if err != nil {
 		return core.Result{}, err
 	}

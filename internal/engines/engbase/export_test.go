@@ -17,17 +17,16 @@ func (b *Base[V]) JournalRecords() (int, error) {
 // Execute and Explain get it (from q's cell once it is there), and fresh,
 // as plan.Plan builds it from the store's statistics of that view.
 func (b *Base[V]) Plans(q core.QueryID) (served, fresh *plan.Physical, err error) {
-	snap := b.p.PinSnapshot()
+	snap, pub, err := b.pinned("Plans")
 	defer snap.Release()
-	pub, ok := snap.View().(*publication[V])
-	if !ok {
-		return nil, nil, b.notLoaded("Plans")
+	if err != nil {
+		return nil, nil, err
 	}
 	if served, err = pub.plan(q); err != nil {
 		return nil, nil, err
 	}
-	class, st := b.s.Stats(pub.view)
+	st := pub.view.Stats()
 	st.Feedback = &b.fb
-	fresh, err = plan.Plan(queries.Lookup(class, q), st)
+	fresh, err = plan.Plan(queries.Lookup(pub.view.Class(), q), st)
 	return served, fresh, err
 }

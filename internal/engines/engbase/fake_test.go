@@ -16,7 +16,7 @@ import (
 
 // cell is the smallest Store there is: one page holding the number of
 // documents stored. A view remembers the count it was frozen with, and
-// Exec reads the page as of the view's epoch and compares — so a reader
+// its Exec reads the page as of the view's epoch and compares — so a reader
 // handed a view of one epoch under a pin of another (whose page version
 // GC is free to reclaim) fails instead of answering. Like a real store's,
 // its hooks only mutate — Base syncs — but they can be made to fail or to
@@ -39,6 +39,8 @@ type cell struct {
 }
 
 type cellView struct {
+	p     *pager.Pager
+	fid   pager.FileID
 	epoch uint64
 	n     uint64
 }
@@ -85,13 +87,14 @@ func (c *cell) Freeze(epoch uint64) (*cellView, error) {
 	if c.freezeErr != nil {
 		return nil, c.freezeErr
 	}
-	return &cellView{epoch: epoch, n: uint64(len(c.names))}, nil
+	return &cellView{p: c.p, fid: c.fid, epoch: epoch, n: uint64(len(c.names))}, nil
 }
-func (c *cell) Stats(v *cellView) (core.Class, plan.StatValues) {
-	return core.DCMD, plan.StatValues{DataPages: 1, DataRows: int64(v.n)}
+func (v *cellView) Class() core.Class { return core.DCMD }
+func (v *cellView) Stats() plan.StatValues {
+	return plan.StatValues{DataPages: 1, DataRows: int64(v.n)}
 }
-func (c *cell) Exec(_ context.Context, v *cellView, _ *plan.Physical, _ core.Params) (core.Result, error) {
-	pg, err := c.p.ReadAt(c.fid, 0, v.epoch)
+func (v *cellView) Exec(_ context.Context, _ *plan.Physical, _ core.Params) (core.Result, error) {
+	pg, err := v.p.ReadAt(v.fid, 0, v.epoch)
 	if err != nil {
 		return core.Result{}, err
 	}

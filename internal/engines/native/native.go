@@ -83,8 +83,8 @@ type Engine struct {
 	s *store
 }
 
-// store is the native layout and query path; it implements
-// engbase.Store, which states the locking each method runs under.
+// store is the native layout; it implements engbase.Store, which states
+// the locking each method runs under.
 type store struct {
 	p       *pager.Pager
 	class   core.Class
@@ -99,31 +99,43 @@ type store struct {
 	indexes map[string]*btree.Tree
 }
 
-// view is the read surface of the store at one commit epoch: frozen
-// heap and index views a query reads lock-free under its pin.
+// view is the read surface of the store and its query path
+// (engbase.View): heap and index views at one epoch — a commit epoch,
+// which a query reads lock-free under its pin, or the writer's own, live —
+// and what of the store no mutation changes.
 type view struct {
 	class   core.Class
+	opts    Options
+	reg     *metrics.Registry
 	docs    pager.HeapView
 	catalog pager.HeapView
 	indexes map[string]*btree.TreeView
 }
 
-// Freeze implements engbase.Store: heap and index views at epoch. The
-// views flush the tail page of a heap the mutation appended to or patched.
+// live is the writer's view of its own heaps as they are now, unflushed
+// tails included, valid until its next Insert or Delete. It carries no
+// indexes: the writer maintains those, it does not probe them.
+func (s *store) live() *view {
+	return &view{class: s.class, opts: s.opts, reg: s.p.Metrics(), docs: s.docs.Live(), catalog: s.catalog.Live()}
+}
+
+// Freeze implements engbase.Store: the live view with its heaps and the
+// indexes frozen at epoch. The heap views flush the tail page of a heap
+// the mutation appended to or patched.
 func (s *store) Freeze(epoch uint64) (*view, error) {
-	docs, err := s.docs.View(epoch)
-	if err != nil {
+	v := s.live()
+	var err error
+	if v.docs, err = s.docs.View(epoch); err != nil {
 		return nil, err
 	}
-	catalog, err := s.catalog.View(epoch)
-	if err != nil {
+	if v.catalog, err = s.catalog.View(epoch); err != nil {
 		return nil, err
 	}
-	ixs := make(map[string]*btree.TreeView, len(s.indexes))
+	v.indexes = make(map[string]*btree.TreeView, len(s.indexes))
 	for t, ix := range s.indexes {
-		ixs[t] = ix.ViewAt(epoch)
+		v.indexes[t] = ix.ViewAt(epoch)
 	}
-	return &view{class: s.class, docs: docs, catalog: catalog, indexes: ixs}, nil
+	return v, nil
 }
 
 // New returns an empty native engine with the given buffer pool size in
@@ -310,18 +322,18 @@ func (s *store) storeDocument(name string, doc *xmldom.Node, raw []byte) (pager.
 	return cat, en, nil
 }
 
-// openRecord fetches one stored record from docs (a frozen view of the
-// document heap, or the writer's live one) and opens it for the cursor.
+// openRecord fetches one stored record from the view's document heap
+// and opens it for the cursor.
 // A persistent-DOM record is walked where Get found it — in the page
 // image itself when it lies inside one page, which the cursor only
 // reads; raw XML (the storage-format ablation) is parsed and re-encoded
 // first.
-func (s *store) openRecord(ctx context.Context, docs pager.HeapView, rid pager.RID) (*xmldom.Record, error) {
-	data, err := docs.Get(ctx, rid)
+func (v *view) openRecord(ctx context.Context, rid pager.RID) (*xmldom.Record, error) {
+	data, err := v.docs.Get(ctx, rid)
 	if err != nil {
 		return nil, err
 	}
-	if s.opts.Format == FormatDOM {
+	if v.opts.Format == FormatDOM {
 		return xmldom.OpenRecord(data)
 	}
 	doc, err := xmldom.Parse(data)
@@ -337,9 +349,9 @@ func (s *store) openRecord(ctx context.Context, docs pager.HeapView, rid pager.R
 // value — which is what the index locators guarantee. An unsegmented
 // document is its one record; a segmented one is put together as a tree
 // from its header and segments and encoded again.
-func (s *store) openDoc(ctx context.Context, docs pager.HeapView, en docEntry, segs []int) (*xmldom.Record, error) {
+func (v *view) openDoc(ctx context.Context, en docEntry, segs []int) (*xmldom.Record, error) {
 	if !en.segmented {
-		rec, err := s.openRecord(ctx, docs, en.rids[0])
+		rec, err := v.openRecord(ctx, en.rids[0])
 		if err != nil {
 			return nil, err
 		}
@@ -362,7 +374,7 @@ func (s *store) openDoc(ctx context.Context, docs pager.HeapView, en docEntry, s
 		}
 	}
 	tree := func(rid pager.RID) (*xmldom.Node, error) {
-		data, err := docs.Get(ctx, rid)
+		data, err := v.docs.Get(ctx, rid)
 		if err != nil {
 			return nil, err
 		}
@@ -430,10 +442,10 @@ func indexEntries(target string, cat pager.RID, parts []*xmldom.Record, fn func(
 }
 
 // loadParts opens the stored records of one catalog entry.
-func (s *store) loadParts(ctx context.Context, docs pager.HeapView, en docEntry) ([]*xmldom.Record, error) {
+func (v *view) loadParts(ctx context.Context, en docEntry) ([]*xmldom.Record, error) {
 	parts := make([]*xmldom.Record, len(en.rids))
 	for i, rid := range en.rids {
-		part, err := s.openRecord(ctx, docs, rid)
+		part, err := v.openRecord(ctx, rid)
 		if err != nil {
 			return nil, err
 		}
@@ -447,7 +459,7 @@ func (s *store) loadParts(ctx context.Context, docs pager.HeapView, en docEntry)
 // is the writer, so it reads its own heaps as they are now.
 func (s *store) BuildIndexes(specs []core.IndexSpec) error {
 	ctx := context.Background()
-	v := &view{class: s.class, docs: s.docs.Live(), catalog: s.catalog.Live()}
+	v := s.live()
 	for _, spec := range specs {
 		if _, dup := s.indexes[spec.Target]; dup {
 			continue
@@ -456,12 +468,12 @@ func (s *store) BuildIndexes(specs []core.IndexSpec) error {
 		if err != nil {
 			return err
 		}
-		err = s.scanCatalog(ctx, v, func(cat pager.RID, _, rec []byte) (bool, error) {
+		err = v.scanCatalog(ctx, func(cat pager.RID, _, rec []byte) (bool, error) {
 			en, err := decodeCatalogEntry(rec)
 			if err != nil {
 				return false, err
 			}
-			parts, err := s.loadParts(ctx, v.docs, en)
+			parts, err := v.loadParts(ctx, en)
 			if err != nil {
 				return false, err
 			}
@@ -479,11 +491,11 @@ func (s *store) BuildIndexes(specs []core.IndexSpec) error {
 	return nil
 }
 
-// scanCatalog walks v's on-disk catalog in address order (load order
+// scanCatalog walks the view's on-disk catalog in address order (load order
 // until an update reuses a deleted entry's space), handing fn each
 // record with the document name found in it. Nothing is decoded: fn
 // compares the name in place and decodes the entries it selects.
-func (s *store) scanCatalog(ctx context.Context, v *view, fn func(cat pager.RID, name, rec []byte) (bool, error)) error {
+func (v *view) scanCatalog(ctx context.Context, fn func(cat pager.RID, name, rec []byte) (bool, error)) error {
 	var inner error
 	err := v.catalog.Scan(ctx, func(cat pager.RID, rec []byte) bool {
 		_, _, name, err := splitCatalogEntry(rec)
@@ -504,13 +516,13 @@ func (s *store) scanCatalog(ctx context.Context, v *view, fn func(cat pager.RID,
 	return err
 }
 
-// Exec implements engbase.Store: evaluate the class's XQuery
+// Exec implements engbase.View: evaluate the class's XQuery
 // instantiation, using a value index to restrict the document set handed
 // to the evaluator when the plan chose one. Cancellation via ctx is
 // honored at page-fetch granularity while documents are fetched.
-func (s *store) Exec(ctx context.Context, v *view, ph *plan.Physical, p core.Params) (core.Result, error) {
-	def, reg := ph.Def, s.p.Metrics()
-	coll, err := s.buildCollection(ctx, v, ph, p)
+func (v *view) Exec(ctx context.Context, ph *plan.Physical, p core.Params) (core.Result, error) {
+	def, reg := ph.Def, v.reg
+	coll, err := v.buildCollection(ctx, ph, p)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -539,19 +551,25 @@ func (s *store) Exec(ctx context.Context, v *view, ph *plan.Physical, p core.Par
 	return core.Result{Items: items, OrderGuaranteed: true}, nil
 }
 
-// Stats implements engbase.Store: document heap pages, catalog entry
+// Class implements engbase.View.
+func (v *view) Class() core.Class { return v.class }
+
+// Stats implements engbase.View: document heap pages, catalog entry
 // count and the heights of the value indexes.
-func (s *store) Stats(v *view) (core.Class, plan.StatValues) {
+func (v *view) Stats() plan.StatValues {
 	st := plan.StatValues{
 		DataPages: v.docs.Pages(),
-		DataRows:  int64(v.catalog.Count()),
+		DataRows:  int64(v.DocumentCount()),
 		Indexes:   make(map[string]int, len(v.indexes)),
 	}
 	for target, ix := range v.indexes {
 		st.Indexes[target] = ix.Height()
 	}
-	return v.class, st
+	return st
 }
+
+// DocumentCount returns the number of stored documents.
+func (v *view) DocumentCount() int { return v.catalog.Count() }
 
 var _ core.Explainer = (*Engine)(nil)
 
@@ -561,9 +579,8 @@ var _ core.Explainer = (*Engine)(nil)
 // catalog is always read from disk (cold-run cost proportional to
 // document count); an entry is decoded, and its records fetched, only
 // for a selected document.
-func (s *store) buildCollection(ctx context.Context, v *view, ph *plan.Physical, p core.Params) (*xquery.Collection, error) {
-	reg := s.p.Metrics()
-	coll := xquery.NewCollection()
+func (v *view) buildCollection(ctx context.Context, ph *plan.Physical, p core.Params) (*xquery.Collection, error) {
+	reg, coll := v.reg, xquery.NewCollection()
 	// A catalog walk is two phases: scan is the walk itself, materialize
 	// the documents it opens on the way. addDoc times itself and the walk
 	// records each phase once, scan as what is left, so the two partition
@@ -571,7 +588,7 @@ func (s *store) buildCollection(ctx context.Context, v *view, ph *plan.Physical,
 	var opening time.Duration
 	scan := func(fn func(cat pager.RID, name, rec []byte) (bool, error)) error {
 		start := time.Now()
-		err := s.scanCatalog(ctx, v, fn)
+		err := v.scanCatalog(ctx, fn)
 		reg.AddPhase(metrics.PhaseScan, time.Since(start)-opening)
 		reg.AddPhase(metrics.PhaseMaterialize, opening)
 		return err
@@ -583,7 +600,7 @@ func (s *store) buildCollection(ctx context.Context, v *view, ph *plan.Physical,
 		if err != nil {
 			return err
 		}
-		doc, err := s.openDoc(ctx, v.docs, en, segs)
+		doc, err := v.openDoc(ctx, en, segs)
 		if err != nil {
 			return err
 		}
@@ -648,7 +665,7 @@ func (s *store) buildCollection(ctx context.Context, v *view, ph *plan.Physical,
 			// Range probe: feed the observed selectivity (documents the
 			// window kept / documents in the catalog) back to the cost
 			// model for the next Plan call.
-			ph.Observe(len(wantAll)+len(wantSegs), v.catalog.Count())
+			ph.Observe(len(wantAll)+len(wantSegs), v.DocumentCount())
 		}
 		// Some queries join against other documents (Q19 joins orders with
 		// the flat customers document); always include the flat documents
@@ -671,9 +688,6 @@ func (s *store) buildCollection(ctx context.Context, v *view, ph *plan.Physical,
 		return true, addDoc(rec, nil)
 	})
 }
-
-// DocumentCount returns the number of stored documents.
-func (e *Engine) DocumentCount() int { return e.s.catalog.Count() }
 
 var _ core.Engine = (*Engine)(nil)
 
@@ -711,7 +725,7 @@ func (s *store) eachIndexEntry(ctx context.Context, cat pager.RID, en docEntry, 
 	if len(s.indexes) == 0 {
 		return nil
 	}
-	parts, err := s.loadParts(ctx, s.docs.Live(), en)
+	parts, err := s.live().loadParts(ctx, en)
 	if err != nil {
 		return err
 	}

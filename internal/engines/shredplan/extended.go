@@ -20,7 +20,7 @@ import (
 
 // ------------------------------------------------------------------ DC/SD
 
-func execDCSDExtended(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, p core.Params) ([]string, error) {
+func execDCSDExtended(ctx context.Context, s shredder.View, a Access, q core.QueryID, p core.Params) ([]string, error) {
 	items, authors := s.DB.Table("item_tab"), s.DB.Table("item_author_tab")
 	switch q {
 	case core.Q1:
@@ -32,11 +32,11 @@ func execDCSDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 			return nil, err
 		}
 		pubs := s.DB.Table("item_publisher_tab")
-		arows, err := authors.LookupEq(ctx, "item_id", p.Get("X"))
+		arows, err := byKey(ctx, authors, "item_id", p.Get("X"))
 		if err != nil {
 			return nil, err
 		}
-		prows, err := pubs.LookupEq(ctx, "item_id", p.Get("X"))
+		prows, err := byKey(ctx, pubs, "item_id", p.Get("X"))
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +122,7 @@ func execDCSDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 
 // reconstructItem rebuilds a full <item> subtree from the three DC/SD
 // tables in the emission order of the generator's mapping.
-func reconstructItem(items, authorsTab, pubs *relational.Table, r relational.Row, arows, prows []relational.Row) *xmldom.Node {
+func reconstructItem(items, authorsTab, pubs *relational.TableView, r relational.Row, arows, prows []relational.Row) *xmldom.Node {
 	item := xmldom.NewElement("item")
 	item.SetAttr("id", r[items.Col("id")])
 	leaf(item, "title", r[items.Col("title")])
@@ -154,7 +154,7 @@ func reconstructItem(items, authorsTab, pubs *relational.Table, r relational.Row
 	return item
 }
 
-func titlesOfItems(ctx context.Context, items *relational.Table, want map[string]bool) ([]string, error) {
+func titlesOfItems(ctx context.Context, items *relational.TableView, want map[string]bool) ([]string, error) {
 	var out []string
 	idCol, titleCol := items.Col("id"), items.Col("title")
 	if err := items.Scan(ctx, func(r relational.Rec) bool {
@@ -172,7 +172,7 @@ func titlesOfItems(ctx context.Context, items *relational.Table, want map[string
 
 // ------------------------------------------------------------------ DC/MD
 
-func execDCMDExtended(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, p core.Params) ([]string, error) {
+func execDCMDExtended(ctx context.Context, s shredder.View, a Access, q core.QueryID, p core.Params) ([]string, error) {
 	orders, lines := s.DB.Table("order_tab"), s.DB.Table("order_line_tab")
 	switch q {
 	case core.Q2:
@@ -238,7 +238,7 @@ func execDCMDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 	return nil, core.ErrNoQuery
 }
 
-func orderIDs(ctx context.Context, orders *relational.Table, want map[string]bool) ([]string, error) {
+func orderIDs(ctx context.Context, orders *relational.TableView, want map[string]bool) ([]string, error) {
 	var out []string
 	idCol := orders.Col("id")
 	if err := orders.Scan(ctx, func(r relational.Rec) bool {
@@ -254,7 +254,7 @@ func orderIDs(ctx context.Context, orders *relational.Table, want map[string]boo
 
 // ------------------------------------------------------------------ TC/SD
 
-func execTCSDExtended(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, p core.Params) ([]string, error) {
+func execTCSDExtended(ctx context.Context, s shredder.View, a Access, q core.QueryID, p core.Params) ([]string, error) {
 	entries, senses := s.DB.Table("entry_tab"), s.DB.Table("sense_tab")
 	quotes, crs := s.DB.Table("quote_tab"), s.DB.Table("cr_tab")
 	switch q {
@@ -275,15 +275,15 @@ func execTCSDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 		if et := er[entries.Col("etym")]; !relational.IsNull(et) {
 			entry.AddLeaf("etym", et)
 		}
-		srows, err := senses.LookupEq(ctx, "entry_id", id)
+		srows, err := byKey(ctx, senses, "entry_id", id)
 		if err != nil {
 			return nil, err
 		}
-		qrows, err := quotes.LookupEq(ctx, "entry_id", id)
+		qrows, err := byKey(ctx, quotes, "entry_id", id)
 		if err != nil {
 			return nil, err
 		}
-		crRows, err := crs.LookupEq(ctx, "entry_id", id)
+		crRows, err := byKey(ctx, crs, "entry_id", id)
 		if err != nil {
 			return nil, err
 		}
@@ -329,7 +329,7 @@ func execTCSDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 		if err != nil || len(erows) == 0 {
 			return nil, err
 		}
-		qrows, err := quotes.LookupEq(ctx, "entry_id", erows[0][entries.Col("id")])
+		qrows, err := byKey(ctx, quotes, "entry_id", erows[0][entries.Col("id")])
 		if err != nil {
 			return nil, err
 		}
@@ -350,7 +350,7 @@ func execTCSDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 		phrase := []byte(p.Get("PHRASE"))
 		want := map[string]bool{}
 		for _, tc := range []struct {
-			tab *relational.Table
+			tab *relational.TableView
 			col string
 		}{{senses, "def"}, {quotes, "qt"}} {
 			textCol, entryCol := tc.tab.Col(tc.col), tc.tab.Col("entry_id")
@@ -368,7 +368,7 @@ func execTCSDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 	return nil, core.ErrNoQuery
 }
 
-func headwordsOf(ctx context.Context, entries *relational.Table, want map[string]bool) ([]string, error) {
+func headwordsOf(ctx context.Context, entries *relational.TableView, want map[string]bool) ([]string, error) {
 	var out []string
 	idCol, hwCol := entries.Col("id"), entries.Col("hw")
 	if err := entries.Scan(ctx, func(r relational.Rec) bool {
@@ -386,7 +386,7 @@ func headwordsOf(ctx context.Context, entries *relational.Table, want map[string
 
 // ------------------------------------------------------------------ TC/MD
 
-func execTCMDExtended(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, p core.Params) ([]string, error) {
+func execTCMDExtended(ctx context.Context, s shredder.View, a Access, q core.QueryID, p core.Params) ([]string, error) {
 	arts, artAuthors := s.DB.Table("article_tab"), s.DB.Table("art_author_tab")
 	switch q {
 	case core.Q2:
@@ -437,7 +437,7 @@ func execTCMDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 		}
 		r := rows[0]
 		firstAuthor := ""
-		if arows, err := artAuthors.LookupEq(ctx, "article_id", p.Get("X")); err != nil {
+		if arows, err := byKey(ctx, artAuthors, "article_id", p.Get("X")); err != nil {
 			return nil, err
 		} else if len(arows) > 0 {
 			firstAuthor = arows[0][artAuthors.Col("name")]
@@ -448,7 +448,7 @@ func execTCMDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 		leafAlways(sum, "date", nullToEmpty(r[arts.Col("date")]))
 		if !relational.IsNull(r[arts.Col("has_abstract")]) {
 			paras := s.DB.Table("abs_para_tab")
-			prows, err := paras.LookupEq(ctx, "article_id", p.Get("X"))
+			prows, err := byKey(ctx, paras, "article_id", p.Get("X"))
 			if err != nil {
 				return nil, err
 			}
@@ -485,7 +485,7 @@ func execTCMDExtended(ctx context.Context, s *shredder.Store, a Access, q core.Q
 	return nil, core.ErrNoQuery
 }
 
-func titlesOfArticles(ctx context.Context, arts *relational.Table, want map[string]bool) ([]string, error) {
+func titlesOfArticles(ctx context.Context, arts *relational.TableView, want map[string]bool) ([]string, error) {
 	var out []string
 	idCol, tCol := arts.Col("id"), arts.Col("title")
 	if err := arts.Scan(ctx, func(r relational.Rec) bool {

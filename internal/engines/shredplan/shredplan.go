@@ -27,7 +27,7 @@ import (
 // Exec runs the hand-translated plan of ph's query over the shredded
 // store, routing its primary-table lookups through ph's access
 // decisions.
-func Exec(ctx context.Context, s *shredder.Store, ph *plan.Physical, p core.Params) (core.Result, error) {
+func Exec(ctx context.Context, s shredder.View, ph *plan.Physical, p core.Params) (core.Result, error) {
 	def, q, a := ph.Def, ph.Def.ID, Access{Plan: ph}
 	var (
 		items []string
@@ -59,8 +59,8 @@ func Exec(ctx context.Context, s *shredder.Store, ph *plan.Physical, p core.Para
 // row→XML reconstruction of a fragment. A plan opens it once every row
 // the fragment needs has been fetched, so the phase never encloses a
 // probe or a scan.
-func materializing(s *shredder.Store) metrics.Span {
-	return s.DB.Pager.Metrics().StartSpan(metrics.PhaseMaterialize)
+func materializing(s shredder.View) metrics.Span {
+	return s.DB.Metrics().StartSpan(metrics.PhaseMaterialize)
 }
 
 // leaf appends <name>val</name> unless val is NULL.
@@ -90,7 +90,7 @@ func hasWord(r relational.Rec, c int, word string) bool {
 
 // ------------------------------------------------------------------ DC/SD
 
-func execDCSD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, p core.Params) ([]string, error) {
+func execDCSD(ctx context.Context, s shredder.View, a Access, q core.QueryID, p core.Params) ([]string, error) {
 	items := s.DB.Table("item_tab")
 	authors := s.DB.Table("item_author_tab")
 	pubs := s.DB.Table("item_publisher_tab")
@@ -207,7 +207,7 @@ func execDCSD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 	return execDCSDExtended(ctx, s, a, q, p)
 }
 
-func reconstructAuthor(t *relational.Table, r relational.Row) *xmldom.Node {
+func reconstructAuthor(t *relational.TableView, r relational.Row) *xmldom.Node {
 	a := xmldom.NewElement("author")
 	name := a.AddElement("name")
 	leaf(name, "first_name", r[t.Col("first_name")])
@@ -219,7 +219,7 @@ func reconstructAuthor(t *relational.Table, r relational.Row) *xmldom.Node {
 	return a
 }
 
-func reconstructContactInfo(t *relational.Table, r relational.Row) *xmldom.Node {
+func reconstructContactInfo(t *relational.TableView, r relational.Row) *xmldom.Node {
 	ci := xmldom.NewElement("contact_information")
 	ci.Append(reconstructMailingAddress(t, r))
 	leaf(ci, "phone_number", r[t.Col("phone_number")])
@@ -227,7 +227,7 @@ func reconstructContactInfo(t *relational.Table, r relational.Row) *xmldom.Node 
 	return ci
 }
 
-func reconstructMailingAddress(t *relational.Table, r relational.Row) *xmldom.Node {
+func reconstructMailingAddress(t *relational.TableView, r relational.Row) *xmldom.Node {
 	ma := xmldom.NewElement("mailing_address")
 	leaf(ma, "street_address1", r[t.Col("street_address1")])
 	leaf(ma, "street_address2", r[t.Col("street_address2")])
@@ -246,7 +246,7 @@ func numGreater(a, b string) bool {
 
 // ------------------------------------------------------------------ DC/MD
 
-func execDCMD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, p core.Params) ([]string, error) {
+func execDCMD(ctx context.Context, s shredder.View, a Access, q core.QueryID, p core.Params) ([]string, error) {
 	orders := s.DB.Table("order_tab")
 	lines := s.DB.Table("order_line_tab")
 	custs := s.DB.Table("customer_tab")
@@ -339,7 +339,7 @@ func execDCMD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 		if err != nil || len(rows) == 0 {
 			return nil, err
 		}
-		lrows, err := lines.LookupEq(ctx, "order_id", p.Get("X"))
+		lrows, err := byKey(ctx, lines, "order_id", p.Get("X"))
 		if err != nil {
 			return nil, err
 		}
@@ -370,7 +370,7 @@ func execDCMD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 		}
 		var out []string
 		for _, o := range orows {
-			crows, err := custs.LookupEq(ctx, "id", o[orders.Col("customer_id")])
+			crows, err := byKey(ctx, custs, "id", o[orders.Col("customer_id")])
 			if err != nil {
 				return nil, err
 			}
@@ -391,7 +391,7 @@ func execDCMD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 	return execDCMDExtended(ctx, s, a, q, p)
 }
 
-func reconstructOrderLine(t *relational.Table, r relational.Row) *xmldom.Node {
+func reconstructOrderLine(t *relational.TableView, r relational.Row) *xmldom.Node {
 	ol := xmldom.NewElement("order_line")
 	leaf(ol, "item_id", r[t.Col("item_id")])
 	leaf(ol, "qty", r[t.Col("qty")])
@@ -400,7 +400,7 @@ func reconstructOrderLine(t *relational.Table, r relational.Row) *xmldom.Node {
 	return ol
 }
 
-func reconstructCCXacts(t *relational.Table, r relational.Row) *xmldom.Node {
+func reconstructCCXacts(t *relational.TableView, r relational.Row) *xmldom.Node {
 	cc := xmldom.NewElement("cc_xacts")
 	leaf(cc, "cc_type", r[t.Col("cc_type")])
 	leaf(cc, "cc_number", r[t.Col("cc_number")])
@@ -412,7 +412,7 @@ func reconstructCCXacts(t *relational.Table, r relational.Row) *xmldom.Node {
 	return cc
 }
 
-func reconstructOrder(orders, lines *relational.Table, o relational.Row, lrows []relational.Row) *xmldom.Node {
+func reconstructOrder(orders, lines *relational.TableView, o relational.Row, lrows []relational.Row) *xmldom.Node {
 	n := xmldom.NewElement("order")
 	n.SetAttr("id", o[orders.Col("id")])
 	leaf(n, "customer_id", o[orders.Col("customer_id")])
@@ -438,7 +438,7 @@ func reconstructOrder(orders, lines *relational.Table, o relational.Row, lrows [
 
 // ------------------------------------------------------------------ TC/SD
 
-func execTCSD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, p core.Params) ([]string, error) {
+func execTCSD(ctx context.Context, s shredder.View, a Access, q core.QueryID, p core.Params) ([]string, error) {
 	entries := s.DB.Table("entry_tab")
 	senses := s.DB.Table("sense_tab")
 	quotes := s.DB.Table("quote_tab")
@@ -457,14 +457,14 @@ func execTCSD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 		if err != nil || id == "" {
 			return nil, err
 		}
-		srows, err := senses.LookupEq(ctx, "entry_id", id)
+		srows, err := byKey(ctx, senses, "entry_id", id)
 		if err != nil || len(srows) == 0 {
 			return nil, err
 		}
 		// Quotes of sense 1 are reattached flat: the qp grouping did not
 		// survive the mapping, so the reconstructed structure differs from
 		// the original (§3.2.2).
-		qrows, err := quotes.LookupEq(ctx, "entry_id", id)
+		qrows, err := byKey(ctx, quotes, "entry_id", id)
 		if err != nil {
 			return nil, err
 		}
@@ -488,7 +488,7 @@ func execTCSD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 		if err != nil || id == "" {
 			return nil, err
 		}
-		qrows, err := quotes.LookupEq(ctx, "entry_id", id)
+		qrows, err := byKey(ctx, quotes, "entry_id", id)
 		if err != nil {
 			return nil, err
 		}
@@ -507,7 +507,7 @@ func execTCSD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 		if err != nil || id == "" {
 			return nil, err
 		}
-		qrows, err := quotes.LookupEq(ctx, "entry_id", id)
+		qrows, err := byKey(ctx, quotes, "entry_id", id)
 		if err != nil {
 			return nil, err
 		}
@@ -584,7 +584,7 @@ func execTCSD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 	return execTCSDExtended(ctx, s, a, q, p)
 }
 
-func reconstructQuote(t *relational.Table, r relational.Row) *xmldom.Node {
+func reconstructQuote(t *relational.TableView, r relational.Row) *xmldom.Node {
 	q := xmldom.NewElement("q")
 	leaf(q, "qd", r[t.Col("qd")])
 	leaf(q, "a", r[t.Col("a")])
@@ -598,7 +598,7 @@ func reconstructQuote(t *relational.Table, r relational.Row) *xmldom.Node {
 
 // ------------------------------------------------------------------ TC/MD
 
-func execTCMD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, p core.Params) ([]string, error) {
+func execTCMD(ctx context.Context, s shredder.View, a Access, q core.QueryID, p core.Params) ([]string, error) {
 	arts := s.DB.Table("article_tab")
 	secs := s.DB.Table("sec_tab")
 	switch q {
@@ -656,7 +656,7 @@ func execTCMD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 		// Reconstruction join: the abstract's paragraphs were shredded into
 		// their own table, so the fragment rebuilds exactly.
 		paras := s.DB.Table("abs_para_tab")
-		prows, err := paras.LookupEq(ctx, "article_id", p.Get("X"))
+		prows, err := byKey(ctx, paras, "article_id", p.Get("X"))
 		if err != nil {
 			return nil, err
 		}
@@ -730,7 +730,7 @@ func execTCMD(ctx context.Context, s *shredder.Store, a Access, q core.QueryID, 
 
 // reconstructAbstract joins the abstract paragraphs back into their
 // original structure.
-func reconstructAbstract(paras *relational.Table, rows []relational.Row) *xmldom.Node {
+func reconstructAbstract(paras *relational.TableView, rows []relational.Row) *xmldom.Node {
 	ab := xmldom.NewElement("abstract")
 	for _, r := range rows {
 		ab.AddLeaf("p", r[paras.Col("text")])

@@ -16,8 +16,20 @@ import (
 	"xbench/internal/xmldom"
 )
 
-// loadStore shreds a tiny generated database into a fresh store.
-func loadStore(t *testing.T, class core.Class, opts shredder.Options) *shredder.Store {
+// frozen is the view of s a query would read now. No test here mutates
+// a store beside a reader, so the committed epoch needs no pin.
+func frozen(t *testing.T, s *shredder.Store) shredder.View {
+	t.Helper()
+	v, err := s.View(s.DB.Pager.SnapshotEpoch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// loadStore shreds a tiny generated database into a fresh store and
+// returns its view.
+func loadStore(t *testing.T, class core.Class, opts shredder.Options) shredder.View {
 	t.Helper()
 	cfg := gen.Config{DictEntries: 30, Articles: 6, Items: 20, Orders: 30}
 	db, err := cfg.Generate(class, core.Small)
@@ -37,19 +49,19 @@ func loadStore(t *testing.T, class core.Class, opts shredder.Options) *shredder.
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return frozen(t, s)
 }
 
 // physical plans q over s the way engbase.Base does for the engines: fb
 // is the feedback Base holds per engine.
-func physical(s *shredder.Store, fb *plan.Feedback, q core.QueryID) (*plan.Physical, error) {
+func physical(s shredder.View, fb *plan.Feedback, q core.QueryID) (*plan.Physical, error) {
 	st := StoreStats(s)
 	st.Feedback = fb
 	return plan.Plan(queries.Lookup(s.Class, q), st)
 }
 
 // execute plans and runs q with nothing observed so far.
-func execute(ctx context.Context, s *shredder.Store, q core.QueryID, p core.Params) (core.Result, error) {
+func execute(ctx context.Context, s shredder.View, q core.QueryID, p core.Params) (core.Result, error) {
 	ph, err := physical(s, nil, q)
 	if err != nil {
 		return core.Result{}, err
@@ -134,7 +146,7 @@ func TestResultFlags(t *testing.T) {
 	}
 }
 
-func firstHeadword(t *testing.T, s *shredder.Store) string {
+func firstHeadword(t *testing.T, s shredder.View) string {
 	t.Helper()
 	et := s.DB.Table("entry_tab")
 	var hw string
@@ -189,22 +201,23 @@ func TestRangeFeedbackRecostsPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := shredder.NewStore(core.DCSD, relational.NewDB(pager.New(256)), shredder.Options{})
+	store := shredder.NewStore(core.DCSD, relational.NewDB(pager.New(256)), shredder.Options{})
 	for _, d := range db.Docs {
 		doc, err := xmldom.Parse(d.Data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.ShredDocument(d.Name, doc); err != nil {
+		if _, err := store.ShredDocument(d.Name, doc); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Sync(); err != nil {
+	if err := store.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DB.Table("item_tab").CreateIndex("date_of_release"); err != nil {
+	if err := store.DB.Table("item_tab").CreateIndex("date_of_release"); err != nil {
 		t.Fatal(err)
 	}
+	s := frozen(t, store)
 	var fb plan.Feedback
 	run := func(p core.Params) core.Result {
 		t.Helper()
@@ -314,7 +327,7 @@ func TestQ17NullHoldsNoText(t *testing.T) {
 			t.Fatal(err)
 		}
 		for word, want := range map[string][]string{c.word: {c.want}, "null": nil, "NULL": nil} {
-			res, err := execute(ctx, s, core.Q17, core.Params{"W2": word})
+			res, err := execute(ctx, frozen(t, s), core.Q17, core.Params{"W2": word})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -63,15 +63,28 @@ var (
 
 // Engine is a shredding engine instance: the shared engine lifecycle
 // (engbase.Base: load, snapshot reads, journaled updates, close) over a
-// shredded store. Its read surface is a snapshot clone of the
-// *shredder.Store: its tables at one commit epoch.
-type Engine struct {
-	*engbase.Base[*shredder.Store]
-	s *store
+// shredded store.
+type Engine struct{ *engbase.Base[view] }
+
+// view is the engine's read surface and query path (engbase.View): the
+// shredded store's tables at one commit epoch, queried by the
+// hand-translated relational plans of shredplan.
+type view struct{ shred shredder.View }
+
+// Class implements engbase.View.
+func (v view) Class() core.Class { return v.shred.Class }
+
+// Stats implements engbase.View.
+func (v view) Stats() plan.StatValues { return shredplan.StoreStats(v.shred) }
+
+// Exec implements engbase.View: the hand-translated relational plan for
+// ph's query. Cancellation via ctx is honored at page-fetch granularity.
+func (v view) Exec(ctx context.Context, ph *plan.Physical, p core.Params) (core.Result, error) {
+	return shredplan.Exec(ctx, v.shred, ph, p)
 }
 
-// store is the shredded layout and query path; it implements
-// engbase.Store, which states the locking each method runs under.
+// store is the shredded layout; it implements engbase.Store, which
+// states the locking each method runs under.
 type store struct {
 	pol    Policy
 	p      *pager.Pager
@@ -86,12 +99,8 @@ func New(pol Policy, poolPages, rowLimit int) *Engine {
 		pol.rowLimit = rowLimit
 	}
 	p := pager.New(poolPages)
-	s := &store{pol: pol, p: p}
-	return &Engine{Base: engbase.New[*shredder.Store](p, s), s: s}
+	return &Engine{engbase.New[view](p, &store{pol: pol, p: p})}
 }
-
-// Store exposes the shredded store for tests.
-func (e *Engine) Store() *shredder.Store { return e.s.shred }
 
 var (
 	_ core.Engine    = (*Engine)(nil)
@@ -112,7 +121,10 @@ func (s *store) Supports(c core.Class, sz core.Size) error {
 }
 
 // Freeze implements engbase.Store.
-func (s *store) Freeze(epoch uint64) (*shredder.Store, error) { return s.shred.Snapshot(epoch) }
+func (s *store) Freeze(epoch uint64) (view, error) {
+	v, err := s.shred.View(epoch)
+	return view{v}, err
+}
 
 // Reset implements engbase.Store.
 func (s *store) Reset() error {
@@ -202,17 +214,6 @@ func (s *store) BuildIndexes(specs []core.IndexSpec) error {
 		}
 	}
 	return nil
-}
-
-// Stats implements engbase.Store.
-func (s *store) Stats(st *shredder.Store) (core.Class, plan.StatValues) {
-	return st.Class, shredplan.StoreStats(st)
-}
-
-// Exec implements engbase.Store: the hand-translated relational plan for
-// ph's query. Cancellation via ctx is honored at page-fetch granularity.
-func (s *store) Exec(ctx context.Context, st *shredder.Store, ph *plan.Physical, p core.Params) (core.Result, error) {
-	return shredplan.Exec(ctx, st, ph, p)
 }
 
 // The update hooks below apply U1-U3 inside the journal-first bracket

@@ -8,6 +8,7 @@ import (
 
 	"xbench/internal/core"
 	"xbench/internal/gen"
+	"xbench/internal/pager"
 	"xbench/internal/queries"
 	"xbench/internal/shredder"
 )
@@ -64,12 +65,17 @@ func TestLoadRejectsUnsupported(t *testing.T) {
 
 func TestAutoKeyIndexesBuilt(t *testing.T) {
 	e := loadTiny(t, DB2, core.DCMD)
+	v, release, err := e.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
 	for _, tc := range []struct{ table, col string }{
 		{"order_tab", "id"},
 		{"order_line_tab", "order_id"},
 		{"customer_tab", "id"},
 	} {
-		if !e.Store().DB.Table(tc.table).HasIndex(tc.col) {
+		if v.shred.DB.Table(tc.table).IndexHeight(tc.col) == 0 {
 			t.Errorf("%s.%s not auto-indexed during bulk load", tc.table, tc.col)
 		}
 	}
@@ -132,9 +138,14 @@ func TestMixedContentDroppedDuringLoad(t *testing.T) {
 
 func TestQ8DropsQtText(t *testing.T) {
 	e := loadTiny(t, SQLServer, core.TCSD)
-	// Pick the first headword directly from the store.
-	et := e.Store().DB.Table("entry_tab")
-	rows, err := et.LookupRange(context.Background(), "hw", "", "\xff")
+	// Pick the first headword directly from the published view.
+	v, release, err := e.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	et := v.shred.DB.Table("entry_tab")
+	rows, err := et.LookupRange(context.Background(), "hw", "", "\xff", true)
 	if err != nil || len(rows) == 0 {
 		t.Fatal("no entries", err)
 	}
@@ -181,12 +192,11 @@ func TestLoadCommitsEachDocument(t *testing.T) {
 	}
 	var last int64
 	for n := 1; n <= 4; n++ {
-		e := New(SQLServer, 128, 0)
-		st, err := e.s.LoadDocs(&stopAfter{context.Background(), n}, db)
+		p := pager.New(128)
+		st, err := (&store{pol: SQLServer, p: p}).LoadDocs(&stopAfter{context.Background(), n}, db)
 		if !errors.Is(err, context.Canceled) || st.Documents != n {
 			t.Fatalf("load stopped after %d documents: %d loaded, %v", n, st.Documents, err)
 		}
-		p := e.Pager()
 		writes := p.Stats().Writes
 		if writes <= last {
 			t.Fatalf("document %d was shredded without a page written: %d writes, %d after the one before", n, writes, last)
@@ -198,6 +208,6 @@ func TestLoadCommitsEachDocument(t *testing.T) {
 		if extra := p.Stats().Writes - writes; extra != 0 {
 			t.Fatalf("%d documents loaded, %d dirty pages left behind", n, extra)
 		}
-		e.Close()
+		p.Close()
 	}
 }

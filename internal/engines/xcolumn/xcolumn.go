@@ -40,8 +40,8 @@ type Engine struct {
 	*engbase.Base[*view]
 }
 
-// store is the Xcolumn layout and query path; it implements
-// engbase.Store, which states the locking each method runs under.
+// store is the Xcolumn layout; it implements engbase.Store, which states
+// the locking each method runs under.
 type store struct {
 	p     *pager.Pager
 	class core.Class
@@ -58,30 +58,30 @@ func New(poolPages int) *Engine {
 	return &Engine{engbase.New[*view](p, s)}
 }
 
-// view is the read surface of the store at one commit epoch, read
-// lock-free under a pin: the CLOB heap frozen, the rid slice copied at
-// publish time, the DB a snapshot clone.
+// view is the read surface of the store at one commit epoch and its
+// query path (engbase.View), read lock-free under a pin: the CLOB heap
+// frozen, the rid slice copied at publish time, the side tables' views.
 type view struct {
 	class core.Class
 	clobs pager.HeapView
 	rids  []pager.RID
-	db    *relational.DB
+	db    *relational.DBView
 }
 
 // Freeze implements engbase.Store: a CLOB heap view, a copy of the rid
-// list and a snapshot clone of the side tables at epoch. The views flush
-// the tail page of each heap the mutation appended to or patched.
+// list and the side tables' views at epoch. The views flush the tail page
+// of each heap the mutation appended to or patched.
 func (s *store) Freeze(epoch uint64) (*view, error) {
 	cv, err := s.clobs.View(epoch)
 	if err != nil {
 		return nil, err
 	}
-	dbSnap, err := s.db.Snapshot(epoch)
+	db, err := s.db.View(epoch)
 	if err != nil {
 		return nil, err
 	}
 	rids := append([]pager.RID(nil), s.rids...)
-	return &view{class: s.class, clobs: cv, rids: rids, db: dbSnap}, nil
+	return &view{class: s.class, clobs: cv, rids: rids, db: db}, nil
 }
 
 // Name implements core.Engine.
@@ -279,12 +279,12 @@ func (s *store) BuildIndexes(specs []core.IndexSpec) error {
 }
 
 // fetchDoc reads and parses the CLOB referenced by a side-table doc value.
-func (s *store) fetchDoc(ctx context.Context, v *view, doc string) (*xmldom.Node, error) {
+func (v *view) fetchDoc(ctx context.Context, doc string) (*xmldom.Node, error) {
 	rid, err := strconv.ParseUint(doc, 10, 64)
 	if err != nil {
 		return nil, fmt.Errorf("xcolumn: bad doc reference %q", doc)
 	}
-	sp := s.p.Metrics().StartSpan(metrics.PhaseMaterialize)
+	sp := v.db.Metrics().StartSpan(metrics.PhaseMaterialize)
 	defer sp.End()
 	data, err := v.clobs.Get(ctx, pager.RID(rid))
 	if err != nil {
@@ -293,9 +293,9 @@ func (s *store) fetchDoc(ctx context.Context, v *view, doc string) (*xmldom.Node
 	return xmldom.Parse(data)
 }
 
-// Exec implements engbase.Store. Cancellation via ctx is honored at
+// Exec implements engbase.View. Cancellation via ctx is honored at
 // page-fetch granularity.
-func (s *store) Exec(ctx context.Context, v *view, ph *plan.Physical, p core.Params) (core.Result, error) {
+func (v *view) Exec(ctx context.Context, ph *plan.Physical, p core.Params) (core.Result, error) {
 	q, a := ph.Def.ID, shredplan.Access{Plan: ph}
 	var (
 		items []string
@@ -303,9 +303,9 @@ func (s *store) Exec(ctx context.Context, v *view, ph *plan.Physical, p core.Par
 	)
 	switch v.class {
 	case core.DCMD:
-		items, err = s.execDCMD(ctx, v, a, q, p)
+		items, err = v.execDCMD(ctx, a, q, p)
 	case core.TCMD:
-		items, err = s.execTCMD(ctx, v, a, q, p)
+		items, err = v.execTCMD(ctx, a, q, p)
 	}
 	if err != nil {
 		return core.Result{}, err
@@ -319,10 +319,13 @@ func (s *store) Exec(ctx context.Context, v *view, ph *plan.Physical, p core.Par
 	}, nil
 }
 
-// Stats implements engbase.Store: the CLOB heap drives scan cost (every
+// Class implements engbase.View.
+func (v *view) Class() core.Class { return v.class }
+
+// Stats implements engbase.View: the CLOB heap drives scan cost (every
 // unindexed query rereads the documents), and the side-table key indexes
 // are the only probe paths.
-func (s *store) Stats(v *view) (core.Class, plan.StatValues) {
+func (v *view) Stats() plan.StatValues {
 	st := plan.StatValues{
 		DataPages: v.clobs.Pages(),
 		DataRows:  int64(len(v.rids)),
@@ -342,7 +345,7 @@ func (s *store) Stats(v *view) (core.Class, plan.StatValues) {
 			st.Indexes[spec.Target] = h
 		}
 	}
-	return v.class, st
+	return st
 }
 
 var _ core.Explainer = (*Engine)(nil)
@@ -350,7 +353,7 @@ var _ core.Explainer = (*Engine)(nil)
 // docOf finds the CLOB reference for a key via the side table (indexed
 // when Table 3 covers it, a forced scan when the plan rejects the
 // probe).
-func (s *store) docOf(ctx context.Context, v *view, a shredplan.Access, table, col, key string) (string, relational.Row, error) {
+func (v *view) docOf(ctx context.Context, a shredplan.Access, table, col, key string) (string, relational.Row, error) {
 	t := v.db.Table(table)
 	rows, err := a.Eq(ctx, t, col, key)
 	if err != nil || len(rows) == 0 {
@@ -359,15 +362,15 @@ func (s *store) docOf(ctx context.Context, v *view, a shredplan.Access, table, c
 	return rows[0][t.Col("doc")], rows[0], nil
 }
 
-func (s *store) execDCMD(ctx context.Context, v *view, a shredplan.Access, q core.QueryID, p core.Params) ([]string, error) {
+func (v *view) execDCMD(ctx context.Context, a shredplan.Access, q core.QueryID, p core.Params) ([]string, error) {
 	orderSide := v.db.Table("order_side")
 	switch q {
 	case core.Q1, core.Q5, core.Q8, core.Q9, core.Q12, core.Q16:
-		doc, _, err := s.docOf(ctx, v, a, "order_side", "id", p.Get("X"))
+		doc, _, err := v.docOf(ctx, a, "order_side", "id", p.Get("X"))
 		if err != nil || doc == "" {
 			return nil, err
 		}
-		parsed, err := s.fetchDoc(ctx, v, doc)
+		parsed, err := v.fetchDoc(ctx, doc)
 		if err != nil {
 			return nil, err
 		}
@@ -424,7 +427,7 @@ func (s *store) execDCMD(ctx context.Context, v *view, a shredplan.Access, q cor
 		return out, nil
 	case core.Q17:
 		// No full-text side table: scan every CLOB (the Table 7 blow-up).
-		return s.clobWordSearch(ctx, v, p.Get("W2"), func(root *xmldom.Node) (string, bool) {
+		return v.clobWordSearch(ctx, p.Get("W2"), func(root *xmldom.Node) (string, bool) {
 			if root.Name != "order" {
 				return "", false
 			}
@@ -437,11 +440,11 @@ func (s *store) execDCMD(ctx context.Context, v *view, a shredplan.Access, q cor
 			return "", false
 		})
 	case core.Q19:
-		doc, orow, err := s.docOf(ctx, v, a, "order_side", "id", p.Get("X"))
+		doc, orow, err := v.docOf(ctx, a, "order_side", "id", p.Get("X"))
 		if err != nil || doc == "" {
 			return nil, err
 		}
-		parsed, err := s.fetchDoc(ctx, v, doc)
+		parsed, err := v.fetchDoc(ctx, doc)
 		if err != nil {
 			return nil, err
 		}
@@ -472,7 +475,7 @@ func (s *store) execDCMD(ctx context.Context, v *view, a shredplan.Access, q cor
 	return nil, core.ErrNoQuery
 }
 
-func (s *store) execTCMD(ctx context.Context, v *view, a shredplan.Access, q core.QueryID, p core.Params) ([]string, error) {
+func (v *view) execTCMD(ctx context.Context, a shredplan.Access, q core.QueryID, p core.Params) ([]string, error) {
 	artSide := v.db.Table("article_side")
 	secSide := v.db.Table("sec_side")
 	switch q {
@@ -489,7 +492,7 @@ func (s *store) execTCMD(ctx context.Context, v *view, a shredplan.Access, q cor
 		}
 		return out, nil
 	case core.Q5, core.Q8:
-		doc, _, err := s.docOf(ctx, v, a, "article_side", "id", p.Get("X"))
+		doc, _, err := v.docOf(ctx, a, "article_side", "id", p.Get("X"))
 		if err != nil || doc == "" {
 			return nil, err
 		}
@@ -540,11 +543,11 @@ func (s *store) execTCMD(ctx context.Context, v *view, a shredplan.Access, q cor
 		}
 		return out, nil
 	case core.Q12:
-		doc, _, err := s.docOf(ctx, v, a, "article_side", "id", p.Get("X"))
+		doc, _, err := v.docOf(ctx, a, "article_side", "id", p.Get("X"))
 		if err != nil || doc == "" {
 			return nil, err
 		}
-		parsed, err := s.fetchDoc(ctx, v, doc)
+		parsed, err := v.fetchDoc(ctx, doc)
 		if err != nil {
 			return nil, err
 		}
@@ -568,7 +571,7 @@ func (s *store) execTCMD(ctx context.Context, v *view, a shredplan.Access, q cor
 		}
 		return out, nil
 	case core.Q17:
-		return s.clobWordSearch(ctx, v, p.Get("W2"), func(root *xmldom.Node) (string, bool) {
+		return v.clobWordSearch(ctx, p.Get("W2"), func(root *xmldom.Node) (string, bool) {
 			if root.Name != "article" {
 				return "", false
 			}
@@ -584,13 +587,13 @@ func (s *store) execTCMD(ctx context.Context, v *view, a shredplan.Access, q cor
 // clobWordSearch scans every stored CLOB: a cheap prefilter over the raw
 // bytes where the heap holds them, then a full parse of candidate
 // documents to extract the result.
-func (s *store) clobWordSearch(ctx context.Context, v *view, word string, extract func(root *xmldom.Node) (string, bool)) ([]string, error) {
+func (v *view) clobWordSearch(ctx context.Context, word string, extract func(root *xmldom.Node) (string, bool)) ([]string, error) {
 	// Two phases: parse is the candidates' parses, scan what is left of
 	// the pass, so they partition its time instead of nesting.
 	start, parsing := time.Now(), time.Duration(0)
 	defer func() {
-		s.p.Metrics().AddPhase(metrics.PhaseScan, time.Since(start)-parsing)
-		s.p.Metrics().AddPhase(metrics.PhaseParse, parsing)
+		v.db.Metrics().AddPhase(metrics.PhaseScan, time.Since(start)-parsing)
+		v.db.Metrics().AddPhase(metrics.PhaseParse, parsing)
 	}()
 	var out []string
 	for _, rid := range v.rids {

@@ -15,7 +15,7 @@ import (
 // rebuilt is the reference DeleteWhere is checked against: a fresh table
 // loaded with exactly the rows that should have survived, with the same
 // indexes built over them. It is how DeleteWhere itself used to work.
-func rebuilt(t *testing.T, rows []Row, indexed []string) *Table {
+func rebuilt(t *testing.T, rows []Row, indexed []string) *TableView {
 	t.Helper()
 	tb := newDB().Create("ref", "doc", "grp", "val")
 	for _, r := range rows {
@@ -28,7 +28,7 @@ func rebuilt(t *testing.T, rows []Row, indexed []string) *Table {
 			t.Fatal(err)
 		}
 	}
-	return tb
+	return tb.Live()
 }
 
 // multiset renders rows order-free: heap order differs between a table
@@ -42,7 +42,7 @@ func multiset(rows []Row) string {
 	return fmt.Sprintf("%d rows\n%s", len(rows), strings.Join(keys, "\n"))
 }
 
-func scanRows(t *testing.T, tb *Table) []Row {
+func scanRows(t *testing.T, tb *TableView) []Row {
 	t.Helper()
 	var rows []Row
 	if err := tb.Scan(context.Background(), func(r Rec) bool {
@@ -118,7 +118,7 @@ func TestDeleteWhereMatchesRebuild(t *testing.T) {
 			}
 			compare := func(step int) {
 				t.Helper()
-				ref := rebuilt(t, model, indexed)
+				tb, ref := tb.Live(), rebuilt(t, model, indexed)
 				if tb.Count() != ref.Count() {
 					t.Fatalf("step %d: Count = %d, rebuilt table has %d", step, tb.Count(), ref.Count())
 				}
@@ -132,22 +132,22 @@ func TestDeleteWhereMatchesRebuild(t *testing.T) {
 				}
 				for col, vals := range probes {
 					for _, v := range vals {
-						got, err := tb.LookupEq(ctx, col, v)
+						got, err := tb.LookupEq(ctx, col, v, true, 0)
 						if err != nil {
 							t.Fatal(err)
 						}
-						want, _ := ref.LookupEq(ctx, col, v)
+						want, _ := ref.LookupEq(ctx, col, v, true, 0)
 						if multiset(got) != multiset(want) {
 							t.Fatalf("step %d: LookupEq(%s, %.10q): %d rows, rebuilt table has %d", step, col, v, len(got), len(want))
 						}
 					}
 				}
 				for _, rg := range [][3]string{{"doc", "d1", "d5"}, {"doc", "", "\xff"}, {"grp", "g2", "g4"}, {"doc", "C", "E"}} {
-					got, err := tb.LookupRange(ctx, rg[0], rg[1], rg[2])
+					got, err := tb.LookupRange(ctx, rg[0], rg[1], rg[2], true)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, _ := ref.LookupRange(ctx, rg[0], rg[1], rg[2])
+					want, _ := ref.LookupRange(ctx, rg[0], rg[1], rg[2], true)
 					if multiset(got) != multiset(want) {
 						t.Fatalf("step %d: LookupRange(%s, %q..%q): %d rows, rebuilt table has %d", step, rg[0], rg[1], rg[2], len(got), len(want))
 					}
@@ -176,6 +176,97 @@ func TestDeleteWhereMatchesRebuild(t *testing.T) {
 				t.Fatalf("DeleteWhere of an absent value = %d, %v", n, err)
 			}
 			compare(600)
+		})
+	}
+}
+
+// TestDeleteWhereFindsWhatLookupFinds: the victim search and the view's
+// equality are one look-up, so the rows DeleteWhere removes are the rows
+// LookupEq returned just before — by probe and by filter, among keys that
+// share a 512-byte prefix, for the stored NULL, and on a live view whose
+// tail page was never flushed — and LookupEq returns none of them after.
+func TestDeleteWhereFindsWhatLookupFinds(t *testing.T) {
+	ctx := context.Background()
+	long := strings.Repeat("K", btree.MaxKey)
+	for _, indexed := range []bool{true, false} {
+		t.Run(fmt.Sprintf("indexed=%v", indexed), func(t *testing.T) {
+			tb := NewDB(pager.New(32)).Create("t", "k", "v")
+			if indexed {
+				if err := tb.CreateIndex("k"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			keys := []string{long + "a", long + "b", long, "plain", Null, ""}
+			for i := 0; i < 40; i++ {
+				if err := tb.Insert(Row{keys[i%len(keys)], fmt.Sprint("v", i)}); err != nil {
+					t.Fatal(err)
+				}
+				if i == 20 {
+					// Half the rows reach the pool; the rest stay in the tail
+					// page only the live view sees.
+					if err := tb.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			left := 40
+			for _, k := range keys {
+				// DeleteWhere looks its victims up the way a planned probe
+				// would: through the index when the column has one.
+				found, err := tb.Live().LookupEq(ctx, "k", k, true, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				byFilter, err := tb.Live().LookupEq(ctx, "k", k, false, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := 0
+				for i := 0; i < 40; i++ {
+					if keys[i%len(keys)] == k {
+						want++
+					}
+				}
+				switch {
+				case len(byFilter) != want:
+					t.Fatalf("LookupEq(%.10q) by filter found %d rows, %d were inserted", k, len(byFilter), want)
+				case indexed && k == Null:
+					if len(found) != 0 { // NULLs are not indexed
+						t.Fatalf("LookupEq(NULL) by index found %d rows", len(found))
+					}
+				case multiset(found) != multiset(byFilter):
+					t.Fatalf("LookupEq(%.10q): %d rows by index, %d by filter", k, len(found), len(byFilter))
+				}
+				if first, _ := tb.Live().LookupEq(ctx, "k", k, true, 1); len(found) > 0 && (len(first) != 1 || first[0][1] != found[0][1]) {
+					t.Fatalf("LookupEq(%.10q, limit 1) = %v, want the first of %d rows", k, first, len(found))
+				}
+				n, err := tb.DeleteWhere(ctx, "k", k)
+				if err != nil || n != len(found) {
+					t.Fatalf("DeleteWhere(%.10q) = %d, %v; LookupEq had found %d rows", k, n, err, len(found))
+				}
+				left -= n
+				gone := map[string]bool{}
+				for _, r := range found {
+					gone[r[1]] = true
+				}
+				for _, r := range scanRows(t, tb.Live()) {
+					if gone[r[1]] {
+						t.Fatalf("DeleteWhere(%.10q) left row %s, which LookupEq had found", k, r[1])
+					}
+				}
+				if got := tb.Live().Count(); got != left {
+					t.Fatalf("after DeleteWhere(%.10q): %d rows left, want %d", k, got, left)
+				}
+				if after, err := tb.Live().LookupEq(ctx, "k", k, true, 0); err != nil || len(after) != 0 {
+					t.Fatalf("LookupEq(%.10q) after DeleteWhere = %d rows, %v", k, len(after), err)
+				}
+			}
+			if indexed {
+				left -= 6 // the NULL rows no index entry led to
+			}
+			if left != 0 {
+				t.Fatalf("%d rows survived deleting every key", left)
+			}
 		})
 	}
 }

@@ -5,11 +5,15 @@
 // and the small set of physical operators the hand-translated workload
 // queries need.
 //
-// Concurrency: the read operators (Scan, LookupEq, LookupRange) are
-// safe from many goroutines once loading is done; each table guards its
-// index map with a reader/writer latch so Insert, DeleteWhere and
-// CreateIndex exclude readers. Schema definition (Create) is not
-// concurrent — tables are created before any load or query runs.
+// The package is split the way pager.Heap / HeapView is. A DB and its
+// Tables are the writer's and only mutate (Insert, DeleteWhere,
+// CreateIndex, Flush, Truncate); the engines serialize writers, and each
+// table latches its index map besides. Every read — Scan, LookupEq,
+// LookupRange, the planner's statistics — is an operator of a TableView
+// (view.go), an immutable value safe from any number of goroutines:
+// frozen at a commit epoch for readers (DB.View), at pager.LiveEpoch for
+// the writer's own look-ups (Table.Live). Schema definition (Create) is
+// not concurrent — tables are created before any load or query runs.
 package relational
 
 import (
@@ -79,15 +83,19 @@ func (r Rec) Row() Row {
 	return row
 }
 
-// DB is a collection of tables sharing one pager.
+// DB is a collection of tables sharing one pager: the writer's half,
+// read through the views it hands out.
 type DB struct {
 	Pager  *pager.Pager
 	tables map[string]*Table
+	ops    *ops
+}
 
-	// The pager's registry and the operator counters, resolved once here
-	// rather than by name under the registry mutex per probe and per
-	// scanned row. A DB is built at load time, after the engine's
-	// registry is attached, like the B+trees that bind the same way.
+// ops is the pager's registry and the operator counters, resolved once
+// per DB rather than by name under the registry mutex per probe and per
+// scanned row, and shared by every view of its tables. A DB is built at
+// load time, after the engine's registry is attached, like the B+trees.
+type ops struct {
 	reg                     *metrics.Registry
 	cScan, cScanRow, cProbe *metrics.Counter
 }
@@ -96,35 +104,46 @@ type DB struct {
 func NewDB(p *pager.Pager) *DB {
 	reg := p.Metrics()
 	return &DB{
-		Pager:    p,
-		tables:   map[string]*Table{},
-		reg:      reg,
-		cScan:    reg.Counter("relational.scan"),
-		cScanRow: reg.Counter("relational.scan.row"),
-		cProbe:   reg.Counter("relational.probe"),
+		Pager:  p,
+		tables: map[string]*Table{},
+		ops: &ops{
+			reg:      reg,
+			cScan:    reg.Counter("relational.scan"),
+			cScanRow: reg.Counter("relational.scan.row"),
+			cProbe:   reg.Counter("relational.probe"),
+		},
 	}
 }
 
-// Table is a heap table with optional B+tree indexes.
-type Table struct {
-	Name string
-	Cols []string
-
-	db     *DB
+// schema is what a table and its views share and nothing changes: the
+// table's name and its columns.
+type schema struct {
+	Name   string
+	Cols   []string
 	colIdx map[string]int
-	heap   *pager.Heap
+}
 
-	// mu guards indexes: writers (Insert, DeleteWhere, CreateIndex,
-	// Truncate) take it exclusive, readers take it shared just long enough
-	// to fetch the index pointer — the btree has its own latch for the
-	// traversal.
+// Col returns the index of a column. It panics on unknown columns —
+// these are static query-plan bugs, not runtime conditions.
+func (s *schema) Col(name string) int {
+	i, ok := s.colIdx[name]
+	if !ok {
+		panic(fmt.Sprintf("relational: table %s has no column %q", s.Name, name))
+	}
+	return i
+}
+
+// Table is a heap table with optional B+tree indexes: the writer's half.
+type Table struct {
+	*schema
+
+	db   *DB
+	heap *pager.Heap
+
+	// mu guards indexes: Insert, DeleteWhere, CreateIndex, Truncate and
+	// DB.View take it exclusive, Live shared. No reader takes it.
 	mu      sync.RWMutex
 	indexes map[string]*btree.Tree
-
-	// snap, when non-nil, marks this table as an immutable epoch-pinned
-	// snapshot (snapshot.go): reads serve the frozen heap view and index
-	// views, mutations fail with ErrSnapshotWrite.
-	snap *tableSnap
 }
 
 // Create makes a new empty table. It panics if the name is taken (schema
@@ -134,10 +153,8 @@ func (db *DB) Create(name string, cols ...string) *Table {
 		panic(fmt.Sprintf("relational: table %q already exists", name))
 	}
 	t := &Table{
-		Name:    name,
-		Cols:    cols,
+		schema:  &schema{Name: name, Cols: cols, colIdx: make(map[string]int, len(cols))},
 		db:      db,
-		colIdx:  make(map[string]int, len(cols)),
 		heap:    pager.NewHeap(db.Pager, name),
 		indexes: map[string]*btree.Tree{},
 	}
@@ -178,29 +195,8 @@ func (db *DB) TableNames() []string {
 	return names
 }
 
-// Col returns the index of a column. It panics on unknown columns —
-// these are static query-plan bugs, not runtime conditions.
-func (t *Table) Col(name string) int {
-	i, ok := t.colIdx[name]
-	if !ok {
-		panic(fmt.Sprintf("relational: table %s has no column %q", t.Name, name))
-	}
-	return i
-}
-
-// Count returns the number of rows.
-func (t *Table) Count() int {
-	if t.snap != nil {
-		return t.snap.heap.Count()
-	}
-	return t.heap.Count()
-}
-
 // Insert appends a row and maintains any existing indexes.
 func (t *Table) Insert(row Row) error {
-	if t.snap != nil {
-		return ErrSnapshotWrite
-	}
 	if len(row) != len(t.Cols) {
 		return fmt.Errorf("relational: %s: row has %d values, want %d", t.Name, len(row), len(t.Cols))
 	}
@@ -226,23 +222,34 @@ func (t *Table) Insert(row Row) error {
 func (t *Table) Flush() error { return t.heap.Flush() }
 
 // DeleteWhere removes every row whose col equals val, returning the
-// number removed. Rows are deleted where they lie: the victims are found
-// by an index probe when col is indexed and by a filter scan otherwise,
-// each victim's heap record is tombstoned and its entry is deleted from
-// every index of the table. Rows that stay are not touched, so the cost
-// follows the victims (plus the scan, on an unindexed column), not the
-// table. Like Insert it leaves the tail page buffered: the caller flushes
-// at its commit point. Crash-atomicity is the caller's concern too (the
-// engines journal the update before applying it and replay from scratch
-// after a crash).
-func (t *Table) DeleteWhere(ctx context.Context, col, val string) (int, error) {
-	if t.snap != nil {
-		return 0, ErrSnapshotWrite
-	}
+// number removed. Rows are deleted where they lie: the victims are what
+// the live view's equality finds — by an index probe when col is indexed
+// and by a filter scan otherwise, uncounted — each victim's heap record
+// is tombstoned and its entry is deleted from every index of the table.
+// Rows that stay are not touched, so the cost follows the victims (plus
+// the scan, on an unindexed column), not the table. Like Insert it leaves
+// the tail page buffered: the caller flushes at its commit point.
+// Crash-atomicity is the caller's concern too (the engines journal the
+// update before applying it and replay from scratch after a crash).
+func (t *Table) DeleteWhere(ctx context.Context, col, val string) (n int, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rids, rows, err := t.victimsLocked(ctx, col, val)
-	if err != nil || len(rids) == 0 {
+	live := t.viewOf(t.heap.Live(), pager.LiveEpoch)
+	var hits []uint64
+	ix, probed := live.indexes[col]
+	if probed {
+		if hits, err = ix.Search(ctx, val); err != nil {
+			return 0, err
+		}
+	}
+	// Collected before the first delete, which ends the view's validity.
+	var rids []pager.RID
+	var rows []Row
+	if _, err := live.eachEq(ctx, col, val, hits, probed, func(rid pager.RID, r Rec) bool {
+		rids = append(rids, rid)
+		rows = append(rows, r.Row())
+		return true
+	}); err != nil {
 		return 0, err
 	}
 	for i, rid := range rids {
@@ -262,53 +269,11 @@ func (t *Table) DeleteWhere(ctx context.Context, col, val string) (int, error) {
 	return len(rids), nil
 }
 
-// victimsLocked returns the rows with col == val and their RIDs, found
-// by an index probe or a filter scan. Either way the one column is
-// compared in place (a probe also returns rows that only share the
-// truncated key, see LookupRange) and only the victims are decoded.
-func (t *Table) victimsLocked(ctx context.Context, col, val string) ([]pager.RID, []Row, error) {
-	ci := t.Col(col)
-	var rids []pager.RID
-	var rows []Row
-	keep := func(rid pager.RID, rec []byte) bool {
-		if string(Rec(rec).Col(ci)) == val {
-			rids = append(rids, rid)
-			rows = append(rows, Rec(rec).Row())
-		}
-		return true
-	}
-	ix, ok := t.indexes[col]
-	if !ok {
-		err := t.heap.Scan(ctx, keep)
-		return rids, rows, err
-	}
-	hits, err := ix.Search(ctx, val)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, h := range hits {
-		rec, err := t.heap.Get(ctx, pager.RID(h))
-		if err != nil {
-			return nil, nil, err
-		}
-		keep(pager.RID(h), rec)
-	}
-	return rids, rows, nil
-}
-
 // CreateIndex builds a B+tree on col over existing rows. Creating the same
 // index twice is a no-op.
 func (t *Table) CreateIndex(col string) error {
-	if t.snap != nil {
-		return ErrSnapshotWrite
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.createIndexLocked(col)
-}
-
-// createIndexLocked is CreateIndex under an already-held exclusive latch.
-func (t *Table) createIndexLocked(col string) error {
 	if _, ok := t.indexes[col]; ok {
 		return nil
 	}
@@ -338,174 +303,6 @@ func (t *Table) createIndexLocked(col string) error {
 	}
 	t.indexes[col] = ix
 	return nil
-}
-
-// HasIndex reports whether col is indexed.
-func (t *Table) HasIndex(col string) bool {
-	_, ok := t.index(col)
-	return ok
-}
-
-// indexReader is what the read operators need of an index, whichever
-// mode the table is in.
-type indexReader interface {
-	Search(ctx context.Context, key string) ([]uint64, error)
-	Range(ctx context.Context, lo, hi string, fn func(key string, val uint64) bool) error
-	Height() int
-}
-
-// index fetches an index reader: the live tree under the shared latch,
-// or the epoch-pinned view of a snapshot table (no latch — the snap map
-// is immutable).
-func (t *Table) index(col string) (indexReader, bool) {
-	if t.snap != nil {
-		ix, ok := t.snap.indexes[col]
-		return ix, ok
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ix, ok := t.indexes[col]
-	return ix, ok
-}
-
-// Scan visits all rows in address order (a full table scan: every heap
-// page is read), handing fn each record where it lies. Returning false
-// stops early. Cancellation via ctx is honored at page-fetch granularity.
-func (t *Table) Scan(ctx context.Context, fn func(Rec) bool) error {
-	t.db.cScan.Inc()
-	defer t.db.reg.StartSpan(metrics.PhaseScan).End()
-	var visited int64
-	err := t.scanRecords(ctx, func(_ pager.RID, rec []byte) bool {
-		visited++
-		return fn(rec)
-	})
-	t.db.cScanRow.Add(visited)
-	return err
-}
-
-// LookupEq returns rows where col == val, using an index when available
-// and falling back to a sequential scan otherwise.
-func (t *Table) LookupEq(ctx context.Context, col, val string) ([]Row, error) {
-	return t.LookupEqN(ctx, col, val, 0)
-}
-
-// LookupRange returns rows with lo <= col <= hi (Rec.Between), via index
-// when available. Index keys are truncated to btree.MaxKey, so a probe
-// also returns rows that only share a key's prefix: every lookup
-// re-checks the column on the stored bytes before it decodes the row.
-func (t *Table) LookupRange(ctx context.Context, col, lo, hi string) ([]Row, error) {
-	ix, ok := t.index(col)
-	if !ok {
-		return t.ScanRange(ctx, col, lo, hi)
-	}
-	t.db.cProbe.Inc()
-	defer t.db.reg.StartSpan(metrics.PhaseIndexProbe).End()
-	ci := t.Col(col)
-	var rows []Row
-	var inner error
-	err := ix.Range(ctx, lo, hi, func(_ string, v uint64) bool {
-		rec, e := t.getRecord(ctx, pager.RID(v))
-		if e != nil {
-			inner = e
-			return false
-		}
-		if Rec(rec).Between(ci, lo, hi) {
-			rows = append(rows, Rec(rec).Row())
-		}
-		return true
-	})
-	if inner != nil {
-		return nil, inner
-	}
-	return rows, err
-}
-
-// LookupEqN is LookupEq with a row cap: the planner's limit pushdown
-// (positional [1] access) fetches only the first n matches instead of
-// materializing every row and discarding the rest. n <= 0 means no cap.
-func (t *Table) LookupEqN(ctx context.Context, col, val string, n int) ([]Row, error) {
-	ix, ok := t.index(col)
-	if !ok {
-		return t.scanEq(ctx, col, val, n)
-	}
-	t.db.cProbe.Inc()
-	sp := t.db.reg.StartSpan(metrics.PhaseIndexProbe)
-	rids, err := ix.Search(ctx, val)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	want := len(rids)
-	if n > 0 && n < want {
-		want = n
-	}
-	ci := t.Col(col)
-	rows := make([]Row, 0, want)
-	for _, r := range rids {
-		if len(rows) == want {
-			break
-		}
-		rec, err := t.getRecord(ctx, pager.RID(r))
-		if err != nil {
-			return nil, err
-		}
-		if string(Rec(rec).Col(ci)) == val {
-			rows = append(rows, Rec(rec).Row())
-		}
-	}
-	return rows, nil
-}
-
-// ScanEq filters sequentially for col == val even when an index exists:
-// the executor's path for plans whose cost model chose the scan.
-func (t *Table) ScanEq(ctx context.Context, col, val string) ([]Row, error) {
-	return t.scanEq(ctx, col, val, 0)
-}
-
-// scanEq is the sequential filter for col == val, stopping after n
-// matches when n > 0.
-func (t *Table) scanEq(ctx context.Context, col, val string, n int) ([]Row, error) {
-	ci := t.Col(col)
-	var rows []Row
-	err := t.Scan(ctx, func(r Rec) bool {
-		if string(r.Col(ci)) == val {
-			rows = append(rows, r.Row())
-		}
-		return n <= 0 || len(rows) < n
-	})
-	return rows, err
-}
-
-// ScanRange filters sequentially for lo <= col <= hi even when an index
-// exists, mirroring ScanEq for range plans.
-func (t *Table) ScanRange(ctx context.Context, col, lo, hi string) ([]Row, error) {
-	ci := t.Col(col)
-	var rows []Row
-	err := t.Scan(ctx, func(r Rec) bool {
-		if r.Between(ci, lo, hi) {
-			rows = append(rows, r.Row())
-		}
-		return true
-	})
-	return rows, err
-}
-
-// HeapPages returns the page count of the table's record heap, the
-// planner's sequential-scan cost.
-func (t *Table) HeapPages() int64 {
-	if t.snap != nil {
-		return t.snap.heap.Pages()
-	}
-	return t.heap.Pages()
-}
-
-// IndexHeight returns the btree height of col's index, 0 when the
-// column is unindexed.
-func (t *Table) IndexHeight(col string) int {
-	if ix, ok := t.index(col); ok {
-		return ix.Height()
-	}
-	return 0
 }
 
 // encodeRow serializes values as length-prefixed strings.

@@ -20,11 +20,11 @@ func TestCreateInsertScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tb.Count() != 10 {
-		t.Fatalf("Count = %d", tb.Count())
+	if tb.Live().Count() != 10 {
+		t.Fatalf("Count = %d", tb.Live().Count())
 	}
 	var ids []string
-	tb.Scan(context.Background(), func(r Rec) bool {
+	tb.Live().Scan(context.Background(), func(r Rec) bool {
 		ids = append(ids, string(r.Col(tb.Col("id"))))
 		return true
 	})
@@ -70,7 +70,7 @@ func TestLookupEqWithAndWithoutIndex(t *testing.T) {
 		tb.Insert(Row{fmt.Sprintf("k%03d", i%100), fmt.Sprintf("v%d", i)})
 	}
 	// Without an index: sequential scan.
-	rows, err := tb.LookupEq(context.Background(), "k", "k042")
+	rows, err := tb.Live().LookupEq(context.Background(), "k", "k042", true, 0)
 	if err != nil || len(rows) != 5 {
 		t.Fatalf("scan lookup = %d rows, %v", len(rows), err)
 	}
@@ -78,16 +78,16 @@ func TestLookupEqWithAndWithoutIndex(t *testing.T) {
 	if err := tb.CreateIndex("k"); err != nil {
 		t.Fatal(err)
 	}
-	if !tb.HasIndex("k") {
-		t.Fatal("HasIndex false after CreateIndex")
+	if tb.Live().IndexHeight("k") == 0 {
+		t.Fatal("no index after CreateIndex")
 	}
-	rows2, err := tb.LookupEq(context.Background(), "k", "k042")
+	rows2, err := tb.Live().LookupEq(context.Background(), "k", "k042", true, 0)
 	if err != nil || len(rows2) != 5 {
 		t.Fatalf("indexed lookup = %d rows, %v", len(rows2), err)
 	}
 	// Index must also cover rows inserted after creation.
 	tb.Insert(Row{"k042", "late"})
-	rows3, _ := tb.LookupEq(context.Background(), "k", "k042")
+	rows3, _ := tb.Live().LookupEq(context.Background(), "k", "k042", true, 0)
 	if len(rows3) != 6 {
 		t.Fatalf("index not maintained on insert: %d rows", len(rows3))
 	}
@@ -103,12 +103,12 @@ func TestLookupRange(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tb.Insert(Row{fmt.Sprintf("2000-01-%02d", i%30+1), "y"})
 	}
-	scan, err := tb.LookupRange(context.Background(), "date", "2000-01-10", "2000-01-12")
+	scan, err := tb.Live().LookupRange(context.Background(), "date", "2000-01-10", "2000-01-12", true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tb.CreateIndex("date")
-	indexed, err := tb.LookupRange(context.Background(), "date", "2000-01-10", "2000-01-12")
+	indexed, err := tb.Live().LookupRange(context.Background(), "date", "2000-01-10", "2000-01-12", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,17 +126,17 @@ func TestNullHandling(t *testing.T) {
 	tb.CreateIndex("fax")
 
 	// NULLs are not indexed and never equal anything.
-	rows, _ := tb.LookupEq(context.Background(), "fax", Null)
+	rows, _ := tb.Live().LookupEq(context.Background(), "fax", Null, true, 0)
 	if len(rows) != 0 {
 		t.Fatal("NULL matched in index lookup")
 	}
-	rows, _ = tb.LookupEq(context.Background(), "fax", "")
+	rows, _ = tb.Live().LookupEq(context.Background(), "fax", "", true, 0)
 	if len(rows) != 1 || rows[0][0] != "P3" {
 		t.Fatalf("empty-string lookup = %v", rows)
 	}
 	// A scan-side NULL check still finds the missing-fax publisher.
 	var missing []string
-	tb.Scan(context.Background(), func(r Rec) bool {
+	tb.Live().Scan(context.Background(), func(r Rec) bool {
 		if r.Null(tb.Col("fax")) {
 			missing = append(missing, string(r.Col(0)))
 		}
@@ -146,7 +146,7 @@ func TestNullHandling(t *testing.T) {
 		t.Fatalf("missing-fax scan = %v", missing)
 	}
 	// Range scans skip NULLs.
-	got, _ := tb.LookupRange(context.Background(), "name", "P1", "P9")
+	got, _ := tb.Live().LookupRange(context.Background(), "name", "P1", "P9", true)
 	if len(got) != 3 {
 		t.Fatalf("range over names = %d", len(got))
 	}
@@ -176,7 +176,7 @@ func TestGetAndRoundTripSpecialValues(t *testing.T) {
 		tb.Insert(Row{v})
 	}
 	i := 0
-	tb.Scan(context.Background(), func(r Rec) bool {
+	tb.Live().Scan(context.Background(), func(r Rec) bool {
 		if got := r.Row()[0]; got != vals[i] || string(r.Col(0)) != vals[i] {
 			t.Fatalf("value %d mangled: %q vs %q", i, got, vals[i])
 		}
@@ -214,7 +214,7 @@ func TestFlushThenColdScan(t *testing.T) {
 	p.ColdReset()
 	p.ResetStats()
 	n := 0
-	tb.Scan(context.Background(), func(Rec) bool { n++; return true })
+	tb.Live().Scan(context.Background(), func(Rec) bool { n++; return true })
 	if n != 1000 {
 		t.Fatalf("cold scan saw %d rows", n)
 	}
@@ -226,8 +226,8 @@ func TestFlushThenColdScan(t *testing.T) {
 // TestLookupRechecksTruncatedKeys: B+tree keys stop at btree.MaxKey bytes,
 // so values that share their first 512 share an index key and one probe
 // returns them all. A lookup answers with the rows that hold what was
-// asked for — equality exactly, a range on the full value — on the live
-// table and on a snapshot of it.
+// asked for — equality exactly, a range on the full value — on the
+// table's live view and on a frozen one.
 func TestLookupRechecksTruncatedKeys(t *testing.T) {
 	ctx := context.Background()
 	db := newDB()
@@ -244,7 +244,7 @@ func TestLookupRechecksTruncatedKeys(t *testing.T) {
 	}
 	pin := db.Pager.PinSnapshot()
 	defer pin.Release()
-	snap, err := db.Snapshot(pin.Epoch())
+	snap, err := db.View(pin.Epoch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,16 +258,16 @@ func TestLookupRechecksTruncatedKeys(t *testing.T) {
 		}
 		return strings.Join(out, "")
 	}
-	for name, tab := range map[string]*Table{"live": tb, "snapshot": snap.Table("t")} {
+	for name, tab := range map[string]*TableView{"live": tb.Live(), "snapshot": snap.Table("t")} {
 		for _, c := range []struct{ what, got, want string }{
-			{"LookupEq(a)", vals(tab.LookupEq(ctx, "k", a)), "A"},
-			{"LookupEq(b)", vals(tab.LookupEq(ctx, "k", b)), "B"},
-			{"LookupEq(prefix)", vals(tab.LookupEq(ctx, "k", prefix)), "P"},
-			{"LookupEqN(b, 1)", vals(tab.LookupEqN(ctx, "k", b, 1)), "B"},
-			{"LookupEq(a+x)", vals(tab.LookupEq(ctx, "k", a+"x")), ""},
-			{"LookupRange(a, a)", vals(tab.LookupRange(ctx, "k", a, a)), "A"},
-			{"LookupRange(b, q)", vals(tab.LookupRange(ctx, "k", b, "q")), "BQ"},
-			{"LookupRange(prefix, a)", vals(tab.LookupRange(ctx, "k", prefix, a)), "AP"},
+			{"LookupEq(a)", vals(tab.LookupEq(ctx, "k", a, true, 0)), "A"},
+			{"LookupEq(b)", vals(tab.LookupEq(ctx, "k", b, true, 0)), "B"},
+			{"LookupEq(prefix)", vals(tab.LookupEq(ctx, "k", prefix, true, 0)), "P"},
+			{"LookupEq(b, limit 1)", vals(tab.LookupEq(ctx, "k", b, true, 1)), "B"},
+			{"LookupEq(a+x)", vals(tab.LookupEq(ctx, "k", a+"x", true, 0)), ""},
+			{"LookupRange(a, a)", vals(tab.LookupRange(ctx, "k", a, a, true)), "A"},
+			{"LookupRange(b, q)", vals(tab.LookupRange(ctx, "k", b, "q", true)), "BQ"},
+			{"LookupRange(prefix, a)", vals(tab.LookupRange(ctx, "k", prefix, a, true)), "AP"},
 		} {
 			if c.got != c.want {
 				t.Errorf("%s table: %s answered rows %q, want %q", name, c.what, c.got, c.want)
@@ -296,9 +296,10 @@ func TestFilterScanAllocatesPerKeptRow(t *testing.T) {
 		if err := tb.Flush(); err != nil {
 			t.Fatal(err)
 		}
+		v := tb.Live()
 		for name, scan := range map[string]func() ([]Row, error){
-			"ScanEq":    func() ([]Row, error) { return tb.ScanEq(ctx, "g", "hit") },
-			"ScanRange": func() ([]Row, error) { return tb.ScanRange(ctx, "g", "ha", "hz") },
+			"LookupEq by filter":    func() ([]Row, error) { return v.LookupEq(ctx, "g", "hit", false, 0) },
+			"LookupRange by filter": func() ([]Row, error) { return v.LookupRange(ctx, "g", "ha", "hz", false) },
 		} {
 			allocs := testing.AllocsPerRun(10, func() {
 				if rows, err := scan(); err != nil || len(rows) != k {

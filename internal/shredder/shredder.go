@@ -42,7 +42,8 @@ type Options struct {
 	RowLimitPerDoc int
 }
 
-// Store holds the shredded representation of one database.
+// Store holds the shredded representation of one database: the writer's
+// half, which queries read a View of.
 type Store struct {
 	Class core.Class
 	DB    *relational.DB
@@ -53,17 +54,20 @@ type Store struct {
 	SkippedMixed int
 }
 
-// Snapshot clones the store as an immutable view of its tables at the
-// given commit epoch (relational.DB.Snapshot): the query path the
-// shredding engines publish per committed update so readers never take
-// the engine write lock. Must be called under writer exclusion at a
-// commit boundary; readers must hold a pager.Snap pinned at epoch.
-func (s *Store) Snapshot(epoch uint64) (*Store, error) {
-	db, err := s.DB.Snapshot(epoch)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{Class: s.Class, DB: db, Opts: s.Opts, Rows: s.Rows, SkippedMixed: s.SkippedMixed}, nil
+// View is what a query reads of a store, immutable: its tables at one
+// epoch and the two facts of the mapping a plan depends on.
+type View struct {
+	Class core.Class
+	DB    *relational.DBView
+	Opts  Options
+}
+
+// View freezes the store's tables at the given commit epoch: what the
+// shredding engines publish per committed update, so readers never take
+// the engine write lock. The rules are relational.DB.View's.
+func (s *Store) View(epoch uint64) (View, error) {
+	db, err := s.DB.View(epoch)
+	return View{Class: s.Class, DB: db, Opts: s.Opts}, err
 }
 
 // NewStore creates the per-class table schema in db.

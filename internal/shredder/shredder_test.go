@@ -38,8 +38,8 @@ func TestShredOrder(t *testing.T) {
 	if rows != 3 { // 1 order + 2 lines
 		t.Fatalf("rows = %d", rows)
 	}
-	ot := s.DB.Table("order_tab")
-	got, err := ot.LookupEq(context.Background(), "id", "O1")
+	ot := s.DB.Table("order_tab").Live()
+	got, err := ot.LookupEq(context.Background(), "id", "O1", true, 0)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("order row: %v %v", got, err)
 	}
@@ -50,8 +50,8 @@ func TestShredOrder(t *testing.T) {
 	if !relational.IsNull(r[ot.Col("ship_country")]) {
 		t.Fatal("absent ship_country should be NULL")
 	}
-	lt := s.DB.Table("order_line_tab")
-	lrows, _ := lt.LookupEq(context.Background(), "order_id", "O1")
+	lt := s.DB.Table("order_line_tab").Live()
+	lrows, _ := lt.LookupEq(context.Background(), "order_id", "O1", true, 0)
 	if len(lrows) != 2 {
 		t.Fatalf("lines = %d", len(lrows))
 	}
@@ -73,8 +73,8 @@ func TestShredDictionaryMixedContent(t *testing.T) {
 	if _, err := keep.ShredDocument("dictionary.xml", xmldom.MustParse(dict)); err != nil {
 		t.Fatal(err)
 	}
-	qt := keep.DB.Table("quote_tab")
-	qrows, _ := qt.LookupEq(context.Background(), "entry_id", "e1")
+	qt := keep.DB.Table("quote_tab").Live()
+	qrows, _ := qt.LookupEq(context.Background(), "entry_id", "e1", true, 0)
 	if len(qrows) != 1 {
 		t.Fatalf("quotes = %d", len(qrows))
 	}
@@ -92,15 +92,15 @@ func TestShredDictionaryMixedContent(t *testing.T) {
 	if drop.SkippedMixed == 0 {
 		t.Fatal("dropping store counted no skipped mixed content")
 	}
-	qt2 := drop.DB.Table("quote_tab")
-	qrows2, _ := qt2.LookupEq(context.Background(), "entry_id", "e1")
+	qt2 := drop.DB.Table("quote_tab").Live()
+	qrows2, _ := qt2.LookupEq(context.Background(), "entry_id", "e1", true, 0)
 	if got := qrows2[0][qt2.Col("qt")]; got != "" {
 		t.Fatalf("dropped qt should be empty (present, text lost), got %q", got)
 	}
 	// etym is present: NULL only for e2 where it is truly missing.
-	et := drop.DB.Table("entry_tab")
-	e1, _ := et.LookupEq(context.Background(), "id", "e1")
-	e2, _ := et.LookupEq(context.Background(), "id", "e2")
+	et := drop.DB.Table("entry_tab").Live()
+	e1, _ := et.LookupEq(context.Background(), "id", "e1", true, 0)
+	e2, _ := et.LookupEq(context.Background(), "id", "e2", true, 0)
 	if relational.IsNull(e1[0][et.Col("etym")]) {
 		t.Fatal("present etym should not be NULL even when text dropped")
 	}
@@ -121,8 +121,8 @@ func TestShredArticleRecursion(t *testing.T) {
 	if _, err := s.ShredDocument("article1.xml", xmldom.MustParse(art)); err != nil {
 		t.Fatal(err)
 	}
-	st := s.DB.Table("sec_tab")
-	rows, _ := st.LookupEq(context.Background(), "article_id", "a1")
+	st := s.DB.Table("sec_tab").Live()
+	rows, _ := st.LookupEq(context.Background(), "article_id", "a1", true, 0)
 	if len(rows) != 3 {
 		t.Fatalf("secs = %d", len(rows))
 	}
@@ -137,15 +137,15 @@ func TestShredArticleRecursion(t *testing.T) {
 	if nestedParent != "s1" {
 		t.Fatalf("nested sec parent = %q", nestedParent)
 	}
-	if s.DB.Table("kw_tab").Count() != 2 {
+	if s.DB.Table("kw_tab").Live().Count() != 2 {
 		t.Fatal("keywords not shredded")
 	}
-	if s.DB.Table("ref_tab").Count() != 1 {
+	if s.DB.Table("ref_tab").Live().Count() != 1 {
 		t.Fatal("references not shredded")
 	}
 	// Empty contact is stored as empty string, not NULL (Q15 vs Q14).
-	at := s.DB.Table("art_author_tab")
-	arows, _ := at.LookupEq(context.Background(), "article_id", "a1")
+	at := s.DB.Table("art_author_tab").Live()
+	arows, _ := at.LookupEq(context.Background(), "article_id", "a1", true, 0)
 	if v := arows[0][at.Col("contact")]; relational.IsNull(v) || v != "" {
 		t.Fatalf("empty contact stored as %q", v)
 	}

@@ -471,7 +471,15 @@ func TestUpdateWorkload(t *testing.T) {
 		if _, _, err := LoadAndIndex(context.Background(), e, db); err != nil {
 			t.Fatal(err)
 		}
-		before := e.DocumentCount()
+		docCount := func() int {
+			v, release, err := e.View()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer release()
+			return v.DocumentCount()
+		}
+		before := docCount()
 		for seq, op := range []UpdateOp{U1, U2, U3} {
 			m := RunUpdateOp(context.Background(), e, class, op, seq)
 			if m.Err != nil {
@@ -483,7 +491,7 @@ func TestUpdateWorkload(t *testing.T) {
 		}
 		// U1(seq=0) inserted, U2(seq=1) upserted, U3(seq=2) insert+delete:
 		// net +2 documents.
-		if got := e.DocumentCount(); got != before+2 {
+		if got := docCount(); got != before+2 {
 			t.Fatalf("%s: document count %d, want %d", class, got, before+2)
 		}
 	}
