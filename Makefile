@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz chaos chaos-updates torture smoke shard-smoke bench-e2e bench-compare bench-point bench-scan plan-check plan-golden mvcc-sweep loc verify
+.PHONY: build test vet race fuzz chaos chaos-updates torture smoke shard-smoke bench-e2e bench-compare bench-point bench-scan bench-load plan-check plan-golden mvcc-sweep loc verify
 
 build:
 	$(GO) build ./...
@@ -86,6 +86,13 @@ bench-point:
 BENCHTIME ?= 20x
 bench-scan:
 	$(GO) test -run '^$$' -bench Scan -benchtime $(BENCHTIME) -benchmem .
+
+# Set-up as paper_cold pays it (root bench_test.go, BenchmarkLoad): one
+# Load plus BuildIndexes of the default Normal DC/MD and TC/MD databases
+# into a fresh engine with a 64-page pool, on every engine: ns/op, MB/s,
+# pageIO/op, B/op. pageIO/op is exact; BENCHTIME=1x is CI's smoke.
+bench-load:
+	$(GO) test -run '^$$' -bench '^BenchmarkLoad$$' -benchtime $(BENCHTIME) -benchmem .
 
 # MVCC snapshot-read smoke: read p99 must stay within 2x the read-only
 # p99 at 30% updates, because snapshots pin readers off the engine write

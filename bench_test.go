@@ -547,3 +547,45 @@ func BenchmarkScan(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLoad is the set-up paper_cold pays per engine and class: one
+// operation is one Load plus BuildIndexes of the library-default Normal
+// database at seed 7 into a fresh engine with a 64-page pool — the bulk
+// load, the automatic key indexes and the Table 3 value indexes built
+// while the pool is far smaller than the data. (BenchmarkTable4BulkLoad
+// loads benchCfg's ≈ 4× smaller databases into the default pool.) ns/op
+// and MB/s are per load, pageIO/op is the engine's page I/O for it and
+// B/op what it allocated. It is the profiling handle for that path:
+//
+//	go test -run '^$' -bench Load/sqlserver/dcmd -cpuprofile cpu.out .
+func BenchmarkLoad(b *testing.B) {
+	ctx := context.Background()
+	for _, class := range []core.Class{core.DCMD, core.TCMD} {
+		db, err := gen.Config{Seed: 7}.Generate(class, core.Normal)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, key := range benchEngines {
+			b.Run(key+"/"+class.Code(), func(b *testing.B) {
+				var io int64
+				b.ReportAllocs()
+				b.SetBytes(int64(db.Bytes()))
+				for i := 0; i < b.N; i++ {
+					e, err := New(key, WithPoolPages(64))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := LoadAndIndex(ctx, e, db); err != nil {
+						e.Close()
+						b.Fatal(err)
+					}
+					io += e.PageIO()
+					b.StopTimer()
+					e.Close()
+					b.StartTimer()
+				}
+				b.ReportMetric(float64(io)/float64(b.N), "pageIO/op")
+			})
+		}
+	}
+}

@@ -9,9 +9,16 @@
 // rebalances: a leaf may shrink to empty and stays in the chain, which
 // suits document-granular churn where the next insert refills it.
 //
-// Concurrency: a Tree only mutates — Insert, Delete and Sync take its
-// latch exclusive, and the root pointer, entry count and height only
-// change under it. Every read goes through a TreeView (view.go), an
+// An index over existing data is built through the same insert path as
+// any other entry: the caller sorts (SortEntries) and hands the run to
+// InsertRun, which appends at the right edge a leaf at a time; a node
+// that overflows there splits behind its last cell, one anywhere else
+// where its bytes halve (split). There is no second way to construct a
+// tree and nothing to tune.
+//
+// Concurrency: a Tree only mutates — Insert, InsertRun, Delete and Sync
+// take its latch exclusive, and the root pointer, entry count and height
+// only change under it. Every read goes through a TreeView (view.go), an
 // immutable value that takes no latch: frozen at a commit epoch for
 // readers, at pager.LiveEpoch for the writer's own look-ups (Live).
 // Node pages themselves are protected by the pager's own latch.
@@ -28,6 +35,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"xbench/internal/metrics"
@@ -227,95 +236,176 @@ func (t *Tree) putNode(pageNo uint32, typ byte, next uint32, nkeys int, cells []
 	return t.p.WriteOwned(t.fid, pageNo, pg)
 }
 
+// Entry is one (key, value) pair of a tree.
+type Entry struct {
+	Key string
+	Val uint64
+}
+
+// SortEntries orders a run the way the tree holds it: by key truncated to
+// MaxKey, entries whose truncated keys are equal in the order given — so
+// a run inserted after sorting answers Search with duplicates in their
+// original order, as single Inserts in that order would.
+func SortEntries(run []Entry) {
+	slices.SortStableFunc(run, func(a, b Entry) int { return strings.Compare(trunc(a.Key), trunc(b.Key)) })
+}
+
 // Insert adds (key, val). Duplicate keys are allowed. Insert takes the
 // exclusive latch: concurrent searches wait for the tree to be
 // structurally consistent again.
 func (t *Tree) Insert(key string, val uint64) error {
+	return t.InsertRun([]Entry{{key, val}})
+}
+
+// InsertRun adds the entries of run in order, as that many Inserts would,
+// under one hold of the latch. It is made for an ascending run
+// (SortEntries): entries that land behind the last cell of the rightmost
+// leaf go into it together, one page image per leaf filled instead of one
+// per entry, and a leaf that fills splits at its edge (split), so a
+// sorted build leaves every leaf but the last full. Any other entry costs
+// what an Insert costs. Nothing is remembered between calls or between
+// leaves: each batch descends from the root.
+func (t *Tree) InsertRun(run []Entry) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	key = trunc(key)
-	v := t.live()
-	sepKey, newChild, split, err := t.insert(&v, t.root, key, val)
-	if err != nil {
-		return err
-	}
-	if split {
-		// Grow a new root.
-		no, err := t.p.Append(t.fid)
+	for len(run) > 0 {
+		v := t.live()
+		took, sep, newChild, split, err := t.insert(&v, t.root, run, true)
 		if err != nil {
 			return err
 		}
-		cells := make([]byte, 0, innerPtr+2+len(sepKey)+innerPtr)
-		cells = binary.BigEndian.AppendUint32(cells, t.root)
-		cells = binary.BigEndian.AppendUint16(cells, uint16(len(sepKey)))
-		cells = append(cells, sepKey...)
-		cells = binary.BigEndian.AppendUint32(cells, newChild)
-		if err := t.putNode(no, typeInternal, 0, 1, cells); err != nil {
-			return err
+		if split {
+			// Grow a new root.
+			no, err := t.p.Append(t.fid)
+			if err != nil {
+				return err
+			}
+			cells := make([]byte, 0, innerPtr+2+len(sep)+innerPtr)
+			cells = binary.BigEndian.AppendUint32(cells, t.root)
+			cells = binary.BigEndian.AppendUint16(cells, uint16(len(sep)))
+			cells = append(cells, sep...)
+			cells = binary.BigEndian.AppendUint32(cells, newChild)
+			if err := t.putNode(no, typeInternal, 0, 1, cells); err != nil {
+				return err
+			}
+			t.root = no
+			t.height++
+			t.cHeight.SetMax(int64(t.height))
 		}
-		t.root = no
-		t.height++
-		t.cHeight.SetMax(int64(t.height))
+		t.n += took
+		run = run[took:]
 	}
-	t.n++
 	return nil
 }
 
-// insert descends from pageNo, reading through v: the tree before Insert.
-func (t *Tree) insert(v *TreeView, pageNo uint32, key string, val uint64) (string, uint32, bool, error) {
+// cellSize is the size of the cell an entry's key makes with a pointer
+// of the given width.
+func cellSize(key string, ptrSize int) int { return 2 + len(trunc(key)) + ptrSize }
+
+// insert descends from pageNo, reading through v — the tree before the
+// insert — to where run[0] belongs, adds it there and reports how many
+// entries of the run it took. edge says pageNo is on the right spine and
+// stays true while the descent takes the last child: at the leaf it means
+// run[0] lands behind every entry of the tree, and so does what follows
+// it for as long as the run ascends.
+func (t *Tree) insert(v *TreeView, pageNo uint32, run []Entry, edge bool) (took int, sep string, newChild uint32, split bool, err error) {
 	pg, err := v.readPage(context.Background(), pageNo)
 	if err != nil {
-		return "", 0, false, err
+		return 0, "", 0, false, err
 	}
 	// Past the last equal key: duplicates in a leaf keep insertion order,
 	// and the descent goes right of an equal separator.
-	off, i := seek(pg, key, false)
+	off, i := seek(pg, trunc(run[0].Key), false)
+	edge = edge && i == nodeKeys(pg)
 	if isLeaf(pg) {
-		return t.addCell(pageNo, pg, off, i, key, val)
+		took = 1
+		if edge {
+			// Take what the page has room for and, when the run goes on, the
+			// entry after: it overflows the node at its last cell and starts
+			// the sibling, so filling a leaf and chaining it on are one image.
+			room := pager.PageSize - off - cellSize(run[0].Key, leafPtr)
+			for took < len(run) && room >= 0 && trunc(run[took].Key) >= trunc(run[took-1].Key) {
+				room -= cellSize(run[took].Key, leafPtr)
+				took++
+			}
+		}
+		sep, newChild, split, err = t.addCells(pageNo, pg, off, i, run[:took], edge)
+		return took, sep, newChild, split, err
 	}
-	sep, newChild, split, err := t.insert(v, binary.BigEndian.Uint32(pg[off-innerPtr:]), key, val)
+	took, sep, newChild, split, err = t.insert(v, binary.BigEndian.Uint32(pg[off-innerPtr:]), run, edge)
 	if err != nil || !split {
-		return "", 0, false, err
+		return took, "", 0, false, err
 	}
-	return t.addCell(pageNo, pg, off, i, sep, uint64(newChild))
+	sep, newChild, split, err = t.addCells(pageNo, pg, off, i, []Entry{{sep, uint64(newChild)}}, edge)
+	return took, sep, newChild, split, err
 }
 
-// addCell writes the node pg back with the cell (key, ptr) inserted at
-// offset off, cell index i: prefix, cell and suffix go into one fresh
-// buffer, which becomes the page if it fits and is split if it does not.
-func (t *Tree) addCell(pageNo uint32, pg []byte, off, i int, key string, ptr uint64) (string, uint32, bool, error) {
-	_, ptrSize := cellLayout(pg)
+// addCells writes the node pg back with cells (keys with the values of a
+// leaf or the child page numbers of an internal node) inserted at offset
+// off, cell index i: prefix, cells and suffix go into one fresh buffer,
+// which becomes the page if it fits and is split if it does not — behind
+// its last cell when that is the last of the cells added at the edge of
+// the tree, else in the middle.
+func (t *Tree) addCells(pageNo uint32, pg []byte, off, i int, cells []Entry, edge bool) (string, uint32, bool, error) {
+	first, ptrSize := cellLayout(pg)
 	n := nodeKeys(pg)
 	end := skipCells(pg, off, n-i, ptrSize)
-	cell := 2 + len(key) + ptrSize
-	nd := make([]byte, max(end+cell, pager.PageSize))
-	copy(nd, pg[:off])
-	binary.BigEndian.PutUint16(nd[off:], uint16(len(key)))
-	copy(nd[off+2:], key)
-	if ptrSize == leafPtr {
-		binary.BigEndian.PutUint64(nd[off+2+len(key):], ptr)
-	} else {
-		binary.BigEndian.PutUint32(nd[off+2+len(key):], uint32(ptr))
+	size := 0
+	for _, c := range cells {
+		size += cellSize(c.Key, ptrSize)
 	}
-	copy(nd[off+cell:], pg[off:end])
-	binary.BigEndian.PutUint16(nd[5:7], uint16(n+1))
+	nd := make([]byte, max(end+size, pager.PageSize))
+	copy(nd, pg[:off])
+	at, last := off, off
+	for _, c := range cells {
+		key := trunc(c.Key)
+		last = at
+		binary.BigEndian.PutUint16(nd[at:], uint16(len(key)))
+		at += 2 + copy(nd[at+2:], key)
+		if ptrSize == leafPtr {
+			binary.BigEndian.PutUint64(nd[at:], c.Val)
+		} else {
+			binary.BigEndian.PutUint32(nd[at:], uint32(c.Val))
+		}
+		at += ptrSize
+	}
+	copy(nd[at:], pg[off:end])
+	n += len(cells)
+	binary.BigEndian.PutUint16(nd[5:7], uint16(n))
 	if len(nd) == pager.PageSize {
 		return "", 0, false, t.p.WriteOwned(t.fid, pageNo, nd)
 	}
-	return t.split(pageNo, nd)
+	if edge {
+		return t.split(pageNo, nd, n-1, last)
+	}
+	// The first cell that starts in the second half of the bytes. Both
+	// sides then fit a page whatever the key sizes: the image is at most
+	// one cell over a page, the left side less than one cell over half of
+	// it, and a cell is at most 2+MaxKey+8 bytes.
+	mid, midOff := 0, first
+	for midOff < len(nd)/2 {
+		midOff = skipCells(nd, midOff, 1, ptrSize)
+		mid++
+	}
+	return t.split(pageNo, nd, mid, midOff)
 }
 
-// split divides nd, a node image that outgrew its page, at its middle
-// cell. A leaf keeps the cells before it and chains to a new right
-// sibling that starts with it; its key is copied up as the separator. An
-// internal node moves the middle key up instead: the child behind it
-// becomes the right sibling's leftmost.
-func (t *Tree) split(pageNo uint32, nd []byte) (string, uint32, bool, error) {
+// split divides nd, a node image that outgrew its page, at the cell of
+// index mid, offset midOff. A leaf keeps the cells before it and chains
+// to a new right sibling that starts with it; its key is copied up as the
+// separator. An internal node moves that key up instead: the child behind
+// it becomes the right sibling's leftmost.
+//
+// An overflow in the middle of the tree splits at the middle of the
+// node's bytes, so both halves have room for what comes next wherever it
+// lands. One at the edge — the cell added is the last of a node on the
+// right spine, which is where ascending keys arrive — splits at that
+// cell: nothing will be inserted left of it while the keys keep
+// ascending, so the left node stays full and the sibling starts with one
+// cell (an internal one with none, only its leftmost child).
+func (t *Tree) split(pageNo uint32, nd []byte, mid, midOff int) (string, uint32, bool, error) {
 	t.cSplit.Inc()
-	first, ptrSize := cellLayout(nd)
 	n := nodeKeys(nd)
-	mid := n / 2
-	midOff := skipCells(nd, first, mid, ptrSize)
 	sep, sepPtr := cellKey(nd, midOff)
 	rightNo, err := t.p.Append(t.fid)
 	if err != nil {

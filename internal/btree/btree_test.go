@@ -271,14 +271,7 @@ func TestPropertyMatchesMap(t *testing.T) {
 	for op := 0; op < 6000; op++ {
 		key := pick()
 		tk := trunc(key)
-		// At most six MaxKey-sized entries live at once: nodes split by entry
-		// count, so a leaf crowded with them can leave one half over a page
-		// (a limit the id-sized keys the engines index never come near).
-		x := r.Float64()
-		if len(tk) == MaxKey && len(model[tk]) >= 6 && x < 0.55 {
-			x = 0.6
-		}
-		switch {
+		switch x := r.Float64(); {
 		case x < 0.55 || len(model[tk]) == 0 && x < 0.9:
 			next++
 			if err := tr.Insert(key, next); err != nil {
@@ -544,19 +537,21 @@ func refDecode(pg []byte) *refNode {
 }
 
 // formatGolden is the SHA-256 over node pages 1..N of the tree
-// TestFormatPinned builds, as produced by the decode/re-encode
-// implementation this one replaced (PR 14) on the same seeded sequence:
-// same bytes means same cell format, same split points, same page
-// numbering and same leaf chain.
-const formatGolden = "c116b6f2d0923426dcf182de17433dfd68c033912cae3e965af00201133a71e6"
+// TestFormatPinned builds: same bytes means same cell format, same split
+// points, same page numbering and same leaf chain. It was regenerated once
+// since the decode/re-encode implementation (PR 14) wrote it, in PR 27,
+// when the split rule moved — a node splits where its bytes halve instead
+// of where its cell count does, and behind its last cell at the right edge
+// of the tree. The node layout did not move: every page is still held to
+// refEncode above, which is PR 14's encoder untouched.
+const formatGolden = "9fee998070cceef7eba043ac076473e9786eb7bb70717f1643630da869e89cbe"
 
 // TestFormatPinned drives a seeded insert/delete sequence — duplicates
 // that span leaves, MaxKey-truncated keys that collide, enough ~200-byte
 // keys to grow the root twice — and holds every page of the file to the
 // reference: each page must be exactly what refEncode emits for its
 // content (cells packed from the header, zero to the end of the page),
-// and the file as a whole must hash to what the previous implementation
-// wrote.
+// and the file as a whole must hash to the pinned digest.
 func TestFormatPinned(t *testing.T) {
 	p := pager.New(1024)
 	tr, err := New(p, "idx")
@@ -626,10 +621,11 @@ func TestAllocationPins(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		pad  int // key padding: sets the fan-out
-		n    int // entries: enough for height 3
+		n    int // entries, inserted ascending: every leaf but the last is full
+		h    int // the height that makes
 	}{
-		{"wide", 20, 40000},
-		{"narrow", 190, 8000},
+		{"wide", 20, 40000, 2},
+		{"narrow", 190, 8000, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := pager.New(4096) // the whole tree stays in the pool
@@ -644,8 +640,8 @@ func TestAllocationPins(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if tr.Live().Height() != 3 {
-				t.Fatalf("height = %d, want 3", tr.Live().Height())
+			if tr.Live().Height() != tc.h {
+				t.Fatalf("height = %d, want %d", tr.Live().Height(), tc.h)
 			}
 			probe := key(tc.n / 3)
 			for name, rd := range map[string]*TreeView{"live": tr.Live(), "frozen": tr.ViewAt(p.SnapshotEpoch())} {

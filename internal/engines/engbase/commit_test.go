@@ -15,13 +15,25 @@ import (
 
 // TestCommitWritesWhatItDirtied pins the page I/O of the commit path at
 // Small (generator seed 7, default pool): what LoadAndIndex costs, which
-// is the paper's Table 4 and must not move, and what each of U1-U3 costs
+// is what the paper's Table 4 prices, and what each of U1-U3 costs
 // through workload.RunUpdateOp (the untimed pre-create of U2/U3 and the
-// verifying Q1 included). was is the same measurement before Base.publish
-// became the only sync: the shredding engine synced once per hook — twice
-// in a U2 — and every sync rewrote the clean tail page of each table the
-// update never touched; now a commit writes the journal record and the
-// pages the update dirtied, once. X-Hive and TC/MD Xcolumn already did.
+// verifying Q1 included). was is the same measurement at its worst. For
+// the updates that is before Base.publish became the only sync (PR 22):
+// the shredding engine synced once per hook — twice in a U2 — and every
+// sync rewrote the clean tail page of each table the update never
+// touched; now a commit writes the journal record and the pages the
+// update dirtied, once. For the load it is before PR 27, which moved it
+// for two reasons, measured apart. Indexes are built from a sorted run
+// that packs every leaf full (btree.InsertRun) instead of by one Insert
+// per row in heap order: 720 -> 719 and 266 -> 264 on the shredding
+// engines, nothing elsewhere at this size. And Heap.Flush writes only a
+// dirty tail, so the per-document Sync of a load stopped rewriting the
+// clean tail page of every table the document did not touch: 719 -> 692
+// and 264 -> 241, and one page on X-Hive and Xcolumn. The same PR moved
+// two updates: the first U1 on the DC/MD shredding engines 9 -> 11,
+// because a leaf the build left full splits on its first insert, and
+// Xcolumn's DC/MD U2 21 -> 20, whose doc index is built inside that
+// update and came out a page smaller.
 func TestCommitWritesWhatItDirtied(t *testing.T) {
 	type io struct{ load, u1, u2, u3 int64 }
 	ctx := context.Background()
@@ -31,14 +43,14 @@ func TestCommitWritesWhatItDirtied(t *testing.T) {
 		mk      func() engine
 		was, is io
 	}{
-		{core.DCMD, "X-Hive", func() engine { return native.New(0) }, io{356, 4, 8, 8}, io{356, 4, 8, 8}},
-		{core.DCMD, "Xcolumn", func() engine { return xcolumn.New(0) }, io{381, 7, 23, 16}, io{381, 6, 21, 14}},
-		{core.DCMD, "Xcollection", func() engine { return xcollection.New(xcollection.DB2, 0, 0) }, io{720, 14, 41, 28}, io{720, 9, 18, 18}},
-		{core.DCMD, "SQL Server", func() engine { return xcollection.New(xcollection.SQLServer, 0, 0) }, io{720, 14, 41, 28}, io{720, 9, 18, 18}},
-		{core.TCMD, "X-Hive", func() engine { return native.New(0) }, io{60, 4, 8, 8}, io{60, 4, 8, 8}},
-		{core.TCMD, "Xcolumn", func() engine { return xcolumn.New(0) }, io{62, 5, 18, 14}, io{62, 5, 18, 14}},
-		{core.TCMD, "Xcollection", func() engine { return xcollection.New(xcollection.DB2, 0, 0) }, io{266, 14, 41, 28}, io{266, 11, 22, 22}},
-		{core.TCMD, "SQL Server", func() engine { return xcollection.New(xcollection.SQLServer, 0, 0) }, io{266, 14, 41, 28}, io{266, 11, 22, 22}},
+		{core.DCMD, "X-Hive", func() engine { return native.New(0) }, io{356, 4, 8, 8}, io{355, 4, 8, 8}},
+		{core.DCMD, "Xcolumn", func() engine { return xcolumn.New(0) }, io{381, 7, 23, 16}, io{380, 6, 20, 14}},
+		{core.DCMD, "Xcollection", func() engine { return xcollection.New(xcollection.DB2, 0, 0) }, io{720, 14, 41, 28}, io{692, 11, 18, 18}},
+		{core.DCMD, "SQL Server", func() engine { return xcollection.New(xcollection.SQLServer, 0, 0) }, io{720, 14, 41, 28}, io{692, 11, 18, 18}},
+		{core.TCMD, "X-Hive", func() engine { return native.New(0) }, io{60, 4, 8, 8}, io{59, 4, 8, 8}},
+		{core.TCMD, "Xcolumn", func() engine { return xcolumn.New(0) }, io{62, 5, 18, 14}, io{61, 5, 18, 14}},
+		{core.TCMD, "Xcollection", func() engine { return xcollection.New(xcollection.DB2, 0, 0) }, io{266, 14, 41, 28}, io{241, 11, 22, 22}},
+		{core.TCMD, "SQL Server", func() engine { return xcollection.New(xcollection.SQLServer, 0, 0) }, io{266, 14, 41, 28}, io{241, 11, 22, 22}},
 	} {
 		t.Run(tc.class.String()+"/"+tc.name, func(t *testing.T) {
 			db, err := gen.Config{Seed: 7}.Generate(tc.class, core.Small)
@@ -61,8 +73,8 @@ func TestCommitWritesWhatItDirtied(t *testing.T) {
 			if got != tc.is {
 				t.Errorf("page I/O (load+index, U1, U2, U3) = %+v, pinned %+v", got, tc.is)
 			}
-			if tc.is.load != tc.was.load || tc.is.u1 > tc.was.u1 || tc.is.u2 > tc.was.u2 || tc.is.u3 > tc.was.u3 {
-				t.Errorf("pinned %+v: load must equal and no update exceed %+v", tc.is, tc.was)
+			if tc.is.load > tc.was.load || tc.is.u1 > tc.was.u1 || tc.is.u2 > tc.was.u2 || tc.is.u3 > tc.was.u3 {
+				t.Errorf("pinned %+v: neither the load nor an update may exceed %+v", tc.is, tc.was)
 			}
 		})
 	}

@@ -468,6 +468,7 @@ func (s *store) BuildIndexes(specs []core.IndexSpec) error {
 		if err != nil {
 			return err
 		}
+		var run []btree.Entry
 		err = v.scanCatalog(ctx, func(cat pager.RID, _, rec []byte) (bool, error) {
 			en, err := decodeCatalogEntry(rec)
 			if err != nil {
@@ -477,9 +478,16 @@ func (s *store) BuildIndexes(specs []core.IndexSpec) error {
 			if err != nil {
 				return false, err
 			}
-			return true, indexEntries(spec.Target, cat, parts, ix.Insert)
+			return true, indexEntries(spec.Target, cat, parts, func(val string, loc uint64) error {
+				run = append(run, btree.Entry{Key: val, Val: loc})
+				return nil
+			})
 		})
 		if err != nil {
+			return err
+		}
+		btree.SortEntries(run)
+		if err := ix.InsertRun(run); err != nil {
 			return err
 		}
 		// Persist the tree header so the index survives crash recovery.

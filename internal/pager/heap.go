@@ -55,7 +55,7 @@ type Heap struct {
 	tail      []byte // in-memory image of the tail page
 	tailNo    uint32
 	hasTail   bool
-	tailDirty bool // tail differs from its on-disk image
+	tailDirty bool // tail differs from its on-disk image; only with hasTail
 	count     int
 	free      []extent // dead records, in the order they were deleted
 }
@@ -222,13 +222,15 @@ func (h *Heap) flushTail() error {
 		return err
 	}
 	h.flushed = (uint64(h.tailNo) + 1) * PageSize
-	h.tail, h.hasTail = nil, false
+	h.tail, h.hasTail, h.tailDirty = nil, false, false
 	return nil
 }
 
-// Flush persists any buffered tail page.
+// Flush persists the buffered tail page if it differs from its on-disk
+// image: a heap nothing was written to since the last Flush writes
+// nothing.
 func (h *Heap) Flush() error {
-	if !h.hasTail {
+	if !h.tailDirty {
 		return nil
 	}
 	if err := h.p.Write(h.fid, h.tailNo, h.tail); err != nil {
@@ -257,7 +259,7 @@ func (h *Heap) Sync() error {
 // until the next of them.
 func (h *Heap) Live() HeapView {
 	v := HeapView{p: h.p, fid: h.fid, end: h.end, count: h.count, epoch: LiveEpoch}
-	if h.hasTail && h.tailDirty {
+	if h.tailDirty {
 		// Once flushed, reads go through the buffer pool like any other
 		// page so cold-run I/O is fully accounted.
 		v.tail, v.tailNo = h.tail, h.tailNo

@@ -37,10 +37,8 @@ type HeapView struct {
 // (engbase.Base.publish), so a heap the mutation never touched writes
 // nothing.
 func (h *Heap) View(epoch uint64) (HeapView, error) {
-	if h.tailDirty {
-		if err := h.Flush(); err != nil {
-			return HeapView{}, err
-		}
+	if err := h.Flush(); err != nil {
+		return HeapView{}, err
 	}
 	return HeapView{p: h.p, fid: h.fid, end: h.end, count: h.count, epoch: epoch}, nil
 }

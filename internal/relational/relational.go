@@ -269,8 +269,12 @@ func (t *Table) DeleteWhere(ctx context.Context, col, val string) (n int, err er
 	return len(rids), nil
 }
 
-// CreateIndex builds a B+tree on col over existing rows. Creating the same
-// index twice is a no-op.
+// CreateIndex builds a B+tree on col over existing rows: one heap scan
+// collects (value, RID) — an entry per row, held until the tree has it —
+// and the tree takes them as one sorted run, which it packs leaf by leaf
+// (btree.InsertRun). Rows with equal (truncated) values keep heap order,
+// as an index maintained by Insert has them. Creating the same index
+// twice is a no-op.
 func (t *Table) CreateIndex(col string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -282,19 +286,20 @@ func (t *Table) CreateIndex(col string) error {
 	if err != nil {
 		return err
 	}
-	var inner error // an Insert failure; Scan itself returns nil on an early stop
+	run := make([]btree.Entry, 0, t.heap.Count())
 	err = t.heap.Scan(context.Background(), func(rid pager.RID, rec []byte) bool {
 		// Only the indexed column leaves the record: decoding the row would
 		// allocate every column of every row once per index.
-		if r := Rec(rec); !r.Null(ci) {
-			inner = ix.Insert(string(r.Col(ci)), uint64(rid))
+		if r := Rec(rec); !r.Null(ci) { // NULLs are not indexed
+			run = append(run, btree.Entry{Key: string(r.Col(ci)), Val: uint64(rid)})
 		}
-		return inner == nil
+		return true
 	})
-	if inner != nil {
-		return inner
-	}
 	if err != nil {
+		return err
+	}
+	btree.SortEntries(run)
+	if err := ix.InsertRun(run); err != nil {
 		return err
 	}
 	// Persist the tree header so the index survives crash recovery.

@@ -314,3 +314,77 @@ func TestFilterScanAllocatesPerKeptRow(t *testing.T) {
 		}
 	}
 }
+
+// TestCreateIndexMatchesMaintainedIndex: an index created over existing
+// rows (one sorted run into the tree) answers like one that existed from
+// the empty table and was maintained row by row — LookupEq and
+// LookupRange row for row, in the same order. The rows hold what the two
+// builds could disagree on: repeated values (equal keys must come back in
+// heap order), NULLs (never indexed), and long values that collide once
+// truncated to btree.MaxKey — 556 of them, equal keys over 35 leaves.
+func TestCreateIndexMatchesMaintainedIndex(t *testing.T) {
+	ctx := context.Background()
+	created := newDB().Create("t", "id", "g")
+	maintained := newDB().Create("t", "id", "g")
+	if err := maintained.CreateIndex("g"); err != nil {
+		t.Fatal(err)
+	}
+	prefix := strings.Repeat("p", btree.MaxKey)
+	groups := []string{"hot", Null, prefix + "one", prefix + "two", prefix, ""}
+	for i := 0; i < 5000; i++ {
+		g := fmt.Sprintf("g%03d", (i*7919)%400)
+		if i%3 == 0 {
+			g = groups[(i/3)%len(groups)]
+		}
+		row := Row{fmt.Sprintf("r%05d", i), g}
+		for _, tb := range []*Table{created, maintained} {
+			if err := tb.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := created.CreateIndex("g"); err != nil {
+		t.Fatal(err)
+	}
+	same := func(what string, a, b []Row, errs ...error) int {
+		t.Helper()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d rows from the created index, %d from the maintained one", what, len(a), len(b))
+		}
+		for i := range a {
+			if a[i][0] != b[i][0] || a[i][1] != b[i][1] {
+				t.Fatalf("%s: row %d is %.20q from the created index, %.20q from the maintained one", what, i, a[i], b[i])
+			}
+		}
+		return len(a)
+	}
+	c, m := created.Live(), maintained.Live()
+	for _, g := range append(groups, "g000", "g123", "g399", "absent", prefix+"three") {
+		a, errA := c.LookupEq(ctx, "g", g, true, 0)
+		b, errB := m.LookupEq(ctx, "g", g, true, 0)
+		n := same(fmt.Sprintf("LookupEq(%.20q)", g), a, b, errA, errB)
+		if g == "hot" && n != 278 {
+			t.Errorf("LookupEq(hot): %d rows, want 278", n)
+		}
+		if (g == Null || g == "absent" || g == prefix+"three") && n != 0 {
+			t.Errorf("LookupEq(%.20q): %d rows, want none", g, n)
+		}
+	}
+	for _, r := range [][2]string{{"", "\xff"}, {"g100", "g200"}, {"hot", prefix + "zzz"}, {prefix, prefix + "one"}, {"h", "g"}} {
+		a, errA := c.LookupRange(ctx, "g", r[0], r[1], true)
+		b, errB := m.LookupRange(ctx, "g", r[0], r[1], true)
+		same(fmt.Sprintf("LookupRange(%.20q, %.20q)", r[0], r[1]), a, b, errA, errB)
+	}
+	all, err := c.LookupRange(ctx, "g", "", "\xff", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 5000-278 {
+		t.Errorf("the whole range holds %d rows, want 5000 less the 278 NULLs", len(all))
+	}
+}
