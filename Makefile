@@ -74,9 +74,10 @@ bench-compare:
 # The point read in-process and through a loopback server on every
 # engine (root bench_test.go, BenchmarkPointRead): ns/op, p50_us and
 # allocations per operation. Add -cpuprofile to see where a served
-# request spends its time.
+# request spends its time. BENCHTIME=1x is CI's smoke.
+bench-point: BENCHTIME = 1s
 bench-point:
-	$(GO) test -run '^$$' -bench PointRead -benchmem .
+	$(GO) test -run '^$$' -bench PointRead -benchtime $(BENCHTIME) -benchmem .
 
 # The scan path on every engine (root bench_test.go, BenchmarkScan): the
 # DC/MD scan mix warm at Small, and every DC/MD and TC/MD query cold at

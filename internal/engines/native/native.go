@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"xbench/internal/btree"
@@ -97,6 +98,9 @@ type store struct {
 	// fills it and updates (replayed ones included) maintain it.
 	names   map[string]pager.RID
 	indexes map[string]*btree.Tree
+	// memoLimit is the buffer pool's capacity in bytes: what the records
+	// a frozen view memoizes may be charged in all (recordMemo).
+	memoLimit int64
 }
 
 // view is the read surface of the store and its query path
@@ -110,20 +114,84 @@ type view struct {
 	docs    pager.HeapView
 	catalog pager.HeapView
 	indexes map[string]*btree.TreeView
+	// memo holds the records the view has opened; nil, which memoizes
+	// nothing, on the writer's live view and on a FormatXML or Segmented
+	// store.
+	memo *recordMemo
+}
+
+// recordMemo holds the records a frozen view has validated, by
+// document-heap RID, so a record is opened once per view, not per query
+// (DESIGN.md §17). Readers share them: a Record is immutable, and its
+// bytes are a page image, never mutated in place (Pager.Read), or a fresh
+// Get copy. Each commit publishes an empty memo, so a reused RID never
+// meets an older record; ColdReset empties it. It admits records while
+// their charges — data length plus node table — fit within limit, and
+// evicts nothing.
+type recordMemo struct {
+	limit int64
+	mu    sync.RWMutex
+	recs  map[pager.RID]*xmldom.Record
+	bytes int64 // charged to recs
+}
+
+// recNodeBytes is one entry of a Record's node table: three int32s.
+const recNodeBytes = 12
+
+// get returns the record memoized at rid, or nil.
+func (m *recordMemo) get(rid pager.RID) *xmldom.Record {
+	if m == nil {
+		return nil
+	}
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.recs[rid]
+}
+
+// add memoizes rec, opened from n bytes at rid, if its charge fits.
+func (m *recordMemo) add(rid pager.RID, rec *xmldom.Record, n int) {
+	if m == nil {
+		return
+	}
+	charge := int64(n + recNodeBytes*rec.Len())
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, dup := m.recs[rid]; dup || m.bytes+charge > m.limit {
+		return
+	}
+	m.recs[rid] = rec
+	m.bytes += charge
+}
+
+// reset empties the memo.
+func (m *recordMemo) reset() {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	clear(m.recs)
+	m.bytes = 0
 }
 
 // live is the writer's view of its own heaps as they are now, unflushed
 // tails included, valid until its next Insert or Delete. It carries no
-// indexes: the writer maintains those, it does not probe them.
+// indexes: the writer maintains those, it does not probe them. Nor a
+// record memo: a record in its unflushed tail page lies in a buffer the
+// writer keeps appending to.
 func (s *store) live() *view {
 	return &view{class: s.class, opts: s.opts, reg: s.p.Metrics(), docs: s.docs.Live(), catalog: s.catalog.Live()}
 }
 
 // Freeze implements engbase.Store: the live view with its heaps and the
-// indexes frozen at epoch. The heap views flush the tail page of a heap
-// the mutation appended to or patched.
+// indexes frozen at epoch, and an empty record memo when the store keeps
+// persistent-DOM documents whole. The heap views flush the tail page of a
+// heap the mutation appended to or patched.
 func (s *store) Freeze(epoch uint64) (*view, error) {
 	v := s.live()
+	if s.opts.Format == FormatDOM && !s.opts.Segmented {
+		v.memo = &recordMemo{limit: s.memoLimit, recs: map[pager.RID]*xmldom.Record{}}
+	}
 	var err error
 	if v.docs, err = s.docs.View(epoch); err != nil {
 		return nil, err
@@ -160,16 +228,31 @@ func NewWithOptions(poolPages int, opts Options) (*Engine, error) {
 	if opts.SegmentThreshold <= 0 {
 		opts.SegmentThreshold = defaultSegmentThreshold
 	}
+	if poolPages <= 0 {
+		poolPages = pager.DefaultPoolPages
+	}
 	p := pager.New(poolPages)
 	s := &store{
-		p:       p,
-		opts:    opts,
-		docs:    pager.NewHeap(p, "documents"),
-		catalog: pager.NewHeap(p, "catalog"),
-		names:   map[string]pager.RID{},
-		indexes: map[string]*btree.Tree{},
+		p:         p,
+		opts:      opts,
+		docs:      pager.NewHeap(p, "documents"),
+		catalog:   pager.NewHeap(p, "catalog"),
+		names:     map[string]pager.RID{},
+		indexes:   map[string]*btree.Tree{},
+		memoLimit: int64(poolPages) * pager.PageSize,
 	}
 	return &Engine{Base: engbase.New[*view](p, s), s: s}, nil
+}
+
+// ColdReset implements core.Engine: engbase.Base drops the buffer pool,
+// and the published view then drops the records it has opened, so the
+// next query opens every record it touches from the pages again.
+func (e *Engine) ColdReset() {
+	e.Base.ColdReset()
+	if v, release, err := e.View(); err == nil {
+		v.memo.reset()
+		release()
+	}
 }
 
 // Name implements core.Engine.
@@ -323,18 +406,31 @@ func (s *store) storeDocument(name string, doc *xmldom.Node, raw []byte) (pager.
 }
 
 // openRecord fetches one stored record from the view's document heap
-// and opens it for the cursor.
+// and opens it for the cursor, or hands out the one the view's memo
+// holds.
 // A persistent-DOM record is walked where Get found it — in the page
 // image itself when it lies inside one page, which the cursor only
 // reads; raw XML (the storage-format ablation) is parsed and re-encoded
 // first.
 func (v *view) openRecord(ctx context.Context, rid pager.RID) (*xmldom.Record, error) {
+	if rec := v.memo.get(rid); rec != nil {
+		// A hit fetches no page, and a page fetch is where a query
+		// checks ctx once per document.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return rec, nil
+	}
 	data, err := v.docs.Get(ctx, rid)
 	if err != nil {
 		return nil, err
 	}
 	if v.opts.Format == FormatDOM {
-		return xmldom.OpenRecord(data)
+		rec, err := xmldom.OpenRecord(data)
+		if err == nil {
+			v.memo.add(rid, rec, len(data))
+		}
+		return rec, err
 	}
 	doc, err := xmldom.Parse(data)
 	if err != nil {
