@@ -88,12 +88,15 @@ BENCHTIME ?= 20x
 bench-scan:
 	$(GO) test -run '^$$' -bench Scan -benchtime $(BENCHTIME) -benchmem .
 
-# Set-up as paper_cold pays it (root bench_test.go, BenchmarkLoad): one
+# Set-up as paper_cold pays it (root bench_test.go): BenchmarkLoad, one
 # Load plus BuildIndexes of the default Normal DC/MD and TC/MD databases
 # into a fresh engine with a 64-page pool, on every engine: ns/op, MB/s,
-# pageIO/op, B/op. pageIO/op is exact; BENCHTIME=1x is CI's smoke.
+# pageIO/op, B/op; then its two parallel halves' inputs alone,
+# BenchmarkGenerate (the databases, on every core) and BenchmarkParse
+# (every document parsed on one goroutine): MB/s and allocs/op.
+# pageIO/op is exact; BENCHTIME=1x is CI's smoke.
 bench-load:
-	$(GO) test -run '^$$' -bench '^BenchmarkLoad$$' -benchtime $(BENCHTIME) -benchmem .
+	$(GO) test -run '^$$' -bench '^Benchmark(Load|Generate|Parse)$$' -benchtime $(BENCHTIME) -benchmem .
 
 # MVCC snapshot-read smoke: read p99 must stay within 2x the read-only
 # p99 at 30% updates, because snapshots pin readers off the engine write

@@ -38,6 +38,7 @@ import (
 	"xbench/internal/gen"
 	"xbench/internal/server"
 	"xbench/internal/workload"
+	"xbench/internal/xmldom"
 )
 
 // benchCfg shrinks the databases ~4x versus the library defaults so the
@@ -587,5 +588,52 @@ func BenchmarkLoad(b *testing.B) {
 				b.ReportMetric(float64(io)/float64(b.N), "pageIO/op")
 			})
 		}
+	}
+}
+
+// BenchmarkGenerate is the other half of paper_cold's set-up: one
+// operation generates the library-default Normal DC/MD or TC/MD database
+// at seed 7, on as many cores as GOMAXPROCS allows. MB/s is per
+// generated byte. It is the profiling handle for that path:
+//
+//	go test -run '^$' -bench Generate/dcmd -cpuprofile cpu.out .
+func BenchmarkGenerate(b *testing.B) {
+	for _, class := range []core.Class{core.DCMD, core.TCMD} {
+		b.Run(class.Code(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				db, err := gen.Config{Seed: 7}.Generate(class, core.Normal)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(db.Bytes()))
+			}
+		})
+	}
+}
+
+// BenchmarkParse is the parser alone on one goroutine: one operation
+// parses every document of the Normal DC/MD or TC/MD database at seed 7,
+// which is what each engine's load parses. MB/s is per input byte. It is
+// the profiling handle for that path:
+//
+//	go test -run '^$' -bench Parse/dcmd -cpuprofile cpu.out .
+func BenchmarkParse(b *testing.B) {
+	for _, class := range []core.Class{core.DCMD, core.TCMD} {
+		db, err := gen.Config{Seed: 7}.Generate(class, core.Normal)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(class.Code(), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(db.Bytes()))
+			for i := 0; i < b.N; i++ {
+				for _, d := range db.Docs {
+					if _, err := xmldom.Parse(d.Data); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -65,7 +65,8 @@ type Store[V View] interface {
 
 	// Reset empties the store: files truncated, volatile maps dropped.
 	Reset() error
-	// LoadDocs bulk-loads db into the freshly reset store. The syncs in
+	// LoadDocs bulk-loads db into the freshly reset store, taking the
+	// parsed documents in database order from ParseDocs. The syncs in
 	// it are the load's own — the per-document commits the paper's Table 4
 	// prices — and leave nothing dirty, so Base fills in LoadStats.PageIO
 	// when it returns and the commit that follows writes nothing more.

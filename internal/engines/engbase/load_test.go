@@ -1,0 +1,110 @@
+package engbase_test
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"xbench/internal/core"
+	"xbench/internal/gen"
+)
+
+// cancelAt is a context that cancels itself the n-th time its Err is
+// asked: a cancellation that lands at a fixed point of a load — Base's
+// loaders ask once per document — rather than at whatever point a timer
+// fires.
+type cancelAt struct {
+	context.Context
+	cancel context.CancelFunc
+	n      atomic.Int64
+}
+
+func newCancelAt(n int64) *cancelAt {
+	ctx, cancel := context.WithCancel(context.Background())
+	c := &cancelAt{Context: ctx, cancel: cancel}
+	c.n.Store(n)
+	return c
+}
+
+func (c *cancelAt) Err() error {
+	if c.n.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestLoadContractWithParseAhead is the load contract on a database large
+// enough that documents are parsed in batches ahead of the writer (DC/MD
+// Normal at generator seed 7, 3,205 documents in about thirty batches),
+// on every engine:
+//   - A malformed document 2,000 — past the first batch — fails the load
+//     with the sequential loader's error, naming the engine and the
+//     document; the engine then answers the not-loaded error, and a load
+//     of the good database costs the same page I/O as on a fresh engine,
+//     which is what it cost when each document was parsed just before it
+//     was written.
+//   - A context cancelled mid-load fails it with context.Canceled.
+//   - No parse worker outlives a Load, whichever way it ends.
+func TestLoadContractWithParseAhead(t *testing.T) {
+	ctx := context.Background()
+	good, err := gen.Config{Seed: 7}.Generate(core.DCMD, core.Normal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *good
+	bad.Docs = append([]core.Doc(nil), good.Docs...)
+	bad.Docs[2000].Data = []byte("<order id=\"O2001\"><total>1</order>")
+	// What the sequential loader answered: the error's engine prefix, and
+	// the good load's page I/O.
+	pins := map[string]struct {
+		prefix string
+		io     int64
+	}{
+		"X-Hive":      {"native", 3494},
+		"Xcolumn":     {"xcolumn", 3746},
+		"Xcollection": {"Xcollection", 7107},
+		"SQL Server":  {"SQL Server", 7107},
+	}
+	for _, tc := range engines {
+		pin := pins[tc.name]
+		t.Run(tc.name, func(t *testing.T) {
+			start := runtime.NumGoroutine()
+			noWorkers := func(after string) {
+				t.Helper()
+				if n := runtime.NumGoroutine(); n > start {
+					t.Errorf("%d goroutines after %s, %d before", n, after, start)
+				}
+			}
+			e := tc.mk()
+			defer e.Close()
+
+			want := pin.prefix + ": order2001.xml: xmldom: syntax error at offset 33: mismatched end tag </order> for <total>"
+			if _, err := e.Load(ctx, &bad); err == nil || err.Error() != want {
+				t.Errorf("load of the malformed database: %v, want %q", err, want)
+			}
+			noWorkers("the failed load")
+			if _, err := e.Execute(ctx, core.Q1, core.Params{"X": "O1"}); err == nil || !strings.Contains(err.Error(), "before Load") {
+				t.Errorf("Execute after the failed load: %v, want the not-loaded error", err)
+			}
+			st, err := e.Load(ctx, good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Documents != len(good.Docs) || st.PageIO != pin.io {
+				t.Errorf("reload: %d documents in %d page I/Os, want %d in %d", st.Documents, st.PageIO, len(good.Docs), pin.io)
+			}
+			noWorkers("the good load")
+
+			if _, err := e.Load(newCancelAt(1000), good); !errors.Is(err, context.Canceled) {
+				t.Errorf("load cancelled at its 1000th document: %v, want context.Canceled", err)
+			}
+			noWorkers("the cancelled load")
+			if _, err := e.Execute(ctx, core.Q1, core.Params{"X": "O1"}); err == nil || !strings.Contains(err.Error(), "before Load") {
+				t.Errorf("Execute after the cancelled load: %v, want the not-loaded error", err)
+			}
+		})
+	}
+}

@@ -338,27 +338,24 @@ func (s *store) Reset() error {
 func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats, error) {
 	var st core.LoadStats
 	s.class = db.Class
-	for _, d := range db.Docs {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		doc, err := xmldom.Parse(d.Data)
-		if err != nil {
-			return st, fmt.Errorf("native: %s: %w", d.Name, err)
-		}
+	err := engbase.ParseDocs(ctx, "native", db, func(d *core.Doc, doc *xmldom.Node) error {
 		st.Nodes += doc.CountNodes()
 		if _, _, err := s.storeDocument(d.Name, doc, d.Data); err != nil {
-			return st, err
+			return err
 		}
 		// Each document arrives as a separate file and is persisted
 		// (synced) individually; the per-document I/O is what makes DC/MD
 		// (very many files) the slowest class to load for every system in
 		// Table 4.
 		if err := s.docs.Sync(); err != nil {
-			return st, err
+			return err
 		}
 		st.Documents++
 		st.Bytes += len(d.Data)
+		return nil
+	})
+	if err != nil {
+		return st, err
 	}
 	if err := s.docs.Sync(); err != nil {
 		return st, err

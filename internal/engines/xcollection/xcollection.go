@@ -150,20 +150,13 @@ func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats
 		RowLimitPerDoc: s.pol.rowLimit,
 		DropMixed:      s.pol.dropMixed,
 	})
-	for _, d := range db.Docs {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		doc, err := xmldom.Parse(d.Data)
-		if err != nil {
-			return st, fmt.Errorf("%s: %s: %w", s.pol.name, d.Name, err)
-		}
+	err := engbase.ParseDocs(ctx, s.pol.name, db, func(d *core.Doc, doc *xmldom.Node) error {
 		rows, err := s.shred.ShredDocument(d.Name, doc)
 		if err == nil {
 			err = s.shred.Sync()
 		}
 		if err != nil {
-			return st, err
+			return err
 		}
 		if id, ok := shredder.UnitDocID(db.Class, doc); ok {
 			s.docIDs[d.Name] = id
@@ -171,6 +164,10 @@ func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats
 		st.Documents++
 		st.Rows += rows
 		st.Bytes += len(d.Data)
+		return nil
+	})
+	if err != nil {
+		return st, err
 	}
 	if err := s.shred.Sync(); err != nil {
 		return st, err

@@ -131,32 +131,29 @@ func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats
 		s.db.Create("article_side", "doc", "id", "title", "genre", "date")
 		s.db.Create("sec_side", "doc", "dxx_seqno", "heading", "top")
 	}
-	for _, d := range db.Docs {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		doc, err := xmldom.Parse(d.Data)
-		if err != nil {
-			return st, fmt.Errorf("xcolumn: %s: %w", d.Name, err)
-		}
+	err := engbase.ParseDocs(ctx, "xcolumn", db, func(d *core.Doc, doc *xmldom.Node) error {
 		rid, err := s.clobs.Insert(d.Data)
 		if err != nil {
-			return st, err
+			return err
 		}
 		s.rids = append(s.rids, rid)
 		s.names[d.Name] = rid
 		rows, err := s.populateSideTables(strconv.FormatUint(uint64(rid), 10), doc)
 		if err != nil {
-			return st, err
+			return err
 		}
 		// One CLOB sync per incoming file: per-document I/O dominates
 		// DC/MD loading (paper §3.2.1).
 		if err := s.clobs.Sync(); err != nil {
-			return st, err
+			return err
 		}
 		st.Documents++
 		st.Rows += rows
 		st.Bytes += len(d.Data)
+		return nil
+	})
+	if err != nil {
+		return st, err
 	}
 	if err := s.clobs.Sync(); err != nil {
 		return st, err

@@ -21,24 +21,22 @@ const AuthorPoolSize = 40
 // documents with sizes ranging from a few KB to a few hundred KB
 // (paper: article_num, default 266 at ~100 MB).
 func (c Config) genArticles(size core.Size, articleNum int) (*core.Database, error) {
-	docs := make([]core.Doc, 0, articleNum)
+	docs := make([]core.Doc, articleNum)
 	root := stats.NewRNG(c.Seed ^ 0xA271C1E)
 	// Per-article size factors are drawn from an exponential so the corpus
 	// mixes many small and a few very large documents, matching the paper's
 	// "several kilobytes to several hundred kilobytes".
 	sizeDist := stats.Exponential{Lambda: 0.6, Min: 1, Max: 40}
-	for i := 0; i < articleNum; i++ {
-		r := root.Split(uint64(i))
-		factor := sizeDist.Draw(r)
+	err := forEach(articleNum, func(i int) error {
+		factor := sizeDist.Draw(root.Split(uint64(i)))
 		tmpl := articleTmpl(i, articleNum, factor)
-		data, err := toxgene.Document(tmpl, c.Seed^(0xA271<<8)^uint64(i))
-		if err != nil {
-			return nil, err
-		}
-		docs = append(docs, core.Doc{
-			Name: fmt.Sprintf("article%d.xml", i+1),
-			Data: data,
-		})
+		var err error
+		docs[i].Name = fmt.Sprintf("article%d.xml", i+1)
+		docs[i].Data, err = toxgene.Document(tmpl, c.Seed^(0xA271<<8)^uint64(i))
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &core.Database{Class: core.TCMD, Size: size, Docs: docs}, nil
 }

@@ -20,18 +20,7 @@ func (c Config) genOrders(size core.Size, orderNum int) (*core.Database, error) 
 		Orders: orderNum,
 		Items:  max(1, orderNum/4),
 	})
-	docs := make([]core.Doc, 0, orderNum+5)
-	for i := range data.Orders {
-		b, err := emitOrderDoc(data, &data.Orders[i], &data.CCXacts[i])
-		if err != nil {
-			return nil, err
-		}
-		docs = append(docs, core.Doc{
-			Name: fmt.Sprintf("order%d.xml", i+1),
-			Data: b,
-		})
-	}
-	for _, ft := range []struct {
+	flat := []struct {
 		name string
 		emit func(*xmldom.Encoder, *tpcw.Data)
 	}{
@@ -40,14 +29,24 @@ func (c Config) genOrders(size core.Size, orderNum int) (*core.Database, error) 
 		{"authors.xml", emitAuthorsFT},
 		{"addresses.xml", emitAddressesFT},
 		{"countries.xml", emitCountriesFT},
-	} {
+	}
+	docs := make([]core.Doc, len(data.Orders)+len(flat))
+	err := forEach(len(docs), func(i int) error {
+		var err error
+		if i < len(data.Orders) {
+			docs[i].Name = fmt.Sprintf("order%d.xml", i+1)
+			docs[i].Data, err = emitOrderDoc(data, &data.Orders[i], &data.CCXacts[i])
+			return err
+		}
+		ft := flat[i-len(data.Orders)]
 		e := xmldom.NewEncoder()
 		ft.emit(e, data)
-		b, err := e.Bytes()
-		if err != nil {
-			return nil, err
-		}
-		docs = append(docs, core.Doc{Name: ft.name, Data: b})
+		docs[i].Name = ft.name
+		docs[i].Data, err = e.Bytes()
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &core.Database{Class: core.DCMD, Size: size, Docs: docs}, nil
 }

@@ -12,6 +12,7 @@ package tpcw
 
 import (
 	"fmt"
+	"strconv"
 
 	"xbench/internal/stats"
 	"xbench/internal/textgen"
@@ -344,8 +345,7 @@ func Generate(seed uint64, c Counts) *Data {
 				ol.Comment = textgen.NewText(r.Split(uint64(s))).Sentence(4, 9)
 			}
 			d.OrderLines = append(d.OrderLines, ol)
-			var costF float64
-			fmt.Sscanf(item.Cost, "%f", &costF)
+			costF, _ := strconv.ParseFloat(item.Cost, 64) // formatted above with %.2f
 			sub += costF * float64(qty)
 		}
 		tax := sub * 0.08

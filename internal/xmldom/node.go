@@ -57,12 +57,12 @@ type Attr struct {
 // by Renumber and is what the ordered-access queries (Q4/Q5) rely on.
 type Node struct {
 	Kind     Kind
+	Ord      int32  // position in document order (0 = document node)
 	Name     string // element name or PI target
 	Data     string // text, comment or PI content
 	Attrs    []Attr // elements only
 	Children []*Node
 	Parent   *Node
-	Ord      int32 // position in document order (0 = document node)
 }
 
 // NewDocument returns an empty document node.

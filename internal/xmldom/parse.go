@@ -3,8 +3,10 @@ package xmldom
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
-	"strings"
+	"sync"
+	"unicode/utf8"
 )
 
 // SyntaxError reports a well-formedness violation with a byte offset.
@@ -22,13 +24,24 @@ func (e *SyntaxError) Error() string {
 // kept as text nodes only when it is adjacent to non-whitespace content;
 // pure inter-element whitespace is dropped, which matches how the
 // benchmark's data generators emit documents (no indentation).
+//
+// What it allocates per document: one slab of Nodes sized from the
+// document's '<' count and one slab the Children slices are carved from,
+// each at its exact length; an Attrs slice per element that has
+// attributes; and one string per kept text run, attribute value, comment
+// and PI — a run with no reference or CDATA section is converted straight
+// from data, an all-whitespace one not at all. Names come from a cache
+// the parser keeps across calls, so a name is allocated once, not once
+// per occurrence.
 func Parse(data []byte) (*Node, error) {
-	p := &parser{data: data}
+	p := parsers.Get().(*parser)
+	p.data, p.pos, p.ord = data, 0, 0
 	doc, err := p.parseDocument()
+	p.release()
+	parsers.Put(p)
 	if err != nil {
 		return nil, err
 	}
-	doc.Renumber()
 	return doc, nil
 }
 
@@ -47,9 +60,89 @@ var (
 	piEnd      = []byte("?>")
 )
 
+// parsers holds parser state between calls: the stacks, the scratch
+// buffer and the name cache outlive a document, the slabs do not.
+var parsers = sync.Pool{New: func() any { return &parser{names: map[string]string{}} }}
+
+// maxNames bounds the name cache; names past it are allocated per use.
+const maxNames = 1024
+
 type parser struct {
 	data []byte
 	pos  int
+	ord  int32 // the next node's Ord: nodes are made in document order
+
+	// The document's slabs; the tree owns them once Parse returns.
+	nodes []Node
+	ptrs  []*Node
+
+	// Reused across documents.
+	kids  []*Node           // children of the open elements, innermost last
+	atts  []Attr            // attributes of the start tag being read
+	buf   []byte            // a text run or value with a reference or CDATA
+	names map[string]string // interned names
+}
+
+// release drops everything of the document the parser still points at,
+// so the pool keeps no tree alive.
+func (p *parser) release() {
+	clear(p.kids)
+	clear(p.atts)
+	p.kids, p.atts = p.kids[:0], p.atts[:0]
+	p.data, p.nodes, p.ptrs = nil, nil, nil
+}
+
+// ahead is how many more '<' the document holds, plus one: what the
+// slabs are sized from. An element is one '<' or two, a kept text run
+// ends at one, so it bounds the nodes still to come in all but mixed
+// content, and a slab that runs out is refilled to it.
+func (p *parser) ahead() int { return bytes.Count(p.data[p.pos:], []byte{'<'}) + 1 }
+
+// node returns the next node of the slab, in document order: the first
+// call sizes the slab for the whole document.
+func (p *parser) node(kind Kind) *Node {
+	if len(p.nodes) == 0 {
+		p.nodes = make([]Node, p.ahead())
+	}
+	n := &p.nodes[0]
+	p.nodes = p.nodes[1:]
+	n.Kind, n.Ord = kind, p.ord
+	p.ord++
+	return n
+}
+
+// adopt makes the nodes pushed since base parent's children, in one slice
+// of exactly their number, and pops them.
+func (p *parser) adopt(parent *Node, base int) {
+	kids := p.kids[base:]
+	n := len(kids)
+	if n == 0 {
+		return
+	}
+	if len(p.ptrs) < n {
+		p.ptrs = make([]*Node, len(p.kids)+p.ahead())
+	}
+	c := p.ptrs[:n:n]
+	p.ptrs = p.ptrs[n:]
+	copy(c, kids)
+	for _, k := range c {
+		k.Parent = parent
+	}
+	parent.Children = c
+	clear(kids)
+	p.kids = p.kids[:base]
+}
+
+// intern returns b as a string, allocated once per distinct name.
+func (p *parser) intern(b []byte) string {
+	if s, ok := p.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(p.names) < maxNames {
+		p.names[s] = s
+	}
+	return s
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -77,7 +170,7 @@ func (p *parser) skipSpace() {
 }
 
 func (p *parser) expect(s string) error {
-	if p.pos+len(s) > len(p.data) || string(p.data[p.pos:p.pos+len(s)]) != s {
+	if !p.hasPrefix(s) {
 		return p.errf("expected %q", s)
 	}
 	p.pos += len(s)
@@ -89,49 +182,38 @@ func (p *parser) hasPrefix(s string) bool {
 }
 
 func (p *parser) parseDocument() (*Node, error) {
-	doc := NewDocument()
+	doc := p.node(DocumentKind)
 	sawRoot := false
 	for {
 		p.skipSpace()
 		if p.eof() {
 			break
 		}
+		var err error
 		switch {
 		case p.hasPrefix("<?"):
-			pi, err := p.parsePI()
-			if err != nil {
-				return nil, err
-			}
-			if pi.Name != "xml" { // drop the XML declaration itself
-				doc.Append(pi)
-			}
+			err = p.parsePI(true)
 		case p.hasPrefix("<!--"):
-			c, err := p.parseComment()
-			if err != nil {
-				return nil, err
-			}
-			doc.Append(c)
+			err = p.parseComment()
 		case p.hasPrefix("<!DOCTYPE"):
-			if err := p.skipDoctype(); err != nil {
-				return nil, err
-			}
+			err = p.skipDoctype()
 		case p.peek() == '<':
 			if sawRoot {
 				return nil, p.errf("multiple root elements")
 			}
-			el, err := p.parseElement()
-			if err != nil {
-				return nil, err
-			}
-			doc.Append(el)
+			err = p.parseElement()
 			sawRoot = true
 		default:
 			return nil, p.errf("unexpected content %q outside root element", p.peek())
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	if !sawRoot {
 		return nil, p.errf("document has no root element")
 	}
+	p.adopt(doc, 0)
 	return doc, nil
 }
 
@@ -143,32 +225,73 @@ func isNameChar(c byte) bool {
 	return isNameStart(c) || c == '-' || c == '.' || (c >= '0' && c <= '9')
 }
 
-func (p *parser) parseName() (string, error) {
+// scanName reads a name and returns it in place.
+func (p *parser) scanName() ([]byte, error) {
 	start := p.pos
 	if p.eof() || !isNameStart(p.data[p.pos]) {
-		return "", p.errf("expected name")
+		return nil, p.errf("expected name")
 	}
 	p.pos++
 	for !p.eof() && isNameChar(p.data[p.pos]) {
 		p.pos++
 	}
-	return string(p.data[start:p.pos]), nil
+	return p.data[start:p.pos], nil
 }
 
-func (p *parser) parseElement() (*Node, error) {
-	if err := p.expect("<"); err != nil {
-		return nil, err
+func (p *parser) parseName() (string, error) {
+	b, err := p.scanName()
+	if err != nil {
+		return "", err
 	}
+	return p.intern(b), nil
+}
+
+// parseElement parses the element at p.pos, whose '<' the caller has
+// seen, and pushes it as a child of the element being read.
+func (p *parser) parseElement() error {
+	p.pos++ // '<'
 	name, err := p.parseName()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	el := NewElement(name)
-	// Attributes.
+	el := p.node(ElementKind)
+	el.Name = name
+	p.kids = append(p.kids, el)
+	if err := p.parseAttrs(el); err != nil {
+		return err
+	}
+	if p.peek() == '/' {
+		p.pos++
+		return p.expect(">")
+	}
+	if err := p.expect(">"); err != nil {
+		return err
+	}
+	base := len(p.kids)
+	if err := p.parseContent(el); err != nil {
+		return err
+	}
+	p.adopt(el, base)
+	// parseContent consumed "</"; now the name, compared in place, and ">".
+	ename, err := p.scanName()
+	if err != nil {
+		return err
+	}
+	if string(ename) != name {
+		return p.errf("mismatched end tag </%s> for <%s>", ename, name)
+	}
+	p.skipSpace()
+	return p.expect(">")
+}
+
+// parseAttrs reads the attributes of el's start tag up to its '>' or '/'
+// and gives el them in one slice of exactly their number.
+func (p *parser) parseAttrs(el *Node) error {
+	p.atts = p.atts[:0]
 	for {
 		p.skipSpace()
 		if p.eof() {
-			return nil, p.errf("unterminated start tag <%s", name)
+			return p.errf("unterminated start tag <%s", el.Name)
 		}
 		c := p.peek()
 		if c == '>' || c == '/' {
@@ -176,118 +299,119 @@ func (p *parser) parseElement() (*Node, error) {
 		}
 		aname, err := p.parseName()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		p.skipSpace()
 		if err := p.expect("="); err != nil {
-			return nil, err
+			return err
 		}
 		p.skipSpace()
 		aval, err := p.parseAttValue()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if _, dup := el.Attr(aname); dup {
-			return nil, p.errf("duplicate attribute %q on <%s>", aname, name)
+		for _, a := range p.atts {
+			if a.Name == aname {
+				return p.errf("duplicate attribute %q on <%s>", aname, el.Name)
+			}
 		}
-		el.Attrs = append(el.Attrs, Attr{aname, aval})
+		p.atts = append(p.atts, Attr{aname, aval})
 	}
-	if p.peek() == '/' {
-		p.pos++
-		if err := p.expect(">"); err != nil {
-			return nil, err
-		}
-		return el, nil
+	if len(p.atts) > 0 {
+		el.Attrs = slices.Clone(p.atts)
+		clear(p.atts)
 	}
-	if err := p.expect(">"); err != nil {
-		return nil, err
-	}
-	if err := p.parseContent(el); err != nil {
-		return nil, err
-	}
-	// parseContent consumed "</"; now the name and ">".
-	ename, err := p.parseName()
-	if err != nil {
-		return nil, err
-	}
-	if ename != name {
-		return nil, p.errf("mismatched end tag </%s> for <%s>", ename, name)
-	}
-	p.skipSpace()
-	if err := p.expect(">"); err != nil {
-		return nil, err
-	}
-	return el, nil
+	return nil
 }
 
 // parseContent parses element content up to and including the "</" of the
-// element's end tag.
+// element's end tag, pushing each child as it is read.
 func (p *parser) parseContent(el *Node) error {
-	var text strings.Builder
-	flush := func() {
-		if text.Len() > 0 {
-			s := text.String()
-			text.Reset()
-			if strings.TrimSpace(s) == "" {
-				return // drop pure inter-element whitespace
-			}
-			el.Append(NewText(s))
-		}
-	}
 	for {
+		if err := p.parseText(); err != nil {
+			return err
+		}
 		if p.eof() {
 			return p.errf("unterminated element <%s>", el.Name)
 		}
-		c := p.data[p.pos]
-		if c == '<' {
-			switch {
-			case p.hasPrefix("</"):
-				flush()
-				p.pos += 2
-				return nil
-			case p.hasPrefix("<!--"):
-				flush()
-				cm, err := p.parseComment()
-				if err != nil {
-					return err
-				}
-				el.Append(cm)
-			case p.hasPrefix("<![CDATA["):
-				p.pos += len("<![CDATA[")
-				end := bytes.Index(p.data[p.pos:], cdataEnd)
-				if end < 0 {
-					return p.errf("unterminated CDATA section")
-				}
-				text.Write(p.data[p.pos : p.pos+end])
-				p.pos += end + 3
-			case p.hasPrefix("<?"):
-				flush()
-				pi, err := p.parsePI()
-				if err != nil {
-					return err
-				}
-				el.Append(pi)
-			default:
-				flush()
-				child, err := p.parseElement()
-				if err != nil {
-					return err
-				}
-				el.Append(child)
-			}
-			continue
+		var err error
+		switch {
+		case p.hasPrefix("</"):
+			p.pos += 2
+			return nil
+		case p.hasPrefix("<!--"):
+			err = p.parseComment()
+		case p.hasPrefix("<?"):
+			err = p.parsePI(false)
+		default:
+			err = p.parseElement()
 		}
-		if c == '&' {
-			r, err := p.parseReference()
-			if err != nil {
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// parseText reads character data — with its references resolved and its
+// CDATA sections' content — up to the next markup that is not a CDATA
+// section or the end of input, and pushes it as a text node unless it is
+// all whitespace. A run with neither is taken from data as it stands.
+func (p *parser) parseText() error {
+	seg, buffered := p.pos, false // data[seg:p.pos] is not in buf yet
+	lt := -1                      // the next '<' at or after p.pos, or len(data)
+	for {
+		if lt < p.pos {
+			lt = len(p.data)
+			if i := bytes.IndexByte(p.data[p.pos:], '<'); i >= 0 {
+				lt = p.pos + i
+			}
+		}
+		if i := bytes.IndexByte(p.data[p.pos:lt], '&'); i >= 0 {
+			p.pos += i
+			p.spill(buffered, seg)
+			buffered = true
+			if err := p.parseReference(); err != nil {
 				return err
 			}
-			text.WriteString(r)
+			seg = p.pos
 			continue
 		}
-		text.WriteByte(c)
-		p.pos++
+		p.pos = lt
+		if !p.hasPrefix("<![CDATA[") {
+			break
+		}
+		p.spill(buffered, seg)
+		buffered = true
+		p.pos += len("<![CDATA[")
+		end := bytes.Index(p.data[p.pos:], cdataEnd)
+		if end < 0 {
+			return p.errf("unterminated CDATA section")
+		}
+		p.buf = append(p.buf, p.data[p.pos:p.pos+end]...)
+		p.pos += end + len(cdataEnd)
+		seg = p.pos
 	}
+	run := p.data[seg:p.pos]
+	if buffered {
+		p.buf = append(p.buf, run...)
+		run = p.buf
+	}
+	if len(bytes.TrimSpace(run)) == 0 {
+		return nil // drop pure inter-element whitespace
+	}
+	n := p.node(TextKind)
+	n.Data = string(run)
+	p.kids = append(p.kids, n)
+	return nil
+}
+
+// spill moves the pending run data[seg:p.pos] into buf, behind what buf
+// holds if the run is already buffered.
+func (p *parser) spill(buffered bool, seg int) {
+	if !buffered {
+		p.buf = p.buf[:0]
+	}
+	p.buf = append(p.buf, p.data[seg:p.pos]...)
 }
 
 func (p *parser) parseAttValue() (string, error) {
@@ -296,32 +420,37 @@ func (p *parser) parseAttValue() (string, error) {
 	}
 	quote := p.data[p.pos]
 	p.pos++
-	var b strings.Builder
+	seg, buffered := p.pos, false
 	for {
 		if p.eof() {
 			return "", p.errf("unterminated attribute value")
 		}
-		c := p.data[p.pos]
-		switch c {
+		switch p.data[p.pos] {
 		case quote:
+			v := p.data[seg:p.pos]
+			if buffered {
+				p.buf = append(p.buf, v...)
+				v = p.buf
+			}
 			p.pos++
-			return b.String(), nil
+			return string(v), nil
 		case '<':
 			return "", p.errf("'<' in attribute value")
 		case '&':
-			r, err := p.parseReference()
-			if err != nil {
+			p.spill(buffered, seg)
+			buffered = true
+			if err := p.parseReference(); err != nil {
 				return "", err
 			}
-			b.WriteString(r)
+			seg = p.pos
 		default:
-			b.WriteByte(c)
 			p.pos++
 		}
 	}
 }
 
-func (p *parser) parseReference() (string, error) {
+// parseReference resolves the reference at p.pos onto buf.
+func (p *parser) parseReference() error {
 	// caller guarantees p.data[p.pos] == '&'
 	semi := -1
 	for i := p.pos + 1; i < len(p.data) && i < p.pos+12; i++ {
@@ -331,65 +460,74 @@ func (p *parser) parseReference() (string, error) {
 		}
 	}
 	if semi < 0 {
-		return "", p.errf("unterminated entity reference")
+		return p.errf("unterminated entity reference")
 	}
-	ref := string(p.data[p.pos+1 : semi])
+	ref := p.data[p.pos+1 : semi]
 	p.pos = semi + 1
-	switch ref {
+	switch string(ref) {
 	case "lt":
-		return "<", nil
+		p.buf = append(p.buf, '<')
 	case "gt":
-		return ">", nil
+		p.buf = append(p.buf, '>')
 	case "amp":
-		return "&", nil
+		p.buf = append(p.buf, '&')
 	case "quot":
-		return `"`, nil
+		p.buf = append(p.buf, '"')
 	case "apos":
-		return "'", nil
-	}
-	if strings.HasPrefix(ref, "#") {
-		body := ref[1:]
-		base := 10
-		if strings.HasPrefix(body, "x") || strings.HasPrefix(body, "X") {
+		p.buf = append(p.buf, '\'')
+	default:
+		if len(ref) == 0 || ref[0] != '#' {
+			return p.errf("unknown entity &%s;", ref)
+		}
+		body, base := ref[1:], 10
+		if len(body) > 0 && (body[0] == 'x' || body[0] == 'X') {
 			body, base = body[1:], 16
 		}
-		n, err := strconv.ParseUint(body, base, 32)
+		n, err := strconv.ParseUint(string(body), base, 32)
 		if err != nil {
-			return "", p.errf("bad character reference &%s;", ref)
+			return p.errf("bad character reference &%s;", ref)
 		}
-		return string(rune(n)), nil
+		p.buf = utf8.AppendRune(p.buf, rune(n))
 	}
-	return "", p.errf("unknown entity &%s;", ref)
+	return nil
 }
 
-func (p *parser) parseComment() (*Node, error) {
+func (p *parser) parseComment() error {
 	if err := p.expect("<!--"); err != nil {
-		return nil, err
+		return err
 	}
 	end := bytes.Index(p.data[p.pos:], commentEnd)
 	if end < 0 {
-		return nil, p.errf("unterminated comment")
+		return p.errf("unterminated comment")
 	}
-	n := &Node{Kind: CommentKind, Data: string(p.data[p.pos : p.pos+end])}
-	p.pos += end + 3
-	return n, nil
+	n := p.node(CommentKind)
+	n.Data = string(p.data[p.pos : p.pos+end])
+	p.kids = append(p.kids, n)
+	p.pos += end + len(commentEnd)
+	return nil
 }
 
-func (p *parser) parsePI() (*Node, error) {
+// parsePI parses a processing instruction and pushes it, unless it is the
+// XML declaration of a document (prolog).
+func (p *parser) parsePI(prolog bool) error {
 	if err := p.expect("<?"); err != nil {
-		return nil, err
+		return err
 	}
 	target, err := p.parseName()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	end := bytes.Index(p.data[p.pos:], piEnd)
 	if end < 0 {
-		return nil, p.errf("unterminated processing instruction")
+		return p.errf("unterminated processing instruction")
 	}
-	n := &Node{Kind: PIKind, Name: target, Data: strings.TrimSpace(string(p.data[p.pos : p.pos+end]))}
-	p.pos += end + 2
-	return n, nil
+	if !prolog || target != "xml" {
+		n := p.node(PIKind)
+		n.Name, n.Data = target, string(bytes.TrimSpace(p.data[p.pos:p.pos+end]))
+		p.kids = append(p.kids, n)
+	}
+	p.pos += end + len(piEnd)
+	return nil
 }
 
 func (p *parser) skipDoctype() error {
