@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz chaos chaos-updates torture smoke shard-smoke bench-e2e bench-compare bench-point bench-scan bench-load plan-check plan-golden mvcc-sweep loc verify
+.PHONY: build test vet race fuzz chaos chaos-updates torture smoke shard-smoke bench-e2e bench-compare bench-point bench-mixed bench-scan bench-load plan-check plan-golden mvcc-sweep loc verify
 
 build:
 	$(GO) build ./...
@@ -78,6 +78,15 @@ bench-compare:
 bench-point: BENCHTIME = 1s
 bench-point:
 	$(GO) test -run '^$$' -bench PointRead -benchtime $(BENCHTIME) -benchmem .
+
+# The mixed read in-process on every engine (root bench_test.go,
+# BenchmarkMixedRead): engine_mixed's DC/MD Small mix with one U1/U2/U3
+# after every read; ns/op, p50_us of a read, allocs/op, and the shares of
+# native record opens served by the memo and of plan cells a commit
+# carried. BENCHTIME=1x is CI's smoke.
+bench-mixed: BENCHTIME = 1s
+bench-mixed:
+	$(GO) test -run '^$$' -bench MixedRead -benchtime $(BENCHTIME) -benchmem .
 
 # The scan path on every engine (root bench_test.go, BenchmarkScan): the
 # DC/MD scan mix warm at Small, and every DC/MD and TC/MD query cold at

@@ -36,6 +36,7 @@ import (
 	"xbench/internal/core"
 	"xbench/internal/engines/native"
 	"xbench/internal/gen"
+	"xbench/internal/metrics"
 	"xbench/internal/server"
 	"xbench/internal/workload"
 	"xbench/internal/xmldom"
@@ -460,6 +461,119 @@ func BenchmarkPointRead(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkMixedRead is engine_mixed's read in-process, on every engine:
+// DC/MD Small at seed 7, two closed-loop clients, each following every
+// read of the DC/MD mix with one update, U1, U2 and U3 in turn — a triple
+// per three reads, the workload's 50 % share — so nearly every read meets
+// a view a commit has just published. One operation is one read and the
+// update after it: ns/op and allocs/op cover both, p50_us is the median
+// read alone. memo_hit_% is the share of native record opens served from
+// the record memo, cell_carry_% the share of plan cells a commit carried
+// rather than a reader planned (native.memo.*, plan.cell.*). It is the
+// profiling handle for that path:
+//
+//	go test -run '^$' -bench MixedRead/native -cpuprofile cpu.out .
+func BenchmarkMixedRead(b *testing.B) {
+	ctx := context.Background()
+	db, err := gen.Config{Seed: 7}.Generate(core.DCMD, core.Small)
+	if err != nil {
+		b.Fatal(err)
+	}
+	params := workload.Params(core.DCMD)
+	const clients = 2
+	for _, key := range benchEngines {
+		b.Run(key, func(b *testing.B) {
+			e, err := New(key)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			if _, err := LoadAndIndex(ctx, e, db); err != nil {
+				b.Fatal(err)
+			}
+			var mix []core.QueryID
+			for _, q := range workload.QueryIDs(core.DCMD) { // warm the pool and every lazy path
+				if _, err := e.Execute(ctx, q, params); err == nil {
+					mix = append(mix, q)
+				} else if !errors.Is(err, core.ErrNoQuery) {
+					b.Fatalf("%s: %v", q, err)
+				}
+			}
+			// Each client updates documents of its own: it inserts the next
+			// of its sequence numbers, replaces its newest, deletes its
+			// oldest, starting from two so neither list runs dry.
+			live := make([][]int, clients)
+			next := make([]int, clients)
+			update := func(c, i int) error {
+				switch i % 3 {
+				case 0:
+					name, doc := workload.UpdateDoc(core.DCMD, next[c]*clients+c, 0)
+					live[c], next[c] = append(live[c], next[c]*clients+c), next[c]+1
+					return e.InsertDocument(ctx, name, doc)
+				case 1:
+					name, doc := workload.UpdateDoc(core.DCMD, live[c][len(live[c])-1], i%2+1)
+					return e.ReplaceDocument(ctx, name, doc)
+				}
+				name, _ := workload.UpdateDoc(core.DCMD, live[c][0], 0)
+				live[c] = live[c][1:]
+				return e.DeleteDocument(ctx, name)
+			}
+			for c := range clients {
+				for i := 0; i < 2; i++ {
+					if err := update(c, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			reg := e.(interface{ Metrics() *metrics.Registry }).Metrics()
+			count := func(name string) int64 { return reg.Counter(name).Value() }
+			hit0, miss0 := count("native.memo.hit"), count("native.memo.miss")
+			carried0, planned0 := count("plan.cell.carried"), count("plan.cell.planned")
+			lat := make([][]time.Duration, clients)
+			for c := range lat {
+				lat[c] = make([]time.Duration, 0, b.N/clients+1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := c; i < b.N; i += clients {
+						n := i / clients
+						t0 := time.Now()
+						if _, err := e.Execute(ctx, mix[n%len(mix)], params); err != nil {
+							b.Error(err)
+							return
+						}
+						lat[c] = append(lat[c], time.Since(t0))
+						if err := update(c, n); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			b.StopTimer()
+			var all []time.Duration
+			for _, l := range lat {
+				all = append(all, l...)
+			}
+			sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+			if len(all) > 0 {
+				b.ReportMetric(float64(all[len(all)/2])/1e3, "p50_us")
+			}
+			share := func(yes, no int64) float64 { return 100 * float64(yes) / float64(max(yes+no, 1)) }
+			if key == "native" {
+				b.ReportMetric(share(count("native.memo.hit")-hit0, count("native.memo.miss")-miss0), "memo_hit_%")
+			}
+			b.ReportMetric(share(count("plan.cell.carried")-carried0, count("plan.cell.planned")-planned0), "cell_carry_%")
+		})
 	}
 }
 

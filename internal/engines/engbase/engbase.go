@@ -16,11 +16,12 @@
 // epoch (EndMutation, AdvanceEpoch) takes the publication of that epoch —
 // the store's frozen view and what every read of it shares, see
 // publication — and PinSnapshot hands a reader the publication with the
-// pin, both under the one mutex they already took. Base keeps no copy of
-// it, so there is nothing to reconcile per read and no latch anywhere on
-// the read path: every query and every Explain runs against the view it
-// pinned, and an engine with nothing published answers the not-loaded
-// error.
+// pin, both under the one mutex they already took. No reader reads it
+// anywhere else — Base remembers the last one only for its writer, whose
+// next commit carries the plans that still hold (DESIGN.md §18) — so
+// there is nothing to reconcile per read and no latch anywhere on the read
+// path: every query and every Explain runs against the view it pinned,
+// and an engine with nothing published answers the not-loaded error.
 package engbase
 
 import (
@@ -110,20 +111,29 @@ type Base[V View] struct {
 	// mutation (publish) and Close: it gates the writers the way the
 	// published view gates the readers. Guarded by mu.
 	loaded bool
+	// last is the publication of the committed epoch, for the next commit
+	// to carry plan cells from (publish), or nil when nothing is
+	// published. Only the writer reads it; guarded by mu.
+	last *publication[V]
+	// cellsPlanned and cellsCarried count the plan cells a reader filled
+	// by planning and those a commit carried over (plan.cell.*), in the
+	// registry the pager had at the last reset. Guarded by mu.
+	cellsPlanned, cellsCarried *metrics.Counter
 }
 
 // publication is what one commit publishes, as the pager's view of the
 // epoch: the store's frozen read surface and what every read of it would
 // otherwise work out again — the planner's statistics and the plans
-// already made over them. Only the
-// plan cells change after the commit, each once, from empty to a plan.
+// already made over them. Only the plan cells change after the commit,
+// each once, from empty to a plan.
 type publication[V View] struct {
 	view  V
 	stats plan.StatValues // Feedback is the engine's
 	// plans memoizes, by QueryID, the plans whose costing read nothing
-	// but stats. Such a plan is a function of (query, view), so the memo
-	// needs no invalidation: the next commit publishes empty cells.
-	plans [core.Q20 + 1]atomic.Pointer[plan.Physical]
+	// but stats: a plan the previous publication held that still Holds
+	// over stats (carry), or one a reader planned over them.
+	plans   [core.Q20 + 1]atomic.Pointer[plan.Physical]
+	planned *metrics.Counter
 }
 
 // plan returns the physical plan of q over the published view: from q's
@@ -144,8 +154,27 @@ func (pub *publication[V]) plan(q core.QueryID) (*plan.Physical, error) {
 	ph, err := plan.Plan(def, pub.stats)
 	if err == nil && ph.FeedbackTarget == "" {
 		pub.plans[q].Store(ph) // racing planners store equal plans
+		pub.planned.Inc()
 	}
 	return ph, err
+}
+
+// carry copies into pub's cells every plan of prev's that Holds over
+// pub's statistics — what plan.Plan would build over them anyway — and
+// returns how many it copied. A cell of prev a reader fills after the copy
+// is left behind, and pub's reader plans it again.
+func (pub *publication[V]) carry(prev *publication[V]) int64 {
+	if prev == nil {
+		return 0
+	}
+	var n int64
+	for q := range prev.plans {
+		if ph := prev.plans[q].Load(); ph != nil && ph.Holds(pub.stats) {
+			pub.plans[q].Store(ph)
+			n++
+		}
+	}
+	return n
 }
 
 // New returns the base of an empty engine over s, whose files live on p:
@@ -203,11 +232,14 @@ func (b *Base[V]) publish(epoch uint64, commit func(view any) uint64, err error)
 	}
 	if err != nil {
 		b.loaded = false
+		b.last = nil
 		commit(nil)
 		return err
 	}
-	pub := &publication[V]{view: v, stats: v.Stats()}
+	pub := &publication[V]{view: v, stats: v.Stats(), planned: b.cellsPlanned}
 	pub.stats.Feedback = &b.fb
+	b.cellsCarried.Add(pub.carry(b.last))
+	b.last = pub
 	commit(pub)
 	return nil
 }
@@ -218,6 +250,9 @@ func (b *Base[V]) publish(epoch uint64, commit func(view any) uint64, err error)
 func (b *Base[V]) reset() error {
 	b.p.AdvanceEpoch(nil)
 	b.loaded = false
+	b.last = nil
+	reg := b.p.Metrics() // a facade's WithMetrics replaces the one of New
+	b.cellsPlanned, b.cellsCarried = reg.Counter("plan.cell.planned"), reg.Counter("plan.cell.carried")
 	if err := b.journal.Reset(); err != nil {
 		return err
 	}
@@ -368,6 +403,7 @@ func (b *Base[V]) Close() error {
 	defer b.mu.Unlock()
 	b.p.AdvanceEpoch(nil)
 	b.loaded = false
+	b.last = nil
 	return b.p.Close()
 }
 

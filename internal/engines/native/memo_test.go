@@ -99,10 +99,11 @@ func loadIndexed(t *testing.T) (*Engine, *core.Database) {
 }
 
 // TestOpenedRecordsLiveWithTheView: a published view validates each
-// record it opens once and hands it to every later query on it; the
-// memo is the view's, so a commit's next view starts empty, a pinned
-// reader keeps answering from its own, ColdReset empties it, its bytes
-// stay within the pool's, and the writer's reads never fill one.
+// record it opens once and hands it to every later query on it; a commit
+// that tombstones a record's RID drops it, so the next view opens what a
+// U2 stored there, while a reader pinned before keeps answering from its
+// own pages; ColdReset empties the memo, its bytes stay within the pool's,
+// and the writer's reads never fill it.
 func TestOpenedRecordsLiveWithTheView(t *testing.T) {
 	params := workload.Params(core.DCMD)
 	pointMix := []core.QueryID{core.Q1, core.Q5, core.Q8, core.Q16}
@@ -153,7 +154,7 @@ func TestOpenedRecordsLiveWithTheView(t *testing.T) {
 		old := pinView(t, e)
 		before := items(t, e, core.Q1, p)
 		rid := docRID(t, e, "order1.xml")
-		if old.memo.get(rid) == nil {
+		if old.memo.get(rid, old.epoch) == nil {
 			t.Fatal("Q1 did not memoize order1's record")
 		}
 		if err := e.ReplaceDocument(context.Background(), "order1.xml", changed); err != nil {
@@ -299,7 +300,7 @@ func TestWarmReadHonorsCancellation(t *testing.T) {
 	items(t, e, core.Q1, p)
 	v := pinView(t, e)
 	rid := docRID(t, e, "order1.xml")
-	if v.memo.get(rid) == nil {
+	if v.memo.get(rid, v.epoch) == nil {
 		t.Fatal("Q1 did not memoize order1's record")
 	}
 	ctx, cancel := context.WithCancel(context.Background())

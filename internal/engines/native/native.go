@@ -34,6 +34,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -98,9 +99,12 @@ type store struct {
 	// fills it and updates (replayed ones included) maintain it.
 	names   map[string]pager.RID
 	indexes map[string]*btree.Tree
-	// memoLimit is the buffer pool's capacity in bytes: what the records
-	// a frozen view memoizes may be charged in all (recordMemo).
-	memoLimit int64
+	// memo holds the records the newest frozen view has opened, nil on a
+	// FormatXML or Segmented store; dropped are the document-heap RIDs
+	// ApplyDelete tombstoned since the last Freeze, which drops them from
+	// it.
+	memo    *recordMemo
+	dropped []pager.RID
 }
 
 // view is the read surface of the store and its query path
@@ -114,53 +118,97 @@ type view struct {
 	docs    pager.HeapView
 	catalog pager.HeapView
 	indexes map[string]*btree.TreeView
-	// memo holds the records the view has opened; nil, which memoizes
-	// nothing, on the writer's live view and on a FormatXML or Segmented
-	// store.
-	memo *recordMemo
+	// memo is the store's record memo, which the view reads and fills
+	// while epoch, its own, is the memo's; nil, which memoizes nothing,
+	// on the writer's live view and on a FormatXML or Segmented store.
+	memo  *recordMemo
+	epoch uint64
 }
 
-// recordMemo holds the records a frozen view has validated, by
-// document-heap RID, so a record is opened once per view, not per query
-// (DESIGN.md §17). Readers share them: a Record is immutable, and its
-// bytes are a page image, never mutated in place (Pager.Read), or a fresh
-// Get copy. Each commit publishes an empty memo, so a reused RID never
-// meets an older record; ColdReset empties it. It admits records while
-// their charges — data length plus node table — fit within limit, and
-// evicts nothing.
+// recordMemo holds the records frozen views have validated, by
+// document-heap RID, so a record is opened once, not per query, and not
+// again after a commit that left it alone (DESIGN.md §17, §18). There is
+// one per store. Only the view of the newest publication — the memo's
+// epoch — reads and fills it; a reader still pinned at an older view
+// opens records from its own pages. Readers share them: a Record is
+// immutable, and its bytes are a page image, never mutated in place
+// (Pager.Read), or a fresh Get copy. The bytes at a RID change only
+// after Delete tombstones it, so Freeze, moving the memo to the next
+// epoch, drops the RIDs the mutation tombstoned and keeps the rest;
+// ColdReset and Reset empty it. It admits records while their charges —
+// data length plus node table — fit within limit, and evicts nothing.
 type recordMemo struct {
-	limit int64
-	mu    sync.RWMutex
-	recs  map[pager.RID]*xmldom.Record
-	bytes int64 // charged to recs
+	limit     int64
+	hit, miss *metrics.Counter // native.memo.*: opens by a memo-reading view
+	mu        sync.RWMutex
+	epoch     uint64
+	recs      map[pager.RID]memoEntry
+	bytes     int64 // charged to recs
 }
+
+// memoEntry is a memoized record and the bytes it was opened from.
+type memoEntry struct {
+	rec  *xmldom.Record
+	data []byte
+}
+
+// charge is what e counts against the memo's limit.
+func (e memoEntry) charge() int64 { return int64(len(e.data) + recNodeBytes*e.rec.Len()) }
 
 // recNodeBytes is one entry of a Record's node table: three int32s.
 const recNodeBytes = 12
 
-// get returns the record memoized at rid, or nil.
-func (m *recordMemo) get(rid pager.RID) *xmldom.Record {
+// bind takes the memo's counters from reg, the pager's registry at load
+// time (a facade's WithMetrics replaces the one the engine was built
+// with).
+func (m *recordMemo) bind(reg *metrics.Registry) {
+	if m != nil {
+		m.hit, m.miss = reg.Counter("native.memo.hit"), reg.Counter("native.memo.miss")
+	}
+}
+
+// get returns the record memoized at rid for a view of epoch, or nil:
+// there is no memo, none is there, or the view is not the newest.
+func (m *recordMemo) get(rid pager.RID, epoch uint64) *xmldom.Record {
 	if m == nil {
 		return nil
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.recs[rid]
+	if m.epoch != epoch {
+		return nil
+	}
+	return m.recs[rid].rec
 }
 
-// add memoizes rec, opened from n bytes at rid, if its charge fits.
-func (m *recordMemo) add(rid pager.RID, rec *xmldom.Record, n int) {
+// add memoizes rec, opened from data at rid by a view of epoch, if that
+// is still the newest and the charge fits.
+func (m *recordMemo) add(rid pager.RID, epoch uint64, rec *xmldom.Record, data []byte) {
+	e := memoEntry{rec, data}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, dup := m.recs[rid]; dup || m.epoch != epoch || m.bytes+e.charge() > m.limit {
+		return
+	}
+	m.recs[rid] = e
+	m.bytes += e.charge()
+}
+
+// advance moves the memo to epoch, dropping the records at dropped: the
+// carry of one commit, whose cost is its write set, not the memo's size.
+func (m *recordMemo) advance(epoch uint64, dropped []pager.RID) {
 	if m == nil {
 		return
 	}
-	charge := int64(n + recNodeBytes*rec.Len())
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, dup := m.recs[rid]; dup || m.bytes+charge > m.limit {
-		return
+	for _, rid := range dropped {
+		if e, ok := m.recs[rid]; ok {
+			m.bytes -= e.charge()
+			delete(m.recs, rid)
+		}
 	}
-	m.recs[rid] = rec
-	m.bytes += charge
+	m.epoch = epoch
 }
 
 // reset empties the memo.
@@ -184,14 +232,14 @@ func (s *store) live() *view {
 }
 
 // Freeze implements engbase.Store: the live view with its heaps and the
-// indexes frozen at epoch, and an empty record memo when the store keeps
-// persistent-DOM documents whole. The heap views flush the tail page of a
-// heap the mutation appended to or patched.
+// indexes frozen at epoch, reading the store's record memo, which moves
+// to epoch without the records the mutation tombstoned. The heap views
+// flush the tail page of a heap the mutation appended to or patched.
 func (s *store) Freeze(epoch uint64) (*view, error) {
+	s.memo.advance(epoch, s.dropped)
+	s.dropped = s.dropped[:0]
 	v := s.live()
-	if s.opts.Format == FormatDOM && !s.opts.Segmented {
-		v.memo = &recordMemo{limit: s.memoLimit, recs: map[pager.RID]*xmldom.Record{}}
-	}
+	v.memo, v.epoch = s.memo, epoch
 	var err error
 	if v.docs, err = s.docs.View(epoch); err != nil {
 		return nil, err
@@ -233,26 +281,49 @@ func NewWithOptions(poolPages int, opts Options) (*Engine, error) {
 	}
 	p := pager.New(poolPages)
 	s := &store{
-		p:         p,
-		opts:      opts,
-		docs:      pager.NewHeap(p, "documents"),
-		catalog:   pager.NewHeap(p, "catalog"),
-		names:     map[string]pager.RID{},
-		indexes:   map[string]*btree.Tree{},
-		memoLimit: int64(poolPages) * pager.PageSize,
+		p:       p,
+		opts:    opts,
+		docs:    pager.NewHeap(p, "documents"),
+		catalog: pager.NewHeap(p, "catalog"),
+		names:   map[string]pager.RID{},
+		indexes: map[string]*btree.Tree{},
+	}
+	if opts.Format == FormatDOM && !opts.Segmented {
+		// Bounded by the pool's capacity in bytes, and dropped with the
+		// pool: a cold query opens every record it touches from the pages.
+		s.memo = &recordMemo{limit: int64(poolPages) * pager.PageSize, recs: map[pager.RID]memoEntry{}}
+		p.OnColdReset(s.memo.reset)
 	}
 	return &Engine{Base: engbase.New[*view](p, s), s: s}, nil
 }
 
-// ColdReset implements core.Engine: engbase.Base drops the buffer pool,
-// and the published view then drops the records it has opened, so the
-// next query opens every record it touches from the pages again.
-func (e *Engine) ColdReset() {
-	e.Base.ColdReset()
-	if v, release, err := e.View(); err == nil {
-		v.memo.reset()
-		release()
+// CheckMemo reopens every record the store's memo holds from the pages of
+// the published view and reports the first whose bytes differ, or that
+// the view no longer holds: what the carry across commits must never
+// leave behind. It is for tests and diagnosis; run it between commits.
+func (e *Engine) CheckMemo(ctx context.Context) error {
+	v, release, err := e.View()
+	if err != nil || v.memo == nil {
+		return err
 	}
+	defer release()
+	v.memo.mu.RLock()
+	recs := maps.Clone(v.memo.recs)
+	epoch := v.memo.epoch
+	v.memo.mu.RUnlock()
+	if epoch != v.epoch {
+		return fmt.Errorf("native: the memo is at epoch %d, the published view at %d", epoch, v.epoch)
+	}
+	for rid, en := range recs {
+		data, err := v.docs.Get(ctx, rid)
+		if err != nil {
+			return fmt.Errorf("native: memoized rid %d: %w", rid, err)
+		}
+		if !bytes.Equal(data, en.data) {
+			return fmt.Errorf("native: memoized rid %d holds %d bytes unlike the %d the view reads there", rid, len(en.data), len(data))
+		}
+	}
+	return nil
 }
 
 // Name implements core.Engine.
@@ -327,6 +398,9 @@ func decodeCatalogEntry(rec []byte) (docEntry, error) {
 func (s *store) Reset() error {
 	s.indexes = map[string]*btree.Tree{}
 	s.names = map[string]pager.RID{}
+	s.memo.reset()
+	s.memo.bind(s.p.Metrics())
+	s.dropped = s.dropped[:0]
 	if err := s.docs.Reset(); err != nil {
 		return err
 	}
@@ -403,14 +477,15 @@ func (s *store) storeDocument(name string, doc *xmldom.Node, raw []byte) (pager.
 }
 
 // openRecord fetches one stored record from the view's document heap
-// and opens it for the cursor, or hands out the one the view's memo
-// holds.
+// and opens it for the cursor, or hands out the one the memo holds for
+// the view.
 // A persistent-DOM record is walked where Get found it — in the page
 // image itself when it lies inside one page, which the cursor only
 // reads; raw XML (the storage-format ablation) is parsed and re-encoded
 // first.
 func (v *view) openRecord(ctx context.Context, rid pager.RID) (*xmldom.Record, error) {
-	if rec := v.memo.get(rid); rec != nil {
+	if rec := v.memo.get(rid, v.epoch); rec != nil {
+		v.memo.hit.Inc()
 		// A hit fetches no page, and a page fetch is where a query
 		// checks ctx once per document.
 		if err := ctx.Err(); err != nil {
@@ -424,8 +499,9 @@ func (v *view) openRecord(ctx context.Context, rid pager.RID) (*xmldom.Record, e
 	}
 	if v.opts.Format == FormatDOM {
 		rec, err := xmldom.OpenRecord(data)
-		if err == nil {
-			v.memo.add(rid, rec, len(data))
+		if err == nil && v.memo != nil {
+			v.memo.miss.Inc()
+			v.memo.add(rid, v.epoch, rec, data)
 		}
 		return rec, err
 	}
@@ -859,6 +935,7 @@ func (s *store) ApplyDelete(ctx context.Context, name string) error {
 		if err := s.docs.Delete(ctx, rid); err != nil {
 			return err
 		}
+		s.dropped = append(s.dropped, rid)
 	}
 	if err := s.catalog.Delete(ctx, cat); err != nil {
 		return err

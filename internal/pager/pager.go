@@ -104,6 +104,9 @@ type Pager struct {
 	// copyReads returns defensive copies from Read (forced on by fault
 	// injection, optional otherwise — see the Read aliasing contract).
 	copyReads bool
+	// onCold is what ColdReset runs after the pool drop, still quiesced
+	// (OnColdReset).
+	onCold []func()
 
 	// reg holds the pager's event counters, each event counted exactly
 	// once: Stats reads the nine it reports from here. The cached pointers
@@ -829,9 +832,20 @@ func (p *Pager) SyncAll() error {
 // With MVCC snapshots it additionally drains pinned snapshots first
 // (BlockPins): a pinned reader's page versions must not disappear under
 // it, and a reader pinning mid-reset must observe the post-reset state.
+//
+// Then, before it lets pins through again, it runs what OnColdReset
+// registered.
 func (p *Pager) ColdReset() {
 	p.BlockPins()
 	defer p.UnblockPins()
+	p.dropPool()
+	for _, fn := range p.onCold {
+		fn()
+	}
+}
+
+// dropPool writes back the dirty frames and empties the pool.
+func (p *Pager) dropPool() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i := range p.frames {
@@ -844,6 +858,12 @@ func (p *Pager) ColdReset() {
 	p.hand = 0
 	p.streams = make(map[FileID]*seqStream)
 }
+
+// OnColdReset registers fn to run inside every later ColdReset, after the
+// pool is dropped and while pins are still blocked: a cache of what was
+// read through the pool empties with it, and no query can refill it from
+// before the drop. Register before the pager is shared; fn must not pin.
+func (p *Pager) OnColdReset(fn func()) { p.onCold = append(p.onCold, fn) }
 
 // Stats returns the accumulated I/O counters. It takes the latch shared
 // only to see which counters are bound, and is safe to call concurrently

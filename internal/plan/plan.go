@@ -15,6 +15,7 @@ package plan
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -119,6 +120,45 @@ type Physical struct {
 	Root *core.PlanNode
 
 	fb *Feedback // StatValues.Feedback, for Observe
+	// costed is what of the statistics the plan was built from (reads),
+	// which is all Holds compares.
+	costed StatValues
+}
+
+// reads is the part of st a plan of ph's access path and shape is built
+// from: the index heights, unless ph is a doc lookup without a join
+// (which reads none), and, for a scan, whose cost and row estimate are
+// theirs, DataPages and DataRows. An equality probe's own cost is the
+// index height; the data size decides only whether it beats the scan,
+// which Holds checks apart. Feedback is not part of it: a plan that read
+// the feedback never holds.
+func (ph *Physical) reads(st StatValues) StatValues {
+	var r StatValues
+	if ph.Access != AccessDoc || joins(ph) {
+		r.Indexes = st.Indexes
+	}
+	if ph.Access == AccessScan {
+		r.DataPages, r.DataRows = st.DataPages, st.DataRows
+	}
+	return r
+}
+
+// Holds reports whether Plan(ph.Def, st) would build a plan equal to ph,
+// field for field (its costed statistics included), without building it:
+// a doc lookup always, an equality probe while the index heights are
+// unchanged and the probe still beats the scan over st, a scan while the
+// index heights, DataPages and DataRows are all unchanged. A plan that
+// consulted the feedback (FeedbackTarget) never holds: the selectivities
+// move under unchanged statistics. The statistics are compared, not
+// copied, so a map handed to Plan must not change afterwards.
+func (ph *Physical) Holds(st StatValues) bool {
+	if ph.FeedbackTarget != "" {
+		return false
+	}
+	now := ph.reads(st)
+	return now.DataPages == ph.costed.DataPages && now.DataRows == ph.costed.DataRows &&
+		maps.Equal(now.Indexes, ph.costed.Indexes) &&
+		(ph.Access != AccessIndex || ph.EstCost < scanCost(st))
 }
 
 // Observe reports what running the plan's range access kept — rows of
@@ -178,6 +218,7 @@ func Plan(def *queries.Def, st StatValues) (*Physical, error) {
 		ph.EstCost, ph.EstRows = scanCost(st), float64(st.DataRows)
 	}
 	ph.Root = buildTree(ph, st)
+	ph.costed = ph.reads(st)
 	return ph, nil
 }
 
@@ -343,10 +384,10 @@ func estRows(c *candidate, st StatValues) float64 {
 // outer side, the join-correlated source the inner. Sources bound to
 // variables are reorderable; correlated subqueries are not.
 func reorderJoin(ph *Physical) {
-	srcs := ph.Sources
-	if len(srcs) != 2 || srcs[0].Var == "" || srcs[1].Var == "" {
+	if !joins(ph) {
 		return
 	}
+	srcs := ph.Sources
 	if !hasPlainEq(&srcs[0]) && hasPlainEq(&srcs[1]) {
 		srcs[0], srcs[1] = srcs[1], srcs[0]
 	}

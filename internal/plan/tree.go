@@ -164,11 +164,17 @@ func filterNode(ph *Physical, prim *xquery.Source) *core.PlanNode {
 	return &core.PlanNode{Op: "filter", Detail: strings.Join(parts, " and ")}
 }
 
+// joins reports whether ph is a two-source FLWOR join, whose inner side
+// joinNode plans over the index set.
+func joins(ph *Physical) bool {
+	return len(ph.Sources) == 2 && ph.Sources[0].Var != "" && ph.Sources[1].Var != ""
+}
+
 // joinNode wraps the outer access with the inner side of a two-source
 // FLWOR join (Q19): index nested loop when the inner's join key is
 // indexed, plain nested loop otherwise.
 func joinNode(ph *Physical, st StatValues, outer *core.PlanNode) *core.PlanNode {
-	if len(ph.Sources) != 2 || ph.Sources[0].Var == "" || ph.Sources[1].Var == "" {
+	if !joins(ph) {
 		return nil
 	}
 	inner := &ph.Sources[1]
