@@ -562,18 +562,24 @@ func allocsPerRun(runs int, setup, f func()) float64 {
 // and the answer, and nothing per record.
 const warmQ1Allocs = 52
 
+// coldQ1Allocs is what the same query allocates after a ColdReset, less
+// the page-crossing spans it assembles: it opens its six records again,
+// and a page it reads from disk allocates nothing.
+const coldQ1Allocs = 75
+
 // TestAllocationPins: an indexed DC/MD point query does not allocate per
 // node, and what it allocates does not move when the flat documents it
 // drags in grow. Warm, on one view, it opens nothing — the six records it
 // touches are the view's memo's — so its count is exactly warmQ1Allocs.
 // Cold, after a ColdReset left out of the count, it opens each record and
-// allocates a few objects per record, under 300 once two things that
-// depend on where the records lie are taken out: one buffer per page the
-// query reads from disk (its PageIO), and one per span HeapView.Get
-// assembles — Get returns an in-page span of a record (its length
-// prefix, its body) where it lies and copies one that crosses a page
-// boundary, so the crossing spans among the six records, worked out from
-// their RIDs and lengths, are subtracted and what is left must be equal.
+// allocates a few objects per record, exactly coldQ1Allocs once the one
+// thing that depends on where the records lie is taken out: one buffer
+// per span HeapView.Get assembles — Get returns an in-page span of a
+// record (its length prefix, its body) where it lies and copies one that
+// crosses a page boundary, so the crossing spans among the six records,
+// worked out from their RIDs and lengths, are subtracted. A page the
+// query reads from disk allocates nothing: the pool installs the disk's
+// page image itself.
 func TestAllocationPins(t *testing.T) {
 	ctx := context.Background()
 	crosses := func(off uint64, n int) int {
@@ -609,16 +615,14 @@ func TestAllocationPins(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := core.Params{"X": "O1"}
-		var pageIO int64
 		q1 := func() {
 			res, err := e.Execute(ctx, core.Q1, p)
 			if err != nil || len(res.Items) != 1 {
 				t.Fatalf("Q1 = %v, %v", res.Items, err)
 			}
-			pageIO = res.PageIO
 		}
 		warm = testing.AllocsPerRun(20, q1)
-		cold = allocsPerRun(20, e.ColdReset, q1) - float64(pageIO)
+		cold = allocsPerRun(20, e.ColdReset, q1)
 		// Q1 opens order O1 and every flat document, one record each.
 		opened := 0
 		for name, cat := range e.s.names {
@@ -656,8 +660,8 @@ func TestAllocationPins(t *testing.T) {
 		t.Errorf("warm DC/MD Q1 allocates %.0f objects with %d KB of flat documents, %.0f with %d KB; want %d",
 			smallWarm, smallFlat>>10, largeWarm, largeFlat>>10, warmQ1Allocs)
 	}
-	if smallCold > 300 || largeCold != smallCold {
-		t.Errorf("cold DC/MD Q1 allocates %.0f objects with %d KB of flat documents, %.0f with %d KB, page reads and page-crossing records aside; want <= 300 and equal",
-			smallCold, smallFlat>>10, largeCold, largeFlat>>10)
+	if smallCold != coldQ1Allocs || largeCold != coldQ1Allocs {
+		t.Errorf("cold DC/MD Q1 allocates %.0f objects with %d KB of flat documents, %.0f with %d KB, page-crossing records aside; want %d",
+			smallCold, smallFlat>>10, largeCold, largeFlat>>10, coldQ1Allocs)
 	}
 }

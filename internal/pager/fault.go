@@ -143,8 +143,10 @@ func (p *Pager) OpCount() int64 {
 }
 
 // SetCopyReads toggles defensive copying in Read independently of fault
-// injection: with it on, mutating a returned slice cannot corrupt the
-// buffer pool. Fault injection forces it on.
+// injection: with it on, every live Read returns a fresh copy of the page,
+// so mutating a returned slice cannot corrupt the pool or the disk image.
+// It is the only read that copies — a pool miss installs the disk image
+// itself (see the package comment). Fault injection forces it on.
 func (p *Pager) SetCopyReads(on bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

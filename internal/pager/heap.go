@@ -181,9 +181,10 @@ func (h *Heap) write(b []byte) error {
 	return nil
 }
 
-// overwrite replaces bytes below the heap's end, page by page. A page in
-// the pool is copied, patched and the copy handed to Pager.WriteOwned, so
-// inside a mutation bracket its pre-image is captured for pinned
+// overwrite replaces bytes below the heap's end, page by page. A flushed
+// page is copied, patched and the copy handed to Pager.WriteOwned — the
+// buffer Read returned is the page version's one buffer, never patched —
+// so inside a mutation bracket its pre-image is captured for pinned
 // snapshots; the buffered tail page is patched in memory and left dirty
 // for the next Flush.
 func (h *Heap) overwrite(b []byte, off uint64) error {

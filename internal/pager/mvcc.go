@@ -34,10 +34,9 @@
 //     before it returns — so between two such events nothing is left for
 //     a timer to find (TestInlinePruneLeavesNothingToCollect).
 //
-// Version buffers alias the buffers they supersede: the pool replaces
-// page buffers wholesale and never mutates them in place (the documented
-// Read aliasing contract), so a captured pre-image stays immutable
-// without a copy.
+// Version buffers are the buffers they supersede: one immutable buffer
+// per page version, shared by disk, pool, snapshot and reader (the
+// package comment in pager.go), so a captured pre-image needs no copy.
 //
 // Quiesce: Load and ColdReset must not race pinned snapshots — they call
 // BlockPins, which waits for every outstanding pin to be released and
@@ -318,18 +317,14 @@ func (p *Pager) noteAppend(key pageKey) {
 	m.mu.Unlock()
 }
 
-// zeroPage backs pre-images of pages that were appended but never
-// written. It is shared and must never be mutated.
-var zeroPage = make([]byte, PageSize)
-
 // preImage resolves a page's current content for capture: the pool frame
 // if cached, else the disk image, else a zero page. Caller holds p.mu.
 func (p *Pager) preImage(f *file, key pageKey) []byte {
 	if i, ok := p.table[key]; ok {
 		return p.frames[i].data
 	}
-	if key.no < uint32(len(f.pages)) && f.pages[key.no] != nil {
-		return f.pages[key.no]
+	if key.no < uint32(len(f.pages)) {
+		return f.page(key.no)
 	}
 	return zeroPage
 }

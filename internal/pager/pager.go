@@ -35,6 +35,18 @@
 // the hot working set alone — and each detected stream prefetches the
 // next ReadaheadWindow pages in one batch, so the scan's demand reads
 // become pool hits.
+//
+// Page buffers (DESIGN.md §13): one immutable buffer per page version,
+// shared by disk, pool, snapshot and reader. A page changes only by
+// getting a new buffer — Write copies the caller's bytes into one,
+// WriteOwned takes one its caller built and gives up, a torn write-back
+// and WAL recovery build their own, Truncate drops the slots — and no
+// buffer is written to once the pager holds it. So nothing is copied
+// between the layers: a write-back stores the frame's buffer as the disk
+// image, a read miss or a readahead installs the disk image in the frame,
+// an MVCC pre-image is the buffer its write replaced, and Read hands out
+// the frame's buffer; a reader holding one holds that version of the page
+// for as long as it likes. The one read that copies is SetCopyReads's.
 package pager
 
 import (
@@ -178,6 +190,20 @@ type file struct {
 	name  string
 	pages [][]byte // the "disk"; nil entries were never written back
 }
+
+// page returns the disk image of page no, which must exist: the buffer
+// the last write-back stored, or zeroPage for a slot never written back.
+// A read miss installs it in the pool as it is.
+func (f *file) page(no uint32) []byte {
+	if pg := f.pages[no]; pg != nil {
+		return pg
+	}
+	return zeroPage
+}
+
+// zeroPage is the image of every page slot that was reserved but never
+// written back. It is shared and must never be mutated.
+var zeroPage = make([]byte, PageSize)
 
 // DefaultPoolPages is the default buffer pool capacity (4 MB of pages),
 // deliberately small relative to the Large databases so cold scans are
@@ -394,14 +420,16 @@ func (p *Pager) Append(fid FileID) (uint32, error) {
 	return no, nil
 }
 
-// Read returns the content of a page. By default the returned slice
-// aliases the buffer-pool copy; callers must treat it as read-only and
-// use Write or WriteOwned to mutate pages — mutating the returned slice
-// corrupts the pool (and, after a write-back, the simulated disk itself,
-// since clean frames alias their on-disk image, and any MVCC pre-image
-// captured from the frame). SetCopyReads(true) removes the hazard by
-// returning defensive copies; fault injection forces it on because WAL
-// checksums depend on unmutated frames.
+// Read returns the content of a page. By default the returned slice is
+// the page version's one buffer (see the package comment): the pool
+// frame's, which is also the page's disk image once it was read or
+// written back, and the pre-image any later write captures for a
+// snapshot. Callers must treat it as read-only and use Write or
+// WriteOwned to change pages — mutating the returned slice corrupts the
+// pool, the simulated disk and every snapshot of the page at once.
+// SetCopyReads(true) removes the hazard by returning defensive copies;
+// fault injection forces it on because WAL checksums depend on unmutated
+// buffers.
 //
 // Concurrent readers of a returned slice are safe even across eviction:
 // page buffers are replaced wholesale, never mutated in place, so a
@@ -472,8 +500,7 @@ func (p *Pager) readOnce(fid FileID, no uint32) ([]byte, error) {
 		return nil, err
 	}
 	p.cRead.Inc()
-	data := make([]byte, PageSize)
-	copy(data, f.pages[no])
+	data := f.page(no)
 	if st := p.noteMiss(fid, no); st != nil {
 		if err := p.installScan(st, key, data, false); err != nil {
 			return nil, err
@@ -740,9 +767,7 @@ func (p *Pager) readahead(f *file, fid FileID, st *seqStream, no uint32) {
 		}
 		p.cRead.Inc()
 		p.cRAIssued.Inc()
-		data := make([]byte, PageSize)
-		copy(data, f.pages[next])
-		if err := p.installScan(st, pageKey{fid, next}, data, true); err != nil {
+		if err := p.installScan(st, pageKey{fid, next}, f.page(next), true); err != nil {
 			break
 		}
 		last = next

@@ -133,6 +133,18 @@ func BenchmarkDecodeBinaryDOM(b *testing.B) {
 	}
 }
 
+func BenchmarkOpenRecord(b *testing.B) {
+	data := EncodeBinary(buildBenchDoc())
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := OpenRecord(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func buildBenchDoc() *Node {
 	doc := NewDocument()
 	root := doc.AddElement("catalog")

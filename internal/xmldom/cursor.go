@@ -15,7 +15,8 @@ import (
 // DecodeBinary makes (magic, varints, string overruns, name-index range,
 // counts against the input size, nesting depth, trailing bytes) and notes,
 // per node in document order, where it starts, where its subtree ends and
-// which node is its parent. After that pass the bytes are trusted: the
+// which node is its parent, in a table of exactly as many entries as the
+// record has nodes. After that pass the bytes are trusted: the
 // accessors below re-read varints without checking them again, and every
 // name, attribute and text they return is a sub-slice of the bytes handed
 // to OpenRecord, which the caller must leave unmodified while the Record
@@ -67,10 +68,22 @@ func OpenRecord(data []byte) (*Record, error) {
 			return nil, openErr(int(rec.names[i]), "bad name")
 		}
 	}
-	// A node takes at least two bytes and in the benchmark's documents
-	// seven or more; append grows the table in the rare record denser
-	// than the guess, at most twice.
-	rec.nodes = make([]recNode, 0, len(data)/6+1)
+	// The pass fills a scratch table, since how many nodes the record
+	// holds is known only at its end; the record gets a copy at exactly
+	// that length.
+	var nodes []recNode
+	select {
+	case nodes = <-scratchTables:
+	default:
+	}
+	defer func() {
+		if cap(nodes) <= maxScratchNodes {
+			select {
+			case scratchTables <- nodes[:0]:
+			default:
+			}
+		}
+	}()
 
 	// open holds the containers whose children are still being read.
 	type frame struct {
@@ -88,8 +101,8 @@ func OpenRecord(data []byte) (*Record, error) {
 			return nil, openErr(pos, "truncated node")
 		}
 		start := pos
-		ord := int32(len(rec.nodes))
-		rec.nodes = append(rec.nodes, recNode{off: int32(pos), end: ord + 1, parent: parent})
+		ord := int32(len(nodes))
+		nodes = append(nodes, recNode{off: int32(pos), end: ord + 1, parent: parent})
 		kind := Kind(data[pos])
 		pos++
 		var children, v uint64
@@ -139,7 +152,7 @@ func OpenRecord(data []byte) (*Record, error) {
 			if top.left--; top.left > 0 {
 				break
 			}
-			rec.nodes[top.ord].end = int32(len(rec.nodes))
+			nodes[top.ord].end = int32(len(nodes))
 			open = open[:len(open)-1]
 		}
 		if len(open) == 0 {
@@ -150,8 +163,21 @@ func OpenRecord(data []byte) (*Record, error) {
 	if pos != len(data) {
 		return nil, openErr(pos, "trailing bytes")
 	}
+	rec.nodes = make([]recNode, len(nodes))
+	copy(rec.nodes, nodes)
 	return rec, nil
 }
+
+// scratchTables holds the node tables OpenRecord fills: an open takes one
+// if there is one and gives it back, and a table grown past
+// maxScratchNodes entries is dropped rather than kept. Four covers the
+// opens the benchmark's clients run at once; an open beyond them fills a
+// table of its own. It is a channel, not a sync.Pool, because a pool
+// drops its items at garbage collection (and at random under the race
+// detector), and an open's allocation count is pinned.
+var scratchTables = make(chan []recNode, 4)
+
+const maxScratchNodes = 1 << 20
 
 func openErr(pos int, msg string) error {
 	return fmt.Errorf("xmldom: binary open at %d: %s", pos, msg)

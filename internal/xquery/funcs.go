@@ -3,6 +3,7 @@ package xquery
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 	"unicode/utf8"
 )
@@ -502,11 +503,14 @@ func aggregate(name string, s Seq) (Seq, error) {
 // ContainsWord reports whether text contains word as a whole word,
 // case-insensitively. Exported so relational engines run the exact same
 // text-search semantics as the native engine's contains-word(), on a
-// string or on stored bytes alike. ASCII is folded in place, byte by
-// byte, with no copy of the text; the first non-ASCII byte met before the
-// answer is known hands the whole question to containsWordFold, because
-// Unicode lower-casing may change lengths and turn a letter into an ASCII
-// one (the Kelvin sign), so only that code can say what it answers.
+// string or on stored bytes alike. ASCII is folded in place with no copy
+// of the text, eight bytes at a time: a block of eight ASCII bytes that
+// holds neither case of the word's rarest letter is passed over whole,
+// and each byte that is one names a candidate start, verified where it
+// lies. The first non-ASCII byte met before the answer
+// is known hands the whole question to containsWordFold, because Unicode
+// lower-casing may change lengths and turn a letter into an ASCII one
+// (the Kelvin sign), so only that code can say what it answers.
 func ContainsWord[T string | []byte](text T, word string) bool {
 	for i := 0; i < len(word); i++ {
 		if word[i] >= utf8.RuneSelf {
@@ -516,34 +520,99 @@ func ContainsWord[T string | []byte](text T, word string) bool {
 	if word == "" {
 		return false
 	}
-	first := lowerASCII(word[0])
-	for i := 0; i < len(text); i++ {
+	k := rarest(word)
+	lo, up := lowerASCII(word[k]), upperASCII(word[k])
+	// wordAt accepts only a match that, with the byte after it, lies before
+	// the first non-ASCII byte, so every candidate that can answer true is
+	// met before the loops reach that byte.
+	i := 0
+	for ; i+8 <= len(text); i += 8 {
+		w := load64(text, i)
+		if w&highBits != 0 {
+			break // the byte loop below finds the non-ASCII one
+		}
+		// Adding 0x7f to an ASCII byte sets its high bit unless it is 0,
+		// and carries into no neighbour: a and b have the high bit clear
+		// exactly in the bytes equal to lo and to up.
+		a := (w ^ lowBits*uint64(lo)) + 0x7f*lowBits
+		b := (w ^ lowBits*uint64(up)) + 0x7f*lowBits
+		hits := ^(a & b) & highBits
+		for ; hits != 0; hits &= hits - 1 {
+			if wordAt(text, word, i+bits.TrailingZeros64(hits)/8-k) {
+				return true
+			}
+		}
+	}
+	for ; i < len(text); i++ {
 		if text[i] >= utf8.RuneSelf {
 			return containsWordFold(string(text), word)
 		}
-		if lowerASCII(text[i]) != first || i > 0 && isWordChar(text[i-1]) {
-			continue
-		}
-		j := i + 1
-		for j-i < len(word) && j < len(text) && lowerASCII(text[j]) == lowerASCII(word[j-i]) {
-			j++
-		}
-		if j-i < len(word) {
-			continue
-		}
-		if j < len(text) && text[j] >= utf8.RuneSelf {
-			return containsWordFold(string(text), word)
-		}
-		if j == len(text) || !isWordChar(text[j]) {
+		if (text[i] == lo || text[i] == up) && wordAt(text, word, i-k) {
 			return true
 		}
 	}
 	return false
 }
 
+const (
+	lowBits  = 0x0101010101010101
+	highBits = 0x8080808080808080
+)
+
+// load64 reads text[i:i+8] as a little-endian word: byte i+n is bits
+// 8n to 8n+7.
+func load64[T string | []byte](text T, i int) uint64 {
+	b := text[i : i+8]
+	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+}
+
+// wordAt reports whether word, ASCII, occurs case-insensitively at text[s:]
+// as a whole word followed by an ASCII byte or the end of text. Every byte
+// before s must be ASCII.
+func wordAt[T string | []byte](text T, word string, s int) bool {
+	j := s + len(word)
+	if s < 0 || j > len(text) || s > 0 && isWordChar(text[s-1]) {
+		return false
+	}
+	for n := 0; n < len(word); n++ {
+		if lowerASCII(text[s+n]) != lowerASCII(word[n]) {
+			return false
+		}
+	}
+	return j == len(text) || text[j] < utf8.RuneSelf && !isWordChar(text[j])
+}
+
+// byFrequency lists the bytes of English prose from the most common to the
+// least; a byte not in it is rarer than all of them.
+const byFrequency = " etaoinsrhldcumfpgwybvkxjqz"
+
+// rarest returns the position of word's rarest byte, case folded: the one
+// whose occurrences in text are the fewest candidates to verify.
+func rarest(word string) int {
+	best, rank := 0, -1
+	for i := 0; i < len(word); i++ {
+		r := strings.IndexByte(byFrequency, lowerASCII(word[i]))
+		if r < 0 {
+			r = len(byFrequency)
+		}
+		if r > rank {
+			best, rank = i, r
+		}
+	}
+	return best
+}
+
 func lowerASCII(c byte) byte {
 	if 'A' <= c && c <= 'Z' {
 		c += 'a' - 'A'
+	}
+	return c
+}
+
+func upperASCII(c byte) byte {
+	if 'a' <= c && c <= 'z' {
+		c -= 'a' - 'A'
 	}
 	return c
 }

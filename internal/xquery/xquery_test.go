@@ -519,6 +519,43 @@ func FuzzContainsWord(f *testing.F) {
 	})
 }
 
+// BenchmarkContainsWord: Q17's inner loop over a 4 KB ASCII paragraph,
+// on a string and on bytes, where the word is absent (the whole text is
+// scanned, as for most documents Q17 rejects) and where it closes the
+// text.
+func BenchmarkContainsWord(b *testing.B) {
+	words := strings.Fields("the quick brown fox jumps over a lazy dog while Systems of record keep their Risk under control")
+	var sb strings.Builder
+	for i := 0; sb.Len() < 4096; i++ {
+		sb.WriteString(words[(i*7)%len(words)])
+		sb.WriteString(" ")
+	}
+	text := sb.String()
+	for _, c := range []struct{ name, word string }{{"absent", "thermal"}, {"last", "quantity"}} {
+		s := text
+		if c.name == "last" {
+			s += c.word
+		}
+		raw := []byte(s)
+		b.Run(c.name+"/string", func(b *testing.B) {
+			b.SetBytes(int64(len(s)))
+			for i := 0; i < b.N; i++ {
+				if ContainsWord(s, c.word) != (c.name == "last") {
+					b.Fatal("wrong answer")
+				}
+			}
+		})
+		b.Run(c.name+"/bytes", func(b *testing.B) {
+			b.SetBytes(int64(len(raw)))
+			for i := 0; i < b.N; i++ {
+				if ContainsWord(raw, c.word) != (c.name == "last") {
+					b.Fatal("wrong answer")
+				}
+			}
+		})
+	}
+}
+
 func TestCollectionAccessors(t *testing.T) {
 	c := testColl()
 	if c.Len() != 2 {
