@@ -129,15 +129,16 @@ loc:
 	@cat results/loc.txt
 
 # Plan regression gate: the costed EXPLAIN tree of every (class, query)
-# cell, planned over fixture statistics, must match the checked-in corpus
-# under results/plans/ byte for byte.
+# cell, planned over fixture statistics, and the shredding engines' operator
+# tree drawn with it, must match the checked-in corpus under results/plans/
+# (and results/plans/shredded/) byte for byte.
 plan-check:
-	$(GO) test -run TestGoldenPlans ./internal/plan/
+	$(GO) test -run TestGoldenPlans ./internal/plan/ ./internal/engines/shredplan/
 
-# Refresh the EXPLAIN corpus after an intended planner change; commit the
-# diff alongside the change that caused it.
+# Refresh the EXPLAIN corpus after an intended planner or tree change;
+# commit the diff alongside the change that caused it.
 plan-golden:
-	$(GO) test -run TestGoldenPlans -update-plans ./internal/plan/
+	$(GO) test -run TestGoldenPlans ./internal/plan/ ./internal/engines/shredplan/ -args -update-plans
 
 # The PR gate: everything that must be green before a change lands.
 verify: build vet test race chaos-updates torture smoke shard-smoke plan-check loc

@@ -317,6 +317,10 @@ func setupQuery(fs *flag.FlagSet) func() error {
 		for _, q := range queries {
 			if *explain {
 				node, err := core.Explain(ctx, e, q, workload.Params(class))
+				if core.IsNotAnswered(err) {
+					fmt.Printf("%s: not answered: %v\n", q, err)
+					continue
+				}
 				if err != nil {
 					return err
 				}

@@ -14,8 +14,8 @@ import (
 // Op names are plan regressions, not refactors.
 type PlanNode struct {
 	// Op is the operator name: "scan", "index-probe", "doc-lookup",
-	// "filter", "join", "sort", "limit", "construct", "aggregate",
-	// "text-search", "result".
+	// "filter", "join", "semi-join", "sort", "limit", "construct",
+	// "aggregate", "text-search", "result".
 	Op string
 	// Target names what the operator touches: a heap/table, an index
 	// target ("item/@id"), or a document parameter.

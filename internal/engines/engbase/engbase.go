@@ -50,6 +50,10 @@ type View interface {
 	Stats() plan.StatValues
 	// Exec runs the planned query ph. Base fills in Result.PageIO.
 	Exec(ctx context.Context, ph *plan.Physical, p core.Params) (core.Result, error)
+	// Explain returns the tree Exec runs for ph: the planner's own
+	// (ph.Root) for an engine that executes the plan, the engine's operator
+	// tree for one that runs a translation of its own.
+	Explain(ph *plan.Physical) (*core.PlanNode, error)
 }
 
 // Store is the part of an engine that is its own: how documents are laid
@@ -132,31 +136,42 @@ type publication[V View] struct {
 	// plans memoizes, by QueryID, the plans whose costing read nothing
 	// but stats: a plan the previous publication held that still Holds
 	// over stats (carry), or one a reader planned over them.
-	plans   [core.Q20 + 1]atomic.Pointer[plan.Physical]
+	plans   [core.Q20 + 1]atomic.Pointer[planCell]
 	planned *metrics.Counter
+}
+
+// planCell is a plan and, once Explain asked for it, the view's tree of
+// it, which the cell's later Explains hand out again.
+type planCell struct {
+	ph   *plan.Physical
+	tree atomic.Pointer[core.PlanNode]
 }
 
 // plan returns the physical plan of q over the published view: from q's
 // cell, or planned now. A plan that consulted the feedback — the query
 // has a range candidate, so its costing moves with the selectivities
 // execution observes — is planned on every call and never stored.
-func (pub *publication[V]) plan(q core.QueryID) (*plan.Physical, error) {
+func (pub *publication[V]) plan(q core.QueryID) (*planCell, error) {
 	if q < 0 || int(q) >= len(pub.plans) {
 		return nil, core.ErrNoQuery
 	}
-	if ph := pub.plans[q].Load(); ph != nil {
-		return ph, nil
+	if c := pub.plans[q].Load(); c != nil {
+		return c, nil
 	}
 	def := queries.Lookup(pub.view.Class(), q)
 	if def == nil {
 		return nil, core.ErrNoQuery
 	}
 	ph, err := plan.Plan(def, pub.stats)
-	if err == nil && ph.FeedbackTarget == "" {
-		pub.plans[q].Store(ph) // racing planners store equal plans
+	if err != nil {
+		return nil, err
+	}
+	c := &planCell{ph: ph}
+	if ph.FeedbackTarget == "" {
+		pub.plans[q].Store(c) // racing planners store equal plans
 		pub.planned.Inc()
 	}
-	return ph, err
+	return c, nil
 }
 
 // carry copies into pub's cells every plan of prev's that Holds over
@@ -169,8 +184,8 @@ func (pub *publication[V]) carry(prev *publication[V]) int64 {
 	}
 	var n int64
 	for q := range prev.plans {
-		if ph := prev.plans[q].Load(); ph != nil && ph.Holds(pub.stats) {
-			pub.plans[q].Store(ph)
+		if c := prev.plans[q].Load(); c != nil && c.ph.Holds(pub.stats) {
+			pub.plans[q].Store(c)
 			n++
 		}
 	}
@@ -344,15 +359,15 @@ func (b *Base[V]) View() (v V, release func(), err error) {
 // observed selectivities. The plan may be shared with every other reader
 // of the view and is read-only. The caller owns the Snap either way and
 // must Release it when done with the view and the plan.
-func (b *Base[V]) planned(op string, q core.QueryID) (*pager.Snap, V, *plan.Physical, error) {
+func (b *Base[V]) planned(op string, q core.QueryID) (*pager.Snap, V, *planCell, error) {
 	snap, pub, err := b.pinned(op)
 	if err != nil {
 		var none V
 		return snap, none, nil, err
 	}
 	defer b.p.Metrics().StartSpan(metrics.PhasePlan).End()
-	ph, err := pub.plan(q)
-	return snap, pub.view, ph, err
+	c, err := pub.plan(q)
+	return snap, pub.view, c, err
 }
 
 // Execute implements core.Engine. It is safe to call from many
@@ -361,13 +376,13 @@ func (b *Base[V]) planned(op string, q core.QueryID) (*pager.Snap, V, *plan.Phys
 // runs against that view without touching the latch, so U1-U3 updates
 // never stall it.
 func (b *Base[V]) Execute(ctx context.Context, q core.QueryID, p core.Params) (core.Result, error) {
-	snap, v, ph, err := b.planned("Execute", q)
+	snap, v, c, err := b.planned("Execute", q)
 	defer snap.Release()
 	if err != nil {
 		return core.Result{}, err
 	}
 	before := b.p.Stats().IO()
-	res, err := v.Exec(ctx, ph, p)
+	res, err := v.Exec(ctx, c.ph, p)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -375,16 +390,24 @@ func (b *Base[V]) Execute(ctx context.Context, q core.QueryID, p core.Params) (c
 	return res, nil
 }
 
-// Explain implements core.Explainer: the plan Execute would run for q
-// now, costed over the same pinned view. The tree may be the one every
-// other caller on that view is handed; it is read-only.
+// Explain implements core.Explainer: the tree Execute would run for q
+// now, planned over the same pinned view and drawn by it (View.Explain).
+// The tree may be the one every other caller on that view is handed; it
+// is read-only.
 func (b *Base[V]) Explain(_ context.Context, q core.QueryID, _ core.Params) (*core.PlanNode, error) {
-	snap, _, ph, err := b.planned("Explain", q)
+	snap, v, c, err := b.planned("Explain", q)
 	defer snap.Release()
 	if err != nil {
 		return nil, err
 	}
-	return ph.Root, nil
+	if t := c.tree.Load(); t != nil {
+		return t, nil
+	}
+	t, err := v.Explain(c.ph)
+	if err == nil {
+		c.tree.Store(t) // racing Explains store equal trees
+	}
+	return t, err
 }
 
 // ColdReset implements core.Engine. It quiesces (pager.BlockPins):

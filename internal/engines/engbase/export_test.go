@@ -22,9 +22,11 @@ func (b *Base[V]) Plans(q core.QueryID) (served, fresh *plan.Physical, err error
 	if err != nil {
 		return nil, nil, err
 	}
-	if served, err = pub.plan(q); err != nil {
+	c, err := pub.plan(q)
+	if err != nil {
 		return nil, nil, err
 	}
+	served = c.ph
 	st := pub.view.Stats()
 	st.Feedback = &b.fb
 	fresh, err = plan.Plan(queries.Lookup(pub.view.Class(), q), st)

@@ -731,6 +731,9 @@ func (v *view) Exec(ctx context.Context, ph *plan.Physical, p core.Params) (core
 // Class implements engbase.View.
 func (v *view) Class() core.Class { return v.class }
 
+// Explain implements engbase.View: the evaluator runs the plan itself.
+func (v *view) Explain(ph *plan.Physical) (*core.PlanNode, error) { return ph.Root, nil }
+
 // Stats implements engbase.View: document heap pages, catalog entry
 // count and the heights of the value indexes.
 func (v *view) Stats() plan.StatValues {

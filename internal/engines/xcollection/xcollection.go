@@ -5,8 +5,8 @@
 // load — are this one engine: both decompose documents according to a
 // DAD-style / annotated-schema mapping (internal/shredder), create
 // primary/foreign-key indexes automatically during bulk loading, commit
-// document-at-a-time, and run queries as hand-translated relational
-// plans (shredplan). Neither keeps document-order columns, so ordered
+// document-at-a-time, and run queries as hand-translated operator trees
+// (shredplan). Neither keeps document-order columns, so ordered
 // access and reconstruction are only accidentally correct (§3.2.2).
 //
 // What the paper lists as different between them (§3.1.3) is a Policy:
@@ -67,8 +67,8 @@ var (
 type Engine struct{ *engbase.Base[view] }
 
 // view is the engine's read surface and query path (engbase.View): the
-// shredded store's tables at one commit epoch, queried by the
-// hand-translated relational plans of shredplan.
+// shredded store's tables at one commit epoch, queried by the operator
+// trees of shredplan.
 type view struct{ shred shredder.View }
 
 // Class implements engbase.View.
@@ -77,10 +77,16 @@ func (v view) Class() core.Class { return v.shred.Class }
 // Stats implements engbase.View.
 func (v view) Stats() plan.StatValues { return shredplan.StoreStats(v.shred) }
 
-// Exec implements engbase.View: the hand-translated relational plan for
-// ph's query. Cancellation via ctx is honored at page-fetch granularity.
+// Exec implements engbase.View: the operator tree of ph's query.
+// Cancellation via ctx is honored at page-fetch granularity.
 func (v view) Exec(ctx context.Context, ph *plan.Physical, p core.Params) (core.Result, error) {
 	return shredplan.Exec(ctx, v.shred, ph, p)
+}
+
+// Explain implements engbase.View: the operator tree Exec walks, drawn
+// with ph's access path.
+func (v view) Explain(ph *plan.Physical) (*core.PlanNode, error) {
+	return shredplan.Explain(v.shred.Class, ph)
 }
 
 // store is the shredded layout; it implements engbase.Store, which

@@ -149,7 +149,7 @@ func TestQ8DropsQtText(t *testing.T) {
 	if err != nil || len(rows) == 0 {
 		t.Fatal("no entries", err)
 	}
-	hw := rows[0][et.Col("hw")]
+	hw := string(rows[0].Col(et.Col("hw")))
 	res, err := e.Execute(context.Background(), core.Q8, core.Params{"W": hw})
 	if err != nil {
 		t.Fatal(err)

@@ -319,6 +319,9 @@ func (v *view) Exec(ctx context.Context, ph *plan.Physical, p core.Params) (core
 // Class implements engbase.View.
 func (v *view) Class() core.Class { return v.class }
 
+// Explain implements engbase.View: the planner's tree.
+func (v *view) Explain(ph *plan.Physical) (*core.PlanNode, error) { return ph.Root, nil }
+
 // Stats implements engbase.View: the CLOB heap drives scan cost (every
 // unindexed query rereads the documents), and the side-table key indexes
 // are the only probe paths.
@@ -350,13 +353,30 @@ var _ core.Explainer = (*Engine)(nil)
 // docOf finds the CLOB reference for a key via the side table (indexed
 // when Table 3 covers it, a forced scan when the plan rejects the
 // probe).
-func (v *view) docOf(ctx context.Context, a shredplan.Access, table, col, key string) (string, relational.Row, error) {
+func (v *view) docOf(ctx context.Context, a shredplan.Access, table, col, key string) (string, relational.Rec, error) {
 	t := v.db.Table(table)
-	rows, err := a.Eq(ctx, t, col, key)
+	rows, err := a.Eq(ctx, t, col, key, 0)
 	if err != nil || len(rows) == 0 {
 		return "", nil, err
 	}
-	return rows[0][t.Col("doc")], rows[0], nil
+	return string(rows[0].Col(t.Col("doc"))), rows[0], nil
+}
+
+// orEmpty is a column's value as a string() constructor reads it: NULL,
+// an absent element, is the empty string.
+func orEmpty(v string) string {
+	if relational.IsNull(v) {
+		return ""
+	}
+	return v
+}
+
+// fragment is the serialized element n, an absent element's none.
+func fragment(n *xmldom.Node) []string {
+	if n == nil {
+		return nil
+	}
+	return []string{n.XML()}
 }
 
 func (v *view) execDCMD(ctx context.Context, a shredplan.Access, q core.QueryID, p core.Params) ([]string, error) {
@@ -374,7 +394,7 @@ func (v *view) execDCMD(ctx context.Context, a shredplan.Access, q core.QueryID,
 		root := parsed.Root()
 		switch q {
 		case core.Q1:
-			return []string{root.FirstChild("total").XML()}, nil
+			return fragment(root.FirstChild("total")), nil
 		case core.Q5:
 			lines := root.FirstChild("order_lines").ChildElements("order_line")
 			if len(lines) == 0 {
@@ -384,13 +404,13 @@ func (v *view) execDCMD(ctx context.Context, a shredplan.Access, q core.QueryID,
 		case core.Q8:
 			var out []string
 			for _, ol := range root.FirstChild("order_lines").ChildElements("order_line") {
-				out = append(out, ol.FirstChild("item_id").XML())
+				out = append(out, fragment(ol.FirstChild("item_id"))...)
 			}
 			return out, nil
 		case core.Q9:
-			return []string{root.FirstChild("order_status").XML()}, nil
+			return fragment(root.FirstChild("order_status")), nil
 		case core.Q12:
-			return []string{root.FirstChild("cc_xacts").XML()}, nil
+			return fragment(root.FirstChild("cc_xacts")), nil
 		case core.Q16:
 			return []string{root.XML()}, nil
 		}
@@ -399,15 +419,20 @@ func (v *view) execDCMD(ctx context.Context, a shredplan.Access, q core.QueryID,
 		if err != nil {
 			return nil, err
 		}
-		relational.SortByIDSuffix(rows, orderSide.Col("id"))
-		relational.SortRows(rows, orderSide.Col("ship_type"), false, true)
+		relational.Sort(rows, relational.SortKey{Col: orderSide.Col("ship_type")},
+			relational.SortKey{Col: orderSide.Col("id"), IDSuffix: true})
 		var out []string
+		enc := xmldom.NewFragment()
 		for _, r := range rows {
-			n := xmldom.NewElement("r")
-			n.AddLeaf("id", r[orderSide.Col("id")])
-			n.AddLeaf("date", r[orderSide.Col("order_date")])
-			n.AddLeaf("ship", r[orderSide.Col("ship_type")])
-			out = append(out, n.XML())
+			enc.Begin("r")
+			for _, leaf := range [...][2]string{{"id", "id"}, {"date", "order_date"}, {"ship", "ship_type"}} {
+				enc.Begin(leaf[0])
+				if c := orderSide.Col(leaf[1]); !r.Null(c) {
+					enc.TextBytes(r.Col(c))
+				}
+				enc.End()
+			}
+			out = append(out, enc.End().Item())
 		}
 		return out, nil
 	case core.Q14:
@@ -417,8 +442,8 @@ func (v *view) execDCMD(ctx context.Context, a shredplan.Access, q core.QueryID,
 		}
 		var out []string
 		for _, r := range rows {
-			if relational.IsNull(r[orderSide.Col("ship_country")]) {
-				out = append(out, r[orderSide.Col("id")])
+			if r.Null(orderSide.Col("ship_country")) {
+				out = append(out, string(r.Col(orderSide.Col("id"))))
 			}
 		}
 		return out, nil
@@ -445,7 +470,10 @@ func (v *view) execDCMD(ctx context.Context, a shredplan.Access, q core.QueryID,
 		if err != nil {
 			return nil, err
 		}
-		custID := parsed.Root().FirstChild("customer_id").Text()
+		custID := ""
+		if c := parsed.Root().FirstChild("customer_id"); c != nil {
+			custID = c.Text()
+		}
 		custSide := v.db.Table("customer_side")
 		var out []string
 		idCol := custSide.Col("id")
@@ -453,13 +481,9 @@ func (v *view) execDCMD(ctx context.Context, a shredplan.Access, q core.QueryID,
 			if string(rec.Col(idCol)) == custID {
 				r := rec.Row()
 				n := xmldom.NewElement("r")
-				n.AddLeaf("name", r[custSide.Col("c_fname")]+" "+r[custSide.Col("c_lname")])
-				n.AddLeaf("phone", r[custSide.Col("c_phone")])
-				st := orow[orderSide.Col("order_status")]
-				if relational.IsNull(st) {
-					st = ""
-				}
-				n.AddLeaf("status", st)
+				n.AddLeaf("name", orEmpty(r[custSide.Col("c_fname")])+" "+orEmpty(r[custSide.Col("c_lname")]))
+				n.AddLeaf("phone", orEmpty(r[custSide.Col("c_phone")]))
+				n.AddLeaf("status", orEmpty(string(orow.Col(orderSide.Col("order_status")))))
 				out = append(out, n.XML())
 				return false
 			}
@@ -477,15 +501,15 @@ func (v *view) execTCMD(ctx context.Context, a shredplan.Access, q core.QueryID,
 	secSide := v.db.Table("sec_side")
 	switch q {
 	case core.Q1:
-		rows, err := a.Eq(ctx, artSide, "id", p.Get("X"))
+		rows, err := a.Eq(ctx, artSide, "id", p.Get("X"), 0)
 		if err != nil {
 			return nil, err
 		}
 		var out []string
 		for _, r := range rows {
-			n := xmldom.NewElement("title")
-			n.AddText(r[artSide.Col("title")])
-			out = append(out, n.XML())
+			if t := artSide.Col("title"); !r.Null(t) {
+				out = append(out, xmldom.NewElement("title").AddText(string(r.Col(t))).XML())
+			}
 		}
 		return out, nil
 	case core.Q5, core.Q8:
@@ -560,10 +584,8 @@ func (v *view) execTCMD(ctx context.Context, a shredplan.Access, q core.QueryID,
 		}
 		var out []string
 		for _, r := range rows {
-			if relational.IsNull(r[artSide.Col("genre")]) {
-				n := xmldom.NewElement("title")
-				n.AddText(r[artSide.Col("title")])
-				out = append(out, n.XML())
+			if t := artSide.Col("title"); r.Null(artSide.Col("genre")) && !r.Null(t) {
+				out = append(out, xmldom.NewElement("title").AddText(string(r.Col(t))).XML())
 			}
 		}
 		return out, nil
@@ -572,8 +594,8 @@ func (v *view) execTCMD(ctx context.Context, a shredplan.Access, q core.QueryID,
 			if root.Name != "article" {
 				return "", false
 			}
-			if xquery.ContainsWord(root.Text(), p.Get("W2")) {
-				return root.FirstChild("prolog").FirstChild("title").XML(), true
+			if t := root.FirstChild("prolog").FirstChild("title"); t != nil && xquery.ContainsWord(root.Text(), p.Get("W2")) {
+				return t.XML(), true
 			}
 			return "", false
 		})

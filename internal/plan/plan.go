@@ -7,8 +7,9 @@
 // is the only source of access paths: the catalog (internal/queries)
 // says what a query computes, never how.
 //
-// All four engines execute through the resulting Physical and expose
-// its Root tree via core.Explainer, so access-path regressions are
+// All four engines execute through the resulting Physical, and
+// core.Explainer exposes its Root tree — or, on the shredding engines, the
+// operator tree they run with it — so access-path regressions are
 // diffable golden files (results/plans, TestGoldenPlans) instead of
 // silent perf cliffs.
 package plan
@@ -116,7 +117,8 @@ type Physical struct {
 	// Rules lists the rewrite rules that fired, in order.
 	Rules []string
 
-	// Root is the plan tree returned by Explain.
+	// Root is the planner's printable tree: what Explain returns on an
+	// engine that executes the plan itself.
 	Root *core.PlanNode
 
 	fb *Feedback // StatValues.Feedback, for Observe

@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -33,20 +34,20 @@ func rebuilt(t *testing.T, rows []Row, indexed []string) *TableView {
 
 // multiset renders rows order-free: heap order differs between a table
 // that reused dead extents and one loaded fresh.
-func multiset(rows []Row) string {
+func multiset(rows []Rec) string {
 	keys := make([]string, len(rows))
 	for i, r := range rows {
-		keys[i] = strings.Join(r, "\x1f")
+		keys[i] = strings.Join(r.Row(), "\x1f")
 	}
 	sort.Strings(keys)
 	return fmt.Sprintf("%d rows\n%s", len(rows), strings.Join(keys, "\n"))
 }
 
-func scanRows(t *testing.T, tb *TableView) []Row {
+func scanRows(t *testing.T, tb *TableView) []Rec {
 	t.Helper()
-	var rows []Row
+	var rows []Rec
 	if err := tb.Scan(context.Background(), func(r Rec) bool {
-		rows = append(rows, r.Row())
+		rows = append(rows, r.Clone())
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -237,7 +238,7 @@ func TestDeleteWhereFindsWhatLookupFinds(t *testing.T) {
 				case multiset(found) != multiset(byFilter):
 					t.Fatalf("LookupEq(%.10q): %d rows by index, %d by filter", k, len(found), len(byFilter))
 				}
-				if first, _ := tb.Live().LookupEq(ctx, "k", k, true, 1); len(found) > 0 && (len(first) != 1 || first[0][1] != found[0][1]) {
+				if first, _ := tb.Live().LookupEq(ctx, "k", k, true, 1); len(found) > 0 && (len(first) != 1 || !bytes.Equal(first[0], found[0])) {
 					t.Fatalf("LookupEq(%.10q, limit 1) = %v, want the first of %d rows", k, first, len(found))
 				}
 				n, err := tb.DeleteWhere(ctx, "k", k)
@@ -247,11 +248,11 @@ func TestDeleteWhereFindsWhatLookupFinds(t *testing.T) {
 				left -= n
 				gone := map[string]bool{}
 				for _, r := range found {
-					gone[r[1]] = true
+					gone[string(r.Col(1))] = true
 				}
 				for _, r := range scanRows(t, tb.Live()) {
-					if gone[r[1]] {
-						t.Fatalf("DeleteWhere(%.10q) left row %s, which LookupEq had found", k, r[1])
+					if gone[string(r.Col(1))] {
+						t.Fatalf("DeleteWhere(%.10q) left row %s, which LookupEq had found", k, r.Col(1))
 					}
 				}
 				if got := tb.Live().Count(); got != left {

@@ -17,11 +17,12 @@
 package relational
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 
 	"xbench/internal/btree"
@@ -81,6 +82,17 @@ func (r Rec) Row() Row {
 		off += l
 	}
 	return row
+}
+
+// Clone copies the record out of the page that holds it, for a caller
+// that keeps it past the callback it was handed to.
+func (r Rec) Clone() Rec { return append(Rec(nil), r...) }
+
+// Concat returns the record of a's columns followed by b's: a joined row.
+func Concat(a, b Rec) Rec {
+	out := binary.BigEndian.AppendUint16(make(Rec, 0, len(a)+len(b)-2),
+		binary.BigEndian.Uint16(a)+binary.BigEndian.Uint16(b))
+	return append(append(out, a[2:]...), b[2:]...)
 }
 
 // DB is a collection of tables sharing one pager: the writer's half,
@@ -202,7 +214,7 @@ func (t *Table) Insert(row Row) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rid, err := t.heap.Insert(encodeRow(row))
+	rid, err := t.heap.Insert(row.Rec())
 	if err != nil {
 		return err
 	}
@@ -310,13 +322,14 @@ func (t *Table) CreateIndex(col string) error {
 	return nil
 }
 
-// encodeRow serializes values as length-prefixed strings.
-func encodeRow(row Row) []byte {
+// Rec encodes the row as it is stored: a column count, then each value
+// length-prefixed.
+func (row Row) Rec() Rec {
 	n := 2
 	for _, v := range row {
 		n += 4 + len(v)
 	}
-	buf := make([]byte, 0, n)
+	buf := make(Rec, 0, n)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(row)))
 	for _, v := range row {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(v)))
@@ -325,44 +338,55 @@ func encodeRow(row Row) []byte {
 	return buf
 }
 
-// SortRows orders rows by the given column index. When numeric is true the
-// values are compared as floats (Q11/Q20 datatype casting); otherwise as
-// strings. NULLs sort last.
-func SortRows(rows []Row, col int, numeric, asc bool) {
+// SortKey is one key of Sort: column Col compared as a string with NULL
+// least — XQuery's order by puts an empty key first — or, with IDSuffix,
+// by the number that ends a generated id ("O25" sorts as 25), which is
+// document order.
+type SortKey struct {
+	Col      int
+	IDSuffix bool
+}
+
+// Sort orders rows stably by keys, the first key first.
+func Sort(rows []Rec, keys ...SortKey) {
 	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := rows[i][col], rows[j][col]
-		an, bn := IsNull(a), IsNull(b)
-		if an || bn {
-			return !an && bn // non-null first
+		for _, k := range keys {
+			if c := k.compare(rows[i], rows[j]); c != 0 {
+				return c < 0
+			}
 		}
-		var less bool
-		if numeric {
-			af, _ := strconv.ParseFloat(a, 64)
-			bf, _ := strconv.ParseFloat(b, 64)
-			less = af < bf
-		} else {
-			less = a < b
-		}
-		if asc {
-			return less
-		}
-		return !less
+		return false
 	})
 }
 
-// SortByIDSuffix stably orders rows by the numeric suffix of an id
-// column ("O25" -> 25), which equals document order for generated ids.
-func SortByIDSuffix(rows []Row, col int) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		return idSuffix(rows[i][col]) < idSuffix(rows[j][col])
-	})
+func (k SortKey) compare(a, b Rec) int {
+	if k.IDSuffix {
+		return cmp.Compare(idSuffix(a.Col(k.Col)), idSuffix(b.Col(k.Col)))
+	}
+	switch an, bn := a.Null(k.Col), b.Null(k.Col); {
+	case an && bn:
+		return 0
+	case an:
+		return -1
+	case bn:
+		return 1
+	}
+	return bytes.Compare(a.Col(k.Col), b.Col(k.Col))
 }
 
-func idSuffix(id string) int {
+// idSuffix is the number after an id's non-digit prefix, 0 when the rest
+// is not all digits.
+func idSuffix(id []byte) int {
 	i := 0
 	for i < len(id) && (id[i] < '0' || id[i] > '9') {
 		i++
 	}
-	n, _ := strconv.Atoi(id[i:])
+	n := 0
+	for _, c := range id[i:] {
+		if c < '0' || c > '9' {
+			return 0
+		}
+		n = n*10 + int(c-'0')
+	}
 	return n
 }

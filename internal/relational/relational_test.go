@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -131,7 +132,7 @@ func TestNullHandling(t *testing.T) {
 		t.Fatal("NULL matched in index lookup")
 	}
 	rows, _ = tb.Live().LookupEq(context.Background(), "fax", "", true, 0)
-	if len(rows) != 1 || rows[0][0] != "P3" {
+	if len(rows) != 1 || string(rows[0].Col(0)) != "P3" {
 		t.Fatalf("empty-string lookup = %v", rows)
 	}
 	// A scan-side NULL check still finds the missing-fax publisher.
@@ -153,18 +154,15 @@ func TestNullHandling(t *testing.T) {
 }
 
 func TestSortRows(t *testing.T) {
-	rows := []Row{{"b", "10"}, {"a", "9"}, {"c", "100"}, {Null, "1"}}
-	SortRows(rows, 0, false, true)
-	if rows[0][0] != "a" || rows[2][0] != "c" || !IsNull(rows[3][0]) {
-		t.Fatalf("string sort wrong: %v", rows)
+	rows := []Rec{Row{"b", "O10"}.Rec(), Row{"a", "O9"}.Rec(), Row{"b", "O2"}.Rec(), Row{Null, "O1"}.Rec(), Row{"", "O3"}.Rec()}
+	Sort(rows, SortKey{Col: 0}, SortKey{Col: 1, IDSuffix: true})
+	var got []string
+	for _, r := range rows {
+		got = append(got, string(r.Col(1)))
 	}
-	SortRows(rows, 1, true, true)
-	if rows[0][1] != "1" || rows[1][1] != "9" || rows[2][1] != "10" || rows[3][1] != "100" {
-		t.Fatalf("numeric sort wrong: %v", rows)
-	}
-	SortRows(rows, 1, true, false)
-	if rows[0][1] != "100" {
-		t.Fatalf("descending sort wrong: %v", rows)
+	// NULL is least, then the empty string; ties go by the id's number.
+	if want := "O1 O3 O9 O2 O10"; strings.Join(got, " ") != want {
+		t.Fatalf("sorted ids %v, want %s", got, want)
 	}
 }
 
@@ -248,13 +246,13 @@ func TestLookupRechecksTruncatedKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals := func(rows []Row, err error) string {
+	vals := func(rows []Rec, err error) string {
 		if err != nil {
 			t.Fatal(err)
 		}
 		var out []string
 		for _, r := range rows {
-			out = append(out, r[1])
+			out = append(out, string(r.Col(1)))
 		}
 		return strings.Join(out, "")
 	}
@@ -277,9 +275,9 @@ func TestLookupRechecksTruncatedKeys(t *testing.T) {
 }
 
 // TestFilterScanAllocatesPerKeptRow: a filter scan compares the column
-// where the record lies and decodes the rows it keeps, so its allocations
-// are a constant (the result slice's growth included) plus two per kept
-// row — not a function of the rows scanned or of their width.
+// where the record lies and copies the records it keeps, so its
+// allocations are a constant (the result slice's growth included) plus one
+// per kept row — not a function of the rows scanned or of their width.
 func TestFilterScanAllocatesPerKeptRow(t *testing.T) {
 	ctx := context.Background()
 	for _, k := range []int{0, 8, 64} {
@@ -297,17 +295,17 @@ func TestFilterScanAllocatesPerKeptRow(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := tb.Live()
-		for name, scan := range map[string]func() ([]Row, error){
-			"LookupEq by filter":    func() ([]Row, error) { return v.LookupEq(ctx, "g", "hit", false, 0) },
-			"LookupRange by filter": func() ([]Row, error) { return v.LookupRange(ctx, "g", "ha", "hz", false) },
+		for name, scan := range map[string]func() ([]Rec, error){
+			"LookupEq by filter":    func() ([]Rec, error) { return v.LookupEq(ctx, "g", "hit", false, 0) },
+			"LookupRange by filter": func() ([]Rec, error) { return v.LookupRange(ctx, "g", "ha", "hz", false) },
 		} {
 			allocs := testing.AllocsPerRun(10, func() {
 				if rows, err := scan(); err != nil || len(rows) != k {
 					t.Fatalf("%s kept %d rows, %v; want %d", name, len(rows), err, k)
 				}
 			})
-			if allocs > float64(12+2*k) {
-				t.Errorf("%s over 2000 rows keeping %d allocates %.0f objects, want <= 12 + 2*%d", name, k, allocs, k)
+			if allocs > float64(12+k) {
+				t.Errorf("%s over 2000 rows keeping %d allocates %.0f objects, want <= 12 + %d", name, k, allocs, k)
 			} else {
 				t.Logf("%s over 2000 rows keeping %d: %.0f allocations", name, k, allocs)
 			}
@@ -346,7 +344,7 @@ func TestCreateIndexMatchesMaintainedIndex(t *testing.T) {
 	if err := created.CreateIndex("g"); err != nil {
 		t.Fatal(err)
 	}
-	same := func(what string, a, b []Row, errs ...error) int {
+	same := func(what string, a, b []Rec, errs ...error) int {
 		t.Helper()
 		for _, err := range errs {
 			if err != nil {
@@ -357,8 +355,8 @@ func TestCreateIndexMatchesMaintainedIndex(t *testing.T) {
 			t.Fatalf("%s: %d rows from the created index, %d from the maintained one", what, len(a), len(b))
 		}
 		for i := range a {
-			if a[i][0] != b[i][0] || a[i][1] != b[i][1] {
-				t.Fatalf("%s: row %d is %.20q from the created index, %.20q from the maintained one", what, i, a[i], b[i])
+			if !bytes.Equal(a[i], b[i]) {
+				t.Fatalf("%s: row %d is %.20q from the created index, %.20q from the maintained one", what, i, a[i].Row(), b[i].Row())
 			}
 		}
 		return len(a)

@@ -107,15 +107,15 @@ func (v *TableView) Scan(ctx context.Context, fn func(Rec) bool) error {
 	return err
 }
 
-// LookupEq returns the rows where col == val, only the first limit of
-// them when limit > 0 (the planner's limit pushdown, positional [1]
-// access). byIndex is the plan's access path: a probe of col's index, or
-// — false, and for an unindexed column — the sequential filter of a plan
-// whose cost model chose the scan.
-func (v *TableView) LookupEq(ctx context.Context, col, val string, byIndex bool, limit int) ([]Row, error) {
-	var rows []Row
+// LookupEq returns copies of the records where col == val, only the first
+// limit of them when limit > 0 (the planner's limit pushdown, positional
+// [1] access). byIndex is the plan's access path: a probe of col's index,
+// or — false, and for an unindexed column — the sequential filter of a
+// plan whose cost model chose the scan.
+func (v *TableView) LookupEq(ctx context.Context, col, val string, byIndex bool, limit int) ([]Rec, error) {
+	var rows []Rec
 	keep := func(_ pager.RID, r Rec) bool {
-		rows = append(rows, r.Row())
+		rows = append(rows, r.Clone())
 		return limit <= 0 || len(rows) < limit
 	}
 	ix := v.indexes[col]
@@ -137,7 +137,7 @@ func (v *TableView) LookupEq(ctx context.Context, col, val string, byIndex bool,
 	if limit > 0 {
 		want = min(want, limit)
 	}
-	rows = make([]Row, 0, want)
+	rows = make([]Rec, 0, want)
 	_, err = v.eachEq(ctx, col, val, hits, true, keep)
 	return rows, err
 }
@@ -173,18 +173,19 @@ func (v *TableView) eachEq(ctx context.Context, col, val string, hits []uint64, 
 	return 0, nil
 }
 
-// LookupRange returns rows with lo <= col <= hi (Rec.Between), along
-// byIndex as LookupEq. Index keys are truncated to btree.MaxKey, so a
-// probe also returns rows that only share a key's prefix: the column is
-// re-checked on the stored bytes before the row is decoded.
-func (v *TableView) LookupRange(ctx context.Context, col, lo, hi string, byIndex bool) ([]Row, error) {
+// LookupRange returns copies of the records with lo <= col <= hi
+// (Rec.Between), along byIndex as LookupEq. Index keys are truncated to
+// btree.MaxKey, so a probe also returns rows that only share a key's
+// prefix: the column is re-checked on the stored bytes before the record
+// is copied.
+func (v *TableView) LookupRange(ctx context.Context, col, lo, hi string, byIndex bool) ([]Rec, error) {
 	ci := v.Col(col)
-	var rows []Row
+	var rows []Rec
 	ix := v.indexes[col]
 	if !byIndex || ix == nil {
 		err := v.Scan(ctx, func(r Rec) bool {
 			if r.Between(ci, lo, hi) {
-				rows = append(rows, r.Row())
+				rows = append(rows, r.Clone())
 			}
 			return true
 		})
@@ -200,7 +201,7 @@ func (v *TableView) LookupRange(ctx context.Context, col, lo, hi string, byIndex
 			return false
 		}
 		if Rec(rec).Between(ci, lo, hi) {
-			rows = append(rows, Rec(rec).Row())
+			rows = append(rows, Rec(rec).Clone())
 		}
 		return true
 	})

@@ -60,9 +60,14 @@ type Shard struct {
 // routes to the DOC param's owner; scattered to a partitioned corpus it
 // would fail on every shard but the owner with "document not found". Q1
 // probing an update target id ("OU<seq>"/"aU<seq>") is answered entirely
-// by the corresponding update document. Everything else scatters — for a
-// partitioned corpus the union of per-shard answers is the correct result
-// of any cross-document query.
+// by the corresponding update document. Everything else scatters, and the
+// router returns the concatenation of the per-shard answers. That is the
+// single-engine answer only when the answer is a union over documents:
+// an aggregate comes back as one partial result per shard (DC/MD Q3: three
+// partial sums over three shards), an order by as one sorted run per
+// shard, and a join across documents misses the pairs whose sides live on
+// different shards (DC/MD Q19: 0 items where one engine answers 1).
+// ROADMAP item 2 tracks the gather that fixes this.
 func DefaultRouteKey(q core.QueryID, p core.Params) (string, bool) {
 	switch q {
 	case core.Q16:

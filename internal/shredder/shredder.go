@@ -70,54 +70,77 @@ func (s *Store) View(epoch uint64) (View, error) {
 	return View{Class: s.Class, DB: db, Opts: s.Opts}, err
 }
 
-// NewStore creates the per-class table schema in db.
-func NewStore(class core.Class, db *relational.DB, opts Options) *Store {
-	s := &Store{Class: class, DB: db, Opts: opts}
-	switch class {
-	case core.DCSD:
-		db.Create("item_tab", "id", "title", "date_of_release", "subject",
+// schema is the mapping: per class, each table as its name followed by
+// its columns in stored order.
+var schema = map[core.Class][][]string{
+	core.DCSD: {
+		{"item_tab", "id", "title", "date_of_release", "subject",
 			"description", "srp", "cost", "avail", "isbn", "number_of_pages",
-			"backing", "length", "width", "height")
-		db.Create("item_author_tab", "item_id", "first_name", "middle_name",
+			"backing", "length", "width", "height"},
+		{"item_author_tab", "item_id", "first_name", "middle_name",
 			"last_name", "date_of_birth", "biography", "street_address1",
 			"street_address2", "city", "state", "zip_code", "country",
-			"phone_number", "email_address")
-		db.Create("item_publisher_tab", "item_id", "name", "fax_number",
-			"phone_number", "email_address")
-	case core.DCMD:
-		// The paper maps all orderXXX.xml documents into two tables
-		// (order_tab and order_line_tab); CC_XACTS is 1:1 and folded in.
-		db.Create("order_tab", "id", "customer_id", "order_date", "sub_total",
+			"phone_number", "email_address"},
+		{"item_publisher_tab", "item_id", "name", "fax_number",
+			"phone_number", "email_address"},
+	},
+	// The paper maps all orderXXX.xml documents into two tables (order_tab
+	// and order_line_tab); CC_XACTS is 1:1 and folded in.
+	core.DCMD: {
+		{"order_tab", "id", "customer_id", "order_date", "sub_total",
 			"tax", "total", "ship_type", "ship_date", "ship_addr_id",
 			"order_status", "cc_type", "cc_number", "cc_name", "cc_expiry",
-			"cc_auth_id", "total_amount", "ship_country")
-		db.Create("order_line_tab", "order_id", "item_id", "qty", "discount", "comment")
-		db.Create("customer_tab", "id", "c_uname", "c_fname", "c_lname",
-			"c_phone", "c_email", "c_since", "c_discount", "c_addr_id")
-		db.Create("flat_item_tab", "id", "i_title", "i_a_id", "i_pub_date",
-			"i_publisher", "i_subject", "i_cost", "i_isbn", "i_page")
-		db.Create("flat_author_tab", "id", "a_fname", "a_lname", "a_mname",
-			"a_dob", "a_bio")
-		db.Create("address_tab", "id", "addr_street1", "addr_street2",
-			"addr_city", "addr_state", "addr_zip", "addr_co_id")
-		db.Create("country_tab", "id", "co_name", "co_exchange", "co_currency")
-	case core.TCSD:
-		db.Create("entry_tab", "id", "hw", "pr", "pos", "etym")
-		db.Create("sense_tab", "entry_id", "sense_no", "def")
-		db.Create("quote_tab", "entry_id", "sense_no", "qd", "a", "loc", "qt")
-		db.Create("cr_tab", "entry_id", "target", "text")
-	case core.TCMD:
-		db.Create("article_tab", "id", "doc", "title", "genre", "date",
-			"country", "has_abstract")
-		db.Create("abs_para_tab", "article_id", "text")
-		db.Create("art_author_tab", "article_id", "name", "affiliation",
-			"contact", "bio")
-		db.Create("sec_tab", "id", "article_id", "parent_sec", "heading")
-		db.Create("para_tab", "sec_id", "article_id", "text")
-		db.Create("kw_tab", "article_id", "kw")
-		db.Create("ref_tab", "article_id", "target")
+			"cc_auth_id", "total_amount", "ship_country"},
+		{"order_line_tab", "order_id", "item_id", "qty", "discount", "comment"},
+		{"customer_tab", "id", "c_uname", "c_fname", "c_lname",
+			"c_phone", "c_email", "c_since", "c_discount", "c_addr_id"},
+		{"flat_item_tab", "id", "i_title", "i_a_id", "i_pub_date",
+			"i_publisher", "i_subject", "i_cost", "i_isbn", "i_page"},
+		{"flat_author_tab", "id", "a_fname", "a_lname", "a_mname",
+			"a_dob", "a_bio"},
+		{"address_tab", "id", "addr_street1", "addr_street2",
+			"addr_city", "addr_state", "addr_zip", "addr_co_id"},
+		{"country_tab", "id", "co_name", "co_exchange", "co_currency"},
+	},
+	core.TCSD: {
+		{"entry_tab", "id", "hw", "pr", "pos", "etym"},
+		{"sense_tab", "entry_id", "sense_no", "def"},
+		{"quote_tab", "entry_id", "sense_no", "qd", "a", "loc", "qt"},
+		{"cr_tab", "entry_id", "target", "text"},
+	},
+	core.TCMD: {
+		{"article_tab", "id", "doc", "title", "genre", "date",
+			"country", "has_abstract"},
+		{"abs_para_tab", "article_id", "text"},
+		{"art_author_tab", "article_id", "name", "affiliation",
+			"contact", "bio"},
+		{"sec_tab", "id", "article_id", "parent_sec", "heading"},
+		{"para_tab", "sec_id", "article_id", "text"},
+		{"kw_tab", "article_id", "kw"},
+		{"ref_tab", "article_id", "target"},
+	},
+}
+
+// NewStore creates the per-class table schema in db.
+func NewStore(class core.Class, db *relational.DB, opts Options) *Store {
+	for _, t := range schema[class] {
+		db.Create(t[0], t[1:]...)
 	}
-	return s
+	return &Store{Class: class, DB: db, Opts: opts}
+}
+
+// Columns returns the columns of a table of the mapping in stored order,
+// nil for a name the mapping does not have. A query plan resolves its
+// column names through it once, before any store exists.
+func Columns(table string) []string {
+	for _, tables := range schema {
+		for _, t := range tables {
+			if t[0] == table {
+				return t[1:]
+			}
+		}
+	}
+	return nil
 }
 
 // text returns the string value of the named child, or NULL when absent.

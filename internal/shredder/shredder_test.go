@@ -43,7 +43,7 @@ func TestShredOrder(t *testing.T) {
 	if err != nil || len(got) != 1 {
 		t.Fatalf("order row: %v %v", got, err)
 	}
-	r := got[0]
+	r := got[0].Row()
 	if r[ot.Col("cc_type")] != "VISA" {
 		t.Fatal("CC_XACTS not folded into order_tab")
 	}
@@ -55,7 +55,7 @@ func TestShredOrder(t *testing.T) {
 	if len(lrows) != 2 {
 		t.Fatalf("lines = %d", len(lrows))
 	}
-	if !relational.IsNull(lrows[0][lt.Col("comment")]) || relational.IsNull(lrows[1][lt.Col("comment")]) {
+	if !relational.IsNull(lrows[0].Row()[lt.Col("comment")]) || relational.IsNull(lrows[1].Row()[lt.Col("comment")]) {
 		t.Fatal("comment NULL handling wrong")
 	}
 }
@@ -78,7 +78,7 @@ func TestShredDictionaryMixedContent(t *testing.T) {
 	if len(qrows) != 1 {
 		t.Fatalf("quotes = %d", len(qrows))
 	}
-	if got := qrows[0][qt.Col("qt")]; !strings.Contains(got, "emphasis") {
+	if got := qrows[0].Row()[qt.Col("qt")]; !strings.Contains(got, "emphasis") {
 		t.Fatalf("flattened qt = %q", got)
 	}
 	if keep.SkippedMixed != 0 {
@@ -94,17 +94,17 @@ func TestShredDictionaryMixedContent(t *testing.T) {
 	}
 	qt2 := drop.DB.Table("quote_tab").Live()
 	qrows2, _ := qt2.LookupEq(context.Background(), "entry_id", "e1", true, 0)
-	if got := qrows2[0][qt2.Col("qt")]; got != "" {
+	if got := qrows2[0].Row()[qt2.Col("qt")]; got != "" {
 		t.Fatalf("dropped qt should be empty (present, text lost), got %q", got)
 	}
 	// etym is present: NULL only for e2 where it is truly missing.
 	et := drop.DB.Table("entry_tab").Live()
 	e1, _ := et.LookupEq(context.Background(), "id", "e1", true, 0)
 	e2, _ := et.LookupEq(context.Background(), "id", "e2", true, 0)
-	if relational.IsNull(e1[0][et.Col("etym")]) {
+	if relational.IsNull(e1[0].Row()[et.Col("etym")]) {
 		t.Fatal("present etym should not be NULL even when text dropped")
 	}
-	if !relational.IsNull(e2[0][et.Col("etym")]) {
+	if !relational.IsNull(e2[0].Row()[et.Col("etym")]) {
 		t.Fatal("missing etym should be NULL")
 	}
 }
@@ -129,8 +129,8 @@ func TestShredArticleRecursion(t *testing.T) {
 	// The nested section must point at its parent via the unique id
 	// (the paper's chain-relationship fix).
 	var nestedParent string
-	for _, r := range rows {
-		if r[st.Col("id")] == "s1.1" {
+	for _, rec := range rows {
+		if r := rec.Row(); r[st.Col("id")] == "s1.1" {
 			nestedParent = r[st.Col("parent_sec")]
 		}
 	}
@@ -146,7 +146,7 @@ func TestShredArticleRecursion(t *testing.T) {
 	// Empty contact is stored as empty string, not NULL (Q15 vs Q14).
 	at := s.DB.Table("art_author_tab").Live()
 	arows, _ := at.LookupEq(context.Background(), "article_id", "a1", true, 0)
-	if v := arows[0][at.Col("contact")]; relational.IsNull(v) || v != "" {
+	if v := arows[0].Row()[at.Col("contact")]; relational.IsNull(v) || v != "" {
 		t.Fatalf("empty contact stored as %q", v)
 	}
 }

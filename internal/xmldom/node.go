@@ -150,8 +150,12 @@ func (n *Node) Elements() []*Node {
 	return es
 }
 
-// ChildElements returns the child elements with the given name.
+// ChildElements returns the child elements with the given name. A nil
+// node — an absent parent — has none.
 func (n *Node) ChildElements(name string) []*Node {
+	if n == nil {
+		return nil
+	}
 	var es []*Node
 	for _, c := range n.Children {
 		if c.Kind == ElementKind && c.Name == name {
@@ -161,8 +165,12 @@ func (n *Node) ChildElements(name string) []*Node {
 	return es
 }
 
-// FirstChild returns the first child element with the given name, or nil.
+// FirstChild returns the first child element with the given name, or nil
+// — also for a nil node, so a path through an absent element ends in nil.
 func (n *Node) FirstChild(name string) *Node {
+	if n == nil {
+		return nil
+	}
 	for _, c := range n.Children {
 		if c.Kind == ElementKind && c.Name == name {
 			return c

@@ -38,6 +38,15 @@ func escapeAttr[S string | []byte](w *bytes.Buffer, s S) {
 	}
 }
 
+// writeAttr writes ` name="value"`, the value escaped.
+func writeAttr[S string | []byte](w *bytes.Buffer, name string, value S) {
+	w.WriteByte(' ')
+	w.WriteString(name)
+	w.WriteString(`="`)
+	escapeAttr(w, value)
+	w.WriteByte('"')
+}
+
 // AppendXML serializes the subtree rooted at n into buf.
 func (n *Node) AppendXML(buf *bytes.Buffer) {
 	switch n.Kind {
@@ -63,11 +72,7 @@ func (n *Node) AppendXML(buf *bytes.Buffer) {
 		buf.WriteByte('<')
 		buf.WriteString(n.Name)
 		for _, a := range n.Attrs {
-			buf.WriteByte(' ')
-			buf.WriteString(a.Name)
-			buf.WriteString(`="`)
-			escapeAttr(buf, a.Value)
-			buf.WriteByte('"')
+			writeAttr(buf, a.Name, a.Value)
 		}
 		if len(n.Children) == 0 {
 			buf.WriteString("/>")
@@ -122,11 +127,15 @@ func Equal(a, b *Node) bool {
 
 // Encoder writes XML incrementally. The database generators use it to emit
 // documents without materializing a DOM, keeping memory flat even at the
-// 1 GB paper scale.
+// 1 GB paper scale; the relational engines use it in fragment mode to
+// write query results straight from stored rows.
 type Encoder struct {
 	buf   bytes.Buffer
 	stack []string
 	err   error
+	// fragment is NewFragment's mode; pending is set between a fragment
+	// element's Begin and its first content, while its start tag is open.
+	fragment, pending bool
 }
 
 // NewEncoder returns an encoder that writes the standard XML declaration.
@@ -137,30 +146,73 @@ func NewEncoder() *Encoder {
 	return e
 }
 
+// NewFragment returns an encoder of bare fragments, taken one at a time
+// with Item: no declaration, and start tags stay open for Attr until the
+// element's first content, so one that gets none ends as <name/> — the
+// bytes Node.AppendXML writes for the same element.
+func NewFragment() *Encoder { return &Encoder{fragment: true} }
+
+// content ends a pending start tag before the element's first content.
+func (e *Encoder) content() {
+	if e.pending {
+		e.buf.WriteByte('>')
+		e.pending = false
+	}
+}
+
 // Begin opens <name attr...>. Attrs are passed as alternating name, value
 // strings for brevity at the hundreds of call sites in the generators.
 func (e *Encoder) Begin(name string, attrs ...string) *Encoder {
+	if e.open(name, attrs) {
+		if e.pending = e.fragment; !e.pending {
+			e.buf.WriteByte('>')
+		}
+		e.stack = append(e.stack, name)
+	}
+	return e
+}
+
+// open ends a pending start tag and writes `<name attr...`, unless the
+// attribute list is odd.
+func (e *Encoder) open(name string, attrs []string) bool {
 	if len(attrs)%2 != 0 {
 		e.fail("odd attribute list for <" + name + ">")
-		return e
+		return false
 	}
+	e.content()
 	e.buf.WriteByte('<')
 	e.buf.WriteString(name)
 	for i := 0; i < len(attrs); i += 2 {
-		e.buf.WriteByte(' ')
-		e.buf.WriteString(attrs[i])
-		e.buf.WriteString(`="`)
-		escapeAttr(&e.buf, attrs[i+1])
-		e.buf.WriteByte('"')
+		writeAttr(&e.buf, attrs[i], attrs[i+1])
 	}
-	e.buf.WriteByte('>')
-	e.stack = append(e.stack, name)
+	return true
+}
+
+// Attr adds an attribute to the start tag a fragment encoder has open.
+func (e *Encoder) Attr(name string, value []byte) *Encoder {
+	if !e.pending {
+		e.fail("attribute " + name + " outside an open start tag")
+		return e
+	}
+	writeAttr(&e.buf, name, value)
 	return e
 }
 
 // Text appends escaped character data.
 func (e *Encoder) Text(s string) *Encoder {
-	escapeText(&e.buf, s)
+	if s != "" {
+		e.content()
+		escapeText(&e.buf, s)
+	}
+	return e
+}
+
+// TextBytes is Text for character data held as bytes.
+func (e *Encoder) TextBytes(b []byte) *Encoder {
+	if len(b) > 0 {
+		e.content()
+		escapeText(&e.buf, b)
+	}
 	return e
 }
 
@@ -172,6 +224,11 @@ func (e *Encoder) End() *Encoder {
 	}
 	name := e.stack[len(e.stack)-1]
 	e.stack = e.stack[:len(e.stack)-1]
+	if e.pending {
+		e.pending = false
+		e.buf.WriteString("/>")
+		return e
+	}
 	e.buf.WriteString("</")
 	e.buf.WriteString(name)
 	e.buf.WriteByte('>')
@@ -181,33 +238,25 @@ func (e *Encoder) End() *Encoder {
 // Leaf writes <name>text</name> in one call (or <name/> for empty text).
 func (e *Encoder) Leaf(name, text string, attrs ...string) *Encoder {
 	if text == "" && len(attrs) == 0 {
-		e.buf.WriteByte('<')
-		e.buf.WriteString(name)
-		e.buf.WriteString("/>")
-		return e
+		return e.Empty(name)
 	}
-	e.Begin(name, attrs...)
-	e.Text(text)
-	return e.End()
+	return e.Begin(name, attrs...).Text(text).End()
 }
 
 // Empty writes a self-closing <name attr.../> element.
 func (e *Encoder) Empty(name string, attrs ...string) *Encoder {
-	if len(attrs)%2 != 0 {
-		e.fail("odd attribute list for <" + name + "/>")
-		return e
+	if e.open(name, attrs) {
+		e.buf.WriteString("/>")
 	}
-	e.buf.WriteByte('<')
-	e.buf.WriteString(name)
-	for i := 0; i < len(attrs); i += 2 {
-		e.buf.WriteByte(' ')
-		e.buf.WriteString(attrs[i])
-		e.buf.WriteString(`="`)
-		escapeAttr(&e.buf, attrs[i+1])
-		e.buf.WriteByte('"')
-	}
-	e.buf.WriteString("/>")
 	return e
+}
+
+// Item returns the fragment written since the previous Item, "" when
+// nothing was, and starts the next.
+func (e *Encoder) Item() string {
+	s := e.buf.String()
+	e.buf.Reset()
+	return s
 }
 
 func (e *Encoder) fail(msg string) {
