@@ -200,6 +200,33 @@ func TestUndefinedQueryReturnsErrNoQuery(t *testing.T) {
 	}
 }
 
+// TestExplainAndExecuteAgreeOnCells: on every engine, for every class it
+// hosts and every query of the class's catalog, Explain has no plan
+// (core.ErrNoQuery) exactly where Execute has no answer. An engine that
+// explains a query it cannot run, or runs one it cannot explain, fails.
+func TestExplainAndExecuteAgreeOnCells(t *testing.T) {
+	ctx := context.Background()
+	for _, class := range core.Classes {
+		db := tinyDB(t, class)
+		for _, e := range allEngines() {
+			if e.Supports(class, core.Small) != nil {
+				continue
+			}
+			if _, _, err := LoadAndIndex(ctx, e, db); err != nil {
+				t.Fatalf("%s %s: %v", e.Name(), class, err)
+			}
+			for _, q := range QueryIDs(class) {
+				_, xerr := e.Execute(ctx, q, Params(class))
+				_, perr := core.Explain(ctx, e, q, Params(class))
+				if errors.Is(xerr, core.ErrNoQuery) != errors.Is(perr, core.ErrNoQuery) {
+					t.Errorf("%s %s/%s: Execute %v, Explain %v", e.Name(), class, q, xerr, perr)
+				}
+			}
+			e.Close()
+		}
+	}
+}
+
 func TestIndexSpeedsUpNative(t *testing.T) {
 	db := tinyDB(t, core.DCMD)
 	withIdx := native.New(0)
