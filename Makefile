@@ -129,9 +129,10 @@ loc:
 	@cat results/loc.txt
 
 # Plan regression gate: the costed EXPLAIN tree of every (class, query)
-# cell, planned over fixture statistics, and the shredding engines' operator
-# tree drawn with it, must match the checked-in corpus under results/plans/
-# (and results/plans/shredded/) byte for byte.
+# cell, planned over fixture statistics, and the relational engines'
+# operator trees drawn with it — the shredded layout's and Xcolumn's — must
+# match the checked-in corpora under results/plans/ (and
+# results/plans/shredded/, results/plans/xcolumn/) byte for byte.
 plan-check:
 	$(GO) test -run TestGoldenPlans ./internal/plan/ ./internal/engines/shredplan/
 

@@ -15,7 +15,7 @@ import (
 type PlanNode struct {
 	// Op is the operator name: "scan", "index-probe", "doc-lookup",
 	// "filter", "join", "semi-join", "sort", "limit", "construct",
-	// "aggregate", "text-search", "result".
+	// "aggregate", "text-search", "result", "clob", "clobs".
 	Op string
 	// Target names what the operator touches: a heap/table, an index
 	// target ("item/@id"), or a document parameter.

@@ -1,43 +1,79 @@
-// Package shredplan is how the shredding engines (DB2 Xcollection and SQL
-// Server) answer queries. Each query the paper's authors translated by hand
-// (§3.2: "the query translations from XQuery to their own languages ...
-// were done by us") is an operator tree in one table (trees.go), keyed by
-// class and query: a primary probe, range or scan that takes the plan's
-// access path, key-index lookups, filters on the stored columns, key-set
-// semi-joins, an index nested-loop join, aggregates, sort, limit, and an
-// emit that writes each answer item from rows through a template. Exec
-// walks the tree and Explain prints the same tree, so what an engine
-// explains is what it executes.
+// Package shredplan is how the relational engines answer queries: the
+// shredding engines (DB2 Xcollection and SQL Server) over the tables
+// internal/shredder decomposes documents into, and DB2 Xcolumn over the
+// side tables of its DAD and the CLOBs that hold its documents intact.
+// Each query the paper's authors translated by hand (§3.2: "the query
+// translations from XQuery to their own languages ... were done by us") is
+// an operator tree in one table (trees.go), keyed by layout, class and
+// query: a primary probe, range or scan that takes the plan's access path,
+// key-index lookups and seeks, filters on the stored columns, key-set
+// semi-joins, joins, aggregates, sort, limit, Xcolumn's CLOB fetch and
+// text-search pass, and an emit that writes each answer item from rows
+// through a template. Exec walks the tree and Explain prints the same
+// tree, so what an engine explains is what it executes.
 //
 // Emitting is where shredding hurts: order is only insertion order
 // (flagged OrderGuaranteed=false for order-sensitive queries), mixed
 // content is flattened or lost, and structure that did not survive the
 // mapping (qp groupings, nested paragraphs) cannot be rebuilt — the
-// §3.2.2 caveat.
+// §3.2.2 caveat. Xcolumn's items are elements of the parsed CLOBs,
+// serialized as stored.
 package shredplan
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"strconv"
+	"sync"
+	"time"
 
 	"xbench/internal/core"
 	"xbench/internal/metrics"
+	"xbench/internal/pager"
 	"xbench/internal/plan"
 	"xbench/internal/relational"
-	"xbench/internal/shredder"
 	"xbench/internal/xmldom"
 	"xbench/internal/xquery"
 )
 
-// Exec runs the tree of ph's query over the shredded store, its primary
-// probe or range along ph's access path.
-func Exec(ctx context.Context, s shredder.View, ph *plan.Physical, p core.Params) (core.Result, error) {
+// Layout is how a store keeps its documents, and so which trees translate
+// its queries.
+type Layout int
+
+const (
+	// Shredded documents are decomposed into internal/shredder's tables
+	// (Xcollection, SQL Server).
+	Shredded Layout = iota
+	// Xcolumn keeps each document intact as a CLOB, with its searchable
+	// values in the side tables of the DAD (internal/shredder's dad.go).
+	Xcolumn
+)
+
+// Source is what a tree reads: a store's tables at one epoch and, in the
+// Xcolumn layout, its CLOBs.
+type Source struct {
+	Layout Layout
+	Class  core.Class
+	DB     *relational.DBView
+	// DropMixed is a shredded store's: mixed content's text was not stored.
+	DropMixed bool
+	// CLOBs is an Xcolumn store's document heap, RIDs its CLOBs in load
+	// order.
+	CLOBs pager.HeapView
+	RIDs  []pager.RID
+}
+
+// Exec runs the tree of ph's query over s, its primary probe or range
+// along ph's access path.
+func Exec(ctx context.Context, s Source, ph *plan.Physical, p core.Params) (core.Result, error) {
 	return exec(ctx, s, ph, p, nil)
 }
 
-// Explain renders the tree Exec runs for ph's query over a store of class.
-func Explain(class core.Class, ph *plan.Physical) (*core.PlanNode, error) {
-	root := trees[cell{class, ph.Def.ID}]
+// Explain renders the tree Exec runs for ph's query over a store of
+// layout l and class.
+func Explain(l Layout, class core.Class, ph *plan.Physical) (*core.PlanNode, error) {
+	root := trees[l][cell{class, ph.Def.ID}]
 	if root == nil {
 		return nil, core.ErrNoQuery
 	}
@@ -45,31 +81,54 @@ func Explain(class core.Class, ph *plan.Physical) (*core.PlanNode, error) {
 }
 
 // exec is Exec, calling entered, when set, with every node it enters.
-func exec(ctx context.Context, s shredder.View, ph *plan.Physical, p core.Params, entered func(*Node)) (core.Result, error) {
-	root := trees[cell{s.Class, ph.Def.ID}]
+func exec(ctx context.Context, s Source, ph *plan.Physical, p core.Params, entered func(*Node)) (core.Result, error) {
+	root := trees[s.Layout][cell{s.Class, ph.Def.ID}]
 	if root == nil {
 		return core.Result{}, core.ErrNoQuery
 	}
-	x := &run{ctx: ctx, s: s, ph: ph, p: p, entered: entered}
-	if err := x.emit(root); err != nil {
+	x := runs.Get().(*run)
+	x.ctx, x.s, x.ph, x.p, x.entered = ctx, s, ph, p, entered
+	err := x.emit(root)
+	items := x.items
+	x.done()
+	if err != nil {
 		return core.Result{}, err
 	}
 	return core.Result{
-		Items:            x.items,
-		OrderGuaranteed:  !ph.Def.OrderSensitive,
-		MixedContentLost: ph.Def.TouchesMixed && s.Opts.DropMixed,
+		Items: items,
+		// dxx_seqno and the intact CLOBs preserve document order (§3.2.2:
+		// "DB2/Xcolumn can keep track of ordering information by using
+		// dxx_seqno"); the shredded tables keep none.
+		OrderGuaranteed:  s.Layout == Xcolumn || !ph.Def.OrderSensitive,
+		MixedContentLost: ph.Def.TouchesMixed && s.DropMixed,
 	}, nil
 }
 
 // run is one execution of a tree.
 type run struct {
 	ctx     context.Context
-	s       shredder.View
+	s       Source
 	ph      *plan.Physical
 	p       core.Params
 	items   []string
 	err     error // the first error met inside a callback, which stopped the walk
 	entered func(*Node)
+	// The buffers, kept from run to run: emit writes items with enc; a
+	// clob's row is written into row, a pick into val, down chain, each
+	// valid until the next.
+	enc   *xmldom.Encoder
+	row   relational.Rec
+	val   bytes.Buffer
+	chain []*xmldom.Node
+}
+
+// runs holds finished runs, whose buffers the next executions reuse.
+var runs = sync.Pool{New: func() any { return &run{enc: xmldom.NewFragment()} }}
+
+// done drops what the run read and answered and returns it to runs.
+func (x *run) done() {
+	x.ctx, x.s, x.ph, x.p, x.items, x.err, x.entered = nil, Source{}, nil, nil, nil, nil, nil
+	runs.Put(x)
 }
 
 func (x *run) enter(n *Node) {
@@ -88,7 +147,7 @@ func (x *run) fail(err error) bool {
 // lookups find, then the item its template writes from them.
 func (x *run) emit(n *Node) error {
 	x.enter(n)
-	enc, in := xmldom.NewFragment(), make([][]relational.Rec, len(n.kids)-1)
+	in := make([][]relational.Rec, len(n.kids)-1)
 	return x.each(n.kids[0], func(r relational.Rec) bool {
 		for i, l := range n.kids[1:] {
 			var err error
@@ -107,9 +166,9 @@ func (x *run) emit(n *Node) error {
 		if n.rebuild {
 			sp = x.s.DB.Metrics().StartSpan(metrics.PhaseMaterialize)
 		}
-		n.tmpl.write(enc, r, in)
+		n.tmpl.write(x.enc, r, in)
 		sp.End()
-		if item := enc.Item(); item != "" {
+		if item := x.enc.Item(); item != "" {
 			x.items = append(x.items, item)
 		}
 		return true
@@ -158,6 +217,16 @@ func (x *run) rows(n *Node, fn func(relational.Rec) bool) error {
 			i++
 			return fn(r) && i < n.n
 		})
+	case opClob:
+		return x.each(n.kids[0], func(r relational.Rec) bool {
+			doc, err := x.doc(r.Col(n.on.i))
+			if err != nil {
+				return x.fail(err)
+			}
+			return x.docRows(n, doc, 0, r, fn)
+		})
+	case opCLOBs:
+		return x.clobs(n, fn)
 	}
 	// A probe, a range, or a sort: rows fetched first.
 	var rows []relational.Rec
@@ -177,17 +246,26 @@ func (x *run) rows(n *Node, fn func(relational.Rec) bool) error {
 	return err
 }
 
-// fetch runs the primary probe or range n along the plan's access path.
+// fetch runs the primary probe or range n along the plan's access path:
+// byIndex false — the cost model rejected the index — forces the
+// sequential filter. A probe takes the limit the plan pushed down to it.
+// A range feeds the selectivity it observed (rows kept / rows in the
+// table) back to the planner on both paths, so a range the cost model
+// demoted to a scan is re-promoted when the data shifts back under it.
 func (x *run) fetch(n *Node) ([]relational.Rec, error) {
-	a, t := Access{Plan: x.ph}, x.s.DB.Table(n.table)
+	t, byIndex := x.s.DB.Table(n.table), x.ph.Access != plan.AccessScan
 	if n.op == opRange {
-		return a.Rng(x.ctx, t, n.key.name, bound(n.params[0], x.p), bound(n.params[1], x.p))
+		rows, err := t.LookupRange(x.ctx, n.key.name, bound(n.params[0], x.p), bound(n.params[1], x.p), byIndex)
+		if err == nil {
+			x.ph.Observe(len(rows), t.Count())
+		}
+		return rows, err
 	}
 	limit := 0
 	if n.pushed {
 		limit = x.ph.Limit
 	}
-	return a.Eq(x.ctx, t, n.key.name, bound(n.params[0], x.p), limit)
+	return t.LookupEq(x.ctx, n.key.name, bound(n.params[0], x.p), byIndex, limit)
 }
 
 // collect returns n's rows to keep: a probe's or a range's as fetched,
@@ -205,13 +283,15 @@ func (x *run) collect(n *Node) ([]relational.Rec, error) {
 	return rows, err
 }
 
-// lookup runs the lookup n for the outer row o.
+// lookup runs the lookup n for the outer row o: through the key index bulk
+// loading built, whatever the plan chose for the primary access, or — a
+// seek — by filtering the table.
 func (x *run) lookup(n *Node, o relational.Rec) ([]relational.Rec, error) {
 	if n.when.name != "" && o.Null(n.when.i) {
 		return nil, nil
 	}
 	x.enter(n)
-	rows, err := byKey(x.ctx, x.s.DB.Table(n.table), n.key.name, string(o.Col(n.on.i)))
+	rows, err := x.s.DB.Table(n.table).LookupEq(x.ctx, n.key.name, string(o.Col(n.on.i)), !n.seq, n.n)
 	if err != nil || n.pred == nil {
 		return rows, err
 	}
@@ -222,6 +302,97 @@ func (x *run) lookup(n *Node, o relational.Rec) ([]relational.Rec, error) {
 		}
 	}
 	return kept, nil
+}
+
+// doc reads and parses the CLOB a doc column names, in the materialize
+// phase.
+func (x *run) doc(ref []byte) (*xmldom.Node, error) {
+	rid, err := strconv.ParseUint(string(ref), 10, 64)
+	if err != nil {
+		return nil, fmt.Errorf("shredplan: bad CLOB reference %q", ref)
+	}
+	defer x.s.DB.Metrics().StartSpan(metrics.PhaseMaterialize).End()
+	data, err := x.s.CLOBs.Get(x.ctx, pager.RID(rid))
+	if err != nil {
+		return nil, err
+	}
+	return xmldom.Parse(data)
+}
+
+// clobs hands fn the rows of n over every CLOB, in load order, whose raw
+// bytes hold the word: the cheap prefilter where the heap holds them, then
+// a parse. The parses are the parse phase and the rest of the pass the
+// scan phase, so the two partition its time instead of nesting.
+func (x *run) clobs(n *Node, fn func(relational.Rec) bool) error {
+	start, parsing := time.Now(), time.Duration(0)
+	defer func() {
+		x.s.DB.Metrics().AddPhase(metrics.PhaseScan, time.Since(start)-parsing)
+		x.s.DB.Metrics().AddPhase(metrics.PhaseParse, parsing)
+	}()
+	word := bound(n.params[0], x.p)
+	var ref relational.Rec
+	for _, rid := range x.s.RIDs {
+		data, err := x.s.CLOBs.Get(x.ctx, rid)
+		if err != nil {
+			return err
+		}
+		if !xquery.ContainsWord(data, word) {
+			continue
+		}
+		t := time.Now()
+		doc, err := xmldom.Parse(data)
+		parsing += time.Since(t)
+		if err != nil {
+			return err
+		}
+		var num [20]byte
+		ref = relational.AppendCol(append(ref[:0], 0, 0), strconv.AppendUint(num[:0], uint64(rid), 10))
+		if !x.docRows(n, doc, 0, ref, fn) {
+			break
+		}
+	}
+	return nil
+}
+
+// docRows hands fn a row for each chain of elements down n.path, from its
+// step on, below parent, in document order: in's columns, then n's picks
+// of the chain. It reports whether fn asked for more.
+func (x *run) docRows(n *Node, parent *xmldom.Node, step int, in relational.Rec, fn func(relational.Rec) bool) bool {
+	for _, e := range parent.Children {
+		if e.Kind != xmldom.ElementKind || e.Name != n.path[step] {
+			continue
+		}
+		x.chain = append(x.chain[:step], e)
+		if step+1 < len(n.path) {
+			if !x.docRows(n, e, step+1, in, fn) {
+				return false
+			}
+		} else if !fn(x.rowOf(n, in)) {
+			return false
+		}
+	}
+	return true
+}
+
+// rowOf writes in's columns, then n's picks of the chain, into the run's
+// row.
+func (x *run) rowOf(n *Node, in relational.Rec) relational.Rec {
+	x.row = append(x.row[:0], in...)
+	for _, pk := range n.picks {
+		e := x.chain[pk.step]
+		x.val.Reset()
+		switch pk.kind {
+		case pickText:
+			x.val.WriteString(e.Text())
+		case pickAttr:
+			v, _ := e.Attr(pk.attr)
+			x.val.WriteString(v)
+		default:
+			e.AppendXML(&x.val)
+		}
+		x.row = relational.AppendCol(x.row, x.val.Bytes())
+	}
+	return x.row
 }
 
 // semi reads the kids in order: each marks the keys of its rows, and the

@@ -16,20 +16,20 @@ import (
 	"xbench/internal/xmldom"
 )
 
-// frozen is the view of s a query would read now. No test here mutates
+// frozen is the source of s a query would read now. No test here mutates
 // a store beside a reader, so the committed epoch needs no pin.
-func frozen(t *testing.T, s *shredder.Store) shredder.View {
+func frozen(t *testing.T, s *shredder.Store) Source {
 	t.Helper()
-	v, err := s.View(s.DB.Pager.SnapshotEpoch())
+	db, err := s.DB.View(s.DB.Pager.SnapshotEpoch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return v
+	return Source{Class: s.Class, DB: db, DropMixed: s.Opts.DropMixed}
 }
 
 // loadStore shreds a tiny generated database into a fresh store and
-// returns its view.
-func loadStore(t *testing.T, class core.Class, opts shredder.Options) shredder.View {
+// returns its source.
+func loadStore(t *testing.T, class core.Class, opts shredder.Options) Source {
 	t.Helper()
 	cfg := gen.Config{DictEntries: 30, Articles: 6, Items: 20, Orders: 30}
 	db, err := cfg.Generate(class, core.Small)
@@ -54,14 +54,14 @@ func loadStore(t *testing.T, class core.Class, opts shredder.Options) shredder.V
 
 // physical plans q over s the way engbase.Base does for the engines: fb
 // is the feedback Base holds per engine.
-func physical(s shredder.View, fb *plan.Feedback, q core.QueryID) (*plan.Physical, error) {
+func physical(s Source, fb *plan.Feedback, q core.QueryID) (*plan.Physical, error) {
 	st := StoreStats(s)
 	st.Feedback = fb
 	return plan.Plan(queries.Lookup(s.Class, q), st)
 }
 
 // execute plans and runs q with nothing observed so far.
-func execute(ctx context.Context, s shredder.View, q core.QueryID, p core.Params) (core.Result, error) {
+func execute(ctx context.Context, s Source, q core.QueryID, p core.Params) (core.Result, error) {
 	ph, err := physical(s, nil, q)
 	if err != nil {
 		return core.Result{}, err
@@ -146,7 +146,7 @@ func TestResultFlags(t *testing.T) {
 	}
 }
 
-func firstHeadword(t *testing.T, s shredder.View) string {
+func firstHeadword(t *testing.T, s Source) string {
 	t.Helper()
 	et := s.DB.Table("entry_tab")
 	var hw string

@@ -2,6 +2,7 @@ package shredplan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"xbench/internal/core"
@@ -17,7 +18,7 @@ const (
 	opProbe  op = iota // the primary equality, along the plan's access path, with its pushed limit
 	opRange            // the primary range, along the plan's access path, reporting feedback
 	opScan             // every row of a table
-	opLookup           // the rows of a table whose key is a column of an outer row, by the key index
+	opLookup           // the rows of a table whose key is a column of an outer row, by the key index or a seek
 	opFilter           // the rows of kid 0 that pass pred
 	opSemi             // the outer kid's rows whose key the other kids marked
 	opJoin             // each row of kid 0 joined to the rows kid 1, a lookup, finds for it
@@ -25,6 +26,8 @@ const (
 	opSort             // kid 0's rows in key order
 	opLimit            // the first n rows of kid 0
 	opEmit             // the answer: an item per row of kid 0, written by tmpl; kids 1.. are lookups
+	opClob             // per row of kid 0, the elements down path in the CLOB its doc column names
+	opCLOBs            // the elements down path in every CLOB holding a word, in load order
 )
 
 // column is a column named in a tree and its position in the rows it is
@@ -35,14 +38,14 @@ type column struct {
 }
 
 // col resolves name among cols; a tree naming a column its input does not
-// have is a translation bug, and panics when the table is built.
+// have, or has twice, is a translation bug, and panics when the table is
+// built.
 func col(cols []string, name string) column {
-	for i, c := range cols {
-		if c == name {
-			return column{name, i}
-		}
+	i := slices.Index(cols, name)
+	if i < 0 || slices.Contains(cols[i+1:], name) {
+		panic(fmt.Sprintf("shredplan: %q is not one column of %v", name, cols))
 	}
-	panic(fmt.Sprintf("shredplan: no column %q among %v", name, cols))
+	return column{name, i}
 }
 
 // Node is one operator of a query's tree. Which fields an operator reads
@@ -57,8 +60,14 @@ type Node struct {
 	params []string
 	// probe: take the plan's pushed-down limit (a limit 1 sits on it).
 	pushed bool
-	on     column // lookup: the outer row's column the key must equal
-	when   column // lookup: run only for outer rows where it is not NULL (unnamed: always)
+	// lookup: the outer row's column the key must equal; clob: kid 0's doc column.
+	on   column
+	when column // lookup: run only for outer rows where it is not NULL (unnamed: always)
+	seq  bool   // lookup: a seek, filtering the table whatever its indexes
+	// clob, clobs: the elements from the root down, and what a row takes
+	// of each chain of them.
+	path  []string
+	picks []pick
 	// filter: the test; lookup: a test on the rows found; semi: the
 	// outer's own test (outer first) or every marking row's (every).
 	pred  *pred
@@ -67,7 +76,7 @@ type Node struct {
 	every bool     // semi: a key counts only if pred holds for all its rows
 	agg   aggKind
 	sort  []relational.SortKey // with keys naming their columns
-	n     int                  // limit
+	n     int                  // limit; a seek's, when > 0
 	tmpl  *tmpl                // emit
 	// emit: the items are fragments rebuilt from their rows, written in the
 	// materialize phase.
@@ -85,6 +94,43 @@ const (
 	aggCount                   // a row (key, count) per distinct non-NULL key
 	aggDistinct                // kid 0's rows, the first of each key
 )
+
+// pick is a column a clob row takes from the chain of elements its path
+// matched, named by the XPath of what it holds from the root element: an
+// element serialized ("order/total"), its string value
+// ("string(order/customer_id)"), or an attribute of it, "" where absent
+// ("order/@id").
+type pick struct {
+	step int // the element's place in the chain
+	kind pickKind
+	attr string
+}
+
+type pickKind int
+
+const (
+	pickXML pickKind = iota
+	pickText
+	pickAttr
+)
+
+// picksOf resolves specs against path, each naming one of its elements.
+func picksOf(path string, specs []string) []pick {
+	var ps []pick
+	for _, s := range specs {
+		p, elem := pick{kind: pickXML}, s
+		if in, ok := strings.CutPrefix(s, "string("); ok {
+			p.kind, elem = pickText, strings.TrimSuffix(in, ")")
+		} else if e, a, ok := strings.Cut(s, "/@"); ok {
+			p.kind, p.attr, elem = pickAttr, a, e
+		}
+		if p.step = strings.Count(elem, "/"); path != elem && !strings.HasPrefix(path, elem+"/") {
+			panic(fmt.Sprintf("shredplan: %q names no element of %s", s, path))
+		}
+		ps = append(ps, p)
+	}
+	return ps
+}
 
 // The node constructors, in the vocabulary of the table in trees.go. Each labels
 // its node as Explain prints it.
@@ -112,6 +158,18 @@ func lookup(table, key, on string) *Node {
 	cols := shredder.Columns(table)
 	return &Node{op: opLookup, cols: cols, table: table, key: col(cols, key), on: column{name: on},
 		label: core.PlanNode{Op: "index-probe", Target: table + "." + key, Detail: key + " = " + on}}
+}
+
+// seek is lookup by a sequential filter of table, whatever its indexes —
+// a side table the DAD gives no index on key — stopping at the first
+// limit rows when limit > 0.
+func seek(table, key, on string, limit int) *Node {
+	n := lookup(table, key, on)
+	n.seq, n.n, n.label.Op, n.label.Target = true, limit, "scan", table
+	if limit > 0 {
+		n.label.Detail += fmt.Sprintf(", limit %d", limit)
+	}
+	return n
 }
 
 // where keeps only the rows the lookup n finds that pass p.
@@ -180,8 +238,12 @@ func semiOr(p *pred, keys []string, kids ...*Node) *Node {
 // row holds the outer's columns, then the inner's.
 func join(outer, in *Node) *Node {
 	in.outerOf(outer.cols)
-	return &Node{op: opJoin, cols: append(append([]string(nil), outer.cols...), in.cols...), kids: []*Node{outer, in},
+	n := &Node{op: opJoin, cols: append(slices.Clone(outer.cols), in.cols...), kids: []*Node{outer, in},
 		label: core.PlanNode{Op: "join", Target: in.table, Detail: "index-nested-loop"}}
+	if in.seq {
+		n.label.Detail = "nested-loop"
+	}
+	return n
 }
 
 func agg(kind aggKind, key string, kid *Node) *Node {
@@ -213,11 +275,47 @@ func sortBy(kid *Node, keys ...string) *Node {
 	return n
 }
 
+// head is a limit 1 that no probe below it takes: the first of the rows
+// it fetches.
+func head(kid *Node) *Node {
+	return &Node{op: opLimit, cols: kid.cols, n: 1, kids: []*Node{kid}, label: core.PlanNode{Op: "limit", Target: "1"}}
+}
+
 // first is a limit 1. Over the primary probe it is the positional [1] the
 // planner may push down: the probe then stops at the plan's limit.
 func first(kid *Node) *Node {
 	kid.pushed = kid.op == opProbe
-	return &Node{op: opLimit, cols: kid.cols, n: 1, kids: []*Node{kid}, label: core.PlanNode{Op: "limit", Target: "1"}}
+	return head(kid)
+}
+
+// clob fetches and parses, for each row of kid, the CLOB its doc column
+// names, and hands on a row per chain of elements down path from the root
+// element, in document order: kid's columns, then one per pick — by
+// default the last element serialized, named path.
+func clob(path string, kid *Node, picks ...string) *Node {
+	if len(picks) == 0 {
+		picks = []string{path}
+	}
+	n := clobNode(path, append(slices.Clone(kid.cols), picks...), picks)
+	n.op, n.on, n.kids = opClob, col(kid.cols, "doc"), []*Node{kid}
+	n.label.Op = "clob"
+	return n
+}
+
+// clobs is the pass over every CLOB in load order that parses only those
+// whose raw bytes hold the word param, handing on clob's rows of them
+// with the CLOB as the doc column.
+func clobs(param, path string, picks ...string) *Node {
+	n := clobNode(path, append([]string{"doc"}, picks...), picks)
+	n.op, n.params = opCLOBs, []string{param}
+	n.label.Op, n.label.Detail = "clobs", "holding "+param+": "+n.label.Detail
+	return n
+}
+
+// clobNode is the node of a clob or clobs.
+func clobNode(path string, cols, picks []string) *Node {
+	return &Node{cols: cols, path: strings.Split(path, "/"), picks: picksOf(path, picks),
+		label: core.PlanNode{Target: path, Detail: strings.Join(picks, ", ")}}
 }
 
 // emit writes an item per row of kid through t; lookups, made from each
@@ -242,7 +340,8 @@ func rebuild(t *tmpl, kid *Node, lookups ...*Node) *Node {
 
 // plan draws the tree as Explain prints it: the nodes' labels, with the
 // decisions of ph the tree executes — the access path and cost of the
-// primary probe or range, and a limit pushed into the probe.
+// primary probe or range (or the cost of the pass over the CLOBs), and a
+// limit pushed into the probe.
 func (n *Node) plan(ph *plan.Physical) *core.PlanNode {
 	p := n.label
 	switch {
@@ -250,6 +349,8 @@ func (n *Node) plan(ph *plan.Physical) *core.PlanNode {
 		if ph.Access != plan.AccessScan {
 			p.Op, p.Target = "index-probe", n.table+"."+n.key.name
 		}
+		fallthrough
+	case n.op == opCLOBs:
 		p.EstPages, p.EstRows = ph.EstCost, ph.EstRows
 	case n.op == opLimit && n.kids[0].pushed && ph.Limit > 0:
 		p.Detail = "limit-pushdown"

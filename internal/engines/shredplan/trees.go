@@ -8,11 +8,14 @@ type cell struct {
 	q     core.QueryID
 }
 
-// trees is the hand translation of the workload onto the shredded
+// trees holds each layout's translation of the workload.
+var trees = [...]map[cell]*Node{Shredded: shreddedTrees, Xcolumn: xcolumnTrees}
+
+// shreddedTrees is the hand translation of the workload onto the shredded
 // schema: one operator tree per (class, query) the mapping can answer.
 // Each reads the tables, in the order and through the calls, its
 // translation does — the paper's per-system SQL, as data.
-var trees = map[cell]*Node{
+var shreddedTrees = map[cell]*Node{
 	// DC/SD: items, with their authors and publishers in tables of their
 	// own. The whole item rebuilds exactly: the class has no mixed content.
 	{core.DCSD, core.Q1}: rebuild(item(), first(probe("item_tab", "id", "$X")),
@@ -51,10 +54,9 @@ var trees = map[cell]*Node{
 	{core.DCMD, core.Q5}: rebuild(orderLine(), first(probe("order_line_tab", "order_id", "$X"))),
 	{core.DCMD, core.Q6}: emit(value("id"), semi([]string{"order_id", "id"},
 		filter(ge("qty", "5"), scan("order_line_tab")), scan("order_tab"))),
-	{core.DCMD, core.Q8}: emit(leaf("item_id"), probe("order_line_tab", "order_id", "$X")),
-	{core.DCMD, core.Q9}: emit(leaf("order_status"), probe("order_tab", "id", "$X")),
-	{core.DCMD, core.Q10}: emit(elem("r", str("id", "id"), str("date", "order_date"), str("ship", "ship_type")),
-		sortBy(rng("order_tab", "order_date", "$LO", "$HI"), "ship_type", "#id")),
+	{core.DCMD, core.Q8}:  emit(leaf("item_id"), probe("order_line_tab", "order_id", "$X")),
+	{core.DCMD, core.Q9}:  emit(leaf("order_status"), probe("order_tab", "id", "$X")),
+	{core.DCMD, core.Q10}: emit(orderDate(), sortBy(rng("order_tab", "order_date", "$LO", "$HI"), "ship_type", "#id")),
 	{core.DCMD, core.Q12}: rebuild(ccXacts(), first(probe("order_tab", "id", "$X"))),
 	{core.DCMD, core.Q14}: emit(value("id"), filter(isNull("ship_country"), rng("order_tab", "order_date", "$LO", "$HI"))),
 	{core.DCMD, core.Q15}: emit(value("id"), filter(eq("order_status", ""), scan("order_tab"))),
@@ -66,9 +68,7 @@ var trees = map[cell]*Node{
 		filter(word("$W2", "comment"), scan("order_line_tab")))),
 	// Join-reordered by the planner: the probed order is the outer side,
 	// each match probing the customers' key index.
-	{core.DCMD, core.Q19}: emit(elem("r", elem("name", text("c_fname"), lit(" "), text("c_lname")),
-		str("phone", "c_phone"), str("status", "order_status")),
-		join(probe("order_tab", "id", "$X"), lookup("customer_tab", "id", "customer_id"))),
+	{core.DCMD, core.Q19}: emit(orderCustomer(), join(probe("order_tab", "id", "$X"), lookup("customer_tab", "id", "customer_id"))),
 
 	// TC/SD: entries, senses, quotes and cross references. The sense_no
 	// column (§3.1.3 item 4) stands in for document order; the qp grouping
@@ -118,6 +118,66 @@ var trees = map[cell]*Node{
 		scan("article_tab"), filter(word("$W2", "text"), scan("abs_para_tab")), filter(word("$W2", "text"), scan("para_tab")),
 		filter(word("$W2", "name", "affiliation", "bio"), scan("art_author_tab")),
 		filter(word("$W2", "kw"), scan("kw_tab")), filter(word("$W2", "heading"), scan("sec_tab")))),
+}
+
+// xcolumnTrees is the hand translation onto Xcolumn's side tables and
+// CLOBs (§3.1.1): what the side tables hold is answered from them, and
+// the rest is read from the documents, found through their side-table
+// row and parsed (clob). Each reads the side tables and the CLOBs, in the
+// order and through the calls, of the arm it replaced.
+var xcolumnTrees = map[cell]*Node{
+	{core.DCMD, core.Q1}:  emit(value("order/total"), clobOf("order_side", "order/total")),
+	{core.DCMD, core.Q5}:  emit(value("order/order_lines/order_line"), first(clobOf("order_side", "order/order_lines/order_line"))),
+	{core.DCMD, core.Q8}:  emit(value("order/order_lines/order_line/item_id"), clobOf("order_side", "order/order_lines/order_line/item_id")),
+	{core.DCMD, core.Q9}:  emit(value("order/order_status"), clobOf("order_side", "order/order_status")),
+	{core.DCMD, core.Q10}: emit(orderDate(), sortBy(rng("order_side", "order_date", "$LO", "$HI"), "ship_type", "#id")),
+	{core.DCMD, core.Q12}: emit(value("order/cc_xacts"), clobOf("order_side", "order/cc_xacts")),
+	{core.DCMD, core.Q14}: emit(value("id"), filter(isNull("ship_country"), rng("order_side", "order_date", "$LO", "$HI"))),
+	{core.DCMD, core.Q16}: emit(value("order"), clobOf("order_side", "order")),
+	// No full-text side table: every CLOB is scanned (the Table 7 blow-up),
+	// and an order answers once, however many of its comments hold the word.
+	{core.DCMD, core.Q17}: emit(value("order/@id"), agg(aggDistinct, "doc", filter(word("$W2", comment),
+		clobs("$W2", "order/order_lines/order_line/comment", "order/@id", comment)))),
+	// customer_side has no index on id: the customer is the first match of
+	// a scan.
+	{core.DCMD, core.Q19}: emit(orderCustomer(), join(clobOf("order_side", "order/customer_id", "string(order/customer_id)"),
+		seek("customer_side", "id", "string(order/customer_id)", 1))),
+
+	{core.TCMD, core.Q1}: emit(leaf("title"), probe("article_side", "id", "$X")),
+	// sec[1]: the first top-level section, no item when it has no heading.
+	{core.TCMD, core.Q5}:  emit(leaf("heading"), first(filter(eq("top", "1"), sections()))),
+	{core.TCMD, core.Q8}:  emit(leaf("heading"), filter(eq("top", "1"), sections())),
+	{core.TCMD, core.Q12}: emit(value("article/prolog/abstract"), clobOf("article_side", "article/prolog/abstract")),
+	{core.TCMD, core.Q14}: emit(leaf("title"), filter(isNull("genre"), rng("article_side", "date", "$LO", "$HI"))),
+	{core.TCMD, core.Q17}: emit(value("article/prolog/title"), filter(word("$W2", "string(article)"),
+		clobs("$W2", "article/prolog/title", "string(article)", "article/prolog/title"))),
+}
+
+// comment is the string value of an order line's comment.
+const comment = "string(order/order_lines/order_line/comment)"
+
+// clobOf reads, along path, the CLOB of the first row of table whose id is
+// $X: the side-table probe fetches every row of the key, as the plan's
+// access path has them, and the first names the document.
+func clobOf(table, path string, picks ...string) *Node {
+	return clob(path, head(probe(table, "id", "$X")), picks...)
+}
+
+// sections are the sections of article $X, in the order a scan of
+// sec_side meets them. The DAD gives sec_side no doc index, so finding
+// them is a scan of every section; the index the first update builds is
+// not part of the modeled system, and the seek does not use it.
+func sections() *Node {
+	return join(head(probe("article_side", "id", "$X")), seek("sec_side", "doc", "doc", 0))
+}
+
+func orderDate() *tmpl {
+	return elem("r", str("id", "id"), str("date", "order_date"), str("ship", "ship_type"))
+}
+
+func orderCustomer() *tmpl {
+	return elem("r", elem("name", text("c_fname"), lit(" "), text("c_lname")),
+		str("phone", "c_phone"), str("status", "order_status"))
 }
 
 // The stored fragments the templates rebuild, element for element in the

@@ -69,24 +69,24 @@ type Engine struct{ *engbase.Base[view] }
 // view is the engine's read surface and query path (engbase.View): the
 // shredded store's tables at one commit epoch, queried by the operator
 // trees of shredplan.
-type view struct{ shred shredder.View }
+type view struct{ src shredplan.Source }
 
 // Class implements engbase.View.
-func (v view) Class() core.Class { return v.shred.Class }
+func (v view) Class() core.Class { return v.src.Class }
 
 // Stats implements engbase.View.
-func (v view) Stats() plan.StatValues { return shredplan.StoreStats(v.shred) }
+func (v view) Stats() plan.StatValues { return shredplan.StoreStats(v.src) }
 
 // Exec implements engbase.View: the operator tree of ph's query.
 // Cancellation via ctx is honored at page-fetch granularity.
 func (v view) Exec(ctx context.Context, ph *plan.Physical, p core.Params) (core.Result, error) {
-	return shredplan.Exec(ctx, v.shred, ph, p)
+	return shredplan.Exec(ctx, v.src, ph, p)
 }
 
 // Explain implements engbase.View: the operator tree Exec walks, drawn
 // with ph's access path.
 func (v view) Explain(ph *plan.Physical) (*core.PlanNode, error) {
-	return shredplan.Explain(v.shred.Class, ph)
+	return shredplan.Explain(shredplan.Shredded, v.src.Class, ph)
 }
 
 // store is the shredded layout; it implements engbase.Store, which
@@ -126,10 +126,10 @@ func (s *store) Supports(c core.Class, sz core.Size) error {
 	return nil
 }
 
-// Freeze implements engbase.Store.
+// Freeze implements engbase.Store: the tables at epoch (relational.DB.View).
 func (s *store) Freeze(epoch uint64) (view, error) {
-	v, err := s.shred.View(epoch)
-	return view{v}, err
+	db, err := s.shred.DB.View(epoch)
+	return view{shredplan.Source{Class: s.shred.Class, DB: db, DropMixed: s.shred.Opts.DropMixed}}, err
 }
 
 // Reset implements engbase.Store.

@@ -75,7 +75,7 @@ func TestAutoKeyIndexesBuilt(t *testing.T) {
 		{"order_line_tab", "order_id"},
 		{"customer_tab", "id"},
 	} {
-		if v.shred.DB.Table(tc.table).IndexHeight(tc.col) == 0 {
+		if v.src.DB.Table(tc.table).IndexHeight(tc.col) == 0 {
 			t.Errorf("%s.%s not auto-indexed during bulk load", tc.table, tc.col)
 		}
 	}
@@ -144,7 +144,7 @@ func TestQ8DropsQtText(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer release()
-	et := v.shred.DB.Table("entry_tab")
+	et := v.src.DB.Table("entry_tab")
 	rows, err := et.LookupRange(context.Background(), "hw", "", "\xff", true)
 	if err != nil || len(rows) == 0 {
 		t.Fatal("no entries", err)

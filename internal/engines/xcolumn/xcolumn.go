@@ -1,7 +1,10 @@
 // Package xcolumn implements the DB2 XML Extender "XML column" analog:
 // each document is kept intact as a CLOB, and side tables hold the
-// searchable elements/attributes declared in the DAD, with a dxx_seqno
-// column preserving the order of repeating elements (paper §3.1.1).
+// searchable elements/attributes declared in the DAD (internal/shredder's
+// dad.go), with a dxx_seqno column preserving the order of repeating
+// elements (paper §3.1.1). Queries are the hand-translated operator trees
+// of shredplan's Xcolumn layout over the side tables and the CLOBs, so
+// what Explain draws is what Execute runs.
 //
 // Modeled properties from the paper:
 //
@@ -19,18 +22,15 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"time"
 
 	"xbench/internal/core"
 	"xbench/internal/engines/engbase"
 	"xbench/internal/engines/shredplan"
-	"xbench/internal/metrics"
 	"xbench/internal/pager"
 	"xbench/internal/plan"
-	"xbench/internal/queries"
 	"xbench/internal/relational"
+	"xbench/internal/shredder"
 	"xbench/internal/xmldom"
-	"xbench/internal/xquery"
 )
 
 // Engine is an Xcolumn instance: the shared engine lifecycle
@@ -61,12 +61,7 @@ func New(poolPages int) *Engine {
 // view is the read surface of the store at one commit epoch and its
 // query path (engbase.View), read lock-free under a pin: the CLOB heap
 // frozen, the rid slice copied at publish time, the side tables' views.
-type view struct {
-	class core.Class
-	clobs pager.HeapView
-	rids  []pager.RID
-	db    *relational.DBView
-}
+type view struct{ src shredplan.Source }
 
 // Freeze implements engbase.Store: a CLOB heap view, a copy of the rid
 // list and the side tables' views at epoch. The views flush the tail page
@@ -81,7 +76,7 @@ func (s *store) Freeze(epoch uint64) (*view, error) {
 		return nil, err
 	}
 	rids := append([]pager.RID(nil), s.rids...)
-	return &view{class: s.class, clobs: cv, rids: rids, db: db}, nil
+	return &view{shredplan.Source{Layout: shredplan.Xcolumn, Class: s.class, DB: db, CLOBs: cv, RIDs: rids}}, nil
 }
 
 // Name implements core.Engine.
@@ -120,17 +115,7 @@ func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats
 	s.class = db.Class
 	s.names = make(map[string]pager.RID, len(db.Docs))
 	s.db = relational.NewDB(s.p)
-	switch db.Class {
-	case core.DCMD:
-		s.db.Create("order_side", "doc", "id", "order_date", "ship_type",
-			"order_status", "ship_country")
-		s.db.Create("line_side", "doc", "dxx_seqno", "item_id", "comment")
-		s.db.Create("customer_side", "doc", "dxx_seqno", "id", "c_fname",
-			"c_lname", "c_phone")
-	case core.TCMD:
-		s.db.Create("article_side", "doc", "id", "title", "genre", "date")
-		s.db.Create("sec_side", "doc", "dxx_seqno", "heading", "top")
-	}
+	shredder.CreateSideTables(db.Class, s.db)
 	err := engbase.ParseDocs(ctx, "xcolumn", db, func(d *core.Doc, doc *xmldom.Node) error {
 		rid, err := s.clobs.Insert(d.Data)
 		if err != nil {
@@ -138,7 +123,7 @@ func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats
 		}
 		s.rids = append(s.rids, rid)
 		s.names[d.Name] = rid
-		rows, err := s.populateSideTables(strconv.FormatUint(uint64(rid), 10), doc)
+		rows, err := shredder.InsertSideRows(s.db, s.class, strconv.FormatUint(uint64(rid), 10), doc)
 		if err != nil {
 			return err
 		}
@@ -166,108 +151,12 @@ func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats
 	return st, s.p.SyncAll()
 }
 
-func (s *store) populateSideTables(doc string, parsed *xmldom.Node) (int, error) {
-	rows := 0
-	ins := func(table string, row relational.Row) error {
-		rows++
-		return s.db.Table(table).Insert(row)
-	}
-	root := parsed.Root()
-	null := relational.Null
-	opt := func(n *xmldom.Node, name string) string {
-		if c := n.FirstChild(name); c != nil {
-			return c.Text()
-		}
-		return null
-	}
-	switch s.class {
-	case core.DCMD:
-		switch root.Name {
-		case "order":
-			id, _ := root.Attr("id")
-			sc := null
-			if cc := root.FirstChild("cc_xacts"); cc != nil {
-				sc = opt(cc, "ship_country")
-			}
-			if err := ins("order_side", relational.Row{
-				doc, id, opt(root, "order_date"), opt(root, "ship_type"),
-				opt(root, "order_status"), sc,
-			}); err != nil {
-				return rows, err
-			}
-			for i, ol := range root.FirstChild("order_lines").ChildElements("order_line") {
-				if err := ins("line_side", relational.Row{
-					doc, strconv.Itoa(i + 1), opt(ol, "item_id"), opt(ol, "comment"),
-				}); err != nil {
-					return rows, err
-				}
-			}
-		case "customers":
-			for i, c := range root.ChildElements("customer") {
-				id, _ := c.Attr("id")
-				if err := ins("customer_side", relational.Row{
-					doc, strconv.Itoa(i + 1), id, opt(c, "c_fname"),
-					opt(c, "c_lname"), opt(c, "c_phone"),
-				}); err != nil {
-					return rows, err
-				}
-			}
-		}
-	case core.TCMD:
-		if root.Name != "article" {
-			return rows, nil
-		}
-		id, _ := root.Attr("id")
-		prolog := root.FirstChild("prolog")
-		date := null
-		if dl := prolog.FirstChild("dateline"); dl != nil {
-			date = opt(dl, "date")
-		}
-		if err := ins("article_side", relational.Row{
-			doc, id, opt(prolog, "title"), opt(prolog, "genre"), date,
-		}); err != nil {
-			return rows, err
-		}
-		seq := 0
-		var walk func(sec *xmldom.Node, top bool) error
-		walk = func(sec *xmldom.Node, top bool) error {
-			seq++
-			topFlag := "0"
-			if top {
-				topFlag = "1"
-			}
-			if err := ins("sec_side", relational.Row{
-				doc, strconv.Itoa(seq), opt(sec, "heading"), topFlag,
-			}); err != nil {
-				return err
-			}
-			for _, sub := range sec.ChildElements("sec") {
-				if err := walk(sub, false); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for _, sec := range root.FirstChild("body").ChildElements("sec") {
-			if err := walk(sec, true); err != nil {
-				return rows, err
-			}
-		}
-	}
-	return rows, nil
-}
-
 // BuildIndexes implements engbase.Store: Table 3 indexes land on the
 // side tables.
 func (s *store) BuildIndexes(specs []core.IndexSpec) error {
 	for _, spec := range specs {
-		switch {
-		case s.class == core.DCMD && spec.Target == "order/@id":
-			if err := s.db.Table("order_side").CreateIndex("id"); err != nil {
-				return err
-			}
-		case s.class == core.TCMD && spec.Target == "article/@id":
-			if err := s.db.Table("article_side").CreateIndex("id"); err != nil {
+		if table, col, ok := shredder.SideColumn(s.class, spec.Target); ok {
+			if err := s.db.Table(table).CreateIndex(col); err != nil {
 				return err
 			}
 		}
@@ -275,366 +164,27 @@ func (s *store) BuildIndexes(specs []core.IndexSpec) error {
 	return nil
 }
 
-// fetchDoc reads and parses the CLOB referenced by a side-table doc value.
-func (v *view) fetchDoc(ctx context.Context, doc string) (*xmldom.Node, error) {
-	rid, err := strconv.ParseUint(doc, 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("xcolumn: bad doc reference %q", doc)
-	}
-	sp := v.db.Metrics().StartSpan(metrics.PhaseMaterialize)
-	defer sp.End()
-	data, err := v.clobs.Get(ctx, pager.RID(rid))
-	if err != nil {
-		return nil, err
-	}
-	return xmldom.Parse(data)
-}
-
-// Exec implements engbase.View. Cancellation via ctx is honored at
-// page-fetch granularity.
+// Exec implements engbase.View: the operator tree of ph's query.
+// Cancellation via ctx is honored at page-fetch granularity.
 func (v *view) Exec(ctx context.Context, ph *plan.Physical, p core.Params) (core.Result, error) {
-	q, a := ph.Def.ID, shredplan.Access{Plan: ph}
-	var (
-		items []string
-		err   error
-	)
-	switch v.class {
-	case core.DCMD:
-		items, err = v.execDCMD(ctx, a, q, p)
-	case core.TCMD:
-		items, err = v.execTCMD(ctx, a, q, p)
-	}
-	if err != nil {
-		return core.Result{}, err
-	}
-	return core.Result{
-		Items: items,
-		// dxx_seqno and the intact CLOB preserve document order (§3.2.2:
-		// "DB2/Xcolumn can keep track of ordering information by using
-		// dxx_seqno").
-		OrderGuaranteed: true,
-	}, nil
+	return shredplan.Exec(ctx, v.src, ph, p)
 }
 
 // Class implements engbase.View.
-func (v *view) Class() core.Class { return v.class }
+func (v *view) Class() core.Class { return v.src.Class }
 
-// Explain implements engbase.View: the planner's tree.
-func (v *view) Explain(ph *plan.Physical) (*core.PlanNode, error) { return ph.Root, nil }
+// Explain implements engbase.View: the operator tree Exec walks, drawn
+// with ph's access path.
+func (v *view) Explain(ph *plan.Physical) (*core.PlanNode, error) {
+	return shredplan.Explain(shredplan.Xcolumn, v.src.Class, ph)
+}
 
 // Stats implements engbase.View: the CLOB heap drives scan cost (every
 // unindexed query rereads the documents), and the side-table key indexes
 // are the only probe paths.
-func (v *view) Stats() plan.StatValues {
-	st := plan.StatValues{
-		DataPages: v.clobs.Pages(),
-		DataRows:  int64(len(v.rids)),
-		Indexes:   map[string]int{},
-	}
-	for _, spec := range queries.Indexes(v.class) {
-		var table string
-		switch {
-		case v.class == core.DCMD && spec.Target == "order/@id":
-			table = "order_side"
-		case v.class == core.TCMD && spec.Target == "article/@id":
-			table = "article_side"
-		default:
-			continue
-		}
-		if h := v.db.Table(table).IndexHeight("id"); h > 0 {
-			st.Indexes[spec.Target] = h
-		}
-	}
-	return st
-}
+func (v *view) Stats() plan.StatValues { return shredplan.StoreStats(v.src) }
 
 var _ core.Explainer = (*Engine)(nil)
-
-// docOf finds the CLOB reference for a key via the side table (indexed
-// when Table 3 covers it, a forced scan when the plan rejects the
-// probe).
-func (v *view) docOf(ctx context.Context, a shredplan.Access, table, col, key string) (string, relational.Rec, error) {
-	t := v.db.Table(table)
-	rows, err := a.Eq(ctx, t, col, key, 0)
-	if err != nil || len(rows) == 0 {
-		return "", nil, err
-	}
-	return string(rows[0].Col(t.Col("doc"))), rows[0], nil
-}
-
-// orEmpty is a column's value as a string() constructor reads it: NULL,
-// an absent element, is the empty string.
-func orEmpty(v string) string {
-	if relational.IsNull(v) {
-		return ""
-	}
-	return v
-}
-
-// fragment is the serialized element n, an absent element's none.
-func fragment(n *xmldom.Node) []string {
-	if n == nil {
-		return nil
-	}
-	return []string{n.XML()}
-}
-
-func (v *view) execDCMD(ctx context.Context, a shredplan.Access, q core.QueryID, p core.Params) ([]string, error) {
-	orderSide := v.db.Table("order_side")
-	switch q {
-	case core.Q1, core.Q5, core.Q8, core.Q9, core.Q12, core.Q16:
-		doc, _, err := v.docOf(ctx, a, "order_side", "id", p.Get("X"))
-		if err != nil || doc == "" {
-			return nil, err
-		}
-		parsed, err := v.fetchDoc(ctx, doc)
-		if err != nil {
-			return nil, err
-		}
-		root := parsed.Root()
-		switch q {
-		case core.Q1:
-			return fragment(root.FirstChild("total")), nil
-		case core.Q5:
-			lines := root.FirstChild("order_lines").ChildElements("order_line")
-			if len(lines) == 0 {
-				return nil, nil
-			}
-			return []string{lines[0].XML()}, nil
-		case core.Q8:
-			var out []string
-			for _, ol := range root.FirstChild("order_lines").ChildElements("order_line") {
-				out = append(out, fragment(ol.FirstChild("item_id"))...)
-			}
-			return out, nil
-		case core.Q9:
-			return fragment(root.FirstChild("order_status")), nil
-		case core.Q12:
-			return fragment(root.FirstChild("cc_xacts")), nil
-		case core.Q16:
-			return []string{root.XML()}, nil
-		}
-	case core.Q10:
-		rows, err := a.Rng(ctx, orderSide, "order_date", p.Get("LO"), p.Get("HI"))
-		if err != nil {
-			return nil, err
-		}
-		relational.Sort(rows, relational.SortKey{Col: orderSide.Col("ship_type")},
-			relational.SortKey{Col: orderSide.Col("id"), IDSuffix: true})
-		var out []string
-		enc := xmldom.NewFragment()
-		for _, r := range rows {
-			enc.Begin("r")
-			for _, leaf := range [...][2]string{{"id", "id"}, {"date", "order_date"}, {"ship", "ship_type"}} {
-				enc.Begin(leaf[0])
-				if c := orderSide.Col(leaf[1]); !r.Null(c) {
-					enc.TextBytes(r.Col(c))
-				}
-				enc.End()
-			}
-			out = append(out, enc.End().Item())
-		}
-		return out, nil
-	case core.Q14:
-		rows, err := a.Rng(ctx, orderSide, "order_date", p.Get("LO"), p.Get("HI"))
-		if err != nil {
-			return nil, err
-		}
-		var out []string
-		for _, r := range rows {
-			if r.Null(orderSide.Col("ship_country")) {
-				out = append(out, string(r.Col(orderSide.Col("id"))))
-			}
-		}
-		return out, nil
-	case core.Q17:
-		// No full-text side table: scan every CLOB (the Table 7 blow-up).
-		return v.clobWordSearch(ctx, p.Get("W2"), func(root *xmldom.Node) (string, bool) {
-			if root.Name != "order" {
-				return "", false
-			}
-			id, _ := root.Attr("id")
-			for _, ol := range root.FirstChild("order_lines").ChildElements("order_line") {
-				if c := ol.FirstChild("comment"); c != nil && xquery.ContainsWord(c.Text(), p.Get("W2")) {
-					return id, true
-				}
-			}
-			return "", false
-		})
-	case core.Q19:
-		doc, orow, err := v.docOf(ctx, a, "order_side", "id", p.Get("X"))
-		if err != nil || doc == "" {
-			return nil, err
-		}
-		parsed, err := v.fetchDoc(ctx, doc)
-		if err != nil {
-			return nil, err
-		}
-		custID := ""
-		if c := parsed.Root().FirstChild("customer_id"); c != nil {
-			custID = c.Text()
-		}
-		custSide := v.db.Table("customer_side")
-		var out []string
-		idCol := custSide.Col("id")
-		if err := custSide.Scan(ctx, func(rec relational.Rec) bool {
-			if string(rec.Col(idCol)) == custID {
-				r := rec.Row()
-				n := xmldom.NewElement("r")
-				n.AddLeaf("name", orEmpty(r[custSide.Col("c_fname")])+" "+orEmpty(r[custSide.Col("c_lname")]))
-				n.AddLeaf("phone", orEmpty(r[custSide.Col("c_phone")]))
-				n.AddLeaf("status", orEmpty(string(orow.Col(orderSide.Col("order_status")))))
-				out = append(out, n.XML())
-				return false
-			}
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	return nil, core.ErrNoQuery
-}
-
-func (v *view) execTCMD(ctx context.Context, a shredplan.Access, q core.QueryID, p core.Params) ([]string, error) {
-	artSide := v.db.Table("article_side")
-	secSide := v.db.Table("sec_side")
-	switch q {
-	case core.Q1:
-		rows, err := a.Eq(ctx, artSide, "id", p.Get("X"), 0)
-		if err != nil {
-			return nil, err
-		}
-		var out []string
-		for _, r := range rows {
-			if t := artSide.Col("title"); !r.Null(t) {
-				out = append(out, xmldom.NewElement("title").AddText(string(r.Col(t))).XML())
-			}
-		}
-		return out, nil
-	case core.Q5, core.Q8:
-		doc, _, err := v.docOf(ctx, a, "article_side", "id", p.Get("X"))
-		if err != nil || doc == "" {
-			return nil, err
-		}
-		// The DAD gives sec_side no doc index, so filtering it is a growing
-		// scan (the index the update path builds on first delete is not
-		// part of the modeled system and the query does not use it).
-		type secRow struct {
-			seq     int
-			heading string
-			top     bool
-		}
-		var secs []secRow
-		docCol, seqCol, headCol, topCol := secSide.Col("doc"), secSide.Col("dxx_seqno"), secSide.Col("heading"), secSide.Col("top")
-		if err := secSide.Scan(ctx, func(r relational.Rec) bool {
-			if string(r.Col(docCol)) == doc {
-				seq, _ := strconv.Atoi(string(r.Col(seqCol)))
-				secs = append(secs, secRow{
-					seq:     seq,
-					heading: string(r.Col(headCol)),
-					top:     string(r.Col(topCol)) == "1",
-				})
-			}
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		var out []string
-		for _, sec := range secs {
-			if !sec.top {
-				continue
-			}
-			if q == core.Q5 {
-				// First top-level section only; no result if it lacks a
-				// heading (matching sec[1]/heading semantics).
-				if relational.IsNull(sec.heading) {
-					return nil, nil
-				}
-				n := xmldom.NewElement("heading")
-				n.AddText(sec.heading)
-				return []string{n.XML()}, nil
-			}
-			if relational.IsNull(sec.heading) {
-				continue
-			}
-			n := xmldom.NewElement("heading")
-			n.AddText(sec.heading)
-			out = append(out, n.XML())
-		}
-		return out, nil
-	case core.Q12:
-		doc, _, err := v.docOf(ctx, a, "article_side", "id", p.Get("X"))
-		if err != nil || doc == "" {
-			return nil, err
-		}
-		parsed, err := v.fetchDoc(ctx, doc)
-		if err != nil {
-			return nil, err
-		}
-		ab := parsed.Root().FirstChild("prolog").FirstChild("abstract")
-		if ab == nil {
-			return nil, nil
-		}
-		return []string{ab.XML()}, nil
-	case core.Q14:
-		rows, err := a.Rng(ctx, artSide, "date", p.Get("LO"), p.Get("HI"))
-		if err != nil {
-			return nil, err
-		}
-		var out []string
-		for _, r := range rows {
-			if t := artSide.Col("title"); r.Null(artSide.Col("genre")) && !r.Null(t) {
-				out = append(out, xmldom.NewElement("title").AddText(string(r.Col(t))).XML())
-			}
-		}
-		return out, nil
-	case core.Q17:
-		return v.clobWordSearch(ctx, p.Get("W2"), func(root *xmldom.Node) (string, bool) {
-			if root.Name != "article" {
-				return "", false
-			}
-			if t := root.FirstChild("prolog").FirstChild("title"); t != nil && xquery.ContainsWord(root.Text(), p.Get("W2")) {
-				return t.XML(), true
-			}
-			return "", false
-		})
-	}
-	return nil, core.ErrNoQuery
-}
-
-// clobWordSearch scans every stored CLOB: a cheap prefilter over the raw
-// bytes where the heap holds them, then a full parse of candidate
-// documents to extract the result.
-func (v *view) clobWordSearch(ctx context.Context, word string, extract func(root *xmldom.Node) (string, bool)) ([]string, error) {
-	// Two phases: parse is the candidates' parses, scan what is left of
-	// the pass, so they partition its time instead of nesting.
-	start, parsing := time.Now(), time.Duration(0)
-	defer func() {
-		v.db.Metrics().AddPhase(metrics.PhaseScan, time.Since(start)-parsing)
-		v.db.Metrics().AddPhase(metrics.PhaseParse, parsing)
-	}()
-	var out []string
-	for _, rid := range v.rids {
-		data, err := v.clobs.Get(ctx, rid)
-		if err != nil {
-			return nil, err
-		}
-		if !xquery.ContainsWord(data, word) {
-			continue
-		}
-		t := time.Now()
-		parsed, err := xmldom.Parse(data)
-		parsing += time.Since(t)
-		if err != nil {
-			return nil, err
-		}
-		if item, ok := extract(parsed.Root()); ok {
-			out = append(out, item)
-		}
-	}
-	return out, nil
-}
 
 // The update hooks below apply U1-U3 inside the journal-first bracket
 // engbase.Base runs. Applying a replace or delete regenerates the side
@@ -661,7 +211,7 @@ func (s *store) ApplyInsert(_ context.Context, name string, data []byte, parsed 
 	}
 	s.rids = append(s.rids, rid)
 	s.names[name] = rid
-	_, err = s.populateSideTables(strconv.FormatUint(uint64(rid), 10), parsed)
+	_, err = shredder.InsertSideRows(s.db, s.class, strconv.FormatUint(uint64(rid), 10), parsed)
 	return err
 }
 

@@ -3,6 +3,7 @@ package xcolumn
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -104,6 +105,50 @@ func TestQ17ScansAllCLOBs(t *testing.T) {
 	// Scanning every CLOB must read essentially the whole database.
 	if res.PageIO == 0 {
 		t.Fatal("CLOB scan performed no I/O")
+	}
+}
+
+// TestSectionsStayAScanAfterAnUpdate: the first update builds a doc index
+// on every side table (ApplyDelete), which the DAD does not declare and
+// the modeled queries do not use. After one U2, TC/MD Q5 and Q8 still find
+// the article's sections by scanning sec_side: cold, they make the same
+// index probes and read the same pages as before it.
+func TestSectionsStayAScanAfterAnUpdate(t *testing.T) {
+	ctx := context.Background()
+	db, err := gen.Config{Seed: 7}.Generate(core.TCMD, core.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(0)
+	if _, err := e.Load(ctx, db); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.BuildIndexes(queries.Indexes(core.TCMD)); err != nil {
+		t.Fatal(err)
+	}
+	type cost struct{ probes, pages int64 }
+	cold := func() map[core.QueryID]cost {
+		t.Helper()
+		out := map[core.QueryID]cost{}
+		for _, q := range []core.QueryID{core.Q5, core.Q8} {
+			e.ColdReset()
+			probes := e.Metrics().Counter("relational.probe")
+			before := probes.Value()
+			res, err := e.Execute(ctx, q, core.Params{"X": "a1"})
+			if err != nil || len(res.Items) == 0 {
+				t.Fatalf("%s = %v, %v", q, res.Items, err)
+			}
+			out[q] = cost{probes.Value() - before, res.PageIO}
+		}
+		return out
+	}
+	loaded := cold()
+	last := db.Docs[len(db.Docs)-1]
+	if err := e.ReplaceDocument(ctx, last.Name, last.Data); err != nil {
+		t.Fatal(err)
+	}
+	if updated := cold(); !reflect.DeepEqual(updated, loaded) {
+		t.Errorf("(probes, pages) of Q5 and Q8 after a U2 = %v, before it %v", updated, loaded)
 	}
 }
 

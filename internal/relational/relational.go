@@ -88,6 +88,13 @@ func (r Rec) Row() Row {
 // that keeps it past the callback it was handed to.
 func (r Rec) Clone() Rec { return append(Rec(nil), r...) }
 
+// AppendCol appends a column holding v to the record r, growing it as
+// append does, and returns it.
+func AppendCol(r Rec, v []byte) Rec {
+	binary.BigEndian.PutUint16(r, binary.BigEndian.Uint16(r)+1)
+	return append(binary.BigEndian.AppendUint32(r, uint32(len(v))), v...)
+}
+
 // Concat returns the record of a's columns followed by b's: a joined row.
 func Concat(a, b Rec) Rec {
 	out := binary.BigEndian.AppendUint16(make(Rec, 0, len(a)+len(b)-2),

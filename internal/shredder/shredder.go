@@ -20,6 +20,10 @@
 // Committing them is the caller's: the engine's load loop syncs the store
 // after every document (Sync — the document-at-a-time commit Table 4
 // prices), and an update is committed once, by engbase.Base.publish.
+//
+// Beside the mapping lies DB2 Xcolumn's DAD (dad.go): the side tables of
+// searchable values over the documents Xcolumn keeps intact, which
+// Columns resolves as it does the shredded tables.
 package shredder
 
 import (
@@ -43,7 +47,7 @@ type Options struct {
 }
 
 // Store holds the shredded representation of one database: the writer's
-// half, which queries read a View of.
+// half; queries read a view of its tables (relational.DB.View).
 type Store struct {
 	Class core.Class
 	DB    *relational.DB
@@ -52,22 +56,6 @@ type Store struct {
 	Rows int
 	// SkippedMixed counts mixed-content elements whose text was dropped.
 	SkippedMixed int
-}
-
-// View is what a query reads of a store, immutable: its tables at one
-// epoch and the two facts of the mapping a plan depends on.
-type View struct {
-	Class core.Class
-	DB    *relational.DBView
-	Opts  Options
-}
-
-// View freezes the store's tables at the given commit epoch: what the
-// shredding engines publish per committed update, so readers never take
-// the engine write lock. The rules are relational.DB.View's.
-func (s *Store) View(epoch uint64) (View, error) {
-	db, err := s.DB.View(epoch)
-	return View{Class: s.Class, DB: db, Opts: s.Opts}, err
 }
 
 // schema is the mapping: per class, each table as its name followed by
@@ -129,14 +117,16 @@ func NewStore(class core.Class, db *relational.DB, opts Options) *Store {
 	return &Store{Class: class, DB: db, Opts: opts}
 }
 
-// Columns returns the columns of a table of the mapping in stored order,
-// nil for a name the mapping does not have. A query plan resolves its
-// column names through it once, before any store exists.
+// Columns returns the columns of a table of the mapping or of Xcolumn's
+// DAD in stored order, nil for a name neither has. A query plan resolves
+// its column names through it once, before any store exists.
 func Columns(table string) []string {
-	for _, tables := range schema {
-		for _, t := range tables {
-			if t[0] == table {
-				return t[1:]
+	for _, m := range [...]map[core.Class][][]string{schema, dad} {
+		for _, tables := range m {
+			for _, t := range tables {
+				if t[0] == table {
+					return t[1:]
+				}
 			}
 		}
 	}

@@ -55,7 +55,7 @@ func TestBinaryPropertyViaXML(t *testing.T) {
 	f := func(a, b string) bool {
 		n := NewElement("r")
 		n.SetAttr("k", a)
-		n.AddLeaf("c", b)
+		n.AddElement("c").AddText(b)
 		dec, err := DecodeBinary(EncodeBinary(n))
 		if err != nil {
 			return false
@@ -99,8 +99,8 @@ func TestBinarySmallerAndFasterShape(t *testing.T) {
 	root := doc.AddElement("orders")
 	for i := 0; i < 200; i++ {
 		o := root.AddElement("order_line_with_long_name")
-		o.AddLeaf("item_identifier_column", "I1")
-		o.AddLeaf("quantity_column", "3")
+		o.AddElement("item_identifier_column").AddText("I1")
+		o.AddElement("quantity_column").AddText("3")
 	}
 	xml := doc.XML()
 	b = EncodeBinary(doc)
@@ -151,11 +151,11 @@ func buildBenchDoc() *Node {
 	for i := 0; i < 500; i++ {
 		item := root.AddElement("item")
 		item.SetAttr("id", "I1")
-		item.AddLeaf("title", "Some Book Title With Words")
-		item.AddLeaf("description", "a moderately long description of the item with many words in it")
+		item.AddElement("title").AddText("Some Book Title With Words")
+		item.AddElement("description").AddText("a moderately long description of the item with many words in it")
 		a := item.AddElement("authors").AddElement("author")
-		a.AddLeaf("name", "Ada Adams")
-		a.AddLeaf("country", "Canada")
+		a.AddElement("name").AddText("Ada Adams")
+		a.AddElement("country").AddText("Canada")
 	}
 	doc.Renumber()
 	return doc

@@ -173,7 +173,7 @@ func TestOpenRecordAllocations(t *testing.T) {
 		doc := xmldom.NewDocument()
 		root := doc.AddElement("r")
 		for i := 0; i < leaves; i++ {
-			root.AddLeaf("leaf", strings.Repeat("x", 1+i%9))
+			root.AddElement("leaf").AddText(strings.Repeat("x", 1+i%9))
 		}
 		return xmldom.EncodeBinary(doc)
 	}

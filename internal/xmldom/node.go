@@ -94,13 +94,6 @@ func (n *Node) AddText(data string) *Node {
 	return n
 }
 
-// AddLeaf appends <name>text</name> and returns the new element.
-func (n *Node) AddLeaf(name, text string) *Node {
-	e := n.AddElement(name)
-	e.AddText(text)
-	return e
-}
-
 // SetAttr sets (or replaces) an attribute and returns n.
 func (n *Node) SetAttr(name, value string) *Node {
 	for i := range n.Attrs {
