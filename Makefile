@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz chaos chaos-updates torture smoke shard-smoke bench-e2e bench-compare bench-point bench-mixed bench-scan bench-load plan-check plan-golden mvcc-sweep loc verify
+.PHONY: build test vet race fuzz examples chaos chaos-updates torture smoke shard-smoke bench-e2e bench-compare bench-point bench-mixed bench-scan bench-load plan-check plan-golden mvcc-sweep loc verify
 
 build:
 	$(GO) build ./...
@@ -17,13 +17,20 @@ vet:
 race:
 	$(GO) test -race -short ./...
 
-# Differential fuzz, 20 s each: the binary-DOM cursor (xmldom.OpenRecord
-# and Ref) against DecodeBinary, the reference decoder; and the in-place
-# ASCII fold of xquery.ContainsWord, on a string and on bytes, against its
-# definition over lower-cased copies.
+# Fuzz, 20 s each: the binary-DOM cursor (xmldom.OpenRecord and Ref)
+# against DecodeBinary, the reference decoder; the in-place ASCII fold of
+# xquery.ContainsWord, on a string and on bytes, against its definition
+# over lower-cased copies; and xquery.Parse, which must answer any input
+# with a query or a positioned *xquery.Error, never a panic.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCursor -fuzztime=20s ./internal/xmldom/
 	$(GO) test -run='^$$' -fuzz=FuzzContainsWord -fuzztime=20s ./internal/xquery/
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s ./internal/xquery/
+
+# Run every program under examples/ once: two of them hand XQuery text to
+# EvalXQuery, which only a run checks against the evaluator's subset.
+examples:
+	for d in examples/*/; do $(GO) run ./$$d || exit 1; done
 
 # Crash/recovery fault-injection grid over every engine x class.
 chaos: build

@@ -560,12 +560,12 @@ func allocsPerRun(runs int, setup, f func()) float64 {
 // warmQ1Allocs is what an indexed DC/MD Q1 allocates on a view that has
 // opened its records before: the catalog walk, the probe, the evaluation
 // and the answer, and nothing per record.
-const warmQ1Allocs = 52
+const warmQ1Allocs = 48
 
 // coldQ1Allocs is what the same query allocates after a ColdReset, less
 // the page-crossing spans it assembles: it opens its six records again,
 // and a page it reads from disk allocates nothing.
-const coldQ1Allocs = 75
+const coldQ1Allocs = 71
 
 // TestAllocationPins: an indexed DC/MD point query does not allocate per
 // node, and what it allocates does not move when the flat documents it

@@ -50,8 +50,8 @@ type Shape struct {
 	Sources []Source
 	// OrderBy is true when a FLWOR sorts its results.
 	OrderBy bool
-	// Aggregate names a top-level aggregate call (count/avg/sum/...),
-	// "" if none.
+	// Aggregate names the first aggregate call (count, avg or sum), ""
+	// if none.
 	Aggregate string
 	// Constructs is true when the query builds new elements.
 	Constructs bool
@@ -62,18 +62,6 @@ type Shape struct {
 	TextSearch bool
 	// Quantified is true for some/every predicates.
 	Quantified bool
-}
-
-// Joins returns the number of joined sources (0 or 1 means no join).
-func (s *Shape) Joins() int { return len(s.Sources) }
-
-// Primary returns the first source, or nil when the query reads no
-// rooted collection path (pure doc() lookups).
-func (s *Shape) Primary() *Source {
-	if len(s.Sources) == 0 {
-		return nil
-	}
-	return &s.Sources[0]
 }
 
 // Shape summarizes the structure of a parsed query. Constructs it does
@@ -94,10 +82,6 @@ type analyzer struct {
 func (a *analyzer) walk(e expr, bindVar string) {
 	switch v := e.(type) {
 	case literal, varRef, contextItem, nil:
-	case seqExpr:
-		for _, it := range v.items {
-			a.walk(it, "")
-		}
 	case pathExpr:
 		if v.fromRoot {
 			a.source(v, bindVar)
@@ -109,23 +93,18 @@ func (a *analyzer) walk(e expr, bindVar string) {
 				a.walk(p, "")
 			}
 		}
-		for _, p := range v.preds {
-			a.walk(p, "")
-		}
 	case binary:
 		a.walk(v.l, "")
 		a.walk(v.r, "")
-	case unary:
-		a.walk(v.operand, "")
 	case call:
-		switch v.name {
+		switch v.fn.name {
 		case "doc":
 			a.sh.UsesDoc = true
 		case "contains", "contains-word":
 			a.sh.TextSearch = true
-		case "count", "avg", "sum", "min", "max":
+		case "count", "avg", "sum":
 			if a.sh.Aggregate == "" {
-				a.sh.Aggregate = v.name
+				a.sh.Aggregate = v.fn.name
 			}
 		}
 		for _, arg := range v.args {
@@ -136,16 +115,12 @@ func (a *analyzer) walk(e expr, bindVar string) {
 		}
 	case flwor:
 		for _, cl := range v.clauses {
-			if cl.isLet {
-				a.walk(cl.src, "")
-			} else {
-				a.walk(cl.src, cl.varName)
-			}
+			a.walk(cl.src, cl.varName)
 		}
 		if v.where != nil {
 			a.walk(v.where, "")
 		}
-		if len(v.orderBy) > 0 {
+		if v.orderBy != nil {
 			a.sh.OrderBy = true
 		}
 		a.walk(v.ret, "")
@@ -153,10 +128,6 @@ func (a *analyzer) walk(e expr, bindVar string) {
 		a.sh.Quantified = true
 		a.walk(v.src, "")
 		a.walk(v.cond, "")
-	case ifExpr:
-		a.walk(v.cond, "")
-		a.walk(v.then, "")
-		a.walk(v.els, "")
 	case elemCtor:
 		a.sh.Constructs = true
 		for _, at := range v.attrs {
@@ -204,9 +175,6 @@ func (a *analyzer) source(p pathExpr, bindVar string) {
 			a.walk(pr, "")
 		}
 	}
-	for _, pr := range p.preds {
-		a.walk(pr, "")
-	}
 	a.sh.Sources = append(a.sh.Sources, src)
 }
 
@@ -252,11 +220,11 @@ func positional(e expr) (int, bool) {
 func relPath(e expr) (string, bool) {
 	switch v := e.(type) {
 	case call:
-		if (v.name == "string" || v.name == "number") && len(v.args) == 1 {
+		if v.fn.name == "string" || v.fn.name == "number" {
 			return relPath(v.args[0])
 		}
 	case pathExpr:
-		if v.fromRoot || len(v.preds) != 0 {
+		if v.fromRoot {
 			return "", false
 		}
 		switch v.input.(type) {
@@ -282,12 +250,12 @@ func paramRef(e expr) (string, bool) {
 		}
 		return strconv.Quote(v.str), true
 	case call:
-		if (v.name == "string" || v.name == "number") && len(v.args) == 1 {
+		if v.fn.name == "string" || v.fn.name == "number" {
 			return paramRef(v.args[0])
 		}
 	case pathExpr:
 		vr, ok := v.input.(varRef)
-		if !ok || v.fromRoot || len(v.preds) != 0 {
+		if !ok || v.fromRoot {
 			return "", false
 		}
 		tail, ok := renderSteps(v.steps)
@@ -310,7 +278,6 @@ func renderSteps(steps []step) (string, bool) {
 			parts = append(parts, st.name)
 		case axisAttribute:
 			parts = append(parts, "@"+st.name)
-		case axisSelf:
 		default:
 			return "", false
 		}

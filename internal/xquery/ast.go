@@ -16,9 +16,6 @@ type varRef struct{ name string }
 // contextItem is '.'.
 type contextItem struct{}
 
-// seqExpr is a comma sequence (e1, e2, ...).
-type seqExpr struct{ items []expr }
-
 // axis of a path step.
 type axis int
 
@@ -26,67 +23,48 @@ const (
 	axisChild axis = iota
 	axisDescendant
 	axisAttribute
-	axisSelf
-	axisParent
 	axisFollowingSibling
-	axisPrecedingSibling
 )
 
 // step is one path step: axis::test[pred]...
 type step struct {
-	axis axis
-	name string // element/attribute name; "*" is a wildcard
-	// deep marks an attribute step reached via '//' (descendant-or-self
-	// attribute lookup, e.g. //@id).
-	deep  bool
+	axis  axis
+	name  string // element/attribute name; "*" is a wildcard
 	preds []expr
 }
 
-// pathExpr applies steps to an input expression. A nil input means the
-// path is rooted at the collection (leading '/' or '//').
+// pathExpr applies steps to an input expression: the collection when
+// fromRoot (a leading '//'), a primary expression, or the context item
+// when input is nil.
 type pathExpr struct {
 	input    expr
 	fromRoot bool
 	steps    []step
-	// preds are predicates applied to the primary input itself,
-	// e.g. (expr)[3].
-	preds []expr
 }
 
-// binary covers arithmetic, comparison and logical operators.
+// binary is a general comparison or 'and'.
 type binary struct {
 	op   string
 	l, r expr
 }
 
-// unary negation.
-type unary struct{ operand expr }
-
-// call is a function call.
+// call is a call of a builtin, bound when the query was parsed.
 type call struct {
-	name string
+	fn   *builtin
 	args []expr
 }
 
-// flwor is for/let/where/order by/return.
+// flwor is for/where/order by/return.
 type flwor struct {
-	clauses []flworClause
+	clauses []forClause
 	where   expr
-	orderBy []orderSpec
+	orderBy expr // nil when the results are not sorted
 	ret     expr
 }
 
-type flworClause struct {
-	isLet   bool
+type forClause struct {
 	varName string
-	// posVar is the "at $i" positional variable of a for clause ("" = none).
-	posVar string
-	src    expr
-}
-
-type orderSpec struct {
-	key  expr
-	desc bool
+	src     expr
 }
 
 // quantified is some/every $v in src satisfies cond.
@@ -95,11 +73,6 @@ type quantified struct {
 	varName string
 	src     expr
 	cond    expr
-}
-
-// ifExpr is if (cond) then a else b.
-type ifExpr struct {
-	cond, then, els expr
 }
 
 // elemCtor is a direct element constructor. Content parts are either raw
@@ -118,12 +91,9 @@ type attrCtor struct {
 func (literal) exprNode()     {}
 func (varRef) exprNode()      {}
 func (contextItem) exprNode() {}
-func (seqExpr) exprNode()     {}
 func (pathExpr) exprNode()    {}
 func (binary) exprNode()      {}
-func (unary) exprNode()       {}
 func (call) exprNode()        {}
 func (flwor) exprNode()       {}
 func (quantified) exprNode()  {}
-func (ifExpr) exprNode()      {}
 func (elemCtor) exprNode()    {}

@@ -51,7 +51,7 @@ func (p *parser) parseCtorBody() (expr, error) {
 		}
 		quote := l.src[l.pos]
 		l.pos++
-		parts, err := p.rawParts(string(quote), false)
+		parts, err := p.rawParts(quote)
 		if err != nil {
 			return nil, err
 		}
@@ -119,7 +119,7 @@ func (p *parser) parseCtorBody() (expr, error) {
 
 // rawParts collects attribute-value parts: text runs and enclosed exprs,
 // stopping at the terminator character (not consumed).
-func (p *parser) rawParts(term string, _ bool) ([]any, error) {
+func (p *parser) rawParts(term byte) ([]any, error) {
 	l := p.lx
 	var parts []any
 	for {
@@ -127,7 +127,7 @@ func (p *parser) rawParts(term string, _ bool) ([]any, error) {
 			return nil, p.errf("unterminated attribute value")
 		}
 		c := l.src[l.pos]
-		if string(c) == term {
+		if c == term {
 			return parts, nil
 		}
 		if c == '{' {
@@ -140,7 +140,7 @@ func (p *parser) rawParts(term string, _ bool) ([]any, error) {
 			continue
 		}
 		start := l.pos
-		for l.pos < len(l.src) && string(l.src[l.pos]) != term && l.src[l.pos] != '{' {
+		for l.pos < len(l.src) && l.src[l.pos] != term && l.src[l.pos] != '{' {
 			l.pos++
 		}
 		parts = append(parts, l.src[start:l.pos])

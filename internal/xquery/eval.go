@@ -35,9 +35,8 @@ func (n Node) at(x xmldom.Ref) Node { return Node{n.rec, x.Ord(), n.doc} }
 
 // Collection is the document set a query runs against.
 type Collection struct {
-	names  []string
-	docs   []*xmldom.Record // parallel to names
-	byName map[string]int
+	docs   []*xmldom.Record
+	byName map[string]int // document name -> position in docs
 }
 
 // NewCollection returns an empty collection.
@@ -49,23 +48,8 @@ func NewCollection() *Collection {
 // name (e.g. its file name). A parsed tree joins through xmldom.RecordOf.
 func (c *Collection) Add(name string, doc *xmldom.Record) {
 	c.byName[name] = len(c.docs)
-	c.names = append(c.names, name)
 	c.docs = append(c.docs, doc)
 }
-
-// Len returns the number of documents.
-func (c *Collection) Len() int { return len(c.docs) }
-
-// Doc returns a document by name, or nil.
-func (c *Collection) Doc(name string) *xmldom.Record {
-	if i, ok := c.byName[name]; ok {
-		return c.docs[i]
-	}
-	return nil
-}
-
-// Names returns document names in collection order.
-func (c *Collection) Names() []string { return append([]string(nil), c.names...) }
 
 // root returns the root node of document i.
 func (c *Collection) root(i int) Node { return Node{rec: c.docs[i], doc: int32(i)} }
@@ -82,20 +66,13 @@ func (c *Collection) roots() Seq {
 // Query is a compiled XQuery expression. It is immutable: one Query may be
 // evaluated from many goroutines at once.
 type Query struct {
-	Source string
-	root   expr
+	root expr
 }
 
-// Eval runs the query against a collection.
-func (q *Query) Eval(coll *Collection) (Seq, error) {
-	return q.EvalWithVars(coll, nil)
-}
-
-// EvalWithVars runs the query with externally bound variables (the
-// workload binds query parameters like $X this way).
+// EvalWithVars runs the query against a collection with externally bound
+// variables (the workload binds query parameters like $X this way).
 func (q *Query) EvalWithVars(coll *Collection, vars map[string]Seq) (Seq, error) {
-	built := int32(coll.Len())
-	ctx := &evalCtx{coll: coll, built: &built}
+	ctx := &evalCtx{coll: coll, run: &evalRun{built: int32(len(coll.docs))}}
 	for k, v := range vars {
 		ctx.vars = ctx.vars.bind(k, v)
 	}
@@ -124,13 +101,17 @@ func (s *scope) lookup(name string) (Seq, bool) {
 	return nil, false
 }
 
+// evalRun is what one evaluation's contexts share.
+type evalRun struct {
+	built int32 // doc number the next constructed element takes
+	args  []Seq // argument values of the calls being evaluated (evalCall)
+}
+
 type evalCtx struct {
-	coll  *Collection
-	built *int32 // doc number the next constructed element takes
-	vars  *scope
-	item  Item // context item ('.')
-	pos   int  // 1-based position()
-	size  int  // last()
+	coll *Collection
+	run  *evalRun
+	vars *scope
+	item Item // context item ('.')
 }
 
 func evalExpr(ctx *evalCtx, e expr) (Seq, error) {
@@ -151,26 +132,6 @@ func evalExpr(ctx *evalCtx, e expr) (Seq, error) {
 			return nil, &Error{Msg: "context item is undefined"}
 		}
 		return Seq{ctx.item}, nil
-	case seqExpr:
-		var out Seq
-		for _, it := range t.items {
-			s, err := evalExpr(ctx, it)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, s...)
-		}
-		return out, nil
-	case unary:
-		s, err := evalExpr(ctx, t.operand)
-		if err != nil {
-			return nil, err
-		}
-		n, err := seqNumber(s)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{-n}, nil
 	case binary:
 		return evalBinary(ctx, t)
 	case call:
@@ -181,130 +142,41 @@ func evalExpr(ctx *evalCtx, e expr) (Seq, error) {
 		return evalFLWOR(ctx, t)
 	case quantified:
 		return evalQuantified(ctx, t)
-	case ifExpr:
-		cond, err := evalExpr(ctx, t.cond)
-		if err != nil {
-			return nil, err
-		}
-		if ebv(cond) {
-			return evalExpr(ctx, t.then)
-		}
-		return evalExpr(ctx, t.els)
 	case elemCtor:
 		n, err := evalCtor(ctx, t)
 		if err != nil {
 			return nil, err
 		}
 		return Seq{n}, nil
-	case stepWrap:
-		// A bare step outside a pathExpr (shouldn't normally occur).
-		return evalPath(ctx, pathExpr{steps: []step{t.s}})
 	}
 	return nil, &Error{Msg: fmt.Sprintf("unhandled expression %T", e)}
 }
 
+// evalBinary evaluates 'and' or a general comparison, which is
+// existential over both sequences.
 func evalBinary(ctx *evalCtx, b binary) (Seq, error) {
-	switch b.op {
-	case "and":
-		l, err := evalExpr(ctx, b.l)
-		if err != nil {
-			return nil, err
-		}
-		if !ebv(l) {
-			return Seq{false}, nil
-		}
-		r, err := evalExpr(ctx, b.r)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{ebv(r)}, nil
-	case "or":
-		l, err := evalExpr(ctx, b.l)
-		if err != nil {
-			return nil, err
-		}
-		if ebv(l) {
-			return Seq{true}, nil
-		}
-		r, err := evalExpr(ctx, b.r)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{ebv(r)}, nil
-	}
 	l, err := evalExpr(ctx, b.l)
 	if err != nil {
 		return nil, err
+	}
+	if b.op == "and" && !ebv(l) {
+		return Seq{false}, nil
 	}
 	r, err := evalExpr(ctx, b.r)
 	if err != nil {
 		return nil, err
 	}
-	switch b.op {
-	case "|":
-		return unionSeqs(l, r), nil
-	case "+", "-", "*", "div", "idiv", "mod":
-		ln, err := seqNumber(l)
-		if err != nil {
-			return nil, err
-		}
-		rn, err := seqNumber(r)
-		if err != nil {
-			return nil, err
-		}
-		switch b.op {
-		case "+":
-			return Seq{ln + rn}, nil
-		case "-":
-			return Seq{ln - rn}, nil
-		case "*":
-			return Seq{ln * rn}, nil
-		case "div":
-			return Seq{ln / rn}, nil
-		case "idiv":
-			if int64(rn) == 0 {
-				return nil, &Error{Msg: "integer division by zero"}
-			}
-			return Seq{float64(int64(ln) / int64(rn))}, nil
-		case "mod":
-			if int64(rn) == 0 {
-				return nil, &Error{Msg: "modulo by zero"}
-			}
-			return Seq{float64(int64(ln) % int64(rn))}, nil
-		}
-	case "to":
-		ln, err := seqNumber(l)
-		if err != nil {
-			return nil, err
-		}
-		rn, err := seqNumber(r)
-		if err != nil {
-			return nil, err
-		}
-		var out Seq
-		for i := int(ln); i <= int(rn); i++ {
-			out = append(out, float64(i))
-		}
-		return out, nil
-	case "=", "!=", "<", "<=", ">", ">=":
-		// General comparison: existential over both sequences.
-		for _, li := range l {
-			for _, ri := range r {
-				if compareItems(li, ri, b.op) {
-					return Seq{true}, nil
-				}
-			}
-		}
-		return Seq{false}, nil
+	if b.op == "and" {
+		return Seq{ebv(r)}, nil
 	}
-	return nil, &Error{Msg: fmt.Sprintf("unhandled operator %q", b.op)}
-}
-
-// unionSeqs merges two sequences: nodes are deduplicated and the merged
-// node set is returned in document order; atomic items keep encounter
-// order after the nodes (ad-hoc but total).
-func unionSeqs(l, r Seq) Seq {
-	return docOrder(append(append(make(Seq, 0, len(l)+len(r)), l...), r...))
+	for _, li := range l {
+		for _, ri := range r {
+			if compareItems(li, ri, b.op) {
+				return Seq{true}, nil
+			}
+		}
+	}
+	return Seq{false}, nil
 }
 
 // compareItems applies op to two atomized items. If both atomize to
@@ -382,18 +254,9 @@ func evalFLWOR(ctx *evalCtx, f flwor) (Seq, error) {
 			if err != nil {
 				return nil, err
 			}
-			if cl.isLet {
-				nt := *tu
-				nt.vars = tu.vars.bind(cl.varName, src)
-				next = append(next, &nt)
-				continue
-			}
-			for i, item := range src {
+			for _, item := range src {
 				nt := *tu
 				nt.vars = tu.vars.bind(cl.varName, Seq{item})
-				if cl.posVar != "" {
-					nt.vars = nt.vars.bind(cl.posVar, Seq{float64(i + 1)})
-				}
 				next = append(next, &nt)
 			}
 		}
@@ -412,40 +275,23 @@ func evalFLWOR(ctx *evalCtx, f flwor) (Seq, error) {
 		}
 		tuples = kept
 	}
-	if len(f.orderBy) > 0 {
+	if f.orderBy != nil {
 		type keyed struct {
-			tu   *evalCtx
-			keys []Item
+			tu  *evalCtx
+			key Item // nil for an empty key
 		}
 		ks := make([]keyed, len(tuples))
 		for i, tu := range tuples {
+			kv, err := evalExpr(tu, f.orderBy)
+			if err != nil {
+				return nil, err
+			}
 			ks[i].tu = tu
-			for _, spec := range f.orderBy {
-				kv, err := evalExpr(tu, spec.key)
-				if err != nil {
-					return nil, err
-				}
-				var k Item
-				if len(kv) > 0 {
-					k = kv[0]
-				}
-				ks[i].keys = append(ks[i].keys, k)
+			if len(kv) > 0 {
+				ks[i].key = kv[0]
 			}
 		}
-		sort.SliceStable(ks, func(i, j int) bool {
-			for s, spec := range f.orderBy {
-				a, b := ks[i].keys[s], ks[j].keys[s]
-				cmp := compareKeys(a, b)
-				if cmp == 0 {
-					continue
-				}
-				if spec.desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-			return false
-		})
+		sort.SliceStable(ks, func(i, j int) bool { return compareKeys(ks[i].key, ks[j].key) < 0 })
 		for i := range ks {
 			tuples[i] = ks[i].tu
 		}
@@ -526,8 +372,8 @@ func evalCtor(ctx *evalCtx, c elemCtor) (Node, error) {
 	if err != nil {
 		return Node{}, &Error{Msg: fmt.Sprintf("element constructor <%s>: %v", c.name, err)}
 	}
-	n := Node{rec: rec, doc: *ctx.built}
-	*ctx.built++
+	n := Node{rec: rec, doc: ctx.run.built}
+	ctx.run.built++
 	return n, nil
 }
 

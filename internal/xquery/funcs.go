@@ -2,431 +2,79 @@ package xquery
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"strings"
 	"unicode/utf8"
 )
 
-func evalCall(ctx *evalCtx, c call) (Seq, error) {
-	argc := func(n int) error {
-		if len(c.args) != n {
-			return &Error{Msg: fmt.Sprintf("%s() expects %d argument(s), got %d", c.name, n, len(c.args))}
-		}
-		return nil
-	}
-	evalArg := func(i int) (Seq, error) { return evalExpr(ctx, c.args[i]) }
-
-	switch c.name {
-	case "position":
-		if err := argc(0); err != nil {
-			return nil, err
-		}
-		return Seq{float64(ctx.pos)}, nil
-	case "last":
-		if err := argc(0); err != nil {
-			return nil, err
-		}
-		return Seq{float64(ctx.size)}, nil
-	case "collection":
-		return ctx.coll.roots(), nil
-	case "doc", "document":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		name := seqString(a)
-		i, ok := ctx.coll.byName[name]
-		if !ok {
-			return nil, &Error{Msg: fmt.Sprintf("doc(%q): no such document", name)}
-		}
-		return Seq{ctx.coll.root(i)}, nil
-	case "count":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{float64(len(a))}, nil
-	case "sum", "avg", "min", "max":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		return aggregate(c.name, a)
-	case "empty":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{len(a) == 0}, nil
-	case "exists":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{len(a) > 0}, nil
-	case "not":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{!ebv(a)}, nil
-	case "boolean":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{ebv(a)}, nil
-	case "string":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{seqString(a)}, nil
-	case "number":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		n, err := seqNumber(a)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{n}, nil
-	case "data":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		out := make(Seq, len(a))
-		for i, item := range a {
-			out[i] = atomize(item)
-		}
-		return out, nil
-	case "name":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		if len(a) == 0 {
-			return Seq{""}, nil
-		}
-		if n, ok := a[0].(Node); ok {
-			return Seq{string(n.ref().Name())}, nil
-		}
-		return Seq{""}, nil
-	case "distinct-values":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		seen := map[string]bool{}
-		var out Seq
-		for _, item := range a {
-			v := atomize(item)
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-		return out, nil
-	case "contains":
-		if err := argc(2); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := evalArg(1)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{strings.Contains(seqString(a), seqString(b))}, nil
-	case "contains-word":
-		// Uni-gram full-text search (the paper's Q17): true when the word
-		// occurs with word boundaries, case-insensitively.
-		if err := argc(2); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := evalArg(1)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{ContainsWord(seqString(a), seqString(b))}, nil
-	case "starts-with":
-		if err := argc(2); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := evalArg(1)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{strings.HasPrefix(seqString(a), seqString(b))}, nil
-	case "string-length":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{float64(len(seqString(a)))}, nil
-	case "normalize-space":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{strings.Join(strings.Fields(seqString(a)), " ")}, nil
-	case "lower-case":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{strings.ToLower(seqString(a))}, nil
-	case "upper-case":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{strings.ToUpper(seqString(a))}, nil
-	case "concat":
-		var b strings.Builder
-		for i := range c.args {
-			a, err := evalArg(i)
-			if err != nil {
-				return nil, err
-			}
-			b.WriteString(seqString(a))
-		}
-		return Seq{b.String()}, nil
-	case "string-join":
-		if err := argc(2); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		sep, err := evalArg(1)
-		if err != nil {
-			return nil, err
-		}
-		parts := make([]string, len(a))
-		for i, item := range a {
-			parts[i] = atomize(item)
-		}
-		return Seq{strings.Join(parts, seqString(sep))}, nil
-	case "substring":
-		if len(c.args) != 2 && len(c.args) != 3 {
-			return nil, &Error{Msg: "substring() expects 2 or 3 arguments"}
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		s := seqString(a)
-		st, err := evalArg(1)
-		if err != nil {
-			return nil, err
-		}
-		start, err := seqNumber(st)
-		if err != nil {
-			return nil, err
-		}
-		from := int(start) - 1
-		if from < 0 {
-			from = 0
-		}
-		if from > len(s) {
-			from = len(s)
-		}
-		to := len(s)
-		if len(c.args) == 3 {
-			ln, err := evalArg(2)
-			if err != nil {
-				return nil, err
-			}
-			n, err := seqNumber(ln)
-			if err != nil {
-				return nil, err
-			}
-			to = from + int(n)
-			if to > len(s) {
-				to = len(s)
-			}
-			if to < from {
-				to = from
-			}
-		}
-		return Seq{s[from:to]}, nil
-	case "ends-with":
-		if err := argc(2); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := evalArg(1)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{strings.HasSuffix(seqString(a), seqString(b))}, nil
-	case "substring-before", "substring-after":
-		if err := argc(2); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := evalArg(1)
-		if err != nil {
-			return nil, err
-		}
-		s, sub := seqString(a), seqString(b)
-		i := strings.Index(s, sub)
-		if i < 0 {
-			return Seq{""}, nil
-		}
-		if c.name == "substring-before" {
-			return Seq{s[:i]}, nil
-		}
-		return Seq{s[i+len(sub):]}, nil
-	case "translate":
-		if err := argc(3); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		from, err := evalArg(1)
-		if err != nil {
-			return nil, err
-		}
-		to, err := evalArg(2)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{translate(seqString(a), seqString(from), seqString(to))}, nil
-	case "round", "floor", "ceiling", "abs":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		a, err := evalArg(0)
-		if err != nil {
-			return nil, err
-		}
-		if len(a) == 0 {
-			return Seq{}, nil
-		}
-		n, err := seqNumber(a)
-		if err != nil {
-			return nil, err
-		}
-		switch c.name {
-		case "round":
-			return Seq{math.Round(n)}, nil
-		case "floor":
-			return Seq{math.Floor(n)}, nil
-		case "ceiling":
-			return Seq{math.Ceil(n)}, nil
-		case "abs":
-			return Seq{math.Abs(n)}, nil
-		}
-	case "true":
-		return Seq{true}, nil
-	case "false":
-		return Seq{false}, nil
-	}
-	return nil, &Error{Msg: fmt.Sprintf("unknown function %s()", c.name)}
+// builtin is one function of the subset. The parser binds each call to its
+// entry and checks the arity; fn gets the arguments' values.
+type builtin struct {
+	name     string
+	arity    int // exact, or the least when variadic
+	variadic bool
+	fn       func(c *evalCtx, a []Seq) (Seq, error)
 }
 
-// translate implements fn:translate over runes: characters in from map to
-// the corresponding character in to; from-characters without a
-// counterpart are removed.
-func translate(s, from, to string) string {
-	fromRunes := []rune(from)
-	toRunes := []rune(to)
-	mapping := make(map[rune]rune, len(fromRunes))
-	remove := make(map[rune]bool)
-	for i, r := range fromRunes {
-		if _, dup := mapping[r]; dup || remove[r] {
-			continue // first occurrence wins
-		}
-		if i < len(toRunes) {
-			mapping[r] = toRunes[i]
-		} else {
-			remove[r] = true
+// builtins is the function library: what the catalog and the queries
+// pinned beside it in results/xquery_surface.txt call, and nothing more.
+var builtins = []builtin{
+	{"count", 1, false, func(_ *evalCtx, a []Seq) (Seq, error) { return Seq{float64(len(a[0]))}, nil }},
+	{"sum", 1, false, func(_ *evalCtx, a []Seq) (Seq, error) { return aggregate("sum", a[0]) }},
+	{"avg", 1, false, func(_ *evalCtx, a []Seq) (Seq, error) { return aggregate("avg", a[0]) }},
+	{"empty", 1, false, func(_ *evalCtx, a []Seq) (Seq, error) { return Seq{len(a[0]) == 0}, nil }},
+	{"exists", 1, false, func(_ *evalCtx, a []Seq) (Seq, error) { return Seq{len(a[0]) > 0}, nil }},
+	{"string", 1, false, func(_ *evalCtx, a []Seq) (Seq, error) { return Seq{seqString(a[0])}, nil }},
+	{"number", 1, false, func(_ *evalCtx, a []Seq) (Seq, error) { n, err := seqNumber(a[0]); return Seq{n}, err }},
+	{"data", 1, false, func(_ *evalCtx, a []Seq) (Seq, error) { return atomizeEach(a[0]), nil }},
+	{"distinct-values", 1, false, func(_ *evalCtx, a []Seq) (Seq, error) { return distinctValues(a[0]), nil }},
+	{"contains", 2, false, func(_ *evalCtx, a []Seq) (Seq, error) {
+		return Seq{strings.Contains(seqString(a[0]), seqString(a[1]))}, nil
+	}},
+	// Uni-gram full-text search (the paper's Q17): the word occurs with
+	// word boundaries, case-insensitively.
+	{"contains-word", 2, false, func(_ *evalCtx, a []Seq) (Seq, error) {
+		return Seq{ContainsWord(seqString(a[0]), seqString(a[1]))}, nil
+	}},
+	{"concat", 2, true, func(_ *evalCtx, a []Seq) (Seq, error) { return Seq{concat(a)}, nil }},
+	{"string-join", 2, false, func(_ *evalCtx, a []Seq) (Seq, error) { return Seq{stringJoin(a[0], seqString(a[1]))}, nil }},
+	{"doc", 1, false, doc},
+}
+
+// lookupBuiltin returns the builtin called name, or nil.
+func lookupBuiltin(name string) *builtin {
+	for i := range builtins {
+		if builtins[i].name == name {
+			return &builtins[i]
 		}
 	}
-	var b strings.Builder
-	for _, r := range s {
-		if remove[r] {
-			continue
+	return nil
+}
+
+// evalCall evaluates the arguments onto the run's argument stack and
+// hands the builtin its slice of it; nested calls push above it.
+func evalCall(ctx *evalCtx, c call) (Seq, error) {
+	run := ctx.run
+	base := len(run.args)
+	for _, a := range c.args {
+		s, err := evalExpr(ctx, a)
+		if err != nil {
+			return nil, err
 		}
-		if m, ok := mapping[r]; ok {
-			b.WriteRune(m)
-			continue
-		}
-		b.WriteRune(r)
+		run.args = append(run.args, s)
 	}
-	return b.String()
+	out, err := c.fn.fn(ctx, run.args[base:])
+	run.args = run.args[:base]
+	return out, err
+}
+
+func doc(c *evalCtx, a []Seq) (Seq, error) {
+	name := seqString(a[0])
+	i, ok := c.coll.byName[name]
+	if !ok {
+		return nil, &Error{Msg: fmt.Sprintf("doc(%q): no such document", name)}
+	}
+	return Seq{c.coll.root(i)}, nil
 }
 
 func seqString(s Seq) string {
@@ -436,6 +84,46 @@ func seqString(s Seq) string {
 	return atomize(s[0])
 }
 
+// atomizeEach returns the string value of every item.
+func atomizeEach(s Seq) Seq {
+	out := make(Seq, len(s))
+	for i, item := range s {
+		out[i] = atomize(item)
+	}
+	return out
+}
+
+func distinctValues(s Seq) Seq {
+	seen := map[string]bool{}
+	var out Seq
+	for _, item := range s {
+		v := atomize(item)
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+func stringJoin(s Seq, sep string) string {
+	parts := make([]string, len(s))
+	for i, item := range s {
+		parts[i] = atomize(item)
+	}
+	return strings.Join(parts, sep)
+}
+
+func concat(a []Seq) string {
+	var b strings.Builder
+	for _, s := range a {
+		b.WriteString(seqString(s))
+	}
+	return b.String()
+}
+
+// aggregate is sum() or avg() over numeric values: the sum of nothing is
+// 0, the average of nothing is nothing.
 func aggregate(name string, s Seq) (Seq, error) {
 	if len(s) == 0 {
 		if name == "sum" {
@@ -443,61 +131,18 @@ func aggregate(name string, s Seq) (Seq, error) {
 		}
 		return Seq{}, nil
 	}
-	nums := make([]float64, 0, len(s))
-	allNum := true
+	t := 0.0
 	for _, item := range s {
 		n, ok := toNumber(item)
 		if !ok {
-			allNum = false
-			break
-		}
-		nums = append(nums, n)
-	}
-	if !allNum {
-		// String min/max (e.g. over dates); sum/avg require numbers.
-		if name != "min" && name != "max" {
 			return nil, &Error{Msg: name + "() over non-numeric values"}
 		}
-		best := atomize(s[0])
-		for _, item := range s[1:] {
-			v := atomize(item)
-			if (name == "min" && v < best) || (name == "max" && v > best) {
-				best = v
-			}
-		}
-		return Seq{best}, nil
+		t += n
 	}
-	switch name {
-	case "sum":
-		t := 0.0
-		for _, n := range nums {
-			t += n
-		}
-		return Seq{t}, nil
-	case "avg":
-		t := 0.0
-		for _, n := range nums {
-			t += n
-		}
-		return Seq{t / float64(len(nums))}, nil
-	case "min":
-		m := nums[0]
-		for _, n := range nums[1:] {
-			if n < m {
-				m = n
-			}
-		}
-		return Seq{m}, nil
-	case "max":
-		m := nums[0]
-		for _, n := range nums[1:] {
-			if n > m {
-				m = n
-			}
-		}
-		return Seq{m}, nil
+	if name == "avg" {
+		t /= float64(len(s))
 	}
-	return nil, &Error{Msg: "unknown aggregate " + name}
+	return Seq{t}, nil
 }
 
 // ContainsWord reports whether text contains word as a whole word,

@@ -5,7 +5,11 @@ import (
 	"strconv"
 )
 
-// Parse compiles an XQuery string into an executable Query.
+// Parse compiles an XQuery string into an executable Query. It accepts the
+// XBench subset and nothing more: a construct outside it is an *Error
+// "not in the XBench subset: <construct>" at the construct's offset, and a
+// call is bound to its builtin, arity checked, here rather than when the
+// query runs.
 func Parse(src string) (*Query, error) {
 	p := &parser{lx: &lexer{src: src}}
 	if err := p.advance(); err != nil {
@@ -18,16 +22,7 @@ func Parse(src string) (*Query, error) {
 	if p.cur.kind != tokEOF {
 		return nil, p.errf("unexpected %s after query", p.cur)
 	}
-	return &Query{Source: src, root: e}, nil
-}
-
-// MustParse is Parse that panics on error; for static workload queries.
-func MustParse(src string) *Query {
-	q, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return q
+	return &Query{root: e}, nil
 }
 
 type parser struct {
@@ -39,6 +34,11 @@ func (p *parser) errf(format string, args ...any) error {
 	return &Error{Pos: p.cur.pos, Msg: fmt.Sprintf(format, args...)}
 }
 
+// reject names a construct outside the subset, at the current token.
+func (p *parser) reject(construct string) error {
+	return p.errf("not in the XBench subset: %s", construct)
+}
+
 func (p *parser) advance() error {
 	t, err := p.lx.next()
 	if err != nil {
@@ -48,9 +48,23 @@ func (p *parser) advance() error {
 	return nil
 }
 
+// is reports whether the current token is the given symbol or keyword.
+func (p *parser) is(kind tokKind, text string) bool {
+	return p.cur.kind == kind && p.cur.text == text
+}
+
+// peekIs reports whether the token after the current one is the given
+// symbol or keyword, consuming nothing.
+func (p *parser) peekIs(kind tokKind, text string) bool {
+	save := *p.lx
+	t, err := p.lx.next()
+	*p.lx = save
+	return err == nil && t.kind == kind && t.text == text
+}
+
 // accept consumes the current token if it is the given symbol/keyword.
 func (p *parser) accept(kind tokKind, text string) (bool, error) {
-	if p.cur.kind == kind && p.cur.text == text {
+	if p.is(kind, text) {
 		return true, p.advance()
 	}
 	return false, nil
@@ -67,101 +81,56 @@ func (p *parser) expect(kind tokKind, text string) error {
 	return nil
 }
 
-// parseExpr parses a comma-separated sequence expression.
+// parseExpr parses an expression where XQuery allows a sequence: the
+// query, a parenthesized expression, a predicate, an enclosed expression.
+// The subset has no sequences, so it is one expression.
 func (p *parser) parseExpr() (expr, error) {
-	first, err := p.parseExprSingle()
-	if err != nil {
-		return nil, err
+	e, err := p.parseExprSingle()
+	if err == nil && p.is(tokSymbol, ",") {
+		return nil, p.reject("sequence (,)")
 	}
-	items := []expr{first}
-	for {
-		ok, err := p.accept(tokSymbol, ",")
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		e, err := p.parseExprSingle()
-		if err != nil {
-			return nil, err
-		}
-		items = append(items, e)
-	}
-	if len(items) == 1 {
-		return first, nil
-	}
-	return seqExpr{items: items}, nil
+	return e, err
 }
 
 func (p *parser) parseExprSingle() (expr, error) {
 	if p.cur.kind == tokName {
 		switch p.cur.text {
-		case "for", "let":
+		case "for":
 			return p.parseFLWOR()
 		case "some", "every":
 			return p.parseQuantified()
-		case "if":
-			// Only a conditional when followed by '('.
-			save := *p.lx
-			saveTok := p.cur
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			if p.cur.kind == tokSymbol && p.cur.text == "(" {
-				return p.parseIf()
-			}
-			*p.lx = save
-			p.cur = saveTok
+		case "let":
+			return nil, p.reject("let")
 		}
 	}
-	return p.parseOr()
+	return p.parseAnd()
 }
 
 func (p *parser) parseFLWOR() (expr, error) {
 	var f flwor
-	for p.cur.kind == tokName && (p.cur.text == "for" || p.cur.text == "let") {
-		isLet := p.cur.text == "let"
+	for p.is(tokName, "for") {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
 		for {
 			if p.cur.kind != tokVar {
-				return nil, p.errf("expected variable in %s clause, found %s",
-					map[bool]string{true: "let", false: "for"}[isLet], p.cur)
+				return nil, p.errf("expected variable in for clause, found %s", p.cur)
 			}
 			name := p.cur.text
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
-			posVar := ""
-			if !isLet {
-				if ok, err := p.accept(tokName, "at"); err != nil {
-					return nil, err
-				} else if ok {
-					if p.cur.kind != tokVar {
-						return nil, p.errf("expected positional variable after 'at'")
-					}
-					posVar = p.cur.text
-					if err := p.advance(); err != nil {
-						return nil, err
-					}
-				}
-				if err := p.expect(tokName, "in"); err != nil {
-					return nil, err
-				}
-			} else {
-				if err := p.expect(tokSymbol, ":="); err != nil {
-					return nil, err
-				}
+			if p.is(tokName, "at") {
+				return nil, p.reject("for … at")
+			}
+			if err := p.expect(tokName, "in"); err != nil {
+				return nil, err
 			}
 			src, err := p.parseExprSingle()
 			if err != nil {
 				return nil, err
 			}
-			f.clauses = append(f.clauses, flworClause{
-				isLet: isLet, varName: name, posVar: posVar, src: src,
-			})
+			f.clauses = append(f.clauses, forClause{varName: name, src: src})
 			ok, err := p.accept(tokSymbol, ",")
 			if err != nil {
 				return nil, err
@@ -171,44 +140,34 @@ func (p *parser) parseFLWOR() (expr, error) {
 			}
 		}
 	}
+	if p.is(tokName, "let") {
+		return nil, p.reject("let")
+	}
 	if ok, err := p.accept(tokName, "where"); err != nil {
 		return nil, err
 	} else if ok {
-		w, err := p.parseExprSingle()
-		if err != nil {
+		if f.where, err = p.parseExprSingle(); err != nil {
 			return nil, err
 		}
-		f.where = w
 	}
-	if p.cur.kind == tokName && p.cur.text == "order" {
+	if p.is(tokName, "order") {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
 		if err := p.expect(tokName, "by"); err != nil {
 			return nil, err
 		}
-		for {
-			key, err := p.parseExprSingle()
-			if err != nil {
-				return nil, err
-			}
-			spec := orderSpec{key: key}
-			if ok, err := p.accept(tokName, "descending"); err != nil {
-				return nil, err
-			} else if ok {
-				spec.desc = true
-			} else if _, err := p.accept(tokName, "ascending"); err != nil {
-				return nil, err
-			}
-			f.orderBy = append(f.orderBy, spec)
-			ok, err := p.accept(tokSymbol, ",")
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
+		key, err := p.parseExprSingle()
+		if err != nil {
+			return nil, err
 		}
+		switch {
+		case p.is(tokName, "ascending"), p.is(tokName, "descending"):
+			return nil, p.reject(p.cur.text)
+		case p.is(tokSymbol, ","):
+			return nil, p.reject("order by, a further key")
+		}
+		f.orderBy = key
 	}
 	if err := p.expect(tokName, "return"); err != nil {
 		return nil, err
@@ -218,9 +177,6 @@ func (p *parser) parseFLWOR() (expr, error) {
 		return nil, err
 	}
 	f.ret = ret
-	if len(f.clauses) == 0 {
-		return nil, p.errf("FLWOR without for/let clause")
-	}
 	return f, nil
 }
 
@@ -253,56 +209,6 @@ func (p *parser) parseQuantified() (expr, error) {
 	return quantified{every: every, varName: name, src: src, cond: cond}, nil
 }
 
-func (p *parser) parseIf() (expr, error) {
-	// 'if' consumed; current token is '('.
-	if err := p.expect(tokSymbol, "("); err != nil {
-		return nil, err
-	}
-	cond, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect(tokSymbol, ")"); err != nil {
-		return nil, err
-	}
-	if err := p.expect(tokName, "then"); err != nil {
-		return nil, err
-	}
-	then, err := p.parseExprSingle()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect(tokName, "else"); err != nil {
-		return nil, err
-	}
-	els, err := p.parseExprSingle()
-	if err != nil {
-		return nil, err
-	}
-	return ifExpr{cond: cond, then: then, els: els}, nil
-}
-
-func (p *parser) parseOr() (expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		ok, err := p.accept(tokName, "or")
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return l, nil
-		}
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = binary{op: "or", l: l, r: r}
-	}
-}
-
 func (p *parser) parseAnd() (expr, error) {
 	l, err := p.parseComparison()
 	if err != nil {
@@ -324,122 +230,48 @@ func (p *parser) parseAnd() (expr, error) {
 	}
 }
 
-var cmpOps = map[string]string{
-	"=": "=", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
-	"eq": "=", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">=",
-}
+// cmpOps are the general comparisons.
+var cmpOps = map[string]bool{"=": true, "!=": true, "<": true, "<=": true, ">": true, ">=": true}
 
 func (p *parser) parseComparison() (expr, error) {
-	l, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
+	l, err := p.parseOperand()
+	if err != nil || p.cur.kind != tokSymbol || !cmpOps[p.cur.text] {
+		return l, err
 	}
-	var op string
-	if p.cur.kind == tokSymbol {
-		if o, ok := cmpOps[p.cur.text]; ok {
-			op = o
-		}
-	} else if p.cur.kind == tokName {
-		// Value comparison keywords only count when a right operand follows.
-		if o, ok := cmpOps[p.cur.text]; ok {
-			op = o
-		}
-	}
-	if op == "" {
-		return l, nil
-	}
+	op := p.cur.text
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	r, err := p.parseAdditive()
+	r, err := p.parseOperand()
 	if err != nil {
 		return nil, err
 	}
 	return binary{op: op, l: l, r: r}, nil
 }
 
-func (p *parser) parseAdditive() (expr, error) {
-	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur.kind == tokSymbol && (p.cur.text == "+" || p.cur.text == "-") ||
-		p.cur.kind == tokName && p.cur.text == "to" {
-		op := p.cur.text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		l = binary{op: op, l: l, r: r}
-	}
-	return l, nil
+// droppedOps are the XQuery operators the subset leaves out: 'or',
+// arithmetic, ranges, union and the value comparisons.
+var droppedOps = map[string]bool{
+	"or": true, "+": true, "-": true, "*": true, "div": true, "idiv": true, "mod": true,
+	"to": true, "|": true, "union": true,
+	"eq": true, "ne": true, "lt": true, "le": true, "gt": true, "ge": true,
 }
 
-func (p *parser) parseMultiplicative() (expr, error) {
-	l, err := p.parseUnion()
-	if err != nil {
-		return nil, err
+// parseOperand parses a path and names a dropped operator that follows it.
+func (p *parser) parseOperand() (expr, error) {
+	e, err := p.parsePath()
+	if err == nil && (p.cur.kind == tokSymbol || p.cur.kind == tokName) && droppedOps[p.cur.text] {
+		return nil, p.reject(p.cur.text)
 	}
-	for (p.cur.kind == tokSymbol && p.cur.text == "*") ||
-		(p.cur.kind == tokName && (p.cur.text == "div" || p.cur.text == "idiv" || p.cur.text == "mod")) {
-		// '*' here is multiplication only when a value precedes it; the
-		// wildcard case is consumed inside path steps, so reaching this
-		// point with '*' means multiplication.
-		op := p.cur.text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseUnion()
-		if err != nil {
-			return nil, err
-		}
-		l = binary{op: op, l: l, r: r}
-	}
-	return l, nil
+	return e, err
 }
 
-// parseUnion handles node-sequence union: a | b ("union" keyword included).
-func (p *parser) parseUnion() (expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for (p.cur.kind == tokSymbol && p.cur.text == "|") ||
-		(p.cur.kind == tokName && p.cur.text == "union") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = binary{op: "|", l: l, r: r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseUnary() (expr, error) {
-	if p.cur.kind == tokSymbol && p.cur.text == "-" {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		e, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return unary{operand: e}, nil
-	}
-	return p.parsePath()
-}
-
-// parsePath parses a relative or absolute path expression.
+// parsePath parses a path rooted at '//', a relative path, or a primary
+// expression followed by steps.
 func (p *parser) parsePath() (expr, error) {
 	var pe pathExpr
 	switch {
-	case p.cur.kind == tokSymbol && p.cur.text == "//":
+	case p.is(tokSymbol, "//"):
 		pe.fromRoot = true
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -449,29 +281,26 @@ func (p *parser) parsePath() (expr, error) {
 			return nil, err
 		}
 		pe.steps = append(pe.steps, st)
-	case p.cur.kind == tokSymbol && p.cur.text == "/":
-		pe.fromRoot = true
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+	case p.is(tokSymbol, "/"):
+		return nil, p.reject("leading /")
+	case p.is(tokSymbol, "@"), p.is(tokSymbol, "*"), p.is(tokSymbol, ".."),
+		p.cur.kind == tokName && !p.peekIs(tokSymbol, "("):
 		st, err := p.parseStep(axisChild)
 		if err != nil {
 			return nil, err
 		}
 		pe.steps = append(pe.steps, st)
 	default:
-		prim, preds, isStep, err := p.parsePrimaryOrStep()
+		prim, err := p.parsePrimary()
 		if err != nil {
 			return nil, err
 		}
-		if isStep {
-			pe.steps = append(pe.steps, prim.(stepWrap).s)
-		} else {
-			pe.input = prim
-			pe.preds = preds
+		if p.is(tokSymbol, "[") {
+			return nil, p.reject("predicate on a primary")
 		}
+		pe.input = prim
 	}
-	for p.cur.kind == tokSymbol && (p.cur.text == "/" || p.cur.text == "//") {
+	for p.is(tokSymbol, "/") || p.is(tokSymbol, "//") {
 		ax := axisChild
 		if p.cur.text == "//" {
 			ax = axisDescendant
@@ -485,239 +314,158 @@ func (p *parser) parsePath() (expr, error) {
 		}
 		pe.steps = append(pe.steps, st)
 	}
-	// Collapse a bare primary with no steps back to the primary itself.
-	if pe.input != nil && len(pe.steps) == 0 && len(pe.preds) == 0 {
+	// A primary with no steps is the primary itself.
+	if pe.input != nil && len(pe.steps) == 0 {
 		return pe.input, nil
 	}
 	return pe, nil
 }
 
-// stepWrap lets parsePrimaryOrStep return a step through the expr return
-// slot.
-type stepWrap struct{ s step }
-
-func (stepWrap) exprNode() {}
-
-// parsePrimaryOrStep distinguishes a primary expression (literal, var,
-// parenthesized, function call, constructor, '.') from a name-test step
-// starting a relative path.
-func (p *parser) parsePrimaryOrStep() (expr, []expr, bool, error) {
-	switch p.cur.kind {
+// parsePrimary parses a literal, a variable, a parenthesized expression,
+// the context item, a call or an element constructor.
+func (p *parser) parsePrimary() (expr, error) {
+	t := p.cur
+	switch t.kind {
 	case tokString:
-		e := literal{str: p.cur.text}
-		if err := p.advance(); err != nil {
-			return nil, nil, false, err
-		}
-		return e, nil, false, nil
+		return literal{str: t.text}, p.advance()
 	case tokNumber:
-		n, err := strconv.ParseFloat(p.cur.text, 64)
+		n, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
-			return nil, nil, false, p.errf("bad number %q", p.cur.text)
+			return nil, p.errf("bad number %q", t.text)
 		}
-		e := literal{num: n, isNum: true}
-		if err := p.advance(); err != nil {
-			return nil, nil, false, err
-		}
-		return e, nil, false, nil
+		return literal{num: n, isNum: true}, p.advance()
 	case tokVar:
-		e := varRef{name: p.cur.text}
-		if err := p.advance(); err != nil {
-			return nil, nil, false, err
-		}
-		preds, err := p.parsePredicates()
-		return e, preds, false, err
+		return varRef{name: t.text}, p.advance()
 	case tokTagOpen:
-		e, err := p.parseElemCtor()
-		return e, nil, false, err
+		return p.parseElemCtor()
+	case tokName:
+		return p.parseCall()
 	case tokSymbol:
-		switch p.cur.text {
+		switch t.text {
 		case "(":
-			if err := p.advance(); err != nil {
-				return nil, nil, false, err
+			if p.peekIs(tokSymbol, ")") {
+				return nil, p.reject("()")
 			}
-			// Empty sequence "()".
-			if p.cur.kind == tokSymbol && p.cur.text == ")" {
-				if err := p.advance(); err != nil {
-					return nil, nil, false, err
-				}
-				return seqExpr{}, nil, false, nil
+			if err := p.advance(); err != nil {
+				return nil, err
 			}
 			e, err := p.parseExpr()
 			if err != nil {
-				return nil, nil, false, err
+				return nil, err
 			}
-			if err := p.expect(tokSymbol, ")"); err != nil {
-				return nil, nil, false, err
-			}
-			preds, err := p.parsePredicates()
-			return e, preds, false, err
+			return e, p.expect(tokSymbol, ")")
 		case ".":
-			if err := p.advance(); err != nil {
-				return nil, nil, false, err
-			}
-			return contextItem{}, nil, false, nil
-		case "..":
-			if err := p.advance(); err != nil {
-				return nil, nil, false, err
-			}
-			st := step{axis: axisParent, name: "*"}
-			return stepWrap{st}, nil, true, nil
-		case "@", "*":
-			st, err := p.parseStep(axisChild)
+			return contextItem{}, p.advance()
+		case "-", "+":
+			return nil, p.reject("unary " + t.text)
+		}
+	}
+	return nil, p.errf("unexpected %s", p.cur)
+}
+
+// parseCall binds a call to its builtin and checks the arity; the current
+// token is the function name, and '(' follows it.
+func (p *parser) parseCall() (expr, error) {
+	name, pos := p.cur.text, p.cur.pos
+	fn := lookupBuiltin(name)
+	if fn == nil {
+		if name == "if" {
+			return nil, p.reject("if")
+		}
+		return nil, p.reject(name + "()")
+	}
+	if err := p.advance(); err != nil {
+		return nil, err
+	}
+	if err := p.expect(tokSymbol, "("); err != nil {
+		return nil, err
+	}
+	var args []expr
+	if !p.is(tokSymbol, ")") {
+		for {
+			a, err := p.parseExprSingle()
 			if err != nil {
-				return nil, nil, false, err
+				return nil, err
 			}
-			return stepWrap{st}, nil, true, nil
-		}
-	case tokName:
-		name := p.cur.text
-		if err := p.advance(); err != nil {
-			return nil, nil, false, err
-		}
-		if p.cur.kind == tokSymbol && p.cur.text == "(" {
-			// Function call.
-			if err := p.advance(); err != nil {
-				return nil, nil, false, err
+			args = append(args, a)
+			ok, err := p.accept(tokSymbol, ",")
+			if err != nil {
+				return nil, err
 			}
-			var args []expr
-			if !(p.cur.kind == tokSymbol && p.cur.text == ")") {
-				for {
-					a, err := p.parseExprSingle()
-					if err != nil {
-						return nil, nil, false, err
-					}
-					args = append(args, a)
-					ok, err := p.accept(tokSymbol, ",")
-					if err != nil {
-						return nil, nil, false, err
-					}
-					if !ok {
-						break
-					}
-				}
-			}
-			if err := p.expect(tokSymbol, ")"); err != nil {
-				return nil, nil, false, err
-			}
-			preds, err := p.parsePredicates()
-			return call{name: name, args: args}, preds, false, err
-		}
-		// Axis step with explicit axis (name::...)?
-		if p.cur.kind == tokSymbol && p.cur.text == ":" {
-			// lexer splits "::" into two ':' symbols
-			if err := p.advance(); err != nil {
-				return nil, nil, false, err
-			}
-			if err := p.expect(tokSymbol, ":"); err != nil {
-				return nil, nil, false, err
-			}
-			ax, ok := axisByName(name)
 			if !ok {
-				return nil, nil, false, p.errf("unknown axis %q", name)
+				break
 			}
-			st, err := p.parseStep(ax)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			return stepWrap{st}, nil, true, nil
 		}
-		// Plain name test starting a relative path.
-		preds, err := p.parsePredicates()
-		if err != nil {
-			return nil, nil, false, err
-		}
-		return stepWrap{step{axis: axisChild, name: name, preds: preds}}, nil, true, nil
 	}
-	return nil, nil, false, p.errf("unexpected %s", p.cur)
+	if err := p.expect(tokSymbol, ")"); err != nil {
+		return nil, err
+	}
+	if n := len(args); n != fn.arity && !(fn.variadic && n > fn.arity) {
+		want := strconv.Itoa(fn.arity)
+		if fn.variadic {
+			want = "at least " + want
+		}
+		return nil, &Error{Pos: pos, Msg: fmt.Sprintf("%s() takes %s argument(s), got %d", name, want, n)}
+	}
+	return call{fn: fn, args: args}, nil
 }
 
-func axisByName(name string) (axis, bool) {
-	switch name {
-	case "child":
-		return axisChild, true
-	case "descendant":
-		return axisDescendant, true
-	case "attribute":
-		return axisAttribute, true
-	case "self":
-		return axisSelf, true
-	case "parent":
-		return axisParent, true
-	case "following-sibling":
-		return axisFollowingSibling, true
-	case "preceding-sibling":
-		return axisPrecedingSibling, true
-	}
-	return 0, false
-}
-
-// parseStep parses one step after '/', '//' or an axis prefix.
-func (p *parser) parseStep(defaultAxis axis) (step, error) {
-	st := step{axis: defaultAxis}
-	if p.cur.kind == tokSymbol && p.cur.text == "@" {
-		st.deep = defaultAxis == axisDescendant
+// parseStep parses one step after '/', '//', or at the start of a
+// relative path: an optional '@' or 'following-sibling::', a name or '*',
+// and predicates.
+func (p *parser) parseStep(ax axis) (step, error) {
+	st := step{axis: ax}
+	switch {
+	case p.cur.kind == tokName && p.peekIs(tokSymbol, ":"):
+		// An explicit axis; the lexer splits '::' into two ':'.
+		if p.cur.text != "following-sibling" {
+			return st, p.reject(p.cur.text + "::")
+		}
+		st.axis = axisFollowingSibling
+		if err := p.advance(); err != nil {
+			return st, err
+		}
+		if err := p.expect(tokSymbol, ":"); err != nil {
+			return st, err
+		}
+		if err := p.expect(tokSymbol, ":"); err != nil {
+			return st, err
+		}
+	case p.is(tokSymbol, "@"):
+		if ax == axisDescendant {
+			return st, p.reject("//@")
+		}
 		st.axis = axisAttribute
 		if err := p.advance(); err != nil {
 			return st, err
 		}
+		if p.is(tokSymbol, "*") {
+			return st, p.reject("@*")
+		}
 	}
 	switch {
-	case p.cur.kind == tokSymbol && p.cur.text == "*":
+	case p.is(tokSymbol, "*"):
 		st.name = "*"
-		if err := p.advance(); err != nil {
-			return st, err
-		}
-	case p.cur.kind == tokSymbol && p.cur.text == "..":
-		st.axis = axisParent
-		st.name = "*"
-		if err := p.advance(); err != nil {
-			return st, err
-		}
+	case p.is(tokSymbol, ".."):
+		return st, p.reject("..")
+	case p.cur.kind == tokName && p.peekIs(tokSymbol, "("):
+		return st, p.reject(p.cur.text + "()") // text(), node()
 	case p.cur.kind == tokName:
-		name := p.cur.text
-		if err := p.advance(); err != nil {
-			return st, err
-		}
-		// Explicit axis: name::test
-		if p.cur.kind == tokSymbol && p.cur.text == ":" {
-			if err := p.advance(); err != nil {
-				return st, err
-			}
-			if err := p.expect(tokSymbol, ":"); err != nil {
-				return st, err
-			}
-			ax, ok := axisByName(name)
-			if !ok {
-				return st, p.errf("unknown axis %q", name)
-			}
-			return p.parseStep(ax)
-		}
-		// node test functions: text(), node()
-		if p.cur.kind == tokSymbol && p.cur.text == "(" && (name == "text" || name == "node") {
-			if err := p.advance(); err != nil {
-				return st, err
-			}
-			if err := p.expect(tokSymbol, ")"); err != nil {
-				return st, err
-			}
-			st.name = name + "()"
-		} else {
-			st.name = name
-		}
+		st.name = p.cur.text
 	default:
 		return st, p.errf("expected name test, found %s", p.cur)
 	}
-	preds, err := p.parsePredicates()
-	if err != nil {
+	if err := p.advance(); err != nil {
 		return st, err
 	}
+	preds, err := p.parsePredicates()
 	st.preds = preds
-	return st, nil
+	return st, err
 }
 
 func (p *parser) parsePredicates() ([]expr, error) {
 	var preds []expr
-	for p.cur.kind == tokSymbol && p.cur.text == "[" {
+	for p.is(tokSymbol, "[") {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}

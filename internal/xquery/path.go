@@ -17,12 +17,6 @@ func evalPath(ctx *evalCtx, pe pathExpr) (Seq, error) {
 			return nil, err
 		}
 		cur = s
-		if len(pe.preds) > 0 {
-			cur, err = applyPredicates(ctx, cur, pe.preds)
-			if err != nil {
-				return nil, err
-			}
-		}
 	default:
 		if ctx.item == nil {
 			return nil, &Error{Msg: "relative path with undefined context item"}
@@ -74,14 +68,7 @@ func appendCandidates(out Seq, n Node, st step) Seq {
 	switch st.axis {
 	case axisChild:
 		for c, ok := x.FirstChild(); ok; c, ok = c.NextSibling() {
-			switch {
-			case c.Kind() == xmldom.TextKind:
-				if st.name == "text()" || st.name == "node()" {
-					out = append(out, string(c.Data()))
-				}
-			case st.name == "node()":
-				out = append(out, n.at(c))
-			case nameTest(c, st.name):
+			if nameTest(c, st.name) {
 				out = append(out, n.at(c))
 			}
 		}
@@ -98,21 +85,8 @@ func appendCandidates(out Seq, n Node, st step) Seq {
 			}
 		}
 	case axisAttribute:
-		if st.deep {
-			// //@name: attributes of descendant-or-self elements.
-			for o, end := n.ord, x.End(); o < end; o++ {
-				out = appendAttrValues(out, n.rec.At(o), st.name)
-			}
-		} else {
-			out = appendAttrValues(out, x, st.name)
-		}
-	case axisSelf:
-		if nameTest(x, st.name) {
-			out = append(out, n)
-		}
-	case axisParent:
-		if p, ok := x.Parent(); ok && nameTest(p, st.name) {
-			out = append(out, n.at(p))
+		if v, ok := x.Attr(st.name); ok {
+			out = append(out, string(v))
 		}
 	case axisFollowingSibling:
 		for s, ok := x.NextSibling(); ok; s, ok = s.NextSibling() {
@@ -120,46 +94,13 @@ func appendCandidates(out Seq, n Node, st step) Seq {
 				out = append(out, n.at(s))
 			}
 		}
-	case axisPrecedingSibling:
-		p, ok := x.Parent()
-		if !ok {
-			return out
-		}
-		first := len(out)
-		for s, ok := p.FirstChild(); ok && s != x; s, ok = s.NextSibling() {
-			if nameTest(s, st.name) {
-				out = append(out, n.at(s))
-			}
-		}
-		// preceding-sibling in reverse document order (XPath semantics:
-		// positions count backwards from the context node).
-		for i, j := first, len(out)-1; i < j; i, j = i+1, j-1 {
-			out[i], out[j] = out[j], out[i]
-		}
 	}
 	return out
 }
 
-// appendAttrValues appends the values of x's attributes that pass the
-// name test ("*" for all; otherwise the first of that name).
-func appendAttrValues(out Seq, x xmldom.Ref, name string) Seq {
-	if name != "*" {
-		if v, ok := x.Attr(name); ok {
-			out = append(out, string(v))
-		}
-		return out
-	}
-	for it := x.Attrs(); ; {
-		_, v, ok := it.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, string(v))
-	}
-}
-
 // applyPredicates filters a candidate list, giving each predicate
-// expression access to the context item, position() and last().
+// expression the candidate as its context item. A predicate whose value is
+// one number keeps the candidate at that position.
 func applyPredicates(ctx *evalCtx, items Seq, preds []expr) (Seq, error) {
 	if len(preds) == 0 || len(items) == 0 {
 		return items, nil
@@ -169,15 +110,12 @@ func applyPredicates(ctx *evalCtx, items Seq, preds []expr) (Seq, error) {
 	cur := items
 	for _, pred := range preds {
 		var kept Seq
-		sub.size = len(cur)
 		for i, item := range cur {
 			sub.item = item
-			sub.pos = i + 1
 			v, err := evalExpr(&sub, pred)
 			if err != nil {
 				return nil, err
 			}
-			// A single numeric predicate value is a position test.
 			if len(v) == 1 {
 				if f, ok := v[0].(float64); ok {
 					if int(f) == i+1 {
@@ -195,48 +133,27 @@ func applyPredicates(ctx *evalCtx, items Seq, preds []expr) (Seq, error) {
 	return cur, nil
 }
 
-// docOrder removes duplicate nodes from a sequence it owns and, when it
-// holds nothing but nodes, puts it into document order in place: by
-// position in the collection, then within the record; constructed
-// elements, numbered as they are built, follow every stored document. A
-// sequence holding an atomic item keeps encounter order.
+// docOrder puts a step's result, which it owns, into document order with
+// duplicates removed: by position in the collection, then within the
+// record; constructed elements, numbered as they are built, follow every
+// stored document. A step yields nodes or attribute values, never both,
+// and attribute values keep encounter order.
 func docOrder(items Seq) Seq {
 	if len(items) < 2 {
 		return items
 	}
-	less := func(a, b Node) bool { return a.doc < b.doc || a.doc == b.doc && a.ord < b.ord }
-	// The usual cases — attribute or text values only; one context node, or
-	// context nodes in order with disjoint results — need no work.
-	nodes, sorted := 0, true
-	var prev Node
-	for _, it := range items {
-		n, ok := it.(Node)
-		if !ok {
-			continue
-		}
-		if nodes > 0 && !less(prev, n) {
-			sorted = false
-		}
-		prev = n
-		nodes++
-	}
-	switch {
-	case nodes < 2 || nodes == len(items) && sorted:
+	if _, ok := items[0].(Node); !ok {
 		return items
-	case nodes < len(items):
-		seen := make(map[Node]bool, nodes)
-		w := 0
-		for _, it := range items {
-			if n, ok := it.(Node); ok {
-				if seen[n] {
-					continue
-				}
-				seen[n] = true
-			}
-			items[w] = it
-			w++
-		}
-		return items[:w]
+	}
+	less := func(a, b Node) bool { return a.doc < b.doc || a.doc == b.doc && a.ord < b.ord }
+	// The usual cases — one context node, or context nodes in order with
+	// disjoint results — need no work.
+	sorted := true
+	for i := 1; i < len(items) && sorted; i++ {
+		sorted = less(items[i-1].(Node), items[i].(Node))
+	}
+	if sorted {
+		return items
 	}
 	sort.SliceStable(items, func(i, j int) bool { return less(items[i].(Node), items[j].(Node)) })
 	w := 1

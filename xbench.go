@@ -326,9 +326,11 @@ func NewBenchRunner(cfg GenConfig, sizes []Size, out io.Writer) *bench.Runner {
 	return bench.NewRunner(cfg, sizes, out)
 }
 
-// EvalXQuery compiles and evaluates an ad-hoc XQuery over a set of
-// serialized documents, returning the serialized result items. It is the
-// quickest way to use the query engine directly.
+// EvalXQuery compiles and evaluates a query in the XBench subset over a
+// set of serialized documents, returning the serialized result items. It
+// is the quickest way to use the query engine directly. A construct outside
+// the subset (results/xquery_surface.txt lists what is in it) fails to
+// compile with "not in the XBench subset: <construct>".
 func EvalXQuery(query string, docs []Doc, vars Params) ([]string, error) {
 	coll := xquery.NewCollection()
 	for _, d := range docs {
