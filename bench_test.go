@@ -248,37 +248,6 @@ func TestBenchmarkCellsMatchPaperBlanks(t *testing.T) {
 	_ = workload.Params(core.DCMD) // keep the workload import honest
 }
 
-// BenchmarkAblationStorageFormat compares the native engine's two storage
-// formats — persistent binary DOM pages (the X-Hive model, the default)
-// versus raw XML re-parsed on every access — on the text-search query,
-// the workload most sensitive to document access cost.
-func BenchmarkAblationStorageFormat(b *testing.B) {
-	db, err := benchCfg.Generate(core.TCSD, core.Small)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, f := range []struct {
-		name   string
-		format native.Format
-	}{
-		{"persistent-dom", native.FormatDOM},
-		{"raw-xml", native.FormatXML},
-	} {
-		e := native.NewWithFormat(0, f.format)
-		if _, _, err := workload.LoadAndIndex(context.Background(), e, db); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(f.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m := workload.RunCold(context.Background(), e, core.TCSD, core.Q17)
-				if m.Err != nil {
-					b.Fatal(m.Err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationBufferPool varies the buffer pool size on a scan-heavy
 // query: the design choice DESIGN.md calls out (a pool small relative to
 // Large databases keeps cold scans disk-bound).
@@ -325,48 +294,6 @@ func BenchmarkUpdateWorkload(b *testing.B) {
 					b.Fatal(m.Err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkAblationSegmentedStorage compares document-granular storage
-// (the default, matching the paper's measured TC/SD blow-ups) against
-// node-granular segmented storage with (document, segment) index locators
-// — the model that would explain the paper's flat DC/SD Q8 cells. The
-// gap is the cost of materializing one huge document for a point query.
-func BenchmarkAblationSegmentedStorage(b *testing.B) {
-	db, err := benchCfg.Generate(core.DCSD, core.Normal)
-	if err != nil {
-		b.Fatal(err)
-	}
-	variants := []struct {
-		name string
-		mk   func() *native.Engine
-	}{
-		{"document-granular", func() *native.Engine { return native.New(0) }},
-		{"segmented", func() *native.Engine {
-			e, err := native.NewWithOptions(0, native.Options{Format: native.FormatDOM, Segmented: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return e
-		}},
-	}
-	for _, v := range variants {
-		e := v.mk()
-		if _, _, err := workload.LoadAndIndex(context.Background(), e, db); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(v.name, func(b *testing.B) {
-			var io int64
-			for i := 0; i < b.N; i++ {
-				m := workload.RunCold(context.Background(), e, core.DCSD, core.Q8)
-				if m.Err != nil {
-					b.Fatal(m.Err)
-				}
-				io += m.Result.PageIO
-			}
-			b.ReportMetric(float64(io)/float64(b.N), "pageIO/op")
 		})
 	}
 }

@@ -73,8 +73,8 @@ func execOn(t *testing.T, v *view, q core.QueryID, p core.Params) []string {
 	return nil
 }
 
-// docRID is the document-heap RID of the named unsegmented document as
-// the writer has it now.
+// docRID is the document-heap RID of the named document as the writer
+// has it now.
 func docRID(t *testing.T, e *Engine, name string) pager.RID {
 	t.Helper()
 	rec, err := e.s.catalog.Get(context.Background(), e.s.names[name])
@@ -85,7 +85,7 @@ func docRID(t *testing.T, e *Engine, name string) pager.RID {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return en.rids[0]
+	return en.rid
 }
 
 // loadIndexed is loadTiny's DC/MD database loaded and indexed.

@@ -20,13 +20,14 @@
 //     the paper's "X-Hive suffers from accessing huge amounts of XML
 //     documents in the DC/MD case".
 //
-// Options.Segmented switches to node-granular storage: a document whose
-// root has many children is stored as a header plus one record per
-// top-level subtree, and value indexes carry (document, segment) locators
-// so an indexed point query loads only the matching subtrees. This is the
-// storage model that would explain the paper's flat DC/SD Q8 cells; it is
-// off by default because the paper's TC/SD cells behave as if X-Hive's
-// index selection there was document-granular (see EXPERIMENTS.md).
+// Storage is document-granular: each document is one persistent-DOM
+// record, and a value index maps a value to the catalog record of the
+// document holding it, so an indexed point query into one large document
+// opens all of it. The paper's TC/SD cells behave as if X-Hive's index
+// selection there was document-granular; the node-granular model that
+// would explain its flat DC/SD Q8 cells, and raw XML re-parsed on every
+// access, were measured against this store and are recorded results in
+// EXPERIMENTS.md.
 package native
 
 import (
@@ -35,7 +36,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -50,33 +50,6 @@ import (
 	"xbench/internal/xquery"
 )
 
-// Format selects how documents are stored on disk.
-type Format int
-
-const (
-	// FormatDOM stores documents as persistent binary DOM pages (the
-	// X-Hive model: accessing a document pages in nodes, no re-parsing).
-	// This is the default.
-	FormatDOM Format = iota
-	// FormatXML stores raw XML text, re-parsed on every access. Kept for
-	// the storage-format ablation benchmark.
-	FormatXML
-)
-
-// Options configure the native store.
-type Options struct {
-	// Format is the on-disk document representation.
-	Format Format
-	// Segmented enables node-granular storage and index locators (see the
-	// package comment). Requires FormatDOM.
-	Segmented bool
-	// SegmentThreshold is the minimum number of root children before a
-	// document is split into segments; 0 selects the default (32).
-	SegmentThreshold int
-}
-
-const defaultSegmentThreshold = 32
-
 // Engine is a native XML database instance: the shared engine lifecycle
 // (engbase.Base: load, snapshot reads, journaled updates, close) over
 // the native store.
@@ -90,8 +63,7 @@ type Engine struct {
 type store struct {
 	p       *pager.Pager
 	class   core.Class
-	opts    Options
-	docs    *pager.Heap // serialized documents/segments
+	docs    *pager.Heap // one persistent-DOM record per document
 	catalog *pager.Heap // catalog records in load order
 	// names maps a document name to the RID of its catalog record, so an
 	// update reaches its document without walking the catalog. Volatile,
@@ -99,10 +71,9 @@ type store struct {
 	// fills it and updates (replayed ones included) maintain it.
 	names   map[string]pager.RID
 	indexes map[string]*btree.Tree
-	// memo holds the records the newest frozen view has opened, nil on a
-	// FormatXML or Segmented store; dropped are the document-heap RIDs
-	// ApplyDelete tombstoned since the last Freeze, which drops them from
-	// it.
+	// memo holds the records the newest frozen view has opened; dropped
+	// are the document-heap RIDs ApplyDelete tombstoned since the last
+	// Freeze, which drops them from it.
 	memo    *recordMemo
 	dropped []pager.RID
 }
@@ -113,14 +84,13 @@ type store struct {
 // and what of the store no mutation changes.
 type view struct {
 	class   core.Class
-	opts    Options
 	reg     *metrics.Registry
 	docs    pager.HeapView
 	catalog pager.HeapView
 	indexes map[string]*btree.TreeView
 	// memo is the store's record memo, which the view reads and fills
 	// while epoch, its own, is the memo's; nil, which memoizes nothing,
-	// on the writer's live view and on a FormatXML or Segmented store.
+	// on the writer's live view.
 	memo  *recordMemo
 	epoch uint64
 }
@@ -162,17 +132,12 @@ const recNodeBytes = 12
 // time (a facade's WithMetrics replaces the one the engine was built
 // with).
 func (m *recordMemo) bind(reg *metrics.Registry) {
-	if m != nil {
-		m.hit, m.miss = reg.Counter("native.memo.hit"), reg.Counter("native.memo.miss")
-	}
+	m.hit, m.miss = reg.Counter("native.memo.hit"), reg.Counter("native.memo.miss")
 }
 
 // get returns the record memoized at rid for a view of epoch, or nil:
-// there is no memo, none is there, or the view is not the newest.
+// none is there, or the view is not the newest.
 func (m *recordMemo) get(rid pager.RID, epoch uint64) *xmldom.Record {
-	if m == nil {
-		return nil
-	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	if m.epoch != epoch {
@@ -197,9 +162,6 @@ func (m *recordMemo) add(rid pager.RID, epoch uint64, rec *xmldom.Record, data [
 // advance moves the memo to epoch, dropping the records at dropped: the
 // carry of one commit, whose cost is its write set, not the memo's size.
 func (m *recordMemo) advance(epoch uint64, dropped []pager.RID) {
-	if m == nil {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, rid := range dropped {
@@ -213,9 +175,6 @@ func (m *recordMemo) advance(epoch uint64, dropped []pager.RID) {
 
 // reset empties the memo.
 func (m *recordMemo) reset() {
-	if m == nil {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	clear(m.recs)
@@ -228,7 +187,7 @@ func (m *recordMemo) reset() {
 // record memo: a record in its unflushed tail page lies in a buffer the
 // writer keeps appending to.
 func (s *store) live() *view {
-	return &view{class: s.class, opts: s.opts, reg: s.p.Metrics(), docs: s.docs.Live(), catalog: s.catalog.Live()}
+	return &view{class: s.class, reg: s.p.Metrics(), docs: s.docs.Live(), catalog: s.catalog.Live()}
 }
 
 // Freeze implements engbase.Store: the live view with its heaps and the
@@ -255,46 +214,25 @@ func (s *store) Freeze(epoch uint64) (*view, error) {
 }
 
 // New returns an empty native engine with the given buffer pool size in
-// pages (<= 0 selects the default), storing persistent DOM pages at
-// document granularity.
-func New(poolPages int) *Engine { return NewWithFormat(poolPages, FormatDOM) }
-
-// NewWithFormat returns an engine with an explicit storage format.
-func NewWithFormat(poolPages int, f Format) *Engine {
-	e, err := NewWithOptions(poolPages, Options{Format: f})
-	if err != nil {
-		panic(err) // unreachable: no format/segment conflict possible here
-	}
-	return e
-}
-
-// NewWithOptions returns an engine with full storage options.
-func NewWithOptions(poolPages int, opts Options) (*Engine, error) {
-	if opts.Segmented && opts.Format != FormatDOM {
-		return nil, fmt.Errorf("native: segmented storage requires FormatDOM")
-	}
-	if opts.SegmentThreshold <= 0 {
-		opts.SegmentThreshold = defaultSegmentThreshold
-	}
+// pages (<= 0 selects the default), storing one persistent-DOM record
+// per document.
+func New(poolPages int) *Engine {
 	if poolPages <= 0 {
 		poolPages = pager.DefaultPoolPages
 	}
 	p := pager.New(poolPages)
 	s := &store{
 		p:       p,
-		opts:    opts,
 		docs:    pager.NewHeap(p, "documents"),
 		catalog: pager.NewHeap(p, "catalog"),
 		names:   map[string]pager.RID{},
 		indexes: map[string]*btree.Tree{},
-	}
-	if opts.Format == FormatDOM && !opts.Segmented {
 		// Bounded by the pool's capacity in bytes, and dropped with the
 		// pool: a cold query opens every record it touches from the pages.
-		s.memo = &recordMemo{limit: int64(poolPages) * pager.PageSize, recs: map[pager.RID]memoEntry{}}
-		p.OnColdReset(s.memo.reset)
+		memo: &recordMemo{limit: int64(poolPages) * pager.PageSize, recs: map[pager.RID]memoEntry{}},
 	}
-	return &Engine{Base: engbase.New[*view](p, s), s: s}, nil
+	p.OnColdReset(s.memo.reset)
+	return &Engine{Base: engbase.New[*view](p, s), s: s}
 }
 
 // CheckMemo reopens every record the store's memo holds from the pages of
@@ -303,7 +241,7 @@ func NewWithOptions(poolPages int, opts Options) (*Engine, error) {
 // leave behind. It is for tests and diagnosis; run it between commits.
 func (e *Engine) CheckMemo(ctx context.Context) error {
 	v, release, err := e.View()
-	if err != nil || v.memo == nil {
+	if err != nil {
 		return err
 	}
 	defer release()
@@ -333,65 +271,41 @@ func (s *store) Name() string { return "X-Hive" }
 // and size.
 func (s *store) Supports(core.Class, core.Size) error { return nil }
 
-// docEntry is one catalog record: a document name plus the record(s)
-// holding its content. Unsegmented documents have exactly one rid;
-// segmented documents have a header rid followed by one rid per top-level
-// subtree.
+// docEntry is one catalog record: a document name and the RID of the
+// record holding the document.
 type docEntry struct {
-	name      string
-	segmented bool
-	rids      []pager.RID
+	name string
+	rid  pager.RID
 }
 
+// catalogHeader opens every catalog record: a flag byte of 0 and a record
+// count of 1, the bytes the store has always written for a document of one
+// record.
+var catalogHeader = []byte{0, 1}
+
 func encodeCatalogEntry(en docEntry) []byte {
-	buf := make([]byte, 0, 2+9*len(en.rids)+len(en.name))
-	if en.segmented {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(en.rids)))
-	for _, r := range en.rids {
-		buf = binary.AppendUvarint(buf, uint64(r))
-	}
+	buf := append(make([]byte, 0, len(catalogHeader)+binary.MaxVarintLen64+len(en.name)), catalogHeader...)
+	buf = binary.AppendUvarint(buf, uint64(en.rid))
 	return append(buf, en.name...)
 }
 
-// splitCatalogEntry checks a catalog record and returns its pieces where
-// they lie: the rid count, the rid varints and the document name. The
-// catalog scan compares names this way without decoding the entry.
-func splitCatalogEntry(rec []byte) (n int, rids, name []byte, err error) {
-	if len(rec) < 2 {
-		return 0, nil, nil, fmt.Errorf("native: catalog record too short")
+// splitCatalogEntry checks a catalog record and returns its pieces: the
+// document's RID and its name where it lies. The catalog scan compares
+// names this way without decoding the entry.
+func splitCatalogEntry(rec []byte) (rid pager.RID, name []byte, err error) {
+	if !bytes.HasPrefix(rec, catalogHeader) {
+		return 0, nil, fmt.Errorf("native: corrupt catalog record")
 	}
-	cnt, sz := binary.Uvarint(rec[1:])
-	if sz <= 0 || cnt == 0 || cnt > uint64(len(rec)) {
-		return 0, nil, nil, fmt.Errorf("native: corrupt catalog record")
+	v, sz := binary.Uvarint(rec[len(catalogHeader):])
+	if sz <= 0 {
+		return 0, nil, fmt.Errorf("native: corrupt catalog rid")
 	}
-	start := 1 + sz
-	pos := start
-	for i := uint64(0); i < cnt; i++ {
-		_, sz := binary.Uvarint(rec[pos:])
-		if sz <= 0 {
-			return 0, nil, nil, fmt.Errorf("native: corrupt catalog rid")
-		}
-		pos += sz
-	}
-	return int(cnt), rec[start:pos], rec[pos:], nil
+	return pager.RID(v), rec[len(catalogHeader)+sz:], nil
 }
 
 func decodeCatalogEntry(rec []byte) (docEntry, error) {
-	n, rids, name, err := splitCatalogEntry(rec)
-	if err != nil {
-		return docEntry{}, err
-	}
-	en := docEntry{name: string(name), segmented: rec[0] == 1, rids: make([]pager.RID, n)}
-	for i := range en.rids {
-		v, sz := binary.Uvarint(rids)
-		en.rids[i] = pager.RID(v)
-		rids = rids[sz:]
-	}
-	return en, nil
+	rid, name, err := splitCatalogEntry(rec)
+	return docEntry{name: string(name), rid: rid}, err
 }
 
 // Reset implements engbase.Store.
@@ -414,7 +328,7 @@ func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats
 	s.class = db.Class
 	err := engbase.ParseDocs(ctx, "native", db, func(d *core.Doc, doc *xmldom.Node) error {
 		st.Nodes += doc.CountNodes()
-		if _, _, err := s.storeDocument(d.Name, doc, d.Data); err != nil {
+		if _, _, err := s.storeDocument(d.Name, doc); err != nil {
 			return err
 		}
 		// Each document arrives as a separate file and is persisted
@@ -437,194 +351,88 @@ func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats
 	return st, s.catalog.Sync()
 }
 
-// storeDocument writes one document according to the storage options and
-// catalogs it under name. It returns the catalog record's RID and the
-// entry it wrote: record i of the entry holds the whole document, or the
-// header and then each top-level subtree, which is what the value indexes
-// are keyed on.
-func (s *store) storeDocument(name string, doc *xmldom.Node, raw []byte) (pager.RID, docEntry, error) {
-	en := docEntry{name: name}
-	root := doc.Root()
-	if s.opts.Segmented && root != nil && len(root.Elements()) >= s.opts.SegmentThreshold {
-		// Header: the root element stripped of children.
-		header := &xmldom.Node{Kind: xmldom.ElementKind, Name: root.Name}
-		header.Attrs = append([]xmldom.Attr(nil), root.Attrs...)
-		en.segmented = true
-		for _, part := range append([]*xmldom.Node{header}, root.Children...) {
-			rid, err := s.docs.Insert(xmldom.EncodeBinary(part))
-			if err != nil {
-				return 0, en, err
-			}
-			en.rids = append(en.rids, rid)
-		}
-	} else {
-		data := raw
-		if s.opts.Format == FormatDOM {
-			data = xmldom.EncodeBinary(doc)
-		}
-		rid, err := s.docs.Insert(data)
-		if err != nil {
-			return 0, en, err
-		}
-		en.rids = []pager.RID{rid}
+// storeDocument writes one document as a persistent-DOM record and
+// catalogs it under name. It returns the record's RID and the catalog
+// record's, which is what the value indexes are keyed on.
+func (s *store) storeDocument(name string, doc *xmldom.Node) (rid, cat pager.RID, err error) {
+	if rid, err = s.docs.Insert(xmldom.EncodeBinary(doc)); err != nil {
+		return 0, 0, err
 	}
-	cat, err := s.catalog.Insert(encodeCatalogEntry(en))
-	if err != nil {
-		return 0, en, err
+	if cat, err = s.catalog.Insert(encodeCatalogEntry(docEntry{name, rid})); err != nil {
+		return 0, 0, err
 	}
 	s.names[name] = cat
-	return cat, en, nil
+	return rid, cat, nil
 }
 
-// openRecord fetches one stored record from the view's document heap
-// and opens it for the cursor, or hands out the one the memo holds for
-// the view.
-// A persistent-DOM record is walked where Get found it — in the page
-// image itself when it lies inside one page, which the cursor only
-// reads; raw XML (the storage-format ablation) is parsed and re-encoded
-// first.
+// openRecord fetches the document stored at rid from the view's document
+// heap and opens it for the cursor, or hands out the one the memo holds
+// for the view. The record is walked where Get found it — in the page
+// image itself when it lies inside one page, which the cursor only reads.
 func (v *view) openRecord(ctx context.Context, rid pager.RID) (*xmldom.Record, error) {
-	if rec := v.memo.get(rid, v.epoch); rec != nil {
-		v.memo.hit.Inc()
-		// A hit fetches no page, and a page fetch is where a query
-		// checks ctx once per document.
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	// The writer's live view has no memo: see live.
+	memoized := v.memo != nil
+	if memoized {
+		if rec := v.memo.get(rid, v.epoch); rec != nil {
+			v.memo.hit.Inc()
+			// A hit fetches no page, and a page fetch is where a query
+			// checks ctx once per document.
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			return rec, nil
 		}
-		return rec, nil
 	}
 	data, err := v.docs.Get(ctx, rid)
 	if err != nil {
 		return nil, err
 	}
-	if v.opts.Format == FormatDOM {
-		rec, err := xmldom.OpenRecord(data)
-		if err == nil && v.memo != nil {
-			v.memo.miss.Inc()
-			v.memo.add(rid, v.epoch, rec, data)
-		}
-		return rec, err
-	}
-	doc, err := xmldom.Parse(data)
+	rec, err := xmldom.OpenRecord(data)
 	if err != nil {
 		return nil, err
 	}
-	return xmldom.RecordOf(doc)
+	if rec.Root().Kind() != xmldom.DocumentKind {
+		return nil, fmt.Errorf("native: record %d is not a document", rid)
+	}
+	if memoized {
+		v.memo.miss.Inc()
+		v.memo.add(rid, v.epoch, rec, data)
+	}
+	return rec, nil
 }
 
-// openDoc opens a document for the evaluator, optionally restricted to a
-// set of segments (1-based segment numbers; nil means all). Partial
-// assembly is only valid for queries that select top-level subtrees by
-// value — which is what the index locators guarantee. An unsegmented
-// document is its one record; a segmented one is put together as a tree
-// from its header and segments and encoded again.
-func (v *view) openDoc(ctx context.Context, en docEntry, segs []int) (*xmldom.Record, error) {
-	if !en.segmented {
-		rec, err := v.openRecord(ctx, en.rids[0])
-		if err != nil {
-			return nil, err
-		}
-		if rec.Root().Kind() != xmldom.DocumentKind {
-			return nil, fmt.Errorf("native: %s: stored record is not a document", en.name)
-		}
-		return rec, nil
-	}
-	if segs == nil {
-		for i := 1; i < len(en.rids); i++ {
-			segs = append(segs, i)
-		}
-	} else {
-		// One locator arrives per matching value: a subtree holding two
-		// matches must still be loaded once.
-		slices.Sort(segs)
-		segs = slices.Compact(segs)
-		if segs[0] < 1 || segs[len(segs)-1] >= len(en.rids) {
-			return nil, fmt.Errorf("native: %s: segment out of range", en.name)
-		}
-	}
-	tree := func(rid pager.RID) (*xmldom.Node, error) {
-		data, err := v.docs.Get(ctx, rid)
-		if err != nil {
-			return nil, err
-		}
-		return xmldom.DecodeBinary(data)
-	}
-	header, err := tree(en.rids[0])
-	if err != nil {
-		return nil, err
-	}
-	doc := xmldom.NewDocument()
-	root := doc.Append(header)
-	for _, seg := range segs {
-		child, err := tree(en.rids[seg])
-		if err != nil {
-			return nil, err
-		}
-		root.Append(child)
-	}
-	return xmldom.RecordOf(doc)
-}
-
-// Index locators pack (catalog RID, segment) into the B+tree's uint64
-// value: seg 0 means "whole document". Keying on the catalog record's RID
-// rather than its position lets a document be deleted or replaced
+// indexEntries calls fn with every value the document in rec contributes
+// to the value index on target (Table 3 notation: "hw", "article/@id"),
+// walking the record in document order. The index stores each with the
+// document's locator, its catalog record's RID: keying on that rather
+// than the document's position lets a document be deleted or replaced
 // without renumbering the locators of every document behind it.
-const locatorSegBits = 20
-
-func makeLocator(cat pager.RID, seg int) uint64 {
-	return uint64(cat)<<locatorSegBits | uint64(seg)
-}
-
-func splitLocator(loc uint64) (cat pager.RID, seg int) {
-	return pager.RID(loc >> locatorSegBits), int(loc & (1<<locatorSegBits - 1))
-}
-
-// indexEntries calls fn with every (value, locator) pair the stored
-// parts of the document cataloged at cat contribute to the value index
-// on target (Table 3 notation: "hw", "article/@id"), walking each part's
-// record in document order. For a segmented document part i is segment i,
-// and a header hit (segment 0) forces a whole-document load.
-func indexEntries(target string, cat pager.RID, parts []*xmldom.Record, fn func(val string, loc uint64) error) error {
+func indexEntries(target string, rec *xmldom.Record, fn func(val string) error) error {
 	elem, attr, byAttr := strings.Cut(target, "/@")
-	for seg, part := range parts {
-		if !part.HasName(elem) {
+	if !rec.HasName(elem) {
+		return nil
+	}
+	for o := int32(0); o < int32(rec.Len()); o++ {
+		x := rec.At(o)
+		if x.Kind() != xmldom.ElementKind || string(x.Name()) != elem {
 			continue
 		}
-		for o := int32(0); o < int32(part.Len()); o++ {
-			x := part.At(o)
-			if x.Kind() != xmldom.ElementKind || string(x.Name()) != elem {
-				continue
-			}
-			val, ok := x.Text(), true
-			if byAttr {
-				val, ok = x.Attr(attr)
-			}
-			if !ok {
-				continue
-			}
-			if err := fn(string(val), makeLocator(cat, seg)); err != nil {
-				return err
-			}
+		val, ok := x.Text(), true
+		if byAttr {
+			val, ok = x.Attr(attr)
+		}
+		if !ok {
+			continue
+		}
+		if err := fn(string(val)); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// loadParts opens the stored records of one catalog entry.
-func (v *view) loadParts(ctx context.Context, en docEntry) ([]*xmldom.Record, error) {
-	parts := make([]*xmldom.Record, len(en.rids))
-	for i, rid := range en.rids {
-		part, err := v.openRecord(ctx, rid)
-		if err != nil {
-			return nil, err
-		}
-		parts[i] = part
-	}
-	return parts, nil
-}
-
 // BuildIndexes implements engbase.Store: value indexes mapping the
-// target element/attribute value to a (document, segment) locator. It
+// target element/attribute value to the catalog RID of its document. It
 // is the writer, so it reads its own heaps as they are now.
 func (s *store) BuildIndexes(specs []core.IndexSpec) error {
 	ctx := context.Background()
@@ -638,17 +446,13 @@ func (s *store) BuildIndexes(specs []core.IndexSpec) error {
 			return err
 		}
 		var run []btree.Entry
-		err = v.scanCatalog(ctx, func(cat pager.RID, _, rec []byte) (bool, error) {
-			en, err := decodeCatalogEntry(rec)
+		err = v.scanCatalog(ctx, func(cat, rid pager.RID, _ []byte) (bool, error) {
+			rec, err := v.openRecord(ctx, rid)
 			if err != nil {
 				return false, err
 			}
-			parts, err := v.loadParts(ctx, en)
-			if err != nil {
-				return false, err
-			}
-			return true, indexEntries(spec.Target, cat, parts, func(val string, loc uint64) error {
-				run = append(run, btree.Entry{Key: val, Val: loc})
+			return true, indexEntries(spec.Target, rec, func(val string) error {
+				run = append(run, btree.Entry{Key: val, Val: uint64(cat)})
 				return nil
 			})
 		})
@@ -670,17 +474,17 @@ func (s *store) BuildIndexes(specs []core.IndexSpec) error {
 
 // scanCatalog walks the view's on-disk catalog in address order (load order
 // until an update reuses a deleted entry's space), handing fn each
-// record with the document name found in it. Nothing is decoded: fn
-// compares the name in place and decodes the entries it selects.
-func (v *view) scanCatalog(ctx context.Context, fn func(cat pager.RID, name, rec []byte) (bool, error)) error {
+// record's RID with the document's RID and its name where it lies: fn
+// compares the name in place and copies it only for a document it opens.
+func (v *view) scanCatalog(ctx context.Context, fn func(cat, rid pager.RID, name []byte) (bool, error)) error {
 	var inner error
 	err := v.catalog.Scan(ctx, func(cat pager.RID, rec []byte) bool {
-		_, _, name, err := splitCatalogEntry(rec)
+		rid, name, err := splitCatalogEntry(rec)
 		if err != nil {
 			inner = err
 			return false
 		}
-		cont, err := fn(cat, name, rec)
+		cont, err := fn(cat, rid, name)
 		if err != nil {
 			inner = err
 			return false
@@ -757,8 +561,8 @@ var _ core.Explainer = (*Engine)(nil)
 // selects: an index-probed subset (equality or range), a single named
 // document for doc()-based queries, or the whole database for scans. The
 // catalog is always read from disk (cold-run cost proportional to
-// document count); an entry is decoded, and its records fetched, only
-// for a selected document.
+// document count); a document is fetched, and its name copied, only when
+// it is selected.
 func (v *view) buildCollection(ctx context.Context, ph *plan.Physical, p core.Params) (*xquery.Collection, error) {
 	reg, coll := v.reg, xquery.NewCollection()
 	// A catalog walk is two phases: scan is the walk itself, materialize
@@ -766,25 +570,21 @@ func (v *view) buildCollection(ctx context.Context, ph *plan.Physical, p core.Pa
 	// records each phase once, scan as what is left, so the two partition
 	// the walk's time instead of nesting.
 	var opening time.Duration
-	scan := func(fn func(cat pager.RID, name, rec []byte) (bool, error)) error {
+	scan := func(fn func(cat, rid pager.RID, name []byte) (bool, error)) error {
 		start := time.Now()
 		err := v.scanCatalog(ctx, fn)
 		reg.AddPhase(metrics.PhaseScan, time.Since(start)-opening)
 		reg.AddPhase(metrics.PhaseMaterialize, opening)
 		return err
 	}
-	addDoc := func(rec []byte, segs []int) error {
+	addDoc := func(rid pager.RID, name []byte) error {
 		start := time.Now()
 		defer func() { opening += time.Since(start) }()
-		en, err := decodeCatalogEntry(rec)
+		doc, err := v.openRecord(ctx, rid)
 		if err != nil {
 			return err
 		}
-		doc, err := v.openDoc(ctx, en, segs)
-		if err != nil {
-			return err
-		}
-		coll.Add(en.name, doc)
+		coll.Add(string(name), doc)
 		return nil
 	}
 
@@ -792,10 +592,10 @@ func (v *view) buildCollection(ctx context.Context, ph *plan.Physical, p core.Pa
 	// still walks the on-disk catalog.
 	if docName := p.Get("DOC"); docName != "" && ph.Access == plan.AccessDoc {
 		found := false
-		err := scan(func(_ pager.RID, name, rec []byte) (bool, error) {
+		err := scan(func(_, rid pager.RID, name []byte) (bool, error) {
 			if string(name) == docName {
 				found = true
-				return false, addDoc(rec, nil)
+				return false, addDoc(rid, name)
 			}
 			return true, nil
 		})
@@ -829,43 +629,32 @@ func (v *view) buildCollection(ctx context.Context, ph *plan.Physical, p core.Pa
 		if err != nil {
 			return nil, err
 		}
-		// Group locators per document; a seg-0 locator demands the whole
-		// document.
-		wantSegs := map[pager.RID][]int{}
-		wantAll := map[pager.RID]bool{}
+		// A locator is a catalog RID, one per matching value: a document
+		// holding two matches is still opened once.
+		want := map[pager.RID]bool{}
 		for _, l := range locs {
-			cat, seg := splitLocator(l)
-			if seg == 0 {
-				wantAll[cat] = true
-			} else {
-				wantSegs[cat] = append(wantSegs[cat], seg)
-			}
+			want[pager.RID(l)] = true
 		}
 		if ph.LoParam != "" {
 			// Range probe: feed the observed selectivity (documents the
 			// window kept / documents in the catalog) back to the cost
 			// model for the next Plan call.
-			ph.Observe(len(wantAll)+len(wantSegs), v.DocumentCount())
+			ph.Observe(len(want), v.DocumentCount())
 		}
 		// Some queries join against other documents (Q19 joins orders with
 		// the flat customers document); always include the flat documents
 		// of multi-document DC databases.
-		return coll, scan(func(cat pager.RID, name, rec []byte) (bool, error) {
-			switch {
-			case wantAll[cat]:
-				return true, addDoc(rec, nil)
-			case len(wantSegs[cat]) > 0:
-				return true, addDoc(rec, wantSegs[cat])
-			case v.class == core.DCMD && !bytes.HasPrefix(name, []byte("order")):
-				return true, addDoc(rec, nil)
+		return coll, scan(func(cat, rid pager.RID, name []byte) (bool, error) {
+			if want[cat] || v.class == core.DCMD && !bytes.HasPrefix(name, []byte("order")) {
+				return true, addDoc(rid, name)
 			}
 			return true, nil
 		})
 	}
 
 	// Sequential scan: hand over everything.
-	return coll, scan(func(_ pager.RID, _, rec []byte) (bool, error) {
-		return true, addDoc(rec, nil)
+	return coll, scan(func(_, rid pager.RID, name []byte) (bool, error) {
+		return true, addDoc(rid, name)
 	})
 }
 
@@ -874,7 +663,7 @@ var _ core.Engine = (*Engine)(nil)
 // The update hooks below apply U1-U3, the update workload the paper
 // lists as future work, inside the journal-first bracket engbase.Base
 // runs. Applying touches the document's own records only: its catalog
-// entry and stored records are tombstoned in their heaps, its entries
+// entry and stored record are tombstoned in their heaps, its entries
 // leave and enter each value index, and the new content is stored
 // (reusing dead space when it fits).
 
@@ -889,28 +678,29 @@ func (s *store) Exists(name string) bool {
 }
 
 // ApplyInsert implements engbase.Store: it stores and catalogs the
-// document and adds its values to every index (read back from the records
-// just written, as a delete reads them).
-func (s *store) ApplyInsert(ctx context.Context, name string, raw []byte, parsed *xmldom.Node) error {
-	cat, en, err := s.storeDocument(name, parsed, raw)
+// document and adds its values to every index (read back from the record
+// just written, as a delete reads it).
+func (s *store) ApplyInsert(ctx context.Context, name string, _ []byte, parsed *xmldom.Node) error {
+	rid, cat, err := s.storeDocument(name, parsed)
 	if err != nil {
 		return err
 	}
-	return s.eachIndexEntry(ctx, cat, en, (*btree.Tree).Insert)
+	return s.eachIndexEntry(ctx, cat, rid, (*btree.Tree).Insert)
 }
 
 // eachIndexEntry applies op (Insert or Delete) to every value index for
-// every (value, locator) pair of the document cataloged at cat.
-func (s *store) eachIndexEntry(ctx context.Context, cat pager.RID, en docEntry, op func(*btree.Tree, string, uint64) error) error {
+// every (value, locator) pair of the document stored at rid and cataloged
+// at cat.
+func (s *store) eachIndexEntry(ctx context.Context, cat, rid pager.RID, op func(*btree.Tree, string, uint64) error) error {
 	if len(s.indexes) == 0 {
 		return nil
 	}
-	parts, err := s.live().loadParts(ctx, en)
+	rec, err := s.live().openRecord(ctx, rid)
 	if err != nil {
 		return err
 	}
 	for target, ix := range s.indexes {
-		err := indexEntries(target, cat, parts, func(val string, loc uint64) error { return op(ix, val, loc) })
+		err := indexEntries(target, rec, func(val string) error { return op(ix, val, uint64(cat)) })
 		if err != nil {
 			return fmt.Errorf("native: index %s: %w", target, err)
 		}
@@ -919,7 +709,7 @@ func (s *store) eachIndexEntry(ctx context.Context, cat pager.RID, en docEntry, 
 }
 
 // ApplyDelete implements engbase.Store: it removes the named document
-// where it lies — its values leave every index, its stored records and
+// where it lies — its values leave every index, its stored record and
 // its catalog entry are tombstoned.
 func (s *store) ApplyDelete(ctx context.Context, name string) error {
 	cat := s.names[name]
@@ -931,15 +721,13 @@ func (s *store) ApplyDelete(ctx context.Context, name string) error {
 	if err != nil {
 		return err
 	}
-	if err := s.eachIndexEntry(ctx, cat, en, (*btree.Tree).Delete); err != nil {
+	if err := s.eachIndexEntry(ctx, cat, en.rid, (*btree.Tree).Delete); err != nil {
 		return err
 	}
-	for _, rid := range en.rids {
-		if err := s.docs.Delete(ctx, rid); err != nil {
-			return err
-		}
-		s.dropped = append(s.dropped, rid)
+	if err := s.docs.Delete(ctx, en.rid); err != nil {
+		return err
 	}
+	s.dropped = append(s.dropped, en.rid)
 	if err := s.catalog.Delete(ctx, cat); err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package native
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -366,121 +367,56 @@ func TestConcurrentReadOnlyQueries(t *testing.T) {
 	}
 }
 
-func loadSegmented(t *testing.T, class core.Class) *Engine {
-	t.Helper()
-	cfg := gen.Config{DictEntries: 60, Articles: 5, Items: 40, Orders: 60}
-	db, err := cfg.Generate(class, core.Small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewWithOptions(0, Options{Format: FormatDOM, Segmented: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Load(context.Background(), db); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.BuildIndexes(queries.Indexes(class)); err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
-func TestSegmentedMatchesDocumentGranular(t *testing.T) {
-	// Segmented and whole-document storage must give identical answers for
-	// the entire workload of the single-document classes, where
-	// segmentation actually kicks in.
+// TestReplaceWithItselfAnswersAsBefore: on the single-document classes,
+// where the one document is the whole store, replacing it with itself
+// moves every index entry to the new catalog record, and every query
+// answers exactly as before.
+func TestReplaceWithItselfAnswersAsBefore(t *testing.T) {
+	ctx := context.Background()
 	for _, class := range []core.Class{core.DCSD, core.TCSD} {
-		seg := loadSegmented(t, class)
 		cfg := gen.Config{DictEntries: 60, Articles: 5, Items: 40, Orders: 60}
-		db, _ := cfg.Generate(class, core.Small)
-		whole := New(0)
-		if _, err := whole.Load(context.Background(), db); err != nil {
+		db, err := cfg.Generate(class, core.Small)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := whole.BuildIndexes(queries.Indexes(class)); err != nil {
+		e := New(0)
+		if _, err := e.Load(ctx, db); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.BuildIndexes(queries.Indexes(class)); err != nil {
 			t.Fatal(err)
 		}
 		params := map[core.Class]core.Params{
 			core.DCSD: {"X": "I7", "LO": "1997-01-01", "HI": "2001-12-30",
 				"Z": "Canada", "N": "900", "W2": "system", "Y": "Adams", "PHRASE": "of the"},
-			core.TCSD: {"W": textgenHeadword(3), "W2": "system", "Y": "x",
+			core.TCSD: {"W": textgen.Headword(3), "W2": "system", "Y": "x",
 				"L": "London", "LO": "1997-01-01", "PHRASE": "of the"},
 		}[class]
-		compare := func(stage string) {
+		answers := func() map[core.QueryID]string {
+			out := map[core.QueryID]string{}
 			for q := core.Q1; q <= core.Q20; q++ {
-				a, errA := seg.Execute(context.Background(), q, params)
-				b, errB := whole.Execute(context.Background(), q, params)
-				if (errA == nil) != (errB == nil) {
-					t.Fatalf("%s/%s %s: error mismatch %v vs %v", class, q, stage, errA, errB)
-				}
-				if errA != nil {
-					continue
-				}
-				if len(a.Items) != len(b.Items) {
-					t.Fatalf("%s/%s %s: %d vs %d items", class, q, stage, len(a.Items), len(b.Items))
-				}
-				for i := range a.Items {
-					if a.Items[i] != b.Items[i] {
-						t.Fatalf("%s/%s %s: item %d differs", class, q, stage, i)
-					}
-				}
+				res, err := e.Execute(ctx, q, params)
+				out[q] = fmt.Sprint(res.Items, err)
+			}
+			return out
+		}
+		before := answers()
+		if err := e.ReplaceDocument(ctx, db.Docs[0].Name, db.Docs[0].Data); err != nil {
+			t.Fatal(err)
+		}
+		for q, got := range answers() {
+			if got != before[q] {
+				t.Fatalf("%s/%s after a replace answers %.200s; before, %.200s", class, q, got, before[q])
 			}
 		}
-		compare("as loaded")
-		// Replace the document with itself on both stores: the segmented
-		// one has to move every (document, segment) locator to the new
-		// catalog entry and keep each pointing at the right subtree.
-		for _, e := range []*Engine{seg, whole} {
-			if err := e.ReplaceDocument(context.Background(), db.Docs[0].Name, db.Docs[0].Data); err != nil {
-				t.Fatal(err)
-			}
-		}
-		compare("after a replace")
 	}
 }
 
-func TestSegmentedReducesPointQueryIO(t *testing.T) {
-	seg := loadSegmented(t, core.DCSD)
-	cfg := gen.Config{DictEntries: 60, Articles: 5, Items: 40, Orders: 60}
-	db, _ := cfg.Generate(core.DCSD, core.Small)
-	whole := New(0)
-	if _, err := whole.Load(context.Background(), db); err != nil {
-		t.Fatal(err)
-	}
-	if err := whole.BuildIndexes(queries.Indexes(core.DCSD)); err != nil {
-		t.Fatal(err)
-	}
-	params := core.Params{"X": "I7"}
-	seg.ColdReset()
-	a, err := seg.Execute(context.Background(), core.Q8, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	whole.ColdReset()
-	b, err := whole.Execute(context.Background(), core.Q8, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.PageIO >= b.PageIO {
-		t.Fatalf("segmented point query should read fewer pages: %d vs %d", a.PageIO, b.PageIO)
-	}
-}
-
-func TestSegmentedRequiresDOMFormat(t *testing.T) {
-	if _, err := NewWithOptions(0, Options{Format: FormatXML, Segmented: true}); err == nil {
-		t.Fatal("segmented raw-XML storage accepted")
-	}
-}
-
-func textgenHeadword(i int) string { return textgen.Headword(i) }
-
-// TestSegmentedTwoHitsInOneSegment: the index emits one locator per
-// matching value, so a top-level subtree holding two matches arrives as
-// the same segment twice. It must be loaded, and answer, once — for an
-// equality probe (two hw in one entry) and a range probe (two in-range
-// dates in one item).
-func TestSegmentedTwoHitsInOneSegment(t *testing.T) {
+// TestTwoHitsInOneDocument: the index holds one entry per matching
+// value, so a document holding two matches arrives from the probe twice.
+// It must be opened, and answer, once — for an equality probe (two hw in
+// one entry) and a range probe (two in-range dates in one item).
+func TestTwoHitsInOneDocument(t *testing.T) {
 	ctx := context.Background()
 	// Filler subtrees make the document several heap pages long, so the
 	// cost model prefers the probe to a scan.
@@ -509,32 +445,56 @@ func TestSegmentedTwoHitsInOneSegment(t *testing.T) {
 	for _, c := range cases {
 		db := &core.Database{Class: c.class, Size: core.Small,
 			Docs: []core.Doc{{Name: "doc.xml", Data: []byte(c.doc)}}}
-		var answers [2][]string
-		for i, opts := range []Options{{}, {Segmented: true, SegmentThreshold: 2}} {
-			e, err := NewWithOptions(0, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.Load(ctx, db); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.BuildIndexes(queries.Indexes(c.class)); err != nil {
-				t.Fatal(err)
-			}
-			if node, err := e.Explain(ctx, c.q, c.params); err != nil || !strings.Contains(fmt.Sprint(*node), "index-probe") {
-				t.Fatalf("%s/%s: expected an index plan, got %+v (%v)", c.class, c.q, node, err)
-			}
-			res, err := e.Execute(ctx, c.q, c.params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			answers[i] = res.Items
+		e := New(0)
+		if _, err := e.Load(ctx, db); err != nil {
+			t.Fatal(err)
 		}
-		if len(answers[0]) != 1 {
-			t.Fatalf("%s/%s: whole-document store returned %d items, want 1", c.class, c.q, len(answers[0]))
+		if err := e.BuildIndexes(queries.Indexes(c.class)); err != nil {
+			t.Fatal(err)
 		}
-		if fmt.Sprint(answers[1]) != fmt.Sprint(answers[0]) {
-			t.Fatalf("%s/%s: segmented store returned %q, whole-document store %q", c.class, c.q, answers[1], answers[0])
+		if node, err := e.Explain(ctx, c.q, c.params); err != nil || !strings.Contains(fmt.Sprint(*node), "index-probe") {
+			t.Fatalf("%s/%s: expected an index plan, got %+v (%v)", c.class, c.q, node, err)
+		}
+		hit, miss := e.Metrics().Counter("native.memo.hit"), e.Metrics().Counter("native.memo.miss")
+		hits, misses := hit.Value(), miss.Value()
+		res, err := e.Execute(ctx, c.q, c.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opened := hit.Value() - hits + miss.Value() - misses; opened != 1 {
+			t.Fatalf("%s/%s opened the document %d times, want once", c.class, c.q, opened)
+		}
+		if len(res.Items) != 1 {
+			t.Fatalf("%s/%s returned %d items, want 1", c.class, c.q, len(res.Items))
+		}
+	}
+}
+
+// TestCatalogRecordPinned: a catalog record is a flag byte of 0, a
+// record count of 1, the document's RID and its name, byte for byte what
+// the store has always written; any other record is reported as corrupt.
+func TestCatalogRecordPinned(t *testing.T) {
+	en := docEntry{name: "order1.xml", rid: 300}
+	want := append([]byte{0x00, 0x01, 0xac, 0x02}, "order1.xml"...)
+	if got := encodeCatalogEntry(en); !bytes.Equal(got, want) {
+		t.Fatalf("encoded % x, want % x", got, want)
+	}
+	if got, err := decodeCatalogEntry(want); err != nil || got != en {
+		t.Fatalf("decoded %+v, %v; want %+v", got, err, en)
+	}
+	for _, tc := range []struct {
+		name string
+		rec  []byte
+	}{
+		{"empty", nil},
+		{"flag byte 1", []byte{0x01, 0x01, 0x05, 'a'}},
+		{"count 0", []byte{0x00, 0x00, 0x05, 'a'}},
+		{"count 2", []byte{0x00, 0x02, 0x05, 0x06, 'a'}},
+		{"truncated rid", []byte{0x00, 0x01}},
+		{"rid runs to the end", []byte{0x00, 0x01, 0xac, 0x82}},
+	} {
+		if en, err := decodeCatalogEntry(tc.rec); err == nil {
+			t.Errorf("%s: % x decoded as %+v", tc.name, tc.rec, en)
 		}
 	}
 }
@@ -559,13 +519,16 @@ func allocsPerRun(runs int, setup, f func()) float64 {
 
 // warmQ1Allocs is what an indexed DC/MD Q1 allocates on a view that has
 // opened its records before: the catalog walk, the probe, the evaluation
-// and the answer, and nothing per record.
-const warmQ1Allocs = 48
+// and the answer, and nothing per record. It was 48 while a catalog
+// entry decoded for each opened document built a slice of its record
+// RIDs; an entry now names one record, read where it lies.
+const warmQ1Allocs = 42
 
 // coldQ1Allocs is what the same query allocates after a ColdReset, less
 // the page-crossing spans it assembles: it opens its six records again,
-// and a page it reads from disk allocates nothing.
-const coldQ1Allocs = 71
+// and a page it reads from disk allocates nothing. It was 71 with the
+// same six RID slices.
+const coldQ1Allocs = 65
 
 // TestAllocationPins: an indexed DC/MD point query does not allocate per
 // node, and what it allocates does not move when the flat documents it
@@ -637,14 +600,12 @@ func TestAllocationPins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, rid := range en.rids {
-				data, err := e.s.docs.Get(ctx, rid)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opened++
-				cold -= float64(crosses(uint64(rid), 4) + crosses(uint64(rid)+4, len(data)))
+			data, err := e.s.docs.Get(ctx, en.rid)
+			if err != nil {
+				t.Fatal(err)
 			}
+			opened++
+			cold -= float64(crosses(uint64(en.rid), 4) + crosses(uint64(en.rid)+4, len(data)))
 		}
 		if opened != 6 {
 			t.Fatalf("Q1 opens %d records, want 6", opened)

@@ -95,7 +95,7 @@ func TestBinarySmallerAndFasterShape(t *testing.T) {
 	// binary must not exceed ~1.5x the XML size even in the worst case and
 	// should be smaller for tag-heavy content.
 	var b []byte
-	doc := NewDocument()
+	doc := &Node{Kind: DocumentKind}
 	root := doc.AddElement("orders")
 	for i := 0; i < 200; i++ {
 		o := root.AddElement("order_line_with_long_name")
@@ -146,7 +146,7 @@ func BenchmarkOpenRecord(b *testing.B) {
 }
 
 func buildBenchDoc() *Node {
-	doc := NewDocument()
+	doc := &Node{Kind: DocumentKind}
 	root := doc.AddElement("catalog")
 	for i := 0; i < 500; i++ {
 		item := root.AddElement("item")

@@ -170,7 +170,7 @@ func TestCursorRejectsWhatDecodeRejects(t *testing.T) {
 // objects for a 10-node and a 10,000-node document.
 func TestOpenRecordAllocations(t *testing.T) {
 	build := func(leaves int) []byte {
-		doc := xmldom.NewDocument()
+		doc := &xmldom.Node{Kind: xmldom.DocumentKind}
 		root := doc.AddElement("r")
 		for i := 0; i < leaves; i++ {
 			root.AddElement("leaf").AddText(strings.Repeat("x", 1+i%9))

@@ -65,9 +65,6 @@ type Node struct {
 	Parent   *Node
 }
 
-// NewDocument returns an empty document node.
-func NewDocument() *Node { return &Node{Kind: DocumentKind} }
-
 // NewElement returns a detached element node.
 func NewElement(name string) *Node { return &Node{Kind: ElementKind, Name: name} }
 
@@ -130,17 +127,6 @@ func (n *Node) Root() *Node {
 		}
 	}
 	return nil
-}
-
-// Elements returns the element children of n.
-func (n *Node) Elements() []*Node {
-	var es []*Node
-	for _, c := range n.Children {
-		if c.Kind == ElementKind {
-			es = append(es, c)
-		}
-	}
-	return es
 }
 
 // ChildElements returns the child elements with the given name. A nil

@@ -15,8 +15,8 @@ func TestParseSimple(t *testing.T) {
 	if v, ok := root.Attr("x"); !ok || v != "1" {
 		t.Fatalf("attr x = %q, %v", v, ok)
 	}
-	if len(root.Elements()) != 2 {
-		t.Fatalf("children = %d", len(root.Elements()))
+	if len(root.Children) != 2 {
+		t.Fatalf("children = %d", len(root.Children))
 	}
 	if root.FirstChild("b").Text() != "hi" {
 		t.Fatalf("b text = %q", root.FirstChild("b").Text())
@@ -302,7 +302,7 @@ func TestEncoderEscapes(t *testing.T) {
 
 func TestSortByOrd(t *testing.T) {
 	doc := MustParse(`<a><b/><c/><d/></a>`)
-	els := doc.Root().Elements()
+	els := doc.Root().Children
 	shuffled := []*Node{els[2], els[0], els[1]}
 	SortByOrd(shuffled)
 	if shuffled[0].Name != "b" || shuffled[2].Name != "d" {
