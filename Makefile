@@ -135,18 +135,18 @@ loc:
 		{ echo "line counts differ from results/loc.txt; if intended: bash scripts/loc.sh > results/loc.txt"; exit 1; }
 	@cat results/loc.txt
 
-# Plan regression gate: the costed EXPLAIN tree of every (class, query)
-# cell, planned over fixture statistics, and the relational engines'
-# operator trees drawn with it — the shredded layout's and Xcolumn's — must
-# match the checked-in corpora under results/plans/ (and
-# results/plans/shredded/, results/plans/xcolumn/) byte for byte.
+# Plan regression gate: the tree every engine family runs for each
+# (class, query) cell, drawn with the plan over fixture statistics — the
+# native engine's, the shredded layout's and Xcolumn's — must match the
+# checked-in corpora under results/plans/native/, results/plans/shredded/
+# and results/plans/xcolumn/ byte for byte.
 plan-check:
-	$(GO) test -run TestGoldenPlans ./internal/plan/ ./internal/engines/shredplan/
+	$(GO) test -run TestGoldenPlans ./internal/engines/native/ ./internal/engines/shredplan/
 
-# Refresh the EXPLAIN corpus after an intended planner or tree change;
+# Refresh the EXPLAIN corpora after an intended planner or tree change;
 # commit the diff alongside the change that caused it.
 plan-golden:
-	$(GO) test -run TestGoldenPlans ./internal/plan/ ./internal/engines/shredplan/ -args -update-plans
+	$(GO) test -run TestGoldenPlans ./internal/engines/native/ ./internal/engines/shredplan/ -args -update-plans
 
 # The PR gate: everything that must be green before a change lands.
 verify: build vet test race chaos-updates torture smoke shard-smoke plan-check loc

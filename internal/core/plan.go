@@ -13,9 +13,9 @@ import (
 // vocabulary — goldens under results/plans/ diff them — so changes to
 // Op names are plan regressions, not refactors.
 type PlanNode struct {
-	// Op is the operator name: "scan", "index-probe", "doc-lookup",
-	// "filter", "join", "semi-join", "sort", "limit", "construct",
-	// "aggregate", "text-search", "result", "clob", "clobs".
+	// Op is the operator name: "evaluate", "scan", "index-probe",
+	// "doc-lookup", "filter", "join", "semi-join", "sort", "limit",
+	// "construct", "aggregate", "clob", "clobs".
 	Op string
 	// Target names what the operator touches: a heap/table, an index
 	// target ("item/@id"), or a document parameter.

@@ -103,8 +103,8 @@ func TestCarriedEntriesAreTheFreshOnes(t *testing.T) {
 							t.Fatalf("after commit %d: %s: %v", i, def.ID, err)
 						}
 						if !reflect.DeepEqual(served, fresh) {
-							t.Fatalf("after commit %d %s is served\n%s(cost %.1f, rows %.1f)\nthe planner builds\n%s(cost %.1f, rows %.1f)",
-								i, def.ID, served.Root.Format(), served.EstCost, served.EstRows, fresh.Root.Format(), fresh.EstCost, fresh.EstRows)
+							t.Fatalf("after commit %d %s is served\n%v %s(cost %.1f, rows %.1f)\nthe planner builds\n%v %s(cost %.1f, rows %.1f)",
+								i, def.ID, served.Access, served.IndexTarget, served.EstCost, served.EstRows, fresh.Access, fresh.IndexTarget, fresh.EstCost, fresh.EstRows)
 						}
 					}
 					// Fill the memo whatever the readers got to.

@@ -50,9 +50,9 @@ type View interface {
 	Stats() plan.StatValues
 	// Exec runs the planned query ph. Base fills in Result.PageIO.
 	Exec(ctx context.Context, ph *plan.Physical, p core.Params) (core.Result, error)
-	// Explain returns the tree Exec runs for ph: the planner's own
-	// (ph.Root) for an engine that executes the plan, the engine's operator
-	// tree for one that runs a translation of its own.
+	// Explain returns the tree Exec runs for ph, drawn by the engine from
+	// the same decisions Exec takes: the evaluator over its access path
+	// on the native engine, the operator tree on the others.
 	Explain(ph *plan.Physical) (*core.PlanNode, error)
 }
 

@@ -103,10 +103,12 @@ func (v *cellView) Exec(_ context.Context, _ *plan.Physical, _ core.Params) (cor
 	}
 	return core.Result{Items: []string{fmt.Sprint(v.n)}}, nil
 }
-func (v *cellView) Explain(ph *plan.Physical) (*core.PlanNode, error) { return ph.Root, nil }
-func (c *cell) BuildIndexes([]core.IndexSpec) error                   { return nil }
-func (c *cell) Validate(*xmldom.Node) error                           { return nil }
-func (c *cell) Exists(name string) bool                               { return c.names[name] }
+func (v *cellView) Explain(*plan.Physical) (*core.PlanNode, error) {
+	return &core.PlanNode{Op: "scan", Target: "cell"}, nil
+}
+func (c *cell) BuildIndexes([]core.IndexSpec) error { return nil }
+func (c *cell) Validate(*xmldom.Node) error         { return nil }
+func (c *cell) Exists(name string) bool             { return c.names[name] }
 func (c *cell) ApplyInsert(ctx context.Context, name string, _ []byte, _ *xmldom.Node) error {
 	c.names[name] = true
 	if err := c.write(); err != nil {

@@ -71,9 +71,9 @@ func TestPlanMemoLivesWithTheView(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(served, fresh) {
-					t.Fatalf("after %s Q5 is served\n%s\nthe planner builds\n%s", step, served.Root.Format(), fresh.Root.Format())
+					t.Fatalf("after %s Q5 is served\n%+v\nthe planner builds\n%+v", step, served, fresh)
 				}
-				return served.Root
+				return explain(t, e, core.Q5)
 			}
 
 			if err := e.BuildIndexes(workload.Indexes(core.DCMD)); err != nil {

@@ -535,8 +535,41 @@ func (v *view) Exec(ctx context.Context, ph *plan.Physical, p core.Params) (core
 // Class implements engbase.View.
 func (v *view) Class() core.Class { return v.class }
 
-// Explain implements engbase.View: the evaluator runs the plan itself.
-func (v *view) Explain(ph *plan.Physical) (*core.PlanNode, error) { return ph.Root, nil }
+// Explain implements engbase.View: the tree Exec runs for ph.
+func (v *view) Explain(ph *plan.Physical) (*core.PlanNode, error) { return tree(ph), nil }
+
+// tree draws what Exec runs for ph: the evaluator over the documents of
+// the catalog walk buildCollection takes for ph.Access. The evaluator
+// does everything else the query asks for — filters, Q19's join, order
+// by, aggregates, constructors, a positional [1] — so none of it is an
+// operator of its own.
+func tree(ph *plan.Physical) *core.PlanNode {
+	access := &core.PlanNode{EstPages: ph.EstCost, EstRows: ph.EstRows}
+	switch ph.Access {
+	case plan.AccessDoc:
+		access.Op, access.Target = "doc-lookup", "$DOC"
+	case plan.AccessIndex:
+		path := ph.IndexTarget
+		if _, attr, ok := strings.Cut(path, "/@"); ok {
+			path = "@" + attr
+		}
+		access.Op, access.Target, access.Detail = "index-probe", ph.IndexTarget, path+" = $"+ph.IndexParam
+		if ph.IndexParam == "" {
+			access.Detail = fmt.Sprintf("%s in [$%s..$%s]", path, ph.LoParam, ph.HiParam)
+		}
+		opens := "probed documents"
+		if ph.Def.Class == core.DCMD {
+			opens += ", flat documents"
+		}
+		access = &core.PlanNode{Op: "scan", Target: "catalog", Detail: opens, Children: []*core.PlanNode{access}}
+	default:
+		access.Op, access.Target, access.Detail = "scan", "collection", "sequential"
+		if srcs := ph.Shape.Sources; len(srcs) > 0 && srcs[0].RootElem != "" {
+			access.Target = srcs[0].RootElem
+		}
+	}
+	return &core.PlanNode{Op: "evaluate", Children: []*core.PlanNode{access}}
+}
 
 // Stats implements engbase.View: document heap pages, catalog entry
 // count and the heights of the value indexes.
@@ -558,11 +591,11 @@ func (v *view) DocumentCount() int { return v.catalog.Count() }
 var _ core.Explainer = (*Engine)(nil)
 
 // buildCollection opens the documents the physical plan's access path
-// selects: an index-probed subset (equality or range), a single named
-// document for doc()-based queries, or the whole database for scans. The
-// catalog is always read from disk (cold-run cost proportional to
-// document count); a document is fetched, and its name copied, only when
-// it is selected.
+// selects — what tree draws under the evaluator: a single named document
+// for doc()-based queries, an index-probed subset (equality or range), or
+// the whole database for scans. The catalog is always read from disk
+// (cold-run cost proportional to document count); a document is fetched,
+// and its name copied, only when it is selected.
 func (v *view) buildCollection(ctx context.Context, ph *plan.Physical, p core.Params) (*xquery.Collection, error) {
 	reg, coll := v.reg, xquery.NewCollection()
 	// A catalog walk is two phases: scan is the walk itself, materialize
@@ -588,9 +621,15 @@ func (v *view) buildCollection(ctx context.Context, ph *plan.Physical, p core.Pa
 		return nil
 	}
 
-	// doc("...") queries need only the named document, but locating it
-	// still walks the on-disk catalog.
-	if docName := p.Get("DOC"); docName != "" && ph.Access == plan.AccessDoc {
+	switch ph.Access {
+	case plan.AccessDoc:
+		// doc("...") queries need only the named document, but locating
+		// it still walks the on-disk catalog; with no name bound there is
+		// nothing to walk to.
+		docName := p.Get("DOC")
+		if docName == "" {
+			return nil, fmt.Errorf("native: %s/%s: no document bound to $DOC", v.class, ph.Def.ID)
+		}
 		found := false
 		err := scan(func(_, rid pager.RID, name []byte) (bool, error) {
 			if string(name) == docName {
@@ -606,9 +645,12 @@ func (v *view) buildCollection(ctx context.Context, ph *plan.Physical, p core.Pa
 			return nil, fmt.Errorf("native: document %q not found", docName)
 		}
 		return coll, nil
-	}
 
-	if ix, ok := v.indexes[ph.IndexTarget]; ok && ph.Access == plan.AccessIndex {
+	case plan.AccessIndex:
+		ix, ok := v.indexes[ph.IndexTarget]
+		if !ok {
+			return nil, fmt.Errorf("native: no index on %s", ph.IndexTarget)
+		}
 		probeSpan := reg.StartSpan(metrics.PhaseIndexProbe)
 		var (
 			locs []uint64
@@ -645,17 +687,18 @@ func (v *view) buildCollection(ctx context.Context, ph *plan.Physical, p core.Pa
 		// the flat customers document); always include the flat documents
 		// of multi-document DC databases.
 		return coll, scan(func(cat, rid pager.RID, name []byte) (bool, error) {
-			if want[cat] || v.class == core.DCMD && !bytes.HasPrefix(name, []byte("order")) {
+			if want[cat] || ph.Def.Class == core.DCMD && !bytes.HasPrefix(name, []byte("order")) {
 				return true, addDoc(rid, name)
 			}
 			return true, nil
 		})
-	}
 
-	// Sequential scan: hand over everything.
-	return coll, scan(func(_, rid pager.RID, name []byte) (bool, error) {
-		return true, addDoc(rid, name)
-	})
+	default:
+		// Sequential scan: hand over everything.
+		return coll, scan(func(_, rid pager.RID, name []byte) (bool, error) {
+			return true, addDoc(rid, name)
+		})
+	}
 }
 
 var _ core.Engine = (*Engine)(nil)

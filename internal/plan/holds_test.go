@@ -11,7 +11,7 @@ import (
 
 // TestHoldsMeansReplanEqual: whenever a plan Holds under perturbed
 // statistics, planning afresh over them builds the same plan, field for
-// field — tree, EstCost and EstRows included. Every catalog query of every
+// field — EstCost and EstRows included. Every catalog query of every
 // class is planned over a grid of statistics around the index-vs-scan
 // crossover (a probe costs height+1 pages, a scan DataPages), and each
 // plan is asked about the grid point's neighbours: DataPages and DataRows
@@ -54,9 +54,9 @@ func TestHoldsMeansReplanEqual(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if ph.Root.Format() != fresh.Root.Format() || ph.EstCost != fresh.EstCost || ph.EstRows != fresh.EstRows || !reflect.DeepEqual(ph, fresh) {
-						t.Errorf("%s %s: planned over %+v it holds over %+v, but replanning builds\n%s(cost %.1f, rows %.1f)\nnot\n%s(cost %.1f, rows %.1f)",
-							class, def.ID, st, next, fresh.Root.Format(), fresh.EstCost, fresh.EstRows, ph.Root.Format(), ph.EstCost, ph.EstRows)
+					if ph.EstCost != fresh.EstCost || ph.EstRows != fresh.EstRows || !reflect.DeepEqual(ph, fresh) {
+						t.Errorf("%s %s: planned over %+v it holds over %+v, but replanning builds\n%v %s(cost %.1f, rows %.1f)\nnot\n%v %s(cost %.1f, rows %.1f)",
+							class, def.ID, st, next, fresh.Access, fresh.IndexTarget, fresh.EstCost, fresh.EstRows, ph.Access, ph.IndexTarget, ph.EstCost, ph.EstRows)
 					}
 				}
 			}

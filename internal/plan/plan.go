@@ -1,21 +1,20 @@
-// Package plan is the cost-based query planner. It compiles the parsed
-// XQuery shape of a catalog query (xquery.Query.Shape) into a logical
-// plan, runs a small rewrite pass (predicate pushdown into index
-// probes, limit pushdown for positional [1] access, join reordering for
-// the shredded engines' reconstructions), and costs the access-path
-// alternatives with the engine's page counts to pick index-vs-scan. It
-// is the only source of access paths: the catalog (internal/queries)
-// says what a query computes, never how.
+// Package plan is the cost-based query planner. It reads the parsed
+// XQuery shape of a catalog query (xquery.Query.Shape), pushes the
+// primary source's indexable predicates into index probes and its
+// positional [k] into a limit, and costs the access-path alternatives
+// with the engine's page counts to pick index-vs-scan. It is the only
+// source of access paths: the catalog (internal/queries) says what a
+// query computes, never how.
 //
-// All four engines execute through the resulting Physical, and
-// core.Explainer exposes its Root tree — or, on the shredding engines, the
-// operator tree they run with it — so access-path regressions are
-// diffable golden files (results/plans, TestGoldenPlans) instead of
-// silent perf cliffs.
+// The planner only decides; it draws nothing. All four engines execute
+// through the resulting Physical, and each draws the tree it runs with
+// it for core.Explainer — the native engine its access under the
+// evaluator, the others their operator trees — so access-path
+// regressions are diffable golden files (results/plans, each engine
+// family's TestGoldenPlans) instead of silent perf cliffs.
 package plan
 
 import (
-	"fmt"
 	"maps"
 	"sort"
 	"strings"
@@ -81,17 +80,14 @@ func FixtureStats(class core.Class) StatValues {
 }
 
 // Physical is a costed physical plan: the decisions an engine needs to
-// execute (access path, probe parameters, pushed-down limit) plus the
-// printable tree served through the Explain API.
+// execute (access path, probe parameters, pushed-down limit).
 type Physical struct {
 	Def *queries.Def
 	// Compiled is Def's text parsed: the Shape costed here and the Query
-	// the native engine evaluates, shared by every plan of the text.
+	// the native engine evaluates, shared by every plan of the text. The
+	// Shape's first source is the primary access; it is shared and never
+	// mutated.
 	*Compiled
-	// Sources is the shape's source list after join reordering: the
-	// primary (outer) access comes first. It is a copy — the memoized
-	// Shape is shared and never mutated.
-	Sources []xquery.Source
 
 	// Access is the costed index-vs-scan choice for the primary source.
 	Access Access
@@ -114,12 +110,6 @@ type Physical struct {
 	// primary access path.
 	EstCost float64
 	EstRows float64
-	// Rules lists the rewrite rules that fired, in order.
-	Rules []string
-
-	// Root is the planner's printable tree: what Explain returns on an
-	// engine that executes the plan itself.
-	Root *core.PlanNode
 
 	fb *Feedback // StatValues.Feedback, for Observe
 	// costed is what of the statistics the plan was built from (reads),
@@ -127,16 +117,15 @@ type Physical struct {
 	costed StatValues
 }
 
-// reads is the part of st a plan of ph's access path and shape is built
-// from: the index heights, unless ph is a doc lookup without a join
-// (which reads none), and, for a scan, whose cost and row estimate are
-// theirs, DataPages and DataRows. An equality probe's own cost is the
+// reads is the part of st a plan of ph's access path is built from: the
+// index heights, unless ph is a doc lookup (which reads none), and, for a
+// scan, whose cost and row estimate are theirs, DataPages and DataRows. An equality probe's own cost is the
 // index height; the data size decides only whether it beats the scan,
 // which Holds checks apart. Feedback is not part of it: a plan that read
 // the feedback never holds.
 func (ph *Physical) reads(st StatValues) StatValues {
 	var r StatValues
-	if ph.Access != AccessDoc || joins(ph) {
+	if ph.Access != AccessDoc {
 		r.Indexes = st.Indexes
 	}
 	if ph.Access == AccessScan {
@@ -202,24 +191,17 @@ func Plan(def *queries.Def, st StatValues) (*Physical, error) {
 		return nil, core.ErrNoQuery
 	}
 	ph := &Physical{Def: def, Compiled: compile(def), Access: AccessScan, fb: st.Feedback}
-	ph.Sources = append([]xquery.Source(nil), ph.Shape.Sources...)
-	reorderJoin(ph)
-
 	switch {
 	case ph.Shape.UsesDoc:
 		ph.Access = AccessDoc
 		ph.EstCost, ph.EstRows = 1, 1
-	case len(ph.Sources) > 0:
-		prim := &ph.Sources[0]
+	case len(ph.Shape.Sources) > 0:
+		prim := &ph.Shape.Sources[0]
 		chooseAccess(ph, prim, st)
-		if prim.Positional > 0 {
-			ph.Limit = prim.Positional
-			ph.Rules = append(ph.Rules, fmt.Sprintf("limit-pushdown(n=%d)", prim.Positional))
-		}
+		ph.Limit = prim.Positional
 	default:
 		ph.EstCost, ph.EstRows = scanCost(st), float64(st.DataRows)
 	}
-	ph.Root = buildTree(ph, st)
 	ph.costed = ph.reads(st)
 	return ph, nil
 }
@@ -259,7 +241,6 @@ func chooseAccess(ph *Physical, prim *xquery.Source, st StatValues) {
 		ph.LoParam = paramName(best.lo.Param)
 		ph.HiParam = paramName(best.hi.Param)
 	}
-	ph.Rules = append(ph.Rules, "predicate-pushdown("+best.target+")")
 }
 
 // findCandidates matches the source's comparison predicates against the
@@ -379,28 +360,4 @@ func estRows(c *candidate, st StatValues) float64 {
 		r = 1
 	}
 	return r
-}
-
-// reorderJoin handles multi-source FLWOR joins (Q19's order x customer
-// reconstruction): the source probeable by a bare parameter becomes the
-// outer side, the join-correlated source the inner. Sources bound to
-// variables are reorderable; correlated subqueries are not.
-func reorderJoin(ph *Physical) {
-	if !joins(ph) {
-		return
-	}
-	srcs := ph.Sources
-	if !hasPlainEq(&srcs[0]) && hasPlainEq(&srcs[1]) {
-		srcs[0], srcs[1] = srcs[1], srcs[0]
-	}
-	ph.Rules = append(ph.Rules, "join-reorder(outer="+srcs[0].RootElem+")")
-}
-
-func hasPlainEq(s *xquery.Source) bool {
-	for _, pr := range s.Preds {
-		if pr.Op == "=" && plainParam(pr.Param) {
-			return true
-		}
-	}
-	return false
 }

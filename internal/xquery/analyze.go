@@ -7,10 +7,9 @@ import (
 
 // This file is the planner's view into the AST. The AST itself stays
 // unexported; Query.Shape distills the structural facts the cost-based
-// planner in internal/plan needs: which collections the query reads,
+// planner in internal/plan decides on: which collections the query reads,
 // which predicates gate the primary access, whether a positional [1]
-// caps the result, and which evaluation features (order by, aggregates,
-// constructors, text search) appear.
+// caps the result, and whether it looks a document up by name.
 
 // Pred is one comparison predicate extracted from a path step or a
 // FLWOR source: Path op Param, with Path relative to the step's element
@@ -25,9 +24,6 @@ type Pred struct {
 // Source is one rooted collection access (a '//elem[...]' path or a
 // FLWOR for-clause over one).
 type Source struct {
-	// Var is the FLWOR variable bound to this source ("" for a plain
-	// path expression).
-	Var string
 	// RootElem is the first named element step ("item", "order", ...).
 	RootElem string
 	// Preds are the comparison predicates on that step.
@@ -35,33 +31,17 @@ type Source struct {
 	// Positional is the value of the first numeric positional
 	// predicate on a later step ("/sense[1]"), 0 if none. A positional
 	// k means at most k items of the inner path are needed per match —
-	// the limit-pushdown rewrite keys off it.
+	// the planner's Limit.
 	Positional int
-	// Residual counts predicates on the root step that are not simple
-	// comparisons (quantifiers, empty(), text search): they must be
-	// re-evaluated after the access path, whatever it is.
-	Residual int
 }
 
 // Shape summarizes a parsed query for the planner.
 type Shape struct {
-	// Sources lists rooted collection accesses in query order. More
-	// than one means a join (Q19's order x customer reconstruction).
+	// Sources lists rooted collection accesses in query order; the
+	// first is the primary access the planner costs.
 	Sources []Source
-	// OrderBy is true when a FLWOR sorts its results.
-	OrderBy bool
-	// Aggregate names the first aggregate call (count, avg or sum), ""
-	// if none.
-	Aggregate string
-	// Constructs is true when the query builds new elements.
-	Constructs bool
 	// UsesDoc is true for doc($X) document lookups.
 	UsesDoc bool
-	// TextSearch is true when contains()/contains-word() appears: the
-	// access path cannot be an equality index probe.
-	TextSearch bool
-	// Quantified is true for some/every predicates.
-	Quantified bool
 }
 
 // Shape summarizes the structure of a parsed query. Constructs it does
@@ -69,7 +49,7 @@ type Shape struct {
 // which the planner treats as a full scan.
 func (q *Query) Shape() *Shape {
 	sh := &Shape{}
-	(&analyzer{sh: sh}).walk(q.root, "")
+	(&analyzer{sh: sh}).walk(q.root)
 	return sh
 }
 
@@ -77,69 +57,53 @@ type analyzer struct {
 	sh *Shape
 }
 
-// walk traverses the expression tree. bindVar is the FLWOR variable the
-// current expression is bound to (for-clause sources), "" otherwise.
-func (a *analyzer) walk(e expr, bindVar string) {
+// walk traverses the expression tree.
+func (a *analyzer) walk(e expr) {
 	switch v := e.(type) {
 	case literal, varRef, contextItem, nil:
 	case pathExpr:
 		if v.fromRoot {
-			a.source(v, bindVar)
+			a.source(v)
 			return
 		}
-		a.walk(v.input, "")
+		a.walk(v.input)
 		for _, st := range v.steps {
 			for _, p := range st.preds {
-				a.walk(p, "")
+				a.walk(p)
 			}
 		}
 	case binary:
-		a.walk(v.l, "")
-		a.walk(v.r, "")
+		a.walk(v.l)
+		a.walk(v.r)
 	case call:
-		switch v.fn.name {
-		case "doc":
+		if v.fn.name == "doc" {
 			a.sh.UsesDoc = true
-		case "contains", "contains-word":
-			a.sh.TextSearch = true
-		case "count", "avg", "sum":
-			if a.sh.Aggregate == "" {
-				a.sh.Aggregate = v.fn.name
-			}
 		}
 		for _, arg := range v.args {
-			// distinct-values(//loc) and sum(//order/total) feed a
-			// rooted path straight into a call: the path is still the
-			// query's source, so the bind variable passes through.
-			a.walk(arg, bindVar)
+			a.walk(arg)
 		}
 	case flwor:
 		for _, cl := range v.clauses {
-			a.walk(cl.src, cl.varName)
+			a.walk(cl.src)
 		}
 		if v.where != nil {
-			a.walk(v.where, "")
+			a.walk(v.where)
 		}
-		if v.orderBy != nil {
-			a.sh.OrderBy = true
-		}
-		a.walk(v.ret, "")
+		a.walk(v.ret)
 	case quantified:
-		a.sh.Quantified = true
-		a.walk(v.src, "")
-		a.walk(v.cond, "")
+		a.walk(v.src)
+		a.walk(v.cond)
 	case elemCtor:
-		a.sh.Constructs = true
 		for _, at := range v.attrs {
 			for _, part := range at.parts {
 				if ex, ok := part.(expr); ok {
-					a.walk(ex, "")
+					a.walk(ex)
 				}
 			}
 		}
 		for _, part := range v.content {
 			if ex, ok := part.(expr); ok {
-				a.walk(ex, "")
+				a.walk(ex)
 			}
 		}
 	}
@@ -147,9 +111,9 @@ func (a *analyzer) walk(e expr, bindVar string) {
 
 // source records a rooted path as a Source: root element, predicates on
 // it, and any positional cap on the trailing steps. Predicates are also
-// walked so text search and quantifiers inside them are seen.
-func (a *analyzer) source(p pathExpr, bindVar string) {
-	src := Source{Var: bindVar}
+// walked so the rooted paths inside them are sources too.
+func (a *analyzer) source(p pathExpr) {
+	var src Source
 	primary := -1
 	for i, st := range p.steps {
 		if st.name != "" && st.name != "*" && st.axis != axisAttribute {
@@ -161,18 +125,14 @@ func (a *analyzer) source(p pathExpr, bindVar string) {
 	for i, st := range p.steps {
 		for _, pr := range st.preds {
 			if i == primary {
-				got := collectPreds(pr)
-				if len(got) == 0 {
-					src.Residual++
-				}
-				src.Preds = append(src.Preds, got...)
+				src.Preds = append(src.Preds, collectPreds(pr)...)
 			}
 			if i > primary && src.Positional == 0 {
 				if n, ok := positional(pr); ok {
 					src.Positional = n
 				}
 			}
-			a.walk(pr, "")
+			a.walk(pr)
 		}
 	}
 	a.sh.Sources = append(a.sh.Sources, src)

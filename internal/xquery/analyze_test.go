@@ -61,8 +61,8 @@ func TestAnalyzeRange(t *testing.T) {
 	}
 }
 
-// TestAnalyzeJoin: a two-variable FLWOR yields two bound sources — the
-// shape the join reorderer keys on.
+// TestAnalyzeJoin: a two-variable FLWOR yields two sources, the primary
+// first.
 func TestAnalyzeJoin(t *testing.T) {
 	sh, err := analyze(`for $o in //order[@id = $X], $c in //customer[@id = string($o/customer_id)]
 		return <r>{$c/c_phone}</r>`)
@@ -70,20 +70,13 @@ func TestAnalyzeJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(sh.Sources) != 2 {
-		t.Fatalf("sources = %+v, want 2 bound sources", sh.Sources)
-	}
-	for _, src := range sh.Sources {
-		if src.Var == "" {
-			t.Fatalf("source %+v not bound to a variable", src)
-		}
-	}
-	if !sh.Constructs {
-		t.Error("element constructor not detected")
+		t.Fatalf("sources = %+v, want 2 sources", sh.Sources)
 	}
 }
 
-// TestAnalyzeDocAndAggregate: doc() access and aggregate calls are
-// flagged so the planner can special-case them.
+// TestAnalyzeDocAndAggregate: doc() access is flagged so the planner can
+// special-case it, and a rooted path handed to an aggregate call is still
+// the query's source.
 func TestAnalyzeDocAndAggregate(t *testing.T) {
 	sh, err := analyze(`doc($DOC)//account_information`)
 	if err != nil {
@@ -96,7 +89,7 @@ func TestAnalyzeDocAndAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh.Aggregate != "count" {
-		t.Errorf("aggregate = %q, want count", sh.Aggregate)
+	if src := primary(sh); src == nil || src.RootElem != "item" {
+		t.Errorf("primary = %+v, want item", src)
 	}
 }
