@@ -32,14 +32,17 @@ fuzz:
 examples:
 	for d in examples/*/; do $(GO) run ./$$d || exit 1; done
 
-# Crash/recovery fault-injection grid over every engine x class.
+# Crash/recovery fault-injection grid over every engine x class: crash
+# mid-load, then restart on a fresh engine under transient read faults.
 chaos: build
 	$(GO) run ./cmd/xbench chaos
 
-# Crash-during-update grid: every engine x U1/U2/U3 x crash point must
-# recover to exactly the pre- or post-update state. Two crash points
-# cover both legal outcomes (the zero offset tears the journal commit
-# record -> rollback; the budget offset lands after it -> commit).
+# Crash-during-update grid: every engine x U1/U2/U3 x crash point, served
+# by a journaled server, must restart (server.Reopen over its journal) to
+# exactly the pre- or post-update state. Two crash points cover both
+# legal outcomes (the zero offset crashes the engine's apply, so the
+# update is never journaled -> rollback; the budget offset lets it finish
+# and be acknowledged -> commit).
 chaos-updates: build
 	$(GO) run ./cmd/xbench chaos --updates-only --crashes=2
 

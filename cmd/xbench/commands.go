@@ -255,8 +255,7 @@ func setupChaos(fs *flag.FlagSet) func() error {
 	g := genFlags(fs)
 	seed := seedFlag(fs)
 	crashes := fs.Int("crashes", 3, "crash points per engine x class cell")
-	readRate := fs.Float64("read-error-rate", 0, "transient read-fault probability during reload (0 = default, negative = off)")
-	tornRate := fs.Float64("torn-rate", 0, "torn-page-write probability during reload (0 = default, negative = off)")
+	readRate := fs.Float64("read-error-rate", 0, "transient read-fault probability during the restart (0 = default, negative = off)")
 	updates := fs.Bool("updates", false, "also run the crash-during-update grid (U1-U3 on the multi-document classes)")
 	updatesOnly := fs.Bool("updates-only", false, "run only the crash-during-update grid")
 	return func() error {
@@ -269,7 +268,6 @@ func setupChaos(fs *flag.FlagSet) func() error {
 			Seed:          *seed,
 			CrashPoints:   *crashes,
 			ReadErrorRate: *readRate,
-			TornWriteRate: *tornRate,
 		}
 		if !*updatesOnly {
 			if err := r.ChaosGrid(cfg); err != nil {

@@ -3,8 +3,8 @@
 // against every engine on a multi-document class and reports per-op
 // p50/p95/p99 update latency, the verification-query latency (separately
 // — see workload.UpdateMeasurement), and the metrics breakdown the
-// instrumented engines attribute to the update path: pager I/O, WAL
-// appends, rows touched.
+// instrumented engines attribute to the update path: pager I/O, MVCC
+// captures, rows touched.
 package bench
 
 import (

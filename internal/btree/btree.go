@@ -101,7 +101,7 @@ const headerMagic = 0x42545231
 
 // Sync persists the tree header (root page number and entry count) to the
 // reserved page 0 and forces every dirty node page to disk. A synced tree
-// survives a crash: Open re-attaches to it after pager recovery.
+// needs nothing from the pool: Open re-attaches to it from the disk alone.
 func (t *Tree) Sync() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -116,7 +116,7 @@ func (t *Tree) Sync() error {
 }
 
 // Open re-attaches to a tree previously persisted with Sync in the given
-// pager file (e.g. after crash recovery replayed the WAL).
+// pager file.
 func Open(p *pager.Pager, fid pager.FileID) (*Tree, error) {
 	t := &Tree{state: state{p: p, fid: fid}}
 	pg, err := p.Read(fid, 0)

@@ -1,22 +1,26 @@
 // Package chaos is the fault-injection harness: it crashes an engine at
-// deterministic points inside a bulk load, recovers the pager from its
-// write-ahead log, re-loads, and verifies that every workload query then
-// answers exactly what a fault-free run answers. It is the executable
-// proof of the recovery invariants in DESIGN.md ("Fault model and
+// deterministic points and then does what the served system does after a
+// crash — it restarts. A crash halts the pager's I/O for good (its disk is
+// process memory, so the crashed engine is a dead process); what comes
+// back is a fresh engine that loads the database and, for updates, replays
+// the server's journal file through server.Reopen, exactly as
+// `xbench serve --journal` restarts. The harness then requires every
+// answer to be one the fault-free system gives. It is the executable proof
+// of the recovery invariants in DESIGN.md §7 ("Fault model and
 // recovery") for all four engines.
 //
-// The harness deliberately tests the system the way a power cut would:
-// the crash halts all I/O mid-load, volatile state dies, Recover replays
-// the WAL, and the load is re-run from the start (each engine's Load is
-// idempotent — it resets its store at entry). Queries then run against a
-// store that lived through crash + recovery + transient read faults +
-// torn writes, and their answers must be bit-identical to the baseline.
+// The load grid (RunCell) crashes inside a bulk load: the crash must
+// surface as a crash and the dead engine must answer nothing, and a fresh
+// engine loaded under transient read faults must answer every workload
+// query bit for bit like the baseline. The update grid (updates.go)
+// crashes inside an update a loopback client sent to a journaled server.
 package chaos
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"xbench/internal/core"
 	"xbench/internal/pager"
@@ -24,8 +28,8 @@ import (
 )
 
 // Faultable is the contract an engine must satisfy to be chaos-tested:
-// exposing its pager so faults can be injected and recovery driven. All
-// four built-in engines implement it.
+// exposing its pager so faults can be injected. All four built-in engines
+// implement it.
 type Faultable interface {
 	Pager() *pager.Pager
 }
@@ -39,11 +43,8 @@ type Config struct {
 	// the load; <= 0 selects the default of 3.
 	CrashPoints int
 	// ReadErrorRate is the transient read-fault probability during the
-	// post-recovery reload and queries; < 0 disables, 0 selects 0.02.
+	// restart and its queries; < 0 disables, 0 selects 0.02.
 	ReadErrorRate float64
-	// TornWriteRate is the torn-page probability during the reload;
-	// < 0 disables, 0 selects 0.05.
-	TornWriteRate float64
 }
 
 // WithDefaults resolves the zero-value fields to their defaults.
@@ -57,12 +58,6 @@ func (c Config) WithDefaults() Config {
 	case c.ReadErrorRate == 0:
 		c.ReadErrorRate = 0.02
 	}
-	switch {
-	case c.TornWriteRate < 0:
-		c.TornWriteRate = 0
-	case c.TornWriteRate == 0:
-		c.TornWriteRate = 0.05
-	}
 	return c
 }
 
@@ -73,12 +68,10 @@ type Outcome struct {
 	Skipped bool // engine does not support the class, or is not Faultable
 	// CrashOps are the disk-op budgets of the crash points exercised.
 	CrashOps []int64
-	// Crashes and Recoveries count crash points that fired and recovered.
+	// Crashes counts crash points that fired, Recoveries the restarts
+	// that loaded and answered.
 	Crashes    int
 	Recoveries int
-	// Replayed is the total number of WAL records replayed across all
-	// recoveries.
-	Replayed int
 	// Queries is the number of query results compared against baseline.
 	Queries int
 	Err     error
@@ -111,8 +104,9 @@ func RunCell(newEngine func() core.Engine, db *core.Database, cfg Config) Outcom
 		return out
 	}
 
-	// Fault-free baseline: the answers every recovered run must reproduce.
+	// Fault-free baseline: the answers every restart must reproduce.
 	baseline := newEngine()
+	defer baseline.Close()
 	if _, _, err := workload.LoadAndIndex(ctx, baseline, db); err != nil {
 		out.Err = fmt.Errorf("chaos: baseline load: %w", err)
 		return out
@@ -128,6 +122,7 @@ func RunCell(newEngine func() core.Engine, db *core.Database, cfg Config) Outcom
 	// Measure the fault-free op budget so crash points land inside the
 	// load, spread evenly through it.
 	me := newEngine()
+	defer me.Close()
 	mp := me.(Faultable).Pager()
 	mp.SetFaultPolicy(pager.FaultPolicy{Seed: cfg.Seed})
 	if _, _, err := workload.LoadAndIndex(ctx, me, db); err != nil {
@@ -155,76 +150,72 @@ func RunCell(newEngine func() core.Engine, db *core.Database, cfg Config) Outcom
 }
 
 // runCrashPoint exercises one crash point: load until the crash fires,
-// recover, re-load under soft faults, and compare every query answer with
-// the baseline.
+// require the dead engine to answer nothing, then restart — a fresh
+// engine loaded under transient read faults — and compare every query
+// answer with the baseline.
 func runCrashPoint(newEngine func() core.Engine, db *core.Database, cfg Config,
 	crashAt int64, want []workload.Measurement, out *Outcome) error {
 	ctx := context.Background()
 	e := newEngine()
-	p := e.(Faultable).Pager()
-	p.SetFaultPolicy(pager.FaultPolicy{Seed: cfg.Seed, CrashAfterOps: crashAt})
+	defer e.Close()
+	e.(Faultable).Pager().SetFaultPolicy(pager.FaultPolicy{Seed: cfg.Seed, CrashAfterOps: crashAt})
 	_, _, err := workload.LoadAndIndex(ctx, e, db)
 	switch {
 	case err == nil:
 		// The budget outlasted the load (indexing cost can vary with the
-		// crash point); nothing crashed, the answers below still must match.
+		// crash point); nothing crashed, the restart below still must match.
 	case pager.IsCrash(err):
 		out.Crashes++
+		if err := stopped(ctx, e); err != nil {
+			return err
+		}
 	default:
 		return fmt.Errorf("non-crash failure under crash policy: %w", err)
 	}
 
-	// Power is back: recover to the last durable state and verify the
-	// recovery invariant before trusting the disk.
-	replayed, err := p.Recover()
-	if err != nil {
-		return fmt.Errorf("recover: %w", err)
-	}
-	out.Recoveries++
-	out.Replayed += replayed
-	if err := p.CheckDurable(); err != nil {
-		return fmt.Errorf("durability check: %w", err)
-	}
-
-	// Re-load with the crash point disabled but soft faults still firing:
-	// recovery must compose with transient read errors and torn writes.
-	p.SetFaultPolicy(pager.FaultPolicy{
+	// Restart: nothing of the crashed engine survives, so a fresh one loads
+	// the database again, with soft faults firing.
+	r := newEngine()
+	defer r.Close()
+	r.(Faultable).Pager().SetFaultPolicy(pager.FaultPolicy{
 		Seed:          cfg.Seed + uint64(crashAt),
 		ReadErrorRate: cfg.ReadErrorRate,
-		TornWriteRate: cfg.TornWriteRate,
 	})
-	if _, _, err := workload.LoadAndIndex(ctx, e, db); err != nil {
-		return fmt.Errorf("reload after recovery: %w", err)
+	if _, _, err := workload.LoadAndIndex(ctx, r, db); err != nil {
+		return fmt.Errorf("restart load: %w", err)
 	}
-	// Checkpoint: repair any torn writes of the reload from the WAL, then
-	// verify the disk is durable again.
-	if _, err := p.Recover(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := p.CheckDurable(); err != nil {
-		return fmt.Errorf("durability check after reload: %w", err)
-	}
+	out.Recoveries++
 
-	got := workload.RunAll(ctx, e, db.Class)
+	got := workload.RunAll(ctx, r, db.Class)
 	if len(got) != len(want) {
 		return fmt.Errorf("ran %d queries, baseline ran %d", len(got), len(want))
 	}
 	for i, m := range got {
 		if queryNotAnswered(want[i].Err) {
 			// The engine does not implement this query for the class; the
-			// recovered run must decline it the same way.
+			// restarted one must decline it the same way.
 			if !queryNotAnswered(m.Err) {
-				return fmt.Errorf("query %s answered after recovery but not at baseline", m.Query)
+				return fmt.Errorf("query %s answered after the restart but not at baseline", m.Query)
 			}
 			continue
 		}
 		if m.Err != nil {
-			return fmt.Errorf("query %s after recovery: %w", m.Query, m.Err)
+			return fmt.Errorf("query %s after the restart: %w", m.Query, m.Err)
 		}
 		if err := sameItems(want[i].Result.Items, m.Result.Items); err != nil {
 			return fmt.Errorf("query %s diverges from fault-free run: %w", m.Query, err)
 		}
 		out.Queries++
+	}
+	return nil
+}
+
+// stopped requires a crashed engine to answer like a dead one: a query
+// gets the not-loaded error, never an answer from a half-built store.
+func stopped(ctx context.Context, e core.Engine) error {
+	_, err := e.Execute(ctx, core.Q1, core.Params{"X": "O1"})
+	if err == nil || !strings.Contains(err.Error(), "before Load") {
+		return fmt.Errorf("crashed engine answered Q1 with %v, want the not-loaded error", err)
 	}
 	return nil
 }

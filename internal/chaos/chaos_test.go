@@ -23,7 +23,7 @@ func factories() map[string]func() core.Engine {
 }
 
 // TestAllEnginesAllClasses is the acceptance criterion: every engine x
-// class cell survives >= 3 distinct crash points, recovers, and answers
+// class cell survives >= 3 distinct crash points, restarts, and answers
 // every query exactly like a fault-free run.
 func TestAllEnginesAllClasses(t *testing.T) {
 	for _, class := range []core.Class{core.TCSD, core.TCMD, core.DCSD, core.DCMD} {
@@ -66,7 +66,7 @@ func TestAllEnginesAllClasses(t *testing.T) {
 }
 
 // TestDeterministicOutcome: the same seed must reproduce the identical
-// chaos run — crash points, fault effects, replay counts and all.
+// chaos run — crash points, fault effects and all.
 func TestDeterministicOutcome(t *testing.T) {
 	db, err := testGen.Generate(core.DCMD, core.Small)
 	if err != nil {
@@ -82,16 +82,8 @@ func TestDeterministicOutcome(t *testing.T) {
 	if bs := fmt.Sprintf("%+v", b); as != bs {
 		t.Fatalf("same seed diverged:\n%s\n%s", as, bs)
 	}
-	c := RunCell(mk, db, Config{Seed: 8})
-	if c.Err != nil {
+	if c := RunCell(mk, db, Config{Seed: 8}); c.Err != nil {
 		t.Fatal(c.Err)
-	}
-	if cs := fmt.Sprintf("%+v", c.CrashOps); cs == fmt.Sprintf("%+v", a.CrashOps) && c.Replayed == a.Replayed {
-		// Crash points derive from the op budget, which rarely changes with
-		// the seed alone; but the replay totals should move when soft-fault
-		// streams differ. Tolerate equality only if both metrics agree by
-		// chance — flag when everything is identical.
-		t.Logf("seeds 7 and 8 produced identical outcomes; fault stream may be ignored")
 	}
 }
 

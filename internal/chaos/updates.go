@@ -4,41 +4,40 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 
+	"xbench/internal/client"
 	"xbench/internal/core"
 	"xbench/internal/pager"
+	"xbench/internal/server"
 	"xbench/internal/workload"
 )
 
-// UpdateRecoverer is the contract an engine must satisfy for update chaos
-// cells: replaying its logical update journal after pager recovery. All
-// four built-in engines implement it.
-type UpdateRecoverer interface {
-	RecoverUpdates(ctx context.Context, db *core.Database) error
-}
-
 // UpdateOutcome summarizes one engine x class x update-op chaos cell.
 //
-// Unlike the load cells (where recovery re-runs the load, so the answers
-// must match the fault-free baseline exactly), an update crash has TWO
-// legal recovered states: the update never happened (the crash landed
-// before the journal commit point) or it fully happened (the crash landed
-// after). Committed and RolledBack count which state each crash point
-// recovered to; anything in between — a torn, partially applied update —
-// fails the cell.
+// Unlike the load cells (where the restart re-runs the load, so the
+// answers must match the fault-free baseline exactly), an update crash has
+// TWO legal recovered states: the update was never acknowledged (the crash
+// landed inside the engine's apply, so the server never journaled it) or
+// it was (the crash landed after the update, which the server journaled
+// and fsynced before answering). Committed and RolledBack count which
+// state each crash point restarted to; anything else — a torn, partially
+// applied update, or an acknowledged one the restart lost — fails the
+// cell.
 type UpdateOutcome struct {
 	Engine  string
 	Class   core.Class
 	Op      workload.UpdateOp
-	Skipped bool // class/engine unsupported, not Faultable, or not UpdateRecoverer
+	Skipped bool // class/engine unsupported, or not Faultable
 	// CrashOps are the absolute disk-op budgets of the crash points.
 	CrashOps []int64
 	// Crashes counts crash points that actually fired mid-update.
 	Crashes int
-	// Recoveries counts successful pager recoveries.
+	// Recoveries counts successful restarts (server.Reopen).
 	Recoveries int
-	// Committed counts crash points that recovered to the post-update
-	// state; RolledBack those that recovered to the pre-update state.
+	// Committed counts crash points that restarted to the post-update
+	// state; RolledBack those that restarted to the pre-update state.
 	Committed  int
 	RolledBack int
 	Err        error
@@ -56,10 +55,14 @@ func (o UpdateOutcome) String() string {
 }
 
 // RunUpdateCell chaos-tests one update operation on one engine x database
-// cell: load, crash at deterministic points inside the update, recover the
-// pager, replay the update journal, and require the verification query to
-// observe exactly the pre-update or the post-update answer. newEngine must
-// return a fresh instance on every call.
+// cell the way it is served: per crash point a journaled server (Reopen
+// over a fresh journal file) takes the setup and the update from a
+// loopback client, and the crash fires inside the engine's apply of the
+// update. Then the restart: a fresh engine Reopens the same journal under
+// transient read faults, which must replay exactly the acknowledged
+// updates, and the verification query must observe exactly the pre- or
+// the post-update answer — the one the acknowledgments imply. newEngine
+// must return a fresh instance on every call.
 func RunUpdateCell(newEngine func() core.Engine, db *core.Database, op workload.UpdateOp, cfg Config) UpdateOutcome {
 	ctx := context.Background()
 	cfg = cfg.WithDefaults()
@@ -77,21 +80,18 @@ func RunUpdateCell(newEngine func() core.Engine, db *core.Database, op workload.
 		out.Skipped = true
 		return out
 	}
-	if _, ok := probe.(UpdateRecoverer); !ok {
-		out.Skipped = true
-		return out
-	}
 
 	// Fault-free twin: establish the two legal recovered states. seq 0 is
 	// used throughout — every run starts from a fresh load.
 	const seq = 0
 	id := workload.UpdateTargetID(db.Class, seq)
 	twin := newEngine()
+	defer twin.Close()
 	if _, _, err := workload.LoadAndIndex(ctx, twin, db); err != nil {
 		out.Err = fmt.Errorf("chaos: twin load: %w", err)
 		return out
 	}
-	if err := setupUpdate(ctx, twin, db.Class, op, seq); err != nil {
+	if _, err := setupUpdate(ctx, twin, db.Class, op, seq); err != nil {
 		if errors.Is(err, core.ErrUnsupported) || errors.Is(err, core.ErrReadOnly) {
 			out.Skipped = true
 			return out
@@ -122,41 +122,37 @@ func RunUpdateCell(newEngine func() core.Engine, db *core.Database, op workload.
 		return out
 	}
 
-	// Measure the update's fault-free disk-op budget so crash points land
-	// inside the operation itself, not the load around it.
-	me := newEngine()
-	mp := me.(Faultable).Pager()
-	mp.SetFaultPolicy(pager.FaultPolicy{Seed: cfg.Seed})
-	if _, _, err := workload.LoadAndIndex(ctx, me, db); err != nil {
-		out.Err = fmt.Errorf("chaos: probe load: %w", err)
+	dir, err := os.MkdirTemp("", "xbench-chaos-")
+	if err != nil {
+		out.Err = fmt.Errorf("chaos: %w", err)
 		return out
 	}
-	if err := setupUpdate(ctx, me, db.Class, op, seq); err != nil {
-		out.Err = fmt.Errorf("chaos: probe setup: %w", err)
+	defer os.RemoveAll(dir)
+
+	// Measure the update's fault-free disk-op budget on the same served
+	// path, so crash points land inside the operation itself, not the load
+	// around it.
+	l, err := serve(newEngine(), db, op, seq, filepath.Join(dir, "probe.journal"), cfg.Seed, -1)
+	if err != nil {
+		out.Err = fmt.Errorf("chaos: probe: %w", err)
 		return out
 	}
-	opsBefore := mp.OpCount()
-	if err := applyUpdate(ctx, me, db.Class, op, seq); err != nil {
-		out.Err = fmt.Errorf("chaos: probe update: %w", err)
-		return out
-	}
-	budget := mp.OpCount() - opsBefore
-	if budget == 0 {
+	if l.ops == 0 {
 		out.Err = fmt.Errorf("chaos: %s performed no disk operations", op)
 		return out
 	}
 
 	// Spread crash points across [0, budget] INCLUSIVE of both ends: the
-	// journal commit — a WAL append — is the update's very first disk op,
-	// so a midpoints-only spread (as the load grid uses) would always
-	// land after the commit point and never exercise rollback. rel = 0
-	// crashes ON that first op, tearing the journal record.
+	// server journals an update only after the engine applied it, so only
+	// the last point (the update's ops all done) lets it be acknowledged,
+	// and only the others crash inside the apply.
 	for i := 1; i <= cfg.CrashPoints; i++ {
 		var rel int64
 		if cfg.CrashPoints > 1 {
-			rel = budget * int64(i-1) / int64(cfg.CrashPoints-1)
+			rel = l.ops * int64(i-1) / int64(cfg.CrashPoints-1)
 		}
-		if err := runUpdateCrashPoint(newEngine, db, op, seq, id, cfg, rel, pre, post, &out); err != nil {
+		path := filepath.Join(dir, fmt.Sprintf("crash%d.journal", i))
+		if err := runUpdateCrashPoint(newEngine, db, op, seq, id, path, cfg, rel, pre, post, &out); err != nil {
 			out.Err = fmt.Errorf("chaos: crash point %d (op +%d): %w", i, rel, err)
 			return out
 		}
@@ -164,77 +160,104 @@ func RunUpdateCell(newEngine func() core.Engine, db *core.Database, op workload.
 	return out
 }
 
-// runUpdateCrashPoint exercises one crash point inside the update: load
-// and set up fault-free, arm the crash, run the update, recover, replay
-// the journal, and require the verification query to answer exactly the
-// pre- or post-update state.
-func runUpdateCrashPoint(newEngine func() core.Engine, db *core.Database, op workload.UpdateOp,
-	seq int, id string, cfg Config, rel int64, pre, post []string, out *UpdateOutcome) error {
-	ctx := context.Background()
-	e := newEngine()
-	p := e.(Faultable).Pager()
-	p.SetFaultPolicy(pager.FaultPolicy{Seed: cfg.Seed})
-	if _, _, err := workload.LoadAndIndex(ctx, e, db); err != nil {
-		return fmt.Errorf("load: %w", err)
-	}
-	if err := setupUpdate(ctx, e, db.Class, op, seq); err != nil {
-		return fmt.Errorf("setup: %w", err)
-	}
-	crashAt := p.OpCount() + rel
-	out.CrashOps = append(out.CrashOps, crashAt)
-	p.SetFaultPolicy(pager.FaultPolicy{Seed: cfg.Seed, CrashAfterOps: crashAt})
+// life is what one served process did before it died.
+type life struct {
+	acked   int   // updates the server acknowledged
+	crashAt int64 // the absolute crash point armed for the update; 0 for none
+	ops     int64 // disk operations the update made
+	crashed bool  // the update failed and the engine stopped
+}
 
-	err := applyUpdate(ctx, e, db.Class, op, seq)
+// serve runs one life of a served process over the journal at path: e
+// under a fault policy that counts its disk operations, server.Reopen,
+// and a loopback client sending the setup and then the update, with a
+// crash point armed rel operations into the update (rel < 0: none). The
+// server is closed when it returns, and e with it.
+func serve(e core.Engine, db *core.Database, op workload.UpdateOp, seq int, path string, seed uint64, rel int64) (life, error) {
+	ctx := context.Background()
+	p := e.(Faultable).Pager()
+	p.SetFaultPolicy(pager.FaultPolicy{Seed: seed})
+	s, _, err := server.Reopen(e, db, workload.Indexes(db.Class), path, server.Config{})
+	if err != nil {
+		e.Close()
+		return life{}, fmt.Errorf("reopen: %w", err)
+	}
+	defer s.Close()
+	if err := s.Start(); err != nil {
+		return life{}, err
+	}
+	c, err := client.Dial(s.Addr().String(), client.Config{ClientID: 1, Retries: -1})
+	if err != nil {
+		return life{}, err
+	}
+	defer c.Close()
+
+	var l life
+	if l.acked, err = setupUpdate(ctx, c, db.Class, op, seq); err != nil {
+		return l, fmt.Errorf("setup: %w", err)
+	}
+	before := p.OpCount()
+	if rel >= 0 {
+		l.crashAt = before + rel
+		p.SetFaultPolicy(pager.FaultPolicy{Seed: seed, CrashAfterOps: l.crashAt})
+	}
+	err = applyUpdate(ctx, c, db.Class, op, seq)
+	l.ops = p.OpCount() - before
 	switch {
 	case err == nil:
-		// The op's I/O pattern varied and outran the crash point; the
-		// recovered state below must then be the post state.
-	case pager.IsCrash(err):
-		out.Crashes++
+		l.acked++
+	case stopped(ctx, e) == nil:
+		l.crashed = true
 	default:
-		return fmt.Errorf("non-crash failure under crash policy: %w", err)
+		return l, fmt.Errorf("update failed without stopping the engine: %w", err)
+	}
+	return l, nil
+}
+
+// runUpdateCrashPoint exercises one crash point inside the update: one
+// served life that crashes, then the restart on a fresh engine under soft
+// faults, whose replay must be the acknowledged updates and whose
+// verification query must answer the state they imply.
+func runUpdateCrashPoint(newEngine func() core.Engine, db *core.Database, op workload.UpdateOp,
+	seq int, id, path string, cfg Config, rel int64, pre, post []string, out *UpdateOutcome) error {
+	ctx := context.Background()
+	l, err := serve(newEngine(), db, op, seq, path, cfg.Seed, rel)
+	if err != nil {
+		return err
+	}
+	out.CrashOps = append(out.CrashOps, l.crashAt)
+	if l.crashed {
+		out.Crashes++
 	}
 
-	// Power is back: physical recovery first, then logical replay of the
-	// committed updates, under soft faults.
-	if _, err := p.Recover(); err != nil {
-		return fmt.Errorf("recover: %w", err)
+	// Restart, as `xbench serve --journal` does: a fresh engine, Load,
+	// replay of the journal, index rebuild — under soft faults.
+	e := newEngine()
+	p := e.(Faultable).Pager()
+	p.SetFaultPolicy(pager.FaultPolicy{Seed: cfg.Seed + uint64(l.crashAt), ReadErrorRate: cfg.ReadErrorRate})
+	s, replayed, err := server.Reopen(e, db, workload.Indexes(db.Class), path, server.Config{})
+	if err != nil {
+		e.Close()
+		return fmt.Errorf("restart: %w", err)
 	}
+	defer s.Close()
 	out.Recoveries++
-	if err := p.CheckDurable(); err != nil {
-		return fmt.Errorf("durability check: %w", err)
-	}
-	p.SetFaultPolicy(pager.FaultPolicy{
-		Seed:          cfg.Seed + uint64(crashAt),
-		ReadErrorRate: cfg.ReadErrorRate,
-		TornWriteRate: cfg.TornWriteRate,
-	})
-	if err := e.(UpdateRecoverer).RecoverUpdates(ctx, db); err != nil {
-		return fmt.Errorf("update replay: %w", err)
-	}
-	if err := e.BuildIndexes(workload.Indexes(db.Class)); err != nil {
-		return fmt.Errorf("index rebuild: %w", err)
-	}
-	// Checkpoint: repair any torn writes of the replay, then verify.
-	if _, err := p.Recover(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := p.CheckDurable(); err != nil {
-		return fmt.Errorf("durability check after replay: %w", err)
+	if replayed != l.acked {
+		return fmt.Errorf("restart replayed %d journal records, the server acknowledged %d updates", replayed, l.acked)
 	}
 
 	got, err := verifyItems(ctx, e, id)
 	if err != nil {
 		return fmt.Errorf("verification query: %w", err)
 	}
-	switch {
-	case sameItems(post, got) == nil:
-		out.Committed++
-	case sameItems(pre, got) == nil:
-		out.RolledBack++
-	default:
-		return fmt.Errorf("recovered to neither pre- nor post-update state: %d item(s) for %s", len(got), id)
+	want, state, count := post, "post-update", &out.Committed
+	if l.crashed {
+		want, state, count = pre, "pre-update", &out.RolledBack
 	}
+	if sameItems(want, got) != nil {
+		return fmt.Errorf("restarted to %d item(s) for %s, not the %s state the acknowledgments imply", len(got), id, state)
+	}
+	*count++
 	return checkRecoveredEpoch(ctx, e, p, db, seq, id, got)
 }
 
@@ -274,14 +297,18 @@ func checkRecoveredEpoch(ctx context.Context, e core.Engine, p *pager.Pager,
 	return nil
 }
 
-// setupUpdate brings the engine to the update's pre-state: U2 and U3 need
-// their target document to exist (revision 0).
-func setupUpdate(ctx context.Context, e core.Engine, class core.Class, op workload.UpdateOp, seq int) error {
+// setupUpdate brings the engine to the update's pre-state — U2 and U3
+// need their target document to exist (revision 0) — and returns the
+// number of updates that took.
+func setupUpdate(ctx context.Context, e core.Engine, class core.Class, op workload.UpdateOp, seq int) (int, error) {
 	if op != workload.U2 && op != workload.U3 {
-		return nil
+		return 0, nil
 	}
 	name, doc := workload.UpdateDoc(class, seq, 0)
-	return e.ReplaceDocument(ctx, name, doc)
+	if err := e.ReplaceDocument(ctx, name, doc); err != nil {
+		return 0, err
+	}
+	return 1, nil
 }
 
 // applyUpdate runs the update operation itself — the I/O the crash points

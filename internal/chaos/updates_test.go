@@ -10,11 +10,11 @@ import (
 )
 
 // TestUpdateCellsAllEngines is the acceptance criterion for crash-safe
-// updates: every engine x multi-document class x update op recovers every
-// crash point to exactly the pre- or post-update state — never a torn
-// one. Across the grid both outcomes (committed and rolled back) must
-// occur somewhere, or the crash points are not actually landing on both
-// sides of the journal commit point.
+// updates: every engine x multi-document class x update op restarts from
+// every crash point to exactly the pre- or post-update state — never a
+// torn one. Across the grid both outcomes (committed and rolled back)
+// must occur somewhere, or the crash points are not actually landing on
+// both sides of the acknowledgment.
 func TestUpdateCellsAllEngines(t *testing.T) {
 	var committed, rolledBack int
 	for _, class := range []core.Class{core.DCMD, core.TCMD} {

@@ -75,8 +75,10 @@ type Engine interface {
 
 	// InsertDocument adds a new document to the loaded database (update
 	// workload U1). It fails if a document of that name already exists.
-	// The write is journaled before it is applied, so a crash at any point
-	// recovers to either the pre- or post-insert state, never a torn one.
+	// An update is applied whole or not at all: a failed apply stops the
+	// engine until the next Load, and a served one is journaled once
+	// applied, so a restart after a crash at any point recovers either the
+	// pre- or the post-insert state, never a torn one.
 	InsertDocument(ctx context.Context, name string, data []byte) error
 
 	// ReplaceDocument replaces the named document wholesale (U2), or
@@ -88,6 +90,6 @@ type Engine interface {
 	DeleteDocument(ctx context.Context, name string) error
 
 	// Close releases the engine's pager resources (heap files, buffer
-	// pool, WAL state). Double-Close is safe; operations after Close fail.
+	// pool, fault state). Double-Close is safe; operations after Close fail.
 	Close() error
 }

@@ -23,7 +23,6 @@ type engine interface {
 	core.Engine
 	core.Explainer
 	Pager() *pager.Pager
-	JournalRecords() (int, error)
 }
 
 var engines = []struct {
@@ -53,19 +52,15 @@ func broken(db *core.Database) *core.Database {
 	return &b
 }
 
-// footprint is what a refused operation must leave alone.
+// footprint is what a refused operation must leave alone: the page I/O
+// and the commit epoch.
 type footprint struct {
-	journal int
-	writes  int64
+	pageIO int64
+	epoch  uint64
 }
 
-func footprintOf(t *testing.T, e engine) footprint {
-	t.Helper()
-	n, err := e.JournalRecords()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return footprint{journal: n, writes: e.Pager().Stats().Writes}
+func footprintOf(e engine) footprint {
+	return footprint{pageIO: e.PageIO(), epoch: e.Pager().SnapshotEpoch()}
 }
 
 // wantEmpty fails unless every file of e's pager is empty.
@@ -81,12 +76,12 @@ func wantEmpty(t *testing.T, e engine) {
 
 // TestEngineContract is the lifecycle every engine gets from
 // engbase.Base, checked on each of them: the not-loaded rule, load
-// atomicity, refused updates that leave no trace, one journal record per
+// atomicity, refused updates that leave no trace, one commit epoch per
 // applied update, idempotent Close, snapshot reads by default — and, on
 // a fake store whose hooks can fail and park, the one failure rule
-// (whatever fails between the journal append and the commit stops the
-// engine until the next Load; a cancellation that late does not fail
-// anything) and that nothing on the read path waits for a writer.
+// (whatever fails between the bracket opening and the commit stops the
+// engine; a cancellation that late does not fail anything) and that
+// nothing on the read path waits for a writer.
 func TestEngineContract(t *testing.T) {
 	ctx := context.Background()
 	db := tinyDB(t)
@@ -121,7 +116,7 @@ func TestEngineContract(t *testing.T) {
 				t.Run(state.name, func(t *testing.T) {
 					e := state.make(t)
 					defer e.Close()
-					before := footprintOf(t, e)
+					before := footprintOf(e)
 					for _, op := range []struct {
 						name string
 						run  func() error
@@ -140,7 +135,7 @@ func TestEngineContract(t *testing.T) {
 							t.Errorf("%s: error %q does not name the engine and the operation", op.name, msg)
 						}
 					}
-					if after := footprintOf(t, e); after != before {
+					if after := footprintOf(e); after != before {
 						t.Errorf("refused operations left a trace: %+v -> %+v", before, after)
 					}
 					if n := e.Pager().PinnedSnapshots(); n != 0 {
@@ -174,19 +169,19 @@ func TestEngineContract(t *testing.T) {
 				if _, err := e.Load(ctx, db); err != nil {
 					t.Fatal(err)
 				}
-				// Refused before the journal: U1 of a stored name, U3 of a
-				// missing one.
-				before := footprintOf(t, e)
+				// Refused before the bracket opens: U1 of a stored name, U3
+				// of a missing one. They do no page I/O at all.
+				before := footprintOf(e)
 				if err := e.InsertDocument(ctx, "order1.xml", unit); err == nil || !strings.Contains(err.Error(), "already exists") {
 					t.Errorf("U1 of an existing name: %v", err)
 				}
 				if err := e.DeleteDocument(ctx, "no-such.xml"); err == nil || !strings.Contains(err.Error(), "not found") {
 					t.Errorf("U3 of a missing name: %v", err)
 				}
-				if after := footprintOf(t, e); after != before {
+				if after := footprintOf(e); after != before {
 					t.Errorf("refused updates left a trace: %+v -> %+v", before, after)
 				}
-				// Applied: one journal record each.
+				// Applied: one commit epoch each.
 				for i, apply := range []func() error{
 					func() error { return e.InsertDocument(ctx, "new.xml", unit) },
 					func() error { return e.ReplaceDocument(ctx, "new.xml", unit) },
@@ -195,8 +190,8 @@ func TestEngineContract(t *testing.T) {
 					if err := apply(); err != nil {
 						t.Fatalf("U%d: %v", i+1, err)
 					}
-					if n, _ := e.JournalRecords(); n != before.journal+i+1 {
-						t.Fatalf("journal holds %d records after U%d, want %d", n, i+1, before.journal+i+1)
+					if epoch := e.Pager().SnapshotEpoch(); epoch != before.epoch+uint64(i)+1 {
+						t.Fatalf("epoch %d after U%d, want %d", epoch, i+1, before.epoch+uint64(i)+1)
 					}
 				}
 			})
@@ -265,9 +260,9 @@ func TestEngineContract(t *testing.T) {
 	})
 
 	// One failure rule: an update that fails anywhere between the bracket
-	// opening and the commit — the journal append, either apply hook, the
-	// sync — closes the bracket with nothing published and stops the
-	// engine, like the failed Freeze above.
+	// opening and the commit — either apply hook, the sync — closes the
+	// bracket with nothing published and stops the engine, like the failed
+	// Freeze above.
 	boom := errors.New("apply failed")
 	for _, row := range []struct {
 		name   string
@@ -295,17 +290,17 @@ func TestEngineContract(t *testing.T) {
 		})
 	}
 
-	// The journal append and the sync fail when the disk does: crash the
-	// update at every disk operation it makes. The fake's hooks touch the
-	// pool only, so a crash that tore the journal record is a failed
-	// append and one that left it whole is a failed sync; both must occur,
-	// and both stop the engine until recovery reloads it.
-	t.Run("fake store/a failed journal append or sync stops the engine", func(t *testing.T) {
-		failed := map[int]int{} // journal records after recovery -> crashes
+	// The sync fails when the disk does: crash the update at every disk
+	// operation it makes. The fake's hooks touch the pool only, so every
+	// crash lands in the sync's write-backs, and each must stop the engine.
+	// A crashed pager stays down — its Load fails too — so what reloads is
+	// the restart: a new engine.
+	t.Run("fake store/a crash at each disk op stops it", func(t *testing.T) {
+		crashes := 0
 		for k := int64(0); ; k++ {
 			b, _ := newCell(t)
 			p := b.Pager()
-			p.SetFaultPolicy(pager.FaultPolicy{}) // count disk ops, keep a WAL to recover from
+			p.SetFaultPolicy(pager.FaultPolicy{}) // count disk ops
 			mustLoad(t, b, 3)
 			p.SetFaultPolicy(pager.FaultPolicy{CrashAfterOps: p.OpCount() + k})
 			err := b.InsertDocument(ctx, "x.xml", []byte("<d/>"))
@@ -315,31 +310,27 @@ func TestEngineContract(t *testing.T) {
 			if !pager.IsCrash(err) {
 				t.Fatalf("crash at op +%d: %v", k, err)
 			}
+			crashes++
 			wantStopped(t, b)
-			if _, err := p.Recover(); err != nil {
-				t.Fatal(err)
+			if _, err := b.Load(ctx, docs(5)); !pager.IsCrash(err) {
+				t.Fatalf("crash at op +%d: Load on the crashed pager = %v, want the crash", k, err)
 			}
-			p.SetFaultPolicy(pager.FaultPolicy{})
-			n, err := b.JournalRecords()
-			if err != nil {
-				t.Fatal(err)
-			}
-			failed[n]++
-			mustLoad(t, b, 5)
-			if res, err := b.Execute(ctx, core.Q1, nil); err != nil || res.Items[0] != "5" {
-				t.Fatalf("crash at op +%d: Execute after the reload = %v, %v", k, res.Items, err)
+			restarted, _ := newCell(t)
+			mustLoad(t, restarted, 5)
+			if res, err := restarted.Execute(ctx, core.Q1, nil); err != nil || res.Items[0] != "5" {
+				t.Fatalf("crash at op +%d: Execute after the restart = %v, %v", k, res.Items, err)
 			}
 		}
-		if failed[0] == 0 || failed[1] == 0 {
-			t.Errorf("crashes by journal records left behind = %v; want some in the append (0) and some in the sync (1)", failed)
+		if crashes == 0 {
+			t.Error("no crash point landed inside the update")
 		}
 	})
 
-	// Past the journal append the update is committed, so a deadline that
-	// expires there must not stop the apply: the hook's ctx is not the
-	// caller's, and the update commits. Before the append a cancelled ctx
-	// refuses the update without a trace.
-	t.Run("fake store/a ctx cancelled after the journal append commits", func(t *testing.T) {
+	// Once the bracket is open a deadline that expires must not stop the
+	// apply: the hook's ctx is not the caller's, and the update commits.
+	// Before the bracket a cancelled ctx refuses the update without a
+	// trace.
+	t.Run("fake store/a ctx cancelled mid-apply commits", func(t *testing.T) {
 		b, c := newCell(t)
 		mustLoad(t, b, 3)
 		cctx, cancel := context.WithCancel(ctx)
@@ -351,11 +342,12 @@ func TestEngineContract(t *testing.T) {
 			t.Fatalf("Execute after the commit = %v, %v", res.Items, err)
 		}
 		c.inInsert = nil
+		committed := b.Pager().SnapshotEpoch()
 		if err := b.InsertDocument(cctx, "y.xml", []byte("<d/>")); !errors.Is(err, context.Canceled) {
 			t.Fatalf("U1 under an already cancelled ctx: %v", err)
 		}
-		if n, _ := b.JournalRecords(); n != 1 {
-			t.Fatalf("journal holds %d records, want the one committed update", n)
+		if epoch := b.Pager().SnapshotEpoch(); epoch != committed {
+			t.Fatalf("the refused update moved the epoch %d -> %d", committed, epoch)
 		}
 	})
 

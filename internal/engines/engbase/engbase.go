@@ -2,15 +2,15 @@
 // embeds *Base and supplies a Store — its on-disk layout, which only
 // mutates, and through the View it freezes its query path — and Base
 // owns everything that is the same for every storage strategy: the
-// writers' latch, the pager, the logical update journal, the planner's
-// feedback, and the protocols built on them (DESIGN.md §9
-// load and query, §10 updates, §15 snapshot reads). They are written
-// once, here, so a rule such as "nothing runs against a store that was
-// never loaded", "the journal append comes before the apply" or "a query
-// is planned over the view it runs against" cannot drift between
-// engines. The commit is one of them: a Store's hooks only mutate, and
-// publish is the one place a mutation — a load, an index build, an
-// update — is frozen, synced and made visible, or the engine stops.
+// writers' latch, the pager, the planner's feedback, and the protocols
+// built on them (DESIGN.md §9 load and query, §10 updates, §15 snapshot
+// reads). They are written once, here, so a rule such as "nothing runs
+// against a store that was never loaded", "a refused update leaves no
+// trace" or "a query is planned over the view it runs against" cannot
+// drift between engines. The commit is one of them: a Store's hooks only
+// mutate, and publish is the one place a mutation — a load, an index
+// build, an update — is frozen, synced and made visible, or the engine
+// stops.
 //
 // What is committed has one owner, the pager: the call that commits an
 // epoch (EndMutation, AdvanceEpoch) takes the publication of that epoch —
@@ -87,15 +87,15 @@ type Store[V View] interface {
 	BuildIndexes(specs []core.IndexSpec) error
 
 	// Validate reports whether the store can hold doc; it runs before the
-	// journal append, so a refused update leaves no trace.
+	// mutation bracket opens, so a refused update leaves no trace.
 	Validate(doc *xmldom.Node) error
 	// Exists reports whether a document is stored under name.
 	Exists(name string) bool
 	// ApplyInsert stores a validated document and ApplyDelete removes a
 	// stored one. Like BuildIndexes they only mutate: no hook syncs, and
 	// an error from any of them stops the engine (see publish). Their ctx
-	// is never cancelled — the journal append before them committed the
-	// update.
+	// is never cancelled: they run inside an open mutation bracket, and a
+	// hook that stopped partway would stop the engine.
 	ApplyInsert(ctx context.Context, name string, data []byte, doc *xmldom.Node) error
 	ApplyDelete(ctx context.Context, name string) error
 }
@@ -106,11 +106,10 @@ type Store[V View] interface {
 // serializing writers, while readers keep running against the epoch
 // they pinned.
 type Base[V View] struct {
-	mu      sync.Mutex
-	p       *pager.Pager
-	s       Store[V]
-	journal *updatelog.Log // logical redo journal for U1-U3
-	fb      plan.Feedback  // observed range selectivities, for every Plan call
+	mu sync.Mutex
+	p  *pager.Pager
+	s  Store[V]
+	fb plan.Feedback // observed range selectivities, for every Plan call
 	// loaded is set by a successful Load and cleared by reset, a failed
 	// mutation (publish) and Close: it gates the writers the way the
 	// published view gates the readers. Guarded by mu.
@@ -194,10 +193,9 @@ func (pub *publication[V]) carry(prev *publication[V]) int64 {
 
 // New returns the base of an empty engine over s, whose files live on p:
 // an engine creates its Store's files on a pager.New first and then hands
-// both over. New adds the update journal file, and starts nothing — an
-// engine has no goroutine of its own.
+// both over. New starts nothing — an engine has no goroutine of its own.
 func New[V View](p *pager.Pager, s Store[V]) *Base[V] {
-	return &Base[V]{p: p, s: s, journal: updatelog.New(p, "updates")}
+	return &Base[V]{p: p, s: s}
 }
 
 // Name implements core.Engine.
@@ -206,7 +204,7 @@ func (b *Base[V]) Name() string { return b.s.Name() }
 // Supports implements core.Engine.
 func (b *Base[V]) Supports(c core.Class, s core.Size) error { return b.s.Supports(c, s) }
 
-// Pager exposes the engine's pager for fault injection and recovery.
+// Pager exposes the engine's pager for fault injection and its counters.
 func (b *Base[V]) Pager() *pager.Pager { return b.p }
 
 // Metrics returns the engine's metrics registry, shared by its pager,
@@ -235,8 +233,8 @@ func (b *Base[V]) notLoaded(op string) error {
 // committed with nothing to read and the engine stops — the store may
 // hold half the mutation and its volatile maps may disagree with its
 // pages, so every operation answers the not-loaded error until the next
-// Load (RecoverUpdates, after a crash) rebuilds both. The caller holds
-// the latch.
+// Load rebuilds both (after a crash, the restart's: a new engine loads the
+// database and replays the server's journal). The caller holds the latch.
 func (b *Base[V]) publish(epoch uint64, commit func(view any) uint64, err error) error {
 	var v V
 	if err == nil {
@@ -268,16 +266,13 @@ func (b *Base[V]) reset() error {
 	b.last = nil
 	reg := b.p.Metrics() // a facade's WithMetrics replaces the one of New
 	b.cellsPlanned, b.cellsCarried = reg.Counter("plan.cell.planned"), reg.Counter("plan.cell.carried")
-	if err := b.journal.Reset(); err != nil {
-		return err
-	}
 	return b.s.Reset()
 }
 
 // abortLoad handles a mid-load failure: after a crash the machine is down
-// and cleanup is impossible (pager recovery is the only path forward);
-// any other failure truncates the store so the database stays empty and
-// loadable.
+// and cleanup is impossible (a restart, on a new engine, is the only path
+// forward); any other failure truncates the store so the database stays
+// empty and loadable.
 func (b *Base[V]) abortLoad(err error) error {
 	if pager.IsCrash(err) {
 		return err
@@ -430,23 +425,18 @@ func (b *Base[V]) Close() error {
 	return b.p.Close()
 }
 
-// The update workload (U1-U3) follows the journal-first protocol:
-// validate, append one logical redo record to the journal and sync it
-// (the commit point), then apply to the store. After a crash,
-// RecoverUpdates reloads the database and re-applies the committed
-// journal, so the store recovers to exactly the pre- or post-update
-// state.
-//
-// Each update also runs inside a pager mutation bracket: every page it
-// overwrites is versioned with its pre-image at the next commit epoch,
-// so pinned snapshot readers keep the pre-update state, and publish
-// commits the epoch together with the store's view of it, which is what
-// makes the update visible to new readers. A refused update (cancelled,
-// not loaded, malformed, name taken, name missing) returns before the
-// bracket opens and the journal is touched. Past the append the update is
-// committed, so the apply cannot be cancelled — a client deadline that
-// expires then would leave a journaled update half applied — and an
-// append or an apply that fails stops the engine (publish).
+// The update workload (U1-U3): validate, open a pager mutation bracket,
+// apply to the store, publish. Every page the apply overwrites is
+// versioned with its pre-image at the next commit epoch, so pinned
+// snapshot readers keep the pre-update state, and publish commits the
+// epoch together with the store's view of it, which is what makes the
+// update visible to new readers. A refused update (cancelled, not loaded,
+// malformed, name taken, name missing) returns before the bracket opens
+// and leaves no trace. Once the bracket is open the apply cannot be
+// cancelled: a hook that stopped partway would leave the store half
+// updated, and an apply that fails stops the engine (publish). What makes
+// an update durable is the server's journal file, which records it after
+// this returns (updatelog.FileLog).
 func (b *Base[V]) update(ctx context.Context, kind updatelog.Kind, name string, data []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -475,8 +465,8 @@ func (b *Base[V]) update(ctx context.Context, kind updatelog.Kind, name string, 
 	}
 	ctx = context.WithoutCancel(ctx)
 	epoch := b.p.BeginMutation()
-	err := b.journal.Append(updatelog.Record{Kind: kind, Name: name, Data: data})
-	if err == nil && exists {
+	var err error
+	if exists {
 		err = b.s.ApplyDelete(ctx, name)
 	}
 	if err == nil && kind != updatelog.KindDelete {
@@ -501,12 +491,4 @@ func (b *Base[V]) ReplaceDocument(ctx context.Context, name string, data []byte)
 // not exist.
 func (b *Base[V]) DeleteDocument(ctx context.Context, name string) error {
 	return b.update(ctx, updatelog.KindDelete, name, nil)
-}
-
-// RecoverUpdates restores the store after a crash. Call pager Recover
-// first; RecoverUpdates then reloads db (wiping any half-applied update)
-// and re-applies the committed update journal in order. Table 3 indexes
-// are dropped by the reload; rebuild them with BuildIndexes.
-func (b *Base[V]) RecoverUpdates(ctx context.Context, db *core.Database) error {
-	return updatelog.Replay(ctx, b, b.journal, db)
 }

@@ -6,13 +6,6 @@ import (
 	"xbench/internal/queries"
 )
 
-// JournalRecords returns the number of committed records in the update
-// journal, for the contract test's "a refused update appends nothing".
-func (b *Base[V]) JournalRecords() (int, error) {
-	recs, err := b.journal.Committed()
-	return len(recs), err
-}
-
 // Plans returns q's plan over the committed view twice: served, as
 // Execute and Explain get it (from q's cell once it is there), and fresh,
 // as plan.Plan builds it from the store's statistics of that view.

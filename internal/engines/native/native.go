@@ -51,7 +51,7 @@ import (
 )
 
 // Engine is a native XML database instance: the shared engine lifecycle
-// (engbase.Base: load, snapshot reads, journaled updates, close) over
+// (engbase.Base: load, snapshot reads, updates, close) over
 // the native store.
 type Engine struct {
 	*engbase.Base[*view]
@@ -704,7 +704,7 @@ func (v *view) buildCollection(ctx context.Context, ph *plan.Physical, p core.Pa
 var _ core.Engine = (*Engine)(nil)
 
 // The update hooks below apply U1-U3, the update workload the paper
-// lists as future work, inside the journal-first bracket engbase.Base
+// lists as future work, inside the mutation bracket engbase.Base
 // runs. Applying touches the document's own records only: its catalog
 // entry and stored record are tombstoned in their heaps, its entries
 // leave and enter each value index, and the new content is stored

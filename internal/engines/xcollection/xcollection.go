@@ -62,7 +62,7 @@ var (
 )
 
 // Engine is a shredding engine instance: the shared engine lifecycle
-// (engbase.Base: load, snapshot reads, journaled updates, close) over a
+// (engbase.Base: load, snapshot reads, updates, close) over a
 // shredded store.
 type Engine struct{ *engbase.Base[view] }
 
@@ -219,7 +219,7 @@ func (s *store) BuildIndexes(specs []core.IndexSpec) error {
 	return nil
 }
 
-// The update hooks below apply U1-U3 inside the journal-first bracket
+// The update hooks below apply U1-U3 inside the mutation bracket
 // engbase.Base runs. Only unit documents — whole <order> (DC/MD) /
 // <article> (TC/MD) files — can be updated: those shred into rows keyed
 // by their root id, so document-granularity delete is a clean relational

@@ -34,7 +34,7 @@ import (
 )
 
 // Engine is an Xcolumn instance: the shared engine lifecycle
-// (engbase.Base: load, snapshot reads, journaled updates, close) over
+// (engbase.Base: load, snapshot reads, updates, close) over
 // the CLOB-plus-side-tables store.
 type Engine struct {
 	*engbase.Base[*view]
@@ -186,7 +186,7 @@ func (v *view) Stats() plan.StatValues { return shredplan.StoreStats(v.src) }
 
 var _ core.Explainer = (*Engine)(nil)
 
-// The update hooks below apply U1-U3 inside the journal-first bracket
+// The update hooks below apply U1-U3 inside the mutation bracket
 // engbase.Base runs. Applying a replace or delete regenerates the side
 // tables for the document — the dxx_seqno columns are renumbered from
 // the new content — and tombstones the old CLOB, whose space the next

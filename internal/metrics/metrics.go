@@ -5,7 +5,7 @@
 //
 // One Registry is owned by each engine instance and shared — through the
 // engine's pager — by every layer underneath it: the pager counts disk
-// reads/writes/hits/evictions/WAL appends/fault retries, the B+tree
+// reads/writes/hits/evictions/fault retries, the B+tree
 // counts node visits and splits, the relational engine counts index
 // probes and table scans, and the engine's query path records phase
 // spans. The workload driver snapshots the registry around a query so a

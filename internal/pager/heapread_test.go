@@ -201,12 +201,8 @@ func TestHeapReadContract(t *testing.T) {
 	}
 	p.EndMutation(nv)
 
-	for _, copyReads := range []bool{false, true} {
-		p.SetCopyReads(copyReads)
-		name := fmt.Sprintf("pinned view, copyReads=%v", copyReads)
-		if d := checkReads(t, name, v, live, dead); d != readHeapDigest {
-			t.Fatalf("%s: digest %s, want %s", name, d, readHeapDigest)
-		}
+	if d := checkReads(t, "pinned view", v, live, dead); d != readHeapDigest {
+		t.Fatalf("pinned view: digest %s, want %s", d, readHeapDigest)
 	}
 	if _, recs := scanAll(t, h); len(recs) != 400 {
 		t.Fatalf("live heap after the rewrite scans %d records, want 400", len(recs))

@@ -20,9 +20,9 @@
 //     so "what is committed" has a single owner and a reader can never
 //     hold the view of one epoch under the pin of another.
 //   - ReadAt(fid, no, S) returns the oldest version with supersededAt > S,
-//     or the live page when no version covers S. Because the journal-first
-//     update protocol makes the journal append the commit point and the
-//     mutation the redo apply, a reader pinned at E sees exactly the
+//     or the live page when no version covers S. Because every page a
+//     mutation changes is captured before it changes and E+1 is committed
+//     only by EndMutation, a reader pinned at E sees exactly the
 //     pre-update database for the whole mutation, and readers pinning
 //     after EndMutation see exactly the post-update database.
 //   - GC reclaims versions whose supersededAt is <= the lowest pinned
@@ -254,19 +254,6 @@ func (p *Pager) AdvanceEpoch(view any) uint64 {
 	m.newPages = nil
 	m.pruneLocked()
 	return m.epoch
-}
-
-// mvccReset drops all version and mutation state (crash recovery: the
-// in-memory chains died with the machine; replay re-brackets each
-// committed journal record, rebuilding a consistent latest epoch).
-func (p *Pager) mvccReset() {
-	m := &p.mvcc
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.versions = make(map[pageKey][]pageVersion)
-	m.retained.Store(0)
-	m.mutActive = false
-	m.mutTarget = 0
 }
 
 // capture records a page's pre-image, superseded at the active mutation's

@@ -3,7 +3,6 @@ package pager
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -25,7 +24,7 @@ func onDisk(p *Pager, fid FileID, no uint32, pg []byte) bool {
 // TestOneBufferPerPageVersion: a read miss and a readahead prefetch
 // install the disk image in the pool without a copy; no writer writes
 // into a buffer once it was handed out; pinned readers see their own
-// epoch across a writer and ColdReset; copyReads still copies.
+// epoch across a writer and ColdReset.
 func TestOneBufferPerPageVersion(t *testing.T) {
 	t.Run("a miss and a prefetch hand out the disk image", func(t *testing.T) {
 		const pages = 64
@@ -67,16 +66,11 @@ func TestOneBufferPerPageVersion(t *testing.T) {
 
 	t.Run("a slot never written back reads as the shared zero page", func(t *testing.T) {
 		p := New(8)
-		p.SetFaultPolicy(FaultPolicy{Seed: 1})
-		p.SetCopyReads(false)
 		f := p.Create("f")
-		if _, err := p.Append(f); err != nil {
-			t.Fatal(err)
-		}
-		// Recover drops the pool without writing the appended page back.
-		if _, err := p.Recover(); err != nil {
-			t.Fatal(err)
-		}
+		// A reserved slot whose page never reached the pool or the disk.
+		p.mu.Lock()
+		p.files[f].pages = append(p.files[f].pages, nil)
+		p.mu.Unlock()
 		pg, err := p.Read(f, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -88,9 +82,7 @@ func TestOneBufferPerPageVersion(t *testing.T) {
 
 	t.Run("no writer changes an image it did not own", func(t *testing.T) {
 		ctx := context.Background()
-		p := New(8)
-		p.SetFaultPolicy(FaultPolicy{Seed: 5})
-		p.SetCopyReads(false) // aliasing reads, so a write into a held buffer would show
+		p := New(8) // reads alias, so a write into a held buffer would show
 		f := fillPages(t, p, "f", 6)
 		h := NewHeap(p, "h")
 		var rids []RID
@@ -127,26 +119,6 @@ func TestOneBufferPerPageVersion(t *testing.T) {
 			{"WriteOwned", func() error { return p.WriteOwned(f, 1, bytes.Repeat([]byte{0xAB}, PageSize)) }},
 			{"Heap.overwrite (Delete)", func() error { return h.Delete(ctx, rids[3]) }},
 			{"Heap.overwrite (reuse)", func() error { _, err := h.Insert(bytes.Repeat([]byte{0xCD}, 300)); return err }},
-			{"a torn write", func() error {
-				p.SetFaultPolicy(FaultPolicy{Seed: 5, TornWriteRate: 1})
-				p.SetCopyReads(false)
-				defer func() {
-					p.SetFaultPolicy(FaultPolicy{Seed: 5})
-					p.SetCopyReads(false)
-				}()
-				// A whole page, so the tear shows and recovery repairs it.
-				if err := p.Write(f, 2, bytes.Repeat([]byte{0x5A}, PageSize)); err != nil {
-					return err
-				}
-				if err := p.SyncAll(); err != nil {
-					return err
-				}
-				if p.Stats().TornWrites == 0 {
-					return fmt.Errorf("no write tore at rate 1")
-				}
-				return nil
-			}},
-			{"WAL recovery", func() error { _, err := p.Recover(); return err }},
 			{"Truncate", func() error { return p.Truncate(f) }},
 		}
 		for _, s := range steps {
@@ -240,25 +212,6 @@ func TestOneBufferPerPageVersion(t *testing.T) {
 		}
 		if n := wrong.Load(); n > 0 {
 			t.Fatalf("%d reads under a pin saw another epoch's bytes", n)
-		}
-	})
-
-	t.Run("copyReads copies a miss too", func(t *testing.T) {
-		p := New(8)
-		f := fillPages(t, p, "f", 2)
-		p.SetCopyReads(true)
-		p.ColdReset()
-		pg, err := p.Read(f, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if onDisk(p, f, 1, pg) {
-			t.Fatal("copyReads handed out the disk image")
-		}
-		pg[0] = 0xEE // must reach neither the pool nor the disk
-		p.SetCopyReads(false)
-		if again, _ := p.Read(f, 1); again[0] != 2 {
-			t.Fatalf("a write into a copied read reached the page: it reads %#x, want 0x02", again[0])
 		}
 	})
 }

@@ -19,7 +19,7 @@
 // the latch shared, so concurrent readers proceed in parallel; misses,
 // writes, syncs and ColdReset take it exclusive. I/O events are counted
 // once, in the counters of the pager's metrics registry: Stats (and the
-// engines' PageIO) is a read of nine of them, and a pool hit costs one
+// engines' PageIO) is a read of seven of them, and a pool hit costs one
 // atomic add. The GCLOCK reference count is bumped with an atomic CAS under
 // the shared latch; all other frame state changes happen under the
 // exclusive latch.
@@ -39,14 +39,13 @@
 // Page buffers (DESIGN.md §13): one immutable buffer per page version,
 // shared by disk, pool, snapshot and reader. A page changes only by
 // getting a new buffer — Write copies the caller's bytes into one,
-// WriteOwned takes one its caller built and gives up, a torn write-back
-// and WAL recovery build their own, Truncate drops the slots — and no
-// buffer is written to once the pager holds it. So nothing is copied
-// between the layers: a write-back stores the frame's buffer as the disk
-// image, a read miss or a readahead installs the disk image in the frame,
-// an MVCC pre-image is the buffer its write replaced, and Read hands out
-// the frame's buffer; a reader holding one holds that version of the page
-// for as long as it likes. The one read that copies is SetCopyReads's.
+// WriteOwned takes one its caller built and gives up, Truncate drops the
+// slots — and no buffer is written to once the pager holds it. So nothing
+// is copied between the layers: a write-back stores the frame's buffer as
+// the disk image, a read miss or a readahead installs the disk image in
+// the frame, an MVCC pre-image is the buffer its write replaced, and Read
+// hands out the frame's buffer; a reader holding one holds that version of
+// the page for as long as it likes. No read copies.
 package pager
 
 import (
@@ -75,11 +74,6 @@ type Stats struct {
 	ReadFaults int64
 	// ReadRetries counts retry attempts made after transient read faults.
 	ReadRetries int64
-	// TornWrites counts in-place page writes that tore (a prefix reached
-	// disk). Silent until recovery repairs them from the WAL.
-	TornWrites int64
-	// WALAppends counts write-ahead log records appended.
-	WALAppends int64
 	// Prefetched counts pages read ahead of demand by sequential-stream
 	// readahead. They are disk reads (already included in Reads).
 	Prefetched int64
@@ -107,21 +101,17 @@ type Pager struct {
 	// scan resistance + readahead (see the package comment)
 	streams map[FileID]*seqStream
 
-	// fault injection + write-ahead log (fault.go, wal.go); nil when the
-	// disk is perfect.
+	// fault injection (fault.go); nil when the disk is perfect.
 	fault *faultState
 	// closed is set by Close; every subsequent file operation fails with
 	// ErrClosed.
 	closed bool
-	// copyReads returns defensive copies from Read (forced on by fault
-	// injection, optional otherwise — see the Read aliasing contract).
-	copyReads bool
 	// onCold is what ColdReset runs after the pool drop, still quiesced
 	// (OnColdReset).
 	onCold []func()
 
 	// reg holds the pager's event counters, each event counted exactly
-	// once: Stats reads the nine it reports from here. The cached pointers
+	// once: Stats reads the seven it reports from here. The cached pointers
 	// keep the hot paths at one atomic add per event. New binds a registry
 	// of the pager's own; SetMetrics rebinds to the caller's.
 	reg         *metrics.Registry
@@ -134,10 +124,8 @@ type Pager struct {
 	cRAIssued   *metrics.Counter // pager.readahead.issued: pages prefetched
 	cRAHit      *metrics.Counter // pager.readahead.hit: demand hits on prefetched frames
 	cRAWasted   *metrics.Counter // pager.readahead.wasted: prefetched frames evicted unused
-	cWALAppend  *metrics.Counter // pager.wal.append: WAL records
 	cReadFault  *metrics.Counter // pager.read.fault: injected transient faults
 	cReadRetry  *metrics.Counter // pager.read.retry: retry attempts
-	cTornWrite  *metrics.Counter // pager.write.torn: torn in-place writes
 	cHeapDead   *metrics.Counter // pager.heap.tombstone: heap records deleted in place
 	cHeapReuse  *metrics.Counter // pager.heap.reuse: inserts placed in a dead extent
 
@@ -242,7 +230,7 @@ const maxRef = 3
 const seqThreshold = 3
 
 // SetMetrics replaces the registry New bound: every subsequent disk read,
-// write, pool hit, eviction, WAL append and fault retry is counted under
+// write, pool hit, eviction and fault retry is counted under
 // "pager.*" names in reg, and Stats reads them there — call it before
 // the pager does I/O, or Stats restarts from reg's values. Pagers that
 // share one registry share those counters, so each one's Stats is the
@@ -261,10 +249,8 @@ func (p *Pager) SetMetrics(reg *metrics.Registry) {
 	p.cRAIssued = reg.Counter("pager.readahead.issued")
 	p.cRAHit = reg.Counter("pager.readahead.hit")
 	p.cRAWasted = reg.Counter("pager.readahead.wasted")
-	p.cWALAppend = reg.Counter("pager.wal.append")
 	p.cReadFault = reg.Counter("pager.read.fault")
 	p.cReadRetry = reg.Counter("pager.read.retry")
-	p.cTornWrite = reg.Counter("pager.write.torn")
 	p.cHeapDead = reg.Counter("pager.heap.tombstone")
 	p.cHeapReuse = reg.Counter("pager.heap.reuse")
 	p.setSnapMetrics(reg)
@@ -305,7 +291,7 @@ func (p *Pager) Create(name string) FileID {
 }
 
 // Close releases the pager's simulated file handles, buffer pool frames
-// and WAL/fault state. Dirty pages are flushed best-effort first (a
+// and fault state. Dirty pages are flushed best-effort first (a
 // crashed pager simply drops them). Double-Close is safe; any file
 // operation after Close fails with ErrClosed.
 func (p *Pager) Close() error {
@@ -360,9 +346,8 @@ func (p *Pager) Truncate(fid FileID) error {
 	if !ok {
 		return fmt.Errorf("pager: unknown file %d", fid)
 	}
-	// Journal the truncation so recovery does not resurrect old pages.
-	if err := p.walAppend(walKindTruncate, pageKey{fid: fid}, nil); err != nil {
-		return err
+	if p.fault != nil && p.fault.crashed {
+		return ErrCrashed
 	}
 	// Inside a mutation bracket, every discarded page is a pre-image a
 	// pinned snapshot may still need. (Deletes are in place now, so the
@@ -427,9 +412,6 @@ func (p *Pager) Append(fid FileID) (uint32, error) {
 // snapshot. Callers must treat it as read-only and use Write or
 // WriteOwned to change pages — mutating the returned slice corrupts the
 // pool, the simulated disk and every snapshot of the page at once.
-// SetCopyReads(true) removes the hazard by returning defensive copies;
-// fault injection forces it on because WAL checksums depend on unmutated
-// buffers.
 //
 // Concurrent readers of a returned slice are safe even across eviction:
 // page buffers are replaced wholesale, never mutated in place, so a
@@ -473,7 +455,7 @@ func (p *Pager) readOnce(fid FileID, no uint32) ([]byte, error) {
 	}
 	if i, ok := p.table[key]; ok {
 		p.bumpRef(&p.frames[i])
-		data := p.outPage(p.frames[i].data)
+		data := p.frames[i].data
 		cHit := p.cHit
 		p.mu.RUnlock()
 		cHit.Inc()
@@ -490,7 +472,7 @@ func (p *Pager) readOnce(fid FileID, no uint32) ([]byte, error) {
 	if i, ok := p.table[key]; ok {
 		p.bumpRef(&p.frames[i])
 		p.cHit.Inc()
-		return p.outPage(p.frames[i].data), nil
+		return p.frames[i].data, nil
 	}
 	f, ok := p.files[fid]
 	if !ok || no >= uint32(len(f.pages)) {
@@ -509,7 +491,7 @@ func (p *Pager) readOnce(fid FileID, no uint32) ([]byte, error) {
 	} else if err := p.install(key, data, false); err != nil {
 		return nil, err
 	}
-	return p.outPage(data), nil
+	return data, nil
 }
 
 // bumpRef increments a frame's GCLOCK reference count (capped at
@@ -530,18 +512,6 @@ func (p *Pager) bumpRef(fr *frame) {
 	if atomic.SwapUint32(&fr.prefetched, 0) == 1 {
 		p.cRAHit.Inc()
 	}
-}
-
-// outPage applies the copy-on-read option to a page leaving the pool.
-// Callers hold the latch (shared suffices: copyReads only changes under
-// the exclusive latch).
-func (p *Pager) outPage(data []byte) []byte {
-	if !p.copyReads {
-		return data
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return cp
 }
 
 // Write replaces the content of an existing page in the pool, marking it
@@ -780,31 +750,17 @@ func (p *Pager) readahead(f *file, fid FileID, st *seqStream, no uint32) {
 	}
 }
 
-// writeBack persists one dirty frame, counting a disk write. With fault
-// injection enabled the write is preceded by a WAL record (the durable
-// image recovery restores) and may tear: only a prefix reaches the disk,
-// silently — the frame is still marked clean, exactly like a real torn
-// write that is only discovered at recovery time.
+// writeBack persists one dirty frame, counting a disk write: the frame's
+// buffer becomes the page's disk image.
 func (p *Pager) writeBack(fr *frame) error {
 	f := p.files[fr.key.fid]
 	if f == nil || fr.key.no >= uint32(len(f.pages)) {
 		return nil // file truncated underneath the frame
 	}
-	if err := p.walAppend(walKindPage, fr.key, fr.data); err != nil {
-		return err
-	}
 	if err := p.diskOp(opWrite); err != nil {
 		return err
 	}
 	p.cWrite.Inc()
-	if n, torn := p.tornWrite(); torn {
-		p.cTornWrite.Inc()
-		pg := make([]byte, PageSize)
-		copy(pg[:n], fr.data[:n])
-		f.pages[fr.key.no] = pg
-		fr.dirty = false
-		return nil
-	}
 	f.pages[fr.key.no] = fr.data
 	fr.dirty = false
 	return nil
@@ -903,8 +859,6 @@ func (p *Pager) Stats() Stats {
 		Hits:         p.cHit.Value(),
 		ReadFaults:   p.cReadFault.Value(),
 		ReadRetries:  p.cReadRetry.Value(),
-		TornWrites:   p.cTornWrite.Value(),
-		WALAppends:   p.cWALAppend.Value(),
 		Prefetched:   p.cRAIssued.Value(),
 		PrefetchHits: p.cRAHit.Value(),
 	}
@@ -916,7 +870,7 @@ func (p *Pager) ResetStats() {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	for _, c := range []*metrics.Counter{p.cRead, p.cWrite, p.cHit, p.cReadFault, p.cReadRetry,
-		p.cTornWrite, p.cWALAppend, p.cRAIssued, p.cRAHit} {
+		p.cRAIssued, p.cRAHit} {
 		c.Set(0)
 	}
 }

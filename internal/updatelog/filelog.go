@@ -1,13 +1,7 @@
-// FileLog is the operating-system-file sibling of Log: the same
-// checksummed record codec, appended to a real file and made durable by
-// fsync. The pager-backed Log protects engines against the *simulated*
-// crashes of the fault-injection harness; its pages live in process
-// memory, so a real process kill (SIGKILL, OOM, power) loses them. The
-// serving layer therefore journals acknowledged updates through a FileLog:
-// after a process death, server.Reopen reads the committed prefix back,
-// re-applies it to a freshly loaded engine, and rebuilds the idempotency
-// dedup table from the keyed records — making every acknowledged update
-// exactly-once across real restarts, not just simulated ones.
+// FileLog is the journal file: the record codec of updatelog.go appended
+// to a real file and made durable by fsync, so a process kill (SIGKILL,
+// OOM, power) loses no acknowledged record; server.Reopen reads the
+// committed prefix back after one.
 //
 // Commits are grouped (DESIGN.md §13): Enqueue serializes a record into
 // the forming batch and returns a handle; a single flusher goroutine

@@ -1,40 +1,13 @@
-// Package updatelog is the logical redo journal that makes document
-// updates (U1 insert, U2 replace, U3 delete) crash-atomic on every
-// engine.
-//
-// The pager's physical WAL guarantees page-level durability — recovery
-// restores exactly the page images that were written back before the
-// crash — but an update is a multi-page, multi-file operation (catalog
-// rewrite, side-table cascade, index maintenance), so a crash mid-update
-// leaves a perfectly durable *torn* store. The engines also keep volatile
-// bookkeeping (heap tails, RID slices, index maps) that dies with the
-// crash and has no open-from-disk path: their recovery story is "reload
-// the database from the generator", which wipes uncommitted updates along
-// with committed ones.
-//
-// The journal closes that gap with logical redo. Each engine owns one
-// journal file; an update's protocol is:
-//
-//	validate -> journal append + sync (COMMIT POINT) -> apply to store
-//
-// The journal sync is the commit point: it is a single checksummed record
-// append, so after a crash the record is either durably complete
-// (committed — the update logically happened) or torn/absent (it never
-// happened). Recovery is then: read the committed records off the
-// recovered disk, reload the database (wiping any torn physical state
-// and resetting the journal), and re-apply the committed updates in
-// order through the engine's public update methods, which re-journal
-// them. Replay is idempotent because each update was validated against
-// the very prefix state replay reconstructs.
-//
-// The commit point is also where MVCC epochs come from (DESIGN.md §15):
-// engines wrap each update in a pager mutation bracket
-// (BeginMutation before the append, EndMutation after the apply), so
-// the journal record at position k corresponds exactly to commit epoch
-// base+k. A reader pinned at an epoch sees the database as of that
-// journal prefix — all of record k's pages or none — and replay after
-// a crash re-commits the surviving prefix one epoch per record,
-// landing on a consistent latest epoch.
+// Package updatelog is the one log the repository keeps: the logical redo
+// journal of the served system. The server applies a document update (U1
+// insert, U2 replace, U3 delete), appends its record to a real file and
+// acknowledges it once the fsync returned (FileLog). Engines keep no log:
+// their pages are process memory, so a crash — simulated or real — ends
+// the process, and recovery is the restart `xbench serve --journal` runs:
+// server.Reopen loads the database into a fresh engine, re-applies the
+// committed records in order through its update methods (Apply) and seeds
+// the dedup table from their keys. Replay is deterministic because each
+// update was validated against the very prefix state replay reconstructs.
 package updatelog
 
 import (
@@ -44,7 +17,6 @@ import (
 	"hash/fnv"
 
 	"xbench/internal/core"
-	"xbench/internal/pager"
 )
 
 // Kind identifies the update operation a journal record describes.
@@ -78,8 +50,8 @@ func (k Kind) String() string {
 // caused it. The key is what makes retried updates exactly-once across a
 // crash: recovery rebuilds the server's dedup table from the keyed
 // records, so a replayed retry after restart answers with the original
-// result instead of re-applying. Engine-internal journals leave the key
-// zero.
+// result instead of re-applying. An update sent without a key journals a
+// zero one.
 type Record struct {
 	Kind Kind
 	Name string
@@ -92,8 +64,8 @@ type Record struct {
 // Keyed reports whether the record carries an idempotency key.
 func (r Record) Keyed() bool { return r.Client != 0 }
 
-// recMagic guards every record; a zeroed or torn page fails the check and
-// ends the committed prefix. "UPD2" added the idempotency-key fields.
+// recMagic guards every record; zeroed or torn bytes fail the check and
+// end the committed prefix. "UPD2" added the idempotency-key fields.
 const recMagic = 0x55504432 // "UPD2"
 
 // record layout:
@@ -130,7 +102,8 @@ func encodeRecord(r Record) []byte {
 // decodeRecord reads one record from buf, returning the record, the
 // bytes consumed, and whether the record was durably complete. A failed
 // decode (bad magic, impossible lengths, truncation, checksum mismatch)
-// marks the end of the committed prefix — exactly like a torn WAL tail.
+// marks the end of the committed prefix: the record was mid-append at the
+// crash.
 func decodeRecord(buf []byte) (Record, int, bool) {
 	if len(buf) < recHeaderSize+8 {
 		return Record{}, 0, false
@@ -161,127 +134,11 @@ func decodeRecord(buf []byte) (Record, int, bool) {
 	return r, total, true
 }
 
-// Log is an append-only journal over one pager file. It is not
-// goroutine-safe on its own; engines call it under their write lock.
-type Log struct {
-	p   *pager.Pager
-	fid pager.FileID
-
-	// Volatile write cursor — like a heap tail, this state dies with a
-	// crash. Committed deliberately ignores it and reads the disk.
-	end     uint64
-	tail    []byte
-	tailNo  uint32
-	hasTail bool
-}
-
-// New creates the journal file on p. Call once per engine, at
-// construction time.
-func New(p *pager.Pager, name string) *Log {
-	return &Log{p: p, fid: p.Create(name)}
-}
-
-// Append journals one update and syncs the journal file. The sync is the
-// commit point: once Append returns nil the update is durably committed
-// and recovery will replay it; on error (including a crash mid-append)
-// the record is torn or absent and the update never happened.
-func (l *Log) Append(r Record) error {
-	if err := l.write(encodeRecord(r)); err != nil {
-		return fmt.Errorf("updatelog: append: %w", err)
-	}
-	if err := l.p.Sync(l.fid); err != nil {
-		return fmt.Errorf("updatelog: commit sync: %w", err)
-	}
-	return nil
-}
-
-// write lays b down at the end of the journal, page by page. The current
-// tail page is kept in memory and rewritten as records accumulate.
-func (l *Log) write(b []byte) error {
-	for len(b) > 0 {
-		off := int(l.end % pager.PageSize)
-		if off == 0 || !l.hasTail {
-			if _, err := l.p.Append(l.fid); err != nil {
-				return err
-			}
-			l.tail = make([]byte, pager.PageSize)
-			l.tailNo = uint32(l.end / pager.PageSize)
-			l.hasTail = true
-		}
-		n := copy(l.tail[off:], b)
-		b = b[n:]
-		l.end += uint64(n)
-		if err := l.p.Write(l.fid, l.tailNo, l.tail); err != nil {
-			return err
-		}
-		if l.end%pager.PageSize == 0 {
-			l.hasTail = false
-		}
-	}
-	return nil
-}
-
-// Reset truncates the journal (a fresh Load supersedes all prior
-// updates). It fails while the pager is crashed, like any truncation.
-func (l *Log) Reset() error {
-	if err := l.p.Truncate(l.fid); err != nil {
-		return err
-	}
-	l.end = 0
-	l.tail = nil
-	l.hasTail = false
-	return nil
-}
-
-// Committed returns the durably committed records, in commit order. It
-// reads the journal pages from the (recovered) disk rather than trusting
-// the volatile write cursor, stopping at the first torn or invalid
-// record — so it is exactly the set replay must re-apply. Call it after
-// pager recovery and BEFORE reloading the database (Load resets the
-// journal).
-func (l *Log) Committed() ([]Record, error) {
-	n := l.p.NumPages(l.fid)
-	buf := make([]byte, 0, int(n)*pager.PageSize)
-	for no := uint32(0); no < n; no++ {
-		pg, err := l.p.Read(l.fid, no)
-		if err != nil {
-			return nil, fmt.Errorf("updatelog: read page %d: %w", no, err)
-		}
-		buf = append(buf, pg...)
-	}
-	var recs []Record
-	for len(buf) > 0 {
-		r, sz, ok := decodeRecord(buf)
-		if !ok {
-			break
-		}
-		recs = append(recs, r)
-		buf = buf[sz:]
-	}
-	return recs, nil
-}
-
-// Replay restores an engine after a crash: it reads the committed
-// updates off l, reloads db (wiping torn physical state and resetting
-// the journal), and re-applies each update in commit order through the
-// engine's public update methods — which re-journal them, rebuilding the
-// log as a side effect. The caller must have run pager recovery first
-// and should rebuild value indexes afterwards (Load drops them).
-func Replay(ctx context.Context, e core.Engine, l *Log, db *core.Database) error {
-	recs, err := l.Committed()
-	if err != nil {
-		return err
-	}
-	if _, err := e.Load(ctx, db); err != nil {
-		return fmt.Errorf("updatelog: replay reload: %w", err)
-	}
-	return Apply(ctx, e, recs)
-}
-
 // Apply re-applies committed records, in commit order, through an
-// engine's public update methods. It is the replay half shared by engine
-// recovery (Replay) and the server's restart path, which rebuilds its
-// idempotency dedup table from the keyed records as it goes.
+// engine's public update methods: the replay half of the server's restart
+// path (server.Reopen) and of a replica's journal shipping. A record of a
+// kind it does not know stops the replay with an error, before anything
+// of it is applied.
 func Apply(ctx context.Context, e core.Engine, recs []Record) error {
 	for _, r := range recs {
 		var err error
@@ -292,6 +149,8 @@ func Apply(ctx context.Context, e core.Engine, recs []Record) error {
 			err = e.ReplaceDocument(ctx, r.Name, r.Data)
 		case KindDelete:
 			err = e.DeleteDocument(ctx, r.Name)
+		default:
+			err = fmt.Errorf("unknown record kind")
 		}
 		if err != nil {
 			return fmt.Errorf("updatelog: replay %s %q: %w", r.Kind, r.Name, err)

@@ -2,16 +2,19 @@ package updatelog
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
-
-	"xbench/internal/pager"
 )
+
+// pageSize is a disk page: a zeroed one must not decode, and a record
+// may span several.
+const pageSize = 8192
 
 func TestRecordRoundtrip(t *testing.T) {
 	recs := []Record{
 		{Kind: KindInsert, Name: "a.xml", Data: []byte("<a/>")},
-		{Kind: KindReplace, Name: "b.xml", Data: bytes.Repeat([]byte("x"), 3*pager.PageSize)},
+		{Kind: KindReplace, Name: "b.xml", Data: bytes.Repeat([]byte("x"), 3*pageSize)},
 		{Kind: KindDelete, Name: "c.xml"},
 	}
 	for _, want := range recs {
@@ -32,7 +35,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	good := encodeRecord(Record{Kind: KindInsert, Name: "a.xml", Data: []byte("<a/>")})
 	cases := map[string][]byte{
 		"empty":        nil,
-		"zeroed page":  make([]byte, pager.PageSize),
+		"zeroed page":  make([]byte, pageSize),
 		"bad magic":    append([]byte{0, 0, 0, 0}, good[4:]...),
 		"bad kind":     append(append([]byte{}, good[:4]...), append([]byte{9}, good[5:]...)...),
 		"truncated":    good[:len(good)-3],
@@ -46,108 +49,12 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestAppendCommittedReset(t *testing.T) {
-	p := pager.New(8)
-	l := New(p, "updates")
-	want := []Record{
-		{Kind: KindInsert, Name: "a.xml", Data: []byte("<a/>")},
-		{Kind: KindReplace, Name: "big.xml", Data: bytes.Repeat([]byte("y"), 2*pager.PageSize+17)},
-		{Kind: KindDelete, Name: "a.xml"},
-	}
-	for _, r := range want {
-		if err := l.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := l.Committed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("Committed returned %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Kind != want[i].Kind || got[i].Name != want[i].Name || !bytes.Equal(got[i].Data, want[i].Data) {
-			t.Fatalf("record %d: got %+v", i, got[i])
-		}
-	}
-	if err := l.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := l.Committed(); err != nil || len(got) != 0 {
-		t.Fatalf("after Reset: %d records, %v", len(got), err)
-	}
-	// The log must stay appendable after a reset.
-	if err := l.Append(want[0]); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := l.Committed(); len(got) != 1 || got[0].Name != "a.xml" {
-		t.Fatalf("post-reset append: %+v", got)
-	}
-}
-
-// TestCrashLeavesCommittedPrefix sweeps a crash across every disk
-// operation of a three-record append sequence: after recovery, Committed
-// must return a clean prefix — never a torn or reordered suffix.
-func TestCrashLeavesCommittedPrefix(t *testing.T) {
-	recs := []Record{
-		{Kind: KindInsert, Name: "a.xml", Data: bytes.Repeat([]byte("a"), 100)},
-		{Kind: KindReplace, Name: "b.xml", Data: bytes.Repeat([]byte("b"), pager.PageSize+50)},
-		{Kind: KindDelete, Name: "c.xml"},
-	}
-	// Budget run: count disk ops for the fault-free sequence.
-	probe := pager.New(4)
-	probe.SetFaultPolicy(pager.FaultPolicy{Seed: 1})
-	pl := New(probe, "updates")
-	for _, r := range recs {
-		if err := pl.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	budget := probe.OpCount()
-	if budget == 0 {
-		t.Fatal("probe run performed no disk ops")
-	}
-
-	for crashAt := int64(1); crashAt <= budget; crashAt++ {
-		p := pager.New(4)
-		p.SetFaultPolicy(pager.FaultPolicy{Seed: 1, CrashAfterOps: crashAt})
-		l := New(p, "updates")
-		committed := 0
-		var failed error
-		for _, r := range recs {
-			if err := l.Append(r); err != nil {
-				failed = err
-				break
-			}
-			committed++
-		}
-		if failed != nil && !pager.IsCrash(failed) {
-			t.Fatalf("crashAt %d: unexpected error %v", crashAt, failed)
-		}
-		if _, err := p.Recover(); err != nil {
-			t.Fatalf("crashAt %d: recover: %v", crashAt, err)
-		}
-		if err := p.CheckDurable(); err != nil {
-			t.Fatalf("crashAt %d: %v", crashAt, err)
-		}
-		got, err := l.Committed()
-		if err != nil {
-			t.Fatalf("crashAt %d: committed: %v", crashAt, err)
-		}
-		// Every Append that returned nil is durably committed; a crash
-		// mid-append may still have committed that record's bytes (the
-		// crash can land after the data reached the platter), so the
-		// recovered count is committed or committed+1 — never less, and
-		// always a prefix in order.
-		if len(got) < committed || len(got) > committed+1 {
-			t.Fatalf("crashAt %d: %d acknowledged, %d recovered", crashAt, committed, len(got))
-		}
-		for i, r := range got {
-			if r.Kind != recs[i].Kind || r.Name != recs[i].Name || !bytes.Equal(r.Data, recs[i].Data) {
-				t.Fatalf("crashAt %d: record %d torn: %+v", crashAt, i, r)
-			}
-		}
+// TestApplyRejectsUnknownKind: a record of a kind outside U1-U3 is an
+// error that names the kind, never a record silently applied as nothing.
+func TestApplyRejectsUnknownKind(t *testing.T) {
+	err := Apply(context.Background(), nil, []Record{{Kind: 9, Name: "x.xml"}})
+	if err == nil || !strings.Contains(err.Error(), "Kind(9)") {
+		t.Fatalf("Apply of kind 9 = %v, want an error naming the kind", err)
 	}
 }
 

@@ -7,7 +7,11 @@
 // the primary journaled.
 package wire
 
-import "xbench/internal/updatelog"
+import (
+	"fmt"
+
+	"xbench/internal/updatelog"
+)
 
 // MaxJournalBatch bounds how many records one OpJournal response carries.
 // A replica far behind catches up in windows instead of one giant frame,
@@ -71,7 +75,8 @@ func EncodeJournalPullResponse(r JournalPullResponse) []byte {
 	return e.b
 }
 
-// DecodeJournalPullResponse parses an OpJournal success payload.
+// DecodeJournalPullResponse parses an OpJournal success payload. A record
+// whose kind is not U1-U3 makes the payload malformed.
 func DecodeJournalPullResponse(b []byte) (JournalPullResponse, error) {
 	d := dec{b}
 	var r JournalPullResponse
@@ -91,6 +96,10 @@ func DecodeJournalPullResponse(b []byte) (JournalPullResponse, error) {
 			return r, err
 		}
 		rec.Kind = updatelog.Kind(k)
+		if rec.Kind < updatelog.KindInsert || rec.Kind > updatelog.KindDelete {
+			// A replica would count it applied and move past it.
+			return r, fmt.Errorf("wire: journal record %d has unknown kind %d", i, k)
+		}
 		if rec.Name, err = d.string(); err != nil {
 			return r, err
 		}

@@ -65,6 +65,21 @@ func TestJournalPullResponseTruncated(t *testing.T) {
 	}
 }
 
+// TestJournalPullResponseRejectsUnknownKind: a shipped record must be a
+// U1-U3; any other kind byte is a malformed payload, not a record the
+// replica applies as nothing.
+func TestJournalPullResponseRejectsUnknownKind(t *testing.T) {
+	for _, kind := range []updatelog.Kind{0, 4} {
+		b := EncodeJournalPullResponse(JournalPullResponse{
+			Next:    1,
+			Records: []updatelog.Record{{Kind: kind, Name: "a.xml", Data: []byte("<a/>"), Client: 1, Seq: 1}},
+		})
+		if _, err := DecodeJournalPullResponse(b); err == nil {
+			t.Errorf("a record of kind %d decoded without error", kind)
+		}
+	}
+}
+
 // TestResultShardErrorsTail pins the compatibility contract of the
 // ShardErrors tail: a zero count encodes byte-identically to the
 // pre-router format, and a non-zero count survives a round trip.

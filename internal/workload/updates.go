@@ -50,8 +50,8 @@ type UpdateMeasurement struct {
 	// VerifyElapsed covers the follow-up verification query, reported
 	// separately so update latency is not inflated by a read.
 	VerifyElapsed time.Duration
-	// Breakdown attributes the update's metrics activity (pager I/O, WAL
-	// appends, phases) when the engine exposes a registry; zero otherwise.
+	// Breakdown attributes the update's metrics activity (pager I/O, MVCC
+	// captures, phases) when the engine exposes a registry; zero otherwise.
 	// It covers the timed update only, not setup or verification.
 	Breakdown metrics.Breakdown
 	Err       error

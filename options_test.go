@@ -40,16 +40,19 @@ func TestNewOptions(t *testing.T) {
 	reg := metrics.NewRegistry()
 	e, err := New("native",
 		WithPoolPages(64),
-		WithFaultPolicy(FaultPolicy{Seed: 7}),
+		WithFaultPolicy(FaultPolicy{Seed: 7, CrashAfterOps: 1}),
 		WithMetrics(reg),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := e.(interface{ Pager() *pager.Pager }).Pager()
-	fp, ok := p.FaultPolicyInfo()
-	if !ok || fp.Seed != 7 {
-		t.Fatalf("fault policy not installed: %+v %v", fp, ok)
+	db, err := Generate(DCMD, Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Load(context.Background(), db); !pager.IsCrash(err) {
+		t.Fatalf("Load under a crash point at the second disk op = %v, want the crash", err)
 	}
 	if p.Metrics() != reg {
 		t.Fatal("metrics registry not attached")

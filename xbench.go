@@ -206,7 +206,7 @@ func WithPoolPages(n int) Option { return func(o *engineOptions) { o.poolPages =
 func WithRowLimit(n int) Option { return func(o *engineOptions) { o.rowLimit = n } }
 
 // WithFaultPolicy installs a fault-injection policy on the engine's pager
-// (enables the write-ahead log and the simulated crash/torn-write faults).
+// (simulated transient read faults and a crash after N disk operations).
 func WithFaultPolicy(fp FaultPolicy) Option {
 	return func(o *engineOptions) { o.fault = &fp }
 }
