@@ -15,9 +15,9 @@
 //
 // Pipelining: Config.Pipeline switches to the multiplexed transport
 // (mux.go) — concurrent requests share a few connections per address,
-// writes coalesce into batched flushes and responses route back by frame
-// ID, so N-client sweeps stop paying a connection and two syscalls per
-// request. Retry, failover and breaker behavior are identical in both
+// each caller writes its own frame under the connection's write lock and
+// responses route back by frame ID, so N-client sweeps stop paying a
+// connection per request. Retry, failover and breaker behavior are identical in both
 // modes; only the bytes-on-the-wire strategy changes.
 //
 // Exactly-once updates: every update (U1–U3) carries an idempotency key —
@@ -100,8 +100,8 @@ type Config struct {
 	// fixed (ClientID, Seed) pair replays exactly.
 	Seed uint64
 	// Pipeline enables the multiplexed transport (mux.go): concurrent
-	// requests share MuxConns connections per address, writes coalesce
-	// into batched flushes, and responses are routed back by frame ID.
+	// requests share MuxConns connections per address, each written by
+	// its caller, and responses are routed back by frame ID.
 	// Off (the zero value) keeps the one-request-per-connection pooled
 	// transport.
 	Pipeline bool
@@ -549,10 +549,10 @@ func (c *Client) BuildIndexes(specs []core.IndexSpec) error {
 // page-fetch granularity, exactly like an in-process engine.
 func (c *Client) Execute(ctx context.Context, q core.QueryID, p core.Params) (core.Result, error) {
 	// The request payload is encoded into a pooled buffer, rebuilt in
-	// place on each retry leg. Both transports copy the payload out
-	// before returning (WriteFrame into its own scratch buffer, the mux
-	// into its batch), so releasing it after roundTrip cannot alias an
-	// in-flight frame.
+	// place on each retry leg. Both transports have written the payload
+	// before returning (WriteFrame from its own scratch buffer, the mux
+	// from its write buffer), so releasing it after roundTrip cannot
+	// alias an in-flight frame.
 	bp := wire.GetBuf()
 	defer wire.PutBuf(bp)
 	resp, err := c.roundTrip(ctx, wire.OpQuery, func(remaining time.Duration) []byte {

@@ -1,34 +1,26 @@
 // Pipelined transport: many in-flight requests multiplexed over a small
-// set of connections per address, with writes coalesced into batched
-// flushes.
+// set of connections per address.
 //
 // The pooled transport (client.go attempt) dedicates one connection to
-// each in-flight request: N concurrent callers cost N connections and
-// 2N syscalls per round trip. With Config.Pipeline on, callers instead
-// encode their frame into the connection's forming batch buffer and wait
-// for their response by frame ID. A single writer goroutine flushes the
-// batch with one conn.Write — requests that arrive while a flush syscall
-// is in progress accumulate into the next batch, so batching deepens
-// exactly when load does (the same natural-batching shape as the
-// journal's group commit). A single reader goroutine routes response
-// frames back to waiters by ID; responses may return in any order, which
-// the serving side exploits by executing a connection's requests
-// concurrently.
+// each in-flight request: N concurrent callers cost N connections. With
+// Config.Pipeline on, a caller instead encodes its frame into the
+// connection's one write buffer and hands it to the kernel with one
+// conn.Write under the write lock, then waits for its response by frame
+// ID. A single reader goroutine routes response frames back to waiters by
+// ID; responses may return in any order, which the serving side exploits
+// by executing a connection's requests concurrently.
 //
-// Buffer ownership (the aliasing rules the -race hammer test enforces):
-// a caller's payload bytes are copied into the batch buffer inside
-// enqueue, so the caller may recycle its payload buffer the moment
-// roundTrip returns — even on a context-canceled request, whose frame
-// (if it was enqueued at all) has already been copied out. Batch buffers
-// themselves cycle through wire.GetBuf/PutBuf and are owned by exactly
-// one party at a time: the forming batch by whichever caller holds wmu,
-// a sealed batch by the writer until the flush returns.
+// Buffer ownership: a caller's payload bytes are copied into the write
+// buffer and written before roundTrip waits for the response, so the
+// caller may recycle its payload buffer the moment roundTrip returns —
+// whatever the outcome. The write buffer belongs to whichever caller
+// holds the write lock.
 //
-// A transport error on either goroutine fails the whole mux: the
-// connection closes, every waiter gets the error, and the next request
-// through the endpoint dials a replacement. Retry, failover and breaker
-// decisions stay in roundTrip (client.go) — a mux failure looks exactly
-// like a poisoned pooled connection, just fanned out to all riders.
+// A transport error fails the whole mux: the connection closes, every
+// waiter gets the error, and the next request through the endpoint dials
+// a replacement. Retry, failover and breaker decisions stay in roundTrip
+// (client.go) — a mux failure looks exactly like a poisoned pooled
+// connection, just fanned out to all riders.
 package client
 
 import (
@@ -37,6 +29,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"time"
 
 	"xbench/internal/wire"
 )
@@ -45,12 +38,12 @@ import (
 // are replaced, never repaired.
 type muxConn struct {
 	conn net.Conn
-	kick chan struct{} // buffered(1): batch has frames to flush
-	done chan struct{} // closed by fail
 
-	// wmu guards the forming batch.
-	wmu   sync.Mutex
-	batch *[]byte
+	// wlock is the write lock: one slot, held by the caller writing its
+	// frame from wbuf. A channel, not a mutex, so a caller waiting for it
+	// still honours its context.
+	wlock chan struct{}
+	wbuf  []byte
 
 	// pmu guards the waiter registry and the terminal error.
 	pmu     sync.Mutex
@@ -65,12 +58,9 @@ var errMuxFailed = errors.New("client: pipelined connection failed")
 func newMuxConn(conn net.Conn) *muxConn {
 	m := &muxConn{
 		conn:    conn,
-		kick:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
-		batch:   wire.GetBuf(),
+		wlock:   make(chan struct{}, 1),
 		pending: make(map[uint64]chan wire.Frame),
 	}
-	go m.writeLoop()
 	go m.readLoop()
 	return m
 }
@@ -105,7 +95,6 @@ func (m *muxConn) fail(err error) {
 	m.err = err
 	waiters := m.pending
 	m.pending = nil
-	close(m.done)
 	m.pmu.Unlock()
 	m.conn.Close()
 	for _, ch := range waiters {
@@ -114,9 +103,8 @@ func (m *muxConn) fail(err error) {
 }
 
 // roundTrip sends one frame and waits for the response with the same ID.
-// The frame's payload is copied into the batch before roundTrip blocks,
-// so the caller may reuse the payload buffer as soon as this returns,
-// whatever the outcome.
+// The frame is written before roundTrip waits, so the caller may reuse
+// the payload buffer as soon as this returns, whatever the outcome.
 func (m *muxConn) roundTrip(ctx context.Context, f wire.Frame) (wire.Frame, error) {
 	respCh := make(chan wire.Frame, 1)
 	m.pmu.Lock()
@@ -128,17 +116,9 @@ func (m *muxConn) roundTrip(ctx context.Context, f wire.Frame) (wire.Frame, erro
 	m.pending[f.ID] = respCh
 	m.pmu.Unlock()
 
-	m.wmu.Lock()
-	b, err := wire.AppendFrame(*m.batch, f)
-	*m.batch = b
-	m.wmu.Unlock()
-	if err != nil {
+	if err := m.send(ctx, f); err != nil {
 		m.deregister(f.ID)
 		return wire.Frame{}, err
-	}
-	select {
-	case m.kick <- struct{}{}:
-	default: // a flush signal is already pending
 	}
 
 	select {
@@ -161,52 +141,60 @@ func (m *muxConn) roundTrip(ctx context.Context, f wire.Frame) (wire.Frame, erro
 	}
 }
 
+// send writes f with one conn.Write under the write lock. The caller
+// honours ctx while it waits for the lock and while it writes: when ctx
+// ends mid-write, context.AfterFunc sets a write deadline in the past,
+// which fails the Write. A failed or partial write leaves the stream
+// mid-frame, so it fails the mux; an unencodable frame writes nothing
+// and fails only its own request.
+func (m *muxConn) send(ctx context.Context, f wire.Frame) error {
+	select {
+	case m.wlock <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	defer func() { <-m.wlock }()
+	b, err := wire.AppendFrame(m.wbuf[:0], f)
+	if err != nil {
+		return err
+	}
+	if cap(b) <= wire.MaxKeptBuf {
+		m.wbuf = b
+	}
+	if ctx.Done() == nil {
+		_, err = m.conn.Write(b)
+	} else {
+		stop := context.AfterFunc(ctx, func() { m.conn.SetWriteDeadline(time.Unix(1, 0)) })
+		_, err = m.conn.Write(b)
+		if !stop() && err == nil {
+			// ctx ended as the write finished: its past deadline may
+			// still land on the connection and fail a later, innocent
+			// write. Retire the mux now instead.
+			err = ctx.Err()
+		}
+	}
+	if err != nil {
+		m.fail(err)
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		return m.lastErr()
+	}
+	return nil
+}
+
 func (m *muxConn) deregister(id uint64) {
 	m.pmu.Lock()
 	delete(m.pending, id)
 	m.pmu.Unlock()
 }
 
-// writeLoop flushes the forming batch whenever kicked: it swaps in a
-// fresh pooled buffer under wmu (so enqueues never wait on the network)
-// and writes the sealed batch with one syscall. Batching is purely
-// natural — everything enqueued during the previous flush goes out
-// together; the writer never waits for a deeper batch (the batching
-// variants measured inside noise: ROADMAP, "Measured and deliberately
-// not built").
-func (m *muxConn) writeLoop() {
-	for {
-		select {
-		case <-m.done:
-			return
-		case <-m.kick:
-		}
-		for {
-			m.wmu.Lock()
-			if len(*m.batch) == 0 {
-				m.wmu.Unlock()
-				break
-			}
-			sealed := m.batch
-			m.batch = wire.GetBuf()
-			m.wmu.Unlock()
-			_, err := m.conn.Write(*sealed)
-			wire.PutBuf(sealed)
-			if err != nil {
-				m.fail(err)
-				return
-			}
-		}
-	}
-}
-
 // readLoop routes response frames to their waiters by ID. A frame with
 // no waiter belonged to a context-canceled request and is dropped —
 // unlike the one-request-per-connection transport, an unknown ID here is
-// expected traffic, not desynchronization. The reader is buffered: the
-// server answers in batches, so one kernel read pulls many frames —
-// without this, reading costs two syscalls per frame and eats the
-// batching win on the write side.
+// expected traffic, not desynchronization. The reader is buffered, so
+// one kernel read pulls every response the server has written since the
+// last one, instead of two syscalls per frame.
 func (m *muxConn) readLoop() {
 	br := bufio.NewReader(m.conn)
 	for {

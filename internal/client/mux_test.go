@@ -265,11 +265,10 @@ func TestMuxPooledBufferHammer(t *testing.T) {
 	}
 }
 
-// TestMuxWriterCoalesces: requests issued together leave in batched
-// writes — whatever queued while the previous flush was on the wire.
-// Observed indirectly: all succeed and share one connection; the
-// coalescing writer must not deadlock or starve the flush.
-func TestMuxWriterCoalesces(t *testing.T) {
+// TestMuxConcurrentWriters: requests issued together each write their
+// own frame under the mux's write lock; all succeed and share one
+// connection, and no writer deadlocks or starves another.
+func TestMuxConcurrentWriters(t *testing.T) {
 	fs := newFakeServer(t, func(n int, f wire.Frame) (wire.Frame, bool) {
 		return okFrame(nil), false
 	})
@@ -288,10 +287,10 @@ func TestMuxWriterCoalesces(t *testing.T) {
 	}
 	wg.Wait()
 	if n := failed.Load(); n != 0 {
-		t.Fatalf("%d requests failed under the coalescing writer", n)
+		t.Fatalf("%d requests failed under concurrent writers", n)
 	}
 	if _, conns := fs.stats(); conns != 1 {
-		t.Fatalf("coalesced requests used %d connections", conns)
+		t.Fatalf("concurrent requests used %d connections", conns)
 	}
 }
 
@@ -319,5 +318,57 @@ func TestMuxClientCloseFailsWaiters(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close leaked a pipelined waiter")
+	}
+}
+
+// TestMuxCancelDuringStuckWrite: a caller whose frame cannot leave — the
+// server accepted the connection but never reads, so a 16 MiB payload
+// fills both socket buffers — still honours its context: cancelling it
+// returns context.Canceled promptly.
+func TestMuxCancelDuringStuckWrite(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		accepted <- conn // held open, never read
+	}()
+	defer func() {
+		select {
+		case conn := <-accepted:
+			conn.Close()
+		default:
+		}
+	}()
+
+	c := newClient([]string{ln.Addr().String()}, Config{Pipeline: true, MuxConns: 1, Retries: -1})
+	defer c.Close()
+	payload := make([]byte, 16<<20)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.roundTrip(ctx, wire.OpPing, func(time.Duration) []byte { return payload }, true)
+		done <- err
+	}()
+	time.Sleep(100 * time.Millisecond) // let the write fill the socket buffers
+	select {
+	case err := <-done:
+		t.Fatalf("request over a connection nobody reads returned early: %v", err)
+	default:
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled stuck write returned %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("cancelled request stayed stuck in its write")
 	}
 }

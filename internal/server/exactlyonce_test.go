@@ -85,28 +85,56 @@ func TestDedupReplaysOriginalResult(t *testing.T) {
 	}
 }
 
-// TestUnkeyedUpdatesBypassDedup: v1-style updates (no key) keep their old
-// semantics — every send reaches the engine.
-func TestUnkeyedUpdatesBypassDedup(t *testing.T) {
+// TestUnkeyedUpdatesAreRefused: every update carries an idempotency key.
+// One sent with the zero key, or with no key at all (the payload cut
+// before its key), is refused as a bad request before it reaches the
+// engine or the journal — the keyed insert of the same name afterwards
+// applies, which it could not if either had inserted the document.
+func TestUnkeyedUpdatesAreRefused(t *testing.T) {
+	db := &core.Database{Class: core.DCMD, Size: core.Small}
+	journal := filepath.Join(t.TempDir(), "updates.journal")
 	eng := newStub()
-	srv, _ := startServer(t, eng, server.Config{})
+	srv, _, err := server.Reopen(eng, db, nil, journal, server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
 	rc := dialRaw(t, srv.Addr().String())
-	payload := updatePayload(wire.OpInsert, "a.xml", []byte("<a/>"), wire.IdemKey{})
-	if resp := rc.do(wire.OpInsert, payload); wire.Status(resp.Kind) != wire.StatusOK {
-		t.Fatalf("first unkeyed insert: status %d", resp.Kind)
+
+	zeroKey := updatePayload(wire.OpInsert, "a.xml", []byte("<a/>"), wire.IdemKey{})
+	noKey := zeroKey[:len(zeroKey)-2] // the zero key is two one-byte uvarints
+	for _, payload := range [][]byte{zeroKey, noKey} {
+		if resp := rc.do(wire.OpInsert, payload); wire.Status(resp.Kind) != wire.StatusBadRequest {
+			t.Fatalf("unkeyed insert: status %d, want StatusBadRequest", resp.Kind)
+		}
 	}
-	if resp := rc.do(wire.OpInsert, payload); wire.Status(resp.Kind) == wire.StatusOK {
-		t.Fatal("second unkeyed insert of the same name succeeded (was deduped?)")
+	eng.mu.Lock()
+	_, applied := eng.docs["a.xml"]
+	eng.mu.Unlock()
+	if applied {
+		t.Fatal("a refused unkeyed insert reached the engine")
 	}
-	if got := srv.Metrics().Counter("server.req.deduped").Value(); got != 0 {
-		t.Fatalf("deduped counter = %d, want 0", got)
+	keyed := updatePayload(wire.OpInsert, "a.xml", []byte("<a/>"), wire.IdemKey{Client: 3, Seq: 1})
+	if resp := rc.do(wire.OpInsert, keyed); wire.Status(resp.Kind) != wire.StatusOK {
+		t.Fatalf("keyed insert after the refused ones: status %d", resp.Kind)
+	}
+	resp := rc.do(wire.OpJournal, wire.EncodeJournalPullRequest(wire.JournalPullRequest{}))
+	pulled, err := wire.DecodeJournalPullResponse(resp.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pulled.Records) != 1 || pulled.Records[0].Client != 3 {
+		t.Fatalf("journal holds %+v, want only the keyed insert", pulled.Records)
 	}
 }
 
 // TestConcurrentRetriesApplyOnce: simultaneous byte-identical keyed
 // retries — the wire image of an impatient client re-sending before the
 // original answered — must apply exactly once, even while the original
-// is still inside its commit window (applied, journal batch syncing).
+// is still inside its commit window (applied, journal record syncing).
 // Racing retries either hit the dedup table or join the in-flight
 // commit; both paths answer with the original's result and count as
 // deduped. This is the regression test for the window where the update

@@ -10,16 +10,17 @@
 // connection's next one, so the stack an engine call needs is grown once
 // per worker, not once per request. A connection's requests execute
 // concurrently and its responses — matched to requests by frame ID, so
-// they may return in any order — are coalesced by a per-connection
-// batched writer (connwriter.go) into one syscall per flush. That is what
-// makes the pipelined client transport (internal/client Config.Pipeline)
-// pay off: a mux connection carrying many in-flight requests is served by
-// many engine goroutines, not a serial loop. One-request-at-a-time
-// clients (the pooled transport, raw test connections) see one frame in,
-// one frame out, on one worker. Every engine-touching request passes the
-// admission controller: a semaphore of MaxInflight slots with a bounded
-// queue wait. A request that cannot get a slot within QueueWait is
-// rejected with StatusOverloaded — load shedding, never queue collapse.
+// they may return in any order — are written by the worker that built
+// each one, with one conn.Write under the connection's write mutex. That
+// is what the pipelined client transport (internal/client
+// Config.Pipeline) relies on: a mux connection carrying many in-flight
+// requests is served by many engine goroutines, not a serial loop.
+// One-request-at-a-time clients (the pooled transport, raw test
+// connections) see one frame in, one frame out, on one worker. Every
+// engine-touching request passes the admission controller: a semaphore
+// of MaxInflight slots with a bounded queue wait. A request that cannot
+// get a slot within QueueWait is rejected with StatusOverloaded — load
+// shedding, never queue collapse.
 // The per-connection worker cap (connPipeline) additionally stops any
 // single connection from parking unbounded goroutines in the admission
 // queue: with every worker busy the server simply stops reading and TCP
@@ -119,8 +120,8 @@ type Server struct {
 	// original result; journal (optional, see Reopen) makes acknowledged
 	// updates durable across process death; updMu serializes apply +
 	// journal enqueue so journal order is apply order (the fsync itself
-	// happens outside updMu, shared across writers by group commit);
-	// inflight holds keyed updates that applied but are not yet durable,
+	// happens outside updMu, and one covers every record written before
+	// it); inflight holds updates that applied but are not yet durable,
 	// so a concurrent retry of the same key joins the pending commit
 	// instead of re-applying.
 	dedup    *dedupTable
@@ -167,10 +168,10 @@ func New(e core.Engine, cfg Config) *Server {
 // Reopen is the crash-recovery constructor: it opens (or creates) the
 // durable update journal at journalPath, loads db into the engine, re-
 // applies the journal's committed updates in commit order, rebuilds the
-// Table 3 indexes, and seeds the idempotency dedup table from the keyed
-// records — all BEFORE the server exists to accept a connection. A client
-// retrying an update it never got an answer for therefore finds either
-// the original outcome (the update committed before the crash: dedup hit,
+// Table 3 indexes, and seeds the idempotency dedup table from the
+// records' keys — all BEFORE the server exists to accept a connection. A
+// client retrying an update it never got an answer for therefore finds
+// either the original outcome (the update committed before the crash: dedup hit,
 // no re-apply) or a clean miss (it never committed: the retry applies it
 // once). The returned server journals every subsequent acknowledged
 // update to the same file, so the next Reopen sees those too.
@@ -199,9 +200,7 @@ func Reopen(e core.Engine, db *core.Database, specs []core.IndexSpec, journalPat
 	s := New(e, cfg)
 	s.journal = jl
 	for _, r := range recs {
-		if r.Keyed() {
-			s.dedup.record(wire.IdemKey{Client: r.Client, Seq: r.Seq}, okFrame(nil))
-		}
+		s.dedup.record(wire.IdemKey{Client: r.Client, Seq: r.Seq})
 	}
 	return s, len(recs), nil
 }
@@ -280,15 +279,15 @@ const connPipeline = 128
 // (connWorker): to one parked waiting for work when there is one, to a
 // new one while fewer than connPipeline exist, and otherwise to the first
 // that finishes. A pipelined client's requests therefore run concurrently
-// and their responses return in completion order, routed by frame ID,
-// through the connection's batched writer. Workers live as long as the
-// connection — a burst leaves its workers parked, each holding the stack
-// its last request grew (the runtime halves an idle one per GC cycle) —
-// and all have exited when serveConn returns.
+// and their responses return in completion order, routed by frame ID.
+// Workers live as long as the connection — a burst leaves its workers
+// parked, each holding the stack its last request grew (the runtime
+// halves an idle one per GC cycle) — and all have exited when serveConn
+// returns.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.connWg.Done()
 	defer s.dropConn(conn)
-	w := newConnWriter(conn)
+	out := &connOut{conn: conn}
 	// Unbuffered: a send completes only into a worker that is receiving,
 	// so a frame is never queued behind a busy one.
 	work := make(chan wire.Frame)
@@ -318,36 +317,59 @@ func (s *Server) serveConn(conn net.Conn) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				s.connWorker(conn, w, work)
+				s.connWorker(out, work)
 			}()
 		}
 		work <- req
 	}
 }
 
+// connOut is a connection's response side: each worker writes its own
+// response frame, encoded into buf and handed to the kernel with one
+// conn.Write under mu, so frames never interleave.
+type connOut struct {
+	conn net.Conn
+	mu   sync.Mutex
+	buf  []byte
+}
+
+// write encodes f and writes it, returning once the kernel has the bytes
+// or the write failed. A failure — a dead peer, or a frame too large to
+// encode — closes the connection: the stream can no longer carry
+// responses, so the read loop exits and the client's pending reads fail
+// typed.
+func (o *connOut) write(f wire.Frame) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	b, err := wire.AppendFrame(o.buf[:0], f)
+	if err == nil {
+		_, err = o.conn.Write(b)
+	}
+	if err != nil {
+		o.conn.Close()
+	}
+	if cap(b) <= wire.MaxKeptBuf {
+		o.buf = b
+	}
+}
+
 // connWorker serves one connection's requests, one at a time, until
-// serveConn closes work.
-func (s *Server) connWorker(conn net.Conn, w *connWriter, work <-chan wire.Frame) {
+// serveConn closes work. Query results are encoded into the worker's own
+// scratch buffer, reused from one request to the next: write copies the
+// frame out before the next request overwrites it. The REQUEST payload is
+// never reused: decoded requests alias it (wire dec.bytes).
+func (s *Server) connWorker(out *connOut, work <-chan wire.Frame) {
+	var scratch []byte
 	for req := range work {
-		// scratch backs pooled response payloads (query results); it is
-		// reusable once write has copied the frame into the batch. The
-		// REQUEST payload is deliberately never pooled: decoded requests
-		// alias it (wire dec.bytes) and updates may outlive this frame.
-		scratch := wire.GetBuf()
-		resp, done := s.handle(wire.Op(req.Kind), req.Payload, scratch)
+		resp, done := s.handle(wire.Op(req.Kind), req.Payload, &scratch)
 		resp.ID = req.ID
-		err := w.write(resp)
-		wire.PutBuf(scratch)
-		// The admission slot is released only after the batch holding
-		// this response was written, so the drain barrier in Shutdown
-		// proves every admitted request's response reached the kernel
-		// before connections are severed.
+		out.write(resp)
+		// The admission slot is released only after write returned, so
+		// the drain barrier in Shutdown proves every admitted request's
+		// response reached the kernel before connections are severed.
 		done()
-		if err != nil {
-			// The response could not be sent (dead peer or an
-			// unencodable frame): sever the connection so the read
-			// loop exits and the client's pending reads fail typed.
-			conn.Close()
+		if cap(scratch) > wire.MaxKeptBuf {
+			scratch = nil
 		}
 	}
 }
@@ -407,10 +429,9 @@ func noRelease() {}
 // handle dispatches one request to the engine and builds the response
 // frame (ID is filled in by the caller). The returned done callback must
 // be invoked after the response is written: admitted requests hold their
-// admission slot until then. scratch, when non-nil, is a pooled buffer
-// owned by the caller that large transient response payloads (query
-// results) are encoded into; frames that outlive the response write —
-// dedup-recorded update results — must never use it.
+// admission slot until then. scratch is a buffer owned by the caller that
+// query results and plans are encoded into; the response frame aliases
+// it until written.
 func (s *Server) handle(op wire.Op, payload []byte, scratch *[]byte) (wire.Frame, func()) {
 	// Liveness and cheap reads skip admission: they must answer even on a
 	// saturated server, or monitoring would be the first casualty.
@@ -452,12 +473,8 @@ func (s *Server) execute(op wire.Op, payload []byte, scratch *[]byte) wire.Frame
 		if err != nil {
 			return errFrame(err)
 		}
-		if scratch != nil {
-			b := wire.AppendResult((*scratch)[:0], res)
-			*scratch = b
-			return okFrame(b)
-		}
-		return okFrame(wire.EncodeResult(res))
+		*scratch = wire.AppendResult((*scratch)[:0], res)
+		return okFrame(*scratch)
 
 	case wire.OpExplain:
 		req, err := wire.DecodeQueryRequest(payload)
@@ -470,12 +487,8 @@ func (s *Server) execute(op wire.Op, payload []byte, scratch *[]byte) wire.Frame
 		if err != nil {
 			return errFrame(err)
 		}
-		if scratch != nil {
-			b := wire.AppendPlanNode((*scratch)[:0], node)
-			*scratch = b
-			return okFrame(b)
-		}
-		return okFrame(wire.EncodePlanNode(node))
+		*scratch = wire.AppendPlanNode((*scratch)[:0], node)
+		return okFrame(*scratch)
 
 	case wire.OpLoad:
 		if s.cfg.ReadOnly {
@@ -551,8 +564,8 @@ func (s *Server) executeJournalPull(req wire.JournalPullRequest) wire.Frame {
 	return okFrame(wire.EncodeJournalPullResponse(wire.JournalPullResponse{Next: next, Records: recs}))
 }
 
-// pendingUpdate is a keyed update that applied but whose acknowledgment
-// has not been released yet (its journal batch is still syncing). A
+// pendingUpdate is an update that applied but whose acknowledgment has
+// not been released yet (its journal record is still syncing). A
 // concurrent retry of the same key waits on done and returns f instead
 // of re-applying.
 type pendingUpdate struct {
@@ -560,22 +573,23 @@ type pendingUpdate struct {
 	f    wire.Frame // set before done is closed
 }
 
-// executeUpdate runs one update with exactly-once semantics. A keyed
-// retry whose original succeeded gets the original response without
-// touching the engine; a retry that races the original's commit window
-// joins the pending commit and shares its outcome; a fresh update
+// executeUpdate runs one update with exactly-once semantics. Every
+// update carries an idempotency key (wire.DecodeUpdateRequest refuses one
+// without). A retry whose original succeeded gets the original response
+// without touching the engine; a retry that races the original's commit
+// window joins the pending commit and shares its outcome; a fresh update
 // applies, is journaled (the durable commit point when a journal is
-// attached), then remembered in the dedup table.
+// attached), then its key is remembered in the dedup table.
 //
 // Locking: apply + journal Enqueue happen under updMu, so journal order
-// is apply order. The fsync is waited for OUTSIDE updMu — concurrent
-// writers stack into one group commit (updatelog.FileLog) instead of
-// serializing on the disk. The key's inflight entry is registered before
-// updMu is released and removed only after the dedup table holds the
-// final frame, so at every instant a retry finds the key in exactly one
+// is apply order. The fsync is waited for OUTSIDE updMu: the next update
+// applies while this one syncs, and one sync covers every record written
+// before it (updatelog.FileLog). The key's inflight entry is registered
+// before updMu is released and removed only after the dedup table holds
+// the key, so at every instant a retry finds the key in exactly one
 // place: dedup (committed), inflight (committing), or neither (never
 // applied). No acknowledgment — original or joined retry — is released
-// before the journal batch's fsync returned.
+// before the fsync covering its journal record returned.
 //
 // Only successes are remembered and journaled: the engines' update
 // protocol is exactly-old-or-new, so an error return means the update did
@@ -586,11 +600,9 @@ type pendingUpdate struct {
 // response: the client may retry and the retry's outcome (here, a
 // duplicate-name error for inserts) is honest about the store's state.
 func (s *Server) executeUpdate(op wire.Op, req wire.UpdateRequest) wire.Frame {
-	if req.Key.Valid() {
-		if f, ok := s.dedup.lookup(req.Key); ok {
-			s.rDeduped.Inc()
-			return f
-		}
+	if s.dedup.lookup(req.Key) {
+		s.rDeduped.Inc()
+		return okFrame(nil)
 	}
 	ctx, cancel := s.reqCtx(req.Timeout)
 	defer cancel()
@@ -601,21 +613,19 @@ func (s *Server) executeUpdate(op wire.Op, req wire.UpdateRequest) wire.Frame {
 	ctx = wire.WithIdemKey(ctx, req.Key)
 
 	s.updMu.Lock()
-	if req.Key.Valid() {
-		// Re-check under the lock: two in-flight retries of the same key
-		// must not both apply. A committed original is in dedup; one
-		// mid-commit is in inflight — join it and share its outcome.
-		if f, ok := s.dedup.lookup(req.Key); ok {
-			s.updMu.Unlock()
-			s.rDeduped.Inc()
-			return f
-		}
-		if p := s.inflight[req.Key]; p != nil {
-			s.updMu.Unlock()
-			<-p.done
-			s.rDeduped.Inc()
-			return p.f
-		}
+	// Re-check under the lock: two in-flight retries of the same key must
+	// not both apply. A committed original is in dedup; one mid-commit is
+	// in inflight — join it and share its outcome.
+	if s.dedup.lookup(req.Key) {
+		s.updMu.Unlock()
+		s.rDeduped.Inc()
+		return okFrame(nil)
+	}
+	if p := s.inflight[req.Key]; p != nil {
+		s.updMu.Unlock()
+		<-p.done
+		s.rDeduped.Inc()
+		return p.f
 	}
 	var err error
 	var kind updatelog.Kind
@@ -630,42 +640,39 @@ func (s *Server) executeUpdate(op wire.Op, req wire.UpdateRequest) wire.Frame {
 		kind = updatelog.KindDelete
 		err = s.eng.DeleteDocument(ctx, req.Name)
 	}
+	if err != nil {
+		s.updMu.Unlock()
+		return errFrame(err)
+	}
 	var batch *updatelog.Batch
-	if err == nil && s.journal != nil {
-		var jerr error
-		batch, jerr = s.journal.Enqueue(updatelog.Record{
+	if s.journal != nil {
+		batch, err = s.journal.Enqueue(updatelog.Record{
 			Kind: kind, Name: req.Name, Data: req.Data,
 			Client: req.Key.Client, Seq: req.Key.Seq,
 		})
-		if jerr != nil {
+		if err != nil {
 			s.updMu.Unlock()
-			return errFrame(fmt.Errorf("update applied but journal append failed (outcome not durable): %w", jerr))
+			return errFrame(fmt.Errorf("update applied but journal append failed (outcome not durable): %w", err))
 		}
 	}
-	var p *pendingUpdate
-	if err == nil && req.Key.Valid() {
-		p = &pendingUpdate{done: make(chan struct{})}
-		s.inflight[req.Key] = p
-	}
+	p := &pendingUpdate{done: make(chan struct{})}
+	s.inflight[req.Key] = p
 	s.updMu.Unlock()
 
 	if batch != nil {
-		if jerr := s.journal.WaitDurable(batch); jerr != nil {
-			err = fmt.Errorf("update applied but journal append failed (outcome not durable): %w", jerr)
+		if err = s.journal.WaitDurable(batch); err != nil {
+			err = fmt.Errorf("update applied but journal append failed (outcome not durable): %w", err)
 		}
 	}
-	f := errFrame(err)
-	if p != nil {
-		if err == nil {
-			s.dedup.record(req.Key, f)
-		}
-		s.updMu.Lock()
-		delete(s.inflight, req.Key)
-		s.updMu.Unlock()
-		p.f = f
-		close(p.done)
+	if err == nil {
+		s.dedup.record(req.Key)
 	}
-	return f
+	p.f = errFrame(err)
+	s.updMu.Lock()
+	delete(s.inflight, req.Key)
+	s.updMu.Unlock()
+	close(p.done)
+	return p.f
 }
 
 func okFrame(payload []byte) wire.Frame {
@@ -703,9 +710,8 @@ func (s *Server) shutdown(ctx context.Context) error {
 
 	// Drain barrier: acquiring every semaphore slot proves no request is
 	// in flight — and, because a worker releases its slot (done) only
-	// after connWriter.write returned for the batch holding its response,
-	// that responses for everything admitted have been handed to the
-	// kernel.
+	// after the write of its response returned, that responses for
+	// everything admitted have been handed to the kernel.
 	drained := true
 	for i := 0; i < s.cfg.MaxInflight; i++ {
 		select {

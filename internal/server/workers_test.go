@@ -128,8 +128,8 @@ func TestServedRoundTripAllocations(t *testing.T) {
 		cfg     client.Config
 		ceiling float64
 	}{
-		{"pooled", client.Config{}, 20},
-		{"pipelined", client.Config{Pipeline: true}, 22},
+		{"pooled", client.Config{}, 17},
+		{"pipelined", client.Config{Pipeline: true}, 19},
 	} {
 		c, err := client.Dial(srv.Addr().String(), tc.cfg)
 		if err != nil {

@@ -3,20 +3,19 @@
 // OOM, power) loses no acknowledged record; server.Reopen reads the
 // committed prefix back after one.
 //
-// Commits are grouped (DESIGN.md §13): Enqueue serializes a record into
-// the forming batch and returns a handle; a single flusher goroutine
-// seals the batch, writes it with one syscall and fsyncs it with one
-// sync. WaitDurable blocks until that batch's sync returned — records
-// enqueued while a sync is in progress pile into the next batch, so
-// under W concurrent writers one disk sync commits up to W records. The
-// durability contract is unchanged from fsync-per-record: WaitDurable
-// returning nil still means the record survives a process kill, because
-// no caller is released before its batch's fsync completed.
+// A commit is two calls (DESIGN.md §13). Enqueue writes the record to the
+// file under the log's mutex, which fixes its place in the journal, and
+// returns a handle holding the offset just past it. WaitDurable fsyncs
+// through that offset, one sync at a time: a writer that finds an
+// earlier sync already covered its record returns without one, so a
+// sync commits every record written before it began. The durability
+// contract is fsync-per-record's: WaitDurable returning nil means the
+// record survives a process kill.
 //
 // The file is also the only copy of the shipped journal: the log keeps
-// one file offset per committed record and Read serves a window of them by
-// reading the file back, so journal shipping (server OpJournal) costs the
-// primary 8 bytes of memory per acknowledged update, not the update.
+// one file offset per record and Read serves a window of the synced ones
+// by reading the file back, so journal shipping (server OpJournal) costs
+// the primary 8 bytes of memory per acknowledged update, not the update.
 package updatelog
 
 import (
@@ -28,33 +27,30 @@ import (
 	"sync/atomic"
 )
 
-// Batch is a handle to one group-commit unit: every record enqueued into
-// it becomes durable (or fails) together, with one write and one sync.
-type Batch struct {
-	buf  []byte
-	ends []int         // ends[i]: offset in buf just past record i
-	done chan struct{} // closed after the batch's write+sync finished
-	err  error         // set before done is closed
-}
+// Batch is the handle Enqueue returns: the journal offset just past its
+// record. The sync that makes the record durable makes every record
+// before it durable too, and WaitDurable on any of their handles finds
+// that sync's outcome.
+type Batch struct{ end int64 }
 
-// FileLog is an append-only, group-committed journal on the real
-// filesystem. It is safe for concurrent Append/Enqueue; the caller (the
-// server's update path) serializes apply+Enqueue so journal order matches
-// apply order, then waits for durability outside that critical section.
+// FileLog is an append-only journal on the real filesystem. It is safe
+// for concurrent Enqueue and WaitDurable; the caller (the server's update
+// path) serializes apply+Enqueue so journal order matches apply order,
+// then waits for durability outside that critical section.
 type FileLog struct {
 	mu   sync.Mutex
 	f    *os.File
 	path string
-	// ends[i] is the file offset just past committed record i-1, so
-	// record i lies in [ends[i], ends[i+1]) and ends[0] is 0. A record
-	// (recovered, or flushed this run) is entered only once its batch's
-	// sync returned, so the count is the durable watermark journal
-	// shipping may show a replica.
-	ends     []int64
-	broken   error  // first write/sync failure; poisons later appends
-	cur      *Batch // forming batch, nil when none
-	flushing bool   // a flushLoop goroutine is draining batches
-	flushWg  sync.WaitGroup
+	// ends[i] is the file offset just past record i-1, so record i lies
+	// in [ends[i], ends[i+1]) and ends[0] is 0; it holds every record
+	// written. The first durable records were recovered or covered by a
+	// sync that returned: Records and Read show only those, the
+	// watermark journal shipping may show a replica.
+	ends    []int64
+	durable int
+	broken  error // first write/sync failure; poisons later appends
+
+	smu      sync.Mutex // held across a sync: one at a time
 	syncs    atomic.Int64
 	syncHook func(*os.File) error // test seam; nil means (*os.File).Sync
 }
@@ -98,15 +94,15 @@ func OpenFile(path string) (*FileLog, []Record, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("updatelog: seek %s: %w", path, err)
 	}
-	return &FileLog{f: f, path: path, ends: ends}, recs, nil
+	return &FileLog{f: f, path: path, ends: ends, durable: len(recs)}, recs, nil
 }
 
 // Records returns the number of records committed so far (recovered plus
-// appended this run).
+// appended and synced this run).
 func (l *FileLog) Records() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.ends) - 1
+	return l.durable
 }
 
 // Read returns up to max committed records starting at record index
@@ -116,7 +112,7 @@ func (l *FileLog) Records() int {
 // still be lost with the process.
 func (l *FileLog) Read(since, max uint64) ([]Record, uint64, error) {
 	l.mu.Lock()
-	f, n := l.f, uint64(len(l.ends)-1)
+	f, n := l.f, uint64(l.durable)
 	lo := min(since, n)
 	hi := min(n, lo+max)
 	start, end := l.ends[lo], l.ends[hi]
@@ -143,9 +139,9 @@ func (l *FileLog) Read(since, max uint64) ([]Record, uint64, error) {
 	return recs, hi, nil
 }
 
-// Syncs returns the number of disk syncs issued so far. Under group
-// commit and concurrent writers it grows slower than Records() — the
-// updates-per-fsync ratio is the whole point.
+// Syncs returns the number of disk syncs issued so far. With concurrent
+// writers it may grow slower than Records(): one sync covers every
+// record written before it.
 func (l *FileLog) Syncs() int64 { return l.syncs.Load() }
 
 func (l *FileLog) doSync(f *os.File) error {
@@ -168,12 +164,11 @@ func (l *FileLog) Append(r Record) error {
 	return l.WaitDurable(b)
 }
 
-// Enqueue serializes one record into the forming batch and returns the
-// batch handle. The record's position in the journal is fixed here —
-// callers that must keep journal order equal to apply order hold their
-// ordering lock across Enqueue and may release it before WaitDurable.
-// The record is NOT durable until WaitDurable on the returned batch
-// succeeds.
+// Enqueue writes one record to the journal file and returns its handle.
+// The record's position in the journal is fixed here — callers that must
+// keep journal order equal to apply order hold their ordering lock across
+// Enqueue and may release it before WaitDurable. The record is NOT
+// durable until WaitDurable on the returned handle succeeds.
 func (l *FileLog) Enqueue(r Record) (*Batch, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -181,94 +176,72 @@ func (l *FileLog) Enqueue(r Record) (*Batch, error) {
 		return nil, errors.New("updatelog: append on closed file log")
 	}
 	if l.broken != nil {
-		// A previous batch failed mid-write; anything appended after it
+		// An earlier write or sync failed; anything appended after it
 		// could sit behind a torn record and silently vanish from the
 		// committed prefix on recovery. Refuse instead.
 		return nil, fmt.Errorf("updatelog: journal poisoned by earlier failure: %w", l.broken)
 	}
-	if l.cur == nil {
-		l.cur = &Batch{done: make(chan struct{})}
+	n, err := l.f.Write(encodeRecord(r))
+	if err != nil {
+		l.broken = fmt.Errorf("updatelog: append %s: %w", l.path, err)
+		return nil, l.broken
 	}
-	l.cur.buf = append(l.cur.buf, encodeRecord(r)...)
-	l.cur.ends = append(l.cur.ends, len(l.cur.buf))
-	b := l.cur
-	if !l.flushing {
-		l.flushing = true
-		l.flushWg.Add(1)
-		go l.flushLoop()
-	}
-	return b, nil
+	end := l.ends[len(l.ends)-1] + int64(n)
+	l.ends = append(l.ends, end)
+	return &Batch{end: end}, nil
 }
 
-// WaitDurable blocks until b's write+sync finished and returns its
-// outcome. Nil means every record in the batch is on disk.
+// WaitDurable returns once b's record is on disk, or with the error that
+// kept it from getting there. It syncs the file unless a sync that
+// returned already covered the record; a sync covers every record
+// written before it began, so writers waiting together share it.
 func (l *FileLog) WaitDurable(b *Batch) error {
-	<-b.done
-	return b.err
-}
-
-// flushLoop drains forming batches one at a time: seal, one Write, one
-// Sync, release the batch's waiters, repeat until no batch formed while
-// the previous one was syncing. It exits when idle — a quiet journal
-// costs no goroutine.
-func (l *FileLog) flushLoop() {
-	defer l.flushWg.Done()
-	for {
-		l.mu.Lock()
-		b := l.cur
-		l.cur = nil
-		if b == nil {
-			l.flushing = false
-			l.mu.Unlock()
-			return
-		}
-		f := l.f
-		l.mu.Unlock()
-		// IO happens outside the lock: records for the NEXT batch keep
-		// enqueueing while this one syncs — that overlap is the group.
-		var err error
-		if f == nil {
-			err = errors.New("updatelog: append on closed file log")
-		} else if _, werr := f.Write(b.buf); werr != nil {
-			err = fmt.Errorf("updatelog: append %s: %w", l.path, werr)
-		} else if serr := l.doSync(f); serr != nil {
-			err = fmt.Errorf("updatelog: commit sync %s: %w", l.path, serr)
-		}
-		l.mu.Lock()
-		if err == nil {
-			base := l.ends[len(l.ends)-1]
-			for _, end := range b.ends {
-				l.ends = append(l.ends, base+int64(end))
-			}
-		} else if l.broken == nil {
-			l.broken = err
-		}
-		l.mu.Unlock()
-		b.err = err
-		close(b.done)
-	}
-}
-
-// Close flushes any forming batch, then releases the file handle.
-// Committed records stay on disk for the next Reopen.
-func (l *FileLog) Close() error {
+	l.smu.Lock()
+	defer l.smu.Unlock()
 	l.mu.Lock()
-	if l.f == nil {
+	if l.ends[l.durable] >= b.end {
 		l.mu.Unlock()
 		return nil
 	}
+	f, written, broken := l.f, len(l.ends)-1, l.broken
 	l.mu.Unlock()
-	// Drain the flusher: it exits only once no batch is forming, so every
-	// enqueued-before-Close record gets its write+sync. (Enqueues racing
-	// with Close may still land after the drain; they fail their flush
-	// against the closed handle, which is an error, not a lost ack.)
-	l.flushWg.Wait()
+	switch {
+	case broken != nil:
+		return fmt.Errorf("updatelog: journal poisoned by earlier failure: %w", broken)
+	case f == nil:
+		return errors.New("updatelog: sync on closed file log")
+	}
+	err := l.doSync(f)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err != nil {
+		err = fmt.Errorf("updatelog: commit sync %s: %w", l.path, err)
+		if l.broken == nil {
+			l.broken = err
+		}
+		return err
+	}
+	l.durable = written
+	return nil
+}
+
+// Close syncs what was written and not yet synced, then releases the
+// file handle. Committed records stay on disk for the next Reopen.
+func (l *FileLog) Close() error {
+	l.smu.Lock()
+	defer l.smu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return nil
 	}
-	err := l.f.Close()
+	var err error
+	if written := len(l.ends) - 1; l.broken == nil && l.durable < written {
+		if err = l.doSync(l.f); err == nil {
+			l.durable = written
+		}
+	}
+	err = errors.Join(err, l.f.Close())
 	l.f = nil
 	return err
 }

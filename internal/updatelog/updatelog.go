@@ -45,24 +45,19 @@ func (k Kind) String() string {
 }
 
 // Record is one journaled update: the operation, the document name it
-// targets, (for insert/replace) the full serialized document, and — for
-// server-side journals — the idempotency key of the client request that
-// caused it. The key is what makes retried updates exactly-once across a
-// crash: recovery rebuilds the server's dedup table from the keyed
-// records, so a replayed retry after restart answers with the original
-// result instead of re-applying. An update sent without a key journals a
-// zero one.
+// targets, (for insert/replace) the full serialized document, and the
+// idempotency key of the client request that caused it. The key is what
+// makes retried updates exactly-once across a crash: recovery rebuilds
+// the server's dedup table from the records' keys, so a replayed retry
+// after restart answers with the original result instead of re-applying.
 type Record struct {
 	Kind Kind
 	Name string
 	Data []byte
-	// Client and Seq form the idempotency key (zero when unkeyed).
+	// Client and Seq form the idempotency key.
 	Client uint64
 	Seq    uint64
 }
-
-// Keyed reports whether the record carries an idempotency key.
-func (r Record) Keyed() bool { return r.Client != 0 }
 
 // recMagic guards every record; zeroed or torn bytes fail the check and
 // end the committed prefix. "UPD2" added the idempotency-key fields.

@@ -102,6 +102,6 @@ func TestBufPoolReuse(t *testing.T) {
 	PutBuf(nil) // must not panic
 	// Oversized buffers are dropped, not pooled.
 	big := GetBuf()
-	*big = make([]byte, 0, maxPooledBuf+1)
+	*big = make([]byte, 0, MaxKeptBuf+1)
 	PutBuf(big)
 }

@@ -1,22 +1,24 @@
-// Pooled scratch buffers for the hot serialization paths. The client's
-// pipelined transport and the server's batched response writer encode
-// every frame into a buffer drawn from this pool, so steady-state request
-// traffic allocates no per-frame garbage.
+// Pooled scratch buffers for the client's request path: the client
+// encodes every request payload into a buffer drawn from this pool, and
+// WriteFrame (the pooled transport) encodes every frame into one, so
+// steady-state requests allocate no per-frame garbage. The server and the
+// pipelined transport each keep their own buffer instead: a worker its
+// response scratch, a connection or mux its write buffer.
 //
 // Ownership contract: a buffer obtained from GetBuf is owned exclusively
 // by the caller until PutBuf, and PutBuf transfers ownership back to the
 // pool — the caller must not retain the buffer, any slice of it, or
-// anything decoded in place over it past the Put. Frames whose payloads
-// are recorded elsewhere (the server's dedup table, decoded request
-// views) must NOT come from the pool; see DESIGN.md §13 for the audit of
-// which paths pool and which deliberately do not.
+// anything decoded in place over it past the Put. Payloads recorded
+// elsewhere (decoded request views) must NOT come from the pool; see
+// DESIGN.md §13.
 package wire
 
 import "sync"
 
-// maxPooledBuf caps the capacity of buffers returned to the pool (1 MiB).
-// A giant load payload would otherwise pin its allocation forever.
-const maxPooledBuf = 1 << 20
+// MaxKeptBuf caps the capacity of a scratch buffer kept for reuse (1
+// MiB), pooled or held by a connection: a giant load payload or result
+// would otherwise pin its allocation for good.
+const MaxKeptBuf = 1 << 20
 
 var bufPool = sync.Pool{
 	New: func() any {
@@ -35,9 +37,9 @@ func GetBuf() *[]byte {
 }
 
 // PutBuf returns a buffer to the pool. Passing nil is a no-op; buffers
-// grown beyond maxPooledBuf are dropped for the GC instead.
+// grown beyond MaxKeptBuf are dropped for the GC instead.
 func PutBuf(b *[]byte) {
-	if b == nil || cap(*b) > maxPooledBuf {
+	if b == nil || cap(*b) > MaxKeptBuf {
 		return
 	}
 	bufPool.Put(b)

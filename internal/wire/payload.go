@@ -112,8 +112,8 @@ func EncodeQueryRequest(r QueryRequest) []byte {
 }
 
 // AppendQueryRequest appends the QueryRequest encoding to dst and returns
-// the extended slice — the allocation-free form the pipelined client uses
-// with pooled buffers.
+// the extended slice — the allocation-free form the client uses with
+// pooled buffers.
 func AppendQueryRequest(dst []byte, r QueryRequest) []byte {
 	e := enc{dst}
 	e.varint(int64(r.Query))
@@ -170,7 +170,8 @@ func EncodeResult(r core.Result) []byte {
 }
 
 // AppendResult appends the core.Result encoding to dst and returns the
-// extended slice — used by the server with pooled response buffers.
+// extended slice — used by the server with a worker's reused response
+// buffer.
 func AppendResult(dst []byte, r core.Result) []byte {
 	e := enc{dst}
 	e.uvarint(uint64(len(r.Items)))
@@ -231,7 +232,7 @@ func DecodeResult(b []byte) (core.Result, error) {
 // per-client monotonic sequence number. A retry re-sends the identical
 // key, so the server can recognize a duplicate and answer with the
 // original outcome instead of re-applying. The zero key (Client == 0)
-// means "no key" — the pre-v2 wire format, or a caller that opted out.
+// means "no key": a server refuses an update carrying it.
 type IdemKey struct {
 	Client uint64
 	Seq    uint64
@@ -246,8 +247,8 @@ func (k IdemKey) String() string {
 }
 
 // UpdateRequest is the OpInsert/OpReplace/OpDelete payload (Data is empty
-// for deletes). Key is the optional idempotency key (zero on protocol v1
-// frames, which predate it).
+// for deletes). Key is the update's idempotency key; every update carries
+// one.
 type UpdateRequest struct {
 	Name    string
 	Data    []byte
@@ -255,10 +256,10 @@ type UpdateRequest struct {
 	Key     IdemKey
 }
 
-// EncodeUpdateRequest serializes an UpdateRequest. The idempotency key is
-// a self-delimiting optional tail (protocol v2): a zero key encodes
-// nothing, so the payload is byte-identical to the v1 encoding and v1
-// peers decode it unchanged.
+// errNoKey refuses an update payload carrying the zero key.
+var errNoKey = errors.New("wire: update without an idempotency key")
+
+// EncodeUpdateRequest serializes an UpdateRequest.
 func EncodeUpdateRequest(r UpdateRequest) []byte {
 	return AppendUpdateRequest(nil, r)
 }
@@ -270,15 +271,14 @@ func AppendUpdateRequest(dst []byte, r UpdateRequest) []byte {
 	e.string(r.Name)
 	e.bytes(r.Data)
 	e.duration(r.Timeout)
-	if r.Key.Valid() {
-		e.uvarint(r.Key.Client)
-		e.uvarint(r.Key.Seq)
-	}
+	e.uvarint(r.Key.Client)
+	e.uvarint(r.Key.Seq)
 	return e.b
 }
 
-// DecodeUpdateRequest parses an update payload. A v1 payload (no key
-// tail) decodes with the zero key.
+// DecodeUpdateRequest parses an update payload. A payload that ends
+// before its key (ErrTruncated) or carries the zero key (errNoKey) is
+// refused: every update is keyed.
 func DecodeUpdateRequest(b []byte) (UpdateRequest, error) {
 	d := dec{b}
 	var r UpdateRequest
@@ -292,13 +292,14 @@ func DecodeUpdateRequest(b []byte) (UpdateRequest, error) {
 	if r.Timeout, err = d.duration(); err != nil {
 		return r, err
 	}
-	if len(d.b) > 0 { // v2 idempotency-key tail
-		if r.Key.Client, err = d.uvarint(); err != nil {
-			return r, err
-		}
-		if r.Key.Seq, err = d.uvarint(); err != nil {
-			return r, err
-		}
+	if r.Key.Client, err = d.uvarint(); err != nil {
+		return r, err
+	}
+	if r.Key.Seq, err = d.uvarint(); err != nil {
+		return r, err
+	}
+	if !r.Key.Valid() {
+		return r, errNoKey
 	}
 	return r, nil
 }

@@ -27,9 +27,9 @@ func TestFrameCapRejectedBeforeAllocation(t *testing.T) {
 	}
 }
 
-// TestUpdateRequestKeyRoundTrip pins the optional-tail encoding: a valid
-// key rides along and round-trips; the zero key encodes nothing, keeping
-// the payload byte-identical to the v1 format.
+// TestUpdateRequestKeyRoundTrip pins the key encoding: a valid key rides
+// along and round-trips; a payload without a key, or with the zero key,
+// is refused.
 func TestUpdateRequestKeyRoundTrip(t *testing.T) {
 	keyed := UpdateRequest{
 		Name:    "order-update-7.xml",
@@ -42,14 +42,15 @@ func TestUpdateRequestKeyRoundTrip(t *testing.T) {
 		t.Fatalf("keyed roundtrip: %+v, %v", got, err)
 	}
 
-	bare := UpdateRequest{Name: "a.xml", Timeout: time.Second}
-	enc := EncodeUpdateRequest(bare)
-	legacy := EncodeUpdateRequest(UpdateRequest{Name: "a.xml", Timeout: time.Second, Key: IdemKey{}})
-	if !bytes.Equal(enc, legacy) {
-		t.Fatal("zero key changed the encoding")
+	if _, err := DecodeUpdateRequest(EncodeUpdateRequest(UpdateRequest{Name: "a.xml", Timeout: time.Second})); !errors.Is(err, errNoKey) {
+		t.Fatalf("zero key: %v, want errNoKey", err)
 	}
-	if got, err = DecodeUpdateRequest(enc); err != nil || got.Key.Valid() {
-		t.Fatalf("bare roundtrip: %+v, %v", got, err)
+	var e enc // the payload as it was before keys: no tail at all
+	e.string("a.xml")
+	e.bytes(nil)
+	e.duration(time.Second)
+	if _, err := DecodeUpdateRequest(e.b); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("missing key: %v, want ErrTruncated", err)
 	}
 }
 
@@ -60,7 +61,11 @@ func TestUpdateRequestTruncatedKeyTail(t *testing.T) {
 		Name: "a.xml", Data: []byte("<a/>"),
 		Key: IdemKey{Client: 1<<63 + 12345, Seq: 1 << 40}, // multi-byte varints
 	})
-	bare := len(EncodeUpdateRequest(UpdateRequest{Name: "a.xml", Data: []byte("<a/>")}))
+	var e enc
+	e.string("a.xml")
+	e.bytes([]byte("<a/>"))
+	e.duration(0)
+	bare := len(e.b)
 	for cut := bare + 1; cut < len(full); cut++ {
 		if _, err := DecodeUpdateRequest(full[:cut]); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("cut at %d: %v, want ErrTruncated", cut, err)
@@ -105,15 +110,16 @@ func FuzzUpdateRequestRoundTrip(f *testing.F) {
 		}
 		enc1 := EncodeUpdateRequest(in)
 		out, err := DecodeUpdateRequest(enc1)
+		if !in.Key.Valid() { // a zero-client key is no key: refused
+			if !errors.Is(err, errNoKey) {
+				t.Fatalf("unkeyed update decoded: %+v, %v", out, err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("decode of valid encoding failed: %v", err)
 		}
-		// A zero-client key does not survive the wire (it encodes as "no
-		// key"); the seq is deliberately dropped with it.
 		want := in
-		if !in.Key.Valid() {
-			want.Key = IdemKey{}
-		}
 		if len(out.Data) == 0 {
 			out.Data = nil
 		}
@@ -138,7 +144,7 @@ func FuzzDecodeUpdateRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		req, err := DecodeUpdateRequest(b)
 		if err != nil {
-			if !errors.Is(err, ErrTruncated) {
+			if !errors.Is(err, ErrTruncated) && !errors.Is(err, errNoKey) {
 				t.Fatalf("non-typed decode error: %v", err)
 			}
 			return

@@ -43,9 +43,7 @@ import (
 const Magic uint16 = 0x5842
 
 // Version is the protocol version this package writes. Version 2 added
-// the optional idempotency-key tail to update payloads: the payload
-// codecs treat the key as a self-delimiting optional suffix, which
-// unkeyed updates simply leave out.
+// the idempotency key to update payloads.
 const Version byte = 2
 
 // MinVersion is the oldest protocol version a reader accepts: the
@@ -197,10 +195,9 @@ type Frame struct {
 }
 
 // AppendFrame appends one encoded frame (header, CRC, payload) to dst and
-// returns the extended slice. It is WriteFrame without the write: batching
-// callers encode several frames into one pooled buffer and flush them with
-// a single Write, amortizing the syscall and keeping the CRC pass inside
-// the same buffer walk.
+// returns the extended slice. It is WriteFrame without the write: the
+// server and the pipelined client encode into a buffer they keep and
+// write it with a single Write, header and payload together.
 func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	if len(f.Payload) > MaxPayload {
 		return dst, ErrTooLarge

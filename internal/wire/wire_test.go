@@ -126,7 +126,7 @@ func TestResultRoundTrip(t *testing.T) {
 }
 
 func TestUpdateAndLoadRoundTrip(t *testing.T) {
-	u := UpdateRequest{Name: "order-update-3.xml", Data: []byte("<order/>"), Timeout: time.Second}
+	u := UpdateRequest{Name: "order-update-3.xml", Data: []byte("<order/>"), Timeout: time.Second, Key: IdemKey{Client: 1, Seq: 3}}
 	gotU, err := DecodeUpdateRequest(EncodeUpdateRequest(u))
 	if err != nil || !reflect.DeepEqual(u, gotU) {
 		t.Fatalf("update roundtrip: %+v, %v", gotU, err)
