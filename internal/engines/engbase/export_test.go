@@ -20,8 +20,6 @@ func (b *Base[V]) Plans(q core.QueryID) (served, fresh *plan.Physical, err error
 		return nil, nil, err
 	}
 	served = c.ph
-	st := pub.view.Stats()
-	st.Feedback = &b.fb
-	fresh, err = plan.Plan(queries.Lookup(pub.view.Class(), q), st)
+	fresh, err = plan.Plan(queries.Lookup(pub.view.Class(), q), pub.view.Stats())
 	return served, fresh, err
 }

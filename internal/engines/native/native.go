@@ -677,12 +677,6 @@ func (v *view) buildCollection(ctx context.Context, ph *plan.Physical, p core.Pa
 		for _, l := range locs {
 			want[pager.RID(l)] = true
 		}
-		if ph.LoParam != "" {
-			// Range probe: feed the observed selectivity (documents the
-			// window kept / documents in the catalog) back to the cost
-			// model for the next Plan call.
-			ph.Observe(len(want), v.DocumentCount())
-		}
 		// Some queries join against other documents (Q19 joins orders with
 		// the flat customers document); always include the flat documents
 		// of multi-document DC databases.

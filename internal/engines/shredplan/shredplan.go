@@ -249,17 +249,10 @@ func (x *run) rows(n *Node, fn func(relational.Rec) bool) error {
 // fetch runs the primary probe or range n along the plan's access path:
 // byIndex false — the cost model rejected the index — forces the
 // sequential filter. A probe takes the limit the plan pushed down to it.
-// A range feeds the selectivity it observed (rows kept / rows in the
-// table) back to the planner on both paths, so a range the cost model
-// demoted to a scan is re-promoted when the data shifts back under it.
 func (x *run) fetch(n *Node) ([]relational.Rec, error) {
 	t, byIndex := x.s.DB.Table(n.table), x.ph.Access != plan.AccessScan
 	if n.op == opRange {
-		rows, err := t.LookupRange(x.ctx, n.key.name, bound(n.params[0], x.p), bound(n.params[1], x.p), byIndex)
-		if err == nil {
-			x.ph.Observe(len(rows), t.Count())
-		}
-		return rows, err
+		return t.LookupRange(x.ctx, n.key.name, bound(n.params[0], x.p), bound(n.params[1], x.p), byIndex)
 	}
 	limit := 0
 	if n.pushed {

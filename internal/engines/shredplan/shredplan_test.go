@@ -52,17 +52,14 @@ func loadStore(t *testing.T, class core.Class, opts shredder.Options) Source {
 	return frozen(t, s)
 }
 
-// physical plans q over s the way engbase.Base does for the engines: fb
-// is the feedback Base holds per engine.
-func physical(s Source, fb *plan.Feedback, q core.QueryID) (*plan.Physical, error) {
-	st := StoreStats(s)
-	st.Feedback = fb
-	return plan.Plan(queries.Lookup(s.Class, q), st)
+// physical plans q over s the way engbase.Base does for the engines.
+func physical(s Source, q core.QueryID) (*plan.Physical, error) {
+	return plan.Plan(queries.Lookup(s.Class, q), StoreStats(s))
 }
 
-// execute plans and runs q with nothing observed so far.
+// execute plans and runs q.
 func execute(ctx context.Context, s Source, q core.QueryID, p core.Params) (core.Result, error) {
-	ph, err := physical(s, nil, q)
+	ph, err := physical(s, q)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -183,95 +180,6 @@ func TestQ3Aggregates(t *testing.T) {
 	ot.Scan(context.Background(), func(relational.Rec) bool { n++; return true })
 	if n == 0 {
 		t.Fatal("no orders")
-	}
-}
-
-// TestRangeFeedbackRecostsPlan: executing a range query must feed its
-// observed selectivity back into the store's statistics, and the
-// planner must act on it — a window that keeps every row flips the
-// next Q10 plan from the index probe to the scan, and narrow windows
-// afterwards decay the estimate until the probe wins again.
-func TestRangeFeedbackRecostsPlan(t *testing.T) {
-	ctx := context.Background()
-	// A bigger item table than loadStore's: the premise needs the probe
-	// to beat the scan under the default prior, which takes enough heap
-	// pages for 0.25*scanCost to dominate the btree descent.
-	cfg := gen.Config{DictEntries: 30, Articles: 6, Items: 120, Orders: 30}
-	db, err := cfg.Generate(core.DCSD, core.Small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := shredder.NewStore(core.DCSD, relational.NewDB(pager.New(256)), shredder.Options{})
-	for _, d := range db.Docs {
-		doc, err := xmldom.Parse(d.Data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := store.ShredDocument(d.Name, doc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := store.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.DB.Table("item_tab").CreateIndex("date_of_release"); err != nil {
-		t.Fatal(err)
-	}
-	s := frozen(t, store)
-	var fb plan.Feedback
-	run := func(p core.Params) core.Result {
-		t.Helper()
-		ph, err := physical(s, &fb, core.Q10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Exec(ctx, s, ph, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	ph, err := physical(s, &fb, core.Q10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ph.Access != plan.AccessIndex {
-		st := StoreStats(s)
-		t.Fatalf("premise broken: default prior picked %v over stats %+v, want index probe", ph.Access, st)
-	}
-
-	// A window covering every generated date: observed selectivity ~1.
-	all := core.Params{"LO": "0000-01-01", "HI": "9999-12-31"}
-	if res := run(all); len(res.Items) == 0 {
-		t.Fatal("full-window Q10 returned nothing")
-	}
-	if n := fb.Observations("date_of_release"); n == 0 {
-		t.Fatal("range execution recorded no selectivity feedback")
-	}
-	if sel, _ := fb.Selectivity("date_of_release"); sel < 0.9 {
-		t.Fatalf("full-window selectivity observed as %v, want ~1", sel)
-	}
-	ph, err = physical(s, &fb, core.Q10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ph.Access != plan.AccessScan {
-		t.Fatalf("after observing a full-table range the plan kept %v, want scan", ph.Access)
-	}
-
-	// The scan path must keep observing: empty windows decay the
-	// estimate back below the flip point and re-promote the probe.
-	empty := core.Params{"LO": "0001-01-01", "HI": "0001-01-02"}
-	for i := 0; i < 10; i++ {
-		run(empty)
-	}
-	ph, err = physical(s, &fb, core.Q10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ph.Access != plan.AccessIndex {
-		sel, _ := fb.Selectivity("date_of_release")
-		t.Fatalf("narrow windows did not re-promote the probe: %v (selectivity %v)", ph.Access, sel)
 	}
 }
 

@@ -16,7 +16,7 @@ type op int
 
 const (
 	opProbe  op = iota // the primary equality, along the plan's access path, with its pushed limit
-	opRange            // the primary range, along the plan's access path, reporting feedback
+	opRange            // the primary range, along the plan's access path
 	opScan             // every row of a table
 	opLookup           // the rows of a table whose key is a column of an outer row, by the key index or a seek
 	opFilter           // the rows of kid 0 that pass pred

@@ -220,7 +220,7 @@ func TestExplainedTreeIsExecuted(t *testing.T) {
 					if root == nil {
 						continue
 					}
-					ph, err := physical(v, nil, def.ID)
+					ph, err := physical(v, def.ID)
 					if err != nil {
 						t.Fatal(err)
 					}

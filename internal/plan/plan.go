@@ -6,6 +6,11 @@
 // source of access paths: the catalog (internal/queries) says what a
 // query computes, never how.
 //
+// A plan is a function of the query and the statistics alone: nothing an
+// execution observes is fed back into the cost model, so an engine plans
+// each query once per published view and carries the plan across a
+// commit for as long as it Holds over the new statistics.
+//
 // The planner only decides; it draws nothing. All four engines execute
 // through the resulting Physical, and each draws the tree it runs with
 // it for core.Explainer — the native engine its access under the
@@ -61,11 +66,6 @@ type StatValues struct {
 	// Indexes maps available value-index targets (Table 3 notation:
 	// "hw", "item/@id", "date_of_release") to their btree height.
 	Indexes map[string]int
-	// Feedback holds the range selectivities execution has observed per
-	// index target, and receives the plan's own observation through
-	// Physical.Observe. Targets it has not seen (and all of them when it
-	// is nil) are costed with DefaultRangeSelectivity.
-	Feedback *Feedback
 }
 
 // FixtureStats returns the canonical statistics used for golden plans:
@@ -100,18 +100,11 @@ type Physical struct {
 	// Limit is the pushed-down row cap (positional [k] access), 0 if
 	// none.
 	Limit int
-	// FeedbackTarget is the index target of the primary source's range
-	// candidate, set whether or not the probe won the cost race. The
-	// execution layer keys observed-selectivity feedback by it, so a
-	// probe the model demoted to a scan keeps reporting and can be
-	// re-promoted when the data shifts back.
-	FeedbackTarget string
 	// EstCost and EstRows are the cost model's numbers for the chosen
 	// primary access path.
 	EstCost float64
 	EstRows float64
 
-	fb *Feedback // StatValues.Feedback, for Observe
 	// costed is what of the statistics the plan was built from (reads),
 	// which is all Holds compares.
 	costed StatValues
@@ -119,16 +112,15 @@ type Physical struct {
 
 // reads is the part of st a plan of ph's access path is built from: the
 // index heights, unless ph is a doc lookup (which reads none), and, for a
-// scan, whose cost and row estimate are theirs, DataPages and DataRows. An equality probe's own cost is the
-// index height; the data size decides only whether it beats the scan,
-// which Holds checks apart. Feedback is not part of it: a plan that read
-// the feedback never holds.
+// scan or a range probe, whose cost and row estimate are theirs, DataPages
+// and DataRows. An equality probe's own cost is the index height; the data
+// size decides only whether it beats the scan, which Holds checks apart.
 func (ph *Physical) reads(st StatValues) StatValues {
 	var r StatValues
 	if ph.Access != AccessDoc {
 		r.Indexes = st.Indexes
 	}
-	if ph.Access == AccessScan {
+	if ph.Access == AccessScan || ph.LoParam != "" {
 		r.DataPages, r.DataRows = st.DataPages, st.DataRows
 	}
 	return r
@@ -137,26 +129,15 @@ func (ph *Physical) reads(st StatValues) StatValues {
 // Holds reports whether Plan(ph.Def, st) would build a plan equal to ph,
 // field for field (its costed statistics included), without building it:
 // a doc lookup always, an equality probe while the index heights are
-// unchanged and the probe still beats the scan over st, a scan while the
-// index heights, DataPages and DataRows are all unchanged. A plan that
-// consulted the feedback (FeedbackTarget) never holds: the selectivities
-// move under unchanged statistics. The statistics are compared, not
-// copied, so a map handed to Plan must not change afterwards.
+// unchanged and the probe still beats the scan over st, a scan or a range
+// probe while the index heights, DataPages and DataRows are all unchanged.
+// The statistics are compared, not copied, so a map handed to Plan must
+// not change afterwards.
 func (ph *Physical) Holds(st StatValues) bool {
-	if ph.FeedbackTarget != "" {
-		return false
-	}
 	now := ph.reads(st)
 	return now.DataPages == ph.costed.DataPages && now.DataRows == ph.costed.DataRows &&
 		maps.Equal(now.Indexes, ph.costed.Indexes) &&
 		(ph.Access != AccessIndex || ph.EstCost < scanCost(st))
-}
-
-// Observe reports what running the plan's range access kept — rows of
-// total — to the feedback the plan was costed with, whichever path the
-// cost model chose for it.
-func (ph *Physical) Observe(rows, total int) {
-	ph.fb.Observe(ph.FeedbackTarget, int64(rows), int64(total))
 }
 
 // Compiled is what the one parse of a catalog query's text yields, and
@@ -190,7 +171,7 @@ func Plan(def *queries.Def, st StatValues) (*Physical, error) {
 	if def == nil {
 		return nil, core.ErrNoQuery
 	}
-	ph := &Physical{Def: def, Compiled: compile(def), Access: AccessScan, fb: st.Feedback}
+	ph := &Physical{Def: def, Compiled: compile(def), Access: AccessScan}
 	switch {
 	case ph.Shape.UsesDoc:
 		ph.Access = AccessDoc
@@ -221,9 +202,6 @@ func chooseAccess(ph *Physical, prim *xquery.Source, st StatValues) {
 	cands := findCandidates(prim, st)
 	best, bestCost := (*candidate)(nil), scanCost(st)
 	for i := range cands {
-		if cands[i].eq == nil && ph.FeedbackTarget == "" {
-			ph.FeedbackTarget = cands[i].target
-		}
 		if c := probeCost(&cands[i], st); c < bestCost {
 			best, bestCost = &cands[i], c
 		}
@@ -309,24 +287,13 @@ func plainParam(p string) bool {
 
 func paramName(p string) string { return strings.TrimPrefix(p, "$") }
 
-// DefaultRangeSelectivity is the assumed fraction of rows a range
-// predicate keeps when execution has not yet observed the real
-// fraction. The benchmark's date ranges select narrow windows; 0.25 is
-// deliberately pessimistic so range probes only win against real
-// scans. It is a prior, not a constant: execution feeds observed
-// selectivities back through StatValues.Feedback, and rangeSel prefers
-// those.
+// DefaultRangeSelectivity is the fraction of rows every range predicate
+// is assumed to keep. The benchmark's date ranges select narrow windows;
+// 0.25 is deliberately pessimistic so range probes only win against real
+// scans. It is a constant, not an estimate: a plan depends on nothing but
+// the query and the statistics it was built from, so one view runs one
+// plan of a query whatever windows its executions bind.
 const DefaultRangeSelectivity = 0.25
-
-// rangeSel is the selectivity used to cost a range probe on target:
-// the observed estimate when execution has fed one back, the
-// pessimistic default prior otherwise.
-func (st StatValues) rangeSel(target string) float64 {
-	if s, ok := st.Feedback.Selectivity(target); ok {
-		return s
-	}
-	return DefaultRangeSelectivity
-}
 
 // scanCost is the page count of a sequential scan.
 func scanCost(st StatValues) float64 {
@@ -338,8 +305,8 @@ func scanCost(st StatValues) float64 {
 
 // probeCost models an index probe: descend the btree (height pages),
 // then fetch the estimated matches. Equality on a value index is
-// unique-ish (1 row); ranges keep the target's selectivity of the
-// rows, each costing its share of the heap pages.
+// unique-ish (1 row); ranges keep DefaultRangeSelectivity of the rows,
+// each costing its share of the heap pages.
 func probeCost(c *candidate, st StatValues) float64 {
 	h := float64(c.height)
 	if h < 1 {
@@ -348,14 +315,14 @@ func probeCost(c *candidate, st StatValues) float64 {
 	if c.eq != nil {
 		return h + 1
 	}
-	return h + st.rangeSel(c.target)*scanCost(st)
+	return h + DefaultRangeSelectivity*scanCost(st)
 }
 
 func estRows(c *candidate, st StatValues) float64 {
 	if c.eq != nil {
 		return 1
 	}
-	r := st.rangeSel(c.target) * float64(st.DataRows)
+	r := DefaultRangeSelectivity * float64(st.DataRows)
 	if r < 1 {
 		r = 1
 	}

@@ -71,6 +71,39 @@ func TestRangePushdown(t *testing.T) {
 	}
 }
 
+// TestRangeCostFlip: a range probe is costed with DefaultRangeSelectivity
+// of the data. DCSD Q10's date window is a probe on a 512-page table, a
+// scan on a 2-page one, and the probe's estimate is the constant's share of
+// the pages and rows.
+func TestRangeCostFlip(t *testing.T) {
+	def := queries.Lookup(core.DCSD, core.Q10)
+	if def == nil {
+		t.Fatal("no DCSD Q10")
+	}
+	idx := map[string]int{"date_of_release": 2}
+	small := StatValues{DataPages: 2, DataRows: 16, Indexes: idx}
+	ph, err := Plan(def, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ph.Access != AccessScan {
+		t.Fatalf("2-page table: got %v, want scan (plan: %+v)", ph.Access, ph)
+	}
+	big := StatValues{DataPages: 512, DataRows: 4096, Indexes: idx}
+	if ph, err = Plan(def, big); err != nil {
+		t.Fatal(err)
+	}
+	if ph.Access != AccessIndex || ph.IndexTarget != "date_of_release" {
+		t.Fatalf("512-page table: got %v/%q, want range probe on date_of_release", ph.Access, ph.IndexTarget)
+	}
+	if want := 2 + DefaultRangeSelectivity*512; ph.EstCost != want {
+		t.Errorf("EstCost = %v, want %v", ph.EstCost, want)
+	}
+	if want := DefaultRangeSelectivity * 4096; ph.EstRows != want {
+		t.Errorf("EstRows = %v, want %v", ph.EstRows, want)
+	}
+}
+
 // TestPlanPure: planning twice (and with perturbed stats in between)
 // yields identical plans — the memoized query shape must never be
 // mutated by a planning pass.
