@@ -64,10 +64,10 @@ func TestLoadContractWithParseAhead(t *testing.T) {
 		prefix string
 		io     int64
 	}{
-		"X-Hive":      {"native", 3494},
-		"Xcolumn":     {"xcolumn", 3746},
-		"Xcollection": {"Xcollection", 7107},
-		"SQL Server":  {"SQL Server", 7107},
+		"X-Hive":      {"native", 3491},
+		"Xcolumn":     {"xcolumn", 3743},
+		"Xcollection": {"Xcollection", 7069},
+		"SQL Server":  {"SQL Server", 7069},
 	}
 	for _, tc := range engines {
 		pin := pins[tc.name]

@@ -42,7 +42,8 @@ func TestScanResistance(t *testing.T) {
 	big := buildFile(t, p, "big", 4*pool) // 4x the pool: guaranteed thrash without protection
 	p.ColdReset()
 
-	// Heat the working set: three rounds drives each hot page to maxRef.
+	// Heat the working set: every hot page is hit, so its reference bit
+	// is set.
 	for round := 0; round < 3; round++ {
 		for i := 0; i < hotN; i++ {
 			if _, err := p.Read(hot, uint32(i)); err != nil {
