@@ -18,12 +18,17 @@ race:
 	$(GO) test -race -short ./...
 
 # Fuzz, 20 s each: the binary-DOM cursor (xmldom.OpenRecord and Ref)
-# against DecodeBinary, the reference decoder; the in-place ASCII fold of
-# xquery.ContainsWord, on a string and on bytes, against its definition
-# over lower-cased copies; and xquery.Parse, which must answer any input
-# with a query or a positioned *xquery.Error, never a panic.
+# against DecodeBinary, the reference decoder; xmldom.Parse, whose
+# accepted documents must round-trip through the serializer, with
+# ParseRecord and RootName held to it (same error, the record's bytes
+# EncodeBinary of the tree, the root's name); the in-place ASCII fold of
+# xquery.ContainsWord and of a CompileWord matcher, on a string and on
+# bytes, against its definition over lower-cased copies; and
+# xquery.Parse, which must answer any input with a query or a positioned
+# *xquery.Error, never a panic.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCursor -fuzztime=20s ./internal/xmldom/
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s ./internal/xmldom/
 	$(GO) test -run='^$$' -fuzz=FuzzContainsWord -fuzztime=20s ./internal/xquery/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s ./internal/xquery/
 

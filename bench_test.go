@@ -655,16 +655,20 @@ func BenchmarkGenerate(b *testing.B) {
 
 // BenchmarkParse is the parser alone on one goroutine: one operation
 // parses every document of the Normal DC/MD or TC/MD database at seed 7,
-// which is what each engine's load parses. MB/s is per input byte. It is
-// the profiling handle for that path:
+// into trees (<class>), which is what each engine's load parses, and into
+// one reused record (record/<class>), which is what Xcolumn's CLOB
+// operators parse. MB/s is per input byte. It is the profiling handle
+// for that path:
 //
 //	go test -run '^$' -bench Parse/dcmd -cpuprofile cpu.out .
 func BenchmarkParse(b *testing.B) {
+	var dbs []*core.Database
 	for _, class := range []core.Class{core.DCMD, core.TCMD} {
 		db, err := gen.Config{Seed: 7}.Generate(class, core.Normal)
 		if err != nil {
 			b.Fatal(err)
 		}
+		dbs = append(dbs, db)
 		b.Run(class.Code(), func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(db.Bytes()))
@@ -677,4 +681,20 @@ func BenchmarkParse(b *testing.B) {
 			}
 		})
 	}
+	b.Run("record", func(b *testing.B) {
+		for _, db := range dbs {
+			b.Run(db.Class.Code(), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(db.Bytes()))
+				var rec xmldom.Record
+				for i := 0; i < b.N; i++ {
+					for _, d := range db.Docs {
+						if err := xmldom.ParseRecord(&rec, d.Data); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
+		}
+	})
 }

@@ -90,9 +90,10 @@ func (p *pred) bind(params core.Params) func(relational.Rec) bool {
 		b := []byte(v)
 		return func(r relational.Rec) bool { return !r.Null(c) && bytes.Contains(r.Col(c), b) }
 	}
+	w := xquery.CompileWord(v)
 	return func(r relational.Rec) bool {
 		for _, c := range p.cols {
-			if !r.Null(c.i) && xquery.ContainsWord(r.Col(c.i), v) {
+			if !r.Null(c.i) && w.Match(r.Col(c.i)) {
 				return true
 			}
 		}

@@ -114,12 +114,14 @@ type run struct {
 	err     error // the first error met inside a callback, which stopped the walk
 	entered func(*Node)
 	// The buffers, kept from run to run: emit writes items with enc; a
-	// clob's row is written into row, a pick into val, down chain, each
-	// valid until the next.
+	// CLOB is parsed into doc, and a clob's row is written into row, a
+	// pick into val, down chain, each valid until the next. A tree holds
+	// one clob or clobs at most, so one doc serves the run.
 	enc   *xmldom.Encoder
+	doc   xmldom.Record
 	row   relational.Rec
 	val   bytes.Buffer
-	chain []*xmldom.Node
+	chain []xmldom.Ref
 }
 
 // runs holds finished runs, whose buffers the next executions reuse.
@@ -219,11 +221,10 @@ func (x *run) rows(n *Node, fn func(relational.Rec) bool) error {
 		})
 	case opClob:
 		return x.each(n.kids[0], func(r relational.Rec) bool {
-			doc, err := x.doc(r.Col(n.on.i))
-			if err != nil {
+			if err := x.parse(r.Col(n.on.i)); err != nil {
 				return x.fail(err)
 			}
-			return x.docRows(n, doc, 0, r, fn)
+			return x.docRows(n, x.doc.Root(), 0, r, fn)
 		})
 	case opCLOBs:
 		return x.clobs(n, fn)
@@ -297,50 +298,52 @@ func (x *run) lookup(n *Node, o relational.Rec) ([]relational.Rec, error) {
 	return kept, nil
 }
 
-// doc reads and parses the CLOB a doc column names, in the materialize
-// phase.
-func (x *run) doc(ref []byte) (*xmldom.Node, error) {
+// parse reads the CLOB a doc column names and parses it into the run's
+// doc, in the materialize phase.
+func (x *run) parse(ref []byte) error {
 	rid, err := strconv.ParseUint(string(ref), 10, 64)
 	if err != nil {
-		return nil, fmt.Errorf("shredplan: bad CLOB reference %q", ref)
+		return fmt.Errorf("shredplan: bad CLOB reference %q", ref)
 	}
 	defer x.s.DB.Metrics().StartSpan(metrics.PhaseMaterialize).End()
 	data, err := x.s.CLOBs.Get(x.ctx, pager.RID(rid))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return xmldom.Parse(data)
+	return xmldom.ParseRecord(&x.doc, data)
 }
 
-// clobs hands fn the rows of n over every CLOB, in load order, whose raw
-// bytes hold the word: the cheap prefilter where the heap holds them, then
-// a parse. The parses are the parse phase and the rest of the pass the
-// scan phase, so the two partition its time instead of nesting.
+// clobs hands fn the rows of n over every CLOB, in load order, that can
+// have one: each is fetched, and parsed only when its root element is
+// n.path's first and its raw bytes hold the word — the cheap prefilters
+// where the heap holds them. The parses are the parse phase and the rest
+// of the pass the scan phase, so the two partition its time instead of
+// nesting.
 func (x *run) clobs(n *Node, fn func(relational.Rec) bool) error {
 	start, parsing := time.Now(), time.Duration(0)
 	defer func() {
 		x.s.DB.Metrics().AddPhase(metrics.PhaseScan, time.Since(start)-parsing)
 		x.s.DB.Metrics().AddPhase(metrics.PhaseParse, parsing)
 	}()
-	word := bound(n.params[0], x.p)
+	word := xquery.CompileWord(bound(n.params[0], x.p))
 	var ref relational.Rec
 	for _, rid := range x.s.RIDs {
 		data, err := x.s.CLOBs.Get(x.ctx, rid)
 		if err != nil {
 			return err
 		}
-		if !xquery.ContainsWord(data, word) {
+		if root, ok := xmldom.RootName(data); ok && string(root) != n.path[0] || !word.Match(data) {
 			continue
 		}
 		t := time.Now()
-		doc, err := xmldom.Parse(data)
+		err = xmldom.ParseRecord(&x.doc, data)
 		parsing += time.Since(t)
 		if err != nil {
 			return err
 		}
 		var num [20]byte
 		ref = relational.AppendCol(append(ref[:0], 0, 0), strconv.AppendUint(num[:0], uint64(rid), 10))
-		if !x.docRows(n, doc, 0, ref, fn) {
+		if !x.docRows(n, x.doc.Root(), 0, ref, fn) {
 			break
 		}
 	}
@@ -350,9 +353,9 @@ func (x *run) clobs(n *Node, fn func(relational.Rec) bool) error {
 // docRows hands fn a row for each chain of elements down n.path, from its
 // step on, below parent, in document order: in's columns, then n's picks
 // of the chain. It reports whether fn asked for more.
-func (x *run) docRows(n *Node, parent *xmldom.Node, step int, in relational.Rec, fn func(relational.Rec) bool) bool {
-	for _, e := range parent.Children {
-		if e.Kind != xmldom.ElementKind || e.Name != n.path[step] {
+func (x *run) docRows(n *Node, parent xmldom.Ref, step int, in relational.Rec, fn func(relational.Rec) bool) bool {
+	for e, ok := parent.FirstChild(); ok; e, ok = e.NextSibling() {
+		if e.Kind() != xmldom.ElementKind || string(e.Name()) != n.path[step] {
 			continue
 		}
 		x.chain = append(x.chain[:step], e)
@@ -376,10 +379,10 @@ func (x *run) rowOf(n *Node, in relational.Rec) relational.Rec {
 		x.val.Reset()
 		switch pk.kind {
 		case pickText:
-			x.val.WriteString(e.Text())
+			x.val.Write(e.AppendText(x.val.AvailableBuffer()))
 		case pickAttr:
 			v, _ := e.Attr(pk.attr)
-			x.val.WriteString(v)
+			x.val.Write(v)
 		default:
 			e.AppendXML(&x.val)
 		}

@@ -22,6 +22,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -354,31 +355,59 @@ type SortKey struct {
 	IDSuffix bool
 }
 
-// Sort orders rows stably by keys, the first key first.
+// Sort orders rows stably by keys, the first key first. Each row's keys
+// are decoded once, before the sort compares any.
 func Sort(rows []Rec, keys ...SortKey) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, k := range keys {
-			if c := k.compare(rows[i], rows[j]); c != 0 {
-				return c < 0
+	nk := len(keys)
+	vals := make([]sortVal, len(rows)*nk)
+	sorted := make([]sortRow, len(rows))
+	for i, r := range rows {
+		kv := vals[i*nk : (i+1)*nk : (i+1)*nk]
+		for j, k := range keys {
+			kv[j] = k.decode(r)
+		}
+		sorted[i] = sortRow{r, kv}
+	}
+	slices.SortStableFunc(sorted, func(a, b sortRow) int {
+		for j, va := range a.keys {
+			vb := b.keys[j]
+			if c := cmp.Compare(va.n, vb.n); c != 0 {
+				return c
+			}
+			if c := bytes.Compare(va.b, vb.b); c != 0 {
+				return c
 			}
 		}
-		return false
+		return 0
 	})
+	for i, s := range sorted {
+		rows[i] = s.rec
+	}
 }
 
-func (k SortKey) compare(a, b Rec) int {
-	if k.IDSuffix {
-		return cmp.Compare(idSuffix(a.Col(k.Col)), idSuffix(b.Col(k.Col)))
+// sortRow is a row with its keys decoded.
+type sortRow struct {
+	rec  Rec
+	keys []sortVal
+}
+
+// sortVal is a row's key as Sort compares it: n, then b. A string key is
+// n 0 for NULL, n 1 and its bytes otherwise; an IDSuffix key is its
+// number.
+type sortVal struct {
+	n int
+	b []byte
+}
+
+func (k SortKey) decode(r Rec) sortVal {
+	c := r.Col(k.Col)
+	switch {
+	case k.IDSuffix:
+		return sortVal{n: idSuffix(c)}
+	case string(c) == Null:
+		return sortVal{}
 	}
-	switch an, bn := a.Null(k.Col), b.Null(k.Col); {
-	case an && bn:
-		return 0
-	case an:
-		return -1
-	case bn:
-		return 1
-	}
-	return bytes.Compare(a.Col(k.Col), b.Col(k.Col))
+	return sortVal{n: 1, b: c}
 }
 
 // idSuffix is the number after an id's non-digit prefix, 0 when the rest

@@ -2,8 +2,12 @@ package relational
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -163,6 +167,58 @@ func TestSortRows(t *testing.T) {
 	// NULL is least, then the empty string; ties go by the id's number.
 	if want := "O1 O3 O9 O2 O10"; strings.Join(got, " ") != want {
 		t.Fatalf("sorted ids %v, want %s", got, want)
+	}
+}
+
+// TestSortMatchesComparator holds Sort to the comparator it decodes
+// once, run by sort.SliceStable on every comparison: seeded rows with
+// duplicate keys, NULLs, empty strings and ids without digits or with
+// letters after them, under every key list the trees sort by.
+func TestSortMatchesComparator(t *testing.T) {
+	less := func(keys []SortKey) func(a, b Rec) bool {
+		return func(a, b Rec) bool {
+			for _, k := range keys {
+				var c int
+				switch an, bn := a.Null(k.Col), b.Null(k.Col); {
+				case k.IDSuffix:
+					c = cmp.Compare(idSuffix(a.Col(k.Col)), idSuffix(b.Col(k.Col)))
+				case an && bn:
+				case an:
+					c = -1
+				case bn:
+					c = 1
+				default:
+					c = bytes.Compare(a.Col(k.Col), b.Col(k.Col))
+				}
+				if c != 0 {
+					return c < 0
+				}
+			}
+			return false
+		}
+	}
+	strs := []string{Null, "", "a", "b", "ab", "B", "\xff"}
+	ids := []string{Null, "", "O", "O1", "O01", "O2", "O10", "I10", "O1x", "x", "007", "O99999"}
+	rng := rand.New(rand.NewPCG(7, 45))
+	for trial := 0; trial < 200; trial++ {
+		rows := make([]Rec, rng.IntN(40))
+		for i := range rows {
+			rows[i] = Row{strs[rng.IntN(len(strs))], ids[rng.IntN(len(ids))], fmt.Sprint(i)}.Rec()
+		}
+		for _, keys := range [][]SortKey{
+			{{Col: 0}}, {{Col: 1, IDSuffix: true}}, {{Col: 0}, {Col: 1, IDSuffix: true}},
+			{{Col: 1}}, {{Col: 1, IDSuffix: true}, {Col: 0}}, nil,
+		} {
+			want := slices.Clone(rows)
+			sort.SliceStable(want, func(i, j int) bool { return less(keys)(want[i], want[j]) })
+			got := slices.Clone(rows)
+			Sort(got, keys...)
+			for i := range got {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("trial %d, keys %v: row %d is %q, want %q", trial, keys, i, got[i].Row(), want[i].Row())
+				}
+			}
+		}
 	}
 }
 

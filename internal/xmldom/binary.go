@@ -81,7 +81,7 @@ func EncodeBinary(n *Node) []byte {
 	return enc(buf, n)
 }
 
-func appendString(b []byte, s string) []byte {
+func appendString[S string | []byte](b []byte, s S) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }

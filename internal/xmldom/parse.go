@@ -81,6 +81,11 @@ type parser struct {
 	atts  []Attr            // attributes of the start tag being read
 	buf   []byte            // a text run or value with a reference or CDATA
 	names map[string]string // interned names
+
+	// rec is set while the parse builds a record (ParseRecord) instead
+	// of a tree: each node read goes to b, and no Node is made.
+	rec bool
+	b   builder
 }
 
 // release drops everything of the document the parser still points at,
@@ -177,17 +182,67 @@ func (p *parser) expect(s string) error {
 	return nil
 }
 
+// after returns the byte after the one at p.pos, or 0 at the end.
+func (p *parser) after() byte {
+	if p.pos+1 < len(p.data) {
+		return p.data[p.pos+1]
+	}
+	return 0
+}
+
+// hasPrefix compares byte by byte: the markup tests it makes at every '<'
+// mostly fail at the first or second byte, sooner than a string compare
+// is set up.
 func (p *parser) hasPrefix(s string) bool {
-	return p.pos+len(s) <= len(p.data) && string(p.data[p.pos:p.pos+len(s)]) == s
+	if len(p.data)-p.pos < len(s) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if p.data[p.pos+i] != s[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func (p *parser) parseDocument() (*Node, error) {
-	doc := p.node(DocumentKind)
-	sawRoot := false
+	var doc *Node
+	if p.rec {
+		p.b.add(DocumentKind)
+	} else {
+		doc = p.node(DocumentKind)
+	}
+	if err := p.parseMisc(); err != nil {
+		return nil, err
+	}
+	if p.eof() {
+		return nil, p.errf("document has no root element")
+	}
+	if err := p.parseElement(); err != nil {
+		return nil, err
+	}
+	if err := p.parseMisc(); err != nil {
+		return nil, err
+	}
+	if !p.eof() {
+		return nil, p.errf("multiple root elements")
+	}
+	if p.rec {
+		p.b.close(0)
+	} else {
+		p.adopt(doc, 0)
+	}
+	return doc, nil
+}
+
+// parseMisc reads what may stand beside the root element — whitespace,
+// comments, processing instructions and a DOCTYPE — up to an element's
+// '<' or the end of input.
+func (p *parser) parseMisc() error {
 	for {
 		p.skipSpace()
 		if p.eof() {
-			break
+			return nil
 		}
 		var err error
 		switch {
@@ -198,32 +253,38 @@ func (p *parser) parseDocument() (*Node, error) {
 		case p.hasPrefix("<!DOCTYPE"):
 			err = p.skipDoctype()
 		case p.peek() == '<':
-			if sawRoot {
-				return nil, p.errf("multiple root elements")
-			}
-			err = p.parseElement()
-			sawRoot = true
+			return nil
 		default:
-			return nil, p.errf("unexpected content %q outside root element", p.peek())
+			return p.errf("unexpected content %q outside root element", p.peek())
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if !sawRoot {
-		return nil, p.errf("document has no root element")
+}
+
+// nameBytes classes each byte: nameStart may begin a name, nameChar
+// continue one.
+var nameBytes = func() (t [256]uint8) {
+	for c := range t {
+		b := byte(c)
+		if b == '_' || b == ':' || b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z' || b >= 0x80 {
+			t[c] = nameStart | nameChar
+		} else if b == '-' || b == '.' || b >= '0' && b <= '9' {
+			t[c] = nameChar
+		}
 	}
-	p.adopt(doc, 0)
-	return doc, nil
-}
+	return t
+}()
 
-func isNameStart(c byte) bool {
-	return c == '_' || c == ':' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c >= 0x80
-}
+const (
+	nameStart = 1 << iota
+	nameChar
+)
 
-func isNameChar(c byte) bool {
-	return isNameStart(c) || c == '-' || c == '.' || (c >= '0' && c <= '9')
-}
+func isNameStart(c byte) bool { return nameBytes[c]&nameStart != 0 }
+
+func isNameChar(c byte) bool { return nameBytes[c]&nameChar != 0 }
 
 // scanName reads a name and returns it in place.
 func (p *parser) scanName() ([]byte, error) {
@@ -238,26 +299,24 @@ func (p *parser) scanName() ([]byte, error) {
 	return p.data[start:p.pos], nil
 }
 
-func (p *parser) parseName() (string, error) {
-	b, err := p.scanName()
-	if err != nil {
-		return "", err
-	}
-	return p.intern(b), nil
-}
-
 // parseElement parses the element at p.pos, whose '<' the caller has
 // seen, and pushes it as a child of the element being read.
 func (p *parser) parseElement() error {
 	p.pos++ // '<'
-	name, err := p.parseName()
+	name, err := p.scanName()
 	if err != nil {
 		return err
 	}
-	el := p.node(ElementKind)
-	el.Name = name
-	p.kids = append(p.kids, el)
-	if err := p.parseAttrs(el); err != nil {
+	var el *Node
+	var ord int32
+	if p.rec {
+		ord = p.b.element(name)
+	} else {
+		el = p.node(ElementKind)
+		el.Name = p.intern(name)
+		p.kids = append(p.kids, el)
+	}
+	if err := p.parseAttrs(el, name); err != nil {
 		return err
 	}
 	if p.peek() == '/' {
@@ -268,36 +327,44 @@ func (p *parser) parseElement() error {
 		return err
 	}
 	base := len(p.kids)
-	if err := p.parseContent(el); err != nil {
+	if p.rec {
+		p.b.cur = ord
+	}
+	if err := p.parseContent(name); err != nil {
 		return err
 	}
-	p.adopt(el, base)
+	if p.rec {
+		p.b.close(ord)
+	} else {
+		p.adopt(el, base)
+	}
 	// parseContent consumed "</"; now the name, compared in place, and ">".
 	ename, err := p.scanName()
 	if err != nil {
 		return err
 	}
-	if string(ename) != name {
+	if string(ename) != string(name) {
 		return p.errf("mismatched end tag </%s> for <%s>", ename, name)
 	}
 	p.skipSpace()
 	return p.expect(">")
 }
 
-// parseAttrs reads the attributes of el's start tag up to its '>' or '/'
-// and gives el them in one slice of exactly their number.
-func (p *parser) parseAttrs(el *Node) error {
+// parseAttrs reads the attributes of the start tag of el, named name, up
+// to its '>' or '/' and gives el them in one slice of exactly their
+// number; building a record, el is nil and they go to the builder.
+func (p *parser) parseAttrs(el *Node, name []byte) error {
 	p.atts = p.atts[:0]
 	for {
 		p.skipSpace()
 		if p.eof() {
-			return p.errf("unterminated start tag <%s", el.Name)
+			return p.errf("unterminated start tag <%s", name)
 		}
 		c := p.peek()
 		if c == '>' || c == '/' {
 			break
 		}
-		aname, err := p.parseName()
+		aname, err := p.scanName()
 		if err != nil {
 			return err
 		}
@@ -306,16 +373,22 @@ func (p *parser) parseAttrs(el *Node) error {
 			return err
 		}
 		p.skipSpace()
-		aval, err := p.parseAttValue()
+		aval, buffered, err := p.parseAttValue()
 		if err != nil {
 			return err
 		}
+		if p.rec {
+			if !p.b.attr(aname, aval, buffered) {
+				return p.errf("duplicate attribute %q on <%s>", aname, name)
+			}
+			continue
+		}
 		for _, a := range p.atts {
-			if a.Name == aname {
-				return p.errf("duplicate attribute %q on <%s>", aname, el.Name)
+			if a.Name == string(aname) {
+				return p.errf("duplicate attribute %q on <%s>", aname, name)
 			}
 		}
-		p.atts = append(p.atts, Attr{aname, aval})
+		p.atts = append(p.atts, Attr{p.intern(aname), string(aval)})
 	}
 	if len(p.atts) > 0 {
 		el.Attrs = slices.Clone(p.atts)
@@ -324,24 +397,25 @@ func (p *parser) parseAttrs(el *Node) error {
 	return nil
 }
 
-// parseContent parses element content up to and including the "</" of the
-// element's end tag, pushing each child as it is read.
-func (p *parser) parseContent(el *Node) error {
+// parseContent parses the content of the element named name up to and
+// including the "</" of its end tag, pushing each child as it is read.
+func (p *parser) parseContent(name []byte) error {
 	for {
 		if err := p.parseText(); err != nil {
 			return err
 		}
 		if p.eof() {
-			return p.errf("unterminated element <%s>", el.Name)
+			return p.errf("unterminated element <%s>", name)
 		}
+		// parseText stopped at a '<'; the byte after it tells the markup.
 		var err error
-		switch {
-		case p.hasPrefix("</"):
+		switch next := p.after(); {
+		case next == '/':
 			p.pos += 2
 			return nil
-		case p.hasPrefix("<!--"):
+		case next == '!' && p.hasPrefix("<!--"):
 			err = p.parseComment()
-		case p.hasPrefix("<?"):
+		case next == '?':
 			err = p.parsePI(false)
 		default:
 			err = p.parseElement()
@@ -377,7 +451,7 @@ func (p *parser) parseText() error {
 			continue
 		}
 		p.pos = lt
-		if !p.hasPrefix("<![CDATA[") {
+		if p.after() != '!' || !p.hasPrefix("<![CDATA[") {
 			break
 		}
 		p.spill(buffered, seg)
@@ -396,8 +470,14 @@ func (p *parser) parseText() error {
 		p.buf = append(p.buf, run...)
 		run = p.buf
 	}
-	if len(bytes.TrimSpace(run)) == 0 {
+	// A run that opens with a printable ASCII byte is not blank; any other
+	// is checked whole, Unicode spaces included.
+	if len(run) == 0 || (run[0] <= ' ' || run[0] >= utf8.RuneSelf) && len(bytes.TrimSpace(run)) == 0 {
 		return nil // drop pure inter-element whitespace
+	}
+	if p.rec {
+		p.b.leaf(TextKind, p.b.keep(run, buffered))
+		return nil
 	}
 	n := p.node(TextKind)
 	n.Data = string(run)
@@ -414,16 +494,19 @@ func (p *parser) spill(buffered bool, seg int) {
 	p.buf = append(p.buf, p.data[seg:p.pos]...)
 }
 
-func (p *parser) parseAttValue() (string, error) {
+// parseAttValue reads a quoted attribute value and returns it with its
+// references resolved: in data as it stands, or, buffered, in buf until
+// the next value or run is read.
+func (p *parser) parseAttValue() (v []byte, buffered bool, err error) {
 	if p.eof() || (p.peek() != '"' && p.peek() != '\'') {
-		return "", p.errf("attribute value must be quoted")
+		return nil, false, p.errf("attribute value must be quoted")
 	}
 	quote := p.data[p.pos]
 	p.pos++
-	seg, buffered := p.pos, false
+	seg := p.pos
 	for {
 		if p.eof() {
-			return "", p.errf("unterminated attribute value")
+			return nil, false, p.errf("unterminated attribute value")
 		}
 		switch p.data[p.pos] {
 		case quote:
@@ -433,14 +516,14 @@ func (p *parser) parseAttValue() (string, error) {
 				v = p.buf
 			}
 			p.pos++
-			return string(v), nil
+			return v, buffered, nil
 		case '<':
-			return "", p.errf("'<' in attribute value")
+			return nil, false, p.errf("'<' in attribute value")
 		case '&':
 			p.spill(buffered, seg)
 			buffered = true
 			if err := p.parseReference(); err != nil {
-				return "", err
+				return nil, false, err
 			}
 			seg = p.pos
 		default:
@@ -500,9 +583,13 @@ func (p *parser) parseComment() error {
 	if end < 0 {
 		return p.errf("unterminated comment")
 	}
-	n := p.node(CommentKind)
-	n.Data = string(p.data[p.pos : p.pos+end])
-	p.kids = append(p.kids, n)
+	if data := p.data[p.pos : p.pos+end]; p.rec {
+		p.b.leaf(CommentKind, data)
+	} else {
+		n := p.node(CommentKind)
+		n.Data = string(data)
+		p.kids = append(p.kids, n)
+	}
 	p.pos += end + len(commentEnd)
 	return nil
 }
@@ -513,7 +600,7 @@ func (p *parser) parsePI(prolog bool) error {
 	if err := p.expect("<?"); err != nil {
 		return err
 	}
-	target, err := p.parseName()
+	target, err := p.scanName()
 	if err != nil {
 		return err
 	}
@@ -521,10 +608,15 @@ func (p *parser) parsePI(prolog bool) error {
 	if end < 0 {
 		return p.errf("unterminated processing instruction")
 	}
-	if !prolog || target != "xml" {
-		n := p.node(PIKind)
-		n.Name, n.Data = target, string(bytes.TrimSpace(p.data[p.pos:p.pos+end]))
-		p.kids = append(p.kids, n)
+	if !prolog || string(target) != "xml" {
+		data := bytes.TrimSpace(p.data[p.pos : p.pos+end])
+		if p.rec {
+			p.b.pi(target, data)
+		} else {
+			n := p.node(PIKind)
+			n.Name, n.Data = p.intern(target), string(data)
+			p.kids = append(p.kids, n)
+		}
 	}
 	p.pos += end + len(piEnd)
 	return nil

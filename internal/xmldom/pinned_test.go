@@ -36,6 +36,27 @@ func addTree(t *testing.T, h hash.Hash, name string, doc *xmldom.Node) {
 	h.Write(xmldom.EncodeBinary(doc))
 }
 
+// edgeDocs are inputs that take the parser's less travelled paths.
+var edgeDocs = []string{
+	`<a> <b>x</b> </a>`,        // whitespace-only runs are dropped
+	"<a>\u00a0<b/>\u2003</a>",  // so are non-ASCII spaces
+	"<a>&#160;<b/>&#32;</a>",   // and spaces that come from references
+	"<a>\xff <b/></a>",         // an invalid byte is not a space
+	`<a>x<![CDATA[<y>]]>z</a>`, // one run across a CDATA section
+	`<a><![CDATA[ ]]><b/></a>`, // a blank CDATA run is dropped
+	`<a>x<!--c-->y<?p d ?>z</a>`,
+	`<a>&lt;&gt;&amp;&quot;&apos;&#65;&#x42;&#X43;&#1114112;&#xD800;&#99999999;</a>`,
+	`<a x='1' y="&amp;'" z='"&#10;'><b   c = "d" /></a>`,
+	"<a>line\r\nbreak\t</a>",
+	`<!-- lead --><?xml version="1.0"?><?keep me?><a/><!-- tail -->`,
+	`<!DOCTYPE a [<!ELEMENT a (#PCDATA)> <!ATTLIST a x CDATA "1">]><a>t</a>`,
+	`<a><a><a>deep</a></a><a/></a>`,
+	`<r><x:y.z-1 _a="1" x:b="2">é</x:y.z-1 ></r>`,
+	`<a></a>`,
+	`<a>&amp;<![CDATA[x]]> </a>`,
+	`<a>mixed <i>in</i> and <b>bold</b> text</a>`,
+}
+
 // TestParsedTreesPinned pins the trees Parse builds: for every Small
 // document of the four classes at generator seed 7, and for a set of
 // inputs that take the parser's less travelled paths, the persistent-DOM
@@ -71,25 +92,7 @@ func TestParsedTreesPinned(t *testing.T) {
 	}
 	t.Run("edges", func(t *testing.T) {
 		h := sha256.New()
-		for _, src := range []string{
-			`<a> <b>x</b> </a>`,        // whitespace-only runs are dropped
-			"<a>\u00a0<b/>\u2003</a>",  // so are non-ASCII spaces
-			"<a>&#160;<b/>&#32;</a>",   // and spaces that come from references
-			"<a>\xff <b/></a>",         // an invalid byte is not a space
-			`<a>x<![CDATA[<y>]]>z</a>`, // one run across a CDATA section
-			`<a><![CDATA[ ]]><b/></a>`, // a blank CDATA run is dropped
-			`<a>x<!--c-->y<?p d ?>z</a>`,
-			`<a>&lt;&gt;&amp;&quot;&apos;&#65;&#x42;&#X43;&#1114112;&#xD800;&#99999999;</a>`,
-			`<a x='1' y="&amp;'" z='"&#10;'><b   c = "d" /></a>`,
-			"<a>line\r\nbreak\t</a>",
-			`<!-- lead --><?xml version="1.0"?><?keep me?><a/><!-- tail -->`,
-			`<!DOCTYPE a [<!ELEMENT a (#PCDATA)> <!ATTLIST a x CDATA "1">]><a>t</a>`,
-			`<a><a><a>deep</a></a><a/></a>`,
-			`<r><x:y.z-1 _a="1" x:b="2">é</x:y.z-1 ></r>`,
-			`<a></a>`,
-			`<a>&amp;<![CDATA[x]]> </a>`,
-			`<a>mixed <i>in</i> and <b>bold</b> text</a>`,
-		} {
+		for _, src := range edgeDocs {
 			doc, err := xmldom.Parse([]byte(src))
 			if err != nil {
 				t.Fatalf("%q: %v", src, err)
@@ -102,51 +105,55 @@ func TestParsedTreesPinned(t *testing.T) {
 	})
 }
 
+// syntaxErrors are malformed inputs, each with where and why Parse
+// refuses it.
+var syntaxErrors = []struct {
+	src    string
+	offset int
+	msg    string
+}{
+	{``, 0, `document has no root element`},
+	{`text only`, 0, `unexpected content 't' outside root element`},
+	{`<a/>junk`, 4, `unexpected content 'j' outside root element`},
+	{`<a/><b/>`, 4, `multiple root elements`},
+	{`</a>`, 1, `expected name`},
+	{`<1a/>`, 1, `expected name`},
+	{`<a`, 2, `unterminated start tag <a`},
+	{`<a b></a>`, 4, `expected "="`},
+	{`<a x=1></a>`, 5, `attribute value must be quoted`},
+	{`<a x="1></a>`, 8, `'<' in attribute value`},
+	{`<a x="1`, 7, `unterminated attribute value`},
+	{`<a t="<"></a>`, 6, `'<' in attribute value`},
+	{`<a t="x&bogus;"/>`, 14, `unknown entity &bogus;`},
+	{`<a x="1" x="2"></a>`, 14, `duplicate attribute "x" on <a>`},
+	{`<a x="1" y="2" x="&amp;"/>`, 24, `duplicate attribute "x" on <a>`},
+	{`<a/ >`, 3, `expected ">"`},
+	{`<a>`, 3, `unterminated element <a>`},
+	{`<a>text`, 7, `unterminated element <a>`},
+	{`<a></b>`, 6, `mismatched end tag </b> for <a>`},
+	{`<abc></ab>`, 9, `mismatched end tag </ab> for <abc>`},
+	{`<ab></abc>`, 9, `mismatched end tag </abc> for <ab>`},
+	{`<a><b></a></b>`, 9, `mismatched end tag </a> for <b>`},
+	{`<a></a  x>`, 8, `expected ">"`},
+	{`<a></>`, 5, `expected name`},
+	{`<a>&unknown;</a>`, 12, `unknown entity &unknown;`},
+	{`<a>&#xZZ;</a>`, 9, `bad character reference &#xZZ;`},
+	{`<a>&#;</a>`, 6, `bad character reference &#;`},
+	{`<a>&amp</a>`, 3, `unterminated entity reference`},
+	{`<a>&averyverylongname;</a>`, 3, `unterminated entity reference`},
+	{`<a><![CDATA[raw</a>`, 12, `unterminated CDATA section`},
+	{`<a><!-- unclosed </a>`, 7, `unterminated comment`},
+	{`<!-- c`, 4, `unterminated comment`},
+	{`<a><?pi x</a>`, 7, `unterminated processing instruction`},
+	{`<?pi x`, 4, `unterminated processing instruction`},
+	{`<??>`, 2, `expected name`},
+	{`<!DOCTYPE a [`, 13, `unterminated DOCTYPE`},
+}
+
 // TestSyntaxErrorsPinned pins where and why Parse refuses malformed
 // input: the offset and the message of each SyntaxError.
 func TestSyntaxErrorsPinned(t *testing.T) {
-	for _, tc := range []struct {
-		src    string
-		offset int
-		msg    string
-	}{
-		{``, 0, `document has no root element`},
-		{`text only`, 0, `unexpected content 't' outside root element`},
-		{`<a/>junk`, 4, `unexpected content 'j' outside root element`},
-		{`<a/><b/>`, 4, `multiple root elements`},
-		{`</a>`, 1, `expected name`},
-		{`<1a/>`, 1, `expected name`},
-		{`<a`, 2, `unterminated start tag <a`},
-		{`<a b></a>`, 4, `expected "="`},
-		{`<a x=1></a>`, 5, `attribute value must be quoted`},
-		{`<a x="1></a>`, 8, `'<' in attribute value`},
-		{`<a x="1`, 7, `unterminated attribute value`},
-		{`<a t="<"></a>`, 6, `'<' in attribute value`},
-		{`<a t="x&bogus;"/>`, 14, `unknown entity &bogus;`},
-		{`<a x="1" x="2"></a>`, 14, `duplicate attribute "x" on <a>`},
-		{`<a x="1" y="2" x="&amp;"/>`, 24, `duplicate attribute "x" on <a>`},
-		{`<a/ >`, 3, `expected ">"`},
-		{`<a>`, 3, `unterminated element <a>`},
-		{`<a>text`, 7, `unterminated element <a>`},
-		{`<a></b>`, 6, `mismatched end tag </b> for <a>`},
-		{`<abc></ab>`, 9, `mismatched end tag </ab> for <abc>`},
-		{`<ab></abc>`, 9, `mismatched end tag </abc> for <ab>`},
-		{`<a><b></a></b>`, 9, `mismatched end tag </a> for <b>`},
-		{`<a></a  x>`, 8, `expected ">"`},
-		{`<a></>`, 5, `expected name`},
-		{`<a>&unknown;</a>`, 12, `unknown entity &unknown;`},
-		{`<a>&#xZZ;</a>`, 9, `bad character reference &#xZZ;`},
-		{`<a>&#;</a>`, 6, `bad character reference &#;`},
-		{`<a>&amp</a>`, 3, `unterminated entity reference`},
-		{`<a>&averyverylongname;</a>`, 3, `unterminated entity reference`},
-		{`<a><![CDATA[raw</a>`, 12, `unterminated CDATA section`},
-		{`<a><!-- unclosed </a>`, 7, `unterminated comment`},
-		{`<!-- c`, 4, `unterminated comment`},
-		{`<a><?pi x</a>`, 7, `unterminated processing instruction`},
-		{`<?pi x`, 4, `unterminated processing instruction`},
-		{`<??>`, 2, `expected name`},
-		{`<!DOCTYPE a [`, 13, `unterminated DOCTYPE`},
-	} {
+	for _, tc := range syntaxErrors {
 		_, err := xmldom.Parse([]byte(tc.src))
 		se, ok := err.(*xmldom.SyntaxError)
 		if !ok {

@@ -146,42 +146,79 @@ func aggregate(name string, s Seq) (Seq, error) {
 }
 
 // ContainsWord reports whether text contains word as a whole word,
-// case-insensitively. Exported so relational engines run the exact same
-// text-search semantics as the native engine's contains-word(), on a
-// string or on stored bytes alike. ASCII is folded in place with no copy
-// of the text, eight bytes at a time: a block of eight ASCII bytes that
-// holds neither case of the word's rarest letter is passed over whole,
-// and each byte that is one names a candidate start, verified where it
-// lies. The first non-ASCII byte met before the answer
-// is known hands the whole question to containsWordFold, because Unicode
-// lower-casing may change lengths and turn a letter into an ASCII one
-// (the Kelvin sign), so only that code can say what it answers.
+// case-insensitively: CompileWord(word) applied to text once. Exported so
+// relational engines run the exact same text-search semantics as the
+// native engine's contains-word(), on a string or on stored bytes alike;
+// one that searches many texts for a word compiles it once.
 func ContainsWord[T string | []byte](text T, word string) bool {
+	return matchWord(CompileWord(word), text)
+}
+
+// Word is a word compiled for whole-word, case-insensitive search: the
+// byte its search looks for is chosen once, not once per text.
+type Word struct {
+	word   string
+	k      int  // the position of the word's rarest byte
+	lo, up byte // that byte in lower and upper case
+	ascii  bool // the word is ASCII and not empty
+	// The search for lo or up eight bytes at a time: a word of the text
+	// OR fold, XOR pat, has a zero byte exactly where it holds lo or up.
+	// For a letter fold sets the case bit, which maps up onto lo and no
+	// other ASCII byte onto it; for any other byte lo is up and fold is 0.
+	fold, pat uint64
+}
+
+// CompileWord prepares word for Match and MatchString.
+func CompileWord(word string) Word {
+	w := Word{word: word, ascii: word != ""}
 	for i := 0; i < len(word); i++ {
 		if word[i] >= utf8.RuneSelf {
-			return containsWordFold(string(text), word)
+			w.ascii = false
 		}
 	}
-	if word == "" {
-		return false
+	if w.ascii {
+		w.k = rarest(word)
+		w.lo, w.up = lowerASCII(word[w.k]), upperASCII(word[w.k])
+		if w.lo != w.up {
+			w.fold = lowBits * ('a' - 'A')
+		}
+		w.pat = lowBits * uint64(w.lo)
 	}
-	k := rarest(word)
-	lo, up := lowerASCII(word[k]), upperASCII(word[k])
+	return w
+}
+
+// Match reports whether text contains the word, as ContainsWord does.
+func (w Word) Match(text []byte) bool { return matchWord(w, text) }
+
+// MatchString is Match on a string.
+func (w Word) MatchString(text string) bool { return matchWord(w, text) }
+
+// matchWord folds ASCII in place with no copy of the text, eight bytes at
+// a time: a block of eight ASCII bytes that holds neither case of the
+// word's rarest letter is passed over whole, and each byte that is one
+// names a candidate start, verified where it lies. A word that is not
+// ASCII, or the first non-ASCII byte of the text met before the answer is
+// known, hands the whole question to containsWordFold, because Unicode
+// lower-casing may change lengths and turn a letter into an ASCII one
+// (the Kelvin sign), so only that code can say what it answers.
+func matchWord[T string | []byte](w Word, text T) bool {
+	if !w.ascii {
+		return w.word != "" && containsWordFold(string(text), w.word)
+	}
+	word, k, lo, up, fold, pat := w.word, w.k, w.lo, w.up, w.fold, w.pat
 	// wordAt accepts only a match that, with the byte after it, lies before
 	// the first non-ASCII byte, so every candidate that can answer true is
 	// met before the loops reach that byte.
 	i := 0
 	for ; i+8 <= len(text); i += 8 {
-		w := load64(text, i)
-		if w&highBits != 0 {
+		v := load64(text, i)
+		if v&highBits != 0 {
 			break // the byte loop below finds the non-ASCII one
 		}
 		// Adding 0x7f to an ASCII byte sets its high bit unless it is 0,
-		// and carries into no neighbour: a and b have the high bit clear
-		// exactly in the bytes equal to lo and to up.
-		a := (w ^ lowBits*uint64(lo)) + 0x7f*lowBits
-		b := (w ^ lowBits*uint64(up)) + 0x7f*lowBits
-		hits := ^(a & b) & highBits
+		// and carries into no neighbour: hits has the high bit set
+		// exactly in the bytes equal to lo or up.
+		hits := ^(((v | fold) ^ pat) + 0x7f*lowBits) & highBits
 		for ; hits != 0; hits &= hits - 1 {
 			if wordAt(text, word, i+bits.TrailingZeros64(hits)/8-k) {
 				return true

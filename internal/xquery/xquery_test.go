@@ -487,27 +487,38 @@ var containsWordCases = []struct {
 	{"fox ÿþ", "fox", true},
 	{"ÿfox", "fox", true},
 	{"café fox", "CAFÉ", true},
+	// Words across, at and after the eight-byte blocks.
+	{"1234567 fox", "fox", true},
+	{"12345 fox", "fox", true},
+	{"1234 fox", "fox", true},
+	{"12345678fox", "fox", false},
+	{"1234567 foxes, then fox", "fox", true},
+	{"zz zzzzzz zz", "zzzzzz", true},
+	{"aaaaaaaaaaaaaaaaaaaaaaaa quartz", "QUARTZ", true},
+	{"quartzes and quartz", "quartz", true},
+	{"12345678", "12345678", true},
+	{"1234567é fox", "fox", true},
+	{"é", "é", true},
+	{"é", "", false},
 }
 
 // TestContainsWord: the in-place ASCII fold, on a string and on bytes,
-// answers what the lower-cased-copy definition answers, and allocates
-// nothing on ASCII input.
+// through ContainsWord and through a compiled word, answers what the
+// lower-cased-copy definition answers, and allocates nothing on ASCII
+// input.
 func TestContainsWord(t *testing.T) {
 	for _, c := range containsWordCases {
 		if got := containsWordFold(c.text, c.word); got != c.want {
 			t.Errorf("containsWordFold(%q, %q) = %v", c.text, c.word, got)
 		}
-		if got := ContainsWord(c.text, c.word); got != c.want {
-			t.Errorf("ContainsWord(%q, %q) = %v", c.text, c.word, got)
-		}
-		if got := ContainsWord([]byte(c.text), c.word); got != c.want {
-			t.Errorf("ContainsWord([]byte(%q), %q) = %v", c.text, c.word, got)
-		}
+		checkWord(t, c.text, c.word, c.want)
 	}
 	text := strings.Repeat("Systems of record, systemic risk; ", 200) + "the SYSTEM"
 	raw := []byte(text)
+	w := CompileWord("sYstem")
 	allocs := testing.AllocsPerRun(20, func() {
-		if !ContainsWord(text, "system") || !ContainsWord(raw, "System") || ContainsWord(raw, "absent") {
+		if !ContainsWord(text, "system") || !ContainsWord(raw, "System") || ContainsWord(raw, "absent") ||
+			!w.Match(raw) || !w.MatchString(text) {
 			t.Fatal("wrong answer on the long ASCII text")
 		}
 	})
@@ -516,20 +527,34 @@ func TestContainsWord(t *testing.T) {
 	}
 }
 
-// FuzzContainsWord holds both instantiations of ContainsWord to the
-// definition on arbitrary bytes, valid UTF-8 or not (make fuzz).
+// checkWord holds ContainsWord and CompileWord, on a string and on bytes,
+// to want.
+func checkWord(t *testing.T, text, word string, want bool) {
+	t.Helper()
+	if got := ContainsWord(text, word); got != want {
+		t.Fatalf("ContainsWord(%q, %q) = %v, want %v", text, word, got, want)
+	}
+	if got := ContainsWord([]byte(text), word); got != want {
+		t.Fatalf("ContainsWord([]byte(%q), %q) = %v, want %v", text, word, got, want)
+	}
+	w := CompileWord(word)
+	if got := w.MatchString(text); got != want {
+		t.Fatalf("CompileWord(%q).MatchString(%q) = %v, want %v", word, text, got, want)
+	}
+	if got := w.Match([]byte(text)); got != want {
+		t.Fatalf("CompileWord(%q).Match([]byte(%q)) = %v, want %v", word, text, got, want)
+	}
+}
+
+// FuzzContainsWord holds both instantiations of ContainsWord, and a
+// compiled word's Match and MatchString, to the definition on arbitrary
+// bytes, valid UTF-8 or not (make fuzz).
 func FuzzContainsWord(f *testing.F) {
 	for _, c := range containsWordCases {
 		f.Add(c.text, c.word)
 	}
 	f.Fuzz(func(t *testing.T, text, word string) {
-		want := containsWordFold(text, word)
-		if got := ContainsWord(text, word); got != want {
-			t.Fatalf("ContainsWord(%q, %q) = %v, the definition says %v", text, word, got, want)
-		}
-		if got := ContainsWord([]byte(text), word); got != want {
-			t.Fatalf("ContainsWord([]byte(%q), %q) = %v, the definition says %v", text, word, got, want)
-		}
+		checkWord(t, text, word, containsWordFold(text, word))
 	})
 }
 
