@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz examples chaos chaos-updates torture smoke shard-smoke bench-e2e bench-compare bench-point bench-mixed bench-scan bench-load plan-check plan-golden mvcc-sweep loc verify
+.PHONY: build test vet race fuzz examples chaos chaos-updates torture smoke shard-smoke bench-e2e bench-compare pairs bench-point bench-mixed bench-scan bench-load plan-check plan-golden mvcc-sweep loc verify
 
 build:
 	$(GO) build ./...
@@ -23,13 +23,15 @@ race:
 # ParseRecord and RootName held to it (same error, the record's bytes
 # EncodeBinary of the tree, the root's name); the in-place ASCII fold of
 # xquery.ContainsWord and of a CompileWord matcher, on a string and on
-# bytes, against its definition over lower-cased copies; and
-# xquery.Parse, which must answer any input with a query or a positioned
+# bytes, against its definition over lower-cased copies; Word.MatchXML,
+# which must be true for any document an element of which holds the word;
+# and xquery.Parse, which must answer any input with a query or a positioned
 # *xquery.Error, never a panic.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCursor -fuzztime=20s ./internal/xmldom/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s ./internal/xmldom/
 	$(GO) test -run='^$$' -fuzz=FuzzContainsWord -fuzztime=20s ./internal/xquery/
+	$(GO) test -run='^$$' -fuzz=FuzzMatchXML -fuzztime=20s ./internal/xquery/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s ./internal/xquery/
 
 # Run every program under examples/ once: two of them hand XQuery text to
@@ -85,6 +87,17 @@ bench-e2e:
 # (comma-separate several runs per side).
 bench-compare:
 	bash benchmarks/run.sh --compare $(A) $(B)
+
+# Alternated pairs of two commits on the benchmark (scripts/pairs.sh):
+# each side built from a git archive copy, A and B run in turn PAIRS
+# times per workload, then the benchmark's verdict and one
+# results/trajectory.tsv row per workload with B's win count on METRIC:
+# make pairs A=<commit> B=<commit> [PAIRS=5] [WORKLOADS=w1,w2] [SEED=7] [METRIC=qps]
+PAIRS ?= 5
+SEED ?= 7
+METRIC ?= qps
+pairs:
+	bash scripts/pairs.sh $(A) $(B) --pairs $(PAIRS) --seed $(SEED) --metric $(METRIC) $(if $(WORKLOADS),--workloads $(WORKLOADS))
 
 # The point read in-process and through a loopback server on every
 # engine (root bench_test.go, BenchmarkPointRead): ns/op, p50_us and

@@ -288,9 +288,14 @@ func BenchmarkUpdateWorkload(b *testing.B) {
 		if _, _, err := workload.LoadAndIndex(context.Background(), e, db); err != nil {
 			b.Fatal(err)
 		}
+		// The testing package calls the function again with a larger b.N:
+		// the operation index carries on, so a U1 never inserts a name an
+		// earlier call inserted.
+		next := 0
 		b.Run(op.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if m := workload.RunUpdateOp(context.Background(), e, core.DCMD, op, i); m.Err != nil {
+			for range b.N {
+				next++
+				if m := workload.RunUpdateOp(context.Background(), e, core.DCMD, op, next); m.Err != nil {
 					b.Fatal(m.Err)
 				}
 			}

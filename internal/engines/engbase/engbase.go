@@ -86,18 +86,26 @@ type Store[V View] interface {
 	// apply to the loaded class.
 	BuildIndexes(specs []core.IndexSpec) error
 
-	// Validate reports whether the store can hold doc; it runs before the
-	// mutation bracket opens, so a refused update leaves no trace.
-	Validate(doc *xmldom.Node) error
 	// Exists reports whether a document is stored under name.
 	Exists(name string) bool
-	// ApplyInsert stores a validated document and ApplyDelete removes a
-	// stored one. Like BuildIndexes they only mutate: no hook syncs, and
-	// an error from any of them stops the engine (see publish). Their ctx
-	// is never cancelled: they run inside an open mutation bracket, and a
-	// hook that stopped partway would stop the engine.
-	ApplyInsert(ctx context.Context, name string, data []byte, doc *xmldom.Node) error
+	// ApplyInsert stores a document, data parsed into rec, and ApplyDelete
+	// removes a stored one. Like BuildIndexes they only mutate: no hook
+	// syncs, and an error from any of them stops the engine (see
+	// publish). Their ctx is never cancelled: they run inside an open
+	// mutation bracket, and a hook that stopped partway would stop the
+	// engine. rec is the hook's until it returns; what the store keeps
+	// of it, it copies.
+	ApplyInsert(ctx context.Context, name string, data []byte, rec *xmldom.Record) error
 	ApplyDelete(ctx context.Context, name string) error
+}
+
+// Validator is implemented by a Store that cannot hold every well-formed
+// document. Validate reports whether it can hold the one parsed into
+// rec; it runs before the mutation bracket opens, so a refused update
+// leaves no trace, where an ApplyInsert that refused it would stop the
+// engine.
+type Validator interface {
+	Validate(rec *xmldom.Record) error
 }
 
 // Base is the embedded half of an engine; see the package comment.
@@ -121,6 +129,9 @@ type Base[V View] struct {
 	// by planning and those a commit carried over (plan.cell.*), in the
 	// registry the pager had at the last reset. Guarded by mu.
 	cellsPlanned, cellsCarried *metrics.Counter
+	// rec is what an update parses its document into, reused from one
+	// update to the next. Guarded by mu.
+	rec xmldom.Record
 }
 
 // publication is what one commit publishes, as the pager's view of the
@@ -440,11 +451,10 @@ func (b *Base[V]) update(ctx context.Context, kind updatelog.Kind, name string, 
 	if !b.loaded {
 		return b.notLoaded(kind.String())
 	}
-	var doc *xmldom.Node
 	if kind != updatelog.KindDelete {
-		var err error
-		if doc, err = xmldom.Parse(data); err == nil {
-			err = b.s.Validate(doc)
+		err := xmldom.ParseRecord(&b.rec, data)
+		if v, ok := b.s.(Validator); ok && err == nil {
+			err = v.Validate(&b.rec)
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %s %s: %w", b.s.Name(), kind, name, err)
@@ -464,7 +474,7 @@ func (b *Base[V]) update(ctx context.Context, kind updatelog.Kind, name string, 
 		err = b.s.ApplyDelete(ctx, name)
 	}
 	if err == nil && kind != updatelog.KindDelete {
-		err = b.s.ApplyInsert(ctx, name, data, doc)
+		err = b.s.ApplyInsert(ctx, name, data, &b.rec)
 	}
 	return b.publish(epoch, b.p.EndMutation, err)
 }

@@ -107,9 +107,8 @@ func (v *cellView) Explain(*plan.Physical) (*core.PlanNode, error) {
 	return &core.PlanNode{Op: "scan", Target: "cell"}, nil
 }
 func (c *cell) BuildIndexes([]core.IndexSpec) error { return nil }
-func (c *cell) Validate(*xmldom.Node) error         { return nil }
 func (c *cell) Exists(name string) bool             { return c.names[name] }
-func (c *cell) ApplyInsert(ctx context.Context, name string, _ []byte, _ *xmldom.Node) error {
+func (c *cell) ApplyInsert(ctx context.Context, name string, _ []byte, _ *xmldom.Record) error {
 	c.names[name] = true
 	if err := c.write(); err != nil {
 		return err

@@ -17,15 +17,20 @@ import (
 // the second core saves on DC/MD's thousands of small orders.
 const parseBatch = 128 << 10
 
-// batch is a run of documents and, once parsed, their trees: trees[j] is
-// docs[j]'s, up to the first that did not parse, whose error is err.
+// batch is a run of documents and, once parsed, their records: recs[j]
+// is docs[j]'s, up to the first that did not parse, whose error is err.
 type batch struct {
 	docs  []core.Doc
-	trees []*xmldom.Node
+	recs  []*xmldom.Record
 	err   error
 	taken atomic.Bool   // somebody parses, or has parsed, the batch
-	done  chan struct{} // closed once the trees are in
+	done  chan struct{} // closed once the records are in
 }
+
+// records holds the records of stored documents for later batches to
+// parse into, so that a load stops allocating once the buffers of a few
+// batches' records are large enough for its documents.
+var records = sync.Pool{New: func() any { return new(xmldom.Record) }}
 
 // parseBatches cuts docs, in order, into runs of at least parseBatch
 // bytes; the last run holds what is left.
@@ -47,67 +52,59 @@ func (b *batch) take() bool {
 	if !b.taken.CompareAndSwap(false, true) {
 		return false
 	}
-	b.trees = make([]*xmldom.Node, len(b.docs))
-	for j, d := range b.docs {
-		if b.trees[j], b.err = xmldom.Parse(d.Data); b.err != nil {
+	b.recs = make([]*xmldom.Record, 0, len(b.docs))
+	for _, d := range b.docs {
+		rec := records.Get().(*xmldom.Record)
+		if b.err = xmldom.ParseRecord(rec, d.Data); b.err != nil {
+			records.Put(rec)
 			break
 		}
+		b.recs = append(b.recs, rec)
 	}
 	close(b.done)
 	return true
 }
 
-// claim reports whether bs[i] is the caller's to parse, document by
-// document as it stores them, because no worker has taken it. Otherwise
-// bs[i] is parsed when claim returns; while a worker was parsing it, the
-// caller parsed the batches after it, up to ahead of them, that no
-// worker had taken yet.
-func claim(bs []*batch, i, ahead int) bool {
-	if bs[i].taken.CompareAndSwap(false, true) {
-		return true
+// claim returns once bs[i] is parsed: by the caller, when no worker has
+// taken it, or by a worker, while the caller parsed the batches after it,
+// up to ahead of them, that no worker had taken yet.
+func claim(bs []*batch, i, ahead int) {
+	if bs[i].take() {
+		return
 	}
 	for k := i + 1; k <= i+ahead && k < len(bs); k++ {
 		select {
 		case <-bs[i].done:
-			return false
+			return
 		default:
 			bs[k].take()
 		}
 	}
 	<-bs[i].done
-	return false
-}
-
-// tree returns docs[j]'s tree: parsed now if the batch is the caller's
-// own, else what take left.
-func (b *batch) tree(j int, own bool) (*xmldom.Node, error) {
-	if own {
-		return xmldom.Parse(b.docs[j].Data)
-	}
-	if b.trees[j] == nil {
-		return nil, b.err
-	}
-	return b.trees[j], nil
 }
 
 // ParseDocs is the parsing half of a Store's LoadDocs: it parses every
-// document of db and calls store with it and its tree, in database order,
-// on the caller's goroutine — so what store writes, and in which order,
-// is what a sequential parse-then-write loop writes. A document that does
-// not parse fails the load where it stands, after every document before
-// it was stored, with "<engine>: <document name>: <syntax error>"; ctx is
+// document of db into a record (xmldom.ParseRecord) and calls store with
+// the document and its record, in database order, on the caller's
+// goroutine — so what store writes, and in which order, is what a
+// sequential parse-then-write loop writes. A document that does not
+// parse fails the load where it stands, after every document before it
+// was stored, with "<engine>: <document name>: <syntax error>"; ctx is
 // checked before each document.
 //
 // Parsing runs ahead of store: db is cut into batches of about parseBatch
 // bytes, which GOMAXPROCS−1 workers parse up to two batches per worker
 // ahead of the one being stored. A batch no worker has taken by the time
-// store gets to it is the caller's: it parses each document just before
-// storing it, while the tree is still in cache, as a sequential loader
-// does — which is all it does with fewer than two batches, or one core.
-// While it waits for a batch a worker is still parsing, the caller parses
-// later batches no worker has taken yet. The workers have exited when
-// ParseDocs returns, so a load leaves no goroutine behind.
-func ParseDocs(ctx context.Context, engine string, db *core.Database, store func(d *core.Doc, doc *xmldom.Node) error) error {
+// store gets to it the caller parses itself — which is all that happens
+// with fewer than two batches, or one core. While it waits for a batch a
+// worker is still parsing, the caller parses later batches no worker has
+// taken yet. The workers have exited when ParseDocs returns, so a load
+// leaves no goroutine behind.
+//
+// A record is store's until store returns: once its batch is stored,
+// later batches parse into its buffers, so store copies out what it
+// keeps.
+func ParseDocs(ctx context.Context, engine string, db *core.Database, store func(d *core.Doc, rec *xmldom.Record) error) error {
 	bs := parseBatches(db.Docs)
 	workers := 0
 	if len(bs) >= 2 {
@@ -141,20 +138,22 @@ func ParseDocs(ctx context.Context, engine string, db *core.Database, store func
 		if workers > 0 && i+ahead < len(bs) {
 			todo <- bs[i+ahead]
 		}
-		own := claim(bs, i, ahead)
+		claim(bs, i, ahead)
 		for j := range b.docs {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			doc, err := b.tree(j, own)
-			if err != nil {
-				return fmt.Errorf("%s: %s: %w", engine, b.docs[j].Name, err)
+			if j == len(b.recs) {
+				return fmt.Errorf("%s: %s: %w", engine, b.docs[j].Name, b.err)
 			}
-			if err := store(&b.docs[j], doc); err != nil {
+			if err := store(&b.docs[j], b.recs[j]); err != nil {
 				return err
 			}
 		}
-		b.trees = nil // stored: the trees can go
+		for _, rec := range b.recs {
+			records.Put(rec) // stored: later batches parse into it
+		}
+		b.recs = nil
 	}
 	return nil
 }

@@ -326,9 +326,9 @@ func (s *store) Reset() error {
 func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats, error) {
 	var st core.LoadStats
 	s.class = db.Class
-	err := engbase.ParseDocs(ctx, "native", db, func(d *core.Doc, doc *xmldom.Node) error {
-		st.Nodes += doc.CountNodes()
-		if _, _, err := s.storeDocument(d.Name, doc); err != nil {
+	err := engbase.ParseDocs(ctx, "native", db, func(d *core.Doc, rec *xmldom.Record) error {
+		st.Nodes += rec.Len()
+		if _, _, err := s.storeDocument(d.Name, rec); err != nil {
 			return err
 		}
 		// Each document arrives as a separate file and is persisted
@@ -351,11 +351,11 @@ func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats
 	return st, s.catalog.Sync()
 }
 
-// storeDocument writes one document as a persistent-DOM record and
+// storeDocument writes one parsed document's persistent-DOM record and
 // catalogs it under name. It returns the record's RID and the catalog
 // record's, which is what the value indexes are keyed on.
-func (s *store) storeDocument(name string, doc *xmldom.Node) (rid, cat pager.RID, err error) {
-	if rid, err = s.docs.Insert(xmldom.EncodeBinary(doc)); err != nil {
+func (s *store) storeDocument(name string, rec *xmldom.Record) (rid, cat pager.RID, err error) {
+	if rid, err = s.docs.Insert(rec.Bytes()); err != nil {
 		return 0, 0, err
 	}
 	if cat, err = s.catalog.Insert(encodeCatalogEntry(docEntry{name, rid})); err != nil {
@@ -704,10 +704,6 @@ var _ core.Engine = (*Engine)(nil)
 // leave and enter each value index, and the new content is stored
 // (reusing dead space when it fits).
 
-// Validate implements engbase.Store: any well-formed document is
-// storable.
-func (s *store) Validate(*xmldom.Node) error { return nil }
-
 // Exists implements engbase.Store.
 func (s *store) Exists(name string) bool {
 	_, ok := s.names[name]
@@ -717,8 +713,8 @@ func (s *store) Exists(name string) bool {
 // ApplyInsert implements engbase.Store: it stores and catalogs the
 // document and adds its values to every index (read back from the record
 // just written, as a delete reads it).
-func (s *store) ApplyInsert(ctx context.Context, name string, _ []byte, parsed *xmldom.Node) error {
-	rid, cat, err := s.storeDocument(name, parsed)
+func (s *store) ApplyInsert(ctx context.Context, name string, _ []byte, rec *xmldom.Record) error {
+	rid, cat, err := s.storeDocument(name, rec)
 	if err != nil {
 		return err
 	}

@@ -315,8 +315,8 @@ func (x *run) parse(ref []byte) error {
 
 // clobs hands fn the rows of n over every CLOB, in load order, that can
 // have one: each is fetched, and parsed only when its root element is
-// n.path's first and its raw bytes hold the word — the cheap prefilters
-// where the heap holds them. The parses are the parse phase and the rest
+// n.path's first and its text can hold the word (Word.MatchXML) — the
+// cheap prefilters where the heap holds them. The parses are the parse phase and the rest
 // of the pass the scan phase, so the two partition its time instead of
 // nesting.
 func (x *run) clobs(n *Node, fn func(relational.Rec) bool) error {
@@ -332,7 +332,7 @@ func (x *run) clobs(n *Node, fn func(relational.Rec) bool) error {
 		if err != nil {
 			return err
 		}
-		if root, ok := xmldom.RootName(data); ok && string(root) != n.path[0] || !word.Match(data) {
+		if root, ok := xmldom.RootName(data); ok && string(root) != n.path[0] || !word.MatchXML(data) {
 			continue
 		}
 		t := time.Now()

@@ -38,8 +38,8 @@ func loadStore(t *testing.T, class core.Class, opts shredder.Options) Source {
 	}
 	s := shredder.NewStore(class, relational.NewDB(pager.New(256)), opts)
 	for _, d := range db.Docs {
-		doc, err := xmldom.Parse(d.Data)
-		if err != nil {
+		doc := new(xmldom.Record)
+		if err := xmldom.ParseRecord(doc, d.Data); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.ShredDocument(d.Name, doc); err != nil {
@@ -227,8 +227,8 @@ func TestQ17NullHoldsNoText(t *testing.T) {
 			"beta", "O1"},
 	} {
 		s := shredder.NewStore(c.class, relational.NewDB(pager.New(64)), shredder.Options{})
-		doc, err := xmldom.Parse([]byte(c.xml))
-		if err != nil {
+		doc := new(xmldom.Record)
+		if err := xmldom.ParseRecord(doc, []byte(c.xml)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.ShredDocument(c.name, doc); err != nil {

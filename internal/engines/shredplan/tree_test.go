@@ -96,8 +96,8 @@ func loadLikeTheEngine(t *testing.T, db *core.Database, opts shredder.Options) S
 	t.Helper()
 	s := shredder.NewStore(db.Class, relational.NewDB(pager.New(0)), opts)
 	for _, d := range db.Docs {
-		doc, err := xmldom.Parse(d.Data)
-		if err != nil {
+		doc := new(xmldom.Record)
+		if err := xmldom.ParseRecord(doc, d.Data); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.ShredDocument(d.Name, doc); err != nil {
@@ -135,8 +135,8 @@ func loadLikeXcolumn(t *testing.T, db *core.Database) Source {
 	shredder.CreateSideTables(db.Class, tables)
 	var rids []pager.RID
 	for _, d := range db.Docs {
-		doc, err := xmldom.Parse(d.Data)
-		if err != nil {
+		doc := new(xmldom.Record)
+		if err := xmldom.ParseRecord(doc, d.Data); err != nil {
 			t.Fatal(err)
 		}
 		rid, err := clobs.Insert(d.Data)

@@ -156,15 +156,15 @@ func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats
 		RowLimitPerDoc: s.pol.rowLimit,
 		DropMixed:      s.pol.dropMixed,
 	})
-	err := engbase.ParseDocs(ctx, s.pol.name, db, func(d *core.Doc, doc *xmldom.Node) error {
-		rows, err := s.shred.ShredDocument(d.Name, doc)
+	err := engbase.ParseDocs(ctx, s.pol.name, db, func(d *core.Doc, rec *xmldom.Record) error {
+		rows, err := s.shred.ShredDocument(d.Name, rec)
 		if err == nil {
 			err = s.shred.Sync()
 		}
 		if err != nil {
 			return err
 		}
-		if id, ok := shredder.UnitDocID(db.Class, doc); ok {
+		if id, ok := shredder.UnitDocID(db.Class, rec); ok {
 			s.docIDs[d.Name] = id
 		}
 		st.Documents++
@@ -225,10 +225,12 @@ func (s *store) BuildIndexes(specs []core.IndexSpec) error {
 // by their root id, so document-granularity delete is a clean relational
 // cascade (shredder.DeleteDocumentRows).
 
-// Validate implements engbase.Store: the document must be a unit
+var _ engbase.Validator = (*store)(nil)
+
+// Validate implements engbase.Validator: the document must be a unit
 // document of the loaded class.
-func (s *store) Validate(doc *xmldom.Node) error {
-	if _, ok := shredder.UnitDocID(s.shred.Class, doc); !ok {
+func (s *store) Validate(rec *xmldom.Record) error {
+	if _, ok := shredder.UnitDocID(s.shred.Class, rec); !ok {
 		return fmt.Errorf("not a unit document of %s: %w", s.shred.Class, core.ErrUnsupported)
 	}
 	return nil
@@ -242,11 +244,11 @@ func (s *store) Exists(name string) bool {
 
 // ApplyInsert implements engbase.Store: it shreds the document and
 // records its root id.
-func (s *store) ApplyInsert(_ context.Context, name string, _ []byte, doc *xmldom.Node) error {
-	if _, err := s.shred.ShredDocument(name, doc); err != nil {
+func (s *store) ApplyInsert(_ context.Context, name string, _ []byte, rec *xmldom.Record) error {
+	if _, err := s.shred.ShredDocument(name, rec); err != nil {
 		return err
 	}
-	s.docIDs[name], _ = shredder.UnitDocID(s.shred.Class, doc)
+	s.docIDs[name], _ = shredder.UnitDocID(s.shred.Class, rec)
 	return nil
 }
 

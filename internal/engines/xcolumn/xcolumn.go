@@ -116,14 +116,14 @@ func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats
 	s.names = make(map[string]pager.RID, len(db.Docs))
 	s.db = relational.NewDB(s.p)
 	shredder.CreateSideTables(db.Class, s.db)
-	err := engbase.ParseDocs(ctx, "xcolumn", db, func(d *core.Doc, doc *xmldom.Node) error {
+	err := engbase.ParseDocs(ctx, "xcolumn", db, func(d *core.Doc, rec *xmldom.Record) error {
 		rid, err := s.clobs.Insert(d.Data)
 		if err != nil {
 			return err
 		}
 		s.rids = append(s.rids, rid)
 		s.names[d.Name] = rid
-		rows, err := shredder.InsertSideRows(s.db, s.class, strconv.FormatUint(uint64(rid), 10), doc)
+		rows, err := shredder.InsertSideRows(s.db, s.class, strconv.FormatUint(uint64(rid), 10), rec)
 		if err != nil {
 			return err
 		}
@@ -192,10 +192,6 @@ var _ core.Explainer = (*Engine)(nil)
 // the new content — and tombstones the old CLOB, whose space the next
 // CLOB that fits reuses.
 
-// Validate implements engbase.Store: any well-formed document can be a
-// CLOB; one with an unknown root gets no side-table rows.
-func (s *store) Validate(*xmldom.Node) error { return nil }
-
 // Exists implements engbase.Store.
 func (s *store) Exists(name string) bool {
 	_, ok := s.names[name]
@@ -203,15 +199,16 @@ func (s *store) Exists(name string) bool {
 }
 
 // ApplyInsert implements engbase.Store: it stores the CLOB and generates
-// the side-table rows.
-func (s *store) ApplyInsert(_ context.Context, name string, data []byte, parsed *xmldom.Node) error {
+// the side-table rows. Any well-formed document can be a CLOB; one with
+// an unknown root gets no side-table rows.
+func (s *store) ApplyInsert(_ context.Context, name string, data []byte, rec *xmldom.Record) error {
 	rid, err := s.clobs.Insert(data)
 	if err != nil {
 		return err
 	}
 	s.rids = append(s.rids, rid)
 	s.names[name] = rid
-	_, err = shredder.InsertSideRows(s.db, s.class, strconv.FormatUint(uint64(rid), 10), parsed)
+	_, err = shredder.InsertSideRows(s.db, s.class, strconv.FormatUint(uint64(rid), 10), rec)
 	return err
 }
 

@@ -46,59 +46,60 @@ func SideColumn(class core.Class, target string) (table, col string, ok bool) {
 	return table, "id", ok
 }
 
-// InsertSideRows inserts the side-table rows of the parsed document doc,
-// stored as the CLOB ref, and returns how many it inserted. A document
-// whose root the DAD does not name gets none.
-func InsertSideRows(db *relational.DB, class core.Class, ref string, doc *xmldom.Node) (int, error) {
+// InsertSideRows inserts the side-table rows of the document parsed into
+// rec, stored as the CLOB ref, and returns how many it inserted. A
+// document whose root the DAD does not name gets none.
+func InsertSideRows(db *relational.DB, class core.Class, ref string, rec *xmldom.Record) (int, error) {
 	rows := 0
 	ins := func(table string, row ...string) error {
 		rows++
 		return db.Table(table).Insert(row)
 	}
-	root := doc.Root()
-	id, _ := root.Attr("id")
-	switch {
-	case class == core.DCMD && root.Name == "order":
+	root := rec.Element()
+	idb, _ := root.Attr("id")
+	id := string(idb)
+	switch name := string(root.Name()); {
+	case class == core.DCMD && name == "order":
 		if err := ins("order_side", ref, id, text(root, "order_date"), text(root, "ship_type"),
-			text(root, "order_status"), text(root.FirstChild("cc_xacts"), "ship_country")); err != nil {
+			text(root, "order_status"), text(root.Child("cc_xacts"), "ship_country")); err != nil {
 			return rows, err
 		}
-		for i, ol := range root.FirstChild("order_lines").ChildElements("order_line") {
-			if err := ins("line_side", ref, strconv.Itoa(i+1), text(ol, "item_id"), text(ol, "comment")); err != nil {
+		for i, ol := 1, root.Child("order_lines").Child("order_line"); !ol.IsZero(); i, ol = i+1, ol.Sibling("order_line") {
+			if err := ins("line_side", ref, strconv.Itoa(i), text(ol, "item_id"), text(ol, "comment")); err != nil {
 				return rows, err
 			}
 		}
-	case class == core.DCMD && root.Name == "customers":
-		for i, c := range root.ChildElements("customer") {
+	case class == core.DCMD && name == "customers":
+		for i, c := 1, root.Child("customer"); !c.IsZero(); i, c = i+1, c.Sibling("customer") {
 			cid, _ := c.Attr("id")
-			if err := ins("customer_side", ref, strconv.Itoa(i+1), cid, text(c, "c_fname"),
+			if err := ins("customer_side", ref, strconv.Itoa(i), string(cid), text(c, "c_fname"),
 				text(c, "c_lname"), text(c, "c_phone")); err != nil {
 				return rows, err
 			}
 		}
-	case class == core.TCMD && root.Name == "article":
-		prolog := root.FirstChild("prolog")
+	case class == core.TCMD && name == "article":
+		prolog := root.Child("prolog")
 		if err := ins("article_side", ref, id, text(prolog, "title"), text(prolog, "genre"),
-			text(prolog.FirstChild("dateline"), "date")); err != nil {
+			text(prolog.Child("dateline"), "date")); err != nil {
 			return rows, err
 		}
 		// Sections are numbered in document order, nested ones included;
 		// top marks the body's own.
 		seq := 0
-		var walk func(sec *xmldom.Node, top string) error
-		walk = func(sec *xmldom.Node, top string) error {
+		var walk func(sec xmldom.Ref, top string) error
+		walk = func(sec xmldom.Ref, top string) error {
 			seq++
 			if err := ins("sec_side", ref, strconv.Itoa(seq), text(sec, "heading"), top); err != nil {
 				return err
 			}
-			for _, sub := range sec.ChildElements("sec") {
+			for sub := sec.Child("sec"); !sub.IsZero(); sub = sub.Sibling("sec") {
 				if err := walk(sub, "0"); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		for _, sec := range root.FirstChild("body").ChildElements("sec") {
+		for sec := root.Child("body").Child("sec"); !sec.IsZero(); sec = sec.Sibling("sec") {
 			if err := walk(sec, "1"); err != nil {
 				return rows, err
 			}

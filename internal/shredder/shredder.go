@@ -27,6 +27,7 @@
 package shredder
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -134,45 +135,61 @@ func Columns(table string) []string {
 }
 
 // text returns the string value of the named child, or NULL when absent.
-func text(n *xmldom.Node, name string) string {
-	c := n.FirstChild(name)
-	if c == nil {
+func text(n xmldom.Ref, name string) string {
+	c := n.Child(name)
+	if c.IsZero() {
 		return relational.Null
 	}
-	return c.Text()
+	return string(c.Text())
 }
 
 // attr returns an attribute value or NULL.
-func attr(n *xmldom.Node, name string) string {
+func attr(n xmldom.Ref, name string) string {
 	if v, ok := n.Attr(name); ok {
-		return v
+		return string(v)
 	}
 	return relational.Null
 }
 
 // mixedText returns the flattened text of a mixed-content element,
 // honoring DropMixed, and reports whether content was dropped.
-func (s *Store) mixedText(n *xmldom.Node) (string, bool) {
-	if n == nil {
+func (s *Store) mixedText(n xmldom.Ref) (string, bool) {
+	if n.IsZero() {
 		return relational.Null, false
 	}
-	if n.HasMixedContent() && s.Opts.DropMixed {
+	if mixed(n) && s.Opts.DropMixed {
 		// The element's text cannot be mapped (paper §3.1.3 item 3); its
 		// presence survives as an empty value, its content is lost.
 		s.SkippedMixed++
 		return "", true
 	}
-	return n.Text(), false
+	return string(n.Text()), false
 }
 
-// ShredDocument decomposes one parsed document into rows. It only
-// inserts: the caller commits — a load syncs the store after every
+// mixed is Node.HasMixedContent: whether n directly contains both
+// non-whitespace text and element children — the content model
+// relational mappings cannot represent (paper §3.1.3 item 3).
+func mixed(n xmldom.Ref) bool {
+	hasText, hasElem := false, false
+	for c, ok := n.FirstChild(); ok; c, ok = c.NextSibling() {
+		switch c.Kind() {
+		case xmldom.TextKind:
+			hasText = hasText || len(bytes.TrimSpace(c.Data())) > 0
+		case xmldom.ElementKind:
+			hasElem = true
+		}
+	}
+	return hasText && hasElem
+}
+
+// ShredDocument decomposes one document, parsed into rec, into rows. It
+// only inserts: the caller commits — a load syncs the store after every
 // document, an update's commit is the engine's. It returns the number of
 // rows produced, enforcing Options.RowLimitPerDoc.
-func (s *Store) ShredDocument(name string, doc *xmldom.Node) (int, error) {
+func (s *Store) ShredDocument(name string, rec *xmldom.Record) (int, error) {
 	before := s.Rows
-	root := doc.Root()
-	if root == nil {
+	root := rec.Element()
+	if root.IsZero() {
 		return 0, fmt.Errorf("shredder: %s has no root element", name)
 	}
 	var err error
@@ -262,18 +279,15 @@ func TargetColumn(class core.Class, target string) (table, col string, ok bool) 
 // a clean relational cascade keyed by that id. Other roots (the shared
 // customers/items/... documents of DC/MD) return ok=false: they shred
 // into rows for many entities and have no single delete key.
-func UnitDocID(class core.Class, doc *xmldom.Node) (string, bool) {
-	root := doc.Root()
-	if root == nil {
+func UnitDocID(class core.Class, rec *xmldom.Record) (string, bool) {
+	root := rec.Element()
+	if root.IsZero() {
 		return "", false
 	}
-	switch {
-	case class == core.DCMD && root.Name == "order":
+	switch name := string(root.Name()); {
+	case class == core.DCMD && name == "order", class == core.TCMD && name == "article":
 		id, ok := root.Attr("id")
-		return id, ok && id != ""
-	case class == core.TCMD && root.Name == "article":
-		id, ok := root.Attr("id")
-		return id, ok && id != ""
+		return string(id), ok && len(id) > 0
 	}
 	return "", false
 }
@@ -316,11 +330,11 @@ func (s *Store) DeleteDocumentRows(ctx context.Context, id string) (int, error) 
 	return deleted, nil
 }
 
-func (s *Store) shredCatalog(root *xmldom.Node) error {
-	for _, item := range root.ChildElements("item") {
+func (s *Store) shredCatalog(root xmldom.Ref) error {
+	for item := root.Child("item"); !item.IsZero(); item = item.Sibling("item") {
 		id := attr(item, "id")
-		attrs := item.FirstChild("attributes")
-		dims := attrs.FirstChild("dimensions")
+		attrs := item.Child("attributes")
+		dims := attrs.Child("dimensions")
 		if err := s.insert("item_tab", relational.Row{
 			id, text(item, "title"), text(item, "date_of_release"),
 			text(item, "subject"), text(item, "description"),
@@ -331,20 +345,20 @@ func (s *Store) shredCatalog(root *xmldom.Node) error {
 		}); err != nil {
 			return err
 		}
-		for _, a := range item.FirstChild("authors").ChildElements("author") {
-			name := a.FirstChild("name")
-			ci := a.FirstChild("contact_information")
-			var addr *xmldom.Node
+		for a := item.Child("authors").Child("author"); !a.IsZero(); a = a.Sibling("author") {
+			name := a.Child("name")
+			ci := a.Child("contact_information")
+			var addr xmldom.Ref
 			phone, email := relational.Null, relational.Null
-			if ci != nil {
-				addr = ci.FirstChild("mailing_address")
+			if !ci.IsZero() {
+				addr = ci.Child("mailing_address")
 				phone = text(ci, "phone_number")
 				email = text(ci, "email_address")
 			}
 			country := relational.Null
-			if addr != nil {
-				if co := addr.FirstChild("name_of_country"); co != nil {
-					country = co.Text()
+			if !addr.IsZero() {
+				if co := addr.Child("name_of_country"); !co.IsZero() {
+					country = string(co.Text())
 				}
 			}
 			if err := s.insert("item_author_tab", relational.Row{
@@ -358,7 +372,7 @@ func (s *Store) shredCatalog(root *xmldom.Node) error {
 				return err
 			}
 		}
-		if pub := item.FirstChild("publisher"); pub != nil {
+		if pub := item.Child("publisher"); !pub.IsZero() {
 			if err := s.insert("item_publisher_tab", relational.Row{
 				id, text(pub, "name"), text(pub, "FAX_number"),
 				text(pub, "phone_number"), text(pub, "email_address"),
@@ -370,10 +384,10 @@ func (s *Store) shredCatalog(root *xmldom.Node) error {
 	return nil
 }
 
-func (s *Store) shredDCMD(name string, root *xmldom.Node) error {
-	switch root.Name {
+func (s *Store) shredDCMD(name string, root xmldom.Ref) error {
+	switch string(root.Name()) {
 	case "order":
-		cc := root.FirstChild("cc_xacts")
+		cc := root.Child("cc_xacts")
 		if err := s.insert("order_tab", relational.Row{
 			attr(root, "id"), text(root, "customer_id"), text(root, "order_date"),
 			text(root, "sub_total"), text(root, "tax"), text(root, "total"),
@@ -386,16 +400,16 @@ func (s *Store) shredDCMD(name string, root *xmldom.Node) error {
 			return err
 		}
 		oid, _ := root.Attr("id")
-		for _, ol := range root.FirstChild("order_lines").ChildElements("order_line") {
+		for ol := root.Child("order_lines").Child("order_line"); !ol.IsZero(); ol = ol.Sibling("order_line") {
 			if err := s.insert("order_line_tab", relational.Row{
-				oid, text(ol, "item_id"), text(ol, "qty"),
+				string(oid), text(ol, "item_id"), text(ol, "qty"),
 				text(ol, "discount"), text(ol, "comment"),
 			}); err != nil {
 				return err
 			}
 		}
 	case "customers":
-		for _, c := range root.ChildElements("customer") {
+		for c := root.Child("customer"); !c.IsZero(); c = c.Sibling("customer") {
 			if err := s.insert("customer_tab", relational.Row{
 				attr(c, "id"), text(c, "c_uname"), text(c, "c_fname"),
 				text(c, "c_lname"), text(c, "c_phone"), text(c, "c_email"),
@@ -405,7 +419,7 @@ func (s *Store) shredDCMD(name string, root *xmldom.Node) error {
 			}
 		}
 	case "items":
-		for _, it := range root.ChildElements("flat_item") {
+		for it := root.Child("flat_item"); !it.IsZero(); it = it.Sibling("flat_item") {
 			if err := s.insert("flat_item_tab", relational.Row{
 				attr(it, "id"), text(it, "i_title"), text(it, "i_a_id"),
 				text(it, "i_pub_date"), text(it, "i_publisher"),
@@ -416,7 +430,7 @@ func (s *Store) shredDCMD(name string, root *xmldom.Node) error {
 			}
 		}
 	case "authors":
-		for _, a := range root.ChildElements("flat_author") {
+		for a := root.Child("flat_author"); !a.IsZero(); a = a.Sibling("flat_author") {
 			if err := s.insert("flat_author_tab", relational.Row{
 				attr(a, "id"), text(a, "a_fname"), text(a, "a_lname"),
 				text(a, "a_mname"), text(a, "a_dob"), text(a, "a_bio"),
@@ -425,7 +439,7 @@ func (s *Store) shredDCMD(name string, root *xmldom.Node) error {
 			}
 		}
 	case "addresses":
-		for _, a := range root.ChildElements("address") {
+		for a := root.Child("address"); !a.IsZero(); a = a.Sibling("address") {
 			if err := s.insert("address_tab", relational.Row{
 				attr(a, "id"), text(a, "addr_street1"), text(a, "addr_street2"),
 				text(a, "addr_city"), text(a, "addr_state"), text(a, "addr_zip"),
@@ -435,7 +449,7 @@ func (s *Store) shredDCMD(name string, root *xmldom.Node) error {
 			}
 		}
 	case "countries":
-		for _, c := range root.ChildElements("country") {
+		for c := root.Child("country"); !c.IsZero(); c = c.Sibling("country") {
 			if err := s.insert("country_tab", relational.Row{
 				attr(c, "id"), text(c, "co_name"), text(c, "co_exchange"),
 				text(c, "co_currency"),
@@ -444,46 +458,46 @@ func (s *Store) shredDCMD(name string, root *xmldom.Node) error {
 			}
 		}
 	default:
-		return fmt.Errorf("shredder: unexpected DC/MD root <%s> in %s", root.Name, name)
+		return fmt.Errorf("shredder: unexpected DC/MD root <%s> in %s", root.Name(), name)
 	}
 	return nil
 }
 
-func (s *Store) shredDictionary(root *xmldom.Node) error {
-	for _, e := range root.ChildElements("entry") {
+func (s *Store) shredDictionary(root xmldom.Ref) error {
+	for e := root.Child("entry"); !e.IsZero(); e = e.Sibling("entry") {
 		id := attr(e, "id")
-		etym, _ := s.mixedText(e.FirstChild("etym"))
+		etym, _ := s.mixedText(e.Child("etym"))
 		if err := s.insert("entry_tab", relational.Row{
 			id, text(e, "hw"), text(e, "pr"), text(e, "pos"), etym,
 		}); err != nil {
 			return err
 		}
-		if et := e.FirstChild("etym"); et != nil {
-			for _, cr := range et.ChildElements("cr") {
+		if et := e.Child("etym"); !et.IsZero() {
+			for cr := et.Child("cr"); !cr.IsZero(); cr = cr.Sibling("cr") {
 				if err := s.insert("cr_tab", relational.Row{
-					id, attr(cr, "target"), cr.Text(),
+					id, attr(cr, "target"), string(cr.Text()),
 				}); err != nil {
 					return err
 				}
 			}
 		}
-		for si, sense := range e.ChildElements("sense") {
-			senseNo := fmt.Sprint(si + 1)
+		for si, sense := 1, e.Child("sense"); !sense.IsZero(); si, sense = si+1, sense.Sibling("sense") {
+			senseNo := fmt.Sprint(si)
 			if err := s.insert("sense_tab", relational.Row{
 				id, senseNo, text(sense, "def"),
 			}); err != nil {
 				return err
 			}
-			for _, cr := range sense.ChildElements("cr") {
+			for cr := sense.Child("cr"); !cr.IsZero(); cr = cr.Sibling("cr") {
 				if err := s.insert("cr_tab", relational.Row{
-					id, attr(cr, "target"), cr.Text(),
+					id, attr(cr, "target"), string(cr.Text()),
 				}); err != nil {
 					return err
 				}
 			}
-			for _, qp := range sense.ChildElements("qp") {
-				for _, q := range qp.ChildElements("q") {
-					qt, _ := s.mixedText(q.FirstChild("qt"))
+			for qp := sense.Child("qp"); !qp.IsZero(); qp = qp.Sibling("qp") {
+				for q := qp.Child("q"); !q.IsZero(); q = q.Sibling("q") {
+					qt, _ := s.mixedText(q.Child("qt"))
 					if err := s.insert("quote_tab", relational.Row{
 						id, senseNo, text(q, "qd"), text(q, "a"),
 						text(q, "loc"), qt,
@@ -497,16 +511,16 @@ func (s *Store) shredDictionary(root *xmldom.Node) error {
 	return nil
 }
 
-func (s *Store) shredArticle(name string, root *xmldom.Node) error {
+func (s *Store) shredArticle(name string, root xmldom.Ref) error {
 	id := attr(root, "id")
-	prolog := root.FirstChild("prolog")
+	prolog := root.Child("prolog")
 	date, country := relational.Null, relational.Null
-	if dl := prolog.FirstChild("dateline"); dl != nil {
+	if dl := prolog.Child("dateline"); !dl.IsZero() {
 		date = text(dl, "date")
 		country = text(dl, "country")
 	}
 	hasAbstract := relational.Null
-	if prolog.FirstChild("abstract") != nil {
+	if !prolog.Child("abstract").IsZero() {
 		hasAbstract = "1"
 	}
 	if err := s.insert("article_tab", relational.Row{
@@ -515,14 +529,14 @@ func (s *Store) shredArticle(name string, root *xmldom.Node) error {
 	}); err != nil {
 		return err
 	}
-	if ab := prolog.FirstChild("abstract"); ab != nil {
-		for _, para := range ab.ChildElements("p") {
-			if err := s.insert("abs_para_tab", relational.Row{id, para.Text()}); err != nil {
+	if ab := prolog.Child("abstract"); !ab.IsZero() {
+		for para := ab.Child("p"); !para.IsZero(); para = para.Sibling("p") {
+			if err := s.insert("abs_para_tab", relational.Row{id, string(para.Text())}); err != nil {
 				return err
 			}
 		}
 	}
-	for _, a := range prolog.FirstChild("authors").ChildElements("author") {
+	for a := prolog.Child("authors").Child("author"); !a.IsZero(); a = a.Sibling("author") {
 		if err := s.insert("art_author_tab", relational.Row{
 			id, text(a, "name"), text(a, "affiliation"),
 			text(a, "contact"), text(a, "bio"),
@@ -530,41 +544,41 @@ func (s *Store) shredArticle(name string, root *xmldom.Node) error {
 			return err
 		}
 	}
-	if kws := prolog.FirstChild("keywords"); kws != nil {
-		for _, kw := range kws.ChildElements("kw") {
-			if err := s.insert("kw_tab", relational.Row{id, kw.Text()}); err != nil {
+	if kws := prolog.Child("keywords"); !kws.IsZero() {
+		for kw := kws.Child("kw"); !kw.IsZero(); kw = kw.Sibling("kw") {
+			if err := s.insert("kw_tab", relational.Row{id, string(kw.Text())}); err != nil {
 				return err
 			}
 		}
 	}
-	var shredSec func(sec *xmldom.Node, parent string) error
-	shredSec = func(sec *xmldom.Node, parent string) error {
+	var shredSec func(sec xmldom.Ref, parent string) error
+	shredSec = func(sec xmldom.Ref, parent string) error {
 		sid := attr(sec, "id")
 		if err := s.insert("sec_tab", relational.Row{
 			sid, id, parent, text(sec, "heading"),
 		}); err != nil {
 			return err
 		}
-		for _, p := range sec.ChildElements("p") {
-			if err := s.insert("para_tab", relational.Row{sid, id, p.Text()}); err != nil {
+		for p := sec.Child("p"); !p.IsZero(); p = p.Sibling("p") {
+			if err := s.insert("para_tab", relational.Row{sid, id, string(p.Text())}); err != nil {
 				return err
 			}
 		}
-		for _, sub := range sec.ChildElements("sec") {
+		for sub := sec.Child("sec"); !sub.IsZero(); sub = sub.Sibling("sec") {
 			if err := shredSec(sub, sid); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	for _, sec := range root.FirstChild("body").ChildElements("sec") {
+	for sec := root.Child("body").Child("sec"); !sec.IsZero(); sec = sec.Sibling("sec") {
 		if err := shredSec(sec, relational.Null); err != nil {
 			return err
 		}
 	}
-	if ep := root.FirstChild("epilog"); ep != nil {
-		if refs := ep.FirstChild("references"); refs != nil {
-			for _, r := range refs.ChildElements("a_id") {
+	if ep := root.Child("epilog"); !ep.IsZero() {
+		if refs := ep.Child("references"); !refs.IsZero() {
+			for r := refs.Child("a_id"); !r.IsZero(); r = r.Sibling("a_id") {
 				if err := s.insert("ref_tab", relational.Row{id, attr(r, "target")}); err != nil {
 					return err
 				}

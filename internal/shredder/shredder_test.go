@@ -31,7 +31,7 @@ const orderDoc = `<order id="O1">
 
 func TestShredOrder(t *testing.T) {
 	s := newStore(core.DCMD, Options{})
-	rows, err := s.ShredDocument("order1.xml", xmldom.MustParse(orderDoc))
+	rows, err := s.ShredDocument("order1.xml", mustRecord(orderDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestShredDictionaryMixedContent(t *testing.T) {
 		<sense><def>second letter</def></sense></entry></dictionary>`
 
 	keep := newStore(core.TCSD, Options{})
-	if _, err := keep.ShredDocument("dictionary.xml", xmldom.MustParse(dict)); err != nil {
+	if _, err := keep.ShredDocument("dictionary.xml", mustRecord(dict)); err != nil {
 		t.Fatal(err)
 	}
 	qt := keep.DB.Table("quote_tab").Live()
@@ -86,7 +86,7 @@ func TestShredDictionaryMixedContent(t *testing.T) {
 	}
 
 	drop := newStore(core.TCSD, Options{DropMixed: true})
-	if _, err := drop.ShredDocument("dictionary.xml", xmldom.MustParse(dict)); err != nil {
+	if _, err := drop.ShredDocument("dictionary.xml", mustRecord(dict)); err != nil {
 		t.Fatal(err)
 	}
 	if drop.SkippedMixed == 0 {
@@ -118,7 +118,7 @@ func TestShredArticleRecursion(t *testing.T) {
 		<sec id="s2"><heading>More</heading><p>p2</p></sec></body>
 		<epilog><references><a_id target="a9">article 9</a_id></references></epilog></article>`
 	s := newStore(core.TCMD, Options{})
-	if _, err := s.ShredDocument("article1.xml", xmldom.MustParse(art)); err != nil {
+	if _, err := s.ShredDocument("article1.xml", mustRecord(art)); err != nil {
 		t.Fatal(err)
 	}
 	st := s.DB.Table("sec_tab").Live()
@@ -153,7 +153,7 @@ func TestShredArticleRecursion(t *testing.T) {
 
 func TestRowLimit(t *testing.T) {
 	s := newStore(core.DCMD, Options{RowLimitPerDoc: 2})
-	_, err := s.ShredDocument("order1.xml", xmldom.MustParse(orderDoc))
+	_, err := s.ShredDocument("order1.xml", mustRecord(orderDoc))
 	if !errors.Is(err, core.ErrUnsupported) {
 		t.Fatalf("row limit did not trip: %v", err)
 	}
@@ -161,7 +161,17 @@ func TestRowLimit(t *testing.T) {
 
 func TestUnknownRootRejected(t *testing.T) {
 	s := newStore(core.DCMD, Options{})
-	if _, err := s.ShredDocument("x.xml", xmldom.MustParse(`<bogus/>`)); err == nil {
+	if _, err := s.ShredDocument("x.xml", mustRecord(`<bogus/>`)); err == nil {
 		t.Fatal("unknown root accepted")
 	}
+}
+
+// mustRecord parses src into a fresh record, as a load hands documents to
+// the shredder.
+func mustRecord(src string) *xmldom.Record {
+	rec := new(xmldom.Record)
+	if err := xmldom.ParseRecord(rec, []byte(src)); err != nil {
+		panic(err)
+	}
+	return rec
 }

@@ -43,7 +43,7 @@ func TestBinaryPreservesDocumentOrder(t *testing.T) {
 		}
 	}
 	// Parent pointers must be restored too.
-	f := dec.Root().Descendants("f")[0]
+	f := dec.Root().FirstChild("e").FirstChild("f")
 	if f.Parent == nil || f.Parent.Name != "e" {
 		t.Fatal("parent pointers not restored")
 	}

@@ -217,8 +217,17 @@ func RecordOf(n *Node) (*Record, error) {
 // Len returns the number of nodes in the record.
 func (r *Record) Len() int { return len(r.nodes) }
 
+// Bytes returns the binary DOM the record navigates: for one ParseRecord
+// wrote, EncodeBinary of the tree Parse builds. It is the record's own
+// buffer, valid until the record is parsed into again.
+func (r *Record) Bytes() []byte { return r.data }
+
 // Root returns the record's root node (ord 0).
 func (r *Record) Root() Ref { return Ref{r, 0} }
+
+// Element returns the root's first child element: the document element
+// of a record ParseRecord wrote, or the zero Ref when it has none.
+func (r *Record) Element() Ref { return r.Root().Child("") }
 
 // At returns the node at position ord of document order,
 // 0 <= ord < Len().
@@ -338,6 +347,39 @@ func (x Ref) NextSibling() (s Ref, ok bool) {
 	}
 	return Ref{}, false
 }
+
+// Child returns x's first child element named name (any element for an
+// empty name), or the zero Ref when it has none. The zero Ref has no
+// children, so a path through an absent element ends in the zero Ref, as
+// Node.FirstChild's ends in nil.
+func (x Ref) Child(name string) Ref {
+	if x.IsZero() {
+		return Ref{}
+	}
+	c, ok := x.FirstChild()
+	return c.named(name, ok)
+}
+
+// Sibling returns the next sibling element of x named name, or the zero
+// Ref: with Child, a walk over the children Node.ChildElements returns.
+func (x Ref) Sibling(name string) Ref {
+	s, ok := x.NextSibling()
+	return s.named(name, ok)
+}
+
+// named returns the first element named name from x on among its
+// siblings; ok says whether x is a node at all.
+func (x Ref) named(name string, ok bool) Ref {
+	for ; ok; x, ok = x.NextSibling() {
+		if x.Kind() == ElementKind && (name == "" || string(x.Name()) == name) {
+			return x
+		}
+	}
+	return Ref{}
+}
+
+// IsZero reports whether x is the zero Ref, which is no node.
+func (x Ref) IsZero() bool { return x.rec == nil }
 
 // AttrIter walks an element's attributes in stored order.
 type AttrIter struct {

@@ -9,10 +9,7 @@
 // during loading).
 package xmldom
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Kind discriminates DOM node types.
 type Kind uint8
@@ -205,21 +202,6 @@ func (n *Node) Walk(fn func(*Node) bool) {
 	}
 }
 
-// Descendants returns all descendant elements (excluding n) with the given
-// name, in document order. An empty name matches every element.
-func (n *Node) Descendants(name string) []*Node {
-	var out []*Node
-	for _, c := range n.Children {
-		c.Walk(func(d *Node) bool {
-			if d.Kind == ElementKind && (name == "" || d.Name == name) {
-				out = append(out, d)
-			}
-			return true
-		})
-	}
-	return out
-}
-
 // Renumber assigns document order to the whole tree rooted at n, starting
 // from 0 at n. Parsing renumbers automatically; call this after building a
 // tree by hand if ordered access matters.
@@ -230,29 +212,4 @@ func (n *Node) Renumber() {
 		ord++
 		return true
 	})
-}
-
-// CountNodes returns the number of nodes in the subtree (including n).
-func (n *Node) CountNodes() int {
-	c := 0
-	n.Walk(func(*Node) bool { c++; return true })
-	return c
-}
-
-// SortByOrd sorts nodes in place by document order.
-func SortByOrd(nodes []*Node) {
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Ord < nodes[j].Ord })
-}
-
-// Clone deep-copies the subtree rooted at n. The copy's Parent is nil and
-// Ord values are preserved.
-func (n *Node) Clone() *Node {
-	c := &Node{Kind: n.Kind, Name: n.Name, Data: n.Data, Ord: n.Ord}
-	if len(n.Attrs) > 0 {
-		c.Attrs = append([]Attr(nil), n.Attrs...)
-	}
-	for _, ch := range n.Children {
-		c.Append(ch.Clone())
-	}
-	return c
 }

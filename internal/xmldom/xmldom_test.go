@@ -198,37 +198,6 @@ func TestNodeHelpers(t *testing.T) {
 	if root.Text() != "123" {
 		t.Fatalf("Text = %q", root.Text())
 	}
-	if n := root.CountNodes(); n != 7 { // a,b,1,c,2,b,3
-		t.Fatalf("CountNodes = %d", n)
-	}
-}
-
-func TestDescendants(t *testing.T) {
-	doc := MustParse(`<a><s><s><p>x</p></s><p>y</p></s></a>`)
-	ps := doc.Root().Descendants("p")
-	if len(ps) != 2 || ps[0].Text() != "x" || ps[1].Text() != "y" {
-		t.Fatalf("Descendants(p) wrong: %d", len(ps))
-	}
-	all := doc.Root().Descendants("")
-	if len(all) != 4 { // s, s, p, p
-		t.Fatalf("Descendants(\"\") = %d", len(all))
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	doc := MustParse(`<a x="1"><b>t</b></a>`)
-	c := doc.Root().Clone()
-	c.FirstChild("b").Children[0].Data = "changed"
-	c.SetAttr("x", "2")
-	if doc.Root().FirstChild("b").Text() != "t" {
-		t.Fatal("clone shares text nodes")
-	}
-	if v, _ := doc.Root().Attr("x"); v != "1" {
-		t.Fatal("clone shares attrs")
-	}
-	if c.Parent != nil {
-		t.Fatal("clone kept parent")
-	}
 }
 
 func TestEncoder(t *testing.T) {
@@ -297,16 +266,6 @@ func TestEncoderEscapes(t *testing.T) {
 	}
 	if v, _ := doc.Root().Attr("t"); v != `q"<&` {
 		t.Fatalf("attr = %q", v)
-	}
-}
-
-func TestSortByOrd(t *testing.T) {
-	doc := MustParse(`<a><b/><c/><d/></a>`)
-	els := doc.Root().Children
-	shuffled := []*Node{els[2], els[0], els[1]}
-	SortByOrd(shuffled)
-	if shuffled[0].Name != "b" || shuffled[2].Name != "d" {
-		t.Fatalf("SortByOrd wrong: %s %s %s", shuffled[0].Name, shuffled[1].Name, shuffled[2].Name)
 	}
 }
 

@@ -1,6 +1,7 @@
 package xquery
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"strings"
@@ -161,6 +162,7 @@ type Word struct {
 	k      int  // the position of the word's rarest byte
 	lo, up byte // that byte in lower and upper case
 	ascii  bool // the word is ASCII and not empty
+	inText bool // ascii, and text can hold each byte unescaped (MatchXML)
 	// The search for lo or up eight bytes at a time: a word of the text
 	// OR fold, XOR pat, has a zero byte exactly where it holds lo or up.
 	// For a letter fold sets the case bit, which maps up onto lo and no
@@ -168,7 +170,7 @@ type Word struct {
 	fold, pat uint64
 }
 
-// CompileWord prepares word for Match and MatchString.
+// CompileWord prepares word for Match, MatchString and MatchXML.
 func CompileWord(word string) Word {
 	w := Word{word: word, ascii: word != ""}
 	for i := 0; i < len(word); i++ {
@@ -176,6 +178,7 @@ func CompileWord(word string) Word {
 			w.ascii = false
 		}
 	}
+	w.inText = w.ascii && !strings.ContainsAny(word, `&<>'"`)
 	if w.ascii {
 		w.k = rarest(word)
 		w.lo, w.up = lowerASCII(word[w.k]), upperASCII(word[w.k])
@@ -192,6 +195,133 @@ func (w Word) Match(text []byte) bool { return matchWord(w, text) }
 
 // MatchString is Match on a string.
 func (w Word) MatchString(text string) bool { return matchWord(w, text) }
+
+// MatchXML reports whether the string value of some element of the XML
+// document data can contain the word: it is false only when no decoding
+// of data's markup and references forms the word, so a search that skips
+// the documents it is false for skips no match. That is Match on the raw
+// bytes, unless data could spell the word another way: with a character
+// reference, in a CDATA section, or across markup inside it. A word that
+// is not ASCII or that holds a byte only a reference can spell in text,
+// and a document that is not ASCII, whose bytes may lower-case to
+// letters, are not filtered.
+func (w Word) MatchXML(data []byte) bool {
+	if !w.inText {
+		return w.word != ""
+	}
+	// One pass, eight bytes at a time as matchWord's: a '&' or a '[' is
+	// tried as a character reference or a CDATA section, each of the
+	// word's rarest byte as a raw match or as a spelling across markup.
+	// Such a spelling has the word's bytes or markup around that byte;
+	// past that it is read only where every '<' but a leading XML
+	// declaration's opens a tag — no comment, no other PI.
+	tagsOnly := 0 // 1 or -1 once looked at
+	at := func(p int) bool {
+		c := data[p]
+		if c == '&' && bytes.HasPrefix(data[p:], []byte("&#")) || c == '[' && bytes.HasPrefix(data[p:], []byte("[CDATA[")) {
+			return true
+		}
+		if c != w.lo && c != w.up || !w.near(data, p-1, w.k-1) || !w.near(data, p+1, w.k+1) {
+			return false
+		}
+		if wordAt(data, w.word, p-w.k) {
+			return true
+		}
+		if tagsOnly == 0 {
+			tagsOnly = -1
+			if !bytes.Contains(data, []byte("<!--")) && bytes.LastIndex(data, []byte("<?")) <= 0 {
+				tagsOnly = 1
+			}
+		}
+		return tagsOnly < 0 || w.spelledAt(data, p)
+	}
+	i := 0
+	for ; i+8 <= len(data); i += 8 {
+		v := load64(data, i)
+		if v&highBits != 0 {
+			return true
+		}
+		hits := ^((v | w.fold) ^ w.pat + 0x7f*lowBits) | ^(v ^ '&'*lowBits + 0x7f*lowBits) | ^(v ^ '['*lowBits + 0x7f*lowBits)
+		for hits &= highBits; hits != 0; hits &= hits - 1 {
+			if at(i + bits.TrailingZeros64(hits)/8) {
+				return true
+			}
+		}
+	}
+	for ; i < len(data); i++ {
+		if c := data[i]; c >= utf8.RuneSelf || (c == w.lo || c == w.up || c == '&' || c == '[') && at(i) {
+			return true
+		}
+	}
+	return false
+}
+
+// near reports whether data[i] can stand beside a spelling of the word as
+// its byte m: it is that byte, markup, or no byte of the word is wanted.
+func (w Word) near(data []byte, i, m int) bool {
+	return m < 0 || m == len(w.word) || i < 0 || i == len(data) ||
+		data[i] == '<' || data[i] == '>' || lowerASCII(data[i]) == lowerASCII(w.word[m])
+}
+
+// spelledAt reports whether data[p], the word's rarest byte in a document
+// whose every '<' opens a tag, is that byte of the word spelled in text
+// across tags, as a whole word. The text before p runs back to the end of
+// the tag the last '<' before it opens.
+func (w Word) spelledAt(data []byte, p int) bool {
+	open := bytes.LastIndexByte(data[:p], '<')
+	start := skipTags(data, max(open, 0))
+	if start > p {
+		return false // p is in a tag
+	}
+	i := p
+	for m := w.k - 1; m >= 0; m-- {
+		for i == start { // the text is used up: step back over the tag before it
+			if open < 0 {
+				return false
+			}
+			i, open = open, bytes.LastIndexByte(data[:open], '<')
+			start = min(skipTags(data, max(open, 0)), i) // the run of tags may reach i
+		}
+		if i--; lowerASCII(data[i]) != lowerASCII(w.word[m]) {
+			return false
+		}
+	}
+	if i > start && isWordChar(data[i-1]) {
+		return false
+	}
+	j := p + 1
+	for m := w.k + 1; m < len(w.word); m, j = m+1, j+1 {
+		if j = skipTags(data, j); j == len(data) || lowerASCII(data[j]) != lowerASCII(w.word[m]) {
+			return false
+		}
+	}
+	return j == len(data) || data[j] == '<' || !isWordChar(data[j])
+}
+
+// skipTags returns the end of the run of tags from data[i] on, each ending
+// at the first '>' outside its quoted values; where data[i] is no '<' the
+// run is empty.
+func skipTags(data []byte, i int) int {
+	for i < len(data) && data[i] == '<' {
+		for i++; ; {
+			k := bytes.IndexByte(data[i:], '>')
+			if k < 0 {
+				return len(data)
+			}
+			q := bytes.IndexAny(data[i:i+k], `"'`)
+			if q < 0 {
+				i += k + 1
+				break
+			}
+			e := bytes.IndexByte(data[i+q+1:], data[i+q])
+			if e < 0 {
+				return len(data)
+			}
+			i += q + 1 + e + 1
+		}
+	}
+	return i
+}
 
 // matchWord folds ASCII in place with no copy of the text, eight bytes at
 // a time: a block of eight ASCII bytes that holds neither case of the

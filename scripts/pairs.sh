@@ -1,0 +1,87 @@
+#!/usr/bin/env bash
+# Alternated pairs of two commits on the benchmark (BENCHMARK.json):
+#
+#   bash scripts/pairs.sh A B [--pairs N] [--workloads W1,W2,...] [--seed S]
+#                             [--metric M] [--claim TEXT] [--pr LABEL] [--quick]
+#                             [--keep DIR]
+#
+# Each side's benchmarks/e2e is built from a `git archive` copy of its
+# commit under $TMPDIR and run from that copy, so each side runs with its
+# own BENCHMARK.json. For every workload the script runs N pairs, untraced,
+# A then B on odd pairs and B then A on even ones, so a drift of the host
+# lands on both sides alike. It then prints the benchmark's own verdict
+# (`e2e --compare A B`) and one results/trajectory.tsv row per workload:
+# B's median and quartiles of qps, read_p50_ms, setup_s and space_amp, the
+# claim column (TEXT, default "-"), and how many of the N pairs B won on
+# metric M (default qps; "won" is better in the direction BENCHMARK.json
+# gives M), with the ratio of B's median of M to A's. The rows go to
+# stdout after the verdicts; append them to the trajectory by hand.
+# --keep copies every run's results file to DIR as <a|b>.<workload>.json.
+# --quick runs the smoke scale, where no number means anything: CI runs
+# HEAD against HEAD with it so the script cannot rot. Needs git, go, jq.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+usage() { sed -n '2,21p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || usage
+a=$1 b=$2
+shift 2
+pairs=5 workloads="" seed=7 metric=qps claim=- pr=- keep="" quick=()
+while [ $# -gt 0 ]; do
+	case "$1" in
+	--pairs) pairs=$2; shift 2 ;;
+	--workloads) workloads=$2; shift 2 ;;
+	--seed) seed=$2; shift 2 ;;
+	--metric) metric=$2; shift 2 ;;
+	--claim) claim=$2; shift 2 ;;
+	--pr) pr=$2; shift 2 ;;
+	--keep) keep=$2; shift 2 ;;
+	--quick) quick=(--quick); shift ;;
+	*) usage ;;
+	esac
+done
+
+work=$(mktemp -d "${TMPDIR:-/tmp}/pairs.XXXXXX")
+trap 'rm -rf "$work"' EXIT
+for side in a b; do
+	commit=${!side}
+	mkdir -p "$work/$side"
+	git archive "$commit" | tar -x -C "$work/$side"
+	(cd "$work/$side" && go build -o e2e ./benchmarks/e2e)
+	git rev-parse --short "$commit" >"$work/$side.commit"
+done
+[ -n "$workloads" ] || workloads=$(cd "$work/b" && ./e2e --list | paste -sd, -)
+
+run() { # side workload
+	(cd "$work/$1" && ./e2e --workload "$2" --seed "$seed" --trace 0 "${quick[@]}" \
+		--out "$work/$1.$2.json" --commit "$(cat "$work/$1.commit")" >/dev/null)
+}
+
+better=$(jq -r --arg m "$metric" '.end_to_end[] | select(.name == $m) | .better' BENCHMARK.json)
+[ -n "$better" ] || { echo "pairs: $metric is not an end-to-end metric of BENCHMARK.json" >&2; exit 2; }
+host="$(nproc)-core $(uname -m), $(go env GOVERSION), $(cat "$work/a.commit") and $(cat "$work/b.commit") alternated"
+rows=()
+for w in ${workloads//,/ }; do
+	for i in $(seq 1 "$pairs"); do
+		if [ $((i % 2)) = 1 ]; then run a "$w"; run b "$w"; else run b "$w"; run a "$w"; fi
+		echo "pairs: $w $i/$pairs" >&2
+	done
+	{ (cd "$work/b" && ./e2e --compare "$work/a.$w.json" "$work/b.$w.json") || true; } |
+		awk -v w="$w" 'NR == 1 || $1 == w'
+	rows+=("$(jq -rs --arg pr "$pr" --arg w "$w" --arg seed "$seed" --arg m "$metric" \
+		--arg better "$better" --arg claim "$claim" --arg host "$host" '
+		def vals($f; $k): [$f.runs[].result.metrics[$k].value];
+		def q($xs; $p): ($xs | sort) as $s | ($p * (($s | length) - 1)) as $x |
+			($x | floor) as $i | $s[$i] + ($x - $i) * ($s[[$i + 1, ($s | length) - 1] | min] - $s[$i]);
+		def sig6: if . == 0 then 0 else pow(10; 5 - (fabs | log10 | floor)) as $p | (. * $p | round) / $p end;
+		.[0] as $A | .[1] as $B |
+		[vals($A; $m), vals($B; $m)] as [$am, $bm] |
+		[range(0; $am | length) | select(if $better == "higher" then $bm[.] > $am[.] else $bm[.] < $am[.] end)] as $won |
+		[$pr, $w, $seed, ($bm | length | tostring)] +
+		([ "qps", "read_p50_ms", "setup_s", "space_amp" ] | map(vals($B; .) as $v |
+			[q($v; 0.5), q($v; 0.25), q($v; 0.75)] | map(sig6 | tostring)) | add) +
+		[$claim, "\($won | length)/\($am | length) on \($m) (\(q($bm; 0.5) / q($am; 0.5) | sig6)x)", $host] | @tsv' \
+		"$work/a.$w.json" "$work/b.$w.json")")
+done
+if [ -n "$keep" ]; then mkdir -p "$keep" && cp "$work"/[ab].*.json "$keep"/; fi
+printf '%s\n' "${rows[@]}"

@@ -334,12 +334,8 @@ func NewBenchRunner(cfg GenConfig, sizes []Size, out io.Writer) *bench.Runner {
 func EvalXQuery(query string, docs []Doc, vars Params) ([]string, error) {
 	coll := xquery.NewCollection()
 	for _, d := range docs {
-		parsed, err := xmldom.Parse(d.Data)
-		if err != nil {
-			return nil, err
-		}
-		rec, err := xmldom.RecordOf(parsed)
-		if err != nil {
+		rec := new(xmldom.Record)
+		if err := xmldom.ParseRecord(rec, d.Data); err != nil {
 			return nil, err
 		}
 		coll.Add(d.Name, rec)
