@@ -25,14 +25,17 @@ race:
 # xquery.ContainsWord and of a CompileWord matcher, on a string and on
 # bytes, against its definition over lower-cased copies; Word.MatchXML,
 # which must be true for any document an element of which holds the word;
-# and xquery.Parse, which must answer any input with a query or a positioned
-# *xquery.Error, never a panic.
+# xquery.Parse, which must answer any input with a query or a positioned
+# *xquery.Error, never a panic; and the compiled evaluator, which must run
+# every query Parse accepts over a fixed collection (a record listing a
+# name twice among it) to a result or a positioned *xquery.Error.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCursor -fuzztime=20s ./internal/xmldom/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s ./internal/xmldom/
 	$(GO) test -run='^$$' -fuzz=FuzzContainsWord -fuzztime=20s ./internal/xquery/
 	$(GO) test -run='^$$' -fuzz=FuzzMatchXML -fuzztime=20s ./internal/xquery/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s ./internal/xquery/
+	$(GO) test -run='^$$' -fuzz=FuzzEval -fuzztime=20s ./internal/xquery/
 
 # Run every program under examples/ once: two of them hand XQuery text to
 # EvalXQuery, which only a run checks against the evaluator's subset.

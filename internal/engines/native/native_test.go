@@ -519,16 +519,17 @@ func allocsPerRun(runs int, setup, f func()) float64 {
 
 // warmQ1Allocs is what an indexed DC/MD Q1 allocates on a view that has
 // opened its records before: the catalog walk, the probe, the evaluation
-// and the answer, and nothing per record. It was 48 while a catalog
-// entry decoded for each opened document built a slice of its record
-// RIDs; an entry now names one record, read where it lies.
-const warmQ1Allocs = 42
+// and the answer, and nothing per record. It was 42 while the evaluator
+// interpreted the AST, boxing each node and binding variables in a map,
+// and 48 while a catalog entry decoded for each opened document built a
+// slice of its record RIDs.
+const warmQ1Allocs = 6
 
 // coldQ1Allocs is what the same query allocates after a ColdReset, less
 // the page-crossing spans it assembles: it opens its six records again,
-// and a page it reads from disk allocates nothing. It was 71 with the
-// same six RID slices.
-const coldQ1Allocs = 65
+// and a page it reads from disk allocates nothing. It was 65 with the
+// interpreter and 71 with the six RID slices.
+const coldQ1Allocs = 29
 
 // TestAllocationPins: an indexed DC/MD point query does not allocate per
 // node, and what it allocates does not move when the flat documents it

@@ -84,16 +84,3 @@ func CheckParseRecord(t testing.TB, data []byte) {
 		t.Fatalf("%q: RootName = %q, %v; the tree's root is %q", data, name, ok, doc.Root().Name)
 	}
 }
-
-// FuzzDecodeBinary checks the binary DOM decoder never panics on
-// arbitrary input.
-func FuzzDecodeBinary(f *testing.F) {
-	f.Add([]byte("XDM1"))
-	f.Add(EncodeBinary(MustParse(`<a x="1"><b>t</b></a>`)))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		n, err := DecodeBinary(data)
-		if err == nil && n == nil {
-			t.Fatal("nil node with nil error")
-		}
-	})
-}

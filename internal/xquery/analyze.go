@@ -49,16 +49,12 @@ type Shape struct {
 // which the planner treats as a full scan.
 func (q *Query) Shape() *Shape {
 	sh := &Shape{}
-	(&analyzer{sh: sh}).walk(q.root)
+	sh.walk(q.root)
 	return sh
 }
 
-type analyzer struct {
-	sh *Shape
-}
-
 // walk traverses the expression tree.
-func (a *analyzer) walk(e expr) {
+func (a *Shape) walk(e expr) {
 	switch v := e.(type) {
 	case literal, varRef, contextItem, nil:
 	case pathExpr:
@@ -77,7 +73,7 @@ func (a *analyzer) walk(e expr) {
 		a.walk(v.r)
 	case call:
 		if v.fn.name == "doc" {
-			a.sh.UsesDoc = true
+			a.UsesDoc = true
 		}
 		for _, arg := range v.args {
 			a.walk(arg)
@@ -94,14 +90,11 @@ func (a *analyzer) walk(e expr) {
 		a.walk(v.src)
 		a.walk(v.cond)
 	case elemCtor:
+		var parts []any
 		for _, at := range v.attrs {
-			for _, part := range at.parts {
-				if ex, ok := part.(expr); ok {
-					a.walk(ex)
-				}
-			}
+			parts = append(parts, at.parts...)
 		}
-		for _, part := range v.content {
+		for _, part := range append(parts, v.content...) {
 			if ex, ok := part.(expr); ok {
 				a.walk(ex)
 			}
@@ -112,7 +105,7 @@ func (a *analyzer) walk(e expr) {
 // source records a rooted path as a Source: root element, predicates on
 // it, and any positional cap on the trailing steps. Predicates are also
 // walked so the rooted paths inside them are sources too.
-func (a *analyzer) source(p pathExpr) {
+func (a *Shape) source(p pathExpr) {
 	var src Source
 	primary := -1
 	for i, st := range p.steps {
@@ -135,7 +128,7 @@ func (a *analyzer) source(p pathExpr) {
 			a.walk(pr)
 		}
 	}
-	a.sh.Sources = append(a.sh.Sources, src)
+	a.Sources = append(a.Sources, src)
 }
 
 // collectPreds flattens an 'and' tree of comparisons into Preds,

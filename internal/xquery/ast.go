@@ -10,11 +10,14 @@ type literal struct {
 	isNum bool
 }
 
-// varRef references $name.
-type varRef struct{ name string }
+// varRef references $name; pos, here and below, is where errors point.
+type varRef struct {
+	name string
+	pos  int
+}
 
 // contextItem is '.'.
-type contextItem struct{}
+type contextItem struct{ pos int }
 
 // axis of a path step.
 type axis int
@@ -40,6 +43,7 @@ type pathExpr struct {
 	input    expr
 	fromRoot bool
 	steps    []step
+	pos      int
 }
 
 // binary is a general comparison or 'and'.
@@ -52,6 +56,7 @@ type binary struct {
 type call struct {
 	fn   *builtin
 	args []expr
+	pos  int
 }
 
 // flwor is for/where/order by/return.
@@ -81,6 +86,7 @@ type elemCtor struct {
 	name    string
 	attrs   []attrCtor
 	content []any // string | expr
+	pos     int
 }
 
 type attrCtor struct {

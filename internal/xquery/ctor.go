@@ -6,90 +6,77 @@ import "strings"
 // current token is tokTagOpen and the lexer position is just past '<'.
 // After the constructor is read, the next token is fetched so token-mode
 // parsing resumes normally.
-func (p *parser) parseElemCtor() (expr, error) {
-	ctor, err := p.parseCtorBody()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	return ctor, nil
+func (p *parser) parseElemCtor() expr {
+	ctor := p.parseCtorBody()
+	p.advance()
+	return ctor
 }
 
 // parseCtorBody parses a constructor whose '<' has been consumed, entirely
 // in raw mode (whitespace and text are significant; enclosed expressions
 // {...} re-enter the expression parser). It does not fetch a next token:
 // nested constructors must leave the parent's raw reading position intact.
-func (p *parser) parseCtorBody() (expr, error) {
+func (p *parser) parseCtorBody() expr {
 	l := p.lx
 	name := l.rawName()
 	if name == "" {
-		return nil, p.errf("expected element name in constructor")
+		p.fail("expected element name in constructor")
 	}
-	ctor := elemCtor{name: name}
+	ctor := elemCtor{name: name, pos: l.pos - len(name) - 1}
 	// Attributes.
 	for {
 		l.rawSkipSpace()
 		if l.pos >= len(l.src) {
-			return nil, p.errf("unterminated constructor <%s", name)
+			p.fail("unterminated constructor <%s", name)
 		}
 		if l.src[l.pos] == '/' || l.src[l.pos] == '>' {
 			break
 		}
 		aname := l.rawName()
 		if aname == "" {
-			return nil, p.errf("expected attribute name in <%s>", name)
+			p.fail("expected attribute name in <%s>", name)
 		}
 		l.rawSkipSpace()
 		if !l.rawByte('=') {
-			return nil, p.errf("expected '=' after attribute %s", aname)
+			p.fail("expected '=' after attribute %s", aname)
 		}
 		l.rawSkipSpace()
 		if l.pos >= len(l.src) || (l.src[l.pos] != '"' && l.src[l.pos] != '\'') {
-			return nil, p.errf("attribute %s value must be quoted", aname)
+			p.fail("attribute %s value must be quoted", aname)
 		}
-		quote := l.src[l.pos]
 		l.pos++
-		parts, err := p.rawParts(quote)
-		if err != nil {
-			return nil, err
-		}
+		parts := p.rawParts(l.src[l.pos-1])
 		l.pos++ // closing quote
 		ctor.attrs = append(ctor.attrs, attrCtor{name: aname, parts: parts})
 	}
 	if l.src[l.pos] == '/' {
 		l.pos++
 		if !l.rawByte('>') {
-			return nil, p.errf("expected '/>' in <%s>", name)
+			p.fail("expected '/>' in <%s>", name)
 		}
-		return ctor, nil
+		return ctor
 	}
 	l.pos++ // '>'
 	// Content: raw text, {expr}, nested elements, until </name>.
 	for {
 		if l.pos >= len(l.src) {
-			return nil, p.errf("unterminated element <%s>", name)
+			p.fail("unterminated element <%s>", name)
 		}
 		if strings.HasPrefix(l.src[l.pos:], "</") {
 			l.pos += 2
 			end := l.rawName()
 			if end != name {
-				return nil, p.errf("mismatched </%s> for <%s>", end, name)
+				p.fail("mismatched </%s> for <%s>", end, name)
 			}
 			l.rawSkipSpace()
 			if !l.rawByte('>') {
-				return nil, p.errf("expected '>' after </%s", name)
+				p.fail("expected '>' after </%s", name)
 			}
-			return ctor, nil
+			return ctor
 		}
 		if l.src[l.pos] == '<' {
 			l.pos++
-			child, err := p.parseCtorBody()
-			if err != nil {
-				return nil, err
-			}
-			ctor.content = append(ctor.content, child)
+			ctor.content = append(ctor.content, p.parseCtorBody())
 			continue
 		}
 		if l.src[l.pos] == '{' {
@@ -99,11 +86,7 @@ func (p *parser) parseCtorBody() (expr, error) {
 				continue
 			}
 			l.pos++
-			e, err := p.enclosedExpr()
-			if err != nil {
-				return nil, err
-			}
-			ctor.content = append(ctor.content, e)
+			ctor.content = append(ctor.content, p.enclosedExpr())
 			continue
 		}
 		// Raw text run.
@@ -119,24 +102,20 @@ func (p *parser) parseCtorBody() (expr, error) {
 
 // rawParts collects attribute-value parts: text runs and enclosed exprs,
 // stopping at the terminator character (not consumed).
-func (p *parser) rawParts(term byte) ([]any, error) {
+func (p *parser) rawParts(term byte) []any {
 	l := p.lx
 	var parts []any
 	for {
 		if l.pos >= len(l.src) {
-			return nil, p.errf("unterminated attribute value")
+			p.fail("unterminated attribute value")
 		}
 		c := l.src[l.pos]
 		if c == term {
-			return parts, nil
+			return parts
 		}
 		if c == '{' {
 			l.pos++
-			e, err := p.enclosedExpr()
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, e)
+			parts = append(parts, p.enclosedExpr())
 			continue
 		}
 		start := l.pos
@@ -149,20 +128,15 @@ func (p *parser) rawParts(term byte) ([]any, error) {
 
 // enclosedExpr parses {expr}: the '{' is consumed; on return the lexer is
 // positioned right after the matching '}'.
-func (p *parser) enclosedExpr() (expr, error) {
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if !(p.cur.kind == tokSymbol && p.cur.text == "}") {
-		return nil, p.errf("expected '}' after enclosed expression, found %s", p.cur)
+func (p *parser) enclosedExpr() expr {
+	p.advance()
+	e := p.parseExpr()
+	if !p.is(tokSymbol, "}") {
+		p.fail("expected '}' after enclosed expression, found %s", p.cur)
 	}
 	// Do NOT advance: the lexer is already positioned after '}', and the
 	// caller resumes raw-mode reading from there.
-	return e, nil
+	return e
 }
 
 // raw-mode lexer helpers.

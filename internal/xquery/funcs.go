@@ -9,141 +9,187 @@ import (
 )
 
 // builtin is one function of the subset. The parser binds each call to its
-// entry and checks the arity; fn gets the arguments' values.
+// entry and checks the arity; the compiler builds what the call runs.
 type builtin struct {
 	name     string
 	arity    int // exact, or the least when variadic
 	variadic bool
-	fn       func(c *evalCtx, a []Seq) (Seq, error)
 }
 
 // builtins is the function library: what the catalog and the queries
 // pinned beside it in results/xquery_surface.txt call, and nothing more.
-var builtins = []builtin{
-	{"count", 1, false, func(_ *evalCtx, a []Seq) (Seq, error) { return Seq{float64(len(a[0]))}, nil }},
-	{"sum", 1, false, func(_ *evalCtx, a []Seq) (Seq, error) { return aggregate("sum", a[0]) }},
-	{"avg", 1, false, func(_ *evalCtx, a []Seq) (Seq, error) { return aggregate("avg", a[0]) }},
-	{"empty", 1, false, func(_ *evalCtx, a []Seq) (Seq, error) { return Seq{len(a[0]) == 0}, nil }},
-	{"exists", 1, false, func(_ *evalCtx, a []Seq) (Seq, error) { return Seq{len(a[0]) > 0}, nil }},
-	{"string", 1, false, func(_ *evalCtx, a []Seq) (Seq, error) { return Seq{seqString(a[0])}, nil }},
-	{"number", 1, false, func(_ *evalCtx, a []Seq) (Seq, error) { n, err := seqNumber(a[0]); return Seq{n}, err }},
-	{"data", 1, false, func(_ *evalCtx, a []Seq) (Seq, error) { return atomizeEach(a[0]), nil }},
-	{"distinct-values", 1, false, func(_ *evalCtx, a []Seq) (Seq, error) { return distinctValues(a[0]), nil }},
-	{"contains", 2, false, func(_ *evalCtx, a []Seq) (Seq, error) {
-		return Seq{strings.Contains(seqString(a[0]), seqString(a[1]))}, nil
-	}},
-	// Uni-gram full-text search (the paper's Q17): the word occurs with
-	// word boundaries, case-insensitively.
-	{"contains-word", 2, false, func(_ *evalCtx, a []Seq) (Seq, error) {
-		return Seq{ContainsWord(seqString(a[0]), seqString(a[1]))}, nil
-	}},
-	{"concat", 2, true, func(_ *evalCtx, a []Seq) (Seq, error) { return Seq{concat(a)}, nil }},
-	{"string-join", 2, false, func(_ *evalCtx, a []Seq) (Seq, error) { return Seq{stringJoin(a[0], seqString(a[1]))}, nil }},
-	{"doc", 1, false, doc},
+// contains-word is uni-gram full-text search (the paper's Q17): the word
+// occurs with word boundaries, case-insensitively.
+var builtins = map[string]*builtin{
+	"count": {"count", 1, false}, "sum": {"sum", 1, false}, "avg": {"avg", 1, false},
+	"empty": {"empty", 1, false}, "exists": {"exists", 1, false}, "string": {"string", 1, false},
+	"number": {"number", 1, false}, "data": {"data", 1, false}, "distinct-values": {"distinct-values", 1, false},
+	"contains": {"contains", 2, false}, "contains-word": {"contains-word", 2, false},
+	"concat": {"concat", 2, true}, "string-join": {"string-join", 2, false}, "doc": {"doc", 1, false},
 }
 
-// lookupBuiltin returns the builtin called name, or nil.
-func lookupBuiltin(name string) *builtin {
-	for i := range builtins {
-		if builtins[i].name == name {
-			return &builtins[i]
+// first returns a sequence's first item, or no item.
+func first(s Seq) (it Item) {
+	if len(s) > 0 {
+		it = s[0]
+	}
+	return it
+}
+
+// atomic returns an item's string value, left in its record if it is in one.
+func atomic(it Item) Item {
+	switch it.kind {
+	case kNode:
+		it.kind = kText
+	case kNone, kNum, kBool:
+		return str(it.text())
+	}
+	it.isNum = false
+	return it
+}
+
+// unary are the builtins of one argument that are not tests.
+var unary = map[string]func(r *runState, s, out Seq, pos int) (Seq, error){
+	"count":  func(_ *runState, s, out Seq, _ int) (Seq, error) { return append(out, num(float64(len(s)))), nil },
+	"sum":    func(_ *runState, s, out Seq, pos int) (Seq, error) { return aggregate("sum", s, out, pos) },
+	"avg":    func(_ *runState, s, out Seq, pos int) (Seq, error) { return aggregate("avg", s, out, pos) },
+	"string": func(_ *runState, s, out Seq, _ int) (Seq, error) { return append(out, atomic(first(s))), nil },
+	"number": func(_ *runState, s, out Seq, pos int) (Seq, error) {
+		if len(s) == 0 {
+			return nil, &Error{Pos: pos, Msg: "empty sequence where a number is required"}
 		}
-	}
-	return nil
-}
-
-// evalCall evaluates the arguments onto the run's argument stack and
-// hands the builtin its slice of it; nested calls push above it.
-func evalCall(ctx *evalCtx, c call) (Seq, error) {
-	run := ctx.run
-	base := len(run.args)
-	for _, a := range c.args {
-		s, err := evalExpr(ctx, a)
-		if err != nil {
-			return nil, err
+		if f, ok := s[0].number(); ok {
+			return append(out, num(f)), nil
 		}
-		run.args = append(run.args, s)
-	}
-	out, err := c.fn.fn(ctx, run.args[base:])
-	run.args = run.args[:base]
-	return out, err
-}
-
-func doc(c *evalCtx, a []Seq) (Seq, error) {
-	name := seqString(a[0])
-	i, ok := c.coll.byName[name]
-	if !ok {
-		return nil, &Error{Msg: fmt.Sprintf("doc(%q): no such document", name)}
-	}
-	return Seq{c.coll.root(i)}, nil
-}
-
-func seqString(s Seq) string {
-	if len(s) == 0 {
-		return ""
-	}
-	return atomize(s[0])
-}
-
-// atomizeEach returns the string value of every item.
-func atomizeEach(s Seq) Seq {
-	out := make(Seq, len(s))
-	for i, item := range s {
-		out[i] = atomize(item)
-	}
-	return out
-}
-
-func distinctValues(s Seq) Seq {
-	seen := map[string]bool{}
-	var out Seq
-	for _, item := range s {
-		v := atomize(item)
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
+		return nil, &Error{Pos: pos, Msg: fmt.Sprintf("cannot cast %q to a number", s[0].text())}
+	},
+	"data": func(_ *runState, s, out Seq, _ int) (Seq, error) {
+		for _, it := range s {
+			out = append(out, atomic(it))
 		}
-	}
-	return out
-}
-
-func stringJoin(s Seq, sep string) string {
-	parts := make([]string, len(s))
-	for i, item := range s {
-		parts[i] = atomize(item)
-	}
-	return strings.Join(parts, sep)
-}
-
-func concat(a []Seq) string {
-	var b strings.Builder
-	for _, s := range a {
-		b.WriteString(seqString(s))
-	}
-	return b.String()
+		return out, nil
+	},
+	"distinct-values": func(_ *runState, s, out Seq, _ int) (Seq, error) {
+		seen := map[string]bool{}
+		for _, it := range s {
+			if b, inRec := it.bytes(); inRec && seen[string(b)] {
+				continue
+			}
+			if v := it.text(); !seen[v] {
+				seen[v] = true
+				out = append(out, str(v))
+			}
+		}
+		return out, nil
+	},
+	"doc": func(r *runState, s, out Seq, pos int) (Seq, error) {
+		name := first(s).text()
+		if i, ok := r.coll.names[name]; ok {
+			return append(out, r.coll.root(i)), nil
+		}
+		return nil, &Error{Pos: pos, Msg: fmt.Sprintf("doc(%q): no such document", name)}
+	},
 }
 
 // aggregate is sum() or avg() over numeric values: the sum of nothing is
 // 0, the average of nothing is nothing.
-func aggregate(name string, s Seq) (Seq, error) {
-	if len(s) == 0 {
-		if name == "sum" {
-			return Seq{float64(0)}, nil
-		}
-		return Seq{}, nil
-	}
+func aggregate(name string, s, out Seq, pos int) (Seq, error) {
 	t := 0.0
-	for _, item := range s {
-		n, ok := toNumber(item)
+	for _, it := range s {
+		n, ok := it.number()
 		if !ok {
-			return nil, &Error{Msg: name + "() over non-numeric values"}
+			return nil, &Error{Pos: pos, Msg: name + "() over non-numeric values"}
 		}
 		t += n
 	}
-	if name == "avg" {
-		t /= float64(len(s))
+	switch {
+	case name == "sum":
+		return append(out, num(t)), nil
+	case len(s) > 0:
+		return append(out, num(t/float64(len(s)))), nil
 	}
-	return Seq{t}, nil
+	return out, nil
+}
+
+// call compiles a call of a builtin that is not a test, or returns nil.
+func (c *compiler) call(e expr) fn {
+	cl, ok := e.(call)
+	if !ok {
+		return nil
+	}
+	if f := unary[cl.fn.name]; f != nil {
+		a := c.value(cl.args[0])
+		return func(r *runState, focus Item, out Seq) (Seq, error) {
+			s, err := a(r, focus)
+			if err != nil {
+				return nil, err
+			}
+			return f(r, s, out, cl.pos)
+		}
+	}
+	join := cl.fn.name == "string-join" // else concat
+	if !join && cl.fn.name != "concat" {
+		return nil
+	}
+	args := make([]value, len(cl.args))
+	for i, a := range cl.args {
+		args[i] = c.value(a)
+	}
+	return func(r *runState, focus Item, out Seq) (Seq, error) {
+		vals := make([]Seq, len(args))
+		for i, a := range args {
+			var err error
+			if vals[i], err = a(r, focus); err != nil {
+				return nil, err
+			}
+		}
+		var b []byte
+		if join { // string-join(items, separator)
+			for i, it := range vals[0] {
+				if i > 0 {
+					b = first(vals[1]).appendText(b)
+				}
+				b = it.appendText(b)
+			}
+		} else { // concat: the first item of every argument
+			for _, s := range vals {
+				b = first(s).appendText(b)
+			}
+		}
+		return append(out, str(string(b))), nil
+	}
+}
+
+// boolCall compiles a call of a builtin that returns a boolean, or
+// returns nil. The text searched is read where it lies.
+func (c *compiler) boolCall(cl call) test {
+	switch name := cl.fn.name; name {
+	case "empty", "exists":
+		a := c.value(cl.args[0])
+		return func(r *runState, focus Item) (bool, error) {
+			s, err := a(r, focus)
+			return (len(s) == 0) == (name == "empty"), err
+		}
+	case "contains", "contains-word":
+		a, b := c.value(cl.args[0]), c.value(cl.args[1])
+		return func(r *runState, focus Item) (bool, error) {
+			s, err := a(r, focus)
+			if err != nil {
+				return false, err
+			}
+			t, err := b(r, focus)
+			pat, text := first(t).text(), first(s)
+			b, inRec := text.bytes()
+			if !inRec {
+				b = []byte(text.text())
+			}
+			if name == "contains" {
+				return bytes.Contains(b, []byte(pat)), err
+			}
+			return ContainsWord(b, pat), err
+		}
+	}
+	return nil
 }
 
 // ContainsWord reports whether text contains word as a whole word,

@@ -68,10 +68,6 @@ type lexer struct {
 	prevText string
 }
 
-func (l *lexer) errf(pos int, format string, args ...any) error {
-	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
-}
-
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
 func isNameStart(c byte) bool {
@@ -94,7 +90,7 @@ func (l *lexer) skipSpaceAndComments() error {
 		if strings.HasPrefix(l.src[l.pos:], "(:") {
 			end := strings.Index(l.src[l.pos+2:], ":)")
 			if end < 0 {
-				return l.errf(l.pos, "unterminated comment")
+				return &Error{Pos: l.pos, Msg: "unterminated comment"}
 			}
 			l.pos += 2 + end + 2
 			continue
@@ -129,7 +125,7 @@ func (l *lexer) next() (token, error) {
 	case c == '$':
 		l.pos++
 		if l.pos >= len(l.src) || !isNameStart(l.src[l.pos]) {
-			return token{}, l.errf(start, "expected variable name after '$'")
+			return token{}, &Error{Pos: start, Msg: "expected variable name after '$'"}
 		}
 		for l.pos < len(l.src) && isNameChar(l.src[l.pos]) {
 			l.pos++
@@ -140,7 +136,7 @@ func (l *lexer) next() (token, error) {
 		var b strings.Builder
 		for {
 			if l.pos >= len(l.src) {
-				return token{}, l.errf(start, "unterminated string literal")
+				return token{}, &Error{Pos: start, Msg: "unterminated string literal"}
 			}
 			if l.src[l.pos] == c {
 				// Doubled quote is an escaped quote.

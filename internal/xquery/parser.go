@@ -10,19 +10,25 @@ import (
 // "not in the XBench subset: <construct>" at the construct's offset, and a
 // call is bound to its builtin, arity checked, here rather than when the
 // query runs.
-func Parse(src string) (*Query, error) {
+func Parse(src string) (q *Query, err error) {
 	p := &parser{lx: &lexer{src: src}}
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
+	defer func() {
+		if r := recover(); r != nil {
+			f, ok := r.(failure)
+			if !ok {
+				panic(r)
+			}
+			q, err = nil, f.err
+		}
+	}()
+	p.advance()
+	e := p.parseExpr()
 	if p.cur.kind != tokEOF {
-		return nil, p.errf("unexpected %s after query", p.cur)
+		p.fail("unexpected %s after query", p.cur)
 	}
-	return &Query{root: e}, nil
+	q = &Query{root: e, runs: make(chan *runState, 4)}
+	q.eval = (&compiler{q: q}).expr(e)
+	return q, nil
 }
 
 type parser struct {
@@ -30,22 +36,24 @@ type parser struct {
 	cur token
 }
 
-func (p *parser) errf(format string, args ...any) error {
-	return &Error{Pos: p.cur.pos, Msg: fmt.Sprintf(format, args...)}
+// failure carries a parse error up to Parse, which recovers it: the first
+// error met ends the parse.
+type failure struct{ err error }
+
+// fail ends the parse with an *Error at the current token.
+func (p *parser) fail(format string, args ...any) {
+	panic(failure{&Error{Pos: p.cur.pos, Msg: fmt.Sprintf(format, args...)}})
 }
 
 // reject names a construct outside the subset, at the current token.
-func (p *parser) reject(construct string) error {
-	return p.errf("not in the XBench subset: %s", construct)
-}
+func (p *parser) reject(construct string) { p.fail("not in the XBench subset: %s", construct) }
 
-func (p *parser) advance() error {
+func (p *parser) advance() {
 	t, err := p.lx.next()
 	if err != nil {
-		return err
+		panic(failure{err})
 	}
 	p.cur = t
-	return nil
 }
 
 // is reports whether the current token is the given symbol or keyword.
@@ -63,36 +71,31 @@ func (p *parser) peekIs(kind tokKind, text string) bool {
 }
 
 // accept consumes the current token if it is the given symbol/keyword.
-func (p *parser) accept(kind tokKind, text string) (bool, error) {
-	if p.is(kind, text) {
-		return true, p.advance()
+func (p *parser) accept(kind tokKind, text string) (ok bool) {
+	if ok = p.is(kind, text); ok {
+		p.advance()
 	}
-	return false, nil
+	return ok
 }
 
-func (p *parser) expect(kind tokKind, text string) error {
-	ok, err := p.accept(kind, text)
-	if err != nil {
-		return err
+func (p *parser) expect(kind tokKind, text string) {
+	if !p.accept(kind, text) {
+		p.fail("expected %q, found %s", text, p.cur)
 	}
-	if !ok {
-		return p.errf("expected %q, found %s", text, p.cur)
-	}
-	return nil
 }
 
 // parseExpr parses an expression where XQuery allows a sequence: the
 // query, a parenthesized expression, a predicate, an enclosed expression.
 // The subset has no sequences, so it is one expression.
-func (p *parser) parseExpr() (expr, error) {
-	e, err := p.parseExprSingle()
-	if err == nil && p.is(tokSymbol, ",") {
-		return nil, p.reject("sequence (,)")
+func (p *parser) parseExpr() expr {
+	e := p.parseExprSingle()
+	if p.is(tokSymbol, ",") {
+		p.reject("sequence (,)")
 	}
-	return e, err
+	return e
 }
 
-func (p *parser) parseExprSingle() (expr, error) {
+func (p *parser) parseExprSingle() expr {
 	if p.cur.kind == tokName {
 		switch p.cur.text {
 		case "for":
@@ -100,153 +103,84 @@ func (p *parser) parseExprSingle() (expr, error) {
 		case "some", "every":
 			return p.parseQuantified()
 		case "let":
-			return nil, p.reject("let")
+			p.reject("let")
 		}
 	}
 	return p.parseAnd()
 }
 
-func (p *parser) parseFLWOR() (expr, error) {
+func (p *parser) parseFLWOR() expr {
 	var f flwor
-	for p.is(tokName, "for") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+	for p.accept(tokName, "for") {
 		for {
 			if p.cur.kind != tokVar {
-				return nil, p.errf("expected variable in for clause, found %s", p.cur)
+				p.fail("expected variable in for clause, found %s", p.cur)
 			}
 			name := p.cur.text
-			if err := p.advance(); err != nil {
-				return nil, err
+			if p.advance(); p.is(tokName, "at") {
+				p.reject("for … at")
 			}
-			if p.is(tokName, "at") {
-				return nil, p.reject("for … at")
-			}
-			if err := p.expect(tokName, "in"); err != nil {
-				return nil, err
-			}
-			src, err := p.parseExprSingle()
-			if err != nil {
-				return nil, err
-			}
-			f.clauses = append(f.clauses, forClause{varName: name, src: src})
-			ok, err := p.accept(tokSymbol, ",")
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
+			p.expect(tokName, "in")
+			f.clauses = append(f.clauses, forClause{varName: name, src: p.parseExprSingle()})
+			if !p.accept(tokSymbol, ",") {
 				break
 			}
 		}
 	}
 	if p.is(tokName, "let") {
-		return nil, p.reject("let")
+		p.reject("let")
 	}
-	if ok, err := p.accept(tokName, "where"); err != nil {
-		return nil, err
-	} else if ok {
-		if f.where, err = p.parseExprSingle(); err != nil {
-			return nil, err
-		}
+	if p.accept(tokName, "where") {
+		f.where = p.parseExprSingle()
 	}
-	if p.is(tokName, "order") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		if err := p.expect(tokName, "by"); err != nil {
-			return nil, err
-		}
-		key, err := p.parseExprSingle()
-		if err != nil {
-			return nil, err
-		}
+	if p.accept(tokName, "order") {
+		p.expect(tokName, "by")
+		f.orderBy = p.parseExprSingle()
 		switch {
 		case p.is(tokName, "ascending"), p.is(tokName, "descending"):
-			return nil, p.reject(p.cur.text)
+			p.reject(p.cur.text)
 		case p.is(tokSymbol, ","):
-			return nil, p.reject("order by, a further key")
+			p.reject("order by, a further key")
 		}
-		f.orderBy = key
 	}
-	if err := p.expect(tokName, "return"); err != nil {
-		return nil, err
-	}
-	ret, err := p.parseExprSingle()
-	if err != nil {
-		return nil, err
-	}
-	f.ret = ret
-	return f, nil
+	p.expect(tokName, "return")
+	f.ret = p.parseExprSingle()
+	return f
 }
 
-func (p *parser) parseQuantified() (expr, error) {
-	every := p.cur.text == "every"
-	if err := p.advance(); err != nil {
-		return nil, err
+func (p *parser) parseQuantified() expr {
+	q := quantified{every: p.cur.text == "every"}
+	if p.advance(); p.cur.kind != tokVar {
+		p.fail("expected variable after some/every")
 	}
-	if p.cur.kind != tokVar {
-		return nil, p.errf("expected variable after some/every")
-	}
-	name := p.cur.text
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	if err := p.expect(tokName, "in"); err != nil {
-		return nil, err
-	}
-	src, err := p.parseExprSingle()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect(tokName, "satisfies"); err != nil {
-		return nil, err
-	}
-	cond, err := p.parseExprSingle()
-	if err != nil {
-		return nil, err
-	}
-	return quantified{every: every, varName: name, src: src, cond: cond}, nil
+	q.varName = p.cur.text
+	p.advance()
+	p.expect(tokName, "in")
+	q.src = p.parseExprSingle()
+	p.expect(tokName, "satisfies")
+	q.cond = p.parseExprSingle()
+	return q
 }
 
-func (p *parser) parseAnd() (expr, error) {
-	l, err := p.parseComparison()
-	if err != nil {
-		return nil, err
+func (p *parser) parseAnd() expr {
+	l := p.parseComparison()
+	for p.accept(tokName, "and") {
+		l = binary{op: "and", l: l, r: p.parseComparison()}
 	}
-	for {
-		ok, err := p.accept(tokName, "and")
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return l, nil
-		}
-		r, err := p.parseComparison()
-		if err != nil {
-			return nil, err
-		}
-		l = binary{op: "and", l: l, r: r}
-	}
+	return l
 }
 
 // cmpOps are the general comparisons.
 var cmpOps = map[string]bool{"=": true, "!=": true, "<": true, "<=": true, ">": true, ">=": true}
 
-func (p *parser) parseComparison() (expr, error) {
-	l, err := p.parseOperand()
-	if err != nil || p.cur.kind != tokSymbol || !cmpOps[p.cur.text] {
-		return l, err
+func (p *parser) parseComparison() expr {
+	l := p.parseOperand()
+	if p.cur.kind != tokSymbol || !cmpOps[p.cur.text] {
+		return l
 	}
 	op := p.cur.text
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	r, err := p.parseOperand()
-	if err != nil {
-		return nil, err
-	}
-	return binary{op: op, l: l, r: r}, nil
+	p.advance()
+	return binary{op: op, l: l, r: p.parseOperand()}
 }
 
 // droppedOps are the XQuery operators the subset leaves out: 'or',
@@ -258,84 +192,65 @@ var droppedOps = map[string]bool{
 }
 
 // parseOperand parses a path and names a dropped operator that follows it.
-func (p *parser) parseOperand() (expr, error) {
-	e, err := p.parsePath()
-	if err == nil && (p.cur.kind == tokSymbol || p.cur.kind == tokName) && droppedOps[p.cur.text] {
-		return nil, p.reject(p.cur.text)
+func (p *parser) parseOperand() expr {
+	e := p.parsePath()
+	if (p.cur.kind == tokSymbol || p.cur.kind == tokName) && droppedOps[p.cur.text] {
+		p.reject(p.cur.text)
 	}
-	return e, err
+	return e
 }
 
 // parsePath parses a path rooted at '//', a relative path, or a primary
 // expression followed by steps.
-func (p *parser) parsePath() (expr, error) {
-	var pe pathExpr
+func (p *parser) parsePath() expr {
+	pe := pathExpr{pos: p.cur.pos}
 	switch {
-	case p.is(tokSymbol, "//"):
+	case p.accept(tokSymbol, "//"):
 		pe.fromRoot = true
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		st, err := p.parseStep(axisDescendant)
-		if err != nil {
-			return nil, err
-		}
-		pe.steps = append(pe.steps, st)
+		pe.steps = append(pe.steps, p.parseStep(axisDescendant))
 	case p.is(tokSymbol, "/"):
-		return nil, p.reject("leading /")
+		p.reject("leading /")
 	case p.is(tokSymbol, "@"), p.is(tokSymbol, "*"), p.is(tokSymbol, ".."),
 		p.cur.kind == tokName && !p.peekIs(tokSymbol, "("):
-		st, err := p.parseStep(axisChild)
-		if err != nil {
-			return nil, err
-		}
-		pe.steps = append(pe.steps, st)
+		pe.steps = append(pe.steps, p.parseStep(axisChild))
 	default:
-		prim, err := p.parsePrimary()
-		if err != nil {
-			return nil, err
+		if pe.input = p.parsePrimary(); p.is(tokSymbol, "[") {
+			p.reject("predicate on a primary")
 		}
-		if p.is(tokSymbol, "[") {
-			return nil, p.reject("predicate on a primary")
-		}
-		pe.input = prim
 	}
 	for p.is(tokSymbol, "/") || p.is(tokSymbol, "//") {
 		ax := axisChild
 		if p.cur.text == "//" {
 			ax = axisDescendant
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		st, err := p.parseStep(ax)
-		if err != nil {
-			return nil, err
-		}
-		pe.steps = append(pe.steps, st)
+		p.advance()
+		pe.steps = append(pe.steps, p.parseStep(ax))
 	}
 	// A primary with no steps is the primary itself.
 	if pe.input != nil && len(pe.steps) == 0 {
-		return pe.input, nil
+		return pe.input
 	}
-	return pe, nil
+	return pe
 }
 
 // parsePrimary parses a literal, a variable, a parenthesized expression,
 // the context item, a call or an element constructor.
-func (p *parser) parsePrimary() (expr, error) {
+func (p *parser) parsePrimary() expr {
 	t := p.cur
 	switch t.kind {
 	case tokString:
-		return literal{str: t.text}, p.advance()
+		p.advance()
+		return literal{str: t.text}
 	case tokNumber:
 		n, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
-			return nil, p.errf("bad number %q", t.text)
+			p.fail("bad number %q", t.text)
 		}
-		return literal{num: n, isNum: true}, p.advance()
+		p.advance()
+		return literal{num: n, isNum: true}
 	case tokVar:
-		return varRef{name: t.text}, p.advance()
+		p.advance()
+		return varRef{name: t.text, pos: t.pos}
 	case tokTagOpen:
 		return p.parseElemCtor()
 	case tokName:
@@ -344,139 +259,92 @@ func (p *parser) parsePrimary() (expr, error) {
 		switch t.text {
 		case "(":
 			if p.peekIs(tokSymbol, ")") {
-				return nil, p.reject("()")
+				p.reject("()")
 			}
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			return e, p.expect(tokSymbol, ")")
+			p.advance()
+			e := p.parseExpr()
+			p.expect(tokSymbol, ")")
+			return e
 		case ".":
-			return contextItem{}, p.advance()
+			p.advance()
+			return contextItem{pos: t.pos}
 		case "-", "+":
-			return nil, p.reject("unary " + t.text)
+			p.reject("unary " + t.text)
 		}
 	}
-	return nil, p.errf("unexpected %s", p.cur)
+	p.fail("unexpected %s", p.cur)
+	return nil
 }
 
 // parseCall binds a call to its builtin and checks the arity; the current
 // token is the function name, and '(' follows it.
-func (p *parser) parseCall() (expr, error) {
+func (p *parser) parseCall() expr {
 	name, pos := p.cur.text, p.cur.pos
-	fn := lookupBuiltin(name)
-	if fn == nil {
-		if name == "if" {
-			return nil, p.reject("if")
-		}
-		return nil, p.reject(name + "()")
+	fn := builtins[name]
+	switch {
+	case fn == nil && name == "if":
+		p.reject("if")
+	case fn == nil:
+		p.reject(name + "()")
 	}
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	if err := p.expect(tokSymbol, "("); err != nil {
-		return nil, err
-	}
+	p.advance()
+	p.expect(tokSymbol, "(")
 	var args []expr
 	if !p.is(tokSymbol, ")") {
-		for {
-			a, err := p.parseExprSingle()
-			if err != nil {
-				return nil, err
-			}
-			args = append(args, a)
-			ok, err := p.accept(tokSymbol, ",")
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
+		for args = append(args, p.parseExprSingle()); p.accept(tokSymbol, ","); {
+			args = append(args, p.parseExprSingle())
 		}
 	}
-	if err := p.expect(tokSymbol, ")"); err != nil {
-		return nil, err
-	}
+	p.expect(tokSymbol, ")")
 	if n := len(args); n != fn.arity && !(fn.variadic && n > fn.arity) {
 		want := strconv.Itoa(fn.arity)
 		if fn.variadic {
 			want = "at least " + want
 		}
-		return nil, &Error{Pos: pos, Msg: fmt.Sprintf("%s() takes %s argument(s), got %d", name, want, n)}
+		panic(failure{&Error{Pos: pos, Msg: fmt.Sprintf("%s() takes %s argument(s), got %d", name, want, n)}})
 	}
-	return call{fn: fn, args: args}, nil
+	return call{fn: fn, args: args, pos: pos}
 }
 
 // parseStep parses one step after '/', '//', or at the start of a
 // relative path: an optional '@' or 'following-sibling::', a name or '*',
 // and predicates.
-func (p *parser) parseStep(ax axis) (step, error) {
+func (p *parser) parseStep(ax axis) step {
 	st := step{axis: ax}
 	switch {
 	case p.cur.kind == tokName && p.peekIs(tokSymbol, ":"):
 		// An explicit axis; the lexer splits '::' into two ':'.
 		if p.cur.text != "following-sibling" {
-			return st, p.reject(p.cur.text + "::")
+			p.reject(p.cur.text + "::")
 		}
 		st.axis = axisFollowingSibling
-		if err := p.advance(); err != nil {
-			return st, err
-		}
-		if err := p.expect(tokSymbol, ":"); err != nil {
-			return st, err
-		}
-		if err := p.expect(tokSymbol, ":"); err != nil {
-			return st, err
-		}
+		p.advance()
+		p.expect(tokSymbol, ":")
+		p.expect(tokSymbol, ":")
 	case p.is(tokSymbol, "@"):
 		if ax == axisDescendant {
-			return st, p.reject("//@")
+			p.reject("//@")
 		}
 		st.axis = axisAttribute
-		if err := p.advance(); err != nil {
-			return st, err
-		}
-		if p.is(tokSymbol, "*") {
-			return st, p.reject("@*")
+		if p.advance(); p.is(tokSymbol, "*") {
+			p.reject("@*")
 		}
 	}
 	switch {
 	case p.is(tokSymbol, "*"):
 		st.name = "*"
 	case p.is(tokSymbol, ".."):
-		return st, p.reject("..")
+		p.reject("..")
 	case p.cur.kind == tokName && p.peekIs(tokSymbol, "("):
-		return st, p.reject(p.cur.text + "()") // text(), node()
+		p.reject(p.cur.text + "()") // text(), node()
 	case p.cur.kind == tokName:
 		st.name = p.cur.text
 	default:
-		return st, p.errf("expected name test, found %s", p.cur)
+		p.fail("expected name test, found %s", p.cur)
 	}
-	if err := p.advance(); err != nil {
-		return st, err
+	for p.advance(); p.accept(tokSymbol, "["); {
+		st.preds = append(st.preds, p.parseExpr())
+		p.expect(tokSymbol, "]")
 	}
-	preds, err := p.parsePredicates()
-	st.preds = preds
-	return st, err
-}
-
-func (p *parser) parsePredicates() ([]expr, error) {
-	var preds []expr
-	for p.is(tokSymbol, "[") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(tokSymbol, "]"); err != nil {
-			return nil, err
-		}
-		preds = append(preds, e)
-	}
-	return preds, nil
+	return st
 }

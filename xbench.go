@@ -344,11 +344,7 @@ func EvalXQuery(query string, docs []Doc, vars Params) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	bound := map[string]xquery.Seq{}
-	for k, v := range vars {
-		bound[k] = xquery.Seq{v}
-	}
-	seq, err := q.EvalWithVars(coll, bound)
+	seq, err := q.Eval(context.Background(), coll, vars)
 	if err != nil {
 		return nil, err
 	}
