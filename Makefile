@@ -28,7 +28,10 @@ race:
 # xquery.Parse, which must answer any input with a query or a positioned
 # *xquery.Error, never a panic; and the compiled evaluator, which must run
 # every query Parse accepts over a fixed collection (a record listing a
-# name twice among it) to a result or a positioned *xquery.Error.
+# name twice among it) to a result or a positioned *xquery.Error; and the
+# shredder, which must store exactly the rows Count predicts of any
+# document it does not refuse, and fill side tables without a panic
+# however deep a document's recursion.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCursor -fuzztime=20s ./internal/xmldom/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s ./internal/xmldom/
@@ -36,6 +39,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMatchXML -fuzztime=20s ./internal/xquery/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s ./internal/xquery/
 	$(GO) test -run='^$$' -fuzz=FuzzEval -fuzztime=20s ./internal/xquery/
+	$(GO) test -run='^$$' -fuzz=FuzzShredDocument -fuzztime=20s ./internal/shredder/
 
 # Run every program under examples/ once: two of them hand XQuery text to
 # EvalXQuery, which only a run checks against the evaluator's subset.

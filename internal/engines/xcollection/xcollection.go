@@ -228,12 +228,13 @@ func (s *store) BuildIndexes(specs []core.IndexSpec) error {
 var _ engbase.Validator = (*store)(nil)
 
 // Validate implements engbase.Validator: the document must be a unit
-// document of the loaded class.
+// document of the loaded class, within the decomposition row limit.
 func (s *store) Validate(rec *xmldom.Record) error {
 	if _, ok := shredder.UnitDocID(s.shred.Class, rec); !ok {
 		return fmt.Errorf("not a unit document of %s: %w", s.shred.Class, core.ErrUnsupported)
 	}
-	return nil
+	_, err := s.shred.Count(rec)
+	return err
 }
 
 // Exists implements engbase.Store.

@@ -211,3 +211,37 @@ func TestLoadCommitsEachDocument(t *testing.T) {
 		p.Close()
 	}
 }
+
+// TestOverLimitUpdateRefused: a unit document that decomposes into more
+// rows than DB2's limit is refused before the mutation bracket opens, so
+// the engine keeps answering. Checked only after the shredder had
+// inserted its rows, the limit used to fail the update inside the
+// bracket, which stopped the engine: every later request answered "not
+// loaded".
+func TestOverLimitUpdateRefused(t *testing.T) {
+	ctx := context.Background()
+	e := New(DB2, 0, 10)
+	defer e.Close()
+	article := func(id string, keywords int) []byte {
+		return []byte(`<article id="` + id + `"><prolog><title>T ` + id + `</title>` +
+			`<authors><author><name>N</name></author></authors><keywords>` +
+			strings.Repeat("<kw>k</kw>", keywords) + `</keywords></prolog>` +
+			`<body><sec id="` + id + `.1"><p>x</p></sec></body></article>`)
+	}
+	db := &core.Database{Class: core.TCMD, Size: core.Small, Docs: []core.Doc{
+		{Name: "article1.xml", Data: article("a1", 1)}, // 5 rows
+	}}
+	if _, err := e.Load(ctx, db); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.InsertDocument(ctx, "article2.xml", article("a2", 8)); !errors.Is(err, core.ErrUnsupported) {
+		t.Fatalf("U1 of a 12-row article under a 10-row limit = %v", err)
+	}
+	res, err := e.Execute(ctx, core.Q1, core.Params{"X": "a1"})
+	if err != nil || len(res.Items) != 1 {
+		t.Fatalf("Q1 after the refused U1 = %v, %v", res.Items, err)
+	}
+	if res, err := e.Execute(ctx, core.Q1, core.Params{"X": "a2"}); err != nil || len(res.Items) != 0 {
+		t.Fatalf("the refused article is visible: %v, %v", res.Items, err)
+	}
+}

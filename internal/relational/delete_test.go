@@ -20,7 +20,7 @@ func rebuilt(t *testing.T, rows []Row, indexed []string) *TableView {
 	t.Helper()
 	tb := newDB().Create("ref", "doc", "grp", "val")
 	for _, r := range rows {
-		if err := tb.Insert(r); err != nil {
+		if err := tb.Insert(r.Rec()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,7 +92,7 @@ func TestDeleteWhereMatchesRebuild(t *testing.T) {
 			}
 			insert := func(doc string) {
 				for _, row := range docRows(doc) {
-					if err := tb.Insert(row); err != nil {
+					if err := tb.Insert(row.Rec()); err != nil {
 						t.Fatal(err)
 					}
 					model = append(model, row)
@@ -199,7 +199,7 @@ func TestDeleteWhereFindsWhatLookupFinds(t *testing.T) {
 			}
 			keys := []string{long + "a", long + "b", long, "plain", Null, ""}
 			for i := 0; i < 40; i++ {
-				if err := tb.Insert(Row{keys[i%len(keys)], fmt.Sprint("v", i)}); err != nil {
+				if err := tb.Insert(Row{keys[i%len(keys)], fmt.Sprint("v", i)}.Rec()); err != nil {
 					t.Fatal(err)
 				}
 				if i == 20 {

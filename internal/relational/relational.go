@@ -215,23 +215,24 @@ func (db *DB) TableNames() []string {
 	return names
 }
 
-// Insert appends a row and maintains any existing indexes.
-func (t *Table) Insert(row Row) error {
-	if len(row) != len(t.Cols) {
-		return fmt.Errorf("relational: %s: row has %d values, want %d", t.Name, len(row), len(t.Cols))
+// Insert appends a row, encoded as it is stored (Row.Rec, AppendCol),
+// and maintains any existing indexes. The table keeps nothing of rec.
+func (t *Table) Insert(rec Rec) error {
+	if n := int(binary.BigEndian.Uint16(rec)); n != len(t.Cols) {
+		return fmt.Errorf("relational: %s: row has %d values, want %d", t.Name, n, len(t.Cols))
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rid, err := t.heap.Insert(row.Rec())
+	rid, err := t.heap.Insert(rec)
 	if err != nil {
 		return err
 	}
 	for col, ix := range t.indexes {
-		v := row[t.Col(col)]
-		if IsNull(v) {
+		i := t.Col(col)
+		if rec.Null(i) {
 			continue // NULLs are not indexed
 		}
-		if err := ix.Insert(v, uint64(rid)); err != nil {
+		if err := ix.Insert(string(rec.Col(i)), uint64(rid)); err != nil {
 			return err
 		}
 	}

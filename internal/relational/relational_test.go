@@ -21,7 +21,7 @@ func TestCreateInsertScan(t *testing.T) {
 	db := newDB()
 	tb := db.Create("item", "id", "title", "cost")
 	for i := 0; i < 10; i++ {
-		if err := tb.Insert(Row{fmt.Sprintf("I%d", i), fmt.Sprintf("Title %d", i), "9.99"}); err != nil {
+		if err := tb.Insert(Row{fmt.Sprintf("I%d", i), fmt.Sprintf("Title %d", i), "9.99"}.Rec()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -41,7 +41,7 @@ func TestCreateInsertScan(t *testing.T) {
 func TestInsertArityError(t *testing.T) {
 	db := newDB()
 	tb := db.Create("t", "a", "b")
-	if err := tb.Insert(Row{"only-one"}); err == nil {
+	if err := tb.Insert(Row{"only-one"}.Rec()); err == nil {
 		t.Fatal("arity violation accepted")
 	}
 }
@@ -72,7 +72,7 @@ func TestLookupEqWithAndWithoutIndex(t *testing.T) {
 	db := newDB()
 	tb := db.Create("t", "k", "v")
 	for i := 0; i < 500; i++ {
-		tb.Insert(Row{fmt.Sprintf("k%03d", i%100), fmt.Sprintf("v%d", i)})
+		tb.Insert(Row{fmt.Sprintf("k%03d", i%100), fmt.Sprintf("v%d", i)}.Rec())
 	}
 	// Without an index: sequential scan.
 	rows, err := tb.Live().LookupEq(context.Background(), "k", "k042", true, 0)
@@ -91,7 +91,7 @@ func TestLookupEqWithAndWithoutIndex(t *testing.T) {
 		t.Fatalf("indexed lookup = %d rows, %v", len(rows2), err)
 	}
 	// Index must also cover rows inserted after creation.
-	tb.Insert(Row{"k042", "late"})
+	tb.Insert(Row{"k042", "late"}.Rec())
 	rows3, _ := tb.Live().LookupEq(context.Background(), "k", "k042", true, 0)
 	if len(rows3) != 6 {
 		t.Fatalf("index not maintained on insert: %d rows", len(rows3))
@@ -106,7 +106,7 @@ func TestLookupRange(t *testing.T) {
 	db := newDB()
 	tb := db.Create("t", "date", "x")
 	for i := 0; i < 100; i++ {
-		tb.Insert(Row{fmt.Sprintf("2000-01-%02d", i%30+1), "y"})
+		tb.Insert(Row{fmt.Sprintf("2000-01-%02d", i%30+1), "y"}.Rec())
 	}
 	scan, err := tb.Live().LookupRange(context.Background(), "date", "2000-01-10", "2000-01-12", true)
 	if err != nil {
@@ -125,9 +125,9 @@ func TestLookupRange(t *testing.T) {
 func TestNullHandling(t *testing.T) {
 	db := newDB()
 	tb := db.Create("pub", "name", "fax")
-	tb.Insert(Row{"P1", "555-0000"})
-	tb.Insert(Row{"P2", Null})
-	tb.Insert(Row{"P3", ""}) // empty is NOT null
+	tb.Insert(Row{"P1", "555-0000"}.Rec())
+	tb.Insert(Row{"P2", Null}.Rec())
+	tb.Insert(Row{"P3", ""}.Rec()) // empty is NOT null
 	tb.CreateIndex("fax")
 
 	// NULLs are not indexed and never equal anything.
@@ -227,7 +227,7 @@ func TestGetAndRoundTripSpecialValues(t *testing.T) {
 	tb := db.Create("t", "v")
 	vals := []string{"", Null, "with \x00 byte", "ünïcødé", "<xml>&stuff</xml>"}
 	for _, v := range vals {
-		tb.Insert(Row{v})
+		tb.Insert(Row{v}.Rec())
 	}
 	i := 0
 	tb.Live().Scan(context.Background(), func(r Rec) bool {
@@ -260,7 +260,7 @@ func TestFlushThenColdScan(t *testing.T) {
 	db := NewDB(p)
 	tb := db.Create("t", "v")
 	for i := 0; i < 1000; i++ {
-		tb.Insert(Row{fmt.Sprintf("row%d", i)})
+		tb.Insert(Row{fmt.Sprintf("row%d", i)}.Rec())
 	}
 	if err := tb.Flush(); err != nil {
 		t.Fatal(err)
@@ -289,7 +289,7 @@ func TestLookupRechecksTruncatedKeys(t *testing.T) {
 	prefix := strings.Repeat("p", btree.MaxKey)
 	a, b := prefix+strings.Repeat("a", 88), prefix+strings.Repeat("b", 88)
 	for _, r := range []Row{{a, "A"}, {b, "B"}, {prefix, "P"}, {"q", "Q"}} {
-		if err := tb.Insert(r); err != nil {
+		if err := tb.Insert(r.Rec()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -343,7 +343,7 @@ func TestFilterScanAllocatesPerKeptRow(t *testing.T) {
 			if i%(2000/64) == 0 && i/(2000/64) < k {
 				g = "hit"
 			}
-			if err := tb.Insert(Row{fmt.Sprint("r", i), g, "some", "more", "columns", "here"}); err != nil {
+			if err := tb.Insert(Row{fmt.Sprint("r", i), g, "some", "more", "columns", "here"}.Rec()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -392,7 +392,7 @@ func TestCreateIndexMatchesMaintainedIndex(t *testing.T) {
 		}
 		row := Row{fmt.Sprintf("r%05d", i), g}
 		for _, tb := range []*Table{created, maintained} {
-			if err := tb.Insert(row); err != nil {
+			if err := tb.Insert(row.Rec()); err != nil {
 				t.Fatal(err)
 			}
 		}
