@@ -22,8 +22,7 @@ import (
 
 	"xbench/internal/core"
 	"xbench/internal/engines/native"
-	"xbench/internal/engines/xcollection"
-	"xbench/internal/engines/xcolumn"
+	"xbench/internal/engines/rdbms"
 	"xbench/internal/gen"
 	"xbench/internal/metrics"
 	"xbench/internal/workload"
@@ -37,9 +36,9 @@ var engineTable = []struct {
 	label, alias string
 	build        func(poolPages, rowLimit int) core.Engine
 }{
-	{"Xcolumn", "", func(pool, _ int) core.Engine { return xcolumn.New(pool) }},
-	{"Xcollection", "", func(pool, rows int) core.Engine { return xcollection.New(xcollection.DB2, pool, rows) }},
-	{"SQL Server", "", func(pool, _ int) core.Engine { return xcollection.New(xcollection.SQLServer, pool, 0) }},
+	{"Xcolumn", "", func(pool, _ int) core.Engine { return rdbms.New(rdbms.Xcolumn, pool, 0) }},
+	{"Xcollection", "", func(pool, rows int) core.Engine { return rdbms.New(rdbms.Xcollection, pool, rows) }},
+	{"SQL Server", "", func(pool, _ int) core.Engine { return rdbms.New(rdbms.SQLServer, pool, 0) }},
 	{"X-Hive", "native", func(pool, _ int) core.Engine { return native.New(pool) }},
 }
 

@@ -6,8 +6,7 @@ import (
 
 	"xbench/internal/core"
 	"xbench/internal/engines/native"
-	"xbench/internal/engines/xcollection"
-	"xbench/internal/engines/xcolumn"
+	"xbench/internal/engines/rdbms"
 	"xbench/internal/gen"
 )
 
@@ -16,9 +15,9 @@ var testGen = gen.Config{DictEntries: 40, Articles: 6, Items: 20, Orders: 40}
 func factories() map[string]func() core.Engine {
 	return map[string]func() core.Engine{
 		"X-Hive":      func() core.Engine { return native.New(64) },
-		"Xcolumn":     func() core.Engine { return xcolumn.New(64) },
-		"Xcollection": func() core.Engine { return xcollection.New(xcollection.DB2, 64, 0) },
-		"SQL Server":  func() core.Engine { return xcollection.New(xcollection.SQLServer, 64, 0) },
+		"Xcolumn":     func() core.Engine { return rdbms.New(rdbms.Xcolumn, 64, 0) },
+		"Xcollection": func() core.Engine { return rdbms.New(rdbms.Xcollection, 64, 0) },
+		"SQL Server":  func() core.Engine { return rdbms.New(rdbms.SQLServer, 64, 0) },
 	}
 }
 
@@ -94,7 +93,7 @@ func TestSkipsUnsupportedCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RunCell(func() core.Engine { return xcolumn.New(64) }, db, Config{Seed: 1})
+	out := RunCell(func() core.Engine { return rdbms.New(rdbms.Xcolumn, 64, 0) }, db, Config{Seed: 1})
 	if !out.Skipped || out.Err != nil {
 		t.Fatalf("outcome = %+v, want skip", out)
 	}

@@ -567,10 +567,9 @@ func (c *Client) Execute(ctx context.Context, q core.QueryID, p core.Params) (co
 }
 
 // Explain fetches the costed physical plan for one workload query from
-// the remote engine, implementing core.Explainer over the wire. Servers
-// predating OpExplain answer StatusBadRequest; that degrades to
-// core.ErrNoExplain so callers need only one sentinel check whether the
-// gap is in the engine or in the protocol.
+// the remote engine, implementing core.Explainer over the wire. An engine
+// that cannot explain answers StatusNoExplain, which decodes to
+// core.ErrNoExplain.
 func (c *Client) Explain(ctx context.Context, q core.QueryID, p core.Params) (*core.PlanNode, error) {
 	bp := wire.GetBuf()
 	defer wire.PutBuf(bp)
@@ -580,9 +579,6 @@ func (c *Client) Explain(ctx context.Context, q core.QueryID, p core.Params) (*c
 		return b
 	}, true)
 	if err != nil {
-		if errors.Is(err, wire.ErrBadRequest) {
-			return nil, fmt.Errorf("client: server predates OpExplain: %w", core.ErrNoExplain)
-		}
 		return nil, err
 	}
 	return wire.DecodePlanNode(resp)

@@ -2,34 +2,11 @@ package client
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"xbench/internal/core"
 	"xbench/internal/wire"
 )
-
-// TestExplainOldServerDegrades: a server predating OpExplain answers
-// StatusBadRequest for the unknown op; the client maps that to
-// core.ErrNoExplain so callers cannot tell a protocol gap from an
-// engine gap — one sentinel covers both.
-func TestExplainOldServerDegrades(t *testing.T) {
-	fs := newFakeServer(t, func(_ int, f wire.Frame) (wire.Frame, bool) {
-		if wire.Op(f.Kind) != wire.OpExplain {
-			t.Errorf("unexpected op %d", f.Kind)
-		}
-		return wire.Frame{Kind: byte(wire.StatusBadRequest), Payload: []byte("unknown op 11")}, false
-	})
-	c := fs.client(Config{})
-	defer c.Close()
-	_, err := c.Explain(context.Background(), core.Q5, core.Params{"X": "I1"})
-	if !errors.Is(err, core.ErrNoExplain) {
-		t.Fatalf("err = %v, want ErrNoExplain", err)
-	}
-	if reqs, _ := fs.stats(); reqs != 1 {
-		t.Errorf("bad-request answer was retried %d times; it is not transient", reqs-1)
-	}
-}
 
 // TestExplainRoundTrip: a well-formed plan payload decodes through the
 // client path.

@@ -28,9 +28,9 @@ func IsNotAnswered(err error) bool {
 }
 
 // Engine is a system under test. The implementations model the four
-// systems of the paper: native (X-Hive), xcolumn (DB2 XML Extender XML
-// column), and xcollection, the shredding engine, under its two policies
-// (DB2 XML Extender XML collection; SQL Server 2000 + SQLXML bulk load).
+// systems of the paper: native (X-Hive), and rdbms, the relational engine,
+// under its three policies (DB2 XML Extender XML column and XML
+// collection; SQL Server 2000 + SQLXML bulk load).
 //
 // Concurrency contract: Execute is safe to call from many goroutines
 // against a loaded database. Load, BuildIndexes and ColdReset are

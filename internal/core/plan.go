@@ -68,9 +68,9 @@ func (n *PlanNode) format(b *strings.Builder, depth int) {
 // String implements fmt.Stringer.
 func (n *PlanNode) String() string { return strings.TrimRight(n.Format(), "\n") }
 
-// ErrNoExplain reports that an engine cannot produce a plan — an Engine
-// that does not implement Explainer, or a server predating the OpExplain
-// opcode. Match with errors.Is.
+// ErrNoExplain reports that an engine cannot produce a plan: an Engine
+// that does not implement Explainer, locally or behind a server. Match
+// with errors.Is.
 var ErrNoExplain = errors.New("engine does not support explain")
 
 // Explainer is the optional extension to Engine: engines that plan

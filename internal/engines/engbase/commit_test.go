@@ -7,8 +7,7 @@ import (
 
 	"xbench/internal/core"
 	"xbench/internal/engines/native"
-	"xbench/internal/engines/xcollection"
-	"xbench/internal/engines/xcolumn"
+	"xbench/internal/engines/rdbms"
 	"xbench/internal/gen"
 	"xbench/internal/workload"
 )
@@ -48,13 +47,13 @@ func TestCommitWritesWhatItDirtied(t *testing.T) {
 		was, is io
 	}{
 		{core.DCMD, "X-Hive", func() engine { return native.New(0) }, io{356, 4, 8, 8}, io{355, 3, 6, 6}},
-		{core.DCMD, "Xcolumn", func() engine { return xcolumn.New(0) }, io{381, 7, 23, 16}, io{380, 5, 18, 12}},
-		{core.DCMD, "Xcollection", func() engine { return xcollection.New(xcollection.DB2, 0, 0) }, io{720, 14, 41, 28}, io{692, 10, 16, 16}},
-		{core.DCMD, "SQL Server", func() engine { return xcollection.New(xcollection.SQLServer, 0, 0) }, io{720, 14, 41, 28}, io{692, 10, 16, 16}},
+		{core.DCMD, "Xcolumn", func() engine { return rdbms.New(rdbms.Xcolumn, 0, 0) }, io{381, 7, 23, 16}, io{380, 5, 18, 12}},
+		{core.DCMD, "Xcollection", func() engine { return rdbms.New(rdbms.Xcollection, 0, 0) }, io{720, 14, 41, 28}, io{692, 10, 16, 16}},
+		{core.DCMD, "SQL Server", func() engine { return rdbms.New(rdbms.SQLServer, 0, 0) }, io{720, 14, 41, 28}, io{692, 10, 16, 16}},
 		{core.TCMD, "X-Hive", func() engine { return native.New(0) }, io{60, 4, 8, 8}, io{59, 3, 6, 6}},
-		{core.TCMD, "Xcolumn", func() engine { return xcolumn.New(0) }, io{62, 5, 18, 14}, io{61, 4, 16, 12}},
-		{core.TCMD, "Xcollection", func() engine { return xcollection.New(xcollection.DB2, 0, 0) }, io{266, 14, 41, 28}, io{241, 10, 20, 20}},
-		{core.TCMD, "SQL Server", func() engine { return xcollection.New(xcollection.SQLServer, 0, 0) }, io{266, 14, 41, 28}, io{241, 10, 20, 20}},
+		{core.TCMD, "Xcolumn", func() engine { return rdbms.New(rdbms.Xcolumn, 0, 0) }, io{62, 5, 18, 14}, io{61, 4, 16, 12}},
+		{core.TCMD, "Xcollection", func() engine { return rdbms.New(rdbms.Xcollection, 0, 0) }, io{266, 14, 41, 28}, io{241, 10, 20, 20}},
+		{core.TCMD, "SQL Server", func() engine { return rdbms.New(rdbms.SQLServer, 0, 0) }, io{266, 14, 41, 28}, io{241, 10, 20, 20}},
 	} {
 		t.Run(tc.class.String()+"/"+tc.name, func(t *testing.T) {
 			db, err := gen.Config{Seed: 7}.Generate(tc.class, core.Small)

@@ -10,8 +10,7 @@ import (
 	"xbench/internal/core"
 	"xbench/internal/engines/engbase"
 	"xbench/internal/engines/native"
-	"xbench/internal/engines/xcollection"
-	"xbench/internal/engines/xcolumn"
+	"xbench/internal/engines/rdbms"
 	"xbench/internal/gen"
 	"xbench/internal/metrics"
 	"xbench/internal/pager"
@@ -30,9 +29,9 @@ var engines = []struct {
 	mk   func() engine
 }{
 	{"X-Hive", func() engine { return native.New(64) }},
-	{"Xcolumn", func() engine { return xcolumn.New(64) }},
-	{"Xcollection", func() engine { return xcollection.New(xcollection.DB2, 64, 0) }},
-	{"SQL Server", func() engine { return xcollection.New(xcollection.SQLServer, 64, 0) }},
+	{"Xcolumn", func() engine { return rdbms.New(rdbms.Xcolumn, 64, 0) }},
+	{"Xcollection", func() engine { return rdbms.New(rdbms.Xcollection, 64, 0) }},
+	{"SQL Server", func() engine { return rdbms.New(rdbms.SQLServer, 64, 0) }},
 }
 
 func tinyDB(t *testing.T) *core.Database {
@@ -398,7 +397,7 @@ func TestEngineContract(t *testing.T) {
 	// document's rows were already inserted; the abort must truncate them
 	// and leave the engine loadable.
 	t.Run("Xcollection/row-limit abort truncates", func(t *testing.T) {
-		e := xcollection.New(xcollection.DB2, 64, 1) // every generated document decomposes into >1 row
+		e := rdbms.New(rdbms.Xcollection, 64, 1) // every generated document decomposes into >1 row
 		defer e.Close()
 		if _, err := e.Load(ctx, db); !errors.Is(err, core.ErrUnsupported) {
 			t.Fatalf("load under a 1-row limit: %v", err)

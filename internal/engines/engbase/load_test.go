@@ -65,7 +65,7 @@ func TestLoadContractWithParseAhead(t *testing.T) {
 		io     int64
 	}{
 		"X-Hive":      {"native", 3491},
-		"Xcolumn":     {"xcolumn", 3743},
+		"Xcolumn":     {"Xcolumn", 3743},
 		"Xcollection": {"Xcollection", 7069},
 		"SQL Server":  {"SQL Server", 7069},
 	}

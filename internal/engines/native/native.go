@@ -68,8 +68,8 @@ type store struct {
 	catalog *pager.Heap // catalog records in load order
 	// names maps a document name to the RID of its catalog record, so an
 	// update reaches its document without walking the catalog. Volatile,
-	// like xcolumn's names and the shredding engine's docIDs: a load
-	// fills it and updates (replayed ones included) maintain it.
+	// like the relational engine's keys: a load fills it and updates
+	// (replayed ones included) maintain it.
 	names   map[string]pager.RID
 	indexes map[string]*btree.Tree
 	// memo holds the records the newest frozen view has opened; dropped

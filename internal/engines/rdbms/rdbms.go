@@ -1,0 +1,354 @@
+// Package rdbms implements the paper's three XML-enabled relational
+// systems as one engine over one relational store, configured by a
+// Policy. Each keeps a class's documents as the rows of one of the two
+// mappings its annotated schema carries (internal/shredder), commits its
+// load document-at-a-time, and answers queries with the hand-translated
+// operator trees of shredplan, so what Explain draws is what Execute
+// runs.
+//
+// What the paper lists as different between them (§3.1.1, §3.1.3) is the
+// Policy's data:
+//
+//   - Xcolumn, DB2's "XML column", keeps each document intact as a CLOB,
+//     and side tables of the DAD hold its searchable elements and
+//     attributes, with a dxx_seqno column preserving the order of
+//     repeating elements. A single large document exceeds the 2 GB CLOB
+//     limit, so TC/SD and DC/SD cells are blank (§3.1.3 item 6).
+//     Reconstruction (Q12) and ordered access (Q5) are exact; text search
+//     (Q17) has no side-table support and must scan every CLOB, which is
+//     why Xcolumn's DC/MD text-search numbers explode in Table 7.
+//   - Xcollection, DB2's "XML collection", decomposes each document into
+//     the shredded tables. DB2 has the 1024-row decomposition limit per
+//     document (item 5), scaled to this reproduction's database sizes:
+//     single-document classes load only at Small. Mixed-content elements
+//     keep their flattened text.
+//   - SQL Server (2000 + SQLXML 3.0 bulk load) shreds into the same
+//     tables without a row limit — its rows are present in all cells of
+//     Tables 4-9 — but cannot map mixed-content elements at all and drops
+//     their text (item 3).
+//
+// The shredding policies create primary/foreign-key indexes during bulk
+// loading and keep no document-order columns, so their ordered access and
+// reconstruction are only accidentally correct (§3.2.2).
+package rdbms
+
+import (
+	"context"
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
+
+	"xbench/internal/core"
+	"xbench/internal/engines/engbase"
+	"xbench/internal/engines/shredplan"
+	"xbench/internal/pager"
+	"xbench/internal/plan"
+	"xbench/internal/relational"
+	"xbench/internal/shredder"
+	"xbench/internal/xmldom"
+	"xbench/internal/xmlschema"
+)
+
+// DefaultRowLimit is DB2's decomposition row limit per document,
+// modeling DB2's 1024-row limit (§3.1.3 item 5). The class/size support
+// matrix the paper observed — single-document databases load only at
+// Small — is enforced directly by Supports; this mechanism backs it up
+// and is configurable for tests, with a default high enough that the
+// paper-valid combinations (including the DC/MD flat documents at Large)
+// still load.
+const DefaultRowLimit = 1 << 17
+
+// Policy is one of the three modeled systems.
+type Policy struct {
+	name    string // row label in the paper's tables, and error prefix
+	mapping xmlschema.Mapping
+	// rowLimit is the per-document decomposition row limit; 0 means the
+	// system has none. A system with one hosts single-document classes
+	// only at Small (paper Tables 4-9 leave those cells blank).
+	rowLimit  int
+	dropMixed bool // mixed-content text is unmappable and dropped
+}
+
+// The three relational systems the paper evaluates.
+var (
+	Xcolumn     = Policy{name: "Xcolumn", mapping: xmlschema.DAD}
+	Xcollection = Policy{name: "Xcollection", rowLimit: DefaultRowLimit}
+	SQLServer   = Policy{name: "SQL Server", dropMixed: true}
+)
+
+// Engine is a relational engine instance: the shared engine lifecycle
+// (engbase.Base: load, snapshot reads, updates, close) over a relational
+// store.
+type Engine struct{ *engbase.Base[view] }
+
+// view is the engine's read surface and query path (engbase.View): the
+// store's tables at one commit epoch and, under the DAD, its CLOB heap
+// frozen and its rid list copied, queried by the operator trees of
+// shredplan.
+type view struct{ src shredplan.Source }
+
+// Class implements engbase.View.
+func (v view) Class() core.Class { return v.src.Class }
+
+// Stats implements engbase.View.
+func (v view) Stats() plan.StatValues { return shredplan.StoreStats(v.src) }
+
+// Exec implements engbase.View: the operator tree of ph's query.
+// Cancellation via ctx is honored at page-fetch granularity.
+func (v view) Exec(ctx context.Context, ph *plan.Physical, p core.Params) (core.Result, error) {
+	return shredplan.Exec(ctx, v.src, ph, p)
+}
+
+// Explain implements engbase.View: the operator tree Exec walks, drawn
+// with ph's access path.
+func (v view) Explain(ph *plan.Physical) (*core.PlanNode, error) {
+	return shredplan.Explain(v.src.Mapping, v.src.Class, ph)
+}
+
+// store is the relational layout; it implements engbase.Store, which
+// states the locking each method runs under.
+type store struct {
+	pol Policy
+	p   *pager.Pager
+	// clobs holds Xcolumn's documents intact, rids its CLOBs in load
+	// order; nil under the shredding policies.
+	clobs *pager.Heap
+	rids  []pager.RID
+	shred *shredder.Store // nil until loaded
+	// keys maps a document's name to its unit key (shredder's
+	// DeleteDocumentRows): its CLOB's rid under Xcolumn, which knows
+	// every document, and a unit document's root id otherwise.
+	keys map[string]string
+}
+
+// New returns an empty engine of the given system. rowLimit > 0
+// overrides the decomposition row limit of a system that has one.
+func New(pol Policy, poolPages, rowLimit int) *Engine {
+	if pol.rowLimit > 0 && rowLimit > 0 {
+		pol.rowLimit = rowLimit
+	}
+	p := pager.New(poolPages)
+	s := &store{pol: pol, p: p}
+	if pol.mapping == xmlschema.DAD {
+		s.clobs = pager.NewHeap(p, "clobs")
+	}
+	return &Engine{engbase.New[view](p, s)}
+}
+
+var (
+	_ core.Engine       = (*Engine)(nil)
+	_ core.Explainer    = (*Engine)(nil)
+	_ engbase.Validator = (*store)(nil)
+)
+
+// Name implements core.Engine.
+func (s *store) Name() string { return s.pol.name }
+
+// Supports implements core.Engine: a single-document class exceeds the
+// CLOB size limit, and under a decomposition row limit fits only at Small.
+func (s *store) Supports(c core.Class, sz core.Size) error {
+	if c.SingleDocument() && s.pol.mapping == xmlschema.DAD {
+		return fmt.Errorf("%s: %s: single large document exceeds the XML CLOB limit: %w",
+			s.pol.name, c, core.ErrUnsupported)
+	}
+	if c.SingleDocument() && s.pol.rowLimit > 0 && sz != core.Small {
+		return fmt.Errorf("%s: %s %s: document decomposition exceeds the row limit: %w",
+			s.pol.name, c, sz, core.ErrUnsupported)
+	}
+	return nil
+}
+
+// Freeze implements engbase.Store: the CLOB heap's view and a copy of the
+// rid list at epoch, then the tables' (relational.DB.View). The views
+// flush the tail page of each heap the mutation appended to or patched.
+func (s *store) Freeze(epoch uint64) (view, error) {
+	src := shredplan.Source{Mapping: s.pol.mapping, Class: s.shred.Class, DropMixed: s.pol.dropMixed}
+	var err error
+	if s.clobs != nil {
+		if src.CLOBs, err = s.clobs.View(epoch); err != nil {
+			return view{}, err
+		}
+		src.RIDs = slices.Clone(s.rids)
+	}
+	src.DB, err = s.shred.DB.View(epoch)
+	return view{src}, err
+}
+
+// Reset implements engbase.Store.
+func (s *store) Reset() error {
+	s.keys, s.rids = nil, nil
+	if s.clobs != nil {
+		if err := s.clobs.Reset(); err != nil {
+			return err
+		}
+	}
+	if s.shred != nil {
+		if err := s.shred.Truncate(); err != nil {
+			return err
+		}
+		s.shred = nil
+	}
+	return nil
+}
+
+// LoadDocs implements engbase.Store: store each document as its own
+// transaction, because both DB2's loaders and the SQLXML bulk loader work
+// document-at-a-time (the per-document I/O is what makes DC/MD the
+// slowest class to load in Table 4). Xcolumn syncs the CLOB heap per
+// document and flushes its side tables once, at the end; the shredding
+// policies flush and sync every table per document, then build the key
+// indexes.
+func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats, error) {
+	var st core.LoadStats
+	s.keys = make(map[string]string, len(db.Docs))
+	s.shred = shredder.NewStore(db.Class, s.pol.mapping, relational.NewDB(s.p), shredder.Options{
+		RowLimitPerDoc: s.pol.rowLimit,
+		DropMixed:      s.pol.dropMixed,
+	})
+	err := engbase.ParseDocs(ctx, s.pol.name, db, func(d *core.Doc, rec *xmldom.Record) error {
+		rows, err := s.insert(d.Name, d.Data, rec)
+		if err != nil {
+			return err
+		}
+		if s.clobs != nil {
+			err = s.clobs.Sync()
+		} else {
+			err = s.shred.Sync()
+		}
+		if err != nil {
+			return err
+		}
+		st.Documents++
+		st.Rows += rows
+		st.Bytes += len(d.Data)
+		return nil
+	})
+	if err != nil {
+		return st, err
+	}
+	if err := s.shred.Sync(); err != nil {
+		return st, err
+	}
+	// Primary/foreign-key indexes are created automatically during bulk
+	// loading (paper §2.2 experimental setup), so their cost lands in the
+	// load time, as it did for DB2 and SQL Server in Table 4.
+	if s.clobs == nil {
+		if err := autoKeyIndexes(s.shred.DB); err != nil {
+			return st, err
+		}
+	}
+	st.SkippedMixed = s.shred.SkippedMixed
+	return st, s.p.SyncAll()
+}
+
+// autoKeyIndexes builds the PK/FK indexes a relational DBMS creates during
+// bulk load: every column named "id" or suffixed "_id".
+func autoKeyIndexes(db *relational.DB) error {
+	for _, name := range db.TableNames() {
+		t := db.Table(name)
+		for _, col := range t.Cols {
+			if col == "id" || strings.HasSuffix(col, "_id") {
+				if err := t.CreateIndex(col); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// BuildIndexes implements engbase.Store: map Table 3 targets onto the
+// columns of the store's mapping.
+func (s *store) BuildIndexes(specs []core.IndexSpec) error {
+	for _, spec := range specs {
+		table, col, ok := shredder.TargetColumn(s.shred.Class, s.pol.mapping, spec.Target)
+		if !ok {
+			continue
+		}
+		if err := s.shred.DB.Table(table).CreateIndex(col); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// insert stores one document and returns the rows it made: under
+// Xcolumn its CLOB, then its side-table rows under the CLOB's rid;
+// otherwise its shredded rows. It records the document's unit key.
+func (s *store) insert(name string, data []byte, rec *xmldom.Record) (int, error) {
+	doc := name
+	if s.clobs != nil {
+		rid, err := s.clobs.Insert(data)
+		if err != nil {
+			return 0, err
+		}
+		s.rids = append(s.rids, rid)
+		doc = strconv.FormatUint(uint64(rid), 10)
+		s.keys[name] = doc
+	} else if id, ok := shredder.UnitDocID(s.shred.Class, rec); ok {
+		s.keys[name] = id
+	}
+	return s.shred.ShredDocument(doc, rec)
+}
+
+// The update hooks below apply U1-U3 inside the mutation bracket
+// engbase.Base runs. A delete is the cascade of the document's unit key
+// (shredder.DeleteDocumentRows). Under Xcolumn any document can be
+// updated, and its CLOB is tombstoned, whose space the next CLOB that
+// fits reuses; a replacement's side rows are regenerated, the dxx_seqno
+// columns renumbered from the new content. Load writes no index on the
+// side tables' doc column — the DAD declares none, and the stored size
+// and the cold query paths stay what the paper's system had — so the
+// first delete builds them. The shredding policies update only unit
+// documents — whole <order> (DC/MD) / <article> (TC/MD) files — whose
+// rows are keyed by their root id, a column bulk loading indexed.
+
+// Validate implements engbase.Validator: Xcolumn stores any well-formed
+// document, one with an unmapped root with no side-table rows; a
+// shredding policy only a unit document of the loaded class, within the
+// decomposition row limit.
+func (s *store) Validate(rec *xmldom.Record) error {
+	if s.clobs != nil {
+		return nil
+	}
+	if _, ok := shredder.UnitDocID(s.shred.Class, rec); !ok {
+		return fmt.Errorf("not a unit document of %s: %w", s.shred.Class, core.ErrUnsupported)
+	}
+	_, err := s.shred.Count(rec)
+	return err
+}
+
+// Exists implements engbase.Store.
+func (s *store) Exists(name string) bool {
+	_, ok := s.keys[name]
+	return ok
+}
+
+// ApplyInsert implements engbase.Store.
+func (s *store) ApplyInsert(_ context.Context, name string, data []byte, rec *xmldom.Record) error {
+	_, err := s.insert(name, data, rec)
+	return err
+}
+
+// ApplyDelete implements engbase.Store: the delete cascade of the
+// document's unit key, then, under Xcolumn, its CLOB.
+func (s *store) ApplyDelete(ctx context.Context, name string) error {
+	key := s.keys[name]
+	if _, err := s.shred.DeleteDocumentRows(ctx, key); err != nil {
+		return err
+	}
+	delete(s.keys, name)
+	if s.clobs == nil {
+		return nil
+	}
+	n, _ := strconv.ParseUint(key, 10, 64)
+	rid := pager.RID(n)
+	if err := s.clobs.Delete(ctx, rid); err != nil {
+		return err
+	}
+	// Copy-on-write: the previous slice may still back a published
+	// snapshot view, so never shift it in place.
+	s.rids = slices.DeleteFunc(slices.Clone(s.rids), func(r pager.RID) bool { return r == rid })
+	return nil
+}

@@ -1,10 +1,10 @@
-// Package shredplan is how the relational engines answer queries: the
-// shredding engines (DB2 Xcollection and SQL Server) over the tables
+// Package shredplan is how the relational engine answers queries: its
+// shredding policies (DB2 Xcollection and SQL Server) over the tables
 // internal/shredder decomposes documents into, and DB2 Xcolumn over the
 // side tables of its DAD and the CLOBs that hold its documents intact.
 // Each query the paper's authors translated by hand (§3.2: "the query
 // translations from XQuery to their own languages ... were done by us") is
-// an operator tree in one table (trees.go), keyed by layout, class and
+// an operator tree in one table (trees.go), keyed by mapping, class and
 // query: a primary probe, range or scan that takes the plan's access path,
 // key-index lookups and seeks, filters on the stored columns, key-set
 // semi-joins, joins, aggregates, sort, limit, Xcolumn's CLOB fetch and
@@ -34,28 +34,18 @@ import (
 	"xbench/internal/plan"
 	"xbench/internal/relational"
 	"xbench/internal/xmldom"
+	"xbench/internal/xmlschema"
 	"xbench/internal/xquery"
 )
 
-// Layout is how a store keeps its documents, and so which trees translate
-// its queries.
-type Layout int
-
-const (
-	// Shredded documents are decomposed into internal/shredder's tables
-	// (Xcollection, SQL Server).
-	Shredded Layout = iota
-	// Xcolumn keeps each document intact as a CLOB, with its searchable
-	// values in the side tables of the DAD (internal/shredder's dad.go).
-	Xcolumn
-)
-
-// Source is what a tree reads: a store's tables at one epoch and, in the
-// Xcolumn layout, its CLOBs.
+// Source is what a tree reads: a store's tables at one epoch and, under
+// the DAD, its CLOBs.
 type Source struct {
-	Layout Layout
-	Class  core.Class
-	DB     *relational.DBView
+	// Mapping is the store's, and picks the trees that translate its
+	// queries.
+	Mapping xmlschema.Mapping
+	Class   core.Class
+	DB      *relational.DBView
 	// DropMixed is a shredded store's: mixed content's text was not stored.
 	DropMixed bool
 	// CLOBs is an Xcolumn store's document heap, RIDs its CLOBs in load
@@ -71,9 +61,9 @@ func Exec(ctx context.Context, s Source, ph *plan.Physical, p core.Params) (core
 }
 
 // Explain renders the tree Exec runs for ph's query over a store of
-// layout l and class.
-func Explain(l Layout, class core.Class, ph *plan.Physical) (*core.PlanNode, error) {
-	root := trees[l][cell{class, ph.Def.ID}]
+// mapping m and class.
+func Explain(m xmlschema.Mapping, class core.Class, ph *plan.Physical) (*core.PlanNode, error) {
+	root := trees[m][cell{class, ph.Def.ID}]
 	if root == nil {
 		return nil, core.ErrNoQuery
 	}
@@ -82,7 +72,7 @@ func Explain(l Layout, class core.Class, ph *plan.Physical) (*core.PlanNode, err
 
 // exec is Exec, calling entered, when set, with every node it enters.
 func exec(ctx context.Context, s Source, ph *plan.Physical, p core.Params, entered func(*Node)) (core.Result, error) {
-	root := trees[s.Layout][cell{s.Class, ph.Def.ID}]
+	root := trees[s.Mapping][cell{s.Class, ph.Def.ID}]
 	if root == nil {
 		return core.Result{}, core.ErrNoQuery
 	}
@@ -99,7 +89,7 @@ func exec(ctx context.Context, s Source, ph *plan.Physical, p core.Params, enter
 		// dxx_seqno and the intact CLOBs preserve document order (§3.2.2:
 		// "DB2/Xcolumn can keep track of ordering information by using
 		// dxx_seqno"); the shredded tables keep none.
-		OrderGuaranteed:  s.Layout == Xcolumn || !ph.Def.OrderSensitive,
+		OrderGuaranteed:  s.Mapping == xmlschema.DAD || !ph.Def.OrderSensitive,
 		MixedContentLost: ph.Def.TouchesMixed && s.DropMixed,
 	}, nil
 }

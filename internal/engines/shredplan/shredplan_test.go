@@ -14,6 +14,7 @@ import (
 	"xbench/internal/relational"
 	"xbench/internal/shredder"
 	"xbench/internal/xmldom"
+	"xbench/internal/xmlschema"
 )
 
 // frozen is the source of s a query would read now. No test here mutates
@@ -36,7 +37,7 @@ func loadStore(t *testing.T, class core.Class, opts shredder.Options) Source {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := shredder.NewStore(class, relational.NewDB(pager.New(256)), opts)
+	s := shredder.NewStore(class, xmlschema.Shredded, relational.NewDB(pager.New(256)), opts)
 	for _, d := range db.Docs {
 		doc := new(xmldom.Record)
 		if err := xmldom.ParseRecord(doc, d.Data); err != nil {
@@ -226,7 +227,7 @@ func TestQ17NullHoldsNoText(t *testing.T) {
 				`<order_line><item_id>I2</item_id><comment>beta gamma</comment></order_line></order_lines></order>`,
 			"beta", "O1"},
 	} {
-		s := shredder.NewStore(c.class, relational.NewDB(pager.New(64)), shredder.Options{})
+		s := shredder.NewStore(c.class, xmlschema.Shredded, relational.NewDB(pager.New(64)), shredder.Options{})
 		doc := new(xmldom.Record)
 		if err := xmldom.ParseRecord(doc, []byte(c.xml)); err != nil {
 			t.Fatal(err)

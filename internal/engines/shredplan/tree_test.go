@@ -20,6 +20,7 @@ import (
 	"xbench/internal/shredder"
 	"xbench/internal/workload"
 	"xbench/internal/xmldom"
+	"xbench/internal/xmlschema"
 )
 
 // updatePlans rewrites the golden trees instead of diffing them:
@@ -29,7 +30,7 @@ var updatePlans = flag.Bool("update-plans", false, "rewrite the results/plans/sh
 
 // goldenDirs are the checked-in corpora of each layout's trees, one file
 // per (class, query) it answers, drawn over fixture statistics.
-var goldenDirs = [...]string{Shredded: "../../../results/plans/shredded", Xcolumn: "../../../results/plans/xcolumn"}
+var goldenDirs = [...]string{xmlschema.Shredded: "../../../results/plans/shredded", xmlschema.DAD: "../../../results/plans/xcolumn"}
 
 // TestGoldenPlans draws every tree of both layouts over plan.FixtureStats
 // and diffs it against its corpus. A diff means a tree or the plan it is
@@ -48,7 +49,7 @@ func TestGoldenPlans(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s: %v", class, def.ID, err)
 				}
-				tree, err := Explain(Layout(l), class, ph)
+				tree, err := Explain(xmlschema.Mapping(l), class, ph)
 				if errors.Is(err, core.ErrNoQuery) {
 					continue
 				}
@@ -94,7 +95,7 @@ func (n *Node) nodes(fn func(*Node)) {
 // bulk load and the Table 3 indexes.
 func loadLikeTheEngine(t *testing.T, db *core.Database, opts shredder.Options) Source {
 	t.Helper()
-	s := shredder.NewStore(db.Class, relational.NewDB(pager.New(0)), opts)
+	s := shredder.NewStore(db.Class, xmlschema.Shredded, relational.NewDB(pager.New(0)), opts)
 	for _, d := range db.Docs {
 		doc := new(xmldom.Record)
 		if err := xmldom.ParseRecord(doc, d.Data); err != nil {
@@ -117,7 +118,7 @@ func loadLikeTheEngine(t *testing.T, db *core.Database, opts shredder.Options) S
 		}
 	}
 	for _, spec := range queries.Indexes(db.Class) {
-		if table, c, ok := shredder.TargetColumn(db.Class, spec.Target); ok {
+		if table, c, ok := shredder.TargetColumn(db.Class, xmlschema.Shredded, spec.Target); ok {
 			if err := s.DB.Table(table).CreateIndex(c); err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +133,7 @@ func loadLikeXcolumn(t *testing.T, db *core.Database) Source {
 	t.Helper()
 	p := pager.New(0)
 	clobs, tables := pager.NewHeap(p, "clobs"), relational.NewDB(p)
-	shredder.CreateSideTables(db.Class, tables)
+	side := shredder.NewStore(db.Class, xmlschema.DAD, tables, shredder.Options{})
 	var rids []pager.RID
 	for _, d := range db.Docs {
 		doc := new(xmldom.Record)
@@ -144,7 +145,7 @@ func loadLikeXcolumn(t *testing.T, db *core.Database) Source {
 			t.Fatal(err)
 		}
 		rids = append(rids, rid)
-		if _, err := shredder.InsertSideRows(tables, db.Class, strconv.FormatUint(uint64(rid), 10), doc); err != nil {
+		if _, err := side.ShredDocument(strconv.FormatUint(uint64(rid), 10), doc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,7 +158,7 @@ func loadLikeXcolumn(t *testing.T, db *core.Database) Source {
 		}
 	}
 	for _, spec := range queries.Indexes(db.Class) {
-		if table, c, ok := shredder.SideColumn(db.Class, spec.Target); ok {
+		if table, c, ok := shredder.TargetColumn(db.Class, xmlschema.DAD, spec.Target); ok {
 			if err := tables.Table(table).CreateIndex(c); err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +175,7 @@ func loadLikeXcolumn(t *testing.T, db *core.Database) Source {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Source{Layout: Xcolumn, Class: db.Class, DB: v, CLOBs: cv, RIDs: rids}
+	return Source{Mapping: xmlschema.DAD, Class: db.Class, DB: v, CLOBs: cv, RIDs: rids}
 }
 
 // TestExplainedTreeIsExecuted: for every tree — the shredded ones on both
@@ -188,16 +189,16 @@ func TestExplainedTreeIsExecuted(t *testing.T) {
 	ctx := context.Background()
 	stores := []struct {
 		name   string
-		layout Layout
+		layout xmlschema.Mapping
 		load   func(*testing.T, *core.Database) Source
 	}{
-		{"shredded", Shredded, func(t *testing.T, db *core.Database) Source {
+		{"shredded", xmlschema.Shredded, func(t *testing.T, db *core.Database) Source {
 			return loadLikeTheEngine(t, db, shredder.Options{})
 		}},
-		{"shredded, mixed dropped", Shredded, func(t *testing.T, db *core.Database) Source {
+		{"shredded, mixed dropped", xmlschema.Shredded, func(t *testing.T, db *core.Database) Source {
 			return loadLikeTheEngine(t, db, shredder.Options{DropMixed: true})
 		}},
-		{"xcolumn", Xcolumn, loadLikeXcolumn},
+		{"xcolumn", xmlschema.DAD, loadLikeXcolumn},
 	}
 	for _, class := range core.Classes {
 		var dbs []*core.Database
@@ -209,7 +210,7 @@ func TestExplainedTreeIsExecuted(t *testing.T) {
 			dbs = append(dbs, db)
 		}
 		for _, st := range stores {
-			if st.layout == Xcolumn && class.SingleDocument() {
+			if st.layout == xmlschema.DAD && class.SingleDocument() {
 				continue
 			}
 			entered := map[*Node]bool{}

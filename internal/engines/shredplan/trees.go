@@ -1,6 +1,9 @@
 package shredplan
 
-import "xbench/internal/core"
+import (
+	"xbench/internal/core"
+	"xbench/internal/xmlschema"
+)
 
 // cell names a query of a class.
 type cell struct {
@@ -8,8 +11,8 @@ type cell struct {
 	q     core.QueryID
 }
 
-// trees holds each layout's translation of the workload.
-var trees = [...]map[cell]*Node{Shredded: shreddedTrees, Xcolumn: xcolumnTrees}
+// trees holds each mapping's translation of the workload.
+var trees = [...]map[cell]*Node{xmlschema.Shredded: shreddedTrees, xmlschema.DAD: xcolumnTrees}
 
 // shreddedTrees is the hand translation of the workload onto the shredded
 // schema: one operator tree per (class, query) the mapping can answer.

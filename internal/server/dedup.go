@@ -8,12 +8,15 @@
 // Reopen, so the table survives process death exactly as far as the
 // acknowledged updates it guards do.
 //
-// GC: per-client seqs are monotonic and a client retries only its most
-// recent update (updates are serial per logical op), so the table keeps a
-// bounded window of the highest seqs per client and drops the oldest
-// beyond it. A retry can therefore only miss the table if the client
-// issued dedupPerClient newer updates in between — which the serial
-// client protocol makes impossible.
+// GC: a client mints its seqs in increasing order, but they need not
+// arrive in that order. Goroutines sharing one client.Client race to the
+// wire after minting, and a router mints keys on its shard clients for
+// every caller, so seq n+1 can commit before seq n arrives. The table
+// therefore keeps each committed seq, not a high-water mark (which would
+// answer the late seq n as a duplicate and never apply it), in a bounded
+// window per client, dropping the oldest beyond it. A retry misses the
+// table only if dedupPerClient newer updates of its client committed
+// between the original and the retry.
 package server
 
 import (

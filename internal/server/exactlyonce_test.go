@@ -85,6 +85,43 @@ func TestDedupReplaysOriginalResult(t *testing.T) {
 	}
 }
 
+// TestOutOfOrderKeysFromOneClientBothApply: one client's keys can reach
+// the server out of order. Goroutines sharing one client.Client mint their
+// keys and then race to the wire, and a router mints keys on its shard
+// clients for every caller, so seq 2 can commit before seq 1 arrives. Both
+// updates apply, and a replay of either is deduped and not applied again.
+// A table keeping one high-water seq per client would answer the late seq
+// 1 as a duplicate and never apply it: an acknowledged update lost.
+func TestOutOfOrderKeysFromOneClientBothApply(t *testing.T) {
+	eng := newStub()
+	srv, _ := startServer(t, eng, server.Config{})
+	rc := dialRaw(t, srv.Addr().String())
+
+	updates := [][]byte{
+		updatePayload(wire.OpInsert, "order-update-2.xml", []byte("<order n='2'/>"), wire.IdemKey{Client: 0xC, Seq: 2}),
+		updatePayload(wire.OpInsert, "order-update-1.xml", []byte("<order n='1'/>"), wire.IdemKey{Client: 0xC, Seq: 1}),
+	}
+	deduped := srv.Metrics().Counter("server.req.deduped")
+	for round, want := range []int64{0, 2} {
+		// The stub refuses a second insert of a name, so a replay that
+		// reached the engine would not answer StatusOK.
+		for i, payload := range updates {
+			if resp := rc.do(wire.OpInsert, payload); wire.Status(resp.Kind) != wire.StatusOK {
+				t.Fatalf("round %d, update %d: status %d (%s)", round, i, resp.Kind, resp.Payload)
+			}
+		}
+		if got := deduped.Value(); got != want {
+			t.Fatalf("round %d: deduped counter = %d, want %d", round, got, want)
+		}
+		eng.mu.Lock()
+		n, first, second := len(eng.docs), eng.docs["order-update-1.xml"], eng.docs["order-update-2.xml"]
+		eng.mu.Unlock()
+		if n != 2 || string(first) != "<order n='1'/>" || string(second) != "<order n='2'/>" {
+			t.Fatalf("round %d: engine holds %d documents (seq 1: %q, seq 2: %q), want both", round, n, first, second)
+		}
+	}
+}
+
 // TestUnkeyedUpdatesAreRefused: every update carries an idempotency key.
 // One sent with the zero key, or with no key at all (the payload cut
 // before its key), is refused as a bad request before it reaches the

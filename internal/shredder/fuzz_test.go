@@ -10,6 +10,7 @@ import (
 	"xbench/internal/pager"
 	"xbench/internal/relational"
 	"xbench/internal/xmldom"
+	"xbench/internal/xmlschema"
 )
 
 // stored counts the rows every table of db holds.
@@ -24,8 +25,9 @@ func stored(db *relational.DB) int {
 // FuzzShredDocument shreds any document ParseRecord accepts, as a
 // document of the class its first byte picks, under either shredding
 // policy: ShredDocument either fails or stores exactly the rows Count
-// predicted, and InsertSideRows stores exactly the rows it reports —
-// neither panics, however deep the recursion.
+// predicted, and into the DAD's side tables exactly the rows it reports;
+// the delete cascade removes them all — nothing panics, however deep the
+// recursion.
 func FuzzShredDocument(f *testing.F) {
 	for _, class := range core.Classes {
 		db, err := gen.Config{DictEntries: 2, Articles: 1, Items: 2, Orders: 1}.Generate(class, core.Small)
@@ -44,7 +46,7 @@ func FuzzShredDocument(f *testing.F) {
 			return
 		}
 		class := core.Classes[int(pick)%len(core.Classes)]
-		s := NewStore(class, relational.NewDB(pager.New(16)), Options{DropMixed: pick&4 != 0})
+		s := NewStore(class, xmlschema.Shredded, relational.NewDB(pager.New(16)), Options{DropMixed: pick&4 != 0})
 		want, cerr := s.Count(rec)
 		rows, err := s.ShredDocument("fuzz.xml", rec)
 		if err == nil && (cerr != nil || rows != want || stored(s.DB) != want) {
@@ -55,10 +57,9 @@ func FuzzShredDocument(f *testing.F) {
 				t.Fatalf("%s: deleting %s removed %d of %d rows: %v", class, id, n, rows, err)
 			}
 		}
-		side := relational.NewDB(pager.New(16))
-		CreateSideTables(class, side)
-		if rows, err := InsertSideRows(side, class, "1", rec); err == nil && rows != stored(side) {
-			t.Fatalf("%s: %d side rows reported, %d stored", class, rows, stored(side))
+		side := NewStore(class, xmlschema.DAD, relational.NewDB(pager.New(16)), Options{})
+		if rows, err := side.ShredDocument("1", rec); err == nil && rows != stored(side.DB) {
+			t.Fatalf("%s: %d side rows reported, %d stored", class, rows, stored(side.DB))
 		}
 	})
 }

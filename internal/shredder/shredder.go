@@ -1,10 +1,11 @@
 // Package shredder maps documents to relational rows by the annotated
 // class schemas of internal/xmlschema (Elem.Rows), as the paper's systems
-// read an annotated XSD or a DAD (§3.1.1, §3.1.2). One walker over a
-// parsed record serves both mappings: ShredDocument's tables of DB2
-// Xcollection and SQL Server, and InsertSideRows' side tables of DB2
-// Xcolumn. Everything else asked of a mapping is derived from the same
-// annotations.
+// read an annotated XSD or a DAD (§3.1.1, §3.1.2). A Store holds one
+// mapping's rows: the shredded tables of DB2 Xcollection and SQL Server,
+// or the side tables of DB2 Xcolumn. One walker over a parsed record
+// fills either, and everything else asked of a mapping — its tables, the
+// column an index target lands on, the delete cascade of a document — is
+// derived from the same annotations.
 //
 // The mapping reproduces the documented problems of shredding (§3.1.3):
 //
@@ -52,57 +53,62 @@ type Options struct {
 	RowLimitPerDoc int
 }
 
-// Store holds the shredded representation of one database: the writer's
-// half; queries read a view of its tables (relational.DB.View).
+// Store holds the rows of one database under one mapping of its class:
+// the writer's half; queries read a view of its tables
+// (relational.DB.View).
 type Store struct {
 	Class core.Class
 	DB    *relational.DB
 	Opts  Options
-	// Rows is the total number of rows inserted.
-	Rows int
 	// SkippedMixed counts mixed-content elements whose text was dropped.
 	SkippedMixed int
+	m            *mapping
 }
 
-// NewStore creates the class's shredded tables in db.
-func NewStore(class core.Class, db *relational.DB, opts Options) *Store {
-	for _, t := range mappings[class][xmlschema.Shredded].tables {
+// NewStore creates the tables of class's mapping m in db.
+func NewStore(class core.Class, m xmlschema.Mapping, db *relational.DB, opts Options) *Store {
+	mp := mappings[class][m]
+	for _, t := range mp.tables {
 		db.Create(t.table, t.cols...)
 	}
-	return &Store{Class: class, DB: db, Opts: opts}
+	return &Store{Class: class, DB: db, Opts: opts, m: mp}
 }
 
-// CreateSideTables creates the side tables of class's DAD in db.
-func CreateSideTables(class core.Class, db *relational.DB) {
-	for _, t := range mappings[class][xmlschema.DAD].tables {
-		db.Create(t.table, t.cols...)
+// Tables returns the tables of class's mapping m in creation order.
+func Tables(class core.Class, m xmlschema.Mapping) []string {
+	var names []string
+	for _, t := range mappings[class][m].tables {
+		names = append(names, t.table)
 	}
+	return names
 }
 
-// Columns returns the columns of a shredded or side table in stored
+// Columns returns the columns of a table of either mapping in stored
 // order, nil for a name no mapping has. A query plan resolves its column
 // names through it once, before any store exists.
 func Columns(table string) []string { return columns[table] }
 
 // TargetColumn maps a Table 3 index target ("hw", "item/@id") to the
-// shredded (table, column) holding that attribute or element text. The
-// shredding engines build their indexes through it, and the planner uses
+// (table, column) of class's mapping m holding that attribute or element
+// text. The engines build their indexes through it, and the planner uses
 // it to route costed index probes to the right table.
-func TargetColumn(class core.Class, target string) (table, col string, ok bool) {
-	return mappings[class][xmlschema.Shredded].target(target)
-}
-
-// SideColumn maps a Table 3 index target to the side-table column it
-// lands on, as TargetColumn does for the shredded tables.
-func SideColumn(class core.Class, target string) (table, col string, ok bool) {
-	return mappings[class][xmlschema.DAD].target(target)
+func TargetColumn(class core.Class, m xmlschema.Mapping, target string) (table, col string, ok bool) {
+	for _, t := range mappings[class][m].tables {
+		for i, c := range t.srcs {
+			if c.target == target {
+				return t.table, t.cols[i], true
+			}
+		}
+	}
+	return "", "", false
 }
 
 // UnitDocID returns the root id of a document the update workload can
-// target: one whose root element itself makes a row keyed by an attribute,
-// a whole <order> (DC/MD) or <article> (TC/MD), so that document-granularity
-// updates map to a relational cascade keyed by that id. Other roots (the
-// shared customers/items/... documents of DC/MD) return ok=false.
+// target: one whose root element itself makes a shredded row keyed by an
+// attribute, a whole <order> (DC/MD) or <article> (TC/MD), so that
+// document-granularity updates map to a relational cascade keyed by that
+// id. Other roots (the shared customers/items/... documents of DC/MD)
+// return ok=false.
 func UnitDocID(class core.Class, rec *xmldom.Record) (string, bool) {
 	u := mappings[class][xmlschema.Shredded].unit
 	root := rec.Element()
@@ -113,52 +119,34 @@ func UnitDocID(class core.Class, rec *xmldom.Record) (string, bool) {
 	return string(id), ok && len(id) > 0
 }
 
-// DeleteDocumentRows removes every row the unit document with the given
-// root id shredded into — from the unit root's table and every table that
-// copies its id — and returns how many. It leaves the commit to its caller.
-func (s *Store) DeleteDocumentRows(ctx context.Context, id string) (int, error) {
-	m := mappings[s.Class][xmlschema.Shredded]
-	if m.unit == nil {
-		return 0, fmt.Errorf("shredder: class %v has no unit documents: %w", s.Class, core.ErrUnsupported)
-	}
-	deleted := 0
-	for _, t := range m.tables {
-		i := slices.IndexFunc(t.srcs, func(c column) bool { return c.kind == key && c.from == m.unit && c.col == 0 })
-		if t == m.unit || i >= 0 {
-			n, err := s.DB.Table(t.table).DeleteWhere(ctx, t.cols[max(i, 0)], id)
-			if err != nil {
-				return deleted, fmt.Errorf("shredder: delete %s rows of %s: %w", t.table, id, err)
-			}
-			deleted += n
-		}
-	}
-	s.Rows -= deleted
-	return deleted, nil
-}
-
-// ShredDocument decomposes one document, parsed into rec, into rows and
-// returns how many. It only inserts: the caller commits. Under
-// Options.RowLimitPerDoc it counts first and inserts nothing over it.
-func (s *Store) ShredDocument(name string, rec *xmldom.Record) (int, error) {
+// ShredDocument decomposes one document, parsed into rec, into the rows
+// of the store's mapping and returns how many. doc is the document's
+// reference: what a doc() column holds, and what an error names. A
+// document the DAD does not reach gets no rows; any other mapping refuses
+// it. It only inserts: the caller commits. Under Options.RowLimitPerDoc
+// it counts first and inserts nothing over it.
+func (s *Store) ShredDocument(doc string, rec *xmldom.Record) (int, error) {
 	if s.Opts.RowLimitPerDoc > 0 {
 		if _, err := s.Count(rec); err != nil {
-			return 0, fmt.Errorf("shredder: %s: %w", name, err)
+			return 0, fmt.Errorf("shredder: %s: %w", doc, err)
 		}
 	}
-	rows, skipped, err := walk(mappings[s.Class][xmlschema.Shredded], rec, name, s.DB, s.Opts.DropMixed)
-	s.Rows += rows
+	rows, skipped, err := walk(s.m, rec, doc, s.DB, s.Opts.DropMixed)
 	s.SkippedMixed += skipped
+	if errors.Is(err, errUnmapped) && s.m.whole {
+		err = nil
+	}
 	if err != nil {
-		return rows, fmt.Errorf("shredder: %s: %w", name, err)
+		return rows, fmt.Errorf("shredder: %s: %w", doc, err)
 	}
 	return rows, nil
 }
 
 // Count returns the number of rows the document parsed into rec shreds
-// into, without building them, refusing one the class's mapping does not
-// reach or, under Options.RowLimitPerDoc, one of more rows.
+// into, without building them, refusing one the mapping does not reach
+// or, under Options.RowLimitPerDoc, one of more rows.
 func (s *Store) Count(rec *xmldom.Record) (int, error) {
-	rows, _, err := walk(mappings[s.Class][xmlschema.Shredded], rec, "", nil, false)
+	rows, _, err := walk(s.m, rec, "", nil, false)
 	if err != nil {
 		return 0, err
 	}
@@ -169,15 +157,30 @@ func (s *Store) Count(rec *xmldom.Record) (int, error) {
 	return rows, nil
 }
 
-// InsertSideRows inserts the side-table rows of the document parsed into
-// rec, stored as the CLOB ref, and returns how many it inserted. A
-// document whose root the DAD does not reach gets none.
-func InsertSideRows(db *relational.DB, class core.Class, ref string, rec *xmldom.Record) (int, error) {
-	rows, _, err := walk(mappings[class][xmlschema.DAD], rec, ref, db, false)
-	if errors.Is(err, errUnmapped) {
-		err = nil
+// DeleteDocumentRows removes every row of the document whose unit key is
+// k and returns how many: under the shredded mapping k is a unit
+// document's root id, which its root's row holds and every table below
+// copies; under the DAD it is the doc() reference every side table
+// carries. A column it deletes by is indexed first, once: the shredding
+// engines' load already built each of them (key columns), Xcolumn's first
+// delete builds them. It leaves the commit to its caller.
+func (s *Store) DeleteDocumentRows(ctx context.Context, k string) (int, error) {
+	if len(s.m.cascade) == 0 {
+		return 0, fmt.Errorf("shredder: class %v has no unit documents: %w", s.Class, core.ErrUnsupported)
 	}
-	return rows, err
+	deleted := 0
+	for _, c := range s.m.cascade {
+		t := s.DB.Table(c.table)
+		if err := t.CreateIndex(c.col); err != nil {
+			return deleted, err
+		}
+		n, err := t.DeleteWhere(ctx, c.col, k)
+		if err != nil {
+			return deleted, fmt.Errorf("shredder: delete %s rows of %s: %w", c.table, k, err)
+		}
+		deleted += n
+	}
+	return deleted, nil
 }
 
 // Sync flushes all tables and forces dirty pages to disk: the end of a
@@ -191,10 +194,10 @@ func (s *Store) Sync() error {
 	return s.DB.Pager.SyncAll()
 }
 
-// Truncate empties the shredded database (schema preserved) so a failed
+// Truncate empties the store's tables (schema preserved) so a failed
 // load leaves a clean, loadable store.
 func (s *Store) Truncate() error {
-	s.Rows, s.SkippedMixed = 0, 0
+	s.SkippedMixed = 0
 	return s.DB.Truncate()
 }
 
@@ -221,7 +224,16 @@ type mapping struct {
 	tables []*node // the elements that make rows, by their tables' creation order
 	roots  []*node
 	unit   *node // the root of a unit document, nil when the class has none
+	// whole marks the DAD: the documents are kept whole beside its side
+	// tables, so a document it does not reach is stored with no rows.
+	whole bool
+	// cascade is where a document's unit key lies, by creation order:
+	// the root's own id and every key column copying it, or each side
+	// table's doc() column.
+	cascade []tableCol
 }
+
+type tableCol struct{ table, col string }
 
 // node is an element that makes a row or has a descendant that does.
 type node struct {
@@ -261,21 +273,10 @@ type column struct {
 	target string   // the index target the column answers (TargetColumn)
 }
 
-func (m *mapping) target(target string) (table, col string, ok bool) {
-	for _, t := range m.tables {
-		for i, c := range t.srcs {
-			if c.target == target {
-				return t.table, t.cols[i], true
-			}
-		}
-	}
-	return "", "", false
-}
-
 // compile builds mapping m of schema s; an annotation it cannot resolve
 // panics.
 func compile(s *xmlschema.Schema, m xmlschema.Mapping) *mapping {
-	mp, memo := &mapping{}, map[*xmlschema.Elem]*node{}
+	mp, memo := &mapping{whole: m == xmlschema.DAD}, map[*xmlschema.Elem]*node{}
 	var visit func(e *xmlschema.Elem) *node
 	visit = func(e *xmlschema.Elem) *node {
 		if n := memo[e]; n != nil {
@@ -323,6 +324,17 @@ func compile(s *xmlschema.Schema, m xmlschema.Mapping) *mapping {
 	}
 	if u := memo[s.Root]; u.table != "" && u.srcs[0].kind == attr {
 		mp.unit = u
+	}
+	for _, t := range mp.tables {
+		i := slices.IndexFunc(t.srcs, func(c column) bool {
+			return mp.whole && c.kind == doc || mp.unit != nil && c.kind == key && c.from == mp.unit && c.col == 0
+		})
+		if t == mp.unit {
+			i = 0
+		}
+		if i >= 0 {
+			mp.cascade = append(mp.cascade, tableCol{t.table, t.cols[i]})
+		}
 	}
 	return mp
 }

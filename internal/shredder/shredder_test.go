@@ -10,10 +10,11 @@ import (
 	"xbench/internal/pager"
 	"xbench/internal/relational"
 	"xbench/internal/xmldom"
+	"xbench/internal/xmlschema"
 )
 
 func newStore(class core.Class, opts Options) *Store {
-	return NewStore(class, relational.NewDB(pager.New(128)), opts)
+	return NewStore(class, xmlschema.Shredded, relational.NewDB(pager.New(128)), opts)
 }
 
 const orderDoc = `<order id="O1">
@@ -163,6 +164,30 @@ func TestUnknownRootRejected(t *testing.T) {
 	s := newStore(core.DCMD, Options{})
 	if _, err := s.ShredDocument("x.xml", mustRecord(`<bogus/>`)); err == nil {
 		t.Fatal("unknown root accepted")
+	}
+}
+
+// TestShreddedCascadeIsKeyed: every column the shredded delete cascade
+// deletes by is an id or *_id column, which the shredding engines index
+// during bulk load, so the cascade's "index first" builds nothing after a
+// load; the side tables' doc columns are indexed by Xcolumn's first
+// delete instead.
+func TestShreddedCascadeIsKeyed(t *testing.T) {
+	for _, class := range []core.Class{core.DCMD, core.TCMD} {
+		for m, want := range map[xmlschema.Mapping]func(string) bool{
+			xmlschema.Shredded: func(col string) bool { return col == "id" || strings.HasSuffix(col, "_id") },
+			xmlschema.DAD:      func(col string) bool { return col == "doc" },
+		} {
+			cascade := mappings[class][m].cascade
+			if len(cascade) == 0 || m == xmlschema.DAD && len(cascade) != len(mappings[class][m].tables) {
+				t.Errorf("%s mapping %d: a delete cascade of %d tables", class, m, len(cascade))
+			}
+			for _, c := range cascade {
+				if !want(c.col) {
+					t.Errorf("%s mapping %d: the cascade deletes %s by %s", class, m, c.table, c.col)
+				}
+			}
+		}
 	}
 }
 

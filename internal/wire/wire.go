@@ -86,8 +86,7 @@ const (
 	OpDelete
 	// OpExplain returns the costed physical plan for one workload query
 	// without executing it (payload: QueryRequest; response PlanNode).
-	// Servers predating this op answer StatusBadRequest, which the client
-	// maps back to core.ErrNoExplain.
+	// An engine that cannot explain answers StatusNoExplain.
 	OpExplain
 	// OpJournal pulls a window of committed update-journal records
 	// (payload: JournalPullRequest; response JournalPullResponse). It is

@@ -16,6 +16,7 @@ import (
 	"xbench/internal/relational"
 	"xbench/internal/shredder"
 	"xbench/internal/xmldom"
+	"xbench/internal/xmlschema"
 )
 
 const shreddedPinnedFile = "testdata/shredded_pinned.txt"
@@ -30,7 +31,7 @@ type rowStore struct {
 }
 
 func shreddedStore(class core.Class, opts shredder.Options, label string) *rowStore {
-	s := shredder.NewStore(class, relational.NewDB(pager.New(256)), opts)
+	s := shredder.NewStore(class, xmlschema.Shredded, relational.NewDB(pager.New(256)), opts)
 	ids := map[string]string{}
 	return &rowStore{
 		label: label,
@@ -53,30 +54,21 @@ func shreddedStore(class core.Class, opts shredder.Options, label string) *rowSt
 // sideStore keeps side rows the way Xcolumn does: each document under a
 // fresh reference, deleted by that reference through a doc index.
 func sideStore(class core.Class) *rowStore {
-	db := relational.NewDB(pager.New(256))
-	shredder.CreateSideTables(class, db)
+	s := shredder.NewStore(class, xmlschema.DAD, relational.NewDB(pager.New(256)), shredder.Options{})
 	refs, next := map[string]string{}, 0
 	return &rowStore{
 		label: "dad",
-		db:    db,
+		db:    s.DB,
 		insert: func(name string, rec *xmldom.Record) error {
 			next++
 			refs[name] = strconv.Itoa(next)
-			_, err := shredder.InsertSideRows(db, class, refs[name], rec)
+			_, err := s.ShredDocument(refs[name], rec)
 			return err
 		},
 		delete: func(name string) error {
-			for _, tn := range db.TableNames() {
-				t := db.Table(tn)
-				if err := t.CreateIndex("doc"); err != nil {
-					return err
-				}
-				if _, err := t.DeleteWhere(context.Background(), "doc", refs[name]); err != nil {
-					return err
-				}
-			}
+			_, err := s.DeleteDocumentRows(context.Background(), refs[name])
 			delete(refs, name)
-			return nil
+			return err
 		},
 	}
 }

@@ -8,8 +8,7 @@ import (
 
 	"xbench/internal/core"
 	"xbench/internal/engines/native"
-	"xbench/internal/engines/xcollection"
-	"xbench/internal/engines/xcolumn"
+	"xbench/internal/engines/rdbms"
 	"xbench/internal/gen"
 )
 
@@ -29,9 +28,9 @@ func tinyDB(t *testing.T, class core.Class) *core.Database {
 func allEngines() []core.Engine {
 	return []core.Engine{
 		native.New(0),
-		xcolumn.New(0),
-		xcollection.New(xcollection.DB2, 0, 0),
-		xcollection.New(xcollection.SQLServer, 0, 0),
+		rdbms.New(rdbms.Xcolumn, 0, 0),
+		rdbms.New(rdbms.Xcollection, 0, 0),
+		rdbms.New(rdbms.SQLServer, 0, 0),
 	}
 }
 
@@ -43,14 +42,14 @@ func TestCapabilityMatrix(t *testing.T) {
 		wantErr bool
 	}{
 		{native.New(0), core.TCSD, core.Large, false},
-		{xcolumn.New(0), core.TCSD, core.Small, true},  // SD unsupported
-		{xcolumn.New(0), core.DCSD, core.Small, true},  // SD unsupported
-		{xcolumn.New(0), core.DCMD, core.Large, false}, // MD fine
-		{xcollection.New(xcollection.DB2, 0, 0), core.TCSD, core.Small, false},
-		{xcollection.New(xcollection.DB2, 0, 0), core.TCSD, core.Normal, true}, // row limit
-		{xcollection.New(xcollection.DB2, 0, 0), core.DCSD, core.Large, true},
-		{xcollection.New(xcollection.DB2, 0, 0), core.DCMD, core.Large, false},
-		{xcollection.New(xcollection.SQLServer, 0, 0), core.TCSD, core.Large, false},
+		{rdbms.New(rdbms.Xcolumn, 0, 0), core.TCSD, core.Small, true},  // SD unsupported
+		{rdbms.New(rdbms.Xcolumn, 0, 0), core.DCSD, core.Small, true},  // SD unsupported
+		{rdbms.New(rdbms.Xcolumn, 0, 0), core.DCMD, core.Large, false}, // MD fine
+		{rdbms.New(rdbms.Xcollection, 0, 0), core.TCSD, core.Small, false},
+		{rdbms.New(rdbms.Xcollection, 0, 0), core.TCSD, core.Normal, true}, // row limit
+		{rdbms.New(rdbms.Xcollection, 0, 0), core.DCSD, core.Large, true},
+		{rdbms.New(rdbms.Xcollection, 0, 0), core.DCMD, core.Large, false},
+		{rdbms.New(rdbms.SQLServer, 0, 0), core.TCSD, core.Large, false},
 	}
 	for _, c := range cases {
 		err := c.engine.Supports(c.class, c.size)
@@ -291,7 +290,7 @@ func TestParamsCoverQueryNeeds(t *testing.T) {
 
 func TestShreddedFlagsOrderSensitivity(t *testing.T) {
 	db := tinyDB(t, core.DCMD)
-	e := xcollection.New(xcollection.DB2, 0, 0)
+	e := rdbms.New(rdbms.Xcollection, 0, 0)
 	if _, _, err := LoadAndIndex(context.Background(), e, db); err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +302,7 @@ func TestShreddedFlagsOrderSensitivity(t *testing.T) {
 		t.Fatal("shredded engine claims guaranteed order for Q5")
 	}
 	// Xcolumn guarantees order via dxx_seqno.
-	xc := xcolumn.New(0)
+	xc := rdbms.New(rdbms.Xcolumn, 0, 0)
 	if _, _, err := LoadAndIndex(context.Background(), xc, db); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +317,7 @@ func TestShreddedFlagsOrderSensitivity(t *testing.T) {
 
 func TestSQLServerDropsMixedContent(t *testing.T) {
 	db := tinyDB(t, core.TCSD)
-	ss := xcollection.New(xcollection.SQLServer, 0, 0)
+	ss := rdbms.New(rdbms.SQLServer, 0, 0)
 	st, _, err := LoadAndIndex(context.Background(), ss, db)
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +338,7 @@ func TestSQLServerDropsMixedContent(t *testing.T) {
 		}
 	}
 	// Xcollection keeps the flattened text.
-	xc := xcollection.New(xcollection.DB2, 0, 0)
+	xc := rdbms.New(rdbms.Xcollection, 0, 0)
 	if _, _, err := LoadAndIndex(context.Background(), xc, db); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +361,7 @@ func TestXcollectionRowLimitTrips(t *testing.T) {
 	// A tiny row limit must reject even a Small single-document database
 	// during load, mirroring DB2's 1024-row decomposition limit.
 	db := tinyDB(t, core.TCSD)
-	e := xcollection.New(xcollection.DB2, 0, 10)
+	e := rdbms.New(rdbms.Xcollection, 0, 10)
 	_, err := e.Load(context.Background(), db)
 	if !errors.Is(err, core.ErrUnsupported) {
 		t.Fatalf("row limit did not trip: %v", err)

@@ -60,8 +60,8 @@ func TestXSDWellFormedAndComplete(t *testing.T) {
 			t.Errorf("%s XSD does not declare SQLXML's annotation namespace", c)
 		}
 		db := relational.NewDB(pager.New(8))
-		shredder.NewStore(c, db, shredder.Options{})
-		shredder.CreateSideTables(c, db)
+		shredder.NewStore(c, xmlschema.Shredded, db, shredder.Options{})
+		shredder.NewStore(c, xmlschema.DAD, db, shredder.Options{})
 		got := map[string]int{}
 		mapped(doc.Root(), map[string]string{}, got)
 		want := 0

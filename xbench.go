@@ -12,10 +12,11 @@
 //   - The Q1-Q20 workload instantiated per class, with the Table 3 value
 //     indexes and deterministic parameter bindings.
 //   - Four storage engines reproducing the architectures the paper
-//     evaluates: a native XML store (X-Hive analog), CLOB-plus-side-tables
-//     (DB2 Xcolumn analog) and a shredding engine under two policies (DB2
-//     Xcollection and SQL Server analogs), all running over a simulated
-//     pager with a buffer pool so cold-run costs are observable.
+//     evaluates: a native XML store (X-Hive analog) and a relational
+//     engine under three policies, CLOB-plus-side-tables (DB2 Xcolumn
+//     analog) and shredding (DB2 Xcollection and SQL Server analogs), all
+//     running over a simulated pager with a buffer pool so cold-run costs
+//     are observable.
 //   - An XQuery subset engine that the native store executes directly.
 //   - A benchmark harness that regenerates the paper's Tables 1-9 and the
 //     schema diagrams of Figures 1-4.
@@ -266,8 +267,8 @@ func QueryParams(class Class) Params { return workload.Params(class) }
 
 // Explain returns the costed physical plan the engine would execute for
 // q, as a printable tree (PlanNode.Format). Engines that cannot explain
-// — a foreign Engine implementation, a remote server predating OpExplain —
-// return an error wrapping ErrNoExplain.
+// — a foreign Engine implementation, locally or behind a server — return
+// an error wrapping ErrNoExplain.
 func Explain(ctx context.Context, e Engine, q QueryID, p Params) (*PlanNode, error) {
 	return core.Explain(ctx, e, q, p)
 }
