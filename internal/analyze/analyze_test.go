@@ -16,6 +16,12 @@ func analyzeClass(t *testing.T, class core.Class) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return report(t, db)
+}
+
+// report analyzes every document of db.
+func report(t *testing.T, db *core.Database) *Report {
+	t.Helper()
 	r := New()
 	for _, d := range db.Docs {
 		doc, err := xmldom.Parse(d.Data)
