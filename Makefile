@@ -18,10 +18,13 @@ race:
 	$(GO) test -race -short ./...
 
 # Fuzz, 20 s each: the binary-DOM cursor (xmldom.OpenRecord and Ref)
-# against DecodeBinary, the reference decoder; xmldom.Parse, whose
-# accepted documents must round-trip through the serializer, with
-# ParseRecord and RootName held to it (same error, the record's bytes
-# EncodeBinary of the tree, the root's name); the in-place ASCII fold of
+# against DecodeBinary, the reference decoder of its tests; ParseRecord
+# held to itself (a failed parse empties the record, an accepted one gets
+# OpenRecord's node table, round-trips through the serializer to the same
+# bytes, and RootName names its root); ParseRecord held to encoding/xml,
+# a parser that shares no code with it (on every input both accept, the
+# same kinds, names, attributes, comments, PIs and text runs after the
+# whitespace rule); the in-place ASCII fold of
 # xquery.ContainsWord and of a CompileWord matcher, on a string and on
 # bytes, against its definition over lower-cased copies; Word.MatchXML,
 # which must be true for any document an element of which holds the word;
@@ -35,6 +38,7 @@ race:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCursor -fuzztime=20s ./internal/xmldom/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s ./internal/xmldom/
+	$(GO) test -run='^$$' -fuzz=FuzzEncodingXML -fuzztime=20s ./internal/xmldom/
 	$(GO) test -run='^$$' -fuzz=FuzzContainsWord -fuzztime=20s ./internal/xquery/
 	$(GO) test -run='^$$' -fuzz=FuzzMatchXML -fuzztime=20s ./internal/xquery/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s ./internal/xquery/

@@ -659,13 +659,12 @@ func BenchmarkGenerate(b *testing.B) {
 }
 
 // BenchmarkParse is the parser alone on one goroutine: one operation
-// parses every document of the Normal DC/MD or TC/MD database at seed 7,
-// into trees (<class>), which is what each engine's load parses, and into
-// one reused record (record/<class>), which is what Xcolumn's CLOB
-// operators parse. MB/s is per input byte. It is the profiling handle
-// for that path:
+// parses every document of the Normal DC/MD or TC/MD database at seed 7
+// into one reused record (record/<class>), which is what every load, U1
+// and U2 parses and what Xcolumn's CLOB operators parse. MB/s is per
+// input byte. It is the profiling handle for that path:
 //
-//	go test -run '^$' -bench Parse/dcmd -cpuprofile cpu.out .
+//	go test -run '^$' -bench Parse/record/dcmd -cpuprofile cpu.out .
 func BenchmarkParse(b *testing.B) {
 	var dbs []*core.Database
 	for _, class := range []core.Class{core.DCMD, core.TCMD} {
@@ -674,17 +673,6 @@ func BenchmarkParse(b *testing.B) {
 			b.Fatal(err)
 		}
 		dbs = append(dbs, db)
-		b.Run(class.Code(), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(db.Bytes()))
-			for i := 0; i < b.N; i++ {
-				for _, d := range db.Docs {
-					if _, err := xmldom.Parse(d.Data); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
 	}
 	b.Run("record", func(b *testing.B) {
 		for _, db := range dbs {

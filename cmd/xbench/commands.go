@@ -16,7 +16,6 @@ import (
 	"xbench/internal/driver"
 	"xbench/internal/router"
 	"xbench/internal/workload"
-	"xbench/internal/xmldom"
 	"xbench/internal/xmlschema"
 )
 
@@ -74,11 +73,9 @@ func setupAnalyze(fs *flag.FlagSet) func() error {
 		}
 		r := analyze.New()
 		for _, doc := range db.Docs {
-			parsed, err := xmldom.Parse(doc.Data)
-			if err != nil {
+			if err := r.AddDocument(doc.Data); err != nil {
 				return err
 			}
-			r.AddDocument(parsed)
 		}
 		r.Finish()
 		_, err = r.WriteTo(os.Stdout)

@@ -21,7 +21,6 @@ import (
 
 	"xbench"
 	"xbench/internal/analyze"
-	"xbench/internal/xmldom"
 )
 
 func main() {
@@ -39,11 +38,9 @@ func main() {
 
 	report := analyze.New()
 	for _, d := range db.Docs {
-		doc, err := xmldom.Parse(d.Data)
-		if err != nil {
+		if err := report.AddDocument(d.Data); err != nil {
 			log.Fatal(err)
 		}
-		report.AddDocument(doc)
 	}
 	report.Finish()
 

@@ -11,6 +11,7 @@
 package analyze
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -51,6 +52,8 @@ type Report struct {
 	Elements  map[string]*ElemStat
 	// Children is keyed "parent/child".
 	Children map[string]*ChildStat
+
+	rec xmldom.Record // the document being added, reused
 }
 
 // New returns an empty report ready to accept documents.
@@ -61,55 +64,63 @@ func New() *Report {
 	}
 }
 
-// AddDocument folds one parsed document into the report.
-func (r *Report) AddDocument(doc *xmldom.Node) {
-	r.Documents++
-	root := doc.Root()
-	if root == nil {
-		return
+// AddDocument parses one XML document and folds it into the report.
+func (r *Report) AddDocument(data []byte) error {
+	if err := xmldom.ParseRecord(&r.rec, data); err != nil {
+		return err
 	}
-	r.walk(root, map[string]bool{})
+	r.Documents++
+	r.walk(r.rec.Element(), map[string]bool{})
+	return nil
 }
 
-func (r *Report) walk(n *xmldom.Node, ancestors map[string]bool) {
+func (r *Report) walk(n xmldom.Ref, ancestors map[string]bool) {
 	r.Nodes++
-	es := r.elem(n.Name)
+	name := string(n.Name())
+	es := r.elem(name)
 	es.Count++
-	introduced := !ancestors[n.Name]
+	introduced := !ancestors[name]
 	if !introduced {
 		es.Recursive = true
 	}
-	textLen := 0
+	textLen, hasText := 0, false
 	counts := map[string]int{}
-	for _, c := range n.Children {
-		switch c.Kind {
+	for c, ok := n.FirstChild(); ok; c, ok = c.NextSibling() {
+		switch c.Kind() {
 		case xmldom.TextKind:
-			textLen += len(strings.TrimSpace(c.Data))
+			l := len(bytes.TrimSpace(c.Data()))
+			textLen += l
+			hasText = hasText || l > 0
 		case xmldom.ElementKind:
-			counts[c.Name]++
+			counts[string(c.Name())]++
 		}
 	}
 	es.TextLens.Add(textLen)
-	if n.HasMixedContent() {
+	// Mixed content: non-whitespace text beside child elements, the
+	// content model relational mappings cannot represent (paper §3.1.3
+	// item 3).
+	if hasText && len(counts) > 0 {
 		es.Mixed++
 	}
-	for _, a := range n.Attrs {
-		es.Attrs[a.Name]++
+	for it := n.Attrs(); ; {
+		a, _, ok := it.Next()
+		if !ok {
+			break
+		}
+		es.Attrs[string(a)]++
 	}
 	// Record the occurrence count of each child type present in this
 	// instance; optionality is derived in Finish by comparing against the
 	// parent's instance count.
-	for name, c := range counts {
-		r.child(n.Name, name).Occurrences.Add(c)
+	for child, c := range counts {
+		r.child(name, child).Occurrences.Add(c)
 	}
-	ancestors[n.Name] = true
-	for _, c := range n.Children {
-		if c.Kind == xmldom.ElementKind {
-			r.walk(c, ancestors)
-		}
+	ancestors[name] = true
+	for c := n.Child(""); !c.IsZero(); c = c.Sibling("") {
+		r.walk(c, ancestors)
 	}
 	if introduced {
-		delete(ancestors, n.Name)
+		delete(ancestors, name)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"xbench/internal/core"
 	"xbench/internal/gen"
-	"xbench/internal/xmldom"
 )
 
 func analyzeClass(t *testing.T, class core.Class) *Report {
@@ -24,11 +23,9 @@ func report(t *testing.T, db *core.Database) *Report {
 	t.Helper()
 	r := New()
 	for _, d := range db.Docs {
-		doc, err := xmldom.Parse(d.Data)
-		if err != nil {
+		if err := r.AddDocument(d.Data); err != nil {
 			t.Fatal(err)
 		}
-		r.AddDocument(doc)
 	}
 	r.Finish()
 	return r

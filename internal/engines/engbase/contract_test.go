@@ -393,9 +393,9 @@ func TestEngineContract(t *testing.T) {
 		}
 	})
 
-	// Xcollection's decomposition row limit fires after the offending
-	// document's rows were already inserted; the abort must truncate them
-	// and leave the engine loadable.
+	// Xcollection's decomposition row limit fires before the offending
+	// document's first row is inserted (its rows are counted first); the
+	// abort must still leave the tables empty and the engine loadable.
 	t.Run("Xcollection/row-limit abort truncates", func(t *testing.T) {
 		e := rdbms.New(rdbms.Xcollection, 64, 1) // every generated document decomposes into >1 row
 		defer e.Close()

@@ -113,7 +113,7 @@ func TestQ1ReconstructsWholeEntry(t *testing.T) {
 		}
 	}
 	// The reconstruction must itself be well-formed XML.
-	if _, err := xmldom.Parse([]byte(frag)); err != nil {
+	if err := xmldom.ParseRecord(new(xmldom.Record), []byte(frag)); err != nil {
 		t.Fatalf("reconstruction not well-formed: %v", err)
 	}
 }

@@ -2,6 +2,8 @@ package gen
 
 import (
 	"bytes"
+	"encoding/xml"
+	"io"
 	"strings"
 	"testing"
 
@@ -103,24 +105,23 @@ func TestDictionaryStructure(t *testing.T) {
 	if n != 40 {
 		t.Fatalf("entry_num not honored: %d entries", n)
 	}
-	doc := xmldom.MustParse(string(db.Docs[0].Data))
-	entries := doc.Root().ChildElements("entry")
+	root := parseXML(t, db.Docs[0].Data)
+	entries := root.children("entry")
 	// Workload binding: entry i has headword Headword(i) and id e<i+1>.
 	for i, e := range entries[:5] {
-		if hw := e.FirstChild("hw").Text(); hw != textgen.Headword(i) {
+		if hw := e.child("hw").text; hw != textgen.Headword(i) {
 			t.Fatalf("entry %d hw = %q, want %q", i, hw, textgen.Headword(i))
 		}
-		if id, _ := e.Attr("id"); id != "e"+string(rune('1'+i)) {
+		if id := e.attrs["id"]; id != "e"+string(rune('1'+i)) {
 			t.Fatalf("entry %d id = %q", i, id)
 		}
 	}
 	// Mixed content must actually occur (qt elements).
 	mixed := 0
-	doc.Walk(func(nd *xmldom.Node) bool {
-		if nd.Kind == xmldom.ElementKind && nd.Name == "qt" && nd.HasMixedContent() {
+	root.walk(func(e *elem, _ int) {
+		if e.name == "qt" && e.mixed() {
 			mixed++
 		}
-		return true
 	})
 	if mixed == 0 {
 		t.Fatal("no mixed-content qt elements generated")
@@ -138,30 +139,29 @@ func TestArticlesStructure(t *testing.T) {
 	sawNested, sawEmptyContact, sawIntro := false, false, false
 	leadAuthors := map[string]bool{}
 	for i, d := range db.Docs {
-		doc := xmldom.MustParse(string(d.Data))
-		root := doc.Root()
-		if id, _ := root.Attr("id"); id != "a"+string(rune('1'+i)) {
+		root := parseXML(t, d.Data)
+		if id := root.attrs["id"]; id != "a"+string(rune('1'+i)) {
 			t.Fatalf("article %d id = %q", i, id)
 		}
-		secs := root.FirstChild("body").ChildElements("sec")
+		secs := root.child("body").children("sec")
 		if len(secs) < 2 {
 			t.Fatalf("article %d has %d top-level sections, want >= 2", i, len(secs))
 		}
-		if h := secs[0].FirstChild("heading"); h != nil && h.Text() == "Introduction" {
+		if h := secs[0].child("heading"); h != nil && h.text == "Introduction" {
 			sawIntro = true
 		}
 		for _, s := range secs {
-			if len(s.ChildElements("sec")) > 0 {
+			if len(s.children("sec")) > 0 {
 				sawNested = true
 			}
 		}
-		for _, a := range root.FirstChild("prolog").FirstChild("authors").ChildElements("author") {
-			if c := a.FirstChild("contact"); c != nil && c.Text() == "" {
+		for _, a := range root.child("prolog").child("authors").children("author") {
+			if c := a.child("contact"); c != nil && c.text == "" {
 				sawEmptyContact = true
 			}
 		}
-		lead := root.FirstChild("prolog").FirstChild("authors").
-			ChildElements("author")[0].FirstChild("name").Text()
+		lead := root.child("prolog").child("authors").
+			children("author")[0].child("name").text
 		leadAuthors[lead] = true
 		if lead != textgen.FullName(i%AuthorPoolSize) {
 			t.Fatalf("article %d lead author %q, want %q", i, lead, textgen.FullName(i%AuthorPoolSize))
@@ -183,22 +183,19 @@ func TestCatalogStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := xmldom.MustParse(string(db.Docs[0].Data))
-	items := doc.Root().ChildElements("item")
+	root := parseXML(t, db.Docs[0].Data)
+	items := root.children("item")
 	if len(items) != 25 {
 		t.Fatalf("item count = %d", len(items))
 	}
-	if id, _ := items[0].Attr("id"); id != "I1" {
+	if id := items[0].attrs["id"]; id != "I1" {
 		t.Fatalf("first item id = %q", id)
 	}
 	// Depth from the recursive join: item -> authors -> author ->
 	// contact_information -> mailing_address -> name_of_country.
 	found := false
-	doc.Walk(func(n *xmldom.Node) bool {
-		if n.Kind == xmldom.ElementKind && n.Name == "name_of_country" {
-			found = true
-		}
-		return true
+	root.walk(func(e *elem, _ int) {
+		found = found || e.name == "name_of_country"
 	})
 	if !found {
 		t.Fatal("join depth missing: no name_of_country under authors")
@@ -206,7 +203,7 @@ func TestCatalogStructure(t *testing.T) {
 	// Q14 needs publishers without FAX_number.
 	without := 0
 	for _, it := range items {
-		if p := it.FirstChild("publisher"); p != nil && p.FirstChild("FAX_number") == nil {
+		if p := it.child("publisher"); p != nil && p.child("FAX_number") == nil {
 			without++
 		}
 	}
@@ -240,30 +237,28 @@ func TestOrdersStructure(t *testing.T) {
 			order1 = d
 		}
 	}
-	doc := xmldom.MustParse(string(order1.Data))
-	root := doc.Root()
-	if id, _ := root.Attr("id"); id != "O1" {
+	root := parseXML(t, order1.Data)
+	if id := root.attrs["id"]; id != "O1" {
 		t.Fatalf("order1 id = %q", id)
 	}
-	lines := root.FirstChild("order_lines").ChildElements("order_line")
+	lines := root.child("order_lines").children("order_line")
 	if len(lines) == 0 {
 		t.Fatal("order1 has no order lines")
 	}
-	if root.FirstChild("cc_xacts") == nil {
+	if root.child("cc_xacts") == nil {
 		t.Fatal("order1 missing cc_xacts")
 	}
 	// The customer referenced by order1 must exist in customers.xml (Q19).
-	custID := root.FirstChild("customer_id").Text()
+	custID := root.child("customer_id").text
 	var custDoc core.Doc
 	for _, d := range db.Docs {
 		if d.Name == "customers.xml" {
 			custDoc = d
 		}
 	}
-	cdoc := xmldom.MustParse(string(custDoc.Data))
 	found := false
-	for _, c := range cdoc.Root().ChildElements("customer") {
-		if id, _ := c.Attr("id"); id == custID {
+	for _, c := range parseXML(t, custDoc.Data).children("customer") {
+		if c.attrs["id"] == custID {
 			found = true
 		}
 	}
@@ -281,19 +276,11 @@ func TestFlatDocumentsAreFlat(t *testing.T) {
 		if !strings.HasSuffix(d.Name, "s.xml") || strings.HasPrefix(d.Name, "order") {
 			continue
 		}
-		doc := xmldom.MustParse(string(d.Data))
 		// FT mapping: root -> tuple elements -> column leaves; depth 3.
 		maxDepth := 0
-		var walk func(n *xmldom.Node, depth int)
-		walk = func(n *xmldom.Node, depth int) {
-			if n.Kind == xmldom.ElementKind && depth > maxDepth {
-				maxDepth = depth
-			}
-			for _, c := range n.Children {
-				walk(c, depth+1)
-			}
-		}
-		walk(doc.Root(), 1)
+		parseXML(t, d.Data).walk(func(_ *elem, depth int) {
+			maxDepth = max(maxDepth, depth)
+		})
 		if maxDepth > 3 {
 			t.Fatalf("%s: flat translation has depth %d", d.Name, maxDepth)
 		}
@@ -353,5 +340,92 @@ func TestHugeSizeGeneratesAtTinyBase(t *testing.T) {
 	}
 	if n != 2000 {
 		t.Fatalf("Huge entry count = %d, want 2000", n)
+	}
+}
+
+// elem is an element as encoding/xml, a parser that shares no code with
+// the one the engines run, reads it: its attributes, its child elements,
+// its string value, and whether it holds non-blank text of its own.
+type elem struct {
+	name    string
+	attrs   map[string]string
+	kids    []*elem
+	text    string
+	hasText bool
+}
+
+// parseXML reads data's root element with encoding/xml.
+func parseXML(t *testing.T, data []byte) *elem {
+	t.Helper()
+	d := xml.NewDecoder(bytes.NewReader(data))
+	var root *elem
+	var open []*elem
+	for {
+		tok, err := d.Token()
+		if err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		switch tok := tok.(type) {
+		case xml.StartElement:
+			e := &elem{name: tok.Name.Local, attrs: map[string]string{}}
+			for _, a := range tok.Attr {
+				e.attrs[a.Name.Local] = a.Value
+			}
+			if len(open) == 0 {
+				root = e
+			} else {
+				p := open[len(open)-1]
+				p.kids = append(p.kids, e)
+			}
+			open = append(open, e)
+		case xml.EndElement:
+			open = open[:len(open)-1]
+		case xml.CharData:
+			if len(open) > 0 {
+				open[len(open)-1].hasText = open[len(open)-1].hasText || len(bytes.TrimSpace(tok)) > 0
+			}
+			for _, e := range open {
+				e.text += string(tok)
+			}
+		}
+	}
+	return root
+}
+
+// child returns e's first child element named name, or nil.
+func (e *elem) child(name string) *elem {
+	if cs := e.children(name); len(cs) > 0 {
+		return cs[0]
+	}
+	return nil
+}
+
+// children returns e's child elements named name; a nil e, an absent
+// element, has none.
+func (e *elem) children(name string) []*elem {
+	if e == nil {
+		return nil
+	}
+	var cs []*elem
+	for _, k := range e.kids {
+		if k.name == name {
+			cs = append(cs, k)
+		}
+	}
+	return cs
+}
+
+// mixed reports whether e holds non-blank text beside child elements.
+func (e *elem) mixed() bool { return e.hasText && len(e.kids) > 0 }
+
+// walk calls fn on e and every element under it, with its depth (e's is 1).
+func (e *elem) walk(fn func(*elem, int)) { e.walkAt(fn, 1) }
+
+func (e *elem) walkAt(fn func(*elem, int), depth int) {
+	fn(e, depth)
+	for _, k := range e.kids {
+		k.walkAt(fn, depth+1)
 	}
 }

@@ -2,11 +2,12 @@ package toxgene
 
 import (
 	"bytes"
+	"encoding/xml"
+	"io"
 	"strings"
 	"testing"
 
 	"xbench/internal/stats"
-	"xbench/internal/xmldom"
 )
 
 func TestDocumentBasic(t *testing.T) {
@@ -21,18 +22,14 @@ func TestDocumentBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := xmldom.Parse(b)
-	if err != nil {
-		t.Fatalf("output unparseable: %v", err)
+	root := parseXML(t, b)
+	if root.name != "root" {
+		t.Fatalf("root = %s", root.name)
 	}
-	root := doc.Root()
-	if root.Name != "root" {
-		t.Fatalf("root = %s", root.Name)
-	}
-	if v, _ := root.Attr("v"); v != "1" {
+	if v := root.attrs["v"]; v != "1" {
 		t.Fatal("attr missing")
 	}
-	if root.FirstChild("leaf").Text() != "text" {
+	if root.child("leaf").text != "text" {
 		t.Fatal("leaf content missing")
 	}
 }
@@ -69,8 +66,7 @@ func TestCountDistribution(t *testing.T) {
 		}},
 	}
 	b, _ := Document(tmpl, 1)
-	doc := xmldom.MustParse(string(b))
-	if n := len(doc.Root().ChildElements("c")); n != 3 {
+	if n := len(parseXML(t, b).children("c")); n != 3 {
 		t.Fatalf("expected exactly 3 children, got %d", n)
 	}
 }
@@ -86,11 +82,11 @@ func TestOptionalProbability(t *testing.T) {
 	present, absent := 0, 0
 	for seed := uint64(0); seed < 60; seed++ {
 		b, _ := Document(tmpl, seed)
-		doc := xmldom.MustParse(string(b))
-		if doc.Root().FirstChild("always") == nil {
+		root := parseXML(t, b)
+		if root.child("always") == nil {
 			t.Fatal("mandatory child missing")
 		}
-		if doc.Root().FirstChild("sometimes") != nil {
+		if root.child("sometimes") != nil {
 			present++
 		} else {
 			absent++
@@ -112,11 +108,11 @@ func TestAttrProbability(t *testing.T) {
 	with, without := 0, 0
 	for seed := uint64(0); seed < 60; seed++ {
 		b, _ := Document(tmpl, seed)
-		doc := xmldom.MustParse(string(b))
-		if _, ok := doc.Root().Attr("always"); !ok {
+		root := parseXML(t, b)
+		if _, ok := root.attrs["always"]; !ok {
 			t.Fatal("mandatory attribute missing")
 		}
-		if _, ok := doc.Root().Attr("maybe"); ok {
+		if _, ok := root.attrs["maybe"]; ok {
 			with++
 		} else {
 			without++
@@ -137,11 +133,10 @@ func TestSeqAndIndex(t *testing.T) {
 		}},
 	}
 	b, _ := Document(tmpl, 1)
-	doc := xmldom.MustParse(string(b))
-	items := doc.Root().ChildElements("item")
+	items := parseXML(t, b).children("item")
 	for i, it := range items {
 		want := "I" + string(rune('1'+i))
-		if v, _ := it.Attr("id"); v != want {
+		if v := it.attrs["id"]; v != want {
 			t.Fatalf("item %d id = %q, want %q", i, v, want)
 		}
 	}
@@ -157,11 +152,11 @@ func TestMixedContent(t *testing.T) {
 		Tail: Const(" after"),
 	}
 	b, _ := Document(tmpl, 1)
-	doc := xmldom.MustParse(string(b))
-	if !doc.Root().HasMixedContent() {
+	root := parseXML(t, b)
+	if !root.mixed() {
 		t.Fatalf("no mixed content in %s", b)
 	}
-	if got := doc.Root().Text(); got != "before inline after" {
+	if got := root.text; got != "before inline after" {
 		t.Fatalf("text = %q", got)
 	}
 }
@@ -180,8 +175,7 @@ func TestBeforeHookAndVars(t *testing.T) {
 		}},
 	}
 	b, _ := Document(tmpl, 1)
-	doc := xmldom.MustParse(string(b))
-	if doc.Root().FirstChild("c").Text() != "shared" {
+	if parseXML(t, b).child("c").text != "shared" {
 		t.Fatal("Vars not shared from Before hook")
 	}
 }
@@ -202,11 +196,10 @@ func TestNestedPathIndexes(t *testing.T) {
 		}},
 	}
 	b, _ := Document(tmpl, 1)
-	doc := xmldom.MustParse(string(b))
 	var got []string
-	for _, o := range doc.Root().ChildElements("outer") {
-		for _, in := range o.ChildElements("inner") {
-			got = append(got, in.Text())
+	for _, o := range parseXML(t, b).children("outer") {
+		for _, in := range o.children("inner") {
+			got = append(got, in.text)
 		}
 	}
 	want := []string{"a0", "a1", "b0", "b1"}
@@ -249,3 +242,80 @@ func TestIndexAtOutOfRange(t *testing.T) {
 		t.Fatal("empty ctx Index should be 0")
 	}
 }
+
+// elem is an element as encoding/xml, a parser that shares no code with
+// the one the engines run, reads it: its attributes, its child elements,
+// its string value, and whether it holds non-blank text of its own.
+type elem struct {
+	name    string
+	attrs   map[string]string
+	kids    []*elem
+	text    string
+	hasText bool
+}
+
+// parseXML reads data's root element with encoding/xml.
+func parseXML(t *testing.T, data []byte) *elem {
+	t.Helper()
+	d := xml.NewDecoder(bytes.NewReader(data))
+	var root *elem
+	var open []*elem
+	for {
+		tok, err := d.Token()
+		if err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		switch tok := tok.(type) {
+		case xml.StartElement:
+			e := &elem{name: tok.Name.Local, attrs: map[string]string{}}
+			for _, a := range tok.Attr {
+				e.attrs[a.Name.Local] = a.Value
+			}
+			if len(open) == 0 {
+				root = e
+			} else {
+				p := open[len(open)-1]
+				p.kids = append(p.kids, e)
+			}
+			open = append(open, e)
+		case xml.EndElement:
+			open = open[:len(open)-1]
+		case xml.CharData:
+			if len(open) > 0 {
+				open[len(open)-1].hasText = open[len(open)-1].hasText || len(bytes.TrimSpace(tok)) > 0
+			}
+			for _, e := range open {
+				e.text += string(tok)
+			}
+		}
+	}
+	return root
+}
+
+// child returns e's first child element named name, or nil.
+func (e *elem) child(name string) *elem {
+	if cs := e.children(name); len(cs) > 0 {
+		return cs[0]
+	}
+	return nil
+}
+
+// children returns e's child elements named name; a nil e, an absent
+// element, has none.
+func (e *elem) children(name string) []*elem {
+	if e == nil {
+		return nil
+	}
+	var cs []*elem
+	for _, k := range e.kids {
+		if k.name == name {
+			cs = append(cs, k)
+		}
+	}
+	return cs
+}
+
+// mixed reports whether e holds non-blank text beside child elements.
+func (e *elem) mixed() bool { return e.hasText && len(e.kids) > 0 }

@@ -1,9 +1,21 @@
 package xmldom
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// mustRecord parses src into a record of its own.
+func mustRecord(t testing.TB, src string) *Record {
+	t.Helper()
+	rec := new(Record)
+	if err := ParseRecord(rec, []byte(src)); err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
 
 func TestBinaryRoundTrip(t *testing.T) {
 	cases := []string{
@@ -14,53 +26,66 @@ func TestBinaryRoundTrip(t *testing.T) {
 		`<deep><a><b><c><d><e>bottom</e></d></c></b></a></deep>`,
 	}
 	for _, src := range cases {
-		doc := MustParse(src)
-		enc := EncodeBinary(doc)
-		dec, err := DecodeBinary(enc)
+		rec := mustRecord(t, src)
+		dec, err := DecodeBinary(rec.Bytes())
 		if err != nil {
 			t.Fatalf("%q: decode: %v", src, err)
 		}
-		if !Equal(doc, dec) {
-			t.Fatalf("%q: round trip changed tree:\n%s\nvs\n%s", src, doc.XML(), dec.XML())
+		if got, want := string(dec.XMLBytes()), rec.Root().XML(); got != want {
+			t.Fatalf("%q: the decoded tree is\n%s\nthe record\n%s", src, got, want)
+		}
+		if again := mustRecord(t, string(dec.XMLBytes())); !bytes.Equal(again.Bytes(), rec.Bytes()) {
+			t.Fatalf("%q: round trip changed the record", src)
 		}
 	}
 }
 
 func TestBinaryPreservesDocumentOrder(t *testing.T) {
-	doc := MustParse(`<a><b><c/></b><d/><e><f/></e></a>`)
-	dec, err := DecodeBinary(EncodeBinary(doc))
+	dec, err := DecodeBinary(mustRecord(t, `<a><b><c/></b><d/><e><f/></e></a>`).Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ords []int32
-	dec.Walk(func(n *Node) bool {
+	var walk func(*DecodedNode)
+	walk = func(n *DecodedNode) {
 		ords = append(ords, n.Ord)
-		return true
-	})
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(dec)
 	for i := 1; i < len(ords); i++ {
 		if ords[i] <= ords[i-1] {
 			t.Fatalf("document order not increasing after decode: %v", ords)
 		}
 	}
 	// Parent pointers must be restored too.
-	f := dec.Root().FirstChild("e").FirstChild("f")
-	if f.Parent == nil || f.Parent.Name != "e" {
+	f := dec.Children[0].Children[2].Children[0]
+	if f.Name != "f" || f.Parent == nil || f.Parent.Name != "e" {
 		t.Fatal("parent pointers not restored")
 	}
 }
 
 func TestBinaryPropertyViaXML(t *testing.T) {
-	// For any two short text fragments, building a tree, binary round
-	// tripping and serializing must equal the direct serialization.
+	// For any two short text fragments, a record the Writer builds
+	// serializes as the reference decoder's tree of its bytes does.
 	f := func(a, b string) bool {
-		n := NewElement("r")
-		n.SetAttr("k", a)
-		n.AddElement("c").AddText(b)
-		dec, err := DecodeBinary(EncodeBinary(n))
+		w := NewWriter()
+		w.Begin("r")
+		w.Attr("k", []byte(a))
+		w.Begin("c")
+		w.Text([]byte(b))
+		w.End()
+		w.End()
+		rec, err := w.Record()
 		if err != nil {
 			return false
 		}
-		return dec.XML() == n.XML()
+		dec, err := DecodeBinary(rec.Bytes())
+		if err != nil {
+			return false
+		}
+		return bytes.Equal(dec.XMLBytes(), []byte(rec.Root().XML()))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -80,13 +105,19 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 		if _, err := DecodeBinary(data); err == nil {
 			t.Errorf("case %d: garbage decoded successfully", i)
 		}
+		if _, err := OpenRecord(data); err == nil {
+			t.Errorf("case %d: garbage opened successfully", i)
+		}
 	}
 }
 
 func TestBinaryTrailingBytesRejected(t *testing.T) {
-	enc := EncodeBinary(MustParse(`<a/>`))
+	enc := bytes.Clone(mustRecord(t, `<a/>`).Bytes())
 	if _, err := DecodeBinary(append(enc, 0x00)); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+	if _, err := OpenRecord(append(enc, 0x00)); err == nil {
+		t.Fatal("trailing bytes opened")
 	}
 }
 
@@ -94,47 +125,20 @@ func TestBinarySmallerAndFasterShape(t *testing.T) {
 	// Name dictionary encoding should make repetitive documents compact:
 	// binary must not exceed ~1.5x the XML size even in the worst case and
 	// should be smaller for tag-heavy content.
-	var b []byte
-	doc := &Node{Kind: DocumentKind}
-	root := doc.AddElement("orders")
+	var b strings.Builder
+	b.WriteString("<orders>")
 	for i := 0; i < 200; i++ {
-		o := root.AddElement("order_line_with_long_name")
-		o.AddElement("item_identifier_column").AddText("I1")
-		o.AddElement("quantity_column").AddText("3")
+		b.WriteString("<order_line_with_long_name><item_identifier_column>I1</item_identifier_column>" +
+			"<quantity_column>3</quantity_column></order_line_with_long_name>")
 	}
-	xml := doc.XML()
-	b = EncodeBinary(doc)
-	if len(b) >= len(xml) {
-		t.Fatalf("binary (%d) not smaller than XML (%d) for tag-heavy doc", len(b), len(xml))
-	}
-}
-
-func BenchmarkParseXML(b *testing.B) {
-	doc := buildBenchDoc()
-	data := doc.XMLBytes()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Parse(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeBinaryDOM(b *testing.B) {
-	doc := buildBenchDoc()
-	data := EncodeBinary(doc)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeBinary(data); err != nil {
-			b.Fatal(err)
-		}
+	b.WriteString("</orders>")
+	if enc := mustRecord(t, b.String()).Bytes(); len(enc) >= b.Len() {
+		t.Fatalf("binary (%d) not smaller than XML (%d) for tag-heavy doc", len(enc), b.Len())
 	}
 }
 
 func BenchmarkOpenRecord(b *testing.B) {
-	data := EncodeBinary(buildBenchDoc())
+	data := mustRecord(b, benchDoc()).Bytes()
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -145,18 +149,15 @@ func BenchmarkOpenRecord(b *testing.B) {
 	}
 }
 
-func buildBenchDoc() *Node {
-	doc := &Node{Kind: DocumentKind}
-	root := doc.AddElement("catalog")
+// benchDoc returns a catalog of 500 items.
+func benchDoc() string {
+	var b strings.Builder
+	b.WriteString("<catalog>")
 	for i := 0; i < 500; i++ {
-		item := root.AddElement("item")
-		item.SetAttr("id", "I1")
-		item.AddElement("title").AddText("Some Book Title With Words")
-		item.AddElement("description").AddText("a moderately long description of the item with many words in it")
-		a := item.AddElement("authors").AddElement("author")
-		a.AddElement("name").AddText("Ada Adams")
-		a.AddElement("country").AddText("Canada")
+		b.WriteString(`<item id="I1"><title>Some Book Title With Words</title>` +
+			`<description>a moderately long description of the item with many words in it</description>` +
+			`<authors><author><name>Ada Adams</name><country>Canada</country></author></authors></item>`)
 	}
-	doc.Renumber()
-	return doc
+	b.WriteString("</catalog>")
+	return b.String()
 }

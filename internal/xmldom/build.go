@@ -7,50 +7,80 @@ import (
 	"slices"
 )
 
-// ParseRecord parses a complete XML document as Parse does, but into rec
-// instead of a tree: rec's bytes become exactly EncodeBinary of the tree
-// Parse would build, and its node table what OpenRecord would make of
-// them. Both are written into rec's buffers, grown as needed, so a caller
-// that parses document after document into one Record stops allocating
-// once they are large enough; every Ref of rec's previous document is
-// invalid from the call on. ParseRecord fails where Parse fails, with
-// the same error, and on a record too large for a node table's 32-bit
-// offsets; rec then holds no document.
+// The binary DOM: the persistent-DOM page format the native engine
+// stores instead of raw XML, the way X-Hive paged in persistent DOM nodes
+// rather than re-parsing documents. A record is one document in it; its
+// nodes are written in document order, each with its child count, so
+// OpenRecord recovers the tree in one pass without tokenizing, escaping
+// or well-formedness work.
+//
+// Layout (all integers varint-encoded):
+//
+//	magic "XDM1"
+//	nameCount, then each name (len, bytes)   — element/PI name dictionary
+//	node := kind
+//	        ElementKind:  nameIdx, nattrs, {attrName(len,bytes), value(len,bytes)}, nchildren, children
+//	        TextKind:     data(len, bytes)
+//	        CommentKind:  data(len, bytes)
+//	        PIKind:       nameIdx, data(len, bytes)
+//	        DocumentKind: nchildren, children
+//
+// The dictionary lists each name once, in the order of its first use in
+// document order.
+
+var binMagic = []byte("XDM1")
+
+func appendString[S string | []byte](b []byte, s S) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// ParseRecord parses a complete XML document into rec: its bytes become
+// the document's binary DOM, and its node table what OpenRecord would
+// make of them. Both are written into rec's buffers, grown as needed, so
+// a caller that parses document after document into one Record stops
+// allocating once they are large enough; every Ref of rec's previous
+// document is invalid from the call on.
+//
+// Whitespace is kept as text only when it is part of a run that holds
+// something else: a run that is all whitespace, Unicode spaces included,
+// is dropped, which matches how the benchmark's data generators emit
+// documents (no indentation). Line endings are not normalized, a DOCTYPE
+// is skipped, and so is a PI with target xml beside the root element (the
+// XML declaration). Text with no reference
+// or CDATA section, names, comments and PI data are slices of data until
+// the record is written, so a parse allocates nothing per node.
+//
+// ParseRecord fails on a malformed document with a *SyntaxError, and on a
+// record too large for a node table's 32-bit offsets; rec then holds no
+// document.
 func ParseRecord(rec *Record, data []byte) error {
-	p := parsers.Get().(*parser)
-	p.data, p.pos, p.rec = data, 0, true
-	_, err := p.parseDocument()
+	p := getParser(data)
+	err := p.parseDocument()
 	if err == nil {
 		err = p.b.emit(rec)
 	}
 	if err != nil {
 		rec.data, rec.names, rec.nodes = rec.data[:0], rec.names[:0], rec.nodes[:0]
 	}
-	p.b.release()
-	p.rec = false
-	p.release()
-	parsers.Put(p)
+	p.put()
 	return err
 }
 
-// RootName returns the name of the element Parse would make data's root,
-// read by Parse's own rules for what may precede it (whitespace, comments,
-// processing instructions, a DOCTYPE), so a '<' inside one of those is
-// not mistaken for it. Only the prolog is read: ok is false when it is
-// malformed or no element follows it, and a true ok says nothing of the
-// rest of the document. The name is a slice of data.
+// RootName returns the name of the element ParseRecord would make data's
+// root, read by ParseRecord's own rules for what may precede it
+// (whitespace, comments, processing instructions, a DOCTYPE), so a '<'
+// inside one of those is not mistaken for it. Only the prolog is read: ok
+// is false when it is malformed or no element follows it, and a true ok
+// says nothing of the rest of the document. The name is a slice of data.
 func RootName(data []byte) (name []byte, ok bool) {
-	p := parsers.Get().(*parser)
-	p.data, p.pos, p.rec = data, 0, true
+	p := getParser(data)
 	p.b.add(DocumentKind)
 	if p.parseMisc() == nil && !p.eof() {
 		p.pos++ // '<'
 		name, _ = p.scanName()
 	}
-	p.b.release()
-	p.rec = false
-	p.release()
-	parsers.Put(p)
+	p.put()
 	return name, name != nil
 }
 
@@ -163,8 +193,7 @@ func kept[S string | []byte](b *builder, v S) []byte {
 }
 
 // nameIndex returns name's index in the document's dictionary, adding it
-// at the end on its first use, as EncodeBinary numbers names in document
-// order.
+// at the end on its first use.
 func (b *builder) nameIndex(name []byte) int32 {
 	h := (len(name)*7 + int(name[len(name)-1])) % len(b.hot)
 	if i := b.hot[h] - 1; i >= 0 && string(b.names[i]) == string(name) {
@@ -239,6 +268,9 @@ func (b *builder) emit(rec *Record) error {
 // maxBuilt bounds the tables a builder keeps for the next parse: a
 // document with more nodes leaves them to the collector.
 const maxBuilt = 1 << 17
+
+// maxNames bounds the names a builder remembers across documents.
+const maxNames = 1024
 
 // release drops what the builder points at in the input and starts a new
 // generation of names.

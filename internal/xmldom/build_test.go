@@ -8,24 +8,27 @@ import (
 	"xbench/internal/xmldom"
 )
 
-// TestParseRecordMatchesTree holds ParseRecord and RootName to Parse
-// (xmldom.CheckParseRecord) on every Small document of the four classes
-// at generator seed 7 and on the package's fixtures, well-formed and not.
-func TestParseRecordMatchesTree(t *testing.T) {
+// TestParseRecordMatchesEncodingXML holds ParseRecord to itself
+// (checkRecord) and to encoding/xml (checkEncodingXML) on every Small
+// document of the four classes at generator seed 7, which both must
+// accept, and on the package's fixtures, well-formed and not.
+func TestParseRecordMatchesEncodingXML(t *testing.T) {
 	for _, class := range []core.Class{core.DCSD, core.DCMD, core.TCSD, core.TCMD} {
 		db, err := gen.Config{Seed: 7}.Generate(class, core.Small)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, d := range db.Docs {
-			xmldom.CheckParseRecord(t, d.Data)
+			checkRecord(t, d.Data)
+			checkEncodingXML(t, d.Data, true)
 		}
 	}
-	for _, src := range edgeDocs {
-		xmldom.CheckParseRecord(t, []byte(src))
+	for _, src := range append(append([]string{}, fuzzSeeds...), edgeDocs...) {
+		checkRecord(t, []byte(src))
+		checkEncodingXML(t, []byte(src), false)
 	}
 	for _, tc := range syntaxErrors {
-		xmldom.CheckParseRecord(t, []byte(tc.src))
+		checkRecord(t, []byte(tc.src))
 	}
 }
 

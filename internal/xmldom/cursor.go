@@ -8,13 +8,12 @@ import (
 	"unsafe"
 )
 
-// A Record is a binary DOM document (see EncodeBinary for the layout)
-// opened for navigation in place: no node of it is ever decoded into a
-// *Node.
+// A Record is a binary DOM document (see build.go for the layout) opened
+// for navigation in place: no node of it is ever decoded.
 //
-// OpenRecord makes one pass over the bytes that applies every check
-// DecodeBinary makes (magic, varints, string overruns, name-index range,
-// counts against the input size, nesting depth, trailing bytes) and notes,
+// OpenRecord makes one pass over the bytes that checks them whole (magic,
+// varints, string overruns, name-index range, counts against the input
+// size, nesting depth, trailing bytes) and notes,
 // per node in document order, where it starts, where its subtree ends,
 // which node is its parent and, for an element, its name index, in a
 // table of exactly as many entries as the record has nodes. After that pass the bytes are trusted: the
@@ -46,8 +45,8 @@ type Ref struct {
 }
 
 // OpenRecord validates data as a binary DOM document and returns it ready
-// for navigation. It accepts exactly the inputs DecodeBinary accepts and
-// allocates a fixed number of objects however many nodes the record has.
+// for navigation. It allocates a fixed number of objects however many
+// nodes the record has.
 func OpenRecord(data []byte) (*Record, error) {
 	if len(data) < len(binMagic) || string(data[:len(binMagic)]) != string(binMagic) {
 		return nil, openErr(0, "not a binary DOM document")
@@ -182,6 +181,9 @@ var scratchTables = make(chan []recNode, 4)
 
 const maxScratchNodes = 1 << 20
 
+// maxBinaryDepth bounds the nesting of a record OpenRecord accepts.
+const maxBinaryDepth = 4096
+
 func openErr(pos int, msg string) error {
 	return fmt.Errorf("xmldom: binary open at %d: %s", pos, msg)
 }
@@ -221,9 +223,9 @@ func (r *Record) Footprint() int64 {
 		int64(len(r.nodes))*int64(unsafe.Sizeof(recNode{})) + int64(len(r.names))*int64(unsafe.Sizeof(int32(0)))
 }
 
-// Bytes returns the binary DOM the record navigates: for one ParseRecord
-// wrote, EncodeBinary of the tree Parse builds. It is the record's own
-// buffer, valid until the record is parsed into again.
+// Bytes returns the binary DOM the record navigates. For a record
+// ParseRecord wrote it is the record's own buffer, valid until the record
+// is parsed into again.
 func (r *Record) Bytes() []byte { return r.data }
 
 // Root returns the record's root node (ord 0).
@@ -362,8 +364,7 @@ func (x Ref) NextSibling() (s Ref, ok bool) {
 
 // Child returns x's first child element named name (any element for an
 // empty name), or the zero Ref when it has none. The zero Ref has no
-// children, so a path through an absent element ends in the zero Ref, as
-// Node.FirstChild's ends in nil.
+// children, so a path through an absent element ends in the zero Ref.
 func (x Ref) Child(name string) Ref {
 	if x.IsZero() {
 		return Ref{}
@@ -373,7 +374,7 @@ func (x Ref) Child(name string) Ref {
 }
 
 // Sibling returns the next sibling element of x named name, or the zero
-// Ref: with Child, a walk over the children Node.ChildElements returns.
+// Ref: with Child, a walk over x's parent's child elements of that name.
 func (x Ref) Sibling(name string) Ref {
 	s, ok := x.NextSibling()
 	return s.named(name, ok)
@@ -461,8 +462,10 @@ func (x Ref) Text() []byte {
 	return one
 }
 
-// AppendXML serializes the subtree rooted at x into buf, byte for byte
-// what Node.AppendXML writes for the decoded subtree.
+// AppendXML serializes the subtree rooted at x into buf: an element with
+// no children as <name/>, attribute values double-quoted, comments and
+// PIs as stored. For a record ParseRecord wrote, parsing what it writes
+// gives the same record back.
 func (x Ref) AppendXML(buf *bytes.Buffer) {
 	switch x.Kind() {
 	case DocumentKind:

@@ -16,7 +16,7 @@ import (
 // sameTree checks a cursor against the decoded reference tree, node by
 // node: kind, name, attributes, data, ord, parent and the order of
 // children and siblings.
-func sameTree(t *testing.T, x xmldom.Ref, n *xmldom.Node, parent *xmldom.Node) {
+func sameTree(t *testing.T, x xmldom.Ref, n *xmldom.DecodedNode, parent *xmldom.DecodedNode) {
 	if x.Kind() != n.Kind || x.Ord() != n.Ord {
 		t.Fatalf("ord %d: kind/ord %v/%d, tree has %v/%d", x.Ord(), x.Kind(), x.Ord(), n.Kind, n.Ord)
 	}
@@ -35,7 +35,7 @@ func sameTree(t *testing.T, x xmldom.Ref, n *xmldom.Node, parent *xmldom.Node) {
 		if !ok || string(an) != a.Name || string(av) != a.Value {
 			t.Fatalf("ord %d: attribute %q=%q (%v), tree has %q=%q", x.Ord(), an, av, ok, a.Name, a.Value)
 		}
-		// Attr returns the first attribute of a name, as Node.Attr does.
+		// Attr returns the first attribute of a name, as the tree's does.
 		want, _ := n.Attr(a.Name)
 		if got, ok := x.Attr(a.Name); !ok || string(got) != want {
 			t.Fatalf("ord %d: Attr(%q) = %q (%v), tree has %q", x.Ord(), a.Name, got, ok, want)
@@ -51,7 +51,7 @@ func sameTree(t *testing.T, x xmldom.Ref, n *xmldom.Node, parent *xmldom.Node) {
 	if got, want := string(x.Text()), n.Text(); got != want {
 		t.Fatalf("ord %d: string value %q, tree has %q", x.Ord(), got, want)
 	}
-	if got, want := int(x.End()-x.Ord()), countNodes(n); got != want {
+	if got, want := int(x.End()-x.Ord()), n.Count(); got != want {
 		t.Fatalf("ord %d: subtree of %d nodes, tree has %d", x.Ord(), got, want)
 	}
 	c, ok := x.FirstChild()
@@ -68,15 +68,8 @@ func sameTree(t *testing.T, x xmldom.Ref, n *xmldom.Node, parent *xmldom.Node) {
 }
 
 // checkCursor is the differential property: OpenRecord and DecodeBinary
-// agree on accept/reject, and for accepted bytes a full traversal, the
-// serialization and the rebuilt tree equal the reference decoder's.
-// countNodes returns the number of nodes in the subtree rooted at n.
-func countNodes(n *xmldom.Node) int {
-	c := 0
-	n.Walk(func(*xmldom.Node) bool { c++; return true })
-	return c
-}
-
+// agree on accept/reject, and for accepted bytes a full traversal and the
+// serialization equal the reference decoder's tree.
 func checkCursor(t *testing.T, data []byte) {
 	t.Helper()
 	tree, derr := xmldom.DecodeBinary(data)
@@ -87,8 +80,8 @@ func checkCursor(t *testing.T, data []byte) {
 	if derr != nil {
 		return
 	}
-	if rec.Len() != countNodes(tree) {
-		t.Fatalf("record has %d nodes, tree %d", rec.Len(), countNodes(tree))
+	if rec.Len() != tree.Count() {
+		t.Fatalf("record has %d nodes, tree %d", rec.Len(), tree.Count())
 	}
 	sameTree(t, rec.Root(), tree, nil)
 	// Every element's name finds its dictionary entry.
@@ -108,6 +101,16 @@ func checkCursor(t *testing.T, data []byte) {
 	}
 }
 
+// encoded returns the binary DOM ParseRecord writes for src.
+func encoded(t testing.TB, src string) []byte {
+	t.Helper()
+	var rec xmldom.Record
+	if err := xmldom.ParseRecord(&rec, []byte(src)); err != nil {
+		t.Fatal(err)
+	}
+	return rec.Bytes()
+}
+
 // classSeeds returns one small generated document per class, encoded.
 func classSeeds(t testing.TB) [][]byte {
 	var out [][]byte
@@ -117,11 +120,7 @@ func classSeeds(t testing.TB) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		doc, err := xmldom.Parse(db.Docs[0].Data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, xmldom.EncodeBinary(doc))
+		out = append(out, encoded(t, string(db.Docs[0].Data)))
 	}
 	return out
 }
@@ -129,9 +128,9 @@ func classSeeds(t testing.TB) [][]byte {
 // FuzzCursor runs the cursor against DecodeBinary on arbitrary bytes.
 func FuzzCursor(f *testing.F) {
 	f.Add([]byte("XDM1"))
-	f.Add(xmldom.EncodeBinary(xmldom.MustParse(`<a x="1"><b>t</b></a>`)))
-	f.Add(xmldom.EncodeBinary(xmldom.MustParse(
-		`<?xml version="1.0"?><!-- c --><r k="&lt;&quot;"><?pi d?><?q?><x>&amp;<i>m</i>&gt;</x><e/></r>`)))
+	f.Add(encoded(f, `<a x="1"><b>t</b></a>`))
+	f.Add(encoded(f,
+		`<?xml version="1.0"?><!-- c --><r k="&lt;&quot;"><?pi d?><?q?><x>&amp;<i>m</i>&gt;</x><e/></r>`))
 	for _, seed := range classSeeds(f) {
 		f.Add(seed)
 	}
@@ -142,16 +141,22 @@ func TestCursorMatchesDecode(t *testing.T) {
 	for _, seed := range classSeeds(t) {
 		checkCursor(t, seed)
 	}
-	// Subtrees other than the root serialize and rebuild alike.
-	doc := xmldom.MustParse(`<a><b x="1">t<c/>u</b><d>v</d></a>`)
-	rec, err := xmldom.OpenRecord(xmldom.EncodeBinary(doc))
+	for _, src := range edgeDocs {
+		checkCursor(t, encoded(t, src))
+	}
+	// Subtrees other than the root serialize alike.
+	data := encoded(t, `<a><b x="1">t<c/>u</b><d>v</d></a>`)
+	tree, err := xmldom.DecodeBinary(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := doc.Root().FirstChild("b")
-	rb := rec.At(b.Ord)
-	if rb.XML() != b.XML() {
-		t.Fatalf("subtree: cursor %s, tree %s", rb.XML(), b.XML())
+	rec, err := xmldom.OpenRecord(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := tree.Children[0].Children[0]
+	if rb := rec.At(b.Ord); rb.XML() != string(b.XMLBytes()) {
+		t.Fatalf("subtree: cursor %s, tree %s", rb.XML(), b.XMLBytes())
 	}
 	if nope, d := rec.NameIndexes(nil, "nope"), rec.NameIndexes(nil, "d"); len(nope) != 0 || !slices.Equal(d, []int32{3}) {
 		t.Fatalf("NameIndexes: nope %v, d %v; want [] and [3]", nope, d)
@@ -168,7 +173,7 @@ func TestFootprintCountsWhatOpenRecordHolds(t *testing.T) {
 		fmt.Fprintf(&b, `<e%d k="v">text</e%d>`, i%50, i%50)
 	}
 	b.WriteString("</r>")
-	data := xmldom.EncodeBinary(xmldom.MustParse(b.String()))
+	data := encoded(t, b.String())
 	if _, err := xmldom.OpenRecord(data); err != nil { // takes a scratch table
 		t.Fatal(err)
 	}
@@ -186,7 +191,7 @@ func TestFootprintCountsWhatOpenRecordHolds(t *testing.T) {
 }
 
 func TestCursorRejectsWhatDecodeRejects(t *testing.T) {
-	valid := xmldom.EncodeBinary(xmldom.MustParse(`<a x="1"><b>t</b><c/></a>`))
+	valid := encoded(t, `<a x="1"><b>t</b><c/></a>`)
 	checkCursor(t, append(append([]byte(nil), valid...), 0))
 	for cut := 0; cut < len(valid); cut++ {
 		checkCursor(t, valid[:cut])
@@ -214,12 +219,13 @@ func TestCursorRejectsWhatDecodeRejects(t *testing.T) {
 // objects for a 10-node and a 10,000-node document.
 func TestOpenRecordAllocations(t *testing.T) {
 	build := func(leaves int) []byte {
-		doc := &xmldom.Node{Kind: xmldom.DocumentKind}
-		root := doc.AddElement("r")
+		var b strings.Builder
+		b.WriteString("<r>")
 		for i := 0; i < leaves; i++ {
-			root.AddElement("leaf").AddText(strings.Repeat("x", 1+i%9))
+			b.WriteString("<leaf>" + strings.Repeat("x", 1+i%9) + "</leaf>")
 		}
-		return xmldom.EncodeBinary(doc)
+		b.WriteString("</r>")
+		return encoded(t, b.String())
 	}
 	allocs := func(data []byte) float64 {
 		return testing.AllocsPerRun(20, func() {

@@ -1,89 +1,104 @@
 package xmldom
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strings"
 )
 
-// Binary DOM serialization: the persistent-DOM page format the native
-// engine stores instead of raw XML. Decoding rebuilds the node tree
-// without tokenizing, escaping or well-formedness work, the way X-Hive
-// paged in persistent DOM nodes rather than re-parsing documents.
-//
-// Layout (all integers varint-encoded):
-//
-//	magic "XDM1"
-//	nameCount, then each name (len, bytes)   — element/PI name dictionary
-//	node := kind
-//	        ElementKind:  nameIdx, nattrs, {attrName(len,bytes), value(len,bytes)}, nchildren, children
-//	        TextKind:     data(len, bytes)
-//	        CommentKind:  data(len, bytes)
-//	        PIKind:       nameIdx, data(len, bytes)
-//	        DocumentKind: nchildren, children
-//
-// Document order is assigned during decode in one pass.
+// DecodeBinary is the reference decoder FuzzCursor holds OpenRecord and
+// Ref to: a separate reading of the binary DOM layout (build.go) that
+// rebuilds every node as a DecodedNode, with every check OpenRecord makes.
 
-var binMagic = []byte("XDM1")
-
-// EncodeBinary serializes the subtree rooted at n into the persistent DOM
-// format.
-func EncodeBinary(n *Node) []byte {
-	names := map[string]int{}
-	var nameList []string
-	var collect func(*Node)
-	collect = func(nd *Node) {
-		if nd.Kind == ElementKind || nd.Kind == PIKind {
-			if _, ok := names[nd.Name]; !ok {
-				names[nd.Name] = len(nameList)
-				nameList = append(nameList, nd.Name)
-			}
-		}
-		for _, c := range nd.Children {
-			collect(c)
-		}
-	}
-	collect(n)
-
-	buf := make([]byte, 0, 1024)
-	buf = append(buf, binMagic...)
-	buf = binary.AppendUvarint(buf, uint64(len(nameList)))
-	for _, name := range nameList {
-		buf = appendString(buf, name)
-	}
-	var enc func([]byte, *Node) []byte
-	enc = func(b []byte, nd *Node) []byte {
-		b = append(b, byte(nd.Kind))
-		switch nd.Kind {
-		case ElementKind:
-			b = binary.AppendUvarint(b, uint64(names[nd.Name]))
-			b = binary.AppendUvarint(b, uint64(len(nd.Attrs)))
-			for _, a := range nd.Attrs {
-				b = appendString(b, a.Name)
-				b = appendString(b, a.Value)
-			}
-			b = binary.AppendUvarint(b, uint64(len(nd.Children)))
-			for _, c := range nd.Children {
-				b = enc(b, c)
-			}
-		case TextKind, CommentKind:
-			b = appendString(b, nd.Data)
-		case PIKind:
-			b = binary.AppendUvarint(b, uint64(names[nd.Name]))
-			b = appendString(b, nd.Data)
-		case DocumentKind:
-			b = binary.AppendUvarint(b, uint64(len(nd.Children)))
-			for _, c := range nd.Children {
-				b = enc(b, c)
-			}
-		}
-		return b
-	}
-	return enc(buf, n)
+// DecodedNode is one node of a tree DecodeBinary rebuilt. The fields used
+// depend on Kind; Ord is the node's position in document order.
+type DecodedNode struct {
+	Kind     Kind
+	Ord      int32
+	Name     string // element name or PI target
+	Data     string // text, comment or PI content
+	Attrs    []DecodedAttr
+	Children []*DecodedNode
+	Parent   *DecodedNode
 }
 
-func appendString[S string | []byte](b []byte, s S) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
+// DecodedAttr is a name="value" attribute of a DecodedNode.
+type DecodedAttr struct {
+	Name  string
+	Value string
+}
+
+// Attr returns the value of the first attribute named name.
+func (n *DecodedNode) Attr(name string) (string, bool) {
+	for _, a := range n.Attrs {
+		if a.Name == name {
+			return a.Value, true
+		}
+	}
+	return "", false
+}
+
+// Text returns the character data of every text node under n, in order.
+func (n *DecodedNode) Text() string {
+	if n.Kind == TextKind {
+		return n.Data
+	}
+	var b strings.Builder
+	for _, c := range n.Children {
+		b.WriteString(c.Text())
+	}
+	return b.String()
+}
+
+// Count returns the number of nodes in the subtree rooted at n.
+func (n *DecodedNode) Count() int {
+	c := 1
+	for _, k := range n.Children {
+		c += k.Count()
+	}
+	return c
+}
+
+// XMLBytes serializes the subtree rooted at n by the rules Ref.AppendXML
+// states.
+func (n *DecodedNode) XMLBytes() []byte {
+	var buf bytes.Buffer
+	n.appendXML(&buf)
+	return buf.Bytes()
+}
+
+func (n *DecodedNode) appendXML(buf *bytes.Buffer) {
+	switch n.Kind {
+	case TextKind:
+		escapeText(buf, n.Data)
+	case CommentKind:
+		buf.WriteString("<!--" + n.Data + "-->")
+	case PIKind:
+		buf.WriteString("<?" + n.Name)
+		if n.Data != "" {
+			buf.WriteString(" " + n.Data)
+		}
+		buf.WriteString("?>")
+	case ElementKind:
+		buf.WriteString("<" + n.Name)
+		for _, a := range n.Attrs {
+			writeAttr(buf, a.Name, a.Value)
+		}
+		if len(n.Children) == 0 {
+			buf.WriteString("/>")
+			return
+		}
+		buf.WriteByte('>')
+		for _, c := range n.Children {
+			c.appendXML(buf)
+		}
+		buf.WriteString("</" + n.Name + ">")
+	case DocumentKind:
+		for _, c := range n.Children {
+			c.appendXML(buf)
+		}
+	}
 }
 
 type binReader struct {
@@ -121,7 +136,7 @@ func (r *binReader) str() (string, error) {
 
 // DecodeBinary rebuilds a node tree from the persistent DOM format,
 // assigning document order.
-func DecodeBinary(data []byte) (*Node, error) {
+func DecodeBinary(data []byte) (*DecodedNode, error) {
 	if len(data) < len(binMagic) || string(data[:len(binMagic)]) != string(binMagic) {
 		return nil, fmt.Errorf("xmldom: not a binary DOM document")
 	}
@@ -149,9 +164,7 @@ func DecodeBinary(data []byte) (*Node, error) {
 	return node, nil
 }
 
-const maxBinaryDepth = 4096
-
-func (r *binReader) node(names []string, depth int) (*Node, error) {
+func (r *binReader) node(names []string, depth int) (*DecodedNode, error) {
 	if depth > maxBinaryDepth {
 		return nil, r.errf("nesting deeper than %d", maxBinaryDepth)
 	}
@@ -160,7 +173,7 @@ func (r *binReader) node(names []string, depth int) (*Node, error) {
 	}
 	kind := Kind(r.data[r.pos])
 	r.pos++
-	n := &Node{Kind: kind, Ord: r.ord}
+	n := &DecodedNode{Kind: kind, Ord: r.ord}
 	r.ord++
 	var err error
 	switch kind {
@@ -181,7 +194,7 @@ func (r *binReader) node(names []string, depth int) (*Node, error) {
 			return nil, r.errf("attribute count %d exceeds input size", nattrs)
 		}
 		if nattrs > 0 {
-			n.Attrs = make([]Attr, nattrs)
+			n.Attrs = make([]DecodedAttr, nattrs)
 			for i := range n.Attrs {
 				if n.Attrs[i].Name, err = r.str(); err != nil {
 					return nil, err
@@ -220,7 +233,7 @@ func (r *binReader) node(names []string, depth int) (*Node, error) {
 	return n, nil
 }
 
-func (r *binReader) children(parent *Node, names []string, depth int) error {
+func (r *binReader) children(parent *DecodedNode, names []string, depth int) error {
 	count, err := r.uvarint()
 	if err != nil {
 		return err
@@ -229,7 +242,7 @@ func (r *binReader) children(parent *Node, names []string, depth int) error {
 		return r.errf("child count %d exceeds input size", count)
 	}
 	if count > 0 {
-		parent.Children = make([]*Node, 0, count)
+		parent.Children = make([]*DecodedNode, 0, count)
 	}
 	for i := uint64(0); i < count; i++ {
 		c, err := r.node(names, depth+1)

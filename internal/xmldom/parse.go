@@ -3,7 +3,6 @@ package xmldom
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -19,135 +18,37 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("xmldom: syntax error at offset %d: %s", e.Offset, e.Msg)
 }
 
-// Parse parses a complete XML document and returns its document node with
-// document order assigned. Insignificant whitespace between elements is
-// kept as text nodes only when it is adjacent to non-whitespace content;
-// pure inter-element whitespace is dropped, which matches how the
-// benchmark's data generators emit documents (no indentation).
-//
-// What it allocates per document: one slab of Nodes sized from the
-// document's '<' count and one slab the Children slices are carved from,
-// each at its exact length; an Attrs slice per element that has
-// attributes; and one string per kept text run, attribute value, comment
-// and PI — a run with no reference or CDATA section is converted straight
-// from data, an all-whitespace one not at all. Names come from a cache
-// the parser keeps across calls, so a name is allocated once, not once
-// per occurrence.
-func Parse(data []byte) (*Node, error) {
-	p := parsers.Get().(*parser)
-	p.data, p.pos, p.ord = data, 0, 0
-	doc, err := p.parseDocument()
-	p.release()
-	parsers.Put(p)
-	if err != nil {
-		return nil, err
-	}
-	return doc, nil
-}
-
-// MustParse is Parse that panics on error; for tests and fixtures.
-func MustParse(data string) *Node {
-	doc, err := Parse([]byte(data))
-	if err != nil {
-		panic(err)
-	}
-	return doc
-}
-
 var (
 	cdataEnd   = []byte("]]>")
 	commentEnd = []byte("-->")
 	piEnd      = []byte("?>")
 )
 
-// parsers holds parser state between calls: the stacks, the scratch
-// buffer and the name cache outlive a document, the slabs do not.
-var parsers = sync.Pool{New: func() any { return &parser{names: map[string]string{}} }}
+// parsers holds parser state between calls: the scratch buffer and the
+// builder's tables outlive a document.
+var parsers = sync.Pool{New: func() any { return new(parser) }}
 
-// maxNames bounds the name cache; names past it are allocated per use.
-const maxNames = 1024
-
+// A parser reads one document into its builder, node by node in document
+// order.
 type parser struct {
 	data []byte
 	pos  int
-	ord  int32 // the next node's Ord: nodes are made in document order
-
-	// The document's slabs; the tree owns them once Parse returns.
-	nodes []Node
-	ptrs  []*Node
-
-	// Reused across documents.
-	kids  []*Node           // children of the open elements, innermost last
-	atts  []Attr            // attributes of the start tag being read
-	buf   []byte            // a text run or value with a reference or CDATA
-	names map[string]string // interned names
-
-	// rec is set while the parse builds a record (ParseRecord) instead
-	// of a tree: each node read goes to b, and no Node is made.
-	rec bool
-	b   builder
+	buf  []byte // a text run or value with a reference or CDATA
+	b    builder
 }
 
-// release drops everything of the document the parser still points at,
-// so the pool keeps no tree alive.
-func (p *parser) release() {
-	clear(p.kids)
-	clear(p.atts)
-	p.kids, p.atts = p.kids[:0], p.atts[:0]
-	p.data, p.nodes, p.ptrs = nil, nil, nil
+// getParser takes a parser from the pool, set to read data.
+func getParser(data []byte) *parser {
+	p := parsers.Get().(*parser)
+	p.data, p.pos = data, 0
+	return p
 }
 
-// ahead is how many more '<' the document holds, plus one: what the
-// slabs are sized from. An element is one '<' or two, a kept text run
-// ends at one, so it bounds the nodes still to come in all but mixed
-// content, and a slab that runs out is refilled to it.
-func (p *parser) ahead() int { return bytes.Count(p.data[p.pos:], []byte{'<'}) + 1 }
-
-// node returns the next node of the slab, in document order: the first
-// call sizes the slab for the whole document.
-func (p *parser) node(kind Kind) *Node {
-	if len(p.nodes) == 0 {
-		p.nodes = make([]Node, p.ahead())
-	}
-	n := &p.nodes[0]
-	p.nodes = p.nodes[1:]
-	n.Kind, n.Ord = kind, p.ord
-	p.ord++
-	return n
-}
-
-// adopt makes the nodes pushed since base parent's children, in one slice
-// of exactly their number, and pops them.
-func (p *parser) adopt(parent *Node, base int) {
-	kids := p.kids[base:]
-	n := len(kids)
-	if n == 0 {
-		return
-	}
-	if len(p.ptrs) < n {
-		p.ptrs = make([]*Node, len(p.kids)+p.ahead())
-	}
-	c := p.ptrs[:n:n]
-	p.ptrs = p.ptrs[n:]
-	copy(c, kids)
-	for _, k := range c {
-		k.Parent = parent
-	}
-	parent.Children = c
-	clear(kids)
-	p.kids = p.kids[:base]
-}
-
-// intern returns b as a string, allocated once per distinct name.
-func (p *parser) intern(b []byte) string {
-	if s, ok := p.names[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if len(p.names) < maxNames {
-		p.names[s] = s
-	}
-	return s
+// put drops what the parser points at in the input and hands it back.
+func (p *parser) put() {
+	p.b.release()
+	p.data = nil
+	parsers.Put(p)
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -205,34 +106,25 @@ func (p *parser) hasPrefix(s string) bool {
 	return true
 }
 
-func (p *parser) parseDocument() (*Node, error) {
-	var doc *Node
-	if p.rec {
-		p.b.add(DocumentKind)
-	} else {
-		doc = p.node(DocumentKind)
-	}
+func (p *parser) parseDocument() error {
+	p.b.add(DocumentKind)
 	if err := p.parseMisc(); err != nil {
-		return nil, err
+		return err
 	}
 	if p.eof() {
-		return nil, p.errf("document has no root element")
+		return p.errf("document has no root element")
 	}
 	if err := p.parseElement(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := p.parseMisc(); err != nil {
-		return nil, err
+		return err
 	}
 	if !p.eof() {
-		return nil, p.errf("multiple root elements")
+		return p.errf("multiple root elements")
 	}
-	if p.rec {
-		p.b.close(0)
-	} else {
-		p.adopt(doc, 0)
-	}
-	return doc, nil
+	p.b.close(0)
+	return nil
 }
 
 // parseMisc reads what may stand beside the root element — whitespace,
@@ -300,23 +192,15 @@ func (p *parser) scanName() ([]byte, error) {
 }
 
 // parseElement parses the element at p.pos, whose '<' the caller has
-// seen, and pushes it as a child of the element being read.
+// seen, and adds it as a child of the element being read.
 func (p *parser) parseElement() error {
 	p.pos++ // '<'
 	name, err := p.scanName()
 	if err != nil {
 		return err
 	}
-	var el *Node
-	var ord int32
-	if p.rec {
-		ord = p.b.element(name)
-	} else {
-		el = p.node(ElementKind)
-		el.Name = p.intern(name)
-		p.kids = append(p.kids, el)
-	}
-	if err := p.parseAttrs(el, name); err != nil {
+	ord := p.b.element(name)
+	if err := p.parseAttrs(name); err != nil {
 		return err
 	}
 	if p.peek() == '/' {
@@ -326,18 +210,11 @@ func (p *parser) parseElement() error {
 	if err := p.expect(">"); err != nil {
 		return err
 	}
-	base := len(p.kids)
-	if p.rec {
-		p.b.cur = ord
-	}
+	p.b.cur = ord
 	if err := p.parseContent(name); err != nil {
 		return err
 	}
-	if p.rec {
-		p.b.close(ord)
-	} else {
-		p.adopt(el, base)
-	}
+	p.b.close(ord)
 	// parseContent consumed "</"; now the name, compared in place, and ">".
 	ename, err := p.scanName()
 	if err != nil {
@@ -350,11 +227,9 @@ func (p *parser) parseElement() error {
 	return p.expect(">")
 }
 
-// parseAttrs reads the attributes of the start tag of el, named name, up
-// to its '>' or '/' and gives el them in one slice of exactly their
-// number; building a record, el is nil and they go to the builder.
-func (p *parser) parseAttrs(el *Node, name []byte) error {
-	p.atts = p.atts[:0]
+// parseAttrs reads the attributes of the start tag of the element just
+// added, named name, up to its '>' or '/'.
+func (p *parser) parseAttrs(name []byte) error {
 	for {
 		p.skipSpace()
 		if p.eof() {
@@ -377,28 +252,15 @@ func (p *parser) parseAttrs(el *Node, name []byte) error {
 		if err != nil {
 			return err
 		}
-		if p.rec {
-			if !p.b.attr(aname, aval, buffered) {
-				return p.errf("duplicate attribute %q on <%s>", aname, name)
-			}
-			continue
+		if !p.b.attr(aname, aval, buffered) {
+			return p.errf("duplicate attribute %q on <%s>", aname, name)
 		}
-		for _, a := range p.atts {
-			if a.Name == string(aname) {
-				return p.errf("duplicate attribute %q on <%s>", aname, name)
-			}
-		}
-		p.atts = append(p.atts, Attr{p.intern(aname), string(aval)})
-	}
-	if len(p.atts) > 0 {
-		el.Attrs = slices.Clone(p.atts)
-		clear(p.atts)
 	}
 	return nil
 }
 
 // parseContent parses the content of the element named name up to and
-// including the "</" of its end tag, pushing each child as it is read.
+// including the "</" of its end tag, adding each child as it is read.
 func (p *parser) parseContent(name []byte) error {
 	for {
 		if err := p.parseText(); err != nil {
@@ -428,7 +290,7 @@ func (p *parser) parseContent(name []byte) error {
 
 // parseText reads character data — with its references resolved and its
 // CDATA sections' content — up to the next markup that is not a CDATA
-// section or the end of input, and pushes it as a text node unless it is
+// section or the end of input, and adds it as a text node unless it is
 // all whitespace. A run with neither is taken from data as it stands.
 func (p *parser) parseText() error {
 	seg, buffered := p.pos, false // data[seg:p.pos] is not in buf yet
@@ -475,13 +337,7 @@ func (p *parser) parseText() error {
 	if len(run) == 0 || (run[0] <= ' ' || run[0] >= utf8.RuneSelf) && len(bytes.TrimSpace(run)) == 0 {
 		return nil // drop pure inter-element whitespace
 	}
-	if p.rec {
-		p.b.leaf(TextKind, p.b.keep(run, buffered))
-		return nil
-	}
-	n := p.node(TextKind)
-	n.Data = string(run)
-	p.kids = append(p.kids, n)
+	p.b.leaf(TextKind, p.b.keep(run, buffered))
 	return nil
 }
 
@@ -583,18 +439,12 @@ func (p *parser) parseComment() error {
 	if end < 0 {
 		return p.errf("unterminated comment")
 	}
-	if data := p.data[p.pos : p.pos+end]; p.rec {
-		p.b.leaf(CommentKind, data)
-	} else {
-		n := p.node(CommentKind)
-		n.Data = string(data)
-		p.kids = append(p.kids, n)
-	}
+	p.b.leaf(CommentKind, p.data[p.pos:p.pos+end])
 	p.pos += end + len(commentEnd)
 	return nil
 }
 
-// parsePI parses a processing instruction and pushes it, unless it is the
+// parsePI parses a processing instruction and adds it, unless it is the
 // XML declaration of a document (prolog).
 func (p *parser) parsePI(prolog bool) error {
 	if err := p.expect("<?"); err != nil {
@@ -609,14 +459,7 @@ func (p *parser) parsePI(prolog bool) error {
 		return p.errf("unterminated processing instruction")
 	}
 	if !prolog || string(target) != "xml" {
-		data := bytes.TrimSpace(p.data[p.pos : p.pos+end])
-		if p.rec {
-			p.b.pi(target, data)
-		} else {
-			n := p.node(PIKind)
-			n.Name, n.Data = p.intern(target), string(data)
-			p.kids = append(p.kids, n)
-		}
+		p.b.pi(target, bytes.TrimSpace(p.data[p.pos:p.pos+end]))
 	}
 	p.pos += end + len(piEnd)
 	return nil

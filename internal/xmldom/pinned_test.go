@@ -3,38 +3,12 @@ package xmldom_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"hash"
 	"testing"
 
 	"xbench/internal/core"
 	"xbench/internal/gen"
 	"xbench/internal/xmldom"
 )
-
-// addTree adds the persistent-DOM encoding of doc to h, after checking
-// what the encoding does not carry: Ord is the preorder position, from 0
-// at the document node, and every child's Parent is the node holding it.
-func addTree(t *testing.T, h hash.Hash, name string, doc *xmldom.Node) {
-	t.Helper()
-	ord := int32(0)
-	doc.Walk(func(n *xmldom.Node) bool {
-		if n.Ord != ord {
-			t.Fatalf("%s: node %d in document order has Ord %d", name, ord, n.Ord)
-		}
-		for _, c := range n.Children {
-			if c.Parent != n {
-				t.Fatalf("%s: a child of node %d has another parent", name, ord)
-			}
-		}
-		ord++
-		return true
-	})
-	if doc.Parent != nil {
-		t.Fatalf("%s: the document node has a parent", name)
-	}
-	h.Write([]byte(name))
-	h.Write(xmldom.EncodeBinary(doc))
-}
 
 // edgeDocs are inputs that take the parser's less travelled paths.
 var edgeDocs = []string{
@@ -57,11 +31,11 @@ var edgeDocs = []string{
 	`<a>mixed <i>in</i> and <b>bold</b> text</a>`,
 }
 
-// TestParsedTreesPinned pins the trees Parse builds: for every Small
-// document of the four classes at generator seed 7, and for a set of
-// inputs that take the parser's less travelled paths, the persistent-DOM
-// encoding of the parsed tree (names, attributes, text runs, comments and
-// PIs, in order), with Ord and Parent checked beside it.
+// TestParsedTreesPinned pins the records ParseRecord writes: for every
+// Small document of the four classes at generator seed 7, and for a set
+// of inputs that take the parser's less travelled paths, the record's
+// bytes (names, attributes, text runs, comments and PIs, in document
+// order, each container with its child count).
 func TestParsedTreesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		class core.Class
@@ -78,12 +52,13 @@ func TestParsedTreesPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			h := sha256.New()
+			var rec xmldom.Record
 			for _, d := range db.Docs {
-				doc, err := xmldom.Parse(d.Data)
-				if err != nil {
+				if err := xmldom.ParseRecord(&rec, d.Data); err != nil {
 					t.Fatalf("%s: %v", d.Name, err)
 				}
-				addTree(t, h, d.Name, doc)
+				h.Write([]byte(d.Name))
+				h.Write(rec.Bytes())
 			}
 			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
 				t.Errorf("tree digest = %s, pinned %s", got, tc.want)
@@ -92,12 +67,13 @@ func TestParsedTreesPinned(t *testing.T) {
 	}
 	t.Run("edges", func(t *testing.T) {
 		h := sha256.New()
+		var rec xmldom.Record
 		for _, src := range edgeDocs {
-			doc, err := xmldom.Parse([]byte(src))
-			if err != nil {
+			if err := xmldom.ParseRecord(&rec, []byte(src)); err != nil {
 				t.Fatalf("%q: %v", src, err)
 			}
-			addTree(t, h, src, doc)
+			h.Write([]byte(src))
+			h.Write(rec.Bytes())
 		}
 		if got, want := hex.EncodeToString(h.Sum(nil)), "50b1fbb16e89fc965a18cd4fba2a1e1dbde39eeb1b7775edfc28a22e9b828381"; got != want {
 			t.Errorf("tree digest = %s, pinned %s", got, want)
@@ -105,7 +81,7 @@ func TestParsedTreesPinned(t *testing.T) {
 	})
 }
 
-// syntaxErrors are malformed inputs, each with where and why Parse
+// syntaxErrors are malformed inputs, each with where and why ParseRecord
 // refuses it.
 var syntaxErrors = []struct {
 	src    string
@@ -150,11 +126,11 @@ var syntaxErrors = []struct {
 	{`<!DOCTYPE a [`, 13, `unterminated DOCTYPE`},
 }
 
-// TestSyntaxErrorsPinned pins where and why Parse refuses malformed
-// input: the offset and the message of each SyntaxError.
+// TestSyntaxErrorsPinned pins where and why ParseRecord refuses
+// malformed input: the offset and the message of each SyntaxError.
 func TestSyntaxErrorsPinned(t *testing.T) {
 	for _, tc := range syntaxErrors {
-		_, err := xmldom.Parse([]byte(tc.src))
+		err := xmldom.ParseRecord(new(xmldom.Record), []byte(tc.src))
 		se, ok := err.(*xmldom.SyntaxError)
 		if !ok {
 			t.Errorf("%q: error %v (%T), want a SyntaxError", tc.src, err, err)

@@ -47,84 +47,6 @@ func writeAttr[S string | []byte](w *bytes.Buffer, name string, value S) {
 	w.WriteByte('"')
 }
 
-// AppendXML serializes the subtree rooted at n into buf.
-func (n *Node) AppendXML(buf *bytes.Buffer) {
-	switch n.Kind {
-	case DocumentKind:
-		for _, c := range n.Children {
-			c.AppendXML(buf)
-		}
-	case TextKind:
-		escapeText(buf, n.Data)
-	case CommentKind:
-		buf.WriteString("<!--")
-		buf.WriteString(n.Data)
-		buf.WriteString("-->")
-	case PIKind:
-		buf.WriteString("<?")
-		buf.WriteString(n.Name)
-		if n.Data != "" {
-			buf.WriteByte(' ')
-			buf.WriteString(n.Data)
-		}
-		buf.WriteString("?>")
-	case ElementKind:
-		buf.WriteByte('<')
-		buf.WriteString(n.Name)
-		for _, a := range n.Attrs {
-			writeAttr(buf, a.Name, a.Value)
-		}
-		if len(n.Children) == 0 {
-			buf.WriteString("/>")
-			return
-		}
-		buf.WriteByte('>')
-		for _, c := range n.Children {
-			c.AppendXML(buf)
-		}
-		buf.WriteString("</")
-		buf.WriteString(n.Name)
-		buf.WriteByte('>')
-	}
-}
-
-// XML returns the serialized form of the subtree rooted at n.
-func (n *Node) XML() string {
-	var buf bytes.Buffer
-	n.AppendXML(&buf)
-	return buf.String()
-}
-
-// XMLBytes returns the serialized form as a byte slice.
-func (n *Node) XMLBytes() []byte {
-	var buf bytes.Buffer
-	n.AppendXML(&buf)
-	return buf.Bytes()
-}
-
-// Equal reports deep structural equality of two subtrees (kind, name,
-// data, attributes, children) ignoring Ord and Parent.
-func Equal(a, b *Node) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a.Kind != b.Kind || a.Name != b.Name || a.Data != b.Data ||
-		len(a.Attrs) != len(b.Attrs) || len(a.Children) != len(b.Children) {
-		return false
-	}
-	for i := range a.Attrs {
-		if a.Attrs[i] != b.Attrs[i] {
-			return false
-		}
-	}
-	for i := range a.Children {
-		if !Equal(a.Children[i], b.Children[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Encoder writes XML incrementally. The database generators use it to emit
 // documents without materializing a DOM, keeping memory flat even at the
 // 1 GB paper scale; the relational engines use it in fragment mode to
@@ -149,7 +71,7 @@ func NewEncoder() *Encoder {
 // NewFragment returns an encoder of bare fragments, taken one at a time
 // with Item: no declaration, and start tags stay open for Attr until the
 // element's first content, so one that gets none ends as <name/> — the
-// bytes Node.AppendXML writes for the same element.
+// bytes Ref.AppendXML writes for the same element.
 func NewFragment() *Encoder { return &Encoder{fragment: true} }
 
 // content ends a pending start tag before the element's first content.

@@ -15,27 +15,34 @@ import (
 // mapped collects the mapping annotations under n: each sql: or dad:
 // relation, and each field as table.column of the nearest enclosing
 // declaration that names a relation under the field's prefix.
-func mapped(n *xmldom.Node, scope map[string]string, got map[string]int) {
-	if n.Kind != xmldom.ElementKind {
-		return
-	}
+func mapped(n xmldom.Ref, scope map[string]string, got map[string]int) {
 	inner := map[string]string{}
 	for _, p := range []string{"sql", "dad"} {
 		inner[p] = scope[p]
 		if t, ok := n.Attr(p + ":relation"); ok {
-			inner[p] = t
-			got[t]++
+			inner[p] = string(t)
+			got[string(t)]++
 		}
 		if c, ok := n.Attr(p + ":field"); ok {
-			got[inner[p]+"."+c]++
+			got[inner[p]+"."+string(c)]++
 		}
-		if c, ok := n.Attr("name"); ok && n.Name == p+":field" {
-			got[inner[p]+"."+c]++
+		if c, ok := n.Attr("name"); ok && string(n.Name()) == p+":field" {
+			got[inner[p]+"."+string(c)]++
 		}
 	}
-	for _, c := range n.Children {
+	for c := n.Child(""); !c.IsZero(); c = c.Sibling("") {
 		mapped(c, inner, got)
 	}
+}
+
+// mustRecord parses src into a fresh record.
+func mustRecord(t *testing.T, src string) *xmldom.Record {
+	t.Helper()
+	rec := new(xmldom.Record)
+	if err := xmldom.ParseRecord(rec, []byte(src)); err != nil {
+		t.Fatalf("not well-formed: %v\n%s", err, src)
+	}
+	return rec
 }
 
 // TestXSDWellFormedAndComplete parses every class's XSD and holds its
@@ -46,10 +53,7 @@ func TestXSDWellFormedAndComplete(t *testing.T) {
 	for _, c := range core.Classes {
 		xsd := xmlschema.For(c).XSD()
 		// The XSD itself must be well-formed XML (our own parser checks it).
-		doc, err := xmldom.Parse([]byte(xsd))
-		if err != nil {
-			t.Fatalf("%s XSD not well-formed: %v\n%s", c, err, xsd)
-		}
+		doc := mustRecord(t, xsd)
 		// Every element type must be declared.
 		for _, name := range xmlschema.For(c).ElementNames() {
 			if !strings.Contains(xsd, `name="`+name+`"`) {
@@ -63,7 +67,7 @@ func TestXSDWellFormedAndComplete(t *testing.T) {
 		shredder.NewStore(c, xmlschema.Shredded, db, shredder.Options{})
 		shredder.NewStore(c, xmlschema.DAD, db, shredder.Options{})
 		got := map[string]int{}
-		mapped(doc.Root(), map[string]string{}, got)
+		mapped(doc.Element(), map[string]string{}, got)
 		want := 0
 		for _, table := range db.TableNames() {
 			cols := shredder.Columns(table)

@@ -11,11 +11,11 @@ import (
 	"xbench/internal/xmldom"
 )
 
-// mustRecord opens a parsed tree the way every tree reaches the
-// evaluator: through its binary encoding.
-func mustRecord(doc *xmldom.Node) *xmldom.Record {
-	rec, err := xmldom.OpenRecord(xmldom.EncodeBinary(doc))
-	if err != nil {
+// mustRecord parses src into a fresh record, as a load hands documents
+// to the evaluator.
+func mustRecord(src string) *xmldom.Record {
+	rec := new(xmldom.Record)
+	if err := xmldom.ParseRecord(rec, []byte(src)); err != nil {
 		panic(err)
 	}
 	return rec
@@ -25,7 +25,7 @@ func mustRecord(doc *xmldom.Node) *xmldom.Record {
 // benchmark data.
 func testColl() *Collection {
 	c := NewCollection()
-	c.Add("catalog.xml", mustRecord(xmldom.MustParse(`<catalog>
+	c.Add("catalog.xml", mustRecord(`<catalog>
 		<item id="I1"><title>Go Databases</title><price>30</price>
 			<authors>
 				<author><name>Ada</name><country>Canada</country></author>
@@ -45,13 +45,13 @@ func testColl() *Collection {
 			</authors>
 			<publisher><name>P Three</name></publisher>
 		</item>
-	</catalog>`)))
-	c.Add("article1.xml", mustRecord(xmldom.MustParse(`<article id="a1">
+	</catalog>`))
+	c.Add("article1.xml", mustRecord(`<article id="a1">
 		<title>On Systems</title>
 		<sec id="s1"><heading>Introduction</heading><p>first words here</p></sec>
 		<sec id="s2"><heading>Methods</heading><p>more data about systems</p></sec>
 		<sec id="s3"><heading>Results</heading><p>empty</p></sec>
-	</article>`)))
+	</article>`))
 	return c
 }
 
@@ -281,7 +281,7 @@ func TestExistentialComparison(t *testing.T) {
 func TestIfExpr(t *testing.T) {
 	rejects(t, `if (count(//item) > 2) then "many" else "few"`, "if", "if")
 	c := NewCollection()
-	c.Add("d.xml", mustRecord(xmldom.MustParse(`<r><if>x</if></r>`)))
+	c.Add("d.xml", mustRecord(`<r><if>x</if></r>`))
 	if s := evalIn(t, c, `//if`); len(s) != 1 {
 		t.Fatalf("element named if: %v", s)
 	}
@@ -668,7 +668,7 @@ func TestNumberFormatting(t *testing.T) {
 		t.Fatal("FormatNumber wrong")
 	}
 	c := NewCollection()
-	c.Add("d.xml", mustRecord(xmldom.MustParse(`<r><n>1.5</n><n>1.5</n></r>`)))
+	c.Add("d.xml", mustRecord(`<r><n>1.5</n><n>1.5</n></r>`))
 	got := strs(evalIn(t, c, `sum(//n)`))
 	if !reflect.DeepEqual(got, []string{"3"}) {
 		t.Fatalf("whole float rendered as %v", got)
@@ -712,7 +712,7 @@ func TestOrderByMultipleKeys(t *testing.T) {
 
 func TestOrderByEmptyKeyFirst(t *testing.T) {
 	c := NewCollection()
-	c.Add("d.xml", mustRecord(xmldom.MustParse(`<r><e><k>b</k></e><e/><e><k>a</k></e></r>`)))
+	c.Add("d.xml", mustRecord(`<r><e><k>b</k></e><e/><e><k>a</k></e></r>`))
 	got := strs(evalIn(t, c, `for $e in //e order by $e/k return count($e/k)`))
 	if !reflect.DeepEqual(got, []string{"0", "1", "1"}) {
 		t.Fatalf("empty keys should sort first: %v", got)
