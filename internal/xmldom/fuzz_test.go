@@ -26,6 +26,7 @@ var fuzzSeeds = []string{
 	`<a x="&lt;" y="&amp;" x="&gt;"/>`,
 	`<x:a xmlns:x="u" x:b="1"><c:d/></x:a>`,
 	"<a>\r\n&#13;\r</a>",
+	`<a b="&apos;&quot;&lt;&amp;&#x9;" c='"'>&lt;&gt;&amp;&quot;&apos;&#65;&#x42;&#xD800;<?p  d e ?></a>`,
 }
 
 func addSeeds(f *testing.F) {
