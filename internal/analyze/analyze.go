@@ -83,23 +83,18 @@ func (r *Report) walk(n xmldom.Ref, ancestors map[string]bool) {
 	if !introduced {
 		es.Recursive = true
 	}
-	textLen, hasText := 0, false
+	textLen := 0
 	counts := map[string]int{}
 	for c, ok := n.FirstChild(); ok; c, ok = c.NextSibling() {
 		switch c.Kind() {
 		case xmldom.TextKind:
-			l := len(bytes.TrimSpace(c.Data()))
-			textLen += l
-			hasText = hasText || l > 0
+			textLen += len(bytes.TrimSpace(c.Data()))
 		case xmldom.ElementKind:
 			counts[string(c.Name())]++
 		}
 	}
 	es.TextLens.Add(textLen)
-	// Mixed content: non-whitespace text beside child elements, the
-	// content model relational mappings cannot represent (paper §3.1.3
-	// item 3).
-	if hasText && len(counts) > 0 {
+	if n.HasMixedContent() {
 		es.Mixed++
 	}
 	for it := n.Attrs(); ; {

@@ -27,7 +27,6 @@
 package shredder
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -480,7 +479,7 @@ func (w *walker) value(t *node, c *column, x xmldom.Ref, pos int) []byte {
 			break
 		case c.kind == exists:
 			return one
-		case c.mixed && w.dropMixed && mixed(y):
+		case c.mixed && w.dropMixed && y.HasMixedContent():
 			// The element's text cannot be mapped (paper §3.1.3 item 3);
 			// its presence survives as an empty value, its content is lost.
 			w.skipped++
@@ -513,15 +512,4 @@ func (w *walker) value(t *node, c *column, x xmldom.Ref, pos int) []byte {
 		return w.doc
 	}
 	return null
-}
-
-// mixed is Node.HasMixedContent: whether n directly contains both
-// non-whitespace text and element children (paper §3.1.3 item 3).
-func mixed(n xmldom.Ref) bool {
-	hasText, hasElem := false, false
-	for c, ok := n.FirstChild(); ok; c, ok = c.NextSibling() {
-		hasText = hasText || c.Kind() == xmldom.TextKind && len(bytes.TrimSpace(c.Data())) > 0
-		hasElem = hasElem || c.Kind() == xmldom.ElementKind
-	}
-	return hasText && hasElem
 }

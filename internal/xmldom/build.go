@@ -47,9 +47,9 @@ func appendString[S string | []byte](b []byte, s S) []byte {
 // is dropped, which matches how the benchmark's data generators emit
 // documents (no indentation). Line endings are not normalized, a DOCTYPE
 // is skipped, and so is a PI with target xml beside the root element (the
-// XML declaration). Text with no reference
-// or CDATA section, names, comments and PI data are slices of data until
-// the record is written, so a parse allocates nothing per node.
+// XML declaration). Text with no reference or CDATA section, names,
+// comments and PI data stay slices of data until the record is written,
+// so a parse allocates nothing per node.
 //
 // ParseRecord fails on a malformed document with a *SyntaxError, and on a
 // record too large for a node table's 32-bit offsets; rec then holds no

@@ -462,6 +462,18 @@ func (x Ref) Text() []byte {
 	return one
 }
 
+// HasMixedContent reports whether x directly contains both non-whitespace
+// text and child elements: the content model relational mappings cannot
+// represent (paper §3.1.3 item 3).
+func (x Ref) HasMixedContent() bool {
+	hasText, hasElem := false, false
+	for c, ok := x.FirstChild(); ok; c, ok = c.NextSibling() {
+		hasText = hasText || c.Kind() == TextKind && len(bytes.TrimSpace(c.Data())) > 0
+		hasElem = hasElem || c.Kind() == ElementKind
+	}
+	return hasText && hasElem
+}
+
 // AppendXML serializes the subtree rooted at x into buf: an element with
 // no children as <name/>, attribute values double-quoted, comments and
 // PIs as stored. For a record ParseRecord wrote, parsing what it writes

@@ -60,8 +60,16 @@ func TestParseDoctypeAndPI(t *testing.T) {
 
 func TestParseMixedContent(t *testing.T) {
 	root := mustRecord(t, `<qt>before <i>italic</i> after</qt>`).Element()
+	if !root.HasMixedContent() {
+		t.Fatal("mixed content not detected")
+	}
 	if got := root.Text(); string(got) != "before italic after" {
 		t.Fatalf("mixed text = %q", got)
+	}
+	for _, src := range []string{`<a><b>x</b></a>`, `<a>x</a>`, "<a>\u00a0<b/></a>"} {
+		if mustRecord(t, src).Element().HasMixedContent() {
+			t.Fatalf("%s flagged as mixed", src)
+		}
 	}
 }
 
