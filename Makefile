@@ -141,7 +141,8 @@ bench-scan:
 # into a fresh engine with a 64-page pool, on every engine: ns/op, MB/s,
 # pageIO/op, B/op; then its two parallel halves' inputs alone,
 # BenchmarkGenerate (the databases, on every core) and BenchmarkParse
-# (every document parsed on one goroutine): MB/s and allocs/op.
+# (every document parsed into one reused record on one goroutine): MB/s
+# and allocs/op.
 # pageIO/op is exact; BENCHTIME=1x is CI's smoke.
 bench-load:
 	$(GO) test -run '^$$' -bench '^Benchmark(Load|Generate|Parse)$$' -benchtime $(BENCHTIME) -benchmem .
