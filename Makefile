@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz examples chaos chaos-updates torture smoke shard-smoke bench-e2e bench-compare pairs bench-point bench-mixed bench-scan bench-load plan-check plan-golden mvcc-sweep loc verify
+.PHONY: build test vet race fuzz chaos chaos-updates torture smoke shard-smoke bench-e2e bench-compare pairs bench-point bench-mixed bench-scan bench-load plan-check plan-golden mvcc-sweep loc verify
 
 build:
 	$(GO) build ./...
@@ -44,11 +44,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s ./internal/xquery/
 	$(GO) test -run='^$$' -fuzz=FuzzEval -fuzztime=20s ./internal/xquery/
 	$(GO) test -run='^$$' -fuzz=FuzzShredDocument -fuzztime=20s ./internal/shredder/
-
-# Run every program under examples/ once: two of them hand XQuery text to
-# EvalXQuery, which only a run checks against the evaluator's subset.
-examples:
-	for d in examples/*/; do $(GO) run ./$$d || exit 1; done
 
 # Crash/recovery fault-injection grid over every engine x class: crash
 # mid-load, then restart on a fresh engine under transient read faults.

@@ -346,7 +346,7 @@ func BenchmarkPointRead(b *testing.B) {
 					if err := srv.Start(); err != nil {
 						b.Fatal(err)
 					}
-					c, err := client.Dial(srv.Addr().String(), client.Config{Pipeline: true})
+					c, err := client.Dial(srv.Addr().String(), client.Config{})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -199,12 +199,11 @@ func remoteFlags(fs *flag.FlagSet) *remote {
 
 func (r *remote) named() bool { return *r.addr != "" || *r.router.shards != "" }
 
-// dialRemote connects to an `xbench serve` instance with the CLI's
-// default client tuning: the pipelined transport, so a multi-worker
-// driver shares a few multiplexed connections instead of one socket
-// per in-flight request.
+// dialRemote connects to an `xbench serve` instance with the default
+// client tuning: a multi-worker driver shares a few multiplexed
+// connections instead of one socket per in-flight request.
 func dialRemote(addr string) (*client.Client, error) {
-	return client.Dial(addr, client.Config{Pipeline: true})
+	return client.Dial(addr, client.Config{})
 }
 
 // newTarget returns the engine a command drives, not yet loaded: the
@@ -218,7 +217,7 @@ func newTarget(engine string, r *remote) (core.Engine, error) {
 	case *r.router.shards != "":
 		return r.router.dial()
 	}
-	return bench.EngineByName(engine, 0, 0)
+	return bench.EngineByName(engine, 0)
 }
 
 // load bulk-loads db into e and builds the Table 3 indexes, reporting

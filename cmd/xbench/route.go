@@ -16,7 +16,6 @@ import (
 	"os"
 	"strings"
 
-	"xbench/internal/client"
 	"xbench/internal/metrics"
 	"xbench/internal/router"
 	"xbench/internal/server"
@@ -75,7 +74,6 @@ func (o *routerOpts) dial() (*router.Router, error) {
 	cfg := router.Config{
 		Vnodes: *o.vnodes,
 		Fanout: *o.fanout,
-		Client: client.Config{Pipeline: true},
 	}
 	switch *o.readPref {
 	case "primary":

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"xbench/internal/bench"
-	"xbench/internal/client"
 	"xbench/internal/core"
 	"xbench/internal/router"
 	"xbench/internal/server"
@@ -100,7 +99,7 @@ func setupServe(fs *flag.FlagSet) func() error {
 		if err != nil {
 			return err
 		}
-		e, err := bench.EngineByName(*engine, 0, 0)
+		e, err := bench.EngineByName(*engine, 0)
 		if err != nil {
 			return err
 		}
@@ -135,7 +134,6 @@ func setupServe(fs *flag.FlagSet) func() error {
 			// rejecting writes) on --addr.
 			rep, err := router.StartReplica(context.Background(), e, db, workload.Indexes(db.Class), *replicaOf, router.ReplicaConfig{
 				Server: listen.config(),
-				Client: client.Config{Pipeline: true},
 				Poll:   *poll,
 			})
 			if err != nil {

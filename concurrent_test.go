@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"xbench/internal/core"
+	"xbench/internal/workload"
 )
 
 // TestConcurrentExecuteAllEngines is the concurrency acceptance test of
@@ -19,8 +22,8 @@ func TestConcurrentExecuteAllEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := WorkloadQueries(DCMD)
-	params := QueryParams(DCMD)
+	queries := workload.QueryIDs(DCMD)
+	params := workload.Params(DCMD)
 
 	for _, name := range []string{"native", "xcolumn", "xcollection", "sqlserver"} {
 		name := name
@@ -39,7 +42,7 @@ func TestConcurrentExecuteAllEngines(t *testing.T) {
 			for _, q := range queries {
 				res, err := e.Execute(ctx, q, params)
 				if err != nil {
-					if errors.Is(err, ErrNoQuery) || errors.Is(err, ErrUnsupported) {
+					if errors.Is(err, core.ErrNoQuery) || errors.Is(err, core.ErrUnsupported) {
 						continue
 					}
 					t.Fatalf("baseline %s: %v", q, err)

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"xbench/internal/core"
+	"xbench/internal/workload"
 )
 
-// TestExplainFacade: every built-in engine explains its plans through
-// the facade, and the DC/SD Q5 plan shows the index probe the paper's
+// TestExplainFacade: every built-in engine New builds explains its plans
+// (core.Explain), and the DC/SD Q5 plan shows the index probe the paper's
 // ordered-access cell depends on: under the limit pushdown on the
 // relational engines, under the evaluator, which takes the [1] itself,
 // on the native one.
@@ -27,7 +30,7 @@ func TestExplainFacade(t *testing.T) {
 		if _, err := LoadAndIndex(ctx, e, db); err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
-		node, err := Explain(ctx, e, Q5, QueryParams(DCSD))
+		node, err := core.Explain(ctx, e, Q5, workload.Params(DCSD))
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -37,25 +40,11 @@ func TestExplainFacade(t *testing.T) {
 		}
 		// Asking about a query the class does not define is an
 		// ErrNoQuery, not a panic.
-		if _, err := Explain(ctx, e, QueryID(99), nil); !errors.Is(err, ErrNoQuery) {
+		if _, err := core.Explain(ctx, e, QueryID(99), nil); !errors.Is(err, core.ErrNoQuery) {
 			t.Errorf("%s: undefined query err = %v, want ErrNoQuery", e.Name(), err)
 		}
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// fakeV1 is a foreign Engine that does not implement Explainer.
-type fakeV1 struct{ Engine }
-
-func (fakeV1) Name() string { return "v1" }
-
-// TestExplainV1Fallback: an Engine that does not implement Explainer
-// degrades to the ErrNoExplain sentinel instead of failing opaquely.
-func TestExplainV1Fallback(t *testing.T) {
-	_, err := Explain(context.Background(), fakeV1{}, Q1, nil)
-	if !errors.Is(err, ErrNoExplain) {
-		t.Fatalf("err = %v, want ErrNoExplain", err)
 	}
 }

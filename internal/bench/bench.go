@@ -34,12 +34,12 @@ import (
 // --engine flag all resolve names through it.
 var engineTable = []struct {
 	label, alias string
-	build        func(poolPages, rowLimit int) core.Engine
+	build        func(poolPages int) core.Engine
 }{
-	{"Xcolumn", "", func(pool, _ int) core.Engine { return rdbms.New(rdbms.Xcolumn, pool, 0) }},
-	{"Xcollection", "", func(pool, rows int) core.Engine { return rdbms.New(rdbms.Xcollection, pool, rows) }},
-	{"SQL Server", "", func(pool, _ int) core.Engine { return rdbms.New(rdbms.SQLServer, pool, 0) }},
-	{"X-Hive", "native", func(pool, _ int) core.Engine { return native.New(pool) }},
+	{"Xcolumn", "", func(pool int) core.Engine { return rdbms.New(rdbms.Xcolumn, pool, 0) }},
+	{"Xcollection", "", func(pool int) core.Engine { return rdbms.New(rdbms.Xcollection, pool, 0) }},
+	{"SQL Server", "", func(pool int) core.Engine { return rdbms.New(rdbms.SQLServer, pool, 0) }},
+	{"X-Hive", "native", func(pool int) core.Engine { return native.New(pool) }},
 }
 
 // EngineNames lists the systems in the paper's row order.
@@ -54,14 +54,13 @@ var EngineNames = func() []string {
 // EngineByName constructs a fresh engine from any spelling of its name:
 // the paper's row label or "native", with case, spaces, '-' and '_'
 // ignored ("x-hive", "SQL Server", "sqlserver"). poolPages sizes the
-// buffer pool and rowLimit the Xcollection decomposition limit; <= 0
-// selects the defaults.
-func EngineByName(name string, poolPages, rowLimit int) (core.Engine, error) {
+// buffer pool; <= 0 selects the default.
+func EngineByName(name string, poolPages int) (core.Engine, error) {
 	norm := strings.NewReplacer("-", "", "_", "", " ", "")
 	want := strings.ToLower(norm.Replace(name))
 	for _, row := range engineTable {
 		if want == strings.ToLower(norm.Replace(row.label)) || (row.alias != "" && want == row.alias) {
-			return row.build(poolPages, rowLimit), nil
+			return row.build(poolPages), nil
 		}
 	}
 	return nil, fmt.Errorf("unknown engine %q (want x-hive or native, xcolumn, xcollection, sql-server)", name)
@@ -70,7 +69,7 @@ func EngineByName(name string, poolPages, rowLimit int) (core.Engine, error) {
 // NewEngine constructs a fresh default-sized engine by name; an unknown
 // name is a programming error.
 func NewEngine(name string) core.Engine {
-	e, err := EngineByName(name, 0, 0)
+	e, err := EngineByName(name, 0)
 	if err != nil {
 		panic("bench: " + err.Error())
 	}

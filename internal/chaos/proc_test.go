@@ -93,16 +93,15 @@ func TestProcessKillTorture(t *testing.T) {
 
 	// One client, generous retry budget: every update must ride out a
 	// kill + restart window (sub-second here) inside its own retry loop.
-	// Pipeline on: the torture proves exactly-once holds on the batched
-	// mux transport too — in-flight requests sharing a connection all die
-	// together on every kill and must all ride their retry loops out.
+	// In-flight requests share the client's multiplexed connections, so
+	// they all die together on every kill and must all ride their retry
+	// loops out.
 	c, err := client.DialAddrs([]string{addr}, client.Config{
 		Retries:    200,
 		Backoff:    5 * time.Millisecond,
 		MaxBackoff: 100 * time.Millisecond,
 		Cooldown:   50 * time.Millisecond,
 		ClientID:   0xAB1E, Seed: 7,
-		Pipeline: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -112,7 +112,6 @@ func TestShardKillTorture(t *testing.T) {
 			Cooldown:      50 * time.Millisecond,
 			FailThreshold: 1,
 			ClientID:      0x5AD, Seed: 11,
-			Pipeline: true,
 		},
 	})
 	if err != nil {

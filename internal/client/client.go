@@ -1,24 +1,16 @@
 // Package client is the remote side of the network serving layer: a
-// connection-pooling, retrying, failing-over TCP client for
-// internal/server that satisfies core.Engine, so every existing harness —
-// the closed-loop driver, the update workload, the verify command — runs
-// unchanged over the wire. Point the driver at a Client instead of a
-// local engine and the p50/p95/p99 cells include connection handling,
-// framing and admission control.
+// multiplexing, retrying, failing-over TCP client for internal/server
+// that satisfies core.Engine, so every existing harness — the closed-loop
+// driver, the update workload, the verify command — runs unchanged over
+// the wire. Point the driver at a Client instead of a local engine and
+// the p50/p95/p99 cells include connection handling, framing and
+// admission control.
 //
-// Pooling: completed requests park their connection in a bounded
-// per-address idle list (Config.PoolSize); a request takes an idle
-// connection if one is free and dials otherwise, so total connections
-// track the caller's concurrency (like net/http.Transport, idle is
-// bounded, in-flight is not — the server's admission controller is the
-// load limiter).
-//
-// Pipelining: Config.Pipeline switches to the multiplexed transport
-// (mux.go) — concurrent requests share a few connections per address,
-// each caller writes its own frame under the connection's write lock and
-// responses route back by frame ID, so N-client sweeps stop paying a
-// connection per request. Retry, failover and breaker behavior are identical in both
-// modes; only the bytes-on-the-wire strategy changes.
+// Transport: concurrent requests share Config.MuxConns connections per
+// address (mux.go). Each caller writes its own frame under the
+// connection's write lock and its response routes back by frame ID, so
+// an N-client sweep does not pay a connection per request; the server's
+// admission controller, not the connection count, is the load limiter.
 //
 // Exactly-once updates: every update (U1–U3) carries an idempotency key —
 // the client's random 64-bit identity plus a per-client sequence number —
@@ -58,7 +50,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,9 +61,6 @@ import (
 
 // Config controls a client.
 type Config struct {
-	// PoolSize bounds the idle connections kept for reuse per address;
-	// <= 0 selects 4.
-	PoolSize int
 	// DialTimeout bounds one TCP dial; <= 0 selects 2s.
 	DialTimeout time.Duration
 	// Retries is the number of additional attempts after a transient
@@ -99,21 +87,15 @@ type Config struct {
 	// identity, so concurrent clients de-synchronize by default while a
 	// fixed (ClientID, Seed) pair replays exactly.
 	Seed uint64
-	// Pipeline enables the multiplexed transport (mux.go): concurrent
-	// requests share MuxConns connections per address, each written by
-	// its caller, and responses are routed back by frame ID.
-	// Off (the zero value) keeps the one-request-per-connection pooled
-	// transport.
+	// Pipeline is ignored: every client multiplexes. benchmarks/e2e's
+	// stack.go is its only setter, and ROADMAP item 1 (b) deletes it.
 	Pipeline bool
-	// MuxConns is the number of multiplexed connections per address when
-	// Pipeline is on; <= 0 selects 2.
+	// MuxConns is the number of multiplexed connections per address;
+	// <= 0 selects 2.
 	MuxConns int
 }
 
 func (c Config) withDefaults() Config {
-	if c.PoolSize <= 0 {
-		c.PoolSize = 4
-	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 2 * time.Second
 	}
@@ -147,16 +129,14 @@ func (c Config) withDefaults() Config {
 // ErrClosed is returned by operations on a closed client.
 var ErrClosed = errors.New("client: closed")
 
-// endpoint is one server address with its idle-connection pool (or, in
-// Pipeline mode, its multiplexed connections) and circuit breaker.
-// Guarded by Client.mu.
+// endpoint is one server address with its multiplexed connections and
+// circuit breaker. Guarded by Client.mu.
 type endpoint struct {
 	addr string
-	idle []net.Conn
 	brk  breaker
 
-	// mux slots (Pipeline mode): dialed lazily, failed entries replaced
-	// in place; muxNext round-robins requests across the live ones.
+	// mux slots: dialed lazily, failed entries replaced in place;
+	// muxNext round-robins requests across the live ones.
 	// muxMu serializes dials (it is its own lock, never held with
 	// Client.mu below it released) so a cold start or a mux death doesn't
 	// stampede the server with one connection per concurrent caller.
@@ -166,7 +146,7 @@ type endpoint struct {
 }
 
 // Client is a remote engine handle. It is safe for concurrent use; each
-// in-flight request occupies one pooled connection on one address.
+// in-flight request rides one of its address's multiplexed connections.
 type Client struct {
 	cfg  Config
 	name string // remote engine name, fetched at Dial time
@@ -301,40 +281,6 @@ func (c *Client) epFailure(ep *endpoint) {
 	c.mu.Unlock()
 }
 
-// getConn returns a pooled idle connection for ep or dials a fresh one.
-func (c *Client) getConn(ep *endpoint) (net.Conn, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if n := len(ep.idle); n > 0 {
-		conn := ep.idle[n-1]
-		ep.idle = ep.idle[:n-1]
-		c.mu.Unlock()
-		return conn, nil
-	}
-	c.mu.Unlock()
-	conn, err := net.DialTimeout("tcp", ep.addr, c.cfg.DialTimeout)
-	if err != nil {
-		return nil, &dialError{err}
-	}
-	return conn, nil
-}
-
-// putConn parks a healthy connection for reuse, or closes it when the
-// idle list is full or the client closed meanwhile.
-func (c *Client) putConn(ep *endpoint, conn net.Conn) {
-	c.mu.Lock()
-	if !c.closed && len(ep.idle) < c.cfg.PoolSize {
-		ep.idle = append(ep.idle, conn)
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
-	conn.Close()
-}
-
 // dialError marks a failure that happened before any request bytes were
 // sent — always safe to retry.
 type dialError struct{ err error }
@@ -373,7 +319,7 @@ func (c *Client) sleepBackoff(ctx context.Context, backoff time.Duration) error 
 	}
 }
 
-// roundTrip performs one request with pooling, failover and
+// roundTrip performs one request with failover and
 // retry-with-backoff. build produces the payload for each attempt from
 // the context's REMAINING deadline budget, so a retry leg carries the
 // time actually left, not the budget the first leg saw. It returns the
@@ -394,12 +340,7 @@ func (c *Client) roundTrip(ctx context.Context, op wire.Op, build func(remaining
 			return nil, err
 		}
 		lastAddr = ep.addr
-		var resp wire.Frame
-		if c.cfg.Pipeline {
-			resp, err = c.attemptMux(ctx, ep, op, build(timeoutOf(ctx)))
-		} else {
-			resp, err = c.attempt(ep, op, build(timeoutOf(ctx)))
-		}
+		resp, err := c.attemptMux(ctx, ep, op, build(timeoutOf(ctx)))
 		retryable := false
 		switch {
 		case err == nil && wire.Status(resp.Kind) == wire.StatusOK:
@@ -427,8 +368,8 @@ func (c *Client) roundTrip(ctx context.Context, op wire.Op, build func(remaining
 		case errors.Is(err, ErrClosed):
 			return nil, err
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			// The caller's context fired locally (pipelined wait); not the
-			// endpoint's fault and not retryable.
+			// The caller's context fired locally (while waiting on the
+			// mux); not the endpoint's fault and not retryable.
 			return nil, err
 		default:
 			c.epFailure(ep)
@@ -447,32 +388,6 @@ func (c *Client) roundTrip(ctx context.Context, op wire.Op, build func(remaining
 	}
 }
 
-// attempt runs one request on one connection of one endpoint. Any error
-// poisons the connection (framing state is unrecoverable), so it is
-// closed rather than pooled.
-func (c *Client) attempt(ep *endpoint, op wire.Op, payload []byte) (wire.Frame, error) {
-	conn, err := c.getConn(ep)
-	if err != nil {
-		return wire.Frame{}, err
-	}
-	id := c.nextID.Add(1)
-	if err := wire.WriteFrame(conn, wire.Frame{Kind: byte(op), ID: id, Payload: payload}); err != nil {
-		conn.Close()
-		return wire.Frame{}, err
-	}
-	resp, err := wire.ReadFrame(conn)
-	if err != nil {
-		conn.Close()
-		return wire.Frame{}, err
-	}
-	if resp.ID != id {
-		conn.Close()
-		return wire.Frame{}, fmt.Errorf("client: response id %d for request %d", resp.ID, id)
-	}
-	c.putConn(ep, conn)
-	return resp, nil
-}
-
 // timeoutOf extracts the remaining deadline budget of a context (0 when
 // it has none) so the server can enforce it remotely.
 func timeoutOf(ctx context.Context) time.Duration {
@@ -487,16 +402,13 @@ func timeoutOf(ctx context.Context) time.Duration {
 	return t
 }
 
-// Close releases the pooled connections. It closes the client handle
-// only — the remote servers and their engines keep running (stop them
-// with the server's Shutdown, not from a client).
+// Close releases the multiplexed connections. It closes the client
+// handle only — the remote servers and their engines keep running (stop
+// them with the server's Shutdown, not from a client).
 func (c *Client) Close() error {
 	c.mu.Lock()
-	var idle []net.Conn
 	var muxes []*muxConn
 	for _, ep := range c.eps {
-		idle = append(idle, ep.idle...)
-		ep.idle = nil
 		for _, m := range ep.mux {
 			if m != nil {
 				muxes = append(muxes, m)
@@ -506,9 +418,6 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	for _, conn := range idle {
-		conn.Close()
-	}
 	for _, m := range muxes {
 		m.fail(ErrClosed)
 	}
@@ -549,10 +458,9 @@ func (c *Client) BuildIndexes(specs []core.IndexSpec) error {
 // page-fetch granularity, exactly like an in-process engine.
 func (c *Client) Execute(ctx context.Context, q core.QueryID, p core.Params) (core.Result, error) {
 	// The request payload is encoded into a pooled buffer, rebuilt in
-	// place on each retry leg. Both transports have written the payload
-	// before returning (WriteFrame from its own scratch buffer, the mux
-	// from its write buffer), so releasing it after roundTrip cannot
-	// alias an in-flight frame.
+	// place on each retry leg. The mux has copied the payload into its
+	// write buffer and written it before roundTrip returns, so releasing
+	// it after roundTrip cannot alias an in-flight frame.
 	bp := wire.GetBuf()
 	defer wire.PutBuf(bp)
 	resp, err := c.roundTrip(ctx, wire.OpQuery, func(remaining time.Duration) []byte {

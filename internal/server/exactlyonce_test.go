@@ -34,7 +34,7 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 func (r *rawConn) do(op wire.Op, payload []byte) wire.Frame {
 	r.t.Helper()
 	r.id++
-	if err := wire.WriteFrame(r.conn, wire.Frame{Kind: byte(op), ID: r.id, Payload: payload}); err != nil {
+	if err := writeFrame(r.conn, wire.Frame{Kind: byte(op), ID: r.id, Payload: payload}); err != nil {
 		r.t.Fatal(err)
 	}
 	resp, err := wire.ReadFrame(r.conn)
@@ -42,6 +42,17 @@ func (r *rawConn) do(op wire.Op, payload []byte) wire.Frame {
 		r.t.Fatal(err)
 	}
 	return resp
+}
+
+// writeFrame sends one raw frame as the server and the client's mux do:
+// encoded with AppendFrame, then one Write.
+func writeFrame(conn net.Conn, f wire.Frame) error {
+	b, err := wire.AppendFrame(nil, f)
+	if err != nil {
+		return err
+	}
+	_, err = conn.Write(b)
+	return err
 }
 
 func updatePayload(op wire.Op, name string, data []byte, key wire.IdemKey) []byte {
@@ -202,7 +213,7 @@ func TestConcurrentRetriesApplyOnce(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			if err := wire.WriteFrame(conn, wire.Frame{Kind: byte(wire.OpInsert), ID: 1, Payload: payload}); err != nil {
+			if err := writeFrame(conn, wire.Frame{Kind: byte(wire.OpInsert), ID: 1, Payload: payload}); err != nil {
 				return
 			}
 			resp, err := wire.ReadFrame(conn)
@@ -256,10 +267,10 @@ func TestPipelinedConnRespondsOutOfOrder(t *testing.T) {
 	defer conn.Close()
 
 	gated := wire.EncodeQueryRequest(wire.QueryRequest{Query: core.Q1})
-	if err := wire.WriteFrame(conn, wire.Frame{Kind: byte(wire.OpQuery), ID: 1, Payload: gated}); err != nil {
+	if err := writeFrame(conn, wire.Frame{Kind: byte(wire.OpQuery), ID: 1, Payload: gated}); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(conn, wire.Frame{Kind: byte(wire.OpPing), ID: 2}); err != nil {
+	if err := writeFrame(conn, wire.Frame{Kind: byte(wire.OpPing), ID: 2}); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"xbench/internal/client"
 	"xbench/internal/core"
 	"xbench/internal/server"
 )
@@ -36,31 +35,20 @@ func testPlan() *core.PlanNode {
 }
 
 // TestExplainOverWire: a remote Explain returns the engine's plan tree
-// bit-for-bit, over both the plain and the pipelined transport.
+// bit-for-bit.
 func TestExplainOverWire(t *testing.T) {
-	for _, pipeline := range []bool{false, true} {
-		eng := &explainStub{stubEngine: newStub(), node: testPlan()}
-		srv := server.New(eng, server.Config{})
-		if err := srv.Start(); err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		c, err := client.Dial(srv.Addr().String(), client.Config{Pipeline: pipeline})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		got, err := c.Explain(context.Background(), core.Q5, core.Params{"X": "I1"})
-		if err != nil {
-			t.Fatalf("pipeline=%v: %v", pipeline, err)
-		}
-		if !reflect.DeepEqual(got, eng.node) {
-			t.Fatalf("pipeline=%v: plan drifted:\ngot  %+v\nwant %+v", pipeline, got, eng.node)
-		}
-		// Engine errors still cross typed.
-		if _, err := c.Explain(context.Background(), core.Q20, nil); !errors.Is(err, core.ErrNoQuery) {
-			t.Fatalf("pipeline=%v: Q20 err = %v, want ErrNoQuery", pipeline, err)
-		}
+	eng := &explainStub{stubEngine: newStub(), node: testPlan()}
+	_, c := startServer(t, eng, server.Config{})
+	got, err := c.Explain(context.Background(), core.Q5, core.Params{"X": "I1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, eng.node) {
+		t.Fatalf("plan drifted:\ngot  %+v\nwant %+v", got, eng.node)
+	}
+	// Engine errors still cross typed.
+	if _, err := c.Explain(context.Background(), core.Q20, nil); !errors.Is(err, core.ErrNoQuery) {
+		t.Fatalf("Q20 err = %v, want ErrNoQuery", err)
 	}
 }
 

@@ -12,11 +12,11 @@
 // concurrently and its responses — matched to requests by frame ID, so
 // they may return in any order — are written by the worker that built
 // each one, with one conn.Write under the connection's write mutex. That
-// is what the pipelined client transport (internal/client
-// Config.Pipeline) relies on: a mux connection carrying many in-flight
-// requests is served by many engine goroutines, not a serial loop.
-// One-request-at-a-time clients (the pooled transport, raw test
-// connections) see one frame in, one frame out, on one worker. Every
+// is what the client's multiplexed transport (internal/client, mux.go)
+// relies on: a connection carrying many in-flight requests is served by
+// many engine goroutines, not a serial loop. A one-request-at-a-time
+// peer (a raw test connection) sees one frame in, one frame out, on one
+// worker. Every
 // engine-touching request passes the admission controller: a semaphore
 // of MaxInflight slots with a bounded queue wait. A request that cannot
 // get a slot within QueueWait is rejected with StatusOverloaded — load

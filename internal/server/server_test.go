@@ -215,9 +215,9 @@ func TestRemoteEngineEndToEnd(t *testing.T) {
 		t.Fatalf("PageIO = %d, want 77", got)
 	}
 
-	// The client pooled its connection: sequential requests reuse it.
-	if got := srv.Metrics().Counter("server.conn.accepted").Value(); got != 1 {
-		t.Fatalf("server accepted %d connections for one sequential client, want 1", got)
+	// Sequential requests reuse the client's two mux connections.
+	if got := srv.Metrics().Counter("server.conn.accepted").Value(); got != 2 {
+		t.Fatalf("server accepted %d connections for one sequential client, want 2", got)
 	}
 	waitIdle(t, srv, "after quiesce")
 }

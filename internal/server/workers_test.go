@@ -84,7 +84,7 @@ func TestClientGoneMidBurst(t *testing.T) {
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	c, err := client.Dial(srv.Addr().String(), client.Config{Pipeline: true, Retries: -1})
+	c, err := client.Dial(srv.Addr().String(), client.Config{Retries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,37 +112,51 @@ func TestClientGoneMidBurst(t *testing.T) {
 	}
 }
 
+// TestZeroConfigMultiplexes: a client built from a zero Config shares
+// its connections. 16 Executes held in the engine at once arrive over
+// the two connections MuxConns defaults to, not one connection each.
+func TestZeroConfigMultiplexes(t *testing.T) {
+	const inflight = 16
+	eng := newStub()
+	eng.gate = make(chan struct{})
+	srv, c := startServer(t, eng, server.Config{})
+	errs := make(chan error, inflight)
+	for i := 0; i < inflight; i++ {
+		go func() {
+			_, err := c.Execute(context.Background(), core.Q1, nil)
+			errs <- err
+		}()
+	}
+	waitEntered(t, eng, inflight)
+	close(eng.gate)
+	for i := 0; i < inflight; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := srv.Metrics().Counter("server.conn.accepted").Value(); got != 2 {
+		t.Fatalf("%d concurrent Executes opened %d connections, want 2", inflight, got)
+	}
+}
+
 // TestServedRoundTripAllocations pins what one request costs in
 // allocations around the engine: a loopback Client.Execute over the stub,
-// client and server side together (they share the process), on both
-// client transports. The ceilings may only fall.
+// client and server side together (they share the process), through the
+// client's mux. The ceiling may only fall.
 func TestServedRoundTripAllocations(t *testing.T) {
 	if raceDetector {
 		t.Skip("under the race detector sync.Pool drops a share of the buffers put back")
 	}
-	srv, _ := startServer(t, newStub(), server.Config{})
+	_, c := startServer(t, newStub(), server.Config{})
 	ctx := context.Background()
 	p := core.Params{"X": "O1"}
-	for _, tc := range []struct {
-		name    string
-		cfg     client.Config
-		ceiling float64
-	}{
-		{"pooled", client.Config{}, 17},
-		{"pipelined", client.Config{Pipeline: true}, 19},
-	} {
-		c, err := client.Dial(srv.Addr().String(), tc.cfg)
-		if err != nil {
+	const ceiling = 19
+	c.Execute(ctx, core.Q5, p) // the connections, their workers and the buffer pools exist
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := c.Execute(ctx, core.Q5, p); err != nil {
 			t.Fatal(err)
 		}
-		defer c.Close()
-		c.Execute(ctx, core.Q5, p) // the connection, its worker and the buffer pools exist
-		if n := testing.AllocsPerRun(200, func() {
-			if _, err := c.Execute(ctx, core.Q5, p); err != nil {
-				t.Fatal(err)
-			}
-		}); n > tc.ceiling {
-			t.Errorf("%s: one served round trip allocates %v times, want <= %v", tc.name, n, tc.ceiling)
-		}
+	}); n > ceiling {
+		t.Errorf("one served round trip allocates %v times, want <= %v", n, ceiling)
 	}
 }

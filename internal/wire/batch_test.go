@@ -9,7 +9,7 @@ import (
 )
 
 // TestAppendFrameBatchRoundTrip: several frames encoded into one buffer
-// must read back one at a time, byte-identical to per-frame writes.
+// must read back one at a time, byte-identical to per-frame encodings.
 func TestAppendFrameBatchRoundTrip(t *testing.T) {
 	frames := []Frame{
 		{Kind: byte(OpPing), ID: 1},
@@ -23,15 +23,13 @@ func TestAppendFrameBatchRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The batch must be exactly the concatenation of individual writes.
-	var individual bytes.Buffer
+	// The batch must be exactly the concatenation of individual frames.
+	var individual []byte
 	for _, f := range frames {
-		if err := WriteFrame(&individual, f); err != nil {
-			t.Fatal(err)
-		}
+		individual = append(individual, mustFrame(t, f)...)
 	}
-	if !bytes.Equal(batch, individual.Bytes()) {
-		t.Fatal("batched encoding differs from per-frame writes")
+	if !bytes.Equal(batch, individual) {
+		t.Fatal("batched encoding differs from per-frame encodings")
 	}
 	r := bytes.NewReader(batch)
 	for i, want := range frames {

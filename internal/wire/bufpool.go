@@ -1,9 +1,9 @@
 // Pooled scratch buffers for the client's request path: the client
-// encodes every request payload into a buffer drawn from this pool, and
-// WriteFrame (the pooled transport) encodes every frame into one, so
-// steady-state requests allocate no per-frame garbage. The server and the
-// pipelined transport each keep their own buffer instead: a worker its
-// response scratch, a connection or mux its write buffer.
+// encodes every request payload into a buffer drawn from this pool, so
+// steady-state requests allocate no per-request payload garbage. Frames
+// are not encoded here: the server and the client's mux each keep their
+// own buffer, a worker its response scratch, a connection or mux its
+// write buffer.
 //
 // Ownership contract: a buffer obtained from GetBuf is owned exclusively
 // by the caller until PutBuf, and PutBuf transfers ownership back to the

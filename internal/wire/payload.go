@@ -222,7 +222,13 @@ func DecodeResult(b []byte) (core.Result, error) {
 		if err != nil {
 			return r, err
 		}
+		if v <= 0 {
+			return r, fmt.Errorf("wire: result shard-error tail %d, want > 0", v)
+		}
 		r.ShardErrors = int(v)
+	}
+	if len(d.b) != 0 {
+		return r, fmt.Errorf("wire: %d trailing bytes after result", len(d.b))
 	}
 	return r, nil
 }

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"xbench/internal/core"
 )
 
 // TestFrameCapRejectedBeforeAllocation: a header declaring a payload over
@@ -22,8 +24,38 @@ func TestFrameCapRejectedBeforeAllocation(t *testing.T) {
 		t.Fatalf("oversized declared payload: %v, want ErrTooLarge", err)
 	}
 	// The write side enforces the same cap symmetrically.
-	if err := WriteFrame(&bytes.Buffer{}, Frame{Payload: make([]byte, MaxPayload+1)}); !errors.Is(err, ErrTooLarge) {
+	if _, err := AppendFrame(nil, Frame{Payload: make([]byte, MaxPayload+1)}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized write: %v, want ErrTooLarge", err)
+	}
+}
+
+// TestDecodeResultRefusesMalformedTail: the ShardErrors tail is a
+// positive count and the last thing in a result payload. A tail no
+// encoder writes (zero or negative) and bytes after the tail are
+// refused, as DecodePlanNode refuses trailing bytes.
+func TestDecodeResultRefusesMalformedTail(t *testing.T) {
+	base := EncodeResult(core.Result{Items: []string{"<a/>"}, PageIO: 7})
+	withTail := func(tail ...int64) []byte {
+		e := enc{b: append([]byte(nil), base...)}
+		for _, v := range tail {
+			e.varint(v)
+		}
+		return e.b
+	}
+	for _, c := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"zero tail", withTail(0)},
+		{"negative tail", withTail(-1)},
+		{"bytes after the tail", withTail(2, 5)},
+	} {
+		if r, err := DecodeResult(c.payload); err == nil {
+			t.Errorf("%s: decoded %+v, want an error", c.name, r)
+		}
+	}
+	if r, err := DecodeResult(withTail(2)); err != nil || r.ShardErrors != 2 {
+		t.Fatalf("a tail of 2: %+v, %v", r, err)
 	}
 }
 

@@ -194,9 +194,9 @@ type Frame struct {
 }
 
 // AppendFrame appends one encoded frame (header, CRC, payload) to dst and
-// returns the extended slice. It is WriteFrame without the write: the
-// server and the pipelined client encode into a buffer they keep and
-// write it with a single Write, header and payload together.
+// returns the extended slice. The server and the client's mux encode
+// into a buffer they keep and write it with a single Write, header and
+// payload together.
 func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	if len(f.Payload) > MaxPayload {
 		return dst, ErrTooLarge
@@ -211,22 +211,6 @@ func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	dst = append(dst, hdr[:]...)
 	dst = append(dst, f.Payload...)
 	return dst, nil
-}
-
-// WriteFrame writes one frame to w as a single buffered write. The
-// scratch buffer is pooled, so a frame write allocates nothing once the
-// pool is warm.
-func WriteFrame(w io.Writer, f Frame) error {
-	bp := GetBuf()
-	buf, err := AppendFrame(*bp, f)
-	*bp = buf[:0]
-	if err != nil {
-		PutBuf(bp)
-		return err
-	}
-	_, err = w.Write(buf)
-	PutBuf(bp)
-	return err
 }
 
 // ReadFrame reads and verifies one frame. A connection cut mid-frame

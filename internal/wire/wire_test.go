@@ -13,12 +13,8 @@ import (
 )
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	in := Frame{Kind: byte(OpQuery), ID: 42, Payload: []byte("hello frame")}
-	if err := WriteFrame(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadFrame(&buf)
+	out, err := ReadFrame(bytes.NewReader(mustFrame(t, in)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,21 +22,23 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("roundtrip: got %+v, want %+v", out, in)
 	}
 	// Empty payload is legal.
-	buf.Reset()
-	if err := WriteFrame(&buf, Frame{Kind: byte(OpPing), ID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if out, err = ReadFrame(&buf); err != nil || len(out.Payload) != 0 {
+	if out, err = ReadFrame(bytes.NewReader(mustFrame(t, Frame{Kind: byte(OpPing), ID: 1}))); err != nil || len(out.Payload) != 0 {
 		t.Fatalf("empty payload roundtrip: %+v, %v", out, err)
 	}
 }
 
-func TestFrameChecksumDetectsCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, Frame{Kind: byte(OpQuery), ID: 7, Payload: []byte("payload")}); err != nil {
+// mustFrame encodes one frame.
+func mustFrame(t *testing.T, f Frame) []byte {
+	t.Helper()
+	b, err := AppendFrame(nil, f)
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
+	return b
+}
+
+func TestFrameChecksumDetectsCorruption(t *testing.T) {
+	raw := mustFrame(t, Frame{Kind: byte(OpQuery), ID: 7, Payload: []byte("payload")})
 	raw[len(raw)-1] ^= 0xFF // flip a payload byte
 	if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("corrupted payload read: %v, want ErrChecksum", err)
@@ -48,11 +46,7 @@ func TestFrameChecksumDetectsCorruption(t *testing.T) {
 }
 
 func TestFrameTornMidPayload(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, Frame{Kind: byte(OpQuery), ID: 7, Payload: []byte("a longer payload")}); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := mustFrame(t, Frame{Kind: byte(OpQuery), ID: 7, Payload: []byte("a longer payload")})
 	// Cut the stream at every possible torn point: mid-header and
 	// mid-payload must fail ErrUnexpectedEOF, a clean boundary io.EOF.
 	for cut := 0; cut < len(raw); cut++ {
@@ -73,19 +67,12 @@ func TestFrameRejectsGarbage(t *testing.T) {
 	if _, err := ReadFrame(bytes.NewReader(bytes.Repeat([]byte{0xAB}, 64))); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("garbage read: %v, want ErrBadMagic", err)
 	}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, Frame{Kind: byte(OpPing), ID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := mustFrame(t, Frame{Kind: byte(OpPing), ID: 1})
 	for _, v := range []byte{99, Version - 1} { // a future version, and the retired one
 		raw[2] = v
 		if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadVersion) {
 			t.Fatalf("version %d read: %v, want ErrBadVersion", v, err)
 		}
-	}
-	if err := WriteFrame(io.Discard, Frame{Payload: make([]byte, MaxPayload+1)}); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("oversized write: %v, want ErrTooLarge", err)
 	}
 }
 

@@ -32,9 +32,9 @@ var surfaceInputs = []surfaceInput{
 	{"README.md", `//item[number(attributes/number_of_pages) > 900]/title`},
 	// The one query the benchmark's layer pass times through EvalXQuery.
 	{"benchmarks/e2e/layers.go", `for $o in //order[total > 0] order by $o/@id return $o/total`},
-	// The ad-hoc queries of the examples.
-	{"examples/quickstart/main.go", "for $i in //item[number(attributes/number_of_pages) > 900]\n\t\t order by $i/title\n\t\t return concat(string($i/title), \" (\", string($i/attributes/number_of_pages), \" pages)\")"},
-	{"examples/newsarchive/main.go", "for $a in //article\n\t\t where exists($a/epilog/references/a_id)\n\t\t return concat(string($a/@id), \" -> \", string-join(data($a/epilog/references/a_id/@target), \" \"))"},
+	// The ad-hoc queries of the root package's examples.
+	{"example_test.go", "for $i in //item[number(attributes/number_of_pages) > 900]\n\t\t order by $i/title\n\t\t return concat(string($i/title), \" (\", string($i/attributes/number_of_pages), \" pages)\")"},
+	{"example_test.go", "for $a in //article\n\t\t where exists($a/epilog/references/a_id)\n\t\t return concat(string($a/@id), \" -> \", string-join(data($a/epilog/references/a_id/@target), \" \"))"},
 	// BenchmarkXQueryEngine.
 	{"bench_test.go", `//item[@id = "I7"]/title`},
 	{"bench_test.go", `count(//item[number(attributes/number_of_pages) > 500])`},

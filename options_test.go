@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"xbench/internal/driver"
 	"xbench/internal/metrics"
 	"xbench/internal/pager"
 )
@@ -35,7 +36,7 @@ func TestNewEngineNames(t *testing.T) {
 }
 
 // TestNewOptions: WithFaultPolicy and WithMetrics reach the engine's
-// pager; WithPoolPages and WithRowLimit at least construct.
+// pager; WithPoolPages at least constructs.
 func TestNewOptions(t *testing.T) {
 	reg := metrics.NewRegistry()
 	e, err := New("native",
@@ -57,7 +58,7 @@ func TestNewOptions(t *testing.T) {
 	if p.Metrics() != reg {
 		t.Fatal("metrics registry not attached")
 	}
-	if _, err := New("xcollection", WithRowLimit(10), WithPoolPages(32)); err != nil {
+	if _, err := New("xcollection", WithPoolPages(32)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -72,8 +73,9 @@ func mustNew(t *testing.T, name string, opts ...Option) Engine {
 	return e
 }
 
-// TestThroughputFacade: the facade Throughput runs the driver end to end
-// on a loaded engine and reports qps and per-query percentiles.
+// TestThroughputFacade: the closed-loop driver (driver.Run) runs end to
+// end on an engine New built and LoadAndIndex loaded, and reports qps and
+// per-query percentiles.
 func TestThroughputFacade(t *testing.T) {
 	ctx := context.Background()
 	db, err := Generate(DCSD, Small)
@@ -87,7 +89,7 @@ func TestThroughputFacade(t *testing.T) {
 	if _, err := LoadAndIndex(ctx, e, db); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Throughput(ctx, e, DCSD, ThroughputConfig{
+	rep, err := driver.Run(ctx, e, DCSD, driver.Config{
 		Clients:      2,
 		OpsPerClient: 4,
 		Queries:      []QueryID{Q1, Q5},

@@ -10,19 +10,24 @@
 # own BENCHMARK.json. For every workload the script runs N pairs, untraced,
 # A then B on odd pairs and B then A on even ones, so a drift of the host
 # lands on both sides alike. It then prints the benchmark's own verdict
-# (`e2e --compare A B`) and one results/trajectory.tsv row per workload:
+# (`e2e --compare A B`) and, beside it, the CPU each side spent per
+# operation: every run's user+sys CPU seconds (the e2e child's, from
+# `times`) over the operations it attempted, the median of A's and of B's
+# runs, and how many of the N pairs B spent less in. Then one
+# results/trajectory.tsv row per workload:
 # B's median and quartiles of qps, read_p50_ms, setup_s and space_amp, the
 # claim column (TEXT, default "-"), and how many of the N pairs B won on
 # metric M (default qps; "won" is better in the direction BENCHMARK.json
 # gives M), with the ratio of B's median of M to A's. The rows go to
 # stdout after the verdicts; append them to the trajectory by hand.
-# --keep copies every run's results file to DIR as <a|b>.<workload>.json.
+# --keep copies every results file to DIR as <a|b>.<workload>.json, and
+# its runs' CPU seconds as <a|b>.<workload>.cpu.
 # --quick runs the smoke scale, where no number means anything: CI runs
 # HEAD against HEAD with it so the script cannot rot. Needs git, go, jq.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-usage() { sed -n '2,21p' "$0" >&2; exit 2; }
+usage() { sed -n '2,26p' "$0" >&2; exit 2; }
 [ $# -ge 2 ] || usage
 a=$1 b=$2
 shift 2
@@ -52,9 +57,30 @@ for side in a b; do
 done
 [ -n "$workloads" ] || workloads=$(cd "$work/b" && ./e2e --list | paste -sd, -)
 
-run() { # side workload
+run() { # side workload: one more run in <side>.<workload>.json, its CPU seconds in .cpu
 	(cd "$work/$1" && ./e2e --workload "$2" --seed "$seed" --trace 0 "${quick[@]}" \
-		--out "$work/$1.$2.json" --commit "$(cat "$work/$1.commit")" >/dev/null)
+		--out "$work/$1.$2.json" --commit "$(cat "$work/$1.commit")" >/dev/null && times >"$work/times")
+	# The second line of `times` is the children's user and sys time, "XmY.ZZZs" each.
+	awk 'NR == 2 { n = split($0, t, /[ms]+ */); print t[1] * 60 + t[2] + t[3] * 60 + t[4] }' \
+		"$work/times" >>"$work/$1.$2.cpu"
+}
+
+# q: the $p quantile of $xs, interpolated; sig6: six significant digits.
+jqlib='
+	def q($xs; $p): ($xs | sort) as $s | ($p * (($s | length) - 1)) as $x |
+		($x | floor) as $i | $s[$i] + ($x - $i) * ($s[[$i + 1, ($s | length) - 1] | min] - $s[$i]);
+	def sig6: if . == 0 then 0 else pow(10; 5 - (fabs | log10 | floor)) as $p | (. * $p | round) / $p end;'
+
+cpu() { # workload: "median A, median B, pairs B won, pairs" of CPU seconds per attempted op
+	jq -rn --slurpfile ac "$work/a.$1.cpu" --slurpfile bc "$work/b.$1.cpu" \
+		--slurpfile ar "$work/a.$1.json" --slurpfile br "$work/b.$1.json" "$jqlib"'
+		def perop($c; $r): [$r[0].runs[].result.attempted] as $ops |
+			[range(0; $ops | length) | if $ops[.] > 0 then $c[.] / $ops[.] else null end];
+		perop($ac; $ar) as $a | perop($bc; $br) as $b |
+		[range(0; $a | length) | select($a[.] != null and $b[.] != null)] as $ok |
+		[$ok[] | select($b[.] < $a[.])] as $won |
+		[([$ok[] | $a[.]] | q(.; 0.5) | sig6), ([$ok[] | $b[.]] | q(.; 0.5) | sig6),
+			($won | length), ($ok | length)] | @tsv'
 }
 
 better=$(jq -r --arg m "$metric" '.end_to_end[] | select(.name == $m) | .better' BENCHMARK.json)
@@ -68,12 +94,11 @@ for w in ${workloads//,/ }; do
 	done
 	{ (cd "$work/b" && ./e2e --compare "$work/a.$w.json" "$work/b.$w.json") || true; } |
 		awk -v w="$w" 'NR == 1 || $1 == w'
+	IFS=$'\t' read -r acpu bcpu won n < <(cpu "$w")
+	printf '%-14s %-14s %14s %14s  B spent less on %s/%s pairs\n' "$w" "cpu_s_per_op" "$acpu" "$bcpu" "$won" "$n"
 	rows+=("$(jq -rs --arg pr "$pr" --arg w "$w" --arg seed "$seed" --arg m "$metric" \
-		--arg better "$better" --arg claim "$claim" --arg host "$host" '
+		--arg better "$better" --arg claim "$claim" --arg host "$host" "$jqlib"'
 		def vals($f; $k): [$f.runs[].result.metrics[$k].value];
-		def q($xs; $p): ($xs | sort) as $s | ($p * (($s | length) - 1)) as $x |
-			($x | floor) as $i | $s[$i] + ($x - $i) * ($s[[$i + 1, ($s | length) - 1] | min] - $s[$i]);
-		def sig6: if . == 0 then 0 else pow(10; 5 - (fabs | log10 | floor)) as $p | (. * $p | round) / $p end;
 		.[0] as $A | .[1] as $B |
 		[vals($A; $m), vals($B; $m)] as [$am, $bm] |
 		[range(0; $am | length) | select(if $better == "higher" then $bm[.] > $am[.] else $bm[.] < $am[.] end)] as $won |
@@ -83,5 +108,5 @@ for w in ${workloads//,/ }; do
 		[$claim, "\($won | length)/\($am | length) on \($m) (\(q($bm; 0.5) / q($am; 0.5) | sig6)x)", $host] | @tsv' \
 		"$work/a.$w.json" "$work/b.$w.json")")
 done
-if [ -n "$keep" ]; then mkdir -p "$keep" && cp "$work"/[ab].*.json "$keep"/; fi
+if [ -n "$keep" ]; then mkdir -p "$keep" && cp "$work"/[ab].*.json "$work"/[ab].*.cpu "$keep"/; fi
 printf '%s\n' "${rows[@]}"

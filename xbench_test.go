@@ -6,9 +6,20 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"xbench/internal/bench"
+	"xbench/internal/client"
+	"xbench/internal/core"
+	"xbench/internal/driver"
+	"xbench/internal/gen"
+	"xbench/internal/server"
+	"xbench/internal/workload"
+	"xbench/internal/xmlschema"
 )
 
-// The facade tests drive the library exactly as the README shows.
+// The facade tests drive the library as the README's quick start does.
+// The rest reach what the facade does not re-export through its
+// internal package, as the CLI does.
 
 func TestPublicAPIFlow(t *testing.T) {
 	db, err := Generate(DCSD, Small)
@@ -36,13 +47,12 @@ func TestPublicAPIFlow(t *testing.T) {
 }
 
 func TestPublicEngineConstructors(t *testing.T) {
-	engines := Engines()
-	if len(engines) != 4 {
-		t.Fatalf("Engines() = %d", len(engines))
+	if len(bench.EngineNames) != 4 {
+		t.Fatalf("EngineNames = %v", bench.EngineNames)
 	}
 	names := map[string]bool{}
-	for _, e := range engines {
-		names[e.Name()] = true
+	for _, n := range bench.EngineNames {
+		names[bench.NewEngine(n).Name()] = true
 	}
 	for _, want := range []string{"Xcolumn", "Xcollection", "SQL Server", "X-Hive"} {
 		if !names[want] {
@@ -53,18 +63,6 @@ func TestPublicEngineConstructors(t *testing.T) {
 		mustNew(t, "xcollection").Name() != "Xcollection" ||
 		mustNew(t, "sqlserver").Name() != "SQL Server" {
 		t.Fatal("constructor names wrong")
-	}
-}
-
-func TestPublicParseHelpers(t *testing.T) {
-	if c, err := ParseClass("dcmd"); err != nil || c != DCMD {
-		t.Fatal("ParseClass")
-	}
-	if s, err := ParseSize("large"); err != nil || s != Large {
-		t.Fatal("ParseSize")
-	}
-	if _, err := ParseClass("zz"); err == nil {
-		t.Fatal("ParseClass accepted garbage")
 	}
 }
 
@@ -87,31 +85,31 @@ func TestPublicEvalXQuery(t *testing.T) {
 }
 
 func TestPublicSchemaEmitters(t *testing.T) {
-	for _, class := range Classes {
-		if !strings.Contains(SchemaDiagram(class), class.String()) {
+	for _, class := range core.Classes {
+		if !strings.Contains(xmlschema.For(class).Diagram(), class.String()) {
 			t.Errorf("diagram for %s missing class label", class)
 		}
-		if !strings.Contains(SchemaDTD(class), "<!ELEMENT") {
+		if !strings.Contains(xmlschema.For(class).DTD(), "<!ELEMENT") {
 			t.Errorf("DTD for %s empty", class)
 		}
 	}
 }
 
 func TestPublicWorkloadHelpers(t *testing.T) {
-	if len(WorkloadQueries(DCMD)) < 12 {
+	if len(workload.QueryIDs(DCMD)) < 12 {
 		t.Fatal("workload too small")
 	}
-	if len(Indexes(DCSD)) != 2 {
+	if len(workload.Indexes(DCSD)) != 2 {
 		t.Fatal("DC/SD should have 2 indexes")
 	}
-	if QueryParams(DCMD).Get("X") != "O1" {
+	if workload.Params(DCMD).Get("X") != "O1" {
 		t.Fatal("params wrong")
 	}
 }
 
 func TestPublicBenchRunner(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewBenchRunner(GenConfig{DictEntries: 30, Articles: 5, Items: 20, Orders: 30},
+	r := bench.NewRunner(gen.Config{DictEntries: 30, Articles: 5, Items: 20, Orders: 30},
 		[]Size{Small}, &buf)
 	if err := r.Table(4); err != nil {
 		t.Fatal(err)
@@ -123,7 +121,7 @@ func TestPublicBenchRunner(t *testing.T) {
 
 func TestPublicErrors(t *testing.T) {
 	e := mustNew(t, "xcolumn")
-	if err := e.Supports(TCSD, Small); !errors.Is(err, ErrUnsupported) {
+	if err := e.Supports(TCSD, Small); !errors.Is(err, core.ErrUnsupported) {
 		t.Fatal("ErrUnsupported not surfaced through the facade")
 	}
 	db, _ := Generate(DCSD, Small)
@@ -131,21 +129,22 @@ func TestPublicErrors(t *testing.T) {
 	if _, err := LoadAndIndex(context.Background(), n, db); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Execute(context.Background(), Q19, nil); !errors.Is(err, ErrNoQuery) {
+	if _, err := n.Execute(context.Background(), Q19, nil); !errors.Is(err, core.ErrNoQuery) {
 		t.Fatal("ErrNoQuery not surfaced")
 	}
 }
 
 func TestPublicSchemaXSD(t *testing.T) {
-	for _, class := range Classes {
-		if !strings.Contains(SchemaXSD(class), "xs:schema") {
+	for _, class := range core.Classes {
+		if !strings.Contains(xmlschema.For(class).XSD(), "xs:schema") {
 			t.Errorf("XSD for %s empty", class)
 		}
 	}
 }
 
-// TestPublicServeConnect drives the network layer through the facade the
-// way the README shows: serve an engine, Connect, run the driver remote.
+// TestPublicServeConnect drives the network layer the way `xbench serve`
+// and `--remote` do: serve an engine New built, dial it, run the driver
+// remote.
 func TestPublicServeConnect(t *testing.T) {
 	db, err := Generate(DCMD, Small)
 	if err != nil {
@@ -155,12 +154,12 @@ func TestPublicServeConnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(e, ServerConfig{})
+	srv := server.New(e, server.Config{})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cl, err := Connect(srv.Addr().String(), ClientConfig{})
+	cl, err := client.Dial(srv.Addr().String(), client.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +170,7 @@ func TestPublicServeConnect(t *testing.T) {
 	if _, err := LoadAndIndex(context.Background(), cl, db); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Throughput(context.Background(), cl, DCMD, ThroughputConfig{
+	rep, err := driver.Run(context.Background(), cl, DCMD, driver.Config{
 		Clients: 2, OpsPerClient: 5, Think: -1, NoWarmup: true,
 	})
 	if err != nil {
