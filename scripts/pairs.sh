@@ -61,7 +61,7 @@ run() { # side workload: one more run in <side>.<workload>.json, its CPU seconds
 	(cd "$work/$1" && ./e2e --workload "$2" --seed "$seed" --trace 0 "${quick[@]}" \
 		--out "$work/$1.$2.json" --commit "$(cat "$work/$1.commit")" >/dev/null && times >"$work/times")
 	# The second line of `times` is the children's user and sys time, "XmY.ZZZs" each.
-	awk 'NR == 2 { n = split($0, t, /[ms]+ */); print t[1] * 60 + t[2] + t[3] * 60 + t[4] }' \
+	awk 'NR == 2 { split($0, t, /[ms]+ */); print t[1] * 60 + t[2] + t[3] * 60 + t[4] }' \
 		"$work/times" >>"$work/$1.$2.cpu"
 }
 
@@ -74,13 +74,10 @@ jqlib='
 cpu() { # workload: "median A, median B, pairs B won, pairs" of CPU seconds per attempted op
 	jq -rn --slurpfile ac "$work/a.$1.cpu" --slurpfile bc "$work/b.$1.cpu" \
 		--slurpfile ar "$work/a.$1.json" --slurpfile br "$work/b.$1.json" "$jqlib"'
-		def perop($c; $r): [$r[0].runs[].result.attempted] as $ops |
-			[range(0; $ops | length) | if $ops[.] > 0 then $c[.] / $ops[.] else null end];
+		def perop($c; $r): [$r[0].runs[].result.attempted] as $ops | [range(0; $ops | length) | $c[.] / $ops[.]];
 		perop($ac; $ar) as $a | perop($bc; $br) as $b |
-		[range(0; $a | length) | select($a[.] != null and $b[.] != null)] as $ok |
-		[$ok[] | select($b[.] < $a[.])] as $won |
-		[([$ok[] | $a[.]] | q(.; 0.5) | sig6), ([$ok[] | $b[.]] | q(.; 0.5) | sig6),
-			($won | length), ($ok | length)] | @tsv'
+		[range(0; $a | length) | select($b[.] < $a[.])] as $won |
+		[(q($a; 0.5) | sig6), (q($b; 0.5) | sig6), ($won | length), ($a | length)] | @tsv'
 }
 
 better=$(jq -r --arg m "$metric" '.end_to_end[] | select(.name == $m) | .better' BENCHMARK.json)
