@@ -186,7 +186,7 @@ func queryFlag(fs *flag.FlagSet) *string {
 // address, or a shard list coordinated by an in-process router.
 type remote struct {
 	addr   *string
-	router *routerOpts
+	shards *string
 }
 
 func remoteFlag(fs *flag.FlagSet) *string {
@@ -194,10 +194,10 @@ func remoteFlag(fs *flag.FlagSet) *string {
 }
 
 func remoteFlags(fs *flag.FlagSet) *remote {
-	return &remote{addr: remoteFlag(fs), router: routerFlagSet(fs)}
+	return &remote{addr: remoteFlag(fs), shards: shardsFlag(fs)}
 }
 
-func (r *remote) named() bool { return *r.addr != "" || *r.router.shards != "" }
+func (r *remote) named() bool { return *r.addr != "" || *r.shards != "" }
 
 // dialRemote connects to an `xbench serve` instance with the default
 // client tuning: a multi-worker driver shares a few multiplexed
@@ -210,12 +210,12 @@ func dialRemote(addr string) (*client.Client, error) {
 // served target when one is named, else a fresh in-process engine.
 func newTarget(engine string, r *remote) (core.Engine, error) {
 	switch {
-	case *r.addr != "" && *r.router.shards != "":
+	case *r.addr != "" && *r.shards != "":
 		return nil, fmt.Errorf("--remote and --shards are mutually exclusive")
 	case *r.addr != "":
 		return dialRemote(*r.addr)
-	case *r.router.shards != "":
-		return r.router.dial()
+	case *r.shards != "":
+		return dialShards(*r.shards)
 	}
 	return bench.EngineByName(engine, 0)
 }

@@ -21,28 +21,10 @@ import (
 	"xbench/internal/server"
 )
 
-// routerOpts are the flags shared by every command that coordinates a
-// shard cluster (`route`, and --shards on the driving commands).
-type routerOpts struct {
-	shards   *string
-	readPref *string
-	partial  *string
-	fanout   *int
-	vnodes   *int
-}
-
-func vnodesFlag(fs *flag.FlagSet) *int {
-	return fs.Int("vnodes", 0, "virtual nodes per shard on the hash ring; routers and the shards they front must agree (0 = default)")
-}
-
-func routerFlagSet(fs *flag.FlagSet) *routerOpts {
-	return &routerOpts{
-		shards:   fs.String("shards", "", "comma-separated shard list, each PRIMARY[+REPLICA[+REPLICA...]] (e.g. :9411+:9421,:9412)"),
-		readPref: fs.String("read-pref", "primary", "read preference: primary (always fresh) or replica (offloaded, may lag by the journal-shipping interval)"),
-		partial:  fs.String("partial", "failfast", "scatter partial-failure policy: failfast or degraded (answered shards' union + shard-error count)"),
-		fanout:   fs.Int("fanout", 0, "concurrent shard legs per scatter (0 = default)"),
-		vnodes:   vnodesFlag(fs),
-	}
+// shardsFlag is the flag of every command that coordinates a shard
+// cluster (`route`, and --shards on the driving commands).
+func shardsFlag(fs *flag.FlagSet) *string {
+	return fs.String("shards", "", "comma-separated shard list, each PRIMARY[+REPLICA[+REPLICA...]] (e.g. :9411+:9421,:9412)")
 }
 
 // parseShards parses the --shards list into shard specs.
@@ -65,32 +47,13 @@ func parseShards(s string) ([]router.Shard, error) {
 	return shards, nil
 }
 
-// dial builds the router the flags describe.
-func (o *routerOpts) dial() (*router.Router, error) {
-	shards, err := parseShards(*o.shards)
+// dialShards builds a router over a --shards list.
+func dialShards(list string) (*router.Router, error) {
+	shards, err := parseShards(list)
 	if err != nil {
 		return nil, err
 	}
-	cfg := router.Config{
-		Vnodes: *o.vnodes,
-		Fanout: *o.fanout,
-	}
-	switch *o.readPref {
-	case "primary":
-		cfg.ReadPref = router.ReadPrimary
-	case "replica":
-		cfg.ReadPref = router.ReadReplica
-	default:
-		return nil, fmt.Errorf("unknown --read-pref %q (want primary or replica)", *o.readPref)
-	}
-	switch *o.partial {
-	case "failfast":
-	case "degraded":
-		cfg.Degraded = true
-	default:
-		return nil, fmt.Errorf("unknown --partial %q (want failfast or degraded)", *o.partial)
-	}
-	return router.Dial(shards, cfg)
+	return router.Dial(shards, router.Config{})
 }
 
 // printShardMetrics renders the router.shard.<i>.* counters and the
@@ -118,16 +81,16 @@ func setupRoute(fs *flag.FlagSet) func() error {
 	d := databaseFlags(fs)
 	noLoad := noLoadFlag(fs)
 	listen := listenFlags(fs)
-	ro := routerFlagSet(fs)
+	shards := shardsFlag(fs)
 	return func() error {
 		class, _, err := d.parse()
 		if err != nil {
 			return err
 		}
-		if *ro.shards == "" {
+		if *shards == "" {
 			return fmt.Errorf("--shards is required (start them with `xbench serve --shard=i/n`)")
 		}
-		r, err := ro.dial()
+		r, err := dialShards(*shards)
 		if err != nil {
 			return err
 		}

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
@@ -72,16 +74,19 @@ func (o *listenOpts) serveUntilSignal(srv *server.Server, verb, name string, cla
 	return srv.Shutdown(ctx)
 }
 
-// parseShardSpec parses a --shard=I/N partition coordinate.
+// parseShardSpec parses a --shard=I/N partition coordinate: two unsigned
+// decimal numbers and the slash between them, nothing else.
 func parseShardSpec(s string) (int, int, error) {
-	var idx, n int
-	if _, err := fmt.Sscanf(s, "%d/%d", &idx, &n); err != nil {
+	i, n, ok := strings.Cut(s, "/")
+	idx, err1 := strconv.ParseUint(i, 10, 31)
+	cnt, err2 := strconv.ParseUint(n, 10, 31)
+	if !ok || err1 != nil || err2 != nil {
 		return 0, 0, fmt.Errorf("bad --shard %q (want I/N, e.g. 0/3)", s)
 	}
-	if n < 1 || idx < 0 || idx >= n {
-		return 0, 0, fmt.Errorf("bad --shard %q: index must be in [0,%d)", s, n)
+	if cnt < 1 || idx >= cnt {
+		return 0, 0, fmt.Errorf("bad --shard %q: index must be in [0,%d)", s, cnt)
 	}
-	return idx, n, nil
+	return int(idx), int(cnt), nil
 }
 
 func setupServe(fs *flag.FlagSet) func() error {
@@ -91,7 +96,6 @@ func setupServe(fs *flag.FlagSet) func() error {
 	listen := listenFlags(fs)
 	journal := fs.String("journal", "", "durable update journal path; recovered before serving, so acknowledged updates survive a process kill")
 	shard := fs.String("shard", "", "serve one partition of the generated database, as I/N (e.g. 0/3); ownership follows the router's hash ring")
-	vnodes := vnodesFlag(fs)
 	replicaOf := fs.String("replica-of", "", "run as a read-only replica of the primary at this address, continuously replaying its shipped journal")
 	poll := fs.Duration("poll", 0, "replica journal poll interval (0 = default)")
 	return func() error {
@@ -123,7 +127,7 @@ func setupServe(fs *flag.FlagSet) func() error {
 					return err
 				}
 				full := len(db.Docs)
-				db = router.NewRing(n, *vnodes).Partition(db, idx)
+				db = router.NewRing(n, 0).Partition(db, idx)
 				fmt.Printf("shard %d/%d owns %d of %d documents\n", idx, n, len(db.Docs), full)
 			}
 		}

@@ -80,10 +80,13 @@ func TestUsageMatchesFlags(t *testing.T) {
 			}
 		})
 	}
-	// The spellings this CLI once had two of stay merged.
-	for _, gone := range []string{"csv", "query", "skip-load", "fractions", "out"} {
+	// The spellings this CLI once had two of stay merged, and the router
+	// knobs no caller set stay deleted: one scatter policy, primary-first
+	// reads, no fan-out cap, one ring shape on both sides of the wire.
+	for _, gone := range []string{"csv", "query", "skip-load", "fractions", "out",
+		"partial", "fanout", "read-pref", "vnodes"} {
 		if m, ok := shared[gone]; ok {
-			t.Errorf("--%s is back (in %s); its meaning already has a flag", gone, m.command)
+			t.Errorf("--%s is back (in %s); it was merged into another flag or deleted", gone, m.command)
 		}
 	}
 }

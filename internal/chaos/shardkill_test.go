@@ -48,8 +48,8 @@ func waitPort(t *testing.T, addr string, timeout time.Duration) {
 //     deaths).
 //   - Reads continue while a shard is down: during every dead-primary
 //     window, scatters and reads routed to the victim keep answering —
-//     the read client fails over to the replica, and the degraded
-//     partial-failure policy covers any window the replica needs.
+//     the read client fails over to the replica, so the fail-fast
+//     scatter's leg to the victim shard is answered by the replica leg.
 func TestShardKillTorture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shard-kill torture is a multi-second test; skipped in -short")
@@ -104,7 +104,6 @@ func TestShardKillTorture(t *testing.T) {
 	}
 	specs[victim].Replicas = []string{repAddr}
 	rt, err := router.Dial(specs, router.Config{
-		Degraded: true, // reads must continue while the victim is down
 		Client: client.Config{
 			Retries:       200,
 			Backoff:       5 * time.Millisecond,
@@ -171,8 +170,8 @@ func TestShardKillTorture(t *testing.T) {
 
 	// The killer: SIGKILL the victim shard, read THROUGH the outage, then
 	// restart it (journal recovery). Both read shapes must answer with the
-	// primary dead — the routed read rides the replica failover; the
-	// scatter rides the replica leg plus the degraded policy.
+	// primary dead — the routed read and the scatter's leg to the victim
+	// shard both ride the replica failover.
 	const cycles = 8
 	readParams := core.Params{"X": fmt.Sprintf("OU%d", sentinel)}
 	deadReads := 0

@@ -82,12 +82,6 @@ type Result struct {
 	MixedContentLost bool
 	// PageIO is the number of page reads+writes the execution caused.
 	PageIO int64
-	// ShardErrors counts shards that failed to contribute to this result.
-	// It is zero everywhere except on results assembled by a scatter-gather
-	// router running its degraded partial-failure policy, where the items
-	// are the union of the shards that answered and ShardErrors reports
-	// how many did not (DESIGN.md §16).
-	ShardErrors int
 }
 
 // Count returns the number of result items.

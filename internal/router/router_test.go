@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -320,44 +321,71 @@ func TestRouterIsStateless(t *testing.T) {
 	}
 }
 
-// TestScatterPartialFailure kills one shard and checks both policies:
-// fail-fast surfaces the error, degraded returns the surviving union with
-// the shard-error count.
+// TestScatterPartialFailure kills one shard's primary. With no replica
+// the scatter fails fast: no partial union is ever returned. With a
+// replica the read client fails over to it and the scatter returns the
+// whole union.
 func TestScatterPartialFailure(t *testing.T) {
 	db := testDB(30)
+	ctx := context.Background()
 
 	t.Run("fail-fast", func(t *testing.T) {
 		r, srvs := startCluster(t, 3, db, router.Config{
 			Client: client.Config{Retries: -1, DialTimeout: 500 * time.Millisecond},
 		})
+		// A decline is not a shard failure: every shard answers Q20 with
+		// ErrNoQuery, and that is what the scatter returns.
+		if _, err := r.Execute(ctx, core.Q20, nil); !errors.Is(err, core.ErrNoQuery) {
+			t.Fatalf("Q20: %v, want ErrNoQuery", err)
+		}
 		srvs[1].Close()
-		if _, err := r.Execute(context.Background(), core.Q8, nil); err == nil {
-			t.Fatal("scatter with a dead shard succeeded under fail-fast")
+		if res, err := r.Execute(ctx, core.Q8, nil); err == nil {
+			t.Fatalf("scatter with a dead shard answered %d items under fail-fast", len(res.Items))
 		}
 	})
 
-	t.Run("degraded", func(t *testing.T) {
-		r, srvs := startCluster(t, 3, db, router.Config{
-			Degraded: true,
-			Client:   client.Config{Retries: -1, DialTimeout: 500 * time.Millisecond},
-		})
-		srvs[1].Close()
-		res, err := r.Execute(context.Background(), core.Q8, nil)
+	t.Run("replica", func(t *testing.T) {
+		ring := router.NewRing(3, 0)
+		shards := make([]router.Shard, 3)
+		prims := make([]*server.Server, 3)
+		for i := range shards {
+			jp := filepath.Join(t.TempDir(), "journal.log")
+			prim, _, err := server.Reopen(newStub(), ring.Partition(db, i), nil, jp, server.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := prim.Start(); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { prim.Close() })
+			prims[i] = prim
+			shards[i] = router.Shard{Primary: prim.Addr().String()}
+		}
+		rep, err := router.StartReplica(ctx, newStub(), ring.Partition(db, 1), nil, shards[1].Primary,
+			router.ReplicaConfig{Poll: 5 * time.Millisecond})
 		if err != nil {
-			t.Fatalf("degraded scatter: %v", err)
+			t.Fatal(err)
 		}
-		if res.ShardErrors != 1 {
-			t.Fatalf("ShardErrors=%d, want 1", res.ShardErrors)
+		t.Cleanup(func() { rep.Close() })
+		shards[1].Replicas = []string{rep.Addr().String()}
+		r, err := router.Dial(shards, router.Config{Client: client.Config{FailThreshold: 1, Backoff: time.Millisecond}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(res.Items) == 0 || len(res.Items) >= 30 {
-			t.Fatalf("degraded union has %d items, want a proper subset of 30", len(res.Items))
-		}
+		t.Cleanup(func() { r.Close() })
 
-		// Semantic declines are not "degraded": every shard answers
-		// ErrNoQuery deterministically, so the router must return it, not
-		// an empty union.
-		if _, err := r.Execute(context.Background(), core.Q20, nil); !errors.Is(err, core.ErrNoQuery) {
-			t.Fatalf("Q20: %v, want ErrNoQuery", err)
+		prims[1].Close()
+		items := scatterNames(t, r)
+		sort.Strings(items)
+		want := make([]string, len(db.Docs))
+		for i, d := range db.Docs {
+			want[i] = d.Name
+		}
+		if !slices.Equal(items, want) {
+			t.Fatalf("scatter with shard 1 on its replica = %d items %v, want the 30 loaded documents", len(items), items)
+		}
+		if fo := r.Metrics().Snapshot().Counters["router.shard.1.failovers"]; fo == 0 {
+			t.Fatal("shard 1 answered without a failover to its replica")
 		}
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"xbench/internal/core"
 	"xbench/internal/updatelog"
 )
 
@@ -77,38 +76,6 @@ func TestJournalPullResponseRejectsUnknownKind(t *testing.T) {
 		if _, err := DecodeJournalPullResponse(b); err == nil {
 			t.Errorf("a record of kind %d decoded without error", kind)
 		}
-	}
-}
-
-// TestResultShardErrorsTail pins the compatibility contract of the
-// ShardErrors tail: a zero count encodes byte-identically to the
-// pre-router format, and a non-zero count survives a round trip.
-func TestResultShardErrorsTail(t *testing.T) {
-	base := core.Result{Items: []string{"<a/>"}, OrderGuaranteed: true, PageIO: 7}
-	degraded := base
-	degraded.ShardErrors = 2
-
-	plain := EncodeResult(base)
-	tailed := EncodeResult(degraded)
-	if reflect.DeepEqual(plain, tailed) {
-		t.Fatal("ShardErrors tail not encoded")
-	}
-	if len(tailed) <= len(plain) {
-		t.Fatalf("tail should extend encoding: %d vs %d", len(tailed), len(plain))
-	}
-
-	out, err := DecodeResult(tailed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(degraded, out) {
-		t.Fatalf("got %+v, want %+v", out, degraded)
-	}
-
-	// An old-format payload (no tail) decodes with ShardErrors zero.
-	out, err = DecodeResult(plain)
-	if err != nil || out.ShardErrors != 0 {
-		t.Fatalf("tail-less decode: %+v, %v", out, err)
 	}
 }
 

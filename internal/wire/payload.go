@@ -181,14 +181,6 @@ func AppendResult(dst []byte, r core.Result) []byte {
 	e.bool(r.OrderGuaranteed)
 	e.bool(r.MixedContentLost)
 	e.varint(r.PageIO)
-	if r.ShardErrors > 0 {
-		// Self-delimiting optional tail, like the update idempotency key:
-		// a zero count encodes nothing, so single-engine results stay
-		// byte-identical to the pre-router encoding and old peers decode
-		// them unchanged (old readers ignore the tail, old writers never
-		// produce one).
-		e.varint(int64(r.ShardErrors))
-	}
 	return e.b
 }
 
@@ -216,16 +208,6 @@ func DecodeResult(b []byte) (core.Result, error) {
 	}
 	if r.PageIO, err = d.varint(); err != nil {
 		return r, err
-	}
-	if len(d.b) > 0 { // degraded scatter-gather tail (see AppendResult)
-		v, err := d.varint()
-		if err != nil {
-			return r, err
-		}
-		if v <= 0 {
-			return r, fmt.Errorf("wire: result shard-error tail %d, want > 0", v)
-		}
-		r.ShardErrors = int(v)
 	}
 	if len(d.b) != 0 {
 		return r, fmt.Errorf("wire: %d trailing bytes after result", len(d.b))

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"io"
 	"reflect"
@@ -109,6 +110,28 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("got %+v, want %+v", out, in)
+	}
+}
+
+// TestResultEncodingPinned pins a result's one layout byte for byte:
+// the item count, each item length-prefixed, the two flags, PageIO as a
+// zigzag varint, and nothing after it.
+func TestResultEncodingPinned(t *testing.T) {
+	res := core.Result{
+		Items:            []string{"<a/>", `<b x="1"/>`},
+		OrderGuaranteed:  true,
+		MixedContentLost: true,
+		PageIO:           300,
+	}
+	want, _ := hex.DecodeString("02" + "04" + hex.EncodeToString([]byte("<a/>")) +
+		"0a" + hex.EncodeToString([]byte(`<b x="1"/>`)) + "01" + "01" + "d804")
+	got := EncodeResult(res)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("EncodeResult = %x, want %x", got, want)
+	}
+	out, err := DecodeResult(got)
+	if err != nil || !reflect.DeepEqual(out, res) {
+		t.Fatalf("DecodeResult = %+v, %v; want %+v", out, err, res)
 	}
 }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Sharded serving-tier smoke test: start three `xbench serve --shard=i/3
 # --journal` primaries and a journal-shipped read replica of shard 0,
-# front them with `xbench route` (degraded partial-failure policy), and
-# drive the whole cluster through the front-end's single address:
+# front them with `xbench route` (fail-fast scatters; reads fail over to
+# the replica), and drive the whole cluster through the front-end's
+# single address:
 #
 #   1. a mixed read/write remote sweep against the healthy cluster,
 #   2. kill -9 shard 0's primary and require a read sweep to keep
@@ -55,9 +56,8 @@ replica_addr=$(await_banner "$tmp/r0.log" "$replica_pid" 's/^replica of .* on \(
 echo "replica of shard 0 on $replica_addr"
 
 # The router front-end: one address for the whole cluster. The shards are
-# already loaded (--shard), so --no-load; degraded keeps scatters
-# answering while a shard is down.
-"$bin" route --class=dcmd --size=small --no-load --partial=degraded \
+# already loaded (--shard), so --no-load.
+"$bin" route --class=dcmd --size=small --no-load \
     --shards="${shard_addr[0]}+$replica_addr,${shard_addr[1]},${shard_addr[2]}" \
     --addr=127.0.0.1:0 --drain-timeout=10s >"$tmp/route.log" 2>&1 &
 router_pid=$!
@@ -70,8 +70,8 @@ echo "router on $front"
     || { echo "healthy mixed sweep produced no report"; exit 1; }
 echo "healthy mixed sweep OK"
 
-# 2. Whole-shard death: kill -9 shard 0's primary mid-life. Reads must
-# keep answering through the replica failover + degraded scatters.
+# 2. Whole-shard death: kill -9 shard 0's primary mid-life. Reads, routed
+# and scattered, must keep answering through the replica failover.
 kill -9 "${shard_pid[0]}"
 wait "${shard_pid[0]}" 2>/dev/null || true
 "$bin" throughput --remote="$front" --no-load --class=dcmd \
