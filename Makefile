@@ -34,7 +34,10 @@ race:
 # name twice among it) to a result or a positioned *xquery.Error; and the
 # shredder, which must store exactly the rows Count predicts of any
 # document it does not refuse, and fill side tables without a panic
-# however deep a document's recursion.
+# however deep a document's recursion; and the journal's one record
+# decoder (updatelog.Decode, what recovery and replicas read with), which
+# must return a prefix of any input that its records re-encode to byte
+# for byte, never a panic or a read past the input.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCursor -fuzztime=20s ./internal/xmldom/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s ./internal/xmldom/
@@ -44,6 +47,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s ./internal/xquery/
 	$(GO) test -run='^$$' -fuzz=FuzzEval -fuzztime=20s ./internal/xquery/
 	$(GO) test -run='^$$' -fuzz=FuzzShredDocument -fuzztime=20s ./internal/shredder/
+	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=20s ./internal/updatelog/
 
 # Crash/recovery fault-injection grid over every engine x class: crash
 # mid-load, then restart on a fresh engine under transient read faults.

@@ -553,16 +553,14 @@ func (c *Client) DeleteDocument(ctx context.Context, name string) error {
 }
 
 // JournalPull fetches one window of the server's committed update journal
-// starting at record index since (see wire.OpJournal). Replicas call it in
-// a loop: apply the records, poll again from Next. A server without a
-// journal — or predating the op — answers wire.ErrBadRequest.
-func (c *Client) JournalPull(ctx context.Context, since uint64) (wire.JournalPullResponse, error) {
-	payload := wire.EncodeJournalPullRequest(wire.JournalPullRequest{Since: since})
-	resp, err := c.roundTrip(ctx, wire.OpJournal, func(time.Duration) []byte { return payload }, true)
-	if err != nil {
-		return wire.JournalPullResponse{}, err
-	}
-	return wire.DecodeJournalPullResponse(resp)
+// from req's position (see wire.OpJournal): the journal's own bytes,
+// whole records, which updatelog.Decode reads. Replicas call it in a
+// loop: check and apply the records, poll again from their end. A
+// server without a journal, or whose journal does not hold the
+// position, answers wire.ErrBadRequest.
+func (c *Client) JournalPull(ctx context.Context, req wire.JournalPullRequest) ([]byte, error) {
+	payload := wire.EncodeJournalPullRequest(req)
+	return c.roundTrip(ctx, wire.OpJournal, func(time.Duration) []byte { return payload }, true)
 }
 
 var _ core.Engine = (*Client)(nil)

@@ -1,15 +1,18 @@
 // Read replicas: a replica is a read-only wire server over its own
 // engine, kept current by shipping the primary's durable update journal —
-// poll OpJournal for the committed window past what it has applied,
-// re-apply the records in commit order, advance, repeat. The replica owns
-// no durability: on restart it reloads its base database and replays the
-// journal from record zero, so its state is always a prefix of what a
-// primary crash-recovery would reconstruct, never ahead of it.
+// poll OpJournal for the committed bytes past the last record it applied,
+// check them with the journal's own decoder, re-apply the records in
+// commit order, advance, repeat. The replica owns no durability: on
+// restart it reloads its base database and replays the journal from
+// offset zero, so its state is always a prefix of what a primary
+// crash-recovery would reconstruct, never ahead of it.
 //
 // Consistency model: eventually consistent, bounded by the poll interval
 // plus one apply pass. Updates are rejected at the wire with
-// core.ErrReadOnly (server.Config.ReadOnly), so a replica can diverge
-// from its primary only by lagging, never by forking.
+// core.ErrReadOnly (server.Config.ReadOnly), and a pull names the record
+// it follows, so a primary that came back on another journal is refused
+// rather than followed: a replica can diverge from its primary only by
+// lagging, never by forking.
 package router
 
 import (
@@ -38,8 +41,8 @@ type ReplicaConfig struct {
 	// out a primary restart).
 	Client client.Config
 	// Poll is the journal poll interval; <= 0 selects 50ms. A pull that
-	// returns a full window polls again immediately — the interval paces
-	// an up-to-date replica, not a catch-up.
+	// returns records polls again immediately — the interval paces an
+	// up-to-date replica, not a catch-up.
 	Poll time.Duration
 }
 
@@ -51,8 +54,8 @@ type Replica struct {
 	stop context.CancelFunc
 	wg   sync.WaitGroup
 
-	applied atomic.Uint64 // journal records applied (== next poll index)
-	failed  atomic.Value  // error: first apply failure; puller halts on it
+	applied atomic.Uint64 // journal records applied
+	failed  atomic.Value  // error: what halted the puller
 }
 
 // StartReplica loads db into eng, builds its indexes, starts a read-only
@@ -88,26 +91,36 @@ func StartReplica(ctx context.Context, eng core.Engine, db *core.Database, specs
 
 // pull is the shipping loop. Transport errors are retried on the next
 // tick (the primary may be restarting — its journal replay will put the
-// same records back); an APPLY error halts the loop, because skipping a
-// record would fork the replica from its primary silently.
+// same records back). It halts, with Err set, on a window that does not
+// decode whole (nothing of it is applied), on a primary that refuses its
+// position (it came back on another journal), and on an apply error:
+// going on would fork the replica from its primary silently.
 func (rep *Replica) pull(ctx context.Context, eng core.Engine, poll time.Duration) {
 	defer rep.wg.Done()
 	t := time.NewTicker(poll)
 	defer t.Stop()
+	var at wire.JournalPullRequest // just past the last record applied
 	for {
-		resp, err := rep.src.JournalPull(ctx, rep.applied.Load())
+		window, err := rep.src.JournalPull(ctx, at)
 		switch {
-		case err == nil && len(resp.Records) > 0:
-			for _, rec := range resp.Records {
+		case err == nil && len(window) > 0:
+			recs, n := updatelog.Decode(window)
+			if n < len(window) {
+				rep.failed.Store(fmt.Errorf("router: replica: journal window at offset %d is damaged after %d of its %d bytes", at.Since, n, len(window)))
+				return
+			}
+			for _, rec := range recs {
 				if aerr := updatelog.Apply(ctx, eng, []updatelog.Record{rec}); aerr != nil {
 					rep.failed.Store(fmt.Errorf("router: replica apply record %d: %w", rep.applied.Load(), aerr))
 					return
 				}
 				rep.applied.Add(1)
 			}
-			if len(resp.Records) >= wire.MaxJournalBatch {
-				continue // mid catch-up: pull again immediately
-			}
+			at = wire.JournalPullRequest{Since: at.Since + uint64(n), Prev: recs[len(recs)-1].Sum()}
+			continue // more may be waiting: pull again immediately
+		case errors.Is(err, wire.ErrBadRequest):
+			rep.failed.Store(fmt.Errorf("router: replica at journal offset %d: %w", at.Since, err))
+			return
 		case err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, client.ErrClosed)):
 			return
 		}
@@ -122,12 +135,12 @@ func (rep *Replica) pull(ctx context.Context, eng core.Engine, poll time.Duratio
 // Addr returns the replica's listen address.
 func (rep *Replica) Addr() net.Addr { return rep.srv.Addr() }
 
-// Applied returns how many journal records the replica has applied — the
-// index its next poll starts from. Tests await catch-up on it.
+// Applied returns how many journal records the replica has applied.
+// Tests await catch-up on it.
 func (rep *Replica) Applied() uint64 { return rep.applied.Load() }
 
-// Err returns the apply failure that halted the puller, or nil while
-// shipping is healthy.
+// Err returns what halted the puller (a damaged window, a refused
+// position or an apply failure), or nil while shipping is healthy.
 func (rep *Replica) Err() error {
 	if v := rep.failed.Load(); v != nil {
 		return v.(error)

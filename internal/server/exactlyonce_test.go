@@ -9,6 +9,7 @@ import (
 
 	"xbench/internal/core"
 	"xbench/internal/server"
+	"xbench/internal/updatelog"
 	"xbench/internal/wire"
 )
 
@@ -170,12 +171,8 @@ func TestUnkeyedUpdatesAreRefused(t *testing.T) {
 		t.Fatalf("keyed insert after the refused ones: status %d", resp.Kind)
 	}
 	resp := rc.do(wire.OpJournal, wire.EncodeJournalPullRequest(wire.JournalPullRequest{}))
-	pulled, err := wire.DecodeJournalPullResponse(resp.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pulled.Records) != 1 || pulled.Records[0].Client != 3 {
-		t.Fatalf("journal holds %+v, want only the keyed insert", pulled.Records)
+	if pulled, n := updatelog.Decode(resp.Payload); n != len(resp.Payload) || len(pulled) != 1 || pulled[0].Client != 3 {
+		t.Fatalf("journal holds %+v, want only the keyed insert", pulled)
 	}
 }
 

@@ -45,8 +45,9 @@ func startJournaled(t *testing.T, cfg server.Config) (*server.Server, *client.Cl
 
 // TestJournalPullShipsCommittedUpdates drives keyed updates through a
 // journaled server and pulls them back over OpJournal: the shipped window
-// reproduces the updates in commit order, carries their idempotency keys,
-// and an up-to-date poller gets an empty window.
+// is whole records that reproduce the updates in commit order with their
+// idempotency keys, an up-to-date poller gets an empty window, and a
+// position the journal does not hold is refused.
 func TestJournalPullShipsCommittedUpdates(t *testing.T) {
 	_, c := startJournaled(t, server.Config{})
 	ctx := context.Background()
@@ -61,15 +62,16 @@ func TestJournalPullShipsCommittedUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := c.JournalPull(ctx, 0)
+	window, err := c.JournalPull(ctx, wire.JournalPullRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Next != 3 || len(resp.Records) != 3 {
-		t.Fatalf("pull: next=%d records=%d, want 3/3", resp.Next, len(resp.Records))
+	recs, n := updatelog.Decode(window)
+	if n != len(window) || len(recs) != 3 {
+		t.Fatalf("pull: %d records in %d of %d bytes, want 3 in all", len(recs), n, len(window))
 	}
 	wantKinds := []updatelog.Kind{updatelog.KindInsert, updatelog.KindReplace, updatelog.KindDelete}
-	for i, rec := range resp.Records {
+	for i, rec := range recs {
 		if rec.Kind != wantKinds[i] || rec.Name != "a.xml" {
 			t.Fatalf("record %d: %+v", i, rec)
 		}
@@ -78,20 +80,22 @@ func TestJournalPullShipsCommittedUpdates(t *testing.T) {
 		}
 	}
 
-	// Caught up: polling from Next returns an empty window, same Next.
-	resp, err = c.JournalPull(ctx, resp.Next)
-	if err != nil {
-		t.Fatal(err)
+	// Caught up: polling from the window's end returns an empty window.
+	end := wire.JournalPullRequest{Since: uint64(n), Prev: recs[2].Sum()}
+	if more, err := c.JournalPull(ctx, end); err != nil || len(more) != 0 {
+		t.Fatalf("caught-up pull: %d bytes, %v", len(more), err)
 	}
-	if resp.Next != 3 || len(resp.Records) != 0 {
-		t.Fatalf("caught-up pull: %+v", resp)
+	// Past the end, or after a record the journal does not hold there.
+	for _, at := range []wire.JournalPullRequest{{Since: end.Since + 1, Prev: end.Prev}, {Since: end.Since, Prev: recs[1].Sum()}} {
+		if _, err := c.JournalPull(ctx, at); !errors.Is(err, wire.ErrBadRequest) {
+			t.Fatalf("pull from %+v: %v, want ErrBadRequest", at, err)
+		}
 	}
 
 	// Replaying the shipped window against a fresh engine reproduces the
 	// primary's state transitions (this is exactly what a replica does).
-	resp, _ = c.JournalPull(ctx, 0)
 	replica := newStub()
-	if err := updatelog.Apply(ctx, replica, resp.Records); err != nil {
+	if err := updatelog.Apply(ctx, replica, recs); err != nil {
 		t.Fatalf("replica apply: %v", err)
 	}
 }
@@ -100,7 +104,7 @@ func TestJournalPullShipsCommittedUpdates(t *testing.T) {
 // running without a journal answers OpJournal with wire.ErrBadRequest.
 func TestJournalPullWithoutJournal(t *testing.T) {
 	_, c := startServer(t, newStub(), server.Config{})
-	if _, err := c.JournalPull(context.Background(), 0); !errors.Is(err, wire.ErrBadRequest) {
+	if _, err := c.JournalPull(context.Background(), wire.JournalPullRequest{}); !errors.Is(err, wire.ErrBadRequest) {
 		t.Fatalf("journal pull on journal-less server: %v, want ErrBadRequest", err)
 	}
 }
@@ -166,14 +170,15 @@ func TestIdemKeyPassesThroughProxy(t *testing.T) {
 	if err := c.InsertDocument(ctx, "routed.xml", []byte("<r/>")); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := backendC.JournalPull(ctx, 0)
+	window, err := backendC.JournalPull(ctx, wire.JournalPullRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Records) != 1 {
-		t.Fatalf("backend journaled %d records, want 1", len(resp.Records))
+	recs, _ := updatelog.Decode(window)
+	if len(recs) != 1 {
+		t.Fatalf("backend journaled %d records, want 1", len(recs))
 	}
-	if got := resp.Records[0].Client; got != originID {
+	if got := recs[0].Client; got != originID {
 		t.Fatalf("backend journaled client %d, want the origin's %d (key minted by proxy instead of passed through)", got, originID)
 	}
 }

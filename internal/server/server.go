@@ -542,26 +542,31 @@ func (s *Server) execute(op wire.Op, payload []byte, scratch *[]byte) wire.Frame
 	}
 }
 
+// journalWindow caps the bytes of one OpJournal window: a replica far
+// behind catches up in windows of whole records instead of one giant
+// frame, however long the journal has grown.
+const journalWindow = 1 << 20
+
 // executeJournalPull answers one OpJournal window by reading it back from
 // the journal file, which shows committed (fsynced) records only: a
 // replica must never apply a record a primary crash could still take
 // back, or get ahead of what a primary restart would recover. Servers
-// running without a journal have nothing to ship and answer
-// StatusBadRequest, which clients surface as wire.ErrBadRequest — the
-// same "feature absent" signal old servers give for the whole op.
+// running without a journal have nothing to ship, and a journal that
+// does not hold the requested position must not ship a replica records
+// that follow another history; both answer StatusBadRequest, which
+// clients surface as wire.ErrBadRequest.
 func (s *Server) executeJournalPull(req wire.JournalPullRequest) wire.Frame {
 	if s.journal == nil {
 		return badRequest(errors.New("server: no journal attached (start with --journal to ship one)"))
 	}
-	max := req.Max
-	if max == 0 || max > wire.MaxJournalBatch {
-		max = wire.MaxJournalBatch
-	}
-	recs, next, err := s.journal.Read(req.Since, max)
-	if err != nil {
+	window, err := s.journal.Read(req.Since, req.Prev, journalWindow)
+	switch {
+	case errors.Is(err, updatelog.ErrPosition):
+		return badRequest(err)
+	case err != nil:
 		return errFrame(err)
 	}
-	return okFrame(wire.EncodeJournalPullResponse(wire.JournalPullResponse{Next: next, Records: recs}))
+	return okFrame(window)
 }
 
 // pendingUpdate is an update that applied but whose acknowledgment has

@@ -12,13 +12,16 @@
 // contract is fsync-per-record's: WaitDurable returning nil means the
 // record survives a process kill.
 //
-// The file is also the only copy of the shipped journal: the log keeps
-// one file offset per record and Read serves a window of the synced ones
-// by reading the file back, so journal shipping (server OpJournal) costs
-// the primary 8 bytes of memory per acknowledged update, not the update.
+// The file is also the only copy of the shipped journal: Read serves a
+// window of the synced records by reading the file back, byte for byte,
+// so journal shipping (server OpJournal) keeps nothing of an update in
+// the primary's memory and a replica checks every record it is sent
+// against the checksum it was written with. The log's memory does not
+// grow with the journal: two marks, written and durable.
 package updatelog
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -33,6 +36,18 @@ import (
 // that sync's outcome.
 type Batch struct{ end int64 }
 
+// A mark is a place in the journal: the offset just past a record and
+// the number of records up to there.
+type mark struct {
+	off int64
+	n   int
+}
+
+// ErrPosition refuses a Read from a position this journal does not hold:
+// past its committed end, or after a record other than the one the
+// reader names. A reader that gets it was following another journal.
+var ErrPosition = errors.New("updatelog: position not in this journal")
+
 // FileLog is an append-only journal on the real filesystem. It is safe
 // for concurrent Enqueue and WaitDurable; the caller (the server's update
 // path) serializes apply+Enqueue so journal order matches apply order,
@@ -41,14 +56,12 @@ type FileLog struct {
 	mu   sync.Mutex
 	f    *os.File
 	path string
-	// ends[i] is the file offset just past record i-1, so record i lies
-	// in [ends[i], ends[i+1]) and ends[0] is 0; it holds every record
-	// written. The first durable records were recovered or covered by a
-	// sync that returned: Records and Read show only those, the
-	// watermark journal shipping may show a replica.
-	ends    []int64
-	durable int
-	broken  error // first write/sync failure; poisons later appends
+	// written ends the last record written; durable the last one
+	// recovered or covered by a sync that returned. Records and Read
+	// show only the durable prefix, the watermark journal shipping may
+	// show a replica.
+	written, durable mark
+	broken           error // first write/sync failure; poisons later appends
 
 	smu      sync.Mutex // held across a sync: one at a time
 	syncs    atomic.Int64
@@ -70,20 +83,7 @@ func OpenFile(path string) (*FileLog, []Record, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("updatelog: read %s: %w", path, err)
 	}
-	var recs []Record
-	ends := []int64{0}
-	committed := 0
-	rest := buf
-	for len(rest) > 0 {
-		r, sz, ok := decodeRecord(rest)
-		if !ok {
-			break // torn tail: the record was mid-append at the crash
-		}
-		recs = append(recs, r)
-		committed += sz
-		ends = append(ends, int64(committed))
-		rest = rest[sz:]
-	}
+	recs, committed := Decode(buf)
 	if committed < len(buf) {
 		if err := f.Truncate(int64(committed)); err != nil {
 			f.Close()
@@ -94,7 +94,8 @@ func OpenFile(path string) (*FileLog, []Record, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("updatelog: seek %s: %w", path, err)
 	}
-	return &FileLog{f: f, path: path, ends: ends, durable: len(recs)}, recs, nil
+	end := mark{int64(committed), len(recs)}
+	return &FileLog{f: f, path: path, written: end, durable: end}, recs, nil
 }
 
 // Records returns the number of records committed so far (recovered plus
@@ -102,41 +103,56 @@ func OpenFile(path string) (*FileLog, []Record, error) {
 func (l *FileLog) Records() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.durable
+	return l.durable.n
 }
 
-// Read returns up to max committed records starting at record index
-// since (clamped to the committed count), read back from the file, and
-// the index after the last one returned. Only records whose commit sync
-// returned are ever shown: one that is written but not yet synced could
-// still be lost with the process.
-func (l *FileLog) Read(since, max uint64) ([]Record, uint64, error) {
+// Read returns the committed journal bytes from offset since, exactly
+// as the file holds them: whole records only, at most limit bytes of
+// them, unless the first record alone is longer, which then comes by
+// itself. An empty window means the reader is caught up. prev names the
+// record since follows by its Sum (ignored at offset 0): a position past
+// the committed end, or one after another record, fails with
+// ErrPosition. Only records whose commit sync returned are ever shown:
+// one that is written but not yet synced could still be lost with the
+// process.
+func (l *FileLog) Read(since, prev uint64, limit int) ([]byte, error) {
 	l.mu.Lock()
-	f, n := l.f, uint64(l.durable)
-	lo := min(since, n)
-	hi := min(n, lo+max)
-	start, end := l.ends[lo], l.ends[hi]
+	f, end := l.f, uint64(l.durable.off)
 	l.mu.Unlock()
-	if lo == hi {
-		return nil, hi, nil
+	if since > end {
+		return nil, fmt.Errorf("%w: offset %d is past the committed end %d", ErrPosition, since, end)
 	}
 	if f == nil {
-		return nil, lo, errors.New("updatelog: read on closed file log")
+		return nil, errors.New("updatelog: read on closed file log")
 	}
-	buf := make([]byte, end-start)
-	if _, err := f.ReadAt(buf, start); err != nil {
-		return nil, lo, fmt.Errorf("updatelog: read %s: %w", l.path, err)
-	}
-	recs := make([]Record, 0, hi-lo)
-	for len(buf) > 0 {
-		r, sz, ok := decodeRecord(buf)
-		if !ok {
-			return nil, lo, fmt.Errorf("updatelog: %s: committed record %d does not decode", l.path, lo+uint64(len(recs)))
+	want := max(limit, recHeaderSize)
+	for {
+		head := min(since, 8) // the checksum ending the record before the window
+		buf := make([]byte, head+min(end-since, uint64(want)))
+		if _, err := f.ReadAt(buf, int64(since-head)); err != nil {
+			return nil, fmt.Errorf("updatelog: read %s: %w", l.path, err)
 		}
-		recs = append(recs, r)
-		buf = buf[sz:]
+		if since > 0 && (head < 8 || binary.BigEndian.Uint64(buf) != prev) {
+			return nil, fmt.Errorf("%w: the record ending at offset %d is not the one named", ErrPosition, since)
+		}
+		buf = buf[head:]
+		n := 0
+		for {
+			sz, ok := recordSize(buf[n:])
+			if !ok || n+sz > len(buf) {
+				break
+			}
+			n += sz
+		}
+		if n > 0 || len(buf) == 0 {
+			return buf[:n], nil
+		}
+		// The first record alone is longer than limit: read it by itself.
+		var ok bool
+		if want, ok = recordSize(buf); !ok {
+			return nil, fmt.Errorf("updatelog: %s: no record at offset %d", l.path, since)
+		}
 	}
-	return recs, hi, nil
 }
 
 // Syncs returns the number of disk syncs issued so far. With concurrent
@@ -186,9 +202,8 @@ func (l *FileLog) Enqueue(r Record) (*Batch, error) {
 		l.broken = fmt.Errorf("updatelog: append %s: %w", l.path, err)
 		return nil, l.broken
 	}
-	end := l.ends[len(l.ends)-1] + int64(n)
-	l.ends = append(l.ends, end)
-	return &Batch{end: end}, nil
+	l.written = mark{l.written.off + int64(n), l.written.n + 1}
+	return &Batch{end: l.written.off}, nil
 }
 
 // WaitDurable returns once b's record is on disk, or with the error that
@@ -199,11 +214,11 @@ func (l *FileLog) WaitDurable(b *Batch) error {
 	l.smu.Lock()
 	defer l.smu.Unlock()
 	l.mu.Lock()
-	if l.ends[l.durable] >= b.end {
+	if l.durable.off >= b.end {
 		l.mu.Unlock()
 		return nil
 	}
-	f, written, broken := l.f, len(l.ends)-1, l.broken
+	f, written, broken := l.f, l.written, l.broken
 	l.mu.Unlock()
 	switch {
 	case broken != nil:
@@ -236,9 +251,9 @@ func (l *FileLog) Close() error {
 		return nil
 	}
 	var err error
-	if written := len(l.ends) - 1; l.broken == nil && l.durable < written {
+	if l.broken == nil && l.durable.off < l.written.off {
 		if err = l.doSync(l.f); err == nil {
-			l.durable = written
+			l.durable = l.written
 		}
 	}
 	err = errors.Join(err, l.f.Close())

@@ -1,6 +1,7 @@
 package updatelog
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -132,15 +133,17 @@ func TestFileLogCorruptMiddleEndsPrefix(t *testing.T) {
 }
 
 // TestFileLogReadServesCommittedWindows: Read returns windows of the
-// committed records straight from the file — recovered ones and ones
-// appended in groups this run alike — clamps a window to the committed
-// count, and never shows a record whose sync has not returned — neither
-// before its sync starts nor while it runs.
+// committed journal straight from the file — recovered records and ones
+// appended in groups this run alike — as whole records under the byte
+// cap (a longer record by itself), never shows a record whose sync has
+// not returned — neither before its sync starts nor while it runs — and
+// refuses a position the journal does not hold.
 func TestFileLogReadServesCommittedWindows(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal")
 	rec := func(i int) Record {
-		return Record{Kind: KindInsert, Name: fmt.Sprintf("d%d.xml", i), Data: []byte(strings.Repeat("x", i+1)), Client: 3, Seq: uint64(i + 1)}
+		return Record{Kind: KindInsert, Name: fmt.Sprintf("d%d.xml", i), Data: []byte(strings.Repeat("x", 10*i+1)), Client: 3, Seq: uint64(i + 1)}
 	}
+	size := func(i int) int { return len(encodeRecord(rec(i))) }
 	l, _, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -170,35 +173,62 @@ func TestFileLogReadServesCommittedWindows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, next, err := l.Read(0, 100); err != nil || next != 3 || len(got) != 3 {
-		t.Fatalf("Read before the sync = %d records, next %d, %v; want the 3 recovered ones", len(got), next, err)
+	recovered := size(0) + size(1) + size(2)
+	if got, err := l.Read(0, 0, 1<<20); err != nil || len(got) != recovered {
+		t.Fatalf("Read before the sync = %d bytes, %v; want the %d of the 3 recovered records", len(got), err, recovered)
 	}
 	durable := make(chan error, 1)
 	go func() { durable <- l.WaitDurable(batch) }()
 	<-syncing
-	if got, next, err := l.Read(0, 100); err != nil || next != 3 || len(got) != 3 {
-		t.Fatalf("Read during the sync = %d records, next %d, %v; want the 3 recovered ones", len(got), next, err)
+	if got, err := l.Read(0, 0, 1<<20); err != nil || len(got) != recovered {
+		t.Fatalf("Read during the sync = %d bytes, %v; want the %d of the 3 recovered records", len(got), err, recovered)
 	}
 	close(release)
 	if err := <-durable; err != nil {
 		t.Fatal(err)
 	}
 
-	for _, w := range []struct{ since, max, next uint64 }{
-		{0, 100, 6}, {0, 2, 2}, {2, 3, 5}, {5, 1, 6}, {6, 4, 6}, {9, 4, 6},
-	} {
-		got, next, err := l.Read(w.since, w.max)
-		if err != nil || next != w.next {
-			t.Fatalf("Read(%d, %d) = next %d, %v; want %d", w.since, w.max, next, err, w.next)
-		}
-		lo := min(w.since, 6)
-		if uint64(len(got)) != next-lo {
-			t.Fatalf("Read(%d, %d) returned %d records for [%d, %d)", w.since, w.max, len(got), lo, next)
-		}
-		for i, r := range got {
-			if want := rec(int(lo) + i); !reflect.DeepEqual(r, want) {
-				t.Fatalf("Read(%d, %d)[%d] = %+v, want %+v", w.since, w.max, i, r, want)
+	// Walk the journal in windows under each cap, naming each position by
+	// the record before it: every window is whole records (a record
+	// longer than the cap alone), and the walk yields the six records.
+	for _, limit := range []int{0, size(0), size(1) + size(2), size(5) - 1, 1 << 20} {
+		var since, prev uint64
+		var got []Record
+		for {
+			w, err := l.Read(since, prev, limit)
+			if err != nil {
+				t.Fatalf("cap %d: Read(%d) = %v", limit, since, err)
 			}
+			if len(w) == 0 {
+				break
+			}
+			recs, n := Decode(w)
+			if n != len(w) || len(recs) == 0 {
+				t.Fatalf("cap %d: window at %d holds %d bytes of whole records of %d", limit, since, n, len(w))
+			}
+			if len(w) > limit && len(recs) != 1 {
+				t.Fatalf("cap %d: window at %d is %d bytes in %d records", limit, since, len(w), len(recs))
+			}
+			got = append(got, recs...)
+			since, prev = since+uint64(n), recs[len(recs)-1].Sum()
+		}
+		want := []Record{rec(0), rec(1), rec(2), rec(3), rec(4), rec(5)}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("cap %d: walked %+v, want %+v", limit, got, want)
+		}
+	}
+
+	end := uint64(recovered + size(3) + size(4) + size(5))
+	for _, p := range []struct {
+		name        string
+		since, prev uint64
+	}{
+		{"past the committed end", end + 1, rec(5).Sum()},
+		{"after another record", uint64(size(0)), rec(1).Sum()},
+		{"inside the first record", 3, 0},
+	} {
+		if _, err := l.Read(p.since, p.prev, 1<<20); !errors.Is(err, ErrPosition) {
+			t.Errorf("Read %s = %v, want ErrPosition", p.name, err)
 		}
 	}
 }

@@ -68,7 +68,9 @@ const recMagic = 0x55504432 // "UPD2"
 //	magic(4) kind(1) client(8) seq(8) nameLen(4) dataLen(4) name data sum(8)
 const recHeaderSize = 4 + 1 + 8 + 8 + 4 + 4
 
-func checksum(r Record) uint64 {
+// Sum returns the checksum r's encoding ends with: what a journal reader
+// names its position by (FileLog.Read's prev).
+func (r Record) Sum() uint64 {
 	h := fnv.New64a()
 	var key [17]byte
 	key[0] = byte(r.Kind)
@@ -90,20 +92,27 @@ func encodeRecord(r Record) []byte {
 	binary.BigEndian.PutUint32(buf[25:29], uint32(len(r.Data)))
 	n := copy(buf[recHeaderSize:], r.Name)
 	copy(buf[recHeaderSize+n:], r.Data)
-	binary.BigEndian.PutUint64(buf[len(buf)-8:], checksum(r))
+	binary.BigEndian.PutUint64(buf[len(buf)-8:], r.Sum())
 	return buf
 }
 
-// decodeRecord reads one record from buf, returning the record, the
-// bytes consumed, and whether the record was durably complete. A failed
-// decode (bad magic, impossible lengths, truncation, checksum mismatch)
-// marks the end of the committed prefix: the record was mid-append at the
-// crash.
-func decodeRecord(buf []byte) (Record, int, bool) {
-	if len(buf) < recHeaderSize+8 {
-		return Record{}, 0, false
+// recordSize reads the length of the record buf starts with from its
+// header; false when buf is shorter than a header or does not start
+// with one.
+func recordSize(buf []byte) (int, bool) {
+	if len(buf) < recHeaderSize || binary.BigEndian.Uint32(buf[0:4]) != recMagic {
+		return 0, false
 	}
-	if binary.BigEndian.Uint32(buf[0:4]) != recMagic {
+	nameLen := int(binary.BigEndian.Uint32(buf[21:25]))
+	dataLen := int(binary.BigEndian.Uint32(buf[25:29]))
+	return recHeaderSize + nameLen + dataLen + 8, true
+}
+
+// decodeRecord reads one record from buf, returning the record, the
+// bytes consumed, and whether the record was durably complete.
+func decodeRecord(buf []byte) (Record, int, bool) {
+	total, ok := recordSize(buf)
+	if !ok || total > len(buf) {
 		return Record{}, 0, false
 	}
 	r := Record{Kind: Kind(buf[4])}
@@ -112,21 +121,35 @@ func decodeRecord(buf []byte) (Record, int, bool) {
 	}
 	r.Client = binary.BigEndian.Uint64(buf[5:13])
 	r.Seq = binary.BigEndian.Uint64(buf[13:21])
-	nameLen := int(binary.BigEndian.Uint32(buf[21:25]))
-	dataLen := int(binary.BigEndian.Uint32(buf[25:29]))
-	total := recHeaderSize + nameLen + dataLen + 8
-	if nameLen < 0 || dataLen < 0 || total > len(buf) {
-		return Record{}, 0, false
+	nameEnd := recHeaderSize + int(binary.BigEndian.Uint32(buf[21:25]))
+	r.Name = string(buf[recHeaderSize:nameEnd])
+	if nameEnd < total-8 {
+		r.Data = append([]byte(nil), buf[nameEnd:total-8]...)
 	}
-	r.Name = string(buf[recHeaderSize : recHeaderSize+nameLen])
-	r.Data = append([]byte(nil), buf[recHeaderSize+nameLen:recHeaderSize+nameLen+dataLen]...)
-	if len(r.Data) == 0 {
-		r.Data = nil
-	}
-	if binary.BigEndian.Uint64(buf[total-8:total]) != checksum(r) {
+	if binary.BigEndian.Uint64(buf[total-8:total]) != r.Sum() {
 		return Record{}, 0, false
 	}
 	return r, total, true
+}
+
+// Decode reads the committed prefix of buf: the records of the longest
+// run of whole, intact records at its start, in order, and the run's
+// length n ≤ len(buf). A record that fails (bad magic, impossible
+// lengths, truncation, checksum mismatch) ends the prefix: in a journal
+// file it was mid-append at a crash (OpenFile), in a shipped window it
+// was damaged on the way (a replica refuses a window with n < len).
+func Decode(buf []byte) ([]Record, int) {
+	var recs []Record
+	n := 0
+	for n < len(buf) {
+		r, sz, ok := decodeRecord(buf[n:])
+		if !ok {
+			break
+		}
+		recs = append(recs, r)
+		n += sz
+	}
+	return recs, n
 }
 
 // Apply re-applies committed records, in commit order, through an

@@ -19,6 +19,10 @@ import (
 // ErrTruncated marks a payload that ended before its declared contents.
 var ErrTruncated = errors.New("wire: truncated payload")
 
+// ErrTrailing marks a payload with bytes after its last field: every
+// payload is exactly its encoding, so they are corruption.
+var ErrTrailing = errors.New("wire: trailing bytes after payload")
+
 // enc is a tiny append-only payload writer.
 type enc struct{ b []byte }
 
@@ -96,6 +100,14 @@ func (d *dec) duration() (time.Duration, error) {
 	return time.Duration(v), err
 }
 
+// end refuses what is left after a payload's last field.
+func (d *dec) end() error {
+	if len(d.b) != 0 {
+		return fmt.Errorf("%w: %d bytes", ErrTrailing, len(d.b))
+	}
+	return nil
+}
+
 // QueryRequest is the OpQuery payload: one workload query with bound
 // parameters and the client's remaining deadline (0 = none), which the
 // server turns back into a context timeout so cancellation crosses the
@@ -161,7 +173,7 @@ func DecodeQueryRequest(b []byte) (QueryRequest, error) {
 	if r.Timeout, err = d.duration(); err != nil {
 		return r, err
 	}
-	return r, nil
+	return r, d.end()
 }
 
 // EncodeResult serializes a core.Result (the OpQuery success payload).
@@ -209,10 +221,7 @@ func DecodeResult(b []byte) (core.Result, error) {
 	if r.PageIO, err = d.varint(); err != nil {
 		return r, err
 	}
-	if len(d.b) != 0 {
-		return r, fmt.Errorf("wire: %d trailing bytes after result", len(d.b))
-	}
-	return r, nil
+	return r, d.end()
 }
 
 // IdemKey identifies one logical update exactly once across retries:
@@ -289,7 +298,7 @@ func DecodeUpdateRequest(b []byte) (UpdateRequest, error) {
 	if !r.Key.Valid() {
 		return r, errNoKey
 	}
-	return r, nil
+	return r, d.end()
 }
 
 // LoadRequest is the OpLoad payload: the full serialized database plus
@@ -345,7 +354,7 @@ func DecodeLoadRequest(b []byte) (LoadRequest, error) {
 	if r.Timeout, err = d.duration(); err != nil {
 		return r, err
 	}
-	return r, nil
+	return r, d.end()
 }
 
 // EncodeLoadStats serializes a core.LoadStats (the OpLoad success payload).
@@ -380,7 +389,7 @@ func DecodeLoadStats(b []byte) (core.LoadStats, error) {
 		return st, err
 	}
 	st.SkippedMixed = int(v)
-	return st, nil
+	return st, d.end()
 }
 
 // EncodeIndexSpecs serializes the OpIndexes payload.
@@ -413,7 +422,7 @@ func DecodeIndexSpecs(b []byte) ([]core.IndexSpec, error) {
 		}
 		specs = append(specs, core.IndexSpec{Class: core.Class(c), Target: t})
 	}
-	return specs, nil
+	return specs, d.end()
 }
 
 // EncodeClassSize serializes the OpSupports payload.
@@ -426,7 +435,8 @@ func DecodeClassSize(b []byte) (core.Class, core.Size, error) {
 	if len(b) < 2 {
 		return 0, 0, ErrTruncated
 	}
-	return core.Class(b[0]), core.Size(b[1]), nil
+	d := dec{b[2:]}
+	return core.Class(b[0]), core.Size(b[1]), d.end()
 }
 
 // EncodeInt64 serializes a single counter (the OpPageIO success payload).
@@ -439,7 +449,11 @@ func EncodeInt64(v int64) []byte {
 // DecodeInt64 parses an OpPageIO success payload.
 func DecodeInt64(b []byte) (int64, error) {
 	d := dec{b}
-	return d.varint()
+	v, err := d.varint()
+	if err != nil {
+		return 0, err
+	}
+	return v, d.end()
 }
 
 // maxPlanDepth bounds DecodePlanNode recursion so a malicious or corrupt
@@ -480,8 +494,8 @@ func DecodePlanNode(b []byte) (*core.PlanNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after plan tree", len(d.b))
+	if err := d.end(); err != nil {
+		return nil, err
 	}
 	return n, nil
 }

@@ -45,6 +45,45 @@ func TestDecodeResultRefusesMalformedTail(t *testing.T) {
 	}
 }
 
+// TestDecodersRefuseTrailingBytes: every payload is exactly its
+// encoding, so each decoder refuses a valid payload with one byte
+// appended, typed ErrTrailing.
+func TestDecodersRefuseTrailingBytes(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) error
+	}{
+		{"QueryRequest", EncodeQueryRequest(QueryRequest{Query: core.Q1, Params: core.Params{"X": "O1"}, Timeout: time.Second}),
+			func(b []byte) error { _, err := DecodeQueryRequest(b); return err }},
+		{"Result", EncodeResult(core.Result{Items: []string{"<a/>"}, PageIO: 7}),
+			func(b []byte) error { _, err := DecodeResult(b); return err }},
+		{"UpdateRequest", EncodeUpdateRequest(UpdateRequest{Name: "a.xml", Data: []byte("<a/>"), Key: IdemKey{Client: 3, Seq: 1}}),
+			func(b []byte) error { _, err := DecodeUpdateRequest(b); return err }},
+		{"LoadRequest", EncodeLoadRequest(LoadRequest{DB: core.Database{Class: core.DCMD, Docs: []core.Doc{{Name: "a.xml", Data: []byte("<a/>")}}}}),
+			func(b []byte) error { _, err := DecodeLoadRequest(b); return err }},
+		{"LoadStats", EncodeLoadStats(core.LoadStats{Documents: 1, Rows: 2, PageIO: 3}),
+			func(b []byte) error { _, err := DecodeLoadStats(b); return err }},
+		{"IndexSpecs", EncodeIndexSpecs([]core.IndexSpec{{Class: core.DCMD, Target: "order/@id"}}),
+			func(b []byte) error { _, err := DecodeIndexSpecs(b); return err }},
+		{"ClassSize", EncodeClassSize(core.TCMD, core.Normal),
+			func(b []byte) error { _, _, err := DecodeClassSize(b); return err }},
+		{"Int64", EncodeInt64(-42),
+			func(b []byte) error { _, err := DecodeInt64(b); return err }},
+		{"PlanNode", EncodePlanNode(&core.PlanNode{Op: "scan", Children: []*core.PlanNode{{Op: "probe"}}}),
+			func(b []byte) error { _, err := DecodePlanNode(b); return err }},
+		{"JournalPullRequest", EncodeJournalPullRequest(JournalPullRequest{Since: 99, Prev: 5}),
+			func(b []byte) error { _, err := DecodeJournalPullRequest(b); return err }},
+	} {
+		if err := c.decode(c.payload); err != nil {
+			t.Errorf("%s: the payload itself: %v", c.name, err)
+		}
+		if err := c.decode(append(c.payload[:len(c.payload):len(c.payload)], 0)); !errors.Is(err, ErrTrailing) {
+			t.Errorf("%s with a byte appended: %v, want ErrTrailing", c.name, err)
+		}
+	}
+}
+
 // TestUpdateRequestKeyRoundTrip pins the key encoding: a valid key rides
 // along and round-trips; a payload without a key, or with the zero key,
 // is refused.
@@ -162,7 +201,7 @@ func FuzzDecodeUpdateRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		req, err := DecodeUpdateRequest(b)
 		if err != nil {
-			if !errors.Is(err, ErrTruncated) && !errors.Is(err, errNoKey) {
+			if !errors.Is(err, ErrTruncated) && !errors.Is(err, errNoKey) && !errors.Is(err, ErrTrailing) {
 				t.Fatalf("non-typed decode error: %v", err)
 			}
 			return

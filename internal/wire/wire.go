@@ -10,7 +10,7 @@
 //
 //	offset size field
 //	0      2    magic 0x5842 ("XB")
-//	2      1    protocol version (2; readers accept nothing else, see MinVersion)
+//	2      1    protocol version (3; readers accept nothing else, see MinVersion)
 //	3      1    request: op kind / response: status code
 //	4      8    request id (echoed verbatim in the response)
 //	12     4    payload length
@@ -43,8 +43,9 @@ import (
 const Magic uint16 = 0x5842
 
 // Version is the protocol version this package writes. Version 2 added
-// the idempotency key to update payloads.
-const Version byte = 2
+// the idempotency key to update payloads; version 3 ships the journal as
+// its own bytes, addressed by byte offset (OpJournal).
+const Version byte = 3
 
 // MinVersion is the oldest protocol version a reader accepts: the
 // current one. Every peer is built from this tree.
@@ -88,11 +89,13 @@ const (
 	// without executing it (payload: QueryRequest; response PlanNode).
 	// An engine that cannot explain answers StatusNoExplain.
 	OpExplain
-	// OpJournal pulls a window of committed update-journal records
-	// (payload: JournalPullRequest; response JournalPullResponse). It is
-	// how read replicas ship the primary's durable journal: poll, apply,
-	// advance. Servers without a journal — and servers predating the op —
-	// answer StatusBadRequest.
+	// OpJournal pulls a window of the committed update journal (payload:
+	// JournalPullRequest; response: the journal's bytes from that
+	// position, whole records exactly as the file holds them, which
+	// updatelog.Decode reads). It is how read replicas ship the primary's
+	// durable journal: poll, check, apply, advance. Servers without a
+	// journal, and a journal that does not hold the position, answer
+	// StatusBadRequest.
 	OpJournal
 
 	// NumOps bounds the op codes: every op is below it, so a table indexed
