@@ -1,0 +1,91 @@
+package server
+
+import (
+	"context"
+	"path/filepath"
+	"testing"
+
+	"xbench/internal/core"
+	"xbench/internal/engines/native"
+	"xbench/internal/gen"
+	"xbench/internal/wire"
+	"xbench/internal/workload"
+)
+
+// reopenDCMD serves a small DC/MD database on e, recovered from a fresh
+// journal at path. Cleanup closes the server.
+func reopenDCMD(t *testing.T, e core.Engine, path string) (*Server, *core.Database) {
+	t.Helper()
+	db, err := gen.Config{DictEntries: 40, Articles: 6, Items: 20, Orders: 40}.Generate(core.DCMD, core.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := Reopen(e, db, workload.Indexes(core.DCMD), path, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s, db
+}
+
+// insertU1 sends the update workload's first insert through the update
+// path.
+func insertU1(s *Server) wire.Frame {
+	name, data := workload.UpdateDoc(core.DCMD, 1, 0)
+	return s.executeUpdate(wire.OpInsert, wire.UpdateRequest{Name: name, Data: data, Key: wire.IdemKey{Client: 1, Seq: 1}})
+}
+
+// TestJournalFailureLeavesUpdateInvisible: a served update becomes
+// visible only once its journal record is durable. With the journal
+// closed under the server the append fails, so the insert is not
+// acknowledged, no reader ever sees the document — the engine answers
+// the not-loaded error instead — and a restart on the same journal
+// replays nothing: the served state is one a restart reproduces.
+func TestJournalFailureLeavesUpdateInvisible(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "updates.journal")
+	e := native.New(64)
+	s, db := reopenDCMD(t, e, path)
+	if err := s.journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if f := insertU1(s); wire.Status(f.Kind) == wire.StatusOK {
+		t.Fatal("insert acknowledged with the journal closed")
+	}
+	id := workload.UpdateTargetID(core.DCMD, 1)
+	if res, err := e.Execute(context.Background(), core.Q1, core.Params{"X": id}); err == nil && len(res.Items) != 0 {
+		t.Fatalf("Q1 for %s returns %d item(s) of an update its journal never held", id, len(res.Items))
+	}
+	restarted, n, err := Reopen(native.New(64), db, nil, path, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	if n != 0 {
+		t.Fatalf("restart replayed %d records, want 0", n)
+	}
+}
+
+// stepless applies every update without running the durable step its
+// ctx carries.
+type stepless struct{ core.Engine }
+
+func (stepless) Load(context.Context, *core.Database) (core.LoadStats, error) {
+	return core.LoadStats{}, nil
+}
+func (stepless) BuildIndexes([]core.IndexSpec) error                  { return nil }
+func (stepless) InsertDocument(context.Context, string, []byte) error { return nil }
+func (stepless) Close() error                                         { return nil }
+
+// TestJournaledServerRefusesAStepSkipped: a journaled server whose
+// engine reports an update applied without having run the durable step
+// does not acknowledge it, and the journal stays empty — a journal never
+// misses an acknowledged update.
+func TestJournaledServerRefusesAStepSkipped(t *testing.T) {
+	s, _ := reopenDCMD(t, stepless{}, filepath.Join(t.TempDir(), "updates.journal"))
+	if f := insertU1(s); wire.Status(f.Kind) != wire.StatusInternal {
+		t.Fatalf("insert past a skipped durable step: status %d (%s), want StatusInternal", f.Kind, f.Payload)
+	}
+	if n := s.journal.Records(); n != 0 {
+		t.Fatalf("journal holds %d records, want 0", n)
+	}
+}
