@@ -440,6 +440,98 @@ func wantStopped(t *testing.T, b *engbase.Base[*cellView]) {
 	}
 }
 
+// TestUpdateVisibleOnlyOnceDurable: the durable step an update carries
+// (core.WithDurable, a served update's journal append) runs inside the
+// commit, on every engine. While it blocks, a concurrent reader gets the
+// pre-update answer; once it returned, the post-update one. A step that
+// fails stops the engine with the update never visible — during the step
+// or after it, the reader gets nothing of it.
+func TestUpdateVisibleOnlyOnceDurable(t *testing.T) {
+	ctx := context.Background()
+	db := tinyDB(t)
+	name, unit := workload.UpdateDoc(core.DCMD, 1, 0)
+	target := core.Params{"X": workload.UpdateTargetID(core.DCMD, 1)}
+	for _, tc := range engines {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Run("a blocked step keeps the update invisible", func(t *testing.T) {
+				e := tc.mk()
+				defer e.Close()
+				if _, err := e.Load(ctx, db); err != nil {
+					t.Fatal(err)
+				}
+				entered, release := make(chan struct{}), make(chan struct{})
+				written := make(chan error, 1)
+				go func() {
+					written <- e.InsertDocument(core.WithDurable(ctx, func() error {
+						close(entered)
+						<-release
+						return nil
+					}), name, unit)
+				}()
+				select {
+				case <-entered:
+				case err := <-written:
+					t.Fatalf("U1 returned %v without running its durable step", err)
+				}
+				type answer struct {
+					items []string
+					err   error
+				}
+				read := make(chan answer, 1)
+				go func() {
+					res, err := e.Execute(ctx, core.Q1, target)
+					read <- answer{res.Items, err}
+				}()
+				select {
+				case a := <-read:
+					if a.err != nil || len(a.items) != 0 {
+						t.Errorf("Q1 while the step blocks = %v, %v; want the pre-update answer, no item", a.items, a.err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Error("Q1 waited for the durable step")
+				}
+				close(release)
+				if err := <-written; err != nil {
+					t.Fatal(err)
+				}
+				if res, err := e.Execute(ctx, core.Q1, target); err != nil || len(res.Items) != 1 {
+					t.Fatalf("Q1 once the step returned = %v, %v; want the inserted document", res.Items, err)
+				}
+			})
+
+			t.Run("a failing step stops the engine", func(t *testing.T) {
+				e := tc.mk()
+				defer e.Close()
+				if _, err := e.Load(ctx, db); err != nil {
+					t.Fatal(err)
+				}
+				boom := errors.New("journal append failed")
+				var during []string
+				err := e.InsertDocument(core.WithDurable(ctx, func() error {
+					res, err := e.Execute(ctx, core.Q1, target)
+					if err != nil {
+						return err
+					}
+					during = res.Items
+					return boom
+				}), name, unit)
+				if !errors.Is(err, boom) {
+					t.Fatalf("U1 with a failing step: %v", err)
+				}
+				if len(during) != 0 {
+					t.Errorf("Q1 inside the step = %v; want the pre-update answer, no item", during)
+				}
+				if res, err := e.Execute(ctx, core.Q1, target); err == nil || !strings.Contains(err.Error(), tc.name+": Execute before Load") {
+					t.Errorf("Q1 after the failed step = %v, %v; want the not-loaded error", res.Items, err)
+				}
+				if n := e.Pager().PinnedSnapshots(); n != 0 {
+					t.Errorf("%d snapshots left pinned", n)
+				}
+			})
+		})
+	}
+}
+
 // TestPhasesPartitionExecute: the phases one query records are disjoint
 // stretches of its Execute, on every engine — their times sum to no more
 // than the call took, for a point query and for a scan — and planning is

@@ -231,23 +231,30 @@ func (b *Base[V]) notLoaded(op string) error {
 // publish ends every mutation of the store — a load, an index build, an
 // update — and is the only place one becomes durable and visible: freeze
 // the store at epoch (which flushes the heap tails the mutation dirtied),
-// sync the pager, and commit the epoch with the publication of that view
-// through commit — EndMutation inside a bracket, AdvanceEpoch after a
-// load. Freezing before the commit is what lets epoch and view change
-// together. err is what the mutation's own hooks returned, and there is
-// one failure rule: if they, Freeze or the sync failed, the epoch is
+// sync the pager, run the durable step ctx carries (core.WithDurable: a
+// served update's journal append and sync; loads and index builds carry
+// none), and commit the epoch with the publication of that view through
+// commit — EndMutation inside a bracket, AdvanceEpoch after a load.
+// Freezing before the commit is what lets epoch and view change
+// together, and running the step before it is what keeps an update no
+// reader can see until its journal record is durable. err is what the
+// mutation's own hooks returned, and there is one failure rule: if they,
+// Freeze, the sync or the durable step failed, the epoch is
 // committed with nothing to read and the engine stops — the store may
 // hold half the mutation and its volatile maps may disagree with its
 // pages, so every operation answers the not-loaded error until the next
 // Load rebuilds both (after a crash, the restart's: a new engine loads the
 // database and replays the server's journal). The caller holds the latch.
-func (b *Base[V]) publish(epoch uint64, commit func(view any) uint64, err error) error {
+func (b *Base[V]) publish(ctx context.Context, epoch uint64, commit func(view any) uint64, err error) error {
 	var v V
 	if err == nil {
 		v, err = b.s.Freeze(epoch)
 	}
 	if err == nil {
 		err = b.p.SyncAll()
+	}
+	if err == nil {
+		err = core.RunDurable(ctx)
 	}
 	if err != nil {
 		b.loaded = false
@@ -309,7 +316,7 @@ func (b *Base[V]) Load(ctx context.Context, db *core.Database) (core.LoadStats, 
 	}
 	st.PageIO = b.p.Stats().IO() - before
 	b.loaded = true
-	if err := b.publish(b.p.SnapshotEpoch()+1, b.p.AdvanceEpoch, nil); err != nil {
+	if err := b.publish(context.Background(), b.p.SnapshotEpoch()+1, b.p.AdvanceEpoch, nil); err != nil {
 		return st, b.abortLoad(err)
 	}
 	return st, nil
@@ -324,7 +331,7 @@ func (b *Base[V]) BuildIndexes(specs []core.IndexSpec) error {
 		return b.notLoaded("BuildIndexes")
 	}
 	epoch := b.p.BeginMutation()
-	return b.publish(epoch, b.p.EndMutation, b.s.BuildIndexes(specs))
+	return b.publish(context.Background(), epoch, b.p.EndMutation, b.s.BuildIndexes(specs))
 }
 
 // pinned is the first half of the read protocol, for the operation named
@@ -440,8 +447,9 @@ func (b *Base[V]) Close() error {
 // and leaves no trace. Once the bracket is open the apply cannot be
 // cancelled: a hook that stopped partway would leave the store half
 // updated, and an apply that fails stops the engine (publish). What makes
-// an update durable is the server's journal file, which records it after
-// this returns (updatelog.FileLog).
+// an update durable is the durable step ctx carries — a served update's
+// journal append (updatelog.FileLog) — which publish runs before the
+// commit; ctx keeps its values when its cancellation is dropped.
 func (b *Base[V]) update(ctx context.Context, kind updatelog.Kind, name string, data []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -476,7 +484,7 @@ func (b *Base[V]) update(ctx context.Context, kind updatelog.Kind, name string, 
 	if err == nil && kind != updatelog.KindDelete {
 		err = b.s.ApplyInsert(ctx, name, data, &b.rec)
 	}
-	return b.publish(epoch, b.p.EndMutation, err)
+	return b.publish(ctx, epoch, b.p.EndMutation, err)
 }
 
 // InsertDocument implements core.Engine (U1). It fails if the name

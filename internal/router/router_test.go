@@ -21,7 +21,9 @@ import (
 // stubEngine is an in-memory engine for router tests: Q1 with an update
 // target id answers from the document map (update verification), Q8
 // scatters — it returns one item per stored document — so a cross-shard
-// union is countable and duplicates are detectable.
+// union is countable and duplicates are detectable. An update runs its
+// durable step (core.RunDurable) before it changes the map, as an
+// engine's commit does, so a journaled stub shard journals.
 type stubEngine struct {
 	mu   sync.Mutex
 	docs map[string][]byte
@@ -79,28 +81,37 @@ func (s *stubEngine) Execute(_ context.Context, q core.QueryID, p core.Params) (
 	return core.Result{Items: names, OrderGuaranteed: true, PageIO: int64(len(names))}, nil
 }
 
-func (s *stubEngine) InsertDocument(_ context.Context, name string, data []byte) error {
+func (s *stubEngine) InsertDocument(ctx context.Context, name string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.docs[name]; ok {
 		return fmt.Errorf("stub: document %s exists", name)
 	}
+	if err := core.RunDurable(ctx); err != nil {
+		return err
+	}
 	s.docs[name] = data
 	return nil
 }
 
-func (s *stubEngine) ReplaceDocument(_ context.Context, name string, data []byte) error {
+func (s *stubEngine) ReplaceDocument(ctx context.Context, name string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := core.RunDurable(ctx); err != nil {
+		return err
+	}
 	s.docs[name] = data
 	return nil
 }
 
-func (s *stubEngine) DeleteDocument(_ context.Context, name string) error {
+func (s *stubEngine) DeleteDocument(ctx context.Context, name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.docs[name]; !ok {
 		return fmt.Errorf("stub: document %s does not exist", name)
+	}
+	if err := core.RunDurable(ctx); err != nil {
+		return err
 	}
 	delete(s.docs, name)
 	return nil

@@ -179,11 +179,13 @@ func TestUnkeyedUpdatesAreRefused(t *testing.T) {
 // TestConcurrentRetriesApplyOnce: simultaneous byte-identical keyed
 // retries — the wire image of an impatient client re-sending before the
 // original answered — must apply exactly once, even while the original
-// is still inside its commit window (applied, journal record syncing).
-// Racing retries either hit the dedup table or join the in-flight
-// commit; both paths answer with the original's result and count as
-// deduped. This is the regression test for the window where the update
-// had applied but was not yet recorded.
+// is still inside its commit (applied, journal record syncing). The
+// server's update mutex covers the dedup lookup, the engine call whose
+// commit appends and syncs the journal record, and the dedup record, so
+// a racing retry waits out the original's commit and then hits the dedup
+// table: it answers with the original's result and counts as deduped.
+// This is the regression test for the window where the update had
+// applied but was not yet recorded.
 func TestConcurrentRetriesApplyOnce(t *testing.T) {
 	db := &core.Database{Class: core.DCMD, Size: core.Small}
 	journal := filepath.Join(t.TempDir(), "updates.journal")

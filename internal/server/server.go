@@ -118,16 +118,12 @@ type Server struct {
 
 	// Exactly-once update machinery: dedup answers retries with the
 	// original result; journal (optional, see Reopen) makes acknowledged
-	// updates durable across process death; updMu serializes apply +
-	// journal enqueue so journal order is apply order (the fsync itself
-	// happens outside updMu, and one covers every record written before
-	// it); inflight holds updates that applied but are not yet durable,
-	// so a concurrent retry of the same key joins the pending commit
-	// instead of re-applying.
-	dedup    *dedupTable
-	journal  *updatelog.FileLog
-	updMu    sync.Mutex
-	inflight map[wire.IdemKey]*pendingUpdate
+	// updates durable across process death; updMu serializes updates
+	// from the dedup lookup to the dedup record, so journal order is
+	// apply order (executeUpdate).
+	dedup   *dedupTable
+	journal *updatelog.FileLog
+	updMu   sync.Mutex
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -150,8 +146,6 @@ func New(e core.Engine, cfg Config) *Server {
 		reg:   cfg.Metrics,
 		conns: map[net.Conn]struct{}{},
 		dedup: newDedupTable(),
-
-		inflight: map[wire.IdemKey]*pendingUpdate{},
 	}
 	s.cAccepted = s.reg.Counter("server.conn.accepted")
 	s.cActive = s.reg.Counter("server.conn.active")
@@ -569,46 +563,28 @@ func (s *Server) executeJournalPull(req wire.JournalPullRequest) wire.Frame {
 	return okFrame(window)
 }
 
-// pendingUpdate is an update that applied but whose acknowledgment has
-// not been released yet (its journal record is still syncing). A
-// concurrent retry of the same key waits on done and returns f instead
-// of re-applying.
-type pendingUpdate struct {
-	done chan struct{}
-	f    wire.Frame // set before done is closed
-}
-
 // executeUpdate runs one update with exactly-once semantics. Every
 // update carries an idempotency key (wire.DecodeUpdateRequest refuses one
 // without). A retry whose original succeeded gets the original response
-// without touching the engine; a retry that races the original's commit
-// window joins the pending commit and shares its outcome; a fresh update
-// applies, is journaled (the durable commit point when a journal is
-// attached), then its key is remembered in the dedup table.
+// without touching the engine; a fresh update applies, is journaled, and
+// its key is remembered in the dedup table.
 //
-// Locking: apply + journal Enqueue happen under updMu, so journal order
-// is apply order. The fsync is waited for OUTSIDE updMu: the next update
-// applies while this one syncs, and one sync covers every record written
-// before it (updatelog.FileLog). The key's inflight entry is registered
-// before updMu is released and removed only after the dedup table holds
-// the key, so at every instant a retry finds the key in exactly one
-// place: dedup (committed), inflight (committing), or neither (never
-// applied). No acknowledgment — original or joined retry — is released
-// before the fsync covering its journal record returned.
+// updMu is held across the three steps — the dedup lookup, the engine
+// call, the dedup record — so journal order is apply order and a retry
+// racing its original finds the key recorded once the original returns.
+// There is one commit point: the journal append and its sync are the
+// update's durable step (core.WithDurable), which the engine runs inside
+// its commit, after the apply and before any reader can see the update.
+// A failed append therefore stops the engine with the update invisible,
+// and no acknowledgment is released before its record is on disk.
 //
 // Only successes are remembered and journaled: the engines' update
 // protocol is exactly-old-or-new, so an error return means the update did
 // not happen and a retry is safe to re-execute (a deterministic failure
-// simply fails the same way again). The one ambiguous case — the update
-// applied but its journal append or sync failed — is surfaced as an
-// internal error WITHOUT a dedup entry, the same contract as a lost
-// response: the client may retry and the retry's outcome (here, a
-// duplicate-name error for inserts) is honest about the store's state.
+// simply fails the same way again). A journaled server whose engine
+// returned nil without running the step answers an internal error: the
+// journal never misses an acknowledged update.
 func (s *Server) executeUpdate(op wire.Op, req wire.UpdateRequest) wire.Frame {
-	if s.dedup.lookup(req.Key) {
-		s.rDeduped.Inc()
-		return okFrame(nil)
-	}
 	ctx, cancel := s.reqCtx(req.Timeout)
 	defer cancel()
 	// Attach the request's idempotency key to the engine call: when the
@@ -616,68 +592,46 @@ func (s *Server) executeUpdate(op wire.Op, req wire.UpdateRequest) wire.Frame {
 	// shard), the shard then dedups on the original client's identity, not
 	// on a key the forwarding hop minted — exactly-once stays end-to-end.
 	ctx = wire.WithIdemKey(ctx, req.Key)
-
-	s.updMu.Lock()
-	// Re-check under the lock: two in-flight retries of the same key must
-	// not both apply. A committed original is in dedup; one mid-commit is
-	// in inflight — join it and share its outcome.
-	if s.dedup.lookup(req.Key) {
-		s.updMu.Unlock()
-		s.rDeduped.Inc()
-		return okFrame(nil)
-	}
-	if p := s.inflight[req.Key]; p != nil {
-		s.updMu.Unlock()
-		<-p.done
-		s.rDeduped.Inc()
-		return p.f
-	}
-	var err error
-	var kind updatelog.Kind
+	kind := updatelog.KindDelete
 	switch op {
 	case wire.OpInsert:
 		kind = updatelog.KindInsert
-		err = s.eng.InsertDocument(ctx, req.Name, req.Data)
 	case wire.OpReplace:
 		kind = updatelog.KindReplace
+	}
+	journaled := false
+	if s.journal != nil {
+		ctx = core.WithDurable(ctx, func() error {
+			journaled = true
+			return s.journal.Append(updatelog.Record{
+				Kind: kind, Name: req.Name, Data: req.Data,
+				Client: req.Key.Client, Seq: req.Key.Seq,
+			})
+		})
+	}
+
+	s.updMu.Lock()
+	defer s.updMu.Unlock()
+	if s.dedup.lookup(req.Key) {
+		s.rDeduped.Inc()
+		return okFrame(nil)
+	}
+	var err error
+	switch kind {
+	case updatelog.KindInsert:
+		err = s.eng.InsertDocument(ctx, req.Name, req.Data)
+	case updatelog.KindReplace:
 		err = s.eng.ReplaceDocument(ctx, req.Name, req.Data)
 	default:
-		kind = updatelog.KindDelete
 		err = s.eng.DeleteDocument(ctx, req.Name)
 	}
-	if err != nil {
-		s.updMu.Unlock()
-		return errFrame(err)
-	}
-	var batch *updatelog.Batch
-	if s.journal != nil {
-		batch, err = s.journal.Enqueue(updatelog.Record{
-			Kind: kind, Name: req.Name, Data: req.Data,
-			Client: req.Key.Client, Seq: req.Key.Seq,
-		})
-		if err != nil {
-			s.updMu.Unlock()
-			return errFrame(fmt.Errorf("update applied but journal append failed (outcome not durable): %w", err))
-		}
-	}
-	p := &pendingUpdate{done: make(chan struct{})}
-	s.inflight[req.Key] = p
-	s.updMu.Unlock()
-
-	if batch != nil {
-		if err = s.journal.WaitDurable(batch); err != nil {
-			err = fmt.Errorf("update applied but journal append failed (outcome not durable): %w", err)
-		}
+	if err == nil && s.journal != nil && !journaled {
+		err = errors.New("server: the engine ran no durable step: the update is not journaled")
 	}
 	if err == nil {
 		s.dedup.record(req.Key)
 	}
-	p.f = errFrame(err)
-	s.updMu.Lock()
-	delete(s.inflight, req.Key)
-	s.updMu.Unlock()
-	close(p.done)
-	return p.f
+	return errFrame(err)
 }
 
 func okFrame(payload []byte) wire.Frame {

@@ -19,6 +19,8 @@ import (
 // stubEngine is an in-memory engine for wire-level tests: queries answer
 // from a document map (so the update workload verifies), Execute can be
 // slowed or gated to create controlled overload, and Close is recorded.
+// An update runs its durable step (core.RunDurable) before it changes the
+// map, as an engine's commit does, so a journaled stub server journals.
 type stubEngine struct {
 	delay time.Duration // per-Execute service time
 	gate  chan struct{} // when non-nil, Execute blocks until it can receive
@@ -97,28 +99,37 @@ func (s *stubEngine) Execute(ctx context.Context, q core.QueryID, p core.Params)
 	return core.Result{Items: []string{q.String()}, OrderGuaranteed: true, PageIO: 3}, nil
 }
 
-func (s *stubEngine) InsertDocument(_ context.Context, name string, data []byte) error {
+func (s *stubEngine) InsertDocument(ctx context.Context, name string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.docs[name]; ok {
 		return fmt.Errorf("stub: document %s exists", name)
 	}
+	if err := core.RunDurable(ctx); err != nil {
+		return err
+	}
 	s.docs[name] = data
 	return nil
 }
 
-func (s *stubEngine) ReplaceDocument(_ context.Context, name string, data []byte) error {
+func (s *stubEngine) ReplaceDocument(ctx context.Context, name string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := core.RunDurable(ctx); err != nil {
+		return err
+	}
 	s.docs[name] = data
 	return nil
 }
 
-func (s *stubEngine) DeleteDocument(_ context.Context, name string) error {
+func (s *stubEngine) DeleteDocument(ctx context.Context, name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.docs[name]; !ok {
 		return fmt.Errorf("stub: document %s does not exist", name)
+	}
+	if err := core.RunDurable(ctx); err != nil {
+		return err
 	}
 	delete(s.docs, name)
 	return nil

@@ -49,9 +49,10 @@ type mark struct {
 var ErrPosition = errors.New("updatelog: position not in this journal")
 
 // FileLog is an append-only journal on the real filesystem. It is safe
-// for concurrent Enqueue and WaitDurable; the caller (the server's update
-// path) serializes apply+Enqueue so journal order matches apply order,
-// then waits for durability outside that critical section.
+// for concurrent Enqueue and WaitDurable. The server's update path calls
+// Append inside the engine's commit, under its update mutex, so journal
+// order is apply order and each served update syncs by itself; writers
+// that wait for durability outside a lock share syncs.
 type FileLog struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -181,9 +182,9 @@ func (l *FileLog) Append(r Record) error {
 }
 
 // Enqueue writes one record to the journal file and returns its handle.
-// The record's position in the journal is fixed here — callers that must
-// keep journal order equal to apply order hold their ordering lock across
-// Enqueue and may release it before WaitDurable. The record is NOT
+// The record's position in the journal is fixed here — a caller that
+// holds no lock across the sync may release its ordering lock before
+// WaitDurable and share the sync with other writers. The record is NOT
 // durable until WaitDurable on the returned handle succeeds.
 func (l *FileLog) Enqueue(r Record) (*Batch, error) {
 	l.mu.Lock()

@@ -1,7 +1,10 @@
 // Package updatelog is the one log the repository keeps: the logical redo
-// journal of the served system. The server applies a document update (U1
-// insert, U2 replace, U3 delete), appends its record to a real file and
-// acknowledges it once the fsync returned (FileLog). Engines keep no log:
+// journal of the served system. A served document update (U1 insert, U2
+// replace, U3 delete) is journaled inside the engine's commit: the server
+// attaches the append of its record to a real file (FileLog.Append) as the
+// update's durable step (core.WithDurable), which the engine runs after
+// the apply and before it publishes the update, so an update is visible
+// and acknowledged only once its fsync returned. Engines keep no log:
 // their pages are process memory, so a crash — simulated or real — ends
 // the process, and recovery is the restart `xbench serve --journal` runs:
 // server.Reopen loads the database into a fresh engine, re-applies the
