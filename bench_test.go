@@ -278,6 +278,11 @@ func BenchmarkAblationBufferPool(b *testing.B) {
 // BenchmarkUpdateWorkload measures the document-granularity update
 // operations (U1 insert, U2 replace, U3 delete) on the native engine —
 // one step into the paper's future-work list ("(2) update workloads").
+// ns/op is the whole workload.RunUpdateOp: besides the update it covers
+// the untimed upsert U2 and U3 start with, the verify Q1 and two metrics
+// snapshots. The update's own cost is engine_us/op, the mean of the
+// engine call alone (UpdateMeasurement.Elapsed); verify_us/op is the
+// mean of the verify Q1 (VerifyElapsed).
 func BenchmarkUpdateWorkload(b *testing.B) {
 	for _, op := range []workload.UpdateOp{workload.U1, workload.U2, workload.U3} {
 		db, err := benchCfg.Generate(core.DCMD, core.Small)
@@ -293,12 +298,18 @@ func BenchmarkUpdateWorkload(b *testing.B) {
 		// earlier call inserted.
 		next := 0
 		b.Run(op.String(), func(b *testing.B) {
+			var engine, verify time.Duration
 			for range b.N {
 				next++
-				if m := workload.RunUpdateOp(context.Background(), e, core.DCMD, op, next); m.Err != nil {
+				m := workload.RunUpdateOp(context.Background(), e, core.DCMD, op, next)
+				if m.Err != nil {
 					b.Fatal(m.Err)
 				}
+				engine += m.Elapsed
+				verify += m.VerifyElapsed
 			}
+			b.ReportMetric(float64(engine.Microseconds())/float64(b.N), "engine_us/op")
+			b.ReportMetric(float64(verify.Microseconds())/float64(b.N), "verify_us/op")
 		})
 	}
 }

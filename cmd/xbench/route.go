@@ -110,7 +110,7 @@ func setupRoute(fs *flag.FlagSet) func() error {
 		// are still dialed: Shutdown closes the router with the server.
 		var reg *metrics.Registry
 		srv := server.New(r, listen.config())
-		err = listen.serveUntilSignal(srv, "routing", r.Name(), class, func() { reg = r.Metrics() })
+		err = listen.serveUntilSignal(srv, driveBanner("routing", r.Name(), class), func() { reg = r.Metrics() })
 		if err != nil {
 			return err
 		}

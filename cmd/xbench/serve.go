@@ -8,6 +8,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"os/signal"
 	"strconv"
@@ -58,15 +59,23 @@ func awaitSignal() os.Signal {
 	return sig
 }
 
-// serveUntilSignal starts srv, prints its banner (verb, name, then how to
-// drive it), and on SIGINT/SIGTERM runs onSignal, then drains srv within
+// driveBanner is a server's banner: verb, name, address, then how to
+// drive it.
+func driveBanner(verb, name string, class core.Class) func(net.Addr) string {
+	return func(addr net.Addr) string {
+		return fmt.Sprintf("%s %s on %s (drive with: xbench throughput --remote=%s --no-load --class=%s)",
+			verb, name, addr, addr, class.Code())
+	}
+}
+
+// serveUntilSignal starts srv, prints its banner for the bound address,
+// and on SIGINT/SIGTERM runs onSignal, then drains srv within
 // --drain-timeout.
-func (o *listenOpts) serveUntilSignal(srv *server.Server, verb, name string, class core.Class, onSignal func()) error {
+func (o *listenOpts) serveUntilSignal(srv *server.Server, banner func(net.Addr) string, onSignal func()) error {
 	if err := srv.Start(); err != nil {
 		return err
 	}
-	fmt.Printf("%s %s on %s (drive with: xbench throughput --remote=%s --no-load --class=%s)\n",
-		verb, name, srv.Addr(), srv.Addr(), class.Code())
+	fmt.Println(banner(srv.Addr()))
 	fmt.Printf("%s: draining (up to %v) ...\n", awaitSignal(), *o.drainTimeout)
 	onSignal()
 	ctx, cancel := context.WithTimeout(context.Background(), *o.drainTimeout)
@@ -97,7 +106,6 @@ func setupServe(fs *flag.FlagSet) func() error {
 	journal := fs.String("journal", "", "durable update journal path; recovered before serving, so acknowledged updates survive a process kill")
 	shard := fs.String("shard", "", "serve one partition of the generated database, as I/N (e.g. 0/3); ownership follows the router's hash ring")
 	replicaOf := fs.String("replica-of", "", "run as a read-only replica of the primary at this address, continuously replaying its shipped journal")
-	poll := fs.Duration("poll", 0, "replica journal poll interval (0 = default)")
 	return func() error {
 		class, _, err := d.parse()
 		if err != nil {
@@ -132,27 +140,8 @@ func setupServe(fs *flag.FlagSet) func() error {
 			}
 		}
 
-		if *replicaOf != "" {
-			// Load the same base partition the primary serves, then ship the
-			// primary's durable journal into it forever, answering reads (and
-			// rejecting writes) on --addr.
-			rep, err := router.StartReplica(context.Background(), e, db, workload.Indexes(db.Class), *replicaOf, router.ReplicaConfig{
-				Server: listen.config(),
-				Poll:   *poll,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("replica of %s: serving %s read-only on %s\n", *replicaOf, e.Name(), rep.Addr())
-			fmt.Printf("%s: replica stopping after %d applied journal records\n", awaitSignal(), rep.Applied())
-			if aerr := rep.Err(); aerr != nil {
-				rep.Close()
-				return aerr
-			}
-			return rep.Close()
-		}
-
 		var srv *server.Server
+		banner := driveBanner("serving", e.Name(), class)
 		if *journal != "" {
 			// Crash-safe path: Reopen loads the regenerated base database,
 			// replays the journal's acknowledged updates and rebuilds the
@@ -171,9 +160,18 @@ func setupServe(fs *flag.FlagSet) func() error {
 					return err
 				}
 			}
-			srv = server.New(e, listen.config())
+			// A replica loads its primary's base partition, then applies
+			// the primary's shipped journal to it while serving reads.
+			cfg := listen.config()
+			cfg.ReplicaOf = *replicaOf
+			srv = server.New(e, cfg)
+			if *replicaOf != "" {
+				banner = func(addr net.Addr) string {
+					return fmt.Sprintf("replica of %s: serving %s read-only on %s", *replicaOf, e.Name(), addr)
+				}
+			}
 		}
-		if err := listen.serveUntilSignal(srv, "serving", e.Name(), class, func() {}); err != nil {
+		if err := listen.serveUntilSignal(srv, banner, func() {}); err != nil {
 			return err
 		}
 		fmt.Println("drained; bye")

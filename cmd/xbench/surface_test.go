@@ -82,9 +82,11 @@ func TestUsageMatchesFlags(t *testing.T) {
 	}
 	// The spellings this CLI once had two of stay merged, and the router
 	// knobs no caller set stay deleted: one scatter policy, primary-first
-	// reads, no fan-out cap, one ring shape on both sides of the wire.
+	// reads, no fan-out cap, one ring shape on both sides of the wire. A
+	// replica's pull waits at its primary for the next journal sync, so
+	// it has no poll interval.
 	for _, gone := range []string{"csv", "query", "skip-load", "fractions", "out",
-		"partial", "fanout", "read-pref", "vnodes"} {
+		"partial", "fanout", "read-pref", "vnodes", "poll"} {
 		if m, ok := shared[gone]; ok {
 			t.Errorf("--%s is back (in %s); it was merged into another flag or deleted", gone, m.command)
 		}

@@ -87,7 +87,7 @@ func TestShardKillTorture(t *testing.T) {
 	replica := exec.Command(bin, "serve",
 		"--engine=x-hive", "--class=dcmd", "--size=small",
 		fmt.Sprintf("--shard=%d/%d", victim, shards),
-		"--replica-of="+sups[victim].Addr, "--addr="+repAddr, "--poll=10ms")
+		"--replica-of="+sups[victim].Addr, "--addr="+repAddr)
 	replica.Stdout, replica.Stderr = childLog, childLog
 	if err := replica.Start(); err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ var ErrNoQuery = errors.New("core: query not defined for this class")
 
 // ErrReadOnly is returned by engines that decline document updates (and
 // Load and BuildIndexes): a read replica serves queries only and is fed
-// through its primary's journal (server.Config.ReadOnly).
+// through its primary's journal (server.Config.ReplicaOf).
 var ErrReadOnly = errors.New("core: engine does not support document updates")
 
 // IsNotAnswered reports whether err means an engine legitimately declines

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"xbench/internal/client"
-	"xbench/internal/router"
+	"xbench/internal/core"
 	"xbench/internal/server"
 	"xbench/internal/updatelog"
 	"xbench/internal/wire"
@@ -31,17 +31,32 @@ func (s *stubEngine) docNames() []string {
 	return names
 }
 
+// startReplica loads db into eng and serves it as a read replica of the
+// primary at primary, closed when the test ends.
+func startReplica(t *testing.T, eng *stubEngine, db *core.Database, primary string) *server.Server {
+	t.Helper()
+	if _, err := eng.Load(context.Background(), db); err != nil {
+		t.Fatal(err)
+	}
+	rep := server.New(eng, server.Config{ReplicaOf: primary})
+	if err := rep.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rep.Close() })
+	return rep
+}
+
 // awaitHalt waits for the replica's puller to stop with an error.
-func awaitHalt(t *testing.T, rep *router.Replica) error {
+func awaitHalt(t *testing.T, rep *server.Server) error {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for rep.Err() == nil {
+	for rep.ReplicaErr() == nil {
 		if time.Now().After(deadline) {
 			t.Fatalf("replica never stopped (applied %d)", rep.Applied())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return rep.Err()
+	return rep.ReplicaErr()
 }
 
 // writeJournal journals recs in a fresh file under dir and returns its path.
@@ -88,12 +103,7 @@ func TestReplicaRefusesAForkedPrimary(t *testing.T) {
 	addr := primA.Addr().String()
 
 	eng := newStub()
-	rep, err := router.StartReplica(ctx, eng, testDB(0), nil, addr,
-		router.ReplicaConfig{Poll: 5 * time.Millisecond, Client: client.Config{Backoff: time.Millisecond}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rep.Close() })
+	rep := startReplica(t, eng, testDB(0), addr)
 
 	pc, err := client.Dial(addr, client.Config{})
 	if err != nil {
@@ -108,7 +118,7 @@ func TestReplicaRefusesAForkedPrimary(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for rep.Applied() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("replica applied %d/2 (err=%v)", rep.Applied(), rep.Err())
+			t.Fatalf("replica applied %d/2 (err=%v)", rep.Applied(), rep.ReplicaErr())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -182,12 +192,7 @@ func TestReplicaRefusesADamagedWindow(t *testing.T) {
 	window[len(window)-12] ^= 0x01 // inside the second record's document
 
 	eng := newStub()
-	rep, err := router.StartReplica(context.Background(), eng, testDB(1), nil, serveJournal(t, window),
-		router.ReplicaConfig{Poll: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rep.Close() })
+	rep := startReplica(t, eng, testDB(1), serveJournal(t, window))
 
 	err = awaitHalt(t, rep)
 	if !strings.Contains(err.Error(), "damaged") {

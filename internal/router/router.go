@@ -7,7 +7,7 @@
 // exactly the concatenation of its per-shard results). Updates ride the
 // shard's primary; reads ride a failover client that tries the primary
 // first, so they survive a dead primary by falling over to its
-// journal-fed replicas (replica.go).
+// journal-fed replicas (servers with server.Config.ReplicaOf set).
 //
 // Placement is the ring's alone (ring.go): the router keeps no
 // per-document state, so its memory is O(shards), a restarted or second

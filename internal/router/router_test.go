@@ -372,12 +372,7 @@ func TestScatterPartialFailure(t *testing.T) {
 			prims[i] = prim
 			shards[i] = router.Shard{Primary: prim.Addr().String()}
 		}
-		rep, err := router.StartReplica(ctx, newStub(), ring.Partition(db, 1), nil, shards[1].Primary,
-			router.ReplicaConfig{Poll: 5 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { rep.Close() })
+		rep := startReplica(t, newStub(), ring.Partition(db, 1), shards[1].Primary)
 		shards[1].Replicas = []string{rep.Addr().String()}
 		r, err := router.Dial(shards, router.Config{Client: client.Config{FailThreshold: 1, Backoff: time.Millisecond}})
 		if err != nil {
@@ -417,12 +412,7 @@ func TestRoutedReadFailsOverToReplica(t *testing.T) {
 	}
 	t.Cleanup(func() { prim.Close() })
 
-	rep, err := router.StartReplica(ctx, newStub(), testDB(1), nil, prim.Addr().String(),
-		router.ReplicaConfig{Poll: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rep.Close() })
+	rep := startReplica(t, newStub(), testDB(1), prim.Addr().String())
 
 	r, err := router.Dial(
 		[]router.Shard{{Primary: prim.Addr().String(), Replicas: []string{rep.Addr().String()}}},
@@ -440,7 +430,7 @@ func TestRoutedReadFailsOverToReplica(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for rep.Applied() < 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("replica never applied the journaled insert (applied=%d, err=%v)", rep.Applied(), rep.Err())
+			t.Fatalf("replica never applied the journaled insert (applied=%d, err=%v)", rep.Applied(), rep.ReplicaErr())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -479,12 +469,7 @@ func TestReplicaShipsJournal(t *testing.T) {
 	}
 	t.Cleanup(func() { prim.Close() })
 
-	rep, err := router.StartReplica(ctx, newStub(), testDB(0), nil, prim.Addr().String(),
-		router.ReplicaConfig{Poll: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rep.Close() })
+	rep := startReplica(t, newStub(), testDB(0), prim.Addr().String())
 
 	pc, err := client.Dial(prim.Addr().String(), client.Config{})
 	if err != nil {
@@ -502,7 +487,7 @@ func TestReplicaShipsJournal(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for rep.Applied() < updates {
 		if time.Now().After(deadline) {
-			t.Fatalf("replica applied %d/%d (err=%v)", rep.Applied(), updates, rep.Err())
+			t.Fatalf("replica applied %d/%d (err=%v)", rep.Applied(), updates, rep.ReplicaErr())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -519,7 +504,7 @@ func TestReplicaShipsJournal(t *testing.T) {
 	if err := rc.InsertDocument(ctx, "x.xml", []byte("<x/>")); !errors.Is(err, core.ErrReadOnly) {
 		t.Fatalf("replica write: %v, want ErrReadOnly", err)
 	}
-	if err := rep.Err(); err != nil {
+	if err := rep.ReplicaErr(); err != nil {
 		t.Fatalf("replica apply error: %v", err)
 	}
 }

@@ -3,8 +3,11 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
+	"time"
 
 	"xbench/internal/client"
 	"xbench/internal/core"
@@ -100,6 +103,82 @@ func TestJournalPullShipsCommittedUpdates(t *testing.T) {
 	}
 }
 
+// pullResult is what a journal pull answered.
+type pullResult struct {
+	window []byte
+	err    error
+}
+
+// parkPull sends a journal pull from at and returns the channel its
+// answer arrives on, once the server holds the pull parked: admitted,
+// its admission slot given back, and not answered.
+func parkPull(t *testing.T, srv *server.Server, c *client.Client, at wire.JournalPullRequest) <-chan pullResult {
+	t.Helper()
+	admitted := func() int64 { return srv.Metrics().Snapshot().Counters["server.req.admitted"] }
+	before := admitted()
+	answer := make(chan pullResult, 1)
+	go func() {
+		window, err := c.JournalPull(context.Background(), at)
+		answer <- pullResult{window, err}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); admitted() == before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the pull was never admitted")
+		}
+	}
+	waitIdle(t, srv, "with the pull parked")
+	time.Sleep(20 * time.Millisecond) // past the read, into the wait
+	select {
+	case r := <-answer:
+		t.Fatalf("a pull at the durable end answered at once: %d bytes, %v", len(r.window), r.err)
+	default:
+	}
+	return answer
+}
+
+// TestJournalPullWaitsForTheNextSync: a pull at the durable end parks
+// until the next journal sync instead of answering empty, and then
+// ships exactly the record that sync committed.
+func TestJournalPullWaitsForTheNextSync(t *testing.T) {
+	srv, c := startJournaled(t, server.Config{})
+	pulled := parkPull(t, srv, c, wire.JournalPullRequest{})
+	if err := c.InsertDocument(context.Background(), "a.xml", []byte("<a/>")); err != nil {
+		t.Fatal(err)
+	}
+	r := <-pulled
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	recs, n := updatelog.Decode(r.window)
+	if n != len(r.window) || len(recs) != 1 || recs[0].Kind != updatelog.KindInsert || recs[0].Name != "a.xml" {
+		t.Fatalf("the parked pull answered %+v in %d of %d bytes, want the one insert", recs, n, len(r.window))
+	}
+}
+
+// TestShutdownWakesAParkedJournalPull: a parked pull holds no admission
+// slot, and the drain wakes it, so Shutdown does not wait out its hold.
+func TestShutdownWakesAParkedJournalPull(t *testing.T) {
+	srv, c := startJournaled(t, server.Config{})
+	pulled := parkPull(t, srv, c, wire.JournalPullRequest{})
+	if n := srv.Inflight(); n != 0 {
+		t.Fatalf("inflight = %d with a pull parked, want 0", n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown with a pull parked: %v", err)
+	}
+	if took := time.Since(start); took > server.JournalHold/2 {
+		t.Fatalf("shutdown took %v with a pull parked, want well under its %v hold", took, server.JournalHold)
+	}
+	select {
+	case <-pulled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the parked pull never answered after the drain")
+	}
+}
+
 // TestJournalPullWithoutJournal pins the feature-probe contract: a server
 // running without a journal answers OpJournal with wire.ErrBadRequest.
 func TestJournalPullWithoutJournal(t *testing.T) {
@@ -112,11 +191,12 @@ func TestJournalPullWithoutJournal(t *testing.T) {
 // TestReadOnlyServer verifies a replica-mode server: queries answer,
 // every mutating op is rejected with core.ErrReadOnly.
 func TestReadOnlyServer(t *testing.T) {
+	prim, _ := startJournaled(t, server.Config{})
 	eng := newStub()
 	if _, err := eng.Load(context.Background(), tinyDB()); err != nil {
 		t.Fatal(err)
 	}
-	_, c := startServer(t, eng, server.Config{ReadOnly: true})
+	_, c := startServer(t, eng, server.Config{ReplicaOf: prim.Addr().String()})
 	ctx := context.Background()
 
 	if _, err := c.Execute(ctx, core.Q1, nil); err != nil {
@@ -181,4 +261,69 @@ func TestIdemKeyPassesThroughProxy(t *testing.T) {
 	if got := recs[0].Client; got != originID {
 		t.Fatalf("backend journaled client %d, want the origin's %d (key minted by proxy instead of passed through)", got, originID)
 	}
+}
+
+// landingEngine is a replica's engine that reports when each insert it
+// applies has landed.
+type landingEngine struct {
+	*stubEngine
+	landed chan time.Time
+}
+
+func (e landingEngine) InsertDocument(ctx context.Context, name string, data []byte) error {
+	err := e.stubEngine.InsertDocument(ctx, name, data)
+	e.landed <- time.Now()
+	return err
+}
+
+// BenchmarkReplicaLag measures how long an acknowledged update is missing
+// from a replica on loopback: from the primary's acknowledgment of an
+// insert to the replica's apply of it, one insert at a time (zero when
+// the replica applied it before the acknowledgment reached the client).
+// That is the window in which a read failed over to the replica misses an
+// acknowledged update (DESIGN.md §16). The engines are stubs, so the lag
+// is the shipping path's alone:
+//
+//	go test -run '^$' -bench ReplicaLag -benchtime 1000x ./internal/server/
+func BenchmarkReplicaLag(b *testing.B) {
+	ctx := context.Background()
+	prim, _, err := server.Reopen(newStub(), tinyDB(), nil, filepath.Join(b.TempDir(), "journal"), server.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := prim.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer prim.Close()
+	eng := landingEngine{newStub(), make(chan time.Time, 1)}
+	if _, err := eng.Load(ctx, tinyDB()); err != nil {
+		b.Fatal(err)
+	}
+	rep := server.New(eng, server.Config{ReplicaOf: prim.Addr().String()})
+	if err := rep.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer rep.Close()
+	c, err := client.Dial(prim.Addr().String(), client.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+
+	lags := make([]time.Duration, b.N)
+	b.ResetTimer()
+	for i := range lags {
+		if err := c.InsertDocument(ctx, fmt.Sprintf("lag-%d.xml", i), []byte("<order/>")); err != nil {
+			b.Fatal(err)
+		}
+		acked := time.Now()
+		lags[i] = max(0, (<-eng.landed).Sub(acked))
+	}
+	b.StopTimer()
+	if err := rep.ReplicaErr(); err != nil {
+		b.Fatal(err)
+	}
+	slices.Sort(lags)
+	b.ReportMetric(float64(lags[len(lags)/2].Microseconds()), "lag_p50_us")
+	b.ReportMetric(float64(lags[len(lags)*99/100].Microseconds()), "lag_p99_us")
 }

@@ -31,6 +31,12 @@
 // responses flush, then close the connections and finally the engine.
 // The drain barrier is the semaphore itself: Shutdown acquires every
 // slot, which can only succeed once no request holds one.
+//
+// A read replica (Config.ReplicaOf, DESIGN.md §16) is a server whose
+// journal lives on its primary: it turns writes away, and its puller
+// (replicate) applies the primary's durable journal in commit order. A
+// pull at the durable end parks until the next sync, so a replica lags
+// by one round trip plus one apply; it can lag, never fork.
 package server
 
 import (
@@ -44,6 +50,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"xbench/internal/client"
 	"xbench/internal/core"
 	"xbench/internal/metrics"
 	"xbench/internal/updatelog"
@@ -68,11 +75,11 @@ type Config struct {
 	// Metrics receives the server's counters and wire-latency histograms;
 	// nil creates a private registry (readable via Metrics()).
 	Metrics *metrics.Registry
-	// ReadOnly rejects every mutating op (updates, load, index builds)
-	// with core.ErrReadOnly. It is how a read replica serves: queries
-	// answer normally, while writes are turned away at the wire so the
-	// replica's state advances only through journal shipping.
-	ReadOnly bool
+	// ReplicaOf makes the server a read replica of the primary at this
+	// address: mutating ops (updates, load, index builds) are rejected
+	// with core.ErrReadOnly, and Start begins applying the primary's
+	// journal to the engine, which must hold its base database already.
+	ReplicaOf string
 }
 
 // withDefaults resolves zero-value fields.
@@ -129,6 +136,12 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	connWg sync.WaitGroup
 
+	// A replica's puller: stopPull cancels and joins it; halt is what
+	// stopped it.
+	stopPull func()
+	applied  atomic.Uint64
+	halt     atomic.Value // error
+
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -174,6 +187,9 @@ func New(e core.Engine, cfg Config) *Server {
 // to plain load + index + New — `xbench serve --journal=...` uses it
 // unconditionally for both first start and restart.
 func Reopen(e core.Engine, db *core.Database, specs []core.IndexSpec, journalPath string, cfg Config) (*Server, int, error) {
+	if cfg.ReplicaOf != "" {
+		return nil, 0, errors.New("server: a replica replays its primary's journal, not one of its own")
+	}
 	jl, recs, err := updatelog.OpenFile(journalPath)
 	if err != nil {
 		return nil, 0, err
@@ -201,15 +217,89 @@ func Reopen(e core.Engine, db *core.Database, specs []core.IndexSpec, journalPat
 
 // Start binds the listen address and launches the accept loop. It
 // returns once the socket is bound; Addr() then reports the bound
-// address (useful with port 0).
+// address (useful with port 0). A replica also dials its primary and
+// starts its puller.
 func (s *Server) Start() error {
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
 		return fmt.Errorf("server: listen %s: %w", s.cfg.Addr, err)
 	}
+	if s.cfg.ReplicaOf != "" {
+		src, err := client.Dial(s.cfg.ReplicaOf, client.Config{})
+		if err != nil {
+			ln.Close()
+			return fmt.Errorf("server: replica dial primary: %w", err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		stopped := make(chan struct{})
+		go func() {
+			defer close(stopped)
+			if err := s.replicate(ctx, src); err != nil && ctx.Err() == nil {
+				s.halt.Store(err)
+			}
+		}()
+		s.stopPull = func() { cancel(); src.Close(); <-stopped }
+	}
 	s.ln = ln
 	s.connWg.Add(1)
 	go s.acceptLoop()
+	return nil
+}
+
+// pullBackoff is a replica's wait after a failed pull: a restarting
+// primary or an open breaker is not worth spinning on.
+const pullBackoff = 100 * time.Millisecond
+
+// replicate is a replica's shipping loop: pull past the last record
+// applied, check the window with the journal's own decoder, apply its
+// records, repeat (a caught-up pull has already waited at the primary for
+// the next sync). It halts, with ReplicaErr set, on a window that does
+// not decode whole (nothing of it is applied), on a primary that refuses
+// its position (it came back on another journal), and on an apply error:
+// going on would fork the replica from its primary silently.
+func (s *Server) replicate(ctx context.Context, src *client.Client) error {
+	var at wire.JournalPullRequest // just past the last record applied
+	for {
+		window, err := src.JournalPull(ctx, at)
+		switch {
+		case ctx.Err() != nil || errors.Is(err, client.ErrClosed):
+			return nil
+		case err == nil && len(window) > 0:
+			recs, n := updatelog.Decode(window)
+			if n < len(window) {
+				return fmt.Errorf("server: replica: journal window at offset %d is damaged after %d of its %d bytes", at.Since, n, len(window))
+			}
+			for _, rec := range recs {
+				if err := updatelog.Apply(ctx, s.eng, []updatelog.Record{rec}); err != nil {
+					return fmt.Errorf("server: replica apply record %d: %w", s.applied.Load(), err)
+				}
+				s.applied.Add(1)
+			}
+			at = wire.JournalPullRequest{Since: at.Since + uint64(n), Prev: recs[len(recs)-1].Sum()}
+			continue
+		case err == nil:
+			continue // caught up after the primary's hold
+		case errors.Is(err, wire.ErrBadRequest):
+			return fmt.Errorf("server: replica at journal offset %d: %w", at.Since, err)
+		}
+		select {
+		case <-ctx.Done():
+			return nil
+		case <-time.After(pullBackoff):
+		}
+	}
+}
+
+// Applied returns how many journal records a replica has applied.
+func (s *Server) Applied() uint64 { return s.applied.Load() }
+
+// ReplicaErr returns what halted a replica's journal puller (a damaged
+// window, a refused position or an apply failure), or nil while shipping
+// is healthy.
+func (s *Server) ReplicaErr() error {
+	if v := s.halt.Load(); v != nil {
+		return v.(error)
+	}
 	return nil
 }
 
@@ -440,6 +530,8 @@ func (s *Server) handle(op wire.Op, payload []byte, scratch *[]byte) (wire.Frame
 			return badRequest(err), noRelease
 		}
 		return errFrame(s.eng.Supports(c, sz)), noRelease
+	case wire.OpJournal:
+		return s.pullJournal(payload)
 	}
 
 	if err := s.admit(); err != nil {
@@ -485,7 +577,7 @@ func (s *Server) execute(op wire.Op, payload []byte, scratch *[]byte) wire.Frame
 		return okFrame(*scratch)
 
 	case wire.OpLoad:
-		if s.cfg.ReadOnly {
+		if s.cfg.ReplicaOf != "" {
 			return errFrame(fmt.Errorf("server: replica: %w", core.ErrReadOnly))
 		}
 		req, err := wire.DecodeLoadRequest(payload)
@@ -501,7 +593,7 @@ func (s *Server) execute(op wire.Op, payload []byte, scratch *[]byte) wire.Frame
 		return okFrame(wire.EncodeLoadStats(st))
 
 	case wire.OpIndexes:
-		if s.cfg.ReadOnly {
+		if s.cfg.ReplicaOf != "" {
 			return errFrame(fmt.Errorf("server: replica: %w", core.ErrReadOnly))
 		}
 		specs, err := wire.DecodeIndexSpecs(payload)
@@ -515,7 +607,7 @@ func (s *Server) execute(op wire.Op, payload []byte, scratch *[]byte) wire.Frame
 		return okFrame(nil)
 
 	case wire.OpInsert, wire.OpReplace, wire.OpDelete:
-		if s.cfg.ReadOnly {
+		if s.cfg.ReplicaOf != "" {
 			return errFrame(fmt.Errorf("server: replica: %w", core.ErrReadOnly))
 		}
 		req, err := wire.DecodeUpdateRequest(payload)
@@ -523,13 +615,6 @@ func (s *Server) execute(op wire.Op, payload []byte, scratch *[]byte) wire.Frame
 			return badRequest(err)
 		}
 		return s.executeUpdate(op, req)
-
-	case wire.OpJournal:
-		req, err := wire.DecodeJournalPullRequest(payload)
-		if err != nil {
-			return badRequest(err)
-		}
-		return s.executeJournalPull(req)
 
 	default:
 		return badRequest(fmt.Errorf("unknown op %d", byte(op)))
@@ -541,26 +626,54 @@ func (s *Server) execute(op wire.Op, payload []byte, scratch *[]byte) wire.Frame
 // frame, however long the journal has grown.
 const journalWindow = 1 << 20
 
-// executeJournalPull answers one OpJournal window by reading it back from
-// the journal file, which shows committed (fsynced) records only: a
-// replica must never apply a record a primary crash could still take
-// back, or get ahead of what a primary restart would recover. Servers
-// running without a journal have nothing to ship, and a journal that
-// does not hold the requested position must not ship a replica records
-// that follow another history; both answer StatusBadRequest, which
-// clients surface as wire.ErrBadRequest.
-func (s *Server) executeJournalPull(req wire.JournalPullRequest) wire.Frame {
+// journalHold is the longest a pull at the durable end parks for the
+// next sync (capped by RequestTimeout); then it answers the empty window.
+const journalHold = 500 * time.Millisecond
+
+// pullJournal answers one OpJournal window by reading it back from the
+// journal file, which shows committed (fsynced) records only: a replica
+// must never apply a record a primary crash could still take back. A
+// pull at the durable end parks until the next sync, the drain or
+// journalHold, then reads once more; it holds no admission slot while
+// parked, so waiting replicas never crowd out the updates they wait on.
+// A server without a journal, or a journal that does not hold the
+// position (another history), answers StatusBadRequest
+// (wire.ErrBadRequest).
+func (s *Server) pullJournal(payload []byte) (wire.Frame, func()) {
+	req, err := wire.DecodeJournalPullRequest(payload)
+	if err != nil {
+		return badRequest(err), noRelease
+	}
 	if s.journal == nil {
-		return badRequest(errors.New("server: no journal attached (start with --journal to ship one)"))
+		return badRequest(errors.New("server: no journal attached (start with --journal to ship one)")), noRelease
 	}
-	window, err := s.journal.Read(req.Since, req.Prev, journalWindow)
-	switch {
-	case errors.Is(err, updatelog.ErrPosition):
-		return badRequest(err)
-	case err != nil:
-		return errFrame(err)
+	for parked := false; ; parked = true {
+		if err := s.admit(); err != nil {
+			return errFrame(err), noRelease
+		}
+		start := time.Now()
+		synced := s.journal.Synced()
+		window, err := s.journal.Read(req.Since, req.Prev, journalWindow)
+		if err == nil && len(window) == 0 && !parked {
+			s.release()
+			hold := time.NewTimer(min(journalHold, s.cfg.RequestTimeout))
+			select {
+			case <-synced:
+			case <-s.done:
+			case <-hold.C:
+			}
+			hold.Stop()
+			continue
+		}
+		s.hOp[wire.OpJournal].Observe(time.Since(start))
+		switch {
+		case errors.Is(err, updatelog.ErrPosition):
+			return badRequest(err), s.release
+		case err != nil:
+			return errFrame(err), s.release
+		}
+		return okFrame(window), s.release
 	}
-	return okFrame(window)
 }
 
 // executeUpdate runs one update with exactly-once semantics. Every
@@ -652,8 +765,10 @@ func badRequest(err error) wire.Frame {
 
 // Shutdown drains the server gracefully: stop accepting, reject new
 // requests, wait (bounded by ctx) for in-flight requests to finish and
-// flush their responses, then close connections and the engine. It is
-// what the serve command runs on SIGTERM. Safe to call once; later calls
+// flush their responses, then close connections, stop a replica's
+// journal puller and close the engine. A replica whose puller halted
+// returns what halted it too. It is what the serve command runs on
+// SIGTERM. Safe to call once; later calls
 // and Close after Shutdown are no-ops returning the first result.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.closeOnce.Do(func() { s.closeErr = s.shutdown(ctx) })
@@ -693,7 +808,10 @@ func (s *Server) shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 	s.connWg.Wait()
 
-	err := s.eng.Close()
+	if s.stopPull != nil {
+		s.stopPull()
+	}
+	err := errors.Join(s.ReplicaErr(), s.eng.Close())
 	if s.journal != nil {
 		err = errors.Join(err, s.journal.Close())
 	}

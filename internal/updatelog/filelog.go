@@ -17,7 +17,9 @@
 // so journal shipping (server OpJournal) keeps nothing of an update in
 // the primary's memory and a replica checks every record it is sent
 // against the checksum it was written with. The log's memory does not
-// grow with the journal: two marks, written and durable.
+// grow with the journal: two marks, written and durable. A reader caught
+// up at the durable end waits on Synced for the next commit instead of
+// asking again on a timer.
 package updatelog
 
 import (
@@ -63,6 +65,9 @@ type FileLog struct {
 	// show a replica.
 	written, durable mark
 	broken           error // first write/sync failure; poisons later appends
+	// synced is Synced's channel, nil while nobody waits (so a commit
+	// with no reader allocates nothing).
+	synced chan struct{}
 
 	smu      sync.Mutex // held across a sync: one at a time
 	syncs    atomic.Int64
@@ -118,13 +123,16 @@ func (l *FileLog) Records() int {
 // process.
 func (l *FileLog) Read(since, prev uint64, limit int) ([]byte, error) {
 	l.mu.Lock()
-	f, end := l.f, uint64(l.durable.off)
+	f, end, broken := l.f, uint64(l.durable.off), l.broken
 	l.mu.Unlock()
-	if since > end {
+	switch {
+	case since > end:
 		return nil, fmt.Errorf("%w: offset %d is past the committed end %d", ErrPosition, since, end)
-	}
-	if f == nil {
+	case f == nil:
 		return nil, errors.New("updatelog: read on closed file log")
+	case since == end && broken != nil:
+		// Nothing will follow: say so rather than answer "caught up".
+		return nil, fmt.Errorf("updatelog: journal poisoned by earlier failure: %w", broken)
 	}
 	want := max(limit, recHeaderSize)
 	for {
@@ -153,6 +161,30 @@ func (l *FileLog) Read(since, prev uint64, limit int) ([]byte, error) {
 		if want, ok = recordSize(buf); !ok {
 			return nil, fmt.Errorf("updatelog: %s: no record at offset %d", l.path, since)
 		}
+	}
+}
+
+// Synced returns a channel closed the next time the durable mark moves or
+// the log is poisoned or closed. A caught-up reader takes it before its
+// Read and waits on it after, so a commit between the two still wakes it.
+func (l *FileLog) Synced() <-chan struct{} {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.synced == nil {
+		l.synced = make(chan struct{})
+	}
+	ch := l.synced
+	if l.f == nil || l.broken != nil {
+		l.wake()
+	}
+	return ch
+}
+
+// wake closes Synced's channel, if any; l.mu is held.
+func (l *FileLog) wake() {
+	if l.synced != nil {
+		close(l.synced)
+		l.synced = nil
 	}
 }
 
@@ -201,6 +233,7 @@ func (l *FileLog) Enqueue(r Record) (*Batch, error) {
 	n, err := l.f.Write(encodeRecord(r))
 	if err != nil {
 		l.broken = fmt.Errorf("updatelog: append %s: %w", l.path, err)
+		l.wake()
 		return nil, l.broken
 	}
 	l.written = mark{l.written.off + int64(n), l.written.n + 1}
@@ -235,9 +268,11 @@ func (l *FileLog) WaitDurable(b *Batch) error {
 		if l.broken == nil {
 			l.broken = err
 		}
+		l.wake()
 		return err
 	}
 	l.durable = written
+	l.wake()
 	return nil
 }
 
@@ -259,5 +294,6 @@ func (l *FileLog) Close() error {
 	}
 	err = errors.Join(err, l.f.Close())
 	l.f = nil
+	l.wake()
 	return err
 }

@@ -232,3 +232,57 @@ func TestFileLogReadServesCommittedWindows(t *testing.T) {
 		}
 	}
 }
+
+// TestSyncedWakesAWaitingReader: the channel Synced hands out closes on
+// the next sync, and not before; on a poisoned log it closes at once and
+// a read at the durable end says why; on a closed log it closes at once.
+func TestSyncedWakesAWaitingReader(t *testing.T) {
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	l, _, err := OpenFile(filepath.Join(t.TempDir(), "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	synced := l.Synced()
+	b, err := l.Enqueue(Record{Kind: KindInsert, Name: "a.xml", Data: []byte("<a/>")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if closed(synced) {
+		t.Fatal("Synced woke on a write that is not durable yet")
+	}
+	if err := l.WaitDurable(b); err != nil {
+		t.Fatal(err)
+	}
+	if !closed(synced) {
+		t.Fatal("Synced did not wake on the sync")
+	}
+
+	synced = l.Synced()
+	l.syncHook = func(*os.File) error { return errors.New("disk gone") }
+	if err := l.Append(Record{Kind: KindDelete, Name: "a.xml"}); err == nil {
+		t.Fatal("append with a failing sync succeeded")
+	}
+	if !closed(synced) || !closed(l.Synced()) {
+		t.Fatal("Synced did not wake on the poisoned log")
+	}
+	end := uint64(len(encodeRecord(Record{Kind: KindInsert, Name: "a.xml", Data: []byte("<a/>")})))
+	if _, err := l.Read(end, 0, 1<<20); err == nil || !strings.Contains(err.Error(), "poisoned") {
+		t.Fatalf("Read at the durable end of a poisoned log = %v, want the poisoning named", err)
+	}
+
+	l.syncHook = nil
+	l.broken = nil
+	synced = l.Synced()
+	l.Close()
+	if !closed(synced) || !closed(l.Synced()) {
+		t.Fatal("Synced did not wake on Close")
+	}
+}

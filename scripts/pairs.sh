@@ -13,21 +13,25 @@
 # (`e2e --compare A B`) and, beside it, the CPU each side spent per
 # operation: every run's user+sys CPU seconds (the e2e child's, from
 # `times`) over the operations it attempted, the median of A's and of B's
-# runs, and how many of the N pairs B spent less in. Then one
-# results/trajectory.tsv row per workload:
+# runs, and how many of the N pairs B spent less in. A gc_per_op line
+# does the same for garbage-collection cycles: the child runs under
+# GODEBUG=gctrace=1, its "gc N @..." stderr lines are counted per run
+# (the rest of its stderr is passed through), and each side's median
+# cycles per attempted operation is printed with how many pairs B ran
+# fewer in. Then one results/trajectory.tsv row per workload:
 # B's median and quartiles of qps, read_p50_ms, setup_s and space_amp, the
 # claim column (TEXT, default "-"), and how many of the N pairs B won on
 # metric M (default qps; "won" is better in the direction BENCHMARK.json
 # gives M), with the ratio of B's median of M to A's. The rows go to
 # stdout after the verdicts; append them to the trajectory by hand.
 # --keep copies every results file to DIR as <a|b>.<workload>.json, and
-# its runs' CPU seconds as <a|b>.<workload>.cpu.
+# its runs' CPU seconds and GC cycles as <a|b>.<workload>.cpu and .gc.
 # --quick runs the smoke scale, where no number means anything: CI runs
 # HEAD against HEAD with it so the script cannot rot. Needs git, go, jq.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-usage() { sed -n '2,26p' "$0" >&2; exit 2; }
+usage() { sed -n '2,31p' "$0" >&2; exit 2; }
 [ $# -ge 2 ] || usage
 a=$1 b=$2
 shift 2
@@ -57,9 +61,14 @@ for side in a b; do
 done
 [ -n "$workloads" ] || workloads=$(cd "$work/b" && ./e2e --list | paste -sd, -)
 
-run() { # side workload: one more run in <side>.<workload>.json, its CPU seconds in .cpu
-	(cd "$work/$1" && ./e2e --workload "$2" --seed "$seed" --trace 0 "${quick[@]}" \
-		--out "$work/$1.$2.json" --commit "$(cat "$work/$1.commit")" >/dev/null && times >"$work/times")
+run() { # side workload: one more run in <side>.<workload>.json, its CPU seconds in .cpu, its GC cycles in .gc
+	local status=0
+	(cd "$work/$1" && GODEBUG=gctrace=1 ./e2e --workload "$2" --seed "$seed" --trace 0 "${quick[@]}" \
+		--out "$work/$1.$2.json" --commit "$(cat "$work/$1.commit")" >/dev/null 2>"$work/stderr" &&
+		times >"$work/times") || status=$?
+	grep -v '^gc [0-9]* @' "$work/stderr" >&2 || true
+	[ "$status" = 0 ] || exit "$status"
+	grep -c '^gc [0-9]* @' "$work/stderr" >>"$work/$1.$2.gc" || true
 	# The second line of `times` is the children's user and sys time, "XmY.ZZZs" each.
 	awk 'NR == 2 { split($0, t, /[ms]+ */); print t[1] * 60 + t[2] + t[3] * 60 + t[4] }' \
 		"$work/times" >>"$work/$1.$2.cpu"
@@ -71,8 +80,8 @@ jqlib='
 		($x | floor) as $i | $s[$i] + ($x - $i) * ($s[[$i + 1, ($s | length) - 1] | min] - $s[$i]);
 	def sig6: if . == 0 then 0 else pow(10; 5 - (fabs | log10 | floor)) as $p | (. * $p | round) / $p end;'
 
-cpu() { # workload: "median A, median B, pairs B won, pairs" of CPU seconds per attempted op
-	jq -rn --slurpfile ac "$work/a.$1.cpu" --slurpfile bc "$work/b.$1.cpu" \
+perop() { # workload cpu|gc: "median A, median B, pairs B won, pairs" of that count per attempted op
+	jq -rn --slurpfile ac "$work/a.$1.$2" --slurpfile bc "$work/b.$1.$2" \
 		--slurpfile ar "$work/a.$1.json" --slurpfile br "$work/b.$1.json" "$jqlib"'
 		def perop($c; $r): [$r[0].runs[].result.attempted] as $ops | [range(0; $ops | length) | $c[.] / $ops[.]];
 		perop($ac; $ar) as $a | perop($bc; $br) as $b |
@@ -91,8 +100,10 @@ for w in ${workloads//,/ }; do
 	done
 	{ (cd "$work/b" && ./e2e --compare "$work/a.$w.json" "$work/b.$w.json") || true; } |
 		awk -v w="$w" 'NR == 1 || $1 == w'
-	IFS=$'\t' read -r acpu bcpu won n < <(cpu "$w")
+	IFS=$'\t' read -r acpu bcpu won n < <(perop "$w" cpu)
 	printf '%-14s %-14s %14s %14s  B spent less on %s/%s pairs\n' "$w" "cpu_s_per_op" "$acpu" "$bcpu" "$won" "$n"
+	IFS=$'\t' read -r agc bgc won n < <(perop "$w" gc)
+	printf '%-14s %-14s %14s %14s  B ran fewer on %s/%s pairs\n' "$w" "gc_per_op" "$agc" "$bgc" "$won" "$n"
 	rows+=("$(jq -rs --arg pr "$pr" --arg w "$w" --arg seed "$seed" --arg m "$metric" \
 		--arg better "$better" --arg claim "$claim" --arg host "$host" "$jqlib"'
 		def vals($f; $k): [$f.runs[].result.metrics[$k].value];
@@ -105,5 +116,5 @@ for w in ${workloads//,/ }; do
 		[$claim, "\($won | length)/\($am | length) on \($m) (\(q($bm; 0.5) / q($am; 0.5) | sig6)x)", $host] | @tsv' \
 		"$work/a.$w.json" "$work/b.$w.json")")
 done
-if [ -n "$keep" ]; then mkdir -p "$keep" && cp "$work"/[ab].*.json "$work"/[ab].*.cpu "$keep"/; fi
+if [ -n "$keep" ]; then mkdir -p "$keep" && cp "$work"/[ab].*.json "$work"/[ab].*.cpu "$work"/[ab].*.gc "$keep"/; fi
 printf '%s\n' "${rows[@]}"

@@ -50,7 +50,7 @@ done
 
 # A read replica of shard 0, fed by its shipped journal.
 "$bin" serve --engine=x-hive --class=dcmd --size=small --shard=0/3 \
-    --replica-of="${shard_addr[0]}" --poll=10ms --addr=127.0.0.1:0 >"$tmp/r0.log" 2>&1 &
+    --replica-of="${shard_addr[0]}" --addr=127.0.0.1:0 >"$tmp/r0.log" 2>&1 &
 replica_pid=$!
 replica_addr=$(await_banner "$tmp/r0.log" "$replica_pid" 's/^replica of .* on \([0-9.:]*\)$/\1/p')
 echo "replica of shard 0 on $replica_addr"
@@ -91,9 +91,9 @@ echo "shard 0 restarted with $replayed journaled updates replayed"
 
 # The router's breaker for the killed primary stays open for its cooldown
 # (500 ms), and until a probe closes it shard 0's reads go to the replica,
-# which trails the primary by up to --poll: the mixed sweep's
-# read-your-write probe would race the journal pull. Wait the cooldown out
-# so reads are back on the primary.
+# which trails the primary by a journal pull and an apply: the mixed
+# sweep's read-your-write probe would race them. Wait the cooldown out so
+# reads are back on the primary.
 sleep 1
 
 # --update-seq-base: the first sweep consumed the low update-document
