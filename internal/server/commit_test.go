@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"xbench/internal/client"
 	"xbench/internal/core"
 	"xbench/internal/engines/native"
 	"xbench/internal/gen"
@@ -87,5 +88,37 @@ func TestJournaledServerRefusesAStepSkipped(t *testing.T) {
 	}
 	if n := s.journal.Records(); n != 0 {
 		t.Fatalf("journal holds %d records, want 0", n)
+	}
+}
+
+// TestClientLoadCannotUndoAnAcknowledgedUpdate: a served engine holds
+// the database its server loaded, and a client cannot replace it. A
+// journaled native DC/MD server acknowledges a client's U1; a client
+// Load is then refused, and Q1 still returns the inserted document —
+// the state a restart on the same journal would reproduce.
+func TestClientLoadCannotUndoAnAcknowledgedUpdate(t *testing.T) {
+	s, db := reopenDCMD(t, native.New(64), filepath.Join(t.TempDir(), "updates.journal"))
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Dial(s.Addr().String(), client.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	name, data := workload.UpdateDoc(core.DCMD, 1, 0)
+	if err := c.InsertDocument(ctx, name, data); err != nil {
+		t.Fatal(err)
+	}
+	q1 := core.Params{"X": workload.UpdateTargetID(core.DCMD, 1)}
+	if res, err := c.Execute(ctx, core.Q1, q1); err != nil || len(res.Items) != 1 {
+		t.Fatalf("Q1 after the acknowledged insert: %d item(s), %v; want 1", len(res.Items), err)
+	}
+	if _, _, err := workload.LoadAndIndex(ctx, c, db); err == nil {
+		t.Error("a client load over a served database was accepted")
+	}
+	if res, err := c.Execute(ctx, core.Q1, q1); err != nil || len(res.Items) != 1 {
+		t.Fatalf("Q1 after the refused load: %d item(s), %v; want the acknowledged document", len(res.Items), err)
 	}
 }
