@@ -90,7 +90,6 @@ func setupAnalyze(fs *flag.FlagSet) func() error {
 func setupVerify(fs *flag.FlagSet) func() error {
 	d := databaseFlags(fs)
 	rem := remoteFlags(fs)
-	noLoad := noLoadFlag(fs)
 	return func() error {
 		ctx := context.Background()
 		db, err := d.generate()
@@ -124,7 +123,7 @@ func setupVerify(fs *flag.FlagSet) func() error {
 					e.Name(), db.Class, db.Size)
 				continue
 			}
-			if !(rem.named() && *noLoad) {
+			if !rem.named() {
 				if err := load(ctx, e, db); err != nil {
 					return err
 				}
@@ -201,9 +200,9 @@ func setupBench(fs *flag.FlagSet) func() error {
 		r := bench.NewRunner(g.config(), sizes, os.Stdout)
 		r.Repeat, r.Format = *repeat, *format
 		if *remoteAddr != "" {
-			// The served engine is the grid's one row. Only the updates
-			// view can measure it: it loads a row's engine itself, over
-			// the wire, and the other views need an engine per cell.
+			// The served engine is the grid's one row, measured on the
+			// database its server holds. Only the updates view can
+			// measure it: the other views need an engine per cell.
 			if *view != "updates" {
 				return fmt.Errorf("--remote applies to --view=updates")
 			}
@@ -285,7 +284,6 @@ func setupQuery(fs *flag.FlagSet) func() error {
 	d := databaseFlags(fs)
 	engine := engineFlag(fs)
 	rem := remoteFlags(fs)
-	noLoad := noLoadFlag(fs)
 	qs := queryFlag(fs)
 	show := fs.Bool("show", false, "print the result items")
 	explain := fs.Bool("explain", false, "print each query's costed physical plan instead of running it")
@@ -302,7 +300,7 @@ func setupQuery(fs *flag.FlagSet) func() error {
 		if queries == nil {
 			queries = workload.QueryIDs(class)
 		}
-		e, err := open(ctx, d, *engine, rem, *noLoad)
+		e, err := open(ctx, d, *engine, rem)
 		if err != nil {
 			return err
 		}
@@ -354,7 +352,6 @@ func setupThroughput(fs *flag.FlagSet) func() error {
 	d := databaseFlags(fs)
 	engine := engineFlag(fs)
 	rem := remoteFlags(fs)
-	noLoad := noLoadFlag(fs)
 	clientsStr := fs.String("clients", "1,2,4,8", "comma-separated client counts to sweep")
 	ops := fs.Int("ops", 0, "ops per client per step (0 = use --duration)")
 	duration := fs.Duration("duration", 0, "wall-clock bound per step (used when --ops=0; 0 selects 50 ops/client)")
@@ -387,7 +384,7 @@ func setupThroughput(fs *flag.FlagSet) func() error {
 		if err != nil {
 			return err
 		}
-		e, err := open(ctx, d, *engine, rem, *noLoad)
+		e, err := open(ctx, d, *engine, rem)
 		if err != nil {
 			return err
 		}

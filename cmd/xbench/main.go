@@ -166,10 +166,6 @@ func engineFlag(fs *flag.FlagSet) *string {
 	return fs.String("engine", "x-hive", "in-process engine: x-hive, xcolumn, xcollection or sql-server")
 }
 
-func noLoadFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("no-load", false, "do not load the generated database: the servers behind --remote/--shards hold it already (serve: start empty, a remote client loads over the wire)")
-}
-
 func formatFlag(fs *flag.FlagSet) *string {
 	return fs.String("format", "table", "output format: table, json or csv")
 }
@@ -183,7 +179,8 @@ func queryFlag(fs *flag.FlagSet) *string {
 }
 
 // remote names a served target: one `xbench serve` or `xbench route`
-// address, or a shard list coordinated by an in-process router.
+// address, or a shard list coordinated by an in-process router. A served
+// target holds the database its servers loaded; nothing loads it here.
 type remote struct {
 	addr   *string
 	shards *string
@@ -232,12 +229,11 @@ func load(ctx context.Context, e core.Engine, db *core.Database) error {
 	return nil
 }
 
-// open is newTarget plus the load: the generated database goes into the
-// engine unless --no-load says a served target holds it already (an
-// in-process engine is always loaded — it has nothing else).
-func open(ctx context.Context, d *database, engine string, r *remote, noLoad bool) (core.Engine, error) {
+// open is newTarget plus, for an in-process engine, the load of the
+// generated database (a served target holds its own).
+func open(ctx context.Context, d *database, engine string, r *remote) (core.Engine, error) {
 	e, err := newTarget(engine, r)
-	if err != nil || (r.named() && noLoad) {
+	if err != nil || r.named() {
 		return e, err
 	}
 	db, err := d.generate()

@@ -63,7 +63,7 @@ func awaitSignal() os.Signal {
 // drive it.
 func driveBanner(verb, name string, class core.Class) func(net.Addr) string {
 	return func(addr net.Addr) string {
-		return fmt.Sprintf("%s %s on %s (drive with: xbench throughput --remote=%s --no-load --class=%s)",
+		return fmt.Sprintf("%s %s on %s (drive with: xbench throughput --remote=%s --class=%s)",
 			verb, name, addr, addr, class.Code())
 	}
 }
@@ -101,7 +101,6 @@ func parseShardSpec(s string) (int, int, error) {
 func setupServe(fs *flag.FlagSet) func() error {
 	d := databaseFlags(fs)
 	engine := engineFlag(fs)
-	noLoad := noLoadFlag(fs)
 	listen := listenFlags(fs)
 	journal := fs.String("journal", "", "durable update journal path; recovered before serving, so acknowledged updates survive a process kill")
 	shard := fs.String("shard", "", "serve one partition of the generated database, as I/N (e.g. 0/3); ownership follows the router's hash ring")
@@ -115,29 +114,24 @@ func setupServe(fs *flag.FlagSet) func() error {
 		if err != nil {
 			return err
 		}
-		if *noLoad && (*shard != "" || *journal != "" || *replicaOf != "") {
-			return fmt.Errorf("--shard, --journal and --replica-of need the generated base database (drop --no-load)")
-		}
 		if *replicaOf != "" && *journal != "" {
 			return fmt.Errorf("a replica replays its primary's journal; drop --journal")
 		}
-		var db *core.Database
-		if !*noLoad {
-			// The deterministic base database — sliced down to this process's
-			// ring partition under --shard, so a shard (or its replica)
-			// reconstructs what it owns without asking the router.
-			if db, err = d.generate(); err != nil {
+		// The deterministic base database — sliced down to this process's
+		// ring partition under --shard, so a shard (or its replica)
+		// reconstructs what it owns without asking the router.
+		db, err := d.generate()
+		if err != nil {
+			return err
+		}
+		if *shard != "" {
+			idx, n, err := parseShardSpec(*shard)
+			if err != nil {
 				return err
 			}
-			if *shard != "" {
-				idx, n, err := parseShardSpec(*shard)
-				if err != nil {
-					return err
-				}
-				full := len(db.Docs)
-				db = router.NewRing(n, 0).Partition(db, idx)
-				fmt.Printf("shard %d/%d owns %d of %d documents\n", idx, n, len(db.Docs), full)
-			}
+			full := len(db.Docs)
+			db = router.NewRing(n, 0).Partition(db, idx)
+			fmt.Printf("shard %d/%d owns %d of %d documents\n", idx, n, len(db.Docs), full)
 		}
 
 		var srv *server.Server
@@ -155,10 +149,8 @@ func setupServe(fs *flag.FlagSet) func() error {
 			fmt.Printf("recovered %s into %s: %d journaled updates replayed from %s\n",
 				db.Instance(), e.Name(), replayed, *journal)
 		} else {
-			if db != nil {
-				if err := load(context.Background(), e, db); err != nil {
-					return err
-				}
+			if err := load(context.Background(), e, db); err != nil {
+				return err
 			}
 			// A replica loads its primary's base partition, then applies
 			// the primary's shipped journal to it while serving reads.

@@ -84,9 +84,10 @@ func TestUsageMatchesFlags(t *testing.T) {
 	// knobs no caller set stay deleted: one scatter policy, primary-first
 	// reads, no fan-out cap, one ring shape on both sides of the wire. A
 	// replica's pull waits at its primary for the next journal sync, so
-	// it has no poll interval.
+	// it has no poll interval. A served engine loads its own database, so
+	// no command starts one empty or skips loading a served target.
 	for _, gone := range []string{"csv", "query", "skip-load", "fractions", "out",
-		"partial", "fanout", "read-pref", "vnodes", "poll"} {
+		"partial", "fanout", "read-pref", "vnodes", "poll", "no-load"} {
 		if m, ok := shared[gone]; ok {
 			t.Errorf("--%s is back (in %s); it was merged into another flag or deleted", gone, m.command)
 		}

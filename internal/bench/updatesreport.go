@@ -68,7 +68,9 @@ func (r *Runner) UpdatesGrid(class core.Class) ([]UpdateCellReport, error) {
 		if e.Supports(class, size) != nil {
 			continue
 		}
-		if _, _, err := workload.LoadAndIndex(ctx, e, db); err != nil {
+		// A served engine (client.Client) refuses the load: it is
+		// measured on the database its server holds.
+		if _, _, err := workload.LoadAndIndex(ctx, e, db); err != nil && !errors.Is(err, core.ErrServed) {
 			return cells, fmt.Errorf("bench: load %s: %w", name, err)
 		}
 		seq := 0

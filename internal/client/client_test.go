@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -122,7 +123,7 @@ func deadAddr(t *testing.T) string {
 }
 
 // TestRetryTornResponseForIdempotentOp: a connection dropped after the
-// request was written is retried for idempotent ops and the retry
+// request was written is retried (every op is idempotent) and the retry
 // succeeds transparently.
 func TestRetryTornResponseForIdempotentOp(t *testing.T) {
 	fs := newFakeServer(t, func(n int, f wire.Frame) (wire.Frame, bool) {
@@ -132,7 +133,7 @@ func TestRetryTornResponseForIdempotentOp(t *testing.T) {
 		return okFrame([]byte("pong")), false
 	})
 	c := fs.client(Config{Retries: 3, Backoff: time.Millisecond})
-	payload, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload, true)
+	payload, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload)
 	if err != nil {
 		t.Fatalf("retryable ping failed: %v", err)
 	}
@@ -196,8 +197,8 @@ func TestUpdateRetriesWithSameKey(t *testing.T) {
 }
 
 // TestOverloadedRetriedWithBackoff: StatusOverloaded is a pre-execution
-// admission rejection — for idempotent ops the client backs off and
-// retries instead of surfacing backpressure to the workload.
+// admission rejection — the client backs off and retries instead of
+// surfacing backpressure to the workload.
 func TestOverloadedRetriedWithBackoff(t *testing.T) {
 	fs := newFakeServer(t, func(n int, f wire.Frame) (wire.Frame, bool) {
 		if n <= 2 {
@@ -230,19 +231,37 @@ func TestOverloadedSurfacesAfterRetriesExhausted(t *testing.T) {
 	}
 }
 
-// TestNoRetryForLoad: a bulk load whose response was lost is not
-// re-sent — re-shipping the whole database is the caller's call.
-func TestNoRetryForLoad(t *testing.T) {
+// TestLoadRefusedWithoutARoundTrip: a served engine holds the database
+// its server loaded, so Load and BuildIndexes fail with core.ErrServed,
+// naming `xbench serve`, and send nothing.
+func TestLoadRefusedWithoutARoundTrip(t *testing.T) {
 	fs := newFakeServer(t, func(n int, f wire.Frame) (wire.Frame, bool) {
-		return wire.Frame{}, true // always sever after reading the request
+		return okFrame(nil), false
+	})
+	c := fs.client(Config{})
+	db := &core.Database{Class: core.DCSD, Size: core.Small}
+	if _, err := c.Load(context.Background(), db); !errors.Is(err, core.ErrServed) || !strings.Contains(err.Error(), "xbench serve") {
+		t.Fatalf("Load = %v, want core.ErrServed naming xbench serve", err)
+	}
+	if err := c.BuildIndexes(nil); !errors.Is(err, core.ErrServed) {
+		t.Fatalf("BuildIndexes = %v, want core.ErrServed", err)
+	}
+	if reqs, conns := fs.stats(); reqs != 0 || conns != 0 {
+		t.Fatalf("server saw %d requests on %d connections, want none", reqs, conns)
+	}
+}
+
+// TestColdResetRetriesATornResponse: dropping caches twice does what
+// dropping them once does, so a cold reset whose response was lost is
+// re-sent like any other op.
+func TestColdResetRetriesATornResponse(t *testing.T) {
+	fs := newFakeServer(t, func(n int, f wire.Frame) (wire.Frame, bool) {
+		return okFrame(nil), n == 1 // sever the first, answer the retry
 	})
 	c := fs.client(Config{Retries: 3, Backoff: time.Millisecond})
-	db := &core.Database{Class: core.DCSD, Size: core.Small}
-	if _, err := c.Load(context.Background(), db); err == nil {
-		t.Fatal("lost-response load reported success")
-	}
-	if reqs, _ := fs.stats(); reqs != 1 {
-		t.Fatalf("server saw %d load requests, want exactly 1", reqs)
+	c.ColdReset()
+	if reqs, _ := fs.stats(); reqs != 2 {
+		t.Fatalf("server saw %d cold resets, want 2 (the torn one and its retry)", reqs)
 	}
 }
 
@@ -254,7 +273,7 @@ func TestDialRetryHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.roundTrip(ctx, wire.OpPing, nilPayload, true)
+	_, err := c.roundTrip(ctx, wire.OpPing, nilPayload)
 	if err == nil {
 		t.Fatal("dial to a dead address succeeded")
 	}
@@ -278,7 +297,7 @@ func TestFailoverToSecondAddress(t *testing.T) {
 	// Each call prefers the dead primary until its breaker opens after 2
 	// consecutive dial failures, then sticks to the secondary.
 	for i := 0; i < 4; i++ {
-		if _, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload, true); err != nil {
+		if _, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload); err != nil {
 			t.Fatalf("call %d with live secondary failed: %v", i, err)
 		}
 	}
@@ -385,18 +404,18 @@ func TestBreakerRecoversAfterCooldown(t *testing.T) {
 		FailThreshold: 1, Cooldown: 30 * time.Millisecond,
 	})
 	// Trip the primary's breaker.
-	if p, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload, true); err != nil || string(p) != "secondary" {
+	if p, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload); err != nil || string(p) != "secondary" {
 		t.Fatalf("first call: payload=%q err=%v, want failover to secondary", p, err)
 	}
 	// While cooling, traffic goes straight to the secondary.
-	if p, _ := c.roundTrip(context.Background(), wire.OpPing, nilPayload, true); string(p) != "secondary" {
+	if p, _ := c.roundTrip(context.Background(), wire.OpPing, nilPayload); string(p) != "secondary" {
 		t.Fatalf("during cooldown got %q, want secondary", p)
 	}
 	// Revive the primary, wait out the cooldown: the half-open probe
 	// succeeds and the primary is preferred again.
 	primaryUp.Store("up", true)
 	time.Sleep(50 * time.Millisecond)
-	if p, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload, true); err != nil || string(p) != "primary" {
+	if p, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload); err != nil || string(p) != "primary" {
 		t.Fatalf("after recovery: payload=%q err=%v, want primary", p, err)
 	}
 }

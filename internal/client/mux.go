@@ -249,7 +249,7 @@ func (c *Client) getMux(ep *endpoint) (*muxConn, error) {
 
 	conn, err := net.DialTimeout("tcp", ep.addr, c.cfg.DialTimeout)
 	if err != nil {
-		return nil, &dialError{err}
+		return nil, err
 	}
 	nm := newMuxConn(conn)
 	c.mu.Lock()

@@ -30,7 +30,7 @@ func TestMuxSharesConnections(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				if _, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload, true); err != nil {
+				if _, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload); err != nil {
 					errs[i] = err
 					return
 				}
@@ -96,7 +96,7 @@ func TestMuxOutOfOrderResponses(t *testing.T) {
 			defer wg.Done()
 			want := fmt.Sprintf("req-%d", i)
 			payload, err := c.roundTrip(context.Background(), wire.OpPing,
-				func(time.Duration) []byte { return []byte(want) }, true)
+				func(time.Duration) []byte { return []byte(want) })
 			if err != nil {
 				errCh <- err
 				return
@@ -127,11 +127,11 @@ func TestMuxFailureFailsAllPendingAndRecovers(t *testing.T) {
 	c := fs.client(Config{MuxConns: 1, Retries: -1})
 	defer c.Close()
 
-	if _, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload, true); err == nil {
+	if _, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload); err == nil {
 		t.Fatal("request on severed mux succeeded without retries")
 	}
 	// The mux died; a fresh request must transparently redial.
-	payload, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload, true)
+	payload, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload)
 	if err != nil {
 		t.Fatalf("request after mux death: %v", err)
 	}
@@ -154,7 +154,7 @@ func TestMuxRetryAcrossFailure(t *testing.T) {
 	})
 	c := fs.client(Config{Retries: 3, Backoff: time.Millisecond})
 	defer c.Close()
-	payload, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload, true)
+	payload, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload)
 	if err != nil {
 		t.Fatalf("retryable ping over mux failed: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestMuxContextCancelAbandonsRequest(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.roundTrip(ctx, wire.OpPing, nilPayload, true)
+		_, err := c.roundTrip(ctx, wire.OpPing, nilPayload)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the request reach the server
@@ -194,7 +194,7 @@ func TestMuxContextCancelAbandonsRequest(t *testing.T) {
 		t.Fatal("canceled request did not return")
 	}
 	close(block) // release the stale response; the mux must drop it by ID
-	payload, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload, true)
+	payload, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload)
 	if err != nil {
 		t.Fatalf("request after abandoned predecessor: %v", err)
 	}
@@ -244,7 +244,7 @@ func TestMuxPooledBufferHammer(t *testing.T) {
 						b := wire.AppendUpdateRequest((*bp)[:0], wire.UpdateRequest{Name: name, Data: data})
 						*bp = b
 						return b
-					}, true)
+					})
 				wire.PutBuf(bp)
 				if err != nil {
 					errCh <- fmt.Errorf("g%d i%d: %w", g, i, err)
@@ -279,7 +279,7 @@ func TestMuxConcurrentWriters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload, true); err != nil {
+			if _, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload); err != nil {
 				failed.Add(1)
 			}
 		}()
@@ -306,7 +306,7 @@ func TestMuxClientCloseFailsWaiters(t *testing.T) {
 	c := fs.client(Config{MuxConns: 1, Retries: -1})
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload, true)
+		_, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -319,7 +319,7 @@ func TestMuxClientCloseFailsWaiters(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close leaked a pipelined waiter")
 	}
-	if _, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload, true); !errors.Is(err, ErrClosed) {
+	if _, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload); !errors.Is(err, ErrClosed) {
 		t.Fatalf("request on closed client: %v, want ErrClosed", err)
 	}
 }
@@ -356,7 +356,7 @@ func TestMuxCancelDuringStuckWrite(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.roundTrip(ctx, wire.OpPing, func(time.Duration) []byte { return payload }, true)
+		_, err := c.roundTrip(ctx, wire.OpPing, func(time.Duration) []byte { return payload })
 		done <- err
 	}()
 	time.Sleep(100 * time.Millisecond) // let the write fill the socket buffers

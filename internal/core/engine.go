@@ -15,10 +15,16 @@ var ErrUnsupported = errors.New("core: class/size combination not supported by t
 // engine's class (each class instantiates only a subset of Q1..Q20).
 var ErrNoQuery = errors.New("core: query not defined for this class")
 
-// ErrReadOnly is returned by engines that decline document updates (and
-// Load and BuildIndexes): a read replica serves queries only and is fed
-// through its primary's journal (server.Config.ReplicaOf).
+// ErrReadOnly is returned by engines that decline document updates: a
+// read replica serves queries only and is fed through its primary's
+// journal (server.Config.ReplicaOf).
 var ErrReadOnly = errors.New("core: engine does not support document updates")
+
+// ErrServed is what Load and BuildIndexes return on a served engine's
+// remote handle (internal/client, internal/router): the server's own
+// process loaded the database it serves, so no load travels over the
+// wire.
+var ErrServed = errors.New("core: a served engine holds the database its server loaded (start it with xbench serve)")
 
 // IsNotAnswered reports whether err means an engine legitimately declines
 // a query — the query is not defined for the class or the combination is

@@ -84,7 +84,9 @@ func writeJournal(t *testing.T, dir, name string, recs ...updatelog.Record) stri
 // has the same length, so the replica's offset is a record boundary in B
 // too: only the checksum its pull names tells the journals apart. The
 // replica must keep {a-0, a-1}, never apply b-2 on top, and stop with
-// Err saying why.
+// Err saying why. Halted, it refuses every query and explain with
+// wire.ErrShutdown (what a failover client retries on the shard's next
+// member) naming the halt, instead of answering from its frozen state.
 func TestReplicaRefusesAForkedPrimary(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -136,6 +138,18 @@ func TestReplicaRefusesAForkedPrimary(t *testing.T) {
 	}
 	if got, want := eng.docNames(), []string{"a-0.xml", "a-1.xml"}; !slices.Equal(got, want) || rep.Applied() != 2 {
 		t.Fatalf("replica holds %v after %d applies, want %v after 2", got, rep.Applied(), want)
+	}
+
+	rc, err := client.Dial(rep.Addr().String(), client.Config{Retries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if res, err := rc.Execute(ctx, core.Q1, nil); !errors.Is(err, wire.ErrShutdown) || !strings.Contains(err.Error(), "halted") {
+		t.Fatalf("Q1 on the halted replica = %v, %v; want a refusal naming the halt", res.Items, err)
+	}
+	if _, err := rc.Explain(ctx, core.Q1, nil); !errors.Is(err, wire.ErrShutdown) || !strings.Contains(err.Error(), "halted") {
+		t.Fatalf("explain on the halted replica = %v, want a refusal naming the halt", err)
 	}
 }
 

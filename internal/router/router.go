@@ -74,9 +74,6 @@ func DefaultRouteKey(q core.QueryID, p core.Params) (string, bool) {
 
 // Config controls a Router.
 type Config struct {
-	// Metrics receives the router's per-shard counters and gather
-	// histogram; nil creates a private registry (readable via Metrics()).
-	Metrics *metrics.Registry
 	// Client is the template for every per-shard connection (pooling,
 	// retries, breakers, pipelining). Zero values select the client
 	// package defaults.
@@ -86,7 +83,7 @@ type Config struct {
 // shardConn is one shard's connections and counters.
 type shardConn struct {
 	spec  Shard
-	write *client.Client // primary only: updates, loads, index builds
+	write *client.Client // primary only: updates, cold resets, page I/O
 	read  *client.Client // reads: the primary, then its replicas on failover
 
 	routed  *metrics.Counter // router.shard.<i>.routed
@@ -125,13 +122,11 @@ func Dial(shards []Shard, cfg Config) (*Router, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("router: no shards")
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
+	reg := metrics.NewRegistry()
 	r := &Router{
 		cfg:  cfg,
-		reg:  cfg.Metrics,
-		gath: cfg.Metrics.Histogram("router.gather"),
+		reg:  reg,
+		gath: reg.Histogram("router.gather"),
 		ring: NewRing(len(shards), 0),
 	}
 	for i, spec := range shards {
@@ -208,60 +203,14 @@ func (r *Router) Supports(c core.Class, s core.Size) error {
 	return r.shards[0].write.Supports(c, s)
 }
 
-// Load partitions the database by the ring and bulk-loads every shard's
-// slice concurrently.
-func (r *Router) Load(ctx context.Context, db *core.Database) (core.LoadStats, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	parts := make([]*core.Database, len(r.shards))
-	for i := range r.shards {
-		parts[i] = r.ring.Partition(db, i)
-	}
-	stats := make([]core.LoadStats, len(r.shards))
-	errs := make([]error, len(r.shards))
-	var wg sync.WaitGroup
-	for i, sc := range r.shards {
-		wg.Add(1)
-		go func(i int, sc *shardConn) {
-			defer wg.Done()
-			stats[i], errs[i] = sc.write.Load(ctx, parts[i])
-			if errs[i] != nil {
-				sc.errs.Inc()
-			}
-		}(i, sc)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return core.LoadStats{}, err
-	}
-	var total core.LoadStats
-	for _, st := range stats {
-		total.Documents += st.Documents
-		total.Rows += st.Rows
-		total.Nodes += st.Nodes
-		total.Bytes += st.Bytes
-		total.PageIO += st.PageIO
-		total.SkippedMixed += st.SkippedMixed
-	}
-	return total, nil
+// Load refuses with core.ErrServed: each shard server loads its own ring
+// partition (`xbench serve --shard=i/n`).
+func (r *Router) Load(context.Context, *core.Database) (core.LoadStats, error) {
+	return core.LoadStats{}, core.ErrServed
 }
 
-// BuildIndexes builds the Table 3 indexes on every shard.
-func (r *Router) BuildIndexes(specs []core.IndexSpec) error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	errs := make([]error, len(r.shards))
-	var wg sync.WaitGroup
-	for i, sc := range r.shards {
-		wg.Add(1)
-		go func(i int, sc *shardConn) {
-			defer wg.Done()
-			errs[i] = sc.write.BuildIndexes(specs)
-		}(i, sc)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
+// BuildIndexes refuses with core.ErrServed, as Load does.
+func (r *Router) BuildIndexes([]core.IndexSpec) error { return core.ErrServed }
 
 // Execute routes or scatters one query. A query DefaultRouteKey pins to a
 // document runs on that document's owner alone; everything else runs on

@@ -127,40 +127,37 @@ func testDB(n int) *core.Database {
 	return db
 }
 
-// startShard boots one stub shard server; cleanup closes it.
-func startShard(t *testing.T) *server.Server {
-	t.Helper()
-	srv := server.New(newStub(), server.Config{})
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv
-}
-
-// startCluster boots n shards and a router over them, loaded with db.
+// startCluster boots n stub shards, each loaded in process with its ring
+// partition of db as `xbench serve --shard=i/n` loads one, and a router
+// over them.
 func startCluster(t *testing.T, n int, db *core.Database, cfg router.Config) (*router.Router, []*server.Server) {
 	t.Helper()
+	ring := router.NewRing(n, 0)
 	srvs := make([]*server.Server, n)
 	shards := make([]router.Shard, n)
+	loaded := 0
 	for i := range srvs {
-		srvs[i] = startShard(t)
+		eng := newStub()
+		st, err := eng.Load(context.Background(), ring.Partition(db, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded += st.Documents
+		srvs[i] = server.New(eng, server.Config{})
+		if err := srvs[i].Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srvs[i].Close() })
 		shards[i] = router.Shard{Primary: srvs[i].Addr().String()}
+	}
+	if loaded != len(db.Docs) {
+		t.Fatalf("loaded %d documents, want %d", loaded, len(db.Docs))
 	}
 	r, err := router.Dial(shards, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.Close() })
-	if db != nil {
-		st, err := r.Load(context.Background(), db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Documents != len(db.Docs) {
-			t.Fatalf("loaded %d documents, want %d", st.Documents, len(db.Docs))
-		}
-	}
 	return r, srvs
 }
 
@@ -174,12 +171,20 @@ func scatterNames(t *testing.T, r *router.Router) []string {
 	return res.Items
 }
 
-// TestRouterLoadPartitionsAndScatters loads a 3-shard cluster and checks
-// the partitioning invariants: every shard holds a non-empty slice, the
-// scatter union is exactly the corpus, and no document appears twice.
+// TestRouterLoadPartitionsAndScatters loads a 3-shard cluster, each
+// shard its ring partition, and checks the partitioning invariants:
+// every shard holds a non-empty slice, the scatter union is exactly the
+// corpus, and no document appears twice. The router itself loads
+// nothing: Load and BuildIndexes refuse with core.ErrServed.
 func TestRouterLoadPartitionsAndScatters(t *testing.T) {
 	db := testDB(60)
 	r, _ := startCluster(t, 3, db, router.Config{})
+	if _, err := r.Load(context.Background(), db); !errors.Is(err, core.ErrServed) {
+		t.Fatalf("router Load: %v, want core.ErrServed", err)
+	}
+	if err := r.BuildIndexes(nil); !errors.Is(err, core.ErrServed) {
+		t.Fatalf("router BuildIndexes: %v, want core.ErrServed", err)
+	}
 
 	if got, want := r.Name(), "router(3×stub)"; got != want {
 		t.Fatalf("name %q, want %q", got, want)

@@ -72,13 +72,11 @@ type Config struct {
 	// <= 0 selects 30s. A tighter client deadline, carried in the request
 	// payload, wins.
 	RequestTimeout time.Duration
-	// Metrics receives the server's counters and wire-latency histograms;
-	// nil creates a private registry (readable via Metrics()).
-	Metrics *metrics.Registry
 	// ReplicaOf makes the server a read replica of the primary at this
-	// address: mutating ops (updates, load, index builds) are rejected
-	// with core.ErrReadOnly, and Start begins applying the primary's
-	// journal to the engine, which must hold its base database already.
+	// address: updates are rejected with core.ErrReadOnly, and Start
+	// begins applying the primary's journal to the engine, which must
+	// hold its base database already. Once that stops (ReplicaErr),
+	// queries and explains are refused with wire.ErrShutdown.
 	ReplicaOf string
 }
 
@@ -95,9 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.Metrics == nil {
-		c.Metrics = metrics.NewRegistry()
 	}
 	return c
 }
@@ -146,9 +141,9 @@ type Server struct {
 	closeErr  error
 }
 
-// New wraps an engine in a server. The engine should already be loaded
-// (or the client will drive OpLoad over the wire). The server owns the
-// engine from here on: Shutdown/Close close it.
+// New wraps an engine in a server. The engine must already hold its
+// database: no op loads one over the wire. The server owns the engine
+// from here on: Shutdown/Close close it.
 func New(e core.Engine, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -156,7 +151,7 @@ func New(e core.Engine, cfg Config) *Server {
 		eng:   e,
 		sem:   make(chan struct{}, cfg.MaxInflight),
 		done:  make(chan struct{}),
-		reg:   cfg.Metrics,
+		reg:   metrics.NewRegistry(),
 		conns: map[net.Conn]struct{}{},
 		dedup: newDedupTable(),
 	}
@@ -295,7 +290,7 @@ func (s *Server) Applied() uint64 { return s.applied.Load() }
 
 // ReplicaErr returns what halted a replica's journal puller (a damaged
 // window, a refused position or an apply failure), or nil while shipping
-// is healthy.
+// is healthy. A halted replica refuses every query and explain.
 func (s *Server) ReplicaErr() error {
 	if v := s.halt.Load(); v != nil {
 		return v.(error)
@@ -311,7 +306,8 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Metrics returns the server's registry (counters documented on Config).
+// Metrics returns the server's registry: the counters named on Server's
+// fields and the wire.<op> service-time histograms.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 // Inflight returns the number of requests currently holding an admission
@@ -545,8 +541,17 @@ func (s *Server) handle(op wire.Op, payload []byte, scratch *[]byte) (wire.Frame
 	return f, s.release
 }
 
-// execute runs an admitted request against the engine.
+// execute runs an admitted request against the engine. A replica whose
+// puller halted refuses reads before they run: its engine is frozen at
+// the last record applied, a state its primary has left. The refusal is
+// StatusShutdown, which a failover client retries on the shard's next
+// member.
 func (s *Server) execute(op wire.Op, payload []byte, scratch *[]byte) wire.Frame {
+	if op == wire.OpQuery || op == wire.OpExplain {
+		if err := s.ReplicaErr(); err != nil {
+			return errFrame(fmt.Errorf("server: replica halted (%v): %w", err, wire.ErrShutdown))
+		}
+	}
 	switch op {
 	case wire.OpQuery:
 		req, err := wire.DecodeQueryRequest(payload)
@@ -575,32 +580,6 @@ func (s *Server) execute(op wire.Op, payload []byte, scratch *[]byte) wire.Frame
 		}
 		*scratch = wire.AppendPlanNode((*scratch)[:0], node)
 		return okFrame(*scratch)
-
-	case wire.OpLoad:
-		if s.cfg.ReplicaOf != "" {
-			return errFrame(fmt.Errorf("server: replica: %w", core.ErrReadOnly))
-		}
-		req, err := wire.DecodeLoadRequest(payload)
-		if err != nil {
-			return badRequest(err)
-		}
-		ctx, cancel := s.reqCtx(req.Timeout)
-		defer cancel()
-		st, err := s.eng.Load(ctx, &req.DB)
-		if err != nil {
-			return errFrame(err)
-		}
-		return okFrame(wire.EncodeLoadStats(st))
-
-	case wire.OpIndexes:
-		if s.cfg.ReplicaOf != "" {
-			return errFrame(fmt.Errorf("server: replica: %w", core.ErrReadOnly))
-		}
-		specs, err := wire.DecodeIndexSpecs(payload)
-		if err != nil {
-			return badRequest(err)
-		}
-		return errFrame(s.eng.BuildIndexes(specs))
 
 	case wire.OpColdReset:
 		s.eng.ColdReset()

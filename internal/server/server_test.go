@@ -167,9 +167,21 @@ func waitIdle(t *testing.T, srv *server.Server, when string) {
 
 // TestRemoteEngineEndToEnd drives every core.Engine method through the
 // wire and checks the results match what the engine answers in-process.
+// The engine is loaded in process before it is served; the client's
+// Load and BuildIndexes refuse with core.ErrServed.
 func TestRemoteEngineEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	eng := newStub()
+	db := &core.Database{Class: core.DCMD, Size: core.Small, Docs: []core.Doc{
+		{Name: "order1.xml", Data: []byte("<order id=\"O1\"/>")},
+	}}
+	st, err := eng.Load(ctx, db)
+	if err != nil || st.Documents != 1 {
+		t.Fatalf("Load: %+v, %v", st, err)
+	}
+	if err := eng.BuildIndexes([]core.IndexSpec{{Class: core.DCMD, Target: "order/@id"}}); err != nil {
+		t.Fatalf("BuildIndexes: %v", err)
+	}
 	srv, c := startServer(t, eng, server.Config{})
 
 	if c.Name() != "stub" {
@@ -178,16 +190,11 @@ func TestRemoteEngineEndToEnd(t *testing.T) {
 	if err := c.Supports(core.DCMD, core.Small); err != nil {
 		t.Fatalf("Supports: %v", err)
 	}
-
-	db := &core.Database{Class: core.DCMD, Size: core.Small, Docs: []core.Doc{
-		{Name: "order1.xml", Data: []byte("<order id=\"O1\"/>")},
-	}}
-	st, err := c.Load(ctx, db)
-	if err != nil || st.Documents != 1 {
-		t.Fatalf("Load: %+v, %v", st, err)
+	if _, err := c.Load(ctx, db); !errors.Is(err, core.ErrServed) {
+		t.Fatalf("remote Load: %v, want core.ErrServed", err)
 	}
-	if err := c.BuildIndexes([]core.IndexSpec{{Class: core.DCMD, Target: "order/@id"}}); err != nil {
-		t.Fatalf("BuildIndexes: %v", err)
+	if err := c.BuildIndexes(nil); !errors.Is(err, core.ErrServed) {
+		t.Fatalf("remote BuildIndexes: %v, want core.ErrServed", err)
 	}
 
 	res, err := c.Execute(ctx, core.Q5, core.Params{"X": "O1"})

@@ -16,7 +16,7 @@ package wire
 import "sync"
 
 // MaxKeptBuf caps the capacity of a scratch buffer kept for reuse (1
-// MiB), pooled or held by a connection: a giant load payload or result
+// MiB), pooled or held by a connection: a giant result or journal window
 // would otherwise pin its allocation for good.
 const MaxKeptBuf = 1 << 20
 

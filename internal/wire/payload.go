@@ -301,130 +301,6 @@ func DecodeUpdateRequest(b []byte) (UpdateRequest, error) {
 	return r, d.end()
 }
 
-// LoadRequest is the OpLoad payload: the full serialized database plus
-// the client's remaining deadline.
-type LoadRequest struct {
-	DB      core.Database
-	Timeout time.Duration
-}
-
-// EncodeLoadRequest serializes a LoadRequest.
-func EncodeLoadRequest(r LoadRequest) []byte {
-	var e enc
-	e.byte(byte(r.DB.Class))
-	e.byte(byte(r.DB.Size))
-	e.uvarint(uint64(len(r.DB.Docs)))
-	for _, doc := range r.DB.Docs {
-		e.string(doc.Name)
-		e.bytes(doc.Data)
-	}
-	e.duration(r.Timeout)
-	return e.b
-}
-
-// DecodeLoadRequest parses an OpLoad payload.
-func DecodeLoadRequest(b []byte) (LoadRequest, error) {
-	d := dec{b}
-	var r LoadRequest
-	c, err := d.byte()
-	if err != nil {
-		return r, err
-	}
-	s, err := d.byte()
-	if err != nil {
-		return r, err
-	}
-	r.DB.Class, r.DB.Size = core.Class(c), core.Size(s)
-	n, err := d.uvarint()
-	if err != nil {
-		return r, err
-	}
-	r.DB.Docs = make([]core.Doc, 0, min(n, 1<<16))
-	for i := uint64(0); i < n; i++ {
-		name, err := d.string()
-		if err != nil {
-			return r, err
-		}
-		data, err := d.bytes()
-		if err != nil {
-			return r, err
-		}
-		r.DB.Docs = append(r.DB.Docs, core.Doc{Name: name, Data: data})
-	}
-	if r.Timeout, err = d.duration(); err != nil {
-		return r, err
-	}
-	return r, d.end()
-}
-
-// EncodeLoadStats serializes a core.LoadStats (the OpLoad success payload).
-func EncodeLoadStats(st core.LoadStats) []byte {
-	var e enc
-	e.varint(int64(st.Documents))
-	e.varint(int64(st.Rows))
-	e.varint(int64(st.Nodes))
-	e.varint(int64(st.Bytes))
-	e.varint(st.PageIO)
-	e.varint(int64(st.SkippedMixed))
-	return e.b
-}
-
-// DecodeLoadStats parses an OpLoad success payload.
-func DecodeLoadStats(b []byte) (core.LoadStats, error) {
-	d := dec{b}
-	var st core.LoadStats
-	for _, dst := range []*int{&st.Documents, &st.Rows, &st.Nodes, &st.Bytes} {
-		v, err := d.varint()
-		if err != nil {
-			return st, err
-		}
-		*dst = int(v)
-	}
-	v, err := d.varint()
-	if err != nil {
-		return st, err
-	}
-	st.PageIO = v
-	if v, err = d.varint(); err != nil {
-		return st, err
-	}
-	st.SkippedMixed = int(v)
-	return st, d.end()
-}
-
-// EncodeIndexSpecs serializes the OpIndexes payload.
-func EncodeIndexSpecs(specs []core.IndexSpec) []byte {
-	var e enc
-	e.uvarint(uint64(len(specs)))
-	for _, s := range specs {
-		e.byte(byte(s.Class))
-		e.string(s.Target)
-	}
-	return e.b
-}
-
-// DecodeIndexSpecs parses an OpIndexes payload.
-func DecodeIndexSpecs(b []byte) ([]core.IndexSpec, error) {
-	d := dec{b}
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	specs := make([]core.IndexSpec, 0, min(n, 1<<12))
-	for i := uint64(0); i < n; i++ {
-		c, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		t, err := d.string()
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, core.IndexSpec{Class: core.Class(c), Target: t})
-	}
-	return specs, d.end()
-}
-
 // EncodeClassSize serializes the OpSupports payload.
 func EncodeClassSize(c core.Class, s core.Size) []byte {
 	return []byte{byte(c), byte(s)}

@@ -60,12 +60,6 @@ func TestDecodersRefuseTrailingBytes(t *testing.T) {
 			func(b []byte) error { _, err := DecodeResult(b); return err }},
 		{"UpdateRequest", EncodeUpdateRequest(UpdateRequest{Name: "a.xml", Data: []byte("<a/>"), Key: IdemKey{Client: 3, Seq: 1}}),
 			func(b []byte) error { _, err := DecodeUpdateRequest(b); return err }},
-		{"LoadRequest", EncodeLoadRequest(LoadRequest{DB: core.Database{Class: core.DCMD, Docs: []core.Doc{{Name: "a.xml", Data: []byte("<a/>")}}}}),
-			func(b []byte) error { _, err := DecodeLoadRequest(b); return err }},
-		{"LoadStats", EncodeLoadStats(core.LoadStats{Documents: 1, Rows: 2, PageIO: 3}),
-			func(b []byte) error { _, err := DecodeLoadStats(b); return err }},
-		{"IndexSpecs", EncodeIndexSpecs([]core.IndexSpec{{Class: core.DCMD, Target: "order/@id"}}),
-			func(b []byte) error { _, err := DecodeIndexSpecs(b); return err }},
 		{"ClassSize", EncodeClassSize(core.TCMD, core.Normal),
 			func(b []byte) error { _, _, err := DecodeClassSize(b); return err }},
 		{"Int64", EncodeInt64(-42),

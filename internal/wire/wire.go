@@ -10,7 +10,7 @@
 //
 //	offset size field
 //	0      2    magic 0x5842 ("XB")
-//	2      1    protocol version (3; readers accept nothing else, see MinVersion)
+//	2      1    protocol version (4; readers accept nothing else, see MinVersion)
 //	3      1    request: op kind / response: status code
 //	4      8    request id (echoed verbatim in the response)
 //	12     4    payload length
@@ -44,8 +44,9 @@ const Magic uint16 = 0x5842
 
 // Version is the protocol version this package writes. Version 2 added
 // the idempotency key to update payloads; version 3 ships the journal as
-// its own bytes, addressed by byte offset (OpJournal).
-const Version byte = 3
+// its own bytes, addressed by byte offset (OpJournal); version 4 has no
+// load or index-build op, so the op codes after OpQuery moved down.
+const Version byte = 4
 
 // MinVersion is the oldest protocol version a reader accepts: the
 // current one. Every peer is built from this tree.
@@ -59,9 +60,11 @@ const MaxPayload = 64 << 20
 // headerSize is the fixed frame header length in bytes.
 const headerSize = 20
 
-// Op identifies a request operation. The set mirrors core.Engine: every
-// remote call is one op, so the client can satisfy the interface with one
-// round trip per method.
+// Op identifies a request operation: one op per remote call, so the
+// client answers each core.Engine method it serves with one round trip.
+// There is no op for Load or BuildIndexes: a served engine holds the
+// database its own process loaded (`xbench serve`, or server.Reopen),
+// and the client refuses both without a round trip.
 type Op byte
 
 const (
@@ -69,10 +72,6 @@ const (
 	OpPing Op = iota + 1
 	// OpQuery executes one workload query (payload: QueryRequest).
 	OpQuery
-	// OpLoad bulk-loads a database (payload: Database; response LoadStats).
-	OpLoad
-	// OpIndexes builds the Table 3 indexes (payload: IndexSpecs).
-	OpIndexes
 	// OpColdReset drops the engine's caches.
 	OpColdReset
 	// OpPageIO reads the engine's cumulative page I/O counter.
@@ -110,10 +109,6 @@ func (o Op) String() string {
 		return "ping"
 	case OpQuery:
 		return "query"
-	case OpLoad:
-		return "load"
-	case OpIndexes:
-		return "indexes"
 	case OpColdReset:
 		return "coldreset"
 	case OpPageIO:

@@ -135,39 +135,11 @@ func TestResultEncodingPinned(t *testing.T) {
 	}
 }
 
-func TestUpdateAndLoadRoundTrip(t *testing.T) {
+func TestUpdateAndCounterRoundTrip(t *testing.T) {
 	u := UpdateRequest{Name: "order-update-3.xml", Data: []byte("<order/>"), Timeout: time.Second, Key: IdemKey{Client: 1, Seq: 3}}
 	gotU, err := DecodeUpdateRequest(EncodeUpdateRequest(u))
 	if err != nil || !reflect.DeepEqual(u, gotU) {
 		t.Fatalf("update roundtrip: %+v, %v", gotU, err)
-	}
-
-	l := LoadRequest{
-		DB: core.Database{
-			Class: core.DCMD,
-			Size:  core.Small,
-			Docs: []core.Doc{
-				{Name: "order1.xml", Data: []byte("<order id=\"O1\"/>")},
-				{Name: "Customer.xml", Data: []byte("<customers/>")},
-			},
-		},
-		Timeout: 3 * time.Second,
-	}
-	gotL, err := DecodeLoadRequest(EncodeLoadRequest(l))
-	if err != nil || !reflect.DeepEqual(l, gotL) {
-		t.Fatalf("load roundtrip: %+v, %v", gotL, err)
-	}
-
-	st := core.LoadStats{Documents: 2, Rows: 10, Nodes: 0, Bytes: 999, PageIO: 55, SkippedMixed: 1}
-	gotS, err := DecodeLoadStats(EncodeLoadStats(st))
-	if err != nil || gotS != st {
-		t.Fatalf("stats roundtrip: %+v, %v", gotS, err)
-	}
-
-	specs := []core.IndexSpec{{Class: core.DCSD, Target: "item/@id"}, {Class: core.TCSD, Target: "hw"}}
-	gotSp, err := DecodeIndexSpecs(EncodeIndexSpecs(specs))
-	if err != nil || !reflect.DeepEqual(specs, gotSp) {
-		t.Fatalf("specs roundtrip: %+v, %v", gotSp, err)
 	}
 
 	c, sz, err := DecodeClassSize(EncodeClassSize(core.TCMD, core.Large))
@@ -182,12 +154,9 @@ func TestUpdateAndLoadRoundTrip(t *testing.T) {
 }
 
 func TestTruncatedPayloadsFailTyped(t *testing.T) {
-	full := EncodeLoadRequest(LoadRequest{DB: core.Database{
-		Class: core.DCMD,
-		Docs:  []core.Doc{{Name: "a.xml", Data: []byte("<a/>")}},
-	}})
+	full := EncodeResult(core.Result{Items: []string{"<a/>", "<b/>"}, PageIO: 300})
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeLoadRequest(full[:cut]); !errors.Is(err, ErrTruncated) {
+		if _, err := DecodeResult(full[:cut]); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("cut at %d: %v, want ErrTruncated", cut, err)
 		}
 	}

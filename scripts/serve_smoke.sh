@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Serving-layer smoke test: start `xbench serve --journal` on a loopback
 # port, run a two-client remote throughput sweep and a remote update
-# report against it, then kill -9 the server mid-life, restart it on the
+# report against the database the server loaded, then kill -9 the server mid-life, restart it on the
 # same port from the journal (the banner must report replayed updates),
 # run another remote sweep, and finally SIGTERM and require a graceful
 # (exit 0) drain.
@@ -32,7 +32,7 @@ done
 [ -n "$addr" ] || { echo "server never printed its address:"; cat "$log"; exit 1; }
 echo "serving on $addr"
 
-"$bin" throughput --remote="$addr" --no-load --class=dcmd \
+"$bin" throughput --remote="$addr" --class=dcmd \
     --clients=1,2 --ops=20 --format=json | grep -q '"qps"' \
     || { echo "remote sweep produced no report"; exit 1; }
 
@@ -61,7 +61,7 @@ replayed=$(sed -n 's/^recovered .*: \([0-9]*\) journaled updates replayed.*/\1/p
 [ "$replayed" -gt 0 ] || { echo "journal recovery replayed 0 updates after an update run"; exit 1; }
 echo "restarted on $addr with $replayed journaled updates replayed"
 
-"$bin" throughput --remote="$addr" --no-load --class=dcmd \
+"$bin" throughput --remote="$addr" --class=dcmd \
     --clients=1,2 --ops=20 --format=json | grep -q '"qps"' \
     || { echo "post-recovery remote sweep produced no report"; exit 1; }
 

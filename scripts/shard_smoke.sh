@@ -55,9 +55,9 @@ replica_pid=$!
 replica_addr=$(await_banner "$tmp/r0.log" "$replica_pid" 's/^replica of .* on \([0-9.:]*\)$/\1/p')
 echo "replica of shard 0 on $replica_addr"
 
-# The router front-end: one address for the whole cluster. The shards are
-# already loaded (--shard), so --no-load.
-"$bin" route --class=dcmd --size=small --no-load \
+# The router front-end: one address for the whole cluster. Each shard
+# loaded its own partition (--shard); the router loads nothing.
+"$bin" route --class=dcmd \
     --shards="${shard_addr[0]}+$replica_addr,${shard_addr[1]},${shard_addr[2]}" \
     --addr=127.0.0.1:0 --drain-timeout=10s >"$tmp/route.log" 2>&1 &
 router_pid=$!
@@ -65,7 +65,7 @@ front=$(await_banner "$tmp/route.log" "$router_pid" 's/^routing .* on \([0-9.:]*
 echo "router on $front"
 
 # 1. Mixed read/write sweep against the healthy cluster.
-"$bin" throughput --remote="$front" --no-load --class=dcmd \
+"$bin" throughput --remote="$front" --class=dcmd \
     --clients=1,2 --ops=20 --update-fraction=0.2 --format=json | grep -q '"qps"' \
     || { echo "healthy mixed sweep produced no report"; exit 1; }
 echo "healthy mixed sweep OK"
@@ -74,7 +74,7 @@ echo "healthy mixed sweep OK"
 # and scattered, must keep answering through the replica failover.
 kill -9 "${shard_pid[0]}"
 wait "${shard_pid[0]}" 2>/dev/null || true
-"$bin" throughput --remote="$front" --no-load --class=dcmd \
+"$bin" throughput --remote="$front" --class=dcmd \
     --clients=2 --ops=15 --format=json | grep -q '"qps"' \
     || { echo "read sweep with a dead shard produced no report"; exit 1; }
 echo "dead-shard read sweep OK"
@@ -99,7 +99,7 @@ sleep 1
 # --update-seq-base: the first sweep consumed the low update-document
 # sequences and a mid-cycle step can leave documents behind, so the
 # re-run starts its U1 names past anything already placed.
-"$bin" throughput --remote="$front" --no-load --class=dcmd \
+"$bin" throughput --remote="$front" --class=dcmd \
     --clients=1,2 --ops=20 --update-fraction=0.2 --update-seq-base=500000 \
     --format=json | grep -q '"qps"' \
     || { echo "post-recovery mixed sweep produced no report"; exit 1; }

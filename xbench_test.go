@@ -143,8 +143,8 @@ func TestPublicSchemaXSD(t *testing.T) {
 }
 
 // TestPublicServeConnect drives the network layer the way `xbench serve`
-// and `--remote` do: serve an engine New built, dial it, run the driver
-// remote.
+// and `--remote` do: serve an engine New built and loaded, dial it, run
+// the driver remote.
 func TestPublicServeConnect(t *testing.T) {
 	db, err := Generate(DCMD, Small)
 	if err != nil {
@@ -152,6 +152,9 @@ func TestPublicServeConnect(t *testing.T) {
 	}
 	e, err := New("native")
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadAndIndex(context.Background(), e, db); err != nil {
 		t.Fatal(err)
 	}
 	srv := server.New(e, server.Config{})
@@ -166,9 +169,6 @@ func TestPublicServeConnect(t *testing.T) {
 	defer cl.Close()
 	if cl.Name() != e.Name() {
 		t.Fatalf("remote name %q, want %q", cl.Name(), e.Name())
-	}
-	if _, err := LoadAndIndex(context.Background(), cl, db); err != nil {
-		t.Fatal(err)
 	}
 	rep, err := driver.Run(context.Background(), cl, DCMD, driver.Config{
 		Clients: 2, OpsPerClient: 5, Think: -1, NoWarmup: true,
