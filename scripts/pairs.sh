@@ -18,7 +18,10 @@
 # GODEBUG=gctrace=1, its "gc N @..." stderr lines are counted per run
 # (the rest of its stderr is passed through), and each side's median
 # cycles per attempted operation is printed with how many pairs B ran
-# fewer in. Then one results/trajectory.tsv row per workload:
+# fewer in. Both lines end with the interquartile range of A's runs,
+# and with "inside A's spread" when B's median falls within it: a
+# pairs-won count on such a column is the host's noise, not evidence.
+# Then one results/trajectory.tsv row per workload:
 # B's median and quartiles of qps, read_p50_ms, setup_s and space_amp, the
 # claim column (TEXT, default "-"), and how many of the N pairs B won on
 # metric M (default qps; "won" is better in the direction BENCHMARK.json
@@ -31,7 +34,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-usage() { sed -n '2,31p' "$0" >&2; exit 2; }
+usage() { sed -n '2,33p' "$0" >&2; exit 2; }
 [ $# -ge 2 ] || usage
 a=$1 b=$2
 shift 2
@@ -80,13 +83,15 @@ jqlib='
 		($x | floor) as $i | $s[$i] + ($x - $i) * ($s[[$i + 1, ($s | length) - 1] | min] - $s[$i]);
 	def sig6: if . == 0 then 0 else pow(10; 5 - (fabs | log10 | floor)) as $p | (. * $p | round) / $p end;'
 
-perop() { # workload cpu|gc: "median A, median B, pairs B won, pairs" of that count per attempted op
+perop() { # workload cpu|gc: "median A, median B, pairs B won, pairs, A's spread" of that count per attempted op
 	jq -rn --slurpfile ac "$work/a.$1.$2" --slurpfile bc "$work/b.$1.$2" \
 		--slurpfile ar "$work/a.$1.json" --slurpfile br "$work/b.$1.json" "$jqlib"'
 		def perop($c; $r): [$r[0].runs[].result.attempted] as $ops | [range(0; $ops | length) | $c[.] / $ops[.]];
 		perop($ac; $ar) as $a | perop($bc; $br) as $b |
 		[range(0; $a | length) | select($b[.] < $a[.])] as $won |
-		[(q($a; 0.5) | sig6), (q($b; 0.5) | sig6), ($won | length), ($a | length)] | @tsv'
+		[q($a; 0.25), q($a; 0.75), q($b; 0.5)] as [$lo, $hi, $mb] |
+		[(q($a; 0.5) | sig6), ($mb | sig6), ($won | length), ($a | length),
+			"A IQR [\($lo | sig6), \($hi | sig6)]\(if $mb >= $lo and $mb <= $hi then ", inside A'"'"'s spread" else "" end)"] | @tsv'
 }
 
 better=$(jq -r --arg m "$metric" '.end_to_end[] | select(.name == $m) | .better' BENCHMARK.json)
@@ -100,10 +105,10 @@ for w in ${workloads//,/ }; do
 	done
 	{ (cd "$work/b" && ./e2e --compare "$work/a.$w.json" "$work/b.$w.json") || true; } |
 		awk -v w="$w" 'NR == 1 || $1 == w'
-	IFS=$'\t' read -r acpu bcpu won n < <(perop "$w" cpu)
-	printf '%-14s %-14s %14s %14s  B spent less on %s/%s pairs\n' "$w" "cpu_s_per_op" "$acpu" "$bcpu" "$won" "$n"
-	IFS=$'\t' read -r agc bgc won n < <(perop "$w" gc)
-	printf '%-14s %-14s %14s %14s  B ran fewer on %s/%s pairs\n' "$w" "gc_per_op" "$agc" "$bgc" "$won" "$n"
+	IFS=$'\t' read -r acpu bcpu won n spread < <(perop "$w" cpu)
+	printf '%-14s %-14s %14s %14s  B spent less on %s/%s pairs; %s\n' "$w" "cpu_s_per_op" "$acpu" "$bcpu" "$won" "$n" "$spread"
+	IFS=$'\t' read -r agc bgc won n spread < <(perop "$w" gc)
+	printf '%-14s %-14s %14s %14s  B ran fewer on %s/%s pairs; %s\n' "$w" "gc_per_op" "$agc" "$bgc" "$won" "$n" "$spread"
 	rows+=("$(jq -rs --arg pr "$pr" --arg w "$w" --arg seed "$seed" --arg m "$metric" \
 		--arg better "$better" --arg claim "$claim" --arg host "$host" "$jqlib"'
 		def vals($f; $k): [$f.runs[].result.metrics[$k].value];
