@@ -109,3 +109,26 @@ func TestParams(t *testing.T) {
 		t.Fatal("Params.Get wrong")
 	}
 }
+
+func TestDocOf(t *testing.T) {
+	for _, c := range []struct{ id, root, name string }{
+		{"O1", "order", "order1.xml"},
+		{"O40", "order", "order40.xml"},
+		{"OU7", "order", "order-update-7.xml"},
+		{"a3", "article", "article3.xml"},
+		{"aU12", "article", "article-update-12.xml"},
+		{"", "", ""},
+		{"O", "", ""},
+		{"OU", "", ""},
+		{"I1", "", ""},
+		{"C1", "", ""},
+		{"a1-s2.1", "", ""},
+		{"O1x", "", ""},
+		{"o1", "", ""},
+	} {
+		root, name, ok := DocOf(c.id)
+		if root != c.root || name != c.name || ok != (c.name != "") {
+			t.Errorf("DocOf(%q) = %q, %q, %v; want %q, %q", c.id, root, name, ok, c.root, c.name)
+		}
+	}
+}

@@ -332,3 +332,46 @@ func estRows(c *candidate, st StatValues) float64 {
 	}
 	return r
 }
+
+// DocRoute is a catalog query's "one document answers this" property: the
+// parameter that names the one document every instance of the query reads.
+type DocRoute struct {
+	// Param is the query parameter: the document's name for doc($Param),
+	// otherwise the id its root element carries (core.DocOf maps it to the
+	// document).
+	Param string
+	// Elem is the root element the id must name, the query's one source
+	// element ("order", "article"); "" for doc($Param).
+	Elem string
+}
+
+// OneDocument derives the DocRoute of (class, q) from the compiled query's
+// Shape. It holds for doc($P) alone, and for a query with exactly one
+// source whose first step carries an @id = $P equality: every item such a
+// query returns lies under that one element. A multi-document class
+// partitions its documents, so there the route sends the query to one
+// document's owner; a single-document class has nothing to route, and q
+// undefined for the class has no route either.
+func OneDocument(class core.Class, q core.QueryID) (DocRoute, bool) {
+	def := queries.Lookup(class, q)
+	if def == nil || class.SingleDocument() {
+		return DocRoute{}, false
+	}
+	sh := compile(def).Shape
+	switch {
+	case sh.UsesDoc:
+		if sh.DocParam == "" || len(sh.Sources) != 0 {
+			return DocRoute{}, false
+		}
+		return DocRoute{Param: sh.DocParam}, true
+	case len(sh.Sources) != 1:
+		return DocRoute{}, false
+	}
+	src := &sh.Sources[0]
+	for _, pr := range src.Preds {
+		if pr.Path == "@id" && pr.Op == "=" && plainParam(pr.Param) {
+			return DocRoute{Param: paramName(pr.Param), Elem: src.RootElem}, true
+		}
+	}
+	return DocRoute{}, false
+}

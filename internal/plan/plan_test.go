@@ -160,3 +160,30 @@ func TestOneParsePerQueryText(t *testing.T) {
 		t.Errorf("unparseable text compiled to %v, %v", ph.Query, ph.ParseErr)
 	}
 }
+
+// TestOneDocumentRoutes pins which catalog queries one document answers:
+// on DC/MD and TC/MD the @id point reads and doc($DOC), and nothing else —
+// not DC/MD Q19, whose second source joins other documents, and no scan;
+// on the single-document classes nothing routes.
+func TestOneDocumentRoutes(t *testing.T) {
+	want := map[core.Class]map[core.QueryID]DocRoute{
+		core.DCMD: {
+			core.Q1: {"X", "order"}, core.Q5: {"X", "order"}, core.Q8: {"X", "order"},
+			core.Q9: {"X", "order"}, core.Q12: {"X", "order"}, core.Q16: {"DOC", ""},
+		},
+		core.TCMD: {
+			core.Q1: {"X", "article"}, core.Q5: {"X", "article"}, core.Q8: {"X", "article"},
+			core.Q9: {"X", "article"}, core.Q12: {"X", "article"}, core.Q13: {"X", "article"},
+			core.Q16: {"DOC", ""},
+		},
+	}
+	for _, class := range core.Classes {
+		for q := core.Q1; q <= core.Q20; q++ {
+			got, ok := OneDocument(class, q)
+			w, wantOK := want[class][q]
+			if ok != wantOK || got != w {
+				t.Errorf("%s %s: OneDocument = %+v, %v; want %+v, %v", class, q, got, ok, w, wantOK)
+			}
+		}
+	}
+}

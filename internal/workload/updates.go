@@ -138,10 +138,11 @@ func UpdateTargetID(class core.Class, seq int) string {
 }
 
 // UpdateDoc builds the deterministic, schema-conforming document the
-// update workload uses for (class, seq). rev varies the content the
-// verification query observes — the order total for DC/MD, the article
-// title for TC/MD — so U2's replacement is distinguishable from the
-// document it replaced (rev 0 is the original, rev 1 the replacement).
+// update workload uses for (class, seq), named by core.DocOf after its
+// root's id. rev varies the content the verification query observes — the
+// order total for DC/MD, the article title for TC/MD — so U2's replacement
+// is distinguishable from the document it replaced (rev 0 is the original,
+// rev 1 the replacement).
 func UpdateDoc(class core.Class, seq, rev int) (string, []byte) {
 	id := UpdateTargetID(class, seq)
 	e := xmldom.NewEncoder()
@@ -173,29 +174,29 @@ func UpdateDoc(class core.Class, seq, rev int) (string, []byte) {
 		e.End()
 		e.End()
 		e.End()
-		b, _ := e.Bytes()
-		return "order-update-" + strconv.Itoa(seq) + ".xml", b
+	} else {
+		title := "Update Workload Article " + strconv.Itoa(seq)
+		if rev > 0 {
+			title += " (rev " + strconv.Itoa(rev) + ")"
+		}
+		e.Begin("article", "id", id)
+		e.Begin("prolog")
+		e.Leaf("title", title)
+		e.Begin("authors")
+		e.Begin("author")
+		e.Leaf("name", "Update Author")
+		e.End()
+		e.End()
+		e.End()
+		e.Begin("body")
+		e.Begin("sec", "id", id+"-s1")
+		e.Leaf("heading", "Introduction")
+		e.Leaf("p", "Inserted by the update workload.")
+		e.End()
+		e.End()
+		e.End()
 	}
-	title := "Update Workload Article " + strconv.Itoa(seq)
-	if rev > 0 {
-		title += " (rev " + strconv.Itoa(rev) + ")"
-	}
-	e.Begin("article", "id", id)
-	e.Begin("prolog")
-	e.Leaf("title", title)
-	e.Begin("authors")
-	e.Begin("author")
-	e.Leaf("name", "Update Author")
-	e.End()
-	e.End()
-	e.End()
-	e.Begin("body")
-	e.Begin("sec", "id", id+"-s1")
-	e.Leaf("heading", "Introduction")
-	e.Leaf("p", "Inserted by the update workload.")
-	e.End()
-	e.End()
-	e.End()
+	_, name, _ := core.DocOf(id)
 	b, _ := e.Bytes()
-	return "article-update-" + strconv.Itoa(seq) + ".xml", b
+	return name, b
 }

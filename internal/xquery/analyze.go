@@ -42,6 +42,9 @@ type Shape struct {
 	Sources []Source
 	// UsesDoc is true for doc($X) document lookups.
 	UsesDoc bool
+	// DocParam names the variable a doc($X) lookup binds the document
+	// name to ("X"), when its argument is a bare variable.
+	DocParam string
 }
 
 // Shape summarizes the structure of a parsed query. Constructs it does
@@ -74,6 +77,9 @@ func (a *Shape) walk(e expr) {
 	case call:
 		if v.fn.name == "doc" {
 			a.UsesDoc = true
+			if vr, ok := v.args[0].(varRef); ok {
+				a.DocParam = vr.name
+			}
 		}
 		for _, arg := range v.args {
 			a.walk(arg)
