@@ -2,11 +2,14 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"xbench/internal/chaos"
+	"xbench/internal/client"
 	"xbench/internal/core"
+	"xbench/internal/server"
 	"xbench/internal/workload"
 )
 
@@ -34,7 +37,7 @@ func TestUpdatesGridAllEngines(t *testing.T) {
 		if c.MeanMs <= 0 {
 			t.Errorf("%s %s: zero mean latency", c.Engine, c.Op)
 		}
-		if c.PageIO <= 0 {
+		if c.PageIO == nil || *c.PageIO <= 0 {
 			t.Errorf("%s %s: no attributed page I/O", c.Engine, c.Op)
 		}
 		// The breakdown says what the update did to storage: a replace or a
@@ -105,5 +108,74 @@ func TestUpdateChaosGridSmoke(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("grid output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestUpdatesGridOnAServedEngine measures U1-U3 twice against one served
+// native DC/MD engine, as `bench --view=updates --remote` does against one
+// `xbench serve`: the second run passes only if the first left the
+// database as it found it. A served engine exposes no metrics registry,
+// so its page I/O and writes read "-" and the JSON leaves them out, where
+// an in-process engine's are numbers.
+func TestUpdatesGridOnAServedEngine(t *testing.T) {
+	var buf bytes.Buffer
+	r := tinyRunner(&buf)
+	db, err := r.Database(core.DCMD, core.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine("X-Hive")
+	if _, _, err := workload.LoadAndIndex(context.Background(), eng, db); err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(eng, server.Config{})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	for run, format := range []string{"table", "json"} {
+		buf.Reset()
+		r := tinyRunner(&buf)
+		r.Format, r.EngineList = format, []string{"served"}
+		r.NewEngineFn = func(string) core.Engine {
+			c, err := client.Dial(srv.Addr().String(), client.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		if err := r.UpdatesReport(core.DCMD); err != nil {
+			t.Fatalf("run %d: %v\n%s", run+1, err, buf.String())
+		}
+		out := buf.String()
+		switch format {
+		case "table":
+			rows := 0
+			for _, line := range strings.Split(out, "\n") {
+				if f := strings.Fields(line); len(f) == 9 && strings.HasPrefix(f[1], "U") {
+					rows++
+					if f[7] != "-" || f[8] != "-" {
+						t.Errorf("served row prints pageIO %s and writes %s, want - and -: %q", f[7], f[8], line)
+					}
+				}
+			}
+			if rows != len(workload.UpdateOps) {
+				t.Errorf("%d rows, want %d:\n%s", rows, len(workload.UpdateOps), out)
+			}
+		case "json":
+			if strings.Contains(out, "page_io") || strings.Contains(out, "page_writes") {
+				t.Errorf("served JSON reports page I/O it did not measure:\n%s", out)
+			}
+		}
+	}
+
+	buf.Reset()
+	r.Format, r.EngineList = "json", []string{"X-Hive"}
+	if err := r.UpdatesReport(core.DCMD); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, `"page_io"`) || !strings.Contains(out, `"page_writes"`) {
+		t.Errorf("in-process JSON lacks page_io or page_writes:\n%s", out)
 	}
 }
