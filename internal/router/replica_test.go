@@ -49,12 +49,13 @@ func startReplica(t *testing.T, eng *stubEngine, db *core.Database, primary stri
 // awaitHalt waits for the replica's puller to stop with an error.
 func awaitHalt(t *testing.T, rep *server.Server) error {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for rep.ReplicaErr() == nil {
-		if time.Now().After(deadline) {
-			t.Fatalf("replica never stopped (applied %d)", rep.Applied())
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-rep.Halted():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("replica never stopped (applied %d)", rep.Applied())
+	}
+	if rep.ReplicaErr() == nil {
+		t.Fatal("Halted closed with no ReplicaErr")
 	}
 	return rep.ReplicaErr()
 }
@@ -83,8 +84,8 @@ func writeJournal(t *testing.T, dir, name string, recs ...updatelog.Record) stri
 // the same address with journal B holding b-0, b-1 and b-2. Every record
 // has the same length, so the replica's offset is a record boundary in B
 // too: only the checksum its pull names tells the journals apart. The
-// replica must keep {a-0, a-1}, never apply b-2 on top, and stop with
-// Err saying why. Halted, it refuses every query and explain with
+// replica must keep {a-0, a-1}, never apply b-2 on top, and stop — Halted
+// closed — with ReplicaErr saying why. Halted, it refuses every query and explain with
 // wire.ErrShutdown (what a failover client retries on the shard's next
 // member) naming the halt, instead of answering from its frozen state.
 func TestReplicaRefusesAForkedPrimary(t *testing.T) {
@@ -123,6 +124,12 @@ func TestReplicaRefusesAForkedPrimary(t *testing.T) {
 			t.Fatalf("replica applied %d/2 (err=%v)", rep.Applied(), rep.ReplicaErr())
 		}
 		time.Sleep(time.Millisecond)
+	}
+
+	select {
+	case <-rep.Halted():
+		t.Fatalf("replica in step with its primary halted: %v", rep.ReplicaErr())
+	default:
 	}
 
 	primA.Close()

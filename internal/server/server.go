@@ -131,11 +131,12 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	connWg sync.WaitGroup
 
-	// A replica's puller: stopPull cancels and joins it; halt is what
-	// stopped it.
+	// A replica's puller: stopPull cancels and joins it. halted is closed
+	// once haltErr, what stopped it, is set.
 	stopPull func()
 	applied  atomic.Uint64
-	halt     atomic.Value // error
+	halted   chan struct{}
+	haltErr  error
 
 	closeOnce sync.Once
 	closeErr  error
@@ -147,13 +148,14 @@ type Server struct {
 func New(e core.Engine, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:   cfg,
-		eng:   e,
-		sem:   make(chan struct{}, cfg.MaxInflight),
-		done:  make(chan struct{}),
-		reg:   metrics.NewRegistry(),
-		conns: map[net.Conn]struct{}{},
-		dedup: newDedupTable(),
+		cfg:    cfg,
+		eng:    e,
+		sem:    make(chan struct{}, cfg.MaxInflight),
+		done:   make(chan struct{}),
+		halted: make(chan struct{}),
+		reg:    metrics.NewRegistry(),
+		conns:  map[net.Conn]struct{}{},
+		dedup:  newDedupTable(),
 	}
 	s.cAccepted = s.reg.Counter("server.conn.accepted")
 	s.cActive = s.reg.Counter("server.conn.active")
@@ -230,7 +232,8 @@ func (s *Server) Start() error {
 		go func() {
 			defer close(stopped)
 			if err := s.replicate(ctx, src); err != nil && ctx.Err() == nil {
-				s.halt.Store(err)
+				s.haltErr = err
+				close(s.halted)
 			}
 		}()
 		s.stopPull = func() { cancel(); src.Close(); <-stopped }
@@ -292,11 +295,18 @@ func (s *Server) Applied() uint64 { return s.applied.Load() }
 // window, a refused position or an apply failure), or nil while shipping
 // is healthy. A halted replica refuses every query and explain.
 func (s *Server) ReplicaErr() error {
-	if v := s.halt.Load(); v != nil {
-		return v.(error)
+	select {
+	case <-s.halted:
+		return s.haltErr
+	default:
+		return nil
 	}
-	return nil
 }
+
+// Halted is closed when a replica's journal puller halts; ReplicaErr then
+// names the cause. It is never closed on a primary, on a replica whose
+// shipping is healthy, or by Shutdown or Close stopping the puller.
+func (s *Server) Halted() <-chan struct{} { return s.halted }
 
 // Addr returns the bound listen address (nil before Start).
 func (s *Server) Addr() net.Addr {
