@@ -172,8 +172,17 @@ func TestShardKillTorture(t *testing.T) {
 	// restart it (journal recovery). Both read shapes must answer with the
 	// primary dead — the routed read and the scatter's leg to the victim
 	// shard both ride the replica failover.
+	//
+	// The scatter probe is DC/MD Q2 (a value scan, which no one document
+	// answers): the victim's scatter counter must rise by one per probe, so
+	// each probe is known to have sent a leg to the dead shard. (The routed
+	// counter also counts the storm's inserts, so it proves nothing here;
+	// the sentinel's owner is the victim by construction.)
 	const cycles = 8
 	readParams := core.Params{"X": fmt.Sprintf("OU%d", sentinel)}
+	victimScatters := func() int64 {
+		return rt.Metrics().Snapshot().Counters[fmt.Sprintf("router.shard.%d.scatter", victim)]
+	}
 	deadReads := 0
 	for cycle := 0; cycle < cycles; cycle++ {
 		time.Sleep(time.Duration(50+30*cycle) * time.Millisecond)
@@ -184,8 +193,12 @@ func TestShardKillTorture(t *testing.T) {
 			if _, err := rt.Execute(ctx, core.Q1, readParams); err != nil {
 				t.Errorf("cycle %d: routed read with dead primary: %v", cycle, err)
 			}
-			if _, err := rt.Execute(ctx, core.Q5, workload.Params(core.DCMD)); err != nil {
+			scattered := victimScatters()
+			if _, err := rt.Execute(ctx, core.Q2, workload.Params(core.DCMD)); err != nil {
 				t.Errorf("cycle %d: scatter with dead primary: %v", cycle, err)
+			}
+			if got := victimScatters() - scattered; got != 1 {
+				t.Errorf("cycle %d: scatter sent %d legs to the victim shard, want 1", cycle, got)
 			}
 			deadReads += 2
 		}
