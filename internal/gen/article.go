@@ -31,7 +31,7 @@ func (c Config) genArticles(size core.Size, articleNum int) (*core.Database, err
 		factor := sizeDist.Draw(root.Split(uint64(i)))
 		tmpl := articleTmpl(i, articleNum, factor)
 		var err error
-		docs[i].Name = fmt.Sprintf("article%d.xml", i+1)
+		_, docs[i].Name, _ = core.DocOf("a" + strconv.Itoa(i+1))
 		docs[i].Data, err = toxgene.Document(tmpl, c.Seed^(0xA271<<8)^uint64(i))
 		return err
 	})

@@ -1,7 +1,6 @@
 package gen
 
 import (
-	"fmt"
 	"strconv"
 
 	"xbench/internal/core"
@@ -34,7 +33,7 @@ func (c Config) genOrders(size core.Size, orderNum int) (*core.Database, error) 
 	err := forEach(len(docs), func(i int) error {
 		var err error
 		if i < len(data.Orders) {
-			docs[i].Name = fmt.Sprintf("order%d.xml", i+1)
+			_, docs[i].Name, _ = core.DocOf(data.Orders[i].ID)
 			docs[i].Data, err = emitOrderDoc(data, &data.Orders[i], &data.CCXacts[i])
 			return err
 		}
