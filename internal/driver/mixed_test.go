@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"xbench/internal/core"
+	"xbench/internal/engines/native"
+	"xbench/internal/gen"
 	"xbench/internal/workload"
 )
 
@@ -138,6 +140,44 @@ func TestSweepThreadsUpdateSeq(t *testing.T) {
 				rep.Clients, rep.NextUpdateSeq, prev, rep.Updates)
 		}
 		prev = rep.NextUpdateSeq
+	}
+}
+
+// TestSweepTwiceOnOneEngine runs two mixed sweeps back to back on one
+// loaded DC/MD engine, as two `xbench throughput --update-fraction=0.3`
+// runs against one `xbench serve` do: the second passes only if the
+// first left the database as it was loaded, documents and names alike.
+func TestSweepTwiceOnOneEngine(t *testing.T) {
+	ctx := context.Background()
+	db, err := gen.Config{DictEntries: 50, Articles: 8, Items: 30, Orders: 50}.Generate(core.DCMD, core.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := native.New(0)
+	defer e.Close()
+	if _, _, err := workload.LoadAndIndex(ctx, e, db); err != nil {
+		t.Fatal(err)
+	}
+	docCount := func() int {
+		v, release, err := e.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		return v.DocumentCount()
+	}
+	loaded := docCount()
+	for i := 1; i <= 2; i++ {
+		reps, err := Sweep(ctx, e, core.DCMD, nil, nil, Config{UpdateFraction: 0.3})
+		if err != nil {
+			t.Fatalf("sweep %d: %v", i, err)
+		}
+		if reps[0].Updates == 0 || reps[0].Errs != 0 {
+			t.Errorf("sweep %d: %d updates, %d errors", i, reps[0].Updates, reps[0].Errs)
+		}
+		if got := docCount(); got != loaded {
+			t.Errorf("after sweep %d: %d documents, loaded %d", i, got, loaded)
+		}
 	}
 }
 
