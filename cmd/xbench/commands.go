@@ -358,7 +358,6 @@ func setupThroughput(fs *flag.FlagSet) func() error {
 	think := fs.Duration("think", 0, "closed-loop think time between ops (0 = 2ms default, negative disables)")
 	seed := seedFlag(fs)
 	fractionsStr := fs.String("update-fraction", "0", "comma-separated per-op probabilities of a document update (U1-U3) instead of a query, swept in turn; above 0 needs a multi-document class")
-	updateSeqBase := fs.Int("update-seq-base", 0, "first update-document sequence number; raise it when re-running a mixed sweep against a server that already consumed earlier sequences")
 	checkFlat := fs.Bool("check-flat-reads", false, "fail unless, per client count, the read p99 at the first update fraction >= 0.3 stays within 2x the read-only (fraction 0) p99")
 	format := formatFlag(fs)
 	return func() error {
@@ -390,11 +389,10 @@ func setupThroughput(fs *flag.FlagSet) func() error {
 		}
 		defer e.Close()
 		reports, err := driver.Sweep(ctx, e, class, clients, fractions, driver.Config{
-			OpsPerClient:  *ops,
-			Duration:      *duration,
-			Seed:          *seed,
-			Think:         *think,
-			UpdateSeqBase: *updateSeqBase,
+			OpsPerClient: *ops,
+			Duration:     *duration,
+			Seed:         *seed,
+			Think:        *think,
 		})
 		if err != nil {
 			return err

@@ -63,12 +63,7 @@ func TestConcurrentReadersDuringUpdates(t *testing.T) {
 					}
 				}(mix[i%len(mix)])
 			}
-			for seq := 0; seq < updates; seq++ {
-				op := workload.UpdateOps[seq%len(workload.UpdateOps)]
-				if m := workload.RunUpdateOp(ctx, e, db.Class, op, seq); m.Err != nil {
-					t.Errorf("%s seq %d: %v", op, seq, m.Err)
-				}
-			}
+			runUpdates(t, ctx, e, db.Class, updates)
 			stop.Store(true)
 			wg.Wait()
 			if n := readErrs.Load(); n > 0 {
@@ -142,12 +137,7 @@ func TestSnapshotGCStress(t *testing.T) {
 					runtime.Gosched()
 				}
 			}()
-			for seq := 0; seq < updates; seq++ {
-				op := workload.UpdateOps[seq%len(workload.UpdateOps)]
-				if m := workload.RunUpdateOp(ctx, e, db.Class, op, seq); m.Err != nil {
-					t.Errorf("%s seq %d: %v", op, seq, m.Err)
-				}
-			}
+			runUpdates(t, ctx, e, db.Class, updates)
 			stop.Store(true)
 			wg.Wait()
 			if n := readErrs.Load(); n > 0 {
@@ -163,5 +153,29 @@ func TestSnapshotGCStress(t *testing.T) {
 				t.Fatalf("%d page versions survive with no pins and no open bracket", n)
 			}
 		})
+	}
+}
+
+// runUpdates issues n updates, cycling U1, U2, U3, through one
+// workload.Updater, and after each checks that every document an
+// acknowledged update touched reads as it left it (visible after U1 and
+// U2, gone after U3); then it deletes what is left.
+func runUpdates(t *testing.T, ctx context.Context, e core.Engine, class core.Class, n int) {
+	t.Helper()
+	u, err := workload.NewUpdater(class, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		op := workload.UpdateOps[i%len(workload.UpdateOps)]
+		if _, _, err := u.Apply(ctx, e, op); err != nil {
+			t.Errorf("%s #%d: %v", op, i, err)
+		}
+		if err := u.Check(ctx, e); err != nil {
+			t.Errorf("after %s #%d: %v", op, i, err)
+		}
+	}
+	if err := u.Finish(ctx, e); err != nil {
+		t.Error(err)
 	}
 }

@@ -1,10 +1,9 @@
 // Updates report: the updates view of `xbench bench`. Runs the document
 // update workload (U1 insert, U2 replace, U3 delete) Repeat times per op
-// against every engine on a multi-document class and reports per-op
-// p50/p95/p99 update latency, the verification-query latency (separately
-// — see workload.UpdateMeasurement), and the metrics breakdown the
-// instrumented engines attribute to the update path: pager I/O, MVCC
-// captures, rows touched.
+// against every engine on a multi-document class through one
+// workload.Updater per engine, and reports per-op p50/p95/p99/max latency
+// of the engine call and the metrics breakdown the instrumented engines
+// attribute to it: pager I/O, MVCC captures, rows touched.
 package bench
 
 import (
@@ -12,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"xbench/internal/core"
 	"xbench/internal/metrics"
@@ -26,14 +26,12 @@ type UpdateCellReport struct {
 	Op     string `json:"op"`
 	Runs   int    `json:"runs"`
 
-	// Update-only latency (setup and verification excluded).
+	// Latency of the engine call alone.
 	P50Ms  float64 `json:"p50_ms"`
 	P95Ms  float64 `json:"p95_ms"`
 	P99Ms  float64 `json:"p99_ms"`
 	MeanMs float64 `json:"mean_ms"`
-	// Verification-query latency, reported separately.
-	VerifyP50Ms  float64 `json:"verify_p50_ms"`
-	VerifyMeanMs float64 `json:"verify_mean_ms"`
+	MaxMs  float64 `json:"max_ms"`
 
 	// PageIO is the mean per-run pager I/O the metrics layer attributed
 	// to the update; Writes the mean page writes within it. Both are nil
@@ -51,9 +49,11 @@ type UpdateCellReport struct {
 // class (DC/MD or TC/MD) at the runner's first (smallest) size, Repeat
 // runs per op, and returns the cells in grid order. Engines that do not
 // support the class, or whose update path declines the documents, are
-// skipped. After each engine's row it deletes, untimed, the documents its
-// U1 and U2 runs left, so a served engine, which outlives the grid, holds
-// the database it was found with and can be measured again.
+// skipped. An engine's row is Repeat inserts, Repeat replaces of the
+// newest and Repeat deletes of the oldest, so it ends with the documents
+// it started with; the Updater's Finish then checks what each run
+// acknowledged and deletes what a failed cell left. A served engine,
+// which outlives the grid, can therefore be measured again.
 func (r *Runner) UpdatesGrid(class core.Class) ([]UpdateCellReport, error) {
 	ctx := context.Background()
 	if class.SingleDocument() {
@@ -77,18 +77,16 @@ func (r *Runner) UpdatesGrid(class core.Class) ([]UpdateCellReport, error) {
 		if _, _, err := workload.LoadAndIndex(ctx, e, db); err != nil && !errors.Is(err, core.ErrServed) {
 			return cells, fmt.Errorf("bench: load %s: %w", name, err)
 		}
-		seq, left := 0, []string(nil)
+		u, _ := workload.NewUpdater(class, 0, 1) // a multi-document class, checked above
 		for _, op := range workload.UpdateOps {
-			cell, ok := r.measureUpdateCell(ctx, e, name, class, size, op, &seq, &left)
+			cell, ok := r.measureUpdateCell(ctx, e, name, class, size, op, u)
 			if ok {
 				cells = append(cells, cell)
 			}
 		}
-		for _, doc := range left {
-			if err := e.DeleteDocument(ctx, doc); err != nil {
-				e.Close()
-				return cells, fmt.Errorf("bench: %s: delete %s the update runs left: %w", name, doc, err)
-			}
+		if err := u.Finish(ctx, e); err != nil {
+			e.Close()
+			return cells, fmt.Errorf("bench: %s: %w", name, err)
 		}
 		if err := e.Close(); err != nil {
 			return cells, fmt.Errorf("bench: close %s: %w", name, err)
@@ -97,11 +95,10 @@ func (r *Runner) UpdatesGrid(class core.Class) ([]UpdateCellReport, error) {
 	return cells, nil
 }
 
-// measureUpdateCell runs one engine x op cell from update sequence *seq
-// on, advancing it, and appends to *left the documents its successful U1
-// and U2 runs left (a failed run is reported, and what it left stays).
+// measureUpdateCell runs one engine x op cell through u. The metrics
+// delta of a run is taken around u.Apply, so it is the update's alone.
 func (r *Runner) measureUpdateCell(ctx context.Context, e core.Engine, name string,
-	class core.Class, size core.Size, op workload.UpdateOp, seq *int, left *[]string) (UpdateCellReport, bool) {
+	class core.Class, size core.Size, op workload.UpdateOp, u *workload.Updater) (UpdateCellReport, bool) {
 	runs := max(r.Repeat, 1)
 	cell := UpdateCellReport{
 		Engine: name,
@@ -111,38 +108,46 @@ func (r *Runner) measureUpdateCell(ctx context.Context, e core.Engine, name stri
 		Runs:   runs,
 	}
 	hist := metrics.NewHistogram()
-	verify := metrics.NewHistogram()
 	counters := map[string]int64{}
 	var pageIO, writes int64
+	var longest time.Duration
+	var reg *metrics.Registry
+	if mp, ok := e.(workload.MetricsProvider); ok {
+		reg = mp.Metrics()
+	}
 	for i := 0; i < runs; i++ {
-		m := workload.RunUpdateOp(ctx, e, class, op, *seq)
-		target := workload.UpdateTargetID(class, *seq)
-		*seq++
-		if m.Err != nil {
-			if errors.Is(m.Err, core.ErrUnsupported) || errors.Is(m.Err, core.ErrReadOnly) {
-				return cell, false
-			}
-			cell.Err = m.Err.Error()
+		var before metrics.Snapshot
+		if reg != nil {
+			before = reg.Snapshot()
+		}
+		did, d, err := u.Apply(ctx, e, op)
+		var delta metrics.Breakdown
+		if reg != nil {
+			delta = reg.Snapshot().Delta(before)
+		}
+		switch {
+		case errors.Is(err, core.ErrUnsupported) || errors.Is(err, core.ErrReadOnly):
+			return cell, false
+		case err != nil:
+			cell.Err = err.Error()
+			return cell, true
+		case did != op:
+			cell.Err = fmt.Sprintf("no live document to %s, issued %s", op, did)
 			return cell, true
 		}
-		if op != workload.U3 {
-			_, doc, _ := core.DocOf(target)
-			*left = append(*left, doc)
-		}
-		hist.Observe(m.Elapsed)
-		verify.Observe(m.VerifyElapsed)
-		pageIO += m.Breakdown.PagerIO()
-		writes += m.Breakdown.Get("pager.write")
-		addCounters(counters, m.Breakdown)
+		hist.Observe(d)
+		longest = max(longest, d)
+		pageIO += delta.PagerIO()
+		writes += delta.Get("pager.write")
+		addCounters(counters, delta)
 	}
 	n := float64(runs)
 	cell.P50Ms = msOf(hist.P50())
 	cell.P95Ms = msOf(hist.P95())
 	cell.P99Ms = msOf(hist.P99())
 	cell.MeanMs = msOf(hist.Mean())
-	cell.VerifyP50Ms = msOf(verify.P50())
-	cell.VerifyMeanMs = msOf(verify.Mean())
-	if _, ok := e.(workload.MetricsProvider); ok {
+	cell.MaxMs = msOf(longest)
+	if reg != nil {
 		pio, w := float64(pageIO)/n, float64(writes)/n
 		cell.PageIO, cell.Writes = &pio, &w
 	}
@@ -188,17 +193,17 @@ func (r *Runner) printUpdatesTable(cells []UpdateCellReport) {
 		fmt.Fprintln(r.Out, "no update cells measured")
 		return
 	}
-	fmt.Fprintf(r.Out, "Update workload: %s %s, %d run(s) per op (update-only ms; verification separate)\n",
+	fmt.Fprintf(r.Out, "Update workload: %s %s, %d run(s) per op (ms of the engine call)\n",
 		cells[0].Class, cells[0].Size, cells[0].Runs)
-	fmt.Fprintf(r.Out, "%-12s %-4s %9s %9s %9s %9s %10s %8s %8s\n",
-		"engine", "op", "p50", "p95", "p99", "mean", "verify p50", "pageIO", "writes")
+	fmt.Fprintf(r.Out, "%-12s %-4s %9s %9s %9s %9s %9s %8s %8s\n",
+		"engine", "op", "p50", "p95", "p99", "mean", "max", "pageIO", "writes")
 	for _, c := range cells {
 		if c.Err != "" {
 			fmt.Fprintf(r.Out, "%-12s %-4s error: %s\n", c.Engine, c.Op, c.Err)
 			continue
 		}
-		fmt.Fprintf(r.Out, "%-12s %-4s %9.3f %9.3f %9.3f %9.3f %10.3f %8s %8s\n",
-			c.Engine, c.Op, c.P50Ms, c.P95Ms, c.P99Ms, c.MeanMs, c.VerifyP50Ms,
+		fmt.Fprintf(r.Out, "%-12s %-4s %9.3f %9.3f %9.3f %9.3f %9.3f %8s %8s\n",
+			c.Engine, c.Op, c.P50Ms, c.P95Ms, c.P99Ms, c.MeanMs, c.MaxMs,
 			measured(c.PageIO, "%.0f"), measured(c.Writes, "%.0f"))
 	}
 	// Per-layer counter detail for the curious, one compact line per cell.
@@ -220,7 +225,7 @@ func (r *Runner) printUpdatesTable(cells []UpdateCellReport) {
 }
 
 const updatesCSVHeader = "engine,class,size,op,runs," +
-	"p50_ms,p95_ms,p99_ms,mean_ms,verify_p50_ms,verify_mean_ms,page_io,page_writes"
+	"p50_ms,p95_ms,p99_ms,mean_ms,max_ms,page_io,page_writes"
 
 func printUpdatesCSV(r *Runner, cells []UpdateCellReport) {
 	fmt.Fprintln(r.Out, updatesCSVHeader)
@@ -229,9 +234,9 @@ func printUpdatesCSV(r *Runner, cells []UpdateCellReport) {
 			fmt.Fprintf(r.Out, "# error: %s %s/%s %s: %s\n", c.Engine, c.Class, c.Size, c.Op, c.Err)
 			continue
 		}
-		fmt.Fprintf(r.Out, "%s,%s,%s,%s,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%s,%s\n",
+		fmt.Fprintf(r.Out, "%s,%s,%s,%s,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%s,%s\n",
 			c.Engine, c.Class, c.Size, c.Op, c.Runs,
-			c.P50Ms, c.P95Ms, c.P99Ms, c.MeanMs, c.VerifyP50Ms, c.VerifyMeanMs,
+			c.P50Ms, c.P95Ms, c.P99Ms, c.MeanMs, c.MaxMs,
 			measured(c.PageIO, "%.1f"), measured(c.Writes, "%.1f"))
 	}
 }

@@ -109,9 +109,8 @@ func TestProcessKillTorture(t *testing.T) {
 	defer c.Close()
 
 	// The storm: writers insert uniquely-named documents back to back and
-	// log every acknowledgment; the last worker runs the full update
-	// workload op — insert plus verification READ — so the storm is mixed
-	// read/write, with queries retrying across the same restarts the
+	// log every acknowledgment; the last worker reads each insert back
+	// with a Q1 on its id, so the storm is mixed read/write, with queries retrying across the same restarts the
 	// updates do. Unique names make the invariants exact set questions
 	// against the journal.
 	const workers = 3
@@ -134,16 +133,21 @@ func TestProcessKillTorture(t *testing.T) {
 				}
 				seq := 100000*(w+1) + i
 				name, data := workload.UpdateDoc(core.DCMD, seq, 0)
-				if w == workers-1 {
-					// Mixed read/write leg: RunUpdateOp inserts, then
-					// issues the Q1 verification query for the new doc.
-					if m := workload.RunUpdateOp(context.Background(), c, core.DCMD, workload.U1, seq); m.Err != nil {
-						errs <- fmt.Errorf("worker %d seq %d (verified): %w", w, seq, m.Err)
-						return
-					}
-				} else if err := c.InsertDocument(context.Background(), name, data); err != nil {
+				if err := c.InsertDocument(context.Background(), name, data); err != nil {
 					errs <- fmt.Errorf("worker %d seq %d: %w", w, seq, err)
 					return
+				}
+				if w == workers-1 {
+					// Mixed read/write leg: read the insert back with Q1.
+					id := workload.UpdateTargetID(core.DCMD, seq)
+					res, err := c.Execute(context.Background(), core.Q1, core.Params{"X": id})
+					if err == nil && len(res.Items) == 0 {
+						err = fmt.Errorf("%s not visible after its insert", id)
+					}
+					if err != nil {
+						errs <- fmt.Errorf("worker %d seq %d (verified): %w", w, seq, err)
+						return
+					}
 				}
 				ackMu.Lock()
 				acked = append(acked, name)

@@ -204,7 +204,7 @@ func TestOverloadedRetriedWithBackoff(t *testing.T) {
 		if n <= 2 {
 			return wire.Frame{Kind: byte(wire.StatusOverloaded), Payload: []byte("busy")}, false
 		}
-		return okFrame(wire.EncodeResult(core.Result{})), false
+		return okFrame(wire.AppendResult(nil, core.Result{})), false
 	})
 	c := fs.client(Config{Retries: 5, Backoff: time.Millisecond})
 	if _, err := c.Execute(context.Background(), core.Q1, nil); err != nil {

@@ -13,7 +13,7 @@ import (
 func TestExplainRoundTrip(t *testing.T) {
 	want := &core.PlanNode{Op: "scan", Target: "order", Detail: "sequential", EstPages: 512, EstRows: 4096}
 	fs := newFakeServer(t, func(_ int, f wire.Frame) (wire.Frame, bool) {
-		return okFrame(wire.EncodePlanNode(want)), false
+		return okFrame(wire.AppendPlanNode(nil, want)), false
 	})
 	c := fs.client(Config{})
 	defer c.Close()

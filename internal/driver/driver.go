@@ -61,17 +61,14 @@ type Config struct {
 	// UpdateFraction is the probability, per op, that a client issues a
 	// document update (drawn uniformly from UpdateOps) instead of a
 	// query — the mixed read/write mode. 0 disables updates; values
-	// outside [0, 1) fail the run. Requires a multi-document class.
+	// outside [0, 1) fail the run. Requires a multi-document class. Each
+	// client issues its updates through its own workload.Updater; the
+	// run ends by checking what they acknowledged and deleting the
+	// documents they left, so the engine holds what it held before.
 	UpdateFraction float64
 	// UpdateOps restricts the update-op mix; nil selects all of
 	// workload.UpdateOps (U1 insert, U2 replace, U3 delete).
 	UpdateOps []workload.UpdateOp
-	// UpdateSeqBase is the first update sequence number handed out.
-	// Update documents are named after their sequence number, and U1
-	// inserts strictly, so a run reusing a warm engine must start past
-	// the sequences already consumed — Sweep threads Report.NextUpdateSeq
-	// through automatically.
-	UpdateSeqBase int
 }
 
 // DefaultSeed is the seed a zero Config.Seed resolves to. It is a named
@@ -105,8 +102,7 @@ func (c Config) WithDefaults() Config {
 
 // CellStats is the latency summary of one op type in one run: a query
 // (Report.Cells) or, in a mixed run, an update op (Report.UpdateCells).
-// Update latencies cover the update operation only — the follow-up
-// verification query is not included (see workload.UpdateMeasurement).
+// Update latencies cover the engine call alone (workload.Updater.Apply).
 // Errs excludes context cancellations, like Report.Errs.
 type CellStats struct {
 	MixedOp
@@ -162,9 +158,6 @@ type Report struct {
 	// UpdateCells summarizes update latency per op, in op order; empty
 	// when the run issued no updates.
 	UpdateCells []CellStats
-	// NextUpdateSeq is the first unconsumed update sequence number; feed
-	// it into the next run's Config.UpdateSeqBase when reusing the engine.
-	NextUpdateSeq int
 }
 
 // isContextErr reports whether an op error is a context cancellation or
@@ -306,8 +299,27 @@ func Run(ctx context.Context, e core.Engine, class core.Class, cfg Config) (Repo
 	for _, q := range mix {
 		accs[MixedOp{Query: q}] = &opAcc{hist: metrics.NewHistogram()}
 	}
-	for _, u := range cfg.UpdateOps {
-		accs[MixedOp{Update: u}] = &opAcc{hist: metrics.NewHistogram()}
+	// An Updater with nothing live issues a U1 whatever was drawn, so
+	// every update op gets a cell.
+	var ups []*workload.Updater
+	if cfg.UpdateFraction > 0 {
+		for _, u := range workload.UpdateOps {
+			accs[MixedOp{Update: u}] = &opAcc{hist: metrics.NewHistogram()}
+		}
+		ups = make([]*workload.Updater, cfg.Clients)
+		for c := range ups {
+			var err error
+			if ups[c], err = workload.NewUpdater(class, c, cfg.Clients); err != nil {
+				return rep, err
+			}
+			// Untimed, before the window: each client starts with live
+			// documents, so a drawn U2 or U3 seldom falls back to U1.
+			for range preseedDocs {
+				if _, _, err := ups[c].Apply(ctx, e, workload.U1); err != nil {
+					return rep, fmt.Errorf("driver: preseed: %w", err)
+				}
+			}
+		}
 	}
 	cellOf := func(op MixedOp) CellStats {
 		a := accs[op]
@@ -318,12 +330,6 @@ func Run(ctx context.Context, e core.Engine, class core.Class, cfg Config) (Repo
 	params := workload.Params(class)
 
 	var ops, errs, canceled, updates, updateErrs atomic.Int64
-	// updateSeq hands out globally unique document sequence numbers. The
-	// assignment order under concurrency is scheduling-dependent, but the
-	// op streams themselves stay deterministic — sequence numbers only
-	// pick document names, never what ops are drawn.
-	var updateSeq atomic.Int64
-	updateSeq.Store(int64(cfg.UpdateSeqBase))
 	clientOps := make([]int, cfg.Clients)
 	var errMu sync.Mutex
 	var firstErr error
@@ -352,18 +358,19 @@ func Run(ctx context.Context, e core.Engine, class core.Class, cfg Config) (Repo
 					return
 				}
 				op := nextMixedOp(rng, mix, cfg.UpdateFraction, cfg.UpdateOps)
-				acc := accs[op]
+				var acc *opAcc
 				var err error
 				if op.Update != 0 {
-					seq := int(updateSeq.Add(1)) - 1
-					m := workload.RunUpdateOp(ctx, e, class, op.Update, seq)
-					acc.hist.Observe(m.Elapsed)
+					var d time.Duration
+					op.Update, d, err = ups[client].Apply(ctx, e, op.Update)
+					acc = accs[op]
+					acc.hist.Observe(d)
 					updates.Add(1)
-					err = m.Err
 				} else {
 					t0 := time.Now()
 					_, err = e.Execute(ctx, op.Query, params)
 					d := time.Since(t0)
+					acc = accs[op]
 					acc.hist.Observe(d)
 					readHist.Observe(d)
 				}
@@ -395,6 +402,16 @@ func Run(ctx context.Context, e core.Engine, class core.Class, cfg Config) (Repo
 	}
 	wg.Wait()
 	rep.Elapsed = time.Since(start)
+	// Untimed, after the window: check every acknowledged update and
+	// delete the documents the clients left. A canceled run skips it.
+	var finishErr error
+	for c, u := range ups {
+		if ctx.Err() == nil {
+			if err := u.Finish(ctx, e); err != nil {
+				finishErr = errors.Join(finishErr, fmt.Errorf("driver: client %d: %w", c, err))
+			}
+		}
+	}
 
 	rep.Ops = ops.Load()
 	rep.Errs = errs.Load()
@@ -405,7 +422,6 @@ func Run(ctx context.Context, e core.Engine, class core.Class, cfg Config) (Repo
 	}
 	rep.Updates = updates.Load()
 	rep.UpdateErrs = updateErrs.Load()
-	rep.NextUpdateSeq = int(updateSeq.Load())
 	rep.ReadCount = readHist.Count()
 	rep.ReadP50 = readHist.P50()
 	rep.ReadP95 = readHist.P95()
@@ -416,15 +432,21 @@ func Run(ctx context.Context, e core.Engine, class core.Class, cfg Config) (Repo
 		rep.Cells = append(rep.Cells, cellOf(MixedOp{Query: q}))
 	}
 	if rep.Updates > 0 {
-		for _, u := range cfg.UpdateOps {
-			rep.UpdateCells = append(rep.UpdateCells, cellOf(MixedOp{Update: u}))
+		for _, u := range workload.UpdateOps {
+			if c := cellOf(MixedOp{Update: u}); c.Count > 0 {
+				rep.UpdateCells = append(rep.UpdateCells, c)
+			}
 		}
 	}
 	if firstErr != nil {
-		return rep, fmt.Errorf("driver: %d/%d queries failed, first: %w", rep.Errs, rep.Ops, firstErr)
+		return rep, errors.Join(fmt.Errorf("driver: %d/%d queries failed, first: %w", rep.Errs, rep.Ops, firstErr), finishErr)
 	}
-	return rep, nil
+	return rep, finishErr
 }
+
+// preseedDocs is how many documents each client of a mixed run inserts,
+// untimed, before the window opens.
+const preseedDocs = 2
 
 // Sweep runs the driver once per step over the same loaded engine: every
 // client count at every update fraction, fraction-major, with everything
@@ -452,12 +474,9 @@ func Sweep(ctx context.Context, e core.Engine, class core.Class, clientCounts []
 			out = append(out, rep)
 			// The first run warmed the pool and filtered the mix down to
 			// the queries the engine answers; later steps must reuse that
-			// filtered mix, not the raw candidate list. Mixed runs also
-			// thread the update sequence forward so U1 never reuses a
-			// document name.
+			// filtered mix, not the raw candidate list.
 			cfg.NoWarmup = true
 			cfg.Queries = rep.Mix
-			cfg.UpdateSeqBase = rep.NextUpdateSeq
 		}
 	}
 	return out, nil

@@ -65,7 +65,7 @@ func WriteTable(w io.Writer, reports []Report) {
 			c.Query, c.Count, ms(c.Mean), ms(c.P50), ms(c.P95), ms(c.P99))
 	}
 	if len(last.UpdateCells) > 0 {
-		fmt.Fprintf(w, "\nPer-update-op latency at %d clients (ms, update only — verification excluded):\n", last.Clients)
+		fmt.Fprintf(w, "\nPer-update-op latency at %d clients (ms, the engine call alone):\n", last.Clients)
 		fmt.Fprintf(w, "%-6s %-8s %-6s %-10s %-10s %-10s %-10s\n", "op", "count", "errs", "mean", "p50", "p95", "p99")
 		for _, c := range last.UpdateCells {
 			fmt.Fprintf(w, "%-6s %-8d %-6d %-10s %-10s %-10s %-10s\n",

@@ -90,9 +90,6 @@ func TestRunMixedAccounting(t *testing.T) {
 	if ucells != rep.Updates {
 		t.Fatalf("update cells count %d, report says %d", ucells, rep.Updates)
 	}
-	if rep.NextUpdateSeq != int(rep.Updates) {
-		t.Fatalf("NextUpdateSeq = %d after %d updates from base 0", rep.NextUpdateSeq, rep.Updates)
-	}
 }
 
 func TestRunRejectsMixedOnSingleDocumentClass(t *testing.T) {
@@ -116,30 +113,6 @@ func TestRunRejectsBadUpdateFraction(t *testing.T) {
 		if err == nil {
 			t.Fatalf("update fraction %v accepted", f)
 		}
-	}
-}
-
-// TestSweepThreadsUpdateSeq: sweep steps reuse the warm engine, so U1
-// sequence numbers must never repeat across steps — a reused name would
-// fail the strict insert.
-func TestSweepThreadsUpdateSeq(t *testing.T) {
-	e := &stubEngine{}
-	reports, err := Sweep(context.Background(), e, core.DCMD, []int{1, 2, 4}, nil, Config{
-		OpsPerClient: 30, Queries: testMix, Think: -1, UpdateFraction: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := 0
-	for _, rep := range reports {
-		if rep.Errs != 0 {
-			t.Fatalf("%d clients: %d errors (duplicate insert names?)", rep.Clients, rep.Errs)
-		}
-		if rep.NextUpdateSeq != prev+int(rep.Updates) {
-			t.Fatalf("%d clients: NextUpdateSeq %d, want base %d + %d updates",
-				rep.Clients, rep.NextUpdateSeq, prev, rep.Updates)
-		}
-		prev = rep.NextUpdateSeq
 	}
 }
 
@@ -182,8 +155,8 @@ func TestSweepTwiceOnOneEngine(t *testing.T) {
 }
 
 // TestFractionSweep: the update-fraction sweep runs one driver step per
-// fraction against the same warm engine, threads the update sequence
-// across steps, and reports aggregate read latency per point.
+// fraction against the same warm engine and reports aggregate read
+// latency per point.
 func TestFractionSweep(t *testing.T) {
 	e := &stubEngine{}
 	fractions := []float64{0, 0.3, 0.5}
@@ -203,14 +176,13 @@ func TestFractionSweep(t *testing.T) {
 			t.Errorf("fraction sweep table missing %q:\n%s", want, table.String())
 		}
 	}
-	prevSeq := 0
 	for i, rep := range points {
 		frac := rep.UpdateFraction
 		if rep.Clients != 2 || frac != fractions[i] {
 			t.Fatalf("point %d: %d clients at fraction %v, want 2 at %v", i, rep.Clients, frac, fractions[i])
 		}
 		if rep.Errs != 0 {
-			t.Fatalf("fraction %v: %d errors (update seq not threaded?)", frac, rep.Errs)
+			t.Fatalf("fraction %v: %d errors", frac, rep.Errs)
 		}
 		if rep.ReadCount == 0 || rep.ReadP99 <= 0 {
 			t.Fatalf("fraction %v: no aggregate read latency (count %d, p99 %v)",
@@ -226,11 +198,6 @@ func TestFractionSweep(t *testing.T) {
 		if frac > 0 && rep.Updates == 0 {
 			t.Fatalf("fraction %v issued no updates", frac)
 		}
-		if rep.NextUpdateSeq != prevSeq+int(rep.Updates) {
-			t.Fatalf("fraction %v: NextUpdateSeq %d, want base %d + %d",
-				frac, rep.NextUpdateSeq, prevSeq, rep.Updates)
-		}
-		prevSeq = rep.NextUpdateSeq
 	}
 }
 

@@ -57,7 +57,7 @@ func writeFrame(conn net.Conn, f wire.Frame) error {
 }
 
 func updatePayload(op wire.Op, name string, data []byte, key wire.IdemKey) []byte {
-	return wire.EncodeUpdateRequest(wire.UpdateRequest{Name: name, Data: data, Key: key})
+	return wire.AppendUpdateRequest(nil, wire.UpdateRequest{Name: name, Data: data, Key: key})
 }
 
 // TestDedupReplaysOriginalResult: re-sending a keyed insert (the wire
@@ -265,7 +265,7 @@ func TestPipelinedConnRespondsOutOfOrder(t *testing.T) {
 	}
 	defer conn.Close()
 
-	gated := wire.EncodeQueryRequest(wire.QueryRequest{Query: core.Q1})
+	gated := wire.AppendQueryRequest(nil, wire.QueryRequest{Query: core.Q1})
 	if err := writeFrame(conn, wire.Frame{Kind: byte(wire.OpQuery), ID: 1, Payload: gated}); err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func TestConnWorkersBoundedByPipeline(t *testing.T) {
 	}
 	defer conn.Close()
 
-	query := wire.EncodeQueryRequest(wire.QueryRequest{Query: core.Q1})
+	query := wire.AppendQueryRequest(nil, wire.QueryRequest{Query: core.Q1})
 	var batch []byte
 	for id := uint64(1); id <= n; id++ {
 		if batch, err = wire.AppendFrame(batch, wire.Frame{Kind: byte(wire.OpQuery), ID: id, Payload: query}); err != nil {

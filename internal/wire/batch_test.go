@@ -59,17 +59,17 @@ func TestAppendFrameTooLarge(t *testing.T) {
 	}
 }
 
-// TestAppendEncodersMatchEncode: the append-style payload encoders must
-// produce exactly the bytes of their allocating counterparts, including
-// when appending after existing content.
+// TestAppendEncodersMatchEncode: a payload encoder appending after
+// existing content keeps it and appends exactly the bytes it writes into
+// an empty buffer.
 func TestAppendEncodersMatchEncode(t *testing.T) {
 	qr := QueryRequest{
 		Query:   7,
 		Params:  core.Params{"b": "2", "a": "1"},
 		Timeout: 250 * time.Millisecond,
 	}
-	if got := AppendQueryRequest([]byte("pfx"), qr); !bytes.Equal(got[3:], EncodeQueryRequest(qr)) {
-		t.Fatal("AppendQueryRequest diverges from EncodeQueryRequest")
+	if got := AppendQueryRequest([]byte("pfx"), qr); string(got[:3]) != "pfx" || !bytes.Equal(got[3:], AppendQueryRequest(nil, qr)) {
+		t.Fatal("AppendQueryRequest after a prefix diverges from AppendQueryRequest(nil, ...)")
 	}
 	ur := UpdateRequest{
 		Name:    "doc-17",
@@ -77,12 +77,12 @@ func TestAppendEncodersMatchEncode(t *testing.T) {
 		Timeout: time.Second,
 		Key:     IdemKey{Client: 42, Seq: 9},
 	}
-	if got := AppendUpdateRequest([]byte("pfx"), ur); !bytes.Equal(got[3:], EncodeUpdateRequest(ur)) {
-		t.Fatal("AppendUpdateRequest diverges from EncodeUpdateRequest")
+	if got := AppendUpdateRequest([]byte("pfx"), ur); string(got[:3]) != "pfx" || !bytes.Equal(got[3:], AppendUpdateRequest(nil, ur)) {
+		t.Fatal("AppendUpdateRequest after a prefix diverges from AppendUpdateRequest(nil, ...)")
 	}
 	res := core.Result{Items: []string{"x", "y"}, OrderGuaranteed: true, PageIO: 12}
-	if got := AppendResult([]byte("pfx"), res); !bytes.Equal(got[3:], EncodeResult(res)) {
-		t.Fatal("AppendResult diverges from EncodeResult")
+	if got := AppendResult([]byte("pfx"), res); string(got[:3]) != "pfx" || !bytes.Equal(got[3:], AppendResult(nil, res)) {
+		t.Fatal("AppendResult after a prefix diverges from AppendResult(nil, ...)")
 	}
 }
 

@@ -118,13 +118,8 @@ type QueryRequest struct {
 	Timeout time.Duration
 }
 
-// EncodeQueryRequest serializes a QueryRequest (params in sorted key order).
-func EncodeQueryRequest(r QueryRequest) []byte {
-	return AppendQueryRequest(nil, r)
-}
-
-// AppendQueryRequest appends the QueryRequest encoding to dst and returns
-// the extended slice — the allocation-free form the client uses with
+// AppendQueryRequest appends the QueryRequest encoding (params in sorted
+// key order) to dst and returns the extended slice — the allocation-free form the client uses with
 // pooled buffers.
 func AppendQueryRequest(dst []byte, r QueryRequest) []byte {
 	e := enc{dst}
@@ -176,14 +171,9 @@ func DecodeQueryRequest(b []byte) (QueryRequest, error) {
 	return r, d.end()
 }
 
-// EncodeResult serializes a core.Result (the OpQuery success payload).
-func EncodeResult(r core.Result) []byte {
-	return AppendResult(nil, r)
-}
-
-// AppendResult appends the core.Result encoding to dst and returns the
-// extended slice — used by the server with a worker's reused response
-// buffer.
+// AppendResult appends the core.Result encoding (the OpQuery success
+// payload) to dst and returns the extended slice — used by the server
+// with a worker's reused response buffer.
 func AppendResult(dst []byte, r core.Result) []byte {
 	e := enc{dst}
 	e.uvarint(uint64(len(r.Items)))
@@ -255,11 +245,6 @@ type UpdateRequest struct {
 
 // errNoKey refuses an update payload carrying the zero key.
 var errNoKey = errors.New("wire: update without an idempotency key")
-
-// EncodeUpdateRequest serializes an UpdateRequest.
-func EncodeUpdateRequest(r UpdateRequest) []byte {
-	return AppendUpdateRequest(nil, r)
-}
 
 // AppendUpdateRequest appends the UpdateRequest encoding to dst and
 // returns the extended slice.
@@ -336,12 +321,10 @@ func DecodeInt64(b []byte) (int64, error) {
 // payload cannot blow the stack.
 const maxPlanDepth = 64
 
-// EncodePlanNode serializes a plan tree (the OpExplain success payload):
-// a recursive preorder encoding of op/target/detail, the cost estimates
-// as IEEE-754 bit patterns, and the child count.
-func EncodePlanNode(n *core.PlanNode) []byte { return AppendPlanNode(nil, n) }
-
-// AppendPlanNode appends the EncodePlanNode encoding of n to dst.
+// AppendPlanNode appends the encoding of plan tree n (the OpExplain
+// success payload) to dst: a recursive preorder encoding of
+// op/target/detail, the cost estimates as IEEE-754 bit patterns, and the
+// child count.
 func AppendPlanNode(dst []byte, n *core.PlanNode) []byte {
 	e := enc{b: dst}
 	appendPlanNode(&e, n)

@@ -33,7 +33,7 @@ func TestFrameCapRejectedBeforeAllocation(t *testing.T) {
 // result payload, so any byte after it is refused, as DecodePlanNode
 // refuses trailing bytes.
 func TestDecodeResultRefusesMalformedTail(t *testing.T) {
-	base := EncodeResult(core.Result{Items: []string{"<a/>"}, PageIO: 7})
+	base := AppendResult(nil, core.Result{Items: []string{"<a/>"}, PageIO: 7})
 	if _, err := DecodeResult(base); err != nil {
 		t.Fatalf("untailed result: %v", err)
 	}
@@ -54,17 +54,17 @@ func TestDecodersRefuseTrailingBytes(t *testing.T) {
 		payload []byte
 		decode  func([]byte) error
 	}{
-		{"QueryRequest", EncodeQueryRequest(QueryRequest{Query: core.Q1, Params: core.Params{"X": "O1"}, Timeout: time.Second}),
+		{"QueryRequest", AppendQueryRequest(nil, QueryRequest{Query: core.Q1, Params: core.Params{"X": "O1"}, Timeout: time.Second}),
 			func(b []byte) error { _, err := DecodeQueryRequest(b); return err }},
-		{"Result", EncodeResult(core.Result{Items: []string{"<a/>"}, PageIO: 7}),
+		{"Result", AppendResult(nil, core.Result{Items: []string{"<a/>"}, PageIO: 7}),
 			func(b []byte) error { _, err := DecodeResult(b); return err }},
-		{"UpdateRequest", EncodeUpdateRequest(UpdateRequest{Name: "a.xml", Data: []byte("<a/>"), Key: IdemKey{Client: 3, Seq: 1}}),
+		{"UpdateRequest", AppendUpdateRequest(nil, UpdateRequest{Name: "a.xml", Data: []byte("<a/>"), Key: IdemKey{Client: 3, Seq: 1}}),
 			func(b []byte) error { _, err := DecodeUpdateRequest(b); return err }},
 		{"ClassSize", EncodeClassSize(core.TCMD, core.Normal),
 			func(b []byte) error { _, _, err := DecodeClassSize(b); return err }},
 		{"Int64", EncodeInt64(-42),
 			func(b []byte) error { _, err := DecodeInt64(b); return err }},
-		{"PlanNode", EncodePlanNode(&core.PlanNode{Op: "scan", Children: []*core.PlanNode{{Op: "probe"}}}),
+		{"PlanNode", AppendPlanNode(nil, &core.PlanNode{Op: "scan", Children: []*core.PlanNode{{Op: "probe"}}}),
 			func(b []byte) error { _, err := DecodePlanNode(b); return err }},
 		{"JournalPullRequest", EncodeJournalPullRequest(JournalPullRequest{Since: 99, Prev: 5}),
 			func(b []byte) error { _, err := DecodeJournalPullRequest(b); return err }},
@@ -88,12 +88,12 @@ func TestUpdateRequestKeyRoundTrip(t *testing.T) {
 		Timeout: 250 * time.Millisecond,
 		Key:     IdemKey{Client: 0xfeedface, Seq: 41},
 	}
-	got, err := DecodeUpdateRequest(EncodeUpdateRequest(keyed))
+	got, err := DecodeUpdateRequest(AppendUpdateRequest(nil, keyed))
 	if err != nil || !reflect.DeepEqual(keyed, got) {
 		t.Fatalf("keyed roundtrip: %+v, %v", got, err)
 	}
 
-	if _, err := DecodeUpdateRequest(EncodeUpdateRequest(UpdateRequest{Name: "a.xml", Timeout: time.Second})); !errors.Is(err, errNoKey) {
+	if _, err := DecodeUpdateRequest(AppendUpdateRequest(nil, UpdateRequest{Name: "a.xml", Timeout: time.Second})); !errors.Is(err, errNoKey) {
 		t.Fatalf("zero key: %v, want errNoKey", err)
 	}
 	var e enc // the payload as it was before keys: no tail at all
@@ -108,7 +108,7 @@ func TestUpdateRequestKeyRoundTrip(t *testing.T) {
 // TestUpdateRequestTruncatedKeyTail: every cut through the key tail fails
 // typed, never panics and never silently drops half a key.
 func TestUpdateRequestTruncatedKeyTail(t *testing.T) {
-	full := EncodeUpdateRequest(UpdateRequest{
+	full := AppendUpdateRequest(nil, UpdateRequest{
 		Name: "a.xml", Data: []byte("<a/>"),
 		Key: IdemKey{Client: 1<<63 + 12345, Seq: 1 << 40}, // multi-byte varints
 	})
@@ -159,7 +159,7 @@ func FuzzUpdateRequestRoundTrip(f *testing.F) {
 			Timeout: time.Duration(timeout),
 			Key:     IdemKey{Client: client, Seq: seq},
 		}
-		enc1 := EncodeUpdateRequest(in)
+		enc1 := AppendUpdateRequest(nil, in)
 		out, err := DecodeUpdateRequest(enc1)
 		if !in.Key.Valid() { // a zero-client key is no key: refused
 			if !errors.Is(err, errNoKey) {
@@ -180,7 +180,7 @@ func FuzzUpdateRequestRoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(want, out) {
 			t.Fatalf("roundtrip: got %+v, want %+v", out, want)
 		}
-		if enc2 := EncodeUpdateRequest(out); !bytes.Equal(enc1, enc2) {
+		if enc2 := AppendUpdateRequest(nil, out); !bytes.Equal(enc1, enc2) {
 			t.Fatalf("re-encode unstable: %x vs %x", enc1, enc2)
 		}
 	})
@@ -190,7 +190,7 @@ func FuzzUpdateRequestRoundTrip(f *testing.F) {
 // return cleanly (typed error or value), never panic or over-read.
 func FuzzDecodeUpdateRequest(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeUpdateRequest(UpdateRequest{Name: "a.xml", Key: IdemKey{Client: 3, Seq: 7}}))
+	f.Add(AppendUpdateRequest(nil, UpdateRequest{Name: "a.xml", Key: IdemKey{Client: 3, Seq: 7}}))
 	f.Add(bytes.Repeat([]byte{0x80}, 16))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		req, err := DecodeUpdateRequest(b)
@@ -201,6 +201,6 @@ func FuzzDecodeUpdateRequest(f *testing.F) {
 			return
 		}
 		// Whatever decoded must re-encode without error.
-		_ = EncodeUpdateRequest(req)
+		_ = AppendUpdateRequest(nil, req)
 	})
 }

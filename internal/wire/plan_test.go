@@ -22,7 +22,7 @@ func TestPlanNodeRoundTrip(t *testing.T) {
 			}},
 		}},
 	}
-	got, err := DecodePlanNode(EncodePlanNode(n))
+	got, err := DecodePlanNode(AppendPlanNode(nil, n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestPlanNodeRoundTrip(t *testing.T) {
 // TestPlanNodeDecodeCorrupt: truncation, trailing garbage and absurd
 // child counts are errors, never panics or giant allocations.
 func TestPlanNodeDecodeCorrupt(t *testing.T) {
-	good := EncodePlanNode(&core.PlanNode{Op: "scan", Target: "order"})
+	good := AppendPlanNode(nil, &core.PlanNode{Op: "scan", Target: "order"})
 	for i := 1; i < len(good); i++ {
 		if _, err := DecodePlanNode(good[:i]); err == nil {
 			t.Fatalf("truncation at %d decoded without error", i)
@@ -62,7 +62,7 @@ func TestPlanNodeDecodeDeep(t *testing.T) {
 	for i := 0; i < maxPlanDepth+8; i++ {
 		n = &core.PlanNode{Op: "wrap", Children: []*core.PlanNode{n}}
 	}
-	if _, err := DecodePlanNode(EncodePlanNode(n)); err == nil {
+	if _, err := DecodePlanNode(AppendPlanNode(nil, n)); err == nil {
 		t.Error("over-deep tree decoded without error")
 	}
 }

@@ -10,7 +10,7 @@
 //
 //	offset size field
 //	0      2    magic 0x5842 ("XB")
-//	2      1    protocol version (4; readers accept nothing else, see MinVersion)
+//	2      1    protocol version (4; readers accept nothing else)
 //	3      1    request: op kind / response: status code
 //	4      8    request id (echoed verbatim in the response)
 //	12     4    payload length
@@ -45,12 +45,9 @@ const Magic uint16 = 0x5842
 // Version is the protocol version this package writes. Version 2 added
 // the idempotency key to update payloads; version 3 ships the journal as
 // its own bytes, addressed by byte offset (OpJournal); version 4 has no
-// load or index-build op, so the op codes after OpQuery moved down.
+// load or index-build op, so the op codes after OpQuery moved down. A
+// reader accepts this version alone: every peer is built from this tree.
 const Version byte = 4
-
-// MinVersion is the oldest protocol version a reader accepts: the
-// current one. Every peer is built from this tree.
-const MinVersion = Version
 
 // MaxPayload bounds a frame payload (64 MiB). A length field above it
 // fails with ErrTooLarge before any allocation, so a corrupt or hostile
@@ -222,8 +219,8 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if binary.BigEndian.Uint16(hdr[0:2]) != Magic {
 		return Frame{}, ErrBadMagic
 	}
-	if hdr[2] < MinVersion || hdr[2] > Version {
-		return Frame{}, fmt.Errorf("%w: got %d, want %d..%d", ErrBadVersion, hdr[2], MinVersion, Version)
+	if hdr[2] != Version {
+		return Frame{}, fmt.Errorf("%w: got %d, want %d", ErrBadVersion, hdr[2], Version)
 	}
 	f := Frame{Kind: hdr[3], ID: binary.BigEndian.Uint64(hdr[4:12])}
 	n := binary.BigEndian.Uint32(hdr[12:16])

@@ -83,7 +83,7 @@ func TestQueryRequestRoundTrip(t *testing.T) {
 		Params:  core.Params{"W": "word", "X": "I1", "PHRASE": "two words"},
 		Timeout: 1500 * time.Millisecond,
 	}
-	out, err := DecodeQueryRequest(EncodeQueryRequest(in))
+	out, err := DecodeQueryRequest(AppendQueryRequest(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestQueryRequestRoundTrip(t *testing.T) {
 		t.Fatalf("got %+v, want %+v", out, in)
 	}
 	// Nil params stay nil.
-	out, err = DecodeQueryRequest(EncodeQueryRequest(QueryRequest{Query: core.Q1}))
+	out, err = DecodeQueryRequest(AppendQueryRequest(nil, QueryRequest{Query: core.Q1}))
 	if err != nil || out.Params != nil {
 		t.Fatalf("nil params roundtrip: %+v, %v", out, err)
 	}
@@ -104,7 +104,7 @@ func TestResultRoundTrip(t *testing.T) {
 		MixedContentLost: false,
 		PageIO:           12345,
 	}
-	out, err := DecodeResult(EncodeResult(in))
+	out, err := DecodeResult(AppendResult(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,9 +125,9 @@ func TestResultEncodingPinned(t *testing.T) {
 	}
 	want, _ := hex.DecodeString("02" + "04" + hex.EncodeToString([]byte("<a/>")) +
 		"0a" + hex.EncodeToString([]byte(`<b x="1"/>`)) + "01" + "01" + "d804")
-	got := EncodeResult(res)
+	got := AppendResult(nil, res)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("EncodeResult = %x, want %x", got, want)
+		t.Fatalf("AppendResult(nil, ...) = %x, want %x", got, want)
 	}
 	out, err := DecodeResult(got)
 	if err != nil || !reflect.DeepEqual(out, res) {
@@ -137,7 +137,7 @@ func TestResultEncodingPinned(t *testing.T) {
 
 func TestUpdateAndCounterRoundTrip(t *testing.T) {
 	u := UpdateRequest{Name: "order-update-3.xml", Data: []byte("<order/>"), Timeout: time.Second, Key: IdemKey{Client: 1, Seq: 3}}
-	gotU, err := DecodeUpdateRequest(EncodeUpdateRequest(u))
+	gotU, err := DecodeUpdateRequest(AppendUpdateRequest(nil, u))
 	if err != nil || !reflect.DeepEqual(u, gotU) {
 		t.Fatalf("update roundtrip: %+v, %v", gotU, err)
 	}
@@ -154,7 +154,7 @@ func TestUpdateAndCounterRoundTrip(t *testing.T) {
 }
 
 func TestTruncatedPayloadsFailTyped(t *testing.T) {
-	full := EncodeResult(core.Result{Items: []string{"<a/>", "<b/>"}, PageIO: 300})
+	full := AppendResult(nil, core.Result{Items: []string{"<a/>", "<b/>"}, PageIO: 300})
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := DecodeResult(full[:cut]); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("cut at %d: %v, want ErrTruncated", cut, err)

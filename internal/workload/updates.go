@@ -2,12 +2,13 @@ package workload
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"xbench/internal/core"
-	"xbench/internal/metrics"
 	"xbench/internal/xmldom"
 )
 
@@ -20,9 +21,9 @@ import (
 //	U2: replace an existing document
 //	U3: delete a document
 //
-// Each operation is followed by a verification query (reported
-// separately, see UpdateMeasurement) so the measurement covers a durable,
-// observable update.
+// An Updater issues them: each op is one engine call, and what every
+// acknowledged op left behind is checked after the run (Updater.Check,
+// Updater.Finish).
 
 // UpdateOp identifies one update workload operation.
 type UpdateOp int
@@ -41,95 +42,146 @@ func (u UpdateOp) String() string { return fmt.Sprintf("U%d", int(u)) }
 // UpdateOps lists the update operations in workload order.
 var UpdateOps = []UpdateOp{U1, U2, U3}
 
-// UpdateMeasurement reports one update execution.
-type UpdateMeasurement struct {
-	Op UpdateOp
-	// Elapsed covers only the update operation itself (setup, such as
-	// pre-creating the document U2 replaces or U3 deletes, is untimed).
-	Elapsed time.Duration
-	// VerifyElapsed covers the follow-up verification query, reported
-	// separately so update latency is not inflated by a read.
-	VerifyElapsed time.Duration
-	// Breakdown attributes the update's metrics activity (pager I/O, MVCC
-	// captures, phases) when the engine exposes a registry; zero otherwise.
-	// It covers the timed update only, not setup or verification.
-	Breakdown metrics.Breakdown
-	Err       error
+// Updater is one client's side of the update workload. It keeps the
+// documents the client inserted and has not deleted, oldest first, so
+// every op has its target without a setup call:
+//
+//	U1 inserts the client's next sequence number (client, client+clients, ...)
+//	U2 replaces the newest live document with its next revision
+//	U3 deletes the oldest live document
+//
+// With nothing live, U2 and U3 fall back to U1. Clients of one run draw
+// disjoint sequence numbers, and Finish deletes what is still live, so a
+// later run's Updaters start from the same names on the same corpus. An
+// Updater is not safe for concurrent use: give each client its own.
+type Updater struct {
+	class core.Class
+	next  int // next sequence number to insert
+	step  int // stride between this client's sequence numbers
+	live  []liveDoc
+	// final is what each acknowledged update left behind: the revision
+	// the document must answer with, or -1 when it must be gone.
+	final map[int]int
 }
 
-// RunUpdateOp executes one update operation against an engine loaded with
-// a multi-document class database, using deterministic synthetic content,
-// and verifies the effect with a follow-up Q1. seq distinguishes repeated
-// runs (documents are named after it); use a fresh seq per op — U1
-// inserts strictly and fails on an existing name.
-//
-// U2 and U3 first ensure their target document exists (an untimed upsert
-// of revision 0); the timed operation then replaces it with revision 1
-// content or deletes it, so Elapsed measures a true replace/delete.
-func RunUpdateOp(ctx context.Context, e core.Engine, class core.Class, op UpdateOp, seq int) UpdateMeasurement {
-	m := UpdateMeasurement{Op: op}
-	if class.SingleDocument() {
-		m.Err = fmt.Errorf("workload: update workload is defined for multi-document classes, not %s", class)
-		return m
-	}
-	name, doc := UpdateDoc(class, seq, 0)
-	if op == U2 || op == U3 {
-		if err := e.ReplaceDocument(ctx, name, doc); err != nil { // untimed setup
-			m.Err = err
-			return m
-		}
-	}
+// liveDoc is a document the client inserted and has not deleted, with
+// the revision its last acknowledged write carried.
+type liveDoc struct{ seq, rev int }
 
-	var before metrics.Snapshot
-	var reg *metrics.Registry
-	if mp, ok := e.(MetricsProvider); ok {
-		reg = mp.Metrics()
-		before = reg.Snapshot()
+// NewUpdater returns the Updater of client (0-based) among clients
+// concurrent ones, on a multi-document class.
+func NewUpdater(class core.Class, client, clients int) (*Updater, error) {
+	if class.SingleDocument() {
+		return nil, fmt.Errorf("workload: update workload is defined for multi-document classes, not %s", class)
 	}
-	start := time.Now()
+	return &Updater{class: class, next: client, step: max(clients, 1), final: map[int]int{}}, nil
+}
+
+// Apply issues op against e and times the engine call alone; did is the
+// op issued, U1 when op has no live document to act on. A failed op
+// changes nothing the Updater checks, but a U1 still uses up its
+// sequence number: an insert that failed after the engine applied it
+// must not be retried under the same name.
+func (u *Updater) Apply(ctx context.Context, e core.Engine, op UpdateOp) (did UpdateOp, d time.Duration, err error) {
+	if len(u.live) == 0 {
+		op = U1
+	}
 	switch op {
 	case U1:
-		m.Err = e.InsertDocument(ctx, name, doc)
+		seq := u.next
+		u.next += u.step
+		name, doc := UpdateDoc(u.class, seq, 0)
+		t0 := time.Now()
+		err = e.InsertDocument(ctx, name, doc)
+		d = time.Since(t0)
+		if err == nil {
+			u.live = append(u.live, liveDoc{seq: seq})
+			u.final[seq] = 0
+		}
 	case U2:
-		_, doc1 := UpdateDoc(class, seq, 1)
-		m.Err = e.ReplaceDocument(ctx, name, doc1)
+		newest := &u.live[len(u.live)-1]
+		name, doc := UpdateDoc(u.class, newest.seq, newest.rev+1)
+		t0 := time.Now()
+		err = e.ReplaceDocument(ctx, name, doc)
+		d = time.Since(t0)
+		if err == nil {
+			newest.rev++
+			u.final[newest.seq] = newest.rev
+		}
 	case U3:
-		m.Err = e.DeleteDocument(ctx, name)
+		oldest := u.live[0]
+		_, name, _ := core.DocOf(UpdateTargetID(u.class, oldest.seq))
+		t0 := time.Now()
+		err = e.DeleteDocument(ctx, name)
+		d = time.Since(t0)
+		if err == nil {
+			u.live = u.live[1:]
+			u.final[oldest.seq] = -1
+		}
 	default:
-		m.Err = fmt.Errorf("workload: unknown update op %d", int(op))
+		return op, 0, fmt.Errorf("workload: unknown update op %d", int(op))
 	}
-	m.Elapsed = time.Since(start)
-	if reg != nil {
-		m.Breakdown = reg.Snapshot().Delta(before)
-	}
-	if m.Err != nil {
-		return m
-	}
+	return op, d, err
+}
 
-	// Verify observability.
-	id := UpdateTargetID(class, seq)
-	vStart := time.Now()
+// Check asks e, untimed, for every document an acknowledged update
+// touched: one the client deleted must answer its Q1 with nothing, any
+// other with something, and on DC/MD with the order total of its last
+// revision.
+func (u *Updater) Check(ctx context.Context, e core.Engine) error {
+	var wrong []error
+	for seq, rev := range u.final {
+		if err := u.check(ctx, e, seq, rev); err != nil {
+			wrong = append(wrong, err)
+		}
+	}
+	if len(wrong) > 0 {
+		return fmt.Errorf("workload: %d of %d updated documents not as acknowledged, first: %w",
+			len(wrong), len(u.final), wrong[0])
+	}
+	return nil
+}
+
+// Finish ends a run, untimed: Check, then delete the documents still
+// live, so e holds the corpus it held before the Updater's first op. The
+// deletions run even when the check fails; the error reports both.
+func (u *Updater) Finish(ctx context.Context, e core.Engine) error {
+	errs := []error{u.Check(ctx, e)}
+	for len(u.live) > 0 {
+		if _, _, err := u.Apply(ctx, e, U3); err != nil {
+			errs = append(errs, fmt.Errorf("workload: delete %s after the run: %w", UpdateTargetID(u.class, u.live[0].seq), err))
+			break
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// check compares one document's Q1 answer with what its last
+// acknowledged update left: revision rev, or gone when rev < 0.
+func (u *Updater) check(ctx context.Context, e core.Engine, seq, rev int) error {
+	id := UpdateTargetID(u.class, seq)
 	res, err := e.Execute(ctx, core.Q1, core.Params{"X": id})
-	m.VerifyElapsed = time.Since(vStart)
-	if err != nil {
-		m.Err = err
-		return m
-	}
-	switch op {
-	case U1, U2:
-		if len(res.Items) == 0 {
-			m.Err = fmt.Errorf("workload: %s not visible after %s", id, op)
-		}
-	case U3:
+	switch {
+	case err != nil:
+		return fmt.Errorf("%s: %w", id, err)
+	case rev < 0:
 		if len(res.Items) != 0 {
-			m.Err = fmt.Errorf("workload: %s still visible after delete", id)
+			return fmt.Errorf("%s: deleted, still answers %d items", id, len(res.Items))
 		}
+	case u.class == core.DCMD:
+		// DC/MD Q1 returns the order's total, which UpdateDoc derives
+		// from the revision.
+		if want := orderTotal(rev); len(res.Items) != 1 || !strings.Contains(res.Items[0], want) {
+			return fmt.Errorf("%s: revision %d, want one total %s, got %v", id, rev, want, res.Items)
+		}
+	case len(res.Items) == 0:
+		return fmt.Errorf("%s: revision %d not visible", id, rev)
 	}
-	return m
+	return nil
 }
 
 // UpdateTargetID returns the root id of the update workload's target
-// document for seq — the X parameter of the verification query.
+// document for seq — the X parameter of the Q1 that Finish checks it with.
 func UpdateTargetID(class core.Class, seq int) string {
 	if class == core.DCMD {
 		return "OU" + strconv.Itoa(seq)
@@ -137,17 +189,20 @@ func UpdateTargetID(class core.Class, seq int) string {
 	return "aU" + strconv.Itoa(seq)
 }
 
+// orderTotal is the total of the DC/MD update document's revision rev.
+func orderTotal(rev int) string { return strconv.Itoa(10+rev) + ".80" }
+
 // UpdateDoc builds the deterministic, schema-conforming document the
 // update workload uses for (class, seq), named by core.DocOf after its
-// root's id. rev varies the content the verification query observes — the
-// order total for DC/MD, the article title for TC/MD — so U2's replacement
-// is distinguishable from the document it replaced (rev 0 is the original,
-// rev 1 the replacement).
+// root's id. rev varies the content a Q1 observes — the order total for
+// DC/MD, the article title for TC/MD — so U2's replacement is
+// distinguishable from the document it replaced (rev 0 is the inserted
+// document, each U2 the next revision).
 func UpdateDoc(class core.Class, seq, rev int) (string, []byte) {
 	id := UpdateTargetID(class, seq)
 	e := xmldom.NewEncoder()
 	if class == core.DCMD {
-		total := strconv.Itoa(10+rev) + ".80"
+		total := orderTotal(rev)
 		e.Begin("order", "id", id)
 		e.Leaf("customer_id", "C1")
 		e.Leaf("order_date", "2002-06-15")

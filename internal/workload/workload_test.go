@@ -489,47 +489,3 @@ func TestQ16RoundTripsOriginalDocument(t *testing.T) {
 		}
 	}
 }
-
-func TestUpdateWorkload(t *testing.T) {
-	for _, class := range []core.Class{core.DCMD, core.TCMD} {
-		db := tinyDB(t, class)
-		e := native.New(0)
-		if _, _, err := LoadAndIndex(context.Background(), e, db); err != nil {
-			t.Fatal(err)
-		}
-		docCount := func() int {
-			v, release, err := e.View()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer release()
-			return v.DocumentCount()
-		}
-		before := docCount()
-		for seq, op := range []UpdateOp{U1, U2, U3} {
-			m := RunUpdateOp(context.Background(), e, class, op, seq)
-			if m.Err != nil {
-				t.Fatalf("%s %s: %v", class, op, m.Err)
-			}
-			if m.Elapsed <= 0 {
-				t.Fatalf("%s %s: no time measured", class, op)
-			}
-		}
-		// U1(seq=0) inserted, U2(seq=1) upserted, U3(seq=2) insert+delete:
-		// net +2 documents.
-		if got := docCount(); got != before+2 {
-			t.Fatalf("%s: document count %d, want %d", class, got, before+2)
-		}
-	}
-}
-
-func TestUpdateWorkloadRejectsSingleDocumentClasses(t *testing.T) {
-	db := tinyDB(t, core.TCSD)
-	e := native.New(0)
-	if _, _, err := LoadAndIndex(context.Background(), e, db); err != nil {
-		t.Fatal(err)
-	}
-	if m := RunUpdateOp(context.Background(), e, core.TCSD, U1, 0); m.Err == nil {
-		t.Fatal("update workload accepted a single-document class")
-	}
-}
