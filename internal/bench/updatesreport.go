@@ -1,8 +1,8 @@
 // Updates report: the updates view of `xbench bench`. Runs the document
 // update workload (U1 insert, U2 replace, U3 delete) Repeat times per op
 // against every engine on a multi-document class through one
-// workload.Updater per engine, and reports per-op p50/p95/p99/max latency
-// of the engine call and the metrics breakdown the instrumented engines
+// workload.Updater per engine, and reports per-op p50/p95/p99 latency of
+// the engine call and the metrics breakdown the instrumented engines
 // attribute to it: pager I/O, MVCC captures, rows touched.
 package bench
 
@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"xbench/internal/core"
 	"xbench/internal/metrics"
@@ -31,7 +30,6 @@ type UpdateCellReport struct {
 	P95Ms  float64 `json:"p95_ms"`
 	P99Ms  float64 `json:"p99_ms"`
 	MeanMs float64 `json:"mean_ms"`
-	MaxMs  float64 `json:"max_ms"`
 
 	// PageIO is the mean per-run pager I/O the metrics layer attributed
 	// to the update; Writes the mean page writes within it. Both are nil
@@ -49,11 +47,10 @@ type UpdateCellReport struct {
 // class (DC/MD or TC/MD) at the runner's first (smallest) size, Repeat
 // runs per op, and returns the cells in grid order. Engines that do not
 // support the class, or whose update path declines the documents, are
-// skipped. An engine's row is Repeat inserts, Repeat replaces of the
-// newest and Repeat deletes of the oldest, so it ends with the documents
-// it started with; the Updater's Finish then checks what each run
-// acknowledged and deletes what a failed cell left. A served engine,
-// which outlives the grid, can therefore be measured again.
+// skipped. An engine's row, Repeat inserts, replaces of the newest and
+// deletes of the oldest, ends on the documents it began with, and its
+// Updater's Finish checks every run and deletes what a failed cell left:
+// a served engine, which outlives the grid, can be measured again.
 func (r *Runner) UpdatesGrid(class core.Class) ([]UpdateCellReport, error) {
 	ctx := context.Background()
 	if class.SingleDocument() {
@@ -110,21 +107,14 @@ func (r *Runner) measureUpdateCell(ctx context.Context, e core.Engine, name stri
 	hist := metrics.NewHistogram()
 	counters := map[string]int64{}
 	var pageIO, writes int64
-	var longest time.Duration
-	var reg *metrics.Registry
+	var reg *metrics.Registry // nil, and so empty snapshots, on a served engine
 	if mp, ok := e.(workload.MetricsProvider); ok {
 		reg = mp.Metrics()
 	}
 	for i := 0; i < runs; i++ {
-		var before metrics.Snapshot
-		if reg != nil {
-			before = reg.Snapshot()
-		}
+		before := reg.Snapshot()
 		did, d, err := u.Apply(ctx, e, op)
-		var delta metrics.Breakdown
-		if reg != nil {
-			delta = reg.Snapshot().Delta(before)
-		}
+		delta := reg.Snapshot().Delta(before)
 		switch {
 		case errors.Is(err, core.ErrUnsupported) || errors.Is(err, core.ErrReadOnly):
 			return cell, false
@@ -136,7 +126,6 @@ func (r *Runner) measureUpdateCell(ctx context.Context, e core.Engine, name stri
 			return cell, true
 		}
 		hist.Observe(d)
-		longest = max(longest, d)
 		pageIO += delta.PagerIO()
 		writes += delta.Get("pager.write")
 		addCounters(counters, delta)
@@ -146,7 +135,6 @@ func (r *Runner) measureUpdateCell(ctx context.Context, e core.Engine, name stri
 	cell.P95Ms = msOf(hist.P95())
 	cell.P99Ms = msOf(hist.P99())
 	cell.MeanMs = msOf(hist.Mean())
-	cell.MaxMs = msOf(longest)
 	if reg != nil {
 		pio, w := float64(pageIO)/n, float64(writes)/n
 		cell.PageIO, cell.Writes = &pio, &w
@@ -193,17 +181,16 @@ func (r *Runner) printUpdatesTable(cells []UpdateCellReport) {
 		fmt.Fprintln(r.Out, "no update cells measured")
 		return
 	}
-	fmt.Fprintf(r.Out, "Update workload: %s %s, %d run(s) per op (ms of the engine call)\n",
-		cells[0].Class, cells[0].Size, cells[0].Runs)
-	fmt.Fprintf(r.Out, "%-12s %-4s %9s %9s %9s %9s %9s %8s %8s\n",
-		"engine", "op", "p50", "p95", "p99", "mean", "max", "pageIO", "writes")
+	fmt.Fprintf(r.Out, "Update workload: %s %s (ms of the engine call)\n", cells[0].Class, cells[0].Size)
+	fmt.Fprintf(r.Out, "%-12s %-4s %9s %9s %9s %9s %5s %8s %8s\n",
+		"engine", "op", "p50", "p95", "p99", "mean", "runs", "pageIO", "writes")
 	for _, c := range cells {
 		if c.Err != "" {
 			fmt.Fprintf(r.Out, "%-12s %-4s error: %s\n", c.Engine, c.Op, c.Err)
 			continue
 		}
-		fmt.Fprintf(r.Out, "%-12s %-4s %9.3f %9.3f %9.3f %9.3f %9.3f %8s %8s\n",
-			c.Engine, c.Op, c.P50Ms, c.P95Ms, c.P99Ms, c.MeanMs, c.MaxMs,
+		fmt.Fprintf(r.Out, "%-12s %-4s %9.3f %9.3f %9.3f %9.3f %5d %8s %8s\n",
+			c.Engine, c.Op, c.P50Ms, c.P95Ms, c.P99Ms, c.MeanMs, c.Runs,
 			measured(c.PageIO, "%.0f"), measured(c.Writes, "%.0f"))
 	}
 	// Per-layer counter detail for the curious, one compact line per cell.
@@ -225,7 +212,7 @@ func (r *Runner) printUpdatesTable(cells []UpdateCellReport) {
 }
 
 const updatesCSVHeader = "engine,class,size,op,runs," +
-	"p50_ms,p95_ms,p99_ms,mean_ms,max_ms,page_io,page_writes"
+	"p50_ms,p95_ms,p99_ms,mean_ms,page_io,page_writes"
 
 func printUpdatesCSV(r *Runner, cells []UpdateCellReport) {
 	fmt.Fprintln(r.Out, updatesCSVHeader)
@@ -234,9 +221,9 @@ func printUpdatesCSV(r *Runner, cells []UpdateCellReport) {
 			fmt.Fprintf(r.Out, "# error: %s %s/%s %s: %s\n", c.Engine, c.Class, c.Size, c.Op, c.Err)
 			continue
 		}
-		fmt.Fprintf(r.Out, "%s,%s,%s,%s,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%s,%s\n",
+		fmt.Fprintf(r.Out, "%s,%s,%s,%s,%d,%.3f,%.3f,%.3f,%.3f,%s,%s\n",
 			c.Engine, c.Class, c.Size, c.Op, c.Runs,
-			c.P50Ms, c.P95Ms, c.P99Ms, c.MeanMs, c.MaxMs,
+			c.P50Ms, c.P95Ms, c.P99Ms, c.MeanMs,
 			measured(c.PageIO, "%.1f"), measured(c.Writes, "%.1f"))
 	}
 }

@@ -61,13 +61,12 @@ type Config struct {
 	// UpdateFraction is the probability, per op, that a client issues a
 	// document update (drawn uniformly from UpdateOps) instead of a
 	// query — the mixed read/write mode. 0 disables updates; values
-	// outside [0, 1) fail the run. Requires a multi-document class. Each
-	// client issues its updates through its own workload.Updater; the
-	// run ends by checking what they acknowledged and deleting the
-	// documents they left, so the engine holds what it held before.
+	// outside [0, 1) fail the run. Requires a multi-document class. A
+	// run leaves the engine's documents as it found them (see Run).
 	UpdateFraction float64
 	// UpdateOps restricts the update-op mix; nil selects all of
-	// workload.UpdateOps (U1 insert, U2 replace, U3 delete).
+	// workload.UpdateOps (U1 insert, U2 replace, U3 delete). A client
+	// with no live document issues a U1 whatever was drawn.
 	UpdateOps []workload.UpdateOp
 }
 
@@ -262,15 +261,16 @@ func warmup(ctx context.Context, e core.Engine, class core.Class, candidates []c
 // Run drives cfg.Clients concurrent clients against a loaded engine and
 // reports throughput and per-query latency. The engine must already be
 // loaded and indexed; Run never calls Load or ColdReset, so the pool
-// stays warm across a Sweep.
+// stays warm across a Sweep. In a mixed run each client updates through
+// its own workload.Updater: two untimed inserts before the window, one
+// timed engine call per update in it, and after it, untimed, the
+// Updater's Finish, which checks every acknowledged update and deletes
+// the client's documents. A canceled run skips the Finish.
 func Run(ctx context.Context, e core.Engine, class core.Class, cfg Config) (Report, error) {
 	cfg = cfg.WithDefaults()
 	rep := Report{Engine: e.Name(), Class: class, Clients: cfg.Clients, UpdateFraction: cfg.UpdateFraction}
 	if cfg.UpdateFraction < 0 || cfg.UpdateFraction >= 1 {
 		return rep, fmt.Errorf("driver: update fraction %v outside [0, 1)", cfg.UpdateFraction)
-	}
-	if cfg.UpdateFraction > 0 && class.SingleDocument() {
-		return rep, fmt.Errorf("driver: mixed read/write mode needs a multi-document class, not %s", class)
 	}
 
 	candidates := cfg.Queries
@@ -306,19 +306,15 @@ func Run(ctx context.Context, e core.Engine, class core.Class, cfg Config) (Repo
 		for _, u := range workload.UpdateOps {
 			accs[MixedOp{Update: u}] = &opAcc{hist: metrics.NewHistogram()}
 		}
-		ups = make([]*workload.Updater, cfg.Clients)
-		for c := range ups {
-			var err error
-			if ups[c], err = workload.NewUpdater(class, c, cfg.Clients); err != nil {
-				return rep, err
+		for c := range cfg.Clients {
+			u, err := workload.NewUpdater(class, c, cfg.Clients)
+			for i := 0; err == nil && i < 2; i++ {
+				_, _, err = u.Apply(ctx, e, workload.U1)
 			}
-			// Untimed, before the window: each client starts with live
-			// documents, so a drawn U2 or U3 seldom falls back to U1.
-			for range preseedDocs {
-				if _, _, err := ups[c].Apply(ctx, e, workload.U1); err != nil {
-					return rep, fmt.Errorf("driver: preseed: %w", err)
-				}
+			if err != nil {
+				return rep, fmt.Errorf("driver: %w", err)
 			}
+			ups = append(ups, u)
 		}
 	}
 	cellOf := func(op MixedOp) CellStats {
@@ -358,22 +354,19 @@ func Run(ctx context.Context, e core.Engine, class core.Class, cfg Config) (Repo
 					return
 				}
 				op := nextMixedOp(rng, mix, cfg.UpdateFraction, cfg.UpdateOps)
-				var acc *opAcc
+				var d time.Duration
 				var err error
 				if op.Update != 0 {
-					var d time.Duration
 					op.Update, d, err = ups[client].Apply(ctx, e, op.Update)
-					acc = accs[op]
-					acc.hist.Observe(d)
 					updates.Add(1)
 				} else {
 					t0 := time.Now()
 					_, err = e.Execute(ctx, op.Query, params)
-					d := time.Since(t0)
-					acc = accs[op]
-					acc.hist.Observe(d)
+					d = time.Since(t0)
 					readHist.Observe(d)
 				}
+				acc := accs[op]
+				acc.hist.Observe(d)
 				ops.Add(1)
 				clientOps[client]++
 				switch {
@@ -402,14 +395,10 @@ func Run(ctx context.Context, e core.Engine, class core.Class, cfg Config) (Repo
 	}
 	wg.Wait()
 	rep.Elapsed = time.Since(start)
-	// Untimed, after the window: check every acknowledged update and
-	// delete the documents the clients left. A canceled run skips it.
 	var finishErr error
-	for c, u := range ups {
-		if ctx.Err() == nil {
-			if err := u.Finish(ctx, e); err != nil {
-				finishErr = errors.Join(finishErr, fmt.Errorf("driver: client %d: %w", c, err))
-			}
+	for c := 0; c < len(ups) && ctx.Err() == nil; c++ {
+		if err := ups[c].Finish(ctx, e); err != nil {
+			finishErr = errors.Join(finishErr, fmt.Errorf("driver: client %d: %w", c, err))
 		}
 	}
 
@@ -443,10 +432,6 @@ func Run(ctx context.Context, e core.Engine, class core.Class, cfg Config) (Repo
 	}
 	return rep, finishErr
 }
-
-// preseedDocs is how many documents each client of a mixed run inserts,
-// untimed, before the window opens.
-const preseedDocs = 2
 
 // Sweep runs the driver once per step over the same loaded engine: every
 // client count at every update fraction, fraction-major, with everything

@@ -168,38 +168,43 @@ func TestUpdaterFinishRestoresCorpus(t *testing.T) {
 	}
 }
 
-// TestUpdaterCatchesAnUnappliedReplace: an engine that acknowledges a
-// U2 without applying it still answers the old revision's total, and
-// the run-end check must say so.
-func TestUpdaterCatchesAnUnappliedReplace(t *testing.T) {
+// TestUpdaterCatchesAnUnappliedUpdate: an engine that acknowledges a U2
+// without applying it still answers the old revision's total, and one
+// that acknowledges a U3 without applying it still answers at all; the
+// run-end check must say so.
+func TestUpdaterCatchesAnUnappliedUpdate(t *testing.T) {
 	ctx := context.Background()
-	e := newDocStub()
-	e.dropReplace = true
-	u, err := NewUpdater(core.DCMD, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range []UpdateOp{U1, U2} {
-		if _, _, err := u.Apply(ctx, e, op); err != nil {
-			t.Fatalf("%s: %v", op, err)
+	for _, tc := range []struct {
+		drop UpdateOp
+		want string
+	}{
+		{U2, "OU0 revision 1"},
+		{U3, "OU0 deleted"},
+	} {
+		e := newDocStub()
+		e.drop = tc.drop
+		u, err := NewUpdater(core.DCMD, 0, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	err = u.Finish(ctx, e)
-	if err == nil || !strings.Contains(err.Error(), "OU0: revision 1") {
-		t.Fatalf("Finish = %v, want the unapplied revision 1 of OU0 reported", err)
-	}
-	if len(e.names()) != 0 {
-		t.Fatalf("Finish left %v", e.names())
+		for _, op := range []UpdateOp{U1, tc.drop} {
+			if _, _, err := u.Apply(ctx, e, op); err != nil {
+				t.Fatalf("%s: %v", op, err)
+			}
+		}
+		if err := u.Finish(ctx, e); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s dropped: Finish = %v, want %q reported", tc.drop, err, tc.want)
+		}
 	}
 }
 
 // docStub is an engine holding documents by name, whose Q1 answers the
-// document a root id names whole. With dropReplace set it acknowledges
-// a replace and keeps the old document.
+// document a root id names whole. It acknowledges a replace (drop U2) or
+// a delete (drop U3) without applying it.
 type docStub struct {
-	mu          sync.Mutex
-	docs        map[string][]byte
-	dropReplace bool
+	mu   sync.Mutex
+	docs map[string][]byte
+	drop UpdateOp
 }
 
 func newDocStub() *docStub { return &docStub{docs: map[string][]byte{}} }
@@ -227,7 +232,7 @@ func (s *docStub) InsertDocument(_ context.Context, name string, data []byte) er
 func (s *docStub) ReplaceDocument(_ context.Context, name string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.dropReplace {
+	if s.drop != U2 {
 		s.docs[name] = data
 	}
 	return nil
@@ -236,7 +241,9 @@ func (s *docStub) ReplaceDocument(_ context.Context, name string, data []byte) e
 func (s *docStub) DeleteDocument(_ context.Context, name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.docs, name)
+	if s.drop != U3 {
+		delete(s.docs, name)
+	}
 	return nil
 }
 

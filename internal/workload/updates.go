@@ -20,10 +20,6 @@ import (
 //	U1: insert a new document
 //	U2: replace an existing document
 //	U3: delete a document
-//
-// An Updater issues them: each op is one engine call, and what every
-// acknowledged op left behind is checked after the run (Updater.Check,
-// Updater.Finish).
 
 // UpdateOp identifies one update workload operation.
 type UpdateOp int
@@ -51,22 +47,17 @@ var UpdateOps = []UpdateOp{U1, U2, U3}
 //	U3 deletes the oldest live document
 //
 // With nothing live, U2 and U3 fall back to U1. Clients of one run draw
-// disjoint sequence numbers, and Finish deletes what is still live, so a
-// later run's Updaters start from the same names on the same corpus. An
-// Updater is not safe for concurrent use: give each client its own.
+// disjoint sequence numbers; Finish deletes what is still live, so the
+// next run reuses the names. Give each client its own Updater.
 type Updater struct {
 	class core.Class
-	next  int // next sequence number to insert
-	step  int // stride between this client's sequence numbers
-	live  []liveDoc
+	next  int   // next sequence number to insert
+	step  int   // stride between this client's sequence numbers
+	live  []int // sequence numbers inserted and not deleted, oldest first
 	// final is what each acknowledged update left behind: the revision
 	// the document must answer with, or -1 when it must be gone.
 	final map[int]int
 }
-
-// liveDoc is a document the client inserted and has not deleted, with
-// the revision its last acknowledged write carried.
-type liveDoc struct{ seq, rev int }
 
 // NewUpdater returns the Updater of client (0-based) among clients
 // concurrent ones, on a multi-document class.
@@ -95,28 +86,27 @@ func (u *Updater) Apply(ctx context.Context, e core.Engine, op UpdateOp) (did Up
 		err = e.InsertDocument(ctx, name, doc)
 		d = time.Since(t0)
 		if err == nil {
-			u.live = append(u.live, liveDoc{seq: seq})
+			u.live = append(u.live, seq)
 			u.final[seq] = 0
 		}
 	case U2:
-		newest := &u.live[len(u.live)-1]
-		name, doc := UpdateDoc(u.class, newest.seq, newest.rev+1)
+		seq := u.live[len(u.live)-1]
+		name, doc := UpdateDoc(u.class, seq, u.final[seq]+1)
 		t0 := time.Now()
 		err = e.ReplaceDocument(ctx, name, doc)
 		d = time.Since(t0)
 		if err == nil {
-			newest.rev++
-			u.final[newest.seq] = newest.rev
+			u.final[seq]++
 		}
 	case U3:
-		oldest := u.live[0]
-		_, name, _ := core.DocOf(UpdateTargetID(u.class, oldest.seq))
+		seq := u.live[0]
+		_, name, _ := core.DocOf(UpdateTargetID(u.class, seq))
 		t0 := time.Now()
 		err = e.DeleteDocument(ctx, name)
 		d = time.Since(t0)
 		if err == nil {
 			u.live = u.live[1:]
-			u.final[oldest.seq] = -1
+			u.final[seq] = -1
 		}
 	default:
 		return op, 0, fmt.Errorf("workload: unknown update op %d", int(op))
@@ -127,17 +117,22 @@ func (u *Updater) Apply(ctx context.Context, e core.Engine, op UpdateOp) (did Up
 // Check asks e, untimed, for every document an acknowledged update
 // touched: one the client deleted must answer its Q1 with nothing, any
 // other with something, and on DC/MD with the order total of its last
-// revision.
+// revision (DC/MD Q1 returns the total, which UpdateDoc derives from the
+// revision). It reports the first document that does not.
 func (u *Updater) Check(ctx context.Context, e core.Engine) error {
-	var wrong []error
 	for seq, rev := range u.final {
-		if err := u.check(ctx, e, seq, rev); err != nil {
-			wrong = append(wrong, err)
+		id := UpdateTargetID(u.class, seq)
+		res, err := e.Execute(ctx, core.Q1, core.Params{"X": id})
+		switch {
+		case err != nil:
+			return fmt.Errorf("workload: check %s: %w", id, err)
+		case rev < 0 && len(res.Items) != 0:
+			return fmt.Errorf("workload: %s deleted, still answers %d items", id, len(res.Items))
+		case rev >= 0 && len(res.Items) == 0:
+			return fmt.Errorf("workload: %s revision %d not visible", id, rev)
+		case rev >= 0 && u.class == core.DCMD && (len(res.Items) != 1 || !strings.Contains(res.Items[0], orderTotal(rev))):
+			return fmt.Errorf("workload: %s revision %d, want one total %s, got %v", id, rev, orderTotal(rev), res.Items)
 		}
-	}
-	if len(wrong) > 0 {
-		return fmt.Errorf("workload: %d of %d updated documents not as acknowledged, first: %w",
-			len(wrong), len(u.final), wrong[0])
 	}
 	return nil
 }
@@ -146,38 +141,13 @@ func (u *Updater) Check(ctx context.Context, e core.Engine) error {
 // live, so e holds the corpus it held before the Updater's first op. The
 // deletions run even when the check fails; the error reports both.
 func (u *Updater) Finish(ctx context.Context, e core.Engine) error {
-	errs := []error{u.Check(ctx, e)}
+	err := u.Check(ctx, e)
 	for len(u.live) > 0 {
-		if _, _, err := u.Apply(ctx, e, U3); err != nil {
-			errs = append(errs, fmt.Errorf("workload: delete %s after the run: %w", UpdateTargetID(u.class, u.live[0].seq), err))
-			break
+		if _, _, derr := u.Apply(ctx, e, U3); derr != nil {
+			return errors.Join(err, fmt.Errorf("workload: delete after the run: %w", derr))
 		}
 	}
-	return errors.Join(errs...)
-}
-
-// check compares one document's Q1 answer with what its last
-// acknowledged update left: revision rev, or gone when rev < 0.
-func (u *Updater) check(ctx context.Context, e core.Engine, seq, rev int) error {
-	id := UpdateTargetID(u.class, seq)
-	res, err := e.Execute(ctx, core.Q1, core.Params{"X": id})
-	switch {
-	case err != nil:
-		return fmt.Errorf("%s: %w", id, err)
-	case rev < 0:
-		if len(res.Items) != 0 {
-			return fmt.Errorf("%s: deleted, still answers %d items", id, len(res.Items))
-		}
-	case u.class == core.DCMD:
-		// DC/MD Q1 returns the order's total, which UpdateDoc derives
-		// from the revision.
-		if want := orderTotal(rev); len(res.Items) != 1 || !strings.Contains(res.Items[0], want) {
-			return fmt.Errorf("%s: revision %d, want one total %s, got %v", id, rev, want, res.Items)
-		}
-	case len(res.Items) == 0:
-		return fmt.Errorf("%s: revision %d not visible", id, rev)
-	}
-	return nil
+	return err
 }
 
 // UpdateTargetID returns the root id of the update workload's target
