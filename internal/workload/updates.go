@@ -151,7 +151,7 @@ func (u *Updater) Finish(ctx context.Context, e core.Engine) error {
 }
 
 // UpdateTargetID returns the root id of the update workload's target
-// document for seq — the X parameter of the Q1 that Finish checks it with.
+// document for seq — the X parameter of the Q1 that Check asks it with.
 func UpdateTargetID(class core.Class, seq int) string {
 	if class == core.DCMD {
 		return "OU" + strconv.Itoa(seq)
