@@ -81,17 +81,17 @@ func RunUpdateCell(newEngine func() core.Engine, db *core.Database, op workload.
 		return out
 	}
 
-	// Fault-free twin: establish the two legal recovered states. seq 0 is
-	// used throughout — every run starts from a fresh load.
-	const seq = 0
-	id := workload.UpdateTargetID(db.Class, seq)
+	// Fault-free twin: establish the two legal recovered states. Every
+	// life's Updater targets seq 0 — every run starts from a fresh load.
+	id := workload.UpdateTargetID(db.Class, 0)
 	twin := newEngine()
 	defer twin.Close()
 	if _, _, err := workload.LoadAndIndex(ctx, twin, db); err != nil {
 		out.Err = fmt.Errorf("chaos: twin load: %w", err)
 		return out
 	}
-	if _, err := setupUpdate(ctx, twin, db.Class, op, seq); err != nil {
+	u, _, err := setup(ctx, twin, db.Class, op)
+	if err != nil {
 		if errors.Is(err, core.ErrUnsupported) || errors.Is(err, core.ErrReadOnly) {
 			out.Skipped = true
 			return out
@@ -104,7 +104,7 @@ func RunUpdateCell(newEngine func() core.Engine, db *core.Database, op workload.
 		out.Err = fmt.Errorf("chaos: twin pre-state: %w", err)
 		return out
 	}
-	if err := applyUpdate(ctx, twin, db.Class, op, seq); err != nil {
+	if _, _, err := u.Apply(ctx, twin, op); err != nil {
 		if errors.Is(err, core.ErrUnsupported) || errors.Is(err, core.ErrReadOnly) {
 			out.Skipped = true
 			return out
@@ -132,7 +132,7 @@ func RunUpdateCell(newEngine func() core.Engine, db *core.Database, op workload.
 	// Measure the update's fault-free disk-op budget on the same served
 	// path, so crash points land inside the operation itself, not the load
 	// around it.
-	l, err := serve(newEngine(), db, op, seq, filepath.Join(dir, "probe.journal"), cfg.Seed, -1)
+	l, err := serve(newEngine(), db, op, filepath.Join(dir, "probe.journal"), cfg.Seed, -1)
 	if err != nil {
 		out.Err = fmt.Errorf("chaos: probe: %w", err)
 		return out
@@ -152,7 +152,7 @@ func RunUpdateCell(newEngine func() core.Engine, db *core.Database, op workload.
 			rel = l.ops * int64(i-1) / int64(cfg.CrashPoints-1)
 		}
 		path := filepath.Join(dir, fmt.Sprintf("crash%d.journal", i))
-		if err := runUpdateCrashPoint(newEngine, db, op, seq, id, path, cfg, rel, pre, post, &out); err != nil {
+		if err := runUpdateCrashPoint(newEngine, db, op, id, path, cfg, rel, pre, post, &out); err != nil {
 			out.Err = fmt.Errorf("chaos: crash point %d (op +%d): %w", i, rel, err)
 			return out
 		}
@@ -170,10 +170,11 @@ type life struct {
 
 // serve runs one life of a served process over the journal at path: e
 // under a fault policy that counts its disk operations, server.Reopen,
-// and a loopback client sending the setup and then the update, with a
-// crash point armed rel operations into the update (rel < 0: none). The
-// server is closed when it returns, and e with it.
-func serve(e core.Engine, db *core.Database, op workload.UpdateOp, seq int, path string, seed uint64, rel int64) (life, error) {
+// and a loopback client sending the setup and then the update through
+// the life's Updater, with a crash point armed rel operations into the
+// update (rel < 0: none). The server is closed when it returns, and e
+// with it.
+func serve(e core.Engine, db *core.Database, op workload.UpdateOp, path string, seed uint64, rel int64) (life, error) {
 	ctx := context.Background()
 	p := e.(Faultable).Pager()
 	p.SetFaultPolicy(pager.FaultPolicy{Seed: seed})
@@ -193,15 +194,17 @@ func serve(e core.Engine, db *core.Database, op workload.UpdateOp, seq int, path
 	defer c.Close()
 
 	var l life
-	if l.acked, err = setupUpdate(ctx, c, db.Class, op, seq); err != nil {
+	u, acked, err := setup(ctx, c, db.Class, op)
+	if err != nil {
 		return l, fmt.Errorf("setup: %w", err)
 	}
+	l.acked = acked
 	before := p.OpCount()
 	if rel >= 0 {
 		l.crashAt = before + rel
 		p.SetFaultPolicy(pager.FaultPolicy{Seed: seed, CrashAfterOps: l.crashAt})
 	}
-	err = applyUpdate(ctx, c, db.Class, op, seq)
+	_, _, err = u.Apply(ctx, c, op)
 	l.ops = p.OpCount() - before
 	switch {
 	case err == nil:
@@ -219,9 +222,9 @@ func serve(e core.Engine, db *core.Database, op workload.UpdateOp, seq int, path
 // faults, whose replay must be the acknowledged updates and whose
 // verification query must answer the state they imply.
 func runUpdateCrashPoint(newEngine func() core.Engine, db *core.Database, op workload.UpdateOp,
-	seq int, id, path string, cfg Config, rel int64, pre, post []string, out *UpdateOutcome) error {
+	id, path string, cfg Config, rel int64, pre, post []string, out *UpdateOutcome) error {
 	ctx := context.Background()
-	l, err := serve(newEngine(), db, op, seq, path, cfg.Seed, rel)
+	l, err := serve(newEngine(), db, op, path, cfg.Seed, rel)
 	if err != nil {
 		return err
 	}
@@ -258,16 +261,18 @@ func runUpdateCrashPoint(newEngine func() core.Engine, db *core.Database, op wor
 		return fmt.Errorf("restarted to %d item(s) for %s, not the %s state the acknowledgments imply", len(got), id, state)
 	}
 	*count++
-	return checkRecoveredEpoch(ctx, e, p, db, seq, id, got)
+	return checkRecoveredEpoch(ctx, e, p, db, id, got)
 }
 
 // checkRecoveredEpoch requires recovery to land on a consistent latest
 // commit epoch (DESIGN.md §15): replay must leave no mutation bracket
 // open — so with pins drained, inline pruning has reclaimed every page
 // version — and the commit path must still work, with a fresh update
-// advancing the epoch without disturbing the recovered answer.
+// advancing the epoch without disturbing the recovered answer. The fresh
+// update is a second client's insert (client 1 of 2), so it targets
+// another document than the grid's.
 func checkRecoveredEpoch(ctx context.Context, e core.Engine, p *pager.Pager,
-	db *core.Database, seq int, id string, recovered []string) error {
+	db *core.Database, id string, recovered []string) error {
 	if n := p.PinnedSnapshots(); n != 0 {
 		return fmt.Errorf("epoch check: %d snapshots pinned after recovery", n)
 	}
@@ -279,7 +284,11 @@ func checkRecoveredEpoch(ctx context.Context, e core.Engine, p *pager.Pager,
 	// path — then one fresh insert has to advance the epoch.
 	p.SetFaultPolicy(pager.FaultPolicy{})
 	before := p.SnapshotEpoch()
-	if err := applyUpdate(ctx, e, db.Class, workload.U1, seq+1); err != nil {
+	other, err := workload.NewUpdater(db.Class, 1, 2)
+	if err != nil {
+		return err
+	}
+	if _, _, err := other.Apply(ctx, e, workload.U1); err != nil {
 		return fmt.Errorf("epoch check: post-recovery update: %w", err)
 	}
 	if after := p.SnapshotEpoch(); after <= before {
@@ -297,34 +306,18 @@ func checkRecoveredEpoch(ctx context.Context, e core.Engine, p *pager.Pager,
 	return nil
 }
 
-// setupUpdate brings the engine to the update's pre-state — U2 and U3
-// need their target document to exist (revision 0) — and returns the
-// number of updates that took.
-func setupUpdate(ctx context.Context, e core.Engine, class core.Class, op workload.UpdateOp, seq int) (int, error) {
-	if op != workload.U2 && op != workload.U3 {
-		return 0, nil
+// setup returns the Updater of one life (client 0 of 1, so seq 0 is the
+// target) with op's pre-state in e — U2 and U3 act on a live document,
+// which it inserts first — and the number of updates that took.
+func setup(ctx context.Context, e core.Engine, class core.Class, op workload.UpdateOp) (*workload.Updater, int, error) {
+	u, err := workload.NewUpdater(class, 0, 1)
+	if err != nil || op == workload.U1 {
+		return u, 0, err
 	}
-	name, doc := workload.UpdateDoc(class, seq, 0)
-	if err := e.ReplaceDocument(ctx, name, doc); err != nil {
-		return 0, err
+	if _, _, err := u.Apply(ctx, e, workload.U1); err != nil {
+		return nil, 0, err
 	}
-	return 1, nil
-}
-
-// applyUpdate runs the update operation itself — the I/O the crash points
-// land inside.
-func applyUpdate(ctx context.Context, e core.Engine, class core.Class, op workload.UpdateOp, seq int) error {
-	name, doc := workload.UpdateDoc(class, seq, 0)
-	switch op {
-	case workload.U1:
-		return e.InsertDocument(ctx, name, doc)
-	case workload.U2:
-		_, doc1 := workload.UpdateDoc(class, seq, 1)
-		return e.ReplaceDocument(ctx, name, doc1)
-	case workload.U3:
-		return e.DeleteDocument(ctx, name)
-	}
-	return fmt.Errorf("chaos: unknown update op %d", int(op))
+	return u, 1, nil
 }
 
 // verifyItems runs the verification query (Q1 for the target id) and

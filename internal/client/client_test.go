@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"xbench/internal/core"
+	"xbench/internal/updatelog"
 	"xbench/internal/wire"
 )
 
@@ -166,11 +167,7 @@ func TestUpdateRetriesWithSameKey(t *testing.T) {
 	}
 	var keys []wire.IdemKey
 	for _, f := range frames {
-		req, err := wire.DecodeUpdateRequest(f.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys = append(keys, req.Key)
+		keys = append(keys, sentKey(t, f))
 	}
 	if !keys[0].Valid() {
 		t.Fatal("update sent without an idempotency key")
@@ -187,13 +184,23 @@ func TestUpdateRetriesWithSameKey(t *testing.T) {
 	if err := c.DeleteDocument(context.Background(), "order-update-1.xml"); err != nil {
 		t.Fatal(err)
 	}
-	req, err := wire.DecodeUpdateRequest(fs.seen()[2].Payload)
+	if sentKey(t, fs.seen()[2]) == keys[0] {
+		t.Fatal("distinct logical updates shared an idempotency key")
+	}
+}
+
+// sentKey decodes the idempotency key of the update request f.
+func sentKey(t *testing.T, f wire.Frame) wire.IdemKey {
+	t.Helper()
+	_, b, err := wire.DecodeUpdate(f.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Key == keys[0] {
-		t.Fatal("distinct logical updates shared an idempotency key")
+	rec, err := updatelog.DecodeOne(b)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return wire.IdemKey{Client: rec.Client, Seq: rec.Seq}
 }
 
 // TestOverloadedRetriedWithBackoff: StatusOverloaded is a pre-execution

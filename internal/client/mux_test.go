@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"xbench/internal/updatelog"
 	"xbench/internal/wire"
 )
 
@@ -232,16 +233,17 @@ func TestMuxPooledBufferHammer(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				name := fmt.Sprintf("doc-%d-%d", g, i)
 				data := []byte(fmt.Sprintf("<doc g=%d i=%d/>", g, i))
-				want := wire.AppendUpdateRequest(nil, wire.UpdateRequest{Name: name, Data: data})
+				rec := updatelog.Record{Kind: updatelog.KindInsert, Name: name, Data: data}
+				want := updatelog.AppendRecord(wire.AppendUpdate(nil, 0), rec)
 				// Correct pooled-payload lifecycle: the buffer is released
 				// only after roundTrip returns (the mux copies the payload
 				// out before then). Releasing it inside the builder
 				// instead corrupts frames under load — that bug class is
 				// exactly what this hammer exists to catch.
 				bp := wire.GetBuf()
-				echoed, err := c.roundTrip(context.Background(), wire.OpInsert,
+				echoed, err := c.roundTrip(context.Background(), wire.OpUpdate,
 					func(remaining time.Duration) []byte {
-						b := wire.AppendUpdateRequest((*bp)[:0], wire.UpdateRequest{Name: name, Data: data})
+						b := updatelog.AppendRecord(wire.AppendUpdate((*bp)[:0], 0), rec)
 						*bp = b
 						return b
 					})

@@ -11,17 +11,21 @@ import (
 // covers durations in (2^(i-1), 2^i] microseconds, with bucket 0
 // covering (0, 1µs]; the top bucket is open-ended. 40 buckets reach
 // 2^39 µs ≈ 6.4 days — far beyond any cell this benchmark measures —
-// while keeping the histogram a fixed 336 bytes of atomics.
+// while keeping the histogram a fixed 352 bytes of atomics.
 const NumBuckets = 40
 
 // Histogram is a fixed-bucket, lock-free latency histogram with
-// power-of-two microsecond buckets. Observations and quantile reads are
-// safe concurrently; quantiles read a best-effort snapshot. A nil
-// *Histogram ignores observations and reports zeros.
+// power-of-two microsecond buckets, which also keeps the exact smallest
+// and largest observation. Observations and quantile reads are safe
+// concurrently; quantiles read a best-effort snapshot. A nil *Histogram
+// ignores observations and reports zeros.
 type Histogram struct {
 	buckets [NumBuckets]atomic.Int64
 	count   atomic.Int64
 	sum     atomic.Int64 // nanoseconds
+	// lo is the smallest observation plus one (0: none yet), hi the
+	// largest, both in nanoseconds.
+	lo, hi atomic.Int64
 }
 
 // NewHistogram returns an empty histogram.
@@ -52,6 +56,18 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	if d < 0 {
 		d = 0
+	}
+	// The bounds move before the count, so a quantile read of a counted
+	// observation finds it inside them.
+	for lo := h.lo.Load(); lo == 0 || int64(d) < lo-1; lo = h.lo.Load() {
+		if h.lo.CompareAndSwap(lo, int64(d)+1) {
+			break
+		}
+	}
+	for hi := h.hi.Load(); int64(d) > hi; hi = h.hi.Load() {
+		if h.hi.CompareAndSwap(hi, int64(d)) {
+			break
+		}
 	}
 	h.buckets[bucketFor(d)].Add(1)
 	h.count.Add(1)
@@ -84,10 +100,9 @@ func (h *Histogram) Mean() time.Duration {
 }
 
 // Quantile estimates the q-th quantile (0 <= q <= 1) by linear
-// interpolation within the bucket holding the target rank. The estimate
-// is bounded above by the bucket's upper edge, so p99 of a set of
-// identical sub-microsecond observations reads 1µs, never more than one
-// bucket away from the truth.
+// interpolation within the bucket holding the target rank, clamped into
+// the smallest and largest observation: p99 of three samples never reads
+// above the slowest of them, nor p1 below the fastest.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	if h == nil {
 		return 0
@@ -96,6 +111,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	if total == 0 {
 		return 0
 	}
+	lo, hi := time.Duration(h.lo.Load()-1), time.Duration(h.hi.Load())
 	if math.IsNaN(q) || q < 0 {
 		q = 0
 	} else if q > 1 {
@@ -115,11 +131,11 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 			}
 			upper := bucketUpper(i)
 			frac := (rank - cum) / n
-			return lower + time.Duration(frac*float64(upper-lower))
+			return min(max(lower+time.Duration(frac*float64(upper-lower)), lo), hi)
 		}
 		cum += n
 	}
-	return bucketUpper(NumBuckets - 1)
+	return hi
 }
 
 // P50, P95 and P99 are the percentile shorthands the report tables use.

@@ -123,6 +123,23 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestQuantilesStayInsideObservations: a bucket's interpolation would
+// put p95 and p99 of 120, 250 and 301 µs at 473.6 and 504.3 µs, above
+// the slowest sample; clamped, they are at most 301 µs, and p0 at least
+// the fastest.
+func TestQuantilesStayInsideObservations(t *testing.T) {
+	h := NewHistogram()
+	for _, us := range []time.Duration{120, 250, 301} {
+		h.Observe(us * time.Microsecond)
+	}
+	if p95, p99 := h.P95(), h.P99(); p95 > 301*time.Microsecond || p99 > 301*time.Microsecond {
+		t.Fatalf("p95 %v, p99 %v above the largest observation 301µs", p95, p99)
+	}
+	if p0 := h.Quantile(0); p0 < 120*time.Microsecond {
+		t.Fatalf("p0 %v below the smallest observation 120µs", p0)
+	}
+}
+
 func TestHistogramEdges(t *testing.T) {
 	h := NewHistogram()
 	if h.Quantile(0.5) != 0 || h.Mean() != 0 {

@@ -1,14 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"xbench/internal/client"
 	"xbench/internal/core"
 	"xbench/internal/engines/native"
 	"xbench/internal/gen"
+	"xbench/internal/updatelog"
 	"xbench/internal/wire"
 	"xbench/internal/workload"
 )
@@ -33,7 +36,7 @@ func reopenDCMD(t *testing.T, e core.Engine, path string) (*Server, *core.Databa
 // path.
 func insertU1(s *Server) wire.Frame {
 	name, data := workload.UpdateDoc(core.DCMD, 1, 0)
-	return s.executeUpdate(wire.OpInsert, wire.UpdateRequest{Name: name, Data: data, Key: wire.IdemKey{Client: 1, Seq: 1}})
+	return s.executeUpdate(updatelog.Record{Kind: updatelog.KindInsert, Name: name, Data: data, Client: 1, Seq: 1}, 0)
 }
 
 // TestJournalFailureLeavesUpdateInvisible: a served update becomes
@@ -120,5 +123,61 @@ func TestClientLoadCannotUndoAnAcknowledgedUpdate(t *testing.T) {
 	}
 	if res, err := c.Execute(ctx, core.Q1, q1); err != nil || len(res.Items) != 1 {
 		t.Fatalf("Q1 after the refused load: %d item(s), %v; want the acknowledged document", len(res.Items), err)
+	}
+}
+
+// counter counts the updates that reach it and applies each as its
+// durable step alone.
+type counter struct {
+	stepless
+	calls int
+}
+
+func (c *counter) InsertDocument(ctx context.Context, _ string, _ []byte) error {
+	c.calls++
+	return core.RunDurable(ctx)
+}
+
+// TestMalformedUpdatesAreRefused: an OpUpdate payload whose record fails
+// its checksum, has bytes after it or carries the zero key is a bad
+// request: the engine is not called, nothing is journaled and the dedup
+// table does not change. The intact record they were made from then
+// applies, so each refusal was for what it names.
+func TestMalformedUpdatesAreRefused(t *testing.T) {
+	e := &counter{}
+	s, _ := reopenDCMD(t, e, filepath.Join(t.TempDir(), "updates.journal"))
+	rec := updatelog.Record{Kind: updatelog.KindInsert, Name: "a.xml", Data: []byte("<a/>"), Client: 3, Seq: 1}
+	good := updatelog.AppendRecord(nil, rec)
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)-1] ^= 1
+	rec.Client = 0
+	send := func(b []byte) wire.Frame {
+		var scratch []byte
+		f, done := s.handle(wire.OpUpdate, append(wire.AppendUpdate(nil, time.Second), b...), &scratch)
+		done()
+		return f
+	}
+	for name, b := range map[string][]byte{
+		"checksum": flipped,
+		"trailing": append(bytes.Clone(good), 0),
+		"zero key": updatelog.AppendRecord(nil, rec),
+	} {
+		if f := send(b); wire.Status(f.Kind) != wire.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want StatusBadRequest", name, f.Kind, f.Payload)
+		}
+	}
+	dedupLen := func() int {
+		s.dedup.mu.Lock()
+		defer s.dedup.mu.Unlock()
+		return len(s.dedup.clients)
+	}
+	if e.calls != 0 || s.journal.Records() != 0 || dedupLen() != 0 {
+		t.Fatalf("after the refusals: %d engine calls, %d journal records, %d dedup clients; want none", e.calls, s.journal.Records(), dedupLen())
+	}
+	if f := send(good); wire.Status(f.Kind) != wire.StatusOK {
+		t.Fatalf("the intact record: status %d (%s)", f.Kind, f.Payload)
+	}
+	if e.calls != 1 || s.journal.Records() != 1 || dedupLen() != 1 {
+		t.Fatalf("after the intact record: %d engine calls, %d journal records, %d dedup clients; want 1 each", e.calls, s.journal.Records(), dedupLen())
 	}
 }

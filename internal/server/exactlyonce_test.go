@@ -56,8 +56,10 @@ func writeFrame(conn net.Conn, f wire.Frame) error {
 	return err
 }
 
-func updatePayload(op wire.Op, name string, data []byte, key wire.IdemKey) []byte {
-	return wire.AppendUpdateRequest(nil, wire.UpdateRequest{Name: name, Data: data, Key: key})
+// updatePayload is the OpUpdate payload of one update: no timeout, then
+// its journal record.
+func updatePayload(kind updatelog.Kind, name string, data []byte, key wire.IdemKey) []byte {
+	return updatelog.AppendRecord(wire.AppendUpdate(nil, 0), updatelog.Record{Kind: kind, Name: name, Data: data, Client: key.Client, Seq: key.Seq})
 }
 
 // TestDedupReplaysOriginalResult: re-sending a keyed insert (the wire
@@ -70,12 +72,12 @@ func TestDedupReplaysOriginalResult(t *testing.T) {
 	rc := dialRaw(t, srv.Addr().String())
 
 	key := wire.IdemKey{Client: 0xC0FFEE, Seq: 1}
-	payload := updatePayload(wire.OpInsert, "order-update-1.xml", []byte("<order/>"), key)
-	if resp := rc.do(wire.OpInsert, payload); wire.Status(resp.Kind) != wire.StatusOK {
+	payload := updatePayload(updatelog.KindInsert, "order-update-1.xml", []byte("<order/>"), key)
+	if resp := rc.do(wire.OpUpdate, payload); wire.Status(resp.Kind) != wire.StatusOK {
 		t.Fatalf("first insert: status %d (%s)", resp.Kind, resp.Payload)
 	}
 	for i := 0; i < 3; i++ { // retries, byte-identical
-		if resp := rc.do(wire.OpInsert, payload); wire.Status(resp.Kind) != wire.StatusOK {
+		if resp := rc.do(wire.OpUpdate, payload); wire.Status(resp.Kind) != wire.StatusOK {
 			t.Fatalf("retry %d re-applied or failed: status %d (%s)", i, resp.Kind, resp.Payload)
 		}
 	}
@@ -91,8 +93,8 @@ func TestDedupReplaysOriginalResult(t *testing.T) {
 
 	// A different seq is a different logical update and must re-execute:
 	// the stub rejects the duplicate name, proving the engine was reached.
-	fresh := updatePayload(wire.OpInsert, "order-update-1.xml", []byte("<order/>"), wire.IdemKey{Client: 0xC0FFEE, Seq: 2})
-	if resp := rc.do(wire.OpInsert, fresh); wire.Status(resp.Kind) == wire.StatusOK {
+	fresh := updatePayload(updatelog.KindInsert, "order-update-1.xml", []byte("<order/>"), wire.IdemKey{Client: 0xC0FFEE, Seq: 2})
+	if resp := rc.do(wire.OpUpdate, fresh); wire.Status(resp.Kind) == wire.StatusOK {
 		t.Fatal("distinct key was deduped")
 	}
 }
@@ -110,15 +112,15 @@ func TestOutOfOrderKeysFromOneClientBothApply(t *testing.T) {
 	rc := dialRaw(t, srv.Addr().String())
 
 	updates := [][]byte{
-		updatePayload(wire.OpInsert, "order-update-2.xml", []byte("<order n='2'/>"), wire.IdemKey{Client: 0xC, Seq: 2}),
-		updatePayload(wire.OpInsert, "order-update-1.xml", []byte("<order n='1'/>"), wire.IdemKey{Client: 0xC, Seq: 1}),
+		updatePayload(updatelog.KindInsert, "order-update-2.xml", []byte("<order n='2'/>"), wire.IdemKey{Client: 0xC, Seq: 2}),
+		updatePayload(updatelog.KindInsert, "order-update-1.xml", []byte("<order n='1'/>"), wire.IdemKey{Client: 0xC, Seq: 1}),
 	}
 	deduped := srv.Metrics().Counter("server.req.deduped")
 	for round, want := range []int64{0, 2} {
 		// The stub refuses a second insert of a name, so a replay that
 		// reached the engine would not answer StatusOK.
 		for i, payload := range updates {
-			if resp := rc.do(wire.OpInsert, payload); wire.Status(resp.Kind) != wire.StatusOK {
+			if resp := rc.do(wire.OpUpdate, payload); wire.Status(resp.Kind) != wire.StatusOK {
 				t.Fatalf("round %d, update %d: status %d (%s)", round, i, resp.Kind, resp.Payload)
 			}
 		}
@@ -135,8 +137,8 @@ func TestOutOfOrderKeysFromOneClientBothApply(t *testing.T) {
 }
 
 // TestUnkeyedUpdatesAreRefused: every update carries an idempotency key.
-// One sent with the zero key, or with no key at all (the payload cut
-// before its key), is refused as a bad request before it reaches the
+// One sent with the zero key, or with no key at all (its record cut
+// short, so it has no intact key), is refused as a bad request before it reaches the
 // engine or the journal — the keyed insert of the same name afterwards
 // applies, which it could not if either had inserted the document.
 func TestUnkeyedUpdatesAreRefused(t *testing.T) {
@@ -153,10 +155,10 @@ func TestUnkeyedUpdatesAreRefused(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 	rc := dialRaw(t, srv.Addr().String())
 
-	zeroKey := updatePayload(wire.OpInsert, "a.xml", []byte("<a/>"), wire.IdemKey{})
-	noKey := zeroKey[:len(zeroKey)-2] // the zero key is two one-byte uvarints
+	zeroKey := updatePayload(updatelog.KindInsert, "a.xml", []byte("<a/>"), wire.IdemKey{})
+	noKey := zeroKey[:len(zeroKey)-2]
 	for _, payload := range [][]byte{zeroKey, noKey} {
-		if resp := rc.do(wire.OpInsert, payload); wire.Status(resp.Kind) != wire.StatusBadRequest {
+		if resp := rc.do(wire.OpUpdate, payload); wire.Status(resp.Kind) != wire.StatusBadRequest {
 			t.Fatalf("unkeyed insert: status %d, want StatusBadRequest", resp.Kind)
 		}
 	}
@@ -166,8 +168,8 @@ func TestUnkeyedUpdatesAreRefused(t *testing.T) {
 	if applied {
 		t.Fatal("a refused unkeyed insert reached the engine")
 	}
-	keyed := updatePayload(wire.OpInsert, "a.xml", []byte("<a/>"), wire.IdemKey{Client: 3, Seq: 1})
-	if resp := rc.do(wire.OpInsert, keyed); wire.Status(resp.Kind) != wire.StatusOK {
+	keyed := updatePayload(updatelog.KindInsert, "a.xml", []byte("<a/>"), wire.IdemKey{Client: 3, Seq: 1})
+	if resp := rc.do(wire.OpUpdate, keyed); wire.Status(resp.Kind) != wire.StatusOK {
 		t.Fatalf("keyed insert after the refused ones: status %d", resp.Kind)
 	}
 	resp := rc.do(wire.OpJournal, wire.EncodeJournalPullRequest(wire.JournalPullRequest{}))
@@ -199,7 +201,7 @@ func TestConcurrentRetriesApplyOnce(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	payload := updatePayload(wire.OpInsert, "order-update-1.xml", []byte("<order/>"), wire.IdemKey{Client: 9, Seq: 1})
+	payload := updatePayload(updatelog.KindInsert, "order-update-1.xml", []byte("<order/>"), wire.IdemKey{Client: 9, Seq: 1})
 	const retries = 16
 	var wg sync.WaitGroup
 	statuses := make([]wire.Status, retries)
@@ -212,7 +214,7 @@ func TestConcurrentRetriesApplyOnce(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			if err := writeFrame(conn, wire.Frame{Kind: byte(wire.OpInsert), ID: 1, Payload: payload}); err != nil {
+			if err := writeFrame(conn, wire.Frame{Kind: byte(wire.OpUpdate), ID: 1, Payload: payload}); err != nil {
 				return
 			}
 			resp, err := wire.ReadFrame(conn)
@@ -313,15 +315,14 @@ func TestReopenRecoversJournalAndDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := dialRaw(t, srv1.Addr().String())
-	ins := updatePayload(wire.OpInsert, "order-update-1.xml", []byte("<order rev='0'/>"), wire.IdemKey{Client: 5, Seq: 1})
+	ins := updatePayload(updatelog.KindInsert, "order-update-1.xml", []byte("<order rev='0'/>"), wire.IdemKey{Client: 5, Seq: 1})
 	for i, p := range [][]byte{
 		ins,
-		updatePayload(wire.OpReplace, "order-update-1.xml", []byte("<order rev='1'/>"), wire.IdemKey{Client: 5, Seq: 2}),
-		updatePayload(wire.OpInsert, "order-update-2.xml", []byte("<order/>"), wire.IdemKey{Client: 5, Seq: 3}),
-		updatePayload(wire.OpDelete, "order-update-2.xml", nil, wire.IdemKey{Client: 5, Seq: 4}),
+		updatePayload(updatelog.KindReplace, "order-update-1.xml", []byte("<order rev='1'/>"), wire.IdemKey{Client: 5, Seq: 2}),
+		updatePayload(updatelog.KindInsert, "order-update-2.xml", []byte("<order/>"), wire.IdemKey{Client: 5, Seq: 3}),
+		updatePayload(updatelog.KindDelete, "order-update-2.xml", nil, wire.IdemKey{Client: 5, Seq: 4}),
 	} {
-		op := []wire.Op{wire.OpInsert, wire.OpReplace, wire.OpInsert, wire.OpDelete}[i]
-		if resp := rc.do(op, p); wire.Status(resp.Kind) != wire.StatusOK {
+		if resp := rc.do(wire.OpUpdate, p); wire.Status(resp.Kind) != wire.StatusOK {
 			t.Fatalf("update %d: status %d (%s)", i, resp.Kind, resp.Payload)
 		}
 	}
@@ -356,7 +357,7 @@ func TestReopenRecoversJournalAndDedup(t *testing.T) {
 
 	// A retry of the pre-crash insert must dedup, not re-apply.
 	rc2 := dialRaw(t, srv2.Addr().String())
-	if resp := rc2.do(wire.OpInsert, ins); wire.Status(resp.Kind) != wire.StatusOK {
+	if resp := rc2.do(wire.OpUpdate, ins); wire.Status(resp.Kind) != wire.StatusOK {
 		t.Fatalf("cross-restart retry re-applied: status %d (%s)", resp.Kind, resp.Payload)
 	}
 	if got := srv2.Metrics().Counter("server.req.deduped").Value(); got != 1 {

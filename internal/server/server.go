@@ -595,15 +595,22 @@ func (s *Server) execute(op wire.Op, payload []byte, scratch *[]byte) wire.Frame
 		s.eng.ColdReset()
 		return okFrame(nil)
 
-	case wire.OpInsert, wire.OpReplace, wire.OpDelete:
+	case wire.OpUpdate:
 		if s.cfg.ReplicaOf != "" {
 			return errFrame(fmt.Errorf("server: replica: %w", core.ErrReadOnly))
 		}
-		req, err := wire.DecodeUpdateRequest(payload)
+		timeout, b, err := wire.DecodeUpdate(payload)
 		if err != nil {
 			return badRequest(err)
 		}
-		return s.executeUpdate(op, req)
+		rec, err := updatelog.DecodeOne(b)
+		if err != nil {
+			return badRequest(err)
+		}
+		if rec.Client == 0 {
+			return badRequest(errNoKey)
+		}
+		return s.executeUpdate(rec, timeout)
 
 	default:
 		return badRequest(fmt.Errorf("unknown op %d", byte(op)))
@@ -665,11 +672,14 @@ func (s *Server) pullJournal(payload []byte) (wire.Frame, func()) {
 	}
 }
 
+// errNoKey refuses an update whose record carries the zero key.
+var errNoKey = errors.New("server: update without an idempotency key")
+
 // executeUpdate runs one update with exactly-once semantics. Every
-// update carries an idempotency key (wire.DecodeUpdateRequest refuses one
+// update carries an idempotency key in its record (execute refuses one
 // without). A retry whose original succeeded gets the original response
-// without touching the engine; a fresh update applies, is journaled, and
-// its key is remembered in the dedup table.
+// without touching the engine; a fresh update applies, its record is
+// journaled, and its key is remembered in the dedup table.
 //
 // updMu is held across the three steps — the dedup lookup, the engine
 // call, the dedup record — so journal order is apply order and a retry
@@ -686,52 +696,35 @@ func (s *Server) pullJournal(payload []byte) (wire.Frame, func()) {
 // simply fails the same way again). A journaled server whose engine
 // returned nil without running the step answers an internal error: the
 // journal never misses an acknowledged update.
-func (s *Server) executeUpdate(op wire.Op, req wire.UpdateRequest) wire.Frame {
-	ctx, cancel := s.reqCtx(req.Timeout)
+func (s *Server) executeUpdate(rec updatelog.Record, timeout time.Duration) wire.Frame {
+	ctx, cancel := s.reqCtx(timeout)
 	defer cancel()
 	// Attach the request's idempotency key to the engine call: when the
 	// "engine" is itself a wire client (a router front-end forwarding to a
 	// shard), the shard then dedups on the original client's identity, not
 	// on a key the forwarding hop minted — exactly-once stays end-to-end.
-	ctx = wire.WithIdemKey(ctx, req.Key)
-	kind := updatelog.KindDelete
-	switch op {
-	case wire.OpInsert:
-		kind = updatelog.KindInsert
-	case wire.OpReplace:
-		kind = updatelog.KindReplace
-	}
+	key := wire.IdemKey{Client: rec.Client, Seq: rec.Seq}
+	ctx = wire.WithIdemKey(ctx, key)
 	journaled := false
 	if s.journal != nil {
 		ctx = core.WithDurable(ctx, func() error {
 			journaled = true
-			return s.journal.Append(updatelog.Record{
-				Kind: kind, Name: req.Name, Data: req.Data,
-				Client: req.Key.Client, Seq: req.Key.Seq,
-			})
+			return s.journal.Append(rec)
 		})
 	}
 
 	s.updMu.Lock()
 	defer s.updMu.Unlock()
-	if s.dedup.lookup(req.Key) {
+	if s.dedup.lookup(key) {
 		s.rDeduped.Inc()
 		return okFrame(nil)
 	}
-	var err error
-	switch kind {
-	case updatelog.KindInsert:
-		err = s.eng.InsertDocument(ctx, req.Name, req.Data)
-	case updatelog.KindReplace:
-		err = s.eng.ReplaceDocument(ctx, req.Name, req.Data)
-	default:
-		err = s.eng.DeleteDocument(ctx, req.Name)
-	}
+	err := rec.ApplyTo(ctx, s.eng)
 	if err == nil && s.journal != nil && !journaled {
 		err = errors.New("server: the engine ran no durable step: the update is not journaled")
 	}
 	if err == nil {
-		s.dedup.record(req.Key)
+		s.dedup.record(key)
 	}
 	return errFrame(err)
 }

@@ -230,7 +230,7 @@ func (l *FileLog) Enqueue(r Record) (*Batch, error) {
 		// committed prefix on recovery. Refuse instead.
 		return nil, fmt.Errorf("updatelog: journal poisoned by earlier failure: %w", l.broken)
 	}
-	n, err := l.f.Write(encodeRecord(r))
+	n, err := l.f.Write(AppendRecord(nil, r))
 	if err != nil {
 		l.broken = fmt.Errorf("updatelog: append %s: %w", l.path, err)
 		l.wake()

@@ -65,7 +65,7 @@ func TestFileLogTornTailTruncated(t *testing.T) {
 	l.Close()
 
 	// Simulate a crash mid-append: half a record lands after the commit.
-	torn := encodeRecord(Record{Kind: KindInsert, Name: "torn.xml", Data: []byte("<t/>"), Client: 1, Seq: 2})
+	torn := AppendRecord(nil, Record{Kind: KindInsert, Name: "torn.xml", Data: []byte("<t/>"), Client: 1, Seq: 2})
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestFileLogReadServesCommittedWindows(t *testing.T) {
 	rec := func(i int) Record {
 		return Record{Kind: KindInsert, Name: fmt.Sprintf("d%d.xml", i), Data: []byte(strings.Repeat("x", 10*i+1)), Client: 3, Seq: uint64(i + 1)}
 	}
-	size := func(i int) int { return len(encodeRecord(rec(i))) }
+	size := func(i int) int { return len(AppendRecord(nil, rec(i))) }
 	l, _, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestSyncedWakesAWaitingReader(t *testing.T) {
 	if !closed(synced) || !closed(l.Synced()) {
 		t.Fatal("Synced did not wake on the poisoned log")
 	}
-	end := uint64(len(encodeRecord(Record{Kind: KindInsert, Name: "a.xml", Data: []byte("<a/>")})))
+	end := uint64(len(AppendRecord(nil, Record{Kind: KindInsert, Name: "a.xml", Data: []byte("<a/>")})))
 	if _, err := l.Read(end, 0, 1<<20); err == nil || !strings.Contains(err.Error(), "poisoned") {
 		t.Fatalf("Read at the durable end of a poisoned log = %v, want the poisoning named", err)
 	}

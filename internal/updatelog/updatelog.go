@@ -14,10 +14,13 @@
 package updatelog
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"xbench/internal/core"
 )
@@ -85,18 +88,22 @@ func (r Record) Sum() uint64 {
 	return h.Sum64()
 }
 
-func encodeRecord(r Record) []byte {
-	buf := make([]byte, recHeaderSize+len(r.Name)+len(r.Data)+8)
-	binary.BigEndian.PutUint32(buf[0:4], recMagic)
-	buf[4] = byte(r.Kind)
-	binary.BigEndian.PutUint64(buf[5:13], r.Client)
-	binary.BigEndian.PutUint64(buf[13:21], r.Seq)
-	binary.BigEndian.PutUint32(buf[21:25], uint32(len(r.Name)))
-	binary.BigEndian.PutUint32(buf[25:29], uint32(len(r.Data)))
-	n := copy(buf[recHeaderSize:], r.Name)
-	copy(buf[recHeaderSize+n:], r.Data)
-	binary.BigEndian.PutUint64(buf[len(buf)-8:], r.Sum())
-	return buf
+// AppendRecord appends r's encoding to dst and returns the extended
+// slice: the bytes the journal file holds, a replica is shipped and an
+// OpUpdate request carries after its timeout.
+func AppendRecord(dst []byte, r Record) []byte {
+	dst = slices.Grow(dst, recHeaderSize+len(r.Name)+len(r.Data)+8)
+	var hdr [recHeaderSize]byte
+	binary.BigEndian.PutUint32(hdr[0:4], recMagic)
+	hdr[4] = byte(r.Kind)
+	binary.BigEndian.PutUint64(hdr[5:13], r.Client)
+	binary.BigEndian.PutUint64(hdr[13:21], r.Seq)
+	binary.BigEndian.PutUint32(hdr[21:25], uint32(len(r.Name)))
+	binary.BigEndian.PutUint32(hdr[25:29], uint32(len(r.Data)))
+	dst = append(dst, hdr[:]...)
+	dst = append(dst, r.Name...)
+	dst = append(dst, r.Data...)
+	return binary.BigEndian.AppendUint64(dst, r.Sum())
 }
 
 // recordSize reads the length of the record buf starts with from its
@@ -112,7 +119,8 @@ func recordSize(buf []byte) (int, bool) {
 }
 
 // decodeRecord reads one record from buf, returning the record, the
-// bytes consumed, and whether the record was durably complete.
+// bytes consumed, and whether the record was durably complete. The
+// record's Data aliases buf.
 func decodeRecord(buf []byte) (Record, int, bool) {
 	total, ok := recordSize(buf)
 	if !ok || total > len(buf) {
@@ -127,12 +135,27 @@ func decodeRecord(buf []byte) (Record, int, bool) {
 	nameEnd := recHeaderSize + int(binary.BigEndian.Uint32(buf[21:25]))
 	r.Name = string(buf[recHeaderSize:nameEnd])
 	if nameEnd < total-8 {
-		r.Data = append([]byte(nil), buf[nameEnd:total-8]...)
+		r.Data = buf[nameEnd : total-8 : total-8]
 	}
 	if binary.BigEndian.Uint64(buf[total-8:total]) != r.Sum() {
 		return Record{}, 0, false
 	}
 	return r, total, true
+}
+
+// ErrRecord refuses bytes DecodeOne cannot read as exactly one intact
+// record.
+var ErrRecord = errors.New("updatelog: not one intact record")
+
+// DecodeOne reads b as exactly one record: whole, intact (magic,
+// lengths, checksum) and with nothing after it, or ErrRecord. It is how
+// a server reads the record an OpUpdate request carries; the record's
+// Data aliases b.
+func DecodeOne(b []byte) (Record, error) {
+	if r, n, ok := decodeRecord(b); ok && n == len(b) {
+		return r, nil
+	}
+	return Record{}, ErrRecord
 }
 
 // Decode reads the committed prefix of buf: the records of the longest
@@ -149,10 +172,27 @@ func Decode(buf []byte) ([]Record, int) {
 		if !ok {
 			break
 		}
+		r.Data = bytes.Clone(r.Data)
 		recs = append(recs, r)
 		n += sz
 	}
 	return recs, n
+}
+
+// ApplyTo applies r to e through the engine's update method of its
+// kind: the one place an update's kind becomes an engine call, for the
+// server, the replay of a journal and the update workload alike. A
+// record of a kind it does not know is an error, applied as nothing.
+func (r Record) ApplyTo(ctx context.Context, e core.Engine) error {
+	switch r.Kind {
+	case KindInsert:
+		return e.InsertDocument(ctx, r.Name, r.Data)
+	case KindReplace:
+		return e.ReplaceDocument(ctx, r.Name, r.Data)
+	case KindDelete:
+		return e.DeleteDocument(ctx, r.Name)
+	}
+	return errors.New("unknown record kind")
 }
 
 // Apply re-applies committed records, in commit order, through an
@@ -162,18 +202,7 @@ func Decode(buf []byte) ([]Record, int) {
 // of it is applied.
 func Apply(ctx context.Context, e core.Engine, recs []Record) error {
 	for _, r := range recs {
-		var err error
-		switch r.Kind {
-		case KindInsert:
-			err = e.InsertDocument(ctx, r.Name, r.Data)
-		case KindReplace:
-			err = e.ReplaceDocument(ctx, r.Name, r.Data)
-		case KindDelete:
-			err = e.DeleteDocument(ctx, r.Name)
-		default:
-			err = fmt.Errorf("unknown record kind")
-		}
-		if err != nil {
+		if err := r.ApplyTo(ctx, e); err != nil {
 			return fmt.Errorf("updatelog: replay %s %q: %w", r.Kind, r.Name, err)
 		}
 	}

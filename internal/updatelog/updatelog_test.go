@@ -3,6 +3,8 @@ package updatelog
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -20,12 +22,12 @@ func TestRecordRoundtrip(t *testing.T) {
 		{Kind: KindDelete, Name: "c.xml"},
 	}
 	for _, want := range recs {
-		got, n, ok := decodeRecord(encodeRecord(want))
+		got, n, ok := decodeRecord(AppendRecord(nil, want))
 		if !ok {
 			t.Fatalf("%s %q failed to decode", want.Kind, want.Name)
 		}
-		if n != len(encodeRecord(want)) {
-			t.Fatalf("%s %q consumed %d of %d bytes", want.Kind, want.Name, n, len(encodeRecord(want)))
+		if n != len(AppendRecord(nil, want)) {
+			t.Fatalf("%s %q consumed %d of %d bytes", want.Kind, want.Name, n, len(AppendRecord(nil, want)))
 		}
 		if got.Kind != want.Kind || got.Name != want.Name || !bytes.Equal(got.Data, want.Data) {
 			t.Fatalf("roundtrip mismatch: got %+v", got)
@@ -33,8 +35,31 @@ func TestRecordRoundtrip(t *testing.T) {
 	}
 }
 
+// TestDecodeOneRefusesAllButOneRecord: DecodeOne reads exactly one
+// intact record — the record an update request carries — and refuses,
+// typed ErrRecord, every cut through it, a byte after it and a flipped
+// checksum bit.
+func TestDecodeOneRefusesAllButOneRecord(t *testing.T) {
+	want := Record{Kind: KindReplace, Name: "order-update-7.xml", Data: []byte("<order/>"), Client: 1<<63 + 12345, Seq: 1 << 40}
+	good := AppendRecord(nil, want)
+	if got, err := DecodeOne(good); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("DecodeOne = %+v, %v; want %+v", got, err, want)
+	}
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)-1] ^= 1
+	refused := map[string][]byte{"a byte after it": append(bytes.Clone(good), 0), "checksum": flipped}
+	for cut := 0; cut < len(good); cut++ {
+		refused[fmt.Sprintf("cut at %d", cut)] = good[:cut]
+	}
+	for name, b := range refused {
+		if got, err := DecodeOne(b); !errors.Is(err, ErrRecord) {
+			t.Errorf("%s: %+v, %v; want ErrRecord", name, got, err)
+		}
+	}
+}
+
 func TestDecodeRejectsCorruption(t *testing.T) {
-	good := encodeRecord(Record{Kind: KindInsert, Name: "a.xml", Data: []byte("<a/>")})
+	good := AppendRecord(nil, Record{Kind: KindInsert, Name: "a.xml", Data: []byte("<a/>")})
 	cases := map[string][]byte{
 		"empty":        nil,
 		"zeroed page":  make([]byte, pageSize),
@@ -65,7 +90,7 @@ func TestDecodeWindow(t *testing.T) {
 	var window []byte
 	ends := []int{0}
 	for _, r := range want {
-		window = append(window, encodeRecord(r)...)
+		window = append(window, AppendRecord(nil, r)...)
 		ends = append(ends, len(window))
 	}
 	if got, n := Decode(window); n != len(window) || !reflect.DeepEqual(got, want) {
@@ -81,8 +106,8 @@ func TestDecodeWindow(t *testing.T) {
 		}
 	}
 	for _, kind := range []Kind{0, 4} {
-		bad := encodeRecord(Record{Kind: kind, Name: "a.xml", Data: []byte("<a/>"), Client: 1, Seq: 1})
-		if got, n := Decode(append(encodeRecord(want[0]), bad...)); n != ends[1] || len(got) != 1 {
+		bad := AppendRecord(nil, Record{Kind: kind, Name: "a.xml", Data: []byte("<a/>"), Client: 1, Seq: 1})
+		if got, n := Decode(append(AppendRecord(nil, want[0]), bad...)); n != ends[1] || len(got) != 1 {
 			t.Errorf("a record of kind %d after an insert: %d records in %d bytes, want the insert alone", kind, len(got), n)
 		}
 	}
@@ -112,10 +137,11 @@ func TestKindString(t *testing.T) {
 // damaged shipped window reaches it: it never panics or reads past the
 // input (clipped, so a read beyond its length panics too), its prefix
 // fits the input, and the records it returns re-encode to exactly that
-// prefix.
+// prefix. DecodeOne, what a server reads an update request's record
+// with, is held to it on the same input.
 func FuzzDecode(f *testing.F) {
-	ins := encodeRecord(Record{Kind: KindInsert, Name: "a.xml", Data: []byte("<a/>"), Client: 7, Seq: 1})
-	del := encodeRecord(Record{Kind: KindDelete, Name: "a.xml", Client: 7, Seq: 2})
+	ins := AppendRecord(nil, Record{Kind: KindInsert, Name: "a.xml", Data: []byte("<a/>"), Client: 7, Seq: 1})
+	del := AppendRecord(nil, Record{Kind: KindDelete, Name: "a.xml", Client: 7, Seq: 2})
 	f.Add([]byte{})
 	f.Add(ins)
 	f.Add(append(append(append([]byte(nil), ins...), del...), 0, 1))
@@ -129,10 +155,19 @@ func FuzzDecode(f *testing.F) {
 		}
 		var again []byte
 		for _, r := range recs {
-			again = append(again, encodeRecord(r)...)
+			again = append(again, AppendRecord(nil, r)...)
 		}
 		if !bytes.Equal(again, buf[:n]) {
 			t.Fatalf("%d records re-encode to %x, want the prefix %x", len(recs), again, buf[:n])
+		}
+		// DecodeOne accepts exactly the inputs Decode reads as one
+		// record consuming every byte, as that record.
+		one, err := DecodeOne(buf)
+		if whole := len(recs) == 1 && n == len(buf); whole != (err == nil) {
+			t.Fatalf("Decode reads %d records in %d of %d bytes, DecodeOne: %v", len(recs), n, len(buf), err)
+		}
+		if err == nil && !reflect.DeepEqual(one, recs[0]) {
+			t.Fatalf("DecodeOne = %+v, Decode = %+v", one, recs[0])
 		}
 	})
 }

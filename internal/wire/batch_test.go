@@ -71,14 +71,8 @@ func TestAppendEncodersMatchEncode(t *testing.T) {
 	if got := AppendQueryRequest([]byte("pfx"), qr); string(got[:3]) != "pfx" || !bytes.Equal(got[3:], AppendQueryRequest(nil, qr)) {
 		t.Fatal("AppendQueryRequest after a prefix diverges from AppendQueryRequest(nil, ...)")
 	}
-	ur := UpdateRequest{
-		Name:    "doc-17",
-		Data:    []byte("<item/>"),
-		Timeout: time.Second,
-		Key:     IdemKey{Client: 42, Seq: 9},
-	}
-	if got := AppendUpdateRequest([]byte("pfx"), ur); string(got[:3]) != "pfx" || !bytes.Equal(got[3:], AppendUpdateRequest(nil, ur)) {
-		t.Fatal("AppendUpdateRequest after a prefix diverges from AppendUpdateRequest(nil, ...)")
+	if got := AppendUpdate([]byte("pfx"), time.Second); string(got[:3]) != "pfx" || !bytes.Equal(got[3:], AppendUpdate(nil, time.Second)) {
+		t.Fatal("AppendUpdate after a prefix diverges from AppendUpdate(nil, ...)")
 	}
 	res := core.Result{Items: []string{"x", "y"}, OrderGuaranteed: true, PageIO: 12}
 	if got := AppendResult([]byte("pfx"), res); string(got[:3]) != "pfx" || !bytes.Equal(got[3:], AppendResult(nil, res)) {

@@ -233,57 +233,22 @@ func (k IdemKey) String() string {
 	return fmt.Sprintf("%016x/%d", k.Client, k.Seq)
 }
 
-// UpdateRequest is the OpInsert/OpReplace/OpDelete payload (Data is empty
-// for deletes). Key is the update's idempotency key; every update carries
-// one.
-type UpdateRequest struct {
-	Name    string
-	Data    []byte
-	Timeout time.Duration
-	Key     IdemKey
-}
-
-// errNoKey refuses an update payload carrying the zero key.
-var errNoKey = errors.New("wire: update without an idempotency key")
-
-// AppendUpdateRequest appends the UpdateRequest encoding to dst and
-// returns the extended slice.
-func AppendUpdateRequest(dst []byte, r UpdateRequest) []byte {
+// AppendUpdate appends the head of an OpUpdate payload, the request's
+// timeout, to dst and returns the extended slice. The caller appends the
+// update's journal record (updatelog.AppendRecord) after it: this package
+// carries the record as opaque bytes, as it carries OpJournal windows.
+func AppendUpdate(dst []byte, timeout time.Duration) []byte {
 	e := enc{dst}
-	e.string(r.Name)
-	e.bytes(r.Data)
-	e.duration(r.Timeout)
-	e.uvarint(r.Key.Client)
-	e.uvarint(r.Key.Seq)
+	e.duration(timeout)
 	return e.b
 }
 
-// DecodeUpdateRequest parses an update payload. A payload that ends
-// before its key (ErrTruncated) or carries the zero key (errNoKey) is
-// refused: every update is keyed.
-func DecodeUpdateRequest(b []byte) (UpdateRequest, error) {
+// DecodeUpdate splits an OpUpdate payload into the request's timeout and
+// the record's bytes, which alias b (updatelog.DecodeOne reads them).
+func DecodeUpdate(b []byte) (time.Duration, []byte, error) {
 	d := dec{b}
-	var r UpdateRequest
-	var err error
-	if r.Name, err = d.string(); err != nil {
-		return r, err
-	}
-	if r.Data, err = d.bytes(); err != nil {
-		return r, err
-	}
-	if r.Timeout, err = d.duration(); err != nil {
-		return r, err
-	}
-	if r.Key.Client, err = d.uvarint(); err != nil {
-		return r, err
-	}
-	if r.Key.Seq, err = d.uvarint(); err != nil {
-		return r, err
-	}
-	if !r.Key.Valid() {
-		return r, errNoKey
-	}
-	return r, d.end()
+	t, err := d.duration()
+	return t, d.b, err
 }
 
 // EncodeClassSize serializes the OpSupports payload.

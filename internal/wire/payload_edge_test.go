@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"xbench/internal/core"
+	"xbench/internal/updatelog"
 )
 
 // TestFrameCapRejectedBeforeAllocation: a header declaring a payload over
@@ -47,7 +49,9 @@ func TestDecodeResultRefusesMalformedTail(t *testing.T) {
 
 // TestDecodersRefuseTrailingBytes: every payload is exactly its
 // encoding, so each decoder refuses a valid payload with one byte
-// appended, typed ErrTrailing.
+// appended, typed ErrTrailing. An OpUpdate payload ends in a journal
+// record, which updatelog.DecodeOne refuses the same way
+// (TestUpdateRequestKeyRoundTrip).
 func TestDecodersRefuseTrailingBytes(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -58,8 +62,6 @@ func TestDecodersRefuseTrailingBytes(t *testing.T) {
 			func(b []byte) error { _, err := DecodeQueryRequest(b); return err }},
 		{"Result", AppendResult(nil, core.Result{Items: []string{"<a/>"}, PageIO: 7}),
 			func(b []byte) error { _, err := DecodeResult(b); return err }},
-		{"UpdateRequest", AppendUpdateRequest(nil, UpdateRequest{Name: "a.xml", Data: []byte("<a/>"), Key: IdemKey{Client: 3, Seq: 1}}),
-			func(b []byte) error { _, err := DecodeUpdateRequest(b); return err }},
 		{"ClassSize", EncodeClassSize(core.TCMD, core.Normal),
 			func(b []byte) error { _, _, err := DecodeClassSize(b); return err }},
 		{"Int64", EncodeInt64(-42),
@@ -78,48 +80,71 @@ func TestDecodersRefuseTrailingBytes(t *testing.T) {
 	}
 }
 
-// TestUpdateRequestKeyRoundTrip pins the key encoding: a valid key rides
-// along and round-trips; a payload without a key, or with the zero key,
-// is refused.
-func TestUpdateRequestKeyRoundTrip(t *testing.T) {
-	keyed := UpdateRequest{
-		Name:    "order-update-7.xml",
-		Data:    []byte("<order/>"),
-		Timeout: 250 * time.Millisecond,
-		Key:     IdemKey{Client: 0xfeedface, Seq: 41},
+// updateRequest is the OpUpdate payload of r with timeout.
+func updateRequest(timeout time.Duration, r updatelog.Record) []byte {
+	return updatelog.AppendRecord(AppendUpdate(nil, timeout), r)
+}
+
+// decodeUpdateRequest reads an OpUpdate payload as the server does: the
+// timeout, then exactly one intact record.
+func decodeUpdateRequest(b []byte) (time.Duration, updatelog.Record, error) {
+	timeout, rec, err := DecodeUpdate(b)
+	if err != nil {
+		return 0, updatelog.Record{}, err
 	}
-	got, err := DecodeUpdateRequest(AppendUpdateRequest(nil, keyed))
-	if err != nil || !reflect.DeepEqual(keyed, got) {
-		t.Fatalf("keyed roundtrip: %+v, %v", got, err)
+	r, err := updatelog.DecodeOne(rec)
+	return timeout, r, err
+}
+
+// TestUpdateRequestKeyRoundTrip pins the key's place in an update
+// request: a valid key rides along in the record and round-trips; the
+// zero key decodes as the zero key, which the server refuses
+// (server.TestMalformedUpdatesAreRefused); a payload whose record is cut
+// before its key, or has a byte after it, is refused.
+func TestUpdateRequestKeyRoundTrip(t *testing.T) {
+	keyed := updatelog.Record{
+		Kind:   updatelog.KindReplace,
+		Name:   "order-update-7.xml",
+		Data:   []byte("<order/>"),
+		Client: 0xfeedface,
+		Seq:    41,
+	}
+	timeout, got, err := decodeUpdateRequest(updateRequest(250*time.Millisecond, keyed))
+	if err != nil || timeout != 250*time.Millisecond || !reflect.DeepEqual(keyed, got) {
+		t.Fatalf("keyed roundtrip: %v %+v, %v", timeout, got, err)
 	}
 
-	if _, err := DecodeUpdateRequest(AppendUpdateRequest(nil, UpdateRequest{Name: "a.xml", Timeout: time.Second})); !errors.Is(err, errNoKey) {
-		t.Fatalf("zero key: %v, want errNoKey", err)
+	unkeyed := updatelog.Record{Kind: updatelog.KindInsert, Name: "a.xml"}
+	if _, got, err := decodeUpdateRequest(updateRequest(time.Second, unkeyed)); err != nil || got.Client != 0 {
+		t.Fatalf("zero key: %+v, %v; want the zero key, for the server to refuse", got, err)
 	}
-	var e enc // the payload as it was before keys: no tail at all
-	e.string("a.xml")
-	e.bytes(nil)
-	e.duration(time.Second)
-	if _, err := DecodeUpdateRequest(e.b); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("missing key: %v, want ErrTruncated", err)
+	full := updateRequest(time.Second, keyed)
+	head := len(AppendUpdate(nil, time.Second))
+	if _, _, err := decodeUpdateRequest(full[:head+5]); !errors.Is(err, updatelog.ErrRecord) {
+		t.Fatalf("record cut before its key: %v, want updatelog.ErrRecord", err)
+	}
+	if _, _, err := decodeUpdateRequest(append(full, 0)); !errors.Is(err, updatelog.ErrRecord) {
+		t.Fatalf("a byte after the record: %v, want updatelog.ErrRecord", err)
 	}
 }
 
-// TestUpdateRequestTruncatedKeyTail: every cut through the key tail fails
-// typed, never panics and never silently drops half a key.
+// TestUpdateRequestTruncatedKeyTail: every cut through an update request
+// fails typed — through the timeout ErrTruncated, through the record
+// (its key included) updatelog.ErrRecord — never panics and never
+// silently drops half a key.
 func TestUpdateRequestTruncatedKeyTail(t *testing.T) {
-	full := AppendUpdateRequest(nil, UpdateRequest{
-		Name: "a.xml", Data: []byte("<a/>"),
-		Key: IdemKey{Client: 1<<63 + 12345, Seq: 1 << 40}, // multi-byte varints
+	full := updateRequest(time.Hour, updatelog.Record{
+		Kind: updatelog.KindInsert, Name: "a.xml", Data: []byte("<a/>"),
+		Client: 1<<63 + 12345, Seq: 1 << 40,
 	})
-	var e enc
-	e.string("a.xml")
-	e.bytes([]byte("<a/>"))
-	e.duration(0)
-	bare := len(e.b)
-	for cut := bare + 1; cut < len(full); cut++ {
-		if _, err := DecodeUpdateRequest(full[:cut]); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("cut at %d: %v, want ErrTruncated", cut, err)
+	head := len(AppendUpdate(nil, time.Hour)) // a multi-byte varint
+	for cut := 0; cut < len(full); cut++ {
+		want := updatelog.ErrRecord
+		if cut < head {
+			want = ErrTruncated
+		}
+		if _, _, err := decodeUpdateRequest(full[:cut]); !errors.Is(err, want) {
+			t.Fatalf("cut at %d: %v, want %v", cut, err, want)
 		}
 	}
 }
@@ -127,80 +152,85 @@ func TestUpdateRequestTruncatedKeyTail(t *testing.T) {
 // TestTruncatedVarintFailsTyped: an unterminated varint (all continuation
 // bits) and a varint cut mid-value both decode to ErrTruncated.
 func TestTruncatedVarintFailsTyped(t *testing.T) {
-	// Name length runs off the end of the payload: continuation bytes only.
+	// The timeout runs off the end of the payload: continuation bytes only.
 	unterminated := bytes.Repeat([]byte{0x80}, 4)
-	if _, err := DecodeUpdateRequest(unterminated); !errors.Is(err, ErrTruncated) {
+	if _, _, err := DecodeUpdate(unterminated); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("unterminated varint: %v, want ErrTruncated", err)
 	}
 	// Over-long varint (> 10 bytes of continuation) overflows uint64.
 	overflow := bytes.Repeat([]byte{0xFF}, 11)
-	if _, err := DecodeUpdateRequest(overflow); !errors.Is(err, ErrTruncated) {
+	if _, _, err := DecodeUpdate(overflow); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("overflowing varint: %v, want ErrTruncated", err)
 	}
-	// A declared length larger than the remaining bytes.
+	// A declared length larger than the remaining bytes: a query's first
+	// parameter name.
 	var e enc
+	e.varint(int64(core.Q1))
+	e.uvarint(1)
 	e.uvarint(1 << 20)
-	if _, err := DecodeUpdateRequest(e.b); !errors.Is(err, ErrTruncated) {
+	if _, err := DecodeQueryRequest(e.b); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("overlong declared name: %v, want ErrTruncated", err)
 	}
 }
 
-// FuzzUpdateRequestRoundTrip fuzzes the update codec over the full field
-// space, including the idempotency-key tail: encode(decode(encode(x)))
-// must be stable and lossless.
+// FuzzUpdateRequestRoundTrip fuzzes the update request over the full
+// field space, the idempotency key included: decode(encode(x)) must be
+// x, and its record must re-encode to the bytes it was read from.
 func FuzzUpdateRequestRoundTrip(f *testing.F) {
 	f.Add("a.xml", []byte("<a/>"), int64(time.Second), uint64(1), uint64(1))
 	f.Add("", []byte(nil), int64(0), uint64(0), uint64(99))
 	f.Add("order-update-3.xml", []byte{0, 1, 2, 0xFF}, int64(-5), uint64(1<<63), uint64(1<<62))
 	f.Fuzz(func(t *testing.T, name string, data []byte, timeout int64, client, seq uint64) {
-		in := UpdateRequest{
-			Name:    name,
-			Data:    data,
-			Timeout: time.Duration(timeout),
-			Key:     IdemKey{Client: client, Seq: seq},
+		in := updatelog.Record{
+			Kind:   updatelog.Kind(1 + seq%3),
+			Name:   name,
+			Data:   data,
+			Client: client,
+			Seq:    seq,
 		}
-		enc1 := AppendUpdateRequest(nil, in)
-		out, err := DecodeUpdateRequest(enc1)
-		if !in.Key.Valid() { // a zero-client key is no key: refused
-			if !errors.Is(err, errNoKey) {
-				t.Fatalf("unkeyed update decoded: %+v, %v", out, err)
-			}
-			return
-		}
+		enc1 := updateRequest(time.Duration(timeout), in)
+		gotTimeout, out, err := decodeUpdateRequest(enc1)
 		if err != nil {
 			t.Fatalf("decode of valid encoding failed: %v", err)
 		}
-		want := in
-		if len(out.Data) == 0 {
-			out.Data = nil
+		if len(in.Data) == 0 {
+			in.Data = nil
 		}
-		if len(want.Data) == 0 {
-			want.Data = nil
+		if gotTimeout != time.Duration(timeout) || !reflect.DeepEqual(in, out) {
+			t.Fatalf("roundtrip: got %v %+v, want %v %+v", gotTimeout, out, time.Duration(timeout), in)
 		}
-		if !reflect.DeepEqual(want, out) {
-			t.Fatalf("roundtrip: got %+v, want %+v", out, want)
-		}
-		if enc2 := AppendUpdateRequest(nil, out); !bytes.Equal(enc1, enc2) {
+		if enc2 := updateRequest(gotTimeout, out); !bytes.Equal(enc1, enc2) {
 			t.Fatalf("re-encode unstable: %x vs %x", enc1, enc2)
 		}
 	})
 }
 
-// FuzzDecodeUpdateRequest feeds arbitrary bytes to the decoder: it must
-// return cleanly (typed error or value), never panic or over-read.
+// FuzzDecodeUpdateRequest feeds arbitrary bytes to the update request's
+// decoders: they must return cleanly (typed error or value), never panic
+// or over-read, and a record they accept re-encodes to the bytes after
+// the timeout.
 func FuzzDecodeUpdateRequest(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(AppendUpdateRequest(nil, UpdateRequest{Name: "a.xml", Key: IdemKey{Client: 3, Seq: 7}}))
+	f.Add(updateRequest(0, updatelog.Record{Kind: updatelog.KindDelete, Name: "a.xml", Client: 3, Seq: 7}))
 	f.Add(bytes.Repeat([]byte{0x80}, 16))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		req, err := DecodeUpdateRequest(b)
+		b = slices.Clip(b)
+		_, rec, err := DecodeUpdate(b)
 		if err != nil {
-			if !errors.Is(err, ErrTruncated) && !errors.Is(err, errNoKey) && !errors.Is(err, ErrTrailing) {
+			if !errors.Is(err, ErrTruncated) {
 				t.Fatalf("non-typed decode error: %v", err)
 			}
 			return
 		}
-		// Whatever decoded must re-encode without error.
-		_ = AppendUpdateRequest(nil, req)
+		r, err := updatelog.DecodeOne(rec)
+		if err != nil {
+			if !errors.Is(err, updatelog.ErrRecord) {
+				t.Fatalf("non-typed record error: %v", err)
+			}
+			return
+		}
+		if again := updatelog.AppendRecord(nil, r); !bytes.Equal(again, rec) {
+			t.Fatalf("record re-encodes to %x, want %x", again, rec)
+		}
 	})
 }

@@ -10,7 +10,7 @@
 //
 //	offset size field
 //	0      2    magic 0x5842 ("XB")
-//	2      1    protocol version (4; readers accept nothing else)
+//	2      1    protocol version (5; readers accept nothing else)
 //	3      1    request: op kind / response: status code
 //	4      8    request id (echoed verbatim in the response)
 //	12     4    payload length
@@ -45,9 +45,11 @@ const Magic uint16 = 0x5842
 // Version is the protocol version this package writes. Version 2 added
 // the idempotency key to update payloads; version 3 ships the journal as
 // its own bytes, addressed by byte offset (OpJournal); version 4 has no
-// load or index-build op, so the op codes after OpQuery moved down. A
-// reader accepts this version alone: every peer is built from this tree.
-const Version byte = 4
+// load or index-build op, so the op codes after OpQuery moved down;
+// version 5 sends every update as one OpUpdate carrying a journal record,
+// so OpExplain and OpJournal moved down two. A reader accepts this
+// version alone: every peer is built from this tree.
+const Version byte = 5
 
 // MaxPayload bounds a frame payload (64 MiB). A length field above it
 // fails with ErrTooLarge before any allocation, so a corrupt or hostile
@@ -75,12 +77,10 @@ const (
 	OpPageIO
 	// OpSupports asks whether the engine hosts a class/size combination.
 	OpSupports
-	// OpInsert is update workload U1 (payload: UpdateRequest).
-	OpInsert
-	// OpReplace is update workload U2 (payload: UpdateRequest).
-	OpReplace
-	// OpDelete is update workload U3 (payload: UpdateRequest, empty data).
-	OpDelete
+	// OpUpdate is one update of workload U1–U3 (payload: the request's
+	// timeout, then the update as one journal record, which carries its
+	// kind and idempotency key; see AppendUpdate).
+	OpUpdate
 	// OpExplain returns the costed physical plan for one workload query
 	// without executing it (payload: QueryRequest; response PlanNode).
 	// An engine that cannot explain answers StatusNoExplain.
@@ -112,12 +112,8 @@ func (o Op) String() string {
 		return "pageio"
 	case OpSupports:
 		return "supports"
-	case OpInsert:
-		return "u1"
-	case OpReplace:
-		return "u2"
-	case OpDelete:
-		return "u3"
+	case OpUpdate:
+		return "update"
 	case OpExplain:
 		return "explain"
 	case OpJournal:

@@ -136,10 +136,10 @@ func TestResultEncodingPinned(t *testing.T) {
 }
 
 func TestUpdateAndCounterRoundTrip(t *testing.T) {
-	u := UpdateRequest{Name: "order-update-3.xml", Data: []byte("<order/>"), Timeout: time.Second, Key: IdemKey{Client: 1, Seq: 3}}
-	gotU, err := DecodeUpdateRequest(AppendUpdateRequest(nil, u))
-	if err != nil || !reflect.DeepEqual(u, gotU) {
-		t.Fatalf("update roundtrip: %+v, %v", gotU, err)
+	rec := []byte("an opaque record")
+	timeout, gotRec, err := DecodeUpdate(append(AppendUpdate(nil, time.Second), rec...))
+	if err != nil || timeout != time.Second || !bytes.Equal(gotRec, rec) {
+		t.Fatalf("update roundtrip: %v %q, %v", timeout, gotRec, err)
 	}
 
 	c, sz, err := DecodeClassSize(EncodeClassSize(core.TCMD, core.Large))

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"xbench/internal/core"
+	"xbench/internal/updatelog"
 	"xbench/internal/xmldom"
 )
 
@@ -77,41 +78,40 @@ func (u *Updater) Apply(ctx context.Context, e core.Engine, op UpdateOp) (did Up
 	if len(u.live) == 0 {
 		op = U1
 	}
+	var rec updatelog.Record
+	var seq, rev int // the target and the revision the update leaves it at
 	switch op {
 	case U1:
-		seq := u.next
+		seq = u.next
 		u.next += u.step
-		name, doc := UpdateDoc(u.class, seq, 0)
-		t0 := time.Now()
-		err = e.InsertDocument(ctx, name, doc)
-		d = time.Since(t0)
-		if err == nil {
-			u.live = append(u.live, seq)
-			u.final[seq] = 0
-		}
+		rec.Kind = updatelog.KindInsert
+		rec.Name, rec.Data = UpdateDoc(u.class, seq, 0)
 	case U2:
-		seq := u.live[len(u.live)-1]
-		name, doc := UpdateDoc(u.class, seq, u.final[seq]+1)
-		t0 := time.Now()
-		err = e.ReplaceDocument(ctx, name, doc)
-		d = time.Since(t0)
-		if err == nil {
-			u.final[seq]++
-		}
+		seq = u.live[len(u.live)-1]
+		rev = u.final[seq] + 1
+		rec.Kind = updatelog.KindReplace
+		rec.Name, rec.Data = UpdateDoc(u.class, seq, rev)
 	case U3:
-		seq := u.live[0]
-		_, name, _ := core.DocOf(UpdateTargetID(u.class, seq))
-		t0 := time.Now()
-		err = e.DeleteDocument(ctx, name)
-		d = time.Since(t0)
-		if err == nil {
-			u.live = u.live[1:]
-			u.final[seq] = -1
-		}
+		seq, rev = u.live[0], -1
+		rec.Kind = updatelog.KindDelete
+		_, rec.Name, _ = core.DocOf(UpdateTargetID(u.class, seq))
 	default:
 		return op, 0, fmt.Errorf("workload: unknown update op %d", int(op))
 	}
-	return op, d, err
+	t0 := time.Now()
+	err = rec.ApplyTo(ctx, e)
+	d = time.Since(t0)
+	if err != nil {
+		return op, d, err
+	}
+	u.final[seq] = rev
+	switch op {
+	case U1:
+		u.live = append(u.live, seq)
+	case U3:
+		u.live = u.live[1:]
+	}
+	return op, d, nil
 }
 
 // Check asks e, untimed, for every document an acknowledged update
