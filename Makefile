@@ -37,7 +37,9 @@ race:
 # however deep a document's recursion; and the journal's one record
 # decoder (updatelog.Decode, what recovery and replicas read with), which
 # must return a prefix of any input that its records re-encode to byte
-# for byte, never a panic or a read past the input.
+# for byte, never a panic or a read past the input, and to which
+# DecodeOne, what a server reads an update request's record with, must
+# agree.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCursor -fuzztime=20s ./internal/xmldom/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=20s ./internal/xmldom/
