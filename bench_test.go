@@ -463,26 +463,18 @@ func BenchmarkMixedRead(b *testing.B) {
 					b.Fatalf("%s: %v", q, err)
 				}
 			}
-			// Each client updates documents of its own: it inserts the next
-			// of its sequence numbers, replaces its newest, deletes its
-			// oldest, starting from two so neither list runs dry.
-			live := make([][]int, clients)
-			next := make([]int, clients)
+			// Each client updates documents of its own through one
+			// workload.Updater, U1, U2 and U3 in turn, starting from two
+			// inserts so neither U2 nor U3 finds nothing live.
+			ups := make([]*workload.Updater, clients)
 			update := func(c, i int) error {
-				switch i % 3 {
-				case 0:
-					name, doc := workload.UpdateDoc(core.DCMD, next[c]*clients+c, 0)
-					live[c], next[c] = append(live[c], next[c]*clients+c), next[c]+1
-					return e.InsertDocument(ctx, name, doc)
-				case 1:
-					name, doc := workload.UpdateDoc(core.DCMD, live[c][len(live[c])-1], i%2+1)
-					return e.ReplaceDocument(ctx, name, doc)
-				}
-				name, _ := workload.UpdateDoc(core.DCMD, live[c][0], 0)
-				live[c] = live[c][1:]
-				return e.DeleteDocument(ctx, name)
+				_, _, err := ups[c].Apply(ctx, e, workload.UpdateOps[i%3])
+				return err
 			}
 			for c := range clients {
+				if ups[c], err = workload.NewUpdater(core.DCMD, c, clients); err != nil {
+					b.Fatal(err)
+				}
 				for i := 0; i < 2; i++ {
 					if err := update(c, 0); err != nil {
 						b.Fatal(err)

@@ -12,14 +12,16 @@
 // an N-client sweep does not pay a connection per request; the server's
 // admission controller, not the connection count, is the load limiter.
 //
-// Exactly-once updates: every update (U1–U3) carries an idempotency key —
-// the client's random 64-bit identity plus a per-client sequence number —
-// generated once per logical operation and re-sent verbatim on every
-// retry leg. The server's dedup table (rebuilt from its durable journal
-// across restarts) recognizes the key and answers a retry with the
-// original outcome instead of re-applying, which is what makes updates
-// safe to retry at all: a lost response no longer forces the client to
-// choose between surfacing a spurious error and double-applying.
+// Exactly-once updates: every update (U1–U3) is one updatelog.Record,
+// sent through Apply, and carries an idempotency key — the client's
+// random 64-bit identity plus a per-client sequence number — minted once
+// per logical operation (or kept, when the record arrives with one) and
+// re-sent verbatim on every retry leg. The server's dedup table (rebuilt
+// from its durable journal across restarts) recognizes the key and
+// answers a retry with the original outcome instead of re-applying, which
+// is what makes updates safe to retry at all: a lost response no longer
+// forces the client to choose between surfacing a spurious error and
+// double-applying.
 //
 // Retry: every op is idempotent — queries, pings and cache drops by
 // nature, updates thanks to their idempotency keys — so one rule covers
@@ -478,20 +480,19 @@ func (c *Client) PageIO() int64 {
 	return v
 }
 
-// update performs one keyed update: the record is built once, with its
-// idempotency key minted once, and re-sent verbatim after each retry
-// leg's timeout, so the server can dedup a retry whose original was
-// applied but whose response was lost. When the context already carries
-// a key (wire.WithIdemKey — a router forwarding an update it received
-// over the wire), that key is sent instead of a fresh one, so the shard
+// Apply implements updatelog.Applier remotely, exactly once: rec is sent
+// as it is, after each retry leg's timeout, so the server can dedup a
+// retry whose original was applied but whose response was lost. A
+// record without a key (rec.Client == 0) gets this client's identity and
+// its next sequence number, minted once; a record that has one — a
+// router's forwarding of an update it was sent — keeps it, so the shard
 // dedups on the identity the original client acknowledged rather than
-// on the forwarding hop's.
-func (c *Client) update(ctx context.Context, kind updatelog.Kind, name string, data []byte) error {
-	key := wire.ContextIdemKey(ctx)
-	if !key.Valid() {
-		key = wire.IdemKey{Client: c.id, Seq: c.seq.Add(1)}
+// on the forwarding hop's. durable is not run: a served update is made
+// durable by its own server's journal, inside that server's commit.
+func (c *Client) Apply(ctx context.Context, rec updatelog.Record, _ func() error) error {
+	if rec.Client == 0 {
+		rec.Client, rec.Seq = c.id, c.seq.Add(1)
 	}
-	rec := updatelog.Record{Kind: kind, Name: name, Data: data, Client: key.Client, Seq: key.Seq}
 	bp := wire.GetBuf()
 	defer wire.PutBuf(bp)
 	_, err := c.roundTrip(ctx, wire.OpUpdate, func(remaining time.Duration) []byte {
@@ -502,19 +503,21 @@ func (c *Client) update(ctx context.Context, kind updatelog.Kind, name string, d
 	return err
 }
 
-// InsertDocument applies update workload U1 remotely, exactly once.
+var _ updatelog.Applier = (*Client)(nil)
+
+// InsertDocument applies U1 remotely: an adapter onto Apply.
 func (c *Client) InsertDocument(ctx context.Context, name string, data []byte) error {
-	return c.update(ctx, updatelog.KindInsert, name, data)
+	return c.Apply(ctx, updatelog.Record{Kind: updatelog.KindInsert, Name: name, Data: data}, nil)
 }
 
-// ReplaceDocument applies update workload U2 remotely, exactly once.
+// ReplaceDocument applies U2 remotely: an adapter onto Apply.
 func (c *Client) ReplaceDocument(ctx context.Context, name string, data []byte) error {
-	return c.update(ctx, updatelog.KindReplace, name, data)
+	return c.Apply(ctx, updatelog.Record{Kind: updatelog.KindReplace, Name: name, Data: data}, nil)
 }
 
-// DeleteDocument applies update workload U3 remotely, exactly once.
+// DeleteDocument applies U3 remotely: an adapter onto Apply.
 func (c *Client) DeleteDocument(ctx context.Context, name string) error {
-	return c.update(ctx, updatelog.KindDelete, name, nil)
+	return c.Apply(ctx, updatelog.Record{Kind: updatelog.KindDelete, Name: name}, nil)
 }
 
 // JournalPull fetches one window of the server's committed update journal

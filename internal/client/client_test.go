@@ -169,7 +169,7 @@ func TestUpdateRetriesWithSameKey(t *testing.T) {
 	for _, f := range frames {
 		keys = append(keys, sentKey(t, f))
 	}
-	if !keys[0].Valid() {
+	if keys[0].Client == 0 {
 		t.Fatal("update sent without an idempotency key")
 	}
 	if keys[0] != keys[1] {

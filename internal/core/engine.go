@@ -82,12 +82,13 @@ type Engine interface {
 	// InsertDocument adds a new document to the loaded database (update
 	// workload U1). It fails if a document of that name already exists.
 	// An update is applied whole or not at all: a failed apply stops the
-	// engine until the next Load. The durable step attached to ctx
-	// (WithDurable) runs once the update is applied and before any reader
-	// can see it, and a failing step stops the engine like a failed apply,
-	// so a served update is visible only once its journal record is on
-	// disk and a restart after a crash at any point recovers either the
-	// pre- or the post-insert state, never a torn one.
+	// engine until the next Load, and a restart after a crash at any
+	// point recovers either the pre- or the post-insert state, never a
+	// torn one. The three update methods are adapters onto
+	// updatelog.Applier's Apply, which every engine of the repository
+	// implements: the server, the journal's replay, a replica and the
+	// update workload call Apply, with the update's journal record and
+	// its durable step as arguments.
 	InsertDocument(ctx context.Context, name string, data []byte) error
 
 	// ReplaceDocument replaces the named document wholesale (U2), or
@@ -101,24 +102,4 @@ type Engine interface {
 	// Close releases the engine's pager resources (heap files, buffer
 	// pool, fault state). Double-Close is safe; operations after Close fail.
 	Close() error
-}
-
-// durableKey is the context key of the durable step.
-type durableKey struct{}
-
-// WithDurable returns ctx carrying step, the durable step of an update:
-// what must succeed before the update becomes visible — a served update's
-// journal append and sync. An engine runs it (RunDurable) inside its
-// commit, after the update is applied and before readers can see it.
-func WithDurable(ctx context.Context, step func() error) context.Context {
-	return context.WithValue(ctx, durableKey{}, step)
-}
-
-// RunDurable runs the durable step attached to ctx, or returns nil when
-// there is none.
-func RunDurable(ctx context.Context) error {
-	if step, ok := ctx.Value(durableKey{}).(func() error); ok {
-		return step()
-	}
-	return nil
 }

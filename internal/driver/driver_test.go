@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"xbench/internal/core"
+	"xbench/internal/updatelog"
 )
 
 // stubEngine answers every query instantly and records the sequence of
@@ -59,16 +60,23 @@ func (s *stubEngine) mutate(name string, data []byte, insert bool) error {
 	return nil
 }
 
-func (s *stubEngine) InsertDocument(_ context.Context, name string, data []byte) error {
-	return s.mutate(name, data, true)
+func (s *stubEngine) Apply(_ context.Context, rec updatelog.Record, _ func() error) error {
+	if rec.Kind == updatelog.KindDelete {
+		return s.mutate(rec.Name, nil, false)
+	}
+	return s.mutate(rec.Name, rec.Data, rec.Kind == updatelog.KindInsert)
 }
 
-func (s *stubEngine) ReplaceDocument(_ context.Context, name string, data []byte) error {
-	return s.mutate(name, data, false)
+func (s *stubEngine) InsertDocument(ctx context.Context, name string, data []byte) error {
+	return s.Apply(ctx, updatelog.Record{Kind: updatelog.KindInsert, Name: name, Data: data}, nil)
 }
 
-func (s *stubEngine) DeleteDocument(_ context.Context, name string) error {
-	return s.mutate(name, nil, false)
+func (s *stubEngine) ReplaceDocument(ctx context.Context, name string, data []byte) error {
+	return s.Apply(ctx, updatelog.Record{Kind: updatelog.KindReplace, Name: name, Data: data}, nil)
+}
+
+func (s *stubEngine) DeleteDocument(ctx context.Context, name string) error {
+	return s.Apply(ctx, updatelog.Record{Kind: updatelog.KindDelete, Name: name}, nil)
 }
 
 func (s *stubEngine) Execute(_ context.Context, q core.QueryID, p core.Params) (core.Result, error) {

@@ -14,6 +14,7 @@ import (
 	"xbench/internal/gen"
 	"xbench/internal/metrics"
 	"xbench/internal/pager"
+	"xbench/internal/updatelog"
 	"xbench/internal/workload"
 )
 
@@ -21,6 +22,7 @@ import (
 type engine interface {
 	core.Engine
 	core.Explainer
+	updatelog.Applier
 	Pager() *pager.Pager
 }
 
@@ -440,8 +442,8 @@ func wantStopped(t *testing.T, b *engbase.Base[*cellView]) {
 	}
 }
 
-// TestUpdateVisibleOnlyOnceDurable: the durable step an update carries
-// (core.WithDurable, a served update's journal append) runs inside the
+// TestUpdateVisibleOnlyOnceDurable: the durable step an update is applied
+// with (Apply's argument, a served update's journal append) runs inside the
 // commit, on every engine. While it blocks, a concurrent reader gets the
 // pre-update answer; once it returned, the post-update one. A step that
 // fails stops the engine with the update never visible — during the step
@@ -462,11 +464,11 @@ func TestUpdateVisibleOnlyOnceDurable(t *testing.T) {
 				entered, release := make(chan struct{}), make(chan struct{})
 				written := make(chan error, 1)
 				go func() {
-					written <- e.InsertDocument(core.WithDurable(ctx, func() error {
+					written <- e.Apply(ctx, updatelog.Record{Kind: updatelog.KindInsert, Name: name, Data: unit}, func() error {
 						close(entered)
 						<-release
 						return nil
-					}), name, unit)
+					})
 				}()
 				select {
 				case <-entered:
@@ -507,14 +509,14 @@ func TestUpdateVisibleOnlyOnceDurable(t *testing.T) {
 				}
 				boom := errors.New("journal append failed")
 				var during []string
-				err := e.InsertDocument(core.WithDurable(ctx, func() error {
+				err := e.Apply(ctx, updatelog.Record{Kind: updatelog.KindInsert, Name: name, Data: unit}, func() error {
 					res, err := e.Execute(ctx, core.Q1, target)
 					if err != nil {
 						return err
 					}
 					during = res.Items
 					return boom
-				}), name, unit)
+				})
 				if !errors.Is(err, boom) {
 					t.Fatalf("U1 with a failing step: %v", err)
 				}

@@ -231,8 +231,8 @@ func (b *Base[V]) notLoaded(op string) error {
 // publish ends every mutation of the store — a load, an index build, an
 // update — and is the only place one becomes durable and visible: freeze
 // the store at epoch (which flushes the heap tails the mutation dirtied),
-// sync the pager, run the durable step ctx carries (core.WithDurable: a
-// served update's journal append and sync; loads and index builds carry
+// sync the pager, run durable when there is one (Apply's durable step: a
+// served update's journal append and sync; loads and index builds have
 // none), and commit the epoch with the publication of that view through
 // commit — EndMutation inside a bracket, AdvanceEpoch after a load.
 // Freezing before the commit is what lets epoch and view change
@@ -245,7 +245,7 @@ func (b *Base[V]) notLoaded(op string) error {
 // pages, so every operation answers the not-loaded error until the next
 // Load rebuilds both (after a crash, the restart's: a new engine loads the
 // database and replays the server's journal). The caller holds the latch.
-func (b *Base[V]) publish(ctx context.Context, epoch uint64, commit func(view any) uint64, err error) error {
+func (b *Base[V]) publish(epoch uint64, commit func(view any) uint64, durable func() error, err error) error {
 	var v V
 	if err == nil {
 		v, err = b.s.Freeze(epoch)
@@ -253,8 +253,8 @@ func (b *Base[V]) publish(ctx context.Context, epoch uint64, commit func(view an
 	if err == nil {
 		err = b.p.SyncAll()
 	}
-	if err == nil {
-		err = core.RunDurable(ctx)
+	if err == nil && durable != nil {
+		err = durable()
 	}
 	if err != nil {
 		b.loaded = false
@@ -316,7 +316,7 @@ func (b *Base[V]) Load(ctx context.Context, db *core.Database) (core.LoadStats, 
 	}
 	st.PageIO = b.p.Stats().IO() - before
 	b.loaded = true
-	if err := b.publish(context.Background(), b.p.SnapshotEpoch()+1, b.p.AdvanceEpoch, nil); err != nil {
+	if err := b.publish(b.p.SnapshotEpoch()+1, b.p.AdvanceEpoch, nil, nil); err != nil {
 		return st, b.abortLoad(err)
 	}
 	return st, nil
@@ -331,7 +331,7 @@ func (b *Base[V]) BuildIndexes(specs []core.IndexSpec) error {
 		return b.notLoaded("BuildIndexes")
 	}
 	epoch := b.p.BeginMutation()
-	return b.publish(context.Background(), epoch, b.p.EndMutation, b.s.BuildIndexes(specs))
+	return b.publish(epoch, b.p.EndMutation, nil, b.s.BuildIndexes(specs))
 }
 
 // pinned is the first half of the read protocol, for the operation named
@@ -437,30 +437,35 @@ func (b *Base[V]) Close() error {
 	return b.p.Close()
 }
 
-// The update workload (U1-U3): validate, open a pager mutation bracket,
-// apply to the store, publish. Every page the apply overwrites is
-// versioned with its pre-image at the next commit epoch, so pinned
-// snapshot readers keep the pre-update state, and publish commits the
-// epoch together with the store's view of it, which is what makes the
-// update visible to new readers. A refused update (cancelled, not loaded,
-// malformed, name taken, name missing) returns before the bracket opens
-// and leaves no trace. Once the bracket is open the apply cannot be
-// cancelled: a hook that stopped partway would leave the store half
-// updated, and an apply that fails stops the engine (publish). What makes
-// an update durable is the durable step ctx carries — a served update's
+// Apply implements updatelog.Applier, the one path every update (U1–U3)
+// takes: validate, open a pager mutation bracket, apply to the store,
+// publish. Every page the apply overwrites is versioned with its
+// pre-image at the next commit epoch, so pinned snapshot readers keep the
+// pre-update state, and publish commits the epoch together with the
+// store's view of it, which is what makes the update visible to new
+// readers. A refused update (cancelled, not
+// loaded, unknown kind, malformed, name taken, name missing) returns
+// before the bracket opens and leaves no trace. Once the bracket is open
+// the apply cannot be cancelled: a hook that stopped partway would leave
+// the store half updated, and an apply that fails stops the engine
+// (publish). What makes an update durable is durable — a served update's
 // journal append (updatelog.FileLog) — which publish runs before the
-// commit; ctx keeps its values when its cancellation is dropped.
-func (b *Base[V]) update(ctx context.Context, kind updatelog.Kind, name string, data []byte) error {
+// commit.
+func (b *Base[V]) Apply(ctx context.Context, rec updatelog.Record, durable func() error) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if !b.loaded {
-		return b.notLoaded(kind.String())
+		return b.notLoaded(rec.Kind.String())
+	}
+	kind, name := rec.Kind, rec.Name
+	if !kind.Valid() {
+		return fmt.Errorf("%s: %s %s: not an update kind", b.s.Name(), kind, name)
 	}
 	if kind != updatelog.KindDelete {
-		err := xmldom.ParseRecord(&b.rec, data)
+		err := xmldom.ParseRecord(&b.rec, rec.Data)
 		if v, ok := b.s.(Validator); ok && err == nil {
 			err = v.Validate(&b.rec)
 		}
@@ -482,25 +487,24 @@ func (b *Base[V]) update(ctx context.Context, kind updatelog.Kind, name string, 
 		err = b.s.ApplyDelete(ctx, name)
 	}
 	if err == nil && kind != updatelog.KindDelete {
-		err = b.s.ApplyInsert(ctx, name, data, &b.rec)
+		err = b.s.ApplyInsert(ctx, name, rec.Data, &b.rec)
 	}
-	return b.publish(ctx, epoch, b.p.EndMutation, err)
+	return b.publish(epoch, b.p.EndMutation, durable, err)
 }
 
-// InsertDocument implements core.Engine (U1). It fails if the name
-// exists.
+var _ updatelog.Applier = (*Base[View])(nil)
+
+// InsertDocument implements core.Engine (U1) as an adapter onto Apply.
 func (b *Base[V]) InsertDocument(ctx context.Context, name string, data []byte) error {
-	return b.update(ctx, updatelog.KindInsert, name, data)
+	return b.Apply(ctx, updatelog.Record{Kind: updatelog.KindInsert, Name: name, Data: data}, nil)
 }
 
-// ReplaceDocument implements core.Engine (U2): the named document is
-// replaced wholesale, or added when absent.
+// ReplaceDocument implements core.Engine (U2) as an adapter onto Apply.
 func (b *Base[V]) ReplaceDocument(ctx context.Context, name string, data []byte) error {
-	return b.update(ctx, updatelog.KindReplace, name, data)
+	return b.Apply(ctx, updatelog.Record{Kind: updatelog.KindReplace, Name: name, Data: data}, nil)
 }
 
-// DeleteDocument implements core.Engine (U3). It fails if the name does
-// not exist.
+// DeleteDocument implements core.Engine (U3) as an adapter onto Apply.
 func (b *Base[V]) DeleteDocument(ctx context.Context, name string) error {
-	return b.update(ctx, updatelog.KindDelete, name, nil)
+	return b.Apply(ctx, updatelog.Record{Kind: updatelog.KindDelete, Name: name}, nil)
 }

@@ -69,7 +69,7 @@ func writeJournal(t *testing.T, dir, name string, recs ...updatelog.Record) stri
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if err := l.Append(r); err != nil {
+		if err := l.Append(updatelog.AppendRecord(nil, r)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -18,10 +18,11 @@
 // shard (DC/MD Q3: three partial sums), an order by as one sorted run per
 // shard, and a join across documents misses the pairs whose sides live on
 // different shards (DC/MD Q19). ROADMAP item 2 tracks the gathers that fix
-// this. Updates ride the shard's primary; reads ride a failover client
-// that tries the primary first, so they survive a dead primary by falling
-// over to its journal-fed replicas (servers with server.Config.ReplicaOf
-// set).
+// this. Updates ride the shard's primary, each one updatelog.Record
+// passed through Apply as it arrived, its idempotency key included; reads
+// ride a failover client that tries the primary first, so they survive a
+// dead primary by falling over to its journal-fed replicas (servers with
+// server.Config.ReplicaOf set).
 //
 // Placement is the ring's alone (ring.go): the router keeps no
 // per-document state, so its memory is O(shards), a restarted or second
@@ -46,6 +47,7 @@ import (
 	"xbench/internal/core"
 	"xbench/internal/metrics"
 	"xbench/internal/plan"
+	"xbench/internal/updatelog"
 )
 
 // Shard declares one shard's members: the primary every update goes to
@@ -337,36 +339,38 @@ func (r *Router) PageIO() int64 {
 	return total
 }
 
-// update routes one single-document update to the primary of the shard
-// the ring assigns name to.
-func (r *Router) update(name string, do func(primary *client.Client) error) error {
+// Apply implements updatelog.Applier: rec goes, as it is, to the primary
+// of the shard the ring assigns its name to. A record that arrives with
+// an idempotency key (a front-end server forwarding its client's update)
+// keeps it, and one without gets the shard client's own, so the hop is
+// exactly-once either way (client.Apply).
+func (r *Router) Apply(ctx context.Context, rec updatelog.Record, durable func() error) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	sc := r.shards[r.ring.Owner(name)]
+	sc := r.shards[r.ring.Owner(rec.Name)]
 	sc.routed.Inc()
-	err := do(sc.write)
+	err := sc.write.Apply(ctx, rec, durable)
 	if err != nil {
 		sc.errs.Inc()
 	}
 	return err
 }
 
-// InsertDocument routes U1 to the owning shard's primary. The context's
-// idempotency key (wire.WithIdemKey, attached by a front-end server) — or
-// the shard client's own key when there is none — makes the hop
-// exactly-once.
+var _ updatelog.Applier = (*Router)(nil)
+
+// InsertDocument routes U1: an adapter onto Apply.
 func (r *Router) InsertDocument(ctx context.Context, name string, data []byte) error {
-	return r.update(name, func(c *client.Client) error { return c.InsertDocument(ctx, name, data) })
+	return r.Apply(ctx, updatelog.Record{Kind: updatelog.KindInsert, Name: name, Data: data}, nil)
 }
 
-// ReplaceDocument routes U2 to the owning shard's primary.
+// ReplaceDocument routes U2: an adapter onto Apply.
 func (r *Router) ReplaceDocument(ctx context.Context, name string, data []byte) error {
-	return r.update(name, func(c *client.Client) error { return c.ReplaceDocument(ctx, name, data) })
+	return r.Apply(ctx, updatelog.Record{Kind: updatelog.KindReplace, Name: name, Data: data}, nil)
 }
 
-// DeleteDocument routes U3 to the owning shard's primary.
+// DeleteDocument routes U3: an adapter onto Apply.
 func (r *Router) DeleteDocument(ctx context.Context, name string) error {
-	return r.update(name, func(c *client.Client) error { return c.DeleteDocument(ctx, name) })
+	return r.Apply(ctx, updatelog.Record{Kind: updatelog.KindDelete, Name: name}, nil)
 }
 
 // Close releases every shard connection. The shard servers keep running —

@@ -16,14 +16,15 @@ import (
 	"xbench/internal/core"
 	"xbench/internal/router"
 	"xbench/internal/server"
+	"xbench/internal/updatelog"
 )
 
 // stubEngine is an in-memory engine for router tests: Q1 with an update
 // target id answers from the document map (update verification), Q8
 // scatters — it returns one item per stored document — so a cross-shard
-// union is countable and duplicates are detectable. An update runs its
-// durable step (core.RunDurable) before it changes the map, as an
-// engine's commit does, so a journaled stub shard journals.
+// union is countable and duplicates are detectable. An update (Apply)
+// runs its durable step before it changes the map, as an engine's commit
+// does, so a journaled stub shard journals.
 type stubEngine struct {
 	mu   sync.Mutex
 	docs map[string][]byte
@@ -81,40 +82,41 @@ func (s *stubEngine) Execute(_ context.Context, q core.QueryID, p core.Params) (
 	return core.Result{Items: names, OrderGuaranteed: true, PageIO: int64(len(names))}, nil
 }
 
-func (s *stubEngine) InsertDocument(ctx context.Context, name string, data []byte) error {
+// Apply runs the update's durable step before it changes the map, as an
+// engine's commit does.
+func (s *stubEngine) Apply(_ context.Context, rec updatelog.Record, durable func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.docs[name]; ok {
-		return fmt.Errorf("stub: document %s exists", name)
+	_, exists := s.docs[rec.Name]
+	switch {
+	case rec.Kind == updatelog.KindInsert && exists:
+		return fmt.Errorf("stub: document %s exists", rec.Name)
+	case rec.Kind == updatelog.KindDelete && !exists:
+		return fmt.Errorf("stub: document %s does not exist", rec.Name)
 	}
-	if err := core.RunDurable(ctx); err != nil {
-		return err
+	if durable != nil {
+		if err := durable(); err != nil {
+			return err
+		}
 	}
-	s.docs[name] = data
+	if rec.Kind == updatelog.KindDelete {
+		delete(s.docs, rec.Name)
+	} else {
+		s.docs[rec.Name] = rec.Data
+	}
 	return nil
+}
+
+func (s *stubEngine) InsertDocument(ctx context.Context, name string, data []byte) error {
+	return s.Apply(ctx, updatelog.Record{Kind: updatelog.KindInsert, Name: name, Data: data}, nil)
 }
 
 func (s *stubEngine) ReplaceDocument(ctx context.Context, name string, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := core.RunDurable(ctx); err != nil {
-		return err
-	}
-	s.docs[name] = data
-	return nil
+	return s.Apply(ctx, updatelog.Record{Kind: updatelog.KindReplace, Name: name, Data: data}, nil)
 }
 
 func (s *stubEngine) DeleteDocument(ctx context.Context, name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.docs[name]; !ok {
-		return fmt.Errorf("stub: document %s does not exist", name)
-	}
-	if err := core.RunDurable(ctx); err != nil {
-		return err
-	}
-	delete(s.docs, name)
-	return nil
+	return s.Apply(ctx, updatelog.Record{Kind: updatelog.KindDelete, Name: name}, nil)
 }
 
 // testDB builds a database of n one-element documents.

@@ -36,7 +36,7 @@ func reopenDCMD(t *testing.T, e core.Engine, path string) (*Server, *core.Databa
 // path.
 func insertU1(s *Server) wire.Frame {
 	name, data := workload.UpdateDoc(core.DCMD, 1, 0)
-	return s.executeUpdate(updatelog.Record{Kind: updatelog.KindInsert, Name: name, Data: data, Client: 1, Seq: 1}, 0)
+	return s.executeUpdate(updatelog.AppendRecord(nil, updatelog.Record{Kind: updatelog.KindInsert, Name: name, Data: data, Client: 1, Seq: 1}), 0)
 }
 
 // TestJournalFailureLeavesUpdateInvisible: a served update becomes
@@ -69,16 +69,16 @@ func TestJournalFailureLeavesUpdateInvisible(t *testing.T) {
 	}
 }
 
-// stepless applies every update without running the durable step its
-// ctx carries.
+// stepless applies every update without running the durable step it is
+// given.
 type stepless struct{ core.Engine }
 
 func (stepless) Load(context.Context, *core.Database) (core.LoadStats, error) {
 	return core.LoadStats{}, nil
 }
-func (stepless) BuildIndexes([]core.IndexSpec) error                  { return nil }
-func (stepless) InsertDocument(context.Context, string, []byte) error { return nil }
-func (stepless) Close() error                                         { return nil }
+func (stepless) BuildIndexes([]core.IndexSpec) error                         { return nil }
+func (stepless) Apply(context.Context, updatelog.Record, func() error) error { return nil }
+func (stepless) Close() error                                                { return nil }
 
 // TestJournaledServerRefusesAStepSkipped: a journaled server whose
 // engine reports an update applied without having run the durable step
@@ -133,9 +133,9 @@ type counter struct {
 	calls int
 }
 
-func (c *counter) InsertDocument(ctx context.Context, _ string, _ []byte) error {
+func (c *counter) Apply(_ context.Context, _ updatelog.Record, durable func() error) error {
 	c.calls++
-	return core.RunDurable(ctx)
+	return durable()
 }
 
 // TestMalformedUpdatesAreRefused: an OpUpdate payload whose record fails

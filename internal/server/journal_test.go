@@ -11,6 +11,7 @@ import (
 
 	"xbench/internal/client"
 	"xbench/internal/core"
+	"xbench/internal/router"
 	"xbench/internal/server"
 	"xbench/internal/updatelog"
 	"xbench/internal/wire"
@@ -98,7 +99,7 @@ func TestJournalPullShipsCommittedUpdates(t *testing.T) {
 	// Replaying the shipped window against a fresh engine reproduces the
 	// primary's state transitions (this is exactly what a replica does).
 	replica := newStub()
-	if err := updatelog.Apply(ctx, replica, recs); err != nil {
+	if err := updatelog.Replay(ctx, replica, recs); err != nil {
 		t.Fatalf("replica apply: %v", err)
 	}
 }
@@ -216,8 +217,13 @@ func TestReadOnlyServer(t *testing.T) {
 // TestIdemKeyPassesThroughProxy builds a two-hop chain — client → front
 // server whose engine is a wire client → journaled backend — and asserts
 // the backend journals the ORIGINAL client's idempotency key, not one
-// minted by the forwarding hop. This is the property that makes
-// exactly-once hold end-to-end through a router tier.
+// minted by the forwarding hop. Then the same through a router tier: a
+// front server whose engine is a router.Router over two journaled
+// shards. The owning shard journals the origin's key, and the origin's
+// retry of that keyed request, through a second front (the first one
+// restarted, its own dedup table empty), is answered from the shard's
+// dedup table: one journal record, server.req.deduped +1. This is the
+// property that makes exactly-once hold end-to-end through a router tier.
 func TestIdemKeyPassesThroughProxy(t *testing.T) {
 	backendSrv, backendC := startJournaled(t, server.Config{})
 	_ = backendSrv
@@ -255,17 +261,108 @@ func TestIdemKeyPassesThroughProxy(t *testing.T) {
 	if got := recs[0].Client; got != originID {
 		t.Fatalf("backend journaled client %d, want the origin's %d (key minted by proxy instead of passed through)", got, originID)
 	}
+
+	shards := make([]*server.Server, 2)
+	shardCs := make([]*client.Client, 2)
+	specs := make([]router.Shard, 2)
+	for i := range shards {
+		shards[i], shardCs[i] = startJournaled(t, server.Config{})
+		specs[i] = router.Shard{Primary: shards[i].Addr().String()}
+	}
+	routerFront := func() string {
+		rt, err := router.Dial(specs, router.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := server.New(rt, server.Config{})
+		if err := front.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { front.Close() })
+		return front.Addr().String()
+	}
+	const name = "order-update-3.xml"
+	owner := router.NewRing(len(shards), 0).Owner(name)
+	key := wire.IdemKey{Client: originID, Seq: 77}
+	payload := updatePayload(updatelog.KindInsert, name, []byte("<order/>"), key)
+	deduped := shards[owner].Metrics().Counter("server.req.deduped")
+	for i, addr := range []string{routerFront(), routerFront()} {
+		if resp := dialRaw(t, addr).do(wire.OpUpdate, payload); wire.Status(resp.Kind) != wire.StatusOK {
+			t.Fatalf("keyed insert through front %d: status %d (%s)", i, resp.Kind, resp.Payload)
+		}
+		if got := deduped.Value(); got != int64(i) {
+			t.Fatalf("after front %d: the owning shard deduped %d requests, want %d", i, got, i)
+		}
+	}
+	for i, sc := range shardCs {
+		window, err := sc.JournalPull(ctx, wire.JournalPullRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _ := updatelog.Decode(window)
+		switch {
+		case i != owner && len(recs) != 0:
+			t.Fatalf("shard %d, not the owner, journaled %d records", i, len(recs))
+		case i == owner && len(recs) != 1:
+			t.Fatalf("owning shard journaled %d records, want 1", len(recs))
+		case i == owner && (recs[0].Client != key.Client || recs[0].Seq != key.Seq):
+			t.Fatalf("owning shard journaled key {%d %d}, want the origin's %v (key minted by the router instead of passed through)", recs[0].Client, recs[0].Seq, key)
+		}
+	}
 }
 
-// landingEngine is a replica's engine that reports when each insert it
+// updateAllocCeiling is what one journaled served update allocates
+// through Server.handle over the stub engine: the record's name (the
+// decode), the request's context and timer, the durable step, the
+// journal's batch handle and the rest of the server's path. The ceiling
+// may only fall; a context value or a second encoding of the record
+// would raise it.
+const updateAllocCeiling = 9
+
+// TestJournaledUpdateAllocations pins updateAllocCeiling: one OpUpdate
+// through Server.handle on a journaled server, the record journaled and
+// applied, each with a fresh key, and the journal holds every one.
+func TestJournaledUpdateAllocations(t *testing.T) {
+	jp := filepath.Join(t.TempDir(), "journal.log")
+	srv, _, err := server.Reopen(newStub(), tinyDB(), nil, jp, server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 200
+	payloads := make([][]byte, runs+1) // AllocsPerRun warms up with one more
+	for i := range payloads {
+		rec := updatelog.Record{Kind: updatelog.KindReplace, Name: "a.xml", Data: []byte("<a/>"), Client: 7, Seq: uint64(i + 1)}
+		payloads[i] = updatelog.AppendRecord(wire.AppendUpdate(nil, time.Second), rec)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		if f := srv.Handle(wire.OpUpdate, payloads[i]); wire.Status(f.Kind) != wire.StatusOK {
+			t.Fatalf("update %d: status %d (%s)", i, f.Kind, f.Payload)
+		}
+		i++
+	}); n > updateAllocCeiling {
+		t.Errorf("one journaled served update allocates %v times, want <= %v", n, updateAllocCeiling)
+	}
+	srv.Close()
+	l, recs, err := updatelog.OpenFile(jp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if len(recs) != len(payloads) {
+		t.Fatalf("journal holds %d records, want %d", len(recs), len(payloads))
+	}
+}
+
+// landingEngine is a replica's engine that reports when each update it
 // applies has landed.
 type landingEngine struct {
 	*stubEngine
 	landed chan time.Time
 }
 
-func (e landingEngine) InsertDocument(ctx context.Context, name string, data []byte) error {
-	err := e.stubEngine.InsertDocument(ctx, name, data)
+func (e landingEngine) Apply(ctx context.Context, rec updatelog.Record, durable func() error) error {
+	err := e.stubEngine.Apply(ctx, rec, durable)
 	e.landed <- time.Now()
 	return err
 }

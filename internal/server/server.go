@@ -196,7 +196,7 @@ func Reopen(e core.Engine, db *core.Database, specs []core.IndexSpec, journalPat
 		jl.Close()
 		return nil, 0, fmt.Errorf("server: reopen load: %w", err)
 	}
-	if err := updatelog.Apply(ctx, e, recs); err != nil {
+	if err := updatelog.Replay(ctx, e, recs); err != nil {
 		jl.Close()
 		return nil, 0, fmt.Errorf("server: reopen replay: %w", err)
 	}
@@ -268,7 +268,7 @@ func (s *Server) replicate(ctx context.Context, src *client.Client) error {
 				return fmt.Errorf("server: replica: journal window at offset %d is damaged after %d of its %d bytes", at.Since, n, len(window))
 			}
 			for _, rec := range recs {
-				if err := updatelog.Apply(ctx, s.eng, []updatelog.Record{rec}); err != nil {
+				if err := updatelog.Replay(ctx, s.eng, []updatelog.Record{rec}); err != nil {
 					return fmt.Errorf("server: replica apply record %d: %w", s.applied.Load(), err)
 				}
 				s.applied.Add(1)
@@ -603,14 +603,7 @@ func (s *Server) execute(op wire.Op, payload []byte, scratch *[]byte) wire.Frame
 		if err != nil {
 			return badRequest(err)
 		}
-		rec, err := updatelog.DecodeOne(b)
-		if err != nil {
-			return badRequest(err)
-		}
-		if rec.Client == 0 {
-			return badRequest(errNoKey)
-		}
-		return s.executeUpdate(rec, timeout)
+		return s.executeUpdate(b, timeout)
 
 	default:
 		return badRequest(fmt.Errorf("unknown op %d", byte(op)))
@@ -675,20 +668,25 @@ func (s *Server) pullJournal(payload []byte) (wire.Frame, func()) {
 // errNoKey refuses an update whose record carries the zero key.
 var errNoKey = errors.New("server: update without an idempotency key")
 
-// executeUpdate runs one update with exactly-once semantics. Every
-// update carries an idempotency key in its record (execute refuses one
-// without). A retry whose original succeeded gets the original response
-// without touching the engine; a fresh update applies, its record is
-// journaled, and its key is remembered in the dedup table.
+// executeUpdate runs one update, enc, its record's encoding, with
+// exactly-once semantics. A record that does not decode as exactly one
+// intact record, or carries the zero key, is a bad request. A retry whose
+// original succeeded gets the original response without touching the
+// engine; a fresh update applies, its record is journaled, and its key is
+// remembered in the dedup table.
 //
 // updMu is held across the three steps — the dedup lookup, the engine
 // call, the dedup record — so journal order is apply order and a retry
 // racing its original finds the key recorded once the original returns.
-// There is one commit point: the journal append and its sync are the
-// update's durable step (core.WithDurable), which the engine runs inside
-// its commit, after the apply and before any reader can see the update.
-// A failed append therefore stops the engine with the update invisible,
-// and no acknowledgment is released before its record is on disk.
+// There is one commit point: the append of enc to the journal and its
+// sync are the update's durable step, Apply's argument, which the engine
+// runs inside its commit, after the apply and before any reader can see
+// the update. A failed append therefore stops the engine with the update
+// invisible, and no acknowledgment is released before its record is on
+// disk. The journal holds the very bytes the client sent, which DecodeOne
+// checked. rec, key included, goes to the engine as it arrived: when the
+// engine is itself a wire client or a router (a front-end forwarding to
+// a shard), the shard dedups on the original client's identity.
 //
 // Only successes are remembered and journaled: the engines' update
 // protocol is exactly-old-or-new, so an error return means the update did
@@ -696,30 +694,33 @@ var errNoKey = errors.New("server: update without an idempotency key")
 // simply fails the same way again). A journaled server whose engine
 // returned nil without running the step answers an internal error: the
 // journal never misses an acknowledged update.
-func (s *Server) executeUpdate(rec updatelog.Record, timeout time.Duration) wire.Frame {
+func (s *Server) executeUpdate(enc []byte, timeout time.Duration) wire.Frame {
+	rec, err := updatelog.DecodeOne(enc)
+	if err != nil {
+		return badRequest(err)
+	}
+	if rec.Client == 0 {
+		return badRequest(errNoKey)
+	}
 	ctx, cancel := s.reqCtx(timeout)
 	defer cancel()
-	// Attach the request's idempotency key to the engine call: when the
-	// "engine" is itself a wire client (a router front-end forwarding to a
-	// shard), the shard then dedups on the original client's identity, not
-	// on a key the forwarding hop minted — exactly-once stays end-to-end.
-	key := wire.IdemKey{Client: rec.Client, Seq: rec.Seq}
-	ctx = wire.WithIdemKey(ctx, key)
+	var durable func() error
 	journaled := false
 	if s.journal != nil {
-		ctx = core.WithDurable(ctx, func() error {
+		durable = func() error {
 			journaled = true
-			return s.journal.Append(rec)
-		})
+			return s.journal.Append(enc)
+		}
 	}
 
+	key := wire.IdemKey{Client: rec.Client, Seq: rec.Seq}
 	s.updMu.Lock()
 	defer s.updMu.Unlock()
 	if s.dedup.lookup(key) {
 		s.rDeduped.Inc()
 		return okFrame(nil)
 	}
-	err := rec.ApplyTo(ctx, s.eng)
+	err = updatelog.Apply(ctx, s.eng, rec, durable)
 	if err == nil && s.journal != nil && !journaled {
 		err = errors.New("server: the engine ran no durable step: the update is not journaled")
 	}

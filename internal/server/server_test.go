@@ -13,14 +13,15 @@ import (
 	"xbench/internal/core"
 	"xbench/internal/driver"
 	"xbench/internal/server"
+	"xbench/internal/updatelog"
 	"xbench/internal/wire"
 )
 
 // stubEngine is an in-memory engine for wire-level tests: queries answer
 // from a document map (so the update workload verifies), Execute can be
 // slowed or gated to create controlled overload, and Close is recorded.
-// An update runs its durable step (core.RunDurable) before it changes the
-// map, as an engine's commit does, so a journaled stub server journals.
+// An update (Apply) runs its durable step before it changes the map, as
+// an engine's commit does, so a journaled stub server journals.
 type stubEngine struct {
 	delay time.Duration // per-Execute service time
 	gate  chan struct{} // when non-nil, Execute blocks until it can receive
@@ -99,40 +100,41 @@ func (s *stubEngine) Execute(ctx context.Context, q core.QueryID, p core.Params)
 	return core.Result{Items: []string{q.String()}, OrderGuaranteed: true, PageIO: 3}, nil
 }
 
-func (s *stubEngine) InsertDocument(ctx context.Context, name string, data []byte) error {
+// Apply runs the update's durable step before it changes the map, as an
+// engine's commit does.
+func (s *stubEngine) Apply(_ context.Context, rec updatelog.Record, durable func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.docs[name]; ok {
-		return fmt.Errorf("stub: document %s exists", name)
+	_, exists := s.docs[rec.Name]
+	switch {
+	case rec.Kind == updatelog.KindInsert && exists:
+		return fmt.Errorf("stub: document %s exists", rec.Name)
+	case rec.Kind == updatelog.KindDelete && !exists:
+		return fmt.Errorf("stub: document %s does not exist", rec.Name)
 	}
-	if err := core.RunDurable(ctx); err != nil {
-		return err
+	if durable != nil {
+		if err := durable(); err != nil {
+			return err
+		}
 	}
-	s.docs[name] = data
+	if rec.Kind == updatelog.KindDelete {
+		delete(s.docs, rec.Name)
+	} else {
+		s.docs[rec.Name] = rec.Data
+	}
 	return nil
+}
+
+func (s *stubEngine) InsertDocument(ctx context.Context, name string, data []byte) error {
+	return s.Apply(ctx, updatelog.Record{Kind: updatelog.KindInsert, Name: name, Data: data}, nil)
 }
 
 func (s *stubEngine) ReplaceDocument(ctx context.Context, name string, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := core.RunDurable(ctx); err != nil {
-		return err
-	}
-	s.docs[name] = data
-	return nil
+	return s.Apply(ctx, updatelog.Record{Kind: updatelog.KindReplace, Name: name, Data: data}, nil)
 }
 
 func (s *stubEngine) DeleteDocument(ctx context.Context, name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.docs[name]; !ok {
-		return fmt.Errorf("stub: document %s does not exist", name)
-	}
-	if err := core.RunDurable(ctx); err != nil {
-		return err
-	}
-	delete(s.docs, name)
-	return nil
+	return s.Apply(ctx, updatelog.Record{Kind: updatelog.KindDelete, Name: name}, nil)
 }
 
 // startServer boots a server on a kernel-assigned loopback port and

@@ -201,12 +201,14 @@ func (l *FileLog) doSync(f *os.File) error {
 	return f.Sync()
 }
 
-// Append journals one record and waits for it to be durable. The sync is
-// the commit point: once Append returns nil the record survives a
-// process kill and Reopen will replay it; on error the record is torn or
-// absent and recovery treats the update as never acknowledged.
-func (l *FileLog) Append(r Record) error {
-	b, err := l.Enqueue(r)
+// Append journals one record, given as its encoding — AppendRecord's
+// bytes, or those DecodeOne accepted from a served update's request —
+// and waits for it to be durable. The sync is the commit point: once
+// Append returns nil the record survives a process kill and Reopen will
+// replay it; on error the record is torn or absent and recovery treats
+// the update as never acknowledged.
+func (l *FileLog) Append(enc []byte) error {
+	b, err := l.write(enc)
 	if err != nil {
 		return err
 	}
@@ -219,6 +221,12 @@ func (l *FileLog) Append(r Record) error {
 // WaitDurable and share the sync with other writers. The record is NOT
 // durable until WaitDurable on the returned handle succeeds.
 func (l *FileLog) Enqueue(r Record) (*Batch, error) {
+	return l.write(AppendRecord(nil, r))
+}
+
+// write appends one record's encoding to the file under the log's mutex
+// and returns its handle.
+func (l *FileLog) write(enc []byte) (*Batch, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
@@ -230,7 +238,7 @@ func (l *FileLog) Enqueue(r Record) (*Batch, error) {
 		// committed prefix on recovery. Refuse instead.
 		return nil, fmt.Errorf("updatelog: journal poisoned by earlier failure: %w", l.broken)
 	}
-	n, err := l.f.Write(AppendRecord(nil, r))
+	n, err := l.f.Write(enc)
 	if err != nil {
 		l.broken = fmt.Errorf("updatelog: append %s: %w", l.path, err)
 		l.wake()

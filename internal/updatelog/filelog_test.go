@@ -29,7 +29,7 @@ func TestFileLogAppendReopen(t *testing.T) {
 		{Kind: KindInsert, Name: "unkeyed.xml", Data: []byte("<u/>")},
 	}
 	for _, r := range want {
-		if err := l.Append(r); err != nil {
+		if err := l.Append(AppendRecord(nil, r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,7 +59,7 @@ func TestFileLogTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(Record{Kind: KindInsert, Name: "keep.xml", Data: []byte("<k/>"), Client: 1, Seq: 1}); err != nil {
+	if err := l.Append(AppendRecord(nil, Record{Kind: KindInsert, Name: "keep.xml", Data: []byte("<k/>"), Client: 1, Seq: 1})); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -84,7 +84,7 @@ func TestFileLogTornTailTruncated(t *testing.T) {
 	}
 	// The torn bytes must be gone: a fresh append then reopen yields
 	// exactly two intact records.
-	if err := l2.Append(Record{Kind: KindDelete, Name: "keep.xml", Client: 1, Seq: 3}); err != nil {
+	if err := l2.Append(AppendRecord(nil, Record{Kind: KindDelete, Name: "keep.xml", Client: 1, Seq: 3})); err != nil {
 		t.Fatal(err)
 	}
 	l2.Close()
@@ -107,7 +107,7 @@ func TestFileLogCorruptMiddleEndsPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 3; seq++ {
-		if err := l.Append(Record{Kind: KindInsert, Name: "d.xml", Data: []byte("<d/>"), Client: 2, Seq: seq}); err != nil {
+		if err := l.Append(AppendRecord(nil, Record{Kind: KindInsert, Name: "d.xml", Data: []byte("<d/>"), Client: 2, Seq: seq})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,7 +149,7 @@ func TestFileLogReadServesCommittedWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := l.Append(rec(i)); err != nil {
+		if err := l.Append(AppendRecord(nil, rec(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,7 +267,7 @@ func TestSyncedWakesAWaitingReader(t *testing.T) {
 
 	synced = l.Synced()
 	l.syncHook = func(*os.File) error { return errors.New("disk gone") }
-	if err := l.Append(Record{Kind: KindDelete, Name: "a.xml"}); err == nil {
+	if err := l.Append(AppendRecord(nil, Record{Kind: KindDelete, Name: "a.xml"})); err == nil {
 		t.Fatal("append with a failing sync succeeded")
 	}
 	if !closed(synced) || !closed(l.Synced()) {

@@ -31,10 +31,10 @@ func TestGroupCommitSharesSyncs(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = l.Append(Record{
+			errs[i] = l.Append(AppendRecord(nil, Record{
 				Kind: KindInsert, Name: fmt.Sprintf("doc-%d.xml", i),
 				Data: []byte("<d/>"), Client: 1, Seq: uint64(i + 1),
-			})
+			}))
 		}(i)
 	}
 	wg.Wait()

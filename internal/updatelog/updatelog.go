@@ -1,16 +1,18 @@
 // Package updatelog is the one log the repository keeps: the logical redo
-// journal of the served system. A served document update (U1 insert, U2
-// replace, U3 delete) is journaled inside the engine's commit: the server
-// attaches the append of its record to a real file (FileLog.Append) as the
-// update's durable step (core.WithDurable), which the engine runs after
-// the apply and before it publishes the update, so an update is visible
-// and acknowledged only once its fsync returned. Engines keep no log:
-// their pages are process memory, so a crash — simulated or real — ends
-// the process, and recovery is the restart `xbench serve --journal` runs:
+// journal of the served system, and the one form an update takes. A
+// served document update (U1 insert, U2 replace, U3 delete) is one
+// Record from the client to the replica, and it reaches an engine
+// through one method, Applier.Apply, which takes the update's durable
+// step as an argument: the server passes the append of the record's
+// bytes to a real file (FileLog.Append), which the engine runs after the
+// apply and before it publishes the update, so an update is visible and
+// acknowledged only once its fsync returned. Engines keep no log: their
+// pages are process memory, so a crash — simulated or real — ends the
+// process, and recovery is the restart `xbench serve --journal` runs:
 // server.Reopen loads the database into a fresh engine, re-applies the
-// committed records in order through its update methods (Apply) and seeds
-// the dedup table from their keys. Replay is deterministic because each
-// update was validated against the very prefix state replay reconstructs.
+// committed records in order through Apply (Replay) and seeds the dedup
+// table from their keys. Replay is deterministic because each update was
+// validated against the very prefix state replay reconstructs.
 package updatelog
 
 import (
@@ -36,6 +38,9 @@ const (
 	// KindDelete is a U3 document delete.
 	KindDelete Kind = 3
 )
+
+// Valid reports whether k is one of U1–U3.
+func (k Kind) Valid() bool { return k >= KindInsert && k <= KindDelete }
 
 // String returns the update-workload name of the kind.
 func (k Kind) String() string {
@@ -127,7 +132,7 @@ func decodeRecord(buf []byte) (Record, int, bool) {
 		return Record{}, 0, false
 	}
 	r := Record{Kind: Kind(buf[4])}
-	if r.Kind < KindInsert || r.Kind > KindDelete {
+	if !r.Kind.Valid() {
 		return Record{}, 0, false
 	}
 	r.Client = binary.BigEndian.Uint64(buf[5:13])
@@ -179,30 +184,41 @@ func Decode(buf []byte) ([]Record, int) {
 	return recs, n
 }
 
-// ApplyTo applies r to e through the engine's update method of its
-// kind: the one place an update's kind becomes an engine call, for the
-// server, the replay of a journal and the update workload alike. A
-// record of a kind it does not know is an error, applied as nothing.
-func (r Record) ApplyTo(ctx context.Context, e core.Engine) error {
-	switch r.Kind {
-	case KindInsert:
-		return e.InsertDocument(ctx, r.Name, r.Data)
-	case KindReplace:
-		return e.ReplaceDocument(ctx, r.Name, r.Data)
-	case KindDelete:
-		return e.DeleteDocument(ctx, r.Name)
-	}
-	return errors.New("unknown record kind")
+// Applier is the optional extension to core.Engine through which every
+// update reaches an engine — served, replayed, replicated, and the update
+// workload's — and onto which core.Engine's three update methods are
+// adapters. It is optional, like core.Explainer, because the benchmark's
+// own engines hold core.Engine's method set.
+type Applier interface {
+	// Apply applies rec whole or not at all. durable, when not nil, is
+	// the update's durable step — a served update's journal append and
+	// sync — which runs once the update is applied and before any reader
+	// can see it; a failing step fails the update like a failed apply.
+	// rec's key is the update's identity on a served engine.
+	Apply(ctx context.Context, rec Record, durable func() error) error
 }
 
-// Apply re-applies committed records, in commit order, through an
-// engine's public update methods: the replay half of the server's restart
-// path (server.Reopen) and of a replica's journal shipping. A record of a
-// kind it does not know stops the replay with an error, before anything
-// of it is applied.
-func Apply(ctx context.Context, e core.Engine, recs []Record) error {
+// Apply applies rec to e through its Applier. A record of a kind outside
+// U1–U3 is an error naming the kind, and an engine that is not an Applier
+// declines every update with core.ErrReadOnly.
+func Apply(ctx context.Context, e core.Engine, rec Record, durable func() error) error {
+	if !rec.Kind.Valid() {
+		return fmt.Errorf("updatelog: %s is not an update kind", rec.Kind)
+	}
+	a, ok := e.(Applier)
+	if !ok {
+		return fmt.Errorf("updatelog: %s: %w", e.Name(), core.ErrReadOnly)
+	}
+	return a.Apply(ctx, rec, durable)
+}
+
+// Replay re-applies committed records, in commit order, through Apply
+// with no durable step: the replay half of the server's restart path
+// (server.Reopen) and of a replica's journal shipping. A failed record
+// stops the replay with an error.
+func Replay(ctx context.Context, e core.Engine, recs []Record) error {
 	for _, r := range recs {
-		if err := r.ApplyTo(ctx, e); err != nil {
+		if err := Apply(ctx, e, r, nil); err != nil {
 			return fmt.Errorf("updatelog: replay %s %q: %w", r.Kind, r.Name, err)
 		}
 	}

@@ -116,9 +116,9 @@ func TestDecodeWindow(t *testing.T) {
 // TestApplyRejectsUnknownKind: a record of a kind outside U1-U3 is an
 // error that names the kind, never a record silently applied as nothing.
 func TestApplyRejectsUnknownKind(t *testing.T) {
-	err := Apply(context.Background(), nil, []Record{{Kind: 9, Name: "x.xml"}})
+	err := Replay(context.Background(), nil, []Record{{Kind: 9, Name: "x.xml"}})
 	if err == nil || !strings.Contains(err.Error(), "Kind(9)") {
-		t.Fatalf("Apply of kind 9 = %v, want an error naming the kind", err)
+		t.Fatalf("Replay of kind 9 = %v, want an error naming the kind", err)
 	}
 }
 

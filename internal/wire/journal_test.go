@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -37,7 +36,7 @@ func shipWindow(t *testing.T, recs []updatelog.Record) []byte {
 	}
 	defer l.Close()
 	for _, r := range recs {
-		if err := l.Append(r); err != nil {
+		if err := l.Append(updatelog.AppendRecord(nil, r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,20 +104,5 @@ func TestJournalPullResponseRejectsUnknownKind(t *testing.T) {
 		if len(out) != 1 || !reflect.DeepEqual(out[0], insert) || n >= size {
 			t.Errorf("a record of kind %d after an insert: %+v in %d of %d bytes, want the insert alone", kind, out, n, size)
 		}
-	}
-}
-
-func TestContextIdemKey(t *testing.T) {
-	ctx := context.Background()
-	if k := ContextIdemKey(ctx); k.Valid() {
-		t.Fatalf("bare context carries key %v", k)
-	}
-	key := IdemKey{Client: 11, Seq: 42}
-	if got := ContextIdemKey(WithIdemKey(ctx, key)); got != key {
-		t.Fatalf("got %v, want %v", got, key)
-	}
-	// Invalid keys are not attached.
-	if got := ContextIdemKey(WithIdemKey(ctx, IdemKey{Seq: 9})); got.Valid() {
-		t.Fatalf("invalid key attached: %v", got)
 	}
 }

@@ -225,9 +225,6 @@ type IdemKey struct {
 	Seq    uint64
 }
 
-// Valid reports whether the key identifies an update (non-zero client).
-func (k IdemKey) Valid() bool { return k.Client != 0 }
-
 // String formats the key the way journals and logs print it.
 func (k IdemKey) String() string {
 	return fmt.Sprintf("%016x/%d", k.Client, k.Seq)

@@ -9,6 +9,7 @@ import (
 
 	"xbench/internal/core"
 	"xbench/internal/engines/native"
+	"xbench/internal/updatelog"
 )
 
 // TestUpdateWorkload runs U1, U2 and U3 through one Updater on every
@@ -219,32 +220,33 @@ func (s *docStub) Load(context.Context, *core.Database) (core.LoadStats, error) 
 	return core.LoadStats{}, nil
 }
 
-func (s *docStub) InsertDocument(_ context.Context, name string, data []byte) error {
+func (s *docStub) Apply(_ context.Context, rec updatelog.Record, _ func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.docs[name]; ok {
-		return errors.New("document already exists")
-	}
-	s.docs[name] = data
-	return nil
-}
-
-func (s *docStub) ReplaceDocument(_ context.Context, name string, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.drop != U2 {
-		s.docs[name] = data
+	switch {
+	case rec.Kind == updatelog.KindInsert:
+		if _, ok := s.docs[rec.Name]; ok {
+			return errors.New("document already exists")
+		}
+		s.docs[rec.Name] = rec.Data
+	case rec.Kind == updatelog.KindReplace && s.drop != U2:
+		s.docs[rec.Name] = rec.Data
+	case rec.Kind == updatelog.KindDelete && s.drop != U3:
+		delete(s.docs, rec.Name)
 	}
 	return nil
 }
 
-func (s *docStub) DeleteDocument(_ context.Context, name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.drop != U3 {
-		delete(s.docs, name)
-	}
-	return nil
+func (s *docStub) InsertDocument(ctx context.Context, name string, data []byte) error {
+	return s.Apply(ctx, updatelog.Record{Kind: updatelog.KindInsert, Name: name, Data: data}, nil)
+}
+
+func (s *docStub) ReplaceDocument(ctx context.Context, name string, data []byte) error {
+	return s.Apply(ctx, updatelog.Record{Kind: updatelog.KindReplace, Name: name, Data: data}, nil)
+}
+
+func (s *docStub) DeleteDocument(ctx context.Context, name string) error {
+	return s.Apply(ctx, updatelog.Record{Kind: updatelog.KindDelete, Name: name}, nil)
 }
 
 func (s *docStub) Execute(_ context.Context, q core.QueryID, p core.Params) (core.Result, error) {

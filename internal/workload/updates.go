@@ -99,7 +99,7 @@ func (u *Updater) Apply(ctx context.Context, e core.Engine, op UpdateOp) (did Up
 		return op, 0, fmt.Errorf("workload: unknown update op %d", int(op))
 	}
 	t0 := time.Now()
-	err = rec.ApplyTo(ctx, e)
+	err = updatelog.Apply(ctx, e, rec, nil)
 	d = time.Since(t0)
 	if err != nil {
 		return op, d, err
