@@ -188,17 +188,6 @@ func (b Breakdown) PagerIO() int64 {
 	return b.Counters["pager.read"] + b.Counters["pager.write"]
 }
 
-// CacheHitRate returns the buffer-pool hit fraction of the breakdown's
-// page accesses, and false when there were none.
-func (b Breakdown) CacheHitRate() (float64, bool) {
-	hits := b.Counters["pager.hit"]
-	total := hits + b.Counters["pager.read"]
-	if total == 0 {
-		return 0, false
-	}
-	return float64(hits) / float64(total), true
-}
-
 // CounterNames returns the breakdown's counter names, sorted.
 func (b Breakdown) CounterNames() []string {
 	names := make([]string, 0, len(b.Counters))

@@ -80,21 +80,6 @@ func TestSnapshotDelta(t *testing.T) {
 	if _, ok := b.Counters["phase.scan.ns"]; ok {
 		t.Fatal("phase counter leaked into Counters")
 	}
-	hit, ok := b.CacheHitRate()
-	if !ok || hit != 0 {
-		t.Fatalf("hit rate = %v, %v; want 0 (no hits in delta)", hit, ok)
-	}
-}
-
-func TestCacheHitRate(t *testing.T) {
-	b := Breakdown{Counters: map[string]int64{"pager.hit": 9, "pager.read": 1}}
-	hit, ok := b.CacheHitRate()
-	if !ok || hit != 0.9 {
-		t.Fatalf("hit rate = %v, %v; want 0.9", hit, ok)
-	}
-	if _, ok := (Breakdown{Counters: map[string]int64{}}).CacheHitRate(); ok {
-		t.Fatal("hit rate defined with no page accesses")
-	}
 }
 
 func TestHistogramQuantiles(t *testing.T) {

@@ -313,11 +313,11 @@ func TestIdemKeyPassesThroughProxy(t *testing.T) {
 
 // updateAllocCeiling is what one journaled served update allocates
 // through Server.handle over the stub engine: the record's name (the
-// decode), the request's context and timer, the durable step, the
-// journal's batch handle and the rest of the server's path. The ceiling
-// may only fall; a context value or a second encoding of the record
-// would raise it.
-const updateAllocCeiling = 9
+// decode), the request's context and timer, and the rest of the server's
+// path. The journal's commit, one Append, allocates nothing. The ceiling
+// may only fall; a context value, a second encoding of the record, a
+// journal handle or a release func taken per request would raise it.
+const updateAllocCeiling = 7
 
 // TestJournaledUpdateAllocations pins updateAllocCeiling: one OpUpdate
 // through Server.handle on a journaled server, the record journaled and

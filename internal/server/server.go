@@ -105,6 +105,10 @@ type Server struct {
 	ln   net.Listener
 	sem  chan struct{} // admission semaphore, cap MaxInflight
 	done chan struct{} // closed when drain begins
+	// releaseFn is s.release, bound once in New: handle returns it for
+	// every admitted request, and a method value allocates each time it
+	// is taken.
+	releaseFn func()
 
 	reg *metrics.Registry
 	// hOp holds the "wire.<op>" service-time histogram of every op, by
@@ -157,6 +161,7 @@ func New(e core.Engine, cfg Config) *Server {
 		conns:  map[net.Conn]struct{}{},
 		dedup:  newDedupTable(),
 	}
+	s.releaseFn = s.release
 	s.cAccepted = s.reg.Counter("server.conn.accepted")
 	s.cActive = s.reg.Counter("server.conn.active")
 	s.rAdmitted = s.reg.Counter("server.req.admitted")
@@ -548,7 +553,7 @@ func (s *Server) handle(op wire.Op, payload []byte, scratch *[]byte) (wire.Frame
 	if op < wire.NumOps { // an unknown op was answered StatusBadRequest; it has no histogram
 		s.hOp[op].Observe(time.Since(start))
 	}
-	return f, s.release
+	return f, s.releaseFn
 }
 
 // execute runs an admitted request against the engine. A replica whose
@@ -657,11 +662,11 @@ func (s *Server) pullJournal(payload []byte) (wire.Frame, func()) {
 		s.hOp[wire.OpJournal].Observe(time.Since(start))
 		switch {
 		case errors.Is(err, updatelog.ErrPosition):
-			return badRequest(err), s.release
+			return badRequest(err), s.releaseFn
 		case err != nil:
-			return errFrame(err), s.release
+			return errFrame(err), s.releaseFn
 		}
-		return okFrame(window), s.release
+		return okFrame(window), s.releaseFn
 	}
 }
 

@@ -124,51 +124,6 @@ func (z *Zipf) Mean() float64 {
 }
 func (z *Zipf) String() string { return fmt.Sprintf("Zipf(n=%d,s=%g)", z.N, z.S) }
 
-// Categorical draws an index 0..len(Weights)-1 with the given weights.
-// It models "probability distribution of instance occurrences of immediate
-// child elements to a parent element" for small discrete choices.
-type Categorical struct {
-	Weights []float64
-	total   float64
-}
-
-// NewCategorical builds a categorical distribution; weights need not sum
-// to 1. It panics on empty or non-positive total weight.
-func NewCategorical(weights ...float64) *Categorical {
-	c := &Categorical{Weights: weights}
-	for _, w := range weights {
-		if w < 0 {
-			panic("stats: negative categorical weight")
-		}
-		c.total += w
-	}
-	if len(weights) == 0 || c.total <= 0 {
-		panic("stats: categorical needs positive total weight")
-	}
-	return c
-}
-
-func (c *Categorical) Draw(r *RNG) float64 {
-	u := r.Float64() * c.total
-	acc := 0.0
-	for i, w := range c.Weights {
-		acc += w
-		if u < acc {
-			return float64(i)
-		}
-	}
-	return float64(len(c.Weights) - 1)
-}
-func (c *Categorical) Bounds() (float64, float64) { return 0, float64(len(c.Weights) - 1) }
-func (c *Categorical) Mean() float64 {
-	m := 0.0
-	for i, w := range c.Weights {
-		m += float64(i) * w / c.total
-	}
-	return m
-}
-func (c *Categorical) String() string { return fmt.Sprintf("Categorical(%d)", len(c.Weights)) }
-
 func clamp(x, lo, hi float64) float64 {
 	if x < lo {
 		return lo

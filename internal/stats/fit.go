@@ -125,14 +125,6 @@ func (h *Histogram) Add(v int) { h.counts[v]++; h.total++ }
 // Total returns the number of observations.
 func (h *Histogram) Total() int { return h.total }
 
-// Freq returns the relative frequency of v.
-func (h *Histogram) Freq(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[v]) / float64(h.total)
-}
-
 // Values returns the observed values in ascending order.
 func (h *Histogram) Values() []int {
 	vs := make([]int, 0, len(h.counts))

@@ -103,8 +103,3 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
-
-// Pick returns a uniformly chosen element of items.
-func Pick[T any](r *RNG, items []T) T {
-	return items[r.Intn(len(items))]
-}

@@ -124,20 +124,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestPick(t *testing.T) {
-	r := NewRNG(13)
-	items := []string{"a", "b", "c"}
-	counts := map[string]int{}
-	for i := 0; i < 3000; i++ {
-		counts[Pick(r, items)]++
-	}
-	for _, it := range items {
-		if counts[it] < 700 {
-			t.Fatalf("Pick starved %q: %v", it, counts)
-		}
-	}
-}
-
 func TestUniformStats(t *testing.T) {
 	r := NewRNG(1)
 	d := Uniform{10, 20}
@@ -205,37 +191,6 @@ func TestZipfSkew(t *testing.T) {
 	lo, hi := z.Bounds()
 	if lo != 1 || hi != 100 {
 		t.Fatalf("Zipf bounds = %g,%g", lo, hi)
-	}
-}
-
-func TestCategorical(t *testing.T) {
-	r := NewRNG(8)
-	c := NewCategorical(1, 0, 3)
-	counts := make([]int, 3)
-	for i := 0; i < 8000; i++ {
-		counts[int(c.Draw(r))]++
-	}
-	if counts[1] != 0 {
-		t.Fatalf("zero-weight category drawn %d times", counts[1])
-	}
-	if counts[2] < counts[0]*2 {
-		t.Fatalf("weights not respected: %v", counts)
-	}
-	if m := c.Mean(); math.Abs(m-1.5) > 1e-9 {
-		t.Fatalf("Categorical mean = %g, want 1.5", m)
-	}
-}
-
-func TestCategoricalPanics(t *testing.T) {
-	for _, weights := range [][]float64{{}, {0, 0}, {-1, 2}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewCategorical(%v) did not panic", weights)
-				}
-			}()
-			NewCategorical(weights...)
-		}()
 	}
 }
 

@@ -3,23 +3,22 @@
 // OOM, power) loses no acknowledged record; server.Reopen reads the
 // committed prefix back after one.
 //
-// A commit is two calls (DESIGN.md §13). Enqueue writes the record to the
-// file under the log's mutex, which fixes its place in the journal, and
-// returns a handle holding the offset just past it. WaitDurable fsyncs
-// through that offset, one sync at a time: a writer that finds an
-// earlier sync already covered its record returns without one, so a
-// sync commits every record written before it began. The durability
-// contract is fsync-per-record's: WaitDurable returning nil means the
-// record survives a process kill.
+// A commit is one call (DESIGN.md §13). Append writes the record to the
+// file and fsyncs it under the log's writer lock, so records lie in the
+// file in the order their Appends ran and each has a sync of its own;
+// only once that sync returned does the durable mark move past it.
+// Append returning nil means the record survives a process kill.
 //
 // The file is also the only copy of the shipped journal: Read serves a
 // window of the synced records by reading the file back, byte for byte,
 // so journal shipping (server OpJournal) keeps nothing of an update in
 // the primary's memory and a replica checks every record it is sent
 // against the checksum it was written with. The log's memory does not
-// grow with the journal: two marks, written and durable. A reader caught
-// up at the durable end waits on Synced for the next commit instead of
-// asking again on a timer.
+// grow with the journal: one mark, the durable end. Read, Records and
+// Synced take only the lock that guards it, never the writer lock, so a
+// journal pull never waits behind an fsync. A reader caught up at the
+// durable end waits on Synced for the next commit instead of asking
+// again on a timer.
 package updatelog
 
 import (
@@ -32,11 +31,10 @@ import (
 	"sync/atomic"
 )
 
-// Batch is the handle Enqueue returns: the journal offset just past its
-// record. The sync that makes the record durable makes every record
-// before it durable too, and WaitDurable on any of their handles finds
-// that sync's outcome.
-type Batch struct{ end int64 }
+// Batch is what Enqueue returns, and holds nothing. It is kept, with
+// Enqueue and WaitDurable, for benchmarks/e2e's journal probe until
+// ROADMAP item 1 moves the probe to Append.
+type Batch struct{}
 
 // A mark is a place in the journal: the offset just past a record and
 // the number of records up to there.
@@ -51,25 +49,24 @@ type mark struct {
 var ErrPosition = errors.New("updatelog: position not in this journal")
 
 // FileLog is an append-only journal on the real filesystem. It is safe
-// for concurrent Enqueue and WaitDurable. The server's update path calls
-// Append inside the engine's commit, under its update mutex, so journal
-// order is apply order and each served update syncs by itself; writers
-// that wait for durability outside a lock share syncs.
+// for concurrent use. The server's update path calls Append inside the
+// engine's commit, under its update mutex, so journal order is apply
+// order.
 type FileLog struct {
-	mu   sync.Mutex
-	f    *os.File
 	path string
-	// written ends the last record written; durable the last one
-	// recovered or covered by a sync that returned. Records and Read
-	// show only the durable prefix, the watermark journal shipping may
-	// show a replica.
-	written, durable mark
-	broken           error // first write/sync failure; poisons later appends
+	wmu  sync.Mutex // held across an append's write and sync, and by Close
+
+	mu sync.Mutex // guards what follows; never held across a write or sync
+	f  *os.File
+	// durable ends the last record recovered or appended whose sync
+	// returned. Records and Read show only this prefix, the watermark
+	// journal shipping may show a replica.
+	durable mark
+	broken  error // first write/sync failure; poisons later appends
 	// synced is Synced's channel, nil while nobody waits (so a commit
 	// with no reader allocates nothing).
 	synced chan struct{}
 
-	smu      sync.Mutex // held across a sync: one at a time
 	syncs    atomic.Int64
 	syncHook func(*os.File) error // test seam; nil means (*os.File).Sync
 }
@@ -100,8 +97,7 @@ func OpenFile(path string) (*FileLog, []Record, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("updatelog: seek %s: %w", path, err)
 	}
-	end := mark{int64(committed), len(recs)}
-	return &FileLog{f: f, path: path, written: end, durable: end}, recs, nil
+	return &FileLog{f: f, path: path, durable: mark{int64(committed), len(recs)}}, recs, nil
 }
 
 // Records returns the number of records committed so far (recovered plus
@@ -188,9 +184,8 @@ func (l *FileLog) wake() {
 	}
 }
 
-// Syncs returns the number of disk syncs issued so far. With concurrent
-// writers it may grow slower than Records(): one sync covers every
-// record written before it.
+// Syncs returns the number of disk syncs issued so far: one per Append
+// that got its record written.
 func (l *FileLog) Syncs() int64 { return l.syncs.Load() }
 
 func (l *FileLog) doSync(f *os.File) error {
@@ -203,104 +198,62 @@ func (l *FileLog) doSync(f *os.File) error {
 
 // Append journals one record, given as its encoding — AppendRecord's
 // bytes, or those DecodeOne accepted from a served update's request —
-// and waits for it to be durable. The sync is the commit point: once
-// Append returns nil the record survives a process kill and Reopen will
-// replay it; on error the record is torn or absent and recovery treats
-// the update as never acknowledged.
+// by writing it to the file and syncing it. The sync is the commit
+// point: once Append returns nil the record survives a process kill and
+// Reopen will replay it; on error the record is torn or absent and
+// recovery treats the update as never acknowledged.
 func (l *FileLog) Append(enc []byte) error {
-	b, err := l.write(enc)
-	if err != nil {
-		return err
-	}
-	return l.WaitDurable(b)
-}
-
-// Enqueue writes one record to the journal file and returns its handle.
-// The record's position in the journal is fixed here — a caller that
-// holds no lock across the sync may release its ordering lock before
-// WaitDurable and share the sync with other writers. The record is NOT
-// durable until WaitDurable on the returned handle succeeds.
-func (l *FileLog) Enqueue(r Record) (*Batch, error) {
-	return l.write(AppendRecord(nil, r))
-}
-
-// write appends one record's encoding to the file under the log's mutex
-// and returns its handle.
-func (l *FileLog) write(enc []byte) (*Batch, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	// f and broken change only under wmu, which this call holds.
 	if l.f == nil {
-		return nil, errors.New("updatelog: append on closed file log")
+		return errors.New("updatelog: append on closed file log")
 	}
 	if l.broken != nil {
 		// An earlier write or sync failed; anything appended after it
 		// could sit behind a torn record and silently vanish from the
 		// committed prefix on recovery. Refuse instead.
-		return nil, fmt.Errorf("updatelog: journal poisoned by earlier failure: %w", l.broken)
+		return fmt.Errorf("updatelog: journal poisoned by earlier failure: %w", l.broken)
 	}
 	n, err := l.f.Write(enc)
 	if err != nil {
-		l.broken = fmt.Errorf("updatelog: append %s: %w", l.path, err)
-		l.wake()
-		return nil, l.broken
+		err = fmt.Errorf("updatelog: append %s: %w", l.path, err)
+	} else if err = l.doSync(l.f); err != nil {
+		err = fmt.Errorf("updatelog: commit sync %s: %w", l.path, err)
 	}
-	l.written = mark{l.written.off + int64(n), l.written.n + 1}
-	return &Batch{end: l.written.off}, nil
-}
-
-// WaitDurable returns once b's record is on disk, or with the error that
-// kept it from getting there. It syncs the file unless a sync that
-// returned already covered the record; a sync covers every record
-// written before it began, so writers waiting together share it.
-func (l *FileLog) WaitDurable(b *Batch) error {
-	l.smu.Lock()
-	defer l.smu.Unlock()
-	l.mu.Lock()
-	if l.durable.off >= b.end {
-		l.mu.Unlock()
-		return nil
-	}
-	f, written, broken := l.f, l.written, l.broken
-	l.mu.Unlock()
-	switch {
-	case broken != nil:
-		return fmt.Errorf("updatelog: journal poisoned by earlier failure: %w", broken)
-	case f == nil:
-		return errors.New("updatelog: sync on closed file log")
-	}
-	err := l.doSync(f)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err != nil {
-		err = fmt.Errorf("updatelog: commit sync %s: %w", l.path, err)
-		if l.broken == nil {
-			l.broken = err
-		}
-		l.wake()
-		return err
+		l.broken = err
+	} else {
+		l.durable = mark{l.durable.off + int64(n), l.durable.n + 1}
 	}
-	l.durable = written
 	l.wake()
-	return nil
+	return err
 }
 
-// Close syncs what was written and not yet synced, then releases the
-// file handle. Committed records stay on disk for the next Reopen.
+// Enqueue appends r with Append, which syncs it. It is kept for
+// benchmarks/e2e's journal probe until ROADMAP item 1.
+func (l *FileLog) Enqueue(r Record) (*Batch, error) {
+	return nil, l.Append(AppendRecord(nil, r))
+}
+
+// WaitDurable returns nil: the Enqueue before it synced its record. It
+// is kept for benchmarks/e2e's journal probe until ROADMAP item 1.
+func (l *FileLog) WaitDurable(*Batch) error { return nil }
+
+// Close releases the file handle, after any Append under way. It issues
+// no sync: every record Append acknowledged is already on disk for the
+// next Reopen.
 func (l *FileLog) Close() error {
-	l.smu.Lock()
-	defer l.smu.Unlock()
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return nil
 	}
-	var err error
-	if l.broken == nil && l.durable.off < l.written.off {
-		if err = l.doSync(l.f); err == nil {
-			l.durable = l.written
-		}
-	}
-	err = errors.Join(err, l.f.Close())
+	err := l.f.Close()
 	l.f = nil
 	l.wake()
 	return err

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestFileLogAppendReopen: records (including idempotency keys) survive
@@ -134,10 +135,10 @@ func TestFileLogCorruptMiddleEndsPrefix(t *testing.T) {
 
 // TestFileLogReadServesCommittedWindows: Read returns windows of the
 // committed journal straight from the file — recovered records and ones
-// appended in groups this run alike — as whole records under the byte
-// cap (a longer record by itself), never shows a record whose sync has
-// not returned — neither before its sync starts nor while it runs — and
-// refuses a position the journal does not hold.
+// appended this run alike — as whole records under the byte cap (a
+// longer record by itself), never shows a record whose sync has not
+// returned, even while that sync runs, and refuses a position the
+// journal does not hold.
 func TestFileLogReadServesCommittedWindows(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal")
 	rec := func(i int) Record {
@@ -159,33 +160,35 @@ func TestFileLogReadServesCommittedWindows(t *testing.T) {
 	}
 	defer l.Close()
 
-	// Three more behind a sync that has not returned yet.
-	syncing, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
+	// A fourth whose Append is parked in its sync: Read, which never
+	// waits behind a sync, shows the recovered three and not it.
+	recovered := size(0) + size(1) + size(2)
+	syncing, parked := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(parked) })
+	defer release() // a failed check must not leave Close waiting on the parked Append
 	l.syncHook = func(f *os.File) error {
-		once.Do(func() { close(syncing) })
-		<-release
+		close(syncing)
+		<-parked
 		return f.Sync()
 	}
-	var batch *Batch
-	for i := 3; i < 6; i++ {
-		if batch, err = l.Enqueue(rec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recovered := size(0) + size(1) + size(2)
-	if got, err := l.Read(0, 0, 1<<20); err != nil || len(got) != recovered {
-		t.Fatalf("Read before the sync = %d bytes, %v; want the %d of the 3 recovered records", len(got), err, recovered)
-	}
-	durable := make(chan error, 1)
-	go func() { durable <- l.WaitDurable(batch) }()
+	appended := make(chan error, 1)
+	go func() { appended <- l.Append(AppendRecord(nil, rec(3))) }()
 	<-syncing
 	if got, err := l.Read(0, 0, 1<<20); err != nil || len(got) != recovered {
 		t.Fatalf("Read during the sync = %d bytes, %v; want the %d of the 3 recovered records", len(got), err, recovered)
 	}
-	close(release)
-	if err := <-durable; err != nil {
+	if n := l.Records(); n != 3 {
+		t.Fatalf("Records() during the sync = %d, want the 3 recovered", n)
+	}
+	release()
+	if err := <-appended; err != nil {
 		t.Fatal(err)
+	}
+	l.syncHook = nil
+	for i := 4; i < 6; i++ {
+		if err := l.Append(AppendRecord(nil, rec(i))); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Walk the journal in windows under each cap, naming each position by
@@ -233,9 +236,10 @@ func TestFileLogReadServesCommittedWindows(t *testing.T) {
 	}
 }
 
-// TestSyncedWakesAWaitingReader: the channel Synced hands out closes on
-// the next sync, and not before; on a poisoned log it closes at once and
-// a read at the durable end says why; on a closed log it closes at once.
+// TestSyncedWakesAWaitingReader: the channel Synced hands out closes once
+// the next Append's sync returned, and not while it runs; on a poisoned
+// log it closes at once, a read at the durable end says why and a later
+// Append is refused; on a closed log it closes at once.
 func TestSyncedWakesAWaitingReader(t *testing.T) {
 	closed := func(ch <-chan struct{}) bool {
 		select {
@@ -251,14 +255,24 @@ func TestSyncedWakesAWaitingReader(t *testing.T) {
 	}
 	defer l.Close()
 	synced := l.Synced()
-	b, err := l.Enqueue(Record{Kind: KindInsert, Name: "a.xml", Data: []byte("<a/>")})
-	if err != nil {
-		t.Fatal(err)
+	syncing, parked := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(parked) })
+	defer release() // a failed check must not leave Close waiting on the parked Append
+	l.syncHook = func(f *os.File) error {
+		close(syncing)
+		<-parked
+		return f.Sync()
 	}
+	appended := make(chan error, 1)
+	go func() {
+		appended <- l.Append(AppendRecord(nil, Record{Kind: KindInsert, Name: "a.xml", Data: []byte("<a/>")}))
+	}()
+	<-syncing
 	if closed(synced) {
-		t.Fatal("Synced woke on a write that is not durable yet")
+		t.Fatal("Synced woke on a record whose sync has not returned")
 	}
-	if err := l.WaitDurable(b); err != nil {
+	release()
+	if err := <-appended; err != nil {
 		t.Fatal(err)
 	}
 	if !closed(synced) {
@@ -273,16 +287,125 @@ func TestSyncedWakesAWaitingReader(t *testing.T) {
 	if !closed(synced) || !closed(l.Synced()) {
 		t.Fatal("Synced did not wake on the poisoned log")
 	}
+	l.syncHook = nil
+	if err := l.Append(AppendRecord(nil, Record{Kind: KindInsert, Name: "b.xml", Data: []byte("<b/>")})); err == nil || !strings.Contains(err.Error(), "poisoned") {
+		t.Fatalf("Append after a failed sync = %v, want the poisoning named", err)
+	}
 	end := uint64(len(AppendRecord(nil, Record{Kind: KindInsert, Name: "a.xml", Data: []byte("<a/>")})))
 	if _, err := l.Read(end, 0, 1<<20); err == nil || !strings.Contains(err.Error(), "poisoned") {
 		t.Fatalf("Read at the durable end of a poisoned log = %v, want the poisoning named", err)
 	}
 
-	l.syncHook = nil
 	l.broken = nil
 	synced = l.Synced()
 	l.Close()
 	if !closed(synced) || !closed(l.Synced()) {
 		t.Fatal("Synced did not wake on Close")
+	}
+}
+
+// TestConcurrentWritersSyncEachRecord: 32 writers append at once behind
+// a slow sync. Every acknowledged record is on disk exactly once after a
+// reopen, each was committed by a sync of its own (Syncs() ==
+// Records()), and Close adds no sync.
+func TestConcurrentWritersSyncEachRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	l, _, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.syncHook = func(f *os.File) error {
+		time.Sleep(2 * time.Millisecond) // long enough for the others to queue behind it
+		return f.Sync()
+	}
+
+	const writers = 32
+	var wg sync.WaitGroup
+	errs := make([]error, writers)
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = l.Append(AppendRecord(nil, Record{
+				Kind: KindInsert, Name: fmt.Sprintf("doc-%d.xml", i),
+				Data: []byte("<d/>"), Client: 1, Seq: uint64(i + 1),
+			}))
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("writer %d: %v", i, err)
+		}
+	}
+	if got := l.Records(); got != writers {
+		t.Fatalf("Records() = %d, want %d", got, writers)
+	}
+	if syncs := l.Syncs(); syncs != int64(l.Records()) {
+		t.Fatalf("%d records committed by %d syncs; each record must have its own", l.Records(), syncs)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if syncs := l.Syncs(); syncs != writers {
+		t.Fatalf("Close issued %d syncs", syncs-writers)
+	}
+
+	l2, recs, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if len(recs) != writers {
+		t.Fatalf("reopen found %d records, want %d", len(recs), writers)
+	}
+	seen := map[uint64]bool{}
+	for _, r := range recs {
+		if seen[r.Seq] {
+			t.Fatalf("seq %d journaled twice", r.Seq)
+		}
+		seen[r.Seq] = true
+	}
+}
+
+// TestGroupCommitEnqueueOrderIsJournalOrder: Enqueue, kept for the
+// benchmark's journal probe, appends: records land in the file in
+// Enqueue order, and WaitDurable on their handles, in any order, fails
+// none.
+func TestGroupCommitEnqueueOrderIsJournalOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	l, _, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 50
+	batches := make([]*Batch, n)
+	for i := 0; i < n; i++ {
+		b, err := l.Enqueue(Record{Kind: KindInsert, Name: fmt.Sprintf("d%d", i), Seq: uint64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches[i] = b
+	}
+	for i := n - 1; i >= 0; i-- { // wait in reverse; order must not care
+		if err := l.WaitDurable(batches[i]); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, recs, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if len(recs) != n {
+		t.Fatalf("reopen found %d records, want %d", len(recs), n)
+	}
+	for i, r := range recs {
+		if r.Seq != uint64(i) {
+			t.Fatalf("record %d has seq %d: journal order diverged from enqueue order", i, r.Seq)
+		}
 	}
 }
