@@ -250,30 +250,19 @@ func setupChaos(fs *flag.FlagSet) func() error {
 	sizeStr := sizeFlag(fs)
 	g := genFlags(fs)
 	seed := seedFlag(fs)
-	crashes := fs.Int("crashes", 3, "crash points per engine x class cell")
+	crashes := fs.Int("crashes", 3, "crash points per phase of a cell: the load and, on the multi-document classes, each of U1-U3")
 	readRate := fs.Float64("read-error-rate", 0, "transient read-fault probability during the restart (0 = default, negative = off)")
-	updates := fs.Bool("updates", false, "also run the crash-during-update grid (U1-U3 on the multi-document classes)")
-	updatesOnly := fs.Bool("updates-only", false, "run only the crash-during-update grid")
 	return func() error {
 		size, err := core.ParseSize(*sizeStr)
 		if err != nil {
 			return err
 		}
 		r := bench.NewRunner(g.config(), []core.Size{size}, os.Stdout)
-		cfg := chaos.Config{
+		return r.ChaosGrid(chaos.Config{
 			Seed:          *seed,
 			CrashPoints:   *crashes,
 			ReadErrorRate: *readRate,
-		}
-		if !*updatesOnly {
-			if err := r.ChaosGrid(cfg); err != nil {
-				return err
-			}
-		}
-		if *updates || *updatesOnly {
-			return r.UpdateChaosGrid(cfg)
-		}
-		return nil
+		})
 	}
 }
 

@@ -5,16 +5,7 @@ import (
 
 	"xbench/internal/chaos"
 	"xbench/internal/core"
-	"xbench/internal/workload"
 )
-
-// crashColumn is one column of a chaos grid: its label, the class whose
-// database its cells load, and the harness run that fills one cell.
-type crashColumn struct {
-	label string
-	class core.Class
-	run   func(newEngine func() core.Engine, db *core.Database) (cell fmt.Stringer, err error)
-}
 
 // ChaosGrid runs the chaos harness over every engine x class at the
 // runner's first (smallest) size, printing one cell per combination:
@@ -22,60 +13,28 @@ type crashColumn struct {
 // "FAIL" (with a detail line below the table) otherwise. It returns an
 // error if any cell failed, so callers can gate CI on it.
 func (r *Runner) ChaosGrid(cfg chaos.Config) error {
-	var columns []crashColumn
-	for _, class := range columnClasses {
-		run := func(newEngine func() core.Engine, db *core.Database) (fmt.Stringer, error) {
-			out := chaos.RunCell(newEngine, db, cfg)
-			return out, out.Err
-		}
-		columns = append(columns, crashColumn{class.Code(), class, run})
-	}
-	return r.crashGrid("crash/recovery", cfg, columns)
-}
-
-// UpdateChaosGrid runs the update chaos harness the same way over every
-// engine x multi-document class (where a document is the natural update
-// unit) x update op; a passing cell reads
-// "ok:<crashes>c<committed>+<rolledback>".
-func (r *Runner) UpdateChaosGrid(cfg chaos.Config) error {
-	var columns []crashColumn
-	for _, class := range []core.Class{core.DCMD, core.TCMD} {
-		for _, op := range workload.UpdateOps {
-			run := func(newEngine func() core.Engine, db *core.Database) (fmt.Stringer, error) {
-				out := chaos.RunUpdateCell(newEngine, db, op, cfg)
-				return out, out.Err
-			}
-			columns = append(columns, crashColumn{fmt.Sprintf("%s %s", class.Code(), op), class, run})
-		}
-	}
-	return r.crashGrid("crash-during-update", cfg, columns)
-}
-
-// crashGrid prints one chaos grid: a row per engine, a cell per column,
-// then a FAIL line per failed cell.
-func (r *Runner) crashGrid(what string, cfg chaos.Config, columns []crashColumn) error {
 	cfg = cfg.WithDefaults()
 	size := r.Sizes[0]
-	fmt.Fprintf(r.Out, "\nChaos: %s grid (size %s, seed %d, %d crash points)\n",
-		what, size, cfg.Seed, cfg.CrashPoints)
+	fmt.Fprintf(r.Out, "\nChaos: crash/recovery grid (size %s, seed %d, %d crash points per phase)\n",
+		size, cfg.Seed, cfg.CrashPoints)
 	fmt.Fprintf(r.Out, "%-12s", "")
-	for _, c := range columns {
-		fmt.Fprintf(r.Out, " %-10s", c.label)
+	for _, class := range columnClasses {
+		fmt.Fprintf(r.Out, " %-10s", class.Code())
 	}
 	fmt.Fprintln(r.Out)
 
 	var failures []string
 	for _, name := range r.engineNames() {
 		fmt.Fprintf(r.Out, "%-12s", name)
-		for _, c := range columns {
-			db, err := r.Database(c.class, size)
-			var cell fmt.Stringer = chaos.Outcome{Err: err}
+		for _, class := range columnClasses {
+			db, err := r.Database(class, size)
+			out := chaos.Outcome{Err: err}
 			if err == nil {
-				cell, err = c.run(func() core.Engine { return r.newEngine(name) }, db)
+				out = chaos.RunCell(func() core.Engine { return r.newEngine(name) }, db, cfg)
 			}
-			fmt.Fprintf(r.Out, " %-10s", cell)
-			if err != nil {
-				failures = append(failures, fmt.Sprintf("%s/%s: %v", name, c.label, err))
+			fmt.Fprintf(r.Out, " %-10s", out)
+			if out.Err != nil {
+				failures = append(failures, fmt.Sprintf("%s/%s: %v", name, class.Code(), out.Err))
 			}
 		}
 		fmt.Fprintln(r.Out)
@@ -84,7 +43,7 @@ func (r *Runner) crashGrid(what string, cfg chaos.Config, columns []crashColumn)
 		fmt.Fprintf(r.Out, "FAIL %s\n", f)
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("bench: %s grid: %d cell(s) failed", what, len(failures))
+		return fmt.Errorf("bench: chaos grid: %d cell(s) failed", len(failures))
 	}
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"xbench/internal/chaos"
 	"xbench/internal/client"
 	"xbench/internal/core"
 	"xbench/internal/server"
@@ -92,22 +91,6 @@ func TestUpdatesReportRejectsSingleDocumentClass(t *testing.T) {
 	r := tinyRunner(&buf)
 	if err := r.UpdatesReport(core.TCSD); err == nil {
 		t.Fatal("single-document class accepted")
-	}
-}
-
-// TestUpdateChaosGridSmoke runs the full update chaos grid the way `make
-// verify` does, on the tiny dataset with few crash points.
-func TestUpdateChaosGridSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	r := tinyRunner(&buf)
-	if err := r.UpdateChaosGrid(chaos.Config{Seed: 3, CrashPoints: 2}); err != nil {
-		t.Fatalf("%v\n%s", err, buf.String())
-	}
-	out := buf.String()
-	for _, want := range []string{"crash-during-update", "dcmd U1", "tcmd U3", "ok:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("grid output missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -1,29 +1,34 @@
-// Package chaos is the fault-injection harness: it crashes an engine at
-// deterministic points and then does what the served system does after a
-// crash — it restarts. A crash halts the pager's I/O for good (its disk is
-// process memory, so the crashed engine is a dead process); what comes
-// back is a fresh engine that loads the database and, for updates, replays
-// the server's journal file through server.Reopen, exactly as
+// Package chaos is the fault-injection harness: it crashes a served engine
+// at deterministic points and then does what the served system does after
+// a crash — it restarts. A crash halts the pager's I/O for good (its disk
+// is process memory, so the crashed engine is a dead process); what comes
+// back is a fresh engine that Reopens the server's journal file
+// (server.Reopen: load, replay, index rebuild), exactly as
 // `xbench serve --journal` restarts. The harness then requires every
-// answer to be one the fault-free system gives. It is the executable proof
-// of the recovery invariants in DESIGN.md §7 ("Fault model and
-// recovery") for all four engines.
+// answer to be the one the fault-free system gives in the state the
+// acknowledgments imply. It is the executable proof of the recovery
+// invariants in DESIGN.md §7 ("Fault model and recovery") for all four
+// engines.
 //
-// The load grid (RunCell) crashes inside a bulk load: the crash must
-// surface as a crash and the dead engine must answer nothing, and a fresh
-// engine loaded under transient read faults must answer every workload
-// query bit for bit like the baseline. The update grid (updates.go)
-// crashes inside an update a loopback client sent to a journaled server.
+// One cell (RunCell) is one engine on one database, and every crash point
+// of it is one served life: server.Reopen over a fresh journal is the
+// load, then, on a multi-document class, a loopback client sends U1, U2
+// and U3 through one workload.Updater. The crash points lie inside the
+// load and inside each update.
 package chaos
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 
+	"xbench/internal/client"
 	"xbench/internal/core"
 	"xbench/internal/pager"
+	"xbench/internal/server"
 	"xbench/internal/workload"
 )
 
@@ -36,11 +41,12 @@ type Faultable interface {
 
 // Config controls one chaos run.
 type Config struct {
-	// Seed drives the deterministic fault streams; every crash point n
-	// re-seeds with Seed+n so runs are reproducible end to end.
+	// Seed drives the deterministic fault streams; every restart re-seeds
+	// with Seed plus its crash point so runs are reproducible end to end.
 	Seed uint64
-	// CrashPoints is the number of distinct crash points spread through
-	// the load; <= 0 selects the default of 3.
+	// CrashPoints is the number of crash points spread through each phase
+	// of a served life: the load and, on a multi-document class, each of
+	// U1–U3; <= 0 selects the default of 3.
 	CrashPoints int
 	// ReadErrorRate is the transient read-fault probability during the
 	// restart and its queries; < 0 disables, 0 selects 0.02.
@@ -61,18 +67,27 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Outcome summarizes one engine x class chaos cell.
+// Outcome summarizes one engine x class chaos cell. A restart has one
+// legal state: the load plus exactly the updates the server acknowledged,
+// which it journaled and synced before answering. A crash inside an
+// update's apply rolls that update back; a point at an update's last
+// operation lets it be acknowledged, so the crash fires in the next
+// update, or nowhere after U3.
 type Outcome struct {
 	Engine  string
 	Class   core.Class
 	Skipped bool // engine does not support the class, or is not Faultable
-	// CrashOps are the disk-op budgets of the crash points exercised.
+	// CrashOps are the crash points exercised, on the disk-op clock of one
+	// served life: the load's operations, then U1's, U2's and U3's.
 	CrashOps []int64
-	// Crashes counts crash points that fired, Recoveries the restarts
-	// that loaded and answered.
-	Crashes    int
-	Recoveries int
-	// Queries is the number of query results compared against baseline.
+	// Crashed counts the crash points that fired inside the load ([0])
+	// and inside U1–U3 ([1]–[3]).
+	Crashed [4]int
+	// Restarted counts the restarts by the number of acknowledged updates
+	// they replayed: [0] the bare load, [k] U1 to Uk committed.
+	Restarted [4]int
+	// Queries is the number of answers compared with the twin's, over
+	// every restart.
 	Queries int
 	Err     error
 }
@@ -83,129 +98,313 @@ func (o Outcome) String() string {
 		return "-"
 	case o.Err != nil:
 		return "FAIL"
-	default:
-		return fmt.Sprintf("ok:%dc%dq", o.Crashes, o.Queries)
 	}
+	crashes := 0
+	for _, n := range o.Crashed {
+		crashes += n
+	}
+	return fmt.Sprintf("ok:%dc%dq", crashes, o.Queries)
 }
 
 // RunCell chaos-tests one engine x database cell. newEngine must return a
 // fresh instance on every call; db is the database to load.
 func RunCell(newEngine func() core.Engine, db *core.Database, cfg Config) Outcome {
-	ctx := context.Background()
 	cfg = cfg.WithDefaults()
 	probe := newEngine()
 	out := Outcome{Engine: probe.Name(), Class: db.Class}
-	if err := probe.Supports(db.Class, db.Size); err != nil {
+	if _, ok := probe.(Faultable); !ok || probe.Supports(db.Class, db.Size) != nil {
 		out.Skipped = true
 		return out
 	}
-	if _, ok := probe.(Faultable); !ok {
-		out.Skipped = true
+	dir, err := os.MkdirTemp("", "xbench-chaos-")
+	if err != nil {
+		out.Err = fmt.Errorf("chaos: %w", err)
 		return out
 	}
+	defer os.RemoveAll(dir)
 
-	// Fault-free baseline: the answers every restart must reproduce.
-	baseline := newEngine()
-	defer baseline.Close()
-	if _, _, err := workload.LoadAndIndex(ctx, baseline, db); err != nil {
-		out.Err = fmt.Errorf("chaos: baseline load: %w", err)
+	// A fault-free life measures where each phase ends on the disk-op
+	// clock, so the crash points land inside the phases.
+	l, err := serve(newEngine(), db, filepath.Join(dir, "probe.journal"), cfg.Seed, 0, nil)
+	if err != nil {
+		out.Err = fmt.Errorf("chaos: probe: %w", err)
 		return out
 	}
-	want := workload.RunAll(ctx, baseline, db.Class)
-	for _, m := range want {
-		if m.Err != nil && !queryNotAnswered(m.Err) {
-			out.Err = fmt.Errorf("chaos: baseline %s: %w", m.Query, m.Err)
+	prev := int64(0)
+	for k, end := range l.ends {
+		if end == prev {
+			out.Err = fmt.Errorf("chaos: phase %d performed no disk operations", k)
 			return out
 		}
+		prev = end
 	}
 
-	// Measure the fault-free op budget so crash points land inside the
-	// load, spread evenly through it.
-	me := newEngine()
-	defer me.Close()
-	mp := me.(Faultable).Pager()
-	mp.SetFaultPolicy(pager.FaultPolicy{Seed: cfg.Seed})
-	if _, _, err := workload.LoadAndIndex(ctx, me, db); err != nil {
-		out.Err = fmt.Errorf("chaos: probe load: %w", err)
-		return out
-	}
-	total := mp.OpCount()
-	if total == 0 {
-		out.Err = fmt.Errorf("chaos: load performed no disk operations")
-		return out
-	}
-
-	for i := 1; i <= cfg.CrashPoints; i++ {
-		crashAt := total * int64(i) / int64(cfg.CrashPoints+1)
-		if crashAt < 1 {
-			crashAt = 1
+	// The fault-free twin: the answers of each acknowledged state, taken
+	// after the load and after each update it served.
+	var want [][]workload.Measurement
+	ctx := context.Background()
+	_, err = serve(newEngine(), db, filepath.Join(dir, "twin.journal"), cfg.Seed, 0, func(e core.Engine) error {
+		ms := answers(ctx, e, db.Class)
+		for _, m := range ms {
+			if m.Err != nil && !queryNotAnswered(m.Err) {
+				return fmt.Errorf("%s: %w", m.Query, m.Err)
+			}
 		}
+		want = append(want, ms)
+		return nil
+	})
+	if err != nil {
+		out.Err = fmt.Errorf("chaos: twin: %w", err)
+		return out
+	}
+
+	for i, crashAt := range crashPoints(l.ends, cfg.CrashPoints) {
 		out.CrashOps = append(out.CrashOps, crashAt)
-		if err := runCrashPoint(newEngine, db, cfg, crashAt, want, &out); err != nil {
-			out.Err = fmt.Errorf("chaos: crash point %d (op %d): %w", i, crashAt, err)
+		path := filepath.Join(dir, fmt.Sprintf("crash%d.journal", i+1))
+		if err := runCrashPoint(newEngine, db, path, cfg, crashAt, want, &out); err != nil {
+			out.Err = fmt.Errorf("chaos: crash point %d (op %d): %w", i+1, crashAt, err)
 			return out
 		}
 	}
 	return out
 }
 
-// runCrashPoint exercises one crash point: load until the crash fires,
-// require the dead engine to answer nothing, then restart — a fresh
-// engine loaded under transient read faults — and compare every query
-// answer with the baseline.
-func runCrashPoint(newEngine func() core.Engine, db *core.Database, cfg Config,
-	crashAt int64, want []workload.Measurement, out *Outcome) error {
-	ctx := context.Background()
-	e := newEngine()
-	defer e.Close()
-	e.(Faultable).Pager().SetFaultPolicy(pager.FaultPolicy{Seed: cfg.Seed, CrashAfterOps: crashAt})
-	_, _, err := workload.LoadAndIndex(ctx, e, db)
-	switch {
-	case err == nil:
-		// The budget outlasted the load (indexing cost can vary with the
-		// crash point); nothing crashed, the restart below still must match.
-	case pager.IsCrash(err):
-		out.Crashes++
-		if err := stopped(ctx, e); err != nil {
-			return err
+// crashPoints spreads n crash points through each phase of a served life,
+// whose phases end at ends[0] (the load) and ends[k] (Uk) on the disk-op
+// clock: strictly inside the load, and across [start, end] of each update
+// inclusive of both ends, so one point lets the update be acknowledged
+// and the others crash its apply. An update's end is the next one's
+// start; a point two phases share is run once.
+func crashPoints(ends []int64, n int) []int64 {
+	var pts []int64
+	add := func(at int64) {
+		if len(pts) == 0 || pts[len(pts)-1] != at {
+			pts = append(pts, at)
 		}
-	default:
-		return fmt.Errorf("non-crash failure under crash policy: %w", err)
+	}
+	for i := 1; i <= n; i++ {
+		add(max(ends[0]*int64(i)/int64(n+1), 1))
+	}
+	for k := 1; k < len(ends); k++ {
+		for i := 1; i <= n; i++ {
+			var rel int64
+			if n > 1 {
+				rel = (ends[k] - ends[k-1]) * int64(i-1) / int64(n-1)
+			}
+			add(ends[k-1] + rel)
+		}
+	}
+	return pts
+}
+
+// life is what one served process did before it died.
+type life struct {
+	// ends is the disk-op clock at the end of the load and of each
+	// acknowledged update.
+	ends []int64
+	// crashed is the phase the crash fired in: 0 the load, k update Uk;
+	// -1 for none.
+	crashed int
+}
+
+// acked is the number of updates the server acknowledged.
+func (l life) acked() int { return max(len(l.ends)-1, 0) }
+
+// serve runs one served life over the journal at path: e under a fault
+// policy with a crash point at crashAt (0: none), server.Reopen — the
+// load — and on a multi-document class a loopback client sending U1, U2
+// and U3 through one Updater, until the crash fires. after, when not nil,
+// runs on e after the load and after each acknowledged update. The server
+// is closed when it returns, and e with it.
+func serve(e core.Engine, db *core.Database, path string, seed uint64, crashAt int64, after func(core.Engine) error) (life, error) {
+	ctx := context.Background()
+	l := life{crashed: -1}
+	p := e.(Faultable).Pager()
+	p.SetFaultPolicy(pager.FaultPolicy{Seed: seed, CrashAfterOps: crashAt})
+	s, _, err := server.Reopen(e, db, workload.Indexes(db.Class), path, server.Config{})
+	if err != nil {
+		defer e.Close()
+		if !pager.IsCrash(err) {
+			return l, fmt.Errorf("non-crash load failure under crash policy: %w", err)
+		}
+		l.crashed = 0
+		return l, stopped(ctx, e)
+	}
+	defer s.Close()
+	step := func() error {
+		l.ends = append(l.ends, p.OpCount())
+		if after == nil {
+			return nil
+		}
+		return after(e)
+	}
+	if err := step(); err != nil || db.Class.SingleDocument() {
+		return l, err
+	}
+	c, err := dial(s, 1)
+	if err != nil {
+		return l, err
+	}
+	defer c.Close()
+	u, err := workload.NewUpdater(db.Class, 0, 1)
+	if err != nil {
+		return l, err
+	}
+	for _, op := range workload.UpdateOps {
+		if _, _, err := u.Apply(ctx, c, op); err != nil {
+			if stopped(ctx, e) != nil {
+				return l, fmt.Errorf("%s failed without stopping the engine: %w", op, err)
+			}
+			l.crashed = int(op)
+			return l, nil
+		}
+		if err := step(); err != nil {
+			return l, err
+		}
+	}
+	return l, nil
+}
+
+// dial starts s and connects a loopback client with the given id, which
+// sends no retries.
+func dial(s *server.Server, id uint64) (*client.Client, error) {
+	if err := s.Start(); err != nil {
+		return nil, err
+	}
+	return client.Dial(s.Addr().String(), client.Config{ClientID: id, Retries: -1})
+}
+
+// runCrashPoint exercises one crash point: one served life that crashes,
+// then the restart — a fresh engine Reopening the same journal under
+// transient read faults — which must replay exactly the acknowledged
+// updates and answer every query as the twin does in that state.
+func runCrashPoint(newEngine func() core.Engine, db *core.Database, path string, cfg Config,
+	crashAt int64, want [][]workload.Measurement, out *Outcome) error {
+	ctx := context.Background()
+	l, err := serve(newEngine(), db, path, cfg.Seed, crashAt, nil)
+	if err != nil {
+		return err
+	}
+	if l.crashed >= 0 {
+		out.Crashed[l.crashed]++
 	}
 
-	// Restart: nothing of the crashed engine survives, so a fresh one loads
-	// the database again, with soft faults firing.
-	r := newEngine()
-	defer r.Close()
-	r.(Faultable).Pager().SetFaultPolicy(pager.FaultPolicy{
-		Seed:          cfg.Seed + uint64(crashAt),
-		ReadErrorRate: cfg.ReadErrorRate,
-	})
-	if _, _, err := workload.LoadAndIndex(ctx, r, db); err != nil {
-		return fmt.Errorf("restart load: %w", err)
+	e := newEngine()
+	p := e.(Faultable).Pager()
+	p.SetFaultPolicy(pager.FaultPolicy{Seed: cfg.Seed + uint64(crashAt), ReadErrorRate: cfg.ReadErrorRate})
+	s, replayed, err := server.Reopen(e, db, workload.Indexes(db.Class), path, server.Config{})
+	if err != nil {
+		e.Close()
+		return fmt.Errorf("restart: %w", err)
 	}
-	out.Recoveries++
+	defer s.Close()
+	acked := l.acked()
+	if replayed != acked {
+		return fmt.Errorf("restart replayed %d journal records, the server acknowledged %d updates", replayed, acked)
+	}
+	n, err := compare(want[acked], answers(ctx, e, db.Class))
+	if err != nil {
+		return fmt.Errorf("restart with %d acknowledged update(s): %w", acked, err)
+	}
+	out.Queries += n
+	out.Restarted[acked]++
+	return checkRecoveredEpoch(ctx, s, e, p, db.Class)
+}
 
-	got := workload.RunAll(ctx, r, db.Class)
+// answers runs every query of the class cold and, on a multi-document
+// class, Q1 for the update target, whose answer names the last update
+// acknowledged: what a restart must answer as the twin does.
+func answers(ctx context.Context, e core.Engine, class core.Class) []workload.Measurement {
+	ms := workload.RunAll(ctx, e, class)
+	if class.SingleDocument() {
+		return ms
+	}
+	res, err := e.Execute(ctx, core.Q1, targetParams(class))
+	return append(ms, workload.Measurement{Query: core.Q1, Result: res, Err: err})
+}
+
+// targetParams binds Q1 to the document a life's U1–U3 act on.
+func targetParams(class core.Class) core.Params {
+	return core.Params{"X": workload.UpdateTargetID(class, 0)}
+}
+
+// compare requires got to answer every query as want does, bit for bit,
+// and returns how many answers it compared; a restart that compared none
+// proves nothing and fails.
+func compare(want, got []workload.Measurement) (int, error) {
 	if len(got) != len(want) {
-		return fmt.Errorf("ran %d queries, baseline ran %d", len(got), len(want))
+		return 0, fmt.Errorf("ran %d queries, the twin ran %d", len(got), len(want))
 	}
+	n := 0
 	for i, m := range got {
 		if queryNotAnswered(want[i].Err) {
 			// The engine does not implement this query for the class; the
 			// restarted one must decline it the same way.
 			if !queryNotAnswered(m.Err) {
-				return fmt.Errorf("query %s answered after the restart but not at baseline", m.Query)
+				return n, fmt.Errorf("query %s answered after the restart but not by the twin", m.Query)
 			}
 			continue
 		}
 		if m.Err != nil {
-			return fmt.Errorf("query %s after the restart: %w", m.Query, m.Err)
+			return n, fmt.Errorf("query %s after the restart: %w", m.Query, m.Err)
 		}
 		if err := sameItems(want[i].Result.Items, m.Result.Items); err != nil {
-			return fmt.Errorf("query %s diverges from fault-free run: %w", m.Query, err)
+			return n, fmt.Errorf("query %s diverges from the fault-free twin: %w", m.Query, err)
 		}
-		out.Queries++
+		n++
+	}
+	if n == 0 {
+		return 0, errors.New("no query answered after the restart")
+	}
+	return n, nil
+}
+
+// checkRecoveredEpoch requires recovery to land on a consistent latest
+// commit epoch (DESIGN.md §15): replay must leave no mutation bracket
+// open — so with pins drained, inline pruning has reclaimed every page
+// version — and, on a multi-document class, the served commit path must
+// still work: a second client's insert (client 1 of 2, so another
+// document than the life's) has to advance the epoch without changing
+// the update target's answer.
+func checkRecoveredEpoch(ctx context.Context, s *server.Server, e core.Engine, p *pager.Pager, class core.Class) error {
+	if n := p.PinnedSnapshots(); n != 0 {
+		return fmt.Errorf("epoch check: %d snapshots pinned after recovery", n)
+	}
+	if n := p.LiveVersions(); n != 0 {
+		return fmt.Errorf("epoch check: %d page versions survive recovery with no pins (bracket left open?)", n)
+	}
+	if class.SingleDocument() {
+		return nil
+	}
+	// Soft faults off: the restart already proved fault tolerance, this
+	// proves the MVCC commit path.
+	p.SetFaultPolicy(pager.FaultPolicy{})
+	recovered, err := e.Execute(ctx, core.Q1, targetParams(class))
+	if err != nil {
+		return fmt.Errorf("epoch check: %w", err)
+	}
+	before := p.SnapshotEpoch()
+	c, err := dial(s, 2)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	other, err := workload.NewUpdater(class, 1, 2)
+	if err != nil {
+		return err
+	}
+	if _, _, err := other.Apply(ctx, c, workload.U1); err != nil {
+		return fmt.Errorf("epoch check: post-recovery update: %w", err)
+	}
+	if after := p.SnapshotEpoch(); after <= before {
+		return fmt.Errorf("epoch check: commit did not advance the epoch (%d -> %d)", before, after)
+	}
+	again, err := e.Execute(ctx, core.Q1, targetParams(class))
+	if err != nil {
+		return fmt.Errorf("epoch check: re-verification: %w", err)
+	}
+	if err := sameItems(recovered.Items, again.Items); err != nil {
+		return fmt.Errorf("epoch check: recovered answer changed after an unrelated commit: %w", err)
 	}
 	return nil
 }

@@ -307,13 +307,17 @@ func (s *store) insert(name string, data []byte, rec *xmldom.Record) (int, error
 // Validate implements engbase.Validator: Xcolumn stores any well-formed
 // document, one with an unmapped root with no side-table rows; a
 // shredding policy only a unit document of the loaded class, within the
-// decomposition row limit.
+// decomposition row limit. A unit document's root is mapped, so only a
+// policy with a limit (Xcollection) walks it to count its rows.
 func (s *store) Validate(rec *xmldom.Record) error {
 	if s.clobs != nil {
 		return nil
 	}
 	if _, ok := shredder.UnitDocID(s.shred.Class, rec); !ok {
 		return fmt.Errorf("not a unit document of %s: %w", s.shred.Class, core.ErrUnsupported)
+	}
+	if s.shred.Opts.RowLimitPerDoc == 0 {
+		return nil
 	}
 	_, err := s.shred.Count(rec)
 	return err

@@ -60,3 +60,32 @@ func TestOpsAfterCloseFail(t *testing.T) {
 		t.Fatalf("SyncAll after close: %v", err)
 	}
 }
+
+// TestReadRacingCloseFailsClosed: a read whose pool miss takes the
+// exclusive latch after Close ran fails with ErrClosed, like every other
+// operation after Close, not with a missing-page error.
+func TestReadRacingCloseFailsClosed(t *testing.T) {
+	const readers, pages = 4, 64
+	for round := 0; round < 300; round++ {
+		p := New(4)
+		f := fillPages(t, p, "t", pages)
+		p.ColdReset()
+		done := make(chan error, readers)
+		for g := 0; g < readers; g++ {
+			go func(no uint32) {
+				for ; ; no = (no + 5) % pages {
+					if _, err := p.Read(f, no); err != nil {
+						done <- err
+						return
+					}
+				}
+			}(uint32(g * pages / readers))
+		}
+		p.Close()
+		for g := 0; g < readers; g++ {
+			if err := <-done; !errors.Is(err, ErrClosed) {
+				t.Fatalf("round %d: read racing Close: %v", round, err)
+			}
+		}
+	}
+}

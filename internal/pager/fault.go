@@ -64,10 +64,9 @@ type FaultPolicy struct {
 // faultState is the live fault-injection machinery hanging off a Pager.
 // It is guarded by the pager's mutex.
 type faultState struct {
-	policy  FaultPolicy
-	rng     uint64
-	ops     int64
-	crashed bool
+	policy FaultPolicy
+	rng    uint64
+	ops    int64
 }
 
 // splitmix64: tiny, fast, and adequate for fault scheduling.
@@ -118,20 +117,17 @@ const (
 	opWrite
 )
 
-// diskOp accounts one disk operation against the fault policy: it fails
-// fast when crashed, fires the crash point when the op budget is spent,
-// and injects transient faults on reads. Callers must hold p.mu. With no
-// policy it is a no-op.
+// diskOp accounts one disk operation against the fault policy: it fires
+// the crash point when the op budget is spent, taking the pager down, and
+// injects transient faults on reads. Callers must hold p.mu exclusively
+// and have found the pager up. With no policy it is a no-op.
 func (p *Pager) diskOp(kind opKind) error {
 	fs := p.fault
 	if fs == nil {
 		return nil
 	}
-	if fs.crashed {
-		return ErrCrashed
-	}
 	if fs.policy.CrashAfterOps > 0 && fs.ops >= fs.policy.CrashAfterOps {
-		fs.crashed = true
+		p.down = ErrCrashed
 		return fmt.Errorf("%w (crash point at %d disk ops)", ErrCrashed, fs.ops)
 	}
 	fs.ops++

@@ -47,6 +47,7 @@
 package pager
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -101,9 +102,10 @@ type Pager struct {
 
 	// fault injection (fault.go); nil when the disk is perfect.
 	fault *faultState
-	// closed is set by Close; every subsequent file operation fails with
-	// ErrClosed.
-	closed bool
+	// down is nil while the pager does I/O: ErrClosed once Close ran,
+	// ErrCrashed once a crash point fired (fault.go). Every file operation
+	// checks it once, under the latch it holds, and fails with it.
+	down error
 	// onCold is what ColdReset runs after the pool drop, still quiesced
 	// (OnColdReset).
 	onCold []func()
@@ -269,14 +271,15 @@ func (p *Pager) Metrics() *metrics.Registry {
 // ErrClosed is returned by file operations on a pager after Close.
 var ErrClosed = fmt.Errorf("pager: closed")
 
-// Create makes a new empty file and returns its id. On a closed pager it
-// returns an unregistered id whose operations fail with "unknown file".
+// Create makes a new empty file and returns its id. On a closed or
+// crashed pager it returns an unregistered id, whose operations fail with
+// the pager's ErrClosed or ErrCrashed.
 func (p *Pager) Create(name string) FileID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	id := p.next
 	p.next++
-	if p.closed {
+	if p.down != nil {
 		return id
 	}
 	p.files[id] = &file{name: name}
@@ -290,15 +293,17 @@ func (p *Pager) Create(name string) FileID {
 func (p *Pager) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if errors.Is(p.down, ErrClosed) {
 		return nil
 	}
-	for i := range p.frames {
-		if p.frames[i].valid && p.frames[i].dirty {
-			_ = p.writeBack(&p.frames[i]) // best-effort, like ColdReset
+	if p.down == nil {
+		for i := range p.frames {
+			if p.frames[i].valid && p.frames[i].dirty {
+				_ = p.writeBack(&p.frames[i]) // best-effort, like ColdReset
+			}
 		}
 	}
-	p.closed = true
+	p.down = ErrClosed
 	p.files = make(map[FileID]*file)
 	p.frames = nil
 	p.table = nil
@@ -332,15 +337,12 @@ func (p *Pager) FileName(fid FileID) string {
 func (p *Pager) Truncate(fid FileID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return ErrClosed
+	if p.down != nil {
+		return p.down
 	}
 	f, ok := p.files[fid]
 	if !ok {
 		return fmt.Errorf("pager: unknown file %d", fid)
-	}
-	if p.fault != nil && p.fault.crashed {
-		return ErrCrashed
 	}
 	// Inside a mutation bracket, every discarded page is a pre-image a
 	// pinned snapshot may still need. (Deletes are in place now, so the
@@ -379,15 +381,12 @@ func (p *Pager) NumPages(fid FileID) uint32 {
 func (p *Pager) Append(fid FileID) (uint32, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return 0, ErrClosed
+	if p.down != nil {
+		return 0, p.down
 	}
 	f, ok := p.files[fid]
 	if !ok {
 		return 0, fmt.Errorf("pager: unknown file %d", fid)
-	}
-	if p.fault != nil && p.fault.crashed {
-		return 0, ErrCrashed
 	}
 	no := uint32(len(f.pages))
 	f.pages = append(f.pages, nil) // reserve the slot; data arrives on write-back
@@ -438,13 +437,9 @@ func (p *Pager) readOnce(fid FileID, no uint32) ([]byte, error) {
 	key := pageKey{fid, no}
 
 	p.mu.RLock()
-	if p.closed {
+	if err := p.down; err != nil {
 		p.mu.RUnlock()
-		return nil, ErrClosed
-	}
-	if p.fault != nil && p.fault.crashed {
-		p.mu.RUnlock()
-		return nil, ErrCrashed // even pool hits: the machine is down
+		return nil, err // even pool hits: the machine is down
 	}
 	if i, ok := p.table[key]; ok {
 		p.bumpRef(&p.frames[i])
@@ -458,8 +453,8 @@ func (p *Pager) readOnce(fid FileID, no uint32) ([]byte, error) {
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.fault != nil && p.fault.crashed {
-		return nil, ErrCrashed
+	if p.down != nil {
+		return nil, p.down
 	}
 	// Another reader may have faulted the page in while we waited.
 	if i, ok := p.table[key]; ok {
@@ -528,15 +523,12 @@ func (p *Pager) WriteOwned(fid FileID, no uint32, pg []byte) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return ErrClosed
+	if p.down != nil {
+		return p.down
 	}
 	f, ok := p.files[fid]
 	if !ok || no >= uint32(len(f.pages)) {
 		return fmt.Errorf("pager: write beyond end of file %d page %d", fid, no)
-	}
-	if p.fault != nil && p.fault.crashed {
-		return ErrCrashed
 	}
 	key := pageKey{fid, no}
 	if p.mutationActive() {
@@ -759,8 +751,8 @@ func (p *Pager) writeBack(fr *frame) error {
 func (p *Pager) Sync(fid FileID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return ErrClosed
+	if p.down != nil {
+		return p.down
 	}
 	for i := range p.frames {
 		if p.frames[i].valid && p.frames[i].dirty && p.frames[i].key.fid == fid {
@@ -776,8 +768,8 @@ func (p *Pager) Sync(fid FileID) error {
 func (p *Pager) SyncAll() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return ErrClosed
+	if p.down != nil {
+		return p.down
 	}
 	for i := range p.frames {
 		if p.frames[i].valid && p.frames[i].dirty {
@@ -816,7 +808,7 @@ func (p *Pager) dropPool() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i := range p.frames {
-		if p.frames[i].valid && p.frames[i].dirty {
+		if p.down == nil && p.frames[i].valid && p.frames[i].dirty {
 			_ = p.writeBack(&p.frames[i]) // best-effort; crash loses the frame
 		}
 		p.frames[i] = frame{}
