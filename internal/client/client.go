@@ -217,22 +217,13 @@ func DialAddrs(addrs []string, cfg Config) (*Client, error) {
 }
 
 // nilPayload is the payload builder of body-less requests.
-func nilPayload(time.Duration) []byte { return nil }
+func nilPayload(dst []byte, _ time.Duration) []byte { return dst }
 
 // Name returns the remote engine's name.
 func (c *Client) Name() string { return c.name }
 
 // Addr returns the primary (first) server address.
 func (c *Client) Addr() string { return c.eps[0].addr }
-
-// Addrs returns the failover list, in preference order.
-func (c *Client) Addrs() []string {
-	out := make([]string, len(c.eps))
-	for i, ep := range c.eps {
-		out[i] = ep.addr
-	}
-	return out
-}
 
 // ClientID returns the identity stamped into this client's idempotency
 // keys.
@@ -299,14 +290,15 @@ func (c *Client) sleepBackoff(ctx context.Context, backoff time.Duration) error 
 }
 
 // roundTrip performs one request with failover and
-// retry-with-backoff. build produces the payload for each attempt from
-// the context's REMAINING deadline budget, so a retry leg carries the
-// time actually left, not the budget the first leg saw. It returns the
+// retry-with-backoff. build appends the payload of each attempt to the
+// slice it is handed, the mux's write buffer, from the context's
+// REMAINING deadline budget, so a retry leg carries the time actually
+// left, not the budget the first leg saw. It returns the
 // response payload of a StatusOK frame or the typed remote error.
 // Transport errors and admission rejections (overload, shutdown) retry:
 // every op is idempotent, and a rejection is pre-execution anyway.
 // Engine errors are terminal.
-func (c *Client) roundTrip(ctx context.Context, op wire.Op, build func(remaining time.Duration) []byte) ([]byte, error) {
+func (c *Client) roundTrip(ctx context.Context, op wire.Op, build func(dst []byte, remaining time.Duration) []byte) ([]byte, error) {
 	backoff := c.cfg.Backoff
 	var lastErr error
 	var lastAddr string
@@ -319,7 +311,8 @@ func (c *Client) roundTrip(ctx context.Context, op wire.Op, build func(remaining
 			return nil, err
 		}
 		lastAddr = ep.addr
-		resp, err := c.attemptMux(ctx, ep, op, build(timeoutOf(ctx)))
+		remaining := timeoutOf(ctx)
+		resp, err := c.attemptMux(ctx, ep, op, func(dst []byte) []byte { return build(dst, remaining) })
 		switch {
 		case err == nil && wire.Status(resp.Kind) == wire.StatusOK:
 			c.epSuccess(ep)
@@ -342,6 +335,10 @@ func (c *Client) roundTrip(ctx context.Context, op wire.Op, build func(remaining
 				return nil, lastErr
 			}
 		case errors.Is(err, ErrClosed):
+			return nil, err
+		case errors.Is(err, wire.ErrTooLarge):
+			// The request cannot be encoded: no endpoint is at fault, and
+			// no retry leg would encode it.
 			return nil, err
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 			// The caller's context fired locally (while waiting on the
@@ -404,7 +401,7 @@ func (c *Client) Close() error {
 // Supports asks the remote engine whether it hosts the combination.
 func (c *Client) Supports(cl core.Class, s core.Size) error {
 	payload := wire.EncodeClassSize(cl, s)
-	_, err := c.roundTrip(context.Background(), wire.OpSupports, func(time.Duration) []byte { return payload })
+	_, err := c.roundTrip(context.Background(), wire.OpSupports, func(dst []byte, _ time.Duration) []byte { return append(dst, payload...) })
 	return err
 }
 
@@ -421,16 +418,10 @@ func (c *Client) BuildIndexes([]core.IndexSpec) error { return core.ErrServed }
 // deadline rides along on every retry leg and is enforced server-side at
 // page-fetch granularity, exactly like an in-process engine.
 func (c *Client) Execute(ctx context.Context, q core.QueryID, p core.Params) (core.Result, error) {
-	// The request payload is encoded into a pooled buffer, rebuilt in
-	// place on each retry leg. The mux has copied the payload into its
-	// write buffer and written it before roundTrip returns, so releasing
-	// it after roundTrip cannot alias an in-flight frame.
-	bp := wire.GetBuf()
-	defer wire.PutBuf(bp)
-	resp, err := c.roundTrip(ctx, wire.OpQuery, func(remaining time.Duration) []byte {
-		b := wire.AppendQueryRequest((*bp)[:0], wire.QueryRequest{Query: q, Params: p, Timeout: remaining})
-		*bp = b
-		return b
+	// The request payload is encoded straight into the mux's write
+	// buffer, again on each retry leg.
+	resp, err := c.roundTrip(ctx, wire.OpQuery, func(dst []byte, remaining time.Duration) []byte {
+		return wire.AppendQueryRequest(dst, wire.QueryRequest{Query: q, Params: p, Timeout: remaining})
 	})
 	if err != nil {
 		return core.Result{}, err
@@ -443,12 +434,8 @@ func (c *Client) Execute(ctx context.Context, q core.QueryID, p core.Params) (co
 // that cannot explain answers StatusNoExplain, which decodes to
 // core.ErrNoExplain.
 func (c *Client) Explain(ctx context.Context, q core.QueryID, p core.Params) (*core.PlanNode, error) {
-	bp := wire.GetBuf()
-	defer wire.PutBuf(bp)
-	resp, err := c.roundTrip(ctx, wire.OpExplain, func(remaining time.Duration) []byte {
-		b := wire.AppendQueryRequest((*bp)[:0], wire.QueryRequest{Query: q, Params: p, Timeout: remaining})
-		*bp = b
-		return b
+	resp, err := c.roundTrip(ctx, wire.OpExplain, func(dst []byte, remaining time.Duration) []byte {
+		return wire.AppendQueryRequest(dst, wire.QueryRequest{Query: q, Params: p, Timeout: remaining})
 	})
 	if err != nil {
 		return nil, err
@@ -493,12 +480,8 @@ func (c *Client) Apply(ctx context.Context, rec updatelog.Record, _ func() error
 	if rec.Client == 0 {
 		rec.Client, rec.Seq = c.id, c.seq.Add(1)
 	}
-	bp := wire.GetBuf()
-	defer wire.PutBuf(bp)
-	_, err := c.roundTrip(ctx, wire.OpUpdate, func(remaining time.Duration) []byte {
-		b := updatelog.AppendRecord(wire.AppendUpdate((*bp)[:0], remaining), rec)
-		*bp = b
-		return b
+	_, err := c.roundTrip(ctx, wire.OpUpdate, func(dst []byte, remaining time.Duration) []byte {
+		return updatelog.AppendRecord(wire.AppendUpdate(dst, remaining), rec)
 	})
 	return err
 }
@@ -528,7 +511,7 @@ func (c *Client) DeleteDocument(ctx context.Context, name string) error {
 // position, answers wire.ErrBadRequest.
 func (c *Client) JournalPull(ctx context.Context, req wire.JournalPullRequest) ([]byte, error) {
 	payload := wire.EncodeJournalPullRequest(req)
-	return c.roundTrip(ctx, wire.OpJournal, func(time.Duration) []byte { return payload })
+	return c.roundTrip(ctx, wire.OpJournal, func(dst []byte, _ time.Duration) []byte { return append(dst, payload...) })
 }
 
 var _ core.Engine = (*Client)(nil)

@@ -336,9 +336,6 @@ func TestDialAddrsFailover(t *testing.T) {
 	if c.Name() != "stub-engine" {
 		t.Fatalf("Name() = %q", c.Name())
 	}
-	if got := c.Addrs(); len(got) != 2 {
-		t.Fatalf("Addrs() = %v", got)
-	}
 }
 
 // TestBreakerStateMachine: closed -> open after threshold, cooling

@@ -1,19 +1,22 @@
 // The transport: many in-flight requests multiplexed over a small set of
 // connections per address.
 //
-// A caller encodes its frame into the connection's one write buffer and
-// hands it to the kernel with one conn.Write under the write lock, then
-// waits for its response by frame ID. A single reader goroutine routes
+// A caller encodes its frame, payload included, straight into the
+// connection's one write buffer (wire.AppendFrameFunc) and hands it to
+// the kernel with one conn.Write under the write lock, then waits for
+// its response by frame ID. A single reader goroutine routes
 // response frames back to waiters by ID; responses may return in any
 // order, which the serving side exploits by executing a connection's
 // requests concurrently. N concurrent callers cost Config.MuxConns
 // connections, not N.
 //
-// Buffer ownership: a caller's payload bytes are copied into the write
-// buffer and written before roundTrip waits for the response, so the
-// caller may recycle its payload buffer the moment roundTrip returns —
-// whatever the outcome. The write buffer belongs to whichever caller
-// holds the write lock.
+// Buffer ownership: a request payload has no buffer of its own. The
+// write buffer belongs to whichever caller holds the write lock, which
+// encodes its payload into it and writes it before roundTrip waits for
+// the response; the next holder overwrites it. Whatever the payload
+// builder reads (a record's document, a query's parameters) is only read
+// under the lock, so it is the caller's again once roundTrip returns —
+// whatever the outcome.
 //
 // A transport error fails the whole mux: the connection closes, every
 // waiter gets the error, and the next request through the endpoint dials
@@ -100,10 +103,11 @@ func (m *muxConn) fail(err error) {
 	}
 }
 
-// roundTrip sends one frame and waits for the response with the same ID.
-// The frame is written before roundTrip waits, so the caller may reuse
-// the payload buffer as soon as this returns, whatever the outcome.
-func (m *muxConn) roundTrip(ctx context.Context, f wire.Frame) (wire.Frame, error) {
+// roundTrip sends one request, whose payload is what payload appends to
+// the slice it is handed, and waits for the response with the same ID.
+// The frame is written before roundTrip waits, so whatever payload reads
+// is the caller's again as soon as this returns, whatever the outcome.
+func (m *muxConn) roundTrip(ctx context.Context, op wire.Op, id uint64, payload func([]byte) []byte) (wire.Frame, error) {
 	respCh := make(chan wire.Frame, 1)
 	m.pmu.Lock()
 	if m.err != nil {
@@ -111,11 +115,11 @@ func (m *muxConn) roundTrip(ctx context.Context, f wire.Frame) (wire.Frame, erro
 		m.pmu.Unlock()
 		return wire.Frame{}, err
 	}
-	m.pending[f.ID] = respCh
+	m.pending[id] = respCh
 	m.pmu.Unlock()
 
-	if err := m.send(ctx, f); err != nil {
-		m.deregister(f.ID)
+	if err := m.send(ctx, op, id, payload); err != nil {
+		m.deregister(id)
 		return wire.Frame{}, err
 	}
 
@@ -126,7 +130,7 @@ func (m *muxConn) roundTrip(ctx context.Context, f wire.Frame) (wire.Frame, erro
 		}
 		return resp, nil
 	case <-ctx.Done():
-		m.deregister(f.ID)
+		m.deregister(id)
 		// The response may have raced in just before deregistration.
 		select {
 		case resp, ok := <-respCh:
@@ -139,25 +143,26 @@ func (m *muxConn) roundTrip(ctx context.Context, f wire.Frame) (wire.Frame, erro
 	}
 }
 
-// send writes f with one conn.Write under the write lock. The caller
-// honours ctx while it waits for the lock and while it writes: when ctx
-// ends mid-write, context.AfterFunc sets a write deadline in the past,
-// which fails the Write. A failed or partial write leaves the stream
-// mid-frame, so it fails the mux; an unencodable frame writes nothing
-// and fails only its own request.
-func (m *muxConn) send(ctx context.Context, f wire.Frame) error {
+// send encodes the request into the write buffer and writes it with one
+// conn.Write, both under the write lock. The caller honours ctx while it
+// waits for the lock and while it writes: when ctx ends mid-write,
+// context.AfterFunc sets a write deadline in the past, which fails the
+// Write. A failed or partial write leaves the stream mid-frame, so it
+// fails the mux; an unencodable frame (a payload over wire.MaxPayload)
+// writes nothing and fails only its own request.
+func (m *muxConn) send(ctx context.Context, op wire.Op, id uint64, payload func([]byte) []byte) error {
 	select {
 	case m.wlock <- struct{}{}:
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 	defer func() { <-m.wlock }()
-	b, err := wire.AppendFrame(m.wbuf[:0], f)
-	if err != nil {
-		return err
-	}
+	b, err := wire.AppendFrameFunc(m.wbuf[:0], byte(op), id, payload)
 	if cap(b) <= wire.MaxKeptBuf {
 		m.wbuf = b
+	}
+	if err != nil {
+		return err
 	}
 	if ctx.Done() == nil {
 		_, err = m.conn.Write(b)
@@ -265,11 +270,10 @@ func (c *Client) getMux(ep *endpoint) (*muxConn, error) {
 
 // attemptMux sends one request over the endpoint's next mux and waits
 // for its response.
-func (c *Client) attemptMux(ctx context.Context, ep *endpoint, op wire.Op, payload []byte) (wire.Frame, error) {
+func (c *Client) attemptMux(ctx context.Context, ep *endpoint, op wire.Op, payload func([]byte) []byte) (wire.Frame, error) {
 	m, err := c.getMux(ep)
 	if err != nil {
 		return wire.Frame{}, err
 	}
-	id := c.nextID.Add(1)
-	return m.roundTrip(ctx, wire.Frame{Kind: byte(op), ID: id, Payload: payload})
+	return m.roundTrip(ctx, op, c.nextID.Add(1), payload)
 }

@@ -97,7 +97,7 @@ func TestMuxOutOfOrderResponses(t *testing.T) {
 			defer wg.Done()
 			want := fmt.Sprintf("req-%d", i)
 			payload, err := c.roundTrip(context.Background(), wire.OpPing,
-				func(time.Duration) []byte { return []byte(want) })
+				func(dst []byte, _ time.Duration) []byte { return append(dst, want...) })
 			if err != nil {
 				errCh <- err
 				return
@@ -207,12 +207,14 @@ func TestMuxContextCancelAbandonsRequest(t *testing.T) {
 	}
 }
 
-// TestMuxPooledBufferHammer is the -race aliasing audit for the pooled
-// serialization path: many goroutines issue keyed updates and queries
-// with distinctive payloads through one mux while responses echo the
-// payload back. Any double-put or premature reuse of a pooled buffer
-// shows up as a race report or as a corrupted echo.
-func TestMuxPooledBufferHammer(t *testing.T) {
+// TestMuxInPlaceEncodingHammer is the -race aliasing audit of in-place
+// encoding: many goroutines issue keyed updates with distinctive
+// payloads through two muxes, each encoding its payload straight into
+// the write buffer it shares with the others, while responses echo the
+// payload back. A payload encoded outside the write lock, or a buffer
+// overwritten before its frame is written, shows up as a race report or
+// as a corrupted echo.
+func TestMuxInPlaceEncodingHammer(t *testing.T) {
 	fs := newFakeServer(t, func(n int, f wire.Frame) (wire.Frame, bool) {
 		// Echo the request payload so the client can verify integrity.
 		return okFrame(append([]byte(nil), f.Payload...)), false
@@ -235,19 +237,10 @@ func TestMuxPooledBufferHammer(t *testing.T) {
 				data := []byte(fmt.Sprintf("<doc g=%d i=%d/>", g, i))
 				rec := updatelog.Record{Kind: updatelog.KindInsert, Name: name, Data: data}
 				want := updatelog.AppendRecord(wire.AppendUpdate(nil, 0), rec)
-				// Correct pooled-payload lifecycle: the buffer is released
-				// only after roundTrip returns (the mux copies the payload
-				// out before then). Releasing it inside the builder
-				// instead corrupts frames under load — that bug class is
-				// exactly what this hammer exists to catch.
-				bp := wire.GetBuf()
 				echoed, err := c.roundTrip(context.Background(), wire.OpUpdate,
-					func(remaining time.Duration) []byte {
-						b := updatelog.AppendRecord(wire.AppendUpdate((*bp)[:0], 0), rec)
-						*bp = b
-						return b
+					func(dst []byte, _ time.Duration) []byte {
+						return updatelog.AppendRecord(wire.AppendUpdate(dst, 0), rec)
 					})
-				wire.PutBuf(bp)
 				if err != nil {
 					errCh <- fmt.Errorf("g%d i%d: %w", g, i, err)
 					return
@@ -263,6 +256,42 @@ func TestMuxPooledBufferHammer(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
+	}
+}
+
+// TestMuxOversizedPayloadFailsAlone: a payload built in place past
+// wire.MaxPayload writes nothing and fails its own request, under the
+// default retries and breaker threshold, without a retry leg or a breaker
+// failure; the mux serves the next request over the same connection,
+// from a write buffer it kept at most wire.MaxKeptBuf.
+func TestMuxOversizedPayloadFailsAlone(t *testing.T) {
+	fs := newFakeServer(t, func(n int, f wire.Frame) (wire.Frame, bool) {
+		return okFrame([]byte("pong")), false
+	})
+	c := fs.client(Config{MuxConns: 1})
+	defer c.Close()
+	if _, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload); err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	_, err := c.roundTrip(context.Background(), wire.OpQuery, func(dst []byte, _ time.Duration) []byte {
+		builds++
+		return append(dst, make([]byte, wire.MaxPayload+1)...)
+	})
+	if !errors.Is(err, wire.ErrTooLarge) || builds != 1 {
+		t.Fatalf("oversized request: %v after %d builds, want wire.ErrTooLarge after 1", err, builds)
+	}
+	payload, err := c.roundTrip(context.Background(), wire.OpPing, nilPayload)
+	if err != nil || string(payload) != "pong" {
+		t.Fatalf("request after the oversized one: %q, %v", payload, err)
+	}
+	if reqs, conns := fs.stats(); reqs != 2 || conns != 1 {
+		t.Fatalf("server saw %d requests over %d connections, want the 2 pings over 1", reqs, conns)
+	}
+	for _, m := range c.eps[0].mux {
+		if m != nil && cap(m.wbuf) > wire.MaxKeptBuf {
+			t.Fatalf("mux kept a %d-byte write buffer", cap(m.wbuf))
+		}
 	}
 }
 
@@ -358,7 +387,7 @@ func TestMuxCancelDuringStuckWrite(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.roundTrip(ctx, wire.OpPing, func(time.Duration) []byte { return payload })
+		_, err := c.roundTrip(ctx, wire.OpPing, func(dst []byte, _ time.Duration) []byte { return append(dst, payload...) })
 		done <- err
 	}()
 	time.Sleep(100 * time.Millisecond) // let the write fill the socket buffers

@@ -57,9 +57,6 @@ func (c Class) Code() string {
 	return strings.ToLower(strings.ReplaceAll(c.String(), "/", ""))
 }
 
-// TextCentric reports whether the class manages natively-XML text data.
-func (c Class) TextCentric() bool { return c == TCSD || c == TCMD }
-
 // SingleDocument reports whether the database consists of one XML document.
 func (c Class) SingleDocument() bool { return c == TCSD || c == DCSD }
 

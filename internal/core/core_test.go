@@ -17,9 +17,6 @@ func TestClassStringAndCode(t *testing.T) {
 }
 
 func TestClassPredicates(t *testing.T) {
-	if !TCSD.TextCentric() || !TCMD.TextCentric() || DCSD.TextCentric() {
-		t.Fatal("TextCentric wrong")
-	}
 	if !TCSD.SingleDocument() || !DCSD.SingleDocument() || DCMD.SingleDocument() {
 		t.Fatal("SingleDocument wrong")
 	}
@@ -71,15 +68,6 @@ func TestDatabaseBytes(t *testing.T) {
 	}
 	if db.Instance() != "DCSDS" {
 		t.Fatalf("Instance = %q", db.Instance())
-	}
-}
-
-func TestIndexSpecAttribute(t *testing.T) {
-	if !(IndexSpec{Class: DCSD, Target: "item/@id"}).Attribute() {
-		t.Fatal("item/@id should be an attribute index")
-	}
-	if (IndexSpec{Class: DCSD, Target: "date_of_release"}).Attribute() {
-		t.Fatal("date_of_release is not an attribute index")
 	}
 }
 

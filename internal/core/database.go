@@ -84,13 +84,3 @@ type IndexSpec struct {
 	// way Table 3 writes it, e.g. "hw", "article/@id", "date_of_release".
 	Target string
 }
-
-// Attribute reports whether the index target is an attribute (contains "@").
-func (s IndexSpec) Attribute() bool {
-	for i := 0; i < len(s.Target); i++ {
-		if s.Target[i] == '@' {
-			return true
-		}
-	}
-	return false
-}

@@ -15,8 +15,8 @@
 //
 // Determinism: client c of a run seeded S draws its query sequence from
 // stats.NewRNG(S).Split(c+1), so the same (seed, clients, mix) triple
-// replays the same per-client op sequence on any platform. OpSequence
-// exposes the sequence for tests.
+// replays the same per-client op sequence on any platform.
+// MixedOpSequence exposes the sequence for tests.
 package driver
 
 import (
@@ -46,8 +46,8 @@ type Config struct {
 	Duration time.Duration
 	// Seed drives the per-client deterministic query mix. 0 is an explicit
 	// sentinel selecting DefaultSeed — it is not a usable seed value, and
-	// OpSequence/MixedOpSequence apply the same substitution, so replaying
-	// a Seed-0 run with OpSequence(0, ...) agrees with what Run executed.
+	// MixedOpSequence applies the same substitution, so replaying a
+	// Seed-0 run with MixedOpSequence(0, ...) agrees with what Run executed.
 	Seed uint64
 	// Queries restricts the mix; nil selects every query the class defines
 	// and the engine answers (probed during warmup).
@@ -167,12 +167,6 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// nextOp draws the next query of a client's mix. All mix randomness goes
-// through here so OpSequence replays the client loop exactly.
-func nextOp(rng *stats.RNG, mix []core.QueryID) core.QueryID {
-	return mix[rng.Intn(len(mix))]
-}
-
 // MixedOp is one op of a mixed read/write stream: a query, or (when
 // Update is non-zero) an update operation.
 type MixedOp struct {
@@ -187,14 +181,14 @@ func (m MixedOp) String() string {
 	return m.Query.String()
 }
 
-// nextMixedOp draws the next op of a mixed stream. With frac == 0 it
-// consumes exactly the randomness nextOp does, so a pure-query mixed
-// stream replays the classic OpSequence.
+// nextMixedOp draws the next op of a client's stream. All of its
+// randomness goes through here so MixedOpSequence replays the client loop
+// exactly. With frac == 0 it draws one number per op, the query.
 func nextMixedOp(rng *stats.RNG, mix []core.QueryID, frac float64, ups []workload.UpdateOp) MixedOp {
 	if frac > 0 && rng.Float64() < frac {
 		return MixedOp{Update: ups[rng.Intn(len(ups))]}
 	}
-	return MixedOp{Query: nextOp(rng, mix)}
+	return MixedOp{Query: mix[rng.Intn(len(mix))]}
 }
 
 // clientRNG returns client c's dedicated stream for a run seeded seed.
@@ -208,22 +202,10 @@ func clientRNG(seed uint64, client int) *stats.RNG {
 	return stats.NewRNG(seed).Split(uint64(client) + 1)
 }
 
-// OpSequence returns the first n queries client (0-based) would issue in
-// a run with the given seed and mix. It is the driver's determinism
-// contract, replayable without an engine.
-func OpSequence(seed uint64, client int, mix []core.QueryID, n int) []core.QueryID {
-	rng := clientRNG(seed, client)
-	out := make([]core.QueryID, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, nextOp(rng, mix))
-	}
-	return out
-}
-
-// MixedOpSequence is OpSequence for mixed read/write runs: the first n
-// ops client (0-based) would issue with the given seed, mix, update
-// fraction and update-op mix. With frac == 0 the sequence is exactly
-// OpSequence's, wrapped in MixedOps.
+// MixedOpSequence returns the first n ops client (0-based) would issue
+// in a run with the given seed, mix, update fraction and update-op mix.
+// It is the driver's determinism contract, replayable without an engine;
+// with frac == 0 it is a read-only run's query stream.
 func MixedOpSequence(seed uint64, client int, mix []core.QueryID, ups []workload.UpdateOp, frac float64, n int) []MixedOp {
 	if len(ups) == 0 {
 		ups = workload.UpdateOps

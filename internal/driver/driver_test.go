@@ -105,12 +105,12 @@ func (s *stubEngine) Execute(_ context.Context, q core.QueryID, p core.Params) (
 
 var testMix = []core.QueryID{core.Q1, core.Q5, core.Q8, core.Q14}
 
-// TestOpSequenceDeterministic pins the driver's determinism contract:
-// same (seed, client, mix) replays the same sequence; distinct clients
-// draw distinct streams.
+// TestOpSequenceDeterministic pins the driver's determinism contract on
+// a read-only stream (MixedOpSequence at fraction 0): same (seed, client,
+// mix) replays the same sequence; distinct clients draw distinct streams.
 func TestOpSequenceDeterministic(t *testing.T) {
-	a := OpSequence(42, 0, testMix, 200)
-	b := OpSequence(42, 0, testMix, 200)
+	a := MixedOpSequence(42, 0, testMix, nil, 0, 200)
+	b := MixedOpSequence(42, 0, testMix, nil, 0, 200)
 	if len(a) != 200 {
 		t.Fatalf("sequence length %d", len(a))
 	}
@@ -119,7 +119,7 @@ func TestOpSequenceDeterministic(t *testing.T) {
 			t.Fatalf("op %d differs on replay: %s vs %s", i, a[i], b[i])
 		}
 	}
-	c := OpSequence(42, 1, testMix, 200)
+	c := MixedOpSequence(42, 1, testMix, nil, 0, 200)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -130,7 +130,7 @@ func TestOpSequenceDeterministic(t *testing.T) {
 	if same {
 		t.Fatal("clients 0 and 1 drew identical sequences")
 	}
-	d := OpSequence(43, 0, testMix, 200)
+	d := MixedOpSequence(43, 0, testMix, nil, 0, 200)
 	same = true
 	for i := range a {
 		if a[i] != d[i] {
@@ -145,9 +145,9 @@ func TestOpSequenceDeterministic(t *testing.T) {
 
 // TestSeedZeroSelectsDefaultSeed pins the Seed-0 contract: zero is an
 // explicit sentinel for DefaultSeed everywhere — WithDefaults resolves
-// it, and the sequence replayers substitute it the same way, so
-// OpSequence(0, ...) describes exactly what a Seed-0 run executed
-// (previously Run coerced 0 to 1 but OpSequence did not, and the two
+// it, and the sequence replayer substitutes it the same way, so
+// MixedOpSequence(0, ...) describes exactly what a Seed-0 run executed
+// (previously Run coerced 0 to 1 but the replayer did not, and the two
 // disagreed).
 func TestSeedZeroSelectsDefaultSeed(t *testing.T) {
 	if got := (Config{}).WithDefaults().Seed; got != DefaultSeed {
@@ -156,11 +156,11 @@ func TestSeedZeroSelectsDefaultSeed(t *testing.T) {
 	if got := (Config{Seed: 42}).WithDefaults().Seed; got != 42 {
 		t.Fatalf("WithDefaults rewrote explicit seed 42 to %d", got)
 	}
-	zero := OpSequence(0, 0, testMix, 100)
-	def := OpSequence(DefaultSeed, 0, testMix, 100)
+	zero := MixedOpSequence(0, 0, testMix, nil, 0, 100)
+	def := MixedOpSequence(DefaultSeed, 0, testMix, nil, 0, 100)
 	for i := range zero {
 		if zero[i] != def[i] {
-			t.Fatalf("op %d: OpSequence(0) %s != OpSequence(DefaultSeed) %s", i, zero[i], def[i])
+			t.Fatalf("op %d: seed 0 %s != DefaultSeed %s", i, zero[i], def[i])
 		}
 	}
 	mzero := MixedOpSequence(0, 0, testMix, nil, 0.5, 100)
@@ -173,7 +173,7 @@ func TestSeedZeroSelectsDefaultSeed(t *testing.T) {
 }
 
 // TestRunFollowsOpSequence: with one client the engine must see exactly
-// the sequence OpSequence predicts.
+// the query sequence MixedOpSequence predicts at fraction 0.
 func TestRunFollowsOpSequence(t *testing.T) {
 	e := &stubEngine{}
 	rep, err := Run(context.Background(), e, core.DCMD, Config{
@@ -187,13 +187,13 @@ func TestRunFollowsOpSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := OpSequence(7, 0, testMix, 40)
+	want := MixedOpSequence(7, 0, testMix, nil, 0, 40)
 	if len(e.seen) != len(want) {
 		t.Fatalf("engine saw %d ops, want %d", len(e.seen), len(want))
 	}
 	for i := range want {
-		if e.seen[i] != want[i] {
-			t.Fatalf("op %d: engine saw %s, OpSequence predicts %s", i, e.seen[i], want[i])
+		if want[i].Update != 0 || e.seen[i] != want[i].Query {
+			t.Fatalf("op %d: engine saw %s, MixedOpSequence predicts %s", i, e.seen[i], want[i])
 		}
 	}
 	if rep.Ops != 40 || rep.Errs != 0 {

@@ -45,15 +45,15 @@ func TestMixedOpSequenceDeterministic(t *testing.T) {
 	}
 }
 
-// TestMixedOpSequenceZeroFractionMatchesOpSequence pins backward
-// compatibility: a zero update fraction consumes exactly the randomness
-// the classic query-only stream does.
+// TestMixedOpSequenceZeroFractionMatchesOpSequence pins the read-only
+// stream: a zero update fraction draws no update and consumes exactly one
+// number of the client's stream per query, the query-only draw.
 func TestMixedOpSequenceZeroFractionMatchesOpSequence(t *testing.T) {
 	mixed := MixedOpSequence(7, 3, testMix, nil, 0, 100)
-	plain := OpSequence(7, 3, testMix, 100)
-	for i := range plain {
-		if mixed[i].Update != 0 || mixed[i].Query != plain[i] {
-			t.Fatalf("op %d: mixed %s, plain %s", i, mixed[i], plain[i])
+	rng := clientRNG(7, 3)
+	for i := range mixed {
+		if want := testMix[rng.Intn(len(testMix))]; mixed[i].Update != 0 || mixed[i].Query != want {
+			t.Fatalf("op %d: mixed %s, query-only draw %s", i, mixed[i], want)
 		}
 	}
 }

@@ -19,18 +19,24 @@ const parseBatch = 128 << 10
 
 // batch is a run of documents and, once parsed, their records: recs[j]
 // is docs[j]'s, up to the first that did not parse, whose error is err.
+// The records are the first of set's, which the batch grows as it needs.
 type batch struct {
 	docs  []core.Doc
+	set   *[]*xmldom.Record
 	recs  []*xmldom.Record
 	err   error
 	taken atomic.Bool   // somebody parses, or has parsed, the batch
 	done  chan struct{} // closed once the records are in
 }
 
-// records holds the records of stored documents for later batches to
-// parse into, so that a load stops allocating once the buffers of a few
-// batches' records are large enough for its documents.
-var records = sync.Pool{New: func() any { return new(xmldom.Record) }}
+// recordSets holds the record sets of finished loads for the next loads'
+// rings, so that loads stop allocating records once a few sets' buffers
+// are large enough for their documents. It keeps a ring's sets on every
+// core, and no set holding more than maxKeptSet bytes: the one record of
+// a large single-document database is left to the collector.
+var recordSets = make(chan []*xmldom.Record, 2*runtime.NumCPU())
+
+const maxKeptSet = 16 * parseBatch
 
 // parseBatches cuts docs, in order, into runs of at least parseBatch
 // bytes; the last run holds what is left.
@@ -52,15 +58,16 @@ func (b *batch) take() bool {
 	if !b.taken.CompareAndSwap(false, true) {
 		return false
 	}
-	b.recs = make([]*xmldom.Record, 0, len(b.docs))
-	for _, d := range b.docs {
-		rec := records.Get().(*xmldom.Record)
-		if b.err = xmldom.ParseRecord(rec, d.Data); b.err != nil {
-			records.Put(rec)
+	set, n := *b.set, 0
+	for ; n < len(b.docs); n++ {
+		if n == len(set) {
+			set = append(set, new(xmldom.Record))
+		}
+		if b.err = xmldom.ParseRecord(set[n], b.docs[n].Data); b.err != nil {
 			break
 		}
-		b.recs = append(b.recs, rec)
 	}
+	*b.set, b.recs = set, set[:n]
 	close(b.done)
 	return true
 }
@@ -101,16 +108,43 @@ func claim(bs []*batch, i, ahead int) {
 // taken yet. The workers have exited when ParseDocs returns, so a load
 // leaves no goroutine behind.
 //
-// A record is store's until store returns: once its batch is stored,
-// later batches parse into its buffers, so store copies out what it
-// keeps.
+// A record is store's until store returns: the load owns its records as
+// a ring of ahead+1 sets, and batch k parses into the set batch
+// k−(ahead+1) parsed into, which the writer has stored by then — it hands
+// batch k to a worker, or parses it itself, only once every batch before
+// k−ahead is stored. So store copies out what it keeps. The sets are
+// taken from recordSets and handed back to it for the next load.
 func ParseDocs(ctx context.Context, engine string, db *core.Database, store func(d *core.Doc, rec *xmldom.Record) error) error {
 	bs := parseBatches(db.Docs)
 	workers := 0
 	if len(bs) >= 2 {
 		workers = min(runtime.GOMAXPROCS(0)-1, len(bs))
 	}
-	ahead := 2 * workers               // batches handed out beyond the one being stored
+	ahead := 2 * workers // batches handed out beyond the one being stored
+	sets := make([][]*xmldom.Record, ahead+1)
+	for i := range sets {
+		select {
+		case sets[i] = <-recordSets:
+		default:
+		}
+	}
+	defer func() { // after the workers have exited
+		for _, set := range sets {
+			var held int64
+			for _, rec := range set {
+				held += rec.Footprint()
+			}
+			if held <= maxKeptSet {
+				select {
+				case recordSets <- set:
+				default:
+				}
+			}
+		}
+	}()
+	for k, b := range bs {
+		b.set = &sets[k%len(sets)]
+	}
 	todo := make(chan *batch, len(bs)) // never full, so a send never blocks
 	for _, b := range bs[:min(ahead, len(bs))] {
 		todo <- b
@@ -150,10 +184,6 @@ func ParseDocs(ctx context.Context, engine string, db *core.Database, store func
 				return err
 			}
 		}
-		for _, rec := range b.recs {
-			records.Put(rec) // stored: later batches parse into it
-		}
-		b.recs = nil
 	}
 	return nil
 }

@@ -25,7 +25,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"xbench/internal/core"
@@ -76,7 +75,12 @@ func exec(ctx context.Context, s Source, ph *plan.Physical, p core.Params, enter
 	if root == nil {
 		return core.Result{}, core.ErrNoQuery
 	}
-	x := runs.Get().(*run)
+	var x *run
+	select {
+	case x = <-runs:
+	default:
+		x = &run{enc: xmldom.NewFragment()}
+	}
 	x.ctx, x.s, x.ph, x.p, x.entered = ctx, s, ph, p, entered
 	err := x.emit(root)
 	items := x.items
@@ -114,13 +118,19 @@ type run struct {
 	chain []xmldom.Ref
 }
 
-// runs holds finished runs, whose buffers the next executions reuse.
-var runs = sync.Pool{New: func() any { return &run{enc: xmldom.NewFragment()} }}
+// runs holds a few finished runs, whose buffers the next executions
+// reuse, as xquery.Query keeps its idle runs: four cover the queries the
+// benchmark's clients run at once, and an execution beyond them makes a
+// run of its own.
+var runs = make(chan *run, 4)
 
-// done drops what the run read and answered and returns it to runs.
+// done drops what the run read and answered and hands it back to runs.
 func (x *run) done() {
 	x.ctx, x.s, x.ph, x.p, x.items, x.err, x.entered = nil, Source{}, nil, nil, nil, nil, nil
-	runs.Put(x)
+	select {
+	case runs <- x:
+	default:
+	}
 }
 
 func (x *run) enter(n *Node) {

@@ -142,21 +142,19 @@ func TestZeroConfigMultiplexes(t *testing.T) {
 // TestServedRoundTripAllocations pins what one request costs in
 // allocations around the engine: a loopback Client.Execute over the stub,
 // client and server side together (they share the process), through the
-// client's mux. The ceiling may only fall.
+// client's mux. Every buffer it reuses has an owner that keeps it, so the
+// count is exact, with or without the race detector.
 func TestServedRoundTripAllocations(t *testing.T) {
-	if raceDetector {
-		t.Skip("under the race detector sync.Pool drops a share of the buffers put back")
-	}
 	_, c := startServer(t, newStub(), server.Config{})
 	ctx := context.Background()
 	p := core.Params{"X": "O1"}
-	const ceiling = 19
-	c.Execute(ctx, core.Q5, p) // the connections, their workers and the buffer pools exist
+	const want = 18
+	c.Execute(ctx, core.Q5, p) // the connections, their workers and their buffers exist
 	if n := testing.AllocsPerRun(200, func() {
 		if _, err := c.Execute(ctx, core.Q5, p); err != nil {
 			t.Fatal(err)
 		}
-	}); n > ceiling {
-		t.Errorf("one served round trip allocates %v times, want <= %v", n, ceiling)
+	}); n != want {
+		t.Errorf("one served round trip allocates %v times, want %v", n, want)
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"xbench/internal/core"
 	"xbench/internal/relational"
@@ -62,6 +61,10 @@ type Store struct {
 	// SkippedMixed counts mixed-content elements whose text was dropped.
 	SkippedMixed int
 	m            *mapping
+	// w walks every document ShredDocument and Count are handed, keeping
+	// its buffers from one to the next: both run on the writer, which the
+	// engine's latch or the loading goroutine serializes.
+	w walker
 }
 
 // NewStore creates the tables of class's mapping m in db.
@@ -130,11 +133,8 @@ func (s *Store) ShredDocument(doc string, rec *xmldom.Record) (int, error) {
 			return 0, fmt.Errorf("shredder: %s: %w", doc, err)
 		}
 	}
-	rows, skipped, err := walk(s.m, rec, doc, s.DB, s.Opts.DropMixed)
+	rows, skipped, err := s.w.walk(s.m, rec, doc, s.DB, s.Opts.DropMixed)
 	s.SkippedMixed += skipped
-	if errors.Is(err, errUnmapped) && s.m.whole {
-		err = nil
-	}
 	if err != nil {
 		return rows, fmt.Errorf("shredder: %s: %w", doc, err)
 	}
@@ -145,7 +145,7 @@ func (s *Store) ShredDocument(doc string, rec *xmldom.Record) (int, error) {
 // into, without building them, refusing one the mapping does not reach
 // or, under Options.RowLimitPerDoc, one of more rows.
 func (s *Store) Count(rec *xmldom.Record) (int, error) {
-	rows, _, err := walk(s.m, rec, "", nil, false)
+	rows, _, err := s.w.walk(s.m, rec, "", nil, false)
 	if err != nil {
 		return 0, err
 	}
@@ -377,7 +377,7 @@ func (mp *mapping) column(t *node, spec string) column {
 }
 
 // walker walks one document by one mapping, inserting its rows into db or,
-// when db is nil, counting them. Walkers are recycled with their buffers.
+// when db is nil, counting them. A Store's walker keeps its buffers.
 type walker struct {
 	doc       []byte
 	db        *relational.DB
@@ -397,8 +397,6 @@ type frame struct {
 }
 
 var (
-	walkers = sync.Pool{New: func() any { return new(walker) }}
-
 	null, zero, one = []byte(relational.Null), []byte("0"), []byte("1")
 
 	// errUnmapped reports a document root the mapping does not reach.
@@ -406,21 +404,22 @@ var (
 )
 
 // walk walks the document doc parsed into rec by mapping m and returns
-// the rows made and the mixed-content values dropped.
-func walk(m *mapping, rec *xmldom.Record, doc string, db *relational.DB, dropMixed bool) (rows, skipped int, err error) {
+// the rows made and the mixed-content values dropped. A document whose
+// root m does not reach is refused, but stored with no rows under the
+// DAD (m.whole), which costs no error value.
+func (w *walker) walk(m *mapping, rec *xmldom.Record, doc string, db *relational.DB, dropMixed bool) (rows, skipped int, err error) {
 	root := rec.Element()
 	i := slices.IndexFunc(m.roots, func(n *node) bool { return string(root.Name()) == n.elem.Name })
 	if i < 0 {
+		if db != nil && m.whole {
+			return 0, 0, nil
+		}
 		return 0, 0, fmt.Errorf("root <%s>: %w", root.Name(), errUnmapped)
 	}
-	w := walkers.Get().(*walker)
 	w.doc, w.db, w.dropMixed, w.rows, w.skipped = append(w.doc[:0], doc...), db, dropMixed, 0, 0
 	w.seq, w.stack = append(w.seq[:0], make([]int, len(m.tables))...), w.stack[:0]
 	err = w.element(m.roots[i], root, 1)
-	rows, skipped = w.rows, w.skipped
-	w.db = nil
-	walkers.Put(w)
-	return rows, skipped, err
+	return w.rows, w.skipped, err
 }
 
 // element makes the row of x, the pos-th instance of n among its

@@ -80,20 +80,20 @@ func TestAppendEncodersMatchEncode(t *testing.T) {
 	}
 }
 
-// TestBufPoolReuse: a buffer cycled through the pool must come back
-// zero-length and be safe to grow.
-func TestBufPoolReuse(t *testing.T) {
-	b := GetBuf()
-	*b = append(*b, []byte("scratch")...)
-	PutBuf(b)
-	b2 := GetBuf()
-	if len(*b2) != 0 {
-		t.Fatalf("pooled buffer not reset: len=%d", len(*b2))
+// TestAppendFrameFuncEncodesInPlace: a payload appended in place after
+// existing frames makes exactly the frame AppendFrame makes of the same
+// payload encoded on its own.
+func TestAppendFrameFuncEncodesInPlace(t *testing.T) {
+	qr := QueryRequest{Query: 5, Params: core.Params{"X": "O1"}, Timeout: time.Second}
+	payload := AppendQueryRequest(nil, qr)
+	prefix := mustFrame(t, Frame{Kind: byte(OpPing), ID: 1})
+	got, err := AppendFrameFunc(append([]byte(nil), prefix...), byte(OpQuery), 2, func(b []byte) []byte {
+		return AppendQueryRequest(b, qr)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	PutBuf(b2)
-	PutBuf(nil) // must not panic
-	// Oversized buffers are dropped, not pooled.
-	big := GetBuf()
-	*big = make([]byte, 0, MaxKeptBuf+1)
-	PutBuf(big)
+	if want := append(prefix, mustFrame(t, Frame{Kind: byte(OpQuery), ID: 2, Payload: payload})...); !bytes.Equal(got, want) {
+		t.Fatal("a payload encoded in place differs from AppendFrame's frame")
+	}
 }

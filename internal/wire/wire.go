@@ -59,6 +59,11 @@ const MaxPayload = 64 << 20
 // headerSize is the fixed frame header length in bytes.
 const headerSize = 20
 
+// MaxKeptBuf caps the capacity of a scratch buffer kept for reuse (1
+// MiB) by a connection, a mux or a worker: a giant result or journal
+// window would otherwise pin its allocation for good.
+const MaxKeptBuf = 1 << 20
+
 // Op identifies a request operation: one op per remote call, so the
 // client answers each core.Engine method it serves with one round trip.
 // There is no op for Load or BuildIndexes: a served engine holds the
@@ -184,24 +189,35 @@ type Frame struct {
 	Payload []byte
 }
 
-// AppendFrame appends one encoded frame (header, CRC, payload) to dst and
-// returns the extended slice. The server and the client's mux encode
-// into a buffer they keep and write it with a single Write, header and
-// payload together.
-func AppendFrame(dst []byte, f Frame) ([]byte, error) {
-	if len(f.Payload) > MaxPayload {
-		return dst, ErrTooLarge
+// AppendFrameFunc is the frame encoder: it appends one frame of kind and
+// id to dst, whose payload is what payload appends to the slice it is
+// handed. The header is reserved first and filled in, length and CRC,
+// once the payload is in, so a payload is encoded in place, with no
+// buffer of its own. A payload over MaxPayload fails with ErrTooLarge and
+// dst's bytes come back as they were (in a grown array, perhaps). The
+// server and the client's mux encode into a buffer they keep and write
+// it with a single Write, header and payload together.
+func AppendFrameFunc(dst []byte, kind byte, id uint64, payload func([]byte) []byte) ([]byte, error) {
+	start := len(dst)
+	dst = payload(append(dst, make([]byte, headerSize)...))
+	n := len(dst) - start - headerSize
+	if n > MaxPayload {
+		return dst[:start], ErrTooLarge
 	}
-	var hdr [headerSize]byte
+	hdr := dst[start : start+headerSize]
 	binary.BigEndian.PutUint16(hdr[0:2], Magic)
 	hdr[2] = Version
-	hdr[3] = f.Kind
-	binary.BigEndian.PutUint64(hdr[4:12], f.ID)
-	binary.BigEndian.PutUint32(hdr[12:16], uint32(len(f.Payload)))
-	binary.BigEndian.PutUint32(hdr[16:20], crc32.ChecksumIEEE(f.Payload))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, f.Payload...)
+	hdr[3] = kind
+	binary.BigEndian.PutUint64(hdr[4:12], id)
+	binary.BigEndian.PutUint32(hdr[12:16], uint32(n))
+	binary.BigEndian.PutUint32(hdr[16:20], crc32.ChecksumIEEE(dst[start+headerSize:]))
 	return dst, nil
+}
+
+// AppendFrame appends f, encoded, to dst and returns the extended slice:
+// AppendFrameFunc with f's payload copied in.
+func AppendFrame(dst []byte, f Frame) ([]byte, error) {
+	return AppendFrameFunc(dst, f.Kind, f.ID, func(b []byte) []byte { return append(b, f.Payload...) })
 }
 
 // ReadFrame reads and verifies one frame. A connection cut mid-frame

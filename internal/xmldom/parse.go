@@ -3,8 +3,8 @@ package xmldom
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strconv"
-	"sync"
 	"unicode/utf8"
 )
 
@@ -24,9 +24,12 @@ var (
 	piEnd      = []byte("?>")
 )
 
-// parsers holds parser state between calls: the scratch buffer and the
-// builder's tables outlive a document.
-var parsers = sync.Pool{New: func() any { return new(parser) }}
+// parsers holds idle parsers, as scratchTables holds node tables: the
+// scratch buffer and the builder's tables outlive a document. A parse
+// runs on a core, so one per core (and at least four, for the opens the
+// benchmark's clients run at once) covers a load's parse workers; a
+// parse beyond them makes a parser of its own.
+var parsers = make(chan *parser, max(4, runtime.NumCPU()))
 
 // A parser reads one document into its builder, node by node in document
 // order.
@@ -37,9 +40,14 @@ type parser struct {
 	b    builder
 }
 
-// getParser takes a parser from the pool, set to read data.
+// getParser takes an idle parser, or makes one, set to read data.
 func getParser(data []byte) *parser {
-	p := parsers.Get().(*parser)
+	var p *parser
+	select {
+	case p = <-parsers:
+	default:
+		p = new(parser)
+	}
 	p.data, p.pos = data, 0
 	return p
 }
@@ -48,7 +56,10 @@ func getParser(data []byte) *parser {
 func (p *parser) put() {
 	p.b.release()
 	p.data = nil
-	parsers.Put(p)
+	select {
+	case parsers <- p:
+	default:
+	}
 }
 
 func (p *parser) errf(format string, args ...any) error {

@@ -21,6 +21,12 @@
 # fewer in. Both lines end with the interquartile range of A's runs,
 # and with "inside A's spread" when B's median falls within it: a
 # pairs-won count on such a column is the host's noise, not evidence.
+# For each end-to-end metric of BENCHMARK.json it then prints the ratio
+# B/A of every pair's two runs: their median, and the sign-test interval
+# r_(k)–r_(n+1−k) of the n sorted ratios with its coverage, the chance
+# that it holds the median ratio, 1 − 2·P(Binomial(n, ½) < k). k is the
+# largest whose coverage is at least 95 %, or 1: min–max at 75 % for
+# n = 3, r_(2)–r_(9) at 97.9 % for n = 10.
 # Then one results/trajectory.tsv row per workload:
 # B's median and quartiles of qps, read_p50_ms, setup_s and space_amp, the
 # claim column (TEXT, default "-"), and how many of the N pairs B won on
@@ -34,7 +40,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-usage() { sed -n '2,33p' "$0" >&2; exit 2; }
+usage() { sed -n '2,40p' "$0" >&2; exit 2; }
 [ $# -ge 2 ] || usage
 a=$1 b=$2
 shift 2
@@ -94,6 +100,18 @@ perop() { # workload cpu|gc: "median A, median B, pairs B won, pairs, A's spread
 			"A IQR [\($lo | sig6), \($hi | sig6)]\(if $mb >= $lo and $mb <= $hi then ", inside A'"'"'s spread" else "" end)"] | @tsv'
 }
 
+ratios() { # workload: per end-to-end metric "name, median ratio, r_(k), r_(n+1-k), coverage %, k, n" of B_i/A_i
+	jq -rn --slurpfile ar "$work/a.$1.json" --slurpfile br "$work/b.$1.json" --slurpfile bench BENCHMARK.json "$jqlib"'
+		def vals($f; $k): [$f[0].runs[].result.metrics[$k].value];
+		def choose($n; $k): reduce range(0; $k) as $i (1; . * ($n - $i) / ($i + 1));
+		def coverage($n; $k): 1 - 2 * ([range(0; $k) | choose($n; .)] | add) / pow(2; $n);
+		$bench[0].end_to_end[].name as $m | vals($ar; $m) as $a | vals($br; $m) as $b |
+		[range(0; [$a, $b] | map(length) | min) | select($a[.] != null and $b[.] != null and $a[.] != 0) | $b[.] / $a[.]] |
+		sort as $r | ($r | length) as $n | select($n > 0) |
+		([range(1; ($n + 1) / 2 | floor + 1) | select(coverage($n; .) >= 0.95)] | max // 1) as $k |
+		[$m, (q($r; 0.5) | sig6), ($r[$k - 1] | sig6), ($r[$n - $k] | sig6), (coverage($n; $k) * 1000 | round / 10), $k, $n] | @tsv'
+}
+
 better=$(jq -r --arg m "$metric" '.end_to_end[] | select(.name == $m) | .better' BENCHMARK.json)
 [ -n "$better" ] || { echo "pairs: $metric is not an end-to-end metric of BENCHMARK.json" >&2; exit 2; }
 host="$(nproc)-core $(uname -m), $(go env GOVERSION), $(cat "$work/a.commit") and $(cat "$work/b.commit") alternated"
@@ -109,6 +127,10 @@ for w in ${workloads//,/ }; do
 	printf '%-14s %-14s %14s %14s  B spent less on %s/%s pairs; %s\n' "$w" "cpu_s_per_op" "$acpu" "$bcpu" "$won" "$n" "$spread"
 	IFS=$'\t' read -r agc bgc won n spread < <(perop "$w" gc)
 	printf '%-14s %-14s %14s %14s  B ran fewer on %s/%s pairs; %s\n' "$w" "gc_per_op" "$agc" "$bgc" "$won" "$n" "$spread"
+	while IFS=$'\t' read -r m med lo hi cov k n; do
+		printf '%-14s %-14s ratio B/A: median %s, interval [%s, %s] covering %s %% (k = %s of n = %s)\n' \
+			"$w" "$m" "$med" "$lo" "$hi" "$cov" "$k" "$n"
+	done < <(ratios "$w")
 	rows+=("$(jq -rs --arg pr "$pr" --arg w "$w" --arg seed "$seed" --arg m "$metric" \
 		--arg better "$better" --arg claim "$claim" --arg host "$host" "$jqlib"'
 		def vals($f; $k): [$f.runs[].result.metrics[$k].value];
