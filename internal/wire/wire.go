@@ -215,8 +215,12 @@ func AppendFrameFunc(dst []byte, kind byte, id uint64, payload func([]byte) []by
 }
 
 // AppendFrame appends f, encoded, to dst and returns the extended slice:
-// AppendFrameFunc with f's payload copied in.
+// AppendFrameFunc with f's payload copied in. A payload over MaxPayload
+// is refused before it is copied.
 func AppendFrame(dst []byte, f Frame) ([]byte, error) {
+	if len(f.Payload) > MaxPayload {
+		return dst, ErrTooLarge
+	}
 	return AppendFrameFunc(dst, f.Kind, f.ID, func(b []byte) []byte { return append(b, f.Payload...) })
 }
 
