@@ -31,6 +31,7 @@
 package btree
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -243,11 +244,19 @@ type Entry struct {
 }
 
 // SortEntries orders a run the way the tree holds it: by key truncated to
-// MaxKey, entries whose truncated keys are equal in the order given — so
+// MaxKey, then by value. The run must arrive in ascending value order —
+// both callers build theirs from a scan in address order, so the values
+// (heap or catalog RIDs) ascend — and then entries whose truncated keys
+// are equal keep the order given, as a stable sort by key would keep them:
 // a run inserted after sorting answers Search with duplicates in their
 // original order, as single Inserts in that order would.
 func SortEntries(run []Entry) {
-	slices.SortStableFunc(run, func(a, b Entry) int { return strings.Compare(trunc(a.Key), trunc(b.Key)) })
+	slices.SortFunc(run, func(a, b Entry) int {
+		if c := strings.Compare(trunc(a.Key), trunc(b.Key)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Val, b.Val)
+	})
 }
 
 // Insert adds (key, val). Duplicate keys are allowed. Insert takes the

@@ -3,6 +3,7 @@ package btree
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -356,6 +357,32 @@ func TestViewSeesNothingOfALaterRun(t *testing.T) {
 	for i, e := range live {
 		if e != (Entry{key(i), uint64(i)}) {
 			t.Fatalf("live tree: entry %d = %v", i, e)
+		}
+	}
+}
+
+// TestSortEntriesMatchesStableSort: on a run in ascending value order —
+// what both callers build — SortEntries orders it exactly as a stable
+// sort by truncated key does, over duplicate keys and keys longer than
+// MaxKey that differ only past it.
+func TestSortEntriesMatchesStableSort(t *testing.T) {
+	r := stats.NewRNG(11)
+	long := strings.Repeat("L", MaxKey)
+	for round := 0; round < 50; round++ {
+		n := 1 + r.Intn(3000)
+		run := make([]Entry, n)
+		for i := range run {
+			key := fmt.Sprintf("k%03d", r.Intn(1+n/8)) // about eight entries a key
+			if r.Float64() < 0.3 {
+				key = long + fmt.Sprintf("%04d", r.Intn(40)) // equal once truncated
+			}
+			run[i] = Entry{key, uint64(i)*3 + uint64(r.Intn(3))}
+		}
+		want := slices.Clone(run)
+		slices.SortStableFunc(want, func(a, b Entry) int { return strings.Compare(trunc(a.Key), trunc(b.Key)) })
+		SortEntries(run)
+		if !slices.Equal(run, want) {
+			t.Fatalf("round %d: SortEntries of %d entries differs from the stable sort", round, n)
 		}
 	}
 }

@@ -27,7 +27,7 @@ func (c Config) genArticles(size core.Size, articleNum int) (*core.Database, err
 	// mixes many small and a few very large documents, matching the paper's
 	// "several kilobytes to several hundred kilobytes".
 	sizeDist := stats.Exponential{Lambda: 0.6, Min: 1, Max: 40}
-	err := forEach(articleNum, func(i int) error {
+	err := stats.ForEach(articleNum, func(i int) error {
 		factor := sizeDist.Draw(root.Split(uint64(i)))
 		tmpl := articleTmpl(i, articleNum, factor)
 		var err error

@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"xbench/internal/core"
+	"xbench/internal/stats"
 	"xbench/internal/tpcw"
 	"xbench/internal/xmldom"
 )
@@ -30,7 +31,7 @@ func (c Config) genOrders(size core.Size, orderNum int) (*core.Database, error) 
 		{"countries.xml", emitCountriesFT},
 	}
 	docs := make([]core.Doc, len(data.Orders)+len(flat))
-	err := forEach(len(docs), func(i int) error {
+	err := stats.ForEach(len(docs), func(i int) error {
 		var err error
 		if i < len(data.Orders) {
 			_, docs[i].Name, _ = core.DocOf(data.Orders[i].ID)

@@ -34,9 +34,18 @@
 //     before it returns — so between two such events nothing is left for
 //     a timer to find (TestInlinePruneLeavesNothingToCollect).
 //
-// Version buffers are the buffers they supersede: one immutable buffer
-// per page version, shared by disk, pool, snapshot and reader (the
-// package comment in pager.go), so a captured pre-image needs no copy.
+// Version buffers are the buffers they supersede: one buffer per page
+// version, shared by disk, pool, snapshot and reader and immutable once a
+// reader can reach it (the package comment in pager.go), so a captured
+// pre-image needs no copy. The writer phase says when a reader can: a
+// bracket or a Load's BlockPins window opens one, and each publication
+// (EndMutation, AdvanceEpoch, UnblockPins) ends it. A buffer the writer
+// installed in the phase still open is unreachable: readers are pinned at
+// published epochs, a Load blocks every pin, and a bracket captured the
+// page's pre-image before installing its first buffer (or the page is new
+// in the bracket), so a pinned reader is served the version. Write may
+// patch such a buffer in place; the next phase's first write of the page
+// installs a new one.
 //
 // Quiesce: Load and ColdReset must not race pinned snapshots — they call
 // BlockPins, which waits for every outstanding pin to be released and
@@ -77,6 +86,12 @@ type mvccState struct {
 	view      any
 	mutTarget uint64 // epoch the active mutation commits as; 0 = none
 	mutActive bool
+	// writer is the open writer phase (see the file comment), 0 when none
+	// is open; phases counts the phases opened, so each has its own id. A
+	// frame the writer installed remembers the phase (frame.own). Written
+	// under mu, loaded by the pool's writer under p.mu.
+	writer atomic.Uint64
+	phases uint64
 
 	pins    map[uint64]int // pinned epoch -> pin count
 	blocked bool           // BlockPins in force: new pins wait
@@ -193,6 +208,7 @@ func (p *Pager) BlockPins() {
 	// No pins and no open bracket (callers hold the engine write lock),
 	// so every version is <= the committed epoch and this drops them all.
 	m.pruneLocked()
+	m.openPhase()
 	m.mu.Unlock()
 }
 
@@ -201,6 +217,7 @@ func (p *Pager) UnblockPins() {
 	m := &p.mvcc
 	m.mu.Lock()
 	m.blocked = false
+	m.writer.Store(0)
 	m.cond.Broadcast()
 	m.mu.Unlock()
 }
@@ -217,6 +234,7 @@ func (p *Pager) BeginMutation() uint64 {
 	m.mutActive = true
 	m.mutTarget = m.epoch + 1
 	m.newPages = make(map[pageKey]struct{})
+	m.openPhase()
 	return m.mutTarget
 }
 
@@ -235,6 +253,7 @@ func (p *Pager) EndMutation(view any) uint64 {
 	m.mutActive = false
 	m.newPages = nil
 	m.pruneLocked()
+	m.published()
 	return m.epoch
 }
 
@@ -253,7 +272,25 @@ func (p *Pager) AdvanceEpoch(view any) uint64 {
 	m.mutActive = false
 	m.newPages = nil
 	m.pruneLocked()
+	m.published()
 	return m.epoch
+}
+
+// openPhase opens a new writer phase. Caller holds mu.
+func (m *mvccState) openPhase() {
+	m.phases++
+	m.writer.Store(m.phases)
+}
+
+// published ends the writer phase at a publication: what the writer
+// installed in it is now reachable. A Load still under BlockPins goes on
+// in a new phase. Caller holds mu.
+func (m *mvccState) published() {
+	if m.blocked {
+		m.openPhase()
+	} else {
+		m.writer.Store(0)
+	}
 }
 
 // capture records a page's pre-image, superseded at the active mutation's

@@ -1,0 +1,216 @@
+package pager
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+)
+
+// page returns a whole page filled with b.
+func page(b byte) []byte { return bytes.Repeat([]byte{b}, PageSize) }
+
+// sameBuffer reports whether two page slices are one buffer.
+func sameBuffer(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
+// mustRead reads a page as of epoch (LiveEpoch: the current page).
+func mustRead(t *testing.T, p *Pager, f FileID, no uint32, epoch uint64) []byte {
+	t.Helper()
+	pg, err := p.ReadAt(f, no, epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pg
+}
+
+// TestWriterPatchesOnlyItsOwnBuffers holds the one exception to "a page
+// changes by getting a new buffer" (the package comment): Write patches a
+// buffer in place only while the writer phase that installed it is open,
+// so no pinned reader, published page version or handed-out slice sees a
+// patch, and a per-document load sync allocates nothing.
+func TestWriterPatchesOnlyItsOwnBuffers(t *testing.T) {
+	// load opens a Load's writer phase (BlockPins), runs fn and publishes.
+	load := func(p *Pager, fn func()) {
+		p.BlockPins()
+		p.AdvanceEpoch(nil)
+		fn()
+		p.AdvanceEpoch("loaded")
+		p.UnblockPins()
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("a bracket patches only what it installed", func(t *testing.T) {
+		p := New(8)
+		f := p.Create("f")
+		load(p, func() {
+			_, err := p.Append(f)
+			must(err)
+			must(p.Write(f, 0, page('a')))
+		})
+		snap := p.PinSnapshot()
+		defer snap.Release()
+		held := mustRead(t, p, f, 0, snap.Epoch())
+
+		p.BeginMutation()
+		must(p.Write(f, 0, page('b')))
+		first := mustRead(t, p, f, 0, LiveEpoch)
+		if sameBuffer(first, held) {
+			t.Fatal("a bracket's first write of a published page did not install a new buffer")
+		}
+		must(p.Write(f, 0, []byte("c")))
+		if second := mustRead(t, p, f, 0, LiveEpoch); !sameBuffer(second, first) || second[0] != 'c' || second[1] != 0 {
+			t.Fatal("a bracket's second write did not patch (and zero-pad) the buffer its first installed")
+		}
+		if pg := mustRead(t, p, f, 0, snap.Epoch()); !bytes.Equal(pg, page('a')) {
+			t.Fatal("a reader pinned before the bracket saw its writes")
+		}
+		p.EndMutation("c")
+		if pg := mustRead(t, p, f, 0, snap.Epoch()); !bytes.Equal(pg, page('a')) || !bytes.Equal(held, page('a')) {
+			t.Fatal("a reader pinned before the bracket saw its writes after the commit")
+		}
+
+		// The next bracket: the published buffer is a page version now.
+		published := mustRead(t, p, f, 0, LiveEpoch)
+		want := bytes.Clone(published)
+		p.BeginMutation()
+		must(p.Write(f, 0, page('d')))
+		if sameBuffer(mustRead(t, p, f, 0, LiveEpoch), published) {
+			t.Fatal("the next bracket's first write patched the published buffer")
+		}
+		p.EndMutation("d")
+		if !bytes.Equal(published, want) {
+			t.Fatal("a slice of the published buffer changed under the next bracket")
+		}
+	})
+
+	t.Run("outside a load or bracket Write copies", func(t *testing.T) {
+		p := New(8)
+		f := p.Create("f")
+		_, err := p.Append(f)
+		must(err)
+		must(p.Write(f, 0, page('a')))
+		held := mustRead(t, p, f, 0, LiveEpoch)
+		must(p.Write(f, 0, page('b')))
+		must(p.Write(f, 0, page('c')))
+		if !bytes.Equal(held, page('a')) {
+			t.Fatal("a Read slice held across two unbracketed Writes changed")
+		}
+		// A load's or a bracket's buffers stop being the writer's once it
+		// publishes.
+		load(p, func() { must(p.Write(f, 0, page('d'))) })
+		held = mustRead(t, p, f, 0, LiveEpoch)
+		must(p.Write(f, 0, page('e')))
+		if !bytes.Equal(held, page('d')) {
+			t.Fatal("a Write after the load's publication patched the load's buffer")
+		}
+		p.BeginMutation()
+		must(p.Write(f, 0, page('f')))
+		p.EndMutation("f")
+		held = mustRead(t, p, f, 0, LiveEpoch)
+		must(p.Write(f, 0, page('g')))
+		if !bytes.Equal(held, page('f')) {
+			t.Fatal("a Write after the bracket's commit patched the bracket's buffer")
+		}
+	})
+
+	t.Run("a load's per-document flush allocates nothing", func(t *testing.T) {
+		p := New(8)
+		h := NewHeap(p, "h")
+		rec := []byte("a small record")
+		flush := func() {
+			mustInsert(t, h, rec)
+			must(h.Sync())
+		}
+		var inLoad float64
+		load(p, func() {
+			flush() // appends the tail page
+			inLoad = testing.AllocsPerRun(100, flush)
+		})
+		if inLoad != 0 {
+			t.Fatalf("inside a load a per-document Heap.Sync of one tail page allocates %.1f objects", inLoad)
+		}
+		if outside := testing.AllocsPerRun(100, flush); outside < 1 {
+			t.Fatalf("outside a load a Heap.Sync allocates %.1f objects: Write patched a published buffer", outside)
+		}
+	})
+
+	t.Run("a sync crashes where a full frame scan would", func(t *testing.T) {
+		// build leaves a pool of 8 frames in a load's middle: some frames
+		// dirty, some clean, some dirtied and since evicted or synced by
+		// file, pages of three files in no frame order.
+		build := func() *Pager {
+			p := New(8)
+			p.SetFaultPolicy(FaultPolicy{Seed: 1}) // start the disk-op clock
+			p.BlockPins()
+			var fids []FileID
+			for _, name := range []string{"a", "b", "c"} {
+				fids = append(fids, p.Create(name))
+			}
+			for i := 0; i < 60; i++ {
+				f := fids[(i*7)%3]
+				if i%5 == 0 || p.NumPages(f) == 0 {
+					_, err := p.Append(f)
+					must(err)
+				}
+				no := uint32(i*11) % p.NumPages(f)
+				if i%4 == 3 {
+					_, err := p.Read(f, no)
+					must(err)
+				} else {
+					must(p.Write(f, no, []byte{byte(i)}))
+				}
+				if i%9 == 8 {
+					must(p.Sync(fids[i%3]))
+				}
+			}
+			return p
+		}
+		// dirty lists the dirty frames in frame order: what the full scan
+		// the sync replaced wrote back, one disk op each.
+		dirty := func(p *Pager) []pageKey {
+			var keys []pageKey
+			for i := range p.frames {
+				if p.frames[i].valid && p.frames[i].dirty {
+					keys = append(keys, p.frames[i].key)
+				}
+			}
+			return keys
+		}
+		built := build()
+		all := dirty(built)
+		stale := 0 // frames a sync will visit that are clean
+		for i := range built.frames {
+			if built.dirtied[i/64]&(1<<(i%64)) != 0 && !built.frames[i].dirty {
+				stale++
+			}
+		}
+		if len(all) < 3 || stale == 0 || built.cEvictDirty.Value() == 0 {
+			t.Fatalf("%d dirty frames, %d clean ones marked, %d dirty evictions: the state does not exercise the sync",
+				len(all), stale, built.cEvictDirty.Value())
+		}
+		for k := 0; k <= len(all); k++ {
+			p := build()
+			at := p.OpCount() + int64(k)
+			p.SetFaultPolicy(FaultPolicy{Seed: 1, CrashAfterOps: at})
+			err := p.SyncAll()
+			if k < len(all) && !errors.Is(err, ErrCrashed) || k == len(all) && err != nil {
+				t.Fatalf("crash after %d of %d write-backs: SyncAll returned %v", k, len(all), err)
+			}
+			if n := p.OpCount(); n != at {
+				t.Fatalf("crash after %d write-backs: the clock reads %d, want %d", k, n, at)
+			}
+			p.mu.Lock()
+			for i, key := range all {
+				fr := &p.frames[p.table[key]]
+				if written := !fr.dirty; written != (i < k) {
+					t.Fatalf("crash after %d write-backs: frame-order dirty page %d (%v) written back: %v", k, i, key, written)
+				}
+			}
+			p.mu.Unlock()
+		}
+	})
+}

@@ -34,21 +34,27 @@
 // next ReadaheadWindow pages in one batch, so the scan's demand reads
 // become pool hits.
 //
-// Page buffers (DESIGN.md §13): one immutable buffer per page version,
-// shared by disk, pool, snapshot and reader. A page changes only by
-// getting a new buffer — Write copies the caller's bytes into one,
-// WriteOwned takes one its caller built and gives up, Truncate drops the
-// slots — and no buffer is written to once the pager holds it. So nothing
-// is copied between the layers: a write-back stores the frame's buffer as
-// the disk image, a read miss or a readahead installs the disk image in
-// the frame, an MVCC pre-image is the buffer its write replaced, and Read
-// hands out the frame's buffer; a reader holding one holds that version of
-// the page for as long as it likes. No read copies.
+// Page buffers (DESIGN.md §13): one buffer per page version, shared by
+// disk, pool, snapshot and reader, and immutable once a reader can reach
+// it. A page changes by getting a new buffer — Write copies the caller's
+// bytes into one, WriteOwned takes one its caller built and gives up,
+// Truncate drops the slots — except that Write copies into a buffer the
+// writer installed in the writer phase still open (mvcc.go), which no
+// reader can reach yet. Patching one that a per-document write-back also
+// made the disk image is unobservable: the patch dirties the frame, which
+// serves every read of the page until it is written back, and a crashed
+// pager never reads again. So nothing is copied between the layers: a
+// write-back stores the frame's buffer as the disk image, a read miss or
+// a readahead installs the disk image in the frame, an MVCC pre-image is
+// the buffer its write replaced, and Read hands out the frame's buffer; a
+// reader holding one holds that version of the page for as long as it
+// likes. No read copies.
 package pager
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -96,6 +102,11 @@ type Pager struct {
 	frames   []frame
 	table    map[pageKey]int // pageKey -> frame index
 	hand     int
+	// dirtied has a bit per frame that may be dirty: install sets it with
+	// the dirty flag, and a sync clears it when it leaves the frame clean.
+	// Every dirty frame's bit is set, so Sync and SyncAll walk these bits
+	// in frame order instead of every frame of the pool.
+	dirtied []uint64
 
 	// scan resistance + readahead (see the package comment)
 	streams map[FileID]*seqStream
@@ -152,6 +163,10 @@ type frame struct {
 	prefetched uint32
 	dirty      bool
 	valid      bool
+	// own is the writer phase (mvccState.writer) in which the writer
+	// installed data; 0 for a read miss, a prefetch, or a write outside
+	// any phase. While it is the open phase, Write patches data in place.
+	own uint64
 }
 
 // seqStream tracks one file's sequential read pattern: the last missed
@@ -208,6 +223,7 @@ func New(poolPages int) *Pager {
 		files:    make(map[FileID]*file),
 		capacity: poolPages,
 		frames:   make([]frame, poolPages),
+		dirtied:  make([]uint64, (poolPages+63)/64),
 		table:    make(map[pageKey]int, poolPages),
 		streams:  make(map[FileID]*seqStream),
 		mvcc: mvccState{
@@ -306,6 +322,7 @@ func (p *Pager) Close() error {
 	p.down = ErrClosed
 	p.files = make(map[FileID]*file)
 	p.frames = nil
+	p.dirtied = nil
 	p.table = nil
 	p.streams = nil
 	p.fault = nil
@@ -406,8 +423,9 @@ func (p *Pager) Append(fid FileID) (uint32, error) {
 // pool, the simulated disk and every snapshot of the page at once.
 //
 // Concurrent readers of a returned slice are safe even across eviction:
-// page buffers are replaced wholesale, never mutated in place, so a
-// reader holds a consistent (possibly superseded) version of the page.
+// a buffer a reader can reach is replaced wholesale, never mutated in
+// place, so a reader holds a consistent (possibly superseded) version of
+// the page.
 // The B+tree relies on exactly that: it walks the cells of the returned
 // slice without decoding them, keeps it across the writes of a split
 // further down, and builds each successor page in a fresh buffer.
@@ -500,14 +518,26 @@ func (p *Pager) bumpRef(fr *frame) {
 // Write replaces the content of an existing page in the pool, marking it
 // dirty (write-back: no disk write is counted yet). data longer than
 // PageSize is an error; shorter data is zero-padded. data is copied, so
-// the caller keeps its buffer.
+// the caller keeps its buffer: into the page's buffer itself while the
+// writer owns it (see the package comment), else into a new one.
 func (p *Pager) Write(fid FileID, no uint32, data []byte) error {
 	if len(data) > PageSize {
 		return fmt.Errorf("pager: write of %d bytes exceeds page size", len(data))
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	key := pageKey{fid, no}
+	if i, ok := p.table[key]; ok && p.down == nil && p.writerOwns(&p.frames[i]) {
+		// Installed in this writer phase, so its pre-image is captured
+		// (or the page is new) and no reader can reach it: patch it.
+		pg := p.frames[i].data
+		copy(pg, data)
+		clear(pg[len(data):])
+		return p.install(key, pg, true)
+	}
 	pg := make([]byte, PageSize)
 	copy(pg, data)
-	return p.WriteOwned(fid, no, pg)
+	return p.writeOwned(key, pg)
 }
 
 // WriteOwned is Write without the copy: pg, exactly PageSize bytes,
@@ -523,37 +553,59 @@ func (p *Pager) WriteOwned(fid FileID, no uint32, pg []byte) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.writeOwned(pageKey{fid, no}, pg)
+}
+
+// writeOwned installs pg as the page's new buffer, capturing the one it
+// replaces as the pre-image inside a mutation bracket. Callers hold the
+// exclusive latch.
+func (p *Pager) writeOwned(key pageKey, pg []byte) error {
 	if p.down != nil {
 		return p.down
 	}
-	f, ok := p.files[fid]
-	if !ok || no >= uint32(len(f.pages)) {
-		return fmt.Errorf("pager: write beyond end of file %d page %d", fid, no)
+	f, ok := p.files[key.fid]
+	if !ok || key.no >= uint32(len(f.pages)) {
+		return fmt.Errorf("pager: write beyond end of file %d page %d", key.fid, key.no)
 	}
-	key := pageKey{fid, no}
 	if p.mutationActive() {
 		p.capture(key, p.preImage(f, key))
 	}
 	return p.install(key, pg, true)
 }
 
+// writerOwns reports whether fr's buffer was installed by the writer in
+// the writer phase still open.
+func (p *Pager) writerOwns(fr *frame) bool {
+	return fr.own != 0 && fr.own == p.mvcc.writer.Load()
+}
+
 // install places a page into the buffer pool, evicting with CLOCK and
-// writing back the victim if dirty. It fails only when the eviction
-// write-back does (crash); the pool is left unchanged then. Callers hold
-// the exclusive latch, so frame fields may be accessed plainly here.
+// writing back the victim if dirty. dirty marks a write's buffer, owned by
+// the writer phase open now (if any); a clean one is a disk image. It
+// fails only when the eviction write-back does (crash); the pool is left
+// unchanged then. Callers hold the exclusive latch, so frame fields may be
+// accessed plainly here.
 func (p *Pager) install(key pageKey, data []byte, dirty bool) error {
-	if i, ok := p.table[key]; ok {
-		p.frames[i].data = data
+	var own uint64
+	if dirty {
+		own = p.mvcc.writer.Load()
+	}
+	i, ok := p.table[key]
+	if ok {
+		p.frames[i].data, p.frames[i].own = data, own
 		p.bumpRef(&p.frames[i])
 		p.frames[i].dirty = p.frames[i].dirty || dirty
-		return nil
+	} else {
+		var err error
+		if i, err = p.acquireFrame(); err != nil {
+			return err
+		}
+		p.frames[i] = frame{key: key, data: data, ref: 1, dirty: dirty, valid: true, own: own}
+		p.table[key] = i
 	}
-	idx, err := p.acquireFrame()
-	if err != nil {
-		return err
+	if dirty {
+		p.dirtied[i/64] |= 1 << (i % 64)
 	}
-	p.frames[idx] = frame{key: key, data: data, ref: 1, dirty: dirty, valid: true}
-	p.table[key] = idx
 	return nil
 }
 
@@ -751,30 +803,39 @@ func (p *Pager) writeBack(fr *frame) error {
 func (p *Pager) Sync(fid FileID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.down != nil {
-		return p.down
-	}
-	for i := range p.frames {
-		if p.frames[i].valid && p.frames[i].dirty && p.frames[i].key.fid == fid {
-			if err := p.writeBack(&p.frames[i]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return p.syncDirty(func(key pageKey) bool { return key.fid == fid })
 }
 
 // SyncAll writes back every dirty page of every file.
 func (p *Pager) SyncAll() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.syncDirty(func(pageKey) bool { return true })
+}
+
+// syncDirty writes back, in frame order, every dirty frame whose page
+// match accepts, visiting only the frames whose dirtied bit is set (a
+// superset of the dirty ones), and clears the bit of each frame it leaves
+// clean. Callers hold the exclusive latch.
+func (p *Pager) syncDirty(match func(pageKey) bool) error {
 	if p.down != nil {
 		return p.down
 	}
-	for i := range p.frames {
-		if p.frames[i].valid && p.frames[i].dirty {
-			if err := p.writeBack(&p.frames[i]); err != nil {
-				return err
+	for w, word := range p.dirtied {
+		for word != 0 {
+			bit := word & -word
+			word &^= bit
+			fr := &p.frames[w*64+bits.TrailingZeros64(bit)]
+			if fr.valid && fr.dirty {
+				if !match(fr.key) {
+					continue
+				}
+				if err := p.writeBack(fr); err != nil {
+					return err
+				}
+			}
+			if !fr.dirty {
+				p.dirtied[w] &^= bit
 			}
 		}
 	}
@@ -813,6 +874,7 @@ func (p *Pager) dropPool() {
 		}
 		p.frames[i] = frame{}
 	}
+	clear(p.dirtied)
 	p.table = make(map[pageKey]int, p.capacity)
 	p.hand = 0
 	p.streams = make(map[FileID]*seqStream)

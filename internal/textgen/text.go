@@ -1,7 +1,7 @@
 package textgen
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"xbench/internal/stats"
@@ -114,19 +114,40 @@ func Date(day int) string {
 	day = abs(day) % (9 * 360) // nine 360-day years keep arithmetic simple
 	year := 1995 + day/360
 	rem := day % 360
-	return fmt.Sprintf("%04d-%02d-%02d", year, rem/30+1, rem%30+1)
+	b := make([]byte, 0, len("2003-12-30"))
+	b = AppendInt(b, year, 4)
+	b = AppendInt(append(b, '-'), rem/30+1, 2)
+	b = AppendInt(append(b, '-'), rem%30+1, 2)
+	return string(b)
 }
 
 // Phone renders a deterministic phone number for index i.
 func Phone(i int) string {
 	i = abs(i)
-	return fmt.Sprintf("+1-%03d-%03d-%04d", 200+i%700, 100+(i/7)%900, i%10000)
+	b := make([]byte, 0, len("+1-200-100-0000"))
+	b = AppendInt(append(b, "+1-"...), 200+i%700, 3)
+	b = AppendInt(append(b, '-'), 100+(i/7)%900, 3)
+	b = AppendInt(append(b, '-'), i%10000, 4)
+	return string(b)
 }
 
 // Email renders a deterministic e-mail address from a name.
 func Email(name string, i int) string {
 	user := strings.ToLower(strings.ReplaceAll(name, " ", "."))
-	return fmt.Sprintf("%s%d@example.org", user, abs(i)%100)
+	b := make([]byte, 0, len(user)+len("00@example.org"))
+	b = strconv.AppendInt(append(b, user...), int64(abs(i)%100), 10)
+	return string(append(b, "@example.org"...))
+}
+
+// AppendInt appends n ≥ 0 in decimal, zero-padded to width digits — what
+// fmt's "%0<width>d" prints — and returns the extended buffer.
+func AppendInt(b []byte, n, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(n), 10)
+	for range width - len(d) {
+		b = append(b, '0')
+	}
+	return append(b, d...)
 }
 
 func abs(i int) int {

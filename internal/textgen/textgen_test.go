@@ -1,6 +1,7 @@
 package textgen
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -155,5 +156,29 @@ func TestPhoneEmail(t *testing.T) {
 	e := Email("Ada Adams", 7)
 	if !strings.Contains(e, "@example.org") || !strings.Contains(e, "ada.adams") {
 		t.Fatalf("Email = %q", e)
+	}
+}
+
+// TestFormattersMatchFmt: Date, Phone, Email and AppendInt print what the
+// fmt verbs they replace print.
+func TestFormattersMatchFmt(t *testing.T) {
+	for i := -20000; i <= 20000; i += 7 {
+		day := abs(i) % (9 * 360)
+		want := fmt.Sprintf("%04d-%02d-%02d", 1995+day/360, day%360/30+1, day%360%30+1)
+		if got := Date(i); got != want {
+			t.Fatalf("Date(%d) = %q, fmt prints %q", i, got, want)
+		}
+		a := abs(i)
+		if got, want := Phone(i), fmt.Sprintf("+1-%03d-%03d-%04d", 200+a%700, 100+(a/7)%900, a%10000); got != want {
+			t.Fatalf("Phone(%d) = %q, fmt prints %q", i, got, want)
+		}
+		if got, want := Email("Ann Lee", i), fmt.Sprintf("ann.lee%d@example.org", a%100); got != want {
+			t.Fatalf("Email(%d) = %q, fmt prints %q", i, got, want)
+		}
+		for width := 0; width <= 8; width++ {
+			if got, want := string(AppendInt([]byte("x"), a, width)), fmt.Sprintf("x%0*d", width, a); got != want {
+				t.Fatalf("AppendInt(%d, %d) = %q, fmt prints %q", a, width, got, want)
+			}
+		}
 	}
 }

@@ -11,7 +11,7 @@
 package tpcw
 
 import (
-	"fmt"
+	"slices"
 	"strconv"
 
 	"xbench/internal/stats"
@@ -176,7 +176,10 @@ var ccTypes = []string{"VISA", "MASTERCARD", "DISCOVER", "AMEX", "DINERS"}
 var statuses = []string{"PENDING", "PROCESSING", "SHIPPED", "DENIED", ""}
 
 // Generate builds a deterministic population. Counts fields that are zero
-// get sensible defaults derived from Orders/Items.
+// get sensible defaults derived from Orders/Items. Every row is a function
+// of (seed, table, index), drawn from its own Split stream, so each table
+// is generated on every core (stats.ForEach), after the tables it refers
+// to.
 func Generate(seed uint64, c Counts) *Data {
 	if c.Countries == 0 {
 		c.Countries = textgen.CountryCount()
@@ -196,10 +199,10 @@ func Generate(seed uint64, c Counts) *Data {
 	d.Countries = make([]Country, c.Countries)
 	for i := range d.Countries {
 		d.Countries[i] = Country{
-			ID:       fmt.Sprintf("CO%d", i+1),
+			ID:       padded("CO", i+1, 0),
 			Name:     textgen.Country(i),
-			Exchange: fmt.Sprintf("%.4f", 0.5+float64(i%40)*0.1),
-			Currency: fmt.Sprintf("CUR%02d", i%25),
+			Exchange: fixed(0.5+float64(i%40)*0.1, 4),
+			Currency: padded("CUR", i%25, 2),
 		}
 	}
 
@@ -207,31 +210,31 @@ func Generate(seed uint64, c Counts) *Data {
 	nAddr := c.Authors + c.Customers
 	addrRNG := root.Split(1)
 	d.Addresses = make([]Address, nAddr)
-	for i := range d.Addresses {
+	rows(nAddr, func(i int) {
 		r := addrRNG.Split(uint64(i))
 		a := Address{
-			ID:        fmt.Sprintf("ADDR%d", i+1),
-			Street1:   fmt.Sprintf("%d %s Street", 1+r.Intn(9999), textgen.WordAt(r.Intn(200))),
+			ID:        padded("ADDR", i+1, 0),
+			Street1:   strconv.Itoa(1+r.Intn(9999)) + " " + textgen.WordAt(r.Intn(200)) + " Street",
 			City:      textgen.WordAt(100 + r.Intn(120)),
-			Zip:       fmt.Sprintf("%05d", r.Intn(100000)),
+			Zip:       padded("", r.Intn(100000), 5),
 			CountryID: d.Countries[r.Intn(len(d.Countries))].ID,
 		}
 		if r.Bool(0.3) {
-			a.Street2 = fmt.Sprintf("Suite %d", 1+r.Intn(400))
+			a.Street2 = padded("Suite ", 1+r.Intn(400), 0)
 		}
 		if r.Bool(0.7) {
-			a.State = fmt.Sprintf("ST%02d", r.Intn(50))
+			a.State = padded("ST", r.Intn(50), 2)
 		}
 		d.Addresses[i] = a
-	}
+	})
 
 	authRNG := root.Split(2)
 	d.Authors = make([]Author, c.Authors)
 	d.Author2s = make([]Author2, c.Authors)
-	for i := range d.Authors {
+	rows(c.Authors, func(i int) {
 		r := authRNG.Split(uint64(i))
 		a := Author{
-			ID:    fmt.Sprintf("A%d", i+1),
+			ID:    padded("A", i+1, 0),
 			FName: textgen.FirstName(i),
 			LName: textgen.LastName(i / 7),
 			DOB:   textgen.Date(r.Intn(9 * 360)),
@@ -249,14 +252,14 @@ func Generate(seed uint64, c Counts) *Data {
 			a2.Email = textgen.Email(a.FName+" "+a.LName, i)
 		}
 		d.Author2s[i] = a2
-	}
+	})
 
 	pubRNG := root.Split(3)
 	d.Publishers = make([]Publisher, c.Pubs)
-	for i := range d.Publishers {
+	rows(c.Pubs, func(i int) {
 		r := pubRNG.Split(uint64(i))
 		p := Publisher{
-			ID:    fmt.Sprintf("P%d", i+1),
+			ID:    padded("P", i+1, 0),
 			Name:  textgen.WordAt(50+i) + " " + textgen.WordAt(90+i*3) + " Press",
 			Phone: textgen.Phone(1000 + i),
 			Email: textgen.Email("press office", i),
@@ -267,12 +270,12 @@ func Generate(seed uint64, c Counts) *Data {
 			p.Fax = textgen.Phone(2000 + i)
 		}
 		d.Publishers[i] = p
-	}
+	})
 
 	itemRNG := root.Split(4)
 	pages := stats.Normal{Mu: 450, Sigma: 220, Min: 20, Max: 3000}
 	d.Items = make([]Item, c.Items)
-	for i := range d.Items {
+	rows(c.Items, func(i int) {
 		r := itemRNG.Split(uint64(i))
 		tx := textgen.NewText(r.Split(9))
 		nAuthors := 1 + r.Intn(3)
@@ -281,56 +284,57 @@ func Generate(seed uint64, c Counts) *Data {
 			ids[j] = d.Authors[r.Intn(len(d.Authors))].ID
 		}
 		cost := 5 + r.Float64()*95
-		it := Item{
-			ID:        fmt.Sprintf("I%d", i+1),
+		d.Items[i] = Item{
+			ID:        padded("I", i+1, 0),
 			Title:     titleCase(tx.Words(2 + r.Intn(5))),
 			AuthorIDs: ids,
 			PubID:     d.Publishers[r.Intn(len(d.Publishers))].ID,
 			PubDate:   textgen.Date(r.Intn(9 * 360)),
 			Subject:   subjects[r.Intn(len(subjects))],
 			Desc:      tx.Paragraph(1 + r.Intn(3)),
-			Cost:      fmt.Sprintf("%.2f", cost),
-			SRP:       fmt.Sprintf("%.2f", cost*(1.1+r.Float64()*0.4)),
+			Cost:      fixed(cost, 2),
+			SRP:       fixed(cost*(1.1+r.Float64()*0.4), 2),
 			Avail:     textgen.Date(r.Intn(9 * 360)),
-			ISBN:      fmt.Sprintf("%013d", 9780000000000+uint64(i)*7+uint64(r.Intn(7))),
+			ISBN:      padded("", 9780000000000+i*7+r.Intn(7), 13),
 			Pages:     stats.DrawInt(r, pages),
 			Backing:   backings[r.Intn(len(backings))],
-			Length:    fmt.Sprintf("%.1f", 10+r.Float64()*20),
-			Width:     fmt.Sprintf("%.1f", 8+r.Float64()*12),
-			Height:    fmt.Sprintf("%.1f", 1+r.Float64()*6),
+			Length:    fixed(10+r.Float64()*20, 1),
+			Width:     fixed(8+r.Float64()*12, 1),
+			Height:    fixed(1+r.Float64()*6, 1),
 		}
-		d.Items[i] = it
-	}
+	})
 
 	custRNG := root.Split(5)
 	d.Customers = make([]Customer, c.Customers)
-	for i := range d.Customers {
+	rows(c.Customers, func(i int) {
 		r := custRNG.Split(uint64(i))
 		fn, ln := textgen.FirstName(i+3), textgen.LastName(i/5)
 		d.Customers[i] = Customer{
-			ID:       fmt.Sprintf("C%d", i+1),
-			UName:    fmt.Sprintf("%s%d", fn, i),
+			ID:       padded("C", i+1, 0),
+			UName:    padded(fn, i, 0),
 			FName:    fn,
 			LName:    ln,
 			Phone:    textgen.Phone(3000 + i),
 			Email:    textgen.Email(fn+" "+ln, i),
 			Since:    textgen.Date(r.Intn(9 * 360)),
-			Discount: fmt.Sprintf("%d", r.Intn(25)),
+			Discount: strconv.Itoa(r.Intn(25)),
 			AddrID:   d.Addresses[c.Authors+i].ID,
 		}
-	}
+	})
 
 	orderRNG := root.Split(6)
-	lines := stats.Exponential{Lambda: 0.5, Min: 1, Max: 12}
+	lineDist := stats.Exponential{Lambda: 0.5, Min: 1, Max: 12}
 	d.Orders = make([]Order, c.Orders)
 	d.CCXacts = make([]CCXact, c.Orders)
-	for i := range d.Orders {
+	lines := make([][]OrderLine, c.Orders) // each order's, in Seq order
+	rows(c.Orders, func(i int) {
 		r := orderRNG.Split(uint64(i))
 		cust := d.Customers[r.Intn(len(d.Customers))]
 		day := r.Intn(9 * 360)
 		sub := 0.0
-		nLines := stats.DrawInt(r, lines)
-		oid := fmt.Sprintf("O%d", i+1)
+		nLines := stats.DrawInt(r, lineDist)
+		oid := padded("O", i+1, 0)
+		lines[i] = make([]OrderLine, nLines)
 		for s := 1; s <= nLines; s++ {
 			item := d.Items[r.Intn(len(d.Items))]
 			qty := 1 + r.Intn(5)
@@ -339,13 +343,13 @@ func Generate(seed uint64, c Counts) *Data {
 				Seq:      s,
 				ItemID:   item.ID,
 				Qty:      qty,
-				Discount: fmt.Sprintf("%d", r.Intn(10)),
+				Discount: strconv.Itoa(r.Intn(10)),
 			}
 			if r.Bool(0.2) {
 				ol.Comment = textgen.NewText(r.Split(uint64(s))).Sentence(4, 9)
 			}
-			d.OrderLines = append(d.OrderLines, ol)
-			costF, _ := strconv.ParseFloat(item.Cost, 64) // formatted above with %.2f
+			lines[i][s-1] = ol
+			costF, _ := strconv.ParseFloat(item.Cost, 64) // formatted above with two decimals
 			sub += costF * float64(qty)
 		}
 		tax := sub * 0.08
@@ -353,9 +357,9 @@ func Generate(seed uint64, c Counts) *Data {
 			ID:         oid,
 			CustomerID: cust.ID,
 			Date:       textgen.Date(day),
-			SubTotal:   fmt.Sprintf("%.2f", sub),
-			Tax:        fmt.Sprintf("%.2f", tax),
-			Total:      fmt.Sprintf("%.2f", sub+tax),
+			SubTotal:   fixed(sub, 2),
+			Tax:        fixed(tax, 2),
+			Total:      fixed(sub+tax, 2),
 			ShipType:   shipTypes[r.Intn(len(shipTypes))],
 			ShipDate:   textgen.Date(min(day+1+r.Intn(14), 9*360-1)),
 			ShipAddrID: cust.AddrID,
@@ -365,21 +369,38 @@ func Generate(seed uint64, c Counts) *Data {
 		x := CCXact{
 			OrderID: oid,
 			Type:    ccTypes[r.Intn(len(ccTypes))],
-			Number:  fmt.Sprintf("4%015d", r.Intn(1<<30)),
+			Number:  padded("4", r.Intn(1<<30), 15),
 			Name:    cust.FName + " " + cust.LName,
 			Expiry:  textgen.Date(day + 360 + r.Intn(720)),
-			AuthID:  fmt.Sprintf("AUTH%06d", r.Intn(1000000)),
+			AuthID:  padded("AUTH", r.Intn(1000000), 6),
 			Amount:  o.Total,
 		}
 		if r.Bool(0.6) {
 			x.Country = d.Countries[r.Intn(len(d.Countries))].Name
 		}
 		d.CCXacts[i] = x
-	}
+	})
+	d.OrderLines = slices.Concat(lines...)
 
 	d.buildIndexes()
 	return d
 }
+
+// rows generates n rows on every core: row(i) writes row i of its table
+// and reads only the tables generated before it.
+func rows(n int, row func(i int)) {
+	_ = stats.ForEach(n, func(i int) error { row(i); return nil })
+}
+
+// padded returns prefix followed by n ≥ 0 in decimal, zero-padded to
+// width digits: what fmt's prefix+"%0<width>d" prints.
+func padded(prefix string, n, width int) string {
+	var buf [32]byte
+	return string(textgen.AppendInt(append(buf[:0], prefix...), n, width))
+}
+
+// fixed returns x with prec decimals: what fmt's "%.<prec>f" prints.
+func fixed(x float64, prec int) string { return strconv.FormatFloat(x, 'f', prec, 64) }
 
 func (d *Data) buildIndexes() {
 	d.authorByID = make(map[string]int, len(d.Authors))

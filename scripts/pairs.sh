@@ -26,13 +26,19 @@
 # r_(k)–r_(n+1−k) of the n sorted ratios with its coverage, the chance
 # that it holds the median ratio, 1 − 2·P(Binomial(n, ½) < k). k is the
 # largest whose coverage is at least 95 %, or 1: min–max at 75 % for
-# n = 3, r_(2)–r_(9) at 97.9 % for n = 10.
+# n = 3, r_(2)–r_(9) at 97.9 % for n = 10. Each such line ends with the
+# interval's verdict, by three rules: "gain" when the whole interval lies
+# on the better side of 1 (the direction BENCHMARK.json gives), "no
+# change" when it lies inside the metric's bound, [1 − bound, 1 + bound],
+# and "unresolved" otherwise.
 # Then one results/trajectory.tsv row per workload:
 # B's median and quartiles of qps, read_p50_ms, setup_s and space_amp, the
 # claim column (TEXT, default "-"), and how many of the N pairs B won on
 # metric M (default qps; "won" is better in the direction BENCHMARK.json
-# gives M), with the ratio of B's median of M to A's. The rows go to
-# stdout after the verdicts; append them to the trajectory by hand.
+# gives M), with the ratio of B's median of M to A's, then M's median
+# per-pair ratio B/A and its interval (ratio_median, ratio_lo, ratio_hi).
+# The rows go to stdout after the verdicts; append them to the trajectory
+# by hand.
 # --keep copies every results file to DIR as <a|b>.<workload>.json, and
 # its runs' CPU seconds and GC cycles as <a|b>.<workload>.cpu and .gc.
 # --quick runs the smoke scale, where no number means anything: CI runs
@@ -100,16 +106,20 @@ perop() { # workload cpu|gc: "median A, median B, pairs B won, pairs, A's spread
 			"A IQR [\($lo | sig6), \($hi | sig6)]\(if $mb >= $lo and $mb <= $hi then ", inside A'"'"'s spread" else "" end)"] | @tsv'
 }
 
-ratios() { # workload: per end-to-end metric "name, median ratio, r_(k), r_(n+1-k), coverage %, k, n" of B_i/A_i
+ratios() { # workload: per end-to-end metric "name, median ratio, r_(k), r_(n+1-k), coverage %, k, n, verdict" of B_i/A_i
 	jq -rn --slurpfile ar "$work/a.$1.json" --slurpfile br "$work/b.$1.json" --slurpfile bench BENCHMARK.json "$jqlib"'
 		def vals($f; $k): [$f[0].runs[].result.metrics[$k].value];
 		def choose($n; $k): reduce range(0; $k) as $i (1; . * ($n - $i) / ($i + 1));
 		def coverage($n; $k): 1 - 2 * ([range(0; $k) | choose($n; .)] | add) / pow(2; $n);
-		$bench[0].end_to_end[].name as $m | vals($ar; $m) as $a | vals($br; $m) as $b |
+		$bench[0].end_to_end[] as $e | $e.name as $m | vals($ar; $m) as $a | vals($br; $m) as $b |
 		[range(0; [$a, $b] | map(length) | min) | select($a[.] != null and $b[.] != null and $a[.] != 0) | $b[.] / $a[.]] |
 		sort as $r | ($r | length) as $n | select($n > 0) |
 		([range(1; ($n + 1) / 2 | floor + 1) | select(coverage($n; .) >= 0.95)] | max // 1) as $k |
-		[$m, (q($r; 0.5) | sig6), ($r[$k - 1] | sig6), ($r[$n - $k] | sig6), (coverage($n; $k) * 1000 | round / 10), $k, $n] | @tsv'
+		$r[$k - 1] as $lo | $r[$n - $k] as $hi |
+		(if (if $e.better == "higher" then $lo > 1 else $hi < 1 end) then "gain"
+		elif $lo >= 1 - $e.bound and $hi <= 1 + $e.bound then "no change"
+		else "unresolved" end) as $verdict |
+		[$m, (q($r; 0.5) | sig6), ($lo | sig6), ($hi | sig6), (coverage($n; $k) * 1000 | round / 10), $k, $n, $verdict] | @tsv'
 }
 
 better=$(jq -r --arg m "$metric" '.end_to_end[] | select(.name == $m) | .better' BENCHMARK.json)
@@ -127,12 +137,15 @@ for w in ${workloads//,/ }; do
 	printf '%-14s %-14s %14s %14s  B spent less on %s/%s pairs; %s\n' "$w" "cpu_s_per_op" "$acpu" "$bcpu" "$won" "$n" "$spread"
 	IFS=$'\t' read -r agc bgc won n spread < <(perop "$w" gc)
 	printf '%-14s %-14s %14s %14s  B ran fewer on %s/%s pairs; %s\n' "$w" "gc_per_op" "$agc" "$bgc" "$won" "$n" "$spread"
-	while IFS=$'\t' read -r m med lo hi cov k n; do
-		printf '%-14s %-14s ratio B/A: median %s, interval [%s, %s] covering %s %% (k = %s of n = %s)\n' \
-			"$w" "$m" "$med" "$lo" "$hi" "$cov" "$k" "$n"
+	rmed=- rlo=- rhi=-
+	while IFS=$'\t' read -r m med lo hi cov k n verdict; do
+		printf '%-14s %-14s ratio B/A: median %s, interval [%s, %s] covering %s %% (k = %s of n = %s): %s\n' \
+			"$w" "$m" "$med" "$lo" "$hi" "$cov" "$k" "$n" "$verdict"
+		if [ "$m" = "$metric" ]; then rmed=$med rlo=$lo rhi=$hi; fi
 	done < <(ratios "$w")
 	rows+=("$(jq -rs --arg pr "$pr" --arg w "$w" --arg seed "$seed" --arg m "$metric" \
-		--arg better "$better" --arg claim "$claim" --arg host "$host" "$jqlib"'
+		--arg better "$better" --arg claim "$claim" --arg host "$host" \
+		--arg rmed "$rmed" --arg rlo "$rlo" --arg rhi "$rhi" "$jqlib"'
 		def vals($f; $k): [$f.runs[].result.metrics[$k].value];
 		.[0] as $A | .[1] as $B |
 		[vals($A; $m), vals($B; $m)] as [$am, $bm] |
@@ -140,7 +153,8 @@ for w in ${workloads//,/ }; do
 		[$pr, $w, $seed, ($bm | length | tostring)] +
 		([ "qps", "read_p50_ms", "setup_s", "space_amp" ] | map(vals($B; .) as $v |
 			[q($v; 0.5), q($v; 0.25), q($v; 0.75)] | map(sig6 | tostring)) | add) +
-		[$claim, "\($won | length)/\($am | length) on \($m) (\(q($bm; 0.5) / q($am; 0.5) | sig6)x)", $host] | @tsv' \
+		[$claim, "\($won | length)/\($am | length) on \($m) (\(q($bm; 0.5) / q($am; 0.5) | sig6)x)", $host,
+			$rmed, $rlo, $rhi] | @tsv' \
 		"$work/a.$w.json" "$work/b.$w.json")")
 done
 if [ -n "$keep" ]; then mkdir -p "$keep" && cp "$work"/[ab].*.json "$work"/[ab].*.cpu "$work"/[ab].*.gc "$keep"/; fi
