@@ -15,7 +15,6 @@ package toxgene
 
 import (
 	"fmt"
-	"strconv"
 
 	"xbench/internal/stats"
 	"xbench/internal/xmldom"
@@ -56,12 +55,6 @@ type Gen func(*Ctx) string
 
 // Const returns a generator that always produces s.
 func Const(s string) Gen { return func(*Ctx) string { return s } }
-
-// Seq returns a generator producing prefix + innermost occurrence index
-// (1-based), e.g. Seq("I") -> "I1", "I2", ...
-func Seq(prefix string) Gen {
-	return func(c *Ctx) string { return prefix + strconv.Itoa(c.Index()+1) }
-}
 
 // AttrTmpl declares one attribute.
 type AttrTmpl struct {

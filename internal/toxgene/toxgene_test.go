@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/xml"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -129,7 +130,7 @@ func TestSeqAndIndex(t *testing.T) {
 		Children: []*Tmpl{{
 			Name:  "item",
 			Count: stats.Uniform{Lo: 4, Hi: 4},
-			Attrs: []AttrTmpl{{Name: "id", Value: Seq("I")}},
+			Attrs: []AttrTmpl{{Name: "id", Value: func(c *Ctx) string { return "I" + strconv.Itoa(c.Index()+1) }}},
 		}},
 	}
 	b, _ := Document(tmpl, 1)
