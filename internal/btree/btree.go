@@ -106,11 +106,11 @@ const headerMagic = 0x42545231
 func (t *Tree) Sync() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var buf [16]byte
+	var buf [pager.PageSize]byte // the whole page: the write reads nothing
 	binary.BigEndian.PutUint32(buf[0:4], headerMagic)
 	binary.BigEndian.PutUint32(buf[4:8], t.root)
 	binary.BigEndian.PutUint64(buf[8:16], uint64(t.n))
-	if err := t.p.Write(t.fid, 0, buf[:]); err != nil {
+	if err := t.p.Write(t.fid, 0, 0, buf[:]); err != nil {
 		return err
 	}
 	return t.p.Sync(t.fid)

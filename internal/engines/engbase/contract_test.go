@@ -230,40 +230,12 @@ func TestEngineContract(t *testing.T) {
 		})
 	}
 
-	// Nothing published means nothing to read — never the live store. A
-	// Freeze that fails after the apply commits the epoch with no view:
-	// reads, plans and further updates all get the not-loaded error until
-	// a Load publishes again.
-	t.Run("fake store/a failed Freeze leaves the not-loaded error, not the live store", func(t *testing.T) {
-		b, c := newCell(t)
-		mustLoad(t, b, 3)
-		c.freezeErr = errors.New("freeze failed")
-		if err := b.InsertDocument(ctx, "x.xml", []byte("<d/>")); !errors.Is(err, c.freezeErr) {
-			t.Fatalf("U1 with a failing Freeze: %v", err)
-		}
-		c.freezeErr = nil
-		for name, run := range map[string]func() error{
-			"Execute": func() error { _, err := b.Execute(ctx, core.Q1, nil); return err },
-			"Explain": func() error { _, err := b.Explain(ctx, core.Q1, nil); return err },
-			"insert":  func() error { return b.InsertDocument(ctx, "y.xml", []byte("<d/>")) },
-		} {
-			if err := run(); err == nil || !strings.Contains(err.Error(), "cell: "+name+" before Load") {
-				t.Errorf("%s after the failed Freeze: %v", name, err)
-			}
-		}
-		if n := b.Pager().PinnedSnapshots(); n != 0 {
-			t.Errorf("%d snapshots left pinned", n)
-		}
-		mustLoad(t, b, 5)
-		if res, err := b.Execute(ctx, core.Q1, nil); err != nil || res.Items[0] != "5" {
-			t.Fatalf("Execute after the reload = %v, %v", res.Items, err)
-		}
-	})
-
 	// One failure rule: an update that fails anywhere between the bracket
 	// opening and the commit — either apply hook, the sync — closes the
-	// bracket with nothing published and stops the engine, like the failed
-	// Freeze above.
+	// bracket with nothing published and stops the engine. Nothing
+	// published means nothing to read — never the live store: reads, plans
+	// and further updates all get the not-loaded error until a Load
+	// publishes again.
 	boom := errors.New("apply failed")
 	for _, row := range []struct {
 		name   string

@@ -78,10 +78,10 @@ type Store[V View] interface {
 	LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats, error)
 
 	// Freeze returns the store's immutable read surface at the commit
-	// epoch the open mutation (or the load) is about to commit. It
-	// flushes the heap tails the mutation dirtied into the pool, and only
-	// those; Base syncs the pager after it.
-	Freeze(epoch uint64) (V, error)
+	// epoch the open mutation (or the load) is about to commit, after
+	// Base synced the pager: a description of what the mutation wrote into
+	// the pool, it writes nothing itself.
+	Freeze(epoch uint64) V
 	// BuildIndexes creates the Table 3 value indexes among specs that
 	// apply to the loaded class.
 	BuildIndexes(specs []core.IndexSpec) error
@@ -229,27 +229,23 @@ func (b *Base[V]) notLoaded(op string) error {
 }
 
 // publish ends every mutation of the store — a load, an index build, an
-// update — and is the only place one becomes durable and visible: freeze
-// the store at epoch (which flushes the heap tails the mutation dirtied),
-// sync the pager, run durable when there is one (Apply's durable step: a
+// update — and is the only place one becomes durable and visible: sync
+// the pager, run durable when there is one (Apply's durable step: a
 // served update's journal append and sync; loads and index builds have
-// none), and commit the epoch with the publication of that view through
-// commit — EndMutation inside a bracket, AdvanceEpoch after a load.
-// Freezing before the commit is what lets epoch and view change
-// together, and running the step before it is what keeps an update no
-// reader can see until its journal record is durable. err is what the
-// mutation's own hooks returned, and there is one failure rule: if they,
-// Freeze, the sync or the durable step failed, the epoch is
-// committed with nothing to read and the engine stops — the store may
-// hold half the mutation and its volatile maps may disagree with its
-// pages, so every operation answers the not-loaded error until the next
-// Load rebuilds both (after a crash, the restart's: a new engine loads the
-// database and replays the server's journal). The caller holds the latch.
+// none), then freeze the store at epoch and commit the epoch with the
+// publication of that view through commit — EndMutation inside a
+// bracket, AdvanceEpoch after a load. Freezing before the commit is what
+// lets epoch and view change together, and running the step before it is
+// what keeps an update no reader can see until its journal record is
+// durable. err is what the mutation's own hooks returned, and there is
+// one failure rule: if they, the sync or the durable step failed, the
+// epoch is committed with nothing to read and the engine stops — the
+// store may hold half the mutation and its volatile maps may disagree
+// with its pages, so every operation answers the not-loaded error until
+// the next Load rebuilds both (after a crash, the restart's: a new engine
+// loads the database and replays the server's journal). The caller holds
+// the latch.
 func (b *Base[V]) publish(epoch uint64, commit func(view any) uint64, durable func() error, err error) error {
-	var v V
-	if err == nil {
-		v, err = b.s.Freeze(epoch)
-	}
 	if err == nil {
 		err = b.p.SyncAll()
 	}
@@ -262,6 +258,7 @@ func (b *Base[V]) publish(epoch uint64, commit func(view any) uint64, durable fu
 		commit(nil)
 		return err
 	}
+	v := b.s.Freeze(epoch)
 	pub := &publication[V]{view: v, stats: v.Stats(), planned: b.cellsPlanned}
 	b.cellsCarried.Add(pub.carry(b.last))
 	b.last = pub

@@ -26,9 +26,9 @@ type cell struct {
 	fid   pager.FileID
 	names map[string]bool
 
-	// What Freeze and ApplyDelete return, when set; ApplyDelete fails
-	// after rewriting the page, as a real half-applied update would.
-	freezeErr, deleteErr error
+	// What ApplyDelete returns, when set; it fails after rewriting the
+	// page, as a real half-applied update would.
+	deleteErr error
 	// inInsert, when set, runs inside ApplyInsert after the page is
 	// rewritten, with the hook's ctx; its error is the hook's.
 	inInsert func(ctx context.Context) error
@@ -63,9 +63,9 @@ func docs(n int) *core.Database {
 }
 
 func (c *cell) write() error {
-	buf := make([]byte, 8)
+	buf := make([]byte, pager.PageSize)
 	binary.LittleEndian.PutUint64(buf, uint64(len(c.names)))
-	return c.p.Write(c.fid, 0, buf)
+	return c.p.Write(c.fid, 0, 0, buf)
 }
 
 func (c *cell) Name() string                         { return "cell" }
@@ -83,11 +83,8 @@ func (c *cell) LoadDocs(_ context.Context, db *core.Database) (core.LoadStats, e
 	}
 	return core.LoadStats{Documents: len(db.Docs)}, c.write()
 }
-func (c *cell) Freeze(epoch uint64) (*cellView, error) {
-	if c.freezeErr != nil {
-		return nil, c.freezeErr
-	}
-	return &cellView{p: c.p, fid: c.fid, epoch: epoch, n: uint64(len(c.names))}, nil
+func (c *cell) Freeze(epoch uint64) *cellView {
+	return &cellView{p: c.p, fid: c.fid, epoch: epoch, n: uint64(len(c.names))}
 }
 func (v *cellView) Class() core.Class { return core.DCMD }
 func (v *cellView) Stats() plan.StatValues {

@@ -64,8 +64,8 @@ func TestLoadContractWithParseAhead(t *testing.T) {
 		prefix string
 		io     int64
 	}{
-		"X-Hive":      {"native", 3491},
-		"Xcolumn":     {"Xcolumn", 3743},
+		"X-Hive":      {"native", 3490},
+		"Xcolumn":     {"Xcolumn", 3740},
 		"Xcollection": {"Xcollection", 7069},
 		"SQL Server":  {"SQL Server", 7069},
 	}

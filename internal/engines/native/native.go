@@ -169,36 +169,29 @@ func (m *recordMemo) reset() {
 	m.bytes = 0
 }
 
-// live is the writer's view of its own heaps as they are now, unflushed
-// tails included, valid until its next Insert or Delete. It carries no
-// indexes: the writer maintains those, it does not probe them. Nor a
-// record memo: a record in its unflushed tail page lies in a buffer the
-// writer keeps appending to.
+// live is the writer's view of its own heaps as they are now, valid until
+// its next Insert or Delete. It carries no indexes: the writer maintains
+// those, it does not probe them. Nor a record memo: a record in a heap's
+// tail page lies in a writer-owned pool buffer the writer keeps appending
+// to.
 func (s *store) live() *view {
 	return &view{class: s.class, reg: s.p.Metrics(), docs: s.docs.Live(), catalog: s.catalog.Live()}
 }
 
 // Freeze implements engbase.Store: the live view with its heaps and the
 // indexes frozen at epoch, reading the store's record memo, which moves
-// to epoch without the records the mutation tombstoned. The heap views
-// flush the tail page of a heap the mutation appended to or patched.
-func (s *store) Freeze(epoch uint64) (*view, error) {
+// to epoch without the records the mutation tombstoned.
+func (s *store) Freeze(epoch uint64) *view {
 	s.memo.advance(epoch, s.dropped)
 	s.dropped = s.dropped[:0]
 	v := s.live()
 	v.memo, v.epoch = s.memo, epoch
-	var err error
-	if v.docs, err = s.docs.View(epoch); err != nil {
-		return nil, err
-	}
-	if v.catalog, err = s.catalog.View(epoch); err != nil {
-		return nil, err
-	}
+	v.docs, v.catalog = s.docs.View(epoch), s.catalog.View(epoch)
 	v.indexes = make(map[string]*btree.TreeView, len(s.indexes))
 	for t, ix := range s.indexes {
 		v.indexes[t] = ix.ViewAt(epoch)
 	}
-	return v, nil
+	return v
 }
 
 // New returns an empty native engine with the given buffer pool size in

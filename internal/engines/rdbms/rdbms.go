@@ -160,19 +160,15 @@ func (s *store) Supports(c core.Class, sz core.Size) error {
 }
 
 // Freeze implements engbase.Store: the CLOB heap's view and a copy of the
-// rid list at epoch, then the tables' (relational.DB.View). The views
-// flush the tail page of each heap the mutation appended to or patched.
-func (s *store) Freeze(epoch uint64) (view, error) {
-	src := shredplan.Source{Mapping: s.pol.mapping, Class: s.shred.Class, DropMixed: s.pol.dropMixed}
-	var err error
+// rid list at epoch, then the tables' (relational.DB.View).
+func (s *store) Freeze(epoch uint64) view {
+	src := shredplan.Source{Mapping: s.pol.mapping, Class: s.shred.Class, DropMixed: s.pol.dropMixed,
+		DB: s.shred.DB.View(epoch)}
 	if s.clobs != nil {
-		if src.CLOBs, err = s.clobs.View(epoch); err != nil {
-			return view{}, err
-		}
+		src.CLOBs = s.clobs.View(epoch)
 		src.RIDs = slices.Clone(s.rids)
 	}
-	src.DB, err = s.shred.DB.View(epoch)
-	return view{src}, err
+	return view{src}
 }
 
 // Reset implements engbase.Store.
@@ -196,9 +192,8 @@ func (s *store) Reset() error {
 // transaction, because both DB2's loaders and the SQLXML bulk loader work
 // document-at-a-time (the per-document I/O is what makes DC/MD the
 // slowest class to load in Table 4). Xcolumn syncs the CLOB heap per
-// document and flushes its side tables once, at the end; the shredding
-// policies flush and sync every table per document, then build the key
-// indexes.
+// document and its side tables once, at the end; the shredding policies
+// sync every table per document, then build the key indexes.
 func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats, error) {
 	var st core.LoadStats
 	s.keys = make(map[string]string, len(db.Docs))
@@ -225,9 +220,6 @@ func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats
 		return nil
 	})
 	if err != nil {
-		return st, err
-	}
-	if err := s.shred.Sync(); err != nil {
 		return st, err
 	}
 	// Primary/foreign-key indexes are created automatically during bulk

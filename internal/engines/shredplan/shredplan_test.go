@@ -21,11 +21,7 @@ import (
 // a store beside a reader, so the committed epoch needs no pin.
 func frozen(t *testing.T, s *shredder.Store) Source {
 	t.Helper()
-	db, err := s.DB.View(s.DB.Pager.SnapshotEpoch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Source{Class: s.Class, DB: db, DropMixed: s.Opts.DropMixed}
+	return Source{Class: s.Class, DB: s.DB.View(s.DB.Pager.SnapshotEpoch()), DropMixed: s.Opts.DropMixed}
 }
 
 // loadStore shreds a tiny generated database into a fresh store and

@@ -152,11 +152,6 @@ func loadLikeXcolumn(t *testing.T, db *core.Database) Source {
 	if err := clobs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range tables.TableNames() {
-		if err := tables.Table(name).Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for _, spec := range queries.Indexes(db.Class) {
 		if table, c, ok := shredder.TargetColumn(db.Class, xmlschema.DAD, spec.Target); ok {
 			if err := tables.Table(table).CreateIndex(c); err != nil {
@@ -167,15 +162,8 @@ func loadLikeXcolumn(t *testing.T, db *core.Database) Source {
 	if err := p.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
-	cv, err := clobs.View(p.SnapshotEpoch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := tables.View(p.SnapshotEpoch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Source{Mapping: xmlschema.DAD, Class: db.Class, DB: v, CLOBs: cv, RIDs: rids}
+	return Source{Mapping: xmlschema.DAD, Class: db.Class, DB: tables.View(p.SnapshotEpoch()),
+		CLOBs: clobs.View(p.SnapshotEpoch()), RIDs: rids}
 }
 
 // TestExplainedTreeIsExecuted: for every tree — the shredded ones on both

@@ -14,7 +14,7 @@ func TestCloseFlushesAndReleasesFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := bytes.Repeat([]byte("z"), 64)
-	if err := p.Write(f, no, data); err != nil {
+	if err := p.Write(f, no, 0, data); err != nil {
 		t.Fatal(err)
 	}
 	if p.OpenFiles() != 1 {
@@ -44,7 +44,7 @@ func TestOpsAfterCloseFail(t *testing.T) {
 	if _, err := p.Read(f, 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Read after close: %v", err)
 	}
-	if err := p.Write(f, 0, nil); !errors.Is(err, ErrClosed) {
+	if err := p.Write(f, 0, 0, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Write after close: %v", err)
 	}
 	if _, err := p.Append(f); !errors.Is(err, ErrClosed) {

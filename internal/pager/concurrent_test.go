@@ -21,7 +21,7 @@ func TestConcurrentReads(t *testing.T) {
 			t.Fatal(err)
 		}
 		pg := bytes.Repeat([]byte{byte(i)}, PageSize)
-		if err := p.Write(fid, no, pg); err != nil {
+		if err := p.Write(fid, no, 0, pg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,7 +70,7 @@ func TestConcurrentColdResetAndStats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Write(fid, no, bytes.Repeat([]byte{byte(i)}, PageSize)); err != nil {
+		if err := p.Write(fid, no, 0, bytes.Repeat([]byte{byte(i)}, PageSize)); err != nil {
 			t.Fatal(err)
 		}
 	}

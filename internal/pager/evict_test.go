@@ -19,7 +19,7 @@ func buildFile(t *testing.T, p *Pager, name string, n int) FileID {
 			t.Fatal(err)
 		}
 		binary.LittleEndian.PutUint64(buf, uint64(i))
-		if err := p.Write(f, no, buf); err != nil {
+		if err := p.Write(f, no, 0, buf); err != nil {
 			t.Fatal(err)
 		}
 	}

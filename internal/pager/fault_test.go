@@ -16,7 +16,7 @@ func fillPages(t *testing.T, p *Pager, name string, n int) FileID {
 		if _, err := p.Append(f); err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
-		if err := p.Write(f, uint32(i), bytes.Repeat([]byte{byte(i + 1)}, PageSize)); err != nil {
+		if err := p.Write(f, uint32(i), 0, bytes.Repeat([]byte{byte(i + 1)}, PageSize)); err != nil {
 			t.Fatalf("Write %d: %v", i, err)
 		}
 	}
@@ -34,7 +34,7 @@ func faultTrace(seed uint64) string {
 	f := p.Create("t")
 	for i := 0; i < 8; i++ {
 		p.Append(f)
-		p.Write(f, uint32(i), []byte{byte(i)})
+		p.Write(f, uint32(i), 0, []byte{byte(i)})
 	}
 	p.Sync(f)
 	p.ColdReset()
@@ -118,7 +118,7 @@ func TestCrashHaltsAllIO(t *testing.T) {
 	if _, err := p.Read(f, 0); !IsCrash(err) {
 		t.Fatalf("Read while crashed: %v", err)
 	}
-	if err := p.Write(f, 0, nil); !IsCrash(err) {
+	if err := p.Write(f, 0, 0, nil); !IsCrash(err) {
 		t.Fatalf("Write while crashed: %v", err)
 	}
 	if _, err := p.Append(f); !IsCrash(err) {
@@ -150,7 +150,7 @@ func TestCrashBudgetSweep(t *testing.T) {
 		for i := 0; i < 6 && err == nil; i++ {
 			_, err = p.Append(f)
 			if err == nil {
-				err = p.Write(f, uint32(i), image(i))
+				err = p.Write(f, uint32(i), 0, image(i))
 			}
 		}
 		if err == nil {
@@ -218,7 +218,7 @@ func TestWriteBackTruncationGuard(t *testing.T) {
 	p := New(4)
 	f := p.Create("t")
 	p.Append(f)
-	p.Write(f, 0, []byte("doomed"))
+	p.Write(f, 0, 0, []byte("doomed"))
 	// Truncate drops the frame from the pool; rebuild the hazard manually
 	// so the guard itself is exercised: a valid dirty frame pointing past
 	// the end of its file.
@@ -250,7 +250,7 @@ func TestClockEvictionOrder(t *testing.T) {
 		if _, err := p.Append(f); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Write(f, uint32(i), []byte{byte(i)}); err != nil {
+		if err := p.Write(f, uint32(i), 0, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -300,7 +300,7 @@ func TestBtreeStyleCrashDuringEviction(t *testing.T) {
 	for i := 0; i < 32 && err == nil; i++ {
 		_, err = p.Append(f)
 		if err == nil {
-			err = p.Write(f, uint32(i), bytes.Repeat([]byte{byte(i)}, PageSize))
+			err = p.Write(f, uint32(i), 0, bytes.Repeat([]byte{byte(i)}, PageSize))
 		}
 	}
 	if !IsCrash(err) {

@@ -30,9 +30,11 @@ type extent struct {
 
 // Heap is a record file over a paged file. Records are length-prefixed
 // and may span pages, so whole XML documents and shredded rows use the
-// same storage primitive. Inserts are buffered one page at a time and
-// flushed as pages fill, modeling bulk-load I/O; call Flush to persist a
-// partial tail page.
+// same storage primitive. The heap keeps no page of its own: an insert
+// writes its bytes through Pager.Write straight into the file's tail page
+// in the buffer pool — in place while the writer phase that appended the
+// page is open — so the pool's write-backs are the heap's I/O. Sync
+// forces the file's dirty pages to disk.
 //
 // Delete tombstones a record where it lies (deadBit in its prefix), and
 // later inserts reuse dead extents first fit, leaving any remainder as a
@@ -43,21 +45,16 @@ type extent struct {
 // deletes.
 //
 // Get and Scan are safe to call from many goroutines once loading has
-// finished (after Flush/Sync); Insert/Delete/Flush/Reset require
+// finished; Insert/Delete/Reset require
 // external exclusion from readers — the engines provide it with their
 // write lock, and snapshot readers go through a HeapView instead.
 type Heap struct {
 	p   *Pager
 	fid FileID
 
-	end       uint64 // next append offset
-	flushed   uint64 // offsets below this are on disk
-	tail      []byte // in-memory image of the tail page
-	tailNo    uint32
-	hasTail   bool
-	tailDirty bool // tail differs from its on-disk image; only with hasTail
-	count     int
-	free      []extent // dead records, in the order they were deleted
+	end   uint64 // next append offset
+	count int
+	free  []extent // dead records, in the order they were deleted
 }
 
 // NewHeap creates an empty heap in a fresh file.
@@ -93,10 +90,10 @@ func (h *Heap) Insert(rec []byte) (RID, error) {
 	rid := RID(h.end)
 	var pfx [4]byte
 	binary.BigEndian.PutUint32(pfx[:], uint32(len(rec)))
-	if err := h.write(pfx[:]); err != nil {
+	if err := h.write(pfx[:], h.end); err != nil {
 		return 0, err
 	}
-	if err := h.write(rec); err != nil {
+	if err := h.write(rec, h.end); err != nil {
 		return 0, err
 	}
 	h.count++
@@ -121,7 +118,7 @@ func (h *Heap) reuse(rec []byte) (RID, bool, error) {
 			buf = binary.BigEndian.AppendUint32(buf, deadBit|rest.n)
 			h.free[i] = rest
 		}
-		if err := h.overwrite(buf, ex.off); err != nil {
+		if err := h.write(buf, ex.off); err != nil {
 			return 0, false, err
 		}
 		h.count++
@@ -145,7 +142,7 @@ func (h *Heap) Delete(ctx context.Context, rid RID) error {
 	}
 	var pfx [4]byte
 	binary.BigEndian.PutUint32(pfx[:], deadBit|n)
-	if err := h.overwrite(pfx[:], uint64(rid)); err != nil {
+	if err := h.write(pfx[:], uint64(rid)); err != nil {
 		return err
 	}
 	h.free = append(h.free, extent{off: uint64(rid), n: n})
@@ -155,117 +152,41 @@ func (h *Heap) Delete(ctx context.Context, rid RID) error {
 	return nil
 }
 
-// write appends raw bytes across page boundaries.
-func (h *Heap) write(b []byte) error {
+// write patches b in at off, page by page, through Pager.Write: in place
+// while the writer phase owns a page, else into a copy whose pre-image a
+// mutation bracket captures for pinned snapshots. Reaching the end on a
+// page boundary appends the next page, and writing past the end extends
+// the heap.
+func (h *Heap) write(b []byte, off uint64) error {
 	for len(b) > 0 {
-		off := int(h.end % PageSize)
-		if !h.hasTail {
-			no, err := h.p.Append(h.fid)
-			if err != nil {
-				return err
-			}
-			h.tailNo = no
-			h.tail = make([]byte, PageSize)
-			h.hasTail = true
-		}
-		n := copy(h.tail[off:], b)
-		b = b[n:]
-		h.end += uint64(n)
-		h.tailDirty = true
-		if h.end%PageSize == 0 {
-			if err := h.flushTail(); err != nil {
+		po := int(off % PageSize)
+		if off == h.end && po == 0 {
+			if _, err := h.p.Append(h.fid); err != nil {
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// overwrite replaces bytes below the heap's end, page by page. A flushed
-// page is copied, patched and the copy handed to Pager.WriteOwned — the
-// buffer Read returned is the page version's one buffer, never patched —
-// so inside a mutation bracket its pre-image is captured for pinned
-// snapshots; the buffered tail page is patched in memory and left dirty
-// for the next Flush.
-func (h *Heap) overwrite(b []byte, off uint64) error {
-	for len(b) > 0 {
-		pageNo := uint32(off / PageSize)
-		pageOff := int(off % PageSize)
-		var n int
-		if h.hasTail && pageNo == h.tailNo {
-			n = copy(h.tail[pageOff:], b)
-			h.tailDirty = true
-		} else {
-			pg, err := h.p.Read(h.fid, pageNo)
-			if err != nil {
-				return err
-			}
-			patched := make([]byte, PageSize)
-			copy(patched, pg)
-			n = copy(patched[pageOff:], b)
-			if err := h.p.WriteOwned(h.fid, pageNo, patched); err != nil {
-				return err
-			}
+		n := min(len(b), PageSize-po)
+		if err := h.p.Write(h.fid, uint32(off/PageSize), po, b[:n]); err != nil {
+			return err
 		}
 		b = b[n:]
 		off += uint64(n)
+		h.end = max(h.end, off)
 	}
 	return nil
 }
 
-// flushTail persists the filled tail page and drops it: the next write
-// starts a fresh one, so the pool takes this buffer as it is.
-func (h *Heap) flushTail() error {
-	if !h.hasTail {
-		return nil
-	}
-	if err := h.p.WriteOwned(h.fid, h.tailNo, h.tail); err != nil {
-		return err
-	}
-	h.flushed = (uint64(h.tailNo) + 1) * PageSize
-	h.tail, h.hasTail, h.tailDirty = nil, false, false
-	return nil
-}
-
-// Flush persists the buffered tail page if it differs from its on-disk
-// image: a heap nothing was written to since the last Flush writes
-// nothing.
-func (h *Heap) Flush() error {
-	if !h.tailDirty {
-		return nil
-	}
-	if err := h.p.Write(h.fid, h.tailNo, h.tail); err != nil {
-		return err
-	}
-	h.flushed = h.end
-	h.tailDirty = false
-	// Keep the tail image so further inserts continue filling the page.
-	return nil
-}
-
-// Sync flushes the tail page and forces every dirty page of the heap's
-// file to disk (the per-file fsync of a multi-document load).
-func (h *Heap) Sync() error {
-	if err := h.Flush(); err != nil {
-		return err
-	}
-	return h.p.Sync(h.fid)
-}
+// Sync forces every dirty page of the heap's file to disk (the per-file
+// fsync of a multi-document load).
+func (h *Heap) Sync() error { return h.p.Sync(h.fid) }
 
 // Live is the heap's own read surface: a view of its whole extent with
-// live (unversioned) page reads that also sees the unflushed tail page,
-// which is only in memory. Get, Scan and Delete read through it, so the
-// heap and its published views share one record reader. It is the
-// writer's: valid under the exclusion Insert and Delete need, and only
-// until the next of them.
+// live (unversioned) page reads, the tail page included. Get, Scan and
+// Delete read through it, so the heap and its published views share one
+// record reader. It is the writer's: valid under the exclusion Insert and
+// Delete need, and only until the next of them.
 func (h *Heap) Live() HeapView {
-	v := HeapView{p: h.p, fid: h.fid, end: h.end, count: h.count, epoch: LiveEpoch}
-	if h.tailDirty {
-		// Once flushed, reads go through the buffer pool like any other
-		// page so cold-run I/O is fully accounted.
-		v.tail, v.tailNo = h.tail, h.tailNo
-	}
-	return v
+	return HeapView{p: h.p, fid: h.fid, end: h.end, count: h.count, epoch: LiveEpoch}
 }
 
 // Get returns the record stored at rid, read-only and valid until the
@@ -289,10 +210,6 @@ func (h *Heap) Reset() error {
 		return err
 	}
 	h.end = 0
-	h.flushed = 0
-	h.tail = nil
-	h.hasTail = false
-	h.tailDirty = false
 	h.count = 0
 	h.free = nil
 	return nil

@@ -63,7 +63,7 @@ func TestHeapDeleteSpanningRecord(t *testing.T) {
 	mustInsert(t, h, []byte("first"))
 	rid := mustInsert(t, h, big)
 	mustInsert(t, h, []byte("last"))
-	if err := h.Flush(); err != nil {
+	if err := h.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	size := h.Bytes()
@@ -86,7 +86,7 @@ func TestHeapDeleteSpanningRecord(t *testing.T) {
 	if h.Bytes() != size {
 		t.Fatalf("heap grew from %d to %d bytes across a delete and a same-size insert", size, h.Bytes())
 	}
-	if err := h.Flush(); err != nil {
+	if err := h.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	p.ColdReset()
@@ -96,10 +96,10 @@ func TestHeapDeleteSpanningRecord(t *testing.T) {
 	}
 }
 
-// TestHeapDeleteInTailPage covers the page the heap buffers in memory:
-// a tombstone or a reuse there must be visible at once, survive the next
-// Flush, and not be undone when a later Flush writes the tail image —
-// both while the tail is dirty and after a Flush left it clean.
+// TestHeapDeleteInTailPage covers the page the heap appends into: a
+// tombstone or a reuse there must be visible at once, survive the next
+// Sync, and not be undone when later appends write the page — both while
+// the tail is dirty and after a Sync left it clean.
 func TestHeapDeleteInTailPage(t *testing.T) {
 	ctx := context.Background()
 	for _, flushFirst := range []bool{false, true} {
@@ -109,7 +109,7 @@ func TestHeapDeleteInTailPage(t *testing.T) {
 			a := mustInsert(t, h, []byte("aaaa"))
 			mustInsert(t, h, []byte("bbbb"))
 			if flushFirst {
-				if err := h.Flush(); err != nil {
+				if err := h.Sync(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -122,7 +122,7 @@ func TestHeapDeleteInTailPage(t *testing.T) {
 				t.Fatalf("reuse landed at %d, want %d", got, a)
 			}
 			wantRecs(t, h, "AAAA", "bbbb", "cccc-appended")
-			if err := h.Flush(); err != nil {
+			if err := h.Sync(); err != nil {
 				t.Fatal(err)
 			}
 			p.ColdReset()
@@ -184,7 +184,7 @@ func TestHeapReuseFit(t *testing.T) {
 }
 
 // TestHeapChurnMatchesModel applies a seeded stream of inserts and
-// deletes over a pool small enough to evict, with flushes and cold
+// deletes over a pool small enough to evict, with syncs and cold
 // resets thrown in, and checks the heap against a model after each step:
 // same live set in address order, every live record intact, every dead
 // one refused.
@@ -219,11 +219,11 @@ func TestHeapChurnMatchesModel(t *testing.T) {
 			delete(live, rid)
 			dead = append(dead, rid)
 		case x < 0.98:
-			if err := h.Flush(); err != nil {
+			if err := h.Sync(); err != nil {
 				t.Fatal(err)
 			}
 		default:
-			if err := h.Flush(); err != nil {
+			if err := h.Sync(); err != nil {
 				t.Fatal(err)
 			}
 			p.ColdReset()

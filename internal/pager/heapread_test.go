@@ -31,7 +31,7 @@ const readHeapDigest = "bc9ae5c3e329aec0db491ab43d768b48bb39ca659aeea4d7fce62a44
 // starts 0 to 5 bytes before a boundary, bodies of 0 bytes to several
 // pages behind each — then churns it: deletes, inserts that reuse dead
 // extents exactly and with a remainder, zero-length records. The last
-// inserts are left unflushed in the tail page. It returns the model: the
+// inserts are left unsynced in the tail page. It returns the model: the
 // live records by rid and every rid ever deleted.
 func buildReadHeap(t *testing.T, p *Pager) (*Heap, map[RID][]byte, []RID) {
 	t.Helper()
@@ -76,7 +76,7 @@ func buildReadHeap(t *testing.T, p *Pager) (*Heap, map[RID][]byte, []RID) {
 			}
 			insert(n)
 		}
-		if err := h.Flush(); err != nil {
+		if err := h.Sync(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,12 +93,12 @@ func buildReadHeap(t *testing.T, p *Pager) (*Heap, map[RID][]byte, []RID) {
 		case x < 0.97:
 			remove()
 		default:
-			if err := h.Flush(); err != nil {
+			if err := h.Sync(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	for i := 0; i < 20; i++ { // the unflushed tail
+	for i := 0; i < 20; i++ { // the unsynced tail
 		insert(r.Intn(200))
 	}
 	return h, live, dead
@@ -161,7 +161,7 @@ func checkReads(t *testing.T, name string, h heapReads, live map[RID][]byte, dea
 	return fmt.Sprintf("%x", sum.Sum(nil))
 }
 
-// TestHeapReadContract: the live heap with its unflushed tail, then a
+// TestHeapReadContract: the live heap with its unsynced tail, then a
 // published view under a pin while the heap is rewritten beneath it, with
 // and without copy-on-read, all in a pool of four pages so that the scan's
 // own fetches evict the pages it read — every reader returns the model,
@@ -175,10 +175,7 @@ func TestHeapReadContract(t *testing.T) {
 	}
 
 	epoch := p.BeginMutation()
-	v, err := h.View(epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := h.View(epoch)
 	p.EndMutation(v)
 	snap := p.PinSnapshot()
 	defer snap.Release()
@@ -195,10 +192,7 @@ func TestHeapReadContract(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		mustInsert(t, h, bytes.Repeat([]byte{'z'}, i))
 	}
-	nv, err := h.View(epoch + 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nv := h.View(epoch + 1)
 	p.EndMutation(nv)
 
 	if d := checkReads(t, "pinned view", v, live, dead); d != readHeapDigest {
@@ -221,10 +215,7 @@ func TestHeapReadRefusesBrokenExtents(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		rids = append(rids, mustInsert(t, h, bytes.Repeat([]byte{byte('a' + i)}, 3000)))
 	}
-	v, err := h.View(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := h.View(0)
 	last := rids[4]
 	for _, c := range []struct {
 		name, want string
@@ -247,11 +238,11 @@ func TestHeapReadRefusesBrokenExtents(t *testing.T) {
 
 	var huge [4]byte
 	binary.BigEndian.PutUint32(huge[:], 1<<30)
-	if err := h.overwrite(huge[:], uint64(rids[2])); err != nil {
+	if err := h.write(huge[:], uint64(rids[2])); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	err = h.Scan(ctx, func(RID, []byte) bool { n++; return true })
+	err := h.Scan(ctx, func(RID, []byte) bool { n++; return true })
 	if err == nil || !strings.Contains(err.Error(), "corrupt length") || n != 2 {
 		t.Fatalf("corrupt prefix: scan delivered %d records, err %v; want 2 and a corrupt length", n, err)
 	}
@@ -269,7 +260,7 @@ func TestHeapReadCancellation(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		mustInsert(t, h, bytes.Repeat([]byte{'r'}, 300))
 	}
-	if err := h.Flush(); err != nil {
+	if err := h.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	p.ColdReset()
@@ -304,10 +295,7 @@ func TestHeapScanAllocatesNothing(t *testing.T) {
 	for i := 0; i < 4096; i++ { // 64 bytes with the prefix: 128 to a page, none straddles
 		mustInsert(t, h, bytes.Repeat([]byte{byte(i)}, 60))
 	}
-	v, err := h.View(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := h.View(0)
 	ctx := context.Background()
 	n := 0
 	allocs := testing.AllocsPerRun(10, func() {
@@ -347,10 +335,7 @@ func TestPinnedScansAcrossHeapChurn(t *testing.T) {
 			}
 			rids = append(rids, rid)
 		}
-		v, err := h.View(epoch)
-		if err != nil {
-			t.Error(err)
-		}
+		v := h.View(epoch)
 		p.EndMutation(v)
 	}
 	commit(0)

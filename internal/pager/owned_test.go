@@ -2,6 +2,7 @@ package pager
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 )
@@ -49,19 +50,19 @@ func TestWriterPatchesOnlyItsOwnBuffers(t *testing.T) {
 		load(p, func() {
 			_, err := p.Append(f)
 			must(err)
-			must(p.Write(f, 0, page('a')))
+			must(p.Write(f, 0, 0, page('a')))
 		})
 		snap := p.PinSnapshot()
 		defer snap.Release()
 		held := mustRead(t, p, f, 0, snap.Epoch())
 
 		p.BeginMutation()
-		must(p.Write(f, 0, page('b')))
+		must(p.Write(f, 0, 0, page('b')))
 		first := mustRead(t, p, f, 0, LiveEpoch)
 		if sameBuffer(first, held) {
 			t.Fatal("a bracket's first write of a published page did not install a new buffer")
 		}
-		must(p.Write(f, 0, []byte("c")))
+		must(p.Write(f, 0, 0, append([]byte("c"), make([]byte, PageSize-1)...)))
 		if second := mustRead(t, p, f, 0, LiveEpoch); !sameBuffer(second, first) || second[0] != 'c' || second[1] != 0 {
 			t.Fatal("a bracket's second write did not patch (and zero-pad) the buffer its first installed")
 		}
@@ -77,7 +78,7 @@ func TestWriterPatchesOnlyItsOwnBuffers(t *testing.T) {
 		published := mustRead(t, p, f, 0, LiveEpoch)
 		want := bytes.Clone(published)
 		p.BeginMutation()
-		must(p.Write(f, 0, page('d')))
+		must(p.Write(f, 0, 0, page('d')))
 		if sameBuffer(mustRead(t, p, f, 0, LiveEpoch), published) {
 			t.Fatal("the next bracket's first write patched the published buffer")
 		}
@@ -92,26 +93,26 @@ func TestWriterPatchesOnlyItsOwnBuffers(t *testing.T) {
 		f := p.Create("f")
 		_, err := p.Append(f)
 		must(err)
-		must(p.Write(f, 0, page('a')))
+		must(p.Write(f, 0, 0, page('a')))
 		held := mustRead(t, p, f, 0, LiveEpoch)
-		must(p.Write(f, 0, page('b')))
-		must(p.Write(f, 0, page('c')))
+		must(p.Write(f, 0, 0, page('b')))
+		must(p.Write(f, 0, 0, page('c')))
 		if !bytes.Equal(held, page('a')) {
 			t.Fatal("a Read slice held across two unbracketed Writes changed")
 		}
 		// A load's or a bracket's buffers stop being the writer's once it
 		// publishes.
-		load(p, func() { must(p.Write(f, 0, page('d'))) })
+		load(p, func() { must(p.Write(f, 0, 0, page('d'))) })
 		held = mustRead(t, p, f, 0, LiveEpoch)
-		must(p.Write(f, 0, page('e')))
+		must(p.Write(f, 0, 0, page('e')))
 		if !bytes.Equal(held, page('d')) {
 			t.Fatal("a Write after the load's publication patched the load's buffer")
 		}
 		p.BeginMutation()
-		must(p.Write(f, 0, page('f')))
+		must(p.Write(f, 0, 0, page('f')))
 		p.EndMutation("f")
 		held = mustRead(t, p, f, 0, LiveEpoch)
-		must(p.Write(f, 0, page('g')))
+		must(p.Write(f, 0, 0, page('g')))
 		if !bytes.Equal(held, page('f')) {
 			t.Fatal("a Write after the bracket's commit patched the bracket's buffer")
 		}
@@ -161,7 +162,7 @@ func TestWriterPatchesOnlyItsOwnBuffers(t *testing.T) {
 					_, err := p.Read(f, no)
 					must(err)
 				} else {
-					must(p.Write(f, no, []byte{byte(i)}))
+					must(p.Write(f, no, 0, page(byte(i))))
 				}
 				if i%9 == 8 {
 					must(p.Sync(fids[i%3]))
@@ -213,4 +214,56 @@ func TestWriterPatchesOnlyItsOwnBuffers(t *testing.T) {
 			p.mu.Unlock()
 		}
 	})
+}
+
+// TestHeapFillsThePoolsTailPage: a heap keeps no page of its own. It
+// writes its records into the page Append installed in the pool, so
+// filling a page inside a writer phase allocates that one buffer, not a
+// private copy beside it; the live heap reads a record the moment it is
+// written, and a view pinned at the epoch before the bracket sees none of
+// what the bracket wrote into the page it shares with it.
+func TestHeapFillsThePoolsTailPage(t *testing.T) {
+	ctx := context.Background()
+	p := New(256) // holds every page: nothing is evicted and read back
+	h := NewHeap(p, "h")
+	epoch := p.BeginMutation()
+	mustInsert(t, h, []byte("published"))
+	p.EndMutation(h.View(epoch))
+	snap := p.PinSnapshot()
+	defer snap.Release()
+	pinned := snap.View().(HeapView)
+
+	epoch = p.BeginMutation()
+	rec := bytes.Repeat([]byte{'r'}, PageSize/8-4)
+	fill := func() { // a page's worth of records: one Append each time
+		for range 8 {
+			mustInsert(t, h, rec)
+		}
+	}
+	const k = 64
+	if perPage := testing.AllocsPerRun(k, fill); perPage != 1 {
+		t.Fatalf("filling %d heap pages allocates %.0f objects a page, want the one page buffer", k, perPage)
+	}
+	tail := mustInsert(t, h, []byte("just written"))
+	if got, err := h.Live().Get(ctx, tail); err != nil || string(got) != "just written" {
+		t.Fatalf("live Get of the tail record = %q, %v", got, err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if _, recs := scanAll(t, pinned); len(recs) != 1 || recs[0] != "published" {
+			t.Fatalf("%s: the view pinned before the bracket scans %q", when, recs)
+		}
+		if _, err := pinned.Get(ctx, tail); err == nil {
+			t.Fatalf("%s: the view pinned before the bracket reads the tail record", when)
+		}
+		if pg := mustRead(t, p, h.fid, 0, snap.Epoch()); !bytes.Equal(pg[4+len("published"):], make([]byte, PageSize-4-len("published"))) {
+			t.Fatalf("%s: page 0 as of the pinned epoch holds the bracket's bytes", when)
+		}
+	}
+	check("inside the bracket")
+	p.EndMutation(h.View(epoch))
+	check("after the commit")
+	if n := h.View(epoch).Count(); n != 2+8*(k+1) {
+		t.Fatalf("the committed view counts %d records, want %d", n, 2+8*(k+1))
+	}
 }

@@ -115,7 +115,7 @@ func TestOneBufferPerPageVersion(t *testing.T) {
 			name string
 			do   func() error
 		}{
-			{"Write", func() error { return p.Write(f, 0, []byte("rewritten")) }},
+			{"Write", func() error { return p.Write(f, 0, 0, []byte("rewritten")) }},
 			{"WriteOwned", func() error { return p.WriteOwned(f, 1, bytes.Repeat([]byte{0xAB}, PageSize)) }},
 			{"Heap.overwrite (Delete)", func() error { return h.Delete(ctx, rids[3]) }},
 			{"Heap.overwrite (reuse)", func() error { _, err := h.Insert(bytes.Repeat([]byte{0xCD}, 300)); return err }},

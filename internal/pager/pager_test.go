@@ -16,7 +16,7 @@ func TestCreateAppendReadWrite(t *testing.T) {
 		t.Fatalf("Append = %d, %v", no, err)
 	}
 	data := bytes.Repeat([]byte("x"), 100)
-	if err := p.Write(f, no, data); err != nil {
+	if err := p.Write(f, no, 0, data); err != nil {
 		t.Fatal(err)
 	}
 	got, err := p.Read(f, no)
@@ -37,10 +37,10 @@ func TestReadWriteErrors(t *testing.T) {
 	if _, err := p.Read(f, 0); err == nil {
 		t.Fatal("read beyond EOF succeeded")
 	}
-	if err := p.Write(f, 5, nil); err == nil {
+	if err := p.Write(f, 5, 0, nil); err == nil {
 		t.Fatal("write beyond EOF succeeded")
 	}
-	if err := p.Write(f, 0, make([]byte, PageSize+1)); err == nil {
+	if err := p.Write(f, 0, 0, make([]byte, PageSize+1)); err == nil {
 		t.Fatal("oversized write succeeded")
 	}
 	if _, err := p.Append(FileID(99)); err == nil {
@@ -56,7 +56,7 @@ func TestBufferPoolHitsAndEviction(t *testing.T) {
 	f := p.Create("t")
 	for i := 0; i < 4; i++ {
 		no, _ := p.Append(f)
-		p.Write(f, no, []byte{byte(i)})
+		p.Write(f, no, 0, []byte{byte(i)})
 	}
 	p.ColdReset()
 	p.ResetStats()
@@ -82,7 +82,7 @@ func TestColdResetForcesMisses(t *testing.T) {
 	p := New(8)
 	f := p.Create("t")
 	no, _ := p.Append(f)
-	p.Write(f, no, []byte("hello"))
+	p.Write(f, no, 0, []byte("hello"))
 	p.Read(f, no)
 	p.ResetStats()
 	p.Read(f, no) // warm: hit
@@ -173,7 +173,7 @@ func TestHeapFlushAndColdRead(t *testing.T) {
 	p := New(16)
 	h := NewHeap(p, "heap")
 	rid, _ := h.Insert([]byte("buffered"))
-	if err := h.Flush(); err != nil {
+	if err := h.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	p.ColdReset()
@@ -181,7 +181,7 @@ func TestHeapFlushAndColdRead(t *testing.T) {
 	if err != nil || string(got) != "buffered" {
 		t.Fatalf("Get after flush+cold = %q, %v", got, err)
 	}
-	// Continue inserting into the same tail page after Flush.
+	// Continue inserting into the same tail page after Sync.
 	rid2, _ := h.Insert([]byte("more"))
 	got2, err := h.Get(context.Background(), rid2)
 	if err != nil || string(got2) != "more" {

@@ -185,7 +185,7 @@ func TestDeleteWhereMatchesRebuild(t *testing.T) {
 // equality are one look-up, so the rows DeleteWhere removes are the rows
 // LookupEq returned just before — by probe and by filter, among keys that
 // share a 512-byte prefix, for the stored NULL, and on a live view whose
-// tail page was never flushed — and LookupEq returns none of them after.
+// tail page was never synced — and LookupEq returns none of them after.
 func TestDeleteWhereFindsWhatLookupFinds(t *testing.T) {
 	ctx := context.Background()
 	long := strings.Repeat("K", btree.MaxKey)
@@ -203,9 +203,9 @@ func TestDeleteWhereFindsWhatLookupFinds(t *testing.T) {
 					t.Fatal(err)
 				}
 				if i == 20 {
-					// Half the rows reach the pool; the rest stay in the tail
-					// page only the live view sees.
-					if err := tb.Flush(); err != nil {
+					// Half the rows reach the disk; the rest stay in the
+					// dirty tail page.
+					if err := tb.db.Pager.SyncAll(); err != nil {
 						t.Fatal(err)
 					}
 				}

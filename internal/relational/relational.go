@@ -160,8 +160,8 @@ type Table struct {
 	db   *DB
 	heap *pager.Heap
 
-	// mu guards indexes: Insert, DeleteWhere, CreateIndex, Truncate and
-	// DB.View take it exclusive, Live shared. No reader takes it.
+	// mu guards indexes: Insert, DeleteWhere, CreateIndex and Truncate
+	// take it exclusive, Live and DB.View shared. No reader takes it.
 	mu      sync.RWMutex
 	indexes map[string]*btree.Tree
 }
@@ -238,9 +238,6 @@ func (t *Table) Insert(rec Rec) error {
 	}
 	return nil
 }
-
-// Flush persists buffered heap pages (end of bulk load).
-func (t *Table) Flush() error { return t.heap.Flush() }
 
 // DeleteWhere removes every row whose col equals val, returning the
 // number removed. Rows are deleted where they lie: the victims are what

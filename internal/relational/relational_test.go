@@ -262,9 +262,6 @@ func TestFlushThenColdScan(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		tb.Insert(Row{fmt.Sprintf("row%d", i)}.Rec())
 	}
-	if err := tb.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	p.ColdReset()
 	p.ResetStats()
 	n := 0
@@ -298,10 +295,7 @@ func TestLookupRechecksTruncatedKeys(t *testing.T) {
 	}
 	pin := db.Pager.PinSnapshot()
 	defer pin.Release()
-	snap, err := db.View(pin.Epoch())
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := db.View(pin.Epoch())
 	vals := func(rows []Rec, err error) string {
 		if err != nil {
 			t.Fatal(err)
@@ -346,9 +340,6 @@ func TestFilterScanAllocatesPerKeptRow(t *testing.T) {
 			if err := tb.Insert(Row{fmt.Sprint("r", i), g, "some", "more", "columns", "here"}.Rec()); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := tb.Flush(); err != nil {
-			t.Fatal(err)
 		}
 		v := tb.Live()
 		for name, scan := range map[string]func() ([]Rec, error){

@@ -2,7 +2,6 @@ package relational
 
 import (
 	"context"
-	"fmt"
 
 	"xbench/internal/btree"
 	"xbench/internal/metrics"
@@ -36,28 +35,20 @@ type TableView struct {
 // View freezes the database as of the given commit epoch. It must be
 // called from the writer (or under its exclusion) at a commit boundary —
 // the tables' in-memory extents then exactly describe the pages ReadAt
-// serves at that epoch. The dirty heap tails are flushed on the way
-// (pager.Heap.View): this is the flush of the engines' commit, which
-// syncs after it. Readers of the view must hold a pager.Snap pinned at
-// the epoch for as long as they use it.
-func (db *DB) View(epoch uint64) (*DBView, error) {
+// serves at that epoch. Readers of the view must hold a pager.Snap pinned
+// at the epoch for as long as they use it.
+func (db *DB) View(epoch uint64) *DBView {
 	v := &DBView{tables: make(map[string]*TableView, len(db.tables)), reg: db.ops.reg}
 	for name, t := range db.tables {
-		t.mu.Lock()
-		hv, err := t.heap.View(epoch)
-		if err == nil {
-			v.tables[name] = t.viewOf(hv, epoch)
-		}
-		t.mu.Unlock()
-		if err != nil {
-			return nil, fmt.Errorf("relational: view of %s: %w", name, err)
-		}
+		t.mu.RLock()
+		v.tables[name] = t.viewOf(t.heap.View(epoch), epoch)
+		t.mu.RUnlock()
 	}
-	return v, nil
+	return v
 }
 
-// Live is the table's own read surface: its heap's Live view (unflushed
-// tail included) and its indexes as they are now. It is the writer's:
+// Live is the table's own read surface: its heap's Live view and its
+// indexes as they are now. It is the writer's:
 // valid under the exclusion of Insert and DeleteWhere, until the next.
 func (t *Table) Live() *TableView {
 	t.mu.RLock()

@@ -236,7 +236,8 @@ func (s *Server) Start() error {
 // fault listener.
 func (s *Server) Serve(ln net.Listener) error {
 	if s.cfg.ReplicaOf != "" {
-		src, err := client.Dial(s.cfg.ReplicaOf, client.Config{})
+		// One pull at a time: one connection carries them all.
+		src, err := client.Dial(s.cfg.ReplicaOf, client.Config{MuxConns: 1})
 		if err != nil {
 			ln.Close()
 			return fmt.Errorf("server: replica dial primary: %w", err)

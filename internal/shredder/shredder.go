@@ -182,16 +182,9 @@ func (s *Store) DeleteDocumentRows(ctx context.Context, k string) (int, error) {
 	return deleted, nil
 }
 
-// Sync flushes all tables and forces dirty pages to disk: the end of a
-// load's per-document transaction.
-func (s *Store) Sync() error {
-	for _, name := range s.DB.TableNames() {
-		if err := s.DB.Table(name).Flush(); err != nil {
-			return err
-		}
-	}
-	return s.DB.Pager.SyncAll()
-}
+// Sync forces the tables' dirty pages to disk: the end of a load's
+// per-document transaction.
+func (s *Store) Sync() error { return s.DB.Pager.SyncAll() }
 
 // Truncate empties the store's tables (schema preserved) so a failed
 // load leaves a clean, loadable store.
