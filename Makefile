@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz chaos torture smoke shard-smoke bench-e2e bench-compare pairs bench-point bench-mixed bench-scan bench-load plan-check plan-golden mvcc-sweep loc verify
+.PHONY: build test vet race fuzz chaos torture smoke shard-smoke bench-e2e bench-compare pairs bench-point bench-mixed bench-update bench-scan bench-load plan-check plan-golden mvcc-sweep loc verify
 
 build:
 	$(GO) build ./...
@@ -125,6 +125,16 @@ bench-point:
 bench-mixed: BENCHTIME = 1s
 bench-mixed:
 	$(GO) test -run '^$$' -bench MixedRead -benchtime $(BENCHTIME) -benchmem .
+
+# The update path in-process on every engine (root bench_test.go,
+# BenchmarkUpdateWorkload): U1, U2 and U3 on DC/MD Small, each timed as
+# the one engine call (Apply); ns/op, B/op and allocs/op per update. Add
+# -cpuprofile to see where an update spends its time. B/op holds across
+# run lengths (a U1 adds a document each time), so 2000x is the default;
+# BENCHTIME=1x is CI's smoke.
+bench-update: BENCHTIME = 2000x
+bench-update:
+	$(GO) test -run '^$$' -bench UpdateWorkload -benchtime $(BENCHTIME) -benchmem .
 
 # The scan path on every engine (root bench_test.go, BenchmarkScan): the
 # DC/MD scan mix warm at Small, and every DC/MD and TC/MD query cold at

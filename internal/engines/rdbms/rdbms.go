@@ -84,7 +84,7 @@ type Engine struct{ *engbase.Base[view] }
 
 // view is the engine's read surface and query path (engbase.View): the
 // store's tables at one commit epoch and, under the DAD, its CLOB heap
-// frozen and its rid list copied, queried by the operator trees of
+// and its rid list frozen there, queried by the operator trees of
 // shredplan.
 type view struct{ src shredplan.Source }
 
@@ -159,14 +159,16 @@ func (s *store) Supports(c core.Class, sz core.Size) error {
 	return nil
 }
 
-// Freeze implements engbase.Store: the CLOB heap's view and a copy of the
-// rid list at epoch, then the tables' (relational.DB.View).
+// Freeze implements engbase.Store: the CLOB heap's view and the rid list
+// at epoch, then the tables' (relational.DB.View). The view shares the
+// list's array, capped at its length: an insert appends past the end of
+// every view frozen so far, and a delete copies (ApplyDelete).
 func (s *store) Freeze(epoch uint64) view {
 	src := shredplan.Source{Mapping: s.pol.mapping, Class: s.shred.Class, DropMixed: s.pol.dropMixed,
 		DB: s.shred.DB.View(epoch)}
 	if s.clobs != nil {
 		src.CLOBs = s.clobs.View(epoch)
-		src.RIDs = slices.Clone(s.rids)
+		src.RIDs = s.rids[:len(s.rids):len(s.rids)]
 	}
 	return view{src}
 }

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"xbench/internal/core"
 	"xbench/internal/gen"
+	"xbench/internal/pager"
 	"xbench/internal/queries"
 )
 
@@ -139,5 +141,59 @@ func TestUndefinedQuery(t *testing.T) {
 	e := loadTiny(t, Xcolumn, core.DCMD)
 	if _, err := e.Execute(context.Background(), core.Q20, nil); !errors.Is(err, core.ErrNoQuery) {
 		t.Fatalf("want ErrNoQuery, got %v", err)
+	}
+}
+
+// TestFrozenRIDListsKeepTheirEpoch holds Freeze's shared rid list to its
+// epoch: a view frozen before a U3 still lists the deleted CLOB's rid and
+// one frozen after it does not, and neither changes when a later U1
+// appends a rid to the list they share an array with.
+func TestFrozenRIDListsKeepTheirEpoch(t *testing.T) {
+	ctx := context.Background()
+	db, err := gen.Config{DictEntries: 30, Articles: 5, Items: 20, Orders: 30}.Generate(core.DCMD, core.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Xcolumn, 0, 0)
+	if _, err := e.Load(ctx, db); err != nil {
+		t.Fatal(err)
+	}
+	frozen := func() []pager.RID {
+		t.Helper()
+		v, release, err := e.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(release)
+		return v.src.RIDs
+	}
+	before := frozen()
+	held := slices.Clone(before)
+	victim := db.Docs[len(db.Docs)/2]
+	if err := e.DeleteDocument(ctx, victim.Name); err != nil {
+		t.Fatal(err)
+	}
+	after := frozen()
+	if len(after) != len(held)-1 {
+		t.Fatalf("the view after the U3 lists %d rids, want %d", len(after), len(held)-1)
+	}
+	var gone []pager.RID
+	for _, rid := range held {
+		if !slices.Contains(after, rid) {
+			gone = append(gone, rid)
+		}
+	}
+	if len(gone) != 1 || !slices.Contains(before, gone[0]) {
+		t.Fatalf("rids missing after the U3: %v; the view before it lists %d", gone, len(before))
+	}
+	heldAfter := slices.Clone(after)
+	if err := e.InsertDocument(ctx, victim.Name, victim.Data); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(before, held) || !slices.Equal(after, heldAfter) {
+		t.Fatal("a U1 changed the rid list of a view frozen before it")
+	}
+	if latest := frozen(); len(latest) != len(after)+1 || !slices.Equal(latest[:len(after)], after) {
+		t.Fatalf("the view after the U1 lists %d rids, want the %d before it and one more", len(latest), len(after))
 	}
 }

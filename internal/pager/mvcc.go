@@ -47,6 +47,16 @@
 // patch such a buffer in place; the next phase's first write of the page
 // installs a new one.
 //
+// A pruned version is garbage, except on a file marked with
+// RecycleVersions (B+tree nodes), whose readers keep no page past their
+// pin: no reader can reach its buffer once pruning passed it, so the
+// buffer goes on a free list of at most maxFree pages, and Write's copy
+// path takes it instead of allocating (recycled). The disk may still
+// hold it — the page's new buffer may not have been written back yet —
+// and only the pool latch, which pruning does not hold, can tell, so the
+// check is made under the latch as a buffer leaves the unchecked half of
+// the list, and one still on disk or in a frame is dropped.
+//
 // Quiesce: Load and ColdReset must not race pinned snapshots — they call
 // BlockPins, which waits for every outstanding pin to be released and
 // holds new PinSnapshot calls until UnblockPins. This replaces the old
@@ -69,6 +79,7 @@ const LiveEpoch = ^uint64(0)
 type pageVersion struct {
 	supersededAt uint64
 	data         []byte // immutable; aliases a replaced pool/disk buffer
+	recycle      bool   // its file's versions may be recycled (RecycleVersions)
 }
 
 // mvccState carries the snapshot machinery; New builds it whole. It has
@@ -105,11 +116,27 @@ type mvccState struct {
 	// not exist at any pinned epoch, so their writes need no pre-image.
 	newPages map[pageKey]struct{}
 
+	// The page buffer free list (recycled): reclaimed holds the
+	// pre-images pruneLocked reclaimed from files that recycle their
+	// versions, not yet checked; free the buffers checked unreachable.
+	// Together they hold at most maxFree buffers. poison, when not 0, is
+	// what a buffer is filled with as it enters free (PoisonRecycled).
+	reclaimed []freedBuf
+	free      [][]byte
+	poison    byte
+
 	// cached metrics (nil-safe); bound by SetMetrics.
 	cPin     *metrics.Counter // pager.snap.pin: snapshots pinned
 	cCapture *metrics.Counter // pager.snap.capture: page versions captured
 	cVRead   *metrics.Counter // pager.snap.read.version: reads served from a version
 	cGC      *metrics.Counter // pager.snap.gc: versions reclaimed
+}
+
+// freedBuf is a reclaimed page version's buffer and the page it was a
+// version of.
+type freedBuf struct {
+	key  pageKey
+	data []byte
 }
 
 // Snap is one pinned snapshot. Release is idempotent.
@@ -298,9 +325,10 @@ func (m *mvccState) published() {
 // the same page in the same mutation must not overwrite the pre-image
 // with a half-mutated one. No-op outside a mutation bracket (bulk Load
 // runs under BlockPins instead — versioning it would pin the whole
-// database in memory). Callers hold p.mu; data must be an immutable
-// buffer (the replaced pool/disk buffer, or zeroPage).
-func (p *Pager) capture(key pageKey, data []byte) {
+// database in memory). Callers hold p.mu; f is the page's file, and data
+// must be an immutable buffer (the replaced pool/disk buffer, or
+// zeroPage).
+func (p *Pager) capture(f *file, key pageKey, data []byte) {
 	m := &p.mvcc
 	m.mu.Lock()
 	if !m.mutActive {
@@ -316,7 +344,7 @@ func (p *Pager) capture(key pageKey, data []byte) {
 		m.mu.Unlock()
 		return
 	}
-	m.versions[key] = append(vs, pageVersion{supersededAt: m.mutTarget, data: data})
+	m.versions[key] = append(vs, pageVersion{supersededAt: m.mutTarget, data: data, recycle: f.recycle})
 	m.retained.Add(1)
 	m.cCapture.Inc()
 	m.mu.Unlock()
@@ -414,7 +442,9 @@ func (p *Pager) ReadAt(fid FileID, no uint32, epoch uint64) ([]byte, error) {
 // to the committed epoch: a version with supersededAt > epoch was
 // captured by the still-open mutation bracket, and a reader may pin the
 // committed epoch at any moment and need it — even when no pins are
-// held right now. Caller holds mvcc.mu.
+// held right now. A reclaimed version of a file that recycles its
+// versions goes to the free list's unchecked half while there is room.
+// Caller holds mvcc.mu.
 func (m *mvccState) pruneLocked() {
 	low := m.epoch
 	for e := range m.pins {
@@ -433,6 +463,11 @@ func (m *mvccState) pruneLocked() {
 		}
 		if i == 0 {
 			continue
+		}
+		for _, v := range vs[:i] {
+			if v.recycle && len(m.reclaimed)+len(m.free) < maxFree && &v.data[0] != &zeroPage[0] {
+				m.reclaimed = append(m.reclaimed, freedBuf{key, v.data})
+			}
 		}
 		reclaimed += int64(i)
 		if i == len(vs) {
@@ -456,6 +491,86 @@ func (p *Pager) GC() int {
 	defer m.mu.Unlock()
 	m.pruneLocked()
 	return int(m.retained.Load())
+}
+
+// maxFree bounds the page buffer free list at 32 pages, 256 KB a pager:
+// a few updates' worth of reclaimed B+tree nodes (a shredding-engine U2
+// rewrites up to a dozen), held at most until the next Write that copies.
+const maxFree = 32
+
+// RecycleVersions marks fid as a file whose pages are read only under a
+// snapshot pin, and kept by no reader past it, or by the file's one
+// writer under its own exclusion: the B+tree's contract (btree.New and
+// btree.Open mark their files). The file's page versions, once pruned,
+// then become the buffers of later writes (recycled) instead of garbage.
+// A heap never qualifies: the native record memo and HeapView.Get hand
+// out slices of its pages that outlive the pin.
+func (p *Pager) RecycleVersions(fid FileID) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if f, ok := p.files[fid]; ok {
+		f.recycle = true
+	}
+}
+
+// PoisonRecycled makes every page buffer be filled with fill as it
+// enters the free list (0, the default, leaves them as they are). It is a
+// test hook: a reader that could still reach a recycled buffer reads the
+// poison at once, not only once the buffer has become another page.
+func (p *Pager) PoisonRecycled(fill byte) {
+	m := &p.mvcc
+	m.mu.Lock()
+	m.poison = fill
+	m.mu.Unlock()
+}
+
+// recycled returns a buffer from the free list for Write's copy path,
+// which overwrites it whole, or nil when there is none. The reclaimed
+// buffers are checked first, under the pool latch the caller holds: one
+// still its page's disk image or a frame's buffer is dropped — pruning
+// says no pin reaches a version, not that its page was written back
+// since — and the rest enter the free list, poisoned if PoisonRecycled
+// asked for it. A checked buffer cannot become reachable again but by
+// being handed out here: the pool installs only the buffers writes bring
+// and disk images, and a write-back stores only frames' buffers.
+func (p *Pager) recycled() []byte {
+	m := &p.mvcc
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, fb := range m.reclaimed {
+		if p.reachable(fb) {
+			continue
+		}
+		if m.poison != 0 {
+			for i := range fb.data {
+				fb.data[i] = m.poison
+			}
+		}
+		m.free = append(m.free, fb.data)
+	}
+	clear(m.reclaimed)
+	m.reclaimed = m.reclaimed[:0]
+	n := len(m.free)
+	if n == 0 {
+		return nil
+	}
+	pg := m.free[n-1]
+	m.free[n-1] = nil
+	m.free = m.free[:n-1]
+	p.cRecycle.Inc()
+	return pg
+}
+
+// reachable reports whether fb's buffer is still its page's disk image or
+// the buffer of its page's frame. Caller holds p.mu.
+func (p *Pager) reachable(fb freedBuf) bool {
+	if f, ok := p.files[fb.key.fid]; ok && fb.key.no < uint32(len(f.pages)) {
+		if pg := f.pages[fb.key.no]; pg != nil && &pg[0] == &fb.data[0] {
+			return true
+		}
+	}
+	i, ok := p.table[fb.key]
+	return ok && &p.frames[i].data[0] == &fb.data[0]
 }
 
 // setSnapMetrics binds the snapshot counters; called from SetMetrics

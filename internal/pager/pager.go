@@ -40,17 +40,28 @@
 // bytes into a copy of the page, WriteOwned takes one its caller built and
 // gives up, Truncate drops the slots — except that Write patches in place
 // a buffer the writer installed in the writer phase still open (mvcc.go),
-// which no reader can reach yet. That is how a heap fills its tail page:
+// which no reader can reach yet. That is how a heap fills its tail page —
 // the bytes go straight into the zeroed buffer Append installed, and no
-// layer above keeps a page of its own. Patching one that a per-document
+// layer above keeps a page of its own — and how a B+tree node written
+// twice in one update costs one copy. Patching one that a per-document
 // write-back also made the disk image is unobservable: the patch dirties
 // the frame, which serves every read of the page until it is written
 // back, and a crashed pager never reads again. So nothing is copied
 // between the layers: a write-back stores the frame's buffer as the disk
 // image, a read miss or a readahead installs the disk image in the frame,
 // an MVCC pre-image is the buffer its write replaced, and Read hands out
-// the frame's buffer; a reader holding one holds that version of the page
-// for as long as it likes. No read copies.
+// the frame's buffer. No read copies.
+//
+// A reader holding a buffer holds that version of the page for as long as
+// it likes, with one exception that recycles buffers: the files marked
+// with RecycleVersions (B+tree nodes), whose readers keep no page past
+// the snapshot pin they read it under. Once no pin can reach a pre-image
+// of such a file, pruning puts its buffer on a bounded free list, and the
+// copy Write makes goes into a buffer from that list — checked under the
+// pool latch to be neither its page's disk image nor a frame's — before
+// it allocates one (mvcc.go). A heap's pages are never recycled: the
+// native record memo and HeapView.Get hand out slices of them that
+// outlive the pin.
 package pager
 
 import (
@@ -141,6 +152,7 @@ type Pager struct {
 	cReadRetry  *metrics.Counter // pager.read.retry: retry attempts
 	cHeapDead   *metrics.Counter // pager.heap.tombstone: heap records deleted in place
 	cHeapReuse  *metrics.Counter // pager.heap.reuse: inserts placed in a dead extent
+	cRecycle    *metrics.Counter // pager.recycle: page buffers Write took from the free list
 
 	// mvcc is the snapshot layer (mvcc.go): commit epochs, pinned
 	// snapshots, copy-on-write page versions and their GC.
@@ -194,6 +206,9 @@ type ringSlot struct {
 type file struct {
 	name  string
 	pages [][]byte // the "disk"; nil entries were never written back
+	// recycle says the file's reclaimed page versions may be reused as
+	// page buffers (RecycleVersions).
+	recycle bool
 }
 
 // page returns the disk image of page no, which must exist: the buffer
@@ -266,6 +281,7 @@ func (p *Pager) SetMetrics(reg *metrics.Registry) {
 	p.cReadRetry = reg.Counter("pager.read.retry")
 	p.cHeapDead = reg.Counter("pager.heap.tombstone")
 	p.cHeapReuse = reg.Counter("pager.heap.reuse")
+	p.cRecycle = reg.Counter("pager.recycle")
 	p.setSnapMetrics(reg)
 }
 
@@ -328,6 +344,10 @@ func (p *Pager) Close() error {
 	p.table = nil
 	p.streams = nil
 	p.fault = nil
+	m := &p.mvcc
+	m.mu.Lock()
+	m.reclaimed, m.free = nil, nil
+	m.mu.Unlock()
 	return nil
 }
 
@@ -370,7 +390,7 @@ func (p *Pager) Truncate(fid FileID) error {
 	if p.mutationActive() {
 		for no := uint32(0); no < uint32(len(f.pages)); no++ {
 			key := pageKey{fid, no}
-			p.capture(key, p.preImage(f, key))
+			p.capture(f, key, p.preImage(f, key))
 		}
 	}
 	f.pages = nil
@@ -427,10 +447,15 @@ func (p *Pager) Append(fid FileID) (uint32, error) {
 // Concurrent readers of a returned slice are safe even across eviction:
 // a buffer a reader can reach is replaced wholesale, never mutated in
 // place, so a reader holds a consistent (possibly superseded) version of
-// the page.
-// The B+tree relies on exactly that: it walks the cells of the returned
-// slice without decoding them, keeps it across the writes of a split
-// further down, and builds each successor page in a fresh buffer.
+// the page — for as long as it likes, or, on a file marked with
+// RecycleVersions, for as long as it holds the snapshot pin it read the
+// page under, after which the buffer may become another page's.
+// The B+tree relies on exactly that: its readers walk the cells of the
+// returned slice under their pin without decoding them; its writer keeps
+// a slice across the writes of a split further down, writes a node that
+// stays on its page back through Write (patched in place when the open
+// writer phase owns its buffer, else copied) and a split's two nodes as
+// fresh pages through WriteOwned.
 //
 // Transient read faults are retried internally with exponential backoff,
 // up to MaxReadAttempts attempts; the retries are counted in Stats. A
@@ -522,7 +547,8 @@ func (p *Pager) bumpRef(fr *frame) {
 // the open writer phase owns the page's buffer (see the package comment)
 // the patch goes into that buffer; otherwise into a copy of the page,
 // read as Read reads it — a write that covers the whole page reads
-// nothing — which replaces the buffer as WriteOwned does.
+// nothing — which replaces the buffer as WriteOwned does. The copy goes
+// into a recycled buffer when the free list holds one, else a new page.
 func (p *Pager) Write(fid FileID, no uint32, off int, b []byte) error {
 	if off < 0 || off+len(b) > PageSize {
 		return fmt.Errorf("pager: write of %d bytes at offset %d exceeds page size", len(b), off)
@@ -537,8 +563,11 @@ func (p *Pager) Write(fid FileID, no uint32, off int, b []byte) error {
 		p.mu.Unlock()
 		return err
 	}
+	pg := p.recycled()
 	p.mu.Unlock()
-	pg := make([]byte, PageSize)
+	if pg == nil {
+		pg = make([]byte, PageSize)
+	}
 	if len(b) < PageSize {
 		old, err := p.Read(fid, no)
 		if err != nil {
@@ -555,8 +584,8 @@ func (p *Pager) Write(fid FileID, no uint32, off int, b []byte) error {
 // the call — the buffer is from then on what Read aliases, what a
 // write-back stores as the disk image and what a later write captures as
 // the MVCC pre-image, so the caller must not touch it again. It is for writers that already
-// build the successor page in a fresh buffer (B+tree nodes) and would
-// otherwise have it copied a second time.
+// build the successor page in a fresh buffer (the two halves of a B+tree
+// split) and would otherwise have it copied a second time.
 func (p *Pager) WriteOwned(fid FileID, no uint32, pg []byte) error {
 	if len(pg) != PageSize {
 		return fmt.Errorf("pager: owned write of %d bytes is not a whole page", len(pg))
@@ -573,7 +602,7 @@ func (p *Pager) WriteOwned(fid FileID, no uint32, pg []byte) error {
 	// Inside a mutation bracket the buffer pg replaces is the pre-image.
 	key := pageKey{fid, no}
 	if p.mutationActive() {
-		p.capture(key, p.preImage(f, key))
+		p.capture(f, key, p.preImage(f, key))
 	}
 	return p.install(key, pg, true)
 }
