@@ -24,15 +24,17 @@
 // Node pages themselves are protected by the pager's own latch.
 //
 // Nodes are never decoded: search, range, insert and delete walk the
-// cells of the page slice the pager returns and compare keys in place. A
-// node that stays on its page is rebuilt in the tree's scratch buffer and
-// patched in (pager.Write): in place while the open writer phase owns the
-// page's buffer — the second write of a node in one update — else into a
+// cells of the page slice the pager returns and compare keys in place.
+// Every node write is built in the tree's scratch buffer and patched in
+// (pager.Write): in place while the open writer phase owns the page's
+// buffer — the second write of a node in one update, a split's new
+// sibling or new root in the zeroed page Append installed — else into a
 // copy, so the page that was read is never modified where a pool, disk
-// or MVCC pre-image still aliases it. A split's two nodes are built as
-// fresh pages (pager.WriteOwned). No reader keeps a node past the pin it
-// read it under (Range copies the key it hands out), so the tree marks
-// its file for the pager to recycle pruned node versions
+// or MVCC pre-image still aliases it. A node that stays on its page is
+// patched from its key count on, a split's halves and a new root as whole
+// pages, which read nothing. No reader keeps a node past the pin it read
+// it under (Range copies the key it hands out), so the tree marks its
+// file for the pager to recycle pruned node versions
 // (pager.RecycleVersions).
 package btree
 
@@ -69,14 +71,15 @@ type Tree struct {
 	cDelete *metrics.Counter
 	cHeight *metrics.Counter
 
-	// scratch is where a write that leaves a node on its page builds the
-	// node's new bytes for pager.Write; it is the writer's, under mu.
+	// scratch is where every node write builds the node's new bytes for
+	// pager.Write; it is the writer's, under mu.
 	scratch [pager.PageSize]byte
 }
 
 // New creates an empty tree in a fresh pager file. Page 0 is reserved as a
 // header page so that page number 0 can serve as the nil sentinel in the
-// leaf chain.
+// leaf chain. The root is page 1 as Append zeroed it, which is an empty
+// leaf: type 0, no link, no keys.
 func New(p *pager.Pager, name string) (*Tree, error) {
 	t := &Tree{state: state{p: p, fid: p.Create(name), height: 1}}
 	p.RecycleVersions(t.fid)
@@ -89,9 +92,6 @@ func New(p *pager.Pager, name string) (*Tree, error) {
 		return nil, err
 	}
 	t.root = no
-	if err := t.putNode(no, typeLeaf, 0, 0, nil); err != nil {
-		return nil, err
-	}
 	t.cHeight.SetMax(int64(t.height))
 	return t, nil
 }
@@ -244,19 +244,23 @@ func (t *Tree) write(pageNo uint32, nd []byte) error {
 	return t.p.Write(t.fid, pageNo, 5, nd[5:])
 }
 
-// putNode builds a node page from its header fields and an already
-// encoded cell area (for an internal node, kid0 and the cells) and hands
-// it to the pager.
+// putNode writes a whole node page from its header fields and an already
+// encoded cell area (for an internal node, kid0 and the cells), which may
+// be the scratch buffer's own: the page is built in the scratch buffer,
+// its tail zeroed, and written whole, so the pager reads nothing
+// (pager.Write).
 func (t *Tree) putNode(pageNo uint32, typ byte, next uint32, nkeys int, cells []byte) error {
-	if size := nodeHdr + len(cells); size > pager.PageSize {
+	size := nodeHdr + len(cells)
+	if size > pager.PageSize {
 		return fmt.Errorf("btree: node overflow: %d bytes", size)
 	}
-	pg := make([]byte, pager.PageSize)
+	pg := t.scratch[:]
 	pg[0] = typ
 	binary.BigEndian.PutUint32(pg[1:5], next)
 	binary.BigEndian.PutUint16(pg[5:7], uint16(nkeys))
 	copy(pg[nodeHdr:], cells)
-	return t.p.WriteOwned(t.fid, pageNo, pg)
+	clear(pg[size:])
+	return t.p.Write(t.fid, pageNo, 0, pg)
 }
 
 // Entry is one (key, value) pair of a tree.
@@ -311,8 +315,7 @@ func (t *Tree) InsertRun(run []Entry) error {
 			if err != nil {
 				return err
 			}
-			cells := make([]byte, 0, innerPtr+2+len(sep)+innerPtr)
-			cells = binary.BigEndian.AppendUint32(cells, t.root)
+			cells := binary.BigEndian.AppendUint32(t.scratch[nodeHdr:nodeHdr], t.root)
 			cells = binary.BigEndian.AppendUint16(cells, uint16(len(sep)))
 			cells = append(cells, sep...)
 			cells = binary.BigEndian.AppendUint32(cells, newChild)
@@ -375,7 +378,8 @@ func (t *Tree) insert(v *TreeView, pageNo uint32, run []Entry, edge bool) (took 
 // leaf or the child page numbers of an internal node) inserted at offset
 // off, cell index i: prefix, cells and suffix go into one image. An image
 // that fits its page is built in the tree's scratch buffer and patched in
-// (write); one that does not is built in a fresh buffer and split —
+// (write); one that does not is built in a fresh buffer and split, whose
+// halves putNode builds in the scratch buffer —
 // behind its last cell when that is the last of the cells added at the
 // edge of the tree, else in the middle.
 func (t *Tree) addCells(pageNo uint32, pg []byte, off, i int, cells []Entry, edge bool) (string, uint32, bool, error) {

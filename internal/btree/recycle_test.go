@@ -231,3 +231,43 @@ func TestPinnedViewsSurviveRecycling(t *testing.T) {
 		t.Fatal("no write took a recycled buffer: the test exercised nothing")
 	}
 }
+
+// TestSortedRunSplitsAllocateUnderThreePages: inside a writer phase a
+// split builds each half in the tree's scratch buffer and writes it as a
+// whole page. The right sibling goes into the zeroed page Append
+// installed, and the left half in place when the phase owns its buffer,
+// so a split allocates Append's page, the overflow image and at most one
+// copy of the left half: over a sorted build, fewer than three pages.
+func TestSortedRunSplitsAllocateUnderThreePages(t *testing.T) {
+	p := pager.New(64)
+	tr, err := New(p, "idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := make([]Entry, 20000)
+	for i := range run {
+		run[i] = Entry{fmt.Sprintf("k%08d", i), uint64(i)}
+	}
+	splits := p.Metrics().Counter("btree.split")
+	before := splits.Value()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	p.BeginMutation()
+	err = tr.InsertRun(run)
+	p.EndMutation(nil)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := splits.Value() - before
+	if n < 20 {
+		t.Fatalf("the run made %d splits, want at least 20", n)
+	}
+	if per := float64(m1.TotalAlloc-m0.TotalAlloc) / pager.PageSize / float64(n); per >= 3 {
+		t.Errorf("%d splits allocate %.2f pages each, want fewer than 3", n, per)
+	}
+	if got, err := tr.Live().Search(context.Background(), run[12345].Key); err != nil || len(got) != 1 || got[0] != 12345 {
+		t.Fatalf("Search(%s) = %v, %v", run[12345].Key, got, err)
+	}
+}

@@ -748,7 +748,7 @@ func (s *store) eachIndexEntry(ctx context.Context, cat, rid pager.RID, op func(
 // its catalog entry are tombstoned.
 func (s *store) ApplyDelete(ctx context.Context, name string) error {
 	cat := s.names[name]
-	rec, err := s.catalog.Get(ctx, cat)
+	rec, err := s.catalog.Live().Get(ctx, cat)
 	if err != nil {
 		return err
 	}

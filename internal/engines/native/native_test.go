@@ -593,7 +593,7 @@ func TestAllocationPins(t *testing.T) {
 			if strings.HasPrefix(name, "order") && name != "order1.xml" {
 				continue
 			}
-			rec, err := e.s.catalog.Get(ctx, cat)
+			rec, err := e.s.catalog.Live().Get(ctx, cat)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -601,7 +601,7 @@ func TestAllocationPins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			data, err := e.s.docs.Get(ctx, en.rid)
+			data, err := e.s.docs.Live().Get(ctx, en.rid)
 			if err != nil {
 				t.Fatal(err)
 			}

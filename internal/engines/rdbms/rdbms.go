@@ -35,7 +35,6 @@ package rdbms
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -84,8 +83,7 @@ type Engine struct{ *engbase.Base[view] }
 
 // view is the engine's read surface and query path (engbase.View): the
 // store's tables at one commit epoch and, under the DAD, its CLOB heap
-// and its rid list frozen there, queried by the operator trees of
-// shredplan.
+// frozen there, queried by the operator trees of shredplan.
 type view struct{ src shredplan.Source }
 
 // Class implements engbase.View.
@@ -111,10 +109,9 @@ func (v view) Explain(ph *plan.Physical) (*core.PlanNode, error) {
 type store struct {
 	pol Policy
 	p   *pager.Pager
-	// clobs holds Xcolumn's documents intact, rids its CLOBs in load
-	// order; nil under the shredding policies.
+	// clobs holds Xcolumn's documents intact; nil under the shredding
+	// policies.
 	clobs *pager.Heap
-	rids  []pager.RID
 	shred *shredder.Store // nil until loaded
 	// keys maps a document's name to its unit key (shredder's
 	// DeleteDocumentRows): its CLOB's rid under Xcolumn, which knows
@@ -159,23 +156,20 @@ func (s *store) Supports(c core.Class, sz core.Size) error {
 	return nil
 }
 
-// Freeze implements engbase.Store: the CLOB heap's view and the rid list
-// at epoch, then the tables' (relational.DB.View). The view shares the
-// list's array, capped at its length: an insert appends past the end of
-// every view frozen so far, and a delete copies (ApplyDelete).
+// Freeze implements engbase.Store: the CLOB heap's view at epoch, then the
+// tables' (relational.DB.View).
 func (s *store) Freeze(epoch uint64) view {
 	src := shredplan.Source{Mapping: s.pol.mapping, Class: s.shred.Class, DropMixed: s.pol.dropMixed,
 		DB: s.shred.DB.View(epoch)}
 	if s.clobs != nil {
 		src.CLOBs = s.clobs.View(epoch)
-		src.RIDs = s.rids[:len(s.rids):len(s.rids)]
 	}
 	return view{src}
 }
 
 // Reset implements engbase.Store.
 func (s *store) Reset() error {
-	s.keys, s.rids = nil, nil
+	s.keys = nil
 	if s.clobs != nil {
 		if err := s.clobs.Reset(); err != nil {
 			return err
@@ -277,7 +271,6 @@ func (s *store) insert(name string, data []byte, rec *xmldom.Record) (int, error
 		if err != nil {
 			return 0, err
 		}
-		s.rids = append(s.rids, rid)
 		doc = strconv.FormatUint(uint64(rid), 10)
 		s.keys[name] = doc
 	} else if id, ok := shredder.UnitDocID(s.shred.Class, rec); ok {
@@ -341,12 +334,5 @@ func (s *store) ApplyDelete(ctx context.Context, name string) error {
 		return nil
 	}
 	n, _ := strconv.ParseUint(key, 10, 64)
-	rid := pager.RID(n)
-	if err := s.clobs.Delete(ctx, rid); err != nil {
-		return err
-	}
-	// Copy-on-write: the previous slice may still back a published
-	// snapshot view, so never shift it in place.
-	s.rids = slices.DeleteFunc(slices.Clone(s.rids), func(r pager.RID) bool { return r == rid })
-	return nil
+	return s.clobs.Delete(ctx, pager.RID(n))
 }

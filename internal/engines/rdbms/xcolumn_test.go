@@ -10,7 +10,7 @@ import (
 
 	"xbench/internal/core"
 	"xbench/internal/gen"
-	"xbench/internal/pager"
+	"xbench/internal/plan"
 	"xbench/internal/queries"
 )
 
@@ -144,11 +144,11 @@ func TestUndefinedQuery(t *testing.T) {
 	}
 }
 
-// TestFrozenRIDListsKeepTheirEpoch holds Freeze's shared rid list to its
-// epoch: a view frozen before a U3 still lists the deleted CLOB's rid and
-// one frozen after it does not, and neither changes when a later U1
-// appends a rid to the list they share an array with.
-func TestFrozenRIDListsKeepTheirEpoch(t *testing.T) {
+// TestPinnedQ17KeepsItsEpoch holds Q17's pass over the CLOB heap to the
+// reader's epoch: a view pinned before a U3 still finds the deleted order
+// and one pinned after it does not, and neither answer changes when a
+// later U1 stores the order again in the extent the U3 freed.
+func TestPinnedQ17KeepsItsEpoch(t *testing.T) {
 	ctx := context.Background()
 	db, err := gen.Config{DictEntries: 30, Articles: 5, Items: 20, Orders: 30}.Generate(core.DCMD, core.Small)
 	if err != nil {
@@ -158,42 +158,74 @@ func TestFrozenRIDListsKeepTheirEpoch(t *testing.T) {
 	if _, err := e.Load(ctx, db); err != nil {
 		t.Fatal(err)
 	}
-	frozen := func() []pager.RID {
+	// The victim is an order with a comment; Q17 searches the comment's
+	// longest word.
+	var victim core.Doc
+	var word string
+	for _, d := range db.Docs[len(db.Docs)/2:] {
+		_, text, ok := strings.Cut(string(d.Data), "<comment>")
+		if text, _, _ = strings.Cut(text, "</comment>"); !ok || !strings.Contains(string(d.Data), "<order ") {
+			continue
+		}
+		for _, w := range strings.FieldsFunc(strings.ToLower(text), func(r rune) bool { return r < 'a' || r > 'z' }) {
+			if len(w) > len(word) {
+				victim, word = d, w
+			}
+		}
+		if word != "" {
+			break
+		}
+	}
+	if word == "" {
+		t.Fatal("no order with a comment in the second half of the database")
+	}
+	pinned := func() view {
 		t.Helper()
 		v, release, err := e.View()
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(release)
-		return v.src.RIDs
+		return v
 	}
-	before := frozen()
-	held := slices.Clone(before)
-	victim := db.Docs[len(db.Docs)/2]
+	q17 := func(v view) []string {
+		t.Helper()
+		ph, err := plan.Plan(queries.Lookup(core.DCMD, core.Q17), v.Stats())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := v.Exec(ctx, ph, core.Params{"W2": word})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Items
+	}
+	before := pinned()
+	held := q17(before)
 	if err := e.DeleteDocument(ctx, victim.Name); err != nil {
 		t.Fatal(err)
 	}
-	after := frozen()
-	if len(after) != len(held)-1 {
-		t.Fatalf("the view after the U3 lists %d rids, want %d", len(after), len(held)-1)
-	}
-	var gone []pager.RID
-	for _, rid := range held {
-		if !slices.Contains(after, rid) {
-			gone = append(gone, rid)
+	after := pinned()
+	gone := q17(after)
+	var lost []string
+	for _, it := range held {
+		if !slices.Contains(gone, it) {
+			lost = append(lost, it)
 		}
 	}
-	if len(gone) != 1 || !slices.Contains(before, gone[0]) {
-		t.Fatalf("rids missing after the U3: %v; the view before it lists %d", gone, len(before))
+	if len(gone) != len(held)-1 || len(lost) != 1 {
+		t.Fatalf("Q17 %q pinned before the U3 = %v, after it = %v: want one order fewer", word, held, gone)
 	}
-	heldAfter := slices.Clone(after)
+	if !slices.Equal(q17(before), held) {
+		t.Fatal("the U3 changed the answer of a view pinned before it")
+	}
 	if err := e.InsertDocument(ctx, victim.Name, victim.Data); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(before, held) || !slices.Equal(after, heldAfter) {
-		t.Fatal("a U1 changed the rid list of a view frozen before it")
+	if !slices.Equal(q17(before), held) || !slices.Equal(q17(after), gone) {
+		t.Fatal("a U1 changed the answer of a view pinned before it")
 	}
-	if latest := frozen(); len(latest) != len(after)+1 || !slices.Equal(latest[:len(after)], after) {
-		t.Fatalf("the view after the U1 lists %d rids, want the %d before it and one more", len(latest), len(after))
+	if latest := q17(pinned()); !slices.Contains(latest, lost[0]) {
+		t.Fatalf("the view after the U1 = %v, want it to hold %s again", latest, lost[0])
 	}
 }

@@ -47,10 +47,8 @@ type Source struct {
 	DB      *relational.DBView
 	// DropMixed is a shredded store's: mixed content's text was not stored.
 	DropMixed bool
-	// CLOBs is an Xcolumn store's document heap, RIDs its CLOBs in load
-	// order.
+	// CLOBs is an Xcolumn store's document heap.
 	CLOBs pager.HeapView
-	RIDs  []pager.RID
 }
 
 // Exec runs the tree of ph's query over s, its primary probe or range
@@ -313,12 +311,14 @@ func (x *run) parse(ref []byte) error {
 	return xmldom.ParseRecord(&x.doc, data)
 }
 
-// clobs hands fn the rows of n over every CLOB, in load order, that can
-// have one: each is fetched, and parsed only when its root element is
-// n.path's first and its text can hold the word (Word.MatchXML) — the
-// cheap prefilters where the heap holds them. The parses are the parse phase and the rest
-// of the pass the scan phase, so the two partition its time instead of
-// nesting.
+// clobs hands fn the rows of n over every CLOB that can have one, in heap
+// address order (load order until an update reuses a deleted CLOB's
+// space): each is read where the scan hands it out, and parsed only when
+// its root element is n.path's first and its text can hold the word
+// (Word.MatchXML) — the cheap prefilters where the heap holds them. The
+// parse copies the CLOB, so the scan may reuse its buffer. The parses are
+// the parse phase and the rest of the pass the scan phase, so the two
+// partition its time instead of nesting.
 func (x *run) clobs(n *Node, fn func(relational.Rec) bool) error {
 	start, parsing := time.Now(), time.Duration(0)
 	defer func() {
@@ -327,27 +327,25 @@ func (x *run) clobs(n *Node, fn func(relational.Rec) bool) error {
 	}()
 	word := xquery.CompileWord(bound(n.params[0], x.p))
 	var ref relational.Rec
-	for _, rid := range x.s.RIDs {
-		data, err := x.s.CLOBs.Get(x.ctx, rid)
-		if err != nil {
-			return err
-		}
+	var bad error
+	err := x.s.CLOBs.Scan(x.ctx, func(rid pager.RID, data []byte) bool {
 		if root, ok := xmldom.RootName(data); ok && string(root) != n.path[0] || !word.MatchXML(data) {
-			continue
+			return true
 		}
 		t := time.Now()
-		err = xmldom.ParseRecord(&x.doc, data)
+		bad = xmldom.ParseRecord(&x.doc, data)
 		parsing += time.Since(t)
-		if err != nil {
-			return err
+		if bad != nil {
+			return false
 		}
 		var num [20]byte
 		ref = relational.AppendCol(append(ref[:0], 0, 0), strconv.AppendUint(num[:0], uint64(rid), 10))
-		if !x.docRows(n, x.doc.Root(), 0, ref, fn) {
-			break
-		}
+		return x.docRows(n, x.doc.Root(), 0, ref, fn)
+	})
+	if err != nil {
+		return err
 	}
-	return nil
+	return bad
 }
 
 // docRows hands fn a row for each chain of elements down n.path, from its

@@ -30,7 +30,7 @@ func StoreStats(s Source) plan.StatValues {
 		targets = append(targets, spec.Target)
 	}
 	if s.Mapping == xmlschema.DAD {
-		st.DataPages, st.DataRows = s.CLOBs.Pages(), int64(len(s.RIDs))
+		st.DataPages, st.DataRows = s.CLOBs.Pages(), int64(s.CLOBs.Count())
 	} else {
 		t := s.DB.Table(shredder.Tables(s.Class, xmlschema.Shredded)[0])
 		st.DataPages = t.HeapPages()

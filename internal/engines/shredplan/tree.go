@@ -27,7 +27,7 @@ const (
 	opLimit            // the first n rows of kid 0
 	opEmit             // the answer: an item per row of kid 0, written by tmpl; kids 1.. are lookups
 	opClob             // per row of kid 0, the elements down path in the CLOB its doc column names
-	opCLOBs            // the elements down path in every CLOB holding a word, in load order
+	opCLOBs            // the elements down path in every CLOB holding a word, in heap address order
 )
 
 // column is a column named in a tree and its position in the rows it is
@@ -302,7 +302,8 @@ func clob(path string, kid *Node, picks ...string) *Node {
 	return n
 }
 
-// clobs is the pass over every CLOB in load order that parses only those
+// clobs is the pass over every CLOB in heap address order (load order
+// until an update reuses a deleted CLOB's space) that parses only those
 // whose raw bytes hold the word param, handing on clob's rows of them
 // with the CLOB as the doc column.
 func clobs(param, path string, picks ...string) *Node {

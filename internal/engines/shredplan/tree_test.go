@@ -134,7 +134,6 @@ func loadLikeXcolumn(t *testing.T, db *core.Database) Source {
 	p := pager.New(0)
 	clobs, tables := pager.NewHeap(p, "clobs"), relational.NewDB(p)
 	side := shredder.NewStore(db.Class, xmlschema.DAD, tables, shredder.Options{})
-	var rids []pager.RID
 	for _, d := range db.Docs {
 		doc := new(xmldom.Record)
 		if err := xmldom.ParseRecord(doc, d.Data); err != nil {
@@ -144,7 +143,6 @@ func loadLikeXcolumn(t *testing.T, db *core.Database) Source {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rids = append(rids, rid)
 		if _, err := side.ShredDocument(strconv.FormatUint(uint64(rid), 10), doc); err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +161,7 @@ func loadLikeXcolumn(t *testing.T, db *core.Database) Source {
 		t.Fatal(err)
 	}
 	return Source{Mapping: xmlschema.DAD, Class: db.Class, DB: tables.View(p.SnapshotEpoch()),
-		CLOBs: clobs.View(p.SnapshotEpoch()), RIDs: rids}
+		CLOBs: clobs.View(p.SnapshotEpoch())}
 }
 
 // TestExplainedTreeIsExecuted: for every tree — the shredded ones on both

@@ -17,8 +17,8 @@ type RID uint64
 // changes no sizes on disk.
 const deadBit = 1 << 31
 
-// ErrDeleted is returned by Get (and Delete) for the RID of a record
-// that has been deleted.
+// ErrDeleted is returned by HeapView.Get (and Heap.Delete) for the RID
+// of a record that has been deleted.
 var ErrDeleted = errors.New("pager: record deleted")
 
 // extent is a dead record available for reuse: n data bytes behind the
@@ -44,10 +44,10 @@ type extent struct {
 // structure is, by reload plus journal replay, which repeats the same
 // deletes.
 //
-// Get and Scan are safe to call from many goroutines once loading has
-// finished; Insert/Delete/Reset require
-// external exclusion from readers — the engines provide it with their
-// write lock, and snapshot readers go through a HeapView instead.
+// A Heap only mutates, as a btree.Tree does: Insert, Delete and Reset
+// need external exclusion — the engines provide it with their write lock.
+// Every read goes through a HeapView: View(epoch) for snapshot readers,
+// Live for the writer's own.
 type Heap struct {
 	p   *Pager
 	fid FileID
@@ -68,15 +68,6 @@ func (h *Heap) Count() int { return h.count }
 // Bytes returns the total size of record data including prefixes, dead
 // records included.
 func (h *Heap) Bytes() uint64 { return h.end }
-
-// Pages returns the number of pages the heap's records occupy — the
-// sequential-scan cost the query planner feeds its cost model.
-func (h *Heap) Pages() int64 {
-	if h.end == 0 {
-		return 0
-	}
-	return int64((h.end + PageSize - 1) / PageSize)
-}
 
 // Insert stores a record and returns its RID: in the first dead extent
 // that fits, else appended at the end.
@@ -180,28 +171,13 @@ func (h *Heap) write(b []byte, off uint64) error {
 // fsync of a multi-document load).
 func (h *Heap) Sync() error { return h.p.Sync(h.fid) }
 
-// Live is the heap's own read surface: a view of its whole extent with
-// live (unversioned) page reads, the tail page included. Get, Scan and
-// Delete read through it, so the heap and its published views share one
-// record reader. It is the writer's: valid under the exclusion Insert and
-// Delete need, and only until the next of them.
+// Live is the writer's read surface: a view of the heap's whole extent
+// with live (unversioned) page reads, the tail page included. Delete reads
+// through it too, so the heap and its published views share one record
+// reader. It is valid under the exclusion Insert and Delete need, and
+// only until the next of them.
 func (h *Heap) Live() HeapView {
 	return HeapView{p: h.p, fid: h.fid, end: h.end, count: h.count, epoch: LiveEpoch}
-}
-
-// Get returns the record stored at rid, read-only and valid until the
-// heap's next Insert or Delete (see HeapView.Get).
-// Cancellation via ctx is honored at page-fetch granularity.
-func (h *Heap) Get(ctx context.Context, rid RID) ([]byte, error) {
-	return h.Live().Get(ctx, rid)
-}
-
-// Scan visits every live record in address order (insertion order until
-// a delete's extent is reused). Returning false stops the scan early; rec
-// is valid only until fn returns (see HeapView.Scan).
-// Cancellation via ctx is honored at page-fetch granularity.
-func (h *Heap) Scan(ctx context.Context, fn func(rid RID, rec []byte) bool) error {
-	return h.Live().Scan(ctx, fn)
 }
 
 // Reset truncates the heap to empty so a load can rebuild it.

@@ -11,12 +11,10 @@ import (
 	"xbench/internal/stats"
 )
 
-// scanAll returns the heap's live records in scan order.
-func scanAll(t *testing.T, h interface {
-	Scan(context.Context, func(RID, []byte) bool) error
-}) (rids []RID, recs []string) {
+// scanAll returns the view's live records in scan order.
+func scanAll(t *testing.T, v HeapView) (rids []RID, recs []string) {
 	t.Helper()
-	err := h.Scan(context.Background(), func(rid RID, rec []byte) bool {
+	err := v.Scan(context.Background(), func(rid RID, rec []byte) bool {
 		rids = append(rids, rid)
 		recs = append(recs, string(rec))
 		return true
@@ -38,7 +36,7 @@ func mustInsert(t *testing.T, h *Heap, rec []byte) RID {
 
 func wantRecs(t *testing.T, h *Heap, want ...string) {
 	t.Helper()
-	_, got := scanAll(t, h)
+	_, got := scanAll(t, h.Live())
 	if fmt.Sprintf("%.12q", got) != fmt.Sprintf("%.12q", want) || h.Count() != len(want) {
 		t.Fatalf("scan = %.12q (Count %d), want %.12q", got, h.Count(), want)
 	}
@@ -72,7 +70,7 @@ func TestHeapDeleteSpanningRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantRecs(t, h, "first", "last")
-	if _, err := h.Get(ctx, rid); !errors.Is(err, ErrDeleted) {
+	if _, err := h.Live().Get(ctx, rid); !errors.Is(err, ErrDeleted) {
 		t.Fatalf("Get of a deleted rid = %v, want ErrDeleted", err)
 	}
 	if err := h.Delete(ctx, rid); !errors.Is(err, ErrDeleted) {
@@ -231,7 +229,7 @@ func TestHeapChurnMatchesModel(t *testing.T) {
 		if step%50 != 0 {
 			continue
 		}
-		rids, recs := scanAll(t, h)
+		rids, recs := scanAll(t, h.Live())
 		if len(rids) != len(live) || h.Count() != len(live) {
 			t.Fatalf("step %d: scan saw %d records, Count = %d, model has %d", step, len(rids), h.Count(), len(live))
 		}
@@ -242,7 +240,7 @@ func TestHeapChurnMatchesModel(t *testing.T) {
 			if recs[i] != string(live[rid]) {
 				t.Fatalf("step %d: record at %d differs from the model", step, rid)
 			}
-			got, err := h.Get(ctx, rid)
+			got, err := h.Live().Get(ctx, rid)
 			if err != nil || !bytes.Equal(got, live[rid]) {
 				t.Fatalf("step %d: Get(%d) = %d bytes, %v", step, rid, len(got), err)
 			}
@@ -253,7 +251,7 @@ func TestHeapChurnMatchesModel(t *testing.T) {
 			if _, reused := live[rid]; reused {
 				continue
 			}
-			if _, err := h.Get(ctx, rid); !errors.Is(err, ErrDeleted) {
+			if _, err := h.Live().Get(ctx, rid); !errors.Is(err, ErrDeleted) {
 				t.Fatalf("step %d: Get of deleted rid %d = %v, want ErrDeleted", step, rid, err)
 			}
 		}

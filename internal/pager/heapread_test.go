@@ -170,7 +170,7 @@ func TestHeapReadContract(t *testing.T) {
 	ctx := context.Background()
 	p := New(4)
 	h, live, dead := buildReadHeap(t, p)
-	if d := checkReads(t, "live heap, dirty tail", h, live, dead); d != readHeapDigest {
+	if d := checkReads(t, "live heap, dirty tail", h.Live(), live, dead); d != readHeapDigest {
 		t.Fatalf("live scan digest %s, the parent's reader gave %s", d, readHeapDigest)
 	}
 
@@ -198,7 +198,7 @@ func TestHeapReadContract(t *testing.T) {
 	if d := checkReads(t, "pinned view", v, live, dead); d != readHeapDigest {
 		t.Fatalf("pinned view: digest %s, want %s", d, readHeapDigest)
 	}
-	if _, recs := scanAll(t, h); len(recs) != 400 {
+	if _, recs := scanAll(t, h.Live()); len(recs) != 400 {
 		t.Fatalf("live heap after the rewrite scans %d records, want 400", len(recs))
 	}
 }
@@ -242,11 +242,11 @@ func TestHeapReadRefusesBrokenExtents(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	err := h.Scan(ctx, func(RID, []byte) bool { n++; return true })
+	err := h.Live().Scan(ctx, func(RID, []byte) bool { n++; return true })
 	if err == nil || !strings.Contains(err.Error(), "corrupt length") || n != 2 {
 		t.Fatalf("corrupt prefix: scan delivered %d records, err %v; want 2 and a corrupt length", n, err)
 	}
-	if _, err := h.Get(ctx, rids[2]); err == nil || !strings.Contains(err.Error(), "corrupt length") {
+	if _, err := h.Live().Get(ctx, rids[2]); err == nil || !strings.Contains(err.Error(), "corrupt length") {
 		t.Fatalf("corrupt prefix: Get = %v", err)
 	}
 }
@@ -267,7 +267,7 @@ func TestHeapReadCancellation(t *testing.T) {
 	p.ResetStats()
 	ctx, cancel := context.WithCancel(context.Background())
 	delivered := 0
-	err := h.Scan(ctx, func(rid RID, rec []byte) bool {
+	err := h.Live().Scan(ctx, func(rid RID, rec []byte) bool {
 		cancel()
 		delivered++
 		if end := uint64(rid) + 4 + uint64(len(rec)); end > PageSize {
@@ -281,7 +281,7 @@ func TestHeapReadCancellation(t *testing.T) {
 	if s := p.Stats(); s.Hits+s.Reads-s.Prefetched != 1 {
 		t.Fatalf("cancelled scan asked the pool for %d pages, want 1", s.Hits+s.Reads-s.Prefetched)
 	}
-	if _, err := h.Get(ctx, 0); !errors.Is(err, context.Canceled) {
+	if _, err := h.Live().Get(ctx, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Get under a cancelled context = %v", err)
 	}
 }

@@ -308,7 +308,7 @@ func TestHeapViewFrozenDuringRewrite(t *testing.T) {
 			t.Fatalf("view Get(%d) = %.20q, %v; want %.20q", rids0[i], old, err, gen0[i])
 		}
 	}
-	_, live := scanAll(t, h)
+	_, live := scanAll(t, h.Live())
 	if len(live) != len(gen2) {
 		t.Fatalf("live scan saw %d records, want %d", len(live), len(gen2))
 	}

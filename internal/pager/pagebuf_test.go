@@ -116,7 +116,7 @@ func TestOneBufferPerPageVersion(t *testing.T) {
 			do   func() error
 		}{
 			{"Write", func() error { return p.Write(f, 0, 0, []byte("rewritten")) }},
-			{"WriteOwned", func() error { return p.WriteOwned(f, 1, bytes.Repeat([]byte{0xAB}, PageSize)) }},
+			{"Write (whole page)", func() error { return p.Write(f, 1, 0, bytes.Repeat([]byte{0xAB}, PageSize)) }},
 			{"Heap.overwrite (Delete)", func() error { return h.Delete(ctx, rids[3]) }},
 			{"Heap.overwrite (reuse)", func() error { _, err := h.Insert(bytes.Repeat([]byte{0xCD}, 300)); return err }},
 			{"Truncate", func() error { return p.Truncate(f) }},
@@ -151,7 +151,7 @@ func TestOneBufferPerPageVersion(t *testing.T) {
 		stamp := func(e byte) error {
 			for no := uint32(0); no < pages; no++ {
 				pg := bytes.Repeat([]byte{e}, PageSize)
-				if err := p.WriteOwned(f, no, pg); err != nil {
+				if err := p.Write(f, no, 0, pg); err != nil {
 					return err
 				}
 			}

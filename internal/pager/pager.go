@@ -37,20 +37,20 @@
 // Page buffers (DESIGN.md §13): one buffer per page version, shared by
 // disk, pool, snapshot and reader, and immutable once a reader can reach
 // it. A page changes by getting a new buffer — Write patches the caller's
-// bytes into a copy of the page, WriteOwned takes one its caller built and
-// gives up, Truncate drops the slots — except that Write patches in place
-// a buffer the writer installed in the writer phase still open (mvcc.go),
-// which no reader can reach yet. That is how a heap fills its tail page —
-// the bytes go straight into the zeroed buffer Append installed, and no
-// layer above keeps a page of its own — and how a B+tree node written
-// twice in one update costs one copy. Patching one that a per-document
-// write-back also made the disk image is unobservable: the patch dirties
-// the frame, which serves every read of the page until it is written
-// back, and a crashed pager never reads again. So nothing is copied
-// between the layers: a write-back stores the frame's buffer as the disk
-// image, a read miss or a readahead installs the disk image in the frame,
-// an MVCC pre-image is the buffer its write replaced, and Read hands out
-// the frame's buffer. No read copies.
+// bytes into a copy of the page, Truncate drops the slots — except that
+// Write patches in place a buffer the writer installed in the writer
+// phase still open (mvcc.go), which no reader can reach yet. That is how
+// a heap fills its tail page and a B+tree its split's new sibling — the
+// bytes go straight into the zeroed buffer Append installed, and no layer
+// above keeps a page of its own — and how a B+tree node written twice in
+// one update costs one copy. Patching one that a per-document write-back
+// also made the disk image is unobservable: the patch dirties the frame,
+// which serves every read of the page until it is written back, and a
+// crashed pager never reads again. So nothing is copied between the
+// layers: a write-back stores the frame's buffer as the disk image, a
+// read miss or a readahead installs the disk image in the frame, an MVCC
+// pre-image is the buffer its write replaced, and Read hands out the
+// frame's buffer. No read copies.
 //
 // A reader holding a buffer holds that version of the page for as long as
 // it likes, with one exception that recycles buffers: the files marked
@@ -440,8 +440,8 @@ func (p *Pager) Append(fid FileID) (uint32, error) {
 // the page version's one buffer (see the package comment): the pool
 // frame's, which is also the page's disk image once it was read or
 // written back, and the pre-image any later write captures for a
-// snapshot. Callers must treat it as read-only and use Write or
-// WriteOwned to change pages — mutating the returned slice corrupts the
+// snapshot. Callers must treat it as read-only and use Write to change
+// pages — mutating the returned slice corrupts the
 // pool, the simulated disk and every snapshot of the page at once.
 //
 // Concurrent readers of a returned slice are safe even across eviction:
@@ -452,10 +452,9 @@ func (p *Pager) Append(fid FileID) (uint32, error) {
 // page under, after which the buffer may become another page's.
 // The B+tree relies on exactly that: its readers walk the cells of the
 // returned slice under their pin without decoding them; its writer keeps
-// a slice across the writes of a split further down, writes a node that
-// stays on its page back through Write (patched in place when the open
-// writer phase owns its buffer, else copied) and a split's two nodes as
-// fresh pages through WriteOwned.
+// a slice across the writes of a split further down and writes every node
+// back through Write: patched in place when the open writer phase owns its
+// buffer, else copied.
 //
 // Transient read faults are retried internally with exponential backoff,
 // up to MaxReadAttempts attempts; the retries are counted in Stats. A
@@ -543,12 +542,14 @@ func (p *Pager) bumpRef(fr *frame) {
 }
 
 // Write patches b in at offset off of page no and marks the page dirty
-// (write-back: no disk write is counted yet); the caller keeps b. While
+// (write-back: no disk write is counted yet); the caller keeps b. It is
+// the one way a page's bytes change, besides Append and Truncate. While
 // the open writer phase owns the page's buffer (see the package comment)
-// the patch goes into that buffer; otherwise into a copy of the page,
-// read as Read reads it — a write that covers the whole page reads
-// nothing — which replaces the buffer as WriteOwned does. The copy goes
-// into a recycled buffer when the free list holds one, else a new page.
+// the patch goes into that buffer. Otherwise it goes into a copy of the
+// page, read as Read reads it — a write that covers the whole page reads
+// nothing — which becomes the page's buffer; inside a mutation bracket the
+// buffer it replaces is the pre-image. The copy goes into a recycled
+// buffer when the free list holds one, else a new page.
 func (p *Pager) Write(fid FileID, no uint32, off int, b []byte) error {
 	if off < 0 || off+len(b) > PageSize {
 		return fmt.Errorf("pager: write of %d bytes at offset %d exceeds page size", len(b), off)
@@ -576,20 +577,6 @@ func (p *Pager) Write(fid FileID, no uint32, off int, b []byte) error {
 		copy(pg, old)
 	}
 	copy(pg[off:], b)
-	return p.WriteOwned(fid, no, pg)
-}
-
-// WriteOwned replaces the page with pg, exactly PageSize bytes, which
-// becomes the page's pool buffer without a copy. Ownership transfers with
-// the call — the buffer is from then on what Read aliases, what a
-// write-back stores as the disk image and what a later write captures as
-// the MVCC pre-image, so the caller must not touch it again. It is for writers that already
-// build the successor page in a fresh buffer (the two halves of a B+tree
-// split) and would otherwise have it copied a second time.
-func (p *Pager) WriteOwned(fid FileID, no uint32, pg []byte) error {
-	if len(pg) != PageSize {
-		return fmt.Errorf("pager: owned write of %d bytes is not a whole page", len(pg))
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.down != nil {
@@ -599,8 +586,6 @@ func (p *Pager) WriteOwned(fid FileID, no uint32, pg []byte) error {
 	if !ok || no >= uint32(len(f.pages)) {
 		return fmt.Errorf("pager: write beyond end of file %d page %d", fid, no)
 	}
-	// Inside a mutation bracket the buffer pg replaces is the pre-image.
-	key := pageKey{fid, no}
 	if p.mutationActive() {
 		p.capture(f, key, p.preImage(f, key))
 	}

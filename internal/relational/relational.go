@@ -305,7 +305,7 @@ func (t *Table) CreateIndex(col string) error {
 		return err
 	}
 	run := make([]btree.Entry, 0, t.heap.Count())
-	err = t.heap.Scan(context.Background(), func(rid pager.RID, rec []byte) bool {
+	err = t.heap.Live().Scan(context.Background(), func(rid pager.RID, rec []byte) bool {
 		// Only the indexed column leaves the record: decoding the row would
 		// allocate every column of every row once per index.
 		if r := Rec(rec); !r.Null(ci) { // NULLs are not indexed
