@@ -72,8 +72,11 @@ type Tree struct {
 	cHeight *metrics.Counter
 
 	// scratch is where every node write builds the node's new bytes for
-	// pager.Write; it is the writer's, under mu.
-	scratch [pager.PageSize]byte
+	// pager.Write; overflow, two pages allocated at the first split, is
+	// where a node that outgrew its page is built for split. Both are the
+	// writer's, under mu.
+	scratch  [pager.PageSize]byte
+	overflow []byte
 }
 
 // New creates an empty tree in a fresh pager file. Page 0 is reserved as a
@@ -378,10 +381,10 @@ func (t *Tree) insert(v *TreeView, pageNo uint32, run []Entry, edge bool) (took 
 // leaf or the child page numbers of an internal node) inserted at offset
 // off, cell index i: prefix, cells and suffix go into one image. An image
 // that fits its page is built in the tree's scratch buffer and patched in
-// (write); one that does not is built in a fresh buffer and split, whose
-// halves putNode builds in the scratch buffer —
-// behind its last cell when that is the last of the cells added at the
-// edge of the tree, else in the middle.
+// (write); one that does not — at most one cell over a page — is built in
+// the tree's overflow buffer and split, whose halves putNode builds in the
+// scratch buffer — behind its last cell when that is the last of the cells
+// added at the edge of the tree, else in the middle.
 func (t *Tree) addCells(pageNo uint32, pg []byte, off, i int, cells []Entry, edge bool) (string, uint32, bool, error) {
 	first, ptrSize := cellLayout(pg)
 	n := nodeKeys(pg)
@@ -394,7 +397,10 @@ func (t *Tree) addCells(pageNo uint32, pg []byte, off, i int, cells []Entry, edg
 	if end+size <= pager.PageSize {
 		nd = t.scratch[:end+size]
 	} else {
-		nd = make([]byte, end+size)
+		if t.overflow == nil {
+			t.overflow = make([]byte, 2*pager.PageSize)
+		}
+		nd = t.overflow[:end+size]
 	}
 	copy(nd, pg[:off])
 	at, last := off, off

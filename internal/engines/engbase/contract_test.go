@@ -3,7 +3,11 @@ package engbase_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -64,14 +68,12 @@ func footprintOf(e engine) footprint {
 	return footprint{pageIO: e.PageIO(), epoch: e.Pager().SnapshotEpoch()}
 }
 
-// wantEmpty fails unless every file of e's pager is empty.
+// wantEmpty fails unless e's pager holds no file: a failed load drops
+// every file, index files included, and creates none.
 func wantEmpty(t *testing.T, e engine) {
 	t.Helper()
-	p := e.Pager()
-	for fid := pager.FileID(0); p.FileName(fid) != ""; fid++ {
-		if n := p.NumPages(fid); n != 0 {
-			t.Errorf("file %q still holds %d pages", p.FileName(fid), n)
-		}
+	if n := e.Pager().OpenFiles(); n != 0 {
+		t.Errorf("%d files outlive the failed load", n)
 	}
 }
 
@@ -387,6 +389,72 @@ func TestEngineContract(t *testing.T) {
 			t.Fatalf("Q1 after the reload = %v, %v", res.Items, err)
 		}
 	})
+}
+
+// TestReloadUnderReaders: four readers query an engine while it is
+// loaded 20 times over. A load drops every file and rebuilds the store
+// with pins blocked, and publishes as it unblocks them, so each answer is
+// the not-loaded error (before the first load) or the loaded answer, never
+// one read from a half-built store. And no file outlives its load: every
+// load leaves the files the first one did.
+func TestReloadUnderReaders(t *testing.T) {
+	ctx := context.Background()
+	db := tinyDB(t)
+	q := core.Params{"X": "O1"}
+	for _, tc := range engines {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := tc.mk()
+			defer ref.Close()
+			if _, err := ref.Load(ctx, db); err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.Execute(ctx, core.Q1, q)
+			if err != nil || len(want.Items) != 1 {
+				t.Fatalf("Q1 = %v, %v", want.Items, err)
+			}
+
+			e := tc.mk()
+			defer e.Close()
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			wrong := make(chan string, 4)
+			for r := 0; r < 4; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for !stop.Load() {
+						res, err := e.Execute(ctx, core.Q1, q)
+						if err != nil && !strings.Contains(err.Error(), "Execute before Load") ||
+							err == nil && !slices.Equal(res.Items, want.Items) {
+							wrong <- fmt.Sprintf("Q1 = %v, %v; want %v or the not-loaded error", res.Items, err, want.Items)
+							return
+						}
+					}
+				}()
+			}
+			files := 0
+			for load := 1; load <= 20; load++ {
+				if _, err := e.Load(ctx, db); err != nil {
+					t.Fatalf("load %d: %v", load, err)
+				}
+				n := e.Pager().OpenFiles()
+				if load == 1 {
+					files = n
+				} else if n != files {
+					t.Errorf("load %d left %d files, the first %d", load, n, files)
+				}
+			}
+			stop.Store(true)
+			wg.Wait()
+			close(wrong)
+			for msg := range wrong {
+				t.Error(msg)
+			}
+			if n := e.Pager().PinnedSnapshots(); n != 0 {
+				t.Errorf("%d snapshots left pinned", n)
+			}
+		})
+	}
 }
 
 // wantStopped fails unless b is a stopped engine: every operation answers

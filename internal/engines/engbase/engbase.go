@@ -60,18 +60,18 @@ type View interface {
 // out over the pager. It only mutates; V is what reads it.
 //
 // Base calls every method except Name and Supports with the engine latch
-// held exclusively, and only Name, Supports, Reset and LoadDocs on a
-// store that is not loaded, so a Store does no locking and no "is it
-// loaded" checks of its own.
+// held exclusively, and only Name, Supports and LoadDocs on a store that
+// is not loaded, so a Store does no locking and no "is it loaded" checks
+// of its own.
 type Store[V View] interface {
 	// Name and Supports are core.Engine's.
 	Name() string
 	Supports(c core.Class, s core.Size) error
 
-	// Reset empties the store: files truncated, volatile maps dropped.
-	Reset() error
-	// LoadDocs bulk-loads db into the freshly reset store, taking the
-	// parsed documents in database order from ParseDocs. The syncs in
+	// LoadDocs bulk-loads db into an empty pager — Base dropped every file
+	// (pager.DropFiles) — so it creates the store's files and volatile
+	// maps afresh, and takes the parsed documents in database order from
+	// ParseDocs. The syncs in
 	// it are the load's own — the per-document commits the paper's Table 4
 	// prices — and leave nothing dirty, so Base fills in LoadStats.PageIO
 	// when it returns and the commit that follows writes nothing more.
@@ -197,9 +197,9 @@ func (pub *publication[V]) carry(prev *publication[V]) int64 {
 	return n
 }
 
-// New returns the base of an empty engine over s, whose files live on p:
-// an engine creates its Store's files on a pager.New first and then hands
-// both over. New starts nothing — an engine has no goroutine of its own.
+// New returns the base of an empty engine over s, whose files live on p,
+// a pager.New: s creates them in LoadDocs. New starts nothing — an engine
+// has no goroutine of its own.
 func New[V View](p *pager.Pager, s Store[V]) *Base[V] {
 	return &Base[V]{p: p, s: s}
 }
@@ -268,19 +268,21 @@ func (b *Base[V]) publish(epoch uint64, commit func(view any) uint64, durable fu
 
 // reset empties the engine so Load is idempotent: a repeated or resumed
 // load never sees leftovers from an earlier attempt. The publication is
-// withdrawn first, so no reader is handed a view into truncated files.
+// withdrawn first, so no reader is handed a view into dropped files; then
+// every file goes (pager.DropFiles), and LoadDocs creates the store's
+// anew. The caller holds BlockPins.
 func (b *Base[V]) reset() error {
 	b.p.AdvanceEpoch(nil)
 	b.loaded = false
 	b.last = nil
 	reg := b.p.Metrics() // a facade's WithMetrics replaces the one of New
 	b.cellsPlanned, b.cellsCarried = reg.Counter("plan.cell.planned"), reg.Counter("plan.cell.carried")
-	return b.s.Reset()
+	return b.p.DropFiles()
 }
 
 // abortLoad handles a mid-load failure: after a crash the machine is down
 // and cleanup is impossible (a restart, on a new engine, is the only path
-// forward); any other failure truncates the store so the database stays
+// forward); any other failure drops every file so the database stays
 // empty and loadable.
 func (b *Base[V]) abortLoad(err error) error {
 	if pager.IsCrash(err) {
@@ -291,10 +293,9 @@ func (b *Base[V]) abortLoad(err error) error {
 }
 
 // Load implements core.Engine. A failed load leaves an empty, loadable
-// database (see abortLoad). Load drains pinned snapshots before
-// truncating: a reader holding a pre-load snapshot would otherwise race
-// the wholesale truncate, whose pre-images are deliberately not
-// versioned.
+// database (see abortLoad). Load drains pinned snapshots before it drops
+// the files: a reader holding a pre-load snapshot would otherwise read
+// pages that are gone, whose pre-images are deliberately not versioned.
 func (b *Base[V]) Load(ctx context.Context, db *core.Database) (core.LoadStats, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -48,7 +48,7 @@ type cellView struct {
 func newCell(t *testing.T) (*engbase.Base[*cellView], *cell) {
 	t.Helper()
 	p := pager.New(16)
-	c := &cell{p: p, fid: p.Create("cell")}
+	c := &cell{p: p}
 	b := engbase.New[*cellView](p, c)
 	t.Cleanup(func() { b.Close() })
 	return b, c
@@ -70,11 +70,8 @@ func (c *cell) write() error {
 
 func (c *cell) Name() string                         { return "cell" }
 func (c *cell) Supports(core.Class, core.Size) error { return nil }
-func (c *cell) Reset() error {
-	c.names = map[string]bool{}
-	return c.p.Truncate(c.fid)
-}
 func (c *cell) LoadDocs(_ context.Context, db *core.Database) (core.LoadStats, error) {
+	c.fid, c.names = c.p.Create("cell"), map[string]bool{}
 	if _, err := c.p.Append(c.fid); err != nil {
 		return core.LoadStats{}, err
 	}

@@ -106,7 +106,7 @@ type view struct {
 // (Pager.Read), or a fresh Get copy. The bytes at a RID change only
 // after Delete tombstones it, so Freeze, moving the memo to the next
 // epoch, drops the RIDs the mutation tombstoned and keeps the rest;
-// ColdReset and Reset empty it. It admits records while their charges —
+// ColdReset and a load empty it. It admits records while their charges —
 // data length plus node table — fit within limit, and evicts nothing.
 type recordMemo struct {
 	limit     int64
@@ -203,11 +203,7 @@ func New(poolPages int) *Engine {
 	}
 	p := pager.New(poolPages)
 	s := &store{
-		p:       p,
-		docs:    pager.NewHeap(p, "documents"),
-		catalog: pager.NewHeap(p, "catalog"),
-		names:   map[string]pager.RID{},
-		indexes: map[string]*btree.Tree{},
+		p: p,
 		// Bounded by the pool's capacity in bytes, and dropped with the
 		// pool: a cold query opens every record it touches from the pages.
 		memo: &recordMemo{limit: int64(poolPages) * pager.PageSize, recs: map[pager.RID]*xmldom.Record{}},
@@ -289,24 +285,17 @@ func decodeCatalogEntry(rec []byte) (docEntry, error) {
 	return docEntry{name: string(name), rid: rid}, err
 }
 
-// Reset implements engbase.Store.
-func (s *store) Reset() error {
-	s.indexes = map[string]*btree.Tree{}
-	s.names = map[string]pager.RID{}
-	s.memo.reset()
-	s.memo.bind(s.p.Metrics())
-	s.dropped = s.dropped[:0]
-	if err := s.docs.Reset(); err != nil {
-		return err
-	}
-	return s.catalog.Reset()
-}
-
-// LoadDocs implements engbase.Store: parse (well-formedness check, as
-// the paper does with validation off) and persist each document.
+// LoadDocs implements engbase.Store: create the store's heaps and empty
+// its maps and memo, then parse (well-formedness check, as the paper does
+// with validation off) and persist each document.
 func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats, error) {
 	var st core.LoadStats
 	s.class = db.Class
+	s.docs, s.catalog = pager.NewHeap(s.p, "documents"), pager.NewHeap(s.p, "catalog")
+	s.names, s.indexes = map[string]pager.RID{}, map[string]*btree.Tree{}
+	s.memo.reset()
+	s.memo.bind(s.p.Metrics())
+	s.dropped = s.dropped[:0]
 	err := engbase.ParseDocs(ctx, "native", db, func(d *core.Doc, rec *xmldom.Record) error {
 		st.Nodes += rec.Len()
 		if _, _, err := s.storeDocument(d.Name, rec); err != nil {

@@ -110,9 +110,9 @@ type store struct {
 	pol Policy
 	p   *pager.Pager
 	// clobs holds Xcolumn's documents intact; nil under the shredding
-	// policies.
+	// policies. LoadDocs creates it and shred.
 	clobs *pager.Heap
-	shred *shredder.Store // nil until loaded
+	shred *shredder.Store
 	// keys maps a document's name to its unit key (shredder's
 	// DeleteDocumentRows): its CLOB's rid under Xcolumn, which knows
 	// every document, and a unit document's root id otherwise.
@@ -126,11 +126,7 @@ func New(pol Policy, poolPages, rowLimit int) *Engine {
 		pol.rowLimit = rowLimit
 	}
 	p := pager.New(poolPages)
-	s := &store{pol: pol, p: p}
-	if pol.mapping == xmlschema.DAD {
-		s.clobs = pager.NewHeap(p, "clobs")
-	}
-	return &Engine{engbase.New[view](p, s)}
+	return &Engine{engbase.New[view](p, &store{pol: pol, p: p})}
 }
 
 var (
@@ -167,23 +163,6 @@ func (s *store) Freeze(epoch uint64) view {
 	return view{src}
 }
 
-// Reset implements engbase.Store.
-func (s *store) Reset() error {
-	s.keys = nil
-	if s.clobs != nil {
-		if err := s.clobs.Reset(); err != nil {
-			return err
-		}
-	}
-	if s.shred != nil {
-		if err := s.shred.Truncate(); err != nil {
-			return err
-		}
-		s.shred = nil
-	}
-	return nil
-}
-
 // LoadDocs implements engbase.Store: store each document as its own
 // transaction, because both DB2's loaders and the SQLXML bulk loader work
 // document-at-a-time (the per-document I/O is what makes DC/MD the
@@ -193,6 +172,9 @@ func (s *store) Reset() error {
 func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats, error) {
 	var st core.LoadStats
 	s.keys = make(map[string]string, len(db.Docs))
+	if s.pol.mapping == xmlschema.DAD {
+		s.clobs = pager.NewHeap(s.p, "clobs")
+	}
 	s.shred = shredder.NewStore(db.Class, s.pol.mapping, relational.NewDB(s.p), shredder.Options{
 		RowLimitPerDoc: s.pol.rowLimit,
 		DropMixed:      s.pol.dropMixed,

@@ -50,8 +50,8 @@ func TestOpsAfterCloseFail(t *testing.T) {
 	if _, err := p.Append(f); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after close: %v", err)
 	}
-	if err := p.Truncate(f); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Truncate after close: %v", err)
+	if err := p.DropFiles(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("DropFiles after close: %v", err)
 	}
 	if err := p.Sync(f); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Sync after close: %v", err)

@@ -124,8 +124,8 @@ func TestCrashHaltsAllIO(t *testing.T) {
 	if _, err := p.Append(f); !IsCrash(err) {
 		t.Fatalf("Append while crashed: %v", err)
 	}
-	if err := p.Truncate(f); !IsCrash(err) {
-		t.Fatalf("Truncate while crashed: %v", err)
+	if err := p.DropFiles(); !IsCrash(err) {
+		t.Fatalf("DropFiles while crashed: %v", err)
 	}
 	// A crashed pager stays crashed: a new policy does not bring the
 	// machine back, even one without a crash point.
@@ -209,35 +209,6 @@ func TestReadAliasingContract(t *testing.T) {
 	p.SetFaultPolicy(FaultPolicy{Seed: 1})
 	if c, _ := p.Read(f, 0); &c[0] != &a[0] {
 		t.Fatal("a fault policy made Read copy")
-	}
-}
-
-// TestWriteBackTruncationGuard covers the guard in writeBack: a dirty
-// frame whose file was truncated underneath it is dropped, not written.
-func TestWriteBackTruncationGuard(t *testing.T) {
-	p := New(4)
-	f := p.Create("t")
-	p.Append(f)
-	p.Write(f, 0, 0, []byte("doomed"))
-	// Truncate drops the frame from the pool; rebuild the hazard manually
-	// so the guard itself is exercised: a valid dirty frame pointing past
-	// the end of its file.
-	if err := p.Truncate(f); err != nil {
-		t.Fatal(err)
-	}
-	p.mu.Lock()
-	p.frames[0] = frame{key: pageKey{fid: f, no: 0}, data: make([]byte, PageSize), dirty: true, valid: true}
-	p.table[pageKey{fid: f, no: 0}] = 0
-	err := p.writeBack(&p.frames[0])
-	p.mu.Unlock()
-	if err != nil {
-		t.Fatalf("writeBack on truncated file: %v", err)
-	}
-	if n := p.NumPages(f); n != 0 {
-		t.Fatalf("write-back resurrected %d pages of a truncated file", n)
-	}
-	if s := p.Stats(); s.Writes != 0 {
-		t.Fatalf("guard counted %d disk writes", s.Writes)
 	}
 }
 

@@ -44,8 +44,8 @@ type extent struct {
 // structure is, by reload plus journal replay, which repeats the same
 // deletes.
 //
-// A Heap only mutates, as a btree.Tree does: Insert, Delete and Reset
-// need external exclusion — the engines provide it with their write lock.
+// A Heap only mutates, as a btree.Tree does: Insert and Delete need
+// external exclusion — the engines provide it with their write lock.
 // Every read goes through a HeapView: View(epoch) for snapshot readers,
 // Live for the writer's own.
 type Heap struct {
@@ -178,15 +178,4 @@ func (h *Heap) Sync() error { return h.p.Sync(h.fid) }
 // only until the next of them.
 func (h *Heap) Live() HeapView {
 	return HeapView{p: h.p, fid: h.fid, end: h.end, count: h.count, epoch: LiveEpoch}
-}
-
-// Reset truncates the heap to empty so a load can rebuild it.
-func (h *Heap) Reset() error {
-	if err := h.p.Truncate(h.fid); err != nil {
-		return err
-	}
-	h.end = 0
-	h.count = 0
-	h.free = nil
-	return nil
 }

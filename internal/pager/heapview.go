@@ -10,7 +10,7 @@ import (
 // at view time, with every page read served as of a commit epoch
 // (pager.ReadAt). A view never consults the heap's mutable cursors, so
 // it is safe to use from any goroutine while the owning engine's writer
-// keeps inserting into, deleting from or truncating the live heap — as
+// keeps inserting into and deleting from the live heap — as
 // long as the reader holds a Snap pinned at the view's epoch (otherwise
 // GC may reclaim the page versions the view depends on).
 //

@@ -12,9 +12,9 @@
 //     handed that view with the pin, and reads every page "as of E" with
 //     ReadAt.
 //   - A writer brackets one update in BeginMutation/EndMutation. The
-//     mutation targets epoch E+1: the first in-place Write (or Truncate)
-//     of each page captures the page's pre-image as a version superseded
-//     at E+1. EndMutation publishes E+1 as the new committed epoch,
+//     mutation targets epoch E+1: the first in-place Write of each page
+//     captures the page's pre-image as a version superseded at E+1.
+//     EndMutation publishes E+1 as the new committed epoch,
 //     together with the view of the database at E+1 the writer built
 //     inside the bracket. Epoch and view change in one critical section,
 //     so "what is committed" has a single owner and a reader can never
@@ -408,7 +408,7 @@ func (p *Pager) versionAt(key pageKey, epoch uint64) ([]byte, bool) {
 // A version is looked for before the live read and again after it. The
 // second look is what makes the answer right: the first races the
 // writer, which between it and Read may capture this page's pre-image
-// and overwrite (or truncate) the page. The writer always captures
+// and overwrite the page. The writer always captures
 // before it mutates, both under the pool latch, so if the live read
 // observed mutated state the capture is visible afterwards: prefer it.
 // When the second look finds nothing the live read was the epoch's page.

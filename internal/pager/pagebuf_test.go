@@ -119,7 +119,7 @@ func TestOneBufferPerPageVersion(t *testing.T) {
 			{"Write (whole page)", func() error { return p.Write(f, 1, 0, bytes.Repeat([]byte{0xAB}, PageSize)) }},
 			{"Heap.overwrite (Delete)", func() error { return h.Delete(ctx, rids[3]) }},
 			{"Heap.overwrite (reuse)", func() error { _, err := h.Insert(bytes.Repeat([]byte{0xCD}, 300)); return err }},
-			{"Truncate", func() error { return p.Truncate(f) }},
+			{"DropFiles", p.DropFiles},
 		}
 		for _, s := range steps {
 			hold()

@@ -100,25 +100,41 @@ func TestColdResetForcesMisses(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
+// TestDropFiles: every file goes, with its pages in the pool, nothing is
+// written back, and the next file created takes id 0 again.
+func TestDropFiles(t *testing.T) {
 	p := New(4)
-	f := p.Create("t")
-	p.Append(f)
-	p.Append(f)
-	if p.NumPages(f) != 2 {
-		t.Fatal("NumPages before truncate")
+	a, b := p.Create("a"), p.Create("b")
+	for _, f := range []FileID{a, b} {
+		if _, err := p.Append(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Write(f, 0, 0, []byte("dirty")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := p.Truncate(f); err != nil {
+	if err := p.DropFiles(); err != nil {
 		t.Fatal(err)
 	}
-	if p.NumPages(f) != 0 {
-		t.Fatal("NumPages after truncate")
+	if n := p.OpenFiles(); n != 0 {
+		t.Fatalf("%d files after DropFiles", n)
 	}
-	if _, err := p.Read(f, 0); err == nil {
-		t.Fatal("stale cached page served after truncate")
+	if s := p.Stats(); s.Writes != 0 {
+		t.Fatalf("DropFiles wrote back %d pages", s.Writes)
 	}
-	if err := p.Truncate(FileID(99)); err == nil {
-		t.Fatal("truncate of unknown file succeeded")
+	if _, err := p.Read(a, 0); err == nil {
+		t.Fatal("a page of a dropped file was served from the pool")
+	}
+	f := p.Create("c")
+	if f != 0 || p.FileName(f) != "c" || p.NumPages(f) != 0 {
+		t.Fatalf("first file after DropFiles: id %d, name %q, %d pages; want a fresh file 0",
+			f, p.FileName(f), p.NumPages(f))
+	}
+	if err := p.SyncAll(); err != nil {
+		t.Fatal(err)
+	}
+	if s := p.Stats(); s.Writes != 0 {
+		t.Fatalf("a sync after DropFiles wrote back %d pages of dropped files", s.Writes)
 	}
 }
 

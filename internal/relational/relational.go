@@ -7,8 +7,8 @@
 //
 // The package is split the way pager.Heap / HeapView is. A DB and its
 // Tables are the writer's and only mutate (Insert, DeleteWhere,
-// CreateIndex, Flush, Truncate); the engines serialize writers, and each
-// table latches its index map besides. Every read — Scan, LookupEq,
+// CreateIndex); the engines serialize writers, and each table latches its
+// index map besides. Every read — Scan, LookupEq,
 // LookupRange, the planner's statistics — is an operator of a TableView
 // (view.go), an immutable value safe from any number of goroutines:
 // frozen at a commit epoch for readers (DB.View), at pager.LiveEpoch for
@@ -160,8 +160,8 @@ type Table struct {
 	db   *DB
 	heap *pager.Heap
 
-	// mu guards indexes: Insert, DeleteWhere, CreateIndex and Truncate
-	// take it exclusive, Live and DB.View shared. No reader takes it.
+	// mu guards indexes: Insert, DeleteWhere and CreateIndex take it
+	// exclusive, Live and DB.View shared. No reader takes it.
 	mu      sync.RWMutex
 	indexes map[string]*btree.Tree
 }
@@ -187,23 +187,6 @@ func (db *DB) Create(name string, cols ...string) *Table {
 
 // Table returns a table by name, or nil.
 func (db *DB) Table(name string) *Table { return db.tables[name] }
-
-// Truncate empties every table: heap pages and all indexes are discarded
-// (index pager files are abandoned; CreateIndex builds fresh ones). The
-// schema survives, so a failed bulk load leaves an empty but loadable
-// database.
-func (db *DB) Truncate() error {
-	for _, name := range db.TableNames() {
-		t := db.tables[name]
-		if err := t.heap.Reset(); err != nil {
-			return err
-		}
-		t.mu.Lock()
-		t.indexes = map[string]*btree.Tree{}
-		t.mu.Unlock()
-	}
-	return nil
-}
 
 // TableNames returns all table names, sorted.
 func (db *DB) TableNames() []string {
@@ -245,9 +228,9 @@ func (t *Table) Insert(rec Rec) error {
 // and by a filter scan otherwise, uncounted — each victim's heap record
 // is tombstoned and its entry is deleted from every index of the table.
 // Rows that stay are not touched, so the cost follows the victims (plus
-// the scan, on an unindexed column), not the table. Like Insert it leaves
-// the tail page buffered: the caller flushes at its commit point.
-// Crash-atomicity is the caller's concern too (the engines journal the
+// the scan, on an unindexed column), not the table. Like Insert it syncs
+// nothing: its writes dirty pool frames, and the caller syncs them at its
+// commit point. Crash-atomicity is the caller's concern too (the engines journal the
 // update before applying it and replay from scratch after a crash).
 func (t *Table) DeleteWhere(ctx context.Context, col, val string) (n int, err error) {
 	t.mu.Lock()

@@ -186,13 +186,6 @@ func (s *Store) DeleteDocumentRows(ctx context.Context, k string) (int, error) {
 // per-document transaction.
 func (s *Store) Sync() error { return s.DB.Pager.SyncAll() }
 
-// Truncate empties the store's tables (schema preserved) so a failed
-// load leaves a clean, loadable store.
-func (s *Store) Truncate() error {
-	s.SkippedMixed = 0
-	return s.DB.Truncate()
-}
-
 // mappings holds every class's two mappings, and columns every table's
 // columns, compiled from the annotated schemas once.
 var (

@@ -37,11 +37,45 @@ func loadedEngines(t *testing.T, db *core.Database) []updatable {
 // filePages is every pager file's page count, keyed by file id.
 func filePages(p *pager.Pager) map[pager.FileID]uint32 {
 	out := map[pager.FileID]uint32{}
-	// Ids are handed out densely from zero and files are never removed.
+	// Ids are handed out densely from zero, and files are removed only all
+	// at once (a load's Pager.DropFiles), after which ids restart at zero.
 	for fid := pager.FileID(0); int(fid) < p.OpenFiles(); fid++ {
 		out[fid] = p.NumPages(fid)
 	}
 	return out
+}
+
+// TestReloadKeepsFilesAndPages loads every engine with the Table 3
+// indexes and reloads it three times. A load starts on an empty disk, so
+// each reload must leave exactly the files and pages the first load left:
+// a reset that emptied the store file by file kept every B+tree file it
+// had built.
+func TestReloadKeepsFilesAndPages(t *testing.T) {
+	ctx := context.Background()
+	db, err := gen.Config{Seed: 5}.Generate(core.DCMD, core.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := func(p *pager.Pager) (n uint32) {
+		for _, c := range filePages(p) {
+			n += c
+		}
+		return n
+	}
+	for _, e := range loadedEngines(t, db) {
+		p := e.Pager()
+		files, total := p.OpenFiles(), pages(p)
+		for reload := 1; reload <= 3; reload++ {
+			if _, _, err := LoadAndIndex(ctx, e, db); err != nil {
+				t.Fatalf("%s reload %d: %v", e.Name(), reload, err)
+			}
+			if gotFiles, gotPages := p.OpenFiles(), pages(p); gotFiles != files || gotPages != total {
+				t.Errorf("%s: reload %d left %d files of %d pages, the first load %d files of %d",
+					e.Name(), reload, gotFiles, gotPages, files, total)
+			}
+		}
+		e.Close()
+	}
 }
 
 // TestReplaceChurnStaysBounded runs 500 replace cycles of same-size
