@@ -66,11 +66,11 @@ type store struct {
 	class   core.Class
 	docs    *pager.Heap // one persistent-DOM record per document
 	catalog *pager.Heap // catalog records in load order
-	// names maps a document name to the RID of its catalog record, so an
-	// update reaches its document without walking the catalog. Volatile,
-	// like the relational engine's keys: a load fills it and updates
-	// (replayed ones included) maintain it.
-	names   map[string]pager.RID
+	// names maps a document name to where the document lies, so an
+	// update reaches its records without walking or reading the catalog.
+	// Volatile, like the relational engine's keys: a load fills it and
+	// updates (replayed ones included) maintain it.
+	names   map[string]docLoc
 	indexes map[string]*btree.Tree
 	// memo holds the records the newest frozen view has opened; dropped
 	// are the document-heap RIDs ApplyDelete tombstoned since the last
@@ -78,6 +78,10 @@ type store struct {
 	memo    *recordMemo
 	dropped []pager.RID
 }
+
+// docLoc is where a stored document lies: its catalog record, which the
+// value indexes are keyed on, and its persistent-DOM record.
+type docLoc struct{ cat, rid pager.RID }
 
 // view is the read surface of the store and its query path
 // (engbase.View): heap and index views at one epoch — a commit epoch,
@@ -292,13 +296,13 @@ func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats
 	var st core.LoadStats
 	s.class = db.Class
 	s.docs, s.catalog = pager.NewHeap(s.p, "documents"), pager.NewHeap(s.p, "catalog")
-	s.names, s.indexes = map[string]pager.RID{}, map[string]*btree.Tree{}
+	s.names, s.indexes = map[string]docLoc{}, map[string]*btree.Tree{}
 	s.memo.reset()
 	s.memo.bind(s.p.Metrics())
 	s.dropped = s.dropped[:0]
 	err := engbase.ParseDocs(ctx, "native", db, func(d *core.Doc, rec *xmldom.Record) error {
 		st.Nodes += rec.Len()
-		if _, _, err := s.storeDocument(d.Name, rec); err != nil {
+		if _, err := s.storeDocument(d.Name, rec); err != nil {
 			return err
 		}
 		// Each document arrives as a separate file and is persisted
@@ -322,17 +326,19 @@ func (s *store) LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats
 }
 
 // storeDocument writes one parsed document's persistent-DOM record and
-// catalogs it under name. It returns the record's RID and the catalog
-// record's, which is what the value indexes are keyed on.
-func (s *store) storeDocument(name string, rec *xmldom.Record) (rid, cat pager.RID, err error) {
-	if rid, err = s.docs.Insert(rec.Bytes()); err != nil {
-		return 0, 0, err
+// catalogs it under name. It returns the catalog record's RID, which is
+// what the value indexes are keyed on.
+func (s *store) storeDocument(name string, rec *xmldom.Record) (pager.RID, error) {
+	rid, err := s.docs.Insert(rec.Bytes())
+	if err != nil {
+		return 0, err
 	}
-	if cat, err = s.catalog.Insert(encodeCatalogEntry(docEntry{name, rid})); err != nil {
-		return 0, 0, err
+	cat, err := s.catalog.Insert(encodeCatalogEntry(docEntry{name, rid}))
+	if err != nil {
+		return 0, err
 	}
-	s.names[name] = cat
-	return rid, cat, nil
+	s.names[name] = docLoc{cat, rid}
+	return cat, nil
 }
 
 // openRecord fetches the document stored at rid from the view's document
@@ -441,7 +447,8 @@ func (s *store) BuildIndexes(specs []core.IndexSpec) error {
 		if err := ix.InsertRun(run); err != nil {
 			return err
 		}
-		// Persist the tree header so the index survives crash recovery.
+		// Write the header page btree.Open reads to reopen the index
+		// without a reload (ROADMAP item 3's restart); recovery rebuilds it.
 		if err := ix.Sync(); err != nil {
 			return err
 		}
@@ -702,27 +709,19 @@ func (s *store) Exists(name string) bool {
 }
 
 // ApplyInsert implements engbase.Store: it stores and catalogs the
-// document and adds its values to every index (read back from the record
-// just written, as a delete reads it).
-func (s *store) ApplyInsert(ctx context.Context, name string, _ []byte, rec *xmldom.Record) error {
-	rid, cat, err := s.storeDocument(name, rec)
+// document and adds the values of rec, the record it stored, to every
+// index.
+func (s *store) ApplyInsert(_ context.Context, name string, _ []byte, rec *xmldom.Record) error {
+	cat, err := s.storeDocument(name, rec)
 	if err != nil {
 		return err
 	}
-	return s.eachIndexEntry(ctx, cat, rid, (*btree.Tree).Insert)
+	return s.eachIndexEntry(rec, cat, (*btree.Tree).Insert)
 }
 
 // eachIndexEntry applies op (Insert or Delete) to every value index for
-// every (value, locator) pair of the document stored at rid and cataloged
-// at cat.
-func (s *store) eachIndexEntry(ctx context.Context, cat, rid pager.RID, op func(*btree.Tree, string, uint64) error) error {
-	if len(s.indexes) == 0 {
-		return nil
-	}
-	rec, err := s.live().openRecord(ctx, rid, nil)
-	if err != nil {
-		return err
-	}
+// every (value, locator) pair of the document in rec, cataloged at cat.
+func (s *store) eachIndexEntry(rec *xmldom.Record, cat pager.RID, op func(*btree.Tree, string, uint64) error) error {
 	for target, ix := range s.indexes {
 		err := indexEntries(target, rec, func(val string) error { return op(ix, val, uint64(cat)) })
 		if err != nil {
@@ -733,26 +732,25 @@ func (s *store) eachIndexEntry(ctx context.Context, cat, rid pager.RID, op func(
 }
 
 // ApplyDelete implements engbase.Store: it removes the named document
-// where it lies — its values leave every index, its stored record and
-// its catalog entry are tombstoned.
+// where it lies — its values leave every index, read from its stored
+// record, which is opened only when there are indexes; its stored record
+// and its catalog entry are tombstoned.
 func (s *store) ApplyDelete(ctx context.Context, name string) error {
-	cat := s.names[name]
-	rec, err := s.catalog.Live().Get(ctx, cat)
-	if err != nil {
+	loc := s.names[name]
+	if len(s.indexes) > 0 {
+		rec, err := s.live().openRecord(ctx, loc.rid, nil)
+		if err != nil {
+			return err
+		}
+		if err := s.eachIndexEntry(rec, loc.cat, (*btree.Tree).Delete); err != nil {
+			return err
+		}
+	}
+	if err := s.docs.Delete(ctx, loc.rid); err != nil {
 		return err
 	}
-	en, err := decodeCatalogEntry(rec)
-	if err != nil {
-		return err
-	}
-	if err := s.eachIndexEntry(ctx, cat, en.rid, (*btree.Tree).Delete); err != nil {
-		return err
-	}
-	if err := s.docs.Delete(ctx, en.rid); err != nil {
-		return err
-	}
-	s.dropped = append(s.dropped, en.rid)
-	if err := s.catalog.Delete(ctx, cat); err != nil {
+	s.dropped = append(s.dropped, loc.rid)
+	if err := s.catalog.Delete(ctx, loc.cat); err != nil {
 		return err
 	}
 	delete(s.names, name)

@@ -589,11 +589,11 @@ func TestAllocationPins(t *testing.T) {
 		cold = allocsPerRun(20, e.ColdReset, q1)
 		// Q1 opens order O1 and every flat document, one record each.
 		opened := 0
-		for name, cat := range e.s.names {
+		for name, loc := range e.s.names {
 			if strings.HasPrefix(name, "order") && name != "order1.xml" {
 				continue
 			}
-			rec, err := e.s.catalog.Live().Get(ctx, cat)
+			rec, err := e.s.catalog.Live().Get(ctx, loc.cat)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -625,5 +625,53 @@ func TestAllocationPins(t *testing.T) {
 	if smallCold != coldQ1Allocs || largeCold != coldQ1Allocs {
 		t.Errorf("cold DC/MD Q1 allocates %.0f objects with %d KB of flat documents, %.0f with %d KB, page-crossing records aside; want %d",
 			smallCold, smallFlat>>10, largeCold, largeFlat>>10, coldQ1Allocs)
+	}
+}
+
+// u1Allocs and u2Allocs are what a steady-state U1 and U2 of one order
+// allocate on loadIndexed's store, the whole Apply: the parse, the
+// bracket, the document's entries leaving and entering the value indexes,
+// and the commit's view. They were 27 and 37 while an insert read back
+// the record it had just stored and opened it again to index it, a delete
+// read and decoded the document's catalog record, and the heap staged a
+// record bound for a dead extent in a fresh buffer.
+const (
+	u1Allocs = 20
+	u2Allocs = 30
+)
+
+// TestUpdateIndexesTheRecordItWasHanded: a U1 and a U2 on an indexed
+// DC/MD store index the record Apply parsed, not a copy of it opened
+// again from the document heap, so each allocates exactly u1Allocs and
+// u2Allocs. The U1 runs against a U3 of the same order, left out of the
+// count, and the U2 rewrites the order with its own bytes, so every run
+// stores the record into the extent the one before tombstoned and the
+// counts are those of one update, not of a growing store. Nothing an
+// update allocates waits in a sync.Pool, so the counts hold under the
+// race detector too.
+func TestUpdateIndexesTheRecordItWasHanded(t *testing.T) {
+	ctx := context.Background()
+	e, db := loadIndexed(t)
+	defer e.Close()
+	var order core.Doc
+	for _, d := range db.Docs {
+		if strings.HasPrefix(d.Name, "order") {
+			order = d
+			break
+		}
+	}
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	u1 := allocsPerRun(100, func() { must(e.DeleteDocument(ctx, order.Name)) },
+		func() { must(e.InsertDocument(ctx, order.Name, order.Data)) })
+	u2 := testing.AllocsPerRun(100, func() { must(e.ReplaceDocument(ctx, order.Name, order.Data)) })
+	if u1 != u1Allocs || u2 != u2Allocs {
+		t.Errorf("a U1 allocates %v times and a U2 %v, want %d and %d", u1, u2, u1Allocs, u2Allocs)
+	}
+	if got := docCount(t, e); got != len(db.Docs) {
+		t.Fatalf("%d documents after the updates, want %d", got, len(db.Docs))
 	}
 }

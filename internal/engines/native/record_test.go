@@ -32,7 +32,7 @@ func TestStoredRecordsAreTheTreesEncoding(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, d := range db.Docs {
-			cat, err := e.s.catalog.Live().Get(ctx, e.s.names[d.Name])
+			cat, err := e.s.catalog.Live().Get(ctx, e.s.names[d.Name].cat)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+
+	"xbench/internal/metrics"
 )
 
 // RID identifies a record in a Heap: the byte offset where its length
@@ -31,18 +34,19 @@ type extent struct {
 // Heap is a record file over a paged file. Records are length-prefixed
 // and may span pages, so whole XML documents and shredded rows use the
 // same storage primitive. The heap keeps no page of its own: an insert
-// writes its bytes through Pager.Write straight into the file's tail page
-// in the buffer pool — in place while the writer phase that appended the
+// writes its prefix and its bytes through Pager.Write straight into the
+// pool's buffers — in place while the writer phase that appended the
 // page is open — so the pool's write-backs are the heap's I/O. Sync
 // forces the file's dirty pages to disk.
 //
 // Delete tombstones a record where it lies (deadBit in its prefix), and
-// later inserts reuse dead extents first fit, leaving any remainder as a
-// smaller dead record, so a heap under delete/insert churn of like-sized
-// records does not grow. Adjacent dead records are not merged. The free
-// list lives in memory only: it is rebuilt the way every other volatile
-// structure is, by reload plus journal replay, which repeats the same
-// deletes.
+// Insert has one path: it picks the place — the first dead extent that
+// fits, else the end — and writes the record there, leaving a split
+// extent's remainder as a smaller dead record with its own prefix, so a
+// heap under delete/insert churn of like-sized records does not grow.
+// Adjacent dead records are not merged. The free list lives in memory
+// only: it is rebuilt the way every other volatile structure is, by
+// reload plus journal replay, which repeats the same deletes.
 //
 // A Heap only mutates, as a btree.Tree does: Insert and Delete need
 // external exclusion — the engines provide it with their write lock.
@@ -55,11 +59,20 @@ type Heap struct {
 	end   uint64 // next append offset
 	count int
 	free  []extent // dead records, in the order they were deleted
+	// tombstoned and reused count Deletes and the Inserts placed in a dead
+	// extent: the pager's counters when the heap was created.
+	tombstoned, reused *metrics.Counter
 }
 
-// NewHeap creates an empty heap in a fresh file.
+// NewHeap creates an empty heap in a fresh file, counting its tombstones
+// and reuses in the pager's registry as it is now: a store creates its
+// heaps at load, after any SetMetrics.
 func NewHeap(p *Pager, name string) *Heap {
-	return &Heap{p: p, fid: p.Create(name)}
+	h := &Heap{p: p, fid: p.Create(name)}
+	p.mu.RLock()
+	h.tombstoned, h.reused = p.cHeapDead, p.cHeapReuse
+	p.mu.RUnlock()
+	return h
 }
 
 // Count returns the number of live records.
@@ -69,55 +82,39 @@ func (h *Heap) Count() int { return h.count }
 // records included.
 func (h *Heap) Bytes() uint64 { return h.end }
 
-// Insert stores a record and returns its RID: in the first dead extent
-// that fits, else appended at the end.
+// Insert stores a record and returns its RID: in the first dead extent it
+// fits — exactly, or with at least the 4 bytes a dead prefix for the
+// remainder needs — else appended at the end.
 func (h *Heap) Insert(rec []byte) (RID, error) {
 	if uint64(len(rec)) >= deadBit {
 		return 0, fmt.Errorf("pager: record of %d bytes exceeds the heap's record limit", len(rec))
 	}
-	if rid, ok, err := h.reuse(rec); ok || err != nil {
-		return rid, err
-	}
-	rid := RID(h.end)
-	var pfx [4]byte
-	binary.BigEndian.PutUint32(pfx[:], uint32(len(rec)))
-	if err := h.write(pfx[:], h.end); err != nil {
-		return 0, err
-	}
-	if err := h.write(rec, h.end); err != nil {
-		return 0, err
-	}
-	h.count++
-	return rid, nil
-}
-
-// reuse stores rec in the first dead extent it fits: exactly, or with at
-// least the 4 bytes a dead prefix for the remainder needs.
-func (h *Heap) reuse(rec []byte) (RID, bool, error) {
 	need := uint32(len(rec))
-	for i, ex := range h.free {
-		if ex.n != need && ex.n < need+4 {
-			continue
-		}
-		buf := make([]byte, 4, 8+len(rec))
-		binary.BigEndian.PutUint32(buf, need)
-		buf = append(buf, rec...)
-		if ex.n == need {
-			h.free = append(h.free[:i], h.free[i+1:]...)
+	off := h.end
+	i := slices.IndexFunc(h.free, func(ex extent) bool { return ex.n == need || ex.n >= need+4 })
+	if i >= 0 {
+		off = h.free[i].off
+	}
+	if err := h.writePrefix(need, off); err != nil {
+		return 0, err
+	}
+	if err := h.write(rec, off+4); err != nil {
+		return 0, err
+	}
+	if i >= 0 {
+		if ex := h.free[i]; ex.n == need {
+			h.free = slices.Delete(h.free, i, i+1)
 		} else {
 			rest := extent{off: ex.off + 4 + uint64(need), n: ex.n - need - 4}
-			buf = binary.BigEndian.AppendUint32(buf, deadBit|rest.n)
+			if err := h.writePrefix(deadBit|rest.n, rest.off); err != nil {
+				return 0, err
+			}
 			h.free[i] = rest
 		}
-		if err := h.write(buf, ex.off); err != nil {
-			return 0, false, err
-		}
-		h.count++
-		_, reused := h.p.heapCounters()
-		reused.Inc()
-		return RID(ex.off), true, nil
+		h.reused.Inc()
 	}
-	return 0, false, nil
+	h.count++
+	return RID(off), nil
 }
 
 // Delete tombstones the record at rid; its bytes stay where they are
@@ -131,16 +128,21 @@ func (h *Heap) Delete(ctx context.Context, rid RID) error {
 	if dead {
 		return fmt.Errorf("pager: rid %d: %w", rid, ErrDeleted)
 	}
-	var pfx [4]byte
-	binary.BigEndian.PutUint32(pfx[:], deadBit|n)
-	if err := h.write(pfx[:], uint64(rid)); err != nil {
+	if err := h.writePrefix(deadBit|n, uint64(rid)); err != nil {
 		return err
 	}
 	h.free = append(h.free, extent{off: uint64(rid), n: n})
 	h.count--
-	tombstoned, _ := h.p.heapCounters()
-	tombstoned.Inc()
+	h.tombstoned.Inc()
 	return nil
+}
+
+// writePrefix writes the 4-byte prefix word — a data length, with deadBit
+// for a dead record — at off.
+func (h *Heap) writePrefix(word uint32, off uint64) error {
+	var pfx [4]byte
+	binary.BigEndian.PutUint32(pfx[:], word)
+	return h.write(pfx[:], off)
 }
 
 // write patches b in at off, page by page, through Pager.Write: in place

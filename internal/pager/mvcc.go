@@ -112,9 +112,6 @@ type mvccState struct {
 	// the map so ReadAt can see "no version of any page exists" without
 	// mu. Written under mu.
 	retained atomic.Int64
-	// newPages tracks pages appended inside the active mutation: they did
-	// not exist at any pinned epoch, so their writes need no pre-image.
-	newPages map[pageKey]struct{}
 
 	// The page buffer free list (recycled): reclaimed holds the
 	// pre-images pruneLocked reclaimed from files that recycle their
@@ -260,7 +257,6 @@ func (p *Pager) BeginMutation() uint64 {
 	defer m.mu.Unlock()
 	m.mutActive = true
 	m.mutTarget = m.epoch + 1
-	m.newPages = make(map[pageKey]struct{})
 	m.openPhase()
 	return m.mutTarget
 }
@@ -278,7 +274,6 @@ func (p *Pager) EndMutation(view any) uint64 {
 	}
 	m.epoch, m.view = m.mutTarget, view
 	m.mutActive = false
-	m.newPages = nil
 	m.pruneLocked()
 	m.published()
 	return m.epoch
@@ -297,7 +292,6 @@ func (p *Pager) AdvanceEpoch(view any) uint64 {
 	m.epoch++
 	m.view = view
 	m.mutActive = false
-	m.newPages = nil
 	m.pruneLocked()
 	m.published()
 	return m.epoch
@@ -335,10 +329,6 @@ func (p *Pager) capture(f *file, key pageKey, data []byte) {
 		m.mu.Unlock()
 		return
 	}
-	if _, isNew := m.newPages[key]; isNew {
-		m.mu.Unlock()
-		return
-	}
 	vs := m.versions[key]
 	if n := len(vs); n > 0 && vs[n-1].supersededAt >= m.mutTarget {
 		m.mu.Unlock()
@@ -356,17 +346,6 @@ func (p *Pager) mutationActive() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.mutActive
-}
-
-// noteAppend records a page appended inside the active mutation, exempting
-// its writes from pre-image capture. Callers hold p.mu.
-func (p *Pager) noteAppend(key pageKey) {
-	m := &p.mvcc
-	m.mu.Lock()
-	if m.mutActive {
-		m.newPages[key] = struct{}{}
-	}
-	m.mu.Unlock()
 }
 
 // preImage resolves a page's current content for capture: the pool frame

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -265,5 +266,89 @@ func TestHeapFillsThePoolsTailPage(t *testing.T) {
 	check("after the commit")
 	if n := h.View(epoch).Count(); n != 2+8*(k+1) {
 		t.Fatalf("the committed view counts %d records, want %d", n, 2+8*(k+1))
+	}
+}
+
+// TestAppendedPageEvictedInsideTheBracket holds a page a bracket appends:
+// it did not exist at any pinned epoch, so it needs no pre-image, and
+// Write patches it in place while the bracket's writer phase owns its
+// buffer. Once a four-page pool evicts it, the next write of it reaches
+// the copy path and captures its evicted image as a version, which no
+// reader reaches: a view pinned before the bracket has an extent that
+// ends before the page. That view still reads its extent byte for byte,
+// a reader after the commit reads the last write, and the version is
+// pruned once no pin is held.
+func TestAppendedPageEvictedInsideTheBracket(t *testing.T) {
+	ctx := context.Background()
+	p := New(4)
+	h := NewHeap(p, "h")
+	epoch := p.BeginMutation()
+	mustInsert(t, h, []byte("published"))
+	mustInsert(t, h, bytes.Repeat([]byte{'p'}, PageSize))
+	p.EndMutation(h.View(epoch))
+	snap := p.PinSnapshot()
+	pinned := snap.View().(HeapView)
+	extent := func() []byte {
+		var b []byte
+		for no := uint32(0); uint64(no)*PageSize < pinned.end; no++ {
+			b = append(b, mustRead(t, p, h.fid, no, snap.Epoch())...)
+		}
+		return b[:pinned.end]
+	}
+	before := extent()
+	cached := func(no uint32) bool {
+		p.mu.RLock()
+		defer p.mu.RUnlock()
+		_, ok := p.table[pageKey{h.fid, no}]
+		return ok
+	}
+
+	epoch = p.BeginMutation()
+	first := p.NumPages(h.fid) // the first page the bracket appends
+	_, want := scanAll(t, h.Live())
+	var onFirst RID
+	var at int // onFirst's place in want
+	for i := 0; p.NumPages(h.fid) <= first || cached(first); i++ {
+		if i == 64 {
+			t.Fatalf("page %d is still in the pool after 64 appends", first)
+		}
+		rec := bytes.Repeat([]byte{'a' + byte(i)}, PageSize/2-4)
+		if rid := mustInsert(t, h, rec); uint64(rid)/PageSize == uint64(first) {
+			onFirst, at = rid, len(want)
+		}
+		want = append(want, string(rec))
+	}
+	if err := h.Delete(ctx, onFirst); err != nil {
+		t.Fatal(err)
+	}
+	last := bytes.Repeat([]byte{'Z'}, PageSize/2-4)
+	if rid := mustInsert(t, h, last); rid != onFirst {
+		t.Fatalf("the rewrite landed at %d, want the dead extent at %d", rid, onFirst)
+	}
+	want[at] = string(last)
+	p.mvcc.mu.Lock()
+	captured := len(p.mvcc.versions[pageKey{h.fid, first}])
+	p.mvcc.mu.Unlock()
+	if captured != 1 {
+		t.Fatalf("the write after the eviction captured %d versions of page %d, want 1", captured, first)
+	}
+	if !bytes.Equal(extent(), before) {
+		t.Fatal("inside the bracket, the view pinned before it reads other bytes in its extent")
+	}
+	p.EndMutation(h.View(epoch))
+	if !bytes.Equal(extent(), before) {
+		t.Fatal("after the commit, the view pinned before the bracket reads other bytes in its extent")
+	}
+	after := p.PinSnapshot()
+	if got, err := after.View().(HeapView).Get(ctx, onFirst); err != nil || !bytes.Equal(got, last) {
+		t.Fatalf("a reader after the commit reads %.8q, %v at %d, want the last write", got, err, onFirst)
+	}
+	if _, got := scanAll(t, after.View().(HeapView)); fmt.Sprintf("%.8q", got) != fmt.Sprintf("%.8q", want) {
+		t.Fatalf("a reader after the commit scans %.8q, want %.8q", got, want)
+	}
+	snap.Release()
+	after.Release()
+	if n := p.LiveVersions(); n != 0 {
+		t.Fatalf("%d page versions retained with no pin held, want 0", n)
 	}
 }

@@ -288,16 +288,6 @@ func (p *Pager) SetMetrics(reg *metrics.Registry) {
 	p.setSnapMetrics(reg)
 }
 
-// heapCounters returns the counters a Heap bumps on Delete and on an
-// Insert that reuses a dead extent. Heaps outlive SetMetrics calls (the
-// facade's WithMetrics rebinds after the engine built its heaps), so
-// they ask the pager each time instead of caching.
-func (p *Pager) heapCounters() (tombstone, reuse *metrics.Counter) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.cHeapDead, p.cHeapReuse
-}
-
 // Metrics returns the registry the pager counts into.
 func (p *Pager) Metrics() *metrics.Registry {
 	p.mu.RLock()
@@ -416,7 +406,6 @@ func (p *Pager) Append(fid FileID) (uint32, error) {
 	if err := p.install(pageKey{fid, no}, make([]byte, PageSize), true); err != nil {
 		return 0, err
 	}
-	p.noteAppend(pageKey{fid, no})
 	return no, nil
 }
 

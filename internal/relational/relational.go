@@ -235,11 +235,11 @@ func (t *Table) Insert(rec Rec) error {
 func (t *Table) DeleteWhere(ctx context.Context, col, val string) (n int, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	live := t.viewOf(t.heap.Live(), pager.LiveEpoch)
+	live := TableView{schema: t.schema, heap: t.heap.Live()}
 	var hits []uint64
-	ix, probed := live.indexes[col]
+	ix, probed := t.indexes[col]
 	if probed {
-		if hits, err = ix.Search(ctx, val); err != nil {
+		if hits, err = ix.Live().Search(ctx, val); err != nil {
 			return 0, err
 		}
 	}
@@ -303,7 +303,8 @@ func (t *Table) CreateIndex(col string) error {
 	if err := ix.InsertRun(run); err != nil {
 		return err
 	}
-	// Persist the tree header so the index survives crash recovery.
+	// Write the header page btree.Open reads to reopen the index without a
+	// reload (ROADMAP item 3's restart); recovery today rebuilds it.
 	if err := ix.Sync(); err != nil {
 		return err
 	}

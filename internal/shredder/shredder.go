@@ -125,16 +125,16 @@ func UnitDocID(class core.Class, rec *xmldom.Record) (string, bool) {
 // of the store's mapping and returns how many. doc is the document's
 // reference: what a doc() column holds, and what an error names. A
 // document the DAD does not reach gets no rows; any other mapping refuses
-// it. It only inserts: the caller commits. Under Options.RowLimitPerDoc
-// it counts first and inserts nothing over it.
+// it. It only inserts: the caller commits. It walks the document once and
+// then refuses one over Options.RowLimitPerDoc with Count's error, leaving
+// the rows to its caller: a failed load drops every file, and an update's
+// Validate refused such a document before the mutation bracket.
 func (s *Store) ShredDocument(doc string, rec *xmldom.Record) (int, error) {
-	if s.Opts.RowLimitPerDoc > 0 {
-		if _, err := s.Count(rec); err != nil {
-			return 0, fmt.Errorf("shredder: %s: %w", doc, err)
-		}
-	}
 	rows, skipped, err := s.w.walk(s.m, rec, doc, s.DB, s.Opts.DropMixed)
 	s.SkippedMixed += skipped
+	if err == nil {
+		err = s.overLimit(rows)
+	}
 	if err != nil {
 		return rows, fmt.Errorf("shredder: %s: %w", doc, err)
 	}
@@ -149,11 +149,16 @@ func (s *Store) Count(rec *xmldom.Record) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	return rows, s.overLimit(rows)
+}
+
+// overLimit refuses a document of rows rows under Options.RowLimitPerDoc.
+func (s *Store) overLimit(rows int) error {
 	if limit := s.Opts.RowLimitPerDoc; limit > 0 && rows > limit {
-		return rows, fmt.Errorf("document decomposes into %d rows, exceeding the %d-row limit: %w",
+		return fmt.Errorf("document decomposes into %d rows, exceeding the %d-row limit: %w",
 			rows, limit, core.ErrUnsupported)
 	}
-	return rows, nil
+	return nil
 }
 
 // DeleteDocumentRows removes every row of the document whose unit key is
