@@ -26,7 +26,7 @@
 // Nodes are never decoded: search, range, insert and delete walk the
 // cells of the page slice the pager returns and compare keys in place.
 // Every node write is built in the tree's scratch buffer and patched in
-// (pager.Write): in place while the open writer phase owns the page's
+// (pager.Write): in place while the open mutation bracket owns the page's
 // buffer — the second write of a node in one update, a split's new
 // sibling or new root in the zeroed page Append installed — else into a
 // copy, so the page that was read is never modified where a pool, disk
@@ -241,8 +241,8 @@ func skipCells(pg []byte, off, n, ptr int) int {
 // from the start of the page to the end of what changed: the cells it
 // gained, or a shrunk node's vacated tail, zeroed. The pager is handed
 // nd from the key count on, so type and leaf link stay as they are; it
-// patches them into the page's buffer while the open writer phase owns
-// that, else into a copy of the page (pager.Write).
+// patches them into the page's buffer while the open mutation bracket
+// owns that, else into a copy of the page (pager.Write).
 func (t *Tree) write(pageNo uint32, nd []byte) error {
 	return t.p.Write(t.fid, pageNo, 5, nd[5:])
 }

@@ -8,12 +8,12 @@
 // against a store that was never loaded", "a refused update leaves no
 // trace" or "a query is planned over the view it runs against" cannot
 // drift between engines. The commit is one of them: a Store's hooks only
-// mutate, and publish is the one place a mutation — a load, an index
-// build, an update — is frozen, synced and made visible, or the engine
-// stops.
+// mutate, every mutation — a load, an index build, an update — runs in
+// one pager bracket (BeginMutation), and publish is the one place a
+// bracket is synced, frozen and made visible, or the engine stops.
 //
 // What is committed has one owner, the pager: the call that commits an
-// epoch (EndMutation, AdvanceEpoch) takes the publication of that epoch —
+// epoch (EndMutation) takes the publication of that epoch —
 // the store's frozen view and what every read of it shares, see
 // publication — and PinSnapshot hands a reader the publication with the
 // pin, both under the one mutex they already took. No reader reads it
@@ -78,9 +78,9 @@ type Store[V View] interface {
 	LoadDocs(ctx context.Context, db *core.Database) (core.LoadStats, error)
 
 	// Freeze returns the store's immutable read surface at the commit
-	// epoch the open mutation (or the load) is about to commit, after
-	// Base synced the pager: a description of what the mutation wrote into
-	// the pool, it writes nothing itself.
+	// epoch the open mutation (a load, an index build, an update) is
+	// about to commit, after Base synced the pager: a description of what
+	// the mutation wrote into the pool, it writes nothing itself.
 	Freeze(epoch uint64) V
 	// BuildIndexes creates the Table 3 value indexes among specs that
 	// apply to the loaded class.
@@ -117,17 +117,15 @@ type Base[V View] struct {
 	mu sync.Mutex
 	p  *pager.Pager
 	s  Store[V]
-	// loaded is set by a successful Load and cleared by reset, a failed
-	// mutation (publish) and Close: it gates the writers the way the
-	// published view gates the readers. Guarded by mu.
-	loaded bool
 	// last is the publication of the committed epoch, for the next commit
 	// to carry plan cells from (publish), or nil when nothing is
-	// published. Only the writer reads it; guarded by mu.
+	// published: before the first Load, during one, after a failed
+	// mutation and after Close. It gates the writers the way the published
+	// view gates the readers. Only the writer reads it; guarded by mu.
 	last *publication[V]
 	// cellsPlanned and cellsCarried count the plan cells a reader filled
 	// by planning and those a commit carried over (plan.cell.*), in the
-	// registry the pager had at the last reset. Guarded by mu.
+	// registry the pager had at the last Load. Guarded by mu.
 	cellsPlanned, cellsCarried *metrics.Counter
 	// rec is what an update parses its document into, reused from one
 	// update to the next. Guarded by mu.
@@ -232,20 +230,19 @@ func (b *Base[V]) notLoaded(op string) error {
 // update — and is the only place one becomes durable and visible: sync
 // the pager, run durable when there is one (Apply's durable step: a
 // served update's journal append and sync; loads and index builds have
-// none), then freeze the store at epoch and commit the epoch with the
-// publication of that view through commit — EndMutation inside a
-// bracket, AdvanceEpoch after a load. Freezing before the commit is what
-// lets epoch and view change together, and running the step before it is
-// what keeps an update no reader can see until its journal record is
-// durable. err is what the mutation's own hooks returned, and there is
-// one failure rule: if they, the sync or the durable step failed, the
-// epoch is committed with nothing to read and the engine stops — the
-// store may hold half the mutation and its volatile maps may disagree
-// with its pages, so every operation answers the not-loaded error until
-// the next Load rebuilds both (after a crash, the restart's: a new engine
-// loads the database and replays the server's journal). The caller holds
-// the latch.
-func (b *Base[V]) publish(epoch uint64, commit func(view any) uint64, durable func() error, err error) error {
+// none), then freeze the store at epoch, the open bracket's target, and
+// commit the bracket (EndMutation) with the publication of that view.
+// Freezing before the commit is what lets epoch and view change
+// together, and running the step before it is what keeps an update no
+// reader can see until its journal record is durable. err is what the
+// mutation's own hooks returned, and there is one failure rule: if they,
+// the sync or the durable step failed, the epoch is committed with
+// nothing to read and the engine stops — the store may hold half the
+// mutation and its volatile maps may disagree with its pages, so every
+// operation answers the not-loaded error until the next Load rebuilds
+// both (after a crash, the restart's: a new engine loads the database and
+// replays the server's journal). The caller holds the latch.
+func (b *Base[V]) publish(epoch uint64, durable func() error, err error) error {
 	if err == nil {
 		err = b.p.SyncAll()
 	}
@@ -253,49 +250,28 @@ func (b *Base[V]) publish(epoch uint64, commit func(view any) uint64, durable fu
 		err = durable()
 	}
 	if err != nil {
-		b.loaded = false
 		b.last = nil
-		commit(nil)
+		b.p.EndMutation(nil)
 		return err
 	}
 	v := b.s.Freeze(epoch)
 	pub := &publication[V]{view: v, stats: v.Stats(), planned: b.cellsPlanned}
 	b.cellsCarried.Add(pub.carry(b.last))
 	b.last = pub
-	commit(pub)
+	b.p.EndMutation(pub)
 	return nil
 }
 
-// reset empties the engine so Load is idempotent: a repeated or resumed
-// load never sees leftovers from an earlier attempt. The publication is
-// withdrawn first, so no reader is handed a view into dropped files; then
-// every file goes (pager.DropFiles), and LoadDocs creates the store's
-// anew. The caller holds BlockPins.
-func (b *Base[V]) reset() error {
-	b.p.AdvanceEpoch(nil)
-	b.loaded = false
-	b.last = nil
-	reg := b.p.Metrics() // a facade's WithMetrics replaces the one of New
-	b.cellsPlanned, b.cellsCarried = reg.Counter("plan.cell.planned"), reg.Counter("plan.cell.carried")
-	return b.p.DropFiles()
-}
-
-// abortLoad handles a mid-load failure: after a crash the machine is down
-// and cleanup is impossible (a restart, on a new engine, is the only path
-// forward); any other failure drops every file so the database stays
-// empty and loadable.
-func (b *Base[V]) abortLoad(err error) error {
-	if pager.IsCrash(err) {
-		return err
-	}
-	_ = b.reset() // best-effort; the original error wins
-	return err
-}
-
-// Load implements core.Engine. A failed load leaves an empty, loadable
-// database (see abortLoad). Load drains pinned snapshots before it drops
-// the files: a reader holding a pre-load snapshot would otherwise read
-// pages that are gone, whose pre-images are deliberately not versioned.
+// Load implements core.Engine, as one mutation on an empty disk: it
+// drains pinned snapshots (BlockPins), opens the bracket, drops every
+// file (pager.DropFiles), lets LoadDocs create the store's anew, and
+// commits through publish. No reader can pin before the commit, so the
+// bracket versions nothing, and a repeated or resumed load never sees
+// leftovers from an earlier one. A failed load commits nothing to read,
+// as any failed mutation does, and then drops the files again so the
+// database stays empty and loadable — except on a crashed pager, which
+// refuses: a dead machine cannot clean up after itself, and a restart,
+// on a new engine, is the only way forward.
 func (b *Base[V]) Load(ctx context.Context, db *core.Database) (core.LoadStats, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -304,20 +280,22 @@ func (b *Base[V]) Load(ctx context.Context, db *core.Database) (core.LoadStats, 
 	}
 	b.p.BlockPins()
 	defer b.p.UnblockPins()
-	if err := b.reset(); err != nil {
-		return core.LoadStats{}, err
+	epoch := b.p.BeginMutation()
+	b.last = nil // the new database carries no plan of the old one
+	// A facade's WithMetrics replaces the registry of New.
+	reg := b.p.Metrics()
+	b.cellsPlanned, b.cellsCarried = reg.Counter("plan.cell.planned"), reg.Counter("plan.cell.carried")
+	var st core.LoadStats
+	err := b.p.DropFiles()
+	if err == nil {
+		before := b.p.Stats().IO()
+		st, err = b.s.LoadDocs(ctx, db)
+		st.PageIO = b.p.Stats().IO() - before
 	}
-	before := b.p.Stats().IO()
-	st, err := b.s.LoadDocs(ctx, db)
-	if err != nil {
-		return st, b.abortLoad(err)
+	if err = b.publish(epoch, nil, err); err != nil {
+		_ = b.p.DropFiles() // a crashed pager refuses; the original error wins
 	}
-	st.PageIO = b.p.Stats().IO() - before
-	b.loaded = true
-	if err := b.publish(b.p.SnapshotEpoch()+1, b.p.AdvanceEpoch, nil, nil); err != nil {
-		return st, b.abortLoad(err)
-	}
-	return st, nil
+	return st, err
 }
 
 // BuildIndexes implements core.Engine, as one mutation: index pages
@@ -325,11 +303,11 @@ func (b *Base[V]) Load(ctx context.Context, db *core.Database) (core.LoadStats, 
 func (b *Base[V]) BuildIndexes(specs []core.IndexSpec) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.loaded {
+	if b.last == nil {
 		return b.notLoaded("BuildIndexes")
 	}
 	epoch := b.p.BeginMutation()
-	return b.publish(epoch, b.p.EndMutation, nil, b.s.BuildIndexes(specs))
+	return b.publish(epoch, nil, b.s.BuildIndexes(specs))
 }
 
 // pinned is the first half of the read protocol, for the operation named
@@ -429,8 +407,7 @@ func (b *Base[V]) ColdReset() {
 func (b *Base[V]) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.p.AdvanceEpoch(nil)
-	b.loaded = false
+	b.p.EndMutation(nil)
 	b.last = nil
 	return b.p.Close()
 }
@@ -455,7 +432,7 @@ func (b *Base[V]) Apply(ctx context.Context, rec updatelog.Record, durable func(
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if !b.loaded {
+	if b.last == nil {
 		return b.notLoaded(rec.Kind.String())
 	}
 	kind, name := rec.Kind, rec.Name
@@ -487,7 +464,7 @@ func (b *Base[V]) Apply(ctx context.Context, rec updatelog.Record, durable func(
 	if err == nil && kind != updatelog.KindDelete {
 		err = b.s.ApplyInsert(ctx, name, rec.Data, &b.rec)
 	}
-	return b.publish(epoch, b.p.EndMutation, durable, err)
+	return b.publish(epoch, durable, err)
 }
 
 var _ updatelog.Applier = (*Base[View])(nil)

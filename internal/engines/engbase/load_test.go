@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"xbench/internal/core"
+	"xbench/internal/engines/native"
+	"xbench/internal/engines/rdbms"
 	"xbench/internal/gen"
 )
 
@@ -49,6 +51,11 @@ func (c *cancelAt) Err() error {
 //     was written.
 //   - A context cancelled mid-load fails it with context.Canceled.
 //   - No parse worker outlives a Load, whichever way it ends.
+//   - A load is one commit, whichever way it ends: it advances the
+//     commit epoch by exactly one.
+//   - A load versions no page, even in an 8-page pool where it writes
+//     pages again after evicting them: no reader can pin before its
+//     commit, so there is no pre-image to keep.
 func TestLoadContractWithParseAhead(t *testing.T) {
 	ctx := context.Background()
 	good, err := gen.Config{Seed: 7}.Generate(core.DCMD, core.Normal)
@@ -82,14 +89,14 @@ func TestLoadContractWithParseAhead(t *testing.T) {
 			defer e.Close()
 
 			want := pin.prefix + ": order2001.xml: xmldom: syntax error at offset 33: mismatched end tag </order> for <total>"
-			if _, err := e.Load(ctx, &bad); err == nil || err.Error() != want {
+			if _, err := loadOnce(t, e, ctx, &bad); err == nil || err.Error() != want {
 				t.Errorf("load of the malformed database: %v, want %q", err, want)
 			}
 			noWorkers("the failed load")
 			if _, err := e.Execute(ctx, core.Q1, core.Params{"X": "O1"}); err == nil || !strings.Contains(err.Error(), "before Load") {
 				t.Errorf("Execute after the failed load: %v, want the not-loaded error", err)
 			}
-			st, err := e.Load(ctx, good)
+			st, err := loadOnce(t, e, ctx, good)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +105,7 @@ func TestLoadContractWithParseAhead(t *testing.T) {
 			}
 			noWorkers("the good load")
 
-			if _, err := e.Load(newCancelAt(1000), good); !errors.Is(err, context.Canceled) {
+			if _, err := loadOnce(t, e, newCancelAt(1000), good); !errors.Is(err, context.Canceled) {
 				t.Errorf("load cancelled at its 1000th document: %v, want context.Canceled", err)
 			}
 			noWorkers("the cancelled load")
@@ -107,6 +114,46 @@ func TestLoadContractWithParseAhead(t *testing.T) {
 			}
 		})
 	}
+
+	small := []struct {
+		name string
+		mk   func() engine
+	}{
+		{"X-Hive", func() engine { return native.New(8) }},
+		{"SQL Server", func() engine { return rdbms.New(rdbms.SQLServer, 8, 0) }},
+		{"Xcolumn", func() engine { return rdbms.New(rdbms.Xcolumn, 8, 0) }},
+	}
+	t.Run("8-page pool", func(t *testing.T) {
+		for _, tc := range small {
+			t.Run(tc.name, func(t *testing.T) {
+				e := tc.mk()
+				defer e.Close()
+				captures := e.Pager().Metrics().Counter("pager.snap.capture")
+				before := captures.Value()
+				if _, err := loadOnce(t, e, ctx, good); err != nil {
+					t.Fatal(err)
+				}
+				if n := captures.Value() - before; n != 0 {
+					t.Errorf("the load captured %d page versions, want none", n)
+				}
+				if n := e.Pager().LiveVersions(); n != 0 {
+					t.Errorf("%d page versions outlive the load", n)
+				}
+			})
+		}
+	})
+}
+
+// loadOnce is e.Load, held to one commit: whichever way the load ends, it
+// advances the commit epoch by exactly one.
+func loadOnce(t *testing.T, e engine, ctx context.Context, db *core.Database) (core.LoadStats, error) {
+	t.Helper()
+	before := e.Pager().SnapshotEpoch()
+	st, err := e.Load(ctx, db)
+	if after := e.Pager().SnapshotEpoch(); after != before+1 {
+		t.Errorf("a load ending in %v moved the commit epoch from %d to %d, want one commit", err, before, after)
+	}
+	return st, err
 }
 
 // parseWorkers is the number of goroutines running ParseDocs's parse

@@ -401,9 +401,12 @@ func indexEntries(target string, rec *xmldom.Record, fn func(val string) error) 
 		if !slices.Contains(ids, x.NameIndex()) {
 			continue
 		}
-		val, ok := x.Text(), true
+		var val []byte
+		ok := true
 		if byAttr {
 			val, ok = x.Attr(attr)
+		} else {
+			val = x.Text()
 		}
 		if !ok {
 			continue

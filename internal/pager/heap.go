@@ -35,7 +35,7 @@ type extent struct {
 // and may span pages, so whole XML documents and shredded rows use the
 // same storage primitive. The heap keeps no page of its own: an insert
 // writes its prefix and its bytes through Pager.Write straight into the
-// pool's buffers — in place while the writer phase that appended the
+// pool's buffers — in place while the mutation bracket that appended the
 // page is open — so the pool's write-backs are the heap's I/O. Sync
 // forces the file's dirty pages to disk.
 //
@@ -146,8 +146,8 @@ func (h *Heap) writePrefix(word uint32, off uint64) error {
 }
 
 // write patches b in at off, page by page, through Pager.Write: in place
-// while the writer phase owns a page, else into a copy whose pre-image a
-// mutation bracket captures for pinned snapshots. Reaching the end on a
+// while the open bracket owns a page, else into a copy whose pre-image
+// the bracket captures for pinned snapshots. Reaching the end on a
 // page boundary appends the next page, and writing past the end extends
 // the heap.
 func (h *Heap) write(b []byte, off uint64) error {

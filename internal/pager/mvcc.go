@@ -11,9 +11,10 @@
 //     committer published with it. A reader pins E (PinSnapshot), is
 //     handed that view with the pin, and reads every page "as of E" with
 //     ReadAt.
-//   - A writer brackets one update in BeginMutation/EndMutation. The
-//     mutation targets epoch E+1: the first in-place Write of each page
-//     captures the page's pre-image as a version superseded at E+1.
+//   - A writer brackets one mutation — an update, an index build, a
+//     load — in BeginMutation/EndMutation. The bracket targets epoch
+//     E+1, and is identified by it: the first in-place Write of each
+//     page captures the page's pre-image as a version superseded at E+1.
 //     EndMutation publishes E+1 as the new committed epoch,
 //     together with the view of the database at E+1 the writer built
 //     inside the bracket. Epoch and view change in one critical section,
@@ -25,27 +26,28 @@
 //     only by EndMutation, a reader pinned at E sees exactly the
 //     pre-update database for the whole mutation, and readers pinning
 //     after EndMutation see exactly the post-update database.
+//   - A bracket opened under BlockPins (a Load's) captures nothing: no
+//     reader can pin before its commit, so no reader needs a pre-image,
+//     and versioning a load would hold the whole database in memory.
 //   - GC reclaims versions whose supersededAt is <= the lowest pinned
 //     epoch, clamped to the committed epoch so an open bracket's
 //     pre-images survive until their commit even with no pins held. It
 //     runs inline, and only inline: the reclaimable set is a function of
 //     (lowest pin, committed epoch), those change only in Release,
-//     EndMutation, AdvanceEpoch and BlockPins, and each of them prunes
-//     before it returns — so between two such events nothing is left for
-//     a timer to find (TestInlinePruneLeavesNothingToCollect).
+//     EndMutation and BlockPins, and each of them prunes before it
+//     returns — so between two such events nothing is left for a timer to
+//     find (TestInlinePruneLeavesNothingToCollect).
 //
 // Version buffers are the buffers they supersede: one buffer per page
 // version, shared by disk, pool, snapshot and reader and immutable once a
 // reader can reach it (the package comment in pager.go), so a captured
-// pre-image needs no copy. The writer phase says when a reader can: a
-// bracket or a Load's BlockPins window opens one, and each publication
-// (EndMutation, AdvanceEpoch, UnblockPins) ends it. A buffer the writer
-// installed in the phase still open is unreachable: readers are pinned at
-// published epochs, a Load blocks every pin, and a bracket captured the
-// page's pre-image before installing its first buffer (or the page is new
-// in the bracket), so a pinned reader is served the version. Write may
-// patch such a buffer in place; the next phase's first write of the page
-// installs a new one.
+// pre-image needs no copy. The open bracket is the writer phase that says
+// when a reader can: a buffer the writer installed in it is unreachable
+// until its EndMutation. Readers are pinned at published epochs, a Load
+// blocks every pin, and an update's bracket captured the page's pre-image
+// before installing its first buffer (or the page is new in the bracket),
+// so a pinned reader is served the version. Write may patch such a buffer
+// in place; the next bracket's first write of the page installs a new one.
 //
 // A pruned version is garbage, except on a file marked with
 // RecycleVersions (B+tree nodes), whose readers keep no page past their
@@ -94,15 +96,13 @@ type mvccState struct {
 	// view is what the committer of epoch published with it (the
 	// engine's frozen read surface; nil when there is nothing to read).
 	// The pager only stores it and hands it out with each pin.
-	view      any
-	mutTarget uint64 // epoch the active mutation commits as; 0 = none
-	mutActive bool
-	// writer is the open writer phase (see the file comment), 0 when none
-	// is open; phases counts the phases opened, so each has its own id. A
-	// frame the writer installed remembers the phase (frame.own). Written
-	// under mu, loaded by the pool's writer under p.mu.
+	view any
+	// writer is the open bracket's target epoch, the epoch its
+	// EndMutation commits, or 0 when no bracket is open. Target epochs
+	// are unique and only grow, so the target also names the bracket: a
+	// frame the writer installed remembers it (frame.own). Written under
+	// mu, loaded by the pool's writer under p.mu.
 	writer atomic.Uint64
-	phases uint64
 
 	pins    map[uint64]int // pinned epoch -> pin count
 	blocked bool           // BlockPins in force: new pins wait
@@ -218,7 +218,9 @@ func (p *Pager) LiveVersions() int { return int(p.mvcc.retained.Load()) }
 // BlockPins waits for every outstanding snapshot pin to be released and
 // then holds new PinSnapshot calls until UnblockPins. It is the quiesce
 // primitive for Load and ColdReset: with no pins outstanding every page
-// version is dead, so the version store is emptied too.
+// version is dead, so the version store is emptied too. A bracket opened
+// under it versions nothing (capture): no reader can pin before its
+// commit, so a Load's bracket does not hold the database it rewrites.
 func (p *Pager) BlockPins() {
 	m := &p.mvcc
 	m.mu.Lock()
@@ -232,7 +234,6 @@ func (p *Pager) BlockPins() {
 	// No pins and no open bracket (callers hold the engine write lock),
 	// so every version is <= the committed epoch and this drops them all.
 	m.pruneLocked()
-	m.openPhase()
 	m.mu.Unlock()
 }
 
@@ -241,115 +242,68 @@ func (p *Pager) UnblockPins() {
 	m := &p.mvcc
 	m.mu.Lock()
 	m.blocked = false
-	m.writer.Store(0)
 	m.cond.Broadcast()
 	m.mu.Unlock()
 }
 
-// BeginMutation starts the single writer's copy-on-write bracket: page
-// writes until EndMutation capture pre-images superseded at the returned
-// target epoch. Mutations do not nest, and every bracket is closed: the
-// engines serialize writers on their own mutex and end a failed mutation
-// with EndMutation(nil).
+// BeginMutation opens the single writer's bracket and returns its target
+// epoch, the epoch EndMutation commits: until then page writes capture
+// pre-images superseded at the target. Mutations do not nest, and every
+// bracket is closed: the engines serialize writers on their own mutex and
+// end a failed mutation with EndMutation(nil).
 func (p *Pager) BeginMutation() uint64 {
 	m := &p.mvcc
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.mutActive = true
-	m.mutTarget = m.epoch + 1
-	m.openPhase()
-	return m.mutTarget
+	m.writer.Store(m.epoch + 1)
+	return m.epoch + 1
 }
 
-// EndMutation commits the bracket: the target epoch becomes the current
-// committed epoch and view what subsequent PinSnapshot calls hand out
-// with it (nil withdraws the publication: there is nothing to read). It
-// returns the committed epoch.
+// EndMutation commits the next epoch and closes the open bracket, if
+// there is one: epoch+1 becomes the current committed epoch and view what
+// subsequent PinSnapshot calls hand out with it (nil withdraws the
+// publication: there is nothing to read). It returns the committed
+// epoch. What the writer installed in the bracket is reachable from here
+// on, and the bracket's pre-images fall at or below the new epoch, so
+// pruning reclaims those no pin reaches.
 func (p *Pager) EndMutation(view any) uint64 {
-	m := &p.mvcc
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.mutActive {
-		return m.epoch
-	}
-	m.epoch, m.view = m.mutTarget, view
-	m.mutActive = false
-	m.pruneLocked()
-	m.published()
-	return m.epoch
-}
-
-// AdvanceEpoch bumps the committed epoch outside a mutation bracket and
-// publishes view with it, as EndMutation does — pruning included: a
-// bracket its caller abandoned is closed here, and its pre-images fall
-// at or below the new epoch. Load uses it after rebuilding the database
-// under BlockPins, so stale snapshot handles (epoch < current) are
-// distinguishable from fresh ones.
-func (p *Pager) AdvanceEpoch(view any) uint64 {
 	m := &p.mvcc
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.epoch++
 	m.view = view
-	m.mutActive = false
+	m.writer.Store(0)
 	m.pruneLocked()
-	m.published()
 	return m.epoch
 }
 
-// openPhase opens a new writer phase. Caller holds mu.
-func (m *mvccState) openPhase() {
-	m.phases++
-	m.writer.Store(m.phases)
-}
-
-// published ends the writer phase at a publication: what the writer
-// installed in it is now reachable. A Load still under BlockPins goes on
-// in a new phase. Caller holds mu.
-func (m *mvccState) published() {
-	if m.blocked {
-		m.openPhase()
-	} else {
-		m.writer.Store(0)
-	}
-}
-
-// capture records a page's pre-image, superseded at the active mutation's
+// capture records a page's pre-image, superseded at the open bracket's
 // target epoch. First capture per page per target wins: a later write to
 // the same page in the same mutation must not overwrite the pre-image
-// with a half-mutated one. No-op outside a mutation bracket (bulk Load
-// runs under BlockPins instead — versioning it would pin the whole
-// database in memory). Callers hold p.mu; f is the page's file, and data
-// must be an immutable buffer (the replaced pool/disk buffer, or
-// zeroPage).
-func (p *Pager) capture(f *file, key pageKey, data []byte) {
-	m := &p.mvcc
-	m.mu.Lock()
-	if !m.mutActive {
-		m.mu.Unlock()
-		return
-	}
-	vs := m.versions[key]
-	if n := len(vs); n > 0 && vs[n-1].supersededAt >= m.mutTarget {
-		m.mu.Unlock()
-		return
-	}
-	m.versions[key] = append(vs, pageVersion{supersededAt: m.mutTarget, data: data, recycle: f.recycle})
-	m.retained.Add(1)
-	m.cCapture.Inc()
-	m.mu.Unlock()
-}
-
-// mutationActive reports whether a BeginMutation bracket is open.
-func (p *Pager) mutationActive() bool {
+// with a half-mutated one. No-op outside a bracket, and inside one opened
+// under BlockPins (a Load's): no reader can pin before its commit, and
+// versioning it would pin the whole database in memory. Callers hold
+// p.mu; f is the page's file.
+func (p *Pager) capture(f *file, key pageKey) {
 	m := &p.mvcc
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.mutActive
+	target := m.writer.Load()
+	if target == 0 || m.blocked {
+		return
+	}
+	vs := m.versions[key]
+	if n := len(vs); n > 0 && vs[n-1].supersededAt >= target {
+		return
+	}
+	m.versions[key] = append(vs, pageVersion{supersededAt: target, data: p.preImage(f, key), recycle: f.recycle})
+	m.retained.Add(1)
+	m.cCapture.Inc()
 }
 
 // preImage resolves a page's current content for capture: the pool frame
-// if cached, else the disk image, else a zero page. Caller holds p.mu.
+// if cached, else the disk image, else a zero page — an immutable buffer
+// either way. Caller holds p.mu.
 func (p *Pager) preImage(f *file, key pageKey) []byte {
 	if i, ok := p.table[key]; ok {
 		return p.frames[i].data

@@ -64,7 +64,7 @@ func TestPinCarriesTheEpochsView(t *testing.T) {
 	if s := p.PinSnapshot(); s.View() != nil {
 		t.Fatalf("fresh pager handed out a view: %v", s.View())
 	}
-	e1 := p.AdvanceEpoch("one")
+	e1 := p.EndMutation("one")
 	p.BeginMutation()
 	mid := p.PinSnapshot()
 	e2 := p.EndMutation("two")
@@ -77,7 +77,7 @@ func TestPinCarriesTheEpochsView(t *testing.T) {
 	}
 	mid.Release()
 	after.Release()
-	p.AdvanceEpoch(nil)
+	p.EndMutation(nil)
 	if s := p.PinSnapshot(); s.View() != nil {
 		t.Fatalf("withdrawn publication still handed out: %v", s.View())
 	}
@@ -412,7 +412,7 @@ func TestRetainedCountMatchesVersions(t *testing.T) {
 		case op < 19:
 			p.GC()
 		default:
-			p.AdvanceEpoch(nil) // closes an open bracket, as Load does
+			p.EndMutation(nil) // commits with or without an open bracket
 			open = false
 		}
 		if got, want := p.mvcc.retained.Load(), int64(p.LiveVersions()); got != want {
@@ -432,8 +432,8 @@ func TestRetainedCountMatchesVersions(t *testing.T) {
 
 // TestInlinePruneLeavesNothingToCollect is why there is no background
 // collector: over seeded random walks of every event that touches the
-// version store — pin, release, begin, write, commit, AdvanceEpoch (also
-// over a bracket its writer abandoned), BlockPins — an explicit GC after
+// version store — pin, release, begin, write, commit (also with no
+// bracket open), BlockPins — an explicit GC after
 // each event reclaims nothing, because the events that can make a version
 // reclaimable prune before they return. It also holds the retained count,
 // which is all LiveVersions reads, to the number of versions actually in
@@ -485,8 +485,8 @@ func TestInlinePruneLeavesNothingToCollect(t *testing.T) {
 					snaps = append(snaps[:i], snaps[i+1:]...)
 				}
 			case op < 19:
-				name = "advance" // closes an open bracket, as a Load after a failed update does
-				p.AdvanceEpoch(nil)
+				name = "advance" // an EndMutation with or without an open bracket
+				p.EndMutation(nil)
 				open = false
 			default:
 				name = "block"
@@ -513,7 +513,7 @@ func TestInlinePruneLeavesNothingToCollect(t *testing.T) {
 		for _, s := range snaps {
 			s.Release()
 		}
-		p.AdvanceEpoch(nil)
+		p.EndMutation(nil)
 		if n := p.LiveVersions(); n != 0 {
 			t.Fatalf("seed %d: %d versions retained with no pin and no bracket", seed, n)
 		}

@@ -30,12 +30,12 @@ func mustRead(t *testing.T, p *Pager, f FileID, no uint32, epoch uint64) []byte 
 // so no pinned reader, published page version or handed-out slice sees a
 // patch, and a per-document load sync allocates nothing.
 func TestWriterPatchesOnlyItsOwnBuffers(t *testing.T) {
-	// load opens a Load's writer phase (BlockPins), runs fn and publishes.
+	// load opens a Load's bracket under BlockPins, runs fn and publishes.
 	load := func(p *Pager, fn func()) {
 		p.BlockPins()
-		p.AdvanceEpoch(nil)
+		p.BeginMutation()
 		fn()
-		p.AdvanceEpoch("loaded")
+		p.EndMutation("loaded")
 		p.UnblockPins()
 	}
 	must := func(err error) {

@@ -165,7 +165,7 @@ func TestOneBufferPerPageVersion(t *testing.T) {
 		if err := stamp(0); err != nil {
 			t.Fatal(err)
 		}
-		p.AdvanceEpoch(byte(0))
+		p.EndMutation(byte(0))
 
 		var done atomic.Bool
 		var wrong atomic.Int64

@@ -41,8 +41,9 @@
 // disk, pool, snapshot and reader, and immutable once a reader can reach
 // it. A page changes by getting a new buffer — Write patches the caller's
 // bytes into a copy of the page — except that Write patches in place a
-// buffer the writer installed in the writer phase still open (mvcc.go),
-// which no reader can reach yet. That is how a heap fills its tail page
+// buffer the writer installed in the mutation bracket still open (its
+// writer phase, identified by its target epoch: mvcc.go), which no reader
+// can reach yet. That is how a heap fills its tail page
 // and a B+tree its split's new sibling — the
 // bytes go straight into the zeroed buffer Append installed, and no layer
 // above keeps a page of its own — and how a B+tree node written twice in
@@ -180,9 +181,10 @@ type frame struct {
 	prefetched uint32
 	dirty      bool
 	valid      bool
-	// own is the writer phase (mvccState.writer) in which the writer
-	// installed data; 0 for a read miss, a prefetch, or a write outside
-	// any phase. While it is the open phase, Write patches data in place.
+	// own is the target epoch of the bracket (mvccState.writer) in which
+	// the writer installed data; 0 for a read miss, a prefetch, or a write
+	// outside any bracket. While that bracket is open, Write patches data
+	// in place.
 	own uint64
 }
 
@@ -426,7 +428,7 @@ func (p *Pager) Append(fid FileID) (uint32, error) {
 // The B+tree relies on exactly that: its readers walk the cells of the
 // returned slice under their pin without decoding them; its writer keeps
 // a slice across the writes of a split further down and writes every node
-// back through Write: patched in place when the open writer phase owns its
+// back through Write: patched in place when the open bracket owns its
 // buffer, else copied.
 //
 // Transient read faults are retried internally with exponential backoff,
@@ -517,11 +519,11 @@ func (p *Pager) bumpRef(fr *frame) {
 // Write patches b in at offset off of page no and marks the page dirty
 // (write-back: no disk write is counted yet); the caller keeps b. It is
 // the one way a page's bytes change, besides Append and DropFiles. While
-// the open writer phase owns the page's buffer (see the package comment)
-// the patch goes into that buffer. Otherwise it goes into a copy of the
+// the open bracket owns the page's buffer (see the package comment) the
+// patch goes into that buffer. Otherwise it goes into a copy of the
 // page, read as Read reads it — a write that covers the whole page reads
-// nothing — which becomes the page's buffer; inside a mutation bracket the
-// buffer it replaces is the pre-image. The copy goes into a recycled
+// nothing — which becomes the page's buffer; inside a bracket the buffer
+// it replaces is the pre-image, unless pins are blocked (capture). The copy goes into a recycled
 // buffer when the free list holds one, else a new page.
 func (p *Pager) Write(fid FileID, no uint32, off int, b []byte) error {
 	if off < 0 || off+len(b) > PageSize {
@@ -530,8 +532,9 @@ func (p *Pager) Write(fid FileID, no uint32, off int, b []byte) error {
 	key := pageKey{fid, no}
 	p.mu.Lock()
 	if i, ok := p.table[key]; ok && p.down == nil && p.writerOwns(&p.frames[i]) {
-		// Installed in this writer phase, so its pre-image is captured (or
-		// the page is new) and no reader can reach it: patch it.
+		// Installed in this bracket, so its pre-image is captured (or the
+		// page is new, or pins are blocked) and no reader can reach it:
+		// patch it.
 		copy(p.frames[i].data[off:], b)
 		err := p.install(key, p.frames[i].data, true)
 		p.mu.Unlock()
@@ -559,21 +562,19 @@ func (p *Pager) Write(fid FileID, no uint32, off int, b []byte) error {
 	if !ok || no >= uint32(len(f.pages)) {
 		return fmt.Errorf("pager: write beyond end of file %d page %d", fid, no)
 	}
-	if p.mutationActive() {
-		p.capture(f, key, p.preImage(f, key))
-	}
+	p.capture(f, key)
 	return p.install(key, pg, true)
 }
 
 // writerOwns reports whether fr's buffer was installed by the writer in
-// the writer phase still open.
+// the bracket still open.
 func (p *Pager) writerOwns(fr *frame) bool {
 	return fr.own != 0 && fr.own == p.mvcc.writer.Load()
 }
 
 // install places a page into the buffer pool, evicting with CLOCK and
 // writing back the victim if dirty. dirty marks a write's buffer, owned by
-// the writer phase open now (if any); a clean one is a disk image. It
+// the bracket open now (if any); a clean one is a disk image. It
 // fails only when the eviction write-back does (crash); the pool is left
 // unchanged then. Callers hold the exclusive latch, so frame fields may be
 // accessed plainly here.
