@@ -268,7 +268,7 @@ func BenchmarkAblationBufferPool(b *testing.B) {
 				if m.Err != nil {
 					b.Fatal(m.Err)
 				}
-				io += m.Result.PageIO
+				io += m.PageIO
 			}
 			b.ReportMetric(float64(io)/float64(b.N), "pageIO/op")
 		})

@@ -321,7 +321,7 @@ func setupQuery(fs *flag.FlagSet) func() error {
 			}
 			fmt.Printf("  %-4s %-34s %6d item(s) %10v (cold) pageIO=%d order=%v mixedLost=%v\n",
 				q, q.FunctionGroup(), m.Result.Count(), m.Elapsed,
-				m.Result.PageIO, m.Result.OrderGuaranteed, m.Result.MixedContentLost)
+				m.PageIO, m.Result.OrderGuaranteed, m.Result.MixedContentLost)
 			if *show {
 				for i, item := range m.Result.Items {
 					fmt.Printf("    [%d] %s\n", i+1, item)

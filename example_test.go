@@ -36,7 +36,7 @@ func Example() {
 		if m.Err != nil {
 			log.Fatalf("%s: %v", q, m.Err)
 		}
-		fmt.Printf("%s: %d item(s), %d page I/Os\n", q, m.Result.Count(), m.Result.PageIO)
+		fmt.Printf("%s: %d item(s), %d page I/Os\n", q, m.Result.Count(), m.PageIO)
 	}
 
 	// Ad-hoc XQuery over the generated documents.

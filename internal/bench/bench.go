@@ -256,12 +256,8 @@ type CellReport struct {
 	WarmP50Ms  float64 `json:"warm_p50_ms"`
 	WarmMeanMs float64 `json:"warm_mean_ms"`
 
-	// PageIO is the mean per-run page I/O reported by the engine result;
-	// AttributedIO is the mean per-run I/O the pager counters attributed.
-	// AttributionPct is their ratio — the acceptance gate asks >= 90%.
-	PageIO         float64 `json:"page_io"`
-	AttributedIO   float64 `json:"attributed_io"`
-	AttributionPct float64 `json:"attribution_pct"`
+	// PageIO is the mean per-run page I/O (workload.Measurement.PageIO).
+	PageIO float64 `json:"page_io"`
 
 	// CacheHitPct is the buffer-pool hit rate across the cold runs.
 	CacheHitPct float64 `json:"cache_hit_pct"`
@@ -331,15 +327,14 @@ func (r *Runner) cell(name string, class core.Class, size core.Size, q core.Quer
 	warmHist := metrics.NewHistogram()
 	counters := map[string]int64{}
 	phases := map[string]time.Duration{}
-	var pageIO, attributed int64
+	var pageIO int64
 	for i := 0; i < n; i++ {
 		m := workload.RunCold(ctx, e, class, q)
 		if m.Err != nil {
 			return failed(m.Err)
 		}
-		coldHist.Observe(r.effective(m.Elapsed, m.Result.PageIO))
-		pageIO += m.Result.PageIO
-		attributed += m.Breakdown.PagerIO()
+		coldHist.Observe(r.effective(m.Elapsed, m.PageIO))
+		pageIO += m.PageIO
 		addCounters(counters, m.Breakdown)
 		for ph, d := range m.Breakdown.Phases {
 			phases[ph] += d
@@ -350,7 +345,7 @@ func (r *Runner) cell(name string, class core.Class, size core.Size, q core.Quer
 		if m.Err != nil {
 			return failed(m.Err)
 		}
-		warmHist.Observe(r.effective(m.Elapsed, m.Result.PageIO))
+		warmHist.Observe(r.effective(m.Elapsed, m.PageIO))
 	}
 	cr.ColdP50Ms = msOf(coldHist.P50())
 	cr.ColdP95Ms = msOf(coldHist.P95())
@@ -359,12 +354,6 @@ func (r *Runner) cell(name string, class core.Class, size core.Size, q core.Quer
 	cr.WarmP50Ms = msOf(warmHist.P50())
 	cr.WarmMeanMs = msOf(warmHist.Mean())
 	cr.PageIO = float64(pageIO) / float64(n)
-	cr.AttributedIO = float64(attributed) / float64(n)
-	if pageIO > 0 {
-		cr.AttributionPct = 100 * float64(attributed) / float64(pageIO)
-	} else if attributed == 0 {
-		cr.AttributionPct = 100
-	}
 	hits, reads := counters["pager.hit"], counters["pager.read"]
 	if hits+reads > 0 {
 		cr.CacheHitPct = 100 * float64(hits) / float64(hits+reads)

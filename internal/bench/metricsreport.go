@@ -74,7 +74,7 @@ func (r *Runner) MetricsReport(queries []core.QueryID) error {
 // reportCSVHeader is the fixed column set of the CSV report format.
 const reportCSVHeader = "engine,class,size,query,runs,warm_runs," +
 	"cold_p50_ms,cold_p95_ms,cold_p99_ms,cold_mean_ms,warm_p50_ms,warm_mean_ms," +
-	"page_io,attributed_io,attribution_pct,cache_hit_pct,btree_visits," +
+	"page_io,cache_hit_pct,btree_visits," +
 	"parse_ms,plan_ms,index_probe_ms,scan_ms,materialize_ms,eval_ms"
 
 func printReportCSV(r *Runner, rep Report) {
@@ -84,10 +84,10 @@ func printReportCSV(r *Runner, rep Report) {
 			fmt.Fprintf(r.Out, "# error: %s %s/%s %s: %s\n", c.Engine, c.Class, c.Size, c.Query, c.Err)
 			continue
 		}
-		fmt.Fprintf(r.Out, "%s,%s,%s,%s,%d,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.1f,%.1f,%.1f,%.1f,%.1f",
+		fmt.Fprintf(r.Out, "%s,%s,%s,%s,%d,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.1f,%.1f,%.1f",
 			c.Engine, c.Class, c.Size, c.Query, c.Runs, c.Warm,
 			c.ColdP50Ms, c.ColdP95Ms, c.ColdP99Ms, c.ColdMeanMs, c.WarmP50Ms, c.WarmMeanMs,
-			c.PageIO, c.AttributedIO, c.AttributionPct, c.CacheHitPct, c.BtreeVisits)
+			c.PageIO, c.CacheHitPct, c.BtreeVisits)
 		for _, ph := range ReportPhases {
 			fmt.Fprintf(r.Out, ",%.3f", c.PhasesMs[ph])
 		}
@@ -104,9 +104,9 @@ func (r *Runner) printReportTable(rep Report) {
 		if c.Query != lastQuery {
 			lastQuery = c.Query
 			fmt.Fprintf(r.Out, "\nQuery %s\n", c.Query)
-			fmt.Fprintf(r.Out, "%-12s %-6s %-7s %9s %9s %9s %9s %8s %6s %8s %6s\n",
+			fmt.Fprintf(r.Out, "%-12s %-6s %-7s %9s %9s %9s %9s %8s %6s %8s\n",
 				"engine", "class", "size", "p50", "p95", "p99", "warm p50",
-				"pageIO", "hit%", "btree", "attr%")
+				"pageIO", "hit%", "btree")
 		}
 		if c.Err != "" {
 			fmt.Fprintf(r.Out, "%-12s %-6s %-7s error: %s\n", c.Engine, c.Class, c.Size, c.Err)
@@ -116,10 +116,10 @@ func (r *Runner) printReportTable(rep Report) {
 		if c.Warm > 0 {
 			warm = fmt.Sprintf("%.2f", c.WarmP50Ms)
 		}
-		fmt.Fprintf(r.Out, "%-12s %-6s %-7s %9.2f %9.2f %9.2f %9s %8.0f %6.1f %8.0f %6.0f\n",
+		fmt.Fprintf(r.Out, "%-12s %-6s %-7s %9.2f %9.2f %9.2f %9s %8.0f %6.1f %8.0f\n",
 			c.Engine, c.Class, c.Size,
 			c.ColdP50Ms, c.ColdP95Ms, c.ColdP99Ms, warm,
-			c.PageIO, c.CacheHitPct, c.BtreeVisits, c.AttributionPct)
+			c.PageIO, c.CacheHitPct, c.BtreeVisits)
 		line := ""
 		for _, ph := range ReportPhases {
 			if v, ok := c.PhasesMs[ph]; ok {

@@ -328,12 +328,13 @@ func TestColdLookupSurvivesReset(t *testing.T) {
 		tr.Insert(fmt.Sprintf("k%05d", i), uint64(i))
 	}
 	p.ColdReset()
-	p.ResetStats()
+	reads := p.Metrics().Counter("pager.read")
+	before := reads.Value()
 	got, err := tr.Live().Search(context.Background(), "k01234")
 	if err != nil || len(got) != 1 || got[0] != 1234 {
 		t.Fatalf("cold search = %v, %v", got, err)
 	}
-	if s := p.Stats(); s.Reads == 0 {
+	if reads.Value() == before {
 		t.Fatal("cold lookup performed no disk reads")
 	}
 }
@@ -383,9 +384,10 @@ func TestSyncSurvivesCrashRecovery(t *testing.T) {
 	if err := tr.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	writes := p.Stats().Writes
+	writes := p.Metrics().Counter("pager.write")
+	before := writes.Value()
 	p.ColdReset()
-	if n := p.Stats().Writes - writes; n != 0 {
+	if n := writes.Value() - before; n != 0 {
 		t.Fatalf("dropping the pool after Sync wrote back %d pages", n)
 	}
 	re, err := Open(p, tr.FileID())

@@ -76,7 +76,8 @@ type Engine interface {
 	ColdReset()
 
 	// PageIO returns cumulative page I/O performed by the engine. It is
-	// safe to call concurrently with Execute.
+	// safe to call concurrently with Execute. A query's page I/O is its
+	// difference across the query, taken by whoever runs it alone.
 	PageIO() int64
 
 	// InsertDocument adds a new document to the loaded database (update

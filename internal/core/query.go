@@ -80,8 +80,6 @@ type Result struct {
 	// MixedContentLost is true when the storage mapping dropped
 	// mixed-content text that the query would otherwise return.
 	MixedContentLost bool
-	// PageIO is the number of page reads+writes the execution caused.
-	PageIO int64
 }
 
 // Count returns the number of result items.

@@ -48,7 +48,7 @@ type View interface {
 	// model reads: Base takes them once per commit.
 	Class() core.Class
 	Stats() plan.StatValues
-	// Exec runs the planned query ph. Base fills in Result.PageIO.
+	// Exec runs the planned query ph.
 	Exec(ctx context.Context, ph *plan.Physical, p core.Params) (core.Result, error)
 	// Explain returns the tree Exec runs for ph, drawn by the engine from
 	// the same decisions Exec takes: the evaluator over its access path
@@ -217,7 +217,7 @@ func (b *Base[V]) Metrics() *metrics.Registry { return b.p.Metrics() }
 
 // PageIO implements core.Engine. Lock-free: safe concurrently with
 // Execute.
-func (b *Base[V]) PageIO() int64 { return b.p.Stats().IO() }
+func (b *Base[V]) PageIO() int64 { return b.p.IO() }
 
 // notLoaded is the one answer to any operation that needs a loaded
 // store: before the first successful Load, after a failed one, after
@@ -288,9 +288,9 @@ func (b *Base[V]) Load(ctx context.Context, db *core.Database) (core.LoadStats, 
 	var st core.LoadStats
 	err := b.p.DropFiles()
 	if err == nil {
-		before := b.p.Stats().IO()
+		before := b.p.IO()
 		st, err = b.s.LoadDocs(ctx, db)
-		st.PageIO = b.p.Stats().IO() - before
+		st.PageIO = b.p.IO() - before
 	}
 	if err = b.publish(epoch, nil, err); err != nil {
 		_ = b.p.DropFiles() // a crashed pager refuses; the original error wins
@@ -364,13 +364,7 @@ func (b *Base[V]) Execute(ctx context.Context, q core.QueryID, p core.Params) (c
 	if err != nil {
 		return core.Result{}, err
 	}
-	before := b.p.Stats().IO()
-	res, err := v.Exec(ctx, c.ph, p)
-	if err != nil {
-		return core.Result{}, err
-	}
-	res.PageIO = b.p.Stats().IO() - before
-	return res, nil
+	return v.Exec(ctx, c.ph, p)
 }
 
 // Explain implements core.Explainer: the tree Execute would run for q

@@ -58,6 +58,14 @@ func items(t *testing.T, e *Engine, q core.QueryID, p core.Params) []string {
 	return res.Items
 }
 
+// pagesOf runs q on e and returns the page I/O it took.
+func pagesOf(t *testing.T, e *Engine, q core.QueryID, p core.Params) int64 {
+	t.Helper()
+	io := e.PageIO()
+	items(t, e, q, p)
+	return e.PageIO() - io
+}
+
 // execOn runs q against v itself, planned over its statistics: how a
 // reader still pinned at v answers after later commits.
 func execOn(t *testing.T, v *view, q core.QueryID, p core.Params) []string {
@@ -186,17 +194,10 @@ func TestOpenedRecordsLiveWithTheView(t *testing.T) {
 			if v := published(t, warm); memoLen(v) != 0 || v.memo.bytes != 0 {
 				t.Fatalf("ColdReset left %d records, %d bytes", memoLen(v), v.memo.bytes)
 			}
-			got, err := warm.Execute(context.Background(), q, params)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := pagesOf(t, warm, q, params)
 			fresh.ColdReset()
-			want, err := fresh.Execute(context.Background(), q, params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.PageIO != want.PageIO {
-				t.Fatalf("cold %s after ColdReset reads %d pages, a freshly loaded engine %d", q, got.PageIO, want.PageIO)
+			if want := pagesOf(t, fresh, q, params); got != want {
+				t.Fatalf("cold %s after ColdReset reads %d pages, a freshly loaded engine %d", q, got, want)
 			}
 		}
 	})

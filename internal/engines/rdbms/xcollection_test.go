@@ -198,7 +198,7 @@ func TestLoadCommitsEachDocument(t *testing.T) {
 		if !errors.Is(err, context.Canceled) || st.Documents != n {
 			t.Fatalf("load stopped after %d documents: %d loaded, %v", n, st.Documents, err)
 		}
-		writes := p.Stats().Writes
+		writes := p.Metrics().Counter("pager.write").Value()
 		if writes <= last {
 			t.Fatalf("document %d was shredded without a page written: %d writes, %d after the one before", n, writes, last)
 		}
@@ -206,7 +206,7 @@ func TestLoadCommitsEachDocument(t *testing.T) {
 		if err := p.SyncAll(); err != nil {
 			t.Fatal(err)
 		}
-		if extra := p.Stats().Writes - writes; extra != 0 {
+		if extra := p.Metrics().Counter("pager.write").Value() - writes; extra != 0 {
 			t.Fatalf("%d documents loaded, %d dirty pages left behind", n, extra)
 		}
 		p.Close()

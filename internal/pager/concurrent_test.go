@@ -52,13 +52,12 @@ func TestConcurrentReads(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	st := p.Stats()
-	if st.Hits == 0 || st.Reads == 0 {
-		t.Fatalf("stats did not accumulate under concurrency: %+v", st)
+	if hits, reads := count(p, "pager.hit"), count(p, "pager.read"); hits == 0 || reads == 0 {
+		t.Fatalf("counters did not accumulate under concurrency: %d hits, %d reads", hits, reads)
 	}
 }
 
-// TestConcurrentColdResetAndStats: ColdReset, Stats and NumPages race
+// TestConcurrentColdResetAndStats: ColdReset, IO and NumPages race
 // against readers without corrupting answers — the ColdReset/PageIO
 // concurrency contract at the pager layer.
 func TestConcurrentColdResetAndStats(t *testing.T) {
@@ -90,7 +89,7 @@ func TestConcurrentColdResetAndStats(t *testing.T) {
 			case 0:
 				p.ColdReset()
 			case 1:
-				_ = p.Stats()
+				_ = p.IO()
 			case 2:
 				if n := p.NumPages(fid); n != pages {
 					panic(fmt.Sprintf("NumPages = %d", n))

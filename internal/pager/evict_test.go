@@ -60,28 +60,28 @@ func TestScanResistance(t *testing.T) {
 	}
 
 	// Every hot page must still be resident.
-	p.ResetStats()
+	mark := p.Metrics().Snapshot()
 	for i := 0; i < hotN; i++ {
 		if _, err := p.Read(hot, uint32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := p.Stats()
-	if s.Reads != 0 || s.Hits != int64(hotN) {
+	s := p.Metrics().Snapshot().Delta(mark)
+	if s.Get("pager.read") != 0 || s.Get("pager.hit") != int64(hotN) {
 		t.Fatalf("hot set evicted by scan: re-reads reads=%d hits=%d (want 0/%d)",
-			s.Reads, s.Hits, hotN)
+			s.Get("pager.read"), s.Get("pager.hit"), hotN)
 	}
 }
 
 // TestReadaheadTurnsScanMissesIntoHits checks that a detected sequential
 // stream prefetches ahead of the demand reads: most of the scan's reads
-// are served by prefetched frames, and the stats/metrics agree.
+// are served by prefetched frames, and the counters agree.
 func TestReadaheadTurnsScanMissesIntoHits(t *testing.T) {
 	const pages = 256
 	p := New(64)
 	f := buildFile(t, p, "seq", pages)
 	p.ColdReset()
-	p.ResetStats()
+	mark := p.Metrics().Snapshot()
 
 	for i := 0; i < pages; i++ {
 		got, err := p.Read(f, uint32(i))
@@ -93,22 +93,23 @@ func TestReadaheadTurnsScanMissesIntoHits(t *testing.T) {
 		}
 	}
 
-	s := p.Stats()
-	if s.Prefetched == 0 {
+	s := p.Metrics().Snapshot().Delta(mark)
+	reads, hits, prefetched := s.Get("pager.read"), s.Get("pager.hit"), s.Get("pager.readahead.issued")
+	if prefetched == 0 {
 		t.Fatal("sequential scan issued no readahead")
 	}
-	if s.PrefetchHits == 0 {
+	if s.Get("pager.readahead.hit") == 0 {
 		t.Fatal("no demand read was served by a prefetched frame")
 	}
 	// Demand misses + hits must cover the whole scan; with readahead the
 	// large majority of demand reads should be hits.
-	if s.Hits < pages/2 {
+	if hits < pages/2 {
 		t.Fatalf("readahead ineffective: hits=%d of %d pages (reads=%d prefetched=%d)",
-			s.Hits, pages, s.Reads, s.Prefetched)
+			hits, pages, reads, prefetched)
 	}
 	// Every page is still read from disk exactly once (no duplicated I/O).
-	if s.Reads != pages {
-		t.Fatalf("scan cost %d disk reads for %d pages", s.Reads, pages)
+	if reads != pages {
+		t.Fatalf("scan cost %d disk reads for %d pages", reads, pages)
 	}
 }
 
@@ -119,14 +120,14 @@ func TestReadaheadDisabledForTinyPools(t *testing.T) {
 	p := New(4) // readaheadWindow: min(8, 4/4=1) -> disabled
 	f := buildFile(t, p, "seq", 32)
 	p.ColdReset()
-	p.ResetStats()
+	mark := p.Metrics().Snapshot()
 	for i := 0; i < 32; i++ {
 		if _, err := p.Read(f, uint32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s := p.Stats(); s.Prefetched != 0 {
-		t.Fatalf("tiny pool prefetched %d pages", s.Prefetched)
+	if n := p.Metrics().Snapshot().Delta(mark).Get("pager.readahead.issued"); n != 0 {
+		t.Fatalf("tiny pool prefetched %d pages", n)
 	}
 }
 
@@ -141,7 +142,7 @@ func TestStreamResetOnRandomAccess(t *testing.T) {
 		p.Read(f, uint32(i))
 	}
 	p.Read(f, 100) // jump: streak broken
-	p.ResetStats()
+
 	for i := 40; i < 44; i++ { // too short to re-trigger prefetch until threshold
 		p.Read(f, uint32(i))
 	}
@@ -157,7 +158,7 @@ func TestStreamResetOnRandomAccess(t *testing.T) {
 }
 
 // TestEvictionMetrics: the pager.evict.* / pager.readahead.* counters
-// must fire alongside the Stats fields.
+// must fire in the registry SetMetrics bound.
 func TestEvictionMetrics(t *testing.T) {
 	p := New(32)
 	reg := metrics.NewRegistry()

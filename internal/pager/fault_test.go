@@ -41,8 +41,7 @@ func faultTrace(seed uint64) string {
 	for i := 0; i < 8; i++ {
 		p.Read(f, uint32(i))
 	}
-	s := p.Stats()
-	return fmt.Sprintf("faults=%d retries=%d ops=%d", s.ReadFaults, s.ReadRetries, p.OpCount())
+	return fmt.Sprintf("faults=%d retries=%d ops=%d", count(p, "pager.read.fault"), count(p, "pager.read.retry"), p.OpCount())
 }
 
 func TestFaultDeterminism(t *testing.T) {
@@ -76,12 +75,12 @@ func TestTransientReadRetry(t *testing.T) {
 			}
 		}
 	}
-	s := p.Stats()
-	if s.ReadFaults == 0 {
+	faults, retries := count(p, "pager.read.fault"), count(p, "pager.read.retry")
+	if faults == 0 {
 		t.Fatal("no transient faults injected at rate 0.2 over 80 cold reads")
 	}
-	if s.ReadRetries != s.ReadFaults {
-		t.Fatalf("retries=%d faults=%d: every transient fault should be retried", s.ReadRetries, s.ReadFaults)
+	if retries != faults {
+		t.Fatalf("retries=%d faults=%d: every transient fault should be retried", retries, faults)
 	}
 }
 
@@ -97,8 +96,8 @@ func TestReadFaultExhaustionIsFatal(t *testing.T) {
 	if IsTransient(err) {
 		t.Fatal("exhausted read fault must not be transient")
 	}
-	if s := p.Stats(); s.ReadRetries != MaxReadAttempts-1 {
-		t.Fatalf("retries = %d, want %d", s.ReadRetries, MaxReadAttempts-1)
+	if n := count(p, "pager.read.retry"); n != MaxReadAttempts-1 {
+		t.Fatalf("retries = %d, want %d", n, MaxReadAttempts-1)
 	}
 }
 

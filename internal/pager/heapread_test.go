@@ -264,7 +264,7 @@ func TestHeapReadCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.ColdReset()
-	p.ResetStats()
+	mark := p.Metrics().Snapshot()
 	ctx, cancel := context.WithCancel(context.Background())
 	delivered := 0
 	err := h.Live().Scan(ctx, func(rid RID, rec []byte) bool {
@@ -278,8 +278,9 @@ func TestHeapReadCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || delivered == 0 {
 		t.Fatalf("cancelled scan delivered %d records and returned %v", delivered, err)
 	}
-	if s := p.Stats(); s.Hits+s.Reads-s.Prefetched != 1 {
-		t.Fatalf("cancelled scan asked the pool for %d pages, want 1", s.Hits+s.Reads-s.Prefetched)
+	s := p.Metrics().Snapshot().Delta(mark)
+	if asked := s.Get("pager.hit") + s.Get("pager.read") - s.Get("pager.readahead.issued"); asked != 1 {
+		t.Fatalf("cancelled scan asked the pool for %d pages, want 1", asked)
 	}
 	if _, err := h.Live().Get(ctx, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Get under a cancelled context = %v", err)

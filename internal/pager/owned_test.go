@@ -143,11 +143,17 @@ func TestWriterPatchesOnlyItsOwnBuffers(t *testing.T) {
 	t.Run("a sync crashes where a full frame scan would", func(t *testing.T) {
 		// build leaves a pool of 8 frames in a load's middle: some frames
 		// dirty, some clean, some dirtied and since evicted or synced by
-		// file, pages of three files in no frame order.
+		// file, pages of three files in no frame order. It counts the
+		// writes that found their page dirty in the pool (appended or
+		// written in the bracket, not written back since), and those of
+		// them that patched that frame's buffer, as a load's writes do.
+		var dirtied, patched int
 		build := func() *Pager {
 			p := New(8)
 			p.SetFaultPolicy(FaultPolicy{Seed: 1}) // start the disk-op clock
 			p.BlockPins()
+			p.BeginMutation()
+			dirtied, patched = 0, 0
 			var fids []FileID
 			for _, name := range []string{"a", "b", "c"} {
 				fids = append(fids, p.Create(name))
@@ -163,7 +169,17 @@ func TestWriterPatchesOnlyItsOwnBuffers(t *testing.T) {
 					_, err := p.Read(f, no)
 					must(err)
 				} else {
+					var buf []byte
+					if fr, ok := p.table[pageKey{f, no}]; ok && p.frames[fr].dirty {
+						buf = p.frames[fr].data
+					}
 					must(p.Write(f, no, 0, page(byte(i))))
+					if buf != nil {
+						dirtied++
+						if sameBuffer(p.frames[p.table[pageKey{f, no}]].data, buf) {
+							patched++
+						}
+					}
 				}
 				if i%9 == 8 {
 					must(p.Sync(fids[i%3]))
@@ -183,6 +199,9 @@ func TestWriterPatchesOnlyItsOwnBuffers(t *testing.T) {
 			return keys
 		}
 		built := build()
+		if dirtied == 0 || patched != dirtied {
+			t.Fatalf("%d of %d writes to dirty pages patched their frame's buffer, want all of at least one", patched, dirtied)
+		}
 		all := dirty(built)
 		stale := 0 // frames a sync will visit that are clean
 		for i := range built.frames {

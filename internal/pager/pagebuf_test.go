@@ -31,7 +31,7 @@ func TestOneBufferPerPageVersion(t *testing.T) {
 		p := New(16) // readahead window 4
 		f := buildFile(t, p, "f", pages)
 		p.ColdReset()
-		p.ResetStats()
+		mark := p.Metrics().Snapshot()
 		for no := uint32(0); no < pages; no++ {
 			pg, err := p.Read(f, no)
 			if err != nil {
@@ -41,8 +41,9 @@ func TestOneBufferPerPageVersion(t *testing.T) {
 				t.Fatalf("cold read of page %d returned a copy of its disk image", no)
 			}
 		}
-		if s := p.Stats(); s.Prefetched == 0 || s.PrefetchHits == 0 {
-			t.Fatalf("the scan prefetched %d pages, %d of them hit: readahead was not exercised", s.Prefetched, s.PrefetchHits)
+		s := p.Metrics().Snapshot().Delta(mark)
+		if prefetched, hits := s.Get("pager.readahead.issued"), s.Get("pager.readahead.hit"); prefetched == 0 || hits == 0 {
+			t.Fatalf("the scan prefetched %d pages, %d of them hit: readahead was not exercised", prefetched, hits)
 		}
 		// What a cold pass allocates does not grow with the pages it reads
 		// from disk, sequentially (misses and prefetches) or not (misses).

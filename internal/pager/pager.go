@@ -21,8 +21,8 @@
 // the overwhelmingly common case for warm multi-client workloads — take
 // the latch shared, so concurrent readers proceed in parallel; misses,
 // writes, syncs and ColdReset take it exclusive. I/O events are counted
-// once, in the counters of the pager's metrics registry: Stats (and the
-// engines' PageIO) is a read of seven of them, and a pool hit costs one
+// once, in the counters of the pager's metrics registry: IO (the
+// engines' PageIO) is a read of two of them, and a pool hit costs one
 // atomic add. The CLOCK reference bit is set atomically under the shared
 // latch; all other frame state changes happen under the exclusive latch.
 //
@@ -84,28 +84,6 @@ const PageSize = 8192
 // FileID identifies a paged file within a Pager.
 type FileID uint32
 
-// Stats accumulates simulated I/O counters.
-type Stats struct {
-	// Reads counts page reads that missed the buffer pool (disk reads).
-	Reads int64
-	// Writes counts page writes to disk (eviction, sync, cold flush).
-	Writes int64
-	// Hits counts page reads served from the buffer pool.
-	Hits int64
-	// ReadFaults counts injected transient read faults (fault.go).
-	ReadFaults int64
-	// ReadRetries counts retry attempts made after transient read faults.
-	ReadRetries int64
-	// Prefetched counts pages read ahead of demand by sequential-stream
-	// readahead. They are disk reads (already included in Reads).
-	Prefetched int64
-	// PrefetchHits counts demand reads served by a prefetched frame.
-	PrefetchHits int64
-}
-
-// IO returns total disk operations (reads + writes).
-func (s Stats) IO() int64 { return s.Reads + s.Writes }
-
 // Pager owns a set of simulated files and a shared buffer pool.
 // It is safe for concurrent use: reads that hit the pool share the
 // latch; everything that changes pool structure is exclusive.
@@ -139,7 +117,7 @@ type Pager struct {
 	onCold []func()
 
 	// reg holds the pager's event counters, each event counted exactly
-	// once: Stats reads the seven it reports from here. The cached pointers
+	// once: IO reads two of them from here. The cached pointers
 	// keep the hot paths at one atomic add per event. New binds a registry
 	// of the pager's own; SetMetrics rebinds to the caller's.
 	reg         *metrics.Registry
@@ -264,9 +242,9 @@ const seqThreshold = 3
 
 // SetMetrics replaces the registry New bound: every subsequent disk read,
 // write, pool hit, eviction and fault retry is counted under
-// "pager.*" names in reg, and Stats reads them there — call it before
-// the pager does I/O, or Stats restarts from reg's values. Pagers that
-// share one registry share those counters, so each one's Stats is the
+// "pager.*" names in reg, and IO reads them there — call it before
+// the pager does I/O, or IO restarts from reg's values. Pagers that
+// share one registry share those counters, so each one's IO is the
 // total. Layers above the pager (btree, relational, the engines) reach
 // the same registry via Metrics.
 func (p *Pager) SetMetrics(reg *metrics.Registry) {
@@ -891,31 +869,12 @@ func (p *Pager) clearPool() {
 // before the drop. Register before the pager is shared; fn must not pin.
 func (p *Pager) OnColdReset(fn func()) { p.onCold = append(p.onCold, fn) }
 
-// Stats returns the accumulated I/O counters. It takes the latch shared
+// IO returns the disk operations counted so far, pager.read plus
+// pager.write: what an engine's PageIO reports. It takes the latch shared
 // only to see which counters are bound, and is safe to call concurrently
-// with queries; the fields are read individually, so a snapshot taken
-// mid-operation may be skewed by the op in flight.
-func (p *Pager) Stats() Stats {
+// with queries, whose I/O it then includes.
+func (p *Pager) IO() int64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return Stats{
-		Reads:        p.cRead.Value(),
-		Writes:       p.cWrite.Value(),
-		Hits:         p.cHit.Value(),
-		ReadFaults:   p.cReadFault.Value(),
-		ReadRetries:  p.cReadRetry.Value(),
-		Prefetched:   p.cRAIssued.Value(),
-		PrefetchHits: p.cRAHit.Value(),
-	}
-}
-
-// ResetStats zeroes the counters Stats reports (e.g. between benchmark
-// phases).
-func (p *Pager) ResetStats() {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	for _, c := range []*metrics.Counter{p.cRead, p.cWrite, p.cHit, p.cReadFault, p.cReadRetry,
-		p.cRAIssued, p.cRAHit} {
-		c.Set(0)
-	}
+	return p.cRead.Value() + p.cWrite.Value()
 }

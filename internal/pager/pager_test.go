@@ -59,22 +59,22 @@ func TestBufferPoolHitsAndEviction(t *testing.T) {
 		p.Write(f, no, 0, []byte{byte(i)})
 	}
 	p.ColdReset()
-	p.ResetStats()
+	mark := p.Metrics().Snapshot()
 
 	p.Read(f, 0) // miss
 	p.Read(f, 0) // hit
-	s := p.Stats()
-	if s.Reads != 1 || s.Hits != 1 {
-		t.Fatalf("reads=%d hits=%d", s.Reads, s.Hits)
+	s := p.Metrics().Snapshot().Delta(mark)
+	if s.Get("pager.read") != 1 || s.Get("pager.hit") != 1 {
+		t.Fatalf("reads=%d hits=%d", s.Get("pager.read"), s.Get("pager.hit"))
 	}
 	// Touch enough pages to evict page 0 from the 2-frame pool.
 	p.Read(f, 1)
 	p.Read(f, 2)
 	p.Read(f, 3)
-	p.ResetStats()
+	mark = p.Metrics().Snapshot()
 	p.Read(f, 0)
-	if got := p.Stats(); got.Reads != 1 {
-		t.Fatalf("page 0 should have been evicted; reads=%d hits=%d", got.Reads, got.Hits)
+	if got := p.Metrics().Snapshot().Delta(mark); got.Get("pager.read") != 1 {
+		t.Fatalf("page 0 should have been evicted; reads=%d hits=%d", got.Get("pager.read"), got.Get("pager.hit"))
 	}
 }
 
@@ -84,16 +84,16 @@ func TestColdResetForcesMisses(t *testing.T) {
 	no, _ := p.Append(f)
 	p.Write(f, no, 0, []byte("hello"))
 	p.Read(f, no)
-	p.ResetStats()
+	mark := p.Metrics().Snapshot()
 	p.Read(f, no) // warm: hit
-	if s := p.Stats(); s.Hits != 1 || s.Reads != 0 {
-		t.Fatalf("warm read: %+v", s)
+	if s := p.Metrics().Snapshot().Delta(mark); s.Get("pager.hit") != 1 || s.Get("pager.read") != 0 {
+		t.Fatalf("warm read: %v", s.Counters)
 	}
 	p.ColdReset()
-	p.ResetStats()
+	mark = p.Metrics().Snapshot()
 	got, _ := p.Read(f, no) // cold: miss
-	if s := p.Stats(); s.Reads != 1 || s.Hits != 0 {
-		t.Fatalf("cold read: %+v", s)
+	if s := p.Metrics().Snapshot().Delta(mark); s.Get("pager.read") != 1 || s.Get("pager.hit") != 0 {
+		t.Fatalf("cold read: %v", s.Counters)
 	}
 	if string(got[:5]) != "hello" {
 		t.Fatal("data lost across ColdReset")
@@ -119,8 +119,8 @@ func TestDropFiles(t *testing.T) {
 	if n := p.OpenFiles(); n != 0 {
 		t.Fatalf("%d files after DropFiles", n)
 	}
-	if s := p.Stats(); s.Writes != 0 {
-		t.Fatalf("DropFiles wrote back %d pages", s.Writes)
+	if n := count(p, "pager.write"); n != 0 {
+		t.Fatalf("DropFiles wrote back %d pages", n)
 	}
 	if _, err := p.Read(a, 0); err == nil {
 		t.Fatal("a page of a dropped file was served from the pool")
@@ -133,8 +133,8 @@ func TestDropFiles(t *testing.T) {
 	if err := p.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
-	if s := p.Stats(); s.Writes != 0 {
-		t.Fatalf("a sync after DropFiles wrote back %d pages of dropped files", s.Writes)
+	if n := count(p, "pager.write"); n != 0 {
+		t.Fatalf("a sync after DropFiles wrote back %d pages of dropped files", n)
 	}
 }
 
@@ -242,10 +242,28 @@ func TestHeapProperty(t *testing.T) {
 	}
 }
 
-func TestStatsIO(t *testing.T) {
-	s := Stats{Reads: 3, Writes: 4, Hits: 9}
-	if s.IO() != 7 {
-		t.Fatalf("IO = %d", s.IO())
+// count reads p's counter name ("pager.read", "pager.hit", ...) from its
+// registry.
+func count(p *Pager, name string) int64 { return p.Metrics().Counter(name).Value() }
+
+// TestIOCountsReadsAndWrites: IO, what an engine's PageIO reports, is
+// pager.read plus pager.write, and a pool hit adds nothing to it.
+func TestIOCountsReadsAndWrites(t *testing.T) {
+	p := New(2)
+	f := p.Create("t")
+	for i := 0; i < 4; i++ {
+		no, _ := p.Append(f)
+		p.Write(f, no, 0, []byte{byte(i)})
+	}
+	p.ColdReset()
+	p.Read(f, 0)
+	p.Read(f, 0)
+	reads, writes := count(p, "pager.read"), count(p, "pager.write")
+	if reads == 0 || writes == 0 || count(p, "pager.hit") == 0 {
+		t.Fatalf("setup: %d reads, %d writes, %d hits; want each above 0", reads, writes, count(p, "pager.hit"))
+	}
+	if got := p.IO(); got != reads+writes {
+		t.Fatalf("IO = %d, want %d reads + %d writes", got, reads, writes)
 	}
 }
 

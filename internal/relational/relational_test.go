@@ -263,13 +263,14 @@ func TestFlushThenColdScan(t *testing.T) {
 		tb.Insert(Row{fmt.Sprintf("row%d", i)}.Rec())
 	}
 	p.ColdReset()
-	p.ResetStats()
+	reads := p.Metrics().Counter("pager.read")
+	before := reads.Value()
 	n := 0
 	tb.Live().Scan(context.Background(), func(Rec) bool { n++; return true })
 	if n != 1000 {
 		t.Fatalf("cold scan saw %d rows", n)
 	}
-	if s := p.Stats(); s.Reads == 0 {
+	if reads.Value() == before {
 		t.Fatal("cold scan did no disk reads")
 	}
 }

@@ -302,7 +302,6 @@ func (r *Router) scatter(ctx context.Context, q core.QueryID, p core.Params) (co
 	var out core.Result
 	for i := range res {
 		out.Items = append(out.Items, res[i].Items...)
-		out.PageIO += res[i].PageIO
 		out.MixedContentLost = out.MixedContentLost || res[i].MixedContentLost
 	}
 	// A union over more than one shard interleaves per-shard sequences,

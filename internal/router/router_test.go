@@ -59,7 +59,7 @@ func (s *stubEngine) Execute(_ context.Context, q core.QueryID, p core.Params) (
 		// doc($DOC) semantics, like the real engines: only the owner can
 		// answer; everyone else hard-errors. A scatter would fail fail-fast.
 		if doc, ok := s.docs[p.Get("DOC")]; ok {
-			return core.Result{Items: []string{string(doc)}, OrderGuaranteed: true, PageIO: 1}, nil
+			return core.Result{Items: []string{string(doc)}, OrderGuaranteed: true}, nil
 		}
 		return core.Result{}, fmt.Errorf("stub: document %q not found", p.Get("DOC"))
 	case q == core.Q1:
@@ -67,7 +67,7 @@ func (s *stubEngine) Execute(_ context.Context, q core.QueryID, p core.Params) (
 		if len(x) > 2 && (strings.HasPrefix(x, "OU") || strings.HasPrefix(x, "aU")) {
 			for _, name := range []string{"order-update-" + x[2:] + ".xml", "article-update-" + x[2:] + ".xml"} {
 				if doc, ok := s.docs[name]; ok {
-					return core.Result{Items: []string{string(doc)}, OrderGuaranteed: true, PageIO: 1}, nil
+					return core.Result{Items: []string{string(doc)}, OrderGuaranteed: true}, nil
 				}
 			}
 			return core.Result{}, nil
@@ -79,7 +79,7 @@ func (s *stubEngine) Execute(_ context.Context, q core.QueryID, p core.Params) (
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	return core.Result{Items: names, OrderGuaranteed: true, PageIO: int64(len(names))}, nil
+	return core.Result{Items: names, OrderGuaranteed: true}, nil
 }
 
 // Apply runs the update's durable step before it changes the map, as an

@@ -97,7 +97,7 @@ func (s *stubEngine) Execute(ctx context.Context, q core.QueryID, p core.Params)
 		}
 		return core.Result{}, nil
 	}
-	return core.Result{Items: []string{q.String()}, OrderGuaranteed: true, PageIO: 3}, nil
+	return core.Result{Items: []string{q.String()}, OrderGuaranteed: true}, nil
 }
 
 // Apply runs the update's durable step before it changes the map, as an
@@ -204,7 +204,7 @@ func TestRemoteEngineEndToEnd(t *testing.T) {
 		t.Fatalf("Execute: %v", err)
 	}
 	want, _ := eng.Execute(ctx, core.Q5, core.Params{"X": "O1"})
-	if len(res.Items) != 1 || res.Items[0] != want.Items[0] || !res.OrderGuaranteed || res.PageIO != want.PageIO {
+	if len(res.Items) != 1 || res.Items[0] != want.Items[0] || !res.OrderGuaranteed {
 		t.Fatalf("remote result %+v diverges from local %+v", res, want)
 	}
 

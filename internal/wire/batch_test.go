@@ -74,7 +74,7 @@ func TestAppendEncodersMatchEncode(t *testing.T) {
 	if got := AppendUpdate([]byte("pfx"), time.Second); string(got[:3]) != "pfx" || !bytes.Equal(got[3:], AppendUpdate(nil, time.Second)) {
 		t.Fatal("AppendUpdate after a prefix diverges from AppendUpdate(nil, ...)")
 	}
-	res := core.Result{Items: []string{"x", "y"}, OrderGuaranteed: true, PageIO: 12}
+	res := core.Result{Items: []string{"x", "y"}, OrderGuaranteed: true}
 	if got := AppendResult([]byte("pfx"), res); string(got[:3]) != "pfx" || !bytes.Equal(got[3:], AppendResult(nil, res)) {
 		t.Fatal("AppendResult after a prefix diverges from AppendResult(nil, ...)")
 	}

@@ -182,7 +182,6 @@ func AppendResult(dst []byte, r core.Result) []byte {
 	}
 	e.bool(r.OrderGuaranteed)
 	e.bool(r.MixedContentLost)
-	e.varint(r.PageIO)
 	return e.b
 }
 
@@ -206,9 +205,6 @@ func DecodeResult(b []byte) (core.Result, error) {
 		return r, err
 	}
 	if r.MixedContentLost, err = d.bool(); err != nil {
-		return r, err
-	}
-	if r.PageIO, err = d.varint(); err != nil {
 		return r, err
 	}
 	return r, d.end()

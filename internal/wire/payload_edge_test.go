@@ -31,11 +31,11 @@ func TestFrameCapRejectedBeforeAllocation(t *testing.T) {
 	}
 }
 
-// TestDecodeResultRefusesMalformedTail: PageIO is the last field of a
-// result payload, so any byte after it is refused, as DecodePlanNode
-// refuses trailing bytes.
+// TestDecodeResultRefusesMalformedTail: MixedContentLost is the last
+// field of a result payload, so any byte after it is refused, as
+// DecodePlanNode refuses trailing bytes.
 func TestDecodeResultRefusesMalformedTail(t *testing.T) {
-	base := AppendResult(nil, core.Result{Items: []string{"<a/>"}, PageIO: 7})
+	base := AppendResult(nil, core.Result{Items: []string{"<a/>"}})
 	if _, err := DecodeResult(base); err != nil {
 		t.Fatalf("untailed result: %v", err)
 	}
@@ -60,7 +60,7 @@ func TestDecodersRefuseTrailingBytes(t *testing.T) {
 	}{
 		{"QueryRequest", AppendQueryRequest(nil, QueryRequest{Query: core.Q1, Params: core.Params{"X": "O1"}, Timeout: time.Second}),
 			func(b []byte) error { _, err := DecodeQueryRequest(b); return err }},
-		{"Result", AppendResult(nil, core.Result{Items: []string{"<a/>"}, PageIO: 7}),
+		{"Result", AppendResult(nil, core.Result{Items: []string{"<a/>"}}),
 			func(b []byte) error { _, err := DecodeResult(b); return err }},
 		{"ClassSize", EncodeClassSize(core.TCMD, core.Normal),
 			func(b []byte) error { _, _, err := DecodeClassSize(b); return err }},

@@ -10,7 +10,7 @@
 //
 //	offset size field
 //	0      2    magic 0x5842 ("XB")
-//	2      1    protocol version (5; readers accept nothing else)
+//	2      1    protocol version (6; readers accept nothing else)
 //	3      1    request: op kind / response: status code
 //	4      8    request id (echoed verbatim in the response)
 //	12     4    payload length
@@ -47,9 +47,10 @@ const Magic uint16 = 0x5842
 // its own bytes, addressed by byte offset (OpJournal); version 4 has no
 // load or index-build op, so the op codes after OpQuery moved down;
 // version 5 sends every update as one OpUpdate carrying a journal record,
-// so OpExplain and OpJournal moved down two. A reader accepts this
+// so OpExplain and OpJournal moved down two; version 6 drops the page-I/O
+// count from the query result (OpPageIO reads it). A reader accepts this
 // version alone: every peer is built from this tree.
-const Version byte = 5
+const Version byte = 6
 
 // MaxPayload bounds a frame payload (64 MiB). A length field above it
 // fails with ErrTooLarge before any allocation, so a corrupt or hostile

@@ -102,7 +102,6 @@ func TestResultRoundTrip(t *testing.T) {
 		Items:            []string{"<a>1</a>", "", "<b attr=\"x\">два</b>"},
 		OrderGuaranteed:  true,
 		MixedContentLost: false,
-		PageIO:           12345,
 	}
 	out, err := DecodeResult(AppendResult(nil, in))
 	if err != nil {
@@ -114,17 +113,16 @@ func TestResultRoundTrip(t *testing.T) {
 }
 
 // TestResultEncodingPinned pins a result's one layout byte for byte:
-// the item count, each item length-prefixed, the two flags, PageIO as a
-// zigzag varint, and nothing after it.
+// the item count, each item length-prefixed, the two flags, and nothing
+// after them.
 func TestResultEncodingPinned(t *testing.T) {
 	res := core.Result{
 		Items:            []string{"<a/>", `<b x="1"/>`},
 		OrderGuaranteed:  true,
 		MixedContentLost: true,
-		PageIO:           300,
 	}
 	want, _ := hex.DecodeString("02" + "04" + hex.EncodeToString([]byte("<a/>")) +
-		"0a" + hex.EncodeToString([]byte(`<b x="1"/>`)) + "01" + "01" + "d804")
+		"0a" + hex.EncodeToString([]byte(`<b x="1"/>`)) + "01" + "01")
 	got := AppendResult(nil, res)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("AppendResult(nil, ...) = %x, want %x", got, want)
@@ -154,7 +152,7 @@ func TestUpdateAndCounterRoundTrip(t *testing.T) {
 }
 
 func TestTruncatedPayloadsFailTyped(t *testing.T) {
-	full := AppendResult(nil, core.Result{Items: []string{"<a/>", "<b/>"}, PageIO: 300})
+	full := AppendResult(nil, core.Result{Items: []string{"<a/>", "<b/>"}})
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := DecodeResult(full[:cut]); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("cut at %d: %v, want ErrTruncated", cut, err)

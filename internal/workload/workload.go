@@ -76,6 +76,11 @@ type Measurement struct {
 	Elapsed time.Duration
 	Result  core.Result
 	Err     error
+	// PageIO is the run's page I/O: the engine's PageIO after the run
+	// less before it, both read outside the timed window. I/O another
+	// stream does on the engine meanwhile counts too, so the figure is the
+	// run's own only when it runs alone, as every caller here does.
+	PageIO int64
 	// Cold reports whether the engine's caches were dropped before the run.
 	Cold bool
 	// Breakdown attributes the run: pager I/O, cache hits, btree visits,
@@ -93,14 +98,16 @@ type MetricsProvider interface {
 	Metrics() *metrics.Registry
 }
 
-// run executes one query, snapshotting the engine's metrics registry (if
-// any) around the Execute call so the Measurement carries a per-run
-// counter and phase breakdown.
+// run executes one query, reading the engine's page I/O and snapshotting
+// its metrics registry (if any) around the Execute call so the
+// Measurement carries the run's page I/O and a per-run counter and phase
+// breakdown.
 func run(ctx context.Context, e core.Engine, class core.Class, q core.QueryID, cold bool) Measurement {
 	m := Measurement{Engine: e.Name(), Class: class, Query: q, Cold: cold}
 	if cold {
 		e.ColdReset()
 	}
+	io := e.PageIO()
 	var reg *metrics.Registry
 	var before metrics.Snapshot
 	if mp, ok := e.(MetricsProvider); ok {
@@ -113,6 +120,7 @@ func run(ctx context.Context, e core.Engine, class core.Class, q core.QueryID, c
 	if reg != nil {
 		m.Breakdown = reg.Snapshot().Delta(before)
 	}
+	m.PageIO = e.PageIO() - io
 	m.Result = res
 	m.Err = err
 	return m

@@ -244,12 +244,14 @@ func TestIndexSpeedsUpNative(t *testing.T) {
 	if err := Check(Exact, a.Result, b.Result); err != nil {
 		t.Fatalf("indexed and scan answers differ: %v", err)
 	}
-	if a.Result.PageIO >= b.Result.PageIO {
-		t.Errorf("index did not reduce page I/O: indexed=%d scan=%d",
-			a.Result.PageIO, b.Result.PageIO)
+	if a.PageIO >= b.PageIO {
+		t.Errorf("index did not reduce page I/O: indexed=%d scan=%d", a.PageIO, b.PageIO)
 	}
 }
 
+// TestColdRunCostsIO: a cold run reads pages, and in process its PageIO
+// is the pager counters' own difference across the run, the breakdown's
+// pager.read plus pager.write.
 func TestColdRunCostsIO(t *testing.T) {
 	db := tinyDB(t, core.TCMD)
 	e := native.New(0)
@@ -260,8 +262,11 @@ func TestColdRunCostsIO(t *testing.T) {
 	if m.Err != nil {
 		t.Fatal(m.Err)
 	}
-	if m.Result.PageIO == 0 {
+	if m.PageIO == 0 {
 		t.Fatal("cold run performed no page I/O")
+	}
+	if pager := m.Breakdown.PagerIO(); m.PageIO != pager {
+		t.Fatalf("cold run PageIO %d, the pager counters %d", m.PageIO, pager)
 	}
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Serving-layer smoke test: start `xbench serve --journal` on a loopback
-# port, run a two-client remote throughput sweep and a remote update
-# report against the database the server loaded, then kill -9 the server mid-life, restart it on the
+# port, run a two-client remote throughput sweep, a remote cold query
+# (its page I/O must be above 0) and a remote update report against the
+# database the server loaded, then kill -9 the server mid-life, restart it on the
 # same port from the journal (the banner must report replayed updates),
 # run another remote sweep, and finally SIGTERM and require a graceful
 # (exit 0) drain.
@@ -35,6 +36,15 @@ echo "serving on $addr"
 "$bin" throughput --remote="$addr" --class=dcmd \
     --clients=1,2 --ops=20 --format=json | grep -q '"qps"' \
     || { echo "remote sweep produced no report"; exit 1; }
+
+# A served query's page I/O is the difference of two OpPageIO reads
+# around it; a cold Q5 reads pages, so it must print pageIO above 0.
+q5=$("$bin" query --remote="$addr" --class=dcmd --q=5) \
+    || { echo "remote query failed:"; echo "$q5"; exit 1; }
+pages=$(printf '%s\n' "$q5" | sed -n 's/.* pageIO=\([0-9]*\) .*/\1/p')
+[ -n "$pages" ] && [ "$pages" -gt 0 ] \
+    || { echo "remote cold Q5 printed no page I/O above 0:"; echo "$q5"; exit 1; }
+echo "remote cold Q5: pageIO=$pages"
 
 "$bin" bench --view=updates --remote="$addr" --class=dcmd --sizes=small --repeat=2 | grep -q 'U3' \
     || { echo "remote update report produced no U3 row"; exit 1; }
