@@ -85,7 +85,7 @@ func execOn(t *testing.T, v *view, q core.QueryID, p core.Params) []string {
 // has it now.
 func docRID(t *testing.T, e *Engine, name string) pager.RID {
 	t.Helper()
-	rec, err := e.s.catalog.Live().Get(context.Background(), e.s.names[name].cat)
+	rec, err := e.s.catalog.Live().Get(context.Background(), e.s.names[name].cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -234,7 +234,7 @@ func (e *Engine) CheckMemo(ctx context.Context) error {
 		return fmt.Errorf("native: the memo is at epoch %d, the published view at %d", epoch, v.epoch)
 	}
 	for rid, rec := range recs {
-		data, err := v.docs.Get(ctx, rid)
+		data, err := v.docs.Get(ctx, rid, nil)
 		if err != nil {
 			return fmt.Errorf("native: memoized rid %d: %w", rid, err)
 		}
@@ -365,7 +365,7 @@ func (v *view) openRecord(ctx context.Context, rid pager.RID, opening *time.Dura
 		start := time.Now()
 		defer func() { *opening += time.Since(start) }()
 	}
-	data, err := v.docs.Get(ctx, rid)
+	data, err := v.docs.Get(ctx, rid, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -549,7 +549,7 @@ func tree(ph *plan.Physical) *core.PlanNode {
 			access.Detail = fmt.Sprintf("%s in [$%s..$%s]", path, ph.LoParam, ph.HiParam)
 		}
 		opens := "probed documents"
-		if ph.Def.Class == core.DCMD {
+		if opensFlat(ph) {
 			opens += ", flat documents"
 		}
 		access = &core.PlanNode{Op: "scan", Target: "catalog", Detail: opens, Children: []*core.PlanNode{access}}
@@ -560,6 +560,17 @@ func tree(ph *plan.Physical) *core.PlanNode {
 		}
 	}
 	return &core.PlanNode{Op: "evaluate", Children: []*core.PlanNode{access}}
+}
+
+// opensFlat reports whether an index plan opens the flat documents of a
+// multi-document DC database (customers, items, authors, addresses,
+// countries) beside the probed ones. A query with one source finds every
+// item it answers in a document the probe returned, since the index holds
+// every document's values. One with more joins another source the probe
+// says nothing of: Q19 reads the customer of the probed order, which lies
+// in the customers document.
+func opensFlat(ph *plan.Physical) bool {
+	return ph.Def.Class == core.DCMD && len(ph.Shape.Sources) > 1
 }
 
 // Stats implements engbase.View: document heap pages, catalog entry
@@ -678,11 +689,9 @@ func (v *view) buildCollection(ctx context.Context, ph *plan.Physical, p core.Pa
 		for _, l := range locs {
 			want[pager.RID(l)] = true
 		}
-		// Some queries join against other documents (Q19 joins orders with
-		// the flat customers document); always include the flat documents
-		// of multi-document DC databases.
+		flat := opensFlat(ph)
 		return coll, scan(func(cat, rid pager.RID, name []byte) (bool, error) {
-			if want[cat] || ph.Def.Class == core.DCMD && !bytes.HasPrefix(name, []byte("order")) {
+			if want[cat] || flat && !bytes.HasPrefix(name, []byte("order")) {
 				return true, addDoc(rid, "")
 			}
 			return true, nil

@@ -3,6 +3,7 @@ package native
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -11,10 +12,12 @@ import (
 
 	"xbench/internal/btree"
 	"xbench/internal/core"
+	"xbench/internal/engines/rdbms"
 	"xbench/internal/gen"
 	"xbench/internal/pager"
 	"xbench/internal/queries"
 	"xbench/internal/textgen"
+	"xbench/internal/workload"
 )
 
 // docCount reads the document count a query submitted now would see:
@@ -76,7 +79,7 @@ func TestExecuteSequentialScan(t *testing.T) {
 }
 
 func TestIndexSelectsSubset(t *testing.T) {
-	e, _ := loadTiny(t, core.DCMD)
+	e, db := loadTiny(t, core.DCMD)
 	if err := e.BuildIndexes(queries.Indexes(core.DCMD)); err != nil {
 		t.Fatal(err)
 	}
@@ -104,6 +107,54 @@ func TestIndexSelectsSubset(t *testing.T) {
 	}
 	if scanIO := e2.PageIO() - io; indexedIO >= scanIO {
 		t.Fatalf("index should reduce I/O: %d vs %d", indexedIO, scanIO)
+	}
+
+	// Each one-source DC/MD probe opens exactly the document its probe
+	// returned, from disk on a cold run and from the memo on a warm one;
+	// Q19, which joins the order with its customer, opens the five flat
+	// documents beside it. The answers are the relational engines'.
+	ctx := context.Background()
+	rels := []core.Engine{rdbms.New(rdbms.Xcolumn, 0, 0), rdbms.New(rdbms.Xcollection, 0, 0), rdbms.New(rdbms.SQLServer, 0, 0)}
+	for _, r := range rels {
+		if _, _, err := workload.LoadAndIndex(ctx, r, db); err != nil {
+			t.Fatalf("%s: %v", r.Name(), err)
+		}
+		defer r.Close()
+	}
+	hit, miss := e.Metrics().Counter("native.memo.hit"), e.Metrics().Counter("native.memo.miss")
+	p := core.Params{"X": "O3"}
+	for _, c := range []struct {
+		q     core.QueryID
+		opens int64
+	}{{core.Q1, 1}, {core.Q5, 1}, {core.Q8, 1}, {core.Q9, 1}, {core.Q12, 1}, {core.Q19, 6}} {
+		e.ColdReset()
+		var res core.Result
+		for _, warm := range []bool{false, true} {
+			hits, misses := hit.Value(), miss.Value()
+			var err error
+			if res, err = e.Execute(ctx, c.q, p); err != nil || len(res.Items) == 0 {
+				t.Fatalf("%s = %v, %v", c.q, res.Items, err)
+			}
+			got, want := [2]int64{hit.Value() - hits, miss.Value() - misses}, [2]int64{0, c.opens}
+			if warm {
+				want = [2]int64{c.opens, 0}
+			}
+			if got != want {
+				t.Errorf("%s (warm %v) opened %d memoized and %d stored documents, want %d and %d", c.q, warm, got[0], got[1], want[0], want[1])
+			}
+		}
+		for _, r := range rels {
+			got, err := r.Execute(ctx, c.q, p)
+			if errors.Is(err, core.ErrNoQuery) {
+				continue
+			}
+			if err == nil {
+				err = workload.Check(workload.ModeFor(core.DCMD, c.q, r.Name()), res, got)
+			}
+			if err != nil {
+				t.Errorf("%s %s: %v", r.Name(), c.q, err)
+			}
+		}
 	}
 }
 
@@ -520,7 +571,7 @@ func allocsPerRun(runs int, setup, f func()) float64 {
 }
 
 // warmQ1Allocs is what an indexed DC/MD Q1 allocates on a view that has
-// opened its records before: the catalog walk, the probe, the evaluation
+// opened its record before: the catalog walk, the probe, the evaluation
 // and the answer, and nothing per record. It was 42 while the evaluator
 // interpreted the AST, boxing each node and binding variables in a map,
 // and 48 while a catalog entry decoded for each opened document built a
@@ -528,24 +579,30 @@ func allocsPerRun(runs int, setup, f func()) float64 {
 const warmQ1Allocs = 6
 
 // coldQ1Allocs is what the same query allocates after a ColdReset, less
-// the page-crossing spans it assembles: it opens its six records again,
-// and a page it reads from disk allocates nothing. It was 65 with the
-// interpreter and 71 with the six RID slices.
-const coldQ1Allocs = 29
+// the page-crossing spans it assembles: it opens its one record, order
+// O1's, again, and a page it reads from disk allocates nothing. It was 29
+// while an index probe also opened the five flat documents, which only a
+// query with a second source (Q19) reads; 65 with the interpreter and 71
+// with the six RID slices.
+const coldQ1Allocs = 13
 
 // TestAllocationPins: an indexed DC/MD point query does not allocate per
-// node, and what it allocates does not move when the flat documents it
-// drags in grow. Warm, on one view, it opens nothing — the six records it
-// touches are the view's memo's — so its count is exactly warmQ1Allocs.
-// Cold, after a ColdReset left out of the count, it opens each record and
-// allocates a few objects per record, exactly coldQ1Allocs once the one
-// thing that depends on where the records lie is taken out: one buffer
-// per span HeapView.Get assembles — Get returns an in-page span of a
-// record (its length prefix, its body) where it lies and copies one that
-// crosses a page boundary, so the crossing spans among the six records,
-// worked out from their RIDs and lengths, are subtracted. A page the
-// query reads from disk allocates nothing: the pool installs the disk's
-// page image itself.
+// node, and what a join with the flat documents allocates does not move
+// when those documents grow. Warm, on one view, a query opens nothing —
+// the records it touches are the view's memo's. Cold, after a ColdReset
+// left out of the count, it opens each record and allocates a few objects
+// per record, a count that holds once the one thing that depends on where
+// the records lie is taken out: one buffer per span HeapView.Get
+// assembles — Get returns an in-page span of a record (its length prefix,
+// its body) where it lies and copies one that crosses a page boundary, so
+// the crossing spans among the records opened, worked out from their RIDs
+// and lengths, are subtracted. A page the query reads from disk allocates
+// nothing: the pool installs the disk's page image itself. Q1 has one
+// source and opens order O1's record alone: its two counts are exactly
+// warmQ1Allocs and coldQ1Allocs. Q19 joins the order with its customer,
+// so it opens the five flat documents too: its two counts are held equal
+// across flat documents of two sizes. (Q19's constructor allocates one
+// object more under the race detector, so its counts are not pinned.)
 func TestAllocationPins(t *testing.T) {
 	ctx := context.Background()
 	crosses := func(off uint64, n int) int {
@@ -554,7 +611,9 @@ func TestAllocationPins(t *testing.T) {
 		}
 		return 0
 	}
-	q1Allocs := func(orders int) (warm, cold float64, flatBytes int) {
+	p := core.Params{"X": "O1"}
+	type counts struct{ warm, cold float64 }
+	measure := func(orders int) (q1, q19 counts, flatBytes int) {
 		db, err := gen.Config{Seed: 7, Orders: orders}.Generate(core.DCMD, core.Small)
 		if err != nil {
 			t.Fatal(err)
@@ -580,53 +639,53 @@ func TestAllocationPins(t *testing.T) {
 		if err := e.BuildIndexes(queries.Indexes(core.DCMD)); err != nil {
 			t.Fatal(err)
 		}
-		p := core.Params{"X": "O1"}
-		q1 := func() {
-			res, err := e.Execute(ctx, core.Q1, p)
-			if err != nil || len(res.Items) != 1 {
-				t.Fatalf("Q1 = %v, %v", res.Items, err)
+		// spans counts the page-crossing spans among the records of order
+		// O1 and, with flat, of every flat document.
+		spans := func(flat bool) (n int) {
+			for name, loc := range e.s.names {
+				if name != "order1.xml" && (!flat || strings.HasPrefix(name, "order")) {
+					continue
+				}
+				rec, err := e.s.catalog.Live().Get(ctx, loc.cat, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				en, err := decodeCatalogEntry(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, err := e.s.docs.Live().Get(ctx, en.rid, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n += crosses(uint64(en.rid), 4) + crosses(uint64(en.rid)+4, len(data))
 			}
+			return n
 		}
-		warm = testing.AllocsPerRun(20, q1)
-		cold = allocsPerRun(20, e.ColdReset, q1)
-		// Q1 opens order O1 and every flat document, one record each.
-		opened := 0
-		for name, loc := range e.s.names {
-			if strings.HasPrefix(name, "order") && name != "order1.xml" {
-				continue
+		count := func(q core.QueryID, flat bool) counts {
+			run := func() {
+				res, err := e.Execute(ctx, q, p)
+				if err != nil || len(res.Items) != 1 {
+					t.Fatalf("%s = %v, %v", q, res.Items, err)
+				}
 			}
-			rec, err := e.s.catalog.Live().Get(ctx, loc.cat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			en, err := decodeCatalogEntry(rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data, err := e.s.docs.Live().Get(ctx, en.rid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opened++
-			cold -= float64(crosses(uint64(en.rid), 4) + crosses(uint64(en.rid)+4, len(data)))
+			warm := testing.AllocsPerRun(20, run)
+			return counts{warm, allocsPerRun(20, e.ColdReset, run) - float64(spans(flat))}
 		}
-		if opened != 6 {
-			t.Fatalf("Q1 opens %d records, want 6", opened)
-		}
-		return warm, cold, flatBytes
+		return count(core.Q1, false), count(core.Q19, true), flatBytes
 	}
-	smallWarm, smallCold, smallFlat := q1Allocs(gen.DefaultOrders)
-	largeWarm, largeCold, largeFlat := q1Allocs(4 * gen.DefaultOrders)
+	smallQ1, smallQ19, smallFlat := measure(gen.DefaultOrders)
+	largeQ1, largeQ19, largeFlat := measure(4 * gen.DefaultOrders)
 	if largeFlat < 2*smallFlat {
 		t.Fatalf("flat documents did not grow: %d -> %d bytes", smallFlat, largeFlat)
 	}
-	if smallWarm != warmQ1Allocs || largeWarm != warmQ1Allocs {
-		t.Errorf("warm DC/MD Q1 allocates %.0f objects with %d KB of flat documents, %.0f with %d KB; want %d",
-			smallWarm, smallFlat>>10, largeWarm, largeFlat>>10, warmQ1Allocs)
+	if want := (counts{warmQ1Allocs, coldQ1Allocs}); smallQ1 != want || largeQ1 != want {
+		t.Errorf("DC/MD Q1 allocates %v (warm, cold) with %d KB of flat documents, %v with %d KB, page-crossing records aside; want %v",
+			smallQ1, smallFlat>>10, largeQ1, largeFlat>>10, want)
 	}
-	if smallCold != coldQ1Allocs || largeCold != coldQ1Allocs {
-		t.Errorf("cold DC/MD Q1 allocates %.0f objects with %d KB of flat documents, %.0f with %d KB, page-crossing records aside; want %d",
-			smallCold, smallFlat>>10, largeCold, largeFlat>>10, coldQ1Allocs)
+	if smallQ19 != largeQ19 {
+		t.Errorf("DC/MD Q19 allocates %v (warm, cold) with %d KB of flat documents, %v with %d KB, page-crossing records aside",
+			smallQ19, smallFlat>>10, largeQ19, largeFlat>>10)
 	}
 }
 

@@ -32,7 +32,7 @@ func TestStoredRecordsAreTheTreesEncoding(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, d := range db.Docs {
-			cat, err := e.s.catalog.Live().Get(ctx, e.s.names[d.Name].cat)
+			cat, err := e.s.catalog.Live().Get(ctx, e.s.names[d.Name].cat, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,7 +40,7 @@ func TestStoredRecordsAreTheTreesEncoding(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.s.docs.Live().Get(ctx, en.rid)
+			got, err := e.s.docs.Live().Get(ctx, en.rid, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

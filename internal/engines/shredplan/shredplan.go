@@ -106,10 +106,12 @@ type run struct {
 	err     error // the first error met inside a callback, which stopped the walk
 	entered func(*Node)
 	// The buffers, kept from run to run: emit writes items with enc; a
-	// CLOB is parsed into doc, and a clob's row is written into row, a
-	// pick into val, down chain, each valid until the next. A tree holds
-	// one clob or clobs at most, so one doc serves the run.
+	// page-straddling CLOB is read into clob and parsed into doc, and a
+	// clob's row is written into row, a pick into val, down chain, each
+	// valid until the next. A tree holds one clob or clobs at most, so one
+	// doc serves the run.
 	enc   *xmldom.Encoder
+	clob  []byte
 	doc   xmldom.Record
 	row   relational.Rec
 	val   bytes.Buffer
@@ -304,7 +306,8 @@ func (x *run) parse(ref []byte) error {
 		return fmt.Errorf("shredplan: bad CLOB reference %q", ref)
 	}
 	defer x.s.DB.Metrics().StartSpan(metrics.PhaseMaterialize).End()
-	data, err := x.s.CLOBs.Get(x.ctx, pager.RID(rid))
+	// The parse copies what it keeps, so the next read may reuse clob.
+	data, err := x.s.CLOBs.Get(x.ctx, pager.RID(rid), &x.clob)
 	if err != nil {
 		return err
 	}

@@ -153,7 +153,7 @@ func TestConcurrentHeapGet(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < len(rids); i++ {
 				k := (i + g*13) % len(rids)
-				rec, err := h.Live().Get(ctx, rids[k])
+				rec, err := h.Live().Get(ctx, rids[k], nil)
 				if err != nil {
 					errc <- err
 					return

@@ -70,7 +70,7 @@ func TestHeapDeleteSpanningRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantRecs(t, h, "first", "last")
-	if _, err := h.Live().Get(ctx, rid); !errors.Is(err, ErrDeleted) {
+	if _, err := h.Live().Get(ctx, rid, nil); !errors.Is(err, ErrDeleted) {
 		t.Fatalf("Get of a deleted rid = %v, want ErrDeleted", err)
 	}
 	if err := h.Delete(ctx, rid); !errors.Is(err, ErrDeleted) {
@@ -240,7 +240,7 @@ func TestHeapChurnMatchesModel(t *testing.T) {
 			if recs[i] != string(live[rid]) {
 				t.Fatalf("step %d: record at %d differs from the model", step, rid)
 			}
-			got, err := h.Live().Get(ctx, rid)
+			got, err := h.Live().Get(ctx, rid, nil)
 			if err != nil || !bytes.Equal(got, live[rid]) {
 				t.Fatalf("step %d: Get(%d) = %d bytes, %v", step, rid, len(got), err)
 			}
@@ -251,7 +251,7 @@ func TestHeapChurnMatchesModel(t *testing.T) {
 			if _, reused := live[rid]; reused {
 				continue
 			}
-			if _, err := h.Live().Get(ctx, rid); !errors.Is(err, ErrDeleted) {
+			if _, err := h.Live().Get(ctx, rid, nil); !errors.Is(err, ErrDeleted) {
 				t.Fatalf("step %d: Get of deleted rid %d = %v, want ErrDeleted", step, rid, err)
 			}
 		}

@@ -106,13 +106,14 @@ func buildReadHeap(t *testing.T, p *Pager) (*Heap, map[RID][]byte, []RID) {
 
 type heapReads interface {
 	Scan(context.Context, func(RID, []byte) bool) error
-	Get(context.Context, RID) ([]byte, error)
+	Get(context.Context, RID, *[]byte) ([]byte, error)
 }
 
 // checkReads holds a reader to the model: Scan delivers exactly the live
 // records in address order, each capped at its own length when it lies
-// inside a page, Get agrees per rid, a dead rid is refused. It returns the
-// digest of the scan.
+// inside a page, Get agrees per rid with a fresh copy and with one caller
+// buffer for every page-straddling record, a dead rid is refused. It
+// returns the digest of the scan.
 func checkReads(t *testing.T, name string, h heapReads, live map[RID][]byte, dead []RID) string {
 	t.Helper()
 	ctx := context.Background()
@@ -144,17 +145,25 @@ func checkReads(t *testing.T, name string, h heapReads, live map[RID][]byte, dea
 	if err != nil || i != len(want) {
 		t.Fatalf("%s: scan delivered %d of %d records: %v", name, i, len(want), err)
 	}
+	var buf []byte
 	for _, rid := range want {
-		got, err := h.Get(ctx, rid)
+		got, err := h.Get(ctx, rid, nil)
 		if err != nil || !bytes.Equal(got, live[rid]) {
 			t.Fatalf("%s: Get(%d) = %d bytes, %v; want the %d inserted", name, rid, len(got), err, len(live[rid]))
+		}
+		got, err = h.Get(ctx, rid, &buf)
+		if err != nil || !bytes.Equal(got, live[rid]) {
+			t.Fatalf("%s: Get(%d) into a buffer = %d bytes, %v; want the %d inserted", name, rid, len(got), err, len(live[rid]))
+		}
+		if inPage := (uint64(rid)+4)%PageSize+uint64(len(got)) <= PageSize; !inPage && len(got) > 0 && &got[0] != &buf[0] {
+			t.Fatalf("%s: Get(%d) assembled a page-straddling record outside the caller's buffer", name, rid)
 		}
 	}
 	for _, rid := range dead {
 		if _, reused := live[rid]; reused {
 			continue
 		}
-		if _, err := h.Get(ctx, rid); !errors.Is(err, ErrDeleted) {
+		if _, err := h.Get(ctx, rid, nil); !errors.Is(err, ErrDeleted) {
 			t.Fatalf("%s: Get of deleted rid %d = %v, want ErrDeleted", name, rid, err)
 		}
 	}
@@ -231,7 +240,7 @@ func TestHeapReadRefusesBrokenExtents(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) || n != 4 {
 			t.Fatalf("%s: scan delivered %d records, err %v; want 4 and %q", c.name, n, err, c.want)
 		}
-		if _, err := cut.Get(ctx, last); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := cut.Get(ctx, last, nil); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: Get = %v, want %q", c.name, err, c.want)
 		}
 	}
@@ -246,7 +255,7 @@ func TestHeapReadRefusesBrokenExtents(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "corrupt length") || n != 2 {
 		t.Fatalf("corrupt prefix: scan delivered %d records, err %v; want 2 and a corrupt length", n, err)
 	}
-	if _, err := h.Live().Get(ctx, rids[2]); err == nil || !strings.Contains(err.Error(), "corrupt length") {
+	if _, err := h.Live().Get(ctx, rids[2], nil); err == nil || !strings.Contains(err.Error(), "corrupt length") {
 		t.Fatalf("corrupt prefix: Get = %v", err)
 	}
 }
@@ -282,7 +291,7 @@ func TestHeapReadCancellation(t *testing.T) {
 	if asked := s.Get("pager.hit") + s.Get("pager.read") - s.Get("pager.readahead.issued"); asked != 1 {
 		t.Fatalf("cancelled scan asked the pool for %d pages, want 1", asked)
 	}
-	if _, err := h.Live().Get(ctx, 0); !errors.Is(err, context.Canceled) {
+	if _, err := h.Live().Get(ctx, 0, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Get under a cancelled context = %v", err)
 	}
 }
@@ -359,7 +368,7 @@ func TestPinnedScansAcrossHeapChurn(t *testing.T) {
 					if len(rec) > 0 && gen == 0 {
 						gen = rec[0]
 					}
-					got, err := v.Get(ctx, rid)
+					got, err := v.Get(ctx, rid, nil)
 					if err != nil || !bytes.Equal(got, rec) || len(rec) != sizes[n] || bytes.Count(rec, []byte{gen}) != len(rec) {
 						t.Errorf("pinned epoch %d: record %d at %d: %d bytes (Get: %d, %v), want %d of %q",
 							snap.Epoch(), n, rid, len(rec), len(got), err, sizes[n], gen)

@@ -127,9 +127,15 @@ func (r *heapReader) prefix(ctx context.Context, off uint64) (n uint32, dead boo
 // at or before the view's epoch is ErrDeleted. A record that lies inside
 // one page is returned where it lies — a sub-slice of the page image,
 // read-only like everything Pager.Read hands out — and only a
-// page-straddling one is a fresh copy.
-func (v HeapView) Get(ctx context.Context, rid RID) ([]byte, error) {
+// page-straddling one is copied: into a fresh buffer when buf is nil,
+// else into *buf, grown when it is too short and kept there, so a caller
+// done with each record before its next Get assembles them all in one
+// buffer.
+func (v HeapView) Get(ctx context.Context, rid RID, buf *[]byte) ([]byte, error) {
 	r := heapReader{v: v}
+	if buf != nil {
+		r.buf = *buf
+	}
 	n, dead, err := r.prefix(ctx, uint64(rid))
 	if err != nil {
 		return nil, err
@@ -137,7 +143,11 @@ func (v HeapView) Get(ctx context.Context, rid RID) ([]byte, error) {
 	if dead {
 		return nil, fmt.Errorf("pager: rid %d: %w", rid, ErrDeleted)
 	}
-	return r.span(ctx, uint64(rid)+4, int(n))
+	rec, err := r.span(ctx, uint64(rid)+4, int(n))
+	if buf != nil {
+		*buf = r.buf
+	}
+	return rec, err
 }
 
 // Scan visits every record live at the view's epoch in address order,

@@ -293,7 +293,7 @@ func TestHeapViewFrozenDuringRewrite(t *testing.T) {
 		if got[i] != gen0[i] {
 			t.Fatalf("record %d: snapshot saw %q, want %q", i, got[i][:20], gen0[i][:20])
 		}
-		old, err := v.Get(ctx, rids0[i])
+		old, err := v.Get(ctx, rids0[i], nil)
 		if err != nil || string(old) != gen0[i] {
 			t.Fatalf("view Get(%d) = %.20q, %v; want %.20q", rids0[i], old, err, gen0[i])
 		}

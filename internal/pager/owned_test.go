@@ -265,7 +265,7 @@ func TestHeapFillsThePoolsTailPage(t *testing.T) {
 		t.Fatalf("filling %d heap pages allocates %.0f objects a page, want the one page buffer", k, perPage)
 	}
 	tail := mustInsert(t, h, []byte("just written"))
-	if got, err := h.Live().Get(ctx, tail); err != nil || string(got) != "just written" {
+	if got, err := h.Live().Get(ctx, tail, nil); err != nil || string(got) != "just written" {
 		t.Fatalf("live Get of the tail record = %q, %v", got, err)
 	}
 	check := func(when string) {
@@ -273,7 +273,7 @@ func TestHeapFillsThePoolsTailPage(t *testing.T) {
 		if _, recs := scanAll(t, pinned); len(recs) != 1 || recs[0] != "published" {
 			t.Fatalf("%s: the view pinned before the bracket scans %q", when, recs)
 		}
-		if _, err := pinned.Get(ctx, tail); err == nil {
+		if _, err := pinned.Get(ctx, tail, nil); err == nil {
 			t.Fatalf("%s: the view pinned before the bracket reads the tail record", when)
 		}
 		if pg := mustRead(t, p, h.fid, 0, snap.Epoch()); !bytes.Equal(pg[4+len("published"):], make([]byte, PageSize-4-len("published"))) {
@@ -359,7 +359,7 @@ func TestAppendedPageEvictedInsideTheBracket(t *testing.T) {
 		t.Fatal("after the commit, the view pinned before the bracket reads other bytes in its extent")
 	}
 	after := p.PinSnapshot()
-	if got, err := after.View().(HeapView).Get(ctx, onFirst); err != nil || !bytes.Equal(got, last) {
+	if got, err := after.View().(HeapView).Get(ctx, onFirst, nil); err != nil || !bytes.Equal(got, last) {
 		t.Fatalf("a reader after the commit reads %.8q, %v at %d, want the last write", got, err, onFirst)
 	}
 	if _, got := scanAll(t, after.View().(HeapView)); fmt.Sprintf("%.8q", got) != fmt.Sprintf("%.8q", want) {

@@ -159,7 +159,7 @@ func TestHeapRoundTrip(t *testing.T) {
 		t.Fatalf("Count = %d", h.Count())
 	}
 	for i, rid := range rids {
-		got, err := h.Live().Get(context.Background(), rid)
+		got, err := h.Live().Get(context.Background(), rid, nil)
 		if err != nil {
 			t.Fatalf("Get(%d): %v", rid, err)
 		}
@@ -193,13 +193,13 @@ func TestHeapFlushAndColdRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.ColdReset()
-	got, err := h.Live().Get(context.Background(), rid)
+	got, err := h.Live().Get(context.Background(), rid, nil)
 	if err != nil || string(got) != "buffered" {
 		t.Fatalf("Get after flush+cold = %q, %v", got, err)
 	}
 	// Continue inserting into the same tail page after Sync.
 	rid2, _ := h.Insert([]byte("more"))
-	got2, err := h.Live().Get(context.Background(), rid2)
+	got2, err := h.Live().Get(context.Background(), rid2, nil)
 	if err != nil || string(got2) != "more" {
 		t.Fatalf("Get of post-flush record = %q, %v", got2, err)
 	}
@@ -209,7 +209,7 @@ func TestHeapGetErrors(t *testing.T) {
 	p := New(16)
 	h := NewHeap(p, "heap")
 	h.Insert([]byte("x"))
-	if _, err := h.Live().Get(context.Background(), RID(1<<40)); err == nil {
+	if _, err := h.Live().Get(context.Background(), RID(1<<40), nil); err == nil {
 		t.Fatal("Get far beyond end succeeded")
 	}
 }
@@ -230,7 +230,7 @@ func TestHeapProperty(t *testing.T) {
 		entries = append(entries, entry{rid, append([]byte(nil), data...)})
 		// Every previously inserted record must still read back intact.
 		for _, e := range entries {
-			got, err := h.Live().Get(context.Background(), e.rid)
+			got, err := h.Live().Get(context.Background(), e.rid, nil)
 			if err != nil || !bytes.Equal(got, e.val) {
 				return false
 			}

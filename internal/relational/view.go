@@ -153,7 +153,7 @@ func (v *TableView) eachEq(ctx context.Context, col, val string, hits []uint64, 
 		return visited, err
 	}
 	for _, h := range hits {
-		rec, err := v.heap.Get(ctx, pager.RID(h))
+		rec, err := v.heap.Get(ctx, pager.RID(h), nil)
 		if err != nil {
 			return 0, err
 		}
@@ -186,7 +186,7 @@ func (v *TableView) LookupRange(ctx context.Context, col, lo, hi string, byIndex
 	defer v.ops.reg.StartSpan(metrics.PhaseIndexProbe).End()
 	var inner error
 	err := ix.Range(ctx, lo, hi, func(_ string, h uint64) bool {
-		rec, e := v.heap.Get(ctx, pager.RID(h))
+		rec, e := v.heap.Get(ctx, pager.RID(h), nil)
 		if e != nil {
 			inner = e
 			return false

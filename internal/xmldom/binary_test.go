@@ -136,28 +136,3 @@ func TestBinarySmallerAndFasterShape(t *testing.T) {
 		t.Fatalf("binary (%d) not smaller than XML (%d) for tag-heavy doc", len(enc), b.Len())
 	}
 }
-
-func BenchmarkOpenRecord(b *testing.B) {
-	data := mustRecord(b, benchDoc()).Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := OpenRecord(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchDoc returns a catalog of 500 items.
-func benchDoc() string {
-	var b strings.Builder
-	b.WriteString("<catalog>")
-	for i := 0; i < 500; i++ {
-		b.WriteString(`<item id="I1"><title>Some Book Title With Words</title>` +
-			`<description>a moderately long description of the item with many words in it</description>` +
-			`<authors><author><name>Ada Adams</name><country>Canada</country></author></authors></item>`)
-	}
-	b.WriteString("</catalog>")
-	return b.String()
-}

@@ -239,3 +239,58 @@ func TestOpenRecordAllocations(t *testing.T) {
 		t.Fatalf("OpenRecord allocates %v objects for 10 nodes, %v for 10,000", small, large)
 	}
 }
+
+// BenchmarkOpenRecord opens a catalog of 500 items, and the records the
+// native engine's cold queries over the Normal databases of seed 7 open:
+// an order of DC/MD and an article of TC/MD.
+func BenchmarkOpenRecord(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		data func() []byte
+	}{
+		{"catalog", func() []byte { return encoded(b, benchDoc()) }},
+		{"dcmd-order", func() []byte { return generated(b, core.DCMD, "order1.xml") }},
+		{"tcmd-article", func() []byte { return generated(b, core.TCMD, "article1.xml") }},
+	} {
+		data := c.data()
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := xmldom.OpenRecord(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// benchDoc returns a catalog of 500 items.
+func benchDoc() string {
+	var b strings.Builder
+	b.WriteString("<catalog>")
+	for i := 0; i < 500; i++ {
+		b.WriteString(`<item id="I1"><title>Some Book Title With Words</title>` +
+			`<description>a moderately long description of the item with many words in it</description>` +
+			`<authors><author><name>Ada Adams</name><country>Canada</country></author></authors></item>`)
+	}
+	b.WriteString("</catalog>")
+	return b.String()
+}
+
+// generated returns the named document of class's Normal database of
+// seed 7, encoded.
+func generated(tb testing.TB, class core.Class, name string) []byte {
+	db, err := gen.Config{Seed: 7}.Generate(class, core.Normal)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, d := range db.Docs {
+		if d.Name == name {
+			return encoded(tb, string(d.Data))
+		}
+	}
+	tb.Fatalf("%s Normal has no %s", class, name)
+	return nil
+}
