@@ -57,11 +57,17 @@ fuzz:
 # client. Crash points lie inside the load and, across each update's
 # disk operations inclusive of both ends, inside each update (rolled
 # back) and at its end (acknowledged). The restart is a fresh engine
-# Reopening the same journal under transient read faults: it must replay
-# exactly the acknowledged updates and answer every query as the
-# fault-free twin does in that state.
+# Reopening the same journal: it must replay exactly the acknowledged
+# updates and answer every query as the fault-free twin does in that
+# state. The grid is deterministic and committed in
+# results/chaos_grid.txt; the target fails on a FAIL cell and on any
+# other difference from it, so fewer crashes inside U1-U3 or fewer
+# answers compared is a reviewed diff.
 chaos: build
-	$(GO) run ./cmd/xbench chaos
+	@grid=$$($(GO) run ./cmd/xbench chaos) || { echo "$$grid"; exit 1; }; \
+	echo "$$grid" | diff -u results/chaos_grid.txt - || \
+		{ echo "chaos grid differs from results/chaos_grid.txt; if intended: go run ./cmd/xbench chaos > results/chaos_grid.txt"; exit 1; }
+	@cat results/chaos_grid.txt
 
 # Process-kill torture: a real `xbench serve --journal` child is
 # SIGKILLed and restarted 20 times at seeded points during a mixed

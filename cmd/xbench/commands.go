@@ -11,7 +11,6 @@ import (
 
 	"xbench/internal/analyze"
 	"xbench/internal/bench"
-	"xbench/internal/chaos"
 	"xbench/internal/core"
 	"xbench/internal/driver"
 	"xbench/internal/router"
@@ -249,20 +248,14 @@ func runBench(r *bench.Runner, o benchOpts) error {
 func setupChaos(fs *flag.FlagSet) func() error {
 	sizeStr := sizeFlag(fs)
 	g := genFlags(fs)
-	seed := seedFlag(fs)
-	crashes := fs.Int("crashes", 3, "crash points per phase of a cell: the load and, on the multi-document classes, each of U1-U3")
-	readRate := fs.Float64("read-error-rate", 0, "transient read-fault probability during the restart (0 = default, negative = off)")
+	crashes := fs.Int("crashes", 3, "crash points per phase of a cell (at least 1): the load and, on the multi-document classes, each of U1-U3")
 	return func() error {
 		size, err := core.ParseSize(*sizeStr)
 		if err != nil {
 			return err
 		}
 		r := bench.NewRunner(g.config(), []core.Size{size}, os.Stdout)
-		return r.ChaosGrid(chaos.Config{
-			Seed:          *seed,
-			CrashPoints:   *crashes,
-			ReadErrorRate: *readRate,
-		})
+		return r.ChaosGrid(*crashes)
 	}
 }
 

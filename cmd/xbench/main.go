@@ -120,7 +120,7 @@ func sizeFlag(fs *flag.FlagSet) *string {
 }
 
 // genOpts are the generator's two knobs. --seed is not among them: it
-// seeds a run (the driver's op mix, the chaos faults), never the data.
+// seeds a run (the driver's op mix), never the data.
 type genOpts struct {
 	scale *int
 	seed  *uint64
@@ -171,7 +171,7 @@ func formatFlag(fs *flag.FlagSet) *string {
 }
 
 func seedFlag(fs *flag.FlagSet) *uint64 {
-	return fs.Uint64("seed", 0, "seed of the run itself, not of the data: the op mix (throughput; 0 selects the driver's default) or the injected faults (chaos); same seed, same run")
+	return fs.Uint64("seed", 0, "seed of the run itself, not of the data: the op mix (0 selects the driver's default); same seed, same run")
 }
 
 func queryFlag(fs *flag.FlagSet) *string {

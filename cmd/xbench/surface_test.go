@@ -87,11 +87,34 @@ func TestUsageMatchesFlags(t *testing.T) {
 	// it has no poll interval. A served engine loads its own database, so
 	// no command starts one empty or skips loading a served target. A
 	// mixed run deletes the documents it inserted, so a re-run against
-	// the same server needs no sequence offset.
+	// the same server needs no sequence offset. A crash is the simulated
+	// disk's only fault, so chaos has no read-fault rate.
 	for _, gone := range []string{"csv", "query", "skip-load", "fractions", "out",
-		"partial", "fanout", "read-pref", "vnodes", "poll", "no-load", "update-seq-base"} {
+		"partial", "fanout", "read-pref", "vnodes", "poll", "no-load", "update-seq-base",
+		"read-error-rate"} {
 		if m, ok := shared[gone]; ok {
 			t.Errorf("--%s is back (in %s); it was merged into another flag or deleted", gone, m.command)
+		}
+	}
+}
+
+// TestChaosRefusesNoCrashPoints: a chaos grid with no crash point per
+// phase would pass cells that tested nothing; `xbench chaos --crashes`
+// below 1 is one error, returned before any cell runs.
+func TestChaosRefusesNoCrashPoints(t *testing.T) {
+	var chaos command
+	for _, c := range commands {
+		if c.name == "chaos" {
+			chaos = c
+		}
+	}
+	for _, n := range []string{"0", "-2"} {
+		fs, run := chaos.flagSet(flag.ContinueOnError)
+		if err := fs.Parse([]string{"--crashes=" + n}); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(); err == nil || !strings.Contains(err.Error(), "at least 1") {
+			t.Errorf("chaos --crashes=%s: err = %v, want a refusal", n, err)
 		}
 	}
 }

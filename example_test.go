@@ -59,12 +59,12 @@ func Example() {
 }
 
 // ExampleNew builds an engine with every option the README shows: a
-// buffer pool of 256 pages, a fault policy (a seed alone injects no
-// fault) and a metrics registry the pager counts into.
+// buffer pool of 256 pages, a fault policy (a crash point the load never
+// reaches) and a metrics registry the pager counts into.
 func ExampleNew() {
 	engine, err := xbench.New("native",
 		xbench.WithPoolPages(256),
-		xbench.WithFaultPolicy(xbench.FaultPolicy{Seed: 7}),
+		xbench.WithFaultPolicy(xbench.FaultPolicy{CrashAfterOps: 1000}),
 		xbench.WithMetrics(xbench.NewMetricsRegistry()))
 	if err != nil {
 		log.Fatal(err)

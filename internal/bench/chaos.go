@@ -11,12 +11,16 @@ import (
 // runner's first (smallest) size, printing one cell per combination:
 // "-" for unsupported cells, "ok:<crashes>c<queries>q" for passing ones,
 // "FAIL" (with a detail line below the table) otherwise. It returns an
-// error if any cell failed, so callers can gate CI on it.
-func (r *Runner) ChaosGrid(cfg chaos.Config) error {
-	cfg = cfg.WithDefaults()
+// error if any cell failed, so callers can gate CI on it. crashPoints is
+// the number of crash points per phase of a cell (chaos.RunCell); below 1
+// the grid is refused before any database is generated.
+func (r *Runner) ChaosGrid(crashPoints int) error {
+	if crashPoints < 1 {
+		return fmt.Errorf("bench: chaos grid: %d crash points per phase, want at least 1", crashPoints)
+	}
 	size := r.Sizes[0]
-	fmt.Fprintf(r.Out, "\nChaos: crash/recovery grid (size %s, seed %d, %d crash points per phase)\n",
-		size, cfg.Seed, cfg.CrashPoints)
+	fmt.Fprintf(r.Out, "\nChaos: crash/recovery grid (size %s, %d crash points per phase)\n",
+		size, crashPoints)
 	fmt.Fprintf(r.Out, "%-12s", "")
 	for _, class := range columnClasses {
 		fmt.Fprintf(r.Out, " %-10s", class.Code())
@@ -30,7 +34,7 @@ func (r *Runner) ChaosGrid(cfg chaos.Config) error {
 			db, err := r.Database(class, size)
 			out := chaos.Outcome{Err: err}
 			if err == nil {
-				out = chaos.RunCell(func() core.Engine { return r.newEngine(name) }, db, cfg)
+				out = chaos.RunCell(func() core.Engine { return r.newEngine(name) }, db, crashPoints)
 			}
 			fmt.Fprintf(r.Out, " %-10s", out)
 			if out.Err != nil {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"xbench/internal/chaos"
 )
 
 // TestChaosGridSmoke runs the chaos grid the way `make verify` does, on
@@ -13,7 +11,7 @@ import (
 func TestChaosGridSmoke(t *testing.T) {
 	var buf bytes.Buffer
 	r := tinyRunner(&buf)
-	if err := r.ChaosGrid(chaos.Config{Seed: 3, CrashPoints: 2}); err != nil {
+	if err := r.ChaosGrid(2); err != nil {
 		t.Fatalf("%v\n%s", err, buf.String())
 	}
 	out := buf.String()

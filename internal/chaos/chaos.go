@@ -39,34 +39,6 @@ type Faultable interface {
 	Pager() *pager.Pager
 }
 
-// Config controls one chaos run.
-type Config struct {
-	// Seed drives the deterministic fault streams; every restart re-seeds
-	// with Seed plus its crash point so runs are reproducible end to end.
-	Seed uint64
-	// CrashPoints is the number of crash points spread through each phase
-	// of a served life: the load and, on a multi-document class, each of
-	// U1–U3; <= 0 selects the default of 3.
-	CrashPoints int
-	// ReadErrorRate is the transient read-fault probability during the
-	// restart and its queries; < 0 disables, 0 selects 0.02.
-	ReadErrorRate float64
-}
-
-// WithDefaults resolves the zero-value fields to their defaults.
-func (c Config) WithDefaults() Config {
-	if c.CrashPoints <= 0 {
-		c.CrashPoints = 3
-	}
-	switch {
-	case c.ReadErrorRate < 0:
-		c.ReadErrorRate = 0
-	case c.ReadErrorRate == 0:
-		c.ReadErrorRate = 0.02
-	}
-	return c
-}
-
 // Outcome summarizes one engine x class chaos cell. A restart has one
 // legal state: the load plus exactly the updates the server acknowledged,
 // which it journaled and synced before answering. A crash inside an
@@ -107,11 +79,17 @@ func (o Outcome) String() string {
 }
 
 // RunCell chaos-tests one engine x database cell. newEngine must return a
-// fresh instance on every call; db is the database to load.
-func RunCell(newEngine func() core.Engine, db *core.Database, cfg Config) Outcome {
-	cfg = cfg.WithDefaults()
+// fresh instance on every call; db is the database to load. crashPoints
+// is the number of crash points spread through each phase of a served
+// life: the load and, on a multi-document class, each of U1–U3. It must
+// be at least 1: a cell with no crash point tests nothing.
+func RunCell(newEngine func() core.Engine, db *core.Database, crashPoints int) Outcome {
 	probe := newEngine()
 	out := Outcome{Engine: probe.Name(), Class: db.Class}
+	if crashPoints < 1 {
+		out.Err = fmt.Errorf("chaos: %d crash points per phase, want at least 1", crashPoints)
+		return out
+	}
 	if _, ok := probe.(Faultable); !ok || probe.Supports(db.Class, db.Size) != nil {
 		out.Skipped = true
 		return out
@@ -125,7 +103,7 @@ func RunCell(newEngine func() core.Engine, db *core.Database, cfg Config) Outcom
 
 	// A fault-free life measures where each phase ends on the disk-op
 	// clock, so the crash points land inside the phases.
-	l, err := serve(newEngine(), db, filepath.Join(dir, "probe.journal"), cfg.Seed, 0, nil)
+	l, err := serve(newEngine(), db, filepath.Join(dir, "probe.journal"), 0, nil)
 	if err != nil {
 		out.Err = fmt.Errorf("chaos: probe: %w", err)
 		return out
@@ -143,7 +121,7 @@ func RunCell(newEngine func() core.Engine, db *core.Database, cfg Config) Outcom
 	// after the load and after each update it served.
 	var want [][]workload.Measurement
 	ctx := context.Background()
-	_, err = serve(newEngine(), db, filepath.Join(dir, "twin.journal"), cfg.Seed, 0, func(e core.Engine) error {
+	_, err = serve(newEngine(), db, filepath.Join(dir, "twin.journal"), 0, func(e core.Engine) error {
 		ms := answers(ctx, e, db.Class)
 		for _, m := range ms {
 			if m.Err != nil && !queryNotAnswered(m.Err) {
@@ -158,10 +136,10 @@ func RunCell(newEngine func() core.Engine, db *core.Database, cfg Config) Outcom
 		return out
 	}
 
-	for i, crashAt := range crashPoints(l.ends, cfg.CrashPoints) {
+	for i, crashAt := range spread(l.ends, crashPoints) {
 		out.CrashOps = append(out.CrashOps, crashAt)
 		path := filepath.Join(dir, fmt.Sprintf("crash%d.journal", i+1))
-		if err := runCrashPoint(newEngine, db, path, cfg, crashAt, want, &out); err != nil {
+		if err := runCrashPoint(newEngine, db, path, crashAt, want, &out); err != nil {
 			out.Err = fmt.Errorf("chaos: crash point %d (op %d): %w", i+1, crashAt, err)
 			return out
 		}
@@ -169,13 +147,13 @@ func RunCell(newEngine func() core.Engine, db *core.Database, cfg Config) Outcom
 	return out
 }
 
-// crashPoints spreads n crash points through each phase of a served life,
+// spread spreads n crash points through each phase of a served life,
 // whose phases end at ends[0] (the load) and ends[k] (Uk) on the disk-op
 // clock: strictly inside the load, and across [start, end] of each update
 // inclusive of both ends, so one point lets the update be acknowledged
 // and the others crash its apply. An update's end is the next one's
 // start; a point two phases share is run once.
-func crashPoints(ends []int64, n int) []int64 {
+func spread(ends []int64, n int) []int64 {
 	var pts []int64
 	add := func(at int64) {
 		if len(pts) == 0 || pts[len(pts)-1] != at {
@@ -216,11 +194,11 @@ func (l life) acked() int { return max(len(l.ends)-1, 0) }
 // and U3 through one Updater, until the crash fires. after, when not nil,
 // runs on e after the load and after each acknowledged update. The server
 // is closed when it returns, and e with it.
-func serve(e core.Engine, db *core.Database, path string, seed uint64, crashAt int64, after func(core.Engine) error) (life, error) {
+func serve(e core.Engine, db *core.Database, path string, crashAt int64, after func(core.Engine) error) (life, error) {
 	ctx := context.Background()
 	l := life{crashed: -1}
 	p := e.(Faultable).Pager()
-	p.SetFaultPolicy(pager.FaultPolicy{Seed: seed, CrashAfterOps: crashAt})
+	p.SetFaultPolicy(pager.FaultPolicy{CrashAfterOps: crashAt})
 	s, _, err := server.Reopen(e, db, workload.Indexes(db.Class), path, server.Config{})
 	if err != nil {
 		defer e.Close()
@@ -275,13 +253,13 @@ func dial(s *server.Server, id uint64) (*client.Client, error) {
 }
 
 // runCrashPoint exercises one crash point: one served life that crashes,
-// then the restart — a fresh engine Reopening the same journal under
-// transient read faults — which must replay exactly the acknowledged
-// updates and answer every query as the twin does in that state.
-func runCrashPoint(newEngine func() core.Engine, db *core.Database, path string, cfg Config,
+// then the restart — a fresh engine Reopening the same journal on a
+// perfect disk — which must replay exactly the acknowledged updates and
+// answer every query as the twin does in that state.
+func runCrashPoint(newEngine func() core.Engine, db *core.Database, path string,
 	crashAt int64, want [][]workload.Measurement, out *Outcome) error {
 	ctx := context.Background()
-	l, err := serve(newEngine(), db, path, cfg.Seed, crashAt, nil)
+	l, err := serve(newEngine(), db, path, crashAt, nil)
 	if err != nil {
 		return err
 	}
@@ -290,8 +268,6 @@ func runCrashPoint(newEngine func() core.Engine, db *core.Database, path string,
 	}
 
 	e := newEngine()
-	p := e.(Faultable).Pager()
-	p.SetFaultPolicy(pager.FaultPolicy{Seed: cfg.Seed + uint64(crashAt), ReadErrorRate: cfg.ReadErrorRate})
 	s, replayed, err := server.Reopen(e, db, workload.Indexes(db.Class), path, server.Config{})
 	if err != nil {
 		e.Close()
@@ -308,7 +284,7 @@ func runCrashPoint(newEngine func() core.Engine, db *core.Database, path string,
 	}
 	out.Queries += n
 	out.Restarted[acked]++
-	return checkRecoveredEpoch(ctx, s, e, p, db.Class)
+	return checkRecoveredEpoch(ctx, s, e, e.(Faultable).Pager(), db.Class)
 }
 
 // answers runs every query of the class cold and, on a multi-document
@@ -376,9 +352,6 @@ func checkRecoveredEpoch(ctx context.Context, s *server.Server, e core.Engine, p
 	if class.SingleDocument() {
 		return nil
 	}
-	// Soft faults off: the restart already proved fault tolerance, this
-	// proves the MVCC commit path.
-	p.SetFaultPolicy(pager.FaultPolicy{})
 	recovered, err := e.Execute(ctx, core.Q1, targetParams(class))
 	if err != nil {
 		return fmt.Errorf("epoch check: %w", err)

@@ -28,8 +28,8 @@ func factories() map[string]func() core.Engine {
 
 var gridClasses = []core.Class{core.TCSD, core.TCMD, core.DCSD, core.DCMD}
 
-// gridCells holds each engine x class cell at seed 99, run once per test
-// binary (a cell is deterministic, so a second run is the same run):
+// gridCells holds each engine x class cell, run once per test binary (a
+// cell is deterministic, so a second run is the same run):
 // TestAllEnginesAllClasses, TestUpdateCellsAllEngines and
 // TestCellCatchesALostUpdate read the same outcomes.
 var (
@@ -51,7 +51,7 @@ func gridCell(t *testing.T, name string, class core.Class) Outcome {
 		}
 		gridDBs[class] = db
 	}
-	out := RunCell(factories()[name], db, Config{Seed: 99})
+	out := RunCell(factories()[name], db, 3)
 	gridCells[key] = out
 	return out
 }
@@ -162,7 +162,7 @@ func TestCellCatchesALostUpdate(t *testing.T) {
 				if green := gridCell(t, name, class); green.Err != nil {
 					t.Fatal(green.Err)
 				}
-				red := RunCell(func() core.Engine { return &lossyReplay{Engine: mk()} }, gridDBs[class], Config{Seed: 99})
+				red := RunCell(func() core.Engine { return &lossyReplay{Engine: mk()} }, gridDBs[class], 3)
 				if red.Err == nil || !strings.Contains(red.Err.Error(), "restart with 1 acknowledged update(s)") {
 					t.Fatalf("lost update not caught: %+v", red)
 				}
@@ -174,29 +174,26 @@ func TestCellCatchesALostUpdate(t *testing.T) {
 	}
 }
 
-// TestDeterministicOutcome: the same seed must reproduce the identical
-// chaos run — crash points, fault effects and all.
+// TestDeterministicOutcome: the same cell must reproduce the identical
+// chaos run — crash points, restarts and answers.
 func TestDeterministicOutcome(t *testing.T) {
 	db, err := testGen.Generate(core.DCMD, core.Small)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mk := func() core.Engine { return native.New(64) }
-	a := RunCell(mk, db, Config{Seed: 7})
-	b := RunCell(mk, db, Config{Seed: 7})
+	a := RunCell(mk, db, 3)
+	b := RunCell(mk, db, 3)
 	if a.Err != nil || b.Err != nil {
 		t.Fatalf("errs: %v / %v", a.Err, b.Err)
 	}
 	as := fmt.Sprintf("%+v", a)
 	if bs := fmt.Sprintf("%+v", b); as != bs {
-		t.Fatalf("same seed diverged:\n%s\n%s", as, bs)
-	}
-	if c := RunCell(mk, db, Config{Seed: 8}); c.Err != nil {
-		t.Fatal(c.Err)
+		t.Fatalf("same cell diverged:\n%s\n%s", as, bs)
 	}
 }
 
-// TestUpdateCellDeterministic: the same seed reproduces the identical
+// TestUpdateCellDeterministic: the same cell reproduces the identical
 // update crash points of a multi-document cell, and the run does crash
 // inside the updates.
 func TestUpdateCellDeterministic(t *testing.T) {
@@ -205,14 +202,14 @@ func TestUpdateCellDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func() core.Engine { return native.New(64) }
-	a := RunCell(mk, db, Config{Seed: 5, CrashPoints: 2})
-	b := RunCell(mk, db, Config{Seed: 5, CrashPoints: 2})
+	a := RunCell(mk, db, 2)
+	b := RunCell(mk, db, 2)
 	if a.Err != nil || b.Err != nil {
 		t.Fatalf("errs: %v / %v", a.Err, b.Err)
 	}
 	as, bs := fmt.Sprintf("%+v", a), fmt.Sprintf("%+v", b)
 	if as != bs {
-		t.Fatalf("same seed diverged:\n%s\n%s", as, bs)
+		t.Fatalf("same cell diverged:\n%s\n%s", as, bs)
 	}
 	for op := 1; op < len(a.Crashed); op++ {
 		if a.Crashed[op] == 0 {
@@ -229,7 +226,7 @@ func TestUpdateCellSkipsSingleDocumentClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RunCell(func() core.Engine { return native.New(64) }, db, Config{Seed: 1})
+	out := RunCell(func() core.Engine { return native.New(64) }, db, 3)
 	if out.Skipped || out.Err != nil {
 		t.Fatalf("outcome = %+v, want a passing load-only cell", out)
 	}
@@ -243,6 +240,21 @@ func TestUpdateCellSkipsSingleDocumentClasses(t *testing.T) {
 	}
 }
 
+// TestCellRefusesNoCrashPoints: a cell with no crash point per phase
+// would pass having tested nothing, so it is an error.
+func TestCellRefusesNoCrashPoints(t *testing.T) {
+	db, err := testGen.Generate(core.TCSD, core.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, -1} {
+		out := RunCell(func() core.Engine { return native.New(64) }, db, n)
+		if out.Err == nil || len(out.CrashOps) != 0 {
+			t.Errorf("RunCell with %d crash points = %+v, want an error and no crash point run", n, out)
+		}
+	}
+}
+
 // TestSkipsUnsupportedCell: Xcolumn cannot host single-document classes;
 // the harness must report a skip, not a failure.
 func TestSkipsUnsupportedCell(t *testing.T) {
@@ -250,7 +262,7 @@ func TestSkipsUnsupportedCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RunCell(func() core.Engine { return rdbms.New(rdbms.Xcolumn, 64, 0) }, db, Config{Seed: 1})
+	out := RunCell(func() core.Engine { return rdbms.New(rdbms.Xcolumn, 64, 0) }, db, 3)
 	if !out.Skipped || out.Err != nil {
 		t.Fatalf("outcome = %+v, want skip", out)
 	}

@@ -2,8 +2,6 @@ package pager
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	"testing"
 )
 
@@ -26,86 +24,11 @@ func fillPages(t *testing.T, p *Pager, name string, n int) FileID {
 	return f
 }
 
-// faultTrace runs a fixed workload under a policy and returns a summary of
-// the injected faults.
-func faultTrace(seed uint64) string {
-	p := New(4)
-	p.SetFaultPolicy(FaultPolicy{Seed: seed, ReadErrorRate: 0.3})
-	f := p.Create("t")
-	for i := 0; i < 8; i++ {
-		p.Append(f)
-		p.Write(f, uint32(i), 0, []byte{byte(i)})
-	}
-	p.Sync(f)
-	p.ColdReset()
-	for i := 0; i < 8; i++ {
-		p.Read(f, uint32(i))
-	}
-	return fmt.Sprintf("faults=%d retries=%d ops=%d", count(p, "pager.read.fault"), count(p, "pager.read.retry"), p.OpCount())
-}
-
-func TestFaultDeterminism(t *testing.T) {
-	a := faultTrace(42)
-	b := faultTrace(42)
-	if a != b {
-		t.Fatalf("same seed diverged:\n%s\n%s", a, b)
-	}
-	c := faultTrace(43)
-	if a == c {
-		t.Fatalf("different seeds produced identical fault traces: %s", a)
-	}
-}
-
-func TestTransientReadRetry(t *testing.T) {
-	p := New(2)
-	f := fillPages(t, p, "t", 4)
-	p.ColdReset()
-	// A moderate rate: reads fault sometimes but essentially never fault
-	// MaxReadAttempts times in a row (0.2^4 = 0.16%).
-	p.SetFaultPolicy(FaultPolicy{Seed: 7, ReadErrorRate: 0.2})
-	for round := 0; round < 20; round++ {
-		p.ColdReset()
-		for i := 0; i < 4; i++ {
-			pg, err := p.Read(f, uint32(i))
-			if err != nil {
-				t.Fatalf("round %d read %d: %v", round, i, err)
-			}
-			if pg[0] != byte(i+1) {
-				t.Fatalf("round %d read %d returned wrong page", round, i)
-			}
-		}
-	}
-	faults, retries := count(p, "pager.read.fault"), count(p, "pager.read.retry")
-	if faults == 0 {
-		t.Fatal("no transient faults injected at rate 0.2 over 80 cold reads")
-	}
-	if retries != faults {
-		t.Fatalf("retries=%d faults=%d: every transient fault should be retried", retries, faults)
-	}
-}
-
-func TestReadFaultExhaustionIsFatal(t *testing.T) {
-	p := New(2)
-	f := fillPages(t, p, "t", 1)
-	p.ColdReset()
-	p.SetFaultPolicy(FaultPolicy{Seed: 1, ReadErrorRate: 1})
-	_, err := p.Read(f, 0)
-	if !errors.Is(err, ErrReadFault) {
-		t.Fatalf("err = %v, want ErrReadFault", err)
-	}
-	if IsTransient(err) {
-		t.Fatal("exhausted read fault must not be transient")
-	}
-	if n := count(p, "pager.read.retry"); n != MaxReadAttempts-1 {
-		t.Fatalf("retries = %d, want %d", n, MaxReadAttempts-1)
-	}
-}
-
 func TestCrashHaltsAllIO(t *testing.T) {
 	p := New(2)
 	f := fillPages(t, p, "t", 4)
 	p.ColdReset()
-	p.SetFaultPolicy(FaultPolicy{Seed: 5, CrashAfterOps: 2})
+	p.SetFaultPolicy(FaultPolicy{CrashAfterOps: 2})
 	var err error
 	for i := 0; i < 4 && err == nil; i++ {
 		_, err = p.Read(f, uint32(i))
@@ -128,7 +51,7 @@ func TestCrashHaltsAllIO(t *testing.T) {
 	}
 	// A crashed pager stays crashed: a new policy does not bring the
 	// machine back, even one without a crash point.
-	p.SetFaultPolicy(FaultPolicy{Seed: 5})
+	p.SetFaultPolicy(FaultPolicy{})
 	if _, err := p.Read(f, 0); !IsCrash(err) {
 		t.Fatalf("Read after a new policy: %v", err)
 	}
@@ -143,7 +66,7 @@ func TestCrashBudgetSweep(t *testing.T) {
 	image := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, PageSize) }
 	run := func(crashAt int64) (*Pager, FileID, error) {
 		p := New(2) // tiny pool so evictions write back mid-workload
-		p.SetFaultPolicy(FaultPolicy{Seed: 11, CrashAfterOps: crashAt})
+		p.SetFaultPolicy(FaultPolicy{CrashAfterOps: crashAt})
 		f := p.Create("t")
 		var err error
 		for i := 0; i < 6 && err == nil; i++ {
@@ -205,7 +128,7 @@ func TestReadAliasingContract(t *testing.T) {
 	if &a[0] != &b[0] {
 		t.Fatal("Read should serve the pooled frame")
 	}
-	p.SetFaultPolicy(FaultPolicy{Seed: 1})
+	p.SetFaultPolicy(FaultPolicy{})
 	if c, _ := p.Read(f, 0); &c[0] != &a[0] {
 		t.Fatal("a fault policy made Read copy")
 	}
@@ -264,7 +187,7 @@ func TestBtreeStyleCrashDuringEviction(t *testing.T) {
 	// Writes via a tiny pool force evictions inside install; a crash there
 	// must surface as an error from Write/Append, not corrupt anything.
 	p := New(2)
-	p.SetFaultPolicy(FaultPolicy{Seed: 17, CrashAfterOps: 5})
+	p.SetFaultPolicy(FaultPolicy{CrashAfterOps: 5})
 	f := p.Create("t")
 	var err error
 	for i := 0; i < 32 && err == nil; i++ {

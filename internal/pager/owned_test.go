@@ -150,7 +150,7 @@ func TestWriterPatchesOnlyItsOwnBuffers(t *testing.T) {
 		var dirtied, patched int
 		build := func() *Pager {
 			p := New(8)
-			p.SetFaultPolicy(FaultPolicy{Seed: 1}) // start the disk-op clock
+			p.SetFaultPolicy(FaultPolicy{}) // start the disk-op clock
 			p.BlockPins()
 			p.BeginMutation()
 			dirtied, patched = 0, 0
@@ -216,7 +216,7 @@ func TestWriterPatchesOnlyItsOwnBuffers(t *testing.T) {
 		for k := 0; k <= len(all); k++ {
 			p := build()
 			at := p.OpCount() + int64(k)
-			p.SetFaultPolicy(FaultPolicy{Seed: 1, CrashAfterOps: at})
+			p.SetFaultPolicy(FaultPolicy{CrashAfterOps: at})
 			err := p.SyncAll()
 			if k < len(all) && !errors.Is(err, ErrCrashed) || k == len(all) && err != nil {
 				t.Fatalf("crash after %d of %d write-backs: SyncAll returned %v", k, len(all), err)

@@ -41,7 +41,7 @@ func TestNewOptions(t *testing.T) {
 	reg := metrics.NewRegistry()
 	e, err := New("native",
 		WithPoolPages(64),
-		WithFaultPolicy(FaultPolicy{Seed: 7, CrashAfterOps: 1}),
+		WithFaultPolicy(FaultPolicy{CrashAfterOps: 1}),
 		WithMetrics(reg),
 	)
 	if err != nil {

@@ -133,8 +133,8 @@ type engineOptions struct {
 // default.
 func WithPoolPages(n int) Option { return func(o *engineOptions) { o.poolPages = n } }
 
-// WithFaultPolicy installs a fault-injection policy on the engine's pager
-// (simulated transient read faults and a crash after N disk operations).
+// WithFaultPolicy installs a fault-injection policy on the engine's pager:
+// a simulated crash after N disk operations, which halts all further I/O.
 func WithFaultPolicy(fp FaultPolicy) Option {
 	return func(o *engineOptions) { o.fault = &fp }
 }
